@@ -1,7 +1,9 @@
 //! GEMM engine benchmark: sweeps square and transformer-shaped products
 //! across thread counts, reports GFLOP/s, and writes `BENCH_gemm.json` at
 //! the repo root — the perf trajectory file the CI smoke job regenerates and
-//! `optimus-cli calibrate` consumes.
+//! `optimus-cli calibrate` consumes. The same file carries the
+//! `elementwise` rows: forward + backward of GELU and row softmax, and the
+//! serial cross-entropy, on one thread at three block shapes.
 //!
 //! ```text
 //! gemm-bench [--smoke] [--out PATH] [--trace PATH] [--threads a,b,..]
@@ -23,7 +25,7 @@
 //! square shape — which the gate treats as lower-is-better (the telemetry
 //! layer's "stay under 2%" budget).
 
-use bench::{bench_fn, render_table};
+use bench::{bench_fn, bench_fn_min, render_table};
 use minjson::Json;
 use tensor::gemm::{gemm_acc, kernel_name, Form};
 use tensor::matmul::reference;
@@ -184,6 +186,70 @@ fn time_engine_vs_seed(shape: &Shape, samples: usize) -> (f64, f64) {
     (mins[0], mins[1])
 }
 
+/// `[rows, cols]` of the element-wise rows: the 2×2 workload's local MLP
+/// block, a tall attention-score stack, and the 4×4 workload's block.
+const ELEMENTWISE_SHAPES: &[(usize, usize)] = &[(256, 512), (1024, 64), (128, 128)];
+
+struct ElementwiseRow {
+    name: &'static str,
+    rows: usize,
+    cols: usize,
+    secs: f64,
+}
+
+impl ElementwiseRow {
+    fn ns_per_elem(&self) -> f64 {
+        self.secs * 1e9 / (self.rows * self.cols) as f64
+    }
+
+    fn json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.to_string())),
+            ("rows", Json::Num(self.rows as f64)),
+            ("cols", Json::Num(self.cols as f64)),
+            ("threads", Json::Num(1.0)),
+            ("us", Json::Num(self.secs * 1e6)),
+            ("ns_per_elem", Json::Num(self.ns_per_elem())),
+            ("melem_per_s", Json::Num(1e3 / self.ns_per_elem())),
+        ])
+    }
+}
+
+/// Min-of-samples, one thread, of the three element-wise kernel pairs the
+/// training step runs outside GEMM, through the calls the layers make.
+fn time_elementwise(samples: usize) -> Vec<ElementwiseRow> {
+    let mut out = Vec::new();
+    for &(rows, cols) in ELEMENTWISE_SHAPES {
+        let x = rand(&[rows, cols], 3);
+        let dy = rand(&[rows, cols], 4);
+        let labels: Vec<usize> = (0..rows).map(|r| r % cols).collect();
+        let shape = format!("{rows}x{cols}");
+        let mut time = |name: &'static str, f: &mut dyn FnMut()| {
+            let secs = pool::with_thread_cap(1, || {
+                bench_fn_min("elementwise", &format!("{name}/{shape}"), samples, &mut *f)
+            });
+            out.push(ElementwiseRow {
+                name,
+                rows,
+                cols,
+                secs,
+            });
+        };
+        time("gelu_fwd_bwd", &mut || {
+            bench::black_box(tensor::ops::gelu_forward(&x));
+            bench::black_box(tensor::ops::gelu_backward(&dy, &x));
+        });
+        time("softmax_fwd_bwd", &mut || {
+            let y = tensor::softmax::softmax_rows(&x);
+            bench::black_box(tensor::softmax::softmax_backward(&dy, &y));
+        });
+        time("xent", &mut || {
+            bench::black_box(tensor::loss::cross_entropy(&x, &labels));
+        });
+    }
+    out
+}
+
 fn run_traced_product(path: &str, size: usize) {
     let a = rand(&[size, size], 1);
     let b = rand(&[size, size], 2);
@@ -324,6 +390,8 @@ fn main() {
         baseline_shape.name, overhead,
     );
 
+    let elementwise = time_elementwise(if smoke { 20 } else { 200 });
+
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -341,6 +409,22 @@ fn main() {
         render_table(&["shape", "mkn", "threads", "secs", "GFLOP/s"], &table)
     );
 
+    let table: Vec<Vec<String>> = elementwise
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.to_string(),
+                format!("{}x{}", r.rows, r.cols),
+                format!("{:.1}", r.secs * 1e6),
+                format!("{:.2}", r.ns_per_elem()),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["elementwise", "shape", "us", "ns/elem"], &table)
+    );
+
     let doc = Json::obj(vec![
         ("kernel", Json::Str(kernel_name().to_string())),
         ("hw_threads", Json::Num(hw as f64)),
@@ -348,6 +432,10 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
         ("metrics_overhead", Json::Num(overhead)),
         ("results", Json::Arr(rows.iter().map(Row::json).collect())),
+        (
+            "elementwise",
+            Json::Arr(elementwise.iter().map(ElementwiseRow::json).collect()),
+        ),
         (
             "seed_baseline",
             Json::obj(vec![

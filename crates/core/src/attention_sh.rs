@@ -23,7 +23,7 @@
 use mesh::{Communicator, Grid2d};
 use serial::ModelConfig;
 use summa::{collect_blocks, distribute, summa_nn, summa_nt};
-use tensor::loss::{partial_row_max, partial_sumexp};
+use tensor::loss::{partial_row_max, partial_sumexp, softmax_from_parts};
 use tensor::Tensor;
 
 /// Distributed softmax over the last dimension of an `[s/q, s/q]` block
@@ -33,16 +33,7 @@ fn softmax_rows_2d<C: Communicator>(grid: &Grid2d<C>, scores: &Tensor) -> Tensor
     grid.ctx().all_reduce_max(grid.row_group(), &mut m);
     let mut se = partial_sumexp(scores, &m);
     grid.ctx().all_reduce(grid.row_group(), &mut se);
-    let cols = scores.cols();
-    let mut out = scores.clone();
-    for (r, row) in out.as_mut_slice().chunks_mut(cols).enumerate() {
-        let mx = m[r];
-        let inv = 1.0 / se[r];
-        for v in row.iter_mut() {
-            *v = (*v - mx).exp() * inv;
-        }
-    }
-    out
+    softmax_from_parts(scores, &m, &se, 1.0)
 }
 
 /// Attention under the rejected `(s, h)` partition.

@@ -13,7 +13,7 @@ use serial::{
     attention_backward, attention_backward_recomputed, attention_ctx_only, attention_forward,
     AttnCache,
 };
-use tensor::ops::{gelu_backward, gelu_forward};
+use tensor::ops::{gelu_backward_in_place, gelu_forward};
 use tensor::Tensor;
 
 /// Forward state saved for backward — all blocks are local `1/p` shares.
@@ -146,8 +146,8 @@ pub fn layer2d_backward<C: Communicator>(
     let rows = cfg.local_rows();
 
     // MLP half.
-    let (dg, dw_fc2, db_fc2) = p.fc2.backward(grid, &cache.g, dy);
-    let df1 = gelu_backward(&dg, &cache.f1);
+    let (mut df1, dw_fc2, db_fc2) = p.fc2.backward(grid, &cache.g, dy);
+    gelu_backward_in_place(&mut df1, &cache.f1);
     let (dln2_out, dw_fc1, db_fc1) = p.fc1.backward(grid, &cache.ln2_out, &df1);
     let (dx1_ln, dln2_g, dln2_b) = p.ln2.backward(grid, &dln2_out, &cache.ln2, cfg.hidden);
     let mut dx1 = dy.clone();

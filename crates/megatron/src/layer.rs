@@ -9,7 +9,7 @@ use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
 use serial::{attention_backward, attention_forward, AttnCache, Linear};
 use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
-use tensor::ops::{bias_add, bias_grad, gelu_backward, gelu_forward};
+use tensor::ops::{bias_add, bias_grad, gelu_backward_in_place, gelu_forward};
 use tensor::{matmul_nt, matmul_tn, Tensor};
 
 /// Forward state saved for backward (local where the scheme is local).
@@ -121,9 +121,9 @@ pub fn layer1d_backward<C: Communicator>(
 
     // MLP half.
     let db_fc2 = bias_grad(dy); // replicated, equals the serial gradient
-    let dg = matmul_nt(dy, &p.w_fc2);
+    let mut df1 = matmul_nt(dy, &p.w_fc2);
     let dw_fc2 = matmul_tn(&cache.g, dy);
-    let df1 = gelu_backward(&dg, &cache.f1);
+    gelu_backward_in_place(&mut df1, &cache.f1);
     let db_fc1 = bias_grad(&df1);
     let dw_fc1 = matmul_tn(&cache.ln2_out, &df1);
     let mut dln2_out = matmul_nt(&df1, &p.w_fc1);

@@ -85,6 +85,13 @@ fn num(j: &Json, key: &str) -> Option<f64> {
     j.get(key).ok().and_then(|v| v.as_f64().ok())
 }
 
+fn str_field(row: &Json, key: &str) -> Result<String, String> {
+    match row.get(key)? {
+        Json::Str(s) => Ok(s.clone()),
+        other => Err(format!("{key} must be a string, got {}", other.to_string())),
+    }
+}
+
 /// `(key, value, higher_is_better)` triples extracted from one bench file.
 fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
     let mut out = Vec::new();
@@ -137,18 +144,25 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
             let gflops = row.get("gflops")?.as_f64()?;
             out.push((format!("gemm.{name}.t{threads}.gflops"), gflops, true));
         }
+        // Element-wise kernel rows (absent from files written before them).
+        if let Ok(rows) = j.get("elementwise") {
+            for row in rows.as_arr()? {
+                let name = str_field(row, "name")?;
+                let (r, c) = (row.get("rows")?.as_usize()?, row.get("cols")?.as_usize()?);
+                let rate = row.get("melem_per_s")?.as_f64()?;
+                out.push((
+                    format!("elementwise.{name}.{r}x{c}.melem_per_s"),
+                    rate,
+                    true,
+                ));
+            }
+        }
         if let Some(ovh) = num(j, "metrics_overhead") {
             // Overhead ratio: lower is better, and it must stay near 1.
             out.push(("gemm.metrics_overhead".into(), ovh, false));
         }
     } else if j.get("coll_winners").is_ok() {
         // BENCH_coll.json
-        let str_field = |row: &Json, key: &str| -> Result<String, String> {
-            match row.get(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                other => Err(format!("{key} must be a string, got {}", other.to_string())),
-            }
-        };
         for row in j.get("results")?.as_arr()? {
             let op = str_field(row, "op")?;
             let algo = str_field(row, "algo")?;
@@ -287,6 +301,36 @@ mod tests {
                 ]}}"#
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn elementwise_rows_pair_by_name_and_shape() {
+        let with_rows = |rate: f64| {
+            let mut j = gemm(57.0, 3.2, false);
+            let Json::Obj(fields) = &mut j else {
+                unreachable!()
+            };
+            let rows = format!(
+                r#"[{{"name":"gelu_fwd_bwd","rows":256,"cols":512,"threads":1,"us":300.0,
+                     "ns_per_elem":2.3,"melem_per_s":{rate}}}]"#
+            );
+            fields.insert("elementwise".into(), minjson::parse(&rows).unwrap());
+            j
+        };
+        let cmp = compare(&with_rows(430.0), &with_rows(400.0), 0.1).unwrap();
+        assert!(cmp.passed(), "{}", cmp.render());
+        assert!(
+            cmp.checks
+                .iter()
+                .any(|c| c.key == "elementwise.gelu_fwd_bwd.256x512.melem_per_s"
+                    && c.higher_is_better)
+        );
+        assert!(!compare(&with_rows(430.0), &with_rows(200.0), 0.1)
+            .unwrap()
+            .passed());
+        // A baseline written before the rows existed still gates the rest.
+        let cmp = compare(&gemm(57.0, 3.2, false), &with_rows(430.0), 0.1).unwrap();
+        assert!(cmp.passed(), "{}", cmp.render());
     }
 
     #[test]

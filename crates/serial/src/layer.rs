@@ -5,7 +5,7 @@ use crate::config::ModelConfig;
 use crate::linear::Linear;
 use crate::params::LayerParams;
 use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
-use tensor::ops::{gelu_backward, gelu_forward};
+use tensor::ops::{gelu_backward_in_place, gelu_forward};
 use tensor::Tensor;
 
 /// Everything the backward pass needs, saved during forward.
@@ -106,8 +106,8 @@ pub fn layer_backward(
 
     // MLP branch.
     let fc2 = Linear::new(p.w_fc2.clone(), p.b_fc2.clone());
-    let (dg, dw_fc2, db_fc2) = fc2.backward(&cache.g, dy);
-    let df1 = gelu_backward(&dg, &cache.f1);
+    let (mut df1, dw_fc2, db_fc2) = fc2.backward(&cache.g, dy);
+    gelu_backward_in_place(&mut df1, &cache.f1);
     let fc1 = Linear::new(p.w_fc1.clone(), p.b_fc1.clone());
     let (dln2_out, dw_fc1, db_fc1) = fc1.backward(&cache.ln2_out, &df1);
     let (dx1_ln, dln2_gamma, dln2_beta) = layer_norm_backward(&dln2_out, &cache.ln2, &p.ln2_g);

@@ -135,13 +135,20 @@ impl Ukr {
     }
 }
 
+/// Whether this CPU runs the `avx2,fma` instantiations — of the microkernel
+/// above and of the `vmath` kernels. Detected once per process.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn fma_host() -> bool {
+    static FMA_HOST: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FMA_HOST.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    })
+}
+
 fn select_ukr() -> (Ukr, &'static str) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return (Ukr::Avx2, "avx2+fma 6x16");
-        }
+    if fma_host() {
+        return (Ukr::Avx2, "avx2+fma 6x16");
     }
     (Ukr::Portable, "portable 6x16")
 }

@@ -35,6 +35,7 @@ pub mod rng;
 pub mod schedule;
 pub mod softmax;
 mod tensor;
+mod vmath;
 
 pub use matmul::{matmul_nn, matmul_nt, matmul_tn};
 pub use rng::Rng;

@@ -12,6 +12,7 @@
 //! implementations are tested against.
 
 use crate::tensor::Tensor;
+use crate::vmath;
 
 /// Per-row maximum over the local columns (for the stable log-sum-exp).
 pub fn partial_row_max(x: &Tensor) -> Vec<f32> {
@@ -25,13 +26,33 @@ pub fn partial_row_max(x: &Tensor) -> Vec<f32> {
 /// Per-row `Σ_j exp(x_j − m_r)` over the local columns, where `m` is the
 /// *global* per-row maximum (after the max all-reduce).
 pub fn partial_sumexp(x: &Tensor, global_max: &[f32]) -> Vec<f32> {
-    let cols = x.cols();
     assert_eq!(global_max.len(), x.rows());
-    x.as_slice()
-        .chunks(cols)
-        .zip(global_max.iter())
-        .map(|(row, &m)| row.iter().map(|&v| (v - m).exp()).sum())
-        .collect()
+    let mut sums = vec![0.0f32; x.rows()];
+    vmath::sumexp_rows(x.as_slice(), x.cols(), global_max, &mut sums);
+    sums
+}
+
+/// Local softmax block `exp(x − m_r) / Σexp_r · scale` from the *global*
+/// per-row maximum and `Σ exp` — the same `exp` as [`partial_sumexp`], so
+/// the denominator a row was summed with is the one it is divided by.
+pub fn softmax_from_parts(
+    x: &Tensor,
+    global_max: &[f32],
+    global_sumexp: &[f32],
+    scale: f32,
+) -> Tensor {
+    assert_eq!(global_max.len(), x.rows());
+    assert_eq!(global_sumexp.len(), x.rows());
+    let mut out = Tensor::zeros(x.dims());
+    vmath::softmax_from_parts(
+        x.as_slice(),
+        x.cols(),
+        global_max,
+        global_sumexp,
+        scale,
+        out.as_mut_slice(),
+    );
+    out
 }
 
 /// Per-row logit of the target label, for labels that fall inside the local
@@ -78,19 +99,22 @@ pub fn ce_grad_local(
 ) -> Tensor {
     let cols = x.cols();
     assert_eq!(labels.len(), x.rows());
-    let mut dx = x.clone();
-    for (r, row) in dx.as_mut_slice().chunks_mut(cols).enumerate() {
-        let m = global_max[r];
-        let inv = 1.0 / global_sumexp[r];
-        for v in row.iter_mut() {
-            *v = (*v - m).exp() * inv;
-        }
-        let l = labels[r];
+    let mut dx = softmax_from_parts(x, global_max, global_sumexp, scale);
+    for (r, &l) in labels.iter().enumerate() {
         if l >= vocab_offset && l < vocab_offset + cols {
-            row[l - vocab_offset] -= 1.0;
-        }
-        for v in row.iter_mut() {
-            *v *= scale;
+            // The one-element case of the same kernel gives this entry's
+            // unscaled probability back, bit for bit.
+            let i = r * cols + l - vocab_offset;
+            let mut p = [0.0];
+            vmath::softmax_from_parts(
+                &x.as_slice()[i..=i],
+                1,
+                &global_max[r..=r],
+                &global_sumexp[r..=r],
+                1.0,
+                &mut p,
+            );
+            dx.as_mut_slice()[i] = (p[0] - 1.0) * scale;
         }
     }
     dx

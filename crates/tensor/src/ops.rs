@@ -1,15 +1,22 @@
 //! Element-wise and broadcasting operations with manual gradients.
 //!
-//! The transcendental-heavy GELU passes split into element blocks on the
-//! shared compute pool ([`crate::pool`]); each element is written by exactly
-//! one task, so results are bitwise independent of the thread count.
+//! The GELU passes run on the vectorized `vmath` kernels and, when large,
+//! split into element blocks on the shared compute pool ([`crate::pool`]);
+//! each element is written by exactly one task and its value depends on
+//! nothing but its input, so results are bitwise independent of the thread
+//! count.
 
-use crate::pool::{self, SendPtr};
+use crate::pool;
 use crate::tensor::Tensor;
+use crate::vmath;
 
-/// Elements per pool task for the GELU loops (tanh-bound, so tasks can be
-/// smaller than for pure arithmetic; tiny tensors inline).
-const GELU_CHUNK: usize = 4096;
+/// Elements per pool task for the GELU loops, and so the size above which
+/// they share at all. A pass costs ~1.1 ns per element and waking a worker
+/// 30–40 µs, so sharing pays from ~10⁵ elements: on the 2-core host,
+/// forward + backward of 16 Ki / 64 Ki / 128 Ki / 512 Ki elements take
+/// 36 / 153 / 308 / 1330 µs on one thread; 4 Ki-element tasks make that
+/// 63 / 141 / 244 / 900 µs, 64 Ki-element tasks 36 / 153 / 260 / 930 µs.
+const GELU_CHUNK: usize = 65536;
 
 /// Adds `bias` (length = cols) to every row of `x`, in place.
 ///
@@ -45,51 +52,51 @@ pub fn bias_grad(dy: &Tensor) -> Vec<f32> {
     g
 }
 
-/// Exact GELU: `x * Φ(x)` using the error function.
-///
-/// We use the `tanh` approximation from the BERT/Megatron codebases so that
-/// forward and backward are cheap and self-consistent.
+/// Tanh-approximate GELU, `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))` (the
+/// BERT/Megatron form): the one-element case of [`gelu_forward`]'s kernel,
+/// so it equals, bitwise, what the tensor pass computes for the same value.
 pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    let mut y = [0.0];
+    vmath::gelu(&[x], &mut y);
+    y[0]
 }
 
-/// Derivative of the tanh-approximate GELU.
+/// Derivative of the tanh-approximate GELU: the one-element case of
+/// [`gelu_backward`]'s kernel.
 pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    let mut g = [1.0];
+    vmath::gelu_grad_mul(&[x], &mut g);
+    g[0]
+}
+
+/// Runs a `vmath` kernel `(x, y)` over equal-length slices in
+/// [`GELU_CHUNK`]-element pool tasks.
+fn gelu_pass(kernel: fn(&[f32], &mut [f32]), x: &[f32], y: &mut [f32]) {
+    pool::parallel_chunks_mut(y, GELU_CHUNK, |i, chunk| {
+        let i0 = i * GELU_CHUNK;
+        kernel(&x[i0..i0 + chunk.len()], chunk);
+    });
 }
 
 /// Applies GELU element-wise, returning a new tensor.
 pub fn gelu_forward(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    pool::parallel_chunks_mut(out.as_mut_slice(), GELU_CHUNK, |_, chunk| {
-        for v in chunk {
-            *v = gelu(*v);
-        }
-    });
+    let mut out = Tensor::zeros(x.dims());
+    gelu_pass(vmath::gelu, x.as_slice(), out.as_mut_slice());
     out
 }
 
-/// Backward of GELU: `dx = dy * gelu'(x)` (needs the *input*, which is why
-/// the paper's buffer scheme keeps matmul inputs but can discard outputs).
-pub fn gelu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
+/// Backward of GELU, in place: `dy` becomes `dx = dy * gelu'(x)` (needs the
+/// *input*, which is why the paper's buffer scheme keeps matmul inputs but
+/// can discard outputs). The layers own `dy` and have no further use for it.
+pub fn gelu_backward_in_place(dy: &mut Tensor, x: &Tensor) {
     assert_eq!(dy.dims(), x.dims());
+    gelu_pass(vmath::gelu_grad_mul, x.as_slice(), dy.as_mut_slice());
+}
+
+/// [`gelu_backward_in_place`] on a copy, for callers that only borrow `dy`.
+pub fn gelu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
     let mut dx = dy.clone();
-    let n = dx.as_mut_slice().len();
-    let xs = x.as_slice();
-    let base = SendPtr::new(dx.as_mut_slice().as_mut_ptr());
-    pool::parallel_row_blocks(n, GELU_CHUNK, |i0, i1| {
-        // SAFETY: element ranges are disjoint per task.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(i0), i1 - i0) };
-        for (g, &xi) in chunk.iter_mut().zip(&xs[i0..i1]) {
-            *g *= gelu_grad(xi);
-        }
-    });
+    gelu_backward_in_place(&mut dx, x);
     dx
 }
 
@@ -137,6 +144,52 @@ mod tests {
         assert_eq!(bias_grad(&dy), vec![3.0, 3.0]);
     }
 
+    /// The accuracy reference: the same formulas on f64 libm.
+    fn gelu_ref(x: f64) -> (f64, f64) {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        let t = (c * (x + 0.044715 * x * x * x)).tanh();
+        let grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x);
+        (0.5 * x * (1.0 + t), grad)
+    }
+
+    #[test]
+    fn gelu_and_grad_within_contract_of_f64() {
+        // Dense sweep of [-10, 10] through the tensor passes.
+        let n = 2_000_001;
+        let xs: Vec<f32> = (0..n).map(|i| -10.0 + 1e-5 * i as f32).collect();
+        let x = Tensor::from_vec(&[1, n], xs);
+        let y = gelu_forward(&x);
+        let dx = gelu_backward(&Tensor::full(&[1, n], 1.0), &x);
+        for ((&x, &y), &dx) in x.as_slice().iter().zip(y.as_slice()).zip(dx.as_slice()) {
+            let (want_y, want_dx) = gelu_ref(x as f64);
+            let tol = 1e-6 * (x.abs() as f64).max(1.0);
+            assert!(
+                (y as f64 - want_y).abs() <= tol,
+                "gelu({x}) = {y}, want {want_y}"
+            );
+            assert!(
+                (dx as f64 - want_dx).abs() <= tol,
+                "gelu'({x}) = {dx}, want {want_dx}"
+            );
+        }
+    }
+
+    #[test]
+    fn gelu_special_values() {
+        assert_eq!(gelu(0.0).to_bits(), 0f32.to_bits());
+        assert_eq!(gelu(-0.0).to_bits(), (-0f32).to_bits());
+        assert_eq!(gelu_grad(0.0), 0.5);
+        // Saturated tanh: the identity on the right, exactly zero on the left.
+        for x in [6.0f32, 10.0, 50.0, 1e6] {
+            assert_eq!(gelu(x), x);
+            assert_eq!(gelu(-x), 0.0);
+            assert_eq!(gelu_grad(x), 1.0);
+            assert_eq!(gelu_grad(-x), 0.0);
+        }
+        assert!(gelu(f32::NAN).is_nan() && gelu_grad(f32::NAN).is_nan());
+        assert_eq!(gelu(1e-40), 0.5 * 1e-40f32);
+    }
+
     #[test]
     fn gelu_fixed_points() {
         assert!((gelu(0.0)).abs() < 1e-7);
@@ -167,10 +220,14 @@ mod tests {
         let dy = Tensor::full(&[4, 5], 1.0);
         let dx = gelu_backward(&dy, &x);
         assert_eq!(dx.dims(), x.dims());
-        // dx should equal gelu'(x) when dy == 1.
+        // dx equals gelu'(x) when dy == 1, and scaling dy in place is the
+        // same pass.
         for (g, &xi) in dx.as_slice().iter().zip(x.as_slice()) {
-            assert!((g - gelu_grad(xi)).abs() < 1e-6);
+            assert_eq!(*g, gelu_grad(xi));
         }
+        let mut dy = dy;
+        gelu_backward_in_place(&mut dy, &x);
+        assert_eq!(dy, dx);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Seeded property sweep for the cache-blocked GEMM engine.
+//! Seeded property sweeps for the cache-blocked GEMM engine and for the
+//! vectorized element-wise kernels (GELU, softmax, cross-entropy).
 //!
 //! For every form (NN / NT / TN) and a grid of edge-case shapes — unit
 //! dims, prime dims, exact microkernel stripe/panel boundaries, one past
@@ -8,10 +9,19 @@
 //! f64-accumulated naive product to within f32 rounding. A final test
 //! pins the pool's defining property: a thousand back-to-back matmuls
 //! spawn no threads beyond the initial worker set.
+//!
+//! The element-wise kernels must give every element a result that depends
+//! on its value alone — not on its offset in the buffer, the buffer's
+//! length (vector body or scalar tail), the chunking or the thread count —
+//! which is what keeps serial ≡ distributed bitwise however an activation
+//! is partitioned.
 
 use tensor::gemm::{gemm_acc, Form};
+use tensor::loss::{ce_grad_local, partial_row_max, partial_sumexp, softmax_from_parts};
 use tensor::matmul::reference;
-use tensor::{pool, Rng};
+use tensor::ops::{gelu, gelu_backward, gelu_forward, gelu_grad};
+use tensor::softmax::{softmax_backward, softmax_rows};
+use tensor::{pool, Rng, Tensor};
 
 /// Shape grid: microkernel stripes are 6 rows (MR) × 16 columns (NR),
 /// cache blocks are MC=96 / KC=256 / NC=1024, and products under 32³ MACs
@@ -129,4 +139,169 @@ fn pool_thread_count_is_constant_across_many_matmuls() {
         "matmuls must reuse the persistent workers, not spawn threads"
     );
     assert_eq!(spawned, pool::pool().worker_count());
+}
+
+// ---------------------------------------------------------------------------
+// Element-wise kernels
+// ---------------------------------------------------------------------------
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `exp(v)` through the one-element case of the softmax kernel:
+/// `exp(v − 0) · (1/1) · 1`.
+fn exp1(v: f32) -> f32 {
+    softmax_from_parts(&Tensor::from_vec(&[1, 1], vec![v]), &[0.0], &[1.0], 1.0).at(0, 0)
+}
+
+/// The softmax of one row, assembled from one-element calls in the kernel's
+/// stated order: row maximum, `exp`, left-to-right sum, one reciprocal.
+fn softmax_row_by_elements(row: &[f32]) -> Vec<f32> {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let e: Vec<f32> = row.iter().map(|&v| exp1(v - max)).collect();
+    let mut sum = 0.0f32;
+    for &v in &e {
+        sum += v;
+    }
+    let inv = 1.0 / sum;
+    e.iter().map(|&v| v * inv).collect()
+}
+
+#[test]
+fn elementwise_results_do_not_depend_on_position() {
+    let mut rng = Rng::new(0xE1E);
+    let buf = fill(64, &mut rng);
+    let dy = fill(64, &mut rng);
+    for off in 0..=16 {
+        for len in 1..=40 {
+            let window = &buf[off..off + len];
+            let x = Tensor::from_vec(&[1, len], window.to_vec());
+            let g = Tensor::from_vec(&[1, len], dy[off..off + len].to_vec());
+
+            let want: Vec<f32> = window.iter().map(|&v| gelu(v)).collect();
+            assert_eq!(
+                bits(gelu_forward(&x).as_slice()),
+                bits(&want),
+                "gelu_forward at offset {off}, length {len}"
+            );
+            let want: Vec<f32> = window
+                .iter()
+                .zip(g.as_slice())
+                .map(|(&v, &g)| g * gelu_grad(v))
+                .collect();
+            assert_eq!(
+                bits(gelu_backward(&g, &x).as_slice()),
+                bits(&want),
+                "gelu_backward at offset {off}, length {len}"
+            );
+            assert_eq!(
+                bits(softmax_rows(&x).as_slice()),
+                bits(&softmax_row_by_elements(window)),
+                "softmax_rows at offset {off}, length {len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn softmax_row_does_not_depend_on_its_neighbours() {
+    // The same row at every position of a taller tensor, beside other rows.
+    let mut rng = Rng::new(0xE2E);
+    for cols in [1usize, 7, 8, 9, 33, 64, 100] {
+        let rows = 5;
+        let mut x = Tensor::randn(&[rows, cols], 2.0, &mut rng);
+        let row = fill(cols, &mut rng);
+        let want = bits(&softmax_row_by_elements(&row));
+        for r in 0..rows {
+            x.row_mut(r).copy_from_slice(&row);
+            assert_eq!(
+                bits(softmax_rows(&x).row(r)),
+                want,
+                "row {r} of {rows}x{cols}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cross_entropy_halves_share_one_exp() {
+    // Forward Σexp and the backward softmax are built from the same
+    // one-element exp, summed left to right: a vocabulary split in two (as
+    // a mesh row would hold it) reproduces the unsplit numerators bitwise.
+    let mut rng = Rng::new(0xE3E);
+    let (rows, vocab) = (6, 150); // longer than the kernel's 64-lane sum block
+    let logits = Tensor::randn(&[rows, vocab], 3.0, &mut rng);
+    let labels: Vec<usize> = (0..rows).map(|r| (r * 37) % vocab).collect();
+    let m = partial_row_max(&logits);
+    let se = partial_sumexp(&logits, &m);
+    for r in 0..rows {
+        let mut sum = 0.0f32;
+        for &v in logits.row(r) {
+            sum += exp1(v - m[r]);
+        }
+        assert_eq!(se[r].to_bits(), sum.to_bits(), "row {r}");
+    }
+    let scale = 1.0 / rows as f32;
+    let grad = ce_grad_local(&logits, &labels, 0, &m, &se, scale);
+    let (left, right) = (
+        logits.block(0, 0, rows, 64),
+        logits.block(0, 64, rows, vocab - 64),
+    );
+    let mut split = Tensor::zeros(&[rows, vocab]);
+    split.set_block(0, 0, &ce_grad_local(&left, &labels, 0, &m, &se, scale));
+    split.set_block(0, 64, &ce_grad_local(&right, &labels, 64, &m, &se, scale));
+    assert_eq!(bits(split.as_slice()), bits(grad.as_slice()));
+    for r in 0..rows {
+        let inv = 1.0 / se[r];
+        for c in 0..vocab {
+            let p = exp1(logits.at(r, c) - m[r]) * inv;
+            let want = if labels[r] == c {
+                (p - 1.0) * scale
+            } else {
+                p * scale
+            };
+            assert_eq!(grad.at(r, c).to_bits(), want.to_bits(), "({r}, {c})");
+        }
+    }
+}
+
+#[test]
+fn elementwise_pooled_equals_one_thread() {
+    // Large enough that every pass splits into several pool tasks, with a
+    // ragged last task.
+    let mut rng = Rng::new(0xE4E);
+    let x = Tensor::randn(&[701, 301], 2.0, &mut rng);
+    let dy = Tensor::randn(&[701, 301], 1.0, &mut rng);
+    let run = || {
+        let y = softmax_rows(&x);
+        (
+            gelu_forward(&x),
+            gelu_backward(&dy, &x),
+            softmax_backward(&dy, &y),
+            y,
+        )
+    };
+    let serial = pool::with_thread_cap(1, run);
+    let pooled = run();
+    assert_eq!(
+        bits(serial.0.as_slice()),
+        bits(pooled.0.as_slice()),
+        "gelu_forward"
+    );
+    assert_eq!(
+        bits(serial.1.as_slice()),
+        bits(pooled.1.as_slice()),
+        "gelu_backward"
+    );
+    assert_eq!(
+        bits(serial.2.as_slice()),
+        bits(pooled.2.as_slice()),
+        "softmax_backward"
+    );
+    assert_eq!(
+        bits(serial.3.as_slice()),
+        bits(pooled.3.as_slice()),
+        "softmax_rows"
+    );
 }

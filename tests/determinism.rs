@@ -125,3 +125,72 @@ fn megatron_replicas_are_bit_identical_across_devices() {
     });
     assert_eq!(losses[0], losses[1]);
 }
+
+#[test]
+fn gelu_is_independent_of_how_the_activation_is_partitioned() {
+    // An element's GELU (and GELU gradient) is a function of its value
+    // alone: the serial block, the four Optimus [2,2] blocks and the two
+    // Megatron column slices of one global activation, each computed on its
+    // own device thread at its own offset and length, reassemble bitwise.
+    use optimus::tensor::ops::{gelu_backward, gelu_forward};
+    use optimus::tensor::Tensor;
+    let (rows, cols) = (18, 44); // blocks of 9x22 and 18x22: vector tails everywhere
+    let mut rng = Rng::new(11);
+    let f1 = Tensor::randn(&[rows, cols], 2.0, &mut rng);
+    let dg = Tensor::randn(&[rows, cols], 1.0, &mut rng);
+    let serial = (gelu_forward(&f1), gelu_backward(&dg, &f1));
+
+    let blocks = Mesh2d::run(2, |g| {
+        let (x, dy) = (
+            f1.summa_block(g.row(), g.col(), 2),
+            dg.summa_block(g.row(), g.col(), 2),
+        );
+        (gelu_forward(&x), gelu_backward(&dy, &x))
+    });
+    let (fwd, bwd): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+    assert_eq!(Tensor::from_summa_blocks(&fwd, 2), serial.0);
+    assert_eq!(Tensor::from_summa_blocks(&bwd, 2), serial.1);
+
+    let slices = Mesh::run(2, |ctx| {
+        let w = cols / 2;
+        let (x, dy) = (
+            f1.block(0, ctx.rank() * w, rows, w),
+            dg.block(0, ctx.rank() * w, rows, w),
+        );
+        (gelu_forward(&x), gelu_backward(&dy, &x))
+    });
+    let mut fwd = Tensor::zeros(&[rows, cols]);
+    let mut bwd = Tensor::zeros(&[rows, cols]);
+    for (r, (y, dx)) in slices.iter().enumerate() {
+        fwd.set_block(0, r * cols / 2, y);
+        bwd.set_block(0, r * cols / 2, dx);
+    }
+    assert_eq!(fwd, serial.0);
+    assert_eq!(bwd, serial.1);
+}
+
+#[test]
+fn causal_attention_rows_are_exactly_zero_above_the_diagonal() {
+    use optimus::serial::attention_forward;
+    use optimus::tensor::Tensor;
+    let cfg = ModelConfig {
+        causal: true,
+        ..ModelConfig::tiny()
+    };
+    let mut rng = Rng::new(12);
+    let mut qkv = || Tensor::randn(&[cfg.tokens(), cfg.hidden], 3.0, &mut rng);
+    let (q, k, v) = (qkv(), qkv(), qkv());
+    let (_, cache) = attention_forward(&cfg, &q, &k, &v);
+    assert_eq!(cache.probs.len(), cfg.batch * cfg.heads);
+    for a in &cache.probs {
+        for i in 0..cfg.seq {
+            for j in 0..cfg.seq {
+                if j > i {
+                    assert_eq!(a.at(i, j).to_bits(), 0, "masked ({i}, {j}) must be +0.0");
+                }
+            }
+            let sum: f32 = a.row(i).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "row {i} sums to {sum}");
+        }
+    }
+}
