@@ -24,8 +24,8 @@
 //! that justify the tuned selection table. A `host` stamp (threads, AVX2,
 //! git rev) qualifies cross-machine comparisons.
 
-use bench::coll::{measure_coll_wire, reps_for, CollSample, TUNE_ELEMS, TUNE_OPS};
-use mesh::{CollAlgo, CommOp, WireDtype};
+use bench::coll::{measure_coll, reps_for, CollSample, TUNE_ELEMS, TUNE_OPS};
+use mesh::{CollAlgo, CollPlan, CommOp, WireDtype};
 use minjson::Json;
 
 struct Winner {
@@ -83,14 +83,13 @@ fn main() {
                 .iter()
                 .flat_map(|&w| {
                     CollAlgo::menu(op).iter().map(move |&algo| {
-                        measure_coll_wire(
+                        measure_coll(
                             op,
-                            algo,
+                            CollPlan { algo, wire: w },
                             devices,
                             elems,
                             reps_for(base_reps, elems),
                             trials,
-                            w,
                         )
                     })
                 })

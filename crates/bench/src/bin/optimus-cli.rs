@@ -86,8 +86,8 @@
 
 use megatron::{MegatronConfig, MegatronModel};
 use mesh::{
-    AlgoRule, AlgoTable, Arrangement, CollAlgo, CommOp, Mesh, Mesh2d, Topology, WireDtype,
-    WireRule, WireTable,
+    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollPlan, CommOp, Mesh, Mesh2d, Topology,
+    WireDtype, WireRule, WireTable,
 };
 use minjson::Json;
 use optimus_core::{OptimusConfig, OptimusModel};
@@ -1122,15 +1122,14 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
             if op == CommOp::ReduceScatter && elems % p != 0 {
                 continue; // reduce-scatter needs p | payload
             }
-            let measure = |algo: CollAlgo, w: WireDtype| {
-                bench::coll::measure_coll_wire(
+            let measure = |algo: CollAlgo, wire: WireDtype| {
+                bench::coll::measure_coll(
                     op,
-                    algo,
+                    CollPlan { algo, wire },
                     p,
                     elems,
                     bench::coll::reps_for(base_reps, elems),
                     trials,
-                    w,
                 )
             };
             let samples: Vec<bench::coll::CollSample> = CollAlgo::menu(op)

@@ -14,7 +14,7 @@
 //! per-rank block for all-gather. Reduce-scatter payloads must divide by
 //! the group size, so sweep sizes should be multiples of the world size.
 
-use mesh::{CollAlgo, CommOp, Communicator, Group, Mesh, WireDtype};
+use mesh::{Coll, CollAlgo, CollBuf, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -54,60 +54,50 @@ impl CollSample {
     }
 }
 
-fn run_once(
-    ctx: &impl Communicator,
-    g: &Group,
-    op: CommOp,
-    algo: CollAlgo,
-    w: WireDtype,
-    data: &mut [f32],
-) {
-    // Explicit wire dtype per call — the sweep never installs a global
-    // wire table, so concurrently running cells cannot contaminate each
-    // other (or the rest of the test process).
-    match op {
-        CommOp::Broadcast => ctx.broadcast_algo_wire(g, 0, data, algo, w),
-        CommOp::Reduce => ctx.reduce_algo_wire(g, 0, data, algo, w),
-        CommOp::AllReduce => ctx.all_reduce_algo_wire(g, data, algo, w),
+fn run_once(ctx: &impl Communicator, g: &Group, op: CommOp, plan: CollPlan, data: &mut [f32]) {
+    // Explicit plan per call — the sweep never installs a global table, so
+    // concurrently running cells cannot contaminate each other (or the rest
+    // of the test process). `g` is the world group: index == rank.
+    let (n, me) = (data.len(), ctx.rank());
+    let coll = match op {
+        CommOp::Broadcast => Coll::Broadcast { root: 0 },
+        CommOp::Reduce => Coll::Reduce { root: 0 },
+        CommOp::AllReduce => Coll::AllReduce,
+        CommOp::ReduceScatter => Coll::ReduceScatter,
+        CommOp::Barrier => Coll::Barrier,
         CommOp::AllGather => {
-            black_box(ctx.all_gather_algo_wire(g, data, algo, w));
+            // The working buffer is the g-slot output, own block in place.
+            let mut out = vec![0.0f32; n * g.len()];
+            out[me * n..(me + 1) * n].copy_from_slice(data);
+            ctx.collective(Coll::AllGather, g, CollBuf::Now(&mut out), plan);
+            black_box(out);
+            return;
         }
-        CommOp::ReduceScatter => {
-            black_box(ctx.reduce_scatter_algo_wire(g, data, algo, w));
-        }
-        _ => ctx.barrier(g),
+    };
+    ctx.collective(coll, g, CollBuf::Now(data), plan);
+    if op == CommOp::ReduceScatter {
+        black_box(data[mesh::chunk(n, g.len(), me)].to_vec());
     }
 }
 
-/// Measures one cell on a live `p`-device thread mesh. Panics if `algo` is
-/// not on `op`'s menu (the sweep should never ask for an invalid pairing).
+/// Measures one cell — `op` under an explicit `plan` (algorithm and wire
+/// dtype; the compressed-vs-full-width cells of `BENCH_coll.json` differ
+/// only in `plan.wire`) — on a live `p`-device thread mesh. Panics if
+/// `plan.algo` is not on `op`'s menu (the sweep should never ask for an
+/// invalid pairing).
 pub fn measure_coll(
     op: CommOp,
-    algo: CollAlgo,
+    plan: CollPlan,
     p: usize,
     elems: usize,
     reps: usize,
     trials: usize,
-) -> CollSample {
-    measure_coll_wire(op, algo, p, elems, reps, trials, WireDtype::F32)
-}
-
-/// [`measure_coll`] with the payload traveling at an explicit wire dtype —
-/// the compressed-vs-full-width comparison cells of `BENCH_coll.json`.
-pub fn measure_coll_wire(
-    op: CommOp,
-    algo: CollAlgo,
-    p: usize,
-    elems: usize,
-    reps: usize,
-    trials: usize,
-    wire: WireDtype,
 ) -> CollSample {
     assert!(
-        algo.valid_for(op),
+        plan.algo.valid_for(op),
         "{} has no {:?} algorithm",
         op.name(),
-        algo
+        plan.algo
     );
     assert!(
         op != CommOp::ReduceScatter || elems.is_multiple_of(p),
@@ -118,13 +108,13 @@ pub fn measure_coll_wire(
     let per_rank: Vec<Vec<f64>> = Mesh::run(p, move |ctx| {
         let g = Group::world(p);
         let mut data = vec![1.0f32; elems];
-        run_once(ctx, &g, op, algo, wire, &mut data); // warm the queues
+        run_once(ctx, &g, op, plan, &mut data); // warm the queues
         let mut times = Vec::with_capacity(trials);
         for _ in 0..trials {
             ctx.barrier(&g);
             let t0 = Instant::now();
             for _ in 0..reps {
-                run_once(ctx, &g, op, algo, wire, &mut data);
+                run_once(ctx, &g, op, plan, &mut data);
             }
             ctx.barrier(&g);
             times.push(t0.elapsed().as_secs_f64());
@@ -137,9 +127,9 @@ pub fn measure_coll_wire(
         / reps as f64;
     CollSample {
         op,
-        algo,
+        algo: plan.algo,
         elems,
-        wire,
+        wire: plan.wire,
         secs,
     }
 }
@@ -162,7 +152,8 @@ mod tests {
                 if !algo.valid_for(op) {
                     continue;
                 }
-                let s = measure_coll(op, algo, 4, 64, 2, 1);
+                let wire = WireDtype::F32;
+                let s = measure_coll(op, CollPlan { algo, wire }, 4, 64, 2, 1);
                 assert!(s.secs > 0.0, "{} / {:?}", op.name(), algo);
                 assert!(s.gbps() > 0.0);
             }

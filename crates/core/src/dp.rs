@@ -10,7 +10,9 @@
 //! batch, which the integration tests assert.
 
 use crate::model::{Model2dGrads, OptimusModel};
-use mesh::{Communicator, ErrorFeedback, Grid2d, Group, WireDtype};
+use mesh::{
+    Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, Grid2d, Group, WireDtype,
+};
 
 /// Computes this device's role in a `d × (q × q)` hybrid layout over a world
 /// of `d·q²` devices: its replica's sub-mesh grid, its data-parallel group
@@ -138,7 +140,12 @@ pub fn hybrid_train_step_ef<C: Communicator>(
     ef.begin_step();
     visit_grads_mut(&mut grads, &mut |g| {
         ef.apply(g, wire);
-        grid.ctx().all_reduce_wire(dp_group, g, wire);
+        let plan = CollPlan {
+            wire,
+            ..CollPlan::select(CommOp::AllReduce, dp, g.len())
+        };
+        grid.ctx()
+            .collective(Coll::AllReduce, dp_group, CollBuf::Now(g), plan);
         for v in g.iter_mut() {
             *v *= scale;
         }

@@ -84,7 +84,9 @@
 
 use std::collections::VecDeque;
 
-use mesh::{Communicator, ErrorFeedback, GridNd, Group, WireDtype};
+use mesh::{
+    Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype,
+};
 use optimus_core::embedding2d::{
     ce2d, embed2d_backward, embed2d_forward, lm_head2d_backward, lm_head2d_forward,
 };
@@ -669,7 +671,11 @@ impl HybridStage {
             ef.begin_step();
             let mut sync = |v: &mut [f32]| {
                 ef.apply(v, w);
-                ctx.all_reduce_wire(&dp, v, w);
+                let plan = CollPlan {
+                    wire: w,
+                    ..CollPlan::select(CommOp::AllReduce, dp.len(), v.len())
+                };
+                ctx.collective(Coll::AllReduce, &dp, CollBuf::Now(v), plan);
             };
             let sync_opt = |v: &mut Option<Vec<f32>>, sync: &mut dyn FnMut(&mut [f32])| {
                 if let Some(v) = v.as_mut() {

@@ -11,11 +11,11 @@
 //!
 //! Selection is process-global: [`install`] swaps the active table (done
 //! once before device threads spawn, e.g. after loading
-//! `results/coll_tune.json`), and both [`crate::Communicator`] backends
-//! consult [`select`] on every collective call, so the live mesh and the
-//! dry-run replay always agree on the schedule — the precondition for
-//! byte-identical log streams and faithful per-algorithm pricing in
-//! `perf::cost`.
+//! `results/coll_tune.json`), and every plain [`crate::Communicator`]
+//! method resolves its [`CollPlan`] through [`CollPlan::select`], so the
+//! live mesh and the dry-run replay always agree on the schedule — the
+//! precondition for byte-identical log streams and faithful per-algorithm
+//! pricing in `perf::cost`.
 //!
 //! The default table is [`AlgoTable::baseline`]: the pre-registry
 //! hardwired choices (tree broadcast/reduce, ring everything else), so
@@ -23,6 +23,7 @@
 //! explicitly installed.
 
 use crate::stats::CommOp;
+use crate::wire::WireDtype;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A concrete collective schedule. Not every algorithm applies to every
@@ -34,7 +35,7 @@ pub enum CollAlgo {
     /// payload — the α winner for tiny messages.
     Tree,
     /// Segmented pipelined chain: the payload streams down the member
-    /// chain in `S` segments (see [`chain_segments`]), overlapping hops —
+    /// chain in `S` segments (see [`crate::chain_segments`]), overlapping hops —
     /// the β winner for large broadcasts on long chains.
     Chain,
     /// Ring reduce-scatter + all-gather (the paper's Eq. 5): minimal
@@ -97,17 +98,6 @@ impl CollAlgo {
     pub fn valid_for(self, op: CommOp) -> bool {
         Self::menu(op).contains(&self)
     }
-}
-
-/// Number of pipeline segments the chain algorithms split a payload into.
-///
-/// Pure function of `(elems, group_size)` shared by the live schedule, the
-/// dry-run mirror, and `perf::cost` pricing, so all three agree on wire
-/// sizes and round counts. Segments are ~2048 `f32` (8 KiB), capped at 32;
-/// payloads below one segment stream as a single hop.
-pub fn chain_segments(elems: usize, group_size: usize) -> usize {
-    let _ = group_size; // reserved: a future rule may cap S by chain length
-    elems.div_ceil(2048).clamp(1, 32)
 }
 
 /// One selection rule: `algo` applies when the op matches and both the
@@ -204,11 +194,28 @@ pub fn installed() -> Arc<AlgoTable> {
     global().read().unwrap().clone()
 }
 
-/// Selects the algorithm for one collective call under the installed
-/// table. Payload size is given in `f32` elements (×4 = bytes, the unit
-/// the table is keyed by).
-pub fn select(op: CommOp, group_size: usize, elems: usize) -> CollAlgo {
-    installed().select(op, group_size, elems * 4)
+/// How one collective call runs: which schedule, at which wire precision.
+/// The single value every explicit caller passes to
+/// [`crate::Communicator::collective`]; the plain methods resolve it with
+/// [`CollPlan::select`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CollPlan {
+    pub algo: CollAlgo,
+    pub wire: WireDtype,
+}
+
+impl CollPlan {
+    /// The one selection lookup: the installed [`AlgoTable`] and
+    /// [`crate::WireTable`], both keyed on `(op, group size, payload
+    /// bytes)`. `elems` is the logical payload in `f32` elements. Override
+    /// one half with struct-update syntax:
+    /// `CollPlan { wire, ..CollPlan::select(op, g, n) }`.
+    pub fn select(op: CommOp, group_size: usize, elems: usize) -> CollPlan {
+        CollPlan {
+            algo: installed().select(op, group_size, elems * 4),
+            wire: crate::wire::installed().select(op, group_size, elems * 4),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,20 +305,5 @@ mod tests {
         assert_eq!(t.select(CommOp::Broadcast, 8, 1 << 20), CollAlgo::Chain);
         // Small groups stay on the defaults: the crossover needs depth.
         assert_eq!(t.select(CommOp::AllReduce, 2, 64), CollAlgo::Ring);
-    }
-
-    #[test]
-    fn chain_segments_is_clamped_and_monotone() {
-        assert_eq!(chain_segments(0, 4), 1);
-        assert_eq!(chain_segments(1, 4), 1);
-        assert_eq!(chain_segments(2048, 4), 1);
-        assert_eq!(chain_segments(2049, 4), 2);
-        assert_eq!(chain_segments(1 << 20, 4), 32);
-        let mut last = 0;
-        for n in [0usize, 1, 7, 1023, 65536, 1 << 20] {
-            let s = chain_segments(n, 8);
-            assert!(s >= last.min(32));
-            last = s;
-        }
     }
 }

@@ -11,10 +11,14 @@
 //!   the [`CommLog`], producing op/link streams identical to the live
 //!   backend's so the `perf` cost model can price a step without running it.
 //!
-//! Both trait impls additionally emit one [`trace`] op event per collective
-//! when a trace collector is active on the calling thread (see
-//! [`crate::Mesh::run_traced`] / [`crate::Mesh::dry_run_traced`]); untraced
-//! runs pay a single thread-local read per collective.
+//! A collective is one definition with two interpreters. Its schedule is a
+//! per-member step list ([`crate::coll_steps`]); the crate-private
+//! `run_collective` below resolves the list, emits one [`trace`] op event
+//! (when a collector is active on the calling thread — see
+//! [`crate::Mesh::run_traced`] / [`crate::Mesh::dry_run_traced`]; untraced
+//! runs pay a single thread-local read) and writes the op and link records,
+//! identically for both backends. Only the last stage differs: the live
+//! backend executes the steps, the trace-only one has nothing left to do.
 //!
 //! # Contract
 //!
@@ -51,14 +55,38 @@
 //! assert_eq!(live, dry); // op streams are identical, rank by rank
 //! ```
 
-use crate::algo::{self, CollAlgo};
+use crate::algo::{CollAlgo, CollPlan};
 use crate::group::Group;
-use crate::nonblocking::PendingColl;
-use crate::stats::{group_shape, CommLog, CommOp};
-use crate::wire::{self, WireDtype};
+use crate::nonblocking::{post_records, PendingColl};
+use crate::schedule::{chunk, coll_steps, Coll, Combine, Step};
+use crate::stats::{group_shape, record_group_op, CommLog, CommOp};
+use crate::wire::{packed_len, WireDtype};
+use std::cell::RefCell;
+
+/// A collective's working buffer — and with it, when the collective runs.
+pub enum CollBuf<'a> {
+    /// Borrowed: the collective completes before the call returns.
+    Now(&'a mut [f32]),
+    /// Owned: the collective is posted and the returned [`PendingColl`]
+    /// yields the buffer back.
+    Post(Vec<f32>),
+}
+
+impl CollBuf<'_> {
+    fn len(&self) -> usize {
+        match self {
+            CollBuf::Now(data) => data.len(),
+            CollBuf::Post(data) => data.len(),
+        }
+    }
+}
 
 /// A device's handle to the communication fabric: identity, point-to-point
 /// transfers, collectives, and the per-device communication log.
+///
+/// Every collective goes through the one required entry,
+/// [`Communicator::collective`]; the named methods are written once here
+/// and only resolve a [`CollPlan`] and lay out the working buffer.
 pub trait Communicator {
     /// This device's world rank.
     fn rank(&self) -> usize;
@@ -94,169 +122,126 @@ pub trait Communicator {
         data
     }
 
+    /// Runs `coll` over `group` under an explicit `plan`: logs the op and
+    /// this member's sends, then interprets its step list
+    /// ([`crate::coll_steps`]) over the working buffer — moving the bytes on
+    /// the live backend, nothing more on the trace-only one. Returns the
+    /// pending handle for [`CollBuf::Post`], `None` for [`CollBuf::Now`].
+    ///
+    /// The working buffer is the payload itself, except for
+    /// [`Coll::AllGather`] and [`Coll::Gather`], where it is the `g`-slot
+    /// output with this member's block already in its slot. Under a 16-bit
+    /// wire dtype every hop moves the packed half-length buffer: each wire
+    /// crossing costs a reduction at most one rounding error per element
+    /// (partial sums accumulate in f32), pure movement delivers the
+    /// once-quantized payload (re-packing is lossless), and a member's own
+    /// data never crosses the wire — so compressed all-reduce results are
+    /// **not** bitwise-equal across members.
+    fn collective(
+        &self,
+        coll: Coll,
+        group: &Group,
+        buf: CollBuf<'_>,
+        plan: CollPlan,
+    ) -> Option<PendingColl>;
+
     /// Broadcast from group index `root`. Non-root buffers must be
     /// pre-sized to the root's payload length on both backends (no
-    /// collective resizes the buffer). The algorithm is picked by the
-    /// installed [`crate::AlgoTable`].
+    /// collective resizes the buffer).
     fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo(group, root, data, a);
+        let plan = CollPlan::select(CommOp::Broadcast, group.len(), data.len());
+        self.collective(Coll::Broadcast { root }, group, CollBuf::Now(data), plan);
     }
-
-    /// [`Communicator::broadcast`] with an explicit algorithm
-    /// ([`CollAlgo::Tree`] or [`CollAlgo::Chain`]); wire precision picked by
-    /// the installed [`crate::WireTable`].
-    fn broadcast_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo_wire(group, root, data, algo, w);
-    }
-
-    /// [`Communicator::broadcast_algo`] at an explicit wire precision
-    /// (see [`crate::WireDtype`]).
-    fn broadcast_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    );
 
     /// Sum-reduce to group index `root`. Non-root buffers hold partial
-    /// sums afterwards and must be treated as scratch. The algorithm is
-    /// picked by the installed [`crate::AlgoTable`].
+    /// sums afterwards and must be treated as scratch.
     fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo(group, root, data, a);
+        let plan = CollPlan::select(CommOp::Reduce, group.len(), data.len());
+        self.collective(Coll::Reduce { root }, group, CollBuf::Now(data), plan);
     }
-
-    /// [`Communicator::reduce`] with an explicit algorithm
-    /// ([`CollAlgo::Tree`] or [`CollAlgo::Chain`]); wire precision picked by
-    /// the installed [`crate::WireTable`].
-    fn reduce_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo_wire(group, root, data, algo, w);
-    }
-
-    /// [`Communicator::reduce_algo`] at an explicit wire precision.
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    );
 
     /// Non-blocking broadcast: posts the transfer and returns a
     /// [`PendingColl`] immediately; `wait()` yields the buffer. Non-root
-    /// buffers must be pre-sized to the root's payload length on **both**
-    /// backends (the logical size is recorded at post). Between post and
-    /// wait, callers must not issue collectives sharing a (src, dst) pair
-    /// with the in-flight tree. The default implementation completes
-    /// synchronously; the live backend overrides it with a genuinely
-    /// asynchronous transfer on the device's progress thread.
-    fn ibroadcast(&self, group: &Group, root: usize, mut buf: Vec<f32>) -> PendingColl {
-        self.broadcast(group, root, &mut buf);
-        PendingColl::ready(CommOp::Broadcast, buf, None)
+    /// buffers must be pre-sized to the root's payload length (the logical
+    /// size is recorded at post). Between post and wait, callers must not
+    /// issue collectives sharing a (src, dst) pair with the in-flight tree.
+    /// Always the tree schedule; wire precision from the installed table.
+    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
+        let plan = CollPlan {
+            algo: CollAlgo::Tree,
+            ..CollPlan::select(CommOp::Broadcast, group.len(), buf.len())
+        };
+        self.collective(Coll::Broadcast { root }, group, CollBuf::Post(buf), plan)
+            .expect("a posted collective returns its handle")
     }
 
     /// Non-blocking sum-reduce; see [`Communicator::ibroadcast`] for the
     /// pending-collective contract. Only the root's waited buffer holds the
     /// full sum.
-    fn ireduce(&self, group: &Group, root: usize, mut buf: Vec<f32>) -> PendingColl {
-        self.reduce(group, root, &mut buf);
-        PendingColl::ready(CommOp::Reduce, buf, None)
+    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
+        let plan = CollPlan {
+            algo: CollAlgo::Tree,
+            ..CollPlan::select(CommOp::Reduce, group.len(), buf.len())
+        };
+        self.collective(Coll::Reduce { root }, group, CollBuf::Post(buf), plan)
+            .expect("a posted collective returns its handle")
     }
 
-    /// All-reduce (sum); algorithm picked by the installed
-    /// [`crate::AlgoTable`].
+    /// All-reduce (sum): every member ends with the element-wise sum.
     fn all_reduce(&self, group: &Group, data: &mut [f32]) {
-        let a = algo::select(CommOp::AllReduce, group.len(), data.len());
-        self.all_reduce_algo(group, data, a);
+        let plan = CollPlan::select(CommOp::AllReduce, group.len(), data.len());
+        self.collective(Coll::AllReduce, group, CollBuf::Now(data), plan);
     }
-
-    /// [`Communicator::all_reduce`] with an explicit algorithm
-    /// ([`CollAlgo::Ring`], [`CollAlgo::Halving`] or [`CollAlgo::Tree`]);
-    /// wire precision picked by the installed [`crate::WireTable`].
-    fn all_reduce_algo(&self, group: &Group, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::AllReduce, group.len(), data.len());
-        self.all_reduce_algo_wire(group, data, algo, w);
-    }
-
-    /// All-reduce (sum) at an explicit wire precision, algorithm picked by
-    /// the installed [`crate::AlgoTable`] — the entry point compressed
-    /// gradient syncs use (pair with [`crate::ErrorFeedback`]).
-    fn all_reduce_wire(&self, group: &Group, data: &mut [f32], w: WireDtype) {
-        let a = algo::select(CommOp::AllReduce, group.len(), data.len());
-        self.all_reduce_algo_wire(group, data, a, w);
-    }
-
-    /// [`Communicator::all_reduce_algo`] at an explicit wire precision.
-    /// Under a 16-bit dtype the result is not bitwise-equal across members;
-    /// see `DeviceCtx::all_reduce_algo_wire_by` for the error contract.
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype);
 
     /// All-reduce (max) — for the distributed log-sum-exp.
-    fn all_reduce_max(&self, group: &Group, data: &mut [f32]);
+    fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
+        let plan = CollPlan::select(CommOp::AllReduce, group.len(), data.len());
+        self.collective(Coll::AllReduceMax, group, CollBuf::Now(data), plan);
+    }
 
     /// All-gather: concatenation of every member's equal-length `local` in
-    /// group order; algorithm picked by the installed [`crate::AlgoTable`].
+    /// group order.
     fn all_gather(&self, group: &Group, local: &[f32]) -> Vec<f32> {
-        let a = algo::select(CommOp::AllGather, group.len(), local.len());
-        self.all_gather_algo(group, local, a)
+        let plan = CollPlan::select(CommOp::AllGather, group.len(), local.len());
+        let mut out = slots(my_index(self.rank(), group), group.len(), local);
+        self.collective(Coll::AllGather, group, CollBuf::Now(&mut out), plan);
+        out
     }
-
-    /// [`Communicator::all_gather`] with an explicit algorithm
-    /// ([`CollAlgo::Ring`] or [`CollAlgo::Bruck`]); wire precision picked by
-    /// the installed [`crate::WireTable`].
-    fn all_gather_algo(&self, group: &Group, local: &[f32], algo: CollAlgo) -> Vec<f32> {
-        let w = wire::select(CommOp::AllGather, group.len(), local.len());
-        self.all_gather_algo_wire(group, local, algo, w)
-    }
-
-    /// [`Communicator::all_gather_algo`] at an explicit wire precision.
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32>;
 
     /// Reduce-scatter (sum): returns this member's chunk (`n·i/g`
-    /// boundaries); algorithm picked by the installed [`crate::AlgoTable`].
+    /// boundaries) of the summed vector; `data` ends as scratch.
     fn reduce_scatter(&self, group: &Group, data: &mut [f32]) -> Vec<f32> {
-        let a = algo::select(CommOp::ReduceScatter, group.len(), data.len());
-        self.reduce_scatter_algo(group, data, a)
+        let plan = CollPlan::select(CommOp::ReduceScatter, group.len(), data.len());
+        let mine = chunk(data.len(), group.len(), my_index(self.rank(), group));
+        self.collective(Coll::ReduceScatter, group, CollBuf::Now(data), plan);
+        data[mine].to_vec()
     }
 
-    /// [`Communicator::reduce_scatter`] with an explicit algorithm
-    /// ([`CollAlgo::Ring`] or [`CollAlgo::Halving`]); wire precision picked
-    /// by the installed [`crate::WireTable`].
-    fn reduce_scatter_algo(&self, group: &Group, data: &mut [f32], algo: CollAlgo) -> Vec<f32> {
-        let w = wire::select(CommOp::ReduceScatter, group.len(), data.len());
-        self.reduce_scatter_algo_wire(group, data, algo, w)
+    /// Gather every member's equal-length `local` to group index `root`, in
+    /// group order; non-roots get an empty vector. Always full-width f32.
+    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
+        let plan = CollPlan {
+            algo: CollAlgo::Ring,
+            wire: WireDtype::F32,
+        };
+        let me = my_index(self.rank(), group);
+        let mut out = slots(me, group.len(), local);
+        self.collective(Coll::Gather { root }, group, CollBuf::Now(&mut out), plan);
+        if me == root {
+            out
+        } else {
+            Vec::new()
+        }
     }
 
-    /// [`Communicator::reduce_scatter_algo`] at an explicit wire precision.
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32>;
-
-    /// Scatter from group index `root` in ring-chunk boundaries.
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32>;
-
-    /// Gather to group index `root` (inverse of scatter); non-roots get an
-    /// empty vector.
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32>;
-
-    /// Barrier over a group.
-    fn barrier(&self, group: &Group);
+    /// Barrier over a group (empty reduce to index 0 + empty broadcast).
+    fn barrier(&self, group: &Group) {
+        let plan = CollPlan {
+            algo: CollAlgo::Tree,
+            wire: WireDtype::F32,
+        };
+        self.collective(Coll::Barrier, group, CollBuf::Now(&mut []), plan);
+    }
 
     /// Read-only snapshot of the accumulated communication log.
     fn log_snapshot(&self) -> CommLog;
@@ -265,230 +250,163 @@ pub trait Communicator {
     fn take_log(&self) -> CommLog;
 }
 
-/// Runs one collective under a trace op event (when a collector is active).
-///
-/// `run` executes the collective and returns `(result, logical_elems)`; the
-/// logical payload is computed *after* the call because a live non-root
-/// broadcast only learns its size from the wire. `wire` is an O(1) probe of
-/// the device's total sent elements, sampled before/after to attribute wire
-/// traffic to the event. Nested calls (a barrier built from reduce +
-/// broadcast) are collapsed into the outermost event by the tracer's depth
-/// guard, so both backends emit exactly one event per logical collective.
-pub(crate) fn traced_op<T>(
-    op: CommOp,
-    algo: CollAlgo,
-    w: WireDtype,
-    group: &Group,
-    wire: impl Fn() -> usize,
-    run: impl FnOnce() -> (T, usize),
-) -> T {
-    if !trace::is_active() {
-        return run().0;
-    }
-    let wire_before = wire();
-    let timer = trace::op_begin();
-    let (out, elems) = run();
-    let wire_elems = wire() - wire_before;
-    let (group_size, group_first, group_stride) = group_shape(group);
-    trace::op_end(
-        timer,
-        trace::OpMeta {
-            kind: op.name(),
-            group_size,
-            group_first,
-            group_stride,
-            elems,
-            wire_elems,
-            axis: group.label(),
-            algo: algo.name(),
-            wire: w.name(),
-        },
-    );
+fn my_index(rank: usize, group: &Group) -> usize {
+    group
+        .index_of(rank)
+        .unwrap_or_else(|| panic!("device {rank} is not in group {group:?}"))
+}
+
+/// The `g`-slot working buffer of an all-gather or gather, with `local` in
+/// slot `me`.
+fn slots(me: usize, g: usize, local: &[f32]) -> Vec<f32> {
+    let n = local.len();
+    let mut out = vec![0.0f32; n * g];
+    out[me * n..(me + 1) * n].copy_from_slice(local);
     out
 }
 
-impl Communicator for crate::DeviceCtx {
-    fn rank(&self) -> usize {
-        crate::DeviceCtx::rank(self)
-    }
-    fn world_size(&self) -> usize {
-        crate::DeviceCtx::world_size(self)
-    }
-    fn send(&self, to: usize, data: Vec<f32>) {
-        crate::DeviceCtx::send(self, to, data)
-    }
-    fn recv(&self, from: usize) -> Vec<f32> {
-        crate::DeviceCtx::recv(self, from)
-    }
-    fn broadcast_algo_wire(
+/// One member's resolved schedule: its steps (peers as world ranks), the
+/// wire precision of every hop and the operator `Combine` receives apply.
+pub(crate) struct StepList {
+    pub steps: Vec<Step>,
+    pub wire: WireDtype,
+    pub combine: Combine,
+}
+
+/// What a backend supplies to [`run_collective`]: its log, and the two ways
+/// of interpreting a step list whose op and link records are already
+/// written.
+pub(crate) trait Backend: Communicator {
+    fn log(&self) -> &RefCell<CommLog>;
+
+    /// Interprets `list` over `buf` before returning.
+    fn run_steps(&self, list: &StepList, buf: &mut [f32]);
+
+    /// Takes `list` and `buf`; the returned handle yields `buf` once the
+    /// steps have run. `traced` is the post-time trace bookkeeping.
+    fn post_steps(
         &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Broadcast,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::broadcast_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
+        list: StepList,
+        buf: Vec<f32>,
+        op: CommOp,
+        traced: Option<(u64, trace::OpMeta)>,
+    ) -> PendingColl;
+}
+
+/// [`Communicator::collective`] for every backend: step list → op event →
+/// log records → interpret. Record order is part of the log contract:
+/// a broadcast records its links, then the op; everything else the op, then
+/// its links; a barrier its own op, then an empty reduce and broadcast.
+pub(crate) fn run_collective<B: Backend>(
+    b: &B,
+    coll: Coll,
+    group: &Group,
+    buf: CollBuf<'_>,
+    plan: CollPlan,
+) -> Option<PendingColl> {
+    let g = group.len();
+    let me = my_index(b.rank(), group);
+    let op = coll.op();
+    if coll == Coll::Barrier {
+        // The nested op events collapse into this one (the tracer's depth
+        // guard), so both backends emit one event per logical collective.
+        traced_op(b.log(), op, plan, group, 0, || {
+            record_group_op(&mut b.log().borrow_mut(), op, plan.algo, group, 0);
+            for part in [Coll::Reduce { root: 0 }, Coll::Broadcast { root: 0 }] {
+                let plan = CollPlan::select(part.op(), g, 0);
+                run_collective(b, part, group, CollBuf::Now(&mut []), plan);
+            }
+        });
+        return None;
     }
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Reduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::reduce_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
+    let n = coll.payload_len(buf.len(), g);
+    let mut list = StepList {
+        steps: coll_steps(coll, plan.algo, g, me, n),
+        wire: plan.wire,
+        combine: coll.combine(),
+    };
+    for step in &mut list.steps {
+        if let Step::Send { peer, .. } | Step::Recv { peer, .. } = step {
+            *peer = group.rank_of(*peer);
+        }
     }
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        crate::DeviceCtx::ibroadcast(self, group, root, buf)
+    let record = || {
+        let mut log = b.log().borrow_mut();
+        if op != CommOp::Broadcast {
+            record_group_op(&mut log, op, plan.algo, group, n);
+        }
+        let (mut wire_elems, mut logical_elems) = (0, 0);
+        for step in &list.steps {
+            if let Step::Send { peer, range } = step {
+                let p = b.world_size();
+                assert!(*peer < p, "send to rank {peer} out of range (p={p})");
+                let packed = packed_len(range.len(), plan.wire);
+                log.record_link(b.rank(), *peer, packed);
+                wire_elems += packed;
+                logical_elems += range.len();
+            }
+        }
+        if op == CommOp::Broadcast {
+            record_group_op(&mut log, op, plan.algo, group, n);
+        }
+        metrics::device_counter_add("coll_wire_bytes", 4 * wire_elems as u64);
+        metrics::device_counter_add("coll_logical_bytes", 4 * logical_elems as u64);
+    };
+    match buf {
+        CollBuf::Now(data) => {
+            traced_op(b.log(), op, plan, group, n, || {
+                record();
+                b.run_steps(&list, data);
+            });
+            None
+        }
+        CollBuf::Post(data) => {
+            let traced = post_records(b.log(), op, plan, group, n, record);
+            Some(b.post_steps(list, data, op, traced))
+        }
     }
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        crate::DeviceCtx::ireduce(self, group, root, buf)
+}
+
+/// The trace metadata of one collective participation.
+pub(crate) fn op_meta(
+    op: CommOp,
+    plan: CollPlan,
+    group: &Group,
+    elems: usize,
+    wire_elems: usize,
+) -> trace::OpMeta {
+    let (group_size, group_first, group_stride) = group_shape(group);
+    trace::OpMeta {
+        kind: op.name(),
+        group_size,
+        group_first,
+        group_stride,
+        elems,
+        wire_elems,
+        axis: group.label(),
+        algo: plan.algo.name(),
+        wire: plan.wire.name(),
     }
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
+}
+
+/// Runs one collective under a trace op event (when a collector is active;
+/// untraced runs pay a single thread-local read). The log's O(1) total of
+/// sent elements is sampled before and after to attribute wire traffic to
+/// the event.
+fn traced_op(
+    log: &RefCell<CommLog>,
+    op: CommOp,
+    plan: CollPlan,
+    group: &Group,
+    elems: usize,
+    run: impl FnOnce(),
+) {
+    if !trace::is_active() {
+        return run();
     }
-    fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        let algo = algo::select(CommOp::AllReduce, group.len(), data.len());
-        let w = wire::select(CommOp::AllReduce, group.len(), data.len());
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::all_reduce_algo_wire_by(self, group, data, algo, w, f32::max);
-                ((), data.len())
-            },
-        )
-    }
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    crate::DeviceCtx::all_gather_algo_wire(self, group, local, algo, w),
-                    local.len(),
-                )
-            },
-        )
-    }
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                let n = data.len();
-                (
-                    crate::DeviceCtx::reduce_scatter_algo_wire(self, group, data, algo, w),
-                    n,
-                )
-            },
-        )
-    }
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                let out = crate::DeviceCtx::scatter(self, group, root, data);
-                // Non-roots pass an empty slice and learn the logical size from
-                // their chunk — mirroring what the CommLog records.
-                let elems = if data.is_empty() {
-                    out.len() * group.len()
-                } else {
-                    data.len()
-                };
-                (out, elems)
-            },
-        )
-    }
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    crate::DeviceCtx::gather(self, group, root, local),
-                    local.len(),
-                )
-            },
-        )
-    }
-    fn barrier(&self, group: &Group) {
-        traced_op(
-            CommOp::Barrier,
-            CollAlgo::Tree,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                crate::DeviceCtx::barrier(self, group);
-                ((), 0)
-            },
-        )
-    }
-    fn log_snapshot(&self) -> CommLog {
-        crate::DeviceCtx::log_snapshot(self)
-    }
-    fn take_log(&self) -> CommLog {
-        crate::DeviceCtx::take_log(self)
-    }
+    let wire_before = log.borrow().total_link_elems();
+    let timer = trace::op_begin();
+    run();
+    let wire_elems = log.borrow().total_link_elems() - wire_before;
+    trace::op_end(timer, op_meta(op, plan, group, elems, wire_elems));
 }

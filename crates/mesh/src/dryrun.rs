@@ -1,12 +1,13 @@
 //! The trace-only [`Communicator`] backend.
 //!
-//! [`DryRunComm`] moves no data and spawns no threads. Each collective walks
-//! the *same* tree/ring schedule as the live `DeviceCtx` implementation and
-//! records the op/link stream that schedule would produce — and nothing
-//! else. Running a distributed program once per rank on a single thread
-//! therefore yields communication logs byte-for-byte identical to a live
-//! mesh run (asserted by `tests/dryrun_equivalence.rs`), at the cost of the
-//! numerical results being garbage: received payloads are zeros.
+//! [`DryRunComm`] moves no data and spawns no threads. Each collective gets
+//! the *same* step list ([`crate::coll_steps`]) and the same op/link records
+//! as on the live `DeviceCtx` — written by the shared
+//! `comm::run_collective` — and then interprets the list by doing nothing.
+//! Running a distributed program once per rank on a single thread therefore
+//! yields communication logs byte-for-byte identical to a live mesh run
+//! (asserted by `tests/dryrun_equivalence.rs`), at the cost of the numerical
+//! results being garbage: received payloads are zeros.
 //!
 //! This works because every distributed program in this workspace is
 //! **data-independent**: its communication pattern depends only on shapes
@@ -24,19 +25,16 @@
 //! * Non-root `broadcast` buffers must be pre-sized (the live backend learns
 //!   the size from the wire; there is no wire here). Library call sites do
 //!   this unconditionally.
-//! * `scatter` panics on non-root members (chunk size is unknowable without
-//!   data movement); no library code calls it.
 //! * Point-to-point `recv` requires the matching `send` to have already run,
 //!   i.e. the sender's rank was replayed earlier. Forward pipelines satisfy
 //!   this; cyclic p2p patterns (Cannon shifts) need the live backend.
 
-use crate::algo::{self, chain_segments, CollAlgo};
-use crate::collectives::{bcast_tree, bruck_rounds, chunk_start, halving_rounds, reduce_tree};
-use crate::comm::{traced_op, Communicator};
+use crate::comm::{run_collective, Backend, CollBuf, Communicator, StepList};
 use crate::group::Group;
-use crate::nonblocking::{post_records, PendingColl};
-use crate::stats::{record_group_op, CommLog, CommOp};
-use crate::wire::{self, packed_len, WireDtype};
+use crate::nonblocking::PendingColl;
+use crate::schedule::Coll;
+use crate::stats::{CommLog, CommOp};
+use crate::CollPlan;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -55,10 +53,6 @@ pub struct DryRunComm {
     wire: Rc<RefCell<DryWire>>,
 }
 
-/// The collective schedules, as inherent methods mirroring
-/// [`crate::DeviceCtx`]'s: the [`Communicator`] impl wraps these with trace
-/// op events, and composites (barrier) call the inherent forms directly so
-/// both backends emit exactly one event per logical collective.
 impl DryRunComm {
     pub(crate) fn new(rank: usize, p: usize, wire: Rc<RefCell<DryWire>>) -> Self {
         DryRunComm {
@@ -69,374 +63,36 @@ impl DryRunComm {
         }
     }
 
-    fn my_index(&self, group: &Group) -> usize {
-        group
-            .index_of(self.rank)
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank, group))
-    }
-
-    fn record_op(&self, op: CommOp, algo: CollAlgo, group: &Group, elems: usize) {
-        record_group_op(&mut self.log.borrow_mut(), op, algo, group, elems);
-    }
-
-    fn record_send(&self, to: usize, elems: usize) {
-        assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
-        self.log.borrow_mut().record_link(self.rank, to, elems);
-    }
-
-    /// O(1) total of elements "sent" so far (tracer wire attribution).
-    pub(crate) fn wire_total(&self) -> usize {
-        self.log.borrow().total_link_elems()
-    }
-
-    fn send(&self, to: usize, data: Vec<f32>) {
-        self.record_send(to, data.len());
+    /// Pops the length of the oldest unmatched send `from` → this rank.
+    fn pop_queued(&self, from: usize) -> Option<usize> {
         self.wire
-            .borrow_mut()
-            .queued
-            .entry((self.rank, to))
-            .or_default()
-            .push_back(data.len());
-    }
-
-    fn recv(&self, from: usize) -> Vec<f32> {
-        let len = self
-            .wire
             .borrow_mut()
             .queued
             .get_mut(&(from, self.rank))
             .and_then(|q| q.pop_front())
-            .unwrap_or_else(|| {
-                panic!(
-                    "dry-run recv at {} from {from} has no matching send; \
-                     p2p patterns with cyclic dependencies need the live backend",
-                    self.rank
-                )
-            });
-        vec![0.0; len]
+    }
+}
+
+impl Backend for DryRunComm {
+    fn log(&self) -> &RefCell<CommLog> {
+        &self.log
     }
 
-    fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo(group, root, data, a);
-    }
+    /// No wire, nothing to move: the records are the whole interpretation.
+    fn run_steps(&self, _list: &StepList, _buf: &mut [f32]) {}
 
-    fn broadcast_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Broadcast, group.len(), data.len());
-        self.broadcast_algo_wire(group, root, data, algo, w);
-    }
-
-    fn broadcast_algo_wire(
+    /// Completes at post — there is no wire for the transfer to overlap
+    /// with. Under a traced dry run the op event is still emitted at `wait`,
+    /// spanning `[post, post + priced duration]` on the virtual clock, which
+    /// is how a dry run prices comm/compute overlap.
+    fn post_steps(
         &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        if g > 1 {
-            let rel = (me + g - root) % g;
-            let abs = |r: usize| group.rank_of((r + root) % g);
-            // Receives are silent (links are recorded by senders); only the
-            // live schedule's sends are replayed, in the live order, at the
-            // live per-hop *packed* lengths.
-            match algo {
-                CollAlgo::Tree => {
-                    let (_, children) = bcast_tree(g, rel);
-                    for &child in &children {
-                        self.record_send(abs(child), packed_len(data.len(), w));
-                    }
-                }
-                CollAlgo::Chain => {
-                    if rel + 1 < g {
-                        let n = data.len();
-                        let s = chain_segments(n, g);
-                        for j in 0..s {
-                            let elems = chunk_start(n, s, j + 1) - chunk_start(n, s, j);
-                            self.record_send(abs(rel + 1), packed_len(elems, w));
-                        }
-                    }
-                }
-                other => panic!("{:?} is not a broadcast algorithm", other),
-            }
-        }
-        self.record_op(CommOp::Broadcast, algo, group, data.len());
-    }
-
-    fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let a = algo::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo(group, root, data, a);
-    }
-
-    fn reduce_algo(&self, group: &Group, root: usize, data: &mut [f32], algo: CollAlgo) {
-        let w = wire::select(CommOp::Reduce, group.len(), data.len());
-        self.reduce_algo_wire(group, root, data, algo, w);
-    }
-
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        self.record_op(CommOp::Reduce, algo, group, data.len());
-        if g == 1 {
-            return;
-        }
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        match algo {
-            CollAlgo::Tree => {
-                let (_, target) = reduce_tree(g, rel);
-                if let Some(target) = target {
-                    self.record_send(abs(target), packed_len(data.len(), w));
-                }
-            }
-            CollAlgo::Chain => {
-                if rel > 0 {
-                    let n = data.len();
-                    let s = chain_segments(n, g);
-                    for j in 0..s {
-                        let elems = chunk_start(n, s, j + 1) - chunk_start(n, s, j);
-                        self.record_send(abs(rel - 1), packed_len(elems, w));
-                    }
-                }
-            }
-            other => panic!("{:?} is not a reduce algorithm", other),
-        }
-    }
-
-    /// Trace-only `ibroadcast`: records the identical post-time op/link
-    /// stream as the live backend and returns an already-completed handle —
-    /// there is no wire for the transfer to overlap with. Under a traced
-    /// dry run the op event is still emitted at `wait`, spanning
-    /// `[post, post + priced duration]` on the virtual clock, which is how
-    /// a dry run prices comm/compute overlap.
-    pub fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        let w = wire::select(CommOp::Broadcast, g, buf.len());
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Broadcast,
-            group,
-            buf.len(),
-            w,
-            || {
-                if g > 1 {
-                    let rel = (me + g - root) % g;
-                    let abs = |r: usize| group.rank_of((r + root) % g);
-                    let (_, children) = bcast_tree(g, rel);
-                    for &child in &children {
-                        self.record_send(abs(child), packed_len(buf.len(), w));
-                    }
-                }
-                self.record_op(CommOp::Broadcast, CollAlgo::Tree, group, buf.len());
-            },
-        );
-        PendingColl::ready(CommOp::Broadcast, buf, traced)
-    }
-
-    /// Trace-only `ireduce`; see [`DryRunComm::ibroadcast`].
-    pub fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        let w = wire::select(CommOp::Reduce, g, buf.len());
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Reduce,
-            group,
-            buf.len(),
-            w,
-            || {
-                self.record_op(CommOp::Reduce, CollAlgo::Tree, group, buf.len());
-                if g > 1 {
-                    let rel = (me + g - root) % g;
-                    let abs = |r: usize| group.rank_of((r + root) % g);
-                    let (_, target) = reduce_tree(g, rel);
-                    if let Some(target) = target {
-                        self.record_send(abs(target), packed_len(buf.len(), w));
-                    }
-                }
-            },
-        );
-        PendingColl::ready(CommOp::Reduce, buf, traced)
-    }
-
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        let g = group.len();
-        let me = self.my_index(group);
-        let n = data.len();
-        self.record_op(CommOp::AllReduce, algo, group, n);
-        if g == 1 {
-            return;
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                let chunk = |i: usize| chunk_start(n, g, (i % g) + 1) - chunk_start(n, g, i % g);
-                for step in 0..g - 1 {
-                    self.record_send(right, packed_len(chunk((me + g - step) % g), w));
-                }
-                for step in 0..g - 1 {
-                    self.record_send(right, packed_len(chunk((me + 1 + g - step) % g), w));
-                }
-            }
-            CollAlgo::Halving => {
-                let rounds = halving_rounds(g, me);
-                let elems =
-                    |clo: usize, chi: usize| chunk_start(n, g, chi) - chunk_start(n, g, clo);
-                for round in &rounds {
-                    for &(peer, clo, chi) in &round.sends {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-                for round in rounds.iter().rev() {
-                    for &(peer, clo, chi) in &round.recvs {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-            }
-            CollAlgo::Tree => {
-                let (_, target) = reduce_tree(g, me);
-                if let Some(target) = target {
-                    self.record_send(group.rank_of(target), packed_len(n, w));
-                }
-                let (_, children) = bcast_tree(g, me);
-                for &child in &children {
-                    self.record_send(group.rank_of(child), packed_len(n, w));
-                }
-            }
-            other => panic!("{:?} is not an all-reduce algorithm", other),
-        }
-    }
-
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        let g = group.len();
-        let me = self.my_index(group);
-        self.record_op(CommOp::AllGather, algo, group, local.len());
-        let n = local.len();
-        let mut out = vec![0.0f32; n * g];
-        out[me * n..(me + 1) * n].copy_from_slice(local);
-        if g == 1 {
-            return out;
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                for _ in 0..g - 1 {
-                    self.record_send(right, packed_len(n, w));
-                }
-            }
-            CollAlgo::Bruck => {
-                for (have, cnt) in bruck_rounds(g) {
-                    let dst = group.rank_of((me + g - have) % g);
-                    self.record_send(dst, packed_len(cnt * n, w));
-                }
-            }
-            other => panic!("{:?} is not an all-gather algorithm", other),
-        }
-        out
-    }
-
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        let g = group.len();
-        let me = self.my_index(group);
-        self.record_op(CommOp::ReduceScatter, algo, group, data.len());
-        let n = data.len();
-        if g == 1 {
-            return data.to_vec();
-        }
-        match algo {
-            CollAlgo::Ring => {
-                let right = group.rank_of((me + 1) % g);
-                for step in 0..g - 1 {
-                    let i = (me + 2 * g - step - 1) % g;
-                    let elems = chunk_start(n, g, i + 1) - chunk_start(n, g, i);
-                    self.record_send(right, packed_len(elems, w));
-                }
-            }
-            CollAlgo::Halving => {
-                let elems =
-                    |clo: usize, chi: usize| chunk_start(n, g, chi) - chunk_start(n, g, clo);
-                for round in &halving_rounds(g, me) {
-                    for &(peer, clo, chi) in &round.sends {
-                        self.record_send(group.rank_of(peer), packed_len(elems(clo, chi), w));
-                    }
-                }
-            }
-            other => panic!("{:?} is not a reduce-scatter algorithm", other),
-        }
-        let (m0, m1) = (chunk_start(n, g, me), chunk_start(n, g, me + 1));
-        data[m0..m1].to_vec()
-    }
-
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        if me != root {
-            panic!(
-                "DryRunComm cannot scatter on non-root members: the chunk \
-                 size only exists on the wire"
-            );
-        }
-        self.record_op(CommOp::ReduceScatter, CollAlgo::Ring, group, data.len());
-        let n = data.len();
-        for i in 0..g {
-            if i != root {
-                let elems = chunk_start(n, g, i + 1) - chunk_start(n, g, i);
-                self.record_send(group.rank_of(i), elems);
-            }
-        }
-        let (m0, m1) = (chunk_start(n, g, me), chunk_start(n, g, me + 1));
-        data[m0..m1].to_vec()
-    }
-
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = self.my_index(group);
-        self.record_op(CommOp::AllGather, CollAlgo::Ring, group, local.len());
-        if me == root {
-            // Assume equal-length contributions (the pattern every library
-            // call site uses); peers' payloads are zeros here.
-            let n = local.len();
-            let mut out = vec![0.0f32; n * g];
-            out[me * n..(me + 1) * n].copy_from_slice(local);
-            out
-        } else {
-            self.record_send(group.rank_of(root), local.len());
-            Vec::new()
-        }
-    }
-
-    fn barrier(&self, group: &Group) {
-        self.record_op(CommOp::Barrier, CollAlgo::Tree, group, 0);
-        self.reduce(group, 0, &mut []);
-        self.broadcast(group, 0, &mut []);
+        _list: StepList,
+        buf: Vec<f32>,
+        op: CommOp,
+        traced: Option<(u64, trace::OpMeta)>,
+    ) -> PendingColl {
+        PendingColl::ready(op, buf, traced)
     }
 }
 
@@ -450,11 +106,25 @@ impl Communicator for DryRunComm {
     }
 
     fn send(&self, to: usize, data: Vec<f32>) {
-        DryRunComm::send(self, to, data)
+        assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
+        self.log.borrow_mut().record_link(self.rank, to, data.len());
+        self.wire
+            .borrow_mut()
+            .queued
+            .entry((self.rank, to))
+            .or_default()
+            .push_back(data.len());
     }
 
     fn recv(&self, from: usize) -> Vec<f32> {
-        DryRunComm::recv(self, from)
+        let len = self.pop_queued(from).unwrap_or_else(|| {
+            panic!(
+                "dry-run recv at {} from {from} has no matching send; \
+                 p2p patterns with cyclic dependencies need the live backend",
+                self.rank
+            )
+        });
+        vec![0.0; len]
     }
 
     fn recv_expect(&self, from: usize, len: usize) -> Vec<f32> {
@@ -464,13 +134,7 @@ impl Communicator for DryRunComm {
         // record nothing in the log, so synthesizing zeros keeps the op/link
         // streams byte-identical to a live run. When the matching send *did*
         // already replay, consume it so the queue stays balanced.
-        let queued = self
-            .wire
-            .borrow_mut()
-            .queued
-            .get_mut(&(from, self.rank))
-            .and_then(|q| q.pop_front());
-        if let Some(sent) = queued {
+        if let Some(sent) = self.pop_queued(from) {
             assert_eq!(
                 sent, len,
                 "dry-run recv_expect at {} from {from}: declared {len} elems, send queued {sent}",
@@ -480,175 +144,14 @@ impl Communicator for DryRunComm {
         vec![0.0; len]
     }
 
-    fn broadcast_algo_wire(
+    fn collective(
         &self,
+        coll: Coll,
         group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Broadcast,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::broadcast_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn reduce_algo_wire(
-        &self,
-        group: &Group,
-        root: usize,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) {
-        traced_op(
-            CommOp::Reduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::reduce_algo_wire(self, group, root, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        DryRunComm::ibroadcast(self, group, root, buf)
-    }
-
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        DryRunComm::ireduce(self, group, root, buf)
-    }
-
-    fn all_reduce_algo_wire(&self, group: &Group, data: &mut [f32], algo: CollAlgo, w: WireDtype) {
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        // No data moves here, so max and sum share one schedule; select the
-        // same algorithm and wire dtype the live backend's max would.
-        let algo = algo::select(CommOp::AllReduce, group.len(), data.len());
-        let w = wire::select(CommOp::AllReduce, group.len(), data.len());
-        traced_op(
-            CommOp::AllReduce,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::all_reduce_algo_wire(self, group, data, algo, w);
-                ((), data.len())
-            },
-        )
-    }
-
-    fn all_gather_algo_wire(
-        &self,
-        group: &Group,
-        local: &[f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                (
-                    DryRunComm::all_gather_algo_wire(self, group, local, algo, w),
-                    local.len(),
-                )
-            },
-        )
-    }
-
-    fn reduce_scatter_algo_wire(
-        &self,
-        group: &Group,
-        data: &mut [f32],
-        algo: CollAlgo,
-        w: WireDtype,
-    ) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            algo,
-            w,
-            group,
-            || self.wire_total(),
-            || {
-                let n = data.len();
-                (
-                    DryRunComm::reduce_scatter_algo_wire(self, group, data, algo, w),
-                    n,
-                )
-            },
-        )
-    }
-
-    fn scatter(&self, group: &Group, root: usize, data: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::ReduceScatter,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                let out = DryRunComm::scatter(self, group, root, data);
-                let elems = if data.is_empty() {
-                    out.len() * group.len()
-                } else {
-                    data.len()
-                };
-                (out, elems)
-            },
-        )
-    }
-
-    fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        traced_op(
-            CommOp::AllGather,
-            CollAlgo::Ring,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || (DryRunComm::gather(self, group, root, local), local.len()),
-        )
-    }
-
-    fn barrier(&self, group: &Group) {
-        traced_op(
-            CommOp::Barrier,
-            CollAlgo::Tree,
-            WireDtype::F32,
-            group,
-            || self.wire_total(),
-            || {
-                DryRunComm::barrier(self, group);
-                ((), 0)
-            },
-        )
+        buf: CollBuf<'_>,
+        plan: CollPlan,
+    ) -> Option<PendingColl> {
+        run_collective(self, coll, group, buf, plan)
     }
 
     fn log_snapshot(&self) -> CommLog {
@@ -811,7 +314,7 @@ mod tests {
                     |c| {
                         let g = Group::world(p);
                         let mut data = vec![0.0f32; 10];
-                        DryRunComm::broadcast(c, &g, root, &mut data);
+                        Communicator::broadcast(c, &g, root, &mut data);
                     },
                 );
             }
@@ -831,7 +334,7 @@ mod tests {
                 |c| {
                     let g = Group::world(p);
                     let mut data = vec![0.0f32; 7];
-                    DryRunComm::reduce(c, &g, p - 1, &mut data);
+                    Communicator::reduce(c, &g, p - 1, &mut data);
                 },
             );
         }
@@ -883,7 +386,7 @@ mod tests {
                 } else {
                     Group::new(vec![2, 3])
                 };
-                DryRunComm::barrier(c, &row);
+                Communicator::barrier(c, &row);
                 let mut d = vec![0.0f32; 5];
                 Communicator::all_reduce(c, &row, &mut d);
             },
@@ -896,11 +399,11 @@ mod tests {
         // matching-send requirement.
         let (outs, logs) = Mesh::dry_run_with_logs(3, |c| {
             if Communicator::rank(c) > 0 {
-                let got = DryRunComm::recv(c, Communicator::rank(c) - 1);
+                let got = Communicator::recv(c, Communicator::rank(c) - 1);
                 assert_eq!(got.len(), 4);
             }
             if Communicator::rank(c) + 1 < c.world_size() {
-                DryRunComm::send(c, Communicator::rank(c) + 1, vec![0.0; 4]);
+                Communicator::send(c, Communicator::rank(c) + 1, vec![0.0; 4]);
             }
             Communicator::rank(c)
         });
@@ -914,7 +417,7 @@ mod tests {
     fn p2p_backward_dependency_panics() {
         Mesh::dry_run_with_logs(2, |c| {
             if Communicator::rank(c) == 0 {
-                DryRunComm::recv(c, 1); // rank 1 has not replayed yet
+                Communicator::recv(c, 1); // rank 1 has not replayed yet
             }
         });
     }
@@ -962,15 +465,15 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_root_traces_match_live() {
+    fn gather_traces_match_live() {
         let p = 4;
         let (_, live_logs) = Mesh::run_with_logs(p, |ctx| {
             let g = Group::world(p);
-            let _ = crate::DeviceCtx::gather(ctx, &g, 0, &[1.0; 3]);
+            let _ = Communicator::gather(ctx, &g, 0, &[1.0; 3]);
         });
         let (_, dry_logs) = Mesh::dry_run_with_logs(p, |c| {
             let g = Group::world(p);
-            let _ = DryRunComm::gather(c, &g, 0, &[1.0; 3]);
+            let _ = Communicator::gather(c, &g, 0, &[1.0; 3]);
         });
         for (l, d) in live_logs.iter().zip(&dry_logs) {
             assert_eq!(l.ops, d.ops);

@@ -16,7 +16,7 @@
 //! with a "disconnected" error instead of hanging.
 
 use crate::pool::BufferPool;
-use crate::stats::{CommLog, CommOp};
+use crate::stats::CommLog;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -104,20 +104,18 @@ impl Mailbox {
 
 /// Per-device handle: identity plus the mailbox fabric to every peer.
 ///
-/// All collectives ([`DeviceCtx::broadcast`], [`DeviceCtx::reduce`],
-/// [`DeviceCtx::all_reduce`], …) are built on [`DeviceCtx::send`] /
-/// [`DeviceCtx::recv`] and are defined in `collectives.rs`; the
-/// non-blocking `ibroadcast`/`ireduce` live in `nonblocking.rs`. Per-hop
-/// scratch buffers come from a per-device [`BufferPool`]; consumed receive
-/// buffers are recycled back into it, so steady-state collective traffic
-/// allocates nothing.
+/// Collectives ([`crate::Communicator`]) move their payloads through the
+/// same mailboxes, interpreted by `collectives.rs` (inline) and
+/// `nonblocking.rs` (posted). Per-hop scratch buffers come from a per-device
+/// [`BufferPool`]; consumed receive buffers are recycled back into it, so
+/// steady-state collective traffic allocates nothing.
 pub struct DeviceCtx {
     rank: usize,
     p: usize,
     /// `boxes[d]` — device `d`'s mailbox; `boxes[rank]` is our own.
-    boxes: Vec<Arc<Mailbox>>,
-    log: RefCell<CommLog>,
-    pool: RefCell<BufferPool>,
+    pub(crate) boxes: Vec<Arc<Mailbox>>,
+    pub(crate) log: RefCell<CommLog>,
+    pub(crate) pool: RefCell<BufferPool>,
     /// Lazily spawned background progress thread for non-blocking
     /// collectives (`nonblocking.rs`); joined on drop.
     pub(crate) progress: RefCell<Option<crate::nonblocking::Progress>>,
@@ -149,11 +147,6 @@ impl DeviceCtx {
         self.p
     }
 
-    /// A clone of the mailbox handles, for the progress thread.
-    pub(crate) fn boxes(&self) -> Vec<Arc<Mailbox>> {
-        self.boxes.clone()
-    }
-
     /// Point-to-point send. Counted in the [`CommLog`].
     pub fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
@@ -167,67 +160,8 @@ impl DeviceCtx {
         self.boxes[self.rank].pop(from, self.rank)
     }
 
-    /// Sends a copy of `data`, drawing the owned buffer from the scratch
-    /// pool instead of allocating. The collective hot path.
-    pub(crate) fn send_copy(&self, to: usize, data: &[f32]) {
-        let mut buf = self.pool.borrow_mut().take(data.len());
-        buf.extend_from_slice(data);
-        self.send(to, buf);
-    }
-
-    /// Sends a copy of `data` at wire precision `w`: the full-width path is
-    /// [`DeviceCtx::send_copy`] unchanged; a 16-bit dtype packs two values
-    /// per f32 slot, so the buffer on the wire (and in the link record) is
-    /// physically half-length. Bytes-on-wire metrics are fed here.
-    pub(crate) fn send_wire(&self, to: usize, data: &[f32], w: crate::WireDtype) {
-        metrics::device_counter_add(
-            "coll_wire_bytes",
-            (crate::packed_len(data.len(), w) * 4) as u64,
-        );
-        metrics::device_counter_add("coll_logical_bytes", (data.len() * 4) as u64);
-        if w.is_f32() {
-            return self.send_copy(to, data);
-        }
-        let mut buf = self
-            .pool
-            .borrow_mut()
-            .take(crate::packed_len(data.len(), w));
-        crate::wire::pack_into(data, w, &mut buf);
-        self.send(to, buf);
-    }
-
-    /// Receives a payload of `expect` logical elements sent at wire
-    /// precision `w` and returns it unpacked to full-width f32 (a pooled
-    /// buffer — recycle it when consumed, exactly like a raw [`DeviceCtx::recv`]).
-    pub(crate) fn recv_wire(&self, from: usize, expect: usize, w: crate::WireDtype) -> Vec<f32> {
-        let incoming = self.recv(from);
-        assert_eq!(
-            incoming.len(),
-            crate::packed_len(expect, w),
-            "rank {} expected {expect} elems ({} wire slots) from {from}, got {}",
-            self.rank,
-            crate::packed_len(expect, w),
-            incoming.len()
-        );
-        if w.is_f32() {
-            return incoming;
-        }
-        let mut out = self.pool.borrow_mut().take(expect);
-        out.resize(expect, 0.0);
-        crate::wire::unpack_with(&incoming, expect, w, |i, v| out[i] = v);
-        self.recycle(incoming);
-        out
-    }
-
-    /// Draws an empty scratch buffer with capacity ≥ `len` from the pool
-    /// (for collective-internal staging, e.g. Bruck's rotation buffer);
-    /// return it with [`DeviceCtx::recycle`].
-    pub(crate) fn take_buf(&self, len: usize) -> Vec<f32> {
-        self.pool.borrow_mut().take(len)
-    }
-
     /// Returns a consumed receive buffer to the scratch pool so a later
-    /// internal `send_copy` can reuse its allocation.
+    /// collective send can reuse its allocation.
     pub fn recycle(&self, buf: Vec<f32>) {
         self.pool.borrow_mut().put(buf);
     }
@@ -242,31 +176,6 @@ impl DeviceCtx {
     /// steady-state collectives are allocation-free.
     pub fn reset_pool_stats(&self) {
         self.pool.borrow_mut().reset_stats();
-    }
-
-    /// Records a collective operation in the log (used by `collectives.rs`).
-    pub(crate) fn record_op(
-        &self,
-        op: CommOp,
-        algo: crate::CollAlgo,
-        group: &crate::Group,
-        elems: usize,
-    ) {
-        crate::stats::record_group_op(&mut self.log.borrow_mut(), op, algo, group, elems);
-    }
-
-    /// Records the link a point-to-point send *will* perform. Non-blocking
-    /// collectives log their whole send schedule at post time on the device
-    /// thread (the log is not thread-safe and the op/link stream must match
-    /// the dry-run backend's), while the progress thread moves the bytes.
-    pub(crate) fn record_planned_send(&self, to: usize, elems: usize) {
-        self.log.borrow_mut().record_link(self.rank, to, elems);
-    }
-
-    /// O(1) total of elements this device has sent so far; the tracer
-    /// samples it before/after a collective to attribute wire traffic.
-    pub(crate) fn wire_total(&self) -> usize {
-        self.log.borrow().total_link_elems()
     }
 
     /// Extracts the accumulated communication log (resets it).

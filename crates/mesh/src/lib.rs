@@ -72,20 +72,22 @@ mod group;
 mod mesh2d;
 mod nonblocking;
 mod pool;
+mod schedule;
 mod shape;
 mod stats;
 mod topology;
 mod wire;
 
-pub use algo::{chain_segments, install as install_algo_table, installed as installed_algo_table};
-pub use algo::{AlgoRule, AlgoTable, CollAlgo};
-pub use comm::Communicator;
+pub use algo::{install as install_algo_table, installed as installed_algo_table};
+pub use algo::{AlgoRule, AlgoTable, CollAlgo, CollPlan};
+pub use comm::{CollBuf, Communicator};
 pub use dryrun::DryRunComm;
 pub use fabric::DeviceCtx;
 pub use group::Group;
 pub use mesh2d::{Grid2d, GridNd, Mesh2d, MeshNd};
 pub use nonblocking::PendingColl;
 pub use pool::BufferPool;
+pub use schedule::{chain_segments, chunk, coll_steps, Coll, RecvMode, Step};
 pub use shape::MeshShape;
 pub use stats::{CommLog, CommOp, LinkRecord, OpRecord};
 pub use topology::{Arrangement, Topology};

@@ -26,15 +26,15 @@
 //!   completes everything with no thread ping-pong. The worker still
 //!   drains whatever is queued at shutdown, so abandoned handles cannot
 //!   starve peers.
-//! * **The post is pure bookkeeping.** The posting thread records the op and
-//!   its full link schedule in the [`crate::CommLog`] *at post time* — the
-//!   log is single-threaded, and this keeps the live op/link stream
-//!   byte-identical to the blocking path and to the dry-run backend. The
-//!   executors only move payloads.
-//! * **Same trees, same order.** Tasks walk the shared
-//!   [`crate::collectives::bcast_tree`] / [`crate::collectives::reduce_tree`]
-//!   schedules the blocking collectives use, and `ireduce` accumulates
-//!   incoming buffers in exactly the blocking receive order — overlapped
+//! * **The post is pure bookkeeping.** The posting thread records the op,
+//!   its full link schedule and the bytes-on-wire counters *at post time*
+//!   (`comm::run_collective` — the same code that logs a blocking call), so
+//!   the live op/link stream is byte-identical to the blocking path and to
+//!   the dry-run backend. The executors only move payloads.
+//! * **Same steps, same executor.** A task carries the step list
+//!   ([`crate::coll_steps`]) its blocking form would run, and both executors
+//!   hand it to the same `collectives::execute` — so `ireduce` accumulates
+//!   incoming buffers in exactly the blocking receive order and overlapped
 //!   results are **bitwise identical** to the serial reference.
 //!
 //! # Discipline
@@ -56,12 +56,14 @@
 //! `max(now, post + price)` — time hidden behind compute costs nothing,
 //! which is how a dry run prices overlap (see `perf`).
 
-use crate::collectives::{bcast_tree, reduce_tree};
+use crate::collectives::execute;
+use crate::comm::{op_meta, StepList};
 use crate::fabric::{DeviceCtx, Mailbox};
 use crate::group::Group;
 use crate::pool::BufferPool;
-use crate::stats::{group_shape, CommOp};
-use crate::wire::{self, packed_len, WireDtype};
+use crate::stats::{CommLog, CommOp};
+use crate::CollPlan;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -71,15 +73,8 @@ use std::time::Instant;
 pub(crate) struct CollTask {
     /// Post-order ticket tying this task to its [`PendingColl`] handle.
     id: u64,
-    /// `true` — sum incoming buffers into `buf` (reduce); `false` — replace
-    /// `buf` with the incoming payload (broadcast receive).
-    accumulate: bool,
-    /// Absolute ranks to receive from, in tree order.
-    recv_from: Vec<usize>,
-    /// Absolute ranks to send to, in tree order.
-    send_to: Vec<usize>,
-    /// Wire precision every hop of this collective uses (fixed at post).
-    wire: WireDtype,
+    /// The steps to run, fixed at post.
+    list: StepList,
     buf: Vec<f32>,
 }
 
@@ -153,50 +148,18 @@ impl Drop for RunningGuard<'_> {
     }
 }
 
-/// Executes one task: receive (accumulate or swap) in tree order, then
-/// send. Caller holds the `running` claim and is responsible for parking
-/// the returned completion in `TaskQueue::done` (or returning it directly
-/// if it is the caller's own).
+/// Executes one task. Caller holds the `running` claim and is responsible
+/// for parking the returned completion in `TaskQueue::done` (or returning it
+/// directly if it is the caller's own).
 fn run_task(shared: &ExecShared, mut task: CollTask) -> (u64, Vec<f32>, Instant) {
     let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
-    let w = task.wire;
-    let n = task.buf.len();
-    for &src in &task.recv_from {
-        let incoming = shared.boxes[shared.rank].pop(src, shared.rank);
-        assert_eq!(
-            incoming.len(),
-            packed_len(n, w),
-            "pending collective size mismatch (device {} <- {src})",
-            shared.rank
-        );
-        if w.is_f32() {
-            if task.accumulate {
-                for (d, v) in task.buf.iter_mut().zip(&incoming) {
-                    *d += *v;
-                }
-                pool.put(incoming);
-            } else {
-                pool.put(std::mem::replace(&mut task.buf, incoming));
-            }
-        } else {
-            let buf = &mut task.buf;
-            if task.accumulate {
-                wire::unpack_with(&incoming, n, w, |i, v| buf[i] += v);
-            } else {
-                wire::unpack_with(&incoming, n, w, |i, v| buf[i] = v);
-            }
-            pool.put(incoming);
-        }
-    }
-    for &dst in &task.send_to {
-        let mut out = pool.take(packed_len(n, w));
-        if w.is_f32() {
-            out.extend_from_slice(&task.buf);
-        } else {
-            wire::pack_into(&task.buf, w, &mut out);
-        }
-        shared.boxes[dst].push(shared.rank, dst, out);
-    }
+    execute(
+        shared.rank,
+        &shared.boxes,
+        &mut pool,
+        &task.list,
+        &mut task.buf,
+    );
     (task.id, task.buf, Instant::now())
 }
 
@@ -386,62 +349,48 @@ fn complete(shared: &ExecShared, my_id: u64) -> (Vec<f32>, Instant) {
     }
 }
 
-/// Records a pending collective's op + link schedule at post time and, when
-/// a collector is active, captures the op metadata for the wait-side event.
-/// The log records go inside a `comm.pending` span so traces show the post.
+/// Runs `record` (a pending collective's op + link records) at post time
+/// and, when a collector is active, captures the op metadata for the
+/// wait-side event. The log records go inside a `comm.pending` span so
+/// traces show the post.
 pub(crate) fn post_records(
-    wire_total: impl Fn() -> usize,
+    log: &RefCell<CommLog>,
     op: CommOp,
+    plan: CollPlan,
     group: &Group,
     elems: usize,
-    w: WireDtype,
     record: impl FnOnce(),
 ) -> Option<(u64, trace::OpMeta)> {
     if !trace::is_active() {
         record();
         return None;
     }
-    let wire_before = wire_total();
+    let wire_before = log.borrow().total_link_elems();
     trace::span("comm.pending", record);
-    let wire_elems = wire_total() - wire_before;
-    let (group_size, group_first, group_stride) = group_shape(group);
-    Some((
-        trace::now_ns(),
-        trace::OpMeta {
-            kind: op.name(),
-            group_size,
-            group_first,
-            group_stride,
-            elems,
-            wire_elems,
-            axis: group.label(),
-            // Non-blocking collectives are tree-only: a queued CollTask is
-            // receive-all-then-send-all, which cannot express a pipelined
-            // chain or a ring step sequence.
-            algo: crate::CollAlgo::Tree.name(),
-            wire: w.name(),
-        },
-    ))
+    let wire_elems = log.borrow().total_link_elems() - wire_before;
+    Some((trace::now_ns(), op_meta(op, plan, group, elems, wire_elems)))
 }
 
 impl DeviceCtx {
     fn progress_shared(&self) -> Arc<ExecShared> {
         let mut slot = self.progress.borrow_mut();
-        slot.get_or_insert_with(|| spawn_progress(self.rank(), self.boxes()))
+        slot.get_or_insert_with(|| spawn_progress(self.rank(), self.boxes.clone()))
             .shared()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn post(
+    /// Queues an already-logged step list; the transfer proceeds in the
+    /// background (see the module docs). A member with nothing to do (a
+    /// trivial group) completes at once without waking the machinery.
+    pub(crate) fn post(
         &self,
-        op: CommOp,
-        accumulate: bool,
-        recv_from: Vec<usize>,
-        send_to: Vec<usize>,
-        w: WireDtype,
+        list: StepList,
         buf: Vec<f32>,
+        op: CommOp,
         traced: Option<(u64, trace::OpMeta)>,
     ) -> PendingColl {
+        if list.steps.is_empty() {
+            return PendingColl::ready(op, buf, traced);
+        }
         // Capture the post instant *before* queueing the task: an executor's
         // completion instant must not precede it.
         let posted = Instant::now();
@@ -450,14 +399,7 @@ impl DeviceCtx {
             let mut q = qlock(&shared);
             let id = q.next_id;
             q.next_id += 1;
-            q.tasks.push_back(CollTask {
-                id,
-                accumulate,
-                recv_from,
-                send_to,
-                wire: w,
-                buf,
-            });
+            q.tasks.push_back(CollTask { id, list, buf });
             id
         };
         if shared.eager {
@@ -469,90 +411,11 @@ impl DeviceCtx {
             traced,
         }
     }
-
-    /// Non-blocking broadcast from group index `root`. Non-root buffers must
-    /// be pre-sized to the root's payload length (the pending receive cannot
-    /// resize the logical payload recorded at post). Returns immediately;
-    /// the transfer proceeds in the background (see the module docs).
-    pub fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = group
-            .index_of(self.rank())
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank(), group));
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        let (parent, children) = bcast_tree(g, rel);
-        let w = wire::select(CommOp::Broadcast, g, buf.len());
-
-        // Blocking broadcast records links (via send_wire) before the op;
-        // keep that order so the streams match record-for-record.
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Broadcast,
-            group,
-            buf.len(),
-            w,
-            || {
-                for &child in &children {
-                    self.record_planned_send(abs(child), packed_len(buf.len(), w));
-                }
-                self.record_op(CommOp::Broadcast, crate::CollAlgo::Tree, group, buf.len());
-            },
-        );
-        if g == 1 {
-            return PendingColl::ready(CommOp::Broadcast, buf, traced);
-        }
-        let recv_from: Vec<usize> = parent.map(abs).into_iter().collect();
-        let mut send_to = children;
-        for c in &mut send_to {
-            *c = abs(*c);
-        }
-        self.post(CommOp::Broadcast, false, recv_from, send_to, w, buf, traced)
-    }
-
-    /// Non-blocking sum-reduce to group index `root`. Only the root's waited
-    /// buffer holds the full sum; other members get partial-sum scratch.
-    pub fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
-        let g = group.len();
-        assert!(root < g, "root index {root} out of range for group of {g}");
-        let me = group
-            .index_of(self.rank())
-            .unwrap_or_else(|| panic!("device {} is not in group {:?}", self.rank(), group));
-        let rel = (me + g - root) % g;
-        let abs = |r: usize| group.rank_of((r + root) % g);
-        let (sources, target) = reduce_tree(g, rel);
-        let w = wire::select(CommOp::Reduce, g, buf.len());
-
-        // Blocking reduce records the op before any transfer; match it.
-        let traced = post_records(
-            || self.wire_total(),
-            CommOp::Reduce,
-            group,
-            buf.len(),
-            w,
-            || {
-                self.record_op(CommOp::Reduce, crate::CollAlgo::Tree, group, buf.len());
-                if let Some(target) = target {
-                    self.record_planned_send(abs(target), packed_len(buf.len(), w));
-                }
-            },
-        );
-        if g == 1 {
-            return PendingColl::ready(CommOp::Reduce, buf, traced);
-        }
-        let mut recv_from = sources;
-        for s in &mut recv_from {
-            *s = abs(*s);
-        }
-        let send_to: Vec<usize> = target.map(abs).into_iter().collect();
-        self.post(CommOp::Reduce, true, recv_from, send_to, w, buf, traced)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Group, Mesh};
+    use crate::{Communicator, Group, Mesh};
 
     #[test]
     fn ibroadcast_matches_blocking_for_every_root() {

@@ -33,8 +33,9 @@
 //! ([`WireTable`]) keyed on `(op, group size, payload bytes)`. The baseline
 //! table is empty — every collective defaults to f32 — and a process-global
 //! table can be installed with [`install`] (the `optimus-cli` convention).
-//! Explicit `*_wire` collective variants bypass the table entirely, which is
-//! what tests and the error-feedback gradient sync use.
+//! A caller that passes its own [`crate::CollPlan`] to
+//! [`crate::Communicator::collective`] bypasses the table entirely, which is
+//! what tests and the error-feedback gradient sync do.
 //!
 //! # Error feedback
 //!
@@ -258,7 +259,7 @@ fn global() -> &'static RwLock<Arc<WireTable>> {
 }
 
 /// Installs `table` as the process-global wire-precision table consulted by
-/// every collective that is not given an explicit dtype.
+/// [`crate::CollPlan::select`].
 pub fn install(table: WireTable) {
     *global().write().unwrap() = Arc::new(table);
 }
@@ -266,13 +267,6 @@ pub fn install(table: WireTable) {
 /// The currently installed process-global wire table.
 pub fn installed() -> Arc<WireTable> {
     global().read().unwrap().clone()
-}
-
-/// Selects the wire dtype for one collective call through the installed
-/// table. `elems` is the logical payload in f32 elements, keyed as bytes
-/// (`elems * 4`) like the algorithm table.
-pub fn select(op: CommOp, group_size: usize, elems: usize) -> WireDtype {
-    installed().select(op, group_size, elems * 4)
 }
 
 // ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ impl CostModel {
         match (op, algo) {
             (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Tree) => rounds * (alpha + beta * b),
             (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Chain) => {
-                let s = chain_segments(elems, g) as f64;
+                let s = chain_segments(elems) as f64;
                 (gf + s - 2.0) * (alpha + beta * b / s)
             }
             (CommOp::AllReduce, CollAlgo::Ring) => 2.0 * (gf - 1.0) * (alpha + beta * b / gf),
@@ -398,7 +398,7 @@ mod tests {
         let t = |op, algo| m.coll_time(op, algo, &ranks, 65536);
         let close = |x: f64, y: f64| (x - y).abs() < 1e-12 * y.abs().max(1.0);
         assert!(close(t(CommOp::Broadcast, CollAlgo::Tree), 3.0 * (a + bb)));
-        let s = chain_segments(65536, 8) as f64;
+        let s = chain_segments(65536) as f64;
         assert!(close(
             t(CommOp::Broadcast, CollAlgo::Chain),
             (8.0 + s - 2.0) * (a + bb / s)

@@ -14,14 +14,24 @@
 //!   same explicit algorithm emit byte-identical op and link logs, rank by
 //!   rank; the dry-run prices exactly the schedule the live mesh executes.
 //!
-//! The same sweep then repeats on the **bf16 wire** (`*_algo_wire`): pure
+//! The same sweep then repeats on the **bf16 wire** (`CollPlan::wire`): pure
 //! movement delivers exactly the once-quantized payload (forwarding re-packs
 //! are lossless), reductions stay inside the stated per-hop error envelope
 //! (≤ one 2⁻⁸-relative rounding per wire crossing on an element's reduction
 //! path), and the live and dry-run schedules remain byte-identical — the
 //! packed half-length link records included.
+//!
+//! Below the live sweeps sit the **schedule properties**: the step lists of
+//! [`mesh::coll_steps`] checked directly, without threads, up to 64 members —
+//! soundness (no deadlock, no mis-sized message), data flow (each op's
+//! postcondition over contribution sets) and pricing (the unit-cost makespan
+//! equals the α multiplier of `perf::CostModel::coll_time`).
 
-use mesh::{CollAlgo, CommLog, CommOp, Communicator, Group, Mesh, WireDtype};
+use mesh::{
+    chunk, coll_steps, Coll, CollAlgo, CollBuf, CollPlan, CommLog, CommOp, Communicator, Group,
+    Mesh, RecvMode, Step, WireDtype,
+};
+use std::collections::{HashMap, VecDeque};
 use tensor::Rng;
 
 const GROUPS: [usize; 5] = [2, 3, 4, 5, 8];
@@ -52,8 +62,44 @@ fn serial_sum(g: usize, n: usize, seed: u64) -> Vec<f32> {
     acc
 }
 
+/// Runs `coll` over the world group under an explicit plan and returns what
+/// the plain method of the same name returns: the buffer, the gathered
+/// output, or this member's chunk.
+fn run<C: Communicator>(
+    ctx: &C,
+    g: usize,
+    coll: Coll,
+    plan: CollPlan,
+    mut data: Vec<f32>,
+) -> Vec<f32> {
+    let world = Group::world(g);
+    let (n, me) = (data.len(), ctx.rank());
+    match coll {
+        Coll::AllGather => {
+            let mut out = vec![0.0f32; n * g];
+            out[me * n..(me + 1) * n].copy_from_slice(&data);
+            ctx.collective(coll, &world, CollBuf::Now(&mut out), plan);
+            out
+        }
+        Coll::ReduceScatter => {
+            ctx.collective(coll, &world, CollBuf::Now(&mut data), plan);
+            data[chunk(n, g, me)].to_vec()
+        }
+        _ => {
+            ctx.collective(coll, &world, CollBuf::Now(&mut data), plan);
+            data
+        }
+    }
+}
+
+fn plan(algo: CollAlgo, wire: WireDtype) -> CollPlan {
+    CollPlan { algo, wire }
+}
+
+const F32: WireDtype = WireDtype::F32;
+
 #[test]
-fn broadcast_algorithms_deliver_the_root_payload_bitwise() {
+fn broadcast_menu_delivers_the_root_payload_bitwise() {
     for algo in CollAlgo::menu(CommOp::Broadcast) {
         for g in GROUPS {
             for n in SIZES {
@@ -62,14 +108,12 @@ fn broadcast_algorithms_deliver_the_root_payload_bitwise() {
                 let want = payload(seed, n);
                 let want_ref = &want;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = if ctx.rank() == root {
+                    let data = if ctx.rank() == root {
                         want_ref.clone()
                     } else {
                         vec![0.0; n]
                     };
-                    ctx.broadcast_algo(&world, root, &mut data, *algo);
-                    data
+                    run(ctx, g, Coll::Broadcast { root }, plan(*algo, F32), data)
                 });
                 for (r, d) in out.iter().enumerate() {
                     assert_eq!(d, &want, "{algo:?} g={g} n={n} rank={r}");
@@ -80,17 +124,15 @@ fn broadcast_algorithms_deliver_the_root_payload_bitwise() {
 }
 
 #[test]
-fn reduce_algorithms_sum_to_the_root() {
+fn reduce_menu_sums_to_the_root() {
     for algo in CollAlgo::menu(CommOp::Reduce) {
         for g in GROUPS {
             for n in SIZES {
                 let root = g / 2;
                 let seed = 0x4ed + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.reduce_algo(&world, root, &mut data, *algo);
-                    data
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::Reduce { root }, plan(*algo, F32), data)
                 });
                 let want = serial_sum(g, n, seed);
                 assert!(
@@ -103,16 +145,14 @@ fn reduce_algorithms_sum_to_the_root() {
 }
 
 #[test]
-fn all_reduce_algorithms_agree_bitwise_across_ranks_and_match_reference() {
+fn all_reduce_menu_agrees_bitwise_across_ranks_and_matches_reference() {
     for algo in CollAlgo::menu(CommOp::AllReduce) {
         for g in GROUPS {
             for n in SIZES {
                 let seed = 0xA11 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.all_reduce_algo(&world, &mut data, *algo);
-                    data
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::AllReduce, plan(*algo, F32), data)
                 });
                 let want = serial_sum(g, n, seed);
                 for (r, d) in out.iter().enumerate() {
@@ -128,15 +168,14 @@ fn all_reduce_algorithms_agree_bitwise_across_ranks_and_match_reference() {
 }
 
 #[test]
-fn all_gather_algorithms_concatenate_bitwise_in_rank_order() {
+fn all_gather_menu_concatenates_bitwise_in_rank_order() {
     for algo in CollAlgo::menu(CommOp::AllGather) {
         for g in GROUPS {
             for n in SIZES {
                 let seed = 0x9a + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
                     let local = payload(seed + ctx.rank() as u64, n);
-                    ctx.all_gather_algo(&world, &local, *algo)
+                    run(ctx, g, Coll::AllGather, plan(*algo, F32), local)
                 });
                 let want: Vec<f32> = (0..g).flat_map(|r| payload(seed + r as u64, n)).collect();
                 for (r, d) in out.iter().enumerate() {
@@ -148,15 +187,14 @@ fn all_gather_algorithms_concatenate_bitwise_in_rank_order() {
 }
 
 #[test]
-fn reduce_scatter_algorithms_partition_the_sum() {
+fn reduce_scatter_menu_partitions_the_sum() {
     for algo in CollAlgo::menu(CommOp::ReduceScatter) {
         for g in GROUPS {
             for n in SIZES {
                 let seed = 0x5c + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.reduce_scatter_algo(&world, &mut data, *algo)
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::ReduceScatter, plan(*algo, F32), data)
                 });
                 let want = serial_sum(g, n, seed);
                 // Blocks concatenated in rank order reassemble the full sum,
@@ -173,50 +211,25 @@ fn reduce_scatter_algorithms_partition_the_sum() {
     }
 }
 
-/// Runs one explicit-algorithm collective on either backend. Payload
-/// contents are irrelevant here (the dry-run backend moves zeros); only the
-/// emitted op/link streams matter.
-fn drive<C: Communicator>(ctx: &C, g: usize, op: CommOp, algo: CollAlgo, n: usize) {
-    let world = Group::world(g);
-    let mut data = vec![1.0f32; n];
+/// The collective a sweep cell drives for `op`, rooted mid-group.
+fn coll_of(op: CommOp, g: usize) -> Coll {
     match op {
-        CommOp::Broadcast => ctx.broadcast_algo(&world, g / 2, &mut data, algo),
-        CommOp::Reduce => ctx.reduce_algo(&world, g / 2, &mut data, algo),
-        CommOp::AllReduce => ctx.all_reduce_algo(&world, &mut data, algo),
-        CommOp::AllGather => {
-            ctx.all_gather_algo(&world, &data, algo);
-        }
-        CommOp::ReduceScatter => {
-            ctx.reduce_scatter_algo(&world, &mut data, algo);
-        }
-        CommOp::Barrier => ctx.barrier(&world),
+        CommOp::Broadcast => Coll::Broadcast { root: g / 2 },
+        CommOp::Reduce => Coll::Reduce { root: g / 2 },
+        CommOp::AllReduce => Coll::AllReduce,
+        CommOp::AllGather => Coll::AllGather,
+        CommOp::ReduceScatter => Coll::ReduceScatter,
+        CommOp::Barrier => Coll::Barrier,
     }
 }
 
-/// [`drive`] at an explicit wire precision: the `*_algo_wire` entry points,
-/// bypassing the installed wire table (parallel-test safe — no globals).
-fn drive_wire<C: Communicator>(
-    ctx: &C,
-    g: usize,
-    op: CommOp,
-    algo: CollAlgo,
-    n: usize,
-    w: WireDtype,
-) {
-    let world = Group::world(g);
-    let mut data = vec![1.0f32; n];
-    match op {
-        CommOp::Broadcast => ctx.broadcast_algo_wire(&world, g / 2, &mut data, algo, w),
-        CommOp::Reduce => ctx.reduce_algo_wire(&world, g / 2, &mut data, algo, w),
-        CommOp::AllReduce => ctx.all_reduce_algo_wire(&world, &mut data, algo, w),
-        CommOp::AllGather => {
-            ctx.all_gather_algo_wire(&world, &data, algo, w);
-        }
-        CommOp::ReduceScatter => {
-            ctx.reduce_scatter_algo_wire(&world, &mut data, algo, w);
-        }
-        CommOp::Barrier => ctx.barrier(&world),
-    }
+/// Runs one explicit-plan collective on either backend, bypassing the
+/// installed tables (parallel-test safe — no globals). Payload contents are
+/// irrelevant here (the dry-run backend moves zeros); only the emitted
+/// op/link streams matter.
+fn drive<C: Communicator>(ctx: &C, g: usize, op: CommOp, plan: CollPlan, n: usize) {
+    let n = if op == CommOp::Barrier { 0 } else { n };
+    run(ctx, g, coll_of(op, g), plan, vec![1.0f32; n]);
 }
 
 fn assert_identical_logs(live: &[CommLog], dry: &[CommLog], label: &str) {
@@ -287,14 +300,12 @@ fn bf16_broadcast_delivers_the_quantized_payload_bitwise_to_non_roots() {
                 let want = quantized(&full);
                 let full_ref = &full;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = if ctx.rank() == root {
+                    let data = if ctx.rank() == root {
                         full_ref.clone()
                     } else {
                         vec![0.0; n]
                     };
-                    ctx.broadcast_algo_wire(&world, root, &mut data, *algo, w);
-                    data
+                    run(ctx, g, Coll::Broadcast { root }, plan(*algo, w), data)
                 });
                 for (r, d) in out.iter().enumerate() {
                     if r == root {
@@ -325,9 +336,8 @@ fn bf16_all_gather_quantizes_each_foreign_block_exactly_once() {
             for n in SIZES {
                 let seed = 0x9a16 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
                     let local = payload(seed + ctx.rank() as u64, n);
-                    ctx.all_gather_algo_wire(&world, &local, *algo, w)
+                    run(ctx, g, Coll::AllGather, plan(*algo, w), local)
                 });
                 for (r, d) in out.iter().enumerate() {
                     for src in 0..g {
@@ -354,10 +364,8 @@ fn bf16_reduce_stays_within_the_stated_error_bound() {
                 let root = g / 2;
                 let seed = 0x4e16 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.reduce_algo_wire(&world, root, &mut data, *algo, w);
-                    data
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::Reduce { root }, plan(*algo, w), data)
                 });
                 let want = serial_sum(g, n, seed);
                 let mass = abs_sum(g, n, seed);
@@ -381,10 +389,8 @@ fn bf16_all_reduce_stays_within_the_stated_error_bound_on_every_rank() {
             for n in SIZES {
                 let seed = 0xA116 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.all_reduce_algo_wire(&world, &mut data, *algo, w);
-                    data
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::AllReduce, plan(*algo, w), data)
                 });
                 let want = serial_sum(g, n, seed);
                 let mass = abs_sum(g, n, seed);
@@ -410,9 +416,8 @@ fn bf16_reduce_scatter_stays_within_the_stated_error_bound() {
             for n in SIZES {
                 let seed = 0x5c16 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
-                    let world = Group::world(g);
-                    let mut data = payload(seed + ctx.rank() as u64, n);
-                    ctx.reduce_scatter_algo_wire(&world, &mut data, *algo, w)
+                    let data = payload(seed + ctx.rank() as u64, n);
+                    run(ctx, g, Coll::ReduceScatter, plan(*algo, w), data)
                 });
                 let want = serial_sum(g, n, seed);
                 let mass = abs_sum(g, n, seed);
@@ -443,10 +448,10 @@ fn bf16_live_and_dry_run_logs_are_byte_identical_per_algorithm() {
         for algo in CollAlgo::menu(op) {
             for g in GROUPS {
                 for n in [7usize, 65536] {
-                    let (_, live) =
-                        Mesh::run_with_logs(g, move |ctx| drive_wire(ctx, g, op, *algo, n, w));
+                    let half = plan(*algo, w);
+                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, half, n));
                     let (_, dry) =
-                        Mesh::dry_run_with_logs(g, move |ctx| drive_wire(ctx, g, op, *algo, n, w));
+                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, half, n));
                     assert_identical_logs(
                         &live,
                         &dry,
@@ -456,7 +461,8 @@ fn bf16_live_and_dry_run_logs_are_byte_identical_per_algorithm() {
                     // than the full-width one — and genuinely fewer when
                     // the per-hop segments are big enough to pack (a
                     // 1-element chunk occupies one slot either way).
-                    let (_, full) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, *algo, n));
+                    let (_, full) =
+                        Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, plan(*algo, F32), n));
                     let wire_elems = |logs: &[CommLog]| -> usize {
                         logs.iter()
                             .flat_map(|l| l.links.iter().map(|lk| lk.elems))
@@ -495,14 +501,298 @@ fn live_and_dry_run_logs_are_byte_identical_per_algorithm() {
         for algo in CollAlgo::menu(op) {
             for g in GROUPS {
                 for n in [7usize, 65536] {
-                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, *algo, n));
+                    let full = plan(*algo, F32);
+                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, full, n));
                     let (_, dry) =
-                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, *algo, n));
+                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, full, n));
                     assert_identical_logs(
                         &live,
                         &dry,
                         &format!("{} {algo:?} g={g} n={n}", op.name()),
                     );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Schedule properties: the step lists themselves, no threads
+// ---------------------------------------------------------------------------
+
+/// Every collective with a step list, at every root when it has one.
+fn colls(g: usize) -> Vec<Coll> {
+    let mut v = vec![Coll::AllReduce, Coll::AllGather, Coll::ReduceScatter];
+    for root in 0..g {
+        v.push(Coll::Broadcast { root });
+        v.push(Coll::Reduce { root });
+        v.push(Coll::Gather { root });
+    }
+    v
+}
+
+/// Every (collective, algorithm, group size, payload) cell of the property
+/// sweep, each with all members' step lists: groups up to 33 and 64, payloads
+/// around the chunking edge cases (fewer elements than members) and past the
+/// chain's 32-segment cap.
+fn for_every_schedule(mut check: impl FnMut(Coll, CollAlgo, usize, usize, &[Vec<Step>])) {
+    for g in (1..=33).chain([64]) {
+        for n in [0, 1, g - 1, g, 1000, 70_000] {
+            for coll in colls(g) {
+                for &algo in CollAlgo::menu(coll.op()) {
+                    let lists: Vec<Vec<Step>> =
+                        (0..g).map(|me| coll_steps(coll, algo, g, me, n)).collect();
+                    check(coll, algo, g, n, &lists);
+                }
+            }
+        }
+    }
+}
+
+/// Replays all members' lists against per-(src, dst) FIFO queues under an
+/// arbitrary fair interleaving, calling `on_recv(me, step, payload)` at each
+/// matched receive and `on_local(me, step)` at each rotation. `payload_of`
+/// captures what a send carries. Panics if the replay cannot finish (a
+/// deadlock) or leaves a message undelivered.
+fn replay<P>(
+    lists: &[Vec<Step>],
+    label: &str,
+    mut payload_of: impl FnMut(usize, &Step) -> P,
+    mut on_recv: impl FnMut(usize, &Step, P),
+    mut on_local: impl FnMut(usize, &Step),
+) {
+    let g = lists.len();
+    let mut queues: HashMap<(usize, usize), VecDeque<P>> = HashMap::new();
+    let mut pc = vec![0usize; g];
+    loop {
+        let mut progressed = false;
+        for me in 0..g {
+            while let Some(step) = lists[me].get(pc[me]) {
+                match step {
+                    Step::Send { peer, .. } => {
+                        let p = payload_of(me, step);
+                        queues.entry((me, *peer)).or_default().push_back(p);
+                    }
+                    Step::Recv { peer, .. } => {
+                        let Some(p) = queues.get_mut(&(*peer, me)).and_then(|q| q.pop_front())
+                        else {
+                            break; // blocked until the peer sends
+                        };
+                        on_recv(me, step, p);
+                    }
+                    Step::Rotate { .. } => on_local(me, step),
+                }
+                pc[me] += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for (me, (at, list)) in pc.iter().zip(lists).enumerate() {
+        assert_eq!(
+            *at,
+            list.len(),
+            "{label}: member {me} deadlocked at step {at}"
+        );
+    }
+    assert!(
+        queues.values().all(|q| q.is_empty()),
+        "{label}: undelivered messages"
+    );
+}
+
+/// (a) Soundness: every `Recv` meets a `Send` of equal range length, every
+/// member runs to completion and every queue drains — no schedule can
+/// deadlock or mis-size a message, at projection scale included.
+#[test]
+fn schedules_are_sound() {
+    for_every_schedule(|coll, algo, g, n, lists| {
+        let label = format!("{coll:?} {algo:?} g={g} n={n}");
+        replay(
+            lists,
+            &label,
+            |_, step| match step {
+                Step::Send { range, .. } => range.len(),
+                _ => unreachable!(),
+            },
+            |me, step, sent| match step {
+                Step::Recv { range, peer, .. } => {
+                    assert_eq!(sent, range.len(), "{label}: {peer}->{me} size mismatch")
+                }
+                _ => unreachable!(),
+            },
+            |_, _| {},
+        );
+    });
+}
+
+/// (b) Data flow: interpreting the lists over *contribution sets* (bit `r`
+/// set = this cell includes member `r`'s data exactly once) proves each
+/// collective's postcondition. Buffers are tracked per cell — the intervals
+/// between all range boundaries any member uses — so 70 000-element payloads
+/// cost as much as 7-element ones.
+#[test]
+fn schedules_deliver_every_contribution_exactly_once() {
+    for_every_schedule(|coll, algo, g, n, lists| {
+        let label = format!("{coll:?} {algo:?} g={g} n={n}");
+        let slotted = matches!(coll, Coll::AllGather | Coll::Gather { .. });
+        let work_len = if slotted { n * g } else { n };
+        // Cell boundaries: every range end any step names, plus the chunk (or
+        // slot) boundaries the postcondition is stated over.
+        let mut cuts: Vec<usize> = (0..=g)
+            .map(|i| if slotted { i * n } else { chunk(n, g, i).start })
+            .collect();
+        cuts.push(work_len);
+        for step in lists.iter().flatten() {
+            if let Step::Send { range, .. } | Step::Recv { range, .. } = step {
+                cuts.extend([range.start, range.end]);
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let cells = |r: &std::ops::Range<usize>| {
+            let at = |x: usize| cuts.binary_search(&x).expect("range ends are cuts");
+            at(r.start)..at(r.end)
+        };
+        let ncells = cuts.len() - 1;
+        // Initial state: a member's own data everywhere — or, for the slot
+        // layouts, only in its own slot (the rest is uninitialised: 0).
+        let state: Vec<Vec<u64>> = (0..g)
+            .map(|me| {
+                (0..ncells)
+                    .map(|c| {
+                        let own = !slotted || (me * n..(me + 1) * n).contains(&cuts[c]);
+                        if own {
+                            1u64 << me
+                        } else {
+                            0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let state = std::cell::RefCell::new(state);
+        replay(
+            lists,
+            &label,
+            |me, step| match step {
+                Step::Send { range, .. } => state.borrow()[me][cells(range)].to_vec(),
+                _ => unreachable!(),
+            },
+            |me, step, sent: Vec<u64>| match step {
+                Step::Recv { range, mode, .. } => {
+                    let mut st = state.borrow_mut();
+                    let into = &mut st[me][cells(range)];
+                    assert_eq!(into.len(), sent.len(), "{label}: member {me} cell count");
+                    for (have, got) in into.iter_mut().zip(sent) {
+                        match mode {
+                            RecvMode::Copy => *have = got,
+                            RecvMode::Combine => {
+                                assert_eq!(*have & got, 0, "{label}: member {me} double-adds");
+                                *have |= got;
+                            }
+                        }
+                    }
+                }
+                _ => unreachable!(),
+            },
+            |me, step| match step {
+                // Slot layouts have uniform cells, so rotating by `left`
+                // elements rotates by that boundary's cell index.
+                Step::Rotate { left } if ncells > 0 => {
+                    let by = cuts.binary_search(left).expect("rotation is slot-aligned");
+                    state.borrow_mut()[me].rotate_left(by % ncells);
+                }
+                _ => {}
+            },
+        );
+        let state = state.into_inner();
+        let all = if g == 64 { u64::MAX } else { (1u64 << g) - 1 };
+        let whole = 0..work_len;
+        for (me, held) in state.iter().enumerate() {
+            // What each cell of `range` must hold on member `me` afterwards.
+            let expect = |range: std::ops::Range<usize>, want: &dyn Fn(usize) -> u64| {
+                for c in cells(&range) {
+                    assert_eq!(held[c], want(c), "{label}: member {me} cell {c}");
+                }
+            };
+            let slot_owner = |c: usize| 1u64 << (cuts[c] / n.max(1));
+            match coll {
+                Coll::Broadcast { root } => expect(whole.clone(), &|_| 1 << root),
+                Coll::Reduce { root } if me == root => expect(whole.clone(), &|_| all),
+                Coll::AllReduce => expect(whole.clone(), &|_| all),
+                Coll::ReduceScatter => expect(chunk(n, g, me), &|_| all),
+                Coll::AllGather => expect(whole.clone(), &slot_owner),
+                Coll::Gather { root } if me == root => expect(whole.clone(), &slot_owner),
+                _ => {} // non-roots of a reduce or gather hold scratch
+            }
+        }
+    });
+}
+
+/// (c) Pricing: under the postal model with unit message cost (a send
+/// occupies its sender for one unit and lands one unit after it starts; a
+/// receive completes when both the receiver and the message are ready), the
+/// makespan of the lists equals the α multiplier of
+/// `perf::CostModel::coll_time` for power-of-two groups — `⌈log₂g⌉`,
+/// `g+S−2`, `2(g−1)`, `2log₂g`, `g−1`, `log₂g` — so DESIGN.md §10's closed
+/// forms are checked against the code that runs.
+#[test]
+fn unit_cost_makespan_matches_the_cost_model_alpha_terms() {
+    let unit = perf::HardwareProfile {
+        alpha: 1.0,
+        beta_intra: 0.0,
+        beta_inter: 0.0,
+        gamma: 0.0,
+        ..perf::HardwareProfile::frontera_rtx5000()
+    };
+    for g in [2usize, 4, 8, 16, 32, 64] {
+        let cost = perf::CostModel::new(unit.clone(), mesh::Topology::flat(g, g));
+        let ranks: Vec<usize> = (0..g).collect();
+        // Below one chain segment, and past the 32-segment cap.
+        for n in [1000usize, 70_000] {
+            for op in [
+                CommOp::Broadcast,
+                CommOp::Reduce,
+                CommOp::AllReduce,
+                CommOp::AllGather,
+                CommOp::ReduceScatter,
+                CommOp::Barrier,
+            ] {
+                for &algo in CollAlgo::menu(op) {
+                    let lists: Vec<Vec<Step>> = (0..g)
+                        .map(|me| match op {
+                            // A barrier is an empty reduce then broadcast.
+                            CommOp::Barrier => {
+                                [Coll::Reduce { root: 0 }, Coll::Broadcast { root: 0 }]
+                                    .into_iter()
+                                    .flat_map(|part| coll_steps(part, algo, g, me, 0))
+                                    .collect()
+                            }
+                            _ => coll_steps(coll_of(op, g), algo, g, me, n),
+                        })
+                        .collect();
+                    let label = format!("{} {algo:?} g={g} n={n}", op.name());
+                    let clock = std::cell::RefCell::new(vec![0u64; g]);
+                    replay(
+                        &lists,
+                        &label,
+                        |me, _| {
+                            let mut clock = clock.borrow_mut();
+                            clock[me] += 1;
+                            clock[me] // arrival time
+                        },
+                        |me, _, arrival| {
+                            let mut clock = clock.borrow_mut();
+                            clock[me] = clock[me].max(arrival);
+                        },
+                        |_, _| {},
+                    );
+                    let makespan = clock.into_inner().into_iter().max().unwrap();
+                    let alpha_terms = cost.coll_time(op, algo, &ranks, n);
+                    assert_eq!(makespan as f64, alpha_terms, "{label}");
                 }
             }
         }

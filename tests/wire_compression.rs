@@ -8,7 +8,7 @@
 //! so they serialize on a mutex; the table-installing test restores the
 //! baseline before releasing it.
 
-use mesh::{Group, Mesh, WireDtype, WireTable};
+use mesh::{Coll, CollBuf, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype, WireTable};
 use optimus_core::{hybrid_layout, hybrid_train_step_ef, OptimusConfig, OptimusModel};
 use perf::{CostModel, HardwareProfile};
 use std::sync::Mutex;
@@ -104,7 +104,9 @@ fn compressed_8x8_dry_run_reconciles_with_the_cost_model() {
 
 /// The `coll_wire_bytes` / `coll_logical_bytes` counters must record the
 /// genuine halving: a bf16 all-reduce moves about half the bytes its
-/// logical payload implies, an f32 one exactly as many.
+/// logical payload implies, an f32 one exactly as many. Posted collectives
+/// count too — SUMMA's panel traffic is all `ibroadcast` / `ireduce` — and
+/// every rank's wire counter is exactly the bytes of its link records.
 #[test]
 fn bytes_on_wire_counters_record_the_halved_traffic() {
     let _guard = GLOBALS.lock().unwrap();
@@ -113,7 +115,11 @@ fn bytes_on_wire_counters_record_the_halved_traffic() {
         Mesh::run(4, move |ctx| {
             let world = Group::world(4);
             let mut data = vec![1.0f32; 4096];
-            ctx.all_reduce_wire(&world, &mut data, w);
+            let plan = CollPlan {
+                wire: w,
+                ..CollPlan::select(CommOp::AllReduce, 4, data.len())
+            };
+            ctx.collective(Coll::AllReduce, &world, CollBuf::Now(&mut data), plan);
         });
         metrics::disable();
         let devices = metrics::drain();
@@ -133,6 +139,27 @@ fn bytes_on_wire_counters_record_the_halved_traffic() {
             );
         }
     }
+
+    metrics::enable();
+    let (_, logs) = Mesh::run_with_logs(4, |ctx| {
+        let world = Group::world(4);
+        let panel = ctx.ibroadcast(&world, 1, vec![1.0f32; 300]).wait();
+        ctx.ireduce(&world, 2, panel).wait();
+    });
+    metrics::disable();
+    let mut devices = metrics::drain();
+    devices.sort_by_key(|d| d.rank);
+    assert_eq!(devices.len(), 4);
+    for (d, log) in devices.iter().zip(&logs) {
+        let link_elems: usize = log.links.iter().map(|l| l.elems).sum();
+        assert_eq!(
+            d.counters.get("coll_wire_bytes").copied().unwrap_or(0),
+            4 * link_elems as u64,
+            "rank {}: posted collectives missing from the wire counter",
+            d.rank
+        );
+    }
+    assert!(logs.iter().any(|l| !l.links.is_empty()));
 }
 
 /// Live 2 × 2 tensor mesh × 2 data-parallel replicas: with error feedback,
