@@ -72,8 +72,8 @@ fn main() {
     let mut table: Vec<Vec<String>> = Vec::new();
     for op in TUNE_OPS {
         for &elems in sizes {
-            if op == CommOp::ReduceScatter && elems % devices != 0 {
-                continue;
+            if matches!(op, CommOp::AllGather | CommOp::ReduceScatter) && elems % devices != 0 {
+                continue; // both split the payload `devices` ways
             }
             // Full-width and bf16-compressed cells for every menu entry:
             // the compressed-vs-full comparison is the artifact's point,

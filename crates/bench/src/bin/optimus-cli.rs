@@ -71,22 +71,22 @@
 //! for every cell where a non-default algorithm measures fastest, prints
 //! the measured-vs-α-β-modeled winner per cell, gates the table with a
 //! tracecheck-reconciled (< 1e-5) 8 × 8 dry-run, and persists it to
-//! `results/coll_tune.json` — which every other command auto-loads and
-//! installs via `mesh::install_algo_table` at startup. Delete the file to
-//! return to the built-in defaults. Every cell is additionally measured on
-//! the compressed 16-bit wire (bf16 by default) and reported next to the
-//! full-width winner; `--wire bf16` (or `f16`) opts in to *persisting*
-//! wire-precision rules for the cells where compression measured faster,
-//! which subsequent runs auto-install via `mesh::install_wire_table` —
-//! an explicit opt-in, because a compressed wire trades bitwise f32
-//! reproducibility for bandwidth (see DESIGN.md §11).
+//! `results/coll_tune.json` — which every other command loads and hands,
+//! as a `mesh::CollTables` value, to each mesh it launches
+//! (`mesh::MeshRun::new`). Delete the file to return to the built-in
+//! defaults. Every cell is additionally measured on the compressed 16-bit
+//! wire (bf16 by default) and reported next to the full-width winner;
+//! `--wire bf16` (or `f16`) opts in to *persisting* wire-precision rules
+//! for the cells where compression measured faster, which subsequent runs
+//! then select from too — an explicit opt-in, because a compressed wire
+//! trades bitwise f32 reproducibility for bandwidth (see DESIGN.md §11).
 //!
 //! The training corpus is the built-in cyclic-pattern language (the same one
 //! the tests and examples use), so runs are self-contained and deterministic.
 
 use megatron::{MegatronConfig, MegatronModel};
 use mesh::{
-    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollPlan, CommOp, Mesh, Mesh2d, Topology,
+    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollPlan, CollTables, CommOp, MeshRun, Topology,
     WireDtype, WireRule, WireTable,
 };
 use minjson::Json;
@@ -342,8 +342,9 @@ fn pattern_batch(cfg: &ModelConfig, rng: &mut Rng) -> (Vec<usize>, Vec<usize>) {
     (tokens, labels)
 }
 
-/// Trains under the chosen scheme and returns (losses, canonical params).
-fn train(a: &Args) -> (Vec<f32>, ModelParams) {
+/// Trains under the chosen scheme, every mesh selecting its collectives from
+/// `tables`, and returns (losses, canonical params).
+fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0xDA7A);
     let batches: Vec<_> = (0..a.steps)
@@ -361,7 +362,8 @@ fn train(a: &Args) -> (Vec<f32>, ModelParams) {
         Scheme::Megatron => {
             let p = a.q * a.q; // same device count as the 2D run
             let mcfg = MegatronConfig::new(cfg, p).with_checkpoint();
-            let mut out = Mesh::run(p, |ctx| {
+            let (mut out, _) = MeshRun::new(&[p], tables.clone()).run_with_logs(|g| {
+                let ctx = g.ctx();
                 let mut m = MegatronModel::new(mcfg, a.seed, ctx);
                 let losses: Vec<f32> = batches
                     .iter()
@@ -388,7 +390,8 @@ fn train(a: &Args) -> (Vec<f32>, ModelParams) {
             // [q, q, 1] is byte-identical to the plain 2D mesh, so one code
             // path serves both; with d > 1 each depth slice runs q/d of the
             // SUMMA rounds and the replicas agree bitwise.
-            let mut out = mesh::MeshNd::run(&[a.q, a.q, a.depth], |g| {
+            let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
+            let (mut out, _) = run.run_with_logs(|g| {
                 let g = g.with_overlap(a.overlap);
                 let mut m = OptimusModel::new(&ocfg, a.seed, &g);
                 let losses: Vec<f32> = batches
@@ -407,14 +410,15 @@ fn train(a: &Args) -> (Vec<f32>, ModelParams) {
                 .find(|s| cfg.layers.is_multiple_of(*s))
                 .unwrap_or(1);
             let pcfg = pipeline::PipelineConfig::new(cfg, stages, 2.min(cfg.batch));
-            let losses = Mesh::run(stages, |ctx| {
-                let mut st = pipeline::PipelineStage::new(pcfg, a.seed, ctx);
+            let run = MeshRun::new(&[stages], tables.clone());
+            let (mut losses, _) = run.run_with_logs(|g| {
+                let mut st = pipeline::PipelineStage::new(pcfg, a.seed, g.ctx());
                 batches
                     .iter()
-                    .map(|(t, l)| st.train_step(ctx, t, l, a.lr))
+                    .map(|(t, l)| st.train_step(g.ctx(), t, l, a.lr))
                     .collect::<Vec<f32>>()
-            })
-            .remove(0);
+            });
+            let losses = losses.remove(0);
             // Pipeline stages don't implement gather; replay serially (the
             // trajectories are identical) to obtain the parameters.
             let mut m = SerialModel::new(cfg, a.seed);
@@ -426,7 +430,7 @@ fn train(a: &Args) -> (Vec<f32>, ModelParams) {
     }
 }
 
-fn eval(a: &Args, params: ModelParams) -> f32 {
+fn eval(a: &Args, tables: &CollTables, params: ModelParams) -> f32 {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0xE7A1);
     let (tokens, labels) = pattern_batch(&cfg, &mut rng);
@@ -442,10 +446,12 @@ fn eval(a: &Args, params: ModelParams) -> f32 {
         checkpoint: false,
         fused_attention: true,
     };
-    Mesh2d::run(a.q, |g| {
+    let run = MeshRun::new(&[a.q, a.q], tables.clone());
+    let (losses, _) = run.run_with_logs(|g| {
         let m = OptimusModel::from_params(&ocfg, &params, g);
         m.lm_loss(g, &tokens, &labels)
-    })[0]
+    });
+    losses[0]
 }
 
 fn generate(a: &Args, params: ModelParams) -> Vec<usize> {
@@ -634,7 +640,12 @@ fn emit_trace(path: &str, traces: &[trace::DeviceTrace], cost: &CostModel) {
 /// (no device threads, no data movement) and prices the recorded schedule
 /// with the α-β cost model on the projected `q × q` mesh. With `trace_path`,
 /// also records the model-time timeline and exports it as Chrome JSON.
-fn dry_run_projection(a: &Args, trace_path: Option<&str>, metrics_path: Option<&str>) {
+fn dry_run_projection(
+    a: &Args,
+    tables: &CollTables,
+    trace_path: Option<&str>,
+    metrics_path: Option<&str>,
+) {
     let cfg = model_cfg(a);
     let ocfg = OptimusConfig {
         q: a.q,
@@ -659,12 +670,12 @@ fn dry_run_projection(a: &Args, trace_path: Option<&str>, metrics_path: Option<&
         let mut m = OptimusModel::new(&ocfg, a.seed, &g);
         m.train_step(&g, &tokens, &labels, a.lr)
     };
-    let shape = [a.q, a.q, a.depth];
+    let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
     let (logs, traces) = if trace_path.is_some() {
-        let (_, logs, traces) = mesh::MeshNd::dry_run_traced(&shape, cost.ns_pricer(), step);
+        let (_, logs, traces) = run.dry_run_traced(cost.ns_pricer(), step);
         (logs, Some(traces))
     } else {
-        (mesh::MeshNd::dry_run_with_logs(&shape, step).1, None)
+        (run.dry_run_with_logs(step).1, None)
     };
 
     println!(
@@ -897,7 +908,7 @@ fn autotune_report(
 /// the dry-run timeline priced by `CostModel::ns_pricer` must reconcile
 /// with the model through `perf::tracecheck` to better than 1e-5 — the same
 /// bar the 2.5D projections are held to.
-fn autotune_check(profile: &HardwareProfile) -> Result<(), String> {
+fn autotune_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), String> {
     const CHECK_DEVICES: usize = 8;
     let cfg = OptimusConfig {
         q: 2,
@@ -934,12 +945,13 @@ fn autotune_check(profile: &HardwareProfile) -> Result<(), String> {
     let tokens: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
     let labels: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
 
-    let (_, live_logs) = Mesh::run_with_logs(CHECK_DEVICES, |ctx| {
-        let (mut st, grid) = hybrid::build(ctx, &spec, &cfg, 7);
+    let run = MeshRun::new(&[CHECK_DEVICES], tables.clone());
+    let (_, live_logs) = run.run_with_logs(|g| {
+        let (mut st, grid) = hybrid::build(g.ctx(), &spec, &cfg, 7);
         st.train_step(&grid, &tokens, &labels, 0.1)
     });
-    let (_, dry_logs) = Mesh::dry_run_with_logs(CHECK_DEVICES, |c| {
-        let (mut st, grid) = hybrid::build(c, &spec, &cfg, 7);
+    let (_, dry_logs) = run.dry_run_with_logs(|g| {
+        let (mut st, grid) = hybrid::build(g.ctx(), &spec, &cfg, 7);
         st.train_step(&grid, &tokens, &labels, 0.1)
     });
     for (l, d) in live_logs.iter().zip(&dry_logs) {
@@ -969,8 +981,8 @@ fn autotune_check(profile: &HardwareProfile) -> Result<(), String> {
     };
     let gpn = profile.gpus_per_node.min(CHECK_DEVICES);
     let cost = CostModel::new(fine, Topology::flat(CHECK_DEVICES, gpn));
-    let (_, _, traces) = Mesh::dry_run_traced(CHECK_DEVICES, cost.ns_pricer(), |c| {
-        let (mut st, grid) = hybrid::build(c, &spec, &cfg, 7);
+    let (_, _, traces) = run.dry_run_traced(cost.ns_pricer(), |g| {
+        let (mut st, grid) = hybrid::build(g.ctx(), &spec, &cfg, 7);
         st.train_step(&grid, &tokens, &labels, 0.1)
     });
     let totals = perf::tracecheck::op_totals(&cost, &traces);
@@ -1016,12 +1028,12 @@ fn cell_bounds(sizes: &[usize], i: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The end-to-end gate behind `tune-coll`: with the tuned table installed
-/// process-globally, one Optimus training step dry-runs on the paper-scale
-/// 8 × 8 mesh and the priced timeline must reconcile with the cost model
-/// through `perf::tracecheck` to better than 1e-5 — proof that the dry-run
-/// prices exactly the algorithm the selection layer picks, rule by rule.
-fn tune_coll_check(profile: &HardwareProfile) -> Result<(), String> {
+/// The end-to-end gate behind `tune-coll`: selecting from the tuned
+/// `tables`, one Optimus training step dry-runs on the paper-scale 8 × 8
+/// mesh and the priced timeline must reconcile with the cost model through
+/// `perf::tracecheck` to better than 1e-5 — proof that the dry-run prices
+/// exactly the algorithm the selection layer picks, rule by rule.
+fn tune_coll_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), String> {
     const Q: usize = 8;
     let ocfg = OptimusConfig {
         q: Q,
@@ -1053,7 +1065,8 @@ fn tune_coll_check(profile: &HardwareProfile) -> Result<(), String> {
     };
     let p = Q * Q;
     let cost = CostModel::new(fine, Topology::flat(p, profile.gpus_per_node.min(p)));
-    let (_, _, traces) = mesh::MeshNd::dry_run_traced(&[Q, Q, 1], cost.ns_pricer(), |g| {
+    let run = MeshRun::new(&[Q, Q, 1], tables.clone());
+    let (_, _, traces) = run.dry_run_traced(cost.ns_pricer(), |g| {
         let mut m = OptimusModel::new(&ocfg, 7, g);
         m.train_step(g, &tokens, &labels, 0.1)
     });
@@ -1076,7 +1089,7 @@ fn tune_coll_check(profile: &HardwareProfile) -> Result<(), String> {
 /// table of measured winners (one byte-range rule per cell where the winner
 /// differs from the built-in default), cross-checks the modeled winner
 /// against the measured one per cell, gates the table with a tracecheck'd
-/// 8 × 8 dry-run, and persists it where every entry point auto-loads it.
+/// 8 × 8 dry-run, and persists it where every entry point loads it from.
 fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String> {
     let p = a.devices.unwrap_or(8);
     if p < 2 {
@@ -1088,7 +1101,7 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
     };
     // `--wire bf16|f16` opts in to *persisting* wire-precision rules for
     // cells where the compressed wire measures faster than the full-width
-    // winner — an explicit opt-in because installed rules trade bitwise
+    // winner — an explicit opt-in because persisted rules trade bitwise
     // reproducibility for bandwidth. Without the flag the compressed column
     // is still measured and reported (at bf16), just never saved.
     let wire_opt: Option<WireDtype> = match flags.get("wire").map(String::as_str) {
@@ -1118,9 +1131,14 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
     let mut wire_rules: Vec<WireRule> = Vec::new();
     let (mut cells, mut agree) = (0usize, 0usize);
     for op in bench::coll::TUNE_OPS {
+        // What the selection tables and the cost model key each cell on.
+        let keyed: Vec<usize> = sizes
+            .iter()
+            .map(|&elems| bench::coll::select_elems(op, p, elems))
+            .collect();
         for (i, &elems) in sizes.iter().enumerate() {
-            if op == CommOp::ReduceScatter && elems % p != 0 {
-                continue; // reduce-scatter needs p | payload
+            if matches!(op, CommOp::AllGather | CommOp::ReduceScatter) && elems % p != 0 {
+                continue; // both split the payload p ways
             }
             let measure = |algo: CollAlgo, wire: WireDtype| {
                 bench::coll::measure_coll(
@@ -1154,8 +1172,8 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
             let modeled = *CollAlgo::menu(op)
                 .iter()
                 .min_by(|&&x, &&y| {
-                    cost.coll_time(op, x, &ranks, elems)
-                        .total_cmp(&cost.coll_time(op, y, &ranks, elems))
+                    let price = |algo| cost.coll_time(op, algo, WireDtype::F32, &ranks, keyed[i]);
+                    price(x).total_cmp(&price(y))
                 })
                 .expect("non-empty menu");
             cells += 1;
@@ -1179,7 +1197,7 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
                     winner.secs / cbest.secs
                 ),
             ]);
-            let (min_bytes, max_bytes) = cell_bounds(&sizes, i);
+            let (min_bytes, max_bytes) = cell_bounds(&keyed, i);
             if winner.algo != CollAlgo::default_for(op) {
                 rules.push(AlgoRule {
                     op,
@@ -1275,26 +1293,30 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
 
     let tune = CollTune {
         source: format!("tune-coll p={p} ({cells} cells)"),
-        table: AlgoTable { rules },
-        wire: WireTable { rules: wire_rules },
+        tables: CollTables {
+            algo: AlgoTable { rules },
+            wire: WireTable { rules: wire_rules },
+        },
     };
-    mesh::install_algo_table(tune.table.clone());
-    // Gate with the wire rules installed too: the 8x8 dry-run then prices
+    // Gate with the wire rules in force too: the 8x8 dry-run then prices
     // compressed cells end-to-end, so a mispriced wire dtype fails here
     // instead of after the table ships.
-    mesh::install_wire_table(tune.wire.clone());
-    tune_coll_check(&profile)?;
+    tune_coll_check(&profile, &tune.tables)?;
     let out = flags
         .get("save")
         .map(String::as_str)
         .unwrap_or(COLL_TUNE_PATH);
     tune.save(out).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote tuned table to {out} — every CLI entry point now auto-loads it");
+    println!("wrote tuned table to {out} — every CLI entry point now loads it");
     Ok(())
 }
 
 /// The `autotune` command: sweep, table, optional report and live check.
-fn autotune_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String> {
+fn autotune_cmd(
+    a: &Args,
+    tables: &CollTables,
+    flags: &HashMap<String, String>,
+) -> Result<(), String> {
     let devices = a
         .devices
         .ok_or("autotune needs --devices N (the world size to partition)")?;
@@ -1365,7 +1387,7 @@ fn autotune_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String>
         println!("wrote autotune report to {path}");
     }
     if flags.contains_key("check") {
-        autotune_check(&profile)?;
+        autotune_check(&profile, tables)?;
     }
     Ok(())
 }
@@ -1374,7 +1396,7 @@ fn autotune_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String>
 /// under the chosen scheme and exports the timeline; the summary's modeled
 /// column uses the same projection cost model as `--dry-run`, so the table
 /// is a direct measured-vs-Eq. 4–5 comparison.
-fn live_trace_step(a: &Args, path: &str) {
+fn live_trace_step(a: &Args, tables: &CollTables, path: &str) {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0x7ACE);
     let (tokens, labels) = pattern_batch(&cfg, &mut rng);
@@ -1393,7 +1415,8 @@ fn live_trace_step(a: &Args, path: &str) {
                 checkpoint: true,
                 fused_attention: false,
             };
-            mesh::MeshNd::run_traced(&[a.q, a.q, a.depth], |g| {
+            let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
+            run.run_traced(|g| {
                 let g = g.with_overlap(a.overlap);
                 let mut m = OptimusModel::new(&ocfg, a.seed, &g);
                 m.train_step(&g, &tokens, &labels, a.lr)
@@ -1403,9 +1426,10 @@ fn live_trace_step(a: &Args, path: &str) {
         Scheme::Megatron => {
             let p = a.q * a.q;
             let mcfg = MegatronConfig::new(cfg, p).with_checkpoint();
-            Mesh::run_traced(p, |ctx| {
-                let mut m = MegatronModel::new(mcfg, a.seed, ctx);
-                m.train_step(ctx, &tokens, &labels, a.lr)
+            let run = MeshRun::new(&[p], tables.clone());
+            run.run_traced(|g| {
+                let mut m = MegatronModel::new(mcfg, a.seed, g.ctx());
+                m.train_step(g.ctx(), &tokens, &labels, a.lr)
             })
             .2
         }
@@ -1530,27 +1554,27 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // A tuned collective-algorithm table persisted by `tune-coll` applies
-    // to every entry point, exactly like the calibrated compute rate —
+    // The selection tables persisted by `tune-coll` apply to every mesh an
+    // entry point launches, exactly like the calibrated compute rate —
     // except to `tune-coll` itself, which must measure from the baseline.
+    let mut tables = CollTables::default();
     if cmd != "tune-coll" {
         match CollTune::load(COLL_TUNE_PATH) {
             Ok(Some(tune)) => {
                 println!(
                     "collective algorithms: {} tuned rule(s) from {COLL_TUNE_PATH} (source: {})",
-                    tune.table.rules.len(),
+                    tune.tables.algo.rules.len(),
                     tune.source
                 );
-                mesh::install_algo_table(tune.table);
-                if !tune.wire.rules.is_empty() {
+                if !tune.tables.wire.rules.is_empty() {
                     println!(
-                        "wire compression: {} tuned rule(s) installed — collectives they match \
+                        "wire compression: {} tuned rule(s) in force — collectives they match \
                          travel 16-bit (results are no longer bitwise vs f32; delete \
                          {COLL_TUNE_PATH} to revert)",
-                        tune.wire.rules.len()
+                        tune.tables.wire.rules.len()
                     );
-                    mesh::install_wire_table(tune.wire);
                 }
+                tables = tune.tables;
             }
             Ok(None) => {}
             Err(e) => eprintln!("warning: ignoring collective tune: {e}"),
@@ -1571,6 +1595,7 @@ fn main() {
     match cmd.as_str() {
         "train" if args.dry_run => dry_run_projection(
             &args,
+            &tables,
             flags.get("trace").map(|s| s.as_str()),
             flags.get("metrics").map(|s| s.as_str()),
         ),
@@ -1591,7 +1616,7 @@ fn main() {
             if metrics_path.is_some() {
                 metrics::enable();
             }
-            let (losses, params) = train(&args);
+            let (losses, params) = train(&args, &tables);
             let first = losses.first().copied().unwrap_or(0.0);
             let last = losses.last().copied().unwrap_or(0.0);
             println!("loss {first:.4} -> {last:.4} over {} steps", losses.len());
@@ -1605,14 +1630,14 @@ fn main() {
                 println!("saved canonical checkpoint to {path}");
             }
             if let Some(path) = flags.get("trace") {
-                live_trace_step(&args, path);
+                live_trace_step(&args, &tables, path);
             }
         }
         "eval" => {
             let path = flags.get("load").expect("eval needs --load <path>");
             let params = ModelParams::load_json(Path::new(path)).expect("read checkpoint");
             let args = infer_dims(&args, &params);
-            let loss = eval(&args, params);
+            let loss = eval(&args, &tables, params);
             println!("eval loss on a fresh pattern batch: {loss:.4}");
         }
         "generate" => {
@@ -1631,7 +1656,7 @@ fn main() {
         }
         "crossover" => crossover(&args),
         "autotune" => {
-            if let Err(e) = autotune_cmd(&args, &flags) {
+            if let Err(e) = autotune_cmd(&args, &tables, &flags) {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
@@ -1747,8 +1772,8 @@ mod tests {
             q: 2,
             ..Args::default()
         };
-        let (flat_losses, flat_params) = train(&base);
-        let (deep_losses, deep_params) = train(&Args { depth: 2, ..base });
+        let (flat_losses, flat_params) = train(&base, &CollTables::default());
+        let (deep_losses, deep_params) = train(&Args { depth: 2, ..base }, &CollTables::default());
         assert_eq!(flat_losses, deep_losses);
         assert_eq!(
             flat_params.embedding.as_slice(),
@@ -1780,12 +1805,16 @@ mod tests {
             q: 2,
             ..Args::default()
         };
-        let (serial_losses, serial_params) = train(&Args {
-            scheme: Scheme::Serial,
-            ..base
-        });
+        let tables = CollTables::default();
+        let (serial_losses, serial_params) = train(
+            &Args {
+                scheme: Scheme::Serial,
+                ..base
+            },
+            &tables,
+        );
         for scheme in [Scheme::Megatron, Scheme::Optimus, Scheme::Pipeline] {
-            let (losses, params) = train(&Args { scheme, ..base });
+            let (losses, params) = train(&Args { scheme, ..base }, &tables);
             for (a, b) in losses.iter().zip(&serial_losses) {
                 assert!((a - b).abs() < 5e-3, "{scheme:?}: {a} vs {b}");
             }
@@ -1830,18 +1859,19 @@ mod tests {
     #[test]
     fn autotune_rejects_impossible_specs_with_readable_errors() {
         // No --devices at all.
-        let e = autotune_cmd(&Args::default(), &flags(&[])).unwrap_err();
+        let tables = CollTables::default();
+        let e = autotune_cmd(&Args::default(), &tables, &flags(&[])).unwrap_err();
         assert!(e.contains("--devices"), "{e}");
         // A prime world admits no pp·dp·q²·d factorization compatible with
         // the model's divisibility rules.
         let f = flags(&[("devices", "7")]);
         let a = apply_flags(Args::default(), &f).unwrap();
-        let e = autotune_cmd(&a, &f).unwrap_err();
+        let e = autotune_cmd(&a, &tables, &f).unwrap_err();
         assert!(e.contains("no hybrid configuration"), "{e}");
         // Nonsense budget.
         let f = flags(&[("devices", "64"), ("mem-budget", "-3")]);
         let a = apply_flags(Args::default(), &f).unwrap();
-        let e = autotune_cmd(&a, &f).unwrap_err();
+        let e = autotune_cmd(&a, &tables, &f).unwrap_err();
         assert!(e.contains("mem-budget"), "{e}");
         // --check is valueless, like --dry-run.
         let argv: Vec<String> = ["--devices", "8", "--check"]
@@ -1892,7 +1922,7 @@ mod tests {
     fn autotune_check_reconciles_live_and_dry_backends() {
         // The acceptance-criteria cross-check, run in-process: byte-equal
         // CommLogs and a < 1e-5 tracecheck gap on an 8-device live run.
-        autotune_check(&HardwareProfile::frontera_rtx5000()).unwrap();
+        autotune_check(&HardwareProfile::frontera_rtx5000(), &CollTables::default()).unwrap();
     }
 
     #[test]
@@ -1901,9 +1931,10 @@ mod tests {
             steps: 120,
             ..Args::default()
         };
-        let (losses, params) = train(&args);
+        let tables = CollTables::default();
+        let (losses, params) = train(&args, &tables);
         assert!(*losses.last().unwrap() < 1.0, "must learn the pattern");
-        let eval_loss = eval(&args, params.clone());
+        let eval_loss = eval(&args, &tables, params.clone());
         assert!(eval_loss < 1.0, "eval loss {eval_loss}");
         let gen = generate(&args, params);
         // Continuation of sequence 0 (phase 0): next tokens follow the cycle.

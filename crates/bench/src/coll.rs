@@ -8,11 +8,13 @@
 //! is) and the **min over trials** (the noise-robust statistic on a loaded
 //! host), divided down to seconds per call.
 //!
-//! `elems` always means what the selection layer ([`mesh::AlgoTable`])
-//! sees at the call site:
-//! the full payload for broadcast/reduce/all-reduce/reduce-scatter, the
-//! per-rank block for all-gather. Reduce-scatter payloads must divide by
-//! the group size, so sweep sizes should be multiples of the world size.
+//! `elems` is the total payload a cell moves, so every op's row of one size
+//! compares directly: the full buffer for broadcast, reduce, all-reduce and
+//! reduce-scatter, the **gathered output** for all-gather (each rank
+//! contributes `elems / p`; [`select_elems`] converts to the per-rank block
+//! the selection tables and the cost model key all-gather on). All-gather
+//! and reduce-scatter payloads must divide by the group size, so sweep
+//! sizes should be multiples of the world size.
 
 use mesh::{Coll, CollAlgo, CollBuf, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype};
 use std::hint::black_box;
@@ -36,7 +38,7 @@ pub const TUNE_ELEMS: [usize; 4] = [64, 1024, 16384, 262144];
 pub struct CollSample {
     pub op: CommOp,
     pub algo: CollAlgo,
-    /// Payload f32 elements as the selection layer keys them.
+    /// Total payload f32 elements (see the module docs).
     pub elems: usize,
     /// Wire dtype the payload traveled as (f32 = full width).
     pub wire: WireDtype,
@@ -54,29 +56,12 @@ impl CollSample {
     }
 }
 
-fn run_once(ctx: &impl Communicator, g: &Group, op: CommOp, plan: CollPlan, data: &mut [f32]) {
-    // Explicit plan per call — the sweep never installs a global table, so
-    // concurrently running cells cannot contaminate each other (or the rest
-    // of the test process). `g` is the world group: index == rank.
-    let (n, me) = (data.len(), ctx.rank());
-    let coll = match op {
-        CommOp::Broadcast => Coll::Broadcast { root: 0 },
-        CommOp::Reduce => Coll::Reduce { root: 0 },
-        CommOp::AllReduce => Coll::AllReduce,
-        CommOp::ReduceScatter => Coll::ReduceScatter,
-        CommOp::Barrier => Coll::Barrier,
-        CommOp::AllGather => {
-            // The working buffer is the g-slot output, own block in place.
-            let mut out = vec![0.0f32; n * g.len()];
-            out[me * n..(me + 1) * n].copy_from_slice(data);
-            ctx.collective(Coll::AllGather, g, CollBuf::Now(&mut out), plan);
-            black_box(out);
-            return;
-        }
-    };
-    ctx.collective(coll, g, CollBuf::Now(data), plan);
-    if op == CommOp::ReduceScatter {
-        black_box(data[mesh::chunk(n, g.len(), me)].to_vec());
+/// The payload size `mesh::AlgoTable`, `mesh::WireTable` and
+/// `perf::CostModel::coll_time` key a cell of `elems` total elements on.
+pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
+    match op {
+        CommOp::AllGather => elems / p,
+        _ => elems,
     }
 }
 
@@ -100,21 +85,32 @@ pub fn measure_coll(
         plan.algo
     );
     assert!(
-        op != CommOp::ReduceScatter || elems.is_multiple_of(p),
-        "reduce-scatter payload {elems} must divide by the group size {p}"
+        !matches!(op, CommOp::AllGather | CommOp::ReduceScatter) || elems.is_multiple_of(p),
+        "{} payload {elems} must divide by the group size {p}",
+        op.name()
     );
+    let coll = Coll::of(op);
     let reps = reps.max(1);
     let trials = trials.max(1);
     let per_rank: Vec<Vec<f64>> = Mesh::run(p, move |ctx| {
         let g = Group::world(p);
-        let mut data = vec![1.0f32; elems];
-        run_once(ctx, &g, op, plan, &mut data); // warm the queues
+        // Every collective's working buffer is `elems` long — for all-gather
+        // the p-slot output with the own block already in place — so one
+        // allocation outside the timed loop serves every call. The plan is
+        // explicit per call: a cell measures exactly the algorithm and wire
+        // dtype it names.
+        let mut work = vec![1.0f32; elems];
+        let mut run_once = || {
+            ctx.collective(coll, &g, CollBuf::Now(&mut work), plan);
+            black_box(&mut work);
+        };
+        run_once(); // warm the queues
         let mut times = Vec::with_capacity(trials);
         for _ in 0..trials {
             ctx.barrier(&g);
             let t0 = Instant::now();
             for _ in 0..reps {
-                run_once(ctx, &g, op, plan, &mut data);
+                run_once();
             }
             ctx.barrier(&g);
             times.push(t0.elapsed().as_secs_f64());

@@ -140,12 +140,12 @@ pub fn hybrid_train_step_ef<C: Communicator>(
     ef.begin_step();
     visit_grads_mut(&mut grads, &mut |g| {
         ef.apply(g, wire);
+        let ctx = grid.ctx();
         let plan = CollPlan {
             wire,
-            ..CollPlan::select(CommOp::AllReduce, dp, g.len())
+            ..ctx.plan(CommOp::AllReduce, dp, g.len())
         };
-        grid.ctx()
-            .collective(Coll::AllReduce, dp_group, CollBuf::Now(g), plan);
+        ctx.collective(Coll::AllReduce, dp_group, CollBuf::Now(g), plan);
         for v in g.iter_mut() {
             *v *= scale;
         }

@@ -673,7 +673,7 @@ impl HybridStage {
                 ef.apply(v, w);
                 let plan = CollPlan {
                     wire: w,
-                    ..CollPlan::select(CommOp::AllReduce, dp.len(), v.len())
+                    ..ctx.plan(CommOp::AllReduce, dp.len(), v.len())
                 };
                 ctx.collective(Coll::AllReduce, &dp, CollBuf::Now(v), plan);
             };

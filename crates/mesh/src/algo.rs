@@ -9,22 +9,20 @@
 //! ([`CollAlgo::menu`]), and a rule table ([`AlgoTable`]) keyed by
 //! `(op, group_size, bytes)` that picks one per call.
 //!
-//! Selection is process-global: [`install`] swaps the active table (done
-//! once before device threads spawn, e.g. after loading
-//! `results/coll_tune.json`), and every plain [`crate::Communicator`]
-//! method resolves its [`CollPlan`] through [`CollPlan::select`], so the
-//! live mesh and the dry-run replay always agree on the schedule — the
-//! precondition for byte-identical log streams and faithful per-algorithm
-//! pricing in `perf::cost`.
+//! Selection is a value on the run: a [`CollTables`] (this table plus the
+//! [`WireTable`]) is handed to [`crate::MeshRun::new`], every device of that
+//! run holds it, and every plain [`crate::Communicator`] method resolves its
+//! [`CollPlan`] through [`crate::Communicator::plan`] — so the live mesh
+//! and the dry-run replay of one run always agree on the schedule, and two
+//! runs in one process cannot see each other's tables.
 //!
 //! The default table is [`AlgoTable::baseline`]: the pre-registry
 //! hardwired choices (tree broadcast/reduce, ring everything else), so
-//! bitwise-identity tests and golden traces are unchanged until a table is
-//! explicitly installed.
+//! bitwise-identity tests and golden traces are unchanged under
+//! `CollTables::default()`.
 
 use crate::stats::CommOp;
-use crate::wire::WireDtype;
-use std::sync::{Arc, OnceLock, RwLock};
+use crate::wire::{WireDtype, WireTable};
 
 /// A concrete collective schedule. Not every algorithm applies to every
 /// collective — see [`CollAlgo::menu`] for the valid choices per op.
@@ -134,88 +132,36 @@ impl AlgoTable {
         AlgoTable { rules: Vec::new() }
     }
 
-    /// The a-priori crossover heuristic, derived from the α-β formulas in
-    /// DESIGN.md §10 (no measurement required):
-    ///
-    /// * small payloads (≤ 4 KiB) on groups ≥ 4 are latency-bound →
-    ///   halving/doubling all-reduce & reduce-scatter, Bruck all-gather,
-    ///   and tree all-reduce for the tiniest (≤ 256 B) payloads;
-    /// * large broadcasts/reduces (≥ 256 KiB) on chains of ≥ 4 members are
-    ///   bandwidth-bound → segmented pipelined chain.
-    pub fn heuristic() -> AlgoTable {
-        const MAX: usize = usize::MAX;
-        let rule = |op, min_group, min_bytes, max_bytes, algo| AlgoRule {
-            op,
-            min_group,
-            max_group: MAX,
-            min_bytes,
-            max_bytes,
-            algo,
-        };
-        AlgoTable {
-            rules: vec![
-                rule(CommOp::AllReduce, 4, 0, 256, CollAlgo::Tree),
-                rule(CommOp::AllReduce, 4, 257, 4096, CollAlgo::Halving),
-                rule(CommOp::ReduceScatter, 4, 0, 4096, CollAlgo::Halving),
-                rule(CommOp::AllGather, 4, 0, 4096, CollAlgo::Bruck),
-                rule(CommOp::Broadcast, 4, 256 * 1024, MAX, CollAlgo::Chain),
-                rule(CommOp::Reduce, 4, 256 * 1024, MAX, CollAlgo::Chain),
-            ],
-        }
-    }
-
-    /// Picks the algorithm for one collective call. First matching rule
-    /// wins; rules naming an algorithm the op does not implement are
-    /// skipped; no match falls back to the hardwired default.
+    /// Picks the algorithm for one collective call: first matching rule
+    /// wins, no match falls back to the hardwired default. A rule must name
+    /// an algorithm on its op's menu — `perf::CollTune` rejects one that
+    /// does not when it loads a file, and [`crate::coll_steps`] panics on it.
     pub fn select(&self, op: CommOp, group_size: usize, bytes: usize) -> CollAlgo {
         self.rules
             .iter()
-            .find(|r| r.matches(op, group_size, bytes) && r.algo.valid_for(op))
+            .find(|r| r.matches(op, group_size, bytes))
             .map(|r| r.algo)
             .unwrap_or_else(|| CollAlgo::default_for(op))
     }
 }
 
-fn global() -> &'static RwLock<Arc<AlgoTable>> {
-    static TABLE: OnceLock<RwLock<Arc<AlgoTable>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Arc::new(AlgoTable::baseline())))
-}
-
-/// Installs a table as the process-global selection policy. Call before
-/// device threads spawn (e.g. from CLI startup after loading
-/// `results/coll_tune.json`); collectives already in flight keep the table
-/// they started with.
-pub fn install(table: AlgoTable) {
-    *global().write().unwrap() = Arc::new(table);
-}
-
-/// The currently installed table.
-pub fn installed() -> Arc<AlgoTable> {
-    global().read().unwrap().clone()
-}
-
 /// How one collective call runs: which schedule, at which wire precision.
 /// The single value every explicit caller passes to
 /// [`crate::Communicator::collective`]; the plain methods resolve it with
-/// [`CollPlan::select`].
+/// [`crate::Communicator::plan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CollPlan {
     pub algo: CollAlgo,
     pub wire: WireDtype,
 }
 
-impl CollPlan {
-    /// The one selection lookup: the installed [`AlgoTable`] and
-    /// [`crate::WireTable`], both keyed on `(op, group size, payload
-    /// bytes)`. `elems` is the logical payload in `f32` elements. Override
-    /// one half with struct-update syntax:
-    /// `CollPlan { wire, ..CollPlan::select(op, g, n) }`.
-    pub fn select(op: CommOp, group_size: usize, elems: usize) -> CollPlan {
-        CollPlan {
-            algo: installed().select(op, group_size, elems * 4),
-            wire: crate::wire::installed().select(op, group_size, elems * 4),
-        }
-    }
+/// The selection tables of one mesh run, both keyed on `(op, group size,
+/// payload bytes)`. `Default` is the baseline: hardwired algorithms,
+/// full-width f32.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CollTables {
+    pub algo: AlgoTable,
+    pub wire: WireTable,
 }
 
 #[cfg(test)]
@@ -258,18 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn first_matching_rule_wins_and_invalid_rules_are_skipped() {
+    fn first_matching_rule_wins() {
         let t = AlgoTable {
             rules: vec![
-                // Invalid: Bruck is not an all-reduce algorithm → skipped.
-                AlgoRule {
-                    op: CommOp::AllReduce,
-                    min_group: 1,
-                    max_group: usize::MAX,
-                    min_bytes: 0,
-                    max_bytes: usize::MAX,
-                    algo: CollAlgo::Bruck,
-                },
                 AlgoRule {
                     op: CommOp::AllReduce,
                     min_group: 4,
@@ -293,17 +230,5 @@ mod tests {
         assert_eq!(t.select(CommOp::AllReduce, 4, 1 << 20), CollAlgo::Ring);
         assert_eq!(t.select(CommOp::AllReduce, 2, 512), CollAlgo::Ring);
         assert_eq!(t.select(CommOp::Broadcast, 4, 512), CollAlgo::Tree);
-    }
-
-    #[test]
-    fn heuristic_flips_at_least_one_regime_per_collective_family() {
-        let t = AlgoTable::heuristic();
-        assert_eq!(t.select(CommOp::AllReduce, 8, 64), CollAlgo::Tree);
-        assert_eq!(t.select(CommOp::AllReduce, 8, 2048), CollAlgo::Halving);
-        assert_eq!(t.select(CommOp::AllReduce, 8, 1 << 22), CollAlgo::Ring);
-        assert_eq!(t.select(CommOp::AllGather, 8, 1024), CollAlgo::Bruck);
-        assert_eq!(t.select(CommOp::Broadcast, 8, 1 << 20), CollAlgo::Chain);
-        // Small groups stay on the defaults: the crossover needs depth.
-        assert_eq!(t.select(CommOp::AllReduce, 2, 64), CollAlgo::Ring);
     }
 }

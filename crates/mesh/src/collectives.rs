@@ -124,6 +124,9 @@ impl Communicator for DeviceCtx {
     fn recv(&self, from: usize) -> Vec<f32> {
         DeviceCtx::recv(self, from)
     }
+    fn tables(&self) -> &crate::CollTables {
+        &self.tables
+    }
     fn collective(
         &self,
         coll: Coll,

@@ -55,7 +55,7 @@
 //! assert_eq!(live, dry); // op streams are identical, rank by rank
 //! ```
 
-use crate::algo::{CollAlgo, CollPlan};
+use crate::algo::{CollAlgo, CollPlan, CollTables};
 use crate::group::Group;
 use crate::nonblocking::{post_records, PendingColl};
 use crate::schedule::{chunk, coll_steps, Coll, Combine, Step};
@@ -122,6 +122,22 @@ pub trait Communicator {
         data
     }
 
+    /// The selection tables of the run this device belongs to.
+    fn tables(&self) -> &CollTables;
+
+    /// The one selection lookup: this run's [`crate::AlgoTable`] and
+    /// [`crate::WireTable`], both keyed on `(op, group size, payload
+    /// bytes)`. `elems` is the logical payload in `f32` elements. Override
+    /// one half with struct-update syntax:
+    /// `CollPlan { wire, ..comm.plan(op, g, n) }`.
+    fn plan(&self, op: CommOp, group_size: usize, elems: usize) -> CollPlan {
+        let tables = self.tables();
+        CollPlan {
+            algo: tables.algo.select(op, group_size, elems * 4),
+            wire: tables.wire.select(op, group_size, elems * 4),
+        }
+    }
+
     /// Runs `coll` over `group` under an explicit `plan`: logs the op and
     /// this member's sends, then interprets its step list
     /// ([`crate::coll_steps`]) over the working buffer — moving the bytes on
@@ -149,14 +165,14 @@ pub trait Communicator {
     /// pre-sized to the root's payload length on both backends (no
     /// collective resizes the buffer).
     fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let plan = CollPlan::select(CommOp::Broadcast, group.len(), data.len());
+        let plan = self.plan(CommOp::Broadcast, group.len(), data.len());
         self.collective(Coll::Broadcast { root }, group, CollBuf::Now(data), plan);
     }
 
     /// Sum-reduce to group index `root`. Non-root buffers hold partial
     /// sums afterwards and must be treated as scratch.
     fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let plan = CollPlan::select(CommOp::Reduce, group.len(), data.len());
+        let plan = self.plan(CommOp::Reduce, group.len(), data.len());
         self.collective(Coll::Reduce { root }, group, CollBuf::Now(data), plan);
     }
 
@@ -165,11 +181,11 @@ pub trait Communicator {
     /// buffers must be pre-sized to the root's payload length (the logical
     /// size is recorded at post). Between post and wait, callers must not
     /// issue collectives sharing a (src, dst) pair with the in-flight tree.
-    /// Always the tree schedule; wire precision from the installed table.
+    /// Always the tree schedule; wire precision from the run's tables.
     fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
         let plan = CollPlan {
             algo: CollAlgo::Tree,
-            ..CollPlan::select(CommOp::Broadcast, group.len(), buf.len())
+            ..self.plan(CommOp::Broadcast, group.len(), buf.len())
         };
         self.collective(Coll::Broadcast { root }, group, CollBuf::Post(buf), plan)
             .expect("a posted collective returns its handle")
@@ -181,7 +197,7 @@ pub trait Communicator {
     fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
         let plan = CollPlan {
             algo: CollAlgo::Tree,
-            ..CollPlan::select(CommOp::Reduce, group.len(), buf.len())
+            ..self.plan(CommOp::Reduce, group.len(), buf.len())
         };
         self.collective(Coll::Reduce { root }, group, CollBuf::Post(buf), plan)
             .expect("a posted collective returns its handle")
@@ -189,20 +205,20 @@ pub trait Communicator {
 
     /// All-reduce (sum): every member ends with the element-wise sum.
     fn all_reduce(&self, group: &Group, data: &mut [f32]) {
-        let plan = CollPlan::select(CommOp::AllReduce, group.len(), data.len());
+        let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
         self.collective(Coll::AllReduce, group, CollBuf::Now(data), plan);
     }
 
     /// All-reduce (max) — for the distributed log-sum-exp.
     fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        let plan = CollPlan::select(CommOp::AllReduce, group.len(), data.len());
+        let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
         self.collective(Coll::AllReduceMax, group, CollBuf::Now(data), plan);
     }
 
     /// All-gather: concatenation of every member's equal-length `local` in
     /// group order.
     fn all_gather(&self, group: &Group, local: &[f32]) -> Vec<f32> {
-        let plan = CollPlan::select(CommOp::AllGather, group.len(), local.len());
+        let plan = self.plan(CommOp::AllGather, group.len(), local.len());
         let mut out = slots(my_index(self.rank(), group), group.len(), local);
         self.collective(Coll::AllGather, group, CollBuf::Now(&mut out), plan);
         out
@@ -211,7 +227,7 @@ pub trait Communicator {
     /// Reduce-scatter (sum): returns this member's chunk (`n·i/g`
     /// boundaries) of the summed vector; `data` ends as scratch.
     fn reduce_scatter(&self, group: &Group, data: &mut [f32]) -> Vec<f32> {
-        let plan = CollPlan::select(CommOp::ReduceScatter, group.len(), data.len());
+        let plan = self.plan(CommOp::ReduceScatter, group.len(), data.len());
         let mine = chunk(data.len(), group.len(), my_index(self.rank(), group));
         self.collective(Coll::ReduceScatter, group, CollBuf::Now(data), plan);
         data[mine].to_vec()
@@ -312,8 +328,8 @@ pub(crate) fn run_collective<B: Backend>(
         // guard), so both backends emit one event per logical collective.
         traced_op(b.log(), op, plan, group, 0, || {
             record_group_op(&mut b.log().borrow_mut(), op, plan.algo, group, 0);
-            for part in [Coll::Reduce { root: 0 }, Coll::Broadcast { root: 0 }] {
-                let plan = CollPlan::select(part.op(), g, 0);
+            for part in Coll::BARRIER_PARTS {
+                let plan = b.plan(part.op(), g, 0);
                 run_collective(b, part, group, CollBuf::Now(&mut []), plan);
             }
         });

@@ -15,7 +15,7 @@
 //! α-β cost model relies on, so a dry run is exactly enough to price a step
 //! on a projected mesh (`optimus-cli --dry-run`) without simulating it.
 //!
-//! With [`crate::Mesh::dry_run_traced`] the same replay also produces full
+//! With [`crate::MeshRun::dry_run_traced`] the same replay also produces full
 //! [`trace::DeviceTrace`] timelines: a fresh virtual-clock collector is
 //! installed per rank, advanced by a caller-supplied α-β pricer, so the
 //! "measured" durations of a dry-run trace *are* the model's predictions.
@@ -34,10 +34,11 @@ use crate::group::Group;
 use crate::nonblocking::PendingColl;
 use crate::schedule::Coll;
 use crate::stats::{CommLog, CommOp};
-use crate::CollPlan;
+use crate::{CollPlan, CollTables};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Shared p2p bookkeeping: payload sizes in flight per (src, dst) pair.
 #[derive(Default)]
@@ -51,15 +52,22 @@ pub struct DryRunComm {
     p: usize,
     log: RefCell<CommLog>,
     wire: Rc<RefCell<DryWire>>,
+    tables: Arc<CollTables>,
 }
 
 impl DryRunComm {
-    pub(crate) fn new(rank: usize, p: usize, wire: Rc<RefCell<DryWire>>) -> Self {
+    pub(crate) fn new(
+        rank: usize,
+        p: usize,
+        wire: Rc<RefCell<DryWire>>,
+        tables: Arc<CollTables>,
+    ) -> Self {
         DryRunComm {
             rank,
             p,
             log: RefCell::new(CommLog::new(rank)),
             wire,
+            tables,
         }
     }
 
@@ -144,6 +152,10 @@ impl Communicator for DryRunComm {
         vec![0.0; len]
     }
 
+    fn tables(&self) -> &CollTables {
+        &self.tables
+    }
+
     fn collective(
         &self,
         coll: Coll,
@@ -160,123 +172,6 @@ impl Communicator for DryRunComm {
 
     fn take_log(&self) -> CommLog {
         std::mem::replace(&mut self.log.borrow_mut(), CommLog::new(self.rank))
-    }
-}
-
-impl crate::Mesh {
-    /// Replays `f` once per rank of a `p`-device world on the **current
-    /// thread** with a [`DryRunComm`], returning results and communication
-    /// logs shaped exactly like [`crate::Mesh::run_with_logs`]. No threads
-    /// are spawned and no data moves.
-    pub fn dry_run_with_logs<T, F>(p: usize, f: F) -> (Vec<T>, Vec<CommLog>)
-    where
-        F: Fn(&DryRunComm) -> T,
-    {
-        let (outs, logs, _) = Self::dry_run_inner(p, f, None);
-        (outs, logs)
-    }
-
-    /// Like [`crate::Mesh::dry_run_with_logs`], but installs a fresh
-    /// virtual-clock [`trace`] collector per rank and returns the per-device
-    /// timelines. `pricer` maps each collective's [`trace::OpMeta`] to its
-    /// modeled duration in nanoseconds (build one from `perf::CostModel`),
-    /// so the trace's "measured" durations are the α-β model's predictions.
-    pub fn dry_run_traced<T, F>(
-        p: usize,
-        pricer: impl Fn(&trace::OpMeta) -> u64 + 'static,
-        f: F,
-    ) -> (Vec<T>, Vec<CommLog>, Vec<trace::DeviceTrace>)
-    where
-        F: Fn(&DryRunComm) -> T,
-    {
-        let pricer: trace::Pricer = Rc::new(pricer);
-        let (outs, logs, traces) = Self::dry_run_inner(p, f, Some(pricer));
-        (outs, logs, traces)
-    }
-
-    fn dry_run_inner<T, F>(
-        p: usize,
-        f: F,
-        pricer: Option<trace::Pricer>,
-    ) -> (Vec<T>, Vec<CommLog>, Vec<trace::DeviceTrace>)
-    where
-        F: Fn(&DryRunComm) -> T,
-    {
-        assert!(p > 0, "mesh needs at least one device");
-        let wire = Rc::new(RefCell::new(DryWire::default()));
-        let mut outs = Vec::with_capacity(p);
-        let mut logs = Vec::with_capacity(p);
-        let mut traces = Vec::new();
-        for rank in 0..p {
-            let comm = DryRunComm::new(rank, p, Rc::clone(&wire));
-            if let Some(pricer) = &pricer {
-                trace::start_virtual(Rc::clone(pricer));
-            }
-            outs.push(f(&comm));
-            if pricer.is_some() {
-                traces.push(trace::finish(rank).expect("collector installed above"));
-            }
-            logs.push(Communicator::take_log(&comm));
-        }
-        (outs, logs, traces)
-    }
-}
-
-impl crate::Mesh2d {
-    /// Trace-only analogue of [`crate::Mesh2d::run_with_logs`]: replays `f`
-    /// per rank of a `q × q` mesh through [`DryRunComm`].
-    pub fn dry_run_with_logs<T, F>(q: usize, f: F) -> (Vec<T>, Vec<CommLog>)
-    where
-        F: Fn(&crate::Grid2d<DryRunComm>) -> T,
-    {
-        assert!(q > 0, "mesh side must be positive");
-        crate::MeshNd::dry_run_with_logs(&[q, q], f)
-    }
-
-    /// Trace-only analogue of [`crate::Mesh2d::run_traced`]; see
-    /// [`crate::Mesh::dry_run_traced`] for the pricer contract.
-    pub fn dry_run_traced<T, F>(
-        q: usize,
-        pricer: impl Fn(&trace::OpMeta) -> u64 + 'static,
-        f: F,
-    ) -> (Vec<T>, Vec<CommLog>, Vec<trace::DeviceTrace>)
-    where
-        F: Fn(&crate::Grid2d<DryRunComm>) -> T,
-    {
-        assert!(q > 0, "mesh side must be positive");
-        crate::MeshNd::dry_run_traced(&[q, q], pricer, f)
-    }
-}
-
-impl crate::MeshNd {
-    /// Trace-only analogue of [`crate::MeshNd::run_with_logs`]: replays `f`
-    /// per rank of a `dims` mesh through [`DryRunComm`].
-    pub fn dry_run_with_logs<T, F>(dims: &[usize], f: F) -> (Vec<T>, Vec<CommLog>)
-    where
-        F: Fn(&crate::GridNd<DryRunComm>) -> T,
-    {
-        let shape = crate::MeshShape::new(dims);
-        crate::Mesh::dry_run_with_logs(shape.len(), |comm| {
-            let grid = crate::GridNd::with_shape(comm, shape.dims());
-            f(&grid)
-        })
-    }
-
-    /// Trace-only analogue of [`crate::MeshNd::run_traced`]; see
-    /// [`crate::Mesh::dry_run_traced`] for the pricer contract.
-    pub fn dry_run_traced<T, F>(
-        dims: &[usize],
-        pricer: impl Fn(&trace::OpMeta) -> u64 + 'static,
-        f: F,
-    ) -> (Vec<T>, Vec<CommLog>, Vec<trace::DeviceTrace>)
-    where
-        F: Fn(&crate::GridNd<DryRunComm>) -> T,
-    {
-        let shape = crate::MeshShape::new(dims);
-        crate::Mesh::dry_run_traced(shape.len(), pricer, |comm| {
-            let grid = crate::GridNd::with_shape(comm, shape.dims());
-            f(&grid)
-        })
     }
 }
 

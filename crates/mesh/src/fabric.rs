@@ -15,6 +15,7 @@
 //! every peer's mailbox and retires its own, so peers blocked on it panic
 //! with a "disconnected" error instead of hanging.
 
+use crate::algo::CollTables;
 use crate::pool::BufferPool;
 use crate::stats::CommLog;
 use std::cell::RefCell;
@@ -114,6 +115,8 @@ pub struct DeviceCtx {
     p: usize,
     /// `boxes[d]` — device `d`'s mailbox; `boxes[rank]` is our own.
     pub(crate) boxes: Vec<Arc<Mailbox>>,
+    /// The run's selection tables, shared by all its devices.
+    pub(crate) tables: Arc<CollTables>,
     pub(crate) log: RefCell<CommLog>,
     pub(crate) pool: RefCell<BufferPool>,
     /// Lazily spawned background progress thread for non-blocking
@@ -121,14 +124,15 @@ pub struct DeviceCtx {
     pub(crate) progress: RefCell<Option<crate::nonblocking::Progress>>,
 }
 
-/// Builds a fully connected fabric of `p` devices.
-pub(crate) fn build_fabric(p: usize) -> Vec<DeviceCtx> {
+/// Builds a fully connected fabric of `p` devices selecting from `tables`.
+pub(crate) fn build_fabric(p: usize, tables: &Arc<CollTables>) -> Vec<DeviceCtx> {
     let boxes: Vec<Arc<Mailbox>> = (0..p).map(|_| Arc::new(Mailbox::new(p))).collect();
     (0..p)
         .map(|rank| DeviceCtx {
             rank,
             p,
             boxes: boxes.clone(),
+            tables: tables.clone(),
             log: RefCell::new(CommLog::new(rank)),
             pool: RefCell::new(BufferPool::new()),
             progress: RefCell::new(None),

@@ -43,8 +43,8 @@
 //!
 //! # Structured tracing
 //!
-//! The `*_traced` entry points ([`Mesh::run_traced`],
-//! [`Mesh::dry_run_traced`] and their `Mesh2d` analogues) additionally
+//! The `*_traced` entry points ([`MeshRun::run_traced`],
+//! [`MeshRun::dry_run_traced`] and their shorthands) additionally
 //! return per-device [`trace::DeviceTrace`] timelines: every collective
 //! issued through the [`Communicator`] trait becomes a timed op event, and
 //! library code groups them into phases with `trace::span`. Live devices
@@ -69,6 +69,7 @@ mod comm;
 mod dryrun;
 mod fabric;
 mod group;
+mod launch;
 mod mesh2d;
 mod nonblocking;
 mod pool;
@@ -78,112 +79,20 @@ mod stats;
 mod topology;
 mod wire;
 
-pub use algo::{install as install_algo_table, installed as installed_algo_table};
-pub use algo::{AlgoRule, AlgoTable, CollAlgo, CollPlan};
+pub use algo::{AlgoRule, AlgoTable, CollAlgo, CollPlan, CollTables};
 pub use comm::{CollBuf, Communicator};
 pub use dryrun::DryRunComm;
 pub use fabric::DeviceCtx;
 pub use group::Group;
-pub use mesh2d::{Grid2d, GridNd, Mesh2d, MeshNd};
+pub use launch::{Mesh, Mesh2d, MeshNd, MeshRun};
+pub use mesh2d::{Grid2d, GridNd};
 pub use nonblocking::PendingColl;
 pub use pool::BufferPool;
-pub use schedule::{chain_segments, chunk, coll_steps, Coll, RecvMode, Step};
+pub use schedule::{chain_segments, chunk, coll_steps, group_steps, replay, Coll, RecvMode, Step};
 pub use shape::MeshShape;
 pub use stats::{CommLog, CommOp, LinkRecord, OpRecord};
 pub use topology::{Arrangement, Topology};
-pub use wire::{
-    install as install_wire_table, installed as installed_wire_table, packed_len, ErrorFeedback,
-    WireDtype, WireRule, WireTable,
-};
-
-use std::sync::mpsc;
-
-/// A simulated mesh of `p` devices.
-///
-/// [`Mesh::run`] spawns one thread per device, hands each a [`DeviceCtx`]
-/// wired to every peer, and returns the per-device results in rank order.
-pub struct Mesh;
-
-impl Mesh {
-    /// Runs `f` on every device of a `p`-device mesh and collects results in
-    /// rank order. Panics in any device propagate to the caller.
-    pub fn run<T, F>(p: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&DeviceCtx) -> T + Sync,
-    {
-        Self::run_with_logs(p, f).0
-    }
-
-    /// Like [`Mesh::run`] but also returns each device's [`CommLog`].
-    pub fn run_with_logs<T, F>(p: usize, f: F) -> (Vec<T>, Vec<CommLog>)
-    where
-        T: Send,
-        F: Fn(&DeviceCtx) -> T + Sync,
-    {
-        assert!(p > 0, "mesh needs at least one device");
-        let mut ctxs = fabric::build_fabric(p);
-        let f = &f;
-        let mut results: Vec<Option<(T, CommLog)>> = (0..p).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, T, CommLog)>();
-            for ctx in ctxs.drain(..) {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    // Mark this thread as a simulated device so heavy tensor
-                    // kernels acquire a hardware-core permit from the shared
-                    // compute pool instead of oversubscribing the host.
-                    let _device = tensor::pool::enter_device();
-                    // When metrics collection is enabled, give this device
-                    // thread its own registry (allocation tracker, wait
-                    // histograms); harvested per rank after `f` returns.
-                    let installed = metrics::device_install();
-                    let out = f(&ctx);
-                    let rank = ctx.rank();
-                    if installed {
-                        metrics::device_finish(rank);
-                    }
-                    let log = ctx.take_log();
-                    // Send failure is only possible if the main thread
-                    // already panicked; nothing useful to do then.
-                    let _ = tx.send((rank, out, log));
-                });
-            }
-            drop(tx);
-            while let Ok((rank, out, log)) = rx.recv() {
-                results[rank] = Some((out, log));
-            }
-        });
-        let mut outs = Vec::with_capacity(p);
-        let mut logs = Vec::with_capacity(p);
-        for (rank, slot) in results.into_iter().enumerate() {
-            let (out, log) = slot.unwrap_or_else(|| panic!("device {rank} produced no result"));
-            outs.push(out);
-            logs.push(log);
-        }
-        (outs, logs)
-    }
-
-    /// Like [`Mesh::run_with_logs`], but installs a wall-clock [`trace`]
-    /// collector on every device thread and returns the per-device
-    /// timelines alongside results and logs. Spans opened with
-    /// `trace::span` inside `f` and op events from every
-    /// [`Communicator`] collective land in the device's own timeline.
-    pub fn run_traced<T, F>(p: usize, f: F) -> (Vec<T>, Vec<CommLog>, Vec<trace::DeviceTrace>)
-    where
-        T: Send,
-        F: Fn(&DeviceCtx) -> T + Sync,
-    {
-        let (pairs, logs) = Self::run_with_logs(p, |ctx| {
-            trace::start_wall();
-            let out = f(ctx);
-            let trace = trace::finish(ctx.rank()).expect("collector installed above");
-            (out, trace)
-        });
-        let (outs, traces) = pairs.into_iter().unzip();
-        (outs, logs, traces)
-    }
-}
+pub use wire::{packed_len, ErrorFeedback, WireDtype, WireRule, WireTable};
 
 #[cfg(test)]
 mod tests {

@@ -4,14 +4,14 @@
 //! successors (Tesseract's 2.5D `[q, q, d]`, AxoNN-style 3D/4D hybrids)
 //! add more axes. [`GridNd`] is the shape-generic substrate: an
 //! `[d0, d1, ..., dk]` mesh where every axis yields a per-device subgroup
-//! communicator. [`Grid2d`] is a type alias over it and [`Mesh2d`] a thin
-//! front so all existing 2D call sites keep compiling unchanged.
+//! communicator. [`Grid2d`] is a type alias over it, so all existing 2D
+//! call sites keep compiling unchanged. The launchers that hand these views
+//! out are in `launch.rs`.
 
 use crate::comm::Communicator;
 use crate::fabric::DeviceCtx;
 use crate::group::Group;
 use crate::shape::MeshShape;
-use crate::Mesh;
 
 /// Conventional name of `axis_group(axis)` on an `ndim`-axis mesh.
 ///
@@ -29,93 +29,6 @@ fn axis_label(ndim: usize, axis: usize) -> &'static str {
         "col", "row", "depth", "axis3", "axis4", "axis5", "axis6", "axis7",
     ];
     NAMES[axis]
-}
-
-/// The classic `q × q` SUMMA mesh launcher. Rank `r` sits at row `r / q`,
-/// column `r % q` (row-major). The physical placement of ranks onto nodes is
-/// a separate concern handled by [`crate::Topology`] — swapping arrangements
-/// (Fig. 8) changes communication *cost*, never program logic.
-pub struct Mesh2d;
-
-impl Mesh2d {
-    /// Runs `f` on every device of a `q × q` mesh, passing a [`Grid2d`] view.
-    pub fn run<T, F>(q: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Grid2d) -> T + Sync,
-    {
-        Self::run_with_logs(q, f).0
-    }
-
-    /// Like [`Mesh2d::run`] but also returns per-device communication logs.
-    pub fn run_with_logs<T, F>(q: usize, f: F) -> (Vec<T>, Vec<crate::CommLog>)
-    where
-        T: Send,
-        F: Fn(&Grid2d) -> T + Sync,
-    {
-        assert!(q > 0, "mesh side must be positive");
-        MeshNd::run_with_logs(&[q, q], f)
-    }
-
-    /// Like [`Mesh2d::run_with_logs`], but with a wall-clock [`trace`]
-    /// collector per device; see [`Mesh::run_traced`].
-    pub fn run_traced<T, F>(
-        q: usize,
-        f: F,
-    ) -> (Vec<T>, Vec<crate::CommLog>, Vec<trace::DeviceTrace>)
-    where
-        T: Send,
-        F: Fn(&Grid2d) -> T + Sync,
-    {
-        assert!(q > 0, "mesh side must be positive");
-        MeshNd::run_traced(&[q, q], f)
-    }
-}
-
-/// Launcher for arbitrary `[d0, d1, ..., dk]` meshes: spawns one device per
-/// mesh cell and hands each a [`GridNd`] view of its coordinates and axis
-/// subgroups.
-pub struct MeshNd;
-
-impl MeshNd {
-    /// Runs `f` on every device of a `dims` mesh, passing a [`GridNd`] view.
-    pub fn run<T, F>(dims: &[usize], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&GridNd) -> T + Sync,
-    {
-        Self::run_with_logs(dims, f).0
-    }
-
-    /// Like [`MeshNd::run`] but also returns per-device communication logs.
-    pub fn run_with_logs<T, F>(dims: &[usize], f: F) -> (Vec<T>, Vec<crate::CommLog>)
-    where
-        T: Send,
-        F: Fn(&GridNd) -> T + Sync,
-    {
-        let shape = MeshShape::new(dims);
-        Mesh::run_with_logs(shape.len(), |ctx| {
-            let grid = GridNd::with_shape(ctx, shape.dims());
-            f(&grid)
-        })
-    }
-
-    /// Like [`MeshNd::run_with_logs`], but with a wall-clock [`trace`]
-    /// collector per device; see [`Mesh::run_traced`].
-    pub fn run_traced<T, F>(
-        dims: &[usize],
-        f: F,
-    ) -> (Vec<T>, Vec<crate::CommLog>, Vec<trace::DeviceTrace>)
-    where
-        T: Send,
-        F: Fn(&GridNd) -> T + Sync,
-    {
-        let shape = MeshShape::new(dims);
-        Mesh::run_traced(shape.len(), |ctx| {
-            let grid = GridNd::with_shape(ctx, shape.dims());
-            f(&grid)
-        })
-    }
 }
 
 /// Per-device view of an N-dimensional mesh: coordinates plus one
@@ -356,6 +269,7 @@ impl<'a, C: Communicator> GridNd<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Mesh, Mesh2d, MeshNd};
 
     #[test]
     fn coordinates_are_row_major() {

@@ -6,10 +6,10 @@
 //! payload into a range (overwriting it or combining into it), or rotates
 //! the buffer locally. Everything else in the crate *interprets* the list:
 //! the live backend moves the bytes (inline, or popped from the progress
-//! queue), the trace-only backend logs the `Send`s — so live ≡ dry-run ≡
-//! non-blocking holds by construction, and the α-β closed forms of
-//! DESIGN.md §10 are property-tested against these lists
-//! (`tests/coll_algos.rs`).
+//! queue), the trace-only backend logs the `Send`s, and [`replay`] walks all
+//! members' lists without threads — which is how `perf::CostModel` prices a
+//! collective and how `tests/coll_algos.rs` proves each schedule sound. So
+//! live ≡ dry-run ≡ non-blocking ≡ priced holds by construction.
 //!
 //! The working buffer is the caller's payload for every collective except
 //! all-gather and gather, where it is the `g`-slot output with the member's
@@ -22,6 +22,7 @@
 
 use crate::algo::CollAlgo;
 use crate::stats::CommOp;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A collective as the schedule layer sees it: the op, plus the root where
@@ -44,12 +45,32 @@ pub enum Coll {
     Gather {
         root: usize,
     },
-    /// An empty reduce to index 0 plus an empty broadcast from it — composed
-    /// by the caller, so it has no step list of its own.
+    /// An empty reduce to index 0, then an empty broadcast from it. The
+    /// backends run and log the two parts as nested collectives; the step
+    /// list is the parts back to back, which is what a barrier costs.
     Barrier,
 }
 
 impl Coll {
+    /// What a barrier runs, in order.
+    pub(crate) const BARRIER_PARTS: [Coll; 2] =
+        [Coll::Reduce { root: 0 }, Coll::Broadcast { root: 0 }];
+
+    /// The collective a log or trace record of kind `op` describes, which
+    /// carries no root: rooted kinds come back rooted at index 0 (a root
+    /// only rotates the member indices of a schedule), and
+    /// [`CommOp::AllGather`] is the all-gather proper.
+    pub fn of(op: CommOp) -> Coll {
+        match op {
+            CommOp::Broadcast => Coll::Broadcast { root: 0 },
+            CommOp::Reduce => Coll::Reduce { root: 0 },
+            CommOp::AllReduce => Coll::AllReduce,
+            CommOp::AllGather => Coll::AllGather,
+            CommOp::ReduceScatter => Coll::ReduceScatter,
+            CommOp::Barrier => Coll::Barrier,
+        }
+    }
+
     /// The kind this collective is logged, selected and priced as.
     pub fn op(self) -> CommOp {
         match self {
@@ -249,10 +270,75 @@ pub fn coll_steps(coll: Coll, algo: CollAlgo, g: usize, me: usize, n: usize) -> 
             );
         }
         (Coll::Gather { root }, _) => s.push(send(root, slot(me))),
-        (Coll::Barrier, _) => panic!("a barrier is composed by its caller; it has no step list"),
+        (Coll::Barrier, _) => {
+            for part in Coll::BARRIER_PARTS {
+                s.extend(coll_steps(part, algo, g, me, 0));
+            }
+        }
         (coll, algo) => panic!("{algo:?} is not on the {} menu", coll.op().name()),
     }
     s
+}
+
+/// Every member's step list for [`Coll::of`]`(op)` — what a record of kind
+/// `op` ran, and so what it is priced as.
+pub fn group_steps(op: CommOp, algo: CollAlgo, g: usize, n: usize) -> Vec<Vec<Step>> {
+    (0..g)
+        .map(|me| coll_steps(Coll::of(op), algo, g, me, n))
+        .collect()
+}
+
+/// Replays all members' lists against per-(src, dst) FIFO queues under an
+/// arbitrary fair interleaving, calling `on_recv(me, step, payload)` at each
+/// matched receive and `on_local(me, step)` at each rotation. `payload_of`
+/// captures what a send carries. Panics if the replay cannot finish (a
+/// deadlock) or leaves a message undelivered.
+pub fn replay<P>(
+    lists: &[Vec<Step>],
+    label: &str,
+    mut payload_of: impl FnMut(usize, &Step) -> P,
+    mut on_recv: impl FnMut(usize, &Step, P),
+    mut on_local: impl FnMut(usize, &Step),
+) {
+    let g = lists.len();
+    let mut queues: Vec<VecDeque<P>> = (0..g * g).map(|_| VecDeque::new()).collect();
+    let mut pc = vec![0usize; g];
+    loop {
+        let mut progressed = false;
+        for me in 0..g {
+            while let Some(step) = lists[me].get(pc[me]) {
+                match step {
+                    Step::Send { peer, .. } => {
+                        let p = payload_of(me, step);
+                        queues[me * g + peer].push_back(p);
+                    }
+                    Step::Recv { peer, .. } => {
+                        let Some(p) = queues[peer * g + me].pop_front() else {
+                            break; // blocked until the peer sends
+                        };
+                        on_recv(me, step, p);
+                    }
+                    Step::Rotate { .. } => on_local(me, step),
+                }
+                pc[me] += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for (me, (at, list)) in pc.iter().zip(lists).enumerate() {
+        assert_eq!(
+            *at,
+            list.len(),
+            "{label}: member {me} deadlocked at step {at}"
+        );
+    }
+    assert!(
+        queues.iter().all(|q| q.is_empty()),
+        "{label}: undelivered messages"
+    );
 }
 
 fn send(peer: usize, range: Range<usize>) -> Step {

@@ -31,11 +31,11 @@
 //! Like the collective-algorithm registry ([`crate::AlgoTable`]), the wire
 //! dtype is chosen per call site by a first-match-wins rule table
 //! ([`WireTable`]) keyed on `(op, group size, payload bytes)`. The baseline
-//! table is empty — every collective defaults to f32 — and a process-global
-//! table can be installed with [`install`] (the `optimus-cli` convention).
+//! table is empty — every collective defaults to f32 — and a run that wants
+//! compression carries a non-empty one in its [`crate::CollTables`].
 //! A caller that passes its own [`crate::CollPlan`] to
 //! [`crate::Communicator::collective`] bypasses the table entirely, which is
-//! what tests and the error-feedback gradient sync do.
+//! what the error-feedback gradient sync does.
 //!
 //! # Error feedback
 //!
@@ -48,7 +48,6 @@
 //! gradient all-reduce.
 
 use crate::stats::CommOp;
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// A wire precision for collective payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -251,22 +250,6 @@ impl WireTable {
             .map(|r| r.wire)
             .unwrap_or(WireDtype::F32)
     }
-}
-
-fn global() -> &'static RwLock<Arc<WireTable>> {
-    static TABLE: OnceLock<RwLock<Arc<WireTable>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Arc::new(WireTable::baseline())))
-}
-
-/// Installs `table` as the process-global wire-precision table consulted by
-/// [`crate::CollPlan::select`].
-pub fn install(table: WireTable) {
-    *global().write().unwrap() = Arc::new(table);
-}
-
-/// The currently installed process-global wire table.
-pub fn installed() -> Arc<WireTable> {
-    global().read().unwrap().clone()
 }
 
 // ---------------------------------------------------------------------------

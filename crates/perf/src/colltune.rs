@@ -1,12 +1,12 @@
-//! Persistence for the tuned collective-algorithm table.
+//! Persistence for the tuned collective selection tables.
 //!
 //! `optimus-cli tune-coll` sweeps every registered algorithm across message
 //! sizes on the live mesh, derives an [`mesh::AlgoTable`] of measured
 //! winners, and persists it here ([`CollTune::save`], conventionally at
 //! [`COLL_TUNE_PATH`], which is *not* committed — fresh clones keep the
-//! baseline table until they tune). CLI entry points auto-load the file and
-//! [`mesh::install_algo_table`] it at startup, the same convention
-//! `results/calibration.json` uses for the compute rate.
+//! baseline table until they tune). CLI entry points load the file and pass
+//! its [`CollTune::tables`] to every [`mesh::MeshRun`] they launch, the same
+//! convention `results/calibration.json` uses for the compute rate.
 //!
 //! The file format is a rule list in first-match-wins order, one JSON
 //! object per [`mesh::AlgoRule`]; unbounded range ends serialize as `-1`
@@ -19,22 +19,20 @@
 //! compression (and tunes that never opted in) load unchanged — and loading
 //! such a file keeps every collective at bitwise-identical f32.
 
-use mesh::{AlgoRule, AlgoTable, CollAlgo, CommOp, WireDtype, WireRule, WireTable};
+use mesh::{AlgoRule, AlgoTable, CollAlgo, CollTables, CommOp, WireDtype, WireRule, WireTable};
 use minjson::Json;
 
 /// Default on-disk location, relative to the repo root.
 pub const COLL_TUNE_PATH: &str = "results/coll_tune.json";
 
-/// A tuned algorithm-selection table plus its provenance.
+/// Tuned selection tables plus their provenance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CollTune {
-    /// Where the table came from (e.g. `"tune-coll p=8"`).
+    /// Where the tables came from (e.g. `"tune-coll p=8"`).
     pub source: String,
-    /// The selection rules, first match wins (see [`mesh::AlgoTable`]).
-    pub table: AlgoTable,
-    /// Wire-precision rules (see [`mesh::WireTable`]); empty means every
-    /// collective stays full-width f32.
-    pub wire: WireTable,
+    /// The algorithm rules and the wire-precision rules, first match wins;
+    /// empty wire rules mean every collective stays full-width f32.
+    pub tables: CollTables,
 }
 
 fn bound_to_json(v: usize) -> Json {
@@ -58,7 +56,8 @@ impl CollTune {
     /// The tune as JSON.
     pub fn to_json(&self) -> Json {
         let rules = self
-            .table
+            .tables
+            .algo
             .rules
             .iter()
             .map(|r| {
@@ -76,8 +75,9 @@ impl CollTune {
             ("source", Json::Str(self.source.clone())),
             ("rules", Json::Arr(rules)),
         ];
-        if !self.wire.rules.is_empty() {
+        if !self.tables.wire.rules.is_empty() {
             let wire_rules = self
+                .tables
                 .wire
                 .rules
                 .iter()
@@ -163,8 +163,10 @@ impl CollTune {
         }
         Ok(CollTune {
             source,
-            table: AlgoTable { rules },
-            wire: WireTable { rules: wire_rules },
+            tables: CollTables {
+                algo: AlgoTable { rules },
+                wire: WireTable { rules: wire_rules },
+            },
         })
     }
 
@@ -193,29 +195,32 @@ mod tests {
     use super::*;
 
     fn sample() -> CollTune {
+        let algo = AlgoTable {
+            rules: vec![
+                AlgoRule {
+                    op: CommOp::AllReduce,
+                    min_group: 2,
+                    max_group: usize::MAX,
+                    min_bytes: 0,
+                    max_bytes: 4096,
+                    algo: CollAlgo::Halving,
+                },
+                AlgoRule {
+                    op: CommOp::Broadcast,
+                    min_group: 4,
+                    max_group: 64,
+                    min_bytes: 1 << 18,
+                    max_bytes: usize::MAX,
+                    algo: CollAlgo::Chain,
+                },
+            ],
+        };
         CollTune {
             source: "tune-coll p=8".to_string(),
-            table: AlgoTable {
-                rules: vec![
-                    AlgoRule {
-                        op: CommOp::AllReduce,
-                        min_group: 2,
-                        max_group: usize::MAX,
-                        min_bytes: 0,
-                        max_bytes: 4096,
-                        algo: CollAlgo::Halving,
-                    },
-                    AlgoRule {
-                        op: CommOp::Broadcast,
-                        min_group: 4,
-                        max_group: 64,
-                        min_bytes: 1 << 18,
-                        max_bytes: usize::MAX,
-                        algo: CollAlgo::Chain,
-                    },
-                ],
+            tables: CollTables {
+                algo,
+                wire: WireTable::default(),
             },
-            wire: WireTable::default(),
         }
     }
 
@@ -227,14 +232,14 @@ mod tests {
         assert!(!s.contains("wire_rules"));
         let back = CollTune::from_json(&minjson::parse(&s).unwrap()).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.table.rules[0].max_group, usize::MAX);
-        assert_eq!(back.table.rules[1].max_bytes, usize::MAX);
+        assert_eq!(back.tables.algo.rules[0].max_group, usize::MAX);
+        assert_eq!(back.tables.algo.rules[1].max_bytes, usize::MAX);
     }
 
     #[test]
     fn wire_rules_roundtrip_and_select_after_reload() {
         let mut t = sample();
-        t.wire = WireTable {
+        t.tables.wire = WireTable {
             rules: vec![WireRule {
                 op: CommOp::AllReduce,
                 min_group: 2,
@@ -248,12 +253,15 @@ mod tests {
         let back = CollTune::from_json(&minjson::parse(&s).unwrap()).unwrap();
         assert_eq!(back, t);
         assert_eq!(
-            back.wire.select(CommOp::AllReduce, 8, 1 << 20),
+            back.tables.wire.select(CommOp::AllReduce, 8, 1 << 20),
             WireDtype::Bf16
         );
-        assert_eq!(back.wire.select(CommOp::AllReduce, 8, 64), WireDtype::F32);
         assert_eq!(
-            back.wire.select(CommOp::Broadcast, 8, 1 << 20),
+            back.tables.wire.select(CommOp::AllReduce, 8, 64),
+            WireDtype::F32
+        );
+        assert_eq!(
+            back.tables.wire.select(CommOp::Broadcast, 8, 1 << 20),
             WireDtype::F32
         );
     }
@@ -278,8 +286,8 @@ mod tests {
             (CommOp::AllGather, 8, 64),
         ] {
             assert_eq!(
-                back.table.select(op, g, bytes),
-                t.table.select(op, g, bytes)
+                back.tables.algo.select(op, g, bytes),
+                t.tables.algo.select(op, g, bytes)
             );
         }
     }

@@ -1,16 +1,30 @@
-//! Collective cost functions (paper Eqs. 4–5), topology-aware and
-//! per-algorithm: every entry of the `mesh` collective-algorithm registry
-//! has its own α-β formula here ([`CostModel::coll_time`]), and replayed
-//! logs / trace events are priced by the algorithm they actually ran.
+//! Collective cost functions, topology-aware.
+//!
+//! Two kinds. The paper's Eq. 4–5 closed forms ([`CostModel::broadcast_time`],
+//! [`CostModel::all_reduce_time`], …) are envelopes for the scaling stems,
+//! which predict cost without knowing which algorithm will run. Everything
+//! that prices a collective that *did* run — a log record, a trace event, a
+//! tuning cell — goes through [`CostModel::coll_time`], which replays the
+//! very step lists the mesh executes ([`mesh::group_steps`]) under the
+//! postal model, so an algorithm needs no formula here.
 
 use crate::profile::HardwareProfile;
-use mesh::{chain_segments, CollAlgo, CommLog, CommOp, OpRecord, Topology, WireDtype};
+use mesh::{CollAlgo, CommLog, CommOp, OpRecord, Step, Topology, WireDtype};
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+/// What a makespan depends on besides the model's own α: the schedule
+/// (`op`, `algo`, group size, payload) and the per-element hop cost (bits).
+type CollKey = (CommOp, CollAlgo, usize, usize, u64);
 
 /// α-β cost model over a concrete device-to-node placement.
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    pub profile: HardwareProfile,
-    pub topology: Topology,
+    profile: HardwareProfile,
+    topology: Topology,
+    /// A training step repeats a handful of distinct collectives thousands
+    /// of times; each is replayed once.
+    priced: RefCell<HashMap<CollKey, f64>>,
 }
 
 fn log2_ceil(g: usize) -> f64 {
@@ -19,7 +33,16 @@ fn log2_ceil(g: usize) -> f64 {
 
 impl CostModel {
     pub fn new(profile: HardwareProfile, topology: Topology) -> Self {
-        CostModel { profile, topology }
+        CostModel {
+            profile,
+            topology,
+            priced: RefCell::default(),
+        }
+    }
+
+    /// The hardware rates this model prices with.
+    pub fn profile(&self) -> &HardwareProfile {
+        &self.profile
     }
 
     /// Effective β for a collective over `ranks`, accounting for node
@@ -50,8 +73,7 @@ impl CostModel {
     /// messages) and a pipelined ring (`(g−1)·α + β·B` — what NCCL achieves
     /// for large panels). Used by the closed-form scaling stems, which
     /// predict cost without knowing which algorithm the registry will pick;
-    /// replay pricing uses the faithful per-algorithm
-    /// [`CostModel::coll_time`] instead.
+    /// replay pricing uses [`CostModel::coll_time`] instead.
     pub fn broadcast_time(&self, ranks: &[usize], elems: usize) -> f64 {
         let g = ranks.len();
         if g <= 1 {
@@ -89,107 +111,79 @@ impl CostModel {
         macs / self.profile.mac_rate
     }
 
-    /// Cost of one collective participation of a given kind **and
-    /// algorithm** — the faithful per-algorithm α-β formulas (derivations
-    /// in DESIGN.md §10). `elems` follows the `OpRecord` convention: the
-    /// logical payload, except all-gather where it is the per-member block.
+    /// Seconds one collective of kind `op` takes over `ranks` when it runs
+    /// `algo` at wire dtype `wire`: the makespan of all members' step lists
+    /// under the postal model. A send occupies its sender for
+    /// `α + β_group · (wire bytes per elem / 4) · |range|` and lands when it
+    /// ends; a receive completes once both the receiver and the message are
+    /// ready; a compressed wire adds the pack/unpack cost `γ · elems` once.
     ///
-    /// | op, algo                  | formula                           |
-    /// |---------------------------|-----------------------------------|
-    /// | bcast/reduce, tree        | `⌈log₂g⌉·(α + βB)` (Eq. 4)        |
-    /// | bcast/reduce, chain       | `(g+S−2)·(α + βB/S)`              |
-    /// | all-reduce, ring          | `2(g−1)·(α + βB/g)` (Eq. 5)       |
-    /// | all-reduce, halving       | `2⌈log₂g⌉·α + 2βB(g−1)/g`         |
-    /// | all-reduce, tree          | `2⌈log₂g⌉·(α + βB)`               |
-    /// | AG/RS, ring               | `(g−1)·(α + βB/g)`                |
-    /// | AG bruck / RS halving     | `⌈log₂g⌉·α + (g−1)·βB/g`          |
-    /// | barrier                   | `2⌈log₂g⌉·α`                      |
-    pub fn coll_time(&self, op: CommOp, algo: CollAlgo, ranks: &[usize], elems: usize) -> f64 {
-        self.coll_time_scaled(op, algo, ranks, elems, 1.0)
-    }
-
-    /// [`CostModel::coll_time`] for a payload traveling at a compressed
-    /// wire dtype: every β term scales by the bytes-on-wire ratio
-    /// (`bytes_per_elem / 4`, so bf16/f16 halve the bandwidth cost), the α
-    /// round structure and chain segmentation stay functions of the
-    /// *logical* payload, and compressed ops pay the pack/unpack boundary
-    /// cost `γ·B` once per participation.
-    pub fn coll_time_wire(
+    /// `elems` follows the `OpRecord` convention — the **per-member block**
+    /// for all-gather (each hop of whose ring moves one whole block), the
+    /// total payload for every other kind. Panics if `algo` is not on `op`'s
+    /// menu.
+    pub fn coll_time(
         &self,
         op: CommOp,
         algo: CollAlgo,
-        ranks: &[usize],
-        elems: usize,
         wire: WireDtype,
-    ) -> f64 {
-        if ranks.len() <= 1 {
-            return 0.0;
-        }
-        let ratio = wire.bytes_per_elem() as f64 / 4.0;
-        let mut t = self.coll_time_scaled(op, algo, ranks, elems, ratio);
-        if !wire.is_f32() {
-            t += self.profile.gamma * elems as f64;
-        }
-        t
-    }
-
-    fn coll_time_scaled(
-        &self,
-        op: CommOp,
-        algo: CollAlgo,
         ranks: &[usize],
         elems: usize,
-        wire_ratio: f64,
     ) -> f64 {
         let g = ranks.len();
         if g <= 1 {
             return 0.0;
         }
         let alpha = self.profile.alpha;
-        let beta = self.group_beta(ranks) * wire_ratio;
-        let b = elems as f64;
-        let gf = g as f64;
-        let rounds = log2_ceil(g);
-        match (op, algo) {
-            (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Tree) => rounds * (alpha + beta * b),
-            (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Chain) => {
-                let s = chain_segments(elems) as f64;
-                (gf + s - 2.0) * (alpha + beta * b / s)
-            }
-            (CommOp::AllReduce, CollAlgo::Ring) => 2.0 * (gf - 1.0) * (alpha + beta * b / gf),
-            (CommOp::AllReduce, CollAlgo::Halving) => {
-                2.0 * rounds * alpha + 2.0 * beta * b * (gf - 1.0) / gf
-            }
-            (CommOp::AllReduce, CollAlgo::Tree) => 2.0 * rounds * (alpha + beta * b),
-            (CommOp::AllGather | CommOp::ReduceScatter, CollAlgo::Ring) => {
-                (gf - 1.0) * (alpha + beta * b / gf)
-            }
-            (CommOp::AllGather, CollAlgo::Bruck) | (CommOp::ReduceScatter, CollAlgo::Halving) => {
-                rounds * alpha + (gf - 1.0) * beta * b / gf
-            }
-            (CommOp::Barrier, _) => 2.0 * rounds * alpha,
-            // An algorithm the op does not implement (stale tuning file):
-            // price the op's default schedule.
-            _ => self.coll_time_scaled(op, CollAlgo::default_for(op), ranks, elems, wire_ratio),
+        let beta = self.group_beta(ranks) * wire.bytes_per_elem() as f64 / 4.0;
+        let pack = if wire.is_f32() {
+            0.0
+        } else {
+            self.profile.gamma * elems as f64
+        };
+        let key = (op, algo, g, elems, beta.to_bits());
+        if let Some(&t) = self.priced.borrow().get(&key) {
+            return t + pack;
         }
+        let clock = RefCell::new(vec![0.0f64; g]);
+        mesh::replay(
+            &mesh::group_steps(op, algo, g, elems),
+            op.name(),
+            |me, step| {
+                let Step::Send { range, .. } = step else {
+                    unreachable!("only sends carry a payload")
+                };
+                let mut clock = clock.borrow_mut();
+                clock[me] += alpha + beta * range.len() as f64;
+                clock[me] // arrival time
+            },
+            |me, _, arrival| {
+                let mut clock = clock.borrow_mut();
+                clock[me] = clock[me].max(arrival);
+            },
+            |_, _| {},
+        );
+        let t = clock.into_inner().into_iter().fold(0.0, f64::max);
+        self.priced.borrow_mut().insert(key, t);
+        t + pack
     }
 
     /// Cost of one logged collective participation, priced by the
-    /// algorithm the record says actually ran.
+    /// algorithm the record says actually ran (records carry no wire dtype;
+    /// full width is assumed).
     pub fn op_time(&self, op: &OpRecord) -> f64 {
         let ranks = op.group_ranks().unwrap_or_else(|| {
             // Irregular group: be conservative, treat as inter-node.
             (0..op.group_size).collect()
         });
-        self.coll_time(op.op, op.algo, &ranks, op.elems)
+        self.coll_time(op.op, op.algo, WireDtype::F32, &ranks, op.elems)
     }
 
-    /// Cost of one trace op event, in seconds — the same per-algorithm
-    /// pricing as [`CostModel::op_time`] applied to a [`trace::OpMeta`].
-    /// Unknown kinds cost zero; an empty or unknown algorithm label prices
-    /// the op's default schedule. The event's wire-dtype stamp feeds
-    /// [`CostModel::coll_time_wire`], so `tracecheck` re-prices exactly the
-    /// bytes that traveled (an empty or unknown label means full-width f32).
+    /// Cost of one trace op event, in seconds — [`CostModel::coll_time`]
+    /// applied to a [`trace::OpMeta`], so `tracecheck` re-prices exactly
+    /// the steps that ran and the bytes that traveled. Unknown kinds cost
+    /// zero; an empty or unknown algorithm label prices the op's default
+    /// schedule, an empty or unknown wire label full-width f32.
     pub fn meta_time(&self, meta: &trace::OpMeta) -> f64 {
         let Some(op) = CommOp::from_name(meta.kind) else {
             return 0.0;
@@ -199,10 +193,10 @@ impl CostModel {
         let ranks = meta
             .group_ranks()
             .unwrap_or_else(|| (0..meta.group_size).collect());
-        self.coll_time_wire(op, algo, &ranks, meta.elems, wire)
+        self.coll_time(op, algo, wire, &ranks, meta.elems)
     }
 
-    /// A nanosecond pricer for [`mesh::Mesh::dry_run_traced`]: dry-run
+    /// A nanosecond pricer for [`mesh::MeshRun::dry_run_traced`]: dry-run
     /// traces advanced by this closure stamp exactly this model's times, so
     /// the trace's "measured" durations equal [`CostModel::meta_time`] up to
     /// sub-nanosecond rounding.
@@ -365,6 +359,17 @@ mod tests {
         assert_eq!(m.group_beta(&world), prof.beta_inter);
     }
 
+    const F32: WireDtype = WireDtype::F32;
+
+    fn latency_model() -> CostModel {
+        let prof = HardwareProfile {
+            alpha: 1e-5,
+            gamma: 2e-10,
+            ..HardwareProfile::uniform(1e12, 1e-9)
+        };
+        CostModel::new(prof, Topology::single_node(16))
+    }
+
     #[test]
     fn replay_accounts_for_real_logs() {
         use mesh::{Group, Mesh};
@@ -378,8 +383,9 @@ mod tests {
         // The default table runs ring all-reduce and tree broadcast; the
         // replay must price those faithfully, not the closed-form envelope.
         let ranks = [0, 1, 2, 3];
-        let expect = m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 1000)
-            + m.coll_time(CommOp::Broadcast, CollAlgo::Tree, &ranks, 1000);
+        let expect = m.coll_time(CommOp::AllReduce, CollAlgo::Ring, F32, &ranks, 1000)
+            + m.coll_time(CommOp::Broadcast, CollAlgo::Tree, F32, &ranks, 1000);
+        assert!((expect - (1.5 + 2.0) * 1e-6).abs() < 1e-15, "{expect}");
         for log in &logs {
             let t = m.replay(log);
             assert!((t - expect).abs() < 1e-12, "t={t} expect={expect}");
@@ -387,96 +393,61 @@ mod tests {
     }
 
     #[test]
-    fn per_algorithm_prices_match_their_formulas() {
-        let prof = HardwareProfile {
-            alpha: 1e-5,
-            ..HardwareProfile::uniform(1e12, 1e-9)
-        };
-        let m = CostModel::new(prof, Topology::single_node(16));
+    fn all_gather_is_priced_per_member_block() {
+        // Each of the ring's g−1 rounds moves one whole n-element block, and
+        // Bruck moves the same g−1 blocks in log₂g rounds. (The closed form
+        // this replaced priced n/g per round.)
+        let m = uniform_model(1e-9);
         let ranks: Vec<usize> = (0..8).collect();
-        let (a, bb) = (1e-5, 1e-9 * 65536.0);
-        let t = |op, algo| m.coll_time(op, algo, &ranks, 65536);
-        let close = |x: f64, y: f64| (x - y).abs() < 1e-12 * y.abs().max(1.0);
-        assert!(close(t(CommOp::Broadcast, CollAlgo::Tree), 3.0 * (a + bb)));
-        let s = chain_segments(65536) as f64;
-        assert!(close(
-            t(CommOp::Broadcast, CollAlgo::Chain),
-            (8.0 + s - 2.0) * (a + bb / s)
-        ));
-        assert!(close(
-            t(CommOp::AllReduce, CollAlgo::Ring),
-            14.0 * (a + bb / 8.0)
-        ));
-        assert!(close(
-            t(CommOp::AllReduce, CollAlgo::Halving),
-            6.0 * a + 2.0 * bb * 7.0 / 8.0
-        ));
-        assert!(close(t(CommOp::AllReduce, CollAlgo::Tree), 6.0 * (a + bb)));
-        assert!(close(
-            t(CommOp::AllGather, CollAlgo::Bruck),
-            3.0 * a + 7.0 * bb / 8.0
-        ));
-        assert!(close(
-            t(CommOp::ReduceScatter, CollAlgo::Halving),
-            3.0 * a + 7.0 * bb / 8.0
-        ));
-        // Ring AG/RS is half of Eq. 5 — unchanged from the legacy pricer.
-        assert!(close(
-            t(CommOp::AllGather, CollAlgo::Ring),
-            m.ring_pass_time(&ranks, 65536)
-        ));
+        for algo in [CollAlgo::Ring, CollAlgo::Bruck] {
+            let t = m.coll_time(CommOp::AllGather, algo, F32, &ranks, 1000);
+            assert!((t - 7.0 * 1e-9 * 1000.0).abs() < 1e-18, "{algo:?}: {t}");
+        }
     }
 
     #[test]
     fn algorithm_crossovers_exist_in_the_model() {
         // The registry's whole premise: for each collective family there is
         // a message size where the non-default algorithm is cheaper.
-        let prof = HardwareProfile {
-            alpha: 1e-5,
-            ..HardwareProfile::uniform(1e12, 1e-9)
-        };
-        let m = CostModel::new(prof, Topology::single_node(16));
+        let m = latency_model();
         let ranks: Vec<usize> = (0..8).collect();
+        let t = |op, algo, elems| m.coll_time(op, algo, F32, &ranks, elems);
         // Tiny all-reduce: halving's 2·log g rounds beat ring's 2(g−1).
         assert!(
-            m.coll_time(CommOp::AllReduce, CollAlgo::Halving, &ranks, 16)
-                < m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 16)
+            t(CommOp::AllReduce, CollAlgo::Halving, 16) < t(CommOp::AllReduce, CollAlgo::Ring, 16)
         );
         // Huge all-reduce: ring's minimal wire volume wins back.
         assert!(
-            m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 1 << 22)
-                < m.coll_time(CommOp::AllReduce, CollAlgo::Tree, &ranks, 1 << 22)
+            t(CommOp::AllReduce, CollAlgo::Ring, 1 << 22)
+                < t(CommOp::AllReduce, CollAlgo::Tree, 1 << 22)
         );
         // Huge broadcast: the segmented chain beats the tree.
         assert!(
-            m.coll_time(CommOp::Broadcast, CollAlgo::Chain, &ranks, 1 << 20)
-                < m.coll_time(CommOp::Broadcast, CollAlgo::Tree, &ranks, 1 << 20)
+            t(CommOp::Broadcast, CollAlgo::Chain, 1 << 20)
+                < t(CommOp::Broadcast, CollAlgo::Tree, 1 << 20)
         );
         // Tiny all-gather: Bruck's log-round latency beats the ring.
         assert!(
-            m.coll_time(CommOp::AllGather, CollAlgo::Bruck, &ranks, 16)
-                < m.coll_time(CommOp::AllGather, CollAlgo::Ring, &ranks, 16)
+            t(CommOp::AllGather, CollAlgo::Bruck, 16) < t(CommOp::AllGather, CollAlgo::Ring, 16)
         );
     }
 
     #[test]
-    fn meta_time_dispatches_on_the_algo_label() {
-        let prof = HardwareProfile {
-            alpha: 1e-5,
-            ..HardwareProfile::uniform(1e12, 1e-9)
-        };
-        let m = CostModel::new(prof, Topology::single_node(16));
+    fn meta_time_dispatches_on_the_algo_and_wire_labels() {
+        let m = latency_model();
         let meta = |algo| trace::OpMeta::collective("AllReduce", 8, 0, 1, 4096, 0).with_algo(algo);
         let ranks: Vec<usize> = (0..8).collect();
-        assert_eq!(
-            m.meta_time(&meta("halving")),
-            m.coll_time(CommOp::AllReduce, CollAlgo::Halving, &ranks, 4096)
-        );
+        let t = |algo, wire| m.coll_time(CommOp::AllReduce, algo, wire, &ranks, 4096);
+        assert_eq!(m.meta_time(&meta("halving")), t(CollAlgo::Halving, F32));
         // Empty label (pre-registry producer) prices the default schedule.
-        assert_eq!(
-            m.meta_time(&meta("")),
-            m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 4096)
-        );
+        assert_eq!(m.meta_time(&meta("")), t(CollAlgo::Ring, F32));
+        // A compressed event: β halves, γ·elems is paid once.
+        let half = meta("ring").with_wire("bf16");
+        assert_eq!(m.meta_time(&half), t(CollAlgo::Ring, WireDtype::Bf16));
+        let gamma = m.profile().gamma * 4096.0;
+        let beta_terms = 14.0 * 1e-9 * 512.0;
+        let want = t(CollAlgo::Ring, F32) - beta_terms / 2.0 + gamma;
+        assert!((m.meta_time(&half) - want).abs() < 1e-15);
     }
 
     #[test]

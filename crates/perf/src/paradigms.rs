@@ -37,7 +37,7 @@ pub fn pipeline_stem_times(
     // Boundary hop for one microbatch activation (worst link: inter-node).
     let hop = if stages > 1 {
         let pair = [0usize, 1];
-        cm.profile.alpha + cm.group_beta(&pair) * (b / micro * s * h) as f64
+        cm.profile().alpha + cm.group_beta(&pair) * (b / micro * s * h) as f64
     } else {
         0.0
     };

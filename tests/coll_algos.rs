@@ -24,14 +24,14 @@
 //! Below the live sweeps sit the **schedule properties**: the step lists of
 //! [`mesh::coll_steps`] checked directly, without threads, up to 64 members —
 //! soundness (no deadlock, no mis-sized message), data flow (each op's
-//! postcondition over contribution sets) and pricing (the unit-cost makespan
-//! equals the α multiplier of `perf::CostModel::coll_time`).
+//! postcondition over contribution sets) and pricing (`perf::CostModel::
+//! coll_time`, which folds the same lists, equals the closed forms of
+//! DESIGN.md §10 wherever those are exact).
 
 use mesh::{
-    chunk, coll_steps, Coll, CollAlgo, CollBuf, CollPlan, CommLog, CommOp, Communicator, Group,
-    Mesh, RecvMode, Step, WireDtype,
+    chain_segments, chunk, coll_steps, replay, Coll, CollAlgo, CollBuf, CollPlan, CommLog, CommOp,
+    Communicator, Group, Mesh, RecvMode, Step, WireDtype,
 };
-use std::collections::{HashMap, VecDeque};
 use tensor::Rng;
 
 const GROUPS: [usize; 5] = [2, 3, 4, 5, 8];
@@ -224,7 +224,7 @@ fn coll_of(op: CommOp, g: usize) -> Coll {
 }
 
 /// Runs one explicit-plan collective on either backend, bypassing the
-/// installed tables (parallel-test safe — no globals). Payload contents are
+/// run's tables. Payload contents are
 /// irrelevant here (the dry-run backend moves zeros); only the emitted
 /// op/link streams matter.
 fn drive<C: Communicator>(ctx: &C, g: usize, op: CommOp, plan: CollPlan, n: usize) {
@@ -549,60 +549,6 @@ fn for_every_schedule(mut check: impl FnMut(Coll, CollAlgo, usize, usize, &[Vec<
     }
 }
 
-/// Replays all members' lists against per-(src, dst) FIFO queues under an
-/// arbitrary fair interleaving, calling `on_recv(me, step, payload)` at each
-/// matched receive and `on_local(me, step)` at each rotation. `payload_of`
-/// captures what a send carries. Panics if the replay cannot finish (a
-/// deadlock) or leaves a message undelivered.
-fn replay<P>(
-    lists: &[Vec<Step>],
-    label: &str,
-    mut payload_of: impl FnMut(usize, &Step) -> P,
-    mut on_recv: impl FnMut(usize, &Step, P),
-    mut on_local: impl FnMut(usize, &Step),
-) {
-    let g = lists.len();
-    let mut queues: HashMap<(usize, usize), VecDeque<P>> = HashMap::new();
-    let mut pc = vec![0usize; g];
-    loop {
-        let mut progressed = false;
-        for me in 0..g {
-            while let Some(step) = lists[me].get(pc[me]) {
-                match step {
-                    Step::Send { peer, .. } => {
-                        let p = payload_of(me, step);
-                        queues.entry((me, *peer)).or_default().push_back(p);
-                    }
-                    Step::Recv { peer, .. } => {
-                        let Some(p) = queues.get_mut(&(*peer, me)).and_then(|q| q.pop_front())
-                        else {
-                            break; // blocked until the peer sends
-                        };
-                        on_recv(me, step, p);
-                    }
-                    Step::Rotate { .. } => on_local(me, step),
-                }
-                pc[me] += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    for (me, (at, list)) in pc.iter().zip(lists).enumerate() {
-        assert_eq!(
-            *at,
-            list.len(),
-            "{label}: member {me} deadlocked at step {at}"
-        );
-    }
-    assert!(
-        queues.values().all(|q| q.is_empty()),
-        "{label}: undelivered messages"
-    );
-}
-
 /// (a) Soundness: every `Recv` meets a `Send` of equal range length, every
 /// member runs to completion and every queue drains — no schedule can
 /// deadlock or mis-size a message, at projection scale included.
@@ -732,67 +678,66 @@ fn schedules_deliver_every_contribution_exactly_once() {
     });
 }
 
-/// (c) Pricing: under the postal model with unit message cost (a send
-/// occupies its sender for one unit and lands one unit after it starts; a
-/// receive completes when both the receiver and the message are ready), the
-/// makespan of the lists equals the α multiplier of
-/// `perf::CostModel::coll_time` for power-of-two groups — `⌈log₂g⌉`,
-/// `g+S−2`, `2(g−1)`, `2log₂g`, `g−1`, `log₂g` — so DESIGN.md §10's closed
-/// forms are checked against the code that runs.
+/// The textbook α-β price of one menu cell — `n` elements (the per-member
+/// block for all-gather, the total payload otherwise) at `beta` seconds per
+/// element on the wire. Exact for power-of-two `g` with `n` divisible by `g`
+/// and by the chain segment count; the oracle of the pricing test below.
+fn closed_form(op: CommOp, algo: CollAlgo, g: usize, n: usize, alpha: f64, beta: f64) -> f64 {
+    let (gf, rounds, bb) = (g as f64, (g as f64).log2(), beta * n as f64);
+    let segs = chain_segments(n) as f64;
+    match (op, algo) {
+        (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Tree) => rounds * (alpha + bb),
+        (CommOp::Broadcast | CommOp::Reduce, CollAlgo::Chain) => {
+            (gf + segs - 2.0) * (alpha + bb / segs)
+        }
+        (CommOp::AllReduce, CollAlgo::Ring) => 2.0 * (gf - 1.0) * (alpha + bb / gf),
+        (CommOp::AllReduce, CollAlgo::Halving) => 2.0 * (rounds * alpha + bb * (gf - 1.0) / gf),
+        (CommOp::AllReduce, CollAlgo::Tree) => 2.0 * rounds * (alpha + bb),
+        (CommOp::AllGather, CollAlgo::Ring) => (gf - 1.0) * (alpha + bb),
+        (CommOp::AllGather, CollAlgo::Bruck) => rounds * alpha + (gf - 1.0) * bb,
+        (CommOp::ReduceScatter, CollAlgo::Ring) => (gf - 1.0) * (alpha + bb / gf),
+        (CommOp::ReduceScatter, CollAlgo::Halving) => rounds * alpha + bb * (gf - 1.0) / gf,
+        (CommOp::Barrier, CollAlgo::Tree) => 2.0 * rounds * alpha,
+        cell => panic!("no closed form for menu cell {cell:?}"),
+    }
+}
+
+/// (c) Pricing: `CostModel::coll_time` is a fold over the lists above — a
+/// send occupies its sender for `α + β·(wire bytes / 4)·|range|` and lands
+/// when it ends, a receive completes when both sides are ready, a compressed
+/// wire pays `γ·elems` once. Where [`closed_form`] is exact the fold must
+/// reproduce it, with every rate non-zero.
 #[test]
-fn unit_cost_makespan_matches_the_cost_model_alpha_terms() {
-    let unit = perf::HardwareProfile {
-        alpha: 1.0,
-        beta_intra: 0.0,
-        beta_inter: 0.0,
-        gamma: 0.0,
+fn the_cost_fold_reproduces_the_closed_forms_where_they_are_exact() {
+    let (alpha, beta, gamma) = (2.0e-5, 4.0e-10, 1.0e-10);
+    let profile = perf::HardwareProfile {
+        alpha,
+        beta_intra: beta,
+        gamma,
         ..perf::HardwareProfile::frontera_rtx5000()
     };
     for g in [2usize, 4, 8, 16, 32, 64] {
-        let cost = perf::CostModel::new(unit.clone(), mesh::Topology::flat(g, g));
+        // One node: every group prices at β_intra.
+        let cost = perf::CostModel::new(profile.clone(), mesh::Topology::flat(g, g));
         let ranks: Vec<usize> = (0..g).collect();
-        // Below one chain segment, and past the 32-segment cap.
-        for n in [1000usize, 70_000] {
-            for op in [
-                CommOp::Broadcast,
-                CommOp::Reduce,
-                CommOp::AllReduce,
-                CommOp::AllGather,
-                CommOp::ReduceScatter,
-                CommOp::Barrier,
-            ] {
-                for &algo in CollAlgo::menu(op) {
-                    let lists: Vec<Vec<Step>> = (0..g)
-                        .map(|me| match op {
-                            // A barrier is an empty reduce then broadcast.
-                            CommOp::Barrier => {
-                                [Coll::Reduce { root: 0 }, Coll::Broadcast { root: 0 }]
-                                    .into_iter()
-                                    .flat_map(|part| coll_steps(part, algo, g, me, 0))
-                                    .collect()
-                            }
-                            _ => coll_steps(coll_of(op, g), algo, g, me, n),
-                        })
-                        .collect();
-                    let label = format!("{} {algo:?} g={g} n={n}", op.name());
-                    let clock = std::cell::RefCell::new(vec![0u64; g]);
-                    replay(
-                        &lists,
-                        &label,
-                        |me, _| {
-                            let mut clock = clock.borrow_mut();
-                            clock[me] += 1;
-                            clock[me] // arrival time
-                        },
-                        |me, _, arrival| {
-                            let mut clock = clock.borrow_mut();
-                            clock[me] = clock[me].max(arrival);
-                        },
-                        |_, _| {},
-                    );
-                    let makespan = clock.into_inner().into_iter().max().unwrap();
-                    let alpha_terms = cost.coll_time(op, algo, &ranks, n);
-                    assert_eq!(makespan as f64, alpha_terms, "{label}");
+        // One chain segment, and the 32-segment cap.
+        for payload in [1024usize, 65536] {
+            assert!(payload % g == 0 && payload % chain_segments(payload) == 0);
+            for wire in [WireDtype::F32, WireDtype::Bf16] {
+                for (op, _) in CommOp::KINDS {
+                    // A barrier carries nothing.
+                    let n = if op == CommOp::Barrier { 0 } else { payload };
+                    let beta_wire = beta * wire.bytes_per_elem() as f64 / 4.0;
+                    let pack = if wire.is_f32() { 0.0 } else { gamma * n as f64 };
+                    for &algo in CollAlgo::menu(op) {
+                        let fold = cost.coll_time(op, algo, wire, &ranks, n);
+                        let want = closed_form(op, algo, g, n, alpha, beta_wire) + pack;
+                        assert!(
+                            (fold - want).abs() <= 1e-12 * want,
+                            "{} {algo:?} {wire:?} g={g} n={n}: fold {fold} vs closed form {want}",
+                            op.name()
+                        );
+                    }
                 }
             }
         }

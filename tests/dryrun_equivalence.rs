@@ -4,7 +4,10 @@
 //! `Mesh2d::run_with_logs` execution — same op stream, same link stream,
 //! per rank — because every program here is data-independent.
 
-use mesh::{CommLog, Communicator, Grid2d, Group, Mesh, Mesh2d};
+use mesh::{
+    packed_len, AlgoRule, AlgoTable, CollAlgo, CollTables, CommLog, CommOp, Communicator, Grid2d,
+    Group, Mesh, Mesh2d, MeshRun, WireDtype, WireTable,
+};
 use optimus_core::{OptimusConfig, OptimusModel};
 use tensor::Rng;
 
@@ -117,4 +120,72 @@ fn flat_world_traces_match_live() {
     let (_, live) = Mesh::run_with_logs(p, program::<mesh::DeviceCtx>);
     let (_, dry) = Mesh::dry_run_with_logs(p, program::<mesh::DryRunComm>);
     assert_identical_logs(&live, &dry);
+}
+
+/// Selection belongs to the run: two live meshes with *different* tables,
+/// provably in flight at the same time on two threads of this one process,
+/// each log their own algorithms and wire dtype — and each still matches
+/// the dry run of its own [`MeshRun`].
+#[test]
+fn concurrent_runs_select_from_their_own_tables() {
+    const N: usize = 1024;
+    let always = |op, algo| AlgoRule {
+        op,
+        min_group: 1,
+        max_group: usize::MAX,
+        min_bytes: 0,
+        max_bytes: usize::MAX,
+        algo,
+    };
+    let retuned = CollTables {
+        algo: AlgoTable {
+            rules: vec![
+                always(CommOp::AllReduce, CollAlgo::Halving),
+                always(CommOp::Broadcast, CollAlgo::Chain),
+            ],
+        },
+        ..CollTables::default()
+    };
+    let compressed = CollTables {
+        wire: WireTable::all(WireDtype::Bf16),
+        ..CollTables::default()
+    };
+    fn program<C: Communicator>(ctx: &C) {
+        let world = Group::world(4);
+        let mut d = vec![1.0f32; N];
+        ctx.all_reduce(&world, &mut d);
+        ctx.broadcast(&world, 0, &mut d);
+    }
+    // Rank 0 of each mesh meets the other's before its first collective and
+    // after its last, so both meshes are up for the whole of both programs.
+    let both_up = std::sync::Barrier::new(2);
+    let launch = |tables: &CollTables| {
+        let run = MeshRun::new(&[4], tables.clone());
+        let (_, live) = run.run_with_logs(|g| {
+            if g.ctx().rank() == 0 {
+                both_up.wait();
+            }
+            program(g.ctx());
+            if g.ctx().rank() == 0 {
+                both_up.wait();
+            }
+        });
+        let (_, dry) = run.dry_run_with_logs(|g| program(g.ctx()));
+        assert_identical_logs(&live, &dry);
+        live
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| launch(&retuned));
+        let b = s.spawn(|| launch(&compressed));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let algos = |log: &CommLog| log.ops.iter().map(|o| o.algo).collect::<Vec<_>>();
+    for (ra, rb) in a.iter().zip(&b) {
+        assert_eq!(algos(ra), [CollAlgo::Halving, CollAlgo::Chain]);
+        assert_eq!(algos(rb), [CollAlgo::Ring, CollAlgo::Tree]);
+        // Halving's first round moves half the payload, full width; every
+        // ring hop moves a quarter of it, packed two values to a slot.
+        assert_eq!(ra.links[0].elems, N / 2);
+        assert_eq!(rb.links[0].elems, packed_len(N / 4, WireDtype::Bf16));
+    }
 }

@@ -1,21 +1,13 @@
-//! End-to-end wire compression: an 8 × 8 dry-run with bf16 rules installed
+//! End-to-end wire compression: an 8 × 8 dry-run selecting bf16 everywhere
 //! must reconcile against the α-β-γ cost model to < 1e-5 (the ISSUE 10
-//! acceptance bar), the bytes-on-wire metrics counters must record the
-//! halved traffic, and a live 2 × 2 × dp=2 training run with error-feedback
-//! bf16 gradient all-reduce must track the f32 loss curve.
-//!
-//! Tests here share one process-global wire table (and the metrics sink),
-//! so they serialize on a mutex; the table-installing test restores the
-//! baseline before releasing it.
+//! acceptance bar), and a live 2 × 2 × dp=2 training run with error-feedback
+//! bf16 gradient all-reduce must track the f32 loss curve. (The bytes-on-wire
+//! counters are checked in `tests/wire_counters.rs`.)
 
-use mesh::{Coll, CollBuf, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype, WireTable};
+use mesh::{CollTables, Mesh, MeshRun, WireDtype, WireTable};
 use optimus_core::{hybrid_layout, hybrid_train_step_ef, OptimusConfig, OptimusModel};
 use perf::{CostModel, HardwareProfile};
-use std::sync::Mutex;
 use tensor::Rng;
-
-/// Serializes tests that touch process-global state (wire table, metrics).
-static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn batch(cfg: &OptimusConfig, seed: u64, shards: usize) -> (Vec<usize>, Vec<usize>) {
     let mut rng = Rng::new(seed);
@@ -33,9 +25,6 @@ fn batch(cfg: &OptimusConfig, seed: u64, shards: usize) -> (Vec<usize>, Vec<usiz
 /// γ pack/unpack term), not the logical f32 volume.
 #[test]
 fn compressed_8x8_dry_run_reconciles_with_the_cost_model() {
-    let _guard = GLOBALS.lock().unwrap();
-    mesh::install_wire_table(WireTable::all(WireDtype::Bf16));
-
     const Q: usize = 8;
     let cfg = OptimusConfig {
         q: Q,
@@ -65,7 +54,12 @@ fn compressed_8x8_dry_run_reconciles_with_the_cost_model() {
     };
     let p = Q * Q;
     let cost = CostModel::new(fine, mesh::Topology::flat(p, profile.gpus_per_node.min(p)));
-    let (_, logs, traces) = mesh::MeshNd::dry_run_traced(&[Q, Q, 1], cost.ns_pricer(), |g| {
+    let compressed = CollTables {
+        wire: WireTable::all(WireDtype::Bf16),
+        ..CollTables::default()
+    };
+    let run = MeshRun::new(&[Q, Q, 1], compressed);
+    let (_, logs, traces) = run.dry_run_traced(cost.ns_pricer(), |g| {
         let mut m = OptimusModel::new(&cfg, 7, g);
         m.train_step(g, &tokens, &labels, 0.1)
     });
@@ -98,68 +92,6 @@ fn compressed_8x8_dry_run_reconciles_with_the_cost_model() {
         gap.is_finite() && gap < 1e-5,
         "compressed 8x8 reconciliation gap {gap:.3e} >= 1e-5"
     );
-
-    mesh::install_wire_table(WireTable::baseline());
-}
-
-/// The `coll_wire_bytes` / `coll_logical_bytes` counters must record the
-/// genuine halving: a bf16 all-reduce moves about half the bytes its
-/// logical payload implies, an f32 one exactly as many. Posted collectives
-/// count too — SUMMA's panel traffic is all `ibroadcast` / `ireduce` — and
-/// every rank's wire counter is exactly the bytes of its link records.
-#[test]
-fn bytes_on_wire_counters_record_the_halved_traffic() {
-    let _guard = GLOBALS.lock().unwrap();
-    for (w, ratio_num, ratio_den) in [(WireDtype::F32, 1usize, 1usize), (WireDtype::Bf16, 1, 2)] {
-        metrics::enable();
-        Mesh::run(4, move |ctx| {
-            let world = Group::world(4);
-            let mut data = vec![1.0f32; 4096];
-            let plan = CollPlan {
-                wire: w,
-                ..CollPlan::select(CommOp::AllReduce, 4, data.len())
-            };
-            ctx.collective(Coll::AllReduce, &world, CollBuf::Now(&mut data), plan);
-        });
-        metrics::disable();
-        let devices = metrics::drain();
-        assert_eq!(devices.len(), 4);
-        for d in &devices {
-            let wire = d.counters["coll_wire_bytes"];
-            let logical = d.counters["coll_logical_bytes"];
-            assert!(logical > 0, "rank {}: no logical bytes recorded", d.rank);
-            assert_eq!(
-                wire,
-                logical * ratio_num as u64 / ratio_den as u64,
-                "rank {}: {} wire bytes vs {} logical under {:?}",
-                d.rank,
-                wire,
-                logical,
-                w
-            );
-        }
-    }
-
-    metrics::enable();
-    let (_, logs) = Mesh::run_with_logs(4, |ctx| {
-        let world = Group::world(4);
-        let panel = ctx.ibroadcast(&world, 1, vec![1.0f32; 300]).wait();
-        ctx.ireduce(&world, 2, panel).wait();
-    });
-    metrics::disable();
-    let mut devices = metrics::drain();
-    devices.sort_by_key(|d| d.rank);
-    assert_eq!(devices.len(), 4);
-    for (d, log) in devices.iter().zip(&logs) {
-        let link_elems: usize = log.links.iter().map(|l| l.elems).sum();
-        assert_eq!(
-            d.counters.get("coll_wire_bytes").copied().unwrap_or(0),
-            4 * link_elems as u64,
-            "rank {}: posted collectives missing from the wire counter",
-            d.rank
-        );
-    }
-    assert!(logs.iter().any(|l| !l.links.is_empty()));
 }
 
 /// Live 2 × 2 tensor mesh × 2 data-parallel replicas: with error feedback,
@@ -167,7 +99,6 @@ fn bytes_on_wire_counters_record_the_halved_traffic() {
 /// documented 2e-2 tolerance — and still learn.
 #[test]
 fn live_2x2_bf16_error_feedback_training_tracks_f32() {
-    let _guard = GLOBALS.lock().unwrap();
     let (dp, q) = (2usize, 2usize);
     let cfg = OptimusConfig {
         q,
