@@ -9,7 +9,6 @@
 //! optimus-cli --dry-run [--q 8 --hidden 64 ...] [--trace out.json]
 //! optimus-cli train --scheme optimus --trace out.json
 //! optimus-cli train --scheme optimus --metrics m.json
-//! optimus-cli train --scheme optimus --no-overlap   # serial SUMMA schedule
 //! optimus-cli train --grid 2,2,2                    # Tesseract 2.5D mesh
 //! optimus-cli --dry-run --grid 8,8,2 --devices 128
 //! optimus-cli crossover                             # 1D vs 2D vs 2.5D table
@@ -121,8 +120,6 @@ struct Args {
     seed: u64,
     len: usize,
     dry_run: bool,
-    /// SUMMA panel prefetch (comm/compute overlap); `--no-overlap` clears it.
-    overlap: bool,
     profile: ProfileChoice,
 }
 
@@ -161,7 +158,6 @@ impl Default for Args {
             seed: 7,
             len: 16,
             dry_run: false,
-            overlap: true,
             profile: ProfileChoice::Auto,
         }
     }
@@ -183,7 +179,7 @@ impl Args {
 }
 
 /// Parses `--key value` pairs (order-free). Returns the remaining error on
-/// unknown keys so typos fail loudly. `--dry-run` and `--no-overlap` are
+/// unknown keys so typos fail loudly. `--dry-run` and `--check` are
 /// valueless.
 fn parse_flags(argv: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
@@ -192,9 +188,7 @@ fn parse_flags(argv: &[String]) -> Result<HashMap<String, String>, String> {
         let key = k
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{k}'"))?;
-        if matches!(key, "dry-run" | "no-overlap" | "check")
-            && it.peek().is_none_or(|n| n.starts_with("--"))
-        {
+        if matches!(key, "dry-run" | "check") && it.peek().is_none_or(|n| n.starts_with("--")) {
             out.insert(key.to_string(), "true".to_string());
             continue;
         }
@@ -231,10 +225,6 @@ fn apply_flags(mut args: Args, flags: &HashMap<String, String>) -> Result<Args, 
             "seed" => args.seed = v.parse().map_err(|e| format!("--seed: {e}"))?,
             "lr" => args.lr = v.parse().map_err(|e| format!("--lr: {e}"))?,
             "dry-run" => args.dry_run = v.parse().map_err(|e| format!("--dry-run: {e}"))?,
-            "no-overlap" => {
-                let off: bool = v.parse().map_err(|e| format!("--no-overlap: {e}"))?;
-                args.overlap = !off;
-            }
             "profile" => {
                 args.profile = match v.as_str() {
                     "auto" => ProfileChoice::Auto,
@@ -392,13 +382,12 @@ fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
             // SUMMA rounds and the replicas agree bitwise.
             let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
             let (mut out, _) = run.run_with_logs(|g| {
-                let g = g.with_overlap(a.overlap);
-                let mut m = OptimusModel::new(&ocfg, a.seed, &g);
+                let mut m = OptimusModel::new(&ocfg, a.seed, g);
                 let losses: Vec<f32> = batches
                     .iter()
-                    .map(|(t, l)| m.train_step(&g, t, l, a.lr))
+                    .map(|(t, l)| m.train_step(g, t, l, a.lr))
                     .collect();
-                (losses, m.gather_params(&g))
+                (losses, m.gather_params(g))
             });
             let (losses, params) = out.remove(0);
             (losses, params.expect("mesh (0,0) gathers"))
@@ -666,9 +655,8 @@ fn dry_run_projection(
     // The loss values are garbage (trace-backend payloads are zeros); only
     // the communication logs and the timeline matter here.
     let step = |g: &mesh::Grid2d<mesh::DryRunComm>| {
-        let g = g.with_overlap(a.overlap);
-        let mut m = OptimusModel::new(&ocfg, a.seed, &g);
-        m.train_step(&g, &tokens, &labels, a.lr)
+        let mut m = OptimusModel::new(&ocfg, a.seed, g);
+        m.train_step(g, &tokens, &labels, a.lr)
     };
     let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
     let (logs, traces) = if trace_path.is_some() {
@@ -1417,9 +1405,8 @@ fn live_trace_step(a: &Args, tables: &CollTables, path: &str) {
             };
             let run = MeshRun::new(&[a.q, a.q, a.depth], tables.clone());
             run.run_traced(|g| {
-                let g = g.with_overlap(a.overlap);
-                let mut m = OptimusModel::new(&ocfg, a.seed, &g);
-                m.train_step(&g, &tokens, &labels, a.lr)
+                let mut m = OptimusModel::new(&ocfg, a.seed, g);
+                m.train_step(g, &tokens, &labels, a.lr)
             })
             .2
         }
@@ -1698,19 +1685,6 @@ mod tests {
         assert_eq!(a.steps, 5);
         assert_eq!(a.lr, 0.1);
         assert_eq!(a.scheme, Scheme::Serial);
-    }
-
-    #[test]
-    fn no_overlap_is_valueless_and_clears_the_default() {
-        let argv: Vec<String> = ["--no-overlap", "--steps", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags(&argv).unwrap();
-        let a = apply_flags(Args::default(), &f).unwrap();
-        assert!(!a.overlap);
-        assert_eq!(a.steps, 2);
-        assert!(Args::default().overlap, "overlap is the default schedule");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! CI gate driver for the telemetry artifacts: validates `--metrics`
-//! reports and compares fresh `BENCH_gemm.json` / `BENCH_step.json` runs
+//! reports and compares fresh `BENCH_gemm.json` / `BENCH_coll.json` runs
 //! against their committed baselines.
 //!
 //! ```text

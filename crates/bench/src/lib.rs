@@ -121,7 +121,7 @@ pub fn host_stamp() -> minjson::Json {
     use minjson::Json;
     // Record whether core detection actually succeeded: `threads: 1` from a
     // failed probe and a genuine single-core host are different situations,
-    // and overlap gates want to know which one they are on.
+    // and whoever compares two stamps wants to know which one they are on.
     let detected = std::thread::available_parallelism();
     let threads = detected.as_ref().map_or(1, |n| n.get());
     let threads_detected = detected.is_ok();
@@ -144,12 +144,6 @@ pub fn host_stamp() -> minjson::Json {
         ("avx2", Json::Bool(avx2)),
         ("git_rev", Json::Str(git_rev)),
     ])
-}
-
-/// Detected available parallelism, or `None` when the probe fails — the
-/// value CI gates should branch on instead of assuming spare cores exist.
-pub fn detected_cores() -> Option<usize> {
-    std::thread::available_parallelism().ok().map(|n| n.get())
 }
 
 /// Formats a float with 4 decimal places.

@@ -46,9 +46,6 @@ pub struct GridNd<'a, C: Communicator = DeviceCtx> {
     first: usize,
     coords: Vec<usize>,
     axis_groups: Vec<Group>,
-    /// When set (the default), SUMMA products prefetch the next iteration's
-    /// panels through non-blocking collectives. See [`GridNd::with_overlap`].
-    overlap: bool,
 }
 
 /// The `q × q` specialization every 2D call site was written against.
@@ -120,27 +117,6 @@ impl<'a, C: Communicator> GridNd<'a, C> {
             first,
             coords,
             axis_groups,
-            overlap: true,
-        }
-    }
-
-    /// Whether comm/compute overlap (panel prefetch) is enabled.
-    pub fn overlap(&self) -> bool {
-        self.overlap
-    }
-
-    /// A copy of this view with overlap switched `on`/off — the
-    /// `--no-overlap` escape hatch. Both settings produce bitwise-identical
-    /// results and move identical per-link byte totals; only scheduling
-    /// (and hence record order in the communication log) differs.
-    pub fn with_overlap(&self, on: bool) -> GridNd<'a, C> {
-        GridNd {
-            ctx: self.ctx,
-            shape: self.shape.clone(),
-            first: self.first,
-            coords: self.coords.clone(),
-            axis_groups: self.axis_groups.clone(),
-            overlap: on,
         }
     }
 

@@ -47,7 +47,7 @@
 //! ```
 //!
 //! [`regress`] is the perf-regression gate: it compares a fresh
-//! `BENCH_gemm.json` / `BENCH_step.json` run against the committed baseline
+//! `BENCH_gemm.json` / `BENCH_coll.json` run against the committed baseline
 //! within a relative tolerance band.
 
 pub mod regress;

@@ -1,15 +1,15 @@
 //! Perf-regression gate: compare a fresh `BENCH_gemm.json` /
-//! `BENCH_step.json` run against the committed baseline.
+//! `BENCH_coll.json` run against the committed baseline.
 //!
 //! The bench binaries have always recorded their numbers; nothing *gated*
 //! on them, so a kernel regression only surfaced when someone eyeballed the
 //! JSON. This module extracts the comparable scalar metrics from both bench
 //! schemas, pairs them by stable keys (shape name + thread count for GEMM
-//! rows; mesh size + schedule for step rows), and checks each fresh value
-//! against the baseline within a relative tolerance band:
+//! rows; op + payload + algorithm for collective rows), and checks each
+//! fresh value against the baseline within a relative tolerance band:
 //!
-//! * higher-is-better metrics (GFLOP/s, speedups): `fresh ≥ base·(1 − tol)`
-//! * lower-is-better metrics (secs/step): `fresh ≤ base·(1 + tol)`
+//! * higher-is-better metrics (GFLOP/s, GB/s, speedups): `fresh ≥ base·(1 − tol)`
+//! * lower-is-better metrics (overhead ratios): `fresh ≤ base·(1 + tol)`
 //!
 //! Improvements never fail. Metrics present on only one side are skipped
 //! (a smoke run covers a subset of the full shape sweep), so the same gate
@@ -95,28 +95,7 @@ fn str_field(row: &Json, key: &str) -> Result<String, String> {
 /// `(key, value, higher_is_better)` triples extracted from one bench file.
 fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
     let mut out = Vec::new();
-    if j.get("overlap_speedup").is_ok() {
-        // BENCH_step.json
-        for (axis, spd) in [("2x2", true), ("4x4", true)] {
-            if let Some(v) = num(j.get("overlap_speedup")?, axis) {
-                out.push((format!("step.overlap_speedup.{axis}"), v, spd));
-            }
-        }
-        for row in j.get("results")?.as_arr()? {
-            let q = row.get("q")?.as_usize()?;
-            let sched = match row.get("schedule")? {
-                Json::Str(s) => s.clone(),
-                other => {
-                    return Err(format!(
-                        "schedule must be a string, got {}",
-                        other.to_string()
-                    ))
-                }
-            };
-            let secs = row.get("secs_per_step")?.as_f64()?;
-            out.push((format!("step.q{q}.{sched}.secs_per_step"), secs, false));
-        }
-    } else if j.get("speedup_vs_seed").is_ok() {
+    if j.get("speedup_vs_seed").is_ok() {
         // BENCH_gemm.json
         out.push((
             "gemm.speedup_vs_seed".into(),
@@ -187,8 +166,7 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
         }
     } else {
         return Err(
-            "unrecognized bench file: expected BENCH_gemm.json, BENCH_step.json or \
-             BENCH_coll.json shape"
+            "unrecognized bench file: expected BENCH_gemm.json or BENCH_coll.json shape"
                 .to_string(),
         );
     }
@@ -270,17 +248,6 @@ mod tests {
                 "results":[
                   {{"name":"square-512","threads":1,"gflops":{gflops_512},"m":512,"n":512,"k":512,"secs":0.004}},
                   {{"name":"square-64","threads":1,"gflops":30.0,"m":64,"n":64,"k":64,"secs":0.0001}}
-                ]}}"#
-        ))
-        .unwrap()
-    }
-
-    fn step(secs_2x2: f64, speedup: f64) -> Json {
-        minjson::parse(&format!(
-            r#"{{"smoke":false,"overlap_speedup":{{"2x2":{speedup},"4x4":0.95}},
-                "results":[
-                  {{"q":2,"schedule":"sync","secs_per_step":{secs_2x2},"devices":4,"steps":4,"samples":5}},
-                  {{"q":2,"schedule":"overlap","secs_per_step":0.004,"devices":4,"steps":4,"samples":5}}
                 ]}}"#
         ))
         .unwrap()
@@ -380,15 +347,23 @@ mod tests {
     }
 
     #[test]
-    fn step_secs_are_lower_is_better() {
-        let cmp = compare(&step(0.004, 0.88), &step(0.0041, 0.88), 0.25).unwrap();
+    fn metrics_overhead_is_lower_is_better() {
+        let with_overhead = |ovh: f64| {
+            let mut j = gemm(57.0, 3.2, false);
+            let Json::Obj(fields) = &mut j else {
+                unreachable!()
+            };
+            fields.insert("metrics_overhead".into(), Json::Num(ovh));
+            j
+        };
+        let cmp = compare(&with_overhead(1.01), &with_overhead(1.02), 0.25).unwrap();
         assert!(cmp.passed(), "{}", cmp.render());
-        let cmp = compare(&step(0.004, 0.88), &step(0.008, 0.88), 0.25).unwrap();
+        let cmp = compare(&with_overhead(1.01), &with_overhead(2.0), 0.25).unwrap();
         assert!(!cmp.passed());
         assert!(cmp
             .violations()
             .iter()
-            .any(|c| c.key == "step.q2.sync.secs_per_step"));
+            .any(|c| c.key == "gemm.metrics_overhead" && !c.higher_is_better));
     }
 
     #[test]
@@ -426,7 +401,7 @@ mod tests {
 
     #[test]
     fn mismatched_file_kinds_error() {
-        assert!(compare(&gemm(57.0, 3.2, false), &step(0.004, 0.88), 0.1).is_err());
+        assert!(compare(&gemm(57.0, 3.2, false), &coll(0.04, 2.0), 0.1).is_err());
         assert!(compare(&Json::obj(vec![]), &gemm(57.0, 3.2, false), 0.1).is_err());
     }
 }

@@ -227,8 +227,10 @@ impl CostModel {
     }
 }
 
-/// Serial (no-overlap) cost of an `iters`-round communicate-then-compute
-/// loop: every round pays both terms in full, `iters · (t_comm + t_comp)`.
+/// Serial cost of an `iters`-round communicate-then-compute loop — the
+/// paper's Algorithms 1–3 as written, and the schedule of the test oracle in
+/// `tests/overlap.rs`: every round pays both terms in full,
+/// `iters · (t_comm + t_comp)`.
 pub fn serial_loop_time(iters: usize, t_comm: f64, t_comp: f64) -> f64 {
     iters as f64 * (t_comm + t_comp)
 }
@@ -238,8 +240,8 @@ pub fn serial_loop_time(iters: usize, t_comm: f64, t_comp: f64) -> f64 {
 /// last compute are exposed —
 /// `t_comm + (iters − 1) · max(t_comm, t_comp) + t_comp`.
 ///
-/// This is the schedule `summa_*_into` runs when [`mesh::Grid2d::overlap`]
-/// is on; the serial form is the `--no-overlap` escape hatch.
+/// This is the one schedule `summa_*_into` runs; the serial form prices
+/// what it hides.
 pub fn pipelined_loop_time(iters: usize, t_comm: f64, t_comp: f64) -> f64 {
     if iters == 0 {
         return 0.0;

@@ -27,9 +27,9 @@ pub struct ProjectionPoint {
     pub batch_optimus: usize,
     /// Training throughput, sequences/s.
     pub megatron_throughput: f64,
-    /// Optimus with the serial (no-overlap) SUMMA schedule.
+    /// Optimus with the serial (communicate-then-compute) SUMMA schedule.
     pub optimus_throughput: f64,
-    /// Optimus with double-buffered panel prefetch (the default schedule).
+    /// Optimus with double-buffered panel prefetch (the schedule `summa` runs).
     pub optimus_throughput_overlapped: f64,
     /// Optimus (serial) / Megatron.
     pub advantage: f64,

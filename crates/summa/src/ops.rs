@@ -3,7 +3,7 @@
 //! These are thin allocating wrappers over the double-buffered cores in
 //! `workspace.rs`: each call stages panels through a throwaway
 //! [`Workspace`] (two buffer pairs instead of `2q` fresh tensors) and runs
-//! the overlapped prefetch schedule whenever the grid enables it.
+//! the prefetch schedule, the only one there is.
 
 use crate::workspace::{summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
 use mesh::{Communicator, Grid2d};
@@ -15,8 +15,8 @@ use tensor::Tensor;
 ///
 /// Iteration `l` broadcasts `A`'s column-`l` panel along mesh rows and `B`'s
 /// row-`l` panel along mesh columns, then accumulates the outer product
-/// locally (Fig. 3). With overlap enabled (the grid default), iteration
-/// `l+1`'s broadcasts are posted before iteration `l`'s GEMM runs.
+/// locally (Fig. 3). Iteration `l+1`'s broadcasts are posted before
+/// iteration `l`'s GEMM runs.
 pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     let (mb, kb) = (a.rows(), a.cols());
     let (kb2, nb) = (b.rows(), b.cols());
@@ -56,9 +56,8 @@ pub fn summa_nn_bias<C: Communicator>(
 /// `b: [N/q, K/q]` blocks of `B: [N, K]`; returns `[M/q, N/q]` blocks of `C`.
 ///
 /// Iteration `l` broadcasts `B`'s row-`l` panel along columns, forms the
-/// partial product locally, and reduces it along rows to column `l`. With
-/// overlap enabled, the reduce rides the fabric during the next iteration's
-/// GEMM.
+/// partial product locally, and reduces it along rows to column `l`; the
+/// reduce rides the fabric during the next iteration's GEMM.
 pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     let (mb, kb) = (a.rows(), a.cols());
     let (nb, kb2) = (b.rows(), b.cols());
@@ -72,9 +71,8 @@ pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
 /// `b: [K/q, N/q]` blocks of `B: [K, N]`; returns `[M/q, N/q]` blocks of `C`.
 ///
 /// Iteration `l` broadcasts `A`'s column-`l` panel along rows, forms the
-/// partial product locally, and reduces it along columns to row `l`. With
-/// overlap enabled, the reduce rides the fabric during the next iteration's
-/// GEMM.
+/// partial product locally, and reduces it along columns to row `l`; the
+/// reduce rides the fabric during the next iteration's GEMM.
 pub fn summa_tn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     let (kb, mb) = (a.rows(), a.cols());
     let (kb2, nb) = (b.rows(), b.cols());

@@ -7,7 +7,7 @@
 //! piece of memory as a workspace … it suffices to allocate the largest
 //! volume of memory among those required" — [`Workspace`] implements exactly
 //! that, with one twist: each logical buffer is a **pair**, because the
-//! overlapped schedule keeps iteration `l+1`'s panel in flight while
+//! prefetch schedule keeps iteration `l+1`'s panel in flight while
 //! iteration `l`'s is being consumed. Buffers grow to a high-water mark
 //! during warm-up and are reused afterwards; [`Workspace::fresh_allocs`]
 //! exposes the growth count so the ablation benchmark (and a regression
@@ -15,21 +15,24 @@
 //!
 //! # Comm/compute overlap
 //!
-//! When the grid has overlap enabled (the default, see
-//! [`Grid2d::with_overlap`]) and `q > 1`, the cores here run the prefetch
-//! schedule: iteration `l+1`'s panel broadcasts are **posted** (non-blocking
-//! `ibroadcast`) before iteration `l`'s GEMM runs, so the transfer proceeds
-//! on the fabric's progress threads while this device computes; the reduce
-//! forms likewise post iteration `l`'s `ireduce` and only wait for it during
-//! iteration `l+1`'s GEMM window. Per-iteration cost drops from
-//! `T_comm + T_comp` toward `max(T_comm, T_comp)` (see `perf::cost`).
+//! There is one schedule, the prefetch schedule: iteration `l+1`'s panel
+//! broadcasts are **posted** (non-blocking `ibroadcast`) before iteration
+//! `l`'s GEMM runs, so the transfer proceeds on the fabric's progress
+//! threads while this device computes; the reduce forms likewise post
+//! iteration `l`'s `ireduce` and only wait for it during iteration `l+1`'s
+//! GEMM window. Per-iteration cost drops from `T_comm + T_comp` toward
+//! `max(T_comm, T_comp)` (see `perf::cost`). On a host without spare cores
+//! the posted transfer runs inside `wait()` on the device thread, and on a
+//! `q = 1` mesh every post completes at once (trivial groups), so the loop
+//! degrades by itself to the paper's communicate-then-compute order.
 //!
-//! The overlapped schedule is **bitwise identical** to the serial one: the
-//! same tree walks move the same payloads, and reduces accumulate in the
-//! same order (guaranteed by `mesh`'s shared tree schedules). Per-device
-//! op/link byte totals are unchanged; only the interleaving of record order
-//! differs (a reduce may be recorded before the next broadcast rather than
-//! after).
+//! The schedule is **bitwise identical** to the paper's serial loop
+//! (Algorithms 1–3), which survives as the test oracle in
+//! `tests/overlap.rs`: the same tree walks move the same payloads, and
+//! reduces accumulate in the same order (guaranteed by `mesh`'s shared tree
+//! schedules). Per-device op/link byte totals equal the oracle's; only the
+//! interleaving of record order differs (a reduce may be recorded before
+//! the next broadcast rather than after).
 //!
 //! # Tesseract 2.5D
 //!
@@ -50,8 +53,11 @@ use tensor::gemm::{gemm_acc, Form};
 use tensor::Tensor;
 
 /// Reusable buffers for SUMMA panel traffic and partial products. Each
-/// logical buffer is doubled so the overlapped schedule can keep one panel
-/// in flight while the other is consumed.
+/// logical buffer is doubled so the prefetch schedule can keep one panel in
+/// flight while the other is consumed; a product's iteration `l` uses slot
+/// `(l - lo) % 2` of each pair, `lo` being its depth slice's first
+/// iteration, so every product finds its warm buffers where the last one
+/// left them.
 #[derive(Debug, Default)]
 pub struct Workspace {
     panel_a: [Vec<f32>; 2],
@@ -65,18 +71,6 @@ impl Workspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Workspace::default()
-    }
-
-    /// Pre-sizes the workspace for products whose panels never exceed
-    /// `max_panel` elements and whose partial blocks never exceed
-    /// `max_partial` elements.
-    pub fn with_capacity(max_panel: usize, max_partial: usize) -> Self {
-        Workspace {
-            panel_a: [vec![0.0; max_panel], vec![0.0; max_panel]],
-            panel_b: [vec![0.0; max_panel], vec![0.0; max_panel]],
-            partial: [vec![0.0; max_partial], vec![0.0; max_partial]],
-            fresh_allocs: 0,
-        }
     }
 }
 
@@ -104,25 +98,8 @@ fn stage_panel(
     }
 }
 
-/// Blocking panel broadcast into a reused buffer (the serial schedule).
-fn bcast_panel<C: Communicator>(
-    grid: &Grid2d<C>,
-    group: &mesh::Group,
-    root: usize,
-    local: &Tensor,
-    n: usize,
-    buf: &mut Vec<f32>,
-    fresh: &mut usize,
-) {
-    let my_idx = group
-        .index_of(grid.ctx().rank())
-        .expect("device not in group");
-    stage_panel(my_idx, root, local, n, buf, fresh);
-    grid.ctx().broadcast(group, root, buf);
-}
-
-/// Posts a non-blocking panel broadcast from a reused buffer (the
-/// overlapped schedule); the buffer rides inside the returned handle.
+/// Posts a non-blocking panel broadcast from a reused buffer; the buffer
+/// rides inside the returned handle.
 fn post_panel<C: Communicator>(
     grid: &Grid2d<C>,
     group: &mesh::Group,
@@ -204,9 +181,10 @@ fn nn_consume(
 }
 
 /// The `C += A B` core: broadcast panels of both operands, accumulate the
-/// outer product locally. Double-buffers both panels when overlap is on.
-/// On a `[q, q, d]` mesh each depth slice runs its share of the iterations
-/// and the partial C sums are reduced onto depth 0 then re-broadcast.
+/// outer product locally, both panels double-buffered so iteration `l+1`'s
+/// broadcasts ride behind iteration `l`'s GEMM. On a `[q, q, d]` mesh each
+/// depth slice runs its share of the iterations and the partial C sums are
+/// reduced onto depth 0 then re-broadcast.
 fn nn_core<C: Communicator>(
     grid: &Grid2d<C>,
     a: &Tensor,
@@ -216,7 +194,6 @@ fn nn_core<C: Communicator>(
 ) {
     let (mb, kb) = (a.rows(), a.cols());
     let nb = b.cols();
-    let q = grid.q();
     let d = grid.depth_dim();
     let (lo, hi) = depth_span(grid);
     let (an, bn) = (mb * kb, kb * nb);
@@ -226,106 +203,54 @@ fn nn_core<C: Communicator>(
     let mut scratch = std::mem::take(&mut ws.partial[1]);
     let use_scratch = grid.depth() > 0;
     let mut started = false;
-    if grid.overlap() && q > 1 {
-        let mut pending = Some((
+    // Iteration l's panels live in this slot of each pair.
+    let slot = |l: usize| (l - lo) % 2;
+    let post = |l: usize, ws: &mut Workspace, fresh: &mut usize| {
+        (
             post_panel(
-                grid,
-                grid.row_group(),
-                lo,
-                a,
-                an,
-                std::mem::take(&mut ws.panel_a[0]),
-                &mut fresh,
-            ),
-            post_panel(
-                grid,
-                grid.col_group(),
-                lo,
-                b,
-                bn,
-                std::mem::take(&mut ws.panel_b[0]),
-                &mut fresh,
-            ),
-        ));
-        for l in lo..hi {
-            // Prefetch: iteration l+1's panels enter the fabric before
-            // iteration l's GEMM starts, from the other buffer of each pair.
-            let next = (l + 1 < hi).then(|| {
-                (
-                    post_panel(
-                        grid,
-                        grid.row_group(),
-                        l + 1,
-                        a,
-                        an,
-                        std::mem::take(&mut ws.panel_a[(l + 1) % 2]),
-                        &mut fresh,
-                    ),
-                    post_panel(
-                        grid,
-                        grid.col_group(),
-                        l + 1,
-                        b,
-                        bn,
-                        std::mem::take(&mut ws.panel_b[(l + 1) % 2]),
-                        &mut fresh,
-                    ),
-                )
-            });
-            let (pa, pb) = pending.take().expect("panel broadcasts in flight");
-            let a_panel = pa.wait();
-            let b_panel = pb.wait();
-            nn_consume(
-                &mut part,
-                &mut scratch,
-                c,
-                use_scratch,
-                &mut started,
-                &a_panel,
-                &b_panel,
-                mb,
-                nb,
-                kb,
-                &mut fresh,
-            );
-            ws.panel_a[l % 2] = a_panel;
-            ws.panel_b[l % 2] = b_panel;
-            pending = next;
-        }
-    } else {
-        for l in lo..hi {
-            bcast_panel(
                 grid,
                 grid.row_group(),
                 l,
                 a,
                 an,
-                &mut ws.panel_a[0],
-                &mut fresh,
-            );
-            bcast_panel(
+                std::mem::take(&mut ws.panel_a[slot(l)]),
+                fresh,
+            ),
+            post_panel(
                 grid,
                 grid.col_group(),
                 l,
                 b,
                 bn,
-                &mut ws.panel_b[0],
-                &mut fresh,
-            );
-            nn_consume(
-                &mut part,
-                &mut scratch,
-                c,
-                use_scratch,
-                &mut started,
-                &ws.panel_a[0],
-                &ws.panel_b[0],
-                mb,
-                nb,
-                kb,
-                &mut fresh,
-            );
-        }
+                std::mem::take(&mut ws.panel_b[slot(l)]),
+                fresh,
+            ),
+        )
+    };
+    let mut pending = Some(post(lo, ws, &mut fresh));
+    for l in lo..hi {
+        // Prefetch: iteration l+1's panels enter the fabric before
+        // iteration l's GEMM starts, from the other buffer of each pair.
+        let next = (l + 1 < hi).then(|| post(l + 1, ws, &mut fresh));
+        let (pa, pb) = pending.take().expect("panel broadcasts in flight");
+        let a_panel = pa.wait();
+        let b_panel = pb.wait();
+        nn_consume(
+            &mut part,
+            &mut scratch,
+            c,
+            use_scratch,
+            &mut started,
+            &a_panel,
+            &b_panel,
+            mb,
+            nb,
+            kb,
+            &mut fresh,
+        );
+        ws.panel_a[slot(l)] = a_panel;
+        ws.panel_b[slot(l)] = b_panel;
+        pending = next;
     }
     if d > 1 {
         // Tesseract epilogue: sum the slice partials onto depth 0's C —
@@ -358,10 +283,9 @@ fn nn_core<C: Communicator>(
 /// The reduce-form core shared by `C = A Bᵀ` (panels of `B` along columns,
 /// reduce along rows) and `C = Aᵀ B` (panels of `A` along rows, reduce
 /// along columns). `form` picks the GEMM; `stationary` is the operand that
-/// stays local. When overlap is on, iteration `l`'s `ireduce` is posted
-/// immediately after its GEMM and only waited one iteration later, so the
-/// reduce tree overlaps the next panel's GEMM (and that panel's broadcast
-/// overlapped this GEMM).
+/// stays local. Iteration `l`'s `ireduce` is posted immediately after its
+/// GEMM and only waited one iteration later, so the reduce tree overlaps the
+/// next panel's GEMM (and that panel's broadcast overlapped this GEMM).
 #[allow(clippy::too_many_arguments)]
 fn reduce_form_core<C: Communicator>(
     grid: &Grid2d<C>,
@@ -392,82 +316,49 @@ fn reduce_form_core<C: Communicator>(
     };
     let cn = mb * nb;
     let mut fresh = 0;
-    if grid.overlap() && q > 1 {
-        let mut pending_panel = Some(post_panel(
+    // Iteration l's panel and partial live in this slot of their pairs: one
+    // partial rides the fabric inside the in-flight reduce while the other
+    // is being filled by the GEMM.
+    let slot = |l: usize| (l - lo) % 2;
+    let post = |l: usize, ws: &mut Workspace, fresh: &mut usize| {
+        post_panel(
             grid,
             bcast_group,
-            lo,
+            l,
             panel_src,
             panel_elems,
-            std::mem::take(&mut ws.panel_b[0]),
-            &mut fresh,
-        ));
-        // Two partial buffers rotate through the in-flight reduce: one is
-        // riding the fabric while the other is being filled by the GEMM.
-        let mut free = vec![
-            std::mem::take(&mut ws.partial[0]),
-            std::mem::take(&mut ws.partial[1]),
-        ];
-        let mut pending_red: Option<(usize, PendingColl)> = None;
-        for l in lo..hi {
-            let next = (l + 1 < hi).then(|| {
-                post_panel(
-                    grid,
-                    bcast_group,
-                    l + 1,
-                    panel_src,
-                    panel_elems,
-                    std::mem::take(&mut ws.panel_b[(l + 1) % 2]),
-                    &mut fresh,
-                )
-            });
-            let panel = pending_panel
-                .take()
-                .expect("panel broadcast in flight")
-                .wait();
-            pending_panel = next;
-            let mut part = free.pop().expect("a partial buffer is always free");
-            zeroed(&mut part, cn, &mut fresh);
-            gemm(&mut part, &panel);
-            ws.panel_b[l % 2] = panel;
-            let red = grid.ctx().ireduce(reduce_group, l, part);
-            if let Some((owner, prev)) = pending_red.take() {
-                let done = prev.wait();
-                if my_reduce_idx == owner {
-                    c.copy_from_slice(&done);
-                }
-                free.push(done);
-            }
-            pending_red = Some((l, red));
-        }
-        let (owner, last) = pending_red.expect("every slice runs >= 1 round");
-        let done = last.wait();
-        if my_reduce_idx == owner {
+            std::mem::take(&mut ws.panel_b[slot(l)]),
+            fresh,
+        )
+    };
+    // Completes iteration l's reduce: its root keeps the sum, and the
+    // buffer returns to the slot it was taken from.
+    let finish = |(l, red): (usize, PendingColl), ws: &mut Workspace, c: &mut [f32]| {
+        let done = red.wait();
+        if my_reduce_idx == l {
             c.copy_from_slice(&done);
         }
-        free.push(done);
-        ws.partial[1] = free.pop().expect("both partials return");
-        ws.partial[0] = free.pop().expect("both partials return");
-    } else {
-        for l in lo..hi {
-            bcast_panel(
-                grid,
-                bcast_group,
-                l,
-                panel_src,
-                panel_elems,
-                &mut ws.panel_b[0],
-                &mut fresh,
-            );
-            let part = &mut ws.partial[0];
-            zeroed(part, cn, &mut fresh);
-            gemm(part, &ws.panel_b[0]);
-            grid.ctx().reduce(reduce_group, l, part);
-            if my_reduce_idx == l {
-                c.copy_from_slice(part);
-            }
+        ws.partial[slot(l)] = done;
+    };
+    let mut pending_panel = Some(post(lo, ws, &mut fresh));
+    let mut pending_red: Option<(usize, PendingColl)> = None;
+    for l in lo..hi {
+        let next = (l + 1 < hi).then(|| post(l + 1, ws, &mut fresh));
+        let panel = pending_panel
+            .take()
+            .expect("panel broadcast in flight")
+            .wait();
+        pending_panel = next;
+        let mut part = std::mem::take(&mut ws.partial[slot(l)]);
+        zeroed(&mut part, cn, &mut fresh);
+        gemm(&mut part, &panel);
+        ws.panel_b[slot(l)] = panel;
+        let red = grid.ctx().ireduce(reduce_group, l, part);
+        if let Some(prev) = pending_red.replace((l, red)) {
+            finish(prev, ws, c);
         }
     }
+    finish(pending_red.expect("every slice runs >= 1 round"), ws, c);
     if d > 1 {
         // Depth epilogue: my C block was finished (reduced within the
         // slice) by whichever slice ran iteration `my_reduce_idx`; that
@@ -699,30 +590,24 @@ mod tests {
     fn depth_sliced_products_match_d1_bitwise() {
         // The Tesseract acceptance case: every product form on a live
         // 2×2×2 mesh must reproduce the plain 2×2 (d = 1) blocks bit for
-        // bit, on both the serial and the overlapped schedule.
+        // bit.
         let q = 2;
         let a = rand(&[8, 8], 20);
         let b = rand(&[8, 8], 21);
-        for overlap in [true, false] {
-            let flat = Mesh2d::run(q, |g| {
-                let g = g.with_overlap(overlap);
-                ((g.row(), g.col()), all_forms_bits(&g, &a, &b))
-            });
-            let deep = mesh::MeshNd::run(&[2, 2, 2], |g| {
-                let g = g.with_overlap(overlap);
-                ((g.row(), g.col()), all_forms_bits(&g, &a, &b))
-            });
-            for (coords, bits) in &deep {
-                let reference = flat
-                    .iter()
-                    .find(|(fc, _)| fc == coords)
-                    .map(|(_, fb)| fb)
-                    .unwrap();
-                assert_eq!(
-                    bits, reference,
-                    "2.5D blocks at {coords:?} diverge from d=1 (overlap={overlap})"
-                );
-            }
+        let flat = Mesh2d::run(q, |g| ((g.row(), g.col()), all_forms_bits(g, &a, &b)));
+        let deep = mesh::MeshNd::run(&[2, 2, 2], |g| {
+            ((g.row(), g.col()), all_forms_bits(g, &a, &b))
+        });
+        for (coords, bits) in &deep {
+            let reference = flat
+                .iter()
+                .find(|(fc, _)| fc == coords)
+                .map(|(_, fb)| fb)
+                .unwrap();
+            assert_eq!(
+                bits, reference,
+                "2.5D blocks at {coords:?} diverge from d=1"
+            );
         }
     }
 
@@ -757,20 +642,5 @@ mod tests {
             let mut c = Tensor::zeros(&[3, 3]);
             summa_nn_into(g, &al, &bl, &mut c, &mut ws);
         });
-    }
-
-    #[test]
-    fn with_capacity_never_grows() {
-        let q = 2;
-        let a = rand(&[8, 8], 8);
-        let b = rand(&[8, 8], 9);
-        let growths = Mesh2d::run(q, |g| {
-            let mut ws = Workspace::with_capacity(16, 16);
-            let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 4]);
-            summa_nn_into(g, &al, &bl, &mut c, &mut ws);
-            ws.fresh_allocs
-        });
-        assert!(growths.iter().all(|&g| g == 0));
     }
 }

@@ -2,9 +2,10 @@
 //! behind Figure 9 and the Section 3.2.3 buffer techniques, observed rather
 //! than modelled.
 
-use optimus::mesh::Mesh2d;
+use optimus::mesh::{Mesh2d, MeshNd};
 use optimus::optimus_core::{BufferPool, OptimusConfig, OptimusModel};
-use optimus::summa::{distribute, summa_nn_into, Workspace};
+use optimus::summa::{distribute, summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
+use optimus::tensor::gemm::Form;
 use optimus::tensor::{Rng, Tensor};
 
 fn cfg(layers: usize, checkpoint: bool) -> OptimusConfig {
@@ -112,25 +113,54 @@ fn activation_blocks_shrink_with_mesh_size() {
     assert_eq!(b1, 9 * b3);
 }
 
-#[test]
-fn summa_workspace_reaches_steady_state_reuse() {
-    let q = 2;
+/// Per-rank workspace growth over five rounds of `forms` on a `dims` mesh
+/// after one warm-up round — Section 3.2.3's "allocate once" says all zeros.
+fn growth_after_warmup(dims: &[usize], forms: &[Form]) -> Vec<usize> {
     let mut rng = Rng::new(5);
     let a = Tensor::randn(&[16, 16], 1.0, &mut rng);
     let b = Tensor::randn(&[16, 16], 1.0, &mut rng);
-    let growth_after_warmup = Mesh2d::run(q, |g| {
+    MeshNd::run(dims, |g| {
         let (al, bl) = (distribute(g, &a), distribute(g, &b));
         let mut ws = Workspace::new();
         let mut c = Tensor::zeros(&[8, 8]);
-        summa_nn_into(g, &al, &bl, &mut c, &mut ws);
+        let mut round = |ws: &mut Workspace| {
+            for form in forms {
+                match form {
+                    Form::NN => summa_nn_into(g, &al, &bl, &mut c, ws),
+                    Form::NT => summa_nt_into(g, &al, &bl, &mut c, ws),
+                    Form::TN => summa_tn_into(g, &al, &bl, &mut c, ws),
+                }
+            }
+        };
+        round(&mut ws);
         let warm = ws.fresh_allocs;
-        for _ in 0..10 {
-            c.zero_();
-            summa_nn_into(g, &al, &bl, &mut c, &mut ws);
+        assert!(warm > 0, "warm-up must size the workspace");
+        for _ in 0..5 {
+            round(&mut ws);
         }
         ws.fresh_allocs - warm
-    });
-    assert!(growth_after_warmup.iter().all(|&g| g == 0));
+    })
+}
+
+#[test]
+fn summa_workspace_reaches_steady_state_reuse() {
+    // On [2,2,2] the depth-1 slice starts at an odd iteration, which is
+    // where a slot rotation keyed on `l` rather than `l - lo` loses its warm
+    // buffers and re-grows them on every product.
+    for dims in [&[2, 2][..], &[2, 2, 2]] {
+        for forms in [
+            &[Form::NN][..],
+            &[Form::NT],
+            &[Form::TN],
+            &[Form::NN, Form::NT, Form::TN],
+        ] {
+            let growth = growth_after_warmup(dims, forms);
+            assert!(
+                growth.iter().all(|&g| g == 0),
+                "{forms:?} on {dims:?} grew per rank: {growth:?}"
+            );
+        }
+    }
 }
 
 #[test]
