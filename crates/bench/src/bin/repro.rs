@@ -503,7 +503,7 @@ fn trace_demo(profile: &HardwareProfile) {
     let flat = CostModel::new(profile.clone(), Topology::flat(p, profile.gpus_per_node));
     let (_, _, mtraces) = Mesh::dry_run_traced(p, flat.ns_pricer(), |ctx| {
         let world = mesh::Group::world(p);
-        let lp = megatron::Layer1dParams::from_full(&full, model_cfg.hidden, p, ctx.rank());
+        let lp = megatron::slice_layer1d(&full, model_cfg.hidden, p, ctx.rank());
         megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
     });
     let mtotals = tracecheck::op_totals(&flat, &mtraces);
@@ -532,7 +532,7 @@ fn trace_demo(profile: &HardwareProfile) {
 /// serial reference.
 fn validate() {
     use mesh::{CommOp, Group, Mesh, Mesh2d};
-    use optimus_core::{layer2d_forward, Layer2dParams, OptimusConfig, OptimusModel};
+    use optimus_core::{layer2d_forward, slice_layer2d, OptimusConfig, OptimusModel};
     use serial::{LayerParams, ModelConfig, SerialModel};
     use summa::distribute;
     use tensor::{Rng, Tensor};
@@ -556,7 +556,7 @@ fn validate() {
     let x = Tensor::randn(&[model_cfg.tokens(), model_cfg.hidden], 1.0, &mut rng);
     let (_, logs) = Mesh::run_with_logs(p, |ctx| {
         let world = Group::world(p);
-        let lp = megatron::Layer1dParams::from_full(&full, model_cfg.hidden, p, ctx.rank());
+        let lp = megatron::slice_layer1d(&full, model_cfg.hidden, p, ctx.rank());
         megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
     });
     let bsh = model_cfg.tokens() * model_cfg.hidden;
@@ -595,7 +595,7 @@ fn validate() {
         fused_attention: false,
     };
     let (_, logs) = Mesh2d::run_with_logs(ocfg.q, |g| {
-        let lp = Layer2dParams::from_full(g, &full);
+        let lp = slice_layer2d(g, &full);
         layer2d_forward(g, &ocfg, &lp, &distribute(g, &x));
     });
     let (b, s, h, q) = (ocfg.batch, ocfg.seq, ocfg.hidden, ocfg.q);

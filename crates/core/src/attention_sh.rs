@@ -122,7 +122,7 @@ mod tests {
         let q = Tensor::randn(&[c.tokens(), c.hidden], 0.8, &mut rng);
         let k = Tensor::randn(&[c.tokens(), c.hidden], 0.8, &mut rng);
         let v = Tensor::randn(&[c.tokens(), c.hidden], 0.8, &mut rng);
-        let (expect, _) = attention_forward(&c, &q, &k, &v);
+        let (expect, _) = attention_forward(&c, &q, &k, &v, false);
         let outs = Mesh2d::run(2, |g| attention_sh_forward(g, &c, &q, &k, &v));
         for o in &outs {
             assert_close(o.as_slice(), expect.as_slice(), 1e-4, 1e-3);

@@ -8,9 +8,8 @@
 //! *different* mesh size, or handed to the Megatron implementation.
 
 use crate::layernorm2d::LayerNorm2d;
-use crate::linear2d::Linear2d;
 use crate::model::OptimusModel;
-use crate::params2d::Layer2dParams;
+use crate::params2d::slice_layer2d;
 use mesh::{Communicator, Grid2d};
 use serial::{LayerParams, ModelParams};
 use tensor::Tensor;
@@ -113,7 +112,7 @@ impl OptimusModel {
             layers: params
                 .layers
                 .iter()
-                .map(|lp| Layer2dParams::from_full(grid, lp))
+                .map(|lp| slice_layer2d(grid, lp))
                 .collect(),
             final_ln: LayerNorm2d::from_full(grid, &params.final_ln_g, &params.final_ln_b),
             cls: None,
@@ -129,48 +128,43 @@ impl OptimusModel {
         let q = self.cfg.q;
         let embedding = gather_matrix(grid, &self.table, v, h);
 
-        let mut layers: Vec<Option<LayerParams>> = Vec::with_capacity(self.layers.len());
+        // Struct fields evaluate in source order, so every device issues
+        // the gathers in the canonical order; off the root they yield empty
+        // placeholders, discarded with the `None` embedding below.
+        let mat = |w: &Tensor, rows: usize, cols: usize| {
+            gather_matrix(grid, w, rows, cols).unwrap_or_else(|| Tensor::zeros(&[0, 0]))
+        };
+        let vec = |v: &Option<Vec<f32>>| gather_row0_vector(grid, v.as_ref()).unwrap_or_default();
+        let mut layers = Vec::with_capacity(self.layers.len());
         for lp in &self.layers {
-            let gather_lin = |lin: &Linear2d, rows: usize, cols: usize| {
-                (
-                    gather_matrix(grid, &lin.w, rows, cols),
-                    gather_row0_vector(grid, lin.bias.as_ref()),
-                )
-            };
-            let gather_ln = |ln: &LayerNorm2d| {
-                (
-                    gather_row0_vector(grid, ln.gamma.as_ref()),
-                    gather_row0_vector(grid, ln.beta.as_ref()),
-                )
-            };
-            let (ln1_g, ln1_b) = gather_ln(&lp.ln1);
-            let (w_qkv_fused, b_qkv_fused) = gather_lin(&lp.qkv, h, 3 * h);
-            let (w_out, b_out) = gather_lin(&lp.out, h, h);
-            let (ln2_g, ln2_b) = gather_ln(&lp.ln2);
-            let (w_fc1, b_fc1) = gather_lin(&lp.fc1, h, 4 * h);
-            let (w_fc2, b_fc2) = gather_lin(&lp.fc2, 4 * h, h);
-
-            layers.push(w_qkv_fused.map(|fused| LayerParams {
-                ln1_g: ln1_g.expect("root holds all gathered vectors"),
-                ln1_b: ln1_b.unwrap(),
-                w_qkv: unpermute_qkv(&fused, h, q),
-                b_qkv: unpermute_qkv_bias(&b_qkv_fused.unwrap(), h, q),
-                w_out: w_out.unwrap(),
-                b_out: b_out.unwrap(),
-                ln2_g: ln2_g.unwrap(),
-                ln2_b: ln2_b.unwrap(),
-                w_fc1: w_fc1.unwrap(),
-                b_fc1: b_fc1.unwrap(),
-                w_fc2: w_fc2.unwrap(),
-                b_fc2: b_fc2.unwrap(),
-            }));
+            layers.push(LayerParams {
+                ln1_g: vec(&lp.ln1_g),
+                ln1_b: vec(&lp.ln1_b),
+                w_qkv: mat(&lp.w_qkv, h, 3 * h),
+                b_qkv: vec(&lp.b_qkv),
+                w_out: mat(&lp.w_out, h, h),
+                b_out: vec(&lp.b_out),
+                ln2_g: vec(&lp.ln2_g),
+                ln2_b: vec(&lp.ln2_b),
+                w_fc1: mat(&lp.w_fc1, h, 4 * h),
+                b_fc1: vec(&lp.b_fc1),
+                w_fc2: mat(&lp.w_fc2, 4 * h, h),
+                b_fc2: vec(&lp.b_fc2),
+            });
         }
         let final_g = gather_row0_vector(grid, self.final_ln.gamma.as_ref());
         let final_b = gather_row0_vector(grid, self.final_ln.beta.as_ref());
 
         embedding.map(|embedding| ModelParams {
             embedding,
-            layers: layers.into_iter().map(|l| l.unwrap()).collect(),
+            layers: layers
+                .into_iter()
+                .map(|l| LayerParams {
+                    w_qkv: unpermute_qkv(&l.w_qkv, h, q),
+                    b_qkv: unpermute_qkv_bias(&l.b_qkv, h, q),
+                    ..l
+                })
+                .collect(),
             final_ln_g: final_g.unwrap(),
             final_ln_b: final_b.unwrap(),
         })

@@ -9,7 +9,7 @@
 //! identical to one Optimus run — or the serial model — on the full global
 //! batch, which the integration tests assert.
 
-use crate::model::{Model2dGrads, OptimusModel};
+use crate::model::OptimusModel;
 use mesh::{
     Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, Grid2d, Group, WireDtype,
 };
@@ -34,31 +34,6 @@ pub fn hybrid_layout<C: Communicator>(
     let grid = Grid2d::sub_mesh(ctx, q, replica * p);
     let dp_group = Group::new((0..dp).map(|r| r * p + position).collect());
     (grid, dp_group, replica)
-}
-
-fn visit_grads_mut(grads: &mut Model2dGrads, f: &mut impl FnMut(&mut [f32])) {
-    fn opt(v: &mut Option<Vec<f32>>, f: &mut impl FnMut(&mut [f32])) {
-        if let Some(v) = v {
-            f(v);
-        }
-    }
-    f(grads.table.as_mut_slice());
-    opt(&mut grads.final_ln_g, f);
-    opt(&mut grads.final_ln_b, f);
-    for lg in &mut grads.layers {
-        opt(&mut lg.ln1_g, f);
-        opt(&mut lg.ln1_b, f);
-        f(lg.w_qkv.as_mut_slice());
-        opt(&mut lg.b_qkv, f);
-        f(lg.w_out.as_mut_slice());
-        opt(&mut lg.b_out, f);
-        opt(&mut lg.ln2_g, f);
-        opt(&mut lg.ln2_b, f);
-        f(lg.w_fc1.as_mut_slice());
-        opt(&mut lg.b_fc1, f);
-        f(lg.w_fc2.as_mut_slice());
-        opt(&mut lg.b_fc2, f);
-    }
 }
 
 /// One hybrid training step over the **global** batch
@@ -89,7 +64,7 @@ pub fn hybrid_train_step<C: Communicator>(
 
     // Average gradients and the reported loss across replicas.
     let scale = 1.0 / dp as f32;
-    visit_grads_mut(&mut grads, &mut |g| {
+    grads.walk_mut(&mut |g| {
         grid.ctx().all_reduce(dp_group, g);
         for v in g.iter_mut() {
             *v *= scale;
@@ -138,7 +113,7 @@ pub fn hybrid_train_step_ef<C: Communicator>(
 
     let scale = 1.0 / dp as f32;
     ef.begin_step();
-    visit_grads_mut(&mut grads, &mut |g| {
+    grads.walk_mut(&mut |g| {
         ef.apply(g, wire);
         let ctx = grid.ctx();
         let plan = CollPlan {

@@ -1,4 +1,5 @@
-//! One 2D-parallel transformer layer (paper Fig. 4).
+//! One 2D-parallel transformer layer (paper Fig. 4), as a lowering of the
+//! one layer body in [`serial::layer_forward`].
 //!
 //! Every activation between operations is a `[b/q·s, h/q]` block — nothing
 //! is ever replicated. The four matmuls are SUMMA products; attention is
@@ -6,73 +7,74 @@
 //! owns `b/q` whole sequences and `n/q` whole heads, Section 3.2.1).
 
 use crate::config::OptimusConfig;
-use crate::layernorm2d::Ln2dCache;
 use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
-use serial::{
-    attention_backward, attention_backward_recomputed, attention_ctx_only, attention_forward,
-    AttnCache,
-};
-use tensor::ops::{gelu_backward_in_place, gelu_forward};
+use serial::{layer_backward, layer_forward, LayerCache, Lowering, Role};
+use std::borrow::Cow;
+use summa::{summa_nn, summa_nt, summa_tn};
+use tensor::gemm::Form;
 use tensor::Tensor;
 
-/// Forward state saved for backward — all blocks are local `1/p` shares.
-pub struct Layer2dCache {
-    pub ln1: Ln2dCache,
-    pub ln1_out: Tensor,
-    pub q: Tensor,
-    pub k: Tensor,
-    pub v: Tensor,
-    /// Attention probabilities — `None` under `fused_attention` (recomputed
-    /// per head in backward, paper Section 6).
-    pub attn: Option<AttnCache>,
-    pub ctxt: Tensor,
-    pub x1: Tensor,
-    pub ln2: Ln2dCache,
-    pub ln2_out: Tensor,
-    pub f1: Tensor,
-    pub g: Tensor,
+/// The Optimus-2D lowering: SUMMA products (Algorithms 1–3), vectors hosted
+/// on mesh row 0 (Fig. 5), layer-norm statistics summed along mesh rows
+/// (Section 3.2.2).
+pub struct Summa2d<'a, C: Communicator> {
+    pub grid: &'a Grid2d<'a, C>,
+    pub cfg: &'a OptimusConfig,
 }
 
-impl Layer2dCache {
-    /// Bytes of activation state this cache pins (for the memory meter).
-    pub fn bytes(&self) -> usize {
-        let t = |x: &Tensor| x.len() * 4;
-        let probs: usize = self
-            .attn
-            .as_ref()
-            .map_or(0, |a| a.probs.iter().map(|p| p.len() * 4).sum());
-        t(&self.ln1.xhat)
-            + self.ln1.inv_std.len() * 4
-            + t(&self.ln1_out)
-            + t(&self.q)
-            + t(&self.k)
-            + t(&self.v)
-            + probs
-            + t(&self.ctxt)
-            + t(&self.x1)
-            + t(&self.ln2.xhat)
-            + self.ln2.inv_std.len() * 4
-            + t(&self.ln2_out)
-            + t(&self.f1)
-            + t(&self.g)
+impl<C: Communicator> Lowering for Summa2d<'_, C> {
+    type Hosted = Option<Vec<f32>>;
+
+    fn gemm(&self, form: Form, _role: Role, a: &Tensor, b: &Tensor) -> Tensor {
+        match form {
+            Form::NN => summa_nn(self.grid, a, b),
+            Form::NT => summa_nt(self.grid, a, b),
+            Form::TN => summa_tn(self.grid, a, b),
+        }
     }
-}
 
-/// Device-local parameter gradients (bias/affine grads only on mesh row 0).
-pub struct Layer2dGrads {
-    pub ln1_g: Option<Vec<f32>>,
-    pub ln1_b: Option<Vec<f32>>,
-    pub w_qkv: Tensor,
-    pub b_qkv: Option<Vec<f32>>,
-    pub w_out: Tensor,
-    pub b_out: Option<Vec<f32>>,
-    pub ln2_g: Option<Vec<f32>>,
-    pub ln2_b: Option<Vec<f32>>,
-    pub w_fc1: Tensor,
-    pub b_fc1: Option<Vec<f32>>,
-    pub w_fc2: Tensor,
-    pub b_fc2: Option<Vec<f32>>,
+    /// Column broadcast from the hosting device in mesh row 0.
+    fn fetch<'v>(&self, v: &'v Option<Vec<f32>>, len: usize) -> Cow<'v, [f32]> {
+        debug_assert_eq!(v.is_some(), self.grid.row() == 0);
+        // Non-root buffers are pre-sized so the trace backend knows the
+        // payload length.
+        let mut buf = v.clone().unwrap_or_else(|| vec![0.0; len]);
+        self.grid
+            .ctx()
+            .broadcast(self.grid.col_group(), 0, &mut buf);
+        Cow::Owned(buf)
+    }
+
+    /// Column reduce to mesh row 0, so each vector is updated on exactly
+    /// one device.
+    fn send_home(&self, mut g: Vec<f32>) -> Option<Vec<f32>> {
+        self.grid.ctx().reduce(self.grid.col_group(), 0, &mut g);
+        (self.grid.row() == 0).then_some(g)
+    }
+
+    fn complete_rows(&self, partial: &mut [f32]) {
+        self.grid.ctx().all_reduce(self.grid.row_group(), partial);
+    }
+    fn hidden(&self) -> usize {
+        self.cfg.hidden
+    }
+    fn attn_view(&self) -> serial::ModelConfig {
+        self.cfg.local_view()
+    }
+    fn cache_probs(&self) -> bool {
+        !self.cfg.fused_attention
+    }
+    fn linear_scope<R>(&self, backward: bool, f: impl FnOnce() -> R) -> R {
+        trace::span(
+            if backward {
+                "bwd.linear2d"
+            } else {
+                "fwd.linear2d"
+            },
+            f,
+        )
+    }
 }
 
 /// Layer forward over the local input block `x: [b/q·s, h/q]`.
@@ -81,118 +83,37 @@ pub fn layer2d_forward<C: Communicator>(
     cfg: &OptimusConfig,
     p: &Layer2dParams,
     x: &Tensor,
-) -> (Tensor, Layer2dCache) {
+) -> (Tensor, LayerCache) {
     let _span = trace::span_guard("fwd.layer2d");
-    let local = cfg.local_view();
-    let hb = cfg.local_cols();
-    let rows = cfg.local_rows();
-    assert_eq!(x.dims(), &[rows, hb], "bad local activation block");
-
-    // Attention half.
-    let (ln1_out, ln1) = p.ln1.forward(grid, x, cfg.hidden);
-    let qkv = p.qkv.forward(grid, &ln1_out); // [rows, 3h/q], layout [Q|K|V]
-    let q = qkv.block(0, 0, rows, hb);
-    let k = qkv.block(0, hb, rows, hb);
-    let v = qkv.block(0, 2 * hb, rows, hb);
-    let (ctxt, attn) = if cfg.fused_attention {
-        (attention_ctx_only(&local, &q, &k, &v), None)
-    } else {
-        let (c, a) = attention_forward(&local, &q, &k, &v);
-        (c, Some(a))
-    };
-    let attn_out = p.out.forward(grid, &ctxt);
-    let mut x1 = x.clone();
-    x1.add_assign(&attn_out);
-
-    // MLP half.
-    let (ln2_out, ln2) = p.ln2.forward(grid, &x1, cfg.hidden);
-    let f1 = p.fc1.forward(grid, &ln2_out);
-    let g = gelu_forward(&f1);
-    let f2 = p.fc2.forward(grid, &g);
-    let mut y = x1.clone();
-    y.add_assign(&f2);
-
-    (
-        y,
-        Layer2dCache {
-            ln1,
-            ln1_out,
-            q,
-            k,
-            v,
-            attn,
-            ctxt,
-            x1,
-            ln2,
-            ln2_out,
-            f1,
-            g,
-        },
-    )
+    assert_eq!(
+        x.dims(),
+        &[cfg.local_rows(), cfg.local_cols()],
+        "bad local activation block"
+    );
+    layer_forward(&Summa2d { grid, cfg }, p, x)
 }
 
 /// Layer backward: local output-gradient block in, local input-gradient
-/// block and local parameter gradients out.
+/// block and local parameter gradients (bias/affine grads only on mesh row
+/// 0) out.
 pub fn layer2d_backward<C: Communicator>(
     grid: &Grid2d<C>,
     cfg: &OptimusConfig,
     p: &Layer2dParams,
-    cache: &Layer2dCache,
+    cache: &LayerCache,
     dy: &Tensor,
-) -> (Tensor, Layer2dGrads) {
+) -> (Tensor, Layer2dParams) {
     let _span = trace::span_guard("bwd.layer2d");
-    let local = cfg.local_view();
-    let hb = cfg.local_cols();
-    let rows = cfg.local_rows();
-
-    // MLP half.
-    let (mut df1, dw_fc2, db_fc2) = p.fc2.backward(grid, &cache.g, dy);
-    gelu_backward_in_place(&mut df1, &cache.f1);
-    let (dln2_out, dw_fc1, db_fc1) = p.fc1.backward(grid, &cache.ln2_out, &df1);
-    let (dx1_ln, dln2_g, dln2_b) = p.ln2.backward(grid, &dln2_out, &cache.ln2, cfg.hidden);
-    let mut dx1 = dy.clone();
-    dx1.add_assign(&dx1_ln);
-
-    // Attention half.
-    let (dctxt, dw_out, db_out) = p.out.backward(grid, &cache.ctxt, &dx1);
-    let (dq, dk, dv) = match &cache.attn {
-        Some(attn) => attention_backward(&local, &dctxt, &cache.q, &cache.k, &cache.v, attn),
-        None => attention_backward_recomputed(&local, &dctxt, &cache.q, &cache.k, &cache.v),
-    };
-    let mut dqkv = Tensor::zeros(&[rows, 3 * hb]);
-    dqkv.set_block(0, 0, &dq);
-    dqkv.set_block(0, hb, &dk);
-    dqkv.set_block(0, 2 * hb, &dv);
-    let (dln1_out, dw_qkv, db_qkv) = p.qkv.backward(grid, &cache.ln1_out, &dqkv);
-    let (dx_ln, dln1_g, dln1_b) = p.ln1.backward(grid, &dln1_out, &cache.ln1, cfg.hidden);
-    let mut dx = dx1;
-    dx.add_assign(&dx_ln);
-
-    (
-        dx,
-        Layer2dGrads {
-            ln1_g: dln1_g,
-            ln1_b: dln1_b,
-            w_qkv: dw_qkv,
-            b_qkv: db_qkv,
-            w_out: dw_out,
-            b_out: db_out,
-            ln2_g: dln2_g,
-            ln2_b: dln2_b,
-            w_fc1: dw_fc1,
-            b_fc1: db_fc1,
-            w_fc2: dw_fc2,
-            b_fc2: db_fc2,
-        },
-    )
+    layer_backward(&Summa2d { grid, cfg }, p, cache, dy)
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // explicit indices aid test diagnostics
 mod tests {
     use super::*;
+    use crate::params2d::slice_layer2d;
     use mesh::Mesh2d;
-    use serial::{layer_backward, layer_forward, LayerParams};
+    use serial::{Hosted, LayerParams, LayerTensors, Local};
     use summa::{collect_blocks, distribute};
     use tensor::{assert_close, Rng, Tensor};
 
@@ -210,9 +131,9 @@ mod tests {
     fn forward_matches_serial_layer() {
         for q in [1usize, 2, 3] {
             let (cfg, full, x, _) = setup(q);
-            let (y_ref, _) = layer_forward(&cfg.model(), &full, &x);
+            let (y_ref, _) = layer_forward(&Local(cfg.model()), &full, &x);
             let blocks = Mesh2d::run(q, |g| {
-                let p = Layer2dParams::from_full(g, &full);
+                let p = slice_layer2d(g, &full);
                 layer2d_forward(g, &cfg, &p, &distribute(g, &x)).0
             });
             assert_close(
@@ -224,48 +145,76 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An output, an input gradient and all twelve parameter gradients as
+    /// bit patterns.
+    fn all_bits<B: Hosted>(y: &Tensor, dx: &Tensor, mut grads: LayerTensors<B>) -> Vec<Vec<u32>> {
+        let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
+        grads.walk_mut(&mut |g| out.push(bits(g)));
+        out
+    }
+
     #[test]
     fn backward_matches_serial_layer() {
-        let q = 2;
-        let (cfg, full, x, dy) = setup(q);
-        let model_cfg = cfg.model();
-        let (_, cache_ref) = layer_forward(&model_cfg, &full, &x);
-        let (dx_ref, grads_ref) = layer_backward(&model_cfg, &full, &cache_ref, &dy);
+        for (q, fused) in [(1, false), (1, true), (2, false), (2, true)] {
+            let (mut cfg, full, x, dy) = setup(q);
+            cfg.fused_attention = fused;
+            let low = Local(cfg.model());
+            let (y_ref, cache_ref) = layer_forward(&low, &full, &x);
+            let (dx_ref, grads_ref) = layer_backward(&low, &full, &cache_ref, &dy);
 
-        let outs = Mesh2d::run(q, |g| {
-            let p = Layer2dParams::from_full(g, &full);
-            let (_, cache) = layer2d_forward(g, &cfg, &p, &distribute(g, &x));
-            layer2d_backward(g, &cfg, &p, &cache, &distribute(g, &dy))
-        });
-        let dx: Vec<Tensor> = outs.iter().map(|(a, _)| a.clone()).collect();
-        assert_close(
-            collect_blocks(&dx, q).as_slice(),
-            dx_ref.as_slice(),
-            2e-4,
-            1e-3,
-        );
-        // Reassemble dW_out (plain SUMMA blocks) and compare.
-        let dw_out: Vec<Tensor> = outs.iter().map(|(_, g)| g.w_out.clone()).collect();
-        assert_close(
-            collect_blocks(&dw_out, q).as_slice(),
-            grads_ref.w_out.as_slice(),
-            2e-4,
-            1e-3,
-        );
-        // dW_fc1 as well.
-        let dw_fc1: Vec<Tensor> = outs.iter().map(|(_, g)| g.w_fc1.clone()).collect();
-        assert_close(
-            collect_blocks(&dw_fc1, q).as_slice(),
-            grads_ref.w_fc1.as_slice(),
-            2e-4,
-            1e-3,
-        );
-        // Bias grads concatenated across row 0 equal the serial gradient.
-        let mut db_fc1 = Vec::new();
-        for j in 0..q {
-            db_fc1.extend(outs[j].1.b_fc1.as_ref().unwrap());
+            let outs = Mesh2d::run(q, |g| {
+                let p = slice_layer2d(g, &full);
+                let (y, cache) = layer2d_forward(g, &cfg, &p, &distribute(g, &x));
+                assert_eq!(cache.attn.is_none(), fused);
+                let (dx, grads) = layer2d_backward(g, &cfg, &p, &cache, &distribute(g, &dy));
+                (y, dx, grads)
+            });
+            if q == 1 {
+                // Same body, same kernels, trivial groups: the lowering must
+                // not change a bit of the output, the input gradient or any
+                // of the twelve parameter gradients.
+                let (y, dx, grads) = outs.into_iter().next().unwrap();
+                assert_eq!(
+                    all_bits(&y, &dx, grads),
+                    all_bits(&y_ref, &dx_ref, grads_ref),
+                    "fused_attention = {fused}"
+                );
+                continue;
+            }
+            let dx: Vec<Tensor> = outs.iter().map(|o| o.1.clone()).collect();
+            assert_close(
+                collect_blocks(&dx, q).as_slice(),
+                dx_ref.as_slice(),
+                2e-4,
+                1e-3,
+            );
+            // Reassemble dW_out (plain SUMMA blocks) and compare.
+            let dw_out: Vec<Tensor> = outs.iter().map(|o| o.2.w_out.clone()).collect();
+            assert_close(
+                collect_blocks(&dw_out, q).as_slice(),
+                grads_ref.w_out.as_slice(),
+                2e-4,
+                1e-3,
+            );
+            // dW_fc1 as well.
+            let dw_fc1: Vec<Tensor> = outs.iter().map(|o| o.2.w_fc1.clone()).collect();
+            assert_close(
+                collect_blocks(&dw_fc1, q).as_slice(),
+                grads_ref.w_fc1.as_slice(),
+                2e-4,
+                1e-3,
+            );
+            // Bias grads concatenated across row 0 equal the serial gradient.
+            let mut db_fc1 = Vec::new();
+            for j in 0..q {
+                db_fc1.extend(outs[j].2.b_fc1.as_ref().unwrap());
+            }
+            assert_close(&db_fc1, &grads_ref.b_fc1, 2e-4, 1e-3);
         }
-        assert_close(&db_fc1, &grads_ref.b_fc1, 2e-4, 1e-3);
     }
 
     #[test]
@@ -275,7 +224,7 @@ mod tests {
         let q = 2;
         let (cfg, full, x, _) = setup(q);
         let sizes = Mesh2d::run(q, |g| {
-            let p = Layer2dParams::from_full(g, &full);
+            let p = slice_layer2d(g, &full);
             let (_, cache) = layer2d_forward(g, &cfg, &p, &distribute(g, &x));
             cache.bytes()
         });

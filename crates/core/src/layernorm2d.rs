@@ -1,4 +1,6 @@
-//! 2D-distributed layer normalisation (paper Section 3.2.2).
+//! 2D-distributed layer normalisation (paper Section 3.2.2) — the
+//! standalone form of [`serial::ln_forward`] under [`Summa2d`], used by the
+//! final layer norm.
 //!
 //! The hidden dimension spans a mesh row, so `Σx` and `Σx²` are summed
 //! locally and **all-reduced along the row**; `x̂` and `1/√(Var+ε)` are saved
@@ -6,11 +8,10 @@
 //! affine parameters γ, β are hosted by mesh row 0 (like biases, Fig. 5):
 //! broadcast down columns in forward, gradients reduced back in backward.
 
+use crate::layer2d::Summa2d;
+use crate::params2d::hosted_slice;
 use mesh::{Communicator, Grid2d};
-use tensor::layernorm::{
-    ln_affine, ln_backward_finish, ln_backward_partials, ln_finish, ln_param_grads,
-    ln_partial_sums, LN_EPS,
-};
+use serial::{ln_backward, ln_forward, LnCache};
 use tensor::Tensor;
 
 /// Layer-norm parameters: `Some` slices (length `h/q`) on mesh row 0.
@@ -20,14 +21,6 @@ pub struct LayerNorm2d {
     pub beta: Option<Vec<f32>>,
 }
 
-/// Saved forward state for the backward pass.
-pub struct Ln2dCache {
-    pub xhat: Tensor,
-    pub inv_std: Vec<f32>,
-    /// The γ slice this column received in forward (reused in backward).
-    pub gamma: Vec<f32>,
-}
-
 impl LayerNorm2d {
     /// Builds from full `[h]` parameter vectors, slicing column `j`.
     pub fn from_full<C: Communicator>(
@@ -35,81 +28,25 @@ impl LayerNorm2d {
         gamma_full: &[f32],
         beta_full: &[f32],
     ) -> Self {
-        if grid.row() == 0 {
-            let w = gamma_full.len() / grid.q();
-            LayerNorm2d {
-                gamma: Some(gamma_full[grid.col() * w..(grid.col() + 1) * w].to_vec()),
-                beta: Some(beta_full[grid.col() * w..(grid.col() + 1) * w].to_vec()),
-            }
-        } else {
-            LayerNorm2d {
-                gamma: None,
-                beta: None,
-            }
+        LayerNorm2d {
+            gamma: hosted_slice(grid, gamma_full),
+            beta: hosted_slice(grid, beta_full),
         }
     }
 
-    /// Forward over the local `[rows/q, h/q]` block; `h_total` is the full
-    /// hidden size.
-    pub fn forward<C: Communicator>(
-        &self,
-        grid: &Grid2d<C>,
-        x: &Tensor,
-        h_total: usize,
-    ) -> (Tensor, Ln2dCache) {
-        // Parameters come down the column from row 0; non-root buffers are
-        // pre-sized so the trace backend knows the payload length.
-        let mut gamma = self.gamma.clone().unwrap_or_else(|| vec![0.0; x.cols()]);
-        let mut beta = self.beta.clone().unwrap_or_else(|| vec![0.0; x.cols()]);
-        grid.ctx().broadcast(grid.col_group(), 0, &mut gamma);
-        grid.ctx().broadcast(grid.col_group(), 0, &mut beta);
-
-        // Row-wise moments across the mesh row.
-        let (mut s, mut s2) = ln_partial_sums(x);
-        grid.ctx().all_reduce(grid.row_group(), &mut s);
-        grid.ctx().all_reduce(grid.row_group(), &mut s2);
-        let cache = ln_finish(x, &s, &s2, h_total, LN_EPS);
-        let y = ln_affine(&cache.xhat, &gamma, &beta);
-        (
-            y,
-            Ln2dCache {
-                xhat: cache.xhat,
-                inv_std: cache.inv_std,
-                gamma,
-            },
-        )
+    /// Forward over the local `[rows/q, h/q]` block.
+    pub fn forward<C: Communicator>(&self, low: &Summa2d<C>, x: &Tensor) -> (Tensor, LnCache) {
+        ln_forward(low, x, &self.gamma, &self.beta)
     }
 
     /// Backward: returns `dx` and (on mesh row 0) the parameter gradients.
     pub fn backward<C: Communicator>(
         &self,
-        grid: &Grid2d<C>,
+        low: &Summa2d<C>,
         dy: &Tensor,
-        cache: &Ln2dCache,
-        h_total: usize,
+        cache: &LnCache,
     ) -> (Tensor, Option<Vec<f32>>, Option<Vec<f32>>) {
-        let (dxhat, mut dgamma, mut dbeta) = ln_param_grads(dy, &cache.xhat, &cache.gamma);
-        // Parameter grads go home to row 0.
-        grid.ctx().reduce(grid.col_group(), 0, &mut dgamma);
-        grid.ctx().reduce(grid.col_group(), 0, &mut dbeta);
-
-        let (mut sum_gx, mut sum_g) = ln_backward_partials(&dxhat, &cache.xhat);
-        grid.ctx().all_reduce(grid.row_group(), &mut sum_gx);
-        grid.ctx().all_reduce(grid.row_group(), &mut sum_g);
-        let dx = ln_backward_finish(
-            &dxhat,
-            &cache.xhat,
-            &cache.inv_std,
-            &sum_gx,
-            &sum_g,
-            h_total,
-        );
-
-        if grid.row() == 0 {
-            (dx, Some(dgamma), Some(dbeta))
-        } else {
-            (dx, None, None)
-        }
+        ln_backward(low, dy, cache)
     }
 }
 
@@ -117,9 +54,10 @@ impl LayerNorm2d {
 #[allow(clippy::needless_range_loop)] // explicit indices aid test diagnostics
 mod tests {
     use super::*;
+    use crate::OptimusConfig;
     use mesh::Mesh2d;
     use summa::{collect_blocks, distribute};
-    use tensor::layernorm::{layer_norm_backward, layer_norm_forward};
+    use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LN_EPS};
     use tensor::{assert_close, Rng, Tensor};
 
     #[test]
@@ -131,9 +69,14 @@ mod tests {
             let gamma: Vec<f32> = (0..h).map(|i| 1.0 + 0.05 * i as f32).collect();
             let beta: Vec<f32> = (0..h).map(|i| -0.1 + 0.02 * i as f32).collect();
             let (y_ref, _) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
+            let cfg = OptimusConfig {
+                hidden: h,
+                ..OptimusConfig::tiny(q)
+            };
             let blocks = Mesh2d::run(q, |g| {
                 let ln = LayerNorm2d::from_full(g, &gamma, &beta);
-                ln.forward(g, &distribute(g, &x), h).0
+                ln.forward(&Summa2d { grid: g, cfg: &cfg }, &distribute(g, &x))
+                    .0
             });
             assert_close(
                 collect_blocks(&blocks, q).as_slice(),
@@ -156,10 +99,15 @@ mod tests {
         let (_, cache_ref) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
         let (dx_ref, dg_ref, db_ref) = layer_norm_backward(&dy, &cache_ref, &gamma);
 
+        let cfg = OptimusConfig {
+            hidden: h,
+            ..OptimusConfig::tiny(q)
+        };
         let outs = Mesh2d::run(q, |g| {
+            let low = Summa2d { grid: g, cfg: &cfg };
             let ln = LayerNorm2d::from_full(g, &gamma, &beta);
-            let (_, cache) = ln.forward(g, &distribute(g, &x), h);
-            ln.backward(g, &distribute(g, &dy), &cache, h)
+            let (_, cache) = ln.forward(&low, &distribute(g, &x));
+            ln.backward(&low, &distribute(g, &dy), &cache)
         });
         let dx: Vec<Tensor> = outs.iter().map(|(a, _, _)| a.clone()).collect();
         assert_close(

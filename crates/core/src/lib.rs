@@ -4,7 +4,12 @@
 //! In the 1D (Megatron) scheme every device holds the *whole* `[b·s, h]`
 //! activation of every layer; Optimus partitions activations *and*
 //! parameters into `q × q` blocks over a device mesh (`p = q²`), so per
-//! device the activation footprint shrinks from `bsh` to `bsh/p`:
+//! device the activation footprint shrinks from `bsh` to `bsh/p`.
+//!
+//! The transformer layer is the one body in `serial::layer`, lowered by
+//! [`Summa2d`] ([`layer2d_forward`] / [`layer2d_backward`]); parameters and
+//! gradients are `serial::LayerTensors<Option<Vec<f32>>>` blocks, walked in
+//! the canonical order of [`serial::walk_stem`]. What the lowering decides:
 //!
 //! * **SUMMA linear layers** ([`Linear2d`]) — all four matmuls of a
 //!   transformer layer run as Algorithm 1 forward and Algorithms 2–3 in
@@ -45,8 +50,8 @@ mod params2d;
 pub use buffers::{BufferPool, MemMeter};
 pub use config::OptimusConfig;
 pub use dp::{hybrid_layout, hybrid_train_step, hybrid_train_step_ef, hybrid_train_step_zero1};
-pub use layer2d::{layer2d_backward, layer2d_forward, Layer2dCache, Layer2dGrads};
-pub use layernorm2d::{LayerNorm2d, Ln2dCache};
+pub use layer2d::{layer2d_backward, layer2d_forward, Summa2d};
+pub use layernorm2d::LayerNorm2d;
 pub use linear2d::Linear2d;
 pub use model::{Model2dGrads, OptimusModel, TrainOutput};
-pub use params2d::Layer2dParams;
+pub use params2d::{slice_layer2d, Layer2dParams};

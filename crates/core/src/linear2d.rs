@@ -1,8 +1,11 @@
-//! SUMMA linear layer with row-0 bias hosting (paper Fig. 5).
+//! SUMMA linear layer with row-0 bias hosting (paper Fig. 5) — the
+//! standalone form of [`serial::linear_forward`] under [`Summa2d`], used by
+//! the classification head.
 
+use crate::layer2d::Summa2d;
+use crate::params2d::hosted_slice;
 use mesh::{Communicator, Grid2d};
-use summa::{summa_nn, summa_nt, summa_tn};
-use tensor::ops::{bias_add, bias_grad};
+use serial::{linear_backward, linear_forward, Role};
 use tensor::Tensor;
 
 /// A dense layer distributed as `q × q` SUMMA blocks.
@@ -21,43 +24,19 @@ pub struct Linear2d {
 }
 
 impl Linear2d {
-    /// Wraps a local weight block and (on row 0) the local bias slice.
-    pub fn new(w: Tensor, bias: Option<Vec<f32>>) -> Self {
-        if let Some(b) = &bias {
-            assert_eq!(b.len(), w.cols(), "bias slice must match local out dim");
-        }
-        Linear2d { w, bias }
-    }
-
     /// Builds the local block of a full `[in, out]` weight and `[out]` bias.
     pub fn from_full<C: Communicator>(grid: &Grid2d<C>, w_full: &Tensor, b_full: &[f32]) -> Self {
         assert_eq!(w_full.cols(), b_full.len());
-        let w = w_full.summa_block(grid.row(), grid.col(), grid.q());
-        let bias = if grid.row() == 0 {
-            let out_b = w_full.cols() / grid.q();
-            Some(b_full[grid.col() * out_b..(grid.col() + 1) * out_b].to_vec())
-        } else {
-            None
-        };
-        Linear2d { w, bias }
+        Linear2d {
+            w: w_full.summa_block(grid.row(), grid.col(), grid.q()),
+            bias: hosted_slice(grid, b_full),
+        }
     }
 
     /// `y = x W + b` over the mesh: SUMMA `C = AB` plus the column bias
     /// broadcast. `x: [rows/q, in/q]` local block.
-    pub fn forward<C: Communicator>(&self, grid: &Grid2d<C>, x: &Tensor) -> Tensor {
-        let _span = trace::span_guard("fwd.linear2d");
-        let mut y = summa_nn(grid, x, &self.w);
-        let mut bias_buf = match &self.bias {
-            Some(b) => {
-                debug_assert_eq!(grid.row(), 0);
-                b.clone()
-            }
-            // Pre-sized so the trace backend knows the payload length.
-            None => vec![0.0; y.cols()],
-        };
-        grid.ctx().broadcast(grid.col_group(), 0, &mut bias_buf);
-        bias_add(&mut y, &bias_buf);
-        y
+    pub fn forward<C: Communicator>(&self, low: &Summa2d<C>, x: &Tensor) -> Tensor {
+        linear_forward(low, Role::Expand, x, &self.w, &self.bias)
     }
 
     /// Backward (paper Eq. 1 + Fig. 5b): returns
@@ -65,17 +44,11 @@ impl Linear2d {
     /// gradient — `Some` only on mesh row 0, where the bias lives.
     pub fn backward<C: Communicator>(
         &self,
-        grid: &Grid2d<C>,
+        low: &Summa2d<C>,
         x: &Tensor,
         dy: &Tensor,
     ) -> (Tensor, Tensor, Option<Vec<f32>>) {
-        let _span = trace::span_guard("bwd.linear2d");
-        let dx = summa_nt(grid, dy, &self.w);
-        let dw = summa_tn(grid, x, dy);
-        let mut db = bias_grad(dy);
-        grid.ctx().reduce(grid.col_group(), 0, &mut db);
-        let db = if grid.row() == 0 { Some(db) } else { None };
-        (dx, dw, db)
+        linear_backward(low, Role::Expand, x, &self.w, dy)
     }
 }
 
@@ -83,6 +56,7 @@ impl Linear2d {
 #[allow(clippy::needless_range_loop)] // explicit indices aid test diagnostics
 mod tests {
     use super::*;
+    use crate::OptimusConfig;
     use mesh::Mesh2d;
     use serial::Linear;
     use summa::{collect_blocks, distribute};
@@ -103,8 +77,9 @@ mod tests {
             let (w, b, x, _) = setup(q);
             let expect = Linear::new(w.clone(), b.clone()).forward(&x);
             let blocks = Mesh2d::run(q, |g| {
+                let cfg = OptimusConfig::tiny(q);
                 let lin = Linear2d::from_full(g, &w, &b);
-                lin.forward(g, &distribute(g, &x))
+                lin.forward(&Summa2d { grid: g, cfg: &cfg }, &distribute(g, &x))
             });
             assert_close(
                 collect_blocks(&blocks, q).as_slice(),
@@ -122,8 +97,13 @@ mod tests {
         let serial_lin = Linear::new(w.clone(), b.clone());
         let (dx_ref, dw_ref, db_ref) = serial_lin.backward(&x, &dy);
         let outs = Mesh2d::run(q, |g| {
+            let cfg = OptimusConfig::tiny(q);
             let lin = Linear2d::from_full(g, &w, &b);
-            lin.backward(g, &distribute(g, &x), &distribute(g, &dy))
+            lin.backward(
+                &Summa2d { grid: g, cfg: &cfg },
+                &distribute(g, &x),
+                &distribute(g, &dy),
+            )
         });
         let dx: Vec<Tensor> = outs.iter().map(|(a, _, _)| a.clone()).collect();
         let dw: Vec<Tensor> = outs.iter().map(|(_, b, _)| b.clone()).collect();
@@ -149,11 +129,5 @@ mod tests {
         for rank in q..q * q {
             assert!(outs[rank].2.is_none(), "rank {rank} must not own bias");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bias slice")]
-    fn rejects_wrong_bias_length() {
-        Linear2d::new(Tensor::zeros(&[2, 3]), Some(vec![0.0; 2]));
     }
 }

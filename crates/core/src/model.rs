@@ -8,82 +8,16 @@ use crate::config::OptimusConfig;
 use crate::embedding2d::{
     ce2d, embed2d_backward, embed2d_forward, lm_head2d_backward, lm_head2d_forward,
 };
-use crate::layer2d::{layer2d_backward, layer2d_forward, Layer2dGrads};
+use crate::layer2d::{layer2d_backward, layer2d_forward, Summa2d};
 use crate::layernorm2d::LayerNorm2d;
 use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
+use serial::{walk_pair, walk_stem, ModelTensors};
 use tensor::Tensor;
 
-/// Device-local gradients for everything this device owns.
-pub struct Model2dGrads {
-    pub table: Tensor,
-    pub layers: Vec<Layer2dGrads>,
-    pub final_ln_g: Option<Vec<f32>>,
-    pub final_ln_b: Option<Vec<f32>>,
-}
-
-impl Model2dGrads {
-    /// `self += other` — used by gradient accumulation.
-    pub fn accumulate(&mut self, other: &Model2dGrads) {
-        fn add_opt(a: &mut Option<Vec<f32>>, b: &Option<Vec<f32>>) {
-            match (a, b) {
-                (Some(av), Some(bv)) => {
-                    for (x, y) in av.iter_mut().zip(bv) {
-                        *x += y;
-                    }
-                }
-                (None, None) => {}
-                _ => panic!("gradient hosting mismatch in accumulate"),
-            }
-        }
-        self.table.add_assign(&other.table);
-        add_opt(&mut self.final_ln_g, &other.final_ln_g);
-        add_opt(&mut self.final_ln_b, &other.final_ln_b);
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.w_qkv.add_assign(&b.w_qkv);
-            a.w_out.add_assign(&b.w_out);
-            a.w_fc1.add_assign(&b.w_fc1);
-            a.w_fc2.add_assign(&b.w_fc2);
-            add_opt(&mut a.ln1_g, &b.ln1_g);
-            add_opt(&mut a.ln1_b, &b.ln1_b);
-            add_opt(&mut a.b_qkv, &b.b_qkv);
-            add_opt(&mut a.b_out, &b.b_out);
-            add_opt(&mut a.ln2_g, &b.ln2_g);
-            add_opt(&mut a.ln2_b, &b.ln2_b);
-            add_opt(&mut a.b_fc1, &b.b_fc1);
-            add_opt(&mut a.b_fc2, &b.b_fc2);
-        }
-    }
-
-    /// Scales every gradient by `s` (e.g. `1/k` after accumulating `k`
-    /// microbatches).
-    pub fn scale(&mut self, s: f32) {
-        fn scale_opt(a: &mut Option<Vec<f32>>, s: f32) {
-            if let Some(v) = a {
-                for x in v.iter_mut() {
-                    *x *= s;
-                }
-            }
-        }
-        self.table.scale(s);
-        scale_opt(&mut self.final_ln_g, s);
-        scale_opt(&mut self.final_ln_b, s);
-        for g in &mut self.layers {
-            g.w_qkv.scale(s);
-            g.w_out.scale(s);
-            g.w_fc1.scale(s);
-            g.w_fc2.scale(s);
-            scale_opt(&mut g.ln1_g, s);
-            scale_opt(&mut g.ln1_b, s);
-            scale_opt(&mut g.b_qkv, s);
-            scale_opt(&mut g.b_out, s);
-            scale_opt(&mut g.ln2_g, s);
-            scale_opt(&mut g.ln2_b, s);
-            scale_opt(&mut g.b_fc1, s);
-            scale_opt(&mut g.b_fc2, s);
-        }
-    }
-}
+/// Device-local gradients for everything this device owns; `embedding`
+/// is the table block.
+pub type Model2dGrads = ModelTensors<Option<Vec<f32>>>;
 
 /// Result of a detailed training step.
 #[derive(Clone, Copy, Debug)]
@@ -160,17 +94,25 @@ impl OptimusModel {
         pooled
     }
 
-    /// Classification logits for this device's sequences: `[b/q, c/q]`.
-    pub fn classify_forward<C: Communicator>(&self, grid: &Grid2d<C>, tokens: &[usize]) -> Tensor {
-        let cls = self.cls.as_ref().expect("built without classifier head");
-        let cfg = self.cfg;
+    /// Forward-only stem over this device's batch block: embedding → layers
+    /// → final layer norm, `[b/q·s, h/q]`.
+    fn hidden_states<C: Communicator>(&self, low: &Summa2d<C>, tokens: &[usize]) -> Tensor {
+        let (grid, cfg) = (low.grid, low.cfg);
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let mut x = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
         for lp in &self.layers {
-            x = layer2d_forward(grid, &cfg, lp, &x).0;
+            x = layer2d_forward(grid, cfg, lp, &x).0;
         }
-        let (hidden, _) = self.final_ln.forward(grid, &x, cfg.hidden);
-        cls.forward(grid, &self.pool_first_token(&hidden))
+        self.final_ln.forward(low, &x).0
+    }
+
+    /// Classification logits for this device's sequences: `[b/q, c/q]`.
+    pub fn classify_forward<C: Communicator>(&self, grid: &Grid2d<C>, tokens: &[usize]) -> Tensor {
+        let cls = self.cls.as_ref().expect("built without classifier head");
+        let cfg = &self.cfg;
+        let low = Summa2d { grid, cfg };
+        let hidden = self.hidden_states(&low, tokens);
+        cls.forward(&low, &self.pool_first_token(&hidden))
     }
 
     /// Global mean classification loss for per-sequence labels `[b]`
@@ -198,13 +140,9 @@ impl OptimusModel {
         tokens: &[usize],
         labels: &[usize],
     ) -> f32 {
-        let tokens_local = self.cfg.local_tokens(tokens, grid.row());
-        let labels_local = self.cfg.local_tokens(labels, grid.row());
-        let mut x = embed2d_forward(grid, &self.table, tokens_local, self.cfg.vocab);
-        for lp in &self.layers {
-            x = layer2d_forward(grid, &self.cfg, lp, &x).0;
-        }
-        let (hidden, _) = self.final_ln.forward(grid, &x, self.cfg.hidden);
+        let cfg = &self.cfg;
+        let labels_local = cfg.local_tokens(labels, grid.row());
+        let hidden = self.hidden_states(&Summa2d { grid, cfg }, tokens);
         let logits = lm_head2d_forward(grid, &hidden, &self.table);
         ce2d(
             grid,
@@ -227,6 +165,7 @@ impl OptimusModel {
         labels: &[usize],
     ) -> (f32, Model2dGrads) {
         let cfg = self.cfg;
+        let low = Summa2d { grid, cfg: &cfg };
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
         let total_rows = cfg.batch * cfg.seq;
@@ -237,14 +176,16 @@ impl OptimusModel {
         let x0 = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
         self.meter.alloc(tensor_bytes(&x0));
 
-        // Layer inputs (the checkpoints) are needed either way; full caches
-        // only when checkpointing is off.
-        let mut inputs: Vec<Tensor> = Vec::with_capacity(cfg.layers);
+        // Checkpointing keeps each layer's input block (the checkpoint),
+        // otherwise its full cache.
+        let mut inputs: Vec<Tensor> = Vec::new();
         let mut caches = Vec::new();
         let mut x = x0.clone();
         for lp in &self.layers {
-            inputs.push(x.clone());
-            self.meter.alloc(tensor_bytes(&x));
+            if cfg.checkpoint {
+                inputs.push(x.clone());
+                self.meter.alloc(tensor_bytes(&x));
+            }
             let (y, cache) = layer2d_forward(grid, &cfg, lp, &x);
             if !cfg.checkpoint {
                 self.meter.alloc(cache.bytes());
@@ -252,7 +193,7 @@ impl OptimusModel {
             }
             x = y;
         }
-        let (hidden, final_ln_cache) = self.final_ln.forward(grid, &x, cfg.hidden);
+        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &x);
         self.meter.alloc(tensor_bytes(&hidden));
         drop(fwd_span);
 
@@ -270,11 +211,10 @@ impl OptimusModel {
         // ---- Layer backward (reverse) ----
         let bwd_span = trace::span_guard("bwd");
         let (mut dx, final_ln_g, final_ln_b) =
-            self.final_ln
-                .backward(grid, &dhidden, &final_ln_cache, cfg.hidden);
+            self.final_ln.backward(&low, &dhidden, &final_ln_cache);
         self.meter.free(tensor_bytes(&hidden));
 
-        let mut layer_grads: Vec<Layer2dGrads> = Vec::with_capacity(cfg.layers);
+        let mut layer_grads = Vec::with_capacity(cfg.layers);
         for l in (0..cfg.layers).rev() {
             let cache = if cfg.checkpoint {
                 // Re-forward this layer from its checkpointed input.
@@ -286,7 +226,9 @@ impl OptimusModel {
             };
             let (dprev, g) = layer2d_backward(grid, &cfg, &self.layers[l], &cache, &dx);
             self.meter.free(cache.bytes());
-            self.meter.free(tensor_bytes(&inputs[l]));
+            if cfg.checkpoint {
+                self.meter.free(tensor_bytes(&inputs[l]));
+            }
             layer_grads.push(g);
             dx = dprev;
         }
@@ -299,7 +241,7 @@ impl OptimusModel {
         (
             loss,
             Model2dGrads {
-                table: d_table,
+                embedding: d_table,
                 layers: layer_grads,
                 final_ln_g,
                 final_ln_b,
@@ -347,6 +289,7 @@ impl OptimusModel {
         lr: f32,
     ) -> f32 {
         let cfg = self.cfg;
+        let low = Summa2d { grid, cfg: &cfg };
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
         let total_rows = cfg.batch * cfg.seq;
@@ -358,23 +301,23 @@ impl OptimusModel {
             inputs.push(x.clone());
             x = layer2d_forward(grid, &cfg, lp, &x).0;
         }
-        let (hidden, final_ln_cache) = self.final_ln.forward(grid, &x, cfg.hidden);
+        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &x);
         let logits = lm_head2d_forward(grid, &hidden, &self.table);
         let (loss, dlogits) = ce2d(grid, &logits, labels_local, cfg.vocab, total_rows);
 
         let mut d_table = Tensor::zeros(&[self.table.rows(), self.table.cols()]);
         let dhidden = lm_head2d_backward(grid, &dlogits, &hidden, &self.table, &mut d_table);
-        let (mut dx, fg, fb) = self
-            .final_ln
-            .backward(grid, &dhidden, &final_ln_cache, cfg.hidden);
-        apply_ln_sgd(&mut self.final_ln, fg.as_deref(), fb.as_deref(), lr);
+        let (mut dx, fg, fb) = self.final_ln.backward(&low, &dhidden, &final_ln_cache);
+        let mut update = |p: &mut [f32], g: &[f32]| sgd(p, g, lr);
+        walk_pair(&mut self.final_ln.gamma, &fg, &mut update);
+        walk_pair(&mut self.final_ln.beta, &fb, &mut update);
 
         for l in (0..cfg.layers).rev() {
             let (_, cache) = layer2d_forward(grid, &cfg, &self.layers[l], &inputs[l]);
             let (dprev, g) = layer2d_backward(grid, &cfg, &self.layers[l], &cache, &dx);
             // Immediate update; `g` drops at the end of this iteration,
             // which is the "reset the parameter gradient buffer" step.
-            apply_layer_sgd(&mut self.layers[l], &g, lr);
+            self.layers[l].walk(&g, &mut update);
             dx = dprev;
         }
 
@@ -393,13 +336,8 @@ impl OptimusModel {
     /// order = mesh row = batch order), so every device returns the full
     /// `b` next tokens.
     pub fn greedy_next<C: Communicator>(&self, grid: &Grid2d<C>, tokens: &[usize]) -> Vec<usize> {
-        let cfg = self.cfg;
-        let tokens_local = cfg.local_tokens(tokens, grid.row());
-        let mut x = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
-        for lp in &self.layers {
-            x = layer2d_forward(grid, &cfg, lp, &x).0;
-        }
-        let (hidden, _) = self.final_ln.forward(grid, &x, cfg.hidden);
+        let cfg = &self.cfg;
+        let hidden = self.hidden_states(&Summa2d { grid, cfg }, tokens);
         let logits = lm_head2d_forward(grid, &hidden, &self.table);
 
         let s = cfg.seq;
@@ -420,43 +358,23 @@ impl OptimusModel {
         all.into_iter().map(|v| v as usize).collect()
     }
 
-    /// Visits every *locally hosted* `(parameter, gradient)` pair in a fixed
-    /// order. Devices off mesh row 0 simply skip the bias/affine entries, so
-    /// each device's visitation order is stable across steps (the contract
+    /// Visits every *locally hosted* `(parameter, gradient)` pair in the
+    /// canonical order of [`serial::walk_stem`]. Devices off mesh row 0
+    /// simply skip the bias/affine entries, so each device's visitation
+    /// order is stable across steps (the contract
     /// [`tensor::optim::AdamSet`] needs).
     pub fn visit_params_grads(
         &mut self,
         grads: &Model2dGrads,
         f: &mut impl FnMut(&mut [f32], &[f32]),
     ) {
-        fn opt_pair(
-            p: &mut Option<Vec<f32>>,
-            g: &Option<Vec<f32>>,
-            f: &mut impl FnMut(&mut [f32], &[f32]),
-        ) {
-            match (p, g) {
-                (Some(pv), Some(gv)) => f(pv, gv),
-                (None, None) => {}
-                _ => panic!("parameter/gradient hosting mismatch"),
-            }
-        }
-        f(self.table.as_mut_slice(), grads.table.as_slice());
-        opt_pair(&mut self.final_ln.gamma, &grads.final_ln_g, f);
-        opt_pair(&mut self.final_ln.beta, &grads.final_ln_b, f);
-        for (lp, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            opt_pair(&mut lp.ln1.gamma, &lg.ln1_g, f);
-            opt_pair(&mut lp.ln1.beta, &lg.ln1_b, f);
-            f(lp.qkv.w.as_mut_slice(), lg.w_qkv.as_slice());
-            opt_pair(&mut lp.qkv.bias, &lg.b_qkv, f);
-            f(lp.out.w.as_mut_slice(), lg.w_out.as_slice());
-            opt_pair(&mut lp.out.bias, &lg.b_out, f);
-            opt_pair(&mut lp.ln2.gamma, &lg.ln2_g, f);
-            opt_pair(&mut lp.ln2.beta, &lg.ln2_b, f);
-            f(lp.fc1.w.as_mut_slice(), lg.w_fc1.as_slice());
-            opt_pair(&mut lp.fc1.bias, &lg.b_fc1, f);
-            f(lp.fc2.w.as_mut_slice(), lg.w_fc2.as_slice());
-            opt_pair(&mut lp.fc2.bias, &lg.b_fc2, f);
-        }
+        walk_stem(
+            &mut self.table,
+            [&mut self.final_ln.gamma, &mut self.final_ln.beta],
+            &mut self.layers,
+            grads,
+            f,
+        );
     }
 
     /// One SGD step accumulated over several microbatches (gradient
@@ -531,49 +449,15 @@ impl OptimusModel {
 
     /// Plain SGD over all local parameters.
     pub fn apply_sgd(&mut self, grads: &Model2dGrads, lr: f32) {
-        self.table.axpy(-lr, &grads.table);
-        apply_ln_sgd(
-            &mut self.final_ln,
-            grads.final_ln_g.as_deref(),
-            grads.final_ln_b.as_deref(),
-            lr,
-        );
-        for (lp, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            apply_layer_sgd(lp, lg, lr);
-        }
+        self.visit_params_grads(grads, &mut |p, g| sgd(p, g, lr));
     }
 }
 
-fn upd_opt(p: &mut Option<Vec<f32>>, g: Option<&[f32]>, lr: f32) {
-    match (p, g) {
-        (Some(pv), Some(gv)) => {
-            for (a, b) in pv.iter_mut().zip(gv) {
-                *a -= lr * b;
-            }
-        }
-        (None, None) => {}
-        _ => panic!("parameter/gradient hosting mismatch"),
+/// `p -= lr·g`, inline on the device thread.
+fn sgd(p: &mut [f32], g: &[f32], lr: f32) {
+    for (a, b) in p.iter_mut().zip(g) {
+        *a -= lr * b;
     }
-}
-
-fn apply_ln_sgd(ln: &mut LayerNorm2d, dg: Option<&[f32]>, db: Option<&[f32]>, lr: f32) {
-    upd_opt(&mut ln.gamma, dg, lr);
-    upd_opt(&mut ln.beta, db, lr);
-}
-
-fn apply_layer_sgd(p: &mut Layer2dParams, g: &Layer2dGrads, lr: f32) {
-    upd_opt(&mut p.ln1.gamma, g.ln1_g.as_deref(), lr);
-    upd_opt(&mut p.ln1.beta, g.ln1_b.as_deref(), lr);
-    p.qkv.w.axpy(-lr, &g.w_qkv);
-    upd_opt(&mut p.qkv.bias, g.b_qkv.as_deref(), lr);
-    p.out.w.axpy(-lr, &g.w_out);
-    upd_opt(&mut p.out.bias, g.b_out.as_deref(), lr);
-    upd_opt(&mut p.ln2.gamma, g.ln2_g.as_deref(), lr);
-    upd_opt(&mut p.ln2.beta, g.ln2_b.as_deref(), lr);
-    p.fc1.w.axpy(-lr, &g.w_fc1);
-    upd_opt(&mut p.fc1.bias, g.b_fc1.as_deref(), lr);
-    p.fc2.w.axpy(-lr, &g.w_fc2);
-    upd_opt(&mut p.fc2.bias, g.b_fc2.as_deref(), lr);
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! Per-device 2D parameter blocks, sliced from the canonical full matrices.
 
-use crate::layernorm2d::LayerNorm2d;
-use crate::linear2d::Linear2d;
 use mesh::{Communicator, Grid2d};
-use serial::LayerParams;
+use serial::{LayerParams, LayerTensors};
 use tensor::Tensor;
 
 /// Slices device `(i, j)`'s block of the fused QKV weight, preserving head
@@ -30,55 +28,36 @@ fn slice_qkv_bias(b_qkv: &[f32], h: usize, q: usize, j: usize) -> Vec<f32> {
     out
 }
 
-/// One layer's parameters as held by a single device of the mesh.
-#[derive(Clone, Debug)]
-pub struct Layer2dParams {
-    pub ln1: LayerNorm2d,
-    /// `[h/q, 3h/q]`, permuted QKV layout (see `slice_qkv_block` above).
-    pub qkv: Linear2d,
-    /// `[h/q, h/q]` attention output projection.
-    pub out: Linear2d,
-    pub ln2: LayerNorm2d,
-    /// `[h/q, 4h/q]`.
-    pub fc1: Linear2d,
-    /// `[4h/q, h/q]`.
-    pub fc2: Linear2d,
+/// One layer's parameters (or their gradients) as held by a single device
+/// of the mesh: `[·/q, ·/q]` weight blocks — `w_qkv` in the permuted layout
+/// of `slice_qkv_block` above — and, on mesh row 0 only, this column's
+/// slice of every bias and layer-norm vector.
+pub type Layer2dParams = LayerTensors<Option<Vec<f32>>>;
+
+/// This device's share of a full bias or layer-norm vector: the slice for
+/// mesh column `j`, hosted by mesh row 0 only (Fig. 5).
+pub(crate) fn hosted_slice<C: Communicator>(grid: &Grid2d<C>, full: &[f32]) -> Option<Vec<f32>> {
+    let w = full.len() / grid.q();
+    (grid.row() == 0).then(|| full[grid.col() * w..(grid.col() + 1) * w].to_vec())
 }
 
-impl Layer2dParams {
-    /// Slices the canonical full layer parameters for this device.
-    pub fn from_full<C: Communicator>(grid: &Grid2d<C>, full: &LayerParams) -> Self {
-        let h = full.w_out.rows();
-        let (q, i, j) = (grid.q(), grid.row(), grid.col());
-        let qkv_w = slice_qkv_block(&full.w_qkv, h, q, i, j);
-        let qkv_b = if i == 0 {
-            Some(slice_qkv_bias(&full.b_qkv, h, q, j))
-        } else {
-            None
-        };
-        Layer2dParams {
-            ln1: LayerNorm2d::from_full(grid, &full.ln1_g, &full.ln1_b),
-            qkv: Linear2d::new(qkv_w, qkv_b),
-            out: Linear2d::from_full(grid, &full.w_out, &full.b_out),
-            ln2: LayerNorm2d::from_full(grid, &full.ln2_g, &full.ln2_b),
-            fc1: Linear2d::from_full(grid, &full.w_fc1, &full.b_fc1),
-            fc2: Linear2d::from_full(grid, &full.w_fc2, &full.b_fc2),
-        }
-    }
-
-    /// Number of scalar parameters held locally (weights plus any hosted
-    /// biases/affine slices).
-    pub fn local_params(&self) -> usize {
-        let lin = |l: &Linear2d| l.w.len() + l.bias.as_ref().map_or(0, Vec::len);
-        let ln = |l: &LayerNorm2d| {
-            l.gamma.as_ref().map_or(0, Vec::len) + l.beta.as_ref().map_or(0, Vec::len)
-        };
-        lin(&self.qkv)
-            + lin(&self.out)
-            + lin(&self.fc1)
-            + lin(&self.fc2)
-            + ln(&self.ln1)
-            + ln(&self.ln2)
+/// Slices the canonical full layer parameters for this device.
+pub fn slice_layer2d<C: Communicator>(grid: &Grid2d<C>, full: &LayerParams) -> Layer2dParams {
+    let h = full.w_out.rows();
+    let (q, i, j) = (grid.q(), grid.row(), grid.col());
+    Layer2dParams {
+        ln1_g: hosted_slice(grid, &full.ln1_g),
+        ln1_b: hosted_slice(grid, &full.ln1_b),
+        w_qkv: slice_qkv_block(&full.w_qkv, h, q, i, j),
+        b_qkv: (i == 0).then(|| slice_qkv_bias(&full.b_qkv, h, q, j)),
+        w_out: full.w_out.summa_block(i, j, q),
+        b_out: hosted_slice(grid, &full.b_out),
+        ln2_g: hosted_slice(grid, &full.ln2_g),
+        ln2_b: hosted_slice(grid, &full.ln2_b),
+        w_fc1: full.w_fc1.summa_block(i, j, q),
+        b_fc1: hosted_slice(grid, &full.b_fc1),
+        w_fc2: full.w_fc2.summa_block(i, j, q),
+        b_fc2: hosted_slice(grid, &full.b_fc2),
     }
 }
 
@@ -112,7 +91,7 @@ mod tests {
         let q = 2;
         let full = LayerParams::init(1, 0, h);
         let f = full.clone();
-        let locals = Mesh2d::run(q, move |g| Layer2dParams::from_full(g, &f).local_params());
+        let locals = Mesh2d::run(q, move |g| slice_layer2d(g, &f).num_params());
         let total: usize = locals.iter().sum();
         assert_eq!(total, full.num_params());
     }
@@ -124,8 +103,8 @@ mod tests {
         let full = LayerParams::init(2, 0, h);
         let f = full.clone();
         let has_bias = Mesh2d::run(q, move |g| {
-            let p = Layer2dParams::from_full(g, &f);
-            p.qkv.bias.is_some() && p.fc1.bias.is_some() && p.ln1.gamma.is_some()
+            let p = slice_layer2d(g, &f);
+            p.b_qkv.is_some() && p.b_fc1.is_some() && p.ln1_g.is_some()
         });
         assert_eq!(has_bias, vec![true, true, false, false]);
     }

@@ -91,9 +91,9 @@ use optimus_core::embedding2d::{
     ce2d, embed2d_backward, embed2d_forward, lm_head2d_backward, lm_head2d_forward,
 };
 use optimus_core::{
-    layer2d_backward, layer2d_forward, Layer2dCache, Layer2dGrads, Ln2dCache, Model2dGrads,
-    OptimusConfig, OptimusModel,
+    layer2d_backward, layer2d_forward, Model2dGrads, OptimusConfig, OptimusModel, Summa2d,
 };
+use serial::{LayerCache, LnCache};
 use tensor::Tensor;
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -325,14 +325,13 @@ pub fn build<'a, C: Communicator>(
 
 /// One stage's in-flight state for one microbatch.
 struct MicroState {
-    /// Layer inputs (the checkpoints) — kept either way, like
-    /// `OptimusModel::lm_grads`.
+    /// Layer inputs (the checkpoints), only when checkpointing is on.
     inputs: Vec<Tensor>,
     /// Full layer caches, only when checkpointing is off.
-    caches: Vec<Layer2dCache>,
+    caches: Vec<LayerCache>,
     /// Last stage only: final layer-norm cache, normalized hidden state and
     /// the loss-scaled logits gradient.
-    final_ln: Option<Ln2dCache>,
+    final_ln: Option<LnCache>,
     hidden: Option<Tensor>,
     dlogits: Option<Tensor>,
 }
@@ -466,14 +465,16 @@ impl HybridStage {
         };
 
         let mut state = MicroState {
-            inputs: Vec::with_capacity(self.model.layers.len()),
+            inputs: Vec::new(),
             caches: Vec::new(),
             final_ln: None,
             hidden: None,
             dlogits: None,
         };
         for lp in &self.model.layers {
-            state.inputs.push(x.clone());
+            if micro.checkpoint {
+                state.inputs.push(x.clone());
+            }
             let (y, cache) = layer2d_forward(grid, &micro, lp, &x);
             if !micro.checkpoint {
                 state.caches.push(cache);
@@ -482,7 +483,8 @@ impl HybridStage {
         }
 
         if self.is_last() {
-            let (hidden, ln_cache) = self.model.final_ln.forward(grid, &x, micro.hidden);
+            let low = Summa2d { grid, cfg: &micro };
+            let (hidden, ln_cache) = self.model.final_ln.forward(&low, &x);
             drop(fwd_span);
             let loss_span = trace::span_guard("loss_head");
             let logits = lm_head2d_forward(grid, &hidden, &self.model.table);
@@ -527,10 +529,9 @@ impl HybridStage {
             drop(loss_span);
             let bwd_span = trace::span_guard("bwd");
             let out = self.model.final_ln.backward(
-                grid,
+                &Summa2d { grid, cfg: &micro },
                 &dhidden,
                 state.final_ln.as_ref().expect("last stage kept the cache"),
-                micro.hidden,
             );
             drop(bwd_span);
             out
@@ -552,7 +553,7 @@ impl HybridStage {
         };
 
         let bwd_span = trace::span_guard("bwd");
-        let mut layer_grads: Vec<Layer2dGrads> = Vec::with_capacity(self.model.layers.len());
+        let mut layer_grads = Vec::with_capacity(self.model.layers.len());
         for l in (0..self.model.layers.len()).rev() {
             let cache = if micro.checkpoint {
                 let (_, cache) =
@@ -577,7 +578,7 @@ impl HybridStage {
         drop(bwd_span);
 
         Model2dGrads {
-            table: d_table,
+            embedding: d_table,
             layers: layer_grads,
             final_ln_g,
             final_ln_b,
@@ -666,7 +667,7 @@ impl HybridStage {
             let is_last = self.is_last();
             let w = self.grad_wire;
             // The residual cursor rewinds every step; buffers line up with
-            // the (fixed) visitation order of the gradient slices below.
+            // the canonical walk order of the gradient slices below.
             let ef = &mut self.dp_ef;
             ef.begin_step();
             let mut sync = |v: &mut [f32]| {
@@ -677,36 +678,23 @@ impl HybridStage {
                 };
                 ctx.collective(Coll::AllReduce, &dp, CollBuf::Now(v), plan);
             };
-            let sync_opt = |v: &mut Option<Vec<f32>>, sync: &mut dyn FnMut(&mut [f32])| {
-                if let Some(v) = v.as_mut() {
-                    sync(v);
-                }
-            };
+            // Middle stages carry a table and a final LN whose gradients
+            // are permanently zero: nothing to sync.
             if has_table {
-                sync(grads.table.as_mut_slice());
+                sync(grads.embedding.as_mut_slice());
             }
             if is_last {
-                sync_opt(&mut grads.final_ln_g, &mut sync);
-                sync_opt(&mut grads.final_ln_b, &mut sync);
+                for v in [&mut grads.final_ln_g, &mut grads.final_ln_b] {
+                    v.iter_mut().for_each(|v| sync(v));
+                }
             }
             for g in &mut grads.layers {
-                sync(g.w_qkv.as_mut_slice());
-                sync_opt(&mut g.b_qkv, &mut sync);
-                sync(g.w_out.as_mut_slice());
-                sync_opt(&mut g.b_out, &mut sync);
-                sync(g.w_fc1.as_mut_slice());
-                sync_opt(&mut g.b_fc1, &mut sync);
-                sync(g.w_fc2.as_mut_slice());
-                sync_opt(&mut g.b_fc2, &mut sync);
-                sync_opt(&mut g.ln1_g, &mut sync);
-                sync_opt(&mut g.ln1_b, &mut sync);
-                sync_opt(&mut g.ln2_g, &mut sync);
-                sync_opt(&mut g.ln2_b, &mut sync);
+                g.walk_mut(&mut sync);
             }
         }
         if spec.pp > 1 && has_table {
             let tie = spec.tie_group(self.replica, self.mesh_rank);
-            ctx.all_reduce(&tie, grads.table.as_mut_slice());
+            ctx.all_reduce(&tie, grads.embedding.as_mut_slice());
         }
         self.model.apply_sgd(&grads, lr);
 
@@ -958,6 +946,54 @@ mod tests {
         for (l, d) in live_logs.iter().zip(&dry_logs) {
             assert_eq!(l.ops, d.ops, "op stream mismatch at rank {}", l.rank);
             assert_eq!(l.links, d.links, "link stream mismatch at rank {}", l.rank);
+        }
+    }
+
+    #[test]
+    fn dp_sync_moves_the_same_all_reduces_as_the_weights_first_order_did() {
+        // The dp sync walks gradients in the canonical order. Before, it
+        // went table, final LN, then per layer the four (weight, bias)
+        // pairs followed by all four LN vectors; per rank the multiset of
+        // dp all-reduce sizes (plus the last stage's loss scalar) must be
+        // what that order produced.
+        let cfg = OptimusConfig {
+            batch: 8,
+            ..OptimusConfig::tiny(2)
+        };
+        let (tokens, labels) = data(&cfg, 9);
+        let spec = HybridSpec {
+            pp: 2,
+            dp: 2,
+            grid: [2, 2, 1],
+            microbatches: 2,
+        };
+        let (want, logs) = Mesh::run_with_logs(spec.devices(), |ctx| {
+            let (mut st, grid) = build(ctx, &spec, &cfg, 7);
+            st.train_step(&grid, &tokens, &labels, 0.1);
+            let (m, last) = (&st.model, st.is_last());
+            let len = |v: &Option<Vec<f32>>| v.as_ref().map(Vec::len);
+            let mut want = vec![(st.is_first() || last).then_some(m.table.len())];
+            if last {
+                want.extend([len(&m.final_ln.gamma), len(&m.final_ln.beta), Some(1)]);
+            }
+            for l in &m.layers {
+                want.extend([Some(l.w_qkv.len()), len(&l.b_qkv), Some(l.w_out.len())]);
+                want.extend([len(&l.b_out), Some(l.w_fc1.len()), len(&l.b_fc1)]);
+                want.extend([Some(l.w_fc2.len()), len(&l.b_fc2), len(&l.ln1_g)]);
+                want.extend([len(&l.ln1_b), len(&l.ln2_g), len(&l.ln2_b)]);
+            }
+            let mut want: Vec<usize> = want.into_iter().flatten().collect();
+            want.sort_unstable();
+            want
+        });
+        for (log, want) in logs.iter().zip(&want) {
+            // Only the dp groups pair ranks one stage-replica mesh apart.
+            let mut got: Vec<usize> = (log.ops.iter())
+                .filter(|o| o.op == CommOp::AllReduce && o.group_stride == spec.mesh_devices())
+                .map(|o| o.elems)
+                .collect();
+            got.sort_unstable();
+            assert_eq!(&got, want, "rank {}", log.rank);
         }
     }
 

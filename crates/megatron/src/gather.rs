@@ -106,19 +106,16 @@ impl MegatronModel {
             let w_fc1 = gather_concat_cols(ctx, world, &lp.w_fc1, h, 4 * h);
             let b_fc1 = gather_concat_vec(ctx, world, &lp.b_fc1);
             let w_fc2 = gather_concat_rows(ctx, world, &lp.w_fc2, 4 * h, h);
+            // Replicated entries (layer norms, `b_out`, the fc2 bias) are
+            // rank 0's own copies.
             layers.push(w_qkv.map(|w_qkv| LayerParams {
-                ln1_g: lp.ln1_g.clone(),
-                ln1_b: lp.ln1_b.clone(),
                 w_qkv,
                 b_qkv: b_qkv.unwrap(),
                 w_out: w_out.unwrap(),
-                b_out: lp.b_out.clone(),
-                ln2_g: lp.ln2_g.clone(),
-                ln2_b: lp.ln2_b.clone(),
                 w_fc1: w_fc1.unwrap(),
                 b_fc1: b_fc1.unwrap(),
                 w_fc2: w_fc2.unwrap(),
-                b_fc2: lp.b_fc2.clone(),
+                ..lp.clone()
             }));
         }
 

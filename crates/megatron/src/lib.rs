@@ -9,6 +9,14 @@
 //! layer forward is the first row of the paper's Table 1 — validated against
 //! this implementation's [`mesh::CommLog`] by integration tests.
 //!
+//! The transformer layer itself is not written here: [`Megatron1d`] is a
+//! [`serial::Lowering`] of the one layer body in `serial::layer` — local
+//! GEMMs on column-parallel *expand* and row-parallel *contract* slices plus
+//! the one world all-reduce Fig. 2 needs after each — and
+//! [`layer1d_forward`] / [`layer1d_backward`] are that body under it.
+//! Parameters and gradients are `serial::LayerTensors<Vec<f32>>` slices,
+//! walked in the canonical order of [`serial::walk_stem`].
+//!
 //! Layout conventions (per device `j` of `p`):
 //! * fused QKV weight: columns of each of `Wq`, `Wk`, `Wv` for heads
 //!   `j·n/p … (j+1)·n/p`, i.e. a `[h, 3h/p]` local matrix;
@@ -25,6 +33,6 @@ mod model;
 mod params;
 
 pub use embedding::{embed_forward, lm_head_forward, vocab_parallel_ce};
-pub use layer::{layer1d_backward, layer1d_forward, Layer1dCache, Layer1dGrads};
+pub use layer::{layer1d_backward, layer1d_forward, Megatron1d};
 pub use model::MegatronModel;
-pub use params::{Layer1dParams, MegatronConfig};
+pub use params::{slice_layer1d, Layer1dParams, MegatronConfig};

@@ -5,24 +5,20 @@
 use crate::embedding::{
     embed_backward, embed_forward, lm_head_backward, lm_head_forward, vocab_parallel_ce,
 };
-use crate::layer::{layer1d_backward, layer1d_forward, Layer1dCache, Layer1dGrads};
-use crate::params::{Layer1dParams, MegatronConfig};
+use crate::layer::{layer1d_backward, layer1d_forward};
+use crate::params::{slice_layer1d, Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
+use serial::{walk_stem, LayerCache, ModelTensors};
 use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
 use tensor::Tensor;
 
 /// Device-local gradients for every parameter this device owns (plus its
-/// replicas of the shared ones).
-pub struct Model1dGrads {
-    pub table: Tensor,
-    pub layers: Vec<Layer1dGrads>,
-    pub final_ln_g: Vec<f32>,
-    pub final_ln_b: Vec<f32>,
-}
+/// replicas of the shared ones); `embedding` is the vocabulary slice.
+pub type Model1dGrads = ModelTensors<Vec<f32>>;
 
 /// Forward state of the stem.
 pub struct Stem1dCache {
-    pub layers: Vec<Layer1dCache>,
+    pub layers: Vec<LayerCache>,
     pub final_ln: LnCache,
     pub hidden: Tensor,
 }
@@ -56,7 +52,7 @@ impl MegatronModel {
             layers: full
                 .layers
                 .iter()
-                .map(|lp| Layer1dParams::from_full(lp, cfg.model.hidden, cfg.p, rank))
+                .map(|lp| slice_layer1d(lp, cfg.model.hidden, cfg.p, rank))
                 .collect(),
             final_ln_g: full.final_ln_g,
             final_ln_b: full.final_ln_b,
@@ -102,10 +98,13 @@ impl MegatronModel {
         // ---- Forward ----
         let fwd_span = trace::span_guard("fwd");
         let mut x = embed_forward(ctx, &self.world, &self.table, tokens, self.vocab_offset);
-        let mut inputs: Vec<Tensor> = Vec::with_capacity(self.layers.len());
+        // Checkpointing keeps each layer's input, otherwise its full cache.
+        let mut inputs: Vec<Tensor> = Vec::new();
         let mut caches = Vec::new();
         for lp in &self.layers {
-            inputs.push(x.clone());
+            if self.cfg.checkpoint {
+                inputs.push(x.clone());
+            }
             let (y, cache) = layer1d_forward(ctx, &self.world, &self.cfg, lp, &x);
             if !self.cfg.checkpoint {
                 caches.push(cache);
@@ -155,7 +154,7 @@ impl MegatronModel {
         (
             loss,
             Model1dGrads {
-                table: d_table,
+                embedding: d_table,
                 layers: layer_grads,
                 final_ln_g,
                 final_ln_b,
@@ -196,31 +195,22 @@ impl MegatronModel {
             .collect()
     }
 
-    /// Visits every `(parameter, gradient)` slice pair in a fixed order
-    /// (replicated parameters see identical gradients on every device, so
-    /// per-device optimizer states stay in sync).
+    /// Visits every `(parameter, gradient)` slice pair in the canonical
+    /// order of [`serial::walk_stem`] (replicated parameters see identical
+    /// gradients on every device, so per-device optimizer states stay in
+    /// sync).
     pub fn visit_params_grads(
         &mut self,
         grads: &Model1dGrads,
         f: &mut impl FnMut(&mut [f32], &[f32]),
     ) {
-        f(self.table.as_mut_slice(), grads.table.as_slice());
-        f(&mut self.final_ln_g, &grads.final_ln_g);
-        f(&mut self.final_ln_b, &grads.final_ln_b);
-        for (lp, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            f(&mut lp.ln1_g, &lg.ln1_g);
-            f(&mut lp.ln1_b, &lg.ln1_b);
-            f(lp.w_qkv.as_mut_slice(), lg.w_qkv.as_slice());
-            f(&mut lp.b_qkv, &lg.b_qkv);
-            f(lp.w_out.as_mut_slice(), lg.w_out.as_slice());
-            f(&mut lp.b_out, &lg.b_out);
-            f(&mut lp.ln2_g, &lg.ln2_g);
-            f(&mut lp.ln2_b, &lg.ln2_b);
-            f(lp.w_fc1.as_mut_slice(), lg.w_fc1.as_slice());
-            f(&mut lp.b_fc1, &lg.b_fc1);
-            f(lp.w_fc2.as_mut_slice(), lg.w_fc2.as_slice());
-            f(&mut lp.b_fc2, &lg.b_fc2);
-        }
+        walk_stem(
+            &mut self.table,
+            [&mut self.final_ln_g, &mut self.final_ln_b],
+            &mut self.layers,
+            grads,
+            f,
+        );
     }
 
     /// One Adam training step; `opt` holds this device's moments.
@@ -239,29 +229,7 @@ impl MegatronModel {
 
     /// Plain SGD over all local parameters.
     pub fn apply_sgd(&mut self, grads: &Model1dGrads, lr: f32) {
-        fn upd_t(p: &mut Tensor, g: &Tensor, lr: f32) {
-            tensor::optim::sgd_update(p.as_mut_slice(), g.as_slice(), lr);
-        }
-        fn upd_v(p: &mut [f32], g: &[f32], lr: f32) {
-            tensor::optim::sgd_update(p, g, lr);
-        }
-        upd_t(&mut self.table, &grads.table, lr);
-        upd_v(&mut self.final_ln_g, &grads.final_ln_g, lr);
-        upd_v(&mut self.final_ln_b, &grads.final_ln_b, lr);
-        for (lp, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            upd_v(&mut lp.ln1_g, &lg.ln1_g, lr);
-            upd_v(&mut lp.ln1_b, &lg.ln1_b, lr);
-            upd_t(&mut lp.w_qkv, &lg.w_qkv, lr);
-            upd_v(&mut lp.b_qkv, &lg.b_qkv, lr);
-            upd_t(&mut lp.w_out, &lg.w_out, lr);
-            upd_v(&mut lp.b_out, &lg.b_out, lr);
-            upd_v(&mut lp.ln2_g, &lg.ln2_g, lr);
-            upd_v(&mut lp.ln2_b, &lg.ln2_b, lr);
-            upd_t(&mut lp.w_fc1, &lg.w_fc1, lr);
-            upd_v(&mut lp.b_fc1, &lg.b_fc1, lr);
-            upd_t(&mut lp.w_fc2, &lg.w_fc2, lr);
-            upd_v(&mut lp.b_fc2, &lg.b_fc2, lr);
-        }
+        self.visit_params_grads(grads, &mut |p, g| tensor::optim::sgd_update(p, g, lr));
     }
 }
 

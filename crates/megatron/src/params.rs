@@ -69,53 +69,29 @@ fn slice_qkv_bias(b_qkv: &[f32], h: usize, p: usize, j: usize) -> Vec<f32> {
     out
 }
 
-/// Device-local slice of one layer's parameters.
-#[derive(Clone, Debug)]
-pub struct Layer1dParams {
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
-    /// `[h, 3h/p]` — this device's heads of the fused QKV projection.
-    pub w_qkv: Tensor,
-    pub b_qkv: Vec<f32>,
-    /// `[h/p, h]` row slice of the output projection.
-    pub w_out: Tensor,
-    /// Replicated output bias (added after the all-reduce).
-    pub b_out: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
-    /// `[h, 4h/p]` column slice.
-    pub w_fc1: Tensor,
-    pub b_fc1: Vec<f32>,
-    /// `[4h/p, h]` row slice.
-    pub w_fc2: Tensor,
-    /// Replicated.
-    pub b_fc2: Vec<f32>,
-}
+/// Device-local slice of one layer's parameters (or their gradients):
+/// `w_qkv` is this device's heads `[h, 3h/p]`, `w_out` a `[h/p, h]` row
+/// slice, `w_fc1` a `[h, 4h/p]` column slice with its bias slice, `w_fc2` a
+/// `[4h/p, h]` row slice; layer norms and the `b_out` / second-matrix
+/// biases (added after the all-reduce) are replicated.
+pub type Layer1dParams = LayerParams;
 
-impl Layer1dParams {
-    /// Slices the canonical full layer parameters for device `j` of `p`.
-    pub fn from_full(full: &LayerParams, h: usize, p: usize, j: usize) -> Self {
-        let w = h / p;
-        Layer1dParams {
-            ln1_g: full.ln1_g.clone(),
-            ln1_b: full.ln1_b.clone(),
-            w_qkv: slice_qkv_cols(&full.w_qkv, h, p, j),
-            b_qkv: slice_qkv_bias(&full.b_qkv, h, p, j),
-            w_out: full.w_out.block(j * w, 0, w, h),
-            b_out: full.b_out.clone(),
-            ln2_g: full.ln2_g.clone(),
-            ln2_b: full.ln2_b.clone(),
-            w_fc1: full.w_fc1.block(0, j * 4 * w, h, 4 * w),
-            b_fc1: full.b_fc1[j * 4 * w..(j + 1) * 4 * w].to_vec(),
-            w_fc2: full.w_fc2.block(j * 4 * w, 0, 4 * w, h),
-            b_fc2: full.b_fc2.clone(),
-        }
-    }
-
-    /// Deterministic initialisation: generate the full layer, then slice.
-    pub fn init(seed: u64, layer_idx: usize, cfg: &MegatronConfig, j: usize) -> Self {
-        let full = LayerParams::init(seed, layer_idx, cfg.model.hidden);
-        Layer1dParams::from_full(&full, cfg.model.hidden, cfg.p, j)
+/// Slices the canonical full layer parameters for device `j` of `p`.
+pub fn slice_layer1d(full: &LayerParams, h: usize, p: usize, j: usize) -> Layer1dParams {
+    let w = h / p;
+    Layer1dParams {
+        ln1_g: full.ln1_g.clone(),
+        ln1_b: full.ln1_b.clone(),
+        w_qkv: slice_qkv_cols(&full.w_qkv, h, p, j),
+        b_qkv: slice_qkv_bias(&full.b_qkv, h, p, j),
+        w_out: full.w_out.block(j * w, 0, w, h),
+        b_out: full.b_out.clone(),
+        ln2_g: full.ln2_g.clone(),
+        ln2_b: full.ln2_b.clone(),
+        w_fc1: full.w_fc1.block(0, j * 4 * w, h, 4 * w),
+        b_fc1: full.b_fc1[j * 4 * w..(j + 1) * 4 * w].to_vec(),
+        w_fc2: full.w_fc2.block(j * 4 * w, 0, 4 * w, h),
+        b_fc2: full.b_fc2.clone(),
     }
 }
 
@@ -132,8 +108,8 @@ mod tests {
         let c = cfg();
         let h = c.model.hidden;
         let full = LayerParams::init(0, 0, h);
-        let p0 = Layer1dParams::from_full(&full, h, 2, 0);
-        let p1 = Layer1dParams::from_full(&full, h, 2, 1);
+        let p0 = slice_layer1d(&full, h, 2, 0);
+        let p1 = slice_layer1d(&full, h, 2, 1);
         // Device 0's first column equals the full Wq's first column; device
         // 1's first column equals Wq's column h/2.
         for r in 0..h {
@@ -149,9 +125,7 @@ mod tests {
         let c = cfg();
         let h = c.model.hidden;
         let full = LayerParams::init(1, 0, h);
-        let parts: Vec<Layer1dParams> = (0..2)
-            .map(|j| Layer1dParams::from_full(&full, h, 2, j))
-            .collect();
+        let parts: Vec<Layer1dParams> = (0..2).map(|j| slice_layer1d(&full, h, 2, j)).collect();
         // fc1 column slices reassemble to the full fc1.
         let mut re = Tensor::zeros(&[h, 4 * h]);
         for (j, p) in parts.iter().enumerate() {

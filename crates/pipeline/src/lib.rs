@@ -36,9 +36,10 @@
 //! schedules use `perf`'s analytic pipeline cost model instead.
 
 use mesh::{DeviceCtx, Group};
-use serial::{layer_backward, layer_forward, LayerCache, LayerGrads, LayerParams, ModelConfig};
+use serial::{layer_backward, layer_forward, LayerCache, LayerParams, Local, ModelConfig};
 use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
 use tensor::loss::cross_entropy;
+use tensor::optim::sgd_update;
 use tensor::{matmul_nn, matmul_nt, matmul_tn, Tensor};
 
 /// Pipeline run configuration.
@@ -115,7 +116,7 @@ struct MicroState {
 /// Gradient accumulators for one training step.
 struct GradAcc {
     d_embedding: Option<Tensor>,
-    layer_grads: Vec<Option<LayerGrads>>,
+    layer_grads: Vec<Option<LayerParams>>,
     d_final_g: Option<Vec<f32>>,
     d_final_b: Option<Vec<f32>>,
 }
@@ -196,7 +197,7 @@ impl PipelineStage {
 
         let mut caches = Vec::with_capacity(self.layers.len());
         for lp in &self.layers {
-            let (y, cache) = layer_forward(&micro, lp, &x);
+            let (y, cache) = layer_forward(&Local(micro), lp, &x);
             caches.push(cache);
             x = y;
         }
@@ -260,7 +261,7 @@ impl PipelineStage {
         };
 
         for (l, lp) in self.layers.iter().enumerate().rev() {
-            let (dprev, g) = layer_backward(&micro, lp, &state.caches[l], &dx);
+            let (dprev, g) = layer_backward(&Local(micro), lp, &state.caches[l], &dx);
             accumulate_layer(&mut acc.layer_grads[l], g);
             dx = dprev;
         }
@@ -291,15 +292,11 @@ impl PipelineStage {
             e.axpy(-lr, de);
         }
         if let Some((g, b)) = self.final_ln.as_mut() {
-            for (p, d) in g.iter_mut().zip(acc.d_final_g.as_ref().unwrap()) {
-                *p -= lr * d;
-            }
-            for (p, d) in b.iter_mut().zip(acc.d_final_b.as_ref().unwrap()) {
-                *p -= lr * d;
-            }
+            sgd_update(g, acc.d_final_g.as_ref().unwrap(), lr);
+            sgd_update(b, acc.d_final_b.as_ref().unwrap(), lr);
         }
         for (lp, lg) in self.layers.iter_mut().zip(acc.layer_grads.iter()) {
-            apply_layer_sgd(lp, lg.as_ref().unwrap(), lr);
+            lp.walk(lg.as_ref().unwrap(), &mut |p, g| sgd_update(p, g, lr));
         }
         let world = Group::world(self.cfg.stages);
         let mut loss = vec![if self.is_last() { losses as f32 } else { 0.0 }];
@@ -400,61 +397,23 @@ impl PipelineStage {
     }
 }
 
+fn add(x: &mut [f32], y: &[f32]) {
+    for (x, y) in x.iter_mut().zip(y) {
+        *x += y;
+    }
+}
+
 fn accumulate_vec(acc: &mut Option<Vec<f32>>, g: Vec<f32>) {
     match acc {
         None => *acc = Some(g),
-        Some(a) => {
-            for (x, y) in a.iter_mut().zip(g) {
-                *x += y;
-            }
-        }
+        Some(a) => add(a, &g),
     }
 }
 
-fn accumulate_layer(acc: &mut Option<LayerGrads>, g: LayerGrads) {
+fn accumulate_layer(acc: &mut Option<LayerParams>, g: LayerParams) {
     match acc {
         None => *acc = Some(g),
-        Some(a) => {
-            a.w_qkv.add_assign(&g.w_qkv);
-            a.w_out.add_assign(&g.w_out);
-            a.w_fc1.add_assign(&g.w_fc1);
-            a.w_fc2.add_assign(&g.w_fc2);
-            for (dst, src) in [
-                (&mut a.ln1_g, &g.ln1_g),
-                (&mut a.ln1_b, &g.ln1_b),
-                (&mut a.b_qkv, &g.b_qkv),
-                (&mut a.b_out, &g.b_out),
-                (&mut a.ln2_g, &g.ln2_g),
-                (&mut a.ln2_b, &g.ln2_b),
-                (&mut a.b_fc1, &g.b_fc1),
-                (&mut a.b_fc2, &g.b_fc2),
-            ] {
-                for (x, y) in dst.iter_mut().zip(src) {
-                    *x += y;
-                }
-            }
-        }
-    }
-}
-
-fn apply_layer_sgd(p: &mut LayerParams, g: &LayerGrads, lr: f32) {
-    p.w_qkv.axpy(-lr, &g.w_qkv);
-    p.w_out.axpy(-lr, &g.w_out);
-    p.w_fc1.axpy(-lr, &g.w_fc1);
-    p.w_fc2.axpy(-lr, &g.w_fc2);
-    for (dst, src) in [
-        (&mut p.ln1_g, &g.ln1_g),
-        (&mut p.ln1_b, &g.ln1_b),
-        (&mut p.b_qkv, &g.b_qkv),
-        (&mut p.b_out, &g.b_out),
-        (&mut p.ln2_g, &g.ln2_g),
-        (&mut p.ln2_b, &g.ln2_b),
-        (&mut p.b_fc1, &g.b_fc1),
-        (&mut p.b_fc2, &g.b_fc2),
-    ] {
-        for (x, y) in dst.iter_mut().zip(src) {
-            *x -= lr * y;
-        }
+        Some(a) => a.walk(&g, &mut add),
     }
 }
 

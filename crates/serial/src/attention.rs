@@ -16,120 +16,65 @@ fn head_block(x: &Tensor, b: usize, head: usize, s: usize, d: usize) -> Tensor {
     x.block(b * s, head * d, s, d)
 }
 
+/// One head's probabilities `softmax(q kᵀ/√d)`, causally masked when the
+/// config says so.
+fn head_probs(cfg: &ModelConfig, qh: &Tensor, kh: &Tensor, scale: f32) -> Tensor {
+    let mut scores = matmul_nt(qh, kh);
+    scores.scale(scale);
+    if cfg.causal {
+        causal_mask(&mut scores);
+    }
+    softmax_rows(&scores)
+}
+
 /// Attention forward. `q`, `k`, `v` are `[b·s, h]` (head `j` occupies
-/// columns `j·d..(j+1)·d`); returns the `[b·s, h]` context and the cache.
+/// columns `j·d..(j+1)·d`); returns the `[b·s, h]` context and, when
+/// `keep_probs`, the cache.
+///
+/// Without `keep_probs` one `[s, s]` matrix is live at a time instead of
+/// `b·n` of them — the paper's Section 6 "operation fusion" direction (the
+/// `[b, n, s, s]` score tensor would otherwise dominate activation memory
+/// at long sequence lengths); [`attention_backward`] then recomputes the
+/// probabilities per head.
 pub fn attention_forward(
     cfg: &ModelConfig,
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
-) -> (Tensor, AttnCache) {
+    keep_probs: bool,
+) -> (Tensor, Option<AttnCache>) {
     let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
     assert_eq!(q.dims(), &[b * s, n * d]);
     let scale = 1.0 / (d as f32).sqrt();
     let mut ctxt = Tensor::zeros(&[b * s, n * d]);
-    let mut probs = Vec::with_capacity(b * n);
+    let mut probs = Vec::new();
     for bi in 0..b {
         for head in 0..n {
             let qh = head_block(q, bi, head, s, d);
             let kh = head_block(k, bi, head, s, d);
             let vh = head_block(v, bi, head, s, d);
-            let mut scores = matmul_nt(&qh, &kh);
-            scores.scale(scale);
-            if cfg.causal {
-                causal_mask(&mut scores);
-            }
-            let a = softmax_rows(&scores);
+            let a = head_probs(cfg, &qh, &kh, scale);
             let out = matmul_nn(&a, &vh);
             ctxt.set_block(bi * s, head * d, &out);
-            probs.push(a);
-        }
-    }
-    (ctxt, AttnCache { probs })
-}
-
-/// Memory-lean attention forward: computes the context **without keeping
-/// the attention probabilities** — the paper's Section 6 "operation fusion"
-/// direction (the `[b, n, s, s]` score tensor would otherwise dominate
-/// activation memory at long sequence lengths). Backward recomputes the
-/// probabilities per head via [`attention_backward_recomputed`].
-pub fn attention_ctx_only(cfg: &ModelConfig, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
-    let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
-    assert_eq!(q.dims(), &[b * s, n * d]);
-    let scale = 1.0 / (d as f32).sqrt();
-    let mut ctxt = Tensor::zeros(&[b * s, n * d]);
-    for bi in 0..b {
-        for head in 0..n {
-            let qh = head_block(q, bi, head, s, d);
-            let kh = head_block(k, bi, head, s, d);
-            let vh = head_block(v, bi, head, s, d);
-            let mut scores = matmul_nt(&qh, &kh);
-            scores.scale(scale);
-            if cfg.causal {
-                causal_mask(&mut scores);
+            if keep_probs {
+                probs.push(a);
             }
-            let a = softmax_rows(&scores);
-            let out = matmul_nn(&a, &vh);
-            ctxt.set_block(bi * s, head * d, &out);
-            // `a` drops here: one [s, s] matrix live at a time instead of
-            // b·n of them.
         }
     }
-    ctxt
-}
-
-/// Backward companion of [`attention_ctx_only`]: recomputes each head's
-/// probabilities from Q and K, then applies the standard backward. Costs one
-/// extra `QKᵀ` + softmax per head; saves `b·n·s²` floats of cache.
-pub fn attention_backward_recomputed(
-    cfg: &ModelConfig,
-    dctxt: &Tensor,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
-    let scale = 1.0 / (d as f32).sqrt();
-    let mut dq = Tensor::zeros(&[b * s, n * d]);
-    let mut dk = Tensor::zeros(&[b * s, n * d]);
-    let mut dv = Tensor::zeros(&[b * s, n * d]);
-    for bi in 0..b {
-        for head in 0..n {
-            let qh = head_block(q, bi, head, s, d);
-            let kh = head_block(k, bi, head, s, d);
-            let vh = head_block(v, bi, head, s, d);
-            // Recompute this head's probabilities.
-            let mut scores = matmul_nt(&qh, &kh);
-            scores.scale(scale);
-            if cfg.causal {
-                causal_mask(&mut scores);
-            }
-            let a = softmax_rows(&scores);
-            // Standard backward for this head.
-            let dout = dctxt.block(bi * s, head * d, s, d);
-            let da = matmul_nt(&dout, &vh);
-            let dvh = matmul_tn(&a, &dout);
-            let mut ds = softmax_backward(&da, &a);
-            ds.scale(scale);
-            let dqh = matmul_nn(&ds, &kh);
-            let dkh = matmul_tn(&ds, &qh);
-            dq.set_block(bi * s, head * d, &dqh);
-            dk.set_block(bi * s, head * d, &dkh);
-            dv.set_block(bi * s, head * d, &dvh);
-        }
-    }
-    (dq, dk, dv)
+    (ctxt, keep_probs.then_some(AttnCache { probs }))
 }
 
 /// Attention backward: returns `(dq, dk, dv)` given the upstream gradient of
-/// the context and the forward inputs/cache.
+/// the context and the forward inputs. With no `cache` each head's
+/// probabilities are recomputed from Q and K: one extra `QKᵀ` + softmax per
+/// head, `b·n·s²` floats of cache saved.
 pub fn attention_backward(
     cfg: &ModelConfig,
     dctxt: &Tensor,
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
-    cache: &AttnCache,
+    cache: Option<&AttnCache>,
 ) -> (Tensor, Tensor, Tensor) {
     let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
     let scale = 1.0 / (d as f32).sqrt();
@@ -138,11 +83,18 @@ pub fn attention_backward(
     let mut dv = Tensor::zeros(&[b * s, n * d]);
     for bi in 0..b {
         for head in 0..n {
-            let a = &cache.probs[bi * n + head];
             let dout = head_block(dctxt, bi, head, s, d);
             let qh = head_block(q, bi, head, s, d);
             let kh = head_block(k, bi, head, s, d);
             let vh = head_block(v, bi, head, s, d);
+            let recomputed;
+            let a = match cache {
+                Some(c) => &c.probs[bi * n + head],
+                None => {
+                    recomputed = head_probs(cfg, &qh, &kh, scale);
+                    &recomputed
+                }
+            };
             // out = A v  =>  dA = dout vᵀ, dv = Aᵀ dout.
             let da = matmul_nt(&dout, &vh);
             let dvh = matmul_tn(a, &dout);
@@ -192,9 +144,9 @@ mod tests {
         let q = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let k = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let v = Tensor::randn(&[6, 8], 1.0, &mut rng);
-        let (out, cache) = attention_forward(&c, &q, &k, &v);
+        let (out, cache) = attention_forward(&c, &q, &k, &v, true);
         assert_eq!(out.dims(), &[6, 8]);
-        assert_eq!(cache.probs.len(), 4); // b * n
+        assert_eq!(cache.unwrap().probs.len(), 4); // b * n
     }
 
     #[test]
@@ -205,7 +157,7 @@ mod tests {
         let q = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let k = Tensor::full(&[6, 8], 0.5);
         let v = Tensor::randn(&[6, 8], 1.0, &mut rng);
-        let (out, _) = attention_forward(&c, &q, &k, &v);
+        let (out, _) = attention_forward(&c, &q, &k, &v, true);
         for bi in 0..2 {
             for col in 0..8 {
                 let mean: f32 = (0..3).map(|t| v.at(bi * 3 + t, col)).sum::<f32>() / 3.0;
@@ -230,8 +182,8 @@ mod tests {
                 *v2.at_mut(r, col) += 1.0;
             }
         }
-        let (o1, _) = attention_forward(&c, &q, &k, &v1);
-        let (o2, _) = attention_forward(&c, &q, &k, &v2);
+        let (o1, _) = attention_forward(&c, &q, &k, &v1, true);
+        let (o2, _) = attention_forward(&c, &q, &k, &v2, true);
         for r in 0..6 {
             for col in 0..4 {
                 assert_eq!(o1.at(r, col), o2.at(r, col));
@@ -247,10 +199,10 @@ mod tests {
         let k = Tensor::randn(&[6, 8], 0.7, &mut rng);
         let v = Tensor::randn(&[6, 8], 0.7, &mut rng);
         let w = Tensor::randn(&[6, 8], 1.0, &mut rng);
-        let (_, cache) = attention_forward(&c, &q, &k, &v);
-        let (dq, dk, dv) = attention_backward(&c, &w, &q, &k, &v, &cache);
+        let (_, cache) = attention_forward(&c, &q, &k, &v, true);
+        let (dq, dk, dv) = attention_backward(&c, &w, &q, &k, &v, cache.as_ref());
         check_grad(
-            |t: &Tensor| dot(&attention_forward(&c, t, &k, &v).0, &w),
+            |t: &Tensor| dot(&attention_forward(&c, t, &k, &v, true).0, &w),
             &q,
             &dq,
             1e-2,
@@ -258,7 +210,7 @@ mod tests {
             2e-2,
         );
         check_grad(
-            |t: &Tensor| dot(&attention_forward(&c, &q, t, &v).0, &w),
+            |t: &Tensor| dot(&attention_forward(&c, &q, t, &v, true).0, &w),
             &k,
             &dk,
             1e-2,
@@ -266,7 +218,7 @@ mod tests {
             2e-2,
         );
         check_grad(
-            |t: &Tensor| dot(&attention_forward(&c, &q, &k, t).0, &w),
+            |t: &Tensor| dot(&attention_forward(&c, &q, &k, t, true).0, &w),
             &v,
             &dv,
             1e-2,
@@ -282,8 +234,9 @@ mod tests {
         let q = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let k = Tensor::randn(&[6, 8], 1.0, &mut rng);
         let v = Tensor::randn(&[6, 8], 1.0, &mut rng);
-        let (cached, _) = attention_forward(&c, &q, &k, &v);
-        let lean = attention_ctx_only(&c, &q, &k, &v);
+        let (cached, _) = attention_forward(&c, &q, &k, &v, true);
+        let (lean, none) = attention_forward(&c, &q, &k, &v, false);
+        assert!(none.is_none());
         assert_eq!(cached, lean);
     }
 
@@ -296,9 +249,9 @@ mod tests {
         let k = Tensor::randn(&[6, 8], 0.8, &mut rng);
         let v = Tensor::randn(&[6, 8], 0.8, &mut rng);
         let w = Tensor::randn(&[6, 8], 1.0, &mut rng);
-        let (_, cache) = attention_forward(&c, &q, &k, &v);
-        let (dq1, dk1, dv1) = attention_backward(&c, &w, &q, &k, &v, &cache);
-        let (dq2, dk2, dv2) = attention_backward_recomputed(&c, &w, &q, &k, &v);
+        let (_, cache) = attention_forward(&c, &q, &k, &v, true);
+        let (dq1, dk1, dv1) = attention_backward(&c, &w, &q, &k, &v, cache.as_ref());
+        let (dq2, dk2, dv2) = attention_backward(&c, &w, &q, &k, &v, None);
         assert_eq!(dq1, dq2);
         assert_eq!(dk1, dk2);
         assert_eq!(dv1, dv2);
@@ -318,8 +271,8 @@ mod tests {
         for col in 0..8 {
             *v2.at_mut(2, col) += 5.0;
         }
-        let (o1, _) = attention_forward(&c, &q, &k, &v1);
-        let (o2, _) = attention_forward(&c, &q, &k, &v2);
+        let (o1, _) = attention_forward(&c, &q, &k, &v1, true);
+        let (o2, _) = attention_forward(&c, &q, &k, &v2, true);
         for t in 0..2 {
             for col in 0..8 {
                 assert_eq!(o1.at(t, col), o2.at(t, col), "t={t} col={col}");

@@ -1,27 +1,219 @@
-//! One pre-LN transformer layer: forward, cache, backward.
+//! One pre-LN transformer layer — forward, cache, backward — written once
+//! and lowered three ways.
+//!
+//! The paper's Fig. 2 (Megatron) and Fig. 4 (Optimus) draw the same layer:
+//! LN → QKV → attention → out-proj → residual → LN → fc1 → GELU → fc2 →
+//! residual. They differ only in how each matmul and each row statistic is
+//! carried out, which is what a [`Lowering`] decides. [`Local`] is the
+//! single-device lowering; `megatron::Megatron1d` and
+//! `optimus_core::Summa2d` are the distributed ones, and none of them
+//! appears here: this module issues no communication of its own.
 
 use crate::attention::{attention_backward, attention_forward, AttnCache};
 use crate::config::ModelConfig;
-use crate::linear::Linear;
-use crate::params::LayerParams;
-use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
-use tensor::ops::{gelu_backward_in_place, gelu_forward};
-use tensor::Tensor;
+use crate::params::{Hosted, LayerTensors};
+use std::borrow::Cow;
+use tensor::gemm::Form;
+use tensor::layernorm::{
+    ln_affine, ln_backward_finish, ln_backward_partials, ln_finish, ln_param_grads,
+    ln_partial_sums, LN_EPS,
+};
+use tensor::ops::{bias_add, bias_grad, gelu_backward_in_place, gelu_forward};
+use tensor::{matmul_nn, matmul_nt, matmul_tn, Tensor};
+
+/// Which way a projection changes the width a device works on: QKV and fc1
+/// *expand* from the layer's activation into per-head / 4h columns, the
+/// output projection and fc2 *contract* back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    Expand,
+    Contract,
+}
+
+/// How one parallel scheme carries out the operations of the layer body.
+/// Chosen by type at each scheme's entry point; never `dyn`.
+pub trait Lowering {
+    /// How a device holds a bias or layer-norm vector.
+    type Hosted: Hosted;
+
+    /// One of a projection's three products on this device's operands:
+    /// `NN` is `x·W`, `NT` is `dy·Wᵀ`, `TN` is `xᵀ·dy`.
+    fn gemm(&self, form: Form, role: Role, a: &Tensor, b: &Tensor) -> Tensor;
+
+    /// The `len` values of a hosted vector this device's columns need.
+    fn fetch<'a>(&self, v: &'a Self::Hosted, len: usize) -> Cow<'a, [f32]>;
+
+    /// Delivers a vector gradient to whoever hosts the vector.
+    fn send_home(&self, g: Vec<f32>) -> Self::Hosted;
+
+    /// Turns per-row sums over the local columns into sums over the whole
+    /// hidden dimension.
+    fn complete_rows(&self, _partial: &mut [f32]) {}
+
+    /// The full hidden size `h` (layer norm's divisor).
+    fn hidden(&self) -> usize;
+
+    /// The sequences and heads this device runs attention over.
+    fn attn_view(&self) -> ModelConfig;
+
+    /// Whether forward keeps the attention probabilities for backward
+    /// (otherwise backward recomputes them per head, paper Section 6).
+    fn cache_probs(&self) -> bool {
+        true
+    }
+
+    /// Wraps one linear layer's forward or backward pass, for lowerings
+    /// that attribute it to a trace span.
+    fn linear_scope<R>(&self, _backward: bool, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// A local product in the given form.
+pub fn local_gemm(form: Form, a: &Tensor, b: &Tensor) -> Tensor {
+    match form {
+        Form::NN => matmul_nn(a, b),
+        Form::NT => matmul_nt(a, b),
+        Form::TN => matmul_tn(a, b),
+    }
+}
+
+/// The single-device lowering: local GEMMs, every vector at hand.
+#[derive(Clone, Copy, Debug)]
+pub struct Local(pub ModelConfig);
+
+impl Lowering for Local {
+    type Hosted = Vec<f32>;
+
+    fn gemm(&self, form: Form, _role: Role, a: &Tensor, b: &Tensor) -> Tensor {
+        local_gemm(form, a, b)
+    }
+    fn fetch<'a>(&self, v: &'a Vec<f32>, _len: usize) -> Cow<'a, [f32]> {
+        Cow::Borrowed(v)
+    }
+    fn send_home(&self, g: Vec<f32>) -> Vec<f32> {
+        g
+    }
+    fn hidden(&self) -> usize {
+        self.0.hidden
+    }
+    fn attn_view(&self) -> ModelConfig {
+        self.0
+    }
+}
+
+/// `y = xW + b`.
+pub fn linear_forward<L: Lowering>(
+    low: &L,
+    role: Role,
+    x: &Tensor,
+    w: &Tensor,
+    b: &L::Hosted,
+) -> Tensor {
+    low.linear_scope(false, || {
+        let mut y = low.gemm(Form::NN, role, x, w);
+        let bias = low.fetch(b, y.cols());
+        bias_add(&mut y, &bias);
+        y
+    })
+}
+
+/// Given a linear layer's input and upstream gradient, returns
+/// `(dx, dw, db)`: `dx = dy Wᵀ`, `dw = xᵀ dy`, `db = Σ_rows dy` (paper
+/// Eq. 1 plus the bias rule of Fig. 5).
+pub fn linear_backward<L: Lowering>(
+    low: &L,
+    role: Role,
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+) -> (Tensor, Tensor, L::Hosted) {
+    low.linear_scope(true, || {
+        let dx = low.gemm(Form::NT, role, dy, w);
+        let dw = low.gemm(Form::TN, role, x, dy);
+        let db = low.send_home(bias_grad(dy));
+        (dx, dw, db)
+    })
+}
+
+/// Saved layer-norm forward state.
+pub struct LnCache {
+    /// Normalised activations `x̂`, same shape as the input block.
+    pub xhat: Tensor,
+    /// Per-row `1/√(Var[x]+ε)`.
+    pub inv_std: Vec<f32>,
+    /// The γ values forward fetched for the local columns.
+    pub gamma: Vec<f32>,
+}
+
+impl LnCache {
+    /// Bytes of state this cache pins.
+    pub fn bytes(&self) -> usize {
+        (self.xhat.len() + self.inv_std.len() + self.gamma.len()) * 4
+    }
+}
+
+/// Layer norm over the hidden dimension (paper Section 3.2.2).
+pub fn ln_forward<L: Lowering>(
+    low: &L,
+    x: &Tensor,
+    gamma: &L::Hosted,
+    beta: &L::Hosted,
+) -> (Tensor, LnCache) {
+    let gamma = low.fetch(gamma, x.cols());
+    let beta = low.fetch(beta, x.cols());
+    let (mut s, mut s2) = ln_partial_sums(x);
+    low.complete_rows(&mut s);
+    low.complete_rows(&mut s2);
+    let cache = ln_finish(x, &s, &s2, low.hidden(), LN_EPS);
+    let y = ln_affine(&cache.xhat, &gamma, &beta);
+    (
+        y,
+        LnCache {
+            xhat: cache.xhat,
+            inv_std: cache.inv_std,
+            gamma: gamma.into_owned(),
+        },
+    )
+}
+
+/// Layer-norm backward: returns `(dx, dγ, dβ)`.
+pub fn ln_backward<L: Lowering>(
+    low: &L,
+    dy: &Tensor,
+    cache: &LnCache,
+) -> (Tensor, L::Hosted, L::Hosted) {
+    let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, &cache.gamma);
+    let dgamma = low.send_home(dgamma);
+    let dbeta = low.send_home(dbeta);
+    let (mut sum_gx, mut sum_g) = ln_backward_partials(&dxhat, &cache.xhat);
+    low.complete_rows(&mut sum_gx);
+    low.complete_rows(&mut sum_g);
+    let dx = ln_backward_finish(
+        &dxhat,
+        &cache.xhat,
+        &cache.inv_std,
+        &sum_gx,
+        &sum_g,
+        low.hidden(),
+    );
+    (dx, dgamma, dbeta)
+}
 
 /// Everything the backward pass needs, saved during forward.
 ///
-/// This is the serial analogue of the paper's forward buffer: note that the
-/// *outputs* of the matmuls other than the layer's final output never appear
-/// here — only matmul inputs, layer-norm caches and attention probabilities
-/// (the observation behind memory method (3) of Section 3.2.3).
+/// This is the paper's forward buffer: the *outputs* of the matmuls other
+/// than the layer's final output never appear here — only matmul inputs,
+/// layer-norm caches and attention probabilities (the observation behind
+/// memory method (3) of Section 3.2.3).
 pub struct LayerCache {
-    pub x: Tensor,
     pub ln1: LnCache,
     pub ln1_out: Tensor,
     pub q: Tensor,
     pub k: Tensor,
     pub v: Tensor,
-    pub attn: AttnCache,
+    /// `None` when the lowering does not cache probabilities.
+    pub attn: Option<AttnCache>,
     pub ctxt: Tensor,
     pub x1: Tensor,
     pub ln2: LnCache,
@@ -30,54 +222,64 @@ pub struct LayerCache {
     pub g: Tensor,
 }
 
-/// Gradients mirroring [`LayerParams`].
-#[derive(Clone, Debug)]
-pub struct LayerGrads {
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
-    pub w_qkv: Tensor,
-    pub b_qkv: Vec<f32>,
-    pub w_out: Tensor,
-    pub b_out: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
-    pub w_fc1: Tensor,
-    pub b_fc1: Vec<f32>,
-    pub w_fc2: Tensor,
-    pub b_fc2: Vec<f32>,
+impl LayerCache {
+    /// Bytes of activation state this cache pins (for the memory meter).
+    pub fn bytes(&self) -> usize {
+        let probs = self.attn.iter().flat_map(|a| &a.probs);
+        let tensors = [
+            &self.ln1_out,
+            &self.q,
+            &self.k,
+            &self.v,
+            &self.ctxt,
+            &self.x1,
+            &self.ln2_out,
+            &self.f1,
+            &self.g,
+        ];
+        self.ln1.bytes()
+            + self.ln2.bytes()
+            + tensors
+                .into_iter()
+                .chain(probs)
+                .map(|t| t.len() * 4)
+                .sum::<usize>()
+    }
 }
 
-/// Layer forward over `x: [b·s, h]`; returns the output and cache.
-pub fn layer_forward(cfg: &ModelConfig, p: &LayerParams, x: &Tensor) -> (Tensor, LayerCache) {
-    let h = cfg.hidden;
-    let rows = cfg.tokens();
-    assert_eq!(x.dims(), &[rows, h]);
+/// Layer forward over this device's activation block; returns the output
+/// and the cache.
+pub fn layer_forward<L: Lowering>(
+    low: &L,
+    p: &LayerTensors<L::Hosted>,
+    x: &Tensor,
+) -> (Tensor, LayerCache) {
+    let view = low.attn_view();
+    let (rows, w) = (view.tokens(), view.hidden);
+    assert_eq!(x.rows(), rows, "bad activation block");
 
-    let (ln1_out, ln1) = layer_norm_forward(x, &p.ln1_g, &p.ln1_b, LN_EPS);
-    let qkv_lin = Linear::new(p.w_qkv.clone(), p.b_qkv.clone());
-    let qkv = qkv_lin.forward(&ln1_out);
-    let q = qkv.block(0, 0, rows, h);
-    let k = qkv.block(0, h, rows, h);
-    let v = qkv.block(0, 2 * h, rows, h);
-    let (ctxt, attn) = attention_forward(cfg, &q, &k, &v);
-    let out_lin = Linear::new(p.w_out.clone(), p.b_out.clone());
-    let attn_out = out_lin.forward(&ctxt);
+    // Attention half.
+    let (ln1_out, ln1) = ln_forward(low, x, &p.ln1_g, &p.ln1_b);
+    let qkv = linear_forward(low, Role::Expand, &ln1_out, &p.w_qkv, &p.b_qkv);
+    let q = qkv.block(0, 0, rows, w);
+    let k = qkv.block(0, w, rows, w);
+    let v = qkv.block(0, 2 * w, rows, w);
+    let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
+    let attn_out = linear_forward(low, Role::Contract, &ctxt, &p.w_out, &p.b_out);
     let mut x1 = x.clone();
     x1.add_assign(&attn_out);
 
-    let (ln2_out, ln2) = layer_norm_forward(&x1, &p.ln2_g, &p.ln2_b, LN_EPS);
-    let fc1 = Linear::new(p.w_fc1.clone(), p.b_fc1.clone());
-    let f1 = fc1.forward(&ln2_out);
+    // MLP half.
+    let (ln2_out, ln2) = ln_forward(low, &x1, &p.ln2_g, &p.ln2_b);
+    let f1 = linear_forward(low, Role::Expand, &ln2_out, &p.w_fc1, &p.b_fc1);
     let g = gelu_forward(&f1);
-    let fc2 = Linear::new(p.w_fc2.clone(), p.b_fc2.clone());
-    let f2 = fc2.forward(&g);
+    let f2 = linear_forward(low, Role::Contract, &g, &p.w_fc2, &p.b_fc2);
     let mut y = x1.clone();
     y.add_assign(&f2);
 
     (
         y,
         LayerCache {
-            x: x.clone(),
             ln1,
             ln1_out,
             q,
@@ -95,65 +297,69 @@ pub fn layer_forward(cfg: &ModelConfig, p: &LayerParams, x: &Tensor) -> (Tensor,
 }
 
 /// Layer backward: returns the input gradient and all parameter gradients.
-pub fn layer_backward(
-    cfg: &ModelConfig,
-    p: &LayerParams,
+pub fn layer_backward<L: Lowering>(
+    low: &L,
+    p: &LayerTensors<L::Hosted>,
     cache: &LayerCache,
     dy: &Tensor,
-) -> (Tensor, LayerGrads) {
-    let h = cfg.hidden;
-    let rows = cfg.tokens();
+) -> (Tensor, LayerTensors<L::Hosted>) {
+    let view = low.attn_view();
+    let (rows, w) = (view.tokens(), view.hidden);
 
-    // MLP branch.
-    let fc2 = Linear::new(p.w_fc2.clone(), p.b_fc2.clone());
-    let (mut df1, dw_fc2, db_fc2) = fc2.backward(&cache.g, dy);
+    // MLP half.
+    let (mut df1, w_fc2, b_fc2) = linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy);
     gelu_backward_in_place(&mut df1, &cache.f1);
-    let fc1 = Linear::new(p.w_fc1.clone(), p.b_fc1.clone());
-    let (dln2_out, dw_fc1, db_fc1) = fc1.backward(&cache.ln2_out, &df1);
-    let (dx1_ln, dln2_gamma, dln2_beta) = layer_norm_backward(&dln2_out, &cache.ln2, &p.ln2_g);
+    let (dln2_out, w_fc1, b_fc1) =
+        linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1);
+    let (dx1_ln, ln2_g, ln2_b) = ln_backward(low, &dln2_out, &cache.ln2);
 
     // Residual into x1: from the skip connection (dy) and from LN2.
     let mut dx1 = dy.clone();
     dx1.add_assign(&dx1_ln);
 
-    // Attention branch.
-    let out_lin = Linear::new(p.w_out.clone(), p.b_out.clone());
-    let (dctxt, dw_out, db_out) = out_lin.backward(&cache.ctxt, &dx1);
-    let (dq, dk, dv) = attention_backward(cfg, &dctxt, &cache.q, &cache.k, &cache.v, &cache.attn);
-    let mut dqkv = Tensor::zeros(&[rows, 3 * h]);
+    // Attention half.
+    let (dctxt, w_out, b_out) = linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1);
+    let (dq, dk, dv) = attention_backward(
+        &view,
+        &dctxt,
+        &cache.q,
+        &cache.k,
+        &cache.v,
+        cache.attn.as_ref(),
+    );
+    let mut dqkv = Tensor::zeros(&[rows, 3 * w]);
     dqkv.set_block(0, 0, &dq);
-    dqkv.set_block(0, h, &dk);
-    dqkv.set_block(0, 2 * h, &dv);
-    let qkv_lin = Linear::new(p.w_qkv.clone(), p.b_qkv.clone());
-    let (dln1_out, dw_qkv, db_qkv) = qkv_lin.backward(&cache.ln1_out, &dqkv);
-    let (dx_ln, dln1_gamma, dln1_beta) = layer_norm_backward(&dln1_out, &cache.ln1, &p.ln1_g);
+    dqkv.set_block(0, w, &dk);
+    dqkv.set_block(0, 2 * w, &dv);
+    let (dln1_out, w_qkv, b_qkv) =
+        linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv);
+    let (dx_ln, ln1_g, ln1_b) = ln_backward(low, &dln1_out, &cache.ln1);
 
     // Residual into x: skip (dx1) plus LN1 path.
     let mut dx = dx1;
     dx.add_assign(&dx_ln);
 
-    (
-        dx,
-        LayerGrads {
-            ln1_g: dln1_gamma,
-            ln1_b: dln1_beta,
-            w_qkv: dw_qkv,
-            b_qkv: db_qkv,
-            w_out: dw_out,
-            b_out: db_out,
-            ln2_g: dln2_gamma,
-            ln2_b: dln2_beta,
-            w_fc1: dw_fc1,
-            b_fc1: db_fc1,
-            w_fc2: dw_fc2,
-            b_fc2: db_fc2,
-        },
-    )
+    let grads = LayerTensors {
+        ln1_g,
+        ln1_b,
+        w_qkv,
+        b_qkv,
+        w_out,
+        b_out,
+        ln2_g,
+        ln2_b,
+        w_fc1,
+        b_fc1,
+        w_fc2,
+        b_fc2,
+    };
+    (dx, grads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::LayerParams;
     use tensor::gradcheck::check_grad;
     use tensor::{Rng, Tensor};
 
@@ -185,7 +391,7 @@ mod tests {
     #[test]
     fn forward_preserves_shape() {
         let (cfg, p, x, _) = setup();
-        let (y, _) = layer_forward(&cfg, &p, &x);
+        let (y, _) = layer_forward(&Local(cfg), &p, &x);
         assert_eq!(y.dims(), x.dims());
     }
 
@@ -193,7 +399,7 @@ mod tests {
     fn near_init_layer_is_close_to_identity_plus_small() {
         // With 0.02-std weights the residual branches contribute little.
         let (cfg, p, x, _) = setup();
-        let (y, _) = layer_forward(&cfg, &p, &x);
+        let (y, _) = layer_forward(&Local(cfg), &p, &x);
         let diff = tensor::max_abs_diff(y.as_slice(), x.as_slice());
         assert!(diff < 1.0, "residual output drifted too far: {diff}");
         assert!(diff > 0.0, "layer must not be exactly identity");
@@ -202,10 +408,10 @@ mod tests {
     #[test]
     fn input_gradient_checks() {
         let (cfg, p, x, w) = setup();
-        let (_, cache) = layer_forward(&cfg, &p, &x);
-        let (dx, _) = layer_backward(&cfg, &p, &cache, &w);
+        let (_, cache) = layer_forward(&Local(cfg), &p, &x);
+        let (dx, _) = layer_backward(&Local(cfg), &p, &cache, &w);
         check_grad(
-            |t: &Tensor| dot(&layer_forward(&cfg, &p, t).0, &w),
+            |t: &Tensor| dot(&layer_forward(&Local(cfg), &p, t).0, &w),
             &x,
             &dx,
             1e-2,
@@ -217,20 +423,20 @@ mod tests {
     #[test]
     fn weight_gradients_check() {
         let (cfg, p, x, w) = setup();
-        let (_, cache) = layer_forward(&cfg, &p, &x);
-        let (_, grads) = layer_backward(&cfg, &p, &cache, &w);
+        let (_, cache) = layer_forward(&Local(cfg), &p, &x);
+        let (_, grads) = layer_backward(&Local(cfg), &p, &cache, &w);
 
         let with_wqkv = |wq: &Tensor| {
             let mut p2 = p.clone();
             p2.w_qkv = wq.clone();
-            dot(&layer_forward(&cfg, &p2, &x).0, &w)
+            dot(&layer_forward(&Local(cfg), &p2, &x).0, &w)
         };
         check_grad(with_wqkv, &p.w_qkv, &grads.w_qkv, 1e-2, 5e-3, 5e-2);
 
         let with_wfc2 = |wf: &Tensor| {
             let mut p2 = p.clone();
             p2.w_fc2 = wf.clone();
-            dot(&layer_forward(&cfg, &p2, &x).0, &w)
+            dot(&layer_forward(&Local(cfg), &p2, &x).0, &w)
         };
         check_grad(with_wfc2, &p.w_fc2, &grads.w_fc2, 1e-2, 5e-3, 5e-2);
     }
@@ -238,16 +444,16 @@ mod tests {
     #[test]
     fn layernorm_gradients_check() {
         let (cfg, p, x, w) = setup();
-        let (_, cache) = layer_forward(&cfg, &p, &x);
-        let (_, grads) = layer_backward(&cfg, &p, &cache, &w);
+        let (_, cache) = layer_forward(&Local(cfg), &p, &x);
+        let (_, grads) = layer_backward(&Local(cfg), &p, &cache, &w);
         let eps = 1e-2f32;
         for c in 0..cfg.hidden {
             let mut p2 = p.clone();
             p2.ln1_g[c] += eps;
-            let up = dot(&layer_forward(&cfg, &p2, &x).0, &w);
+            let up = dot(&layer_forward(&Local(cfg), &p2, &x).0, &w);
             let mut p3 = p.clone();
             p3.ln1_g[c] -= eps;
-            let dn = dot(&layer_forward(&cfg, &p3, &x).0, &w);
+            let dn = dot(&layer_forward(&Local(cfg), &p3, &x).0, &w);
             let fd = (up - dn) / (2.0 * eps);
             assert!(
                 (grads.ln1_g[c] - fd).abs() < 5e-2_f32.max(0.05 * fd.abs()),

@@ -9,6 +9,14 @@
 //! their parameters from the same deterministic full matrices
 //! ([`tensor::init`]).
 //!
+//! The transformer layer itself is written exactly once, here
+//! ([`layer_forward`] / [`layer_backward`]), generic over a [`Lowering`]
+//! that says how each matmul and row statistic is carried out; [`Local`]
+//! is this crate's lowering, and the Megatron and Optimus crates supply
+//! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
+//! holds parameters and gradients for all three, walked in one canonical
+//! order ([`walk_stem`]).
+//!
 //! The model follows the structure of the paper's Figure 1: a token-wise
 //! language-modelling branch (LM head + token labels) plus a sentence-level
 //! classification branch ([`SerialModel::classify_forward`]).
@@ -26,12 +34,14 @@ mod linear;
 mod model;
 mod params;
 
-pub use attention::{
-    attention_backward, attention_backward_recomputed, attention_ctx_only, attention_forward,
-    AttnCache,
-};
+pub use attention::{attention_backward, attention_forward, AttnCache};
 pub use config::ModelConfig;
-pub use layer::{layer_backward, layer_forward, LayerCache, LayerGrads};
+pub use layer::{
+    layer_backward, layer_forward, linear_backward, linear_forward, ln_backward, ln_forward,
+    local_gemm, LayerCache, LnCache, Local, Lowering, Role,
+};
 pub use linear::Linear;
 pub use model::{SerialModel, StemCache};
-pub use params::{LayerParams, ModelParams};
+pub use params::{
+    walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
+};

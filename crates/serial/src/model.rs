@@ -3,11 +3,12 @@
 //! cross-entropy) and the sentence-level classification branch.
 
 use crate::config::ModelConfig;
-use crate::layer::{layer_backward, layer_forward, LayerCache, LayerGrads};
+use crate::layer::{
+    layer_backward, layer_forward, ln_backward, ln_forward, LayerCache, LnCache, Local,
+};
 use crate::linear::Linear;
 use crate::params::ModelParams;
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
-use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LnCache, LN_EPS};
 use tensor::loss::cross_entropy;
 use tensor::{matmul_nn, matmul_nt, matmul_tn, Tensor};
 
@@ -19,14 +20,6 @@ pub struct StemCache {
     pub final_ln: LnCache,
     /// Hidden states after the final layer norm, `[b·s, h]`.
     pub hidden: Tensor,
-}
-
-/// Gradients for all stem parameters.
-pub struct ModelGrads {
-    pub embedding: Tensor,
-    pub layers: Vec<LayerGrads>,
-    pub final_ln_g: Vec<f32>,
-    pub final_ln_b: Vec<f32>,
 }
 
 /// The reference model.
@@ -75,12 +68,16 @@ impl SerialModel {
         let mut x = x0.clone();
         let mut layer_caches = Vec::with_capacity(self.cfg.layers);
         for lp in &self.params.layers {
-            let (y, cache) = layer_forward(&self.cfg, lp, &x);
+            let (y, cache) = layer_forward(&Local(self.cfg), lp, &x);
             layer_caches.push(cache);
             x = y;
         }
-        let (hidden, final_ln) =
-            layer_norm_forward(&x, &self.params.final_ln_g, &self.params.final_ln_b, LN_EPS);
+        let (hidden, final_ln) = ln_forward(
+            &Local(self.cfg),
+            &x,
+            &self.params.final_ln_g,
+            &self.params.final_ln_b,
+        );
         StemCache {
             x0,
             layers: layer_caches,
@@ -101,7 +98,7 @@ impl SerialModel {
     }
 
     /// Full forward + backward: returns the loss and all parameter grads.
-    pub fn lm_grads(&self, tokens: &[usize], labels: &[usize]) -> (f32, ModelGrads) {
+    pub fn lm_grads(&self, tokens: &[usize], labels: &[usize]) -> (f32, ModelParams) {
         let cache = self.forward(tokens);
         let logits = self.lm_logits(&cache.hidden);
         let (loss, dlogits) = cross_entropy(&logits, labels);
@@ -122,13 +119,13 @@ impl SerialModel {
         dhidden: Tensor,
         tokens: &[usize],
         d_embedding: &mut Tensor,
-    ) -> ModelGrads {
+    ) -> ModelParams {
         let (mut dx, final_ln_g, final_ln_b) =
-            layer_norm_backward(&dhidden, &cache.final_ln, &self.params.final_ln_g);
+            ln_backward(&Local(self.cfg), &dhidden, &cache.final_ln);
 
-        let mut layer_grads: Vec<LayerGrads> = Vec::with_capacity(self.cfg.layers);
+        let mut layer_grads = Vec::with_capacity(self.cfg.layers);
         for (lp, lc) in self.params.layers.iter().zip(cache.layers.iter()).rev() {
-            let (dprev, g) = layer_backward(&self.cfg, lp, lc, &dx);
+            let (dprev, g) = layer_backward(&Local(self.cfg), lp, lc, &dx);
             layer_grads.push(g);
             dx = dprev;
         }
@@ -142,7 +139,7 @@ impl SerialModel {
             }
         }
 
-        ModelGrads {
+        ModelParams {
             embedding: std::mem::replace(d_embedding, Tensor::zeros(&[1, 1])),
             layers: layer_grads,
             final_ln_g,
@@ -158,30 +155,8 @@ impl SerialModel {
     }
 
     /// Plain SGD over every parameter.
-    pub fn apply_sgd(&mut self, grads: &ModelGrads, lr: f32) {
-        fn upd_t(p: &mut Tensor, g: &Tensor, lr: f32) {
-            tensor::optim::sgd_update(p.as_mut_slice(), g.as_slice(), lr);
-        }
-        fn upd_v(p: &mut [f32], g: &[f32], lr: f32) {
-            tensor::optim::sgd_update(p, g, lr);
-        }
-        upd_t(&mut self.params.embedding, &grads.embedding, lr);
-        upd_v(&mut self.params.final_ln_g, &grads.final_ln_g, lr);
-        upd_v(&mut self.params.final_ln_b, &grads.final_ln_b, lr);
-        for (lp, lg) in self.params.layers.iter_mut().zip(&grads.layers) {
-            upd_v(&mut lp.ln1_g, &lg.ln1_g, lr);
-            upd_v(&mut lp.ln1_b, &lg.ln1_b, lr);
-            upd_t(&mut lp.w_qkv, &lg.w_qkv, lr);
-            upd_v(&mut lp.b_qkv, &lg.b_qkv, lr);
-            upd_t(&mut lp.w_out, &lg.w_out, lr);
-            upd_v(&mut lp.b_out, &lg.b_out, lr);
-            upd_v(&mut lp.ln2_g, &lg.ln2_g, lr);
-            upd_v(&mut lp.ln2_b, &lg.ln2_b, lr);
-            upd_t(&mut lp.w_fc1, &lg.w_fc1, lr);
-            upd_v(&mut lp.b_fc1, &lg.b_fc1, lr);
-            upd_t(&mut lp.w_fc2, &lg.w_fc2, lr);
-            upd_v(&mut lp.b_fc2, &lg.b_fc2, lr);
-        }
+    pub fn apply_sgd(&mut self, grads: &ModelParams, lr: f32) {
+        self.visit_params_grads(grads, &mut |p, g| tensor::optim::sgd_update(p, g, lr));
     }
 
     /// Greedy next-token prediction: for each of the `b` sequences, the
@@ -202,33 +177,15 @@ impl SerialModel {
             .collect()
     }
 
-    /// Visits every `(parameter, gradient)` slice pair in a fixed order —
-    /// the contract [`tensor::optim::AdamSet`] relies on.
+    /// Visits every `(parameter, gradient)` slice pair in the canonical
+    /// order of [`crate::walk_stem`] — the contract
+    /// [`tensor::optim::AdamSet`] relies on.
     pub fn visit_params_grads(
         &mut self,
-        grads: &ModelGrads,
+        grads: &ModelParams,
         f: &mut impl FnMut(&mut [f32], &[f32]),
     ) {
-        f(
-            self.params.embedding.as_mut_slice(),
-            grads.embedding.as_slice(),
-        );
-        f(&mut self.params.final_ln_g, &grads.final_ln_g);
-        f(&mut self.params.final_ln_b, &grads.final_ln_b);
-        for (lp, lg) in self.params.layers.iter_mut().zip(&grads.layers) {
-            f(&mut lp.ln1_g, &lg.ln1_g);
-            f(&mut lp.ln1_b, &lg.ln1_b);
-            f(lp.w_qkv.as_mut_slice(), lg.w_qkv.as_slice());
-            f(&mut lp.b_qkv, &lg.b_qkv);
-            f(lp.w_out.as_mut_slice(), lg.w_out.as_slice());
-            f(&mut lp.b_out, &lg.b_out);
-            f(&mut lp.ln2_g, &lg.ln2_g);
-            f(&mut lp.ln2_b, &lg.ln2_b);
-            f(lp.w_fc1.as_mut_slice(), lg.w_fc1.as_slice());
-            f(&mut lp.b_fc1, &lg.b_fc1);
-            f(lp.w_fc2.as_mut_slice(), lg.w_fc2.as_slice());
-            f(&mut lp.b_fc2, &lg.b_fc2);
-        }
+        self.params.walk(grads, f);
     }
 
     /// One SGD step with global gradient-norm clipping: if the gradient

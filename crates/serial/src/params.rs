@@ -3,35 +3,143 @@
 //! All three implementations (serial, Megatron, Optimus) construct their
 //! parameters by regenerating these full matrices from the same
 //! `(seed, param id)` streams and slicing — see [`tensor::init`].
+//!
+//! One per-layer tensor set, [`LayerTensors`], serves as parameters *and*
+//! gradients for every scheme, and one ordered walk over it
+//! ([`LayerTensors::walk`]) is what every update, accumulation, optimizer
+//! visit and gradient sync in the workspace is derived from.
 
 use crate::config::ModelConfig;
 use minjson::Json;
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::Tensor;
 
-/// Parameters of one pre-LN transformer layer.
+/// How a device holds one per-layer vector (bias or layer-norm affine):
+/// `Vec<f32>` where every device has it (serial, Megatron-1D),
+/// `Option<Vec<f32>>` where only mesh row 0 hosts it (Optimus-2D, Fig. 5).
+pub trait Hosted {
+    /// The local values, `None` on a device that does not host them.
+    fn hosted(&self) -> Option<&[f32]>;
+    /// Mutable counterpart of [`Hosted::hosted`].
+    fn hosted_mut(&mut self) -> Option<&mut [f32]>;
+}
+
+impl Hosted for Vec<f32> {
+    fn hosted(&self) -> Option<&[f32]> {
+        Some(self)
+    }
+    fn hosted_mut(&mut self) -> Option<&mut [f32]> {
+        Some(self)
+    }
+}
+
+impl Hosted for Option<Vec<f32>> {
+    fn hosted(&self) -> Option<&[f32]> {
+        self.as_deref()
+    }
+    fn hosted_mut(&mut self) -> Option<&mut [f32]> {
+        self.as_deref_mut()
+    }
+}
+
+fn pair(p: Option<&mut [f32]>, g: Option<&[f32]>, f: &mut impl FnMut(&mut [f32], &[f32])) {
+    match (p, g) {
+        (Some(p), Some(g)) => f(p, g),
+        (None, None) => {}
+        _ => panic!("parameter/gradient hosting mismatch"),
+    }
+}
+
+/// Calls `f` on a `(parameter, gradient)` vector pair hosted here, skips one
+/// hosted elsewhere, and panics when the two sides disagree about hosting.
+pub fn walk_pair<B: Hosted>(p: &mut B, g: &B, f: &mut impl FnMut(&mut [f32], &[f32])) {
+    pair(p.hosted_mut(), g.hosted(), f);
+}
+
+/// The twelve tensors of one pre-LN transformer layer — parameters or their
+/// gradients, full or one device's slice — with vectors held as `B`.
+///
+/// Field order is the canonical walk order of [`LayerTensors::walk`].
+/// Optimizer state ([`tensor::optim::AdamSet`]), error-feedback residuals
+/// and the order of data-parallel gradient all-reduces in a `CommLog` all
+/// follow it.
 ///
 /// The fused QKV weight uses the canonical column layout `[Wq | Wk | Wv]`
 /// (each `[h, h]`); partitioned implementations permute columns as needed
 /// but must map their gradients back to this layout for comparison.
 #[derive(Clone, Debug)]
-pub struct LayerParams {
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
+pub struct LayerTensors<B> {
+    pub ln1_g: B,
+    pub ln1_b: B,
     /// `[h, 3h]` fused QKV projection.
     pub w_qkv: Tensor,
-    pub b_qkv: Vec<f32>,
+    pub b_qkv: B,
     /// `[h, h]` attention output projection.
     pub w_out: Tensor,
-    pub b_out: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
+    pub b_out: B,
+    pub ln2_g: B,
+    pub ln2_b: B,
     /// `[h, 4h]` MLP expansion.
     pub w_fc1: Tensor,
-    pub b_fc1: Vec<f32>,
+    pub b_fc1: B,
     /// `[4h, h]` MLP contraction.
     pub w_fc2: Tensor,
-    pub b_fc2: Vec<f32>,
+    pub b_fc2: B,
+}
+
+/// One layer's full parameters (or their gradients) on a single device.
+pub type LayerParams = LayerTensors<Vec<f32>>;
+
+/// The twelve tensors as flat slices in field order, `None` where a vector
+/// is hosted elsewhere; `$vec`/`$mat` pick the shared or mutable accessors.
+macro_rules! slots {
+    ($t:expr, $vec:ident, $mat:ident) => {
+        [
+            $t.ln1_g.$vec(),
+            $t.ln1_b.$vec(),
+            Some($t.w_qkv.$mat()),
+            $t.b_qkv.$vec(),
+            Some($t.w_out.$mat()),
+            $t.b_out.$vec(),
+            $t.ln2_g.$vec(),
+            $t.ln2_b.$vec(),
+            Some($t.w_fc1.$mat()),
+            $t.b_fc1.$vec(),
+            Some($t.w_fc2.$mat()),
+            $t.b_fc2.$vec(),
+        ]
+    };
+}
+
+impl<B: Hosted> LayerTensors<B> {
+    fn slots(&self) -> [Option<&[f32]>; 12] {
+        slots!(self, hosted, as_slice)
+    }
+
+    fn slots_mut(&mut self) -> [Option<&mut [f32]>; 12] {
+        slots!(self, hosted_mut, as_mut_slice)
+    }
+
+    /// Visits every locally hosted `(self, other)` slice pair in field
+    /// order, skipping entries hosted elsewhere.
+    ///
+    /// # Panics
+    /// If the two sides disagree about which entries are hosted.
+    pub fn walk(&mut self, other: &Self, f: &mut impl FnMut(&mut [f32], &[f32])) {
+        for (p, g) in self.slots_mut().into_iter().zip(other.slots()) {
+            pair(p, g, f);
+        }
+    }
+
+    /// [`LayerTensors::walk`] over one set of tensors.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut [f32])) {
+        self.slots_mut().into_iter().flatten().for_each(f);
+    }
+
+    /// Scalars held locally (weights plus any hosted vectors).
+    pub fn num_params(&self) -> usize {
+        self.slots().into_iter().flatten().map(<[f32]>::len).sum()
+    }
 }
 
 impl LayerParams {
@@ -52,22 +160,6 @@ impl LayerParams {
             w_fc2: init_matrix(seed, id(param_ids::W_FC2), &[4 * h, h], WEIGHT_STD),
             b_fc2: init_vector(h, 0.0),
         }
-    }
-
-    /// Total scalar parameters in this layer.
-    pub fn num_params(&self) -> usize {
-        self.w_qkv.len()
-            + self.b_qkv.len()
-            + self.w_out.len()
-            + self.b_out.len()
-            + self.w_fc1.len()
-            + self.b_fc1.len()
-            + self.w_fc2.len()
-            + self.b_fc2.len()
-            + self.ln1_g.len()
-            + self.ln1_b.len()
-            + self.ln2_g.len()
-            + self.ln2_b.len()
     }
 
     /// Checkpoint JSON (an object keyed by field name).
@@ -107,14 +199,92 @@ impl LayerParams {
     }
 }
 
-/// All stem parameters.
+/// All stem tensors — parameters or their gradients — with vectors held
+/// as `B` (see [`LayerTensors`]).
 #[derive(Clone, Debug)]
-pub struct ModelParams {
+pub struct ModelTensors<B> {
     /// Embedding table `[v, h]`, tied with the LM head.
     pub embedding: Tensor,
-    pub layers: Vec<LayerParams>,
-    pub final_ln_g: Vec<f32>,
-    pub final_ln_b: Vec<f32>,
+    pub layers: Vec<LayerTensors<B>>,
+    pub final_ln_g: B,
+    pub final_ln_b: B,
+}
+
+/// The full stem parameters (or their gradients) on a single device.
+pub type ModelParams = ModelTensors<Vec<f32>>;
+
+/// The one ordered walk over a stem's `(parameter, gradient)` slice pairs:
+/// embedding table, final layer-norm γ and β, then every layer in
+/// [`LayerTensors::walk`] order. The parameter side is taken piecewise
+/// because the distributed models hold these as fields of their own.
+pub fn walk_stem<B: Hosted>(
+    embedding: &mut Tensor,
+    final_ln: [&mut B; 2],
+    layers: &mut [LayerTensors<B>],
+    grads: &ModelTensors<B>,
+    f: &mut impl FnMut(&mut [f32], &[f32]),
+) {
+    f(embedding.as_mut_slice(), grads.embedding.as_slice());
+    let [gamma, beta] = final_ln;
+    walk_pair(gamma, &grads.final_ln_g, f);
+    walk_pair(beta, &grads.final_ln_b, f);
+    for (lp, lg) in layers.iter_mut().zip(&grads.layers) {
+        lp.walk(lg, f);
+    }
+}
+
+impl<B: Hosted> ModelTensors<B> {
+    /// [`walk_stem`] over `(self, other)`.
+    pub fn walk(&mut self, other: &Self, f: &mut impl FnMut(&mut [f32], &[f32])) {
+        walk_stem(
+            &mut self.embedding,
+            [&mut self.final_ln_g, &mut self.final_ln_b],
+            &mut self.layers,
+            other,
+            f,
+        );
+    }
+
+    /// [`ModelTensors::walk`] over one set of tensors.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut [f32])) {
+        f(self.embedding.as_mut_slice());
+        for v in [&mut self.final_ln_g, &mut self.final_ln_b] {
+            v.hosted_mut().into_iter().for_each(&mut *f);
+        }
+        for l in &mut self.layers {
+            l.walk_mut(f);
+        }
+    }
+
+    /// `self += other` — gradient accumulation.
+    pub fn accumulate(&mut self, other: &Self) {
+        self.walk(other, &mut |a, b| {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+        });
+    }
+
+    /// Scales every tensor by `s` (e.g. `1/k` after accumulating `k`
+    /// microbatches).
+    pub fn scale(&mut self, s: f32) {
+        self.walk_mut(&mut |a| a.iter_mut().for_each(|x| *x *= s));
+    }
+
+    /// Scalars held locally.
+    pub fn num_params(&self) -> usize {
+        let ln = [&self.final_ln_g, &self.final_ln_b];
+        self.embedding.len()
+            + ln.iter()
+                .filter_map(|v| v.hosted())
+                .map(<[f32]>::len)
+                .sum::<usize>()
+            + self
+                .layers
+                .iter()
+                .map(LayerTensors::num_params)
+                .sum::<usize>()
+    }
 }
 
 impl ModelParams {
@@ -133,18 +303,6 @@ impl ModelParams {
             final_ln_g: init_vector(cfg.hidden, 1.0),
             final_ln_b: init_vector(cfg.hidden, 0.0),
         }
-    }
-
-    /// Total scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.embedding.len()
-            + self
-                .layers
-                .iter()
-                .map(LayerParams::num_params)
-                .sum::<usize>()
-            + self.final_ln_g.len()
-            + self.final_ln_b.len()
     }
 
     /// Checkpoint JSON (an object keyed by field name).

@@ -28,12 +28,10 @@
 //! The per-panel communication volumes are priced in closed form by
 //! `perf::table1` and cross-checked against executed runs in tests.
 
-mod cannon;
 mod dist;
 mod ops;
 mod workspace;
 
-pub use cannon::cannon_nn;
 pub use dist::{collect_blocks, distribute};
-pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nn_bias, summa_nt, summa_tn};
+pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nt, summa_tn};
 pub use workspace::{summa_nn_into, summa_nt_into, summa_tn_into, Workspace};

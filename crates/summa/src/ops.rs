@@ -7,7 +7,6 @@
 
 use crate::workspace::{summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
 use mesh::{Communicator, Grid2d};
-use tensor::ops::bias_add;
 use tensor::Tensor;
 
 /// `C = A B` (Algorithm 1). `a: [M/q, K/q]`, `b: [K/q, N/q]` local blocks;
@@ -23,32 +22,6 @@ pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
     assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
     let mut c = Tensor::zeros(&[mb, nb]);
     summa_nn_into(grid, a, b, &mut c, &mut Workspace::new());
-    c
-}
-
-/// `C = A B` followed by a bias add, where the bias slice `[N/q]` lives on
-/// mesh row 0 and is broadcast down each column (paper Fig. 5a). All
-/// devices receive the bias; only row 0 passes `Some(bias)`.
-pub fn summa_nn_bias<C: Communicator>(
-    grid: &Grid2d<C>,
-    a: &Tensor,
-    b: &Tensor,
-    bias: Option<&[f32]>,
-) -> Tensor {
-    let mut c = summa_nn(grid, a, b);
-    let mut bias_buf = match bias {
-        Some(bv) => {
-            assert_eq!(grid.row(), 0, "bias must be provided by mesh row 0");
-            bv.to_vec()
-        }
-        None => {
-            assert_ne!(grid.row(), 0, "mesh row 0 must provide the bias");
-            // Pre-sized: the bias slice has the output block's column count.
-            vec![0.0; c.cols()]
-        }
-    };
-    grid.ctx().broadcast(grid.col_group(), 0, &mut bias_buf);
-    bias_add(&mut c, &bias_buf);
     c
 }
 
@@ -256,35 +229,6 @@ mod tests {
             1e-4,
             1e-4,
         );
-    }
-
-    #[test]
-    fn bias_variant_adds_row0_bias_everywhere() {
-        let q = 2;
-        let a = rand(&[4 * q, 3 * q], 18);
-        let b = rand(&[3 * q, 6 * q], 19);
-        let bias: Vec<f32> = (0..6 * q).map(|i| i as f32 * 0.1).collect();
-        let mut expect = matmul_nn(&a, &b);
-        tensor::ops::bias_add(&mut expect, &bias);
-        let blocks = Mesh2d::run(q, |g| {
-            let local_bias: Vec<f32> = if g.row() == 0 {
-                bias[g.col() * 6..(g.col() + 1) * 6].to_vec()
-            } else {
-                Vec::new()
-            };
-            summa_nn_bias(
-                g,
-                &distribute(g, &a),
-                &distribute(g, &b),
-                if g.row() == 0 {
-                    Some(&local_bias)
-                } else {
-                    None
-                },
-            )
-        });
-        let got = collect_blocks(&blocks, q);
-        assert_close(got.as_slice(), expect.as_slice(), 1e-4, 1e-4);
     }
 
     #[test]

@@ -143,3 +143,59 @@ fn adam_state_is_sharded_like_the_parameters() {
     // Row-0 devices host biases/affines, so they carry more state.
     assert!(state_bytes[0] > state_bytes[2]);
 }
+
+#[test]
+fn parameter_walk_order_is_the_documented_one_for_both_hostings() {
+    // AdamSet keys its moments by visitation order, so the walk must visit
+    // ln1_g, ln1_b, w_qkv, b_qkv, w_out, b_out, ln2_g, ln2_b, w_fc1, b_fc1,
+    // w_fc2, b_fc2 — and a device that hosts no vectors must see the four
+    // weights in the same relative order. Entry k has length k + 1 here.
+    use optimus::serial::{Hosted, LayerTensors};
+    use optimus::tensor::Tensor;
+    fn layer<B: Hosted>(vec: impl Fn(usize) -> B) -> LayerTensors<B> {
+        let mat = |n: usize| Tensor::zeros(&[1, n]);
+        LayerTensors {
+            ln1_g: vec(1),
+            ln1_b: vec(2),
+            w_qkv: mat(3),
+            b_qkv: vec(4),
+            w_out: mat(5),
+            b_out: vec(6),
+            ln2_g: vec(7),
+            ln2_b: vec(8),
+            w_fc1: mat(9),
+            b_fc1: vec(10),
+            w_fc2: mat(11),
+            b_fc2: vec(12),
+        }
+    }
+    fn visited<B: Hosted + Clone>(mut p: LayerTensors<B>) -> Vec<usize> {
+        let g = p.clone();
+        let mut opt = AdamSet::new(0.1);
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            // A second step in a different order would trip AdamSet's
+            // "changed size between steps" panic.
+            seen.clear();
+            opt.begin_step();
+            p.walk(&g, &mut |p, g| {
+                seen.push(p.len());
+                opt.apply(p, g);
+            });
+        }
+        assert_eq!(opt.tracked(), seen.len());
+        assert_eq!(p.num_params(), seen.iter().sum::<usize>());
+        seen
+    }
+    let all: Vec<usize> = (1..=12).collect();
+    assert_eq!(visited(layer(|n| vec![0.0f32; n])), all);
+    assert_eq!(visited(layer(|n| Some(vec![0.0f32; n]))), all);
+    assert_eq!(visited(layer(|_| None::<Vec<f32>>)), [3, 5, 9, 11]);
+}
+
+#[test]
+#[should_panic(expected = "hosting mismatch")]
+fn walking_a_hosted_parameter_against_an_unhosted_gradient_panics() {
+    use optimus::serial::walk_pair;
+    walk_pair(&mut Some(vec![0.0f32]), &None, &mut |_, _| {});
+}

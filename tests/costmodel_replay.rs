@@ -5,7 +5,7 @@
 //! stem model deliberately ignores (the paper calls them negligible).
 
 use optimus::mesh::{Arrangement, Mesh2d, Topology};
-use optimus::optimus_core::{layer2d_backward, layer2d_forward, Layer2dParams, OptimusConfig};
+use optimus::optimus_core::{layer2d_backward, layer2d_forward, slice_layer2d, OptimusConfig};
 use optimus::perf::scaling::optimus_stem_times;
 use optimus::perf::{CostModel, HardwareProfile};
 use optimus::serial::LayerParams;
@@ -18,7 +18,7 @@ fn run_one_layer(cfg: &OptimusConfig, backward: bool) -> Vec<optimus::mesh::Comm
     let x = Tensor::randn(&[cfg.batch * cfg.seq, cfg.hidden], 1.0, &mut rng);
     let dy = Tensor::randn(&[cfg.batch * cfg.seq, cfg.hidden], 1.0, &mut rng);
     let (_, logs) = Mesh2d::run_with_logs(cfg.q, |g| {
-        let lp = Layer2dParams::from_full(g, &full);
+        let lp = slice_layer2d(g, &full);
         let (_, cache) = layer2d_forward(g, cfg, &lp, &distribute(g, &x));
         if backward {
             layer2d_backward(g, cfg, &lp, &cache, &distribute(g, &dy));

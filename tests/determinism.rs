@@ -180,7 +180,8 @@ fn causal_attention_rows_are_exactly_zero_above_the_diagonal() {
     let mut rng = Rng::new(12);
     let mut qkv = || Tensor::randn(&[cfg.tokens(), cfg.hidden], 3.0, &mut rng);
     let (q, k, v) = (qkv(), qkv(), qkv());
-    let (_, cache) = attention_forward(&cfg, &q, &k, &v);
+    let (_, cache) = attention_forward(&cfg, &q, &k, &v, true);
+    let cache = cache.expect("probabilities were kept");
     assert_eq!(cache.probs.len(), cfg.batch * cfg.heads);
     for a in &cache.probs {
         for i in 0..cfg.seq {

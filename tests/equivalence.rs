@@ -157,7 +157,7 @@ fn embedding_gradients_reassemble_across_schemes() {
     let mcfg = MegatronConfig::new(cfg, p);
     let meg = Mesh::run(p, |ctx| {
         let m = MegatronModel::new(mcfg, 8, ctx);
-        m.lm_grads(ctx, &tokens, &labels).1.table
+        m.lm_grads(ctx, &tokens, &labels).1.embedding
     });
     let vp = cfg.vocab / p;
     for (j, block) in meg.iter().enumerate() {
@@ -170,7 +170,7 @@ fn embedding_gradients_reassemble_across_schemes() {
     let ocfg = optimus_cfg(&cfg, q, false);
     let opt = Mesh2d::run(q, |g| {
         let mut m = OptimusModel::new(&ocfg, 8, g);
-        m.lm_grads(g, &tokens, &labels).1.table
+        m.lm_grads(g, &tokens, &labels).1.embedding
     });
     let re = optimus::summa::collect_blocks(&opt, q);
     optimus::tensor::assert_close(re.as_slice(), ref_grads.embedding.as_slice(), 1e-4, 1e-3);

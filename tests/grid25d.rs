@@ -32,8 +32,7 @@ fn train_bits(cfg: &OptimusConfig, d: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
             .map(|_| m.train_step(g, &tokens, &labels, 0.1).to_bits())
             .collect();
         let shard: Vec<u32> = m.layers[0]
-            .qkv
-            .w
+            .w_qkv
             .as_slice()
             .iter()
             .map(|v| v.to_bits())

@@ -3,7 +3,8 @@
 //! than modelled.
 
 use optimus::mesh::{Mesh2d, MeshNd};
-use optimus::optimus_core::{BufferPool, OptimusConfig, OptimusModel};
+use optimus::optimus_core::embedding2d::{embed2d_forward, lm_head2d_forward};
+use optimus::optimus_core::{layer2d_forward, BufferPool, OptimusConfig, OptimusModel, Summa2d};
 use optimus::summa::{distribute, summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
 use optimus::tensor::gemm::Form;
 use optimus::tensor::{Rng, Tensor};
@@ -56,6 +57,32 @@ fn peak_memory_grows_linearly_without_checkpointing() {
 }
 
 #[test]
+fn non_checkpointed_peak_is_the_caches_and_the_head_exactly() {
+    // Without checkpointing nothing reads a layer's input again, so the
+    // step pins the embedding output, every layer cache, the final hidden
+    // block and the logits — and not one byte more.
+    let c = cfg(3, false);
+    let (tokens, labels) = data(&c, 7);
+    let peaks = Mesh2d::run(c.q, |g| {
+        let mut m = OptimusModel::new(&c, 3, g);
+        let mut x = embed2d_forward(g, &m.table, c.local_tokens(&tokens, g.row()), c.vocab);
+        let mut want = x.len() * 4;
+        for lp in &m.layers {
+            let (y, cache) = layer2d_forward(g, &c, lp, &x);
+            want += cache.bytes();
+            x = y;
+        }
+        let (hidden, _) = m.final_ln.forward(&Summa2d { grid: g, cfg: &c }, &x);
+        want += (hidden.len() + lm_head2d_forward(g, &hidden, &m.table).len()) * 4;
+        let got = m.train_step_detailed(g, &tokens, &labels, 0.1);
+        (got.peak_activation_bytes, want)
+    });
+    for (got, want) in peaks {
+        assert_eq!(got, want);
+    }
+}
+
+#[test]
 fn checkpointing_flattens_depth_scaling() {
     let (tokens, labels) = data(&cfg(2, true), 2);
     let p2 = peak(&cfg(2, true), &tokens, &labels);
@@ -103,7 +130,7 @@ fn activation_blocks_shrink_with_mesh_size() {
         Mesh2d::run(q, |g| {
             let m = OptimusModel::new(&c, 1, g);
             let tl = c.local_tokens(&tokens, g.row());
-            optimus::optimus_core::embedding2d::embed2d_forward(g, &m.table, tl, c.vocab).len()
+            embed2d_forward(g, &m.table, tl, c.vocab).len()
         })[0]
     };
     let b1 = block_bytes(1);

@@ -114,7 +114,7 @@ fn distributed_gradients_tile_serial_gradients() {
         let blocks = Mesh2d::run(q, |g| {
             let mut m = OptimusModel::new(&ocfg, seed, g);
             let (_, grads) = m.lm_grads(g, &tokens, &labels);
-            (grads.table, grads.layers[0].w_out.clone())
+            (grads.embedding, grads.layers[0].w_out.clone())
         });
         let tables: Vec<_> = blocks.iter().map(|(t, _)| t.clone()).collect();
         let wouts: Vec<_> = blocks.iter().map(|(_, w)| w.clone()).collect();

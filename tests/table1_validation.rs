@@ -2,9 +2,9 @@
 //! the *executed* simulation's communication logs, for both schemes, at
 //! several problem sizes.
 
-use optimus::megatron::{layer1d_backward, layer1d_forward, Layer1dParams, MegatronConfig};
+use optimus::megatron::{layer1d_backward, layer1d_forward, slice_layer1d, MegatronConfig};
 use optimus::mesh::{CommOp, Group, Mesh, Mesh2d};
-use optimus::optimus_core::{layer2d_backward, layer2d_forward, Layer2dParams, OptimusConfig};
+use optimus::optimus_core::{layer2d_backward, layer2d_forward, slice_layer2d, OptimusConfig};
 use optimus::perf::table1::{megatron_layer_costs, optimus_layer_costs};
 use optimus::serial::{LayerParams, ModelConfig};
 use optimus::summa::distribute;
@@ -33,7 +33,7 @@ fn megatron_case(b: usize, s: usize, h: usize, n: usize, p: usize) {
 
     let (_, logs) = Mesh::run_with_logs(p, |ctx| {
         let world = Group::world(p);
-        let lp = Layer1dParams::from_full(&full, h, p, ctx.rank());
+        let lp = slice_layer1d(&full, h, p, ctx.rank());
         let (_, cache) = layer1d_forward(ctx, &world, &mcfg, &lp, &x);
         layer1d_backward(ctx, &world, &mcfg, &lp, &cache, &dy);
     });
@@ -84,7 +84,7 @@ fn optimus_case(b: usize, s: usize, h: usize, n: usize, q: usize) {
     let dy = Tensor::randn(&[b * s, h], 1.0, &mut rng);
 
     let (_, logs) = Mesh2d::run_with_logs(q, |g| {
-        let lp = Layer2dParams::from_full(g, &full);
+        let lp = slice_layer2d(g, &full);
         let (_, cache) = layer2d_forward(g, &cfg, &lp, &distribute(g, &x));
         layer2d_backward(g, &cfg, &lp, &cache, &distribute(g, &dy));
     });
@@ -211,7 +211,7 @@ fn non_summa_comm_is_negligible() {
     let mut rng = Rng::new(3);
     let x = Tensor::randn(&[b * s, h], 1.0, &mut rng);
     let (_, logs) = Mesh2d::run_with_logs(q, |g| {
-        let lp = Layer2dParams::from_full(g, &full);
+        let lp = slice_layer2d(g, &full);
         layer2d_forward(g, &cfg, &lp, &distribute(g, &x));
     });
     let p = q * q;
