@@ -340,6 +340,18 @@ fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
     let batches: Vec<_> = (0..a.steps)
         .map(|_| pattern_batch(&cfg, &mut rng))
         .collect();
+    let ocfg = OptimusConfig {
+        q: a.q,
+        batch: cfg.batch,
+        seq: cfg.seq,
+        hidden: cfg.hidden,
+        heads: cfg.heads,
+        vocab: cfg.vocab,
+        layers: cfg.layers,
+        causal: cfg.causal,
+        checkpoint: true,
+        fused_attention: false,
+    };
     match a.scheme {
         Scheme::Serial => {
             let mut m = SerialModel::new(cfg, a.seed);
@@ -365,18 +377,6 @@ fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
             (losses, params.expect("rank 0 gathers"))
         }
         Scheme::Optimus => {
-            let ocfg = OptimusConfig {
-                q: a.q,
-                batch: cfg.batch,
-                seq: cfg.seq,
-                hidden: cfg.hidden,
-                heads: cfg.heads,
-                vocab: cfg.vocab,
-                layers: cfg.layers,
-                causal: cfg.causal,
-                checkpoint: true,
-                fused_attention: false,
-            };
             // [q, q, 1] is byte-identical to the plain 2D mesh, so one code
             // path serves both; with d > 1 each depth slice runs q/d of the
             // SUMMA rounds and the replicas agree bitwise.
@@ -398,13 +398,25 @@ fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
                 .rev()
                 .find(|s| cfg.layers.is_multiple_of(*s))
                 .unwrap_or(1);
-            let pcfg = pipeline::PipelineConfig::new(cfg, stages, 2.min(cfg.batch));
+            // One device per stage: the hybrid schedule with no data or
+            // tensor parallelism, every layer cache kept.
+            let spec = hybrid::HybridSpec {
+                pp: stages,
+                dp: 1,
+                grid: [1, 1, 1],
+                microbatches: 2.min(cfg.batch),
+            };
+            let pcfg = OptimusConfig {
+                q: 1,
+                checkpoint: false,
+                ..ocfg
+            };
             let run = MeshRun::new(&[stages], tables.clone());
             let (mut losses, _) = run.run_with_logs(|g| {
-                let mut st = pipeline::PipelineStage::new(pcfg, a.seed, g.ctx());
+                let (mut st, grid) = hybrid::build(g.ctx(), &spec, &pcfg, a.seed);
                 batches
                     .iter()
-                    .map(|(t, l)| st.train_step(g.ctx(), t, l, a.lr))
+                    .map(|(t, l)| st.train_step(&grid, t, l, a.lr))
                     .collect::<Vec<f32>>()
             });
             let losses = losses.remove(0);

@@ -5,11 +5,21 @@
 //! is ever replicated. The four matmuls are SUMMA products; attention is
 //! fully local because the partition is along batch and hidden (each device
 //! owns `b/q` whole sequences and `n/q` whole heads, Section 3.2.1).
+//!
+//! The stem around the layers lowers the same way (Sections 3.2.1–3.2.2).
+//! The embedding table `[v, h]` is `q × q`-blocked like every other
+//! parameter; the lookup is SUMMA `C = A·B` where `A` is the one-hot token
+//! matrix — never materialised: mesh row `i` holds the token ids of batch
+//! block `i` (replicated along the row), so the `A` panels need no
+//! communication and each iteration only broadcasts a table panel down the
+//! column. The tied LM head is exactly Algorithm 2 (`logits = H·Eᵀ`), and
+//! the cross-entropy completes `max` / `Σexp` / label-logit partials along
+//! mesh rows (the vocabulary spans a row).
 
 use crate::config::OptimusConfig;
 use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
-use serial::{layer_backward, layer_forward, LayerCache, Lowering, Role};
+use serial::{layer_backward, layer_forward, LayerCache, Lowering, Reduce, Role, Span};
 use std::borrow::Cow;
 use summa::{summa_nn, summa_nt, summa_tn};
 use tensor::gemm::Form;
@@ -65,15 +75,104 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
     fn cache_probs(&self) -> bool {
         !self.cfg.fused_attention
     }
-    fn linear_scope<R>(&self, backward: bool, f: impl FnOnce() -> R) -> R {
-        trace::span(
-            if backward {
-                "bwd.linear2d"
-            } else {
-                "fwd.linear2d"
-            },
-            f,
-        )
+    fn scope<R>(&self, span: Span, f: impl FnOnce() -> R) -> R {
+        let name = match span {
+            Span::Fwd => "fwd",
+            Span::LossHead => "loss_head",
+            Span::Bwd => "bwd",
+            Span::LayerFwd => "fwd.layer2d",
+            Span::LayerBwd => "bwd.layer2d",
+            Span::LinearFwd => "fwd.linear2d",
+            Span::LinearBwd => "bwd.linear2d",
+        };
+        trace::span(name, f)
+    }
+
+    /// SUMMA `C = A·B` with implicit one-hot `A`. `table: [v/q, h/q]` is
+    /// this device's block (vocab rows block = mesh row, hidden columns
+    /// block = mesh column); `tokens` are the `b/q · s` ids of this mesh
+    /// row's batch block. Returns the local `[b/q·s, h/q]` activation block.
+    fn embed(&self, table: &Tensor, tokens: &[usize]) -> Tensor {
+        let (q, vb) = (self.grid.q(), table.rows());
+        let mut x = Tensor::zeros(&[tokens.len(), table.cols()]);
+        for l in 0..q {
+            let panel = self.table_panel(table, l);
+            let off = l * vb;
+            for (r, &t) in tokens.iter().enumerate() {
+                if t >= off && t < off + vb {
+                    let src = panel.row(t - off).to_vec();
+                    for (dst, v) in x.row_mut(r).iter_mut().zip(src) {
+                        *dst += v;
+                    }
+                }
+            }
+        }
+        x
+    }
+
+    /// The gradient of vocab slice `l` is scatter-accumulated locally and
+    /// reduced down the column to mesh row `l` (the transpose of the
+    /// forward broadcast).
+    fn embed_backward(&self, d_table: &mut Tensor, dx: &Tensor, tokens: &[usize]) {
+        let (q, vb) = (self.grid.q(), d_table.rows());
+        for l in 0..q {
+            let mut partial = Tensor::zeros(&[vb, dx.cols()]);
+            let off = l * vb;
+            for (r, &t) in tokens.iter().enumerate() {
+                if t >= off && t < off + vb {
+                    let src = dx.row(r).to_vec();
+                    for (dst, v) in partial.row_mut(t - off).iter_mut().zip(src) {
+                        *dst += v;
+                    }
+                }
+            }
+            self.grid
+                .ctx()
+                .reduce(self.grid.col_group(), l, partial.as_mut_slice());
+            if self.grid.row() == l {
+                d_table.add_assign(&partial);
+            }
+        }
+    }
+
+    fn vocab_block(&self) -> usize {
+        self.grid.col()
+    }
+
+    fn complete_vocab(&self, how: Reduce, partial: &mut [f32]) {
+        let (ctx, row) = (self.grid.ctx(), self.grid.row_group());
+        match how {
+            Reduce::Sum => ctx.all_reduce(row, partial),
+            Reduce::Max => ctx.all_reduce_max(row, partial),
+        }
+    }
+
+    /// Per-row losses are identical across the mesh row; this block's sum
+    /// is rounded to `f32`, combined across batch blocks (the column) and
+    /// divided by the global row count, so every device reports the same
+    /// mean.
+    fn mean_loss(&self, local_sum: f64, total_rows: usize) -> f32 {
+        let mut total = vec![local_sum as f32];
+        self.grid
+            .ctx()
+            .all_reduce(self.grid.col_group(), &mut total);
+        total[0] / total_rows as f32
+    }
+}
+
+impl<C: Communicator> Summa2d<'_, C> {
+    /// Broadcasts the root row's table block down each column and returns it.
+    fn table_panel(&self, table_block: &Tensor, root_row: usize) -> Tensor {
+        let grid = self.grid;
+        let dims = [table_block.rows(), table_block.cols()];
+        let mut buf = if grid.row() == root_row {
+            table_block.as_slice().to_vec()
+        } else {
+            // Pre-sized so the trace backend knows the payload length.
+            vec![0.0; dims[0] * dims[1]]
+        };
+        grid.ctx().broadcast(grid.col_group(), root_row, &mut buf);
+        Tensor::from_vec(&dims, buf)
     }
 }
 
@@ -84,7 +183,6 @@ pub fn layer2d_forward<C: Communicator>(
     p: &Layer2dParams,
     x: &Tensor,
 ) -> (Tensor, LayerCache) {
-    let _span = trace::span_guard("fwd.layer2d");
     assert_eq!(
         x.dims(),
         &[cfg.local_rows(), cfg.local_cols()],
@@ -103,7 +201,6 @@ pub fn layer2d_backward<C: Communicator>(
     cache: &LayerCache,
     dy: &Tensor,
 ) -> (Tensor, Layer2dParams) {
-    let _span = trace::span_guard("bwd.layer2d");
     layer_backward(&Summa2d { grid, cfg }, p, cache, dy)
 }
 
@@ -113,7 +210,7 @@ mod tests {
     use super::*;
     use crate::params2d::slice_layer2d;
     use mesh::Mesh2d;
-    use serial::{Hosted, LayerParams, LayerTensors, Local};
+    use serial::{stem, Hosted, LayerParams, LayerTensors, Local};
     use summa::{collect_blocks, distribute};
     use tensor::{assert_close, Rng, Tensor};
 
@@ -215,6 +312,85 @@ mod tests {
             }
             assert_close(&db_fc1, &grads_ref.b_fc1, 2e-4, 1e-3);
         }
+    }
+
+    /// `rows` per-row values split evenly over the mesh rows: this row's.
+    fn row_share<'a, C: Communicator>(g: &Grid2d<C>, ids: &'a [usize]) -> &'a [usize] {
+        let per = ids.len() / g.q();
+        &ids[g.row() * per..(g.row() + 1) * per]
+    }
+
+    #[test]
+    fn embed_matches_serial_lookup_and_scatter() {
+        for q in [1usize, 2, 3] {
+            let (v, h, b, s) = (6 * q, 4 * q, q, 3);
+            let cfg = OptimusConfig::tiny(q);
+            let mut rng = Rng::new(1);
+            let full = Tensor::randn(&[v, h], 0.5, &mut rng);
+            let tokens: Vec<usize> = (0..b * s).map(|_| rng.below(v)).collect();
+            let dx = Tensor::randn(&[b * s, h], 1.0, &mut rng);
+            let low = Local(cfg.model());
+            let mut d_ref = Tensor::zeros(&[v, h]);
+            low.embed_backward(&mut d_ref, &dx, &tokens);
+
+            let blocks = Mesh2d::run(q, |g| {
+                let low = Summa2d { grid: g, cfg: &cfg };
+                let local = row_share(g, &tokens);
+                let mut dt = Tensor::zeros(&[v / q, h / q]);
+                low.embed_backward(&mut dt, &distribute(g, &dx), local);
+                (low.embed(&distribute(g, &full), local), dt)
+            });
+            let (x, dt): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+            let expect = low.embed(&full, &tokens);
+            assert_close(
+                collect_blocks(&x, q).as_slice(),
+                expect.as_slice(),
+                1e-5,
+                1e-5,
+            );
+            assert_close(
+                collect_blocks(&dt, q).as_slice(),
+                d_ref.as_slice(),
+                1e-5,
+                1e-5,
+            );
+        }
+    }
+
+    #[test]
+    fn head_and_cross_entropy_match_serial() {
+        let q = 2;
+        let (v, h, rows) = (8, 4, 6);
+        let cfg = OptimusConfig::tiny(q);
+        let mut rng = Rng::new(3);
+        let table = Tensor::randn(&[v, h], 0.5, &mut rng);
+        let hidden = Tensor::randn(&[rows, h], 1.0, &mut rng);
+        let labels: Vec<usize> = (0..rows).map(|_| rng.below(v)).collect();
+        let logits_ref = tensor::matmul_nt(&hidden, &table);
+        let (loss_ref, grad_ref) = tensor::loss::cross_entropy(&logits_ref, &labels);
+        let outs = Mesh2d::run(q, |g| {
+            let low = Summa2d { grid: g, cfg: &cfg };
+            let logits = stem::logits(&low, &distribute(g, &hidden), &distribute(g, &table));
+            let (loss, grad) = stem::cross_entropy(&low, &logits, row_share(g, &labels), rows);
+            (logits, loss, grad)
+        });
+        for (_, loss, _) in &outs {
+            assert!((loss - loss_ref).abs() < 1e-5, "{loss} vs {loss_ref}");
+        }
+        let logits: Vec<Tensor> = outs.iter().map(|o| o.0.clone()).collect();
+        let grads: Vec<Tensor> = outs.iter().map(|o| o.2.clone()).collect();
+        assert_close(
+            collect_blocks(&logits, q).as_slice(),
+            logits_ref.as_slice(),
+            1e-4,
+            1e-4,
+        );
+        assert_close(
+            collect_blocks(&grads, q).as_slice(),
+            grad_ref.as_slice(),
+            1e-5,
+            1e-5,
+        );
     }
 
     #[test]

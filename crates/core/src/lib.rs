@@ -22,32 +22,31 @@
 //!   the rejected `(s, h)` partition would move the `b·n·s²` score tensor.
 //! * **2D layer norm** ([`LayerNorm2d`]) — local `Σx`, `Σx²` all-reduced
 //!   along mesh rows; `x̂` and `1/σ` saved for backward (Section 3.2.2).
-//! * **2D embedding / LM head / cross-entropy** ([`embedding2d`]) — the
-//!   embedding table is `q × q`-blocked; the lookup is SUMMA `C = AB` with
-//!   an implicit one-hot `A`, the tied LM head is Algorithm 2, and the
-//!   cross-entropy reduces log-sum-exp partials along mesh rows.
-//! * **Memory management** ([`BufferPool`], [`MemMeter`], activation
-//!   checkpointing in [`OptimusModel`]) — the Section 3.2.3 techniques:
-//!   pre-allocated reusable buffers, per-layer recompute, immediate
-//!   parameter update + gradient-buffer reset.
+//! * **2D embedding / LM head / cross-entropy** — the embedding table is
+//!   `q × q`-blocked; the lookup is SUMMA `C = AB` with an implicit one-hot
+//!   `A`, the tied LM head is Algorithm 2, and the cross-entropy completes
+//!   log-sum-exp partials along mesh rows. These are [`Summa2d`]'s share of
+//!   the one stem in `serial::stem`.
+//! * **Memory management** ([`MemMeter`], activation checkpointing in
+//!   [`OptimusModel`]) — the Section 3.2.3 techniques: per-layer recompute
+//!   and immediate parameter update + gradient-buffer reset, both policies
+//!   of the shared sweeps; the pre-allocated reusable buffers are
+//!   `summa::Workspace` and `mesh::pool::BufferPool`.
 //!
 //! Every layer and the full stem are verified element-wise against the
 //! serial reference (same seed ⇒ same losses, same gradients) by this
 //! crate's tests and the workspace integration tests.
 
 pub mod attention_sh;
-pub mod buffers;
 pub mod checkpoint;
 mod config;
 pub mod dp;
-pub mod embedding2d;
 mod layer2d;
 mod layernorm2d;
 mod linear2d;
 mod model;
 mod params2d;
 
-pub use buffers::{BufferPool, MemMeter};
 pub use config::OptimusConfig;
 pub use dp::{hybrid_layout, hybrid_train_step, hybrid_train_step_ef, hybrid_train_step_zero1};
 pub use layer2d::{layer2d_backward, layer2d_forward, Summa2d};
@@ -55,3 +54,4 @@ pub use layernorm2d::LayerNorm2d;
 pub use linear2d::Linear2d;
 pub use model::{Model2dGrads, OptimusModel, TrainOutput};
 pub use params2d::{slice_layer2d, Layer2dParams};
+pub use serial::stem::MemMeter;

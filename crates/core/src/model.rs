@@ -3,16 +3,13 @@
 //! distributed activation checkpointing and the paper's immediate-update
 //! training step.
 
-use crate::buffers::MemMeter;
 use crate::config::OptimusConfig;
-use crate::embedding2d::{
-    ce2d, embed2d_backward, embed2d_forward, lm_head2d_backward, lm_head2d_forward,
-};
-use crate::layer2d::{layer2d_backward, layer2d_forward, Summa2d};
+use crate::layer2d::Summa2d;
 use crate::layernorm2d::LayerNorm2d;
 use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
-use serial::{walk_pair, walk_stem, ModelTensors};
+use serial::stem::{self, Keep, MemMeter, StemRef};
+use serial::{walk_pair, walk_stem, Lowering, ModelTensors};
 use tensor::Tensor;
 
 /// Device-local gradients for everything this device owns; `embedding`
@@ -42,10 +39,6 @@ pub struct OptimusModel {
     pub cls: Option<crate::linear2d::Linear2d>,
     /// Activation-byte accounting for the most recent step.
     pub meter: MemMeter,
-}
-
-fn tensor_bytes(t: &Tensor) -> usize {
-    t.len() * 4
 }
 
 impl OptimusModel {
@@ -94,16 +87,19 @@ impl OptimusModel {
         pooled
     }
 
+    fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
+        StemRef {
+            table: &self.table,
+            layers: &self.layers,
+            final_ln: [&self.final_ln.gamma, &self.final_ln.beta],
+        }
+    }
+
     /// Forward-only stem over this device's batch block: embedding → layers
     /// → final layer norm, `[b/q·s, h/q]`.
     fn hidden_states<C: Communicator>(&self, low: &Summa2d<C>, tokens: &[usize]) -> Tensor {
-        let (grid, cfg) = (low.grid, low.cfg);
-        let tokens_local = cfg.local_tokens(tokens, grid.row());
-        let mut x = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
-        for lp in &self.layers {
-            x = layer2d_forward(grid, cfg, lp, &x).0;
-        }
-        self.final_ln.forward(low, &x).0
+        let tokens_local = low.cfg.local_tokens(tokens, low.grid.row());
+        stem::hidden_states(low, &self.stem(), tokens_local)
     }
 
     /// Classification logits for this device's sequences: `[b/q, c/q]`.
@@ -123,13 +119,12 @@ impl OptimusModel {
         tokens: &[usize],
         labels: &[usize],
     ) -> f32 {
-        assert_eq!(labels.len(), self.cfg.batch, "one label per sequence");
-        let cls = self.cls.as_ref().expect("built without classifier head");
-        let num_classes = cls.w.cols() * self.cfg.q;
+        let cfg = &self.cfg;
+        assert_eq!(labels.len(), cfg.batch, "one label per sequence");
         let logits = self.classify_forward(grid, tokens);
-        let local_b = self.cfg.batch / self.cfg.q;
+        let local_b = cfg.batch / cfg.q;
         let labels_local = &labels[grid.row() * local_b..(grid.row() + 1) * local_b];
-        ce2d(grid, &logits, labels_local, num_classes, self.cfg.batch).0
+        stem::cross_entropy(&Summa2d { grid, cfg }, &logits, labels_local, cfg.batch).0
     }
 
     /// Evaluation loss (no gradients). `tokens`/`labels` are the full
@@ -141,17 +136,10 @@ impl OptimusModel {
         labels: &[usize],
     ) -> f32 {
         let cfg = &self.cfg;
+        let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
-        let hidden = self.hidden_states(&Summa2d { grid, cfg }, tokens);
-        let logits = lm_head2d_forward(grid, &hidden, &self.table);
-        ce2d(
-            grid,
-            &logits,
-            labels_local,
-            self.cfg.vocab,
-            self.cfg.batch * self.cfg.seq,
-        )
-        .0
+        let (low, rows) = (Summa2d { grid, cfg }, cfg.batch * cfg.seq);
+        stem::lm_loss(&low, &self.stem(), tokens_local, labels_local, rows)
     }
 
     /// Forward + backward. Honors `cfg.checkpoint`: when set, only each
@@ -165,88 +153,21 @@ impl OptimusModel {
         labels: &[usize],
     ) -> (f32, Model2dGrads) {
         let cfg = self.cfg;
-        let low = Summa2d { grid, cfg: &cfg };
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
-        let total_rows = cfg.batch * cfg.seq;
-        self.meter = MemMeter::new();
-
-        // ---- Forward ----
-        let fwd_span = trace::span_guard("fwd");
-        let x0 = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
-        self.meter.alloc(tensor_bytes(&x0));
-
-        // Checkpointing keeps each layer's input block (the checkpoint),
-        // otherwise its full cache.
-        let mut inputs: Vec<Tensor> = Vec::new();
-        let mut caches = Vec::new();
-        let mut x = x0.clone();
-        for lp in &self.layers {
-            if cfg.checkpoint {
-                inputs.push(x.clone());
-                self.meter.alloc(tensor_bytes(&x));
-            }
-            let (y, cache) = layer2d_forward(grid, &cfg, lp, &x);
-            if !cfg.checkpoint {
-                self.meter.alloc(cache.bytes());
-                caches.push(cache);
-            }
-            x = y;
-        }
-        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &x);
-        self.meter.alloc(tensor_bytes(&hidden));
-        drop(fwd_span);
-
-        // ---- Loss head ----
-        let loss_span = trace::span_guard("loss_head");
-        let logits = lm_head2d_forward(grid, &hidden, &self.table);
-        self.meter.alloc(tensor_bytes(&logits));
-        let (loss, dlogits) = ce2d(grid, &logits, labels_local, cfg.vocab, total_rows);
-
-        let mut d_table = Tensor::zeros(&[self.table.rows(), self.table.cols()]);
-        let dhidden = lm_head2d_backward(grid, &dlogits, &hidden, &self.table, &mut d_table);
-        self.meter.free(tensor_bytes(&logits));
-        drop(loss_span);
-
-        // ---- Layer backward (reverse) ----
-        let bwd_span = trace::span_guard("bwd");
-        let (mut dx, final_ln_g, final_ln_b) =
-            self.final_ln.backward(&low, &dhidden, &final_ln_cache);
-        self.meter.free(tensor_bytes(&hidden));
-
-        let mut layer_grads = Vec::with_capacity(cfg.layers);
-        for l in (0..cfg.layers).rev() {
-            let cache = if cfg.checkpoint {
-                // Re-forward this layer from its checkpointed input.
-                let (_, cache) = layer2d_forward(grid, &cfg, &self.layers[l], &inputs[l]);
-                self.meter.alloc(cache.bytes());
-                cache
-            } else {
-                caches.pop().expect("one cache per layer")
-            };
-            let (dprev, g) = layer2d_backward(grid, &cfg, &self.layers[l], &cache, &dx);
-            self.meter.free(cache.bytes());
-            if cfg.checkpoint {
-                self.meter.free(tensor_bytes(&inputs[l]));
-            }
-            layer_grads.push(g);
-            dx = dprev;
-        }
-        layer_grads.reverse();
-
-        embed2d_backward(grid, &dx, tokens_local, cfg.vocab, &mut d_table);
-        self.meter.free(tensor_bytes(&x0));
-        drop(bwd_span);
-
-        (
-            loss,
-            Model2dGrads {
-                embedding: d_table,
-                layers: layer_grads,
-                final_ln_g,
-                final_ln_b,
-            },
-        )
+        let (low, rows) = (Summa2d { grid, cfg: &cfg }, cfg.batch * cfg.seq);
+        let mut meter = MemMeter::new();
+        let out = stem::lm_grads(
+            &low,
+            &self.stem(),
+            tokens_local,
+            labels_local,
+            rows,
+            cfg.checkpoint,
+            &mut meter,
+        );
+        self.meter = meter;
+        out
     }
 
     /// One SGD step (gradients accumulated, then applied). Returns the
@@ -293,36 +214,31 @@ impl OptimusModel {
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
         let total_rows = cfg.batch * cfg.seq;
+        let (table, meter) = (&self.table, &mut MemMeter::new());
+        stem::check_batch(&low, tokens_local, labels_local);
 
-        let x0 = embed2d_forward(grid, &self.table, tokens_local, cfg.vocab);
-        let mut inputs: Vec<Tensor> = Vec::with_capacity(cfg.layers);
-        let mut x = x0.clone();
-        for lp in &self.layers {
-            inputs.push(x.clone());
-            x = layer2d_forward(grid, &cfg, lp, &x).0;
-        }
-        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &x);
-        let logits = lm_head2d_forward(grid, &hidden, &self.table);
-        let (loss, dlogits) = ce2d(grid, &logits, labels_local, cfg.vocab, total_rows);
+        let x = low.embed(table, tokens_local);
+        let (y, kept) = stem::sweep_forward(&low, &self.layers, x, Keep::Inputs, meter);
+        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &y);
+        let (loss, dlogits) =
+            stem::head_loss(&low, table, &hidden, labels_local, total_rows, meter);
 
-        let mut d_table = Tensor::zeros(&[self.table.rows(), self.table.cols()]);
-        let dhidden = lm_head2d_backward(grid, &dlogits, &hidden, &self.table, &mut d_table);
-        let (mut dx, fg, fb) = self.final_ln.backward(&low, &dhidden, &final_ln_cache);
+        let mut d_table = Tensor::zeros(&[table.rows(), table.cols()]);
+        let dhidden = stem::head_backward(&low, table, &hidden, dlogits, &mut d_table, meter);
+        let (dx, fg, fb) = self.final_ln.backward(&low, &dhidden, &final_ln_cache);
         let mut update = |p: &mut [f32], g: &[f32]| sgd(p, g, lr);
         walk_pair(&mut self.final_ln.gamma, &fg, &mut update);
         walk_pair(&mut self.final_ln.beta, &fb, &mut update);
 
-        for l in (0..cfg.layers).rev() {
-            let (_, cache) = layer2d_forward(grid, &cfg, &self.layers[l], &inputs[l]);
-            let (dprev, g) = layer2d_backward(grid, &cfg, &self.layers[l], &cache, &dx);
-            // Immediate update; `g` drops at the end of this iteration,
-            // which is the "reset the parameter gradient buffer" step.
-            self.layers[l].walk(&g, &mut update);
-            dx = dprev;
-        }
+        // Immediate update: the sink applies a layer's gradients and drops
+        // them, which is the "reset the parameter gradient buffer" step.
+        let layers = self.layers.iter_mut();
+        let dx = stem::sweep_backward(&low, layers, kept, dx, meter, |_, p, g| {
+            p.walk(&g, &mut update)
+        });
 
-        embed2d_backward(grid, &dx, tokens_local, cfg.vocab, &mut d_table);
-        self.table.axpy(-lr, &d_table);
+        low.embed_backward(&mut d_table, &dx, tokens_local);
+        update(self.table.as_mut_slice(), d_table.as_slice());
         loss
     }
 
@@ -337,8 +253,9 @@ impl OptimusModel {
     /// `b` next tokens.
     pub fn greedy_next<C: Communicator>(&self, grid: &Grid2d<C>, tokens: &[usize]) -> Vec<usize> {
         let cfg = &self.cfg;
-        let hidden = self.hidden_states(&Summa2d { grid, cfg }, tokens);
-        let logits = lm_head2d_forward(grid, &hidden, &self.table);
+        let low = Summa2d { grid, cfg };
+        let hidden = self.hidden_states(&low, tokens);
+        let logits = stem::logits(&low, &hidden, &self.table);
 
         let s = cfg.seq;
         let local_b = cfg.batch / cfg.q;
@@ -475,6 +392,11 @@ mod tests {
         (tokens, labels)
     }
 
+    fn bits(losses: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        let dev = |d: &Vec<f32>| d.iter().map(|x| x.to_bits()).collect();
+        losses.iter().map(dev).collect()
+    }
+
     #[test]
     fn loss_matches_serial_reference() {
         for q in [1usize, 2, 3] {
@@ -532,11 +454,8 @@ mod tests {
                 .map(|_| m.train_step(grid, &tokens, &labels, 0.3))
                 .collect::<Vec<f32>>()
         });
-        for (a, b) in plain.iter().zip(&ckpt) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-5, "plain={x} ckpt={y}");
-            }
-        }
+        // One sweep body: recomputing a layer repeats its forward bit for bit.
+        assert_eq!(bits(&plain), bits(&ckpt));
     }
 
     #[test]
@@ -579,11 +498,9 @@ mod tests {
                 .map(|_| m.train_step_fused(grid, &tokens, &labels, 0.2))
                 .collect::<Vec<f32>>()
         });
-        for (a, b) in plain.iter().zip(&fused) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-5, "plain={x} fused={y}");
-            }
-        }
+        // The same sweep with a different sink: when a gradient is applied
+        // does not change it.
+        assert_eq!(bits(&plain), bits(&fused));
     }
 
     #[test]

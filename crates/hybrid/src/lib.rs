@@ -1,13 +1,16 @@
 //! Hybrid 3D/4D parallel training: **pipeline stages × data-parallel
 //! replicas × 2D/2.5D tensor meshes**, run as one schedule.
 //!
-//! The workspace has all three parallel dimensions as separately proven
-//! pieces — `MeshNd` 2D/2.5D tensor parallelism (`optimus-core` + `summa`),
-//! GPipe/1F1B pipeline parallelism (`pipeline`), and data parallelism
-//! (`optimus_core::dp`). This crate composes them, AxoNN-style: an
-//! N-device world is partitioned by a [`HybridSpec`] into `pp` pipeline
-//! stages × `dp` data-parallel replicas × a `[p, q, d]` tensor mesh per
-//! stage-replica, with the invariant **`pp · dp · p · q · d = N`**.
+//! This crate composes the workspace's three parallel dimensions,
+//! AxoNN-style: an N-device world is partitioned by a [`HybridSpec`] into
+//! `pp` pipeline stages × `dp` data-parallel replicas × a `[p, q, d]`
+//! tensor mesh per stage-replica (`MeshNd` 2D/2.5D tensor parallelism from
+//! `optimus-core` + `summa`), with the invariant
+//! **`pp · dp · p · q · d = N`**. Pipeline parallelism lives only here:
+//! `HybridSpec { pp, dp: 1, grid: [1, 1, 1], microbatches }` is the plain
+//! GPipe-style pipeline of one device per stage, moving
+//! `2(pp − 1)·bsh` scalars across stage boundaries per step whatever the
+//! microbatch count.
 //!
 //! # Device partitioning
 //!
@@ -87,13 +90,9 @@ use std::collections::VecDeque;
 use mesh::{
     Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype,
 };
-use optimus_core::embedding2d::{
-    ce2d, embed2d_backward, embed2d_forward, lm_head2d_backward, lm_head2d_forward,
-};
-use optimus_core::{
-    layer2d_backward, layer2d_forward, Model2dGrads, OptimusConfig, OptimusModel, Summa2d,
-};
-use serial::{LayerCache, LnCache};
+use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
+use serial::stem::{self, Keep, Kept, MemMeter};
+use serial::{walk_pair, LnCache, Lowering, Span};
 use tensor::Tensor;
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -323,17 +322,19 @@ pub fn build<'a, C: Communicator>(
     (st, grid)
 }
 
-/// One stage's in-flight state for one microbatch.
+/// One stage's in-flight state for one microbatch: what the stem's forward
+/// sweep kept.
 struct MicroState {
-    /// Layer inputs (the checkpoints), only when checkpointing is on.
-    inputs: Vec<Tensor>,
-    /// Full layer caches, only when checkpointing is off.
-    caches: Vec<LayerCache>,
+    kept: Vec<Kept>,
     /// Last stage only: final layer-norm cache, normalized hidden state and
     /// the loss-scaled logits gradient.
-    final_ln: Option<LnCache>,
-    hidden: Option<Tensor>,
-    dlogits: Option<Tensor>,
+    head: Option<(LnCache, Tensor, Tensor)>,
+}
+
+fn add(acc: &mut [f32], g: &[f32]) {
+    for (a, g) in acc.iter_mut().zip(g) {
+        *a += g;
+    }
 }
 
 /// One device's stage-replica shard of the hybrid schedule: a stage-sliced
@@ -448,140 +449,127 @@ impl HybridStage {
         labels: &[usize],
         i: usize,
         losses: &mut f64,
+        meter: &mut MemMeter,
     ) -> MicroState {
         let micro = self.model.cfg;
+        let low = Summa2d { grid, cfg: &micro };
+        let (model, keep) = (&self.model, Keep::training(micro.checkpoint));
         let total_rows = self.cfg.batch * self.cfg.seq;
-        let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
 
-        let fwd_span = trace::span_guard("fwd");
-        let mut x = if self.is_first() {
-            embed2d_forward(grid, &self.model.table, mb_tokens, micro.vocab)
-        } else {
-            let from = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
-            Tensor::from_vec(
-                &[micro.local_rows(), micro.local_cols()],
-                grid.ctx().recv_expect(from, self.boundary_elems()),
-            )
-        };
-
-        let mut state = MicroState {
-            inputs: Vec::new(),
-            caches: Vec::new(),
-            final_ln: None,
-            hidden: None,
-            dlogits: None,
-        };
-        for lp in &self.model.layers {
-            if micro.checkpoint {
-                state.inputs.push(x.clone());
+        let (y, kept, ln) = low.scope(Span::Fwd, || {
+            let x = if self.is_first() {
+                let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
+                low.embed(&model.table, mb_tokens)
+            } else {
+                let from = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
+                Tensor::from_vec(
+                    &[micro.local_rows(), micro.local_cols()],
+                    grid.ctx().recv_expect(from, self.boundary_elems()),
+                )
+            };
+            let (y, kept) = stem::sweep_forward(&low, &model.layers, x, keep, meter);
+            if self.is_last() {
+                let (hidden, ln) = model.final_ln.forward(&low, &y);
+                (hidden, kept, Some(ln))
+            } else {
+                (y, kept, None)
             }
-            let (y, cache) = layer2d_forward(grid, &micro, lp, &x);
-            if !micro.checkpoint {
-                state.caches.push(cache);
-            }
-            x = y;
-        }
+        });
 
-        if self.is_last() {
-            let low = Summa2d { grid, cfg: &micro };
-            let (hidden, ln_cache) = self.model.final_ln.forward(&low, &x);
-            drop(fwd_span);
-            let loss_span = trace::span_guard("loss_head");
-            let logits = lm_head2d_forward(grid, &hidden, &self.model.table);
-            let mb_labels = micro.local_tokens(self.micro_slice(labels, i), grid.row());
-            let (loss, dlogits) = ce2d(grid, &logits, mb_labels, micro.vocab, total_rows);
-            drop(loss_span);
-            // ce2d already scaled by 1/total_rows: losses and gradients
-            // combine across microbatches and replicas by plain summation.
-            *losses += loss as f64;
-            state.final_ln = Some(ln_cache);
-            state.hidden = Some(hidden);
-            state.dlogits = Some(dlogits);
-        } else {
-            drop(fwd_span);
-            let to = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
-            grid.ctx().send(to, x.into_vec());
-        }
-        state
+        let head = match ln {
+            Some(ln) => {
+                let mb_labels = micro.local_tokens(self.micro_slice(labels, i), grid.row());
+                let (loss, dlogits) = low.scope(Span::LossHead, || {
+                    stem::head_loss(&low, &model.table, &y, mb_labels, total_rows, meter)
+                });
+                // Already scaled by 1/total_rows: losses and gradients
+                // combine across microbatches and replicas by plain summation.
+                *losses += loss as f64;
+                Some((ln, y, dlogits))
+            }
+            None => {
+                let to = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
+                grid.ctx().send(to, y.into_vec());
+                None
+            }
+        };
+        MicroState { kept, head }
     }
 
     /// Backward of microbatch `i` given its forward state: head backward on
     /// the last stage (or receive the boundary gradient), layers in reverse
     /// (recomputing from checkpoints when `cfg.checkpoint`), then the
     /// embedding backward on the first stage (or send the gradient on).
-    /// Returns this microbatch's parameter gradients.
+    /// The microbatch's parameter gradients become `acc`, or add to it.
     fn backward_micro<C: Communicator>(
         &self,
         grid: &GridNd<C>,
-        mut state: MicroState,
+        state: MicroState,
         i: usize,
         tokens: &[usize],
-    ) -> Model2dGrads {
+        acc: &mut Option<Model2dGrads>,
+        meter: &mut MemMeter,
+    ) {
         let micro = self.model.cfg;
-        let mut d_table = Tensor::zeros(&[self.model.table.rows(), self.model.table.cols()]);
+        let low = Summa2d { grid, cfg: &micro };
+        let model = &self.model;
+        let mut d_table = Tensor::zeros(&[model.table.rows(), model.table.cols()]);
 
-        let (mut dx, final_ln_g, final_ln_b) = if self.is_last() {
-            let loss_span = trace::span_guard("loss_head");
-            let dlogits = state.dlogits.take().expect("last stage ran the head");
-            let hidden = state.hidden.take().expect("last stage kept the hidden");
-            let dhidden =
-                lm_head2d_backward(grid, &dlogits, &hidden, &self.model.table, &mut d_table);
-            drop(loss_span);
-            let bwd_span = trace::span_guard("bwd");
-            let out = self.model.final_ln.backward(
-                &Summa2d { grid, cfg: &micro },
-                &dhidden,
-                state.final_ln.as_ref().expect("last stage kept the cache"),
-            );
-            drop(bwd_span);
-            out
-        } else {
-            let from = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
-            let dx = Tensor::from_vec(
-                &[micro.local_rows(), micro.local_cols()],
-                grid.ctx().recv_expect(from, self.boundary_elems()),
-            );
-            // Middle/first stages host zero final-LN gradients on mesh row 0
-            // so the accumulator/update layout is uniform across stages.
-            let zeros = self
-                .model
-                .final_ln
-                .gamma
-                .as_ref()
-                .map(|g| vec![0.0f32; g.len()]);
-            (dx, zeros.clone(), zeros)
+        let (dx, final_ln_g, final_ln_b) = match state.head {
+            Some((ln, hidden, dlogits)) => {
+                let dhidden = low.scope(Span::LossHead, || {
+                    stem::head_backward(&low, &model.table, &hidden, dlogits, &mut d_table, meter)
+                });
+                low.scope(Span::Bwd, || model.final_ln.backward(&low, &dhidden, &ln))
+            }
+            None => {
+                let from = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
+                let dx = Tensor::from_vec(
+                    &[micro.local_rows(), micro.local_cols()],
+                    grid.ctx().recv_expect(from, self.boundary_elems()),
+                );
+                // Middle/first stages host zero final-LN gradients on mesh row 0
+                // so the accumulator/update layout is uniform across stages.
+                let zeros = model.final_ln.gamma.as_ref().map(|g| vec![0.0f32; g.len()]);
+                (dx, zeros.clone(), zeros)
+            }
         };
 
-        let bwd_span = trace::span_guard("bwd");
-        let mut layer_grads = Vec::with_capacity(self.model.layers.len());
-        for l in (0..self.model.layers.len()).rev() {
-            let cache = if micro.checkpoint {
-                let (_, cache) =
-                    layer2d_forward(grid, &micro, &self.model.layers[l], &state.inputs[l]);
-                cache
+        // The first microbatch's layer gradients are collected, later ones
+        // added to the running total as each layer's backward finishes.
+        let mut collected = Vec::new();
+        low.scope(Span::Bwd, || {
+            let layers = model.layers.iter();
+            let dx = stem::sweep_backward(&low, layers, state.kept, dx, meter, |l, _, g| match acc
+                .as_mut()
+            {
+                Some(a) => a.layers[l].walk(&g, &mut add),
+                None => collected.push(g),
+            });
+            if self.is_first() {
+                let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
+                low.embed_backward(&mut d_table, &dx, mb_tokens);
             } else {
-                state.caches.pop().expect("one cache per layer")
-            };
-            let (dprev, g) = layer2d_backward(grid, &micro, &self.model.layers[l], &cache, &dx);
-            layer_grads.push(g);
-            dx = dprev;
-        }
-        layer_grads.reverse();
+                let to = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
+                grid.ctx().send(to, dx.into_vec());
+            }
+        });
 
-        if self.is_first() {
-            let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
-            embed2d_backward(grid, &dx, mb_tokens, micro.vocab, &mut d_table);
-        } else {
-            let to = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
-            grid.ctx().send(to, dx.into_vec());
-        }
-        drop(bwd_span);
-
-        Model2dGrads {
-            embedding: d_table,
-            layers: layer_grads,
-            final_ln_g,
-            final_ln_b,
+        match acc {
+            Some(a) => {
+                a.embedding.add_assign(&d_table);
+                walk_pair(&mut a.final_ln_g, &final_ln_g, &mut add);
+                walk_pair(&mut a.final_ln_b, &final_ln_b, &mut add);
+            }
+            None => {
+                collected.reverse();
+                *acc = Some(Model2dGrads {
+                    embedding: d_table,
+                    layers: collected,
+                    final_ln_g,
+                    final_ln_b,
+                });
+            }
         }
     }
 
@@ -597,53 +585,31 @@ impl HybridStage {
         labels: &[usize],
     ) -> (f64, Model2dGrads) {
         let m = self.spec.microbatches;
-        assert_eq!(
-            tokens.len(),
-            self.cfg.batch * self.cfg.seq,
-            "global token stream"
-        );
-        assert_eq!(
-            labels.len(),
-            self.cfg.batch * self.cfg.seq,
-            "global label stream"
-        );
+        let rows = self.cfg.batch * self.cfg.seq;
+        stem::check_ids("token", tokens, rows, self.cfg.vocab);
+        stem::check_ids("label", labels, rows, self.cfg.vocab);
 
         let warmup = (self.spec.pp - 1 - self.stage).min(m);
         let mut losses = 0.0f64;
         let mut acc: Option<Model2dGrads> = None;
-        let mut live: VecDeque<(usize, MicroState)> = VecDeque::new();
-        self.peak_live_microbatches = 0;
-        let (mut next_fwd, mut next_bwd) = (0usize, 0usize);
+        let mut live: VecDeque<MicroState> = VecDeque::new();
+        let mut peak_live = 0;
+        let meter = &mut MemMeter::new();
 
-        let accumulate = |acc: &mut Option<Model2dGrads>, g: Model2dGrads| match acc {
-            None => *acc = Some(g),
-            Some(a) => a.accumulate(&g),
-        };
-
-        // Warm-up forwards.
-        for _ in 0..warmup {
-            let st = self.forward_micro(grid, tokens, labels, next_fwd, &mut losses);
-            live.push_back((next_fwd, st));
-            next_fwd += 1;
-            self.peak_live_microbatches = self.peak_live_microbatches.max(live.len());
+        // `warmup` forwards, then one-forward-one-backward, then cooldown
+        // backwards: microbatch `i`'s backward runs once forward
+        // `i + warmup` has (or every forward has).
+        for i in 0..m + warmup {
+            if i < m {
+                live.push_back(self.forward_micro(grid, tokens, labels, i, &mut losses, meter));
+                peak_live = peak_live.max(live.len());
+            }
+            if i >= warmup {
+                let st = live.pop_front().expect("a forward is outstanding");
+                self.backward_micro(grid, st, i - warmup, tokens, &mut acc, meter);
+            }
         }
-        // Steady one-forward-one-backward.
-        while next_fwd < m {
-            let st = self.forward_micro(grid, tokens, labels, next_fwd, &mut losses);
-            live.push_back((next_fwd, st));
-            next_fwd += 1;
-            self.peak_live_microbatches = self.peak_live_microbatches.max(live.len());
-            let (i, st) = live.pop_front().expect("a forward is outstanding");
-            debug_assert_eq!(i, next_bwd);
-            accumulate(&mut acc, self.backward_micro(grid, st, i, tokens));
-            next_bwd += 1;
-        }
-        // Cooldown backwards.
-        while let Some((i, st)) = live.pop_front() {
-            debug_assert_eq!(i, next_bwd);
-            accumulate(&mut acc, self.backward_micro(grid, st, i, tokens));
-            next_bwd += 1;
-        }
+        self.peak_live_microbatches = peak_live;
         (losses, acc.expect("at least one microbatch"))
     }
 
@@ -821,11 +787,12 @@ mod tests {
 
     #[test]
     fn pipeline_stages_follow_the_serial_trajectory() {
-        // pp=2 over a [1,1,1] mesh is a plain 2-stage pipeline; the loss
+        // pp stages over a [1,1,1] mesh are a plain pipeline; the loss
         // trajectory must track the serial model (f32 reduction-order slack).
         let cfg = OptimusConfig {
             q: 1,
             batch: 4,
+            layers: 4,
             ..OptimusConfig::tiny(1)
         };
         let (tokens, labels) = data(&cfg, 11);
@@ -834,7 +801,7 @@ mod tests {
             .map(|_| reference.train_step(&tokens, &labels, 0.2))
             .collect();
 
-        for (pp, m) in [(2usize, 2usize), (2, 1), (2, 4)] {
+        for (pp, m) in [(2usize, 2usize), (2, 1), (2, 4), (4, 1), (4, 4)] {
             let spec = HybridSpec {
                 pp,
                 dp: 1,
@@ -900,21 +867,58 @@ mod tests {
     fn one_f_one_b_bounds_live_microbatches() {
         let cfg = OptimusConfig {
             batch: 8,
+            layers: 4,
             ..OptimusConfig::tiny(1)
         };
         let (tokens, labels) = data(&cfg, 3);
-        let spec = HybridSpec {
-            pp: 2,
-            dp: 1,
-            grid: [1, 1, 1],
-            microbatches: 4,
+        for (pp, want) in [(2usize, vec![2, 1]), (4, vec![4, 3, 2, 1])] {
+            let spec = HybridSpec {
+                pp,
+                dp: 1,
+                grid: [1, 1, 1],
+                microbatches: 4,
+            };
+            let peaks = Mesh::run(spec.devices(), |ctx| {
+                let (mut st, grid) = build(ctx, &spec, &cfg, 5);
+                st.train_step(&grid, &tokens, &labels, 0.1);
+                st.peak_live_microbatches
+            });
+            assert_eq!(peaks, want, "1F1B bound is pp - stage");
+        }
+    }
+
+    #[test]
+    fn boundary_traffic_matches_the_formula() {
+        // 2(S-1)·bsh scalars cross stage boundaries per step, independent
+        // of the microbatch count.
+        let cfg = OptimusConfig {
+            batch: 4,
+            seq: 6,
+            hidden: 8,
+            heads: 2,
+            vocab: 16,
+            ..OptimusConfig::tiny(1)
         };
-        let peaks = Mesh::run(spec.devices(), |ctx| {
-            let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-            st.train_step(&grid, &tokens, &labels, 0.1);
-            st.peak_live_microbatches
-        });
-        assert_eq!(peaks, vec![2, 1], "1F1B bound is pp - stage");
+        let (tokens, labels) = data(&cfg, 2);
+        let bsh = cfg.batch * cfg.seq * cfg.hidden;
+        for m in [1usize, 2, 4] {
+            let spec = HybridSpec {
+                pp: 2,
+                dp: 1,
+                grid: [1, 1, 1],
+                microbatches: m,
+            };
+            let (_, logs) = Mesh::run_with_logs(spec.devices(), |ctx| {
+                let (mut st, grid) = build(ctx, &spec, &cfg, 3);
+                st.train_step(&grid, &tokens, &labels, 0.1)
+            });
+            // Only a boundary block is bsh/m long (the tied table is 128).
+            let p2p: usize = (logs.iter().flat_map(|l| &l.links))
+                .filter(|l| l.elems == bsh / m)
+                .map(|l| l.elems)
+                .sum();
+            assert_eq!(p2p, 2 * bsh, "m={m}");
+        }
     }
 
     #[test]

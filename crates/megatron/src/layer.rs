@@ -5,10 +5,18 @@
 //! devices; the two all-reduces (after the attention output projection and
 //! after the MLP contraction) restore replication in the forward pass, and
 //! two more restore it for the input gradients in the backward pass.
+//!
+//! The stem around the layers lowers the same way: the embedding table is
+//! split along the vocabulary, a device embeds the tokens whose ids fall in
+//! its slice and an all-reduce assembles the replicated activations; the
+//! tied head reuses the local slice, producing vocabulary-sliced logits,
+//! and the cross-entropy's per-row partials are completed by world
+//! all-reduces — the decomposition the Optimus 2D cross-entropy uses along
+//! mesh rows (Section 3.2.2).
 
 use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
-use serial::{layer_backward, layer_forward, local_gemm, LayerCache, Lowering, Role};
+use serial::{layer_backward, layer_forward, local_gemm, LayerCache, Lowering, Reduce, Role, Span};
 use std::borrow::Cow;
 use tensor::gemm::Form;
 use tensor::Tensor;
@@ -50,6 +58,59 @@ impl<C: Communicator> Lowering for Megatron1d<'_, C> {
     fn attn_view(&self) -> serial::ModelConfig {
         self.cfg.local_view()
     }
+    fn scope<R>(&self, span: Span, f: impl FnOnce() -> R) -> R {
+        let name = match span {
+            Span::Fwd => "fwd",
+            Span::LossHead => "loss_head",
+            Span::Bwd => "bwd",
+            Span::LayerFwd => "fwd.layer1d",
+            Span::LayerBwd => "bwd.layer1d",
+            Span::LinearFwd | Span::LinearBwd => return f(),
+        };
+        trace::span(name, f)
+    }
+
+    /// `table: [v/p, h]` is this device's vocabulary slice. Returns the
+    /// replicated `[b·s, h]` activations.
+    fn embed(&self, table: &Tensor, tokens: &[usize]) -> Tensor {
+        let h = table.cols();
+        let v_local = table.rows();
+        let vocab_offset = self.vocab_block() * v_local;
+        let mut x = Tensor::zeros(&[tokens.len(), h]);
+        for (r, &t) in tokens.iter().enumerate() {
+            if t >= vocab_offset && t < vocab_offset + v_local {
+                x.row_mut(r).copy_from_slice(table.row(t - vocab_offset));
+            }
+        }
+        self.ctx.all_reduce(self.world, x.as_mut_slice());
+        x
+    }
+
+    /// Scatter-adds `dx` rows into the local table gradient for tokens
+    /// this device owns. Purely local.
+    fn embed_backward(&self, d_table: &mut Tensor, dx: &Tensor, tokens: &[usize]) {
+        let v_local = d_table.rows();
+        let vocab_offset = self.vocab_block() * v_local;
+        for (r, &t) in tokens.iter().enumerate() {
+            if t >= vocab_offset && t < vocab_offset + v_local {
+                let src = dx.row(r).to_vec();
+                for (dst, v) in d_table.row_mut(t - vocab_offset).iter_mut().zip(src) {
+                    *dst += v;
+                }
+            }
+        }
+    }
+
+    fn vocab_block(&self) -> usize {
+        self.ctx.rank()
+    }
+
+    fn complete_vocab(&self, how: Reduce, partial: &mut [f32]) {
+        match how {
+            Reduce::Sum => self.ctx.all_reduce(self.world, partial),
+            Reduce::Max => self.ctx.all_reduce_max(self.world, partial),
+        }
+    }
 }
 
 /// Layer forward. `x` is the replicated `[b·s, h]` input.
@@ -60,7 +121,6 @@ pub fn layer1d_forward<C: Communicator>(
     p: &Layer1dParams,
     x: &Tensor,
 ) -> (Tensor, LayerCache) {
-    let _span = trace::span_guard("fwd.layer1d");
     assert_eq!(x.dims(), &[cfg.model.tokens(), cfg.model.hidden]);
     layer_forward(&Megatron1d { ctx, world, cfg }, p, x)
 }
@@ -75,7 +135,6 @@ pub fn layer1d_backward<C: Communicator>(
     cache: &LayerCache,
     dy: &Tensor,
 ) -> (Tensor, Layer1dParams) {
-    let _span = trace::span_guard("bwd.layer1d");
     layer_backward(&Megatron1d { ctx, world, cfg }, p, cache, dy)
 }
 
@@ -162,6 +221,63 @@ mod tests {
         // all twelve parameter gradients agree bitwise at p = 1.
         let (dx, grads) = run(1).pop().unwrap();
         assert_eq!(all_bits(&dx, grads), all_bits(&dx_ref, grads_ref));
+    }
+
+    #[test]
+    fn embed_matches_serial_lookup_and_scatters_only_owned_tokens() {
+        let (cfg, ..) = setup();
+        let model = cfg.model;
+        let full = tensor::init::init_matrix(
+            0,
+            tensor::init::param_ids::EMBEDDING,
+            &[model.vocab, model.hidden],
+            0.5,
+        );
+        let mut rng = Rng::new(1);
+        let tokens: Vec<usize> = (0..model.tokens())
+            .map(|_| rng.below(model.vocab))
+            .collect();
+        let vp = model.vocab / cfg.p;
+        let outs = Mesh::run(cfg.p, |ctx| {
+            let world = Group::world(cfg.p);
+            let (ctx, world, cfg) = (ctx, &world, &cfg);
+            let low = Megatron1d { ctx, world, cfg };
+            let x = low.embed(&full.block(ctx.rank() * vp, 0, vp, model.hidden), &tokens);
+            // All-zero tokens are owned by device 0 alone.
+            let mut d = Tensor::zeros(&[vp, model.hidden]);
+            let ones = Tensor::full(&[model.tokens(), model.hidden], 1.0);
+            low.embed_backward(&mut d, &ones, &vec![0; model.tokens()]);
+            (x, d)
+        });
+        let expect = Local(model).embed(&full, &tokens);
+        for (x, _) in &outs {
+            assert_close(x.as_slice(), expect.as_slice(), 1e-5, 1e-5);
+        }
+        assert_eq!(outs[0].1.at(0, 0), model.tokens() as f32);
+        assert_eq!(outs[1].1.sum(), 0.0);
+    }
+
+    #[test]
+    fn vocab_parallel_cross_entropy_matches_serial() {
+        let (cfg, ..) = setup();
+        let (rows, vocab) = (cfg.model.tokens(), cfg.model.vocab);
+        let mut rng = Rng::new(2);
+        let logits = Tensor::randn(&[rows, vocab], 1.5, &mut rng);
+        let labels: Vec<usize> = (0..rows).map(|_| rng.below(vocab)).collect();
+        let (loss_ref, grad_ref) = tensor::loss::cross_entropy(&logits, &labels);
+        let vp = vocab / cfg.p;
+        let outs = Mesh::run(cfg.p, |ctx| {
+            let world = Group::world(cfg.p);
+            let (ctx, world, cfg) = (ctx, &world, &cfg);
+            let local = logits.block(0, ctx.rank() * vp, rows, vp);
+            serial::stem::cross_entropy(&Megatron1d { ctx, world, cfg }, &local, &labels, rows)
+        });
+        let mut grad = Tensor::zeros(&[rows, vocab]);
+        for (j, (loss, g)) in outs.iter().enumerate() {
+            assert!((loss - loss_ref).abs() < 1e-5);
+            grad.set_block(0, j * vp, g);
+        }
+        assert_close(grad.as_slice(), grad_ref.as_slice(), 1e-5, 1e-5);
     }
 
     #[test]

@@ -26,13 +26,11 @@
 //! * embedding table: vocabulary row slice `[v/p, h]` (vocab-parallel), with
 //!   the LM head tied and the cross-entropy computed vocab-parallel.
 
-mod embedding;
 mod gather;
 mod layer;
 mod model;
 mod params;
 
-pub use embedding::{embed_forward, lm_head_forward, vocab_parallel_ce};
 pub use layer::{layer1d_backward, layer1d_forward, Megatron1d};
 pub use model::MegatronModel;
 pub use params::{slice_layer1d, Layer1dParams, MegatronConfig};

@@ -1,7 +1,7 @@
 //! The pluggable collective surface.
 //!
 //! Every distributed layer in the workspace (`summa`, `megatron`,
-//! `optimus-core`, `pipeline`) speaks to its devices through this trait
+//! `optimus-core`, `hybrid`) speaks to its devices through this trait
 //! rather than a concrete context, so the same program runs on two backends:
 //!
 //! * [`crate::DeviceCtx`] — the **live** backend: one OS thread per device,

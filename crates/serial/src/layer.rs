@@ -30,8 +30,31 @@ pub enum Role {
     Contract,
 }
 
-/// How one parallel scheme carries out the operations of the layer body.
-/// Chosen by type at each scheme's entry point; never `dyn`.
+/// The phases of a step a lowering may attribute to a trace span.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Span {
+    /// Embedding, layers and final layer norm of the forward pass.
+    Fwd,
+    /// Tied head and cross-entropy, forward and backward.
+    LossHead,
+    /// Final layer norm, layers and embedding of the backward pass.
+    Bwd,
+    LayerFwd,
+    LayerBwd,
+    LinearFwd,
+    LinearBwd,
+}
+
+/// How a per-row partial over the local vocabulary slice is completed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reduce {
+    Sum,
+    Max,
+}
+
+/// How one parallel scheme carries out the operations of the layer body
+/// and of the stem around it ([`crate::stem`]). Chosen by type at each
+/// scheme's entry point; never `dyn`.
 pub trait Lowering {
     /// How a device holds a bias or layer-norm vector.
     type Hosted: Hosted;
@@ -62,10 +85,35 @@ pub trait Lowering {
         true
     }
 
-    /// Wraps one linear layer's forward or backward pass, for lowerings
-    /// that attribute it to a trace span.
-    fn linear_scope<R>(&self, _backward: bool, f: impl FnOnce() -> R) -> R {
+    /// Runs one phase of the step, for lowerings that attribute it to a
+    /// trace span.
+    fn scope<R>(&self, _span: Span, f: impl FnOnce() -> R) -> R {
         f()
+    }
+
+    /// Embedding lookup: this device's activation block for `tokens`, from
+    /// its block of the table.
+    fn embed(&self, table: &Tensor, tokens: &[usize]) -> Tensor;
+
+    /// Embedding lookup backward: scatter-adds the rows of `dx` into this
+    /// device's block of the table gradient.
+    fn embed_backward(&self, d_table: &mut Tensor, dx: &Tensor, tokens: &[usize]);
+
+    /// Which block of the vocabulary this device's table rows and logits
+    /// columns are.
+    fn vocab_block(&self) -> usize {
+        0
+    }
+
+    /// Turns per-row partials over the local vocabulary slice into values
+    /// over the whole vocabulary.
+    fn complete_vocab(&self, _how: Reduce, _partial: &mut [f32]) {}
+
+    /// The reported mean loss from this device's `f64` sum of row losses.
+    /// `total_rows` is the global `b·s`, so microbatch and replica losses
+    /// add without rescaling.
+    fn mean_loss(&self, local_sum: f64, total_rows: usize) -> f32 {
+        (local_sum / total_rows as f64) as f32
     }
 }
 
@@ -100,6 +148,21 @@ impl Lowering for Local {
     fn attn_view(&self) -> ModelConfig {
         self.0
     }
+    fn embed(&self, table: &Tensor, tokens: &[usize]) -> Tensor {
+        let mut x = Tensor::zeros(&[tokens.len(), table.cols()]);
+        for (r, &t) in tokens.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(table.row(t));
+        }
+        x
+    }
+    fn embed_backward(&self, d_table: &mut Tensor, dx: &Tensor, tokens: &[usize]) {
+        for (r, &t) in tokens.iter().enumerate() {
+            let drow = dx.row(r).to_vec();
+            for (dst, v) in d_table.row_mut(t).iter_mut().zip(drow) {
+                *dst += v;
+            }
+        }
+    }
 }
 
 /// `y = xW + b`.
@@ -110,7 +173,7 @@ pub fn linear_forward<L: Lowering>(
     w: &Tensor,
     b: &L::Hosted,
 ) -> Tensor {
-    low.linear_scope(false, || {
+    low.scope(Span::LinearFwd, || {
         let mut y = low.gemm(Form::NN, role, x, w);
         let bias = low.fetch(b, y.cols());
         bias_add(&mut y, &bias);
@@ -128,7 +191,7 @@ pub fn linear_backward<L: Lowering>(
     w: &Tensor,
     dy: &Tensor,
 ) -> (Tensor, Tensor, L::Hosted) {
-    low.linear_scope(true, || {
+    low.scope(Span::LinearBwd, || {
         let dx = low.gemm(Form::NT, role, dy, w);
         let dw = low.gemm(Form::TN, role, x, dy);
         let db = low.send_home(bias_grad(dy));
@@ -254,46 +317,48 @@ pub fn layer_forward<L: Lowering>(
     p: &LayerTensors<L::Hosted>,
     x: &Tensor,
 ) -> (Tensor, LayerCache) {
-    let view = low.attn_view();
-    let (rows, w) = (view.tokens(), view.hidden);
-    assert_eq!(x.rows(), rows, "bad activation block");
+    low.scope(Span::LayerFwd, || {
+        let view = low.attn_view();
+        let (rows, w) = (view.tokens(), view.hidden);
+        assert_eq!(x.rows(), rows, "bad activation block");
 
-    // Attention half.
-    let (ln1_out, ln1) = ln_forward(low, x, &p.ln1_g, &p.ln1_b);
-    let qkv = linear_forward(low, Role::Expand, &ln1_out, &p.w_qkv, &p.b_qkv);
-    let q = qkv.block(0, 0, rows, w);
-    let k = qkv.block(0, w, rows, w);
-    let v = qkv.block(0, 2 * w, rows, w);
-    let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
-    let attn_out = linear_forward(low, Role::Contract, &ctxt, &p.w_out, &p.b_out);
-    let mut x1 = x.clone();
-    x1.add_assign(&attn_out);
+        // Attention half.
+        let (ln1_out, ln1) = ln_forward(low, x, &p.ln1_g, &p.ln1_b);
+        let qkv = linear_forward(low, Role::Expand, &ln1_out, &p.w_qkv, &p.b_qkv);
+        let q = qkv.block(0, 0, rows, w);
+        let k = qkv.block(0, w, rows, w);
+        let v = qkv.block(0, 2 * w, rows, w);
+        let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
+        let attn_out = linear_forward(low, Role::Contract, &ctxt, &p.w_out, &p.b_out);
+        let mut x1 = x.clone();
+        x1.add_assign(&attn_out);
 
-    // MLP half.
-    let (ln2_out, ln2) = ln_forward(low, &x1, &p.ln2_g, &p.ln2_b);
-    let f1 = linear_forward(low, Role::Expand, &ln2_out, &p.w_fc1, &p.b_fc1);
-    let g = gelu_forward(&f1);
-    let f2 = linear_forward(low, Role::Contract, &g, &p.w_fc2, &p.b_fc2);
-    let mut y = x1.clone();
-    y.add_assign(&f2);
+        // MLP half.
+        let (ln2_out, ln2) = ln_forward(low, &x1, &p.ln2_g, &p.ln2_b);
+        let f1 = linear_forward(low, Role::Expand, &ln2_out, &p.w_fc1, &p.b_fc1);
+        let g = gelu_forward(&f1);
+        let f2 = linear_forward(low, Role::Contract, &g, &p.w_fc2, &p.b_fc2);
+        let mut y = x1.clone();
+        y.add_assign(&f2);
 
-    (
-        y,
-        LayerCache {
-            ln1,
-            ln1_out,
-            q,
-            k,
-            v,
-            attn,
-            ctxt,
-            x1,
-            ln2,
-            ln2_out,
-            f1,
-            g,
-        },
-    )
+        (
+            y,
+            LayerCache {
+                ln1,
+                ln1_out,
+                q,
+                k,
+                v,
+                attn,
+                ctxt,
+                x1,
+                ln2,
+                ln2_out,
+                f1,
+                g,
+            },
+        )
+    })
 }
 
 /// Layer backward: returns the input gradient and all parameter gradients.
@@ -303,57 +368,60 @@ pub fn layer_backward<L: Lowering>(
     cache: &LayerCache,
     dy: &Tensor,
 ) -> (Tensor, LayerTensors<L::Hosted>) {
-    let view = low.attn_view();
-    let (rows, w) = (view.tokens(), view.hidden);
+    low.scope(Span::LayerBwd, || {
+        let view = low.attn_view();
+        let (rows, w) = (view.tokens(), view.hidden);
 
-    // MLP half.
-    let (mut df1, w_fc2, b_fc2) = linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy);
-    gelu_backward_in_place(&mut df1, &cache.f1);
-    let (dln2_out, w_fc1, b_fc1) =
-        linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1);
-    let (dx1_ln, ln2_g, ln2_b) = ln_backward(low, &dln2_out, &cache.ln2);
+        // MLP half.
+        let (mut df1, w_fc2, b_fc2) = linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy);
+        gelu_backward_in_place(&mut df1, &cache.f1);
+        let (dln2_out, w_fc1, b_fc1) =
+            linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1);
+        let (dx1_ln, ln2_g, ln2_b) = ln_backward(low, &dln2_out, &cache.ln2);
 
-    // Residual into x1: from the skip connection (dy) and from LN2.
-    let mut dx1 = dy.clone();
-    dx1.add_assign(&dx1_ln);
+        // Residual into x1: from the skip connection (dy) and from LN2.
+        let mut dx1 = dy.clone();
+        dx1.add_assign(&dx1_ln);
 
-    // Attention half.
-    let (dctxt, w_out, b_out) = linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1);
-    let (dq, dk, dv) = attention_backward(
-        &view,
-        &dctxt,
-        &cache.q,
-        &cache.k,
-        &cache.v,
-        cache.attn.as_ref(),
-    );
-    let mut dqkv = Tensor::zeros(&[rows, 3 * w]);
-    dqkv.set_block(0, 0, &dq);
-    dqkv.set_block(0, w, &dk);
-    dqkv.set_block(0, 2 * w, &dv);
-    let (dln1_out, w_qkv, b_qkv) =
-        linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv);
-    let (dx_ln, ln1_g, ln1_b) = ln_backward(low, &dln1_out, &cache.ln1);
+        // Attention half.
+        let (dctxt, w_out, b_out) =
+            linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1);
+        let (dq, dk, dv) = attention_backward(
+            &view,
+            &dctxt,
+            &cache.q,
+            &cache.k,
+            &cache.v,
+            cache.attn.as_ref(),
+        );
+        let mut dqkv = Tensor::zeros(&[rows, 3 * w]);
+        dqkv.set_block(0, 0, &dq);
+        dqkv.set_block(0, w, &dk);
+        dqkv.set_block(0, 2 * w, &dv);
+        let (dln1_out, w_qkv, b_qkv) =
+            linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv);
+        let (dx_ln, ln1_g, ln1_b) = ln_backward(low, &dln1_out, &cache.ln1);
 
-    // Residual into x: skip (dx1) plus LN1 path.
-    let mut dx = dx1;
-    dx.add_assign(&dx_ln);
+        // Residual into x: skip (dx1) plus LN1 path.
+        let mut dx = dx1;
+        dx.add_assign(&dx_ln);
 
-    let grads = LayerTensors {
-        ln1_g,
-        ln1_b,
-        w_qkv,
-        b_qkv,
-        w_out,
-        b_out,
-        ln2_g,
-        ln2_b,
-        w_fc1,
-        b_fc1,
-        w_fc2,
-        b_fc2,
-    };
-    (dx, grads)
+        let grads = LayerTensors {
+            ln1_g,
+            ln1_b,
+            w_qkv,
+            b_qkv,
+            w_out,
+            b_out,
+            ln2_g,
+            ln2_b,
+            w_fc1,
+            b_fc1,
+            w_fc2,
+            b_fc2,
+        };
+        (dx, grads)
+    })
 }
 
 #[cfg(test)]

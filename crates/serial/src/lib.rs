@@ -15,7 +15,10 @@
 //! is this crate's lowering, and the Megatron and Optimus crates supply
 //! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
 //! holds parameters and gradients for all three, walked in one canonical
-//! order ([`walk_stem`]).
+//! order ([`walk_stem`]). The stem around the layer — the forward and
+//! reverse sweeps with checkpoint recompute, the tied head and the
+//! vocabulary-split cross-entropy — is written once too, in [`stem`], over
+//! the same [`Lowering`].
 //!
 //! The model follows the structure of the paper's Figure 1: a token-wise
 //! language-modelling branch (LM head + token labels) plus a sentence-level
@@ -33,15 +36,17 @@ mod layer;
 mod linear;
 mod model;
 mod params;
+pub mod stem;
 
 pub use attention::{attention_backward, attention_forward, AttnCache};
 pub use config::ModelConfig;
 pub use layer::{
     layer_backward, layer_forward, linear_backward, linear_forward, ln_backward, ln_forward,
-    local_gemm, LayerCache, LnCache, Local, Lowering, Role,
+    local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
 };
 pub use linear::Linear;
-pub use model::{SerialModel, StemCache};
+pub use model::SerialModel;
 pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
 };
+pub use stem::{MemMeter, StemRef};

@@ -3,24 +3,13 @@
 //! cross-entropy) and the sentence-level classification branch.
 
 use crate::config::ModelConfig;
-use crate::layer::{
-    layer_backward, layer_forward, ln_backward, ln_forward, LayerCache, LnCache, Local,
-};
+use crate::layer::{Local, Lowering};
 use crate::linear::Linear;
 use crate::params::ModelParams;
+use crate::stem::{self, MemMeter, StemRef};
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::loss::cross_entropy;
-use tensor::{matmul_nn, matmul_nt, matmul_tn, Tensor};
-
-/// Forward state of the stem, kept for the backward pass.
-pub struct StemCache {
-    /// Embedding output (input to layer 0).
-    pub x0: Tensor,
-    pub layers: Vec<LayerCache>,
-    pub final_ln: LnCache,
-    /// Hidden states after the final layer norm, `[b·s, h]`.
-    pub hidden: Tensor,
-}
+use tensor::Tensor;
 
 /// The reference model.
 pub struct SerialModel {
@@ -48,103 +37,42 @@ impl SerialModel {
         self
     }
 
-    /// Embedding lookup: tokens `[b·s]` → activations `[b·s, h]`.
-    pub fn embed(&self, tokens: &[usize]) -> Tensor {
-        let rows = self.cfg.tokens();
-        assert_eq!(tokens.len(), rows, "expected b*s token ids");
-        let h = self.cfg.hidden;
-        let mut x = Tensor::zeros(&[rows, h]);
-        for (r, &t) in tokens.iter().enumerate() {
-            assert!(t < self.cfg.vocab, "token {t} out of vocab");
-            x.row_mut(r).copy_from_slice(self.params.embedding.row(t));
+    fn stem(&self) -> StemRef<'_, Vec<f32>> {
+        StemRef {
+            table: &self.params.embedding,
+            layers: &self.params.layers,
+            final_ln: [&self.params.final_ln_g, &self.params.final_ln_b],
         }
-        x
     }
 
-    /// Stem forward: embedding → layers → final LN. Returns the hidden
-    /// states and the cache for backward.
-    pub fn forward(&self, tokens: &[usize]) -> StemCache {
-        let x0 = self.embed(tokens);
-        let mut x = x0.clone();
-        let mut layer_caches = Vec::with_capacity(self.cfg.layers);
-        for lp in &self.params.layers {
-            let (y, cache) = layer_forward(&Local(self.cfg), lp, &x);
-            layer_caches.push(cache);
-            x = y;
-        }
-        let (hidden, final_ln) = ln_forward(
-            &Local(self.cfg),
-            &x,
-            &self.params.final_ln_g,
-            &self.params.final_ln_b,
-        );
-        StemCache {
-            x0,
-            layers: layer_caches,
-            final_ln,
-            hidden,
-        }
+    /// Embedding lookup: tokens `[b·s]` → activations `[b·s, h]`.
+    pub fn embed(&self, tokens: &[usize]) -> Tensor {
+        stem::check_ids("token", tokens, self.cfg.tokens(), self.cfg.vocab);
+        Local(self.cfg).embed(&self.params.embedding, tokens)
+    }
+
+    /// Stem forward: embedding → layers → final LN, the hidden states
+    /// `[b·s, h]`.
+    pub fn hidden_states(&self, tokens: &[usize]) -> Tensor {
+        stem::hidden_states(&Local(self.cfg), &self.stem(), tokens)
     }
 
     /// LM logits via the tied head: `hidden · Eᵀ`, `[b·s, v]`.
     pub fn lm_logits(&self, hidden: &Tensor) -> Tensor {
-        matmul_nt(hidden, &self.params.embedding)
+        stem::logits(&Local(self.cfg), hidden, &self.params.embedding)
     }
 
     /// Mean LM loss for token labels `[b·s]`.
     pub fn lm_loss(&self, tokens: &[usize], labels: &[usize]) -> f32 {
-        let cache = self.forward(tokens);
-        cross_entropy(&self.lm_logits(&cache.hidden), labels).0
+        let rows = self.cfg.tokens();
+        stem::lm_loss(&Local(self.cfg), &self.stem(), tokens, labels, rows)
     }
 
     /// Full forward + backward: returns the loss and all parameter grads.
     pub fn lm_grads(&self, tokens: &[usize], labels: &[usize]) -> (f32, ModelParams) {
-        let cache = self.forward(tokens);
-        let logits = self.lm_logits(&cache.hidden);
-        let (loss, dlogits) = cross_entropy(&logits, labels);
-
-        // Head: logits = H Eᵀ  ⇒  dH = dlogits · E, dE += dlogitsᵀ · H.
-        let dhidden = matmul_nn(&dlogits, &self.params.embedding);
-        let mut d_embedding = matmul_tn(&dlogits, &cache.hidden);
-
-        let grads = self.backward_stem(&cache, dhidden, tokens, &mut d_embedding);
-        (loss, grads)
-    }
-
-    /// Backward through final LN, the layers (in reverse), and the embedding
-    /// lookup. `d_embedding` already contains the tied-head contribution.
-    fn backward_stem(
-        &self,
-        cache: &StemCache,
-        dhidden: Tensor,
-        tokens: &[usize],
-        d_embedding: &mut Tensor,
-    ) -> ModelParams {
-        let (mut dx, final_ln_g, final_ln_b) =
-            ln_backward(&Local(self.cfg), &dhidden, &cache.final_ln);
-
-        let mut layer_grads = Vec::with_capacity(self.cfg.layers);
-        for (lp, lc) in self.params.layers.iter().zip(cache.layers.iter()).rev() {
-            let (dprev, g) = layer_backward(&Local(self.cfg), lp, lc, &dx);
-            layer_grads.push(g);
-            dx = dprev;
-        }
-        layer_grads.reverse();
-
-        // Embedding lookup backward: scatter-add rows.
-        for (r, &t) in tokens.iter().enumerate() {
-            let drow = dx.row(r).to_vec();
-            for (dst, v) in d_embedding.row_mut(t).iter_mut().zip(drow) {
-                *dst += v;
-            }
-        }
-
-        ModelParams {
-            embedding: std::mem::replace(d_embedding, Tensor::zeros(&[1, 1])),
-            layers: layer_grads,
-            final_ln_g,
-            final_ln_b,
-        }
+        let (low, rows) = (Local(self.cfg), self.cfg.tokens());
+        let meter = &mut MemMeter::new();
+        stem::lm_grads(&low, &self.stem(), tokens, labels, rows, false, meter)
     }
 
     /// One SGD training step; returns the loss before the update.
@@ -162,8 +90,7 @@ impl SerialModel {
     /// Greedy next-token prediction: for each of the `b` sequences, the
     /// argmax of the logits at its final position.
     pub fn greedy_next(&self, tokens: &[usize]) -> Vec<usize> {
-        let cache = self.forward(tokens);
-        let logits = self.lm_logits(&cache.hidden);
+        let logits = self.lm_logits(&self.hidden_states(tokens));
         let s = self.cfg.seq;
         (0..self.cfg.batch)
             .map(|b| {
@@ -225,12 +152,12 @@ impl SerialModel {
     /// sequence logits `[b, 2]`.
     pub fn classify_forward(&self, tokens: &[usize]) -> Tensor {
         let cls = self.cls.as_ref().expect("built without classifier head");
-        let cache = self.forward(tokens);
+        let hidden = self.hidden_states(tokens);
         let mut pooled = Tensor::zeros(&[self.cfg.batch, self.cfg.hidden]);
         for b in 0..self.cfg.batch {
             pooled
                 .row_mut(b)
-                .copy_from_slice(cache.hidden.row(b * self.cfg.seq));
+                .copy_from_slice(hidden.row(b * self.cfg.seq));
         }
         cls.forward(&pooled)
     }

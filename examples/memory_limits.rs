@@ -11,9 +11,10 @@
 //! ```
 
 use optimus::mesh::{Mesh, Mesh2d};
-use optimus::optimus_core::{OptimusConfig, OptimusModel};
+use optimus::optimus_core::{OptimusConfig, OptimusModel, Summa2d};
 use optimus::perf::memory::{fig9, megatron_bytes, optimus_bytes, MemoryConfig};
 use optimus::perf::HardwareProfile;
+use optimus::serial::Lowering;
 use optimus::tensor::Rng;
 
 fn main() {
@@ -97,16 +98,14 @@ fn main() {
     let mcfg = optimus::megatron::MegatronConfig::new(base.model(), 4);
     let replicated = Mesh::run(4, |ctx| {
         let model = optimus::megatron::MegatronModel::new(mcfg, 3, ctx);
-        let cache = model.forward(ctx, &tokens);
         // Bytes of the replicated hidden state alone.
-        cache.hidden.len() * 4
+        model.hidden_states(ctx, &tokens).len() * 4
     });
     let block = Mesh2d::run(base.q, |grid| {
         let model = OptimusModel::new(&base, 3, grid);
         let tl = base.local_tokens(&tokens, grid.row());
-        optimus::optimus_core::embedding2d::embed2d_forward(grid, &model.table, tl, base.vocab)
-            .len()
-            * 4
+        let low = Summa2d { grid, cfg: &base };
+        low.embed(&model.table, tl).len() * 4
     });
     println!(
         "\none [b·s, h] activation per device: megatron {} bytes (replicated) vs optimus {} bytes (1/p block)",

@@ -8,10 +8,10 @@
 //! cargo run --release --example three_paradigms
 //! ```
 
+use optimus::hybrid::{self, HybridSpec};
 use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{CommOp, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
-use optimus::pipeline::{PipelineConfig, PipelineStage};
 use optimus::serial::{ModelConfig, SerialModel};
 use optimus::tensor::Rng;
 
@@ -70,12 +70,22 @@ fn main() {
             .collect::<Vec<f32>>()
     });
 
-    // Pipeline parallel: 4 stages, 4 microbatches.
-    let pcfg = PipelineConfig::new(model, 4, 4);
+    // Pipeline parallel: 4 stages of one device each, 4 microbatches.
+    let spec = HybridSpec {
+        pp: 4,
+        dp: 1,
+        grid: [1, 1, 1],
+        microbatches: 4,
+    };
+    let pcfg = OptimusConfig {
+        q: 1,
+        checkpoint: false,
+        ..ocfg
+    };
     let (pipe_losses, pipe_logs) = Mesh::run_with_logs(4, |ctx| {
-        let mut st = PipelineStage::new(pcfg, seed, ctx);
+        let (mut st, grid) = hybrid::build(ctx, &spec, &pcfg, seed);
         (0..steps)
-            .map(|_| st.train_step(ctx, &tokens, &labels, lr))
+            .map(|_| st.train_step(&grid, &tokens, &labels, lr))
             .collect::<Vec<f32>>()
     });
 
@@ -92,11 +102,18 @@ fn main() {
     }
 
     // Communication inventory per device over the run (f32 elements moved
-    // onto the fabric).
+    // onto the fabric). A collective over a group of one — every SUMMA
+    // panel of a one-device pipeline stage — moves nothing and is skipped.
     let wire = |logs: &[optimus::mesh::CommLog]| -> (usize, usize, usize) {
         let l = &logs[0];
-        let bcast = l.op_elems(CommOp::Broadcast) + l.op_elems(CommOp::Reduce);
-        let ar = l.op_elems(CommOp::AllReduce);
+        let payload = |kinds: &[CommOp]| -> usize {
+            (l.ops.iter())
+                .filter(|o| o.group_size > 1 && kinds.contains(&o.op))
+                .map(|o| o.elems)
+                .sum()
+        };
+        let bcast = payload(&[CommOp::Broadcast, CommOp::Reduce]);
+        let ar = payload(&[CommOp::AllReduce]);
         let p2p = l.total_link_elems();
         (bcast, ar, p2p)
     };

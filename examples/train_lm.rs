@@ -99,8 +99,7 @@ fn main() {
         for _ in 0..cfg.batch {
             tokens.extend_from_slice(&ctx[ctx.len() - cfg.seq..]);
         }
-        let cache = sampler.forward(&tokens);
-        let logits = sampler.lm_logits(&cache.hidden);
+        let logits = sampler.lm_logits(&sampler.hidden_states(&tokens));
         // Next token = argmax at the last position of sequence 0.
         let row = logits.row(cfg.seq - 1);
         let next = row

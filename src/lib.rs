@@ -24,13 +24,12 @@
 //! * [`optimus_core`] — the paper's contribution: 2D-parallel transformer
 //!   layers (SUMMA linear with row-0 bias hosting, 2D attention partitioned
 //!   over batch and hidden, 2D layer norm, 2D embedding/LM-head/cross-
-//!   entropy), buffer management and activation checkpointing.
-//! * [`pipeline`] — GPipe-style pipeline parallelism (the related-work
-//!   paradigm): stage-split stem with both the flush and the memory-bounded
-//!   1F1B schedules.
+//!   entropy) and activation checkpointing.
 //! * [`hybrid`] — the 3D/4D composition: pipeline stages × data-parallel
 //!   replicas × 2D/2.5D tensor meshes running one 1F1B-over-SUMMA schedule,
-//!   live or dry-run, searched by `perf::autotune`.
+//!   live or dry-run, searched by `perf::autotune`. GPipe-style pipeline
+//!   parallelism (the related-work paradigm) is its `dp = 1`, `[1, 1, 1]`
+//!   mesh case.
 //! * [`trace`] — structured tracing: phase-scoped spans, per-device
 //!   timelines from both `Communicator` backends, Chrome `trace_event`
 //!   export (Perfetto-loadable) and per-phase summaries (see
@@ -81,7 +80,6 @@ pub use mesh;
 pub use minjson;
 pub use optimus_core;
 pub use perf;
-pub use pipeline;
 pub use serial;
 pub use summa;
 pub use tensor;

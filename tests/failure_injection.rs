@@ -1,7 +1,7 @@
 //! Failure behaviour: device crashes must not hang the mesh, and invalid
 //! configurations must be rejected loudly rather than corrupting results.
 
-use optimus::megatron::MegatronConfig;
+use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{Group, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
 use optimus::serial::ModelConfig;
@@ -78,6 +78,49 @@ fn out_of_range_token_is_rejected() {
     let mut tokens = vec![0usize; cfg.batch * cfg.seq];
     tokens[0] = cfg.vocab; // invalid
     let labels = vec![0usize; cfg.batch * cfg.seq];
+    Mesh2d::run(cfg.q, |g| {
+        let model = OptimusModel::new(&cfg, 0, g);
+        model.lm_loss(g, &tokens, &labels)
+    });
+}
+
+/// An id equal to `vocab` belongs to no device's vocabulary slice: a
+/// distributed lookup or label pick-out that skips ids it does not own
+/// would train on it silently.
+fn megatron_grads_with_bad_id(bad_token: bool) {
+    let model = ModelConfig::tiny();
+    let cfg = MegatronConfig::new(model, 2);
+    let mut tokens = vec![0usize; model.tokens()];
+    let mut labels = vec![0usize; model.tokens()];
+    *if bad_token { &mut tokens } else { &mut labels }
+        .last_mut()
+        .unwrap() = model.vocab;
+    Mesh::run(cfg.p, |ctx| {
+        MegatronModel::new(cfg, 0, ctx)
+            .lm_grads(ctx, &tokens, &labels)
+            .0
+    });
+}
+
+#[test]
+#[should_panic] // device threads die with "token 12 out of vocab 12"
+fn megatron_rejects_out_of_range_token() {
+    megatron_grads_with_bad_id(true);
+}
+
+#[test]
+#[should_panic] // device threads die with "label 12 out of vocab 12"
+fn megatron_rejects_out_of_range_label() {
+    megatron_grads_with_bad_id(false);
+}
+
+#[test]
+#[should_panic] // device threads die with "label 12 out of vocab 12"
+fn out_of_range_label_is_rejected() {
+    let cfg = OptimusConfig::tiny(2);
+    let tokens = vec![0usize; cfg.batch * cfg.seq];
+    let mut labels = vec![0usize; cfg.batch * cfg.seq];
+    labels[0] = cfg.vocab; // invalid
     Mesh2d::run(cfg.q, |g| {
         let model = OptimusModel::new(&cfg, 0, g);
         model.lm_loss(g, &tokens, &labels)

@@ -3,8 +3,8 @@
 //! than modelled.
 
 use optimus::mesh::{Mesh2d, MeshNd};
-use optimus::optimus_core::embedding2d::{embed2d_forward, lm_head2d_forward};
-use optimus::optimus_core::{layer2d_forward, BufferPool, OptimusConfig, OptimusModel, Summa2d};
+use optimus::optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
+use optimus::serial::{stem, Lowering};
 use optimus::summa::{distribute, summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
 use optimus::tensor::gemm::Form;
 use optimus::tensor::{Rng, Tensor};
@@ -59,21 +59,22 @@ fn peak_memory_grows_linearly_without_checkpointing() {
 #[test]
 fn non_checkpointed_peak_is_the_caches_and_the_head_exactly() {
     // Without checkpointing nothing reads a layer's input again, so the
-    // step pins the embedding output, every layer cache, the final hidden
-    // block and the logits — and not one byte more.
+    // step pins the one activation block in flight, every layer cache, the
+    // final hidden block and the logits — and not one byte more.
     let c = cfg(3, false);
     let (tokens, labels) = data(&c, 7);
     let peaks = Mesh2d::run(c.q, |g| {
         let mut m = OptimusModel::new(&c, 3, g);
-        let mut x = embed2d_forward(g, &m.table, c.local_tokens(&tokens, g.row()), c.vocab);
+        let low = Summa2d { grid: g, cfg: &c };
+        let mut x = low.embed(&m.table, c.local_tokens(&tokens, g.row()));
         let mut want = x.len() * 4;
         for lp in &m.layers {
             let (y, cache) = layer2d_forward(g, &c, lp, &x);
             want += cache.bytes();
             x = y;
         }
-        let (hidden, _) = m.final_ln.forward(&Summa2d { grid: g, cfg: &c }, &x);
-        want += (hidden.len() + lm_head2d_forward(g, &hidden, &m.table).len()) * 4;
+        let (hidden, _) = m.final_ln.forward(&low, &x);
+        want += (hidden.len() + stem::logits(&low, &hidden, &m.table).len()) * 4;
         let got = m.train_step_detailed(g, &tokens, &labels, 0.1);
         (got.peak_activation_bytes, want)
     });
@@ -130,7 +131,7 @@ fn activation_blocks_shrink_with_mesh_size() {
         Mesh2d::run(q, |g| {
             let m = OptimusModel::new(&c, 1, g);
             let tl = c.local_tokens(&tokens, g.row());
-            embed2d_forward(g, &m.table, tl, c.vocab).len()
+            Summa2d { grid: g, cfg: &c }.embed(&m.table, tl).len()
         })[0]
     };
     let b1 = block_bytes(1);
@@ -188,26 +189,6 @@ fn summa_workspace_reaches_steady_state_reuse() {
             );
         }
     }
-}
-
-#[test]
-fn buffer_pool_reuses_gradient_sized_buffers() {
-    // The paper's method (2): parameter-gradient buffers are recycled
-    // between layers. Simulate four layers' worth of acquisitions.
-    let mut pool = BufferPool::new();
-    let sizes = [64usize, 256, 64, 256]; // qkv + fc alternating
-    for _layer in 0..4 {
-        let mut held: Vec<Vec<f32>> = Vec::new();
-        for &s in &sizes {
-            held.push(pool.acquire(s));
-        }
-        for buf in held {
-            pool.release(buf);
-        }
-    }
-    // First layer allocates, the rest reuse.
-    assert_eq!(pool.fresh_allocs, sizes.len());
-    assert_eq!(pool.reuses, 3 * sizes.len());
 }
 
 #[test]
