@@ -13,9 +13,10 @@
 //!   JSON must re-parse with `minjson` and the pooled path must not be
 //!   slower than the single-thread path at 256³ (>10% regression fails).
 //! * `--out`     — output path (default `BENCH_gemm.json`).
-//! * `--trace`   — also run one traced product and write a Chrome trace
-//!   showing `gemm.pack_a` / `gemm.pack_b` / `gemm.ukr` / `pool.acquire`
-//!   spans to the given path.
+//! * `--trace`   — also run one traced product (pooled fan-out, as any
+//!   non-device caller gets) and write a Chrome trace showing the calling
+//!   thread's `gemm.pack_a` / `gemm.pack_b` / `gemm.ukr` spans to the given
+//!   path.
 //! * `--threads` — comma-separated thread counts to sweep (default `1` and
 //!   the host's hardware threads, deduplicated).
 //!
@@ -254,9 +255,7 @@ fn run_traced_product(path: &str, size: usize) {
     let a = rand(&[size, size], 1);
     let b = rand(&[size, size], 2);
     trace::start_wall();
-    let _g = pool::enter_device();
     let c = trace::span("compute", || tensor::matmul_nn(&a, &b));
-    drop(_g);
     std::hint::black_box(c);
     let device = trace::finish(0).expect("collector installed above");
     let json = trace::chrome_trace(std::slice::from_ref(&device)).to_string();

@@ -51,9 +51,9 @@ impl MeshRun {
             for ctx in ctxs.drain(..) {
                 let tx = tx.clone();
                 scope.spawn(move || {
-                    // Mark this thread as a simulated device so heavy tensor
-                    // kernels acquire a hardware-core permit from the shared
-                    // compute pool instead of oversubscribing the host.
+                    // Mark this thread as a simulated device: its tensor
+                    // kernels run on this thread alone, never fanned out to
+                    // the shared compute pool.
                     let _device = tensor::pool::enter_device();
                     // When metrics collection is enabled, give this device
                     // thread its own registry (allocation tracker, wait

@@ -43,8 +43,8 @@
 //! scratch lives in pool-owned thread-local buffers that persist across
 //! calls (no steady-state allocation).
 //!
-//! Device threads (under the mesh) additionally hold a core permit for the
-//! duration of a blocked product; see [`crate::pool`].
+//! On a simulated-device thread (under the mesh) the slabs run inline on
+//! that thread, in order — a device is one thread; see [`crate::pool`].
 
 use crate::pool::{self, SendPtr};
 use std::cell::RefCell;
@@ -409,9 +409,9 @@ fn gemm_small(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32
 /// `op(B): [k, n]` (see [`Form`] for the physical layouts).
 ///
 /// Small products run direct loops; large ones run the cache-blocked packed
-/// engine, split over the shared compute pool by MC-row output slabs. On a
-/// simulated-device thread the blocked path holds a core permit (see
-/// [`crate::pool`]). Results are bitwise independent of the thread count.
+/// engine, split over the shared compute pool by MC-row output slabs (run
+/// inline, in order, on a simulated-device thread; see [`crate::pool`]).
+/// Results are bitwise independent of the thread count.
 pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32], k: usize) {
     let (a_len, b_len) = match form {
         Form::NN => (m * k, k * n),
@@ -428,7 +428,6 @@ pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f
         gemm_small(form, c, m, n, a, b, k);
         return;
     }
-    let _core = pool::device_core_permit();
     let tasks = m.div_ceil(MC);
     let cptr = SendPtr::new(c.as_mut_ptr());
     pool::parallel_for(tasks, |t| {

@@ -1,32 +1,35 @@
-//! Persistent work-stealing compute pool shared by every simulated device.
+//! Persistent work-stealing compute pool for callers that own spare cores.
+//!
+//! # A device is one thread
+//!
+//! The mesh runtime runs one OS thread per simulated device, the way the
+//! paper runs one process per GPU: every device executes the same program on
+//! its own slice and its kernels run on *that* thread. A thread marked by
+//! [`enter_device`] (which `mesh` installs on every device thread) therefore
+//! runs every [`parallel_for`] / [`parallel_chunks_mut`] /
+//! [`parallel_row_blocks`] call inline, task by task in index order. Nothing
+//! is acquired, nobody is woken, and a device never waits on another device
+//! for anything but the messages the schedule sends — so a live mesh of `p`
+//! devices computes on exactly `p` threads and the single-thread rate
+//! `perf::Calibration` measures is the rate a device gets.
 //!
 //! # Why a shared pool
 //!
-//! The mesh runtime runs one OS thread per simulated device, and the seed
-//! kernels additionally spawned `available_parallelism()` scoped threads on
-//! *every* matmul call. An 8×8 live mesh therefore put `64 × HW` runnable
-//! threads on `HW` hardware threads — the OS time-slices them, caches thrash,
-//! and the measured "compute rate" the `perf` calibration feeds Eq. 4–5 is an
-//! artifact of scheduler noise rather than of the kernels.
-//!
-//! This module replaces per-call spawning with **one** lazily-initialized,
-//! process-wide pool ([`pool`]) plus a *core-permit* scheme:
+//! Callers that are *not* devices — `SerialModel` on the driver thread,
+//! `gemm-bench` thread sweeps, `calibrate` — have the host to themselves and
+//! fan out. The seed kernels spawned `available_parallelism()` scoped threads
+//! on every matmul call; this module replaces that with **one**
+//! lazily-initialized, process-wide pool ([`pool`]):
 //!
 //! * The pool owns `HW − 1` persistent worker threads (zero on a single-core
 //!   host). Work is published as `Job`s on a shared injector; idle workers
 //!   steal task indices from any live job via an atomic cursor, so load
 //!   balances dynamically without per-task allocation.
-//! * A counting semaphore holds `HW` **core permits**. Simulated device
-//!   threads (marked by [`enter_device`], which `mesh` installs on every
-//!   device thread) must hold a permit while running a heavy kernel; permits
-//!   are never held across communication waits, so devices cooperatively
-//!   time-share the physical cores instead of oversubscribing them, and the
-//!   permit wait shows up in traces as a `pool.acquire` span (device is
-//!   CPU-starved, not communicating).
 //! * [`parallel_for`] lets the *caller* participate: it claims task indices
-//!   from its own job alongside any workers it managed to reserve, and only
-//!   returns once every task has finished — which is what makes lending
-//!   borrowed slices to worker threads sound (see Safety below).
+//!   from its own job alongside at most `min(cap − 1, workers, tasks − 1)`
+//!   workers ([`with_thread_cap`] sets `cap`), and only returns once every
+//!   task has finished — which is what makes lending borrowed slices to
+//!   worker threads sound (see Safety below).
 //!
 //! # Determinism
 //!
@@ -50,9 +53,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Work (in claimed-task units) below which [`parallel_for`] stays inline.
-const MIN_TASKS_TO_SHARE: usize = 2;
-
 /// A lifetime-erased `Fn(usize)` pointer. Only dereferenced while the owning
 /// [`ComputePool::run`] call is still blocked (see module-level Safety).
 struct RawTask(*const (dyn Fn(usize) + Sync));
@@ -66,7 +66,7 @@ struct JobState {
     panicked: bool,
 }
 
-/// One `parallel_for` invocation: a task cursor that caller and reserved
+/// One `parallel_for` invocation: a task cursor that caller and helping
 /// workers race on, plus a completion latch the caller waits on.
 struct Job {
     task: RawTask,
@@ -74,8 +74,7 @@ struct Job {
     /// Next unclaimed task index; claiming is a `fetch_add`, which is the
     /// work-stealing step — whoever gets there first owns the task.
     next: AtomicUsize,
-    /// Worker slots still claimable on this job (the helper budget the
-    /// caller reserved from the core-permit semaphore).
+    /// Worker slots still claimable on this job (the caller's helper count).
     slots: AtomicUsize,
     state: Mutex<JobState>,
     done: Condvar,
@@ -140,51 +139,9 @@ impl Job {
     }
 }
 
-/// Counting semaphore of hardware-core permits.
-struct Permits {
-    avail: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Permits {
-    fn new(n: usize) -> Self {
-        Permits {
-            avail: Mutex::new(n),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Takes up to `want` permits without blocking; returns how many it got.
-    fn try_acquire(&self, want: usize) -> usize {
-        let mut a = self.avail.lock().unwrap();
-        let got = want.min(*a);
-        *a -= got;
-        got
-    }
-
-    /// Blocks until one permit is available and takes it.
-    fn acquire_one(&self) {
-        let mut a = self.avail.lock().unwrap();
-        while *a == 0 {
-            a = self.freed.wait(a).unwrap();
-        }
-        *a -= 1;
-    }
-
-    fn release(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        *self.avail.lock().unwrap() += n;
-        self.freed.notify_all();
-    }
-}
-
 struct Shared {
     injector: Mutex<VecDeque<Arc<Job>>>,
     work: Condvar,
-    permits: Permits,
-    hw_threads: usize,
     workers: usize,
     threads_spawned: AtomicUsize,
     jobs_shared: AtomicUsize,
@@ -225,14 +182,11 @@ pub struct ComputePool {
 }
 
 impl ComputePool {
-    /// A pool with exactly `workers` worker threads and `workers + 1` core
-    /// permits (the `+ 1` being the caller's own core).
+    /// A pool with exactly `workers` worker threads.
     pub fn with_workers(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
-            permits: Permits::new(workers + 1),
-            hw_threads: workers + 1,
             workers,
             threads_spawned: AtomicUsize::new(0),
             jobs_shared: AtomicUsize::new(0),
@@ -254,9 +208,10 @@ impl ComputePool {
         Self::with_workers(hw - 1)
     }
 
-    /// Hardware threads this pool was sized for (`workers + 1`).
+    /// Hardware threads this pool was sized for (`workers + 1`, the `+ 1`
+    /// being the caller's own core).
     pub fn hw_threads(&self) -> usize {
-        self.shared.hw_threads
+        self.shared.workers + 1
     }
 
     /// Number of persistent worker threads (0 on a single-core host).
@@ -278,23 +233,13 @@ impl ComputePool {
         )
     }
 
-    /// Runs `f(0..tasks)` with the caller participating, fanning out to at
-    /// most `max_helpers` reserved workers. Falls back to an inline serial
-    /// loop when the pool has no spare cores — so it is always safe to call,
-    /// including from inside another pool task (nested calls simply inline).
+    /// Runs `f(0..tasks)` with the caller participating, fanning out to
+    /// `min(max_helpers, workers, tasks − 1)` workers. With no helper it is an
+    /// inline serial loop, so it is always safe to call, including from
+    /// inside another pool task.
     pub fn run(&self, tasks: usize, max_helpers: usize, f: &(dyn Fn(usize) + Sync)) {
         let sh = &self.shared;
-        let want = max_helpers.min(sh.workers).min(tasks.saturating_sub(1));
-        if tasks < MIN_TASKS_TO_SHARE || want == 0 {
-            sh.jobs_inline.fetch_add(1, Ordering::Relaxed);
-            pool_metrics().jobs_inline.inc();
-            pool_metrics().tasks_executed.add(tasks as u64);
-            for i in 0..tasks {
-                f(i);
-            }
-            return;
-        }
-        let helpers = sh.permits.try_acquire(want);
+        let helpers = max_helpers.min(sh.workers).min(tasks.saturating_sub(1));
         if helpers == 0 {
             sh.jobs_inline.fetch_add(1, Ordering::Relaxed);
             pool_metrics().jobs_inline.inc();
@@ -340,27 +285,9 @@ impl ComputePool {
             .lock()
             .unwrap()
             .retain(|j| !Arc::ptr_eq(j, &job));
-        sh.permits.release(helpers);
         if panicked {
             panic!("compute pool task panicked");
         }
-    }
-
-    /// Blocks until a core permit is free and returns a guard holding it.
-    pub fn acquire_core(&self) -> CorePermit<'_> {
-        self.shared.permits.acquire_one();
-        CorePermit { pool: self }
-    }
-}
-
-/// A held hardware-core permit; released on drop.
-pub struct CorePermit<'a> {
-    pool: &'a ComputePool,
-}
-
-impl Drop for CorePermit<'_> {
-    fn drop(&mut self) {
-        self.pool.shared.permits.release(1);
     }
 }
 
@@ -405,9 +332,8 @@ thread_local! {
 }
 
 /// Marks the current thread as a simulated device thread until the returned
-/// guard drops. Device threads must hold a core permit while running heavy
-/// kernels ([`device_core_permit`]); `mesh` installs this on every device
-/// thread it spawns.
+/// guard drops: every `parallel_*` call on it runs inline (see the module
+/// docs). `mesh` installs this on every device thread it spawns.
 pub fn enter_device() -> DeviceGuard {
     let prev = IS_DEVICE.with(|d| d.replace(true));
     DeviceGuard { prev }
@@ -429,37 +355,34 @@ pub fn is_device_thread() -> bool {
     IS_DEVICE.with(|d| d.get())
 }
 
-/// On a device thread: blocks until a hardware core is free and returns the
-/// permit (the wait is visible in traces as a `pool.acquire` span). On any
-/// other thread: returns `None` immediately — a plain caller already owns
-/// the core it runs on.
-pub fn device_core_permit() -> Option<CorePermit<'static>> {
-    if !is_device_thread() {
-        return None;
-    }
-    Some(trace::span("pool.acquire", || pool().acquire_core()))
-}
-
 /// Caps the total threads any kernel on this thread may use (own thread +
 /// helpers) while `f` runs. Used by `gemm-bench` to sweep thread counts.
 pub fn with_thread_cap<T>(cap: usize, f: impl FnOnce() -> T) -> T {
-    let prev = THREAD_CAP.with(|c| c.replace(cap));
-    let out = f();
-    THREAD_CAP.with(|c| c.set(prev));
-    out
+    /// Restores the previous cap on drop, so a panic in `f` does too.
+    struct CapGuard(usize);
+    impl Drop for CapGuard {
+        fn drop(&mut self) {
+            THREAD_CAP.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = CapGuard(THREAD_CAP.with(|c| c.replace(cap)));
+    f()
 }
 
+/// Helpers a kernel on this thread may use: none on a device thread (a
+/// device is one thread), otherwise the thread cap minus the caller.
 fn helper_budget() -> usize {
-    let cap = THREAD_CAP.with(|c| c.get());
-    if cap == 0 {
-        usize::MAX
-    } else {
-        cap.saturating_sub(1)
+    if is_device_thread() {
+        return 0;
+    }
+    match THREAD_CAP.with(|c| c.get()) {
+        0 => usize::MAX,
+        cap => cap - 1,
     }
 }
 
 /// Runs `f(0..tasks)` on the global pool with the caller participating.
-/// Respects [`with_thread_cap`]. Inlines when the pool has no spare cores.
+/// Respects [`with_thread_cap`]; inline on a device thread.
 pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {
     pool().run(tasks, helper_budget(), &f);
 }
@@ -586,27 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn permits_cap_concurrent_helpers() {
-        let p = ComputePool::with_workers(2);
-        // Holding both worker permits forces inline execution.
-        let g1 = p.acquire_core();
-        let g2 = p.acquire_core();
-        let g3 = p.acquire_core(); // the caller-core permit
-        let hits = AtomicUsize::new(0);
-        p.run(8, usize::MAX, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        let (_, inline) = p.job_counts();
-        assert_eq!(inline, 1, "all permits held -> inline path");
-        drop((g1, g2, g3));
-        p.run(8, usize::MAX, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
     fn device_flag_nests_and_restores() {
         assert!(!is_device_thread());
         {
@@ -622,11 +524,11 @@ mod tests {
     }
 
     #[test]
-    fn device_core_permit_only_on_device_threads() {
-        assert!(device_core_permit().is_none());
-        let _g = enter_device();
-        let permit = device_core_permit();
-        assert!(permit.is_some());
+    fn thread_cap_is_restored_when_the_body_panics() {
+        let before = helper_budget();
+        let r = catch_unwind(|| with_thread_cap(1, || panic!("boom")));
+        assert!(r.is_err());
+        assert_eq!(helper_budget(), before, "cap must not leak past a panic");
     }
 
     #[test]

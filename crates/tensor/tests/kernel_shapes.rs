@@ -5,7 +5,8 @@
 //! dims, prime dims, exact microkernel stripe/panel boundaries, one past
 //! them, cache-block boundaries, and sizes past the small-path threshold —
 //! the engine must be **bitwise identical** whether it runs serially
-//! (thread cap 1) or over the pool (uncapped), and must agree with an
+//! (thread cap 1), over the pool (uncapped) or inline on a simulated-device
+//! thread (`enter_device`), and must agree with an
 //! f64-accumulated naive product to within f32 rounding. A final test
 //! pins the pool's defining property: a thousand back-to-back matmuls
 //! spawn no threads beyond the initial worker set.
@@ -16,7 +17,7 @@
 //! which is what keeps serial ≡ distributed bitwise however an activation
 //! is partitioned.
 
-use tensor::gemm::{gemm_acc, Form};
+use tensor::gemm::{gemm_acc, Form, MC};
 use tensor::loss::{ce_grad_local, partial_row_max, partial_sumexp, softmax_from_parts};
 use tensor::matmul::reference;
 use tensor::ops::{gelu, gelu_backward, gelu_forward, gelu_grad};
@@ -60,6 +61,17 @@ fn check_shape(form: Form, m: usize, k: usize, n: usize, rng: &mut Rng) {
         "{form:?} {m}x{k}x{n}: pooled differs from serial"
     );
 
+    // A device thread runs the same slabs inline, in order.
+    let mut device = vec![0.0f32; m * n];
+    {
+        let _device = pool::enter_device();
+        gemm_acc(form, &mut device, m, n, &a, &b, k);
+    }
+    assert_eq!(
+        serial, device,
+        "{form:?} {m}x{k}x{n}: device-thread result differs from serial"
+    );
+
     let oracle = reference::naive_f64(form, m, n, &a, &b, k);
     for (idx, (&got, &want)) in serial.iter().zip(&oracle).enumerate() {
         let tol = 1e-4 * (k as f32).sqrt().max(1.0) + 1e-5;
@@ -99,6 +111,10 @@ fn blocked_path_large_shapes() {
         // Tall-skinny and k=1 extremes through the blocked path.
         check_shape(form, 300, 40, 5, &mut rng);
         check_shape(form, 64, 1, 64, &mut rng);
+        // One slab, a ragged second slab, and a ragged third.
+        for m in [MC - 1, MC + 1, 2 * MC + 5] {
+            check_shape(form, m, 70, 90, &mut rng);
+        }
     }
 }
 
