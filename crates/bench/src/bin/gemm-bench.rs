@@ -1,17 +1,23 @@
-//! GEMM engine benchmark: sweeps square and transformer-shaped products
-//! across thread counts, reports GFLOP/s, and writes `BENCH_gemm.json` at
-//! the repo root — the perf trajectory file the CI smoke job regenerates and
-//! `optimus-cli calibrate` consumes. The same file carries the
-//! `elementwise` rows: forward + backward of GELU and row softmax, and the
-//! serial cross-entropy, on one thread at three block shapes.
+//! GEMM engine benchmark: sweeps square, transformer-shaped and
+//! workload-block products across thread counts, reports GFLOP/s, and writes
+//! `BENCH_gemm.json` at the repo root — the perf trajectory file the CI smoke
+//! job regenerates and `optimus-cli calibrate` consumes. The same file
+//! carries the `tiers` rows (every shape × NN/NT/TN on one thread, one column
+//! per instruction-set tier the host runs), the `packing` rows (share of a
+//! 256×128×128 product spent in `pack_a` / `pack_b` / the microkernel) and
+//! the `elementwise` rows: forward + backward of GELU and row softmax, and
+//! the serial cross-entropy, on one thread at three block shapes.
 //!
 //! ```text
 //! gemm-bench [--smoke] [--out PATH] [--trace PATH] [--threads a,b,..]
 //! ```
 //!
 //! * `--smoke`   — small sizes, few samples, plus self-checks: the written
-//!   JSON must re-parse with `minjson` and the pooled path must not be
-//!   slower than the single-thread path at 256³ (>10% regression fails).
+//!   JSON must re-parse with `minjson`, the pooled path must not be slower
+//!   than the single-thread path at 256³, and on a host with both FMA tiers
+//!   the AVX-512 tier must not be slower than the AVX2 tier at 256³ (>10%
+//!   regression fails either) — the tile is auto-vectorized, and a compiler
+//!   that stops vectorizing it still computes the right bits, 15× slower.
 //! * `--out`     — output path (default `BENCH_gemm.json`).
 //! * `--trace`   — also run one traced product (pooled fan-out, as any
 //!   non-device caller gets) and write a Chrome trace showing the calling
@@ -20,7 +26,7 @@
 //! * `--threads` — comma-separated thread counts to sweep (default `1` and
 //!   the host's hardware threads, deduplicated).
 //!
-//! The JSON carries a `host` stamp (thread count, AVX2, git rev) so the
+//! The JSON carries a `host` stamp (thread count, AVX2, AVX-512F, git rev) so the
 //! regression gate can flag cross-machine comparisons, and a
 //! `metrics_overhead` ratio — metrics-on vs metrics-off time at the largest
 //! square shape — which the gate treats as lower-is-better (the telemetry
@@ -28,7 +34,7 @@
 
 use bench::{bench_fn, bench_fn_min, render_table};
 use minjson::Json;
-use tensor::gemm::{gemm_acc, kernel_name, Form};
+use tensor::gemm::{gemm_acc, kernel_name, with_tier, Form, Tier};
 use tensor::matmul::reference;
 use tensor::pool;
 use tensor::{Rng, Tensor};
@@ -49,6 +55,16 @@ const FULL_SHAPES: &[Shape] = &[
     Shape { name: "tall-skinny", m: 2048, k: 512, n: 64 },
     Shape { name: "wide", m: 64, k: 512, n: 2048 },
     Shape { name: "mlp-block", m: 512, k: 2048, n: 512 },
+    // The local blocks the step benchmark's workloads multiply: 256 rows ×
+    // 128-wide panels on `opt2d_2x2_h256` (projection, QKV, MLP up / down),
+    // 128 rows × 32-wide panels on `opt2d_4x4_h128`.
+    Shape { name: "blk-256x128x128", m: 256, k: 128, n: 128 },
+    Shape { name: "blk-256x384x128", m: 256, k: 384, n: 128 },
+    Shape { name: "blk-256x512x128", m: 256, k: 512, n: 128 },
+    Shape { name: "blk-256x128x512", m: 256, k: 128, n: 512 },
+    Shape { name: "blk-128x32x32", m: 128, k: 32, n: 32 },
+    Shape { name: "blk-128x128x32", m: 128, k: 128, n: 32 },
+    Shape { name: "blk-128x32x128", m: 128, k: 32, n: 128 },
 ];
 
 #[rustfmt::skip]
@@ -56,7 +72,23 @@ const SMOKE_SHAPES: &[Shape] = &[
     Shape { name: "square-64", m: 64, k: 64, n: 64 },
     Shape { name: "square-128", m: 128, k: 128, n: 128 },
     Shape { name: "square-256", m: 256, k: 256, n: 256 },
+    Shape { name: "blk-256x128x128", m: 256, k: 128, n: 128 },
 ];
+
+/// The shape the smoke self-checks compare paths and tiers at.
+const SQUARE_256: &str = "square-256";
+/// The `opt2d_2x2_h256` projection block, whose packing share is reported.
+const PACKING_SHAPE: &str = "blk-256x128x128";
+
+const FORMS: [Form; 3] = [Form::NN, Form::NT, Form::TN];
+
+/// A shape both modes sweep, by name.
+fn find_shape(shapes: &'static [Shape], name: &str) -> &'static Shape {
+    shapes
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{name} is in both modes"))
+}
 
 fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
     2.0 * (m * k * n) as f64 / secs / 1e9
@@ -185,6 +217,123 @@ fn time_engine_vs_seed(shape: &Shape, samples: usize) -> (f64, f64) {
         bench::black_box(c[0]);
     }
     (mins[0], mins[1])
+}
+
+struct TierRow {
+    name: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    form: Form,
+    tier: Tier,
+    gflops: f64,
+}
+
+impl TierRow {
+    fn json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.to_string())),
+            ("m", Json::Num(self.m as f64)),
+            ("k", Json::Num(self.k as f64)),
+            ("n", Json::Num(self.n as f64)),
+            ("form", Json::Str(format!("{:?}", self.form))),
+            ("tier", Json::Str(self.tier.to_string())),
+            ("threads", Json::Num(1.0)),
+            ("gflops", Json::Num(self.gflops)),
+        ])
+    }
+}
+
+/// The tiers this host runs, narrowest first.
+fn host_tiers() -> Vec<Tier> {
+    Tier::ALL
+        .into_iter()
+        .filter(|&t| t <= Tier::host())
+        .collect()
+}
+
+/// One-thread GFLOP/s of `form` at `shape` on every tier this host runs,
+/// min-of-samples with the tiers' samples **interleaved** (the columns are
+/// compared with each other). A sample repeats the product until it has done
+/// ~20 MFLOP, so the 4×4 workload's 5 µs blocks are timed over hundreds of µs.
+fn time_tiers(shape: &Shape, form: Form, samples: usize) -> Vec<TierRow> {
+    let (m, k, n) = (shape.m, shape.k, shape.n);
+    // Physical layouts differ by form; the element counts do not.
+    let a = rand(&[m * k], 1).into_vec();
+    let b = rand(&[k * n], 2).into_vec();
+    let mut c = vec![0.0f32; m * n];
+    let reps = 10_000_000usize.div_ceil(m * k * n);
+    let tiers = host_tiers();
+    let mut mins = vec![f64::INFINITY; tiers.len()];
+    for sample in 0..samples + 1 {
+        for (min, &tier) in mins.iter_mut().zip(&tiers) {
+            let t0 = std::time::Instant::now();
+            with_tier(tier, || {
+                pool::with_thread_cap(1, || {
+                    for _ in 0..reps {
+                        gemm_acc(form, &mut c, m, n, &a, &b, k);
+                    }
+                })
+            });
+            // Sample 0 is the warm-up.
+            if sample > 0 {
+                *min = min.min(t0.elapsed().as_secs_f64() / reps as f64);
+            }
+            bench::black_box(c[0]);
+        }
+    }
+    tiers
+        .into_iter()
+        .zip(mins)
+        .map(|(tier, secs)| TierRow {
+            name: shape.name,
+            m,
+            k,
+            n,
+            form,
+            tier,
+            gflops: gflops(m, k, n, secs),
+        })
+        .collect()
+}
+
+/// Shares of a one-thread product at `shape` spent in the `gemm.pack_a` /
+/// `gemm.pack_b` / `gemm.ukr` spans, as fractions of their sum, from a
+/// wall-clock trace of `reps` products.
+fn packing_shares(shape: &Shape, form: Form, reps: usize) -> [f64; 3] {
+    const SPANS: [&str; 3] = ["gemm.pack_a", "gemm.pack_b", "gemm.ukr"];
+    let (m, k, n) = (shape.m, shape.k, shape.n);
+    let a = rand(&[m * k], 1).into_vec();
+    let b = rand(&[k * n], 2).into_vec();
+    let mut c = vec![0.0f32; m * n];
+    let mut run = |reps| {
+        pool::with_thread_cap(1, || {
+            for _ in 0..reps {
+                gemm_acc(form, &mut c, m, n, &a, &b, k);
+            }
+        })
+    };
+    run(3);
+    trace::start_wall();
+    run(reps);
+    let device = trace::finish(0).expect("collector installed above");
+    // Spans nest, so an exit closes the innermost open one.
+    let mut open = Vec::new();
+    let mut ns = [0u64; 3];
+    for e in &device.events {
+        match *e {
+            trace::Event::Enter { name, t_ns, .. } => open.push((name, t_ns)),
+            trace::Event::Exit { t_ns, .. } => {
+                let (name, t0) = open.pop().expect("exit without enter");
+                if let Some(i) = SPANS.iter().position(|&s| s == name) {
+                    ns[i] += t_ns - t0;
+                }
+            }
+            trace::Event::Op { .. } => {}
+        }
+    }
+    let total = ns.iter().sum::<u64>() as f64;
+    ns.map(|v| v as f64 / total)
 }
 
 /// `[rows, cols]` of the element-wise rows: the 2×2 workload's local MLP
@@ -337,6 +486,24 @@ fn main() {
         }
     }
 
+    // Every shape × form on one thread, one column per tier.
+    let mut tier_rows: Vec<TierRow> = Vec::new();
+    for shape in shapes {
+        for form in FORMS {
+            tier_rows.extend(time_tiers(shape, form, samples));
+        }
+    }
+
+    // Where a one-thread product at the 2×2 workload's block spends its time.
+    let packing_shape = find_shape(shapes, PACKING_SHAPE);
+    let packing: Vec<(Form, [f64; 3])> = FORMS
+        .into_iter()
+        .map(|form| {
+            let reps = if smoke { 50 } else { 500 };
+            (form, packing_shares(packing_shape, form, reps))
+        })
+        .collect();
+
     // Seed baseline at the largest square shape in this mode.
     let baseline_shape = shapes
         .iter()
@@ -365,13 +532,8 @@ fn main() {
     // host the pooled path degenerates to the same serial loop, so the
     // ratio hovers around 1.0. Min-of-samples, not median: this ratio gates
     // CI, and the min is far more stable under runner load.
-    let s256 = Shape {
-        name: "square-256",
-        m: 256,
-        k: 256,
-        n: 256,
-    };
-    let (serial_secs, pooled_secs) = time_serial_vs_pooled(&s256, samples.max(9));
+    let s256 = find_shape(shapes, SQUARE_256);
+    let (serial_secs, pooled_secs) = time_serial_vs_pooled(s256, samples.max(9));
     let serial_g = gflops(256, 256, 256, serial_secs);
     let pooled_g = gflops(256, 256, 256, pooled_secs);
     println!(
@@ -408,6 +570,44 @@ fn main() {
         render_table(&["shape", "mkn", "threads", "secs", "GFLOP/s"], &table)
     );
 
+    // One row per (shape, form), one column per tier: `time_tiers` returns
+    // the host's tiers in order, so the rows chunk evenly.
+    let tier_names: Vec<String> = host_tiers().iter().map(Tier::to_string).collect();
+    let table: Vec<Vec<String>> = tier_rows
+        .chunks(tier_names.len())
+        .map(|per_tier| {
+            let r = &per_tier[0];
+            let mut row = vec![
+                r.name.to_string(),
+                format!("{}x{}x{}", r.m, r.k, r.n),
+                format!("{:?}", r.form),
+            ];
+            row.extend(per_tier.iter().map(|r| format!("{:.2}", r.gflops)));
+            row
+        })
+        .collect();
+    let mut headers = vec!["shape", "mkn", "form"];
+    headers.extend(tier_names.iter().map(String::as_str));
+    println!(
+        "one thread, GFLOP/s by tier:\n{}",
+        render_table(&headers, &table)
+    );
+
+    let table: Vec<Vec<String>> = packing
+        .iter()
+        .map(|(form, shares)| {
+            let mut row = vec![format!("{form:?}")];
+            row.extend(shares.iter().map(|s| format!("{:.1}%", s * 100.0)));
+            row
+        })
+        .collect();
+    println!(
+        "share of a one-thread {} product ({}):\n{}",
+        PACKING_SHAPE,
+        kernel_name(),
+        render_table(&["form", "pack_a", "pack_b", "ukr"], &table)
+    );
+
     let table: Vec<Vec<String>> = elementwise
         .iter()
         .map(|r| {
@@ -431,6 +631,33 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
         ("metrics_overhead", Json::Num(overhead)),
         ("results", Json::Arr(rows.iter().map(Row::json).collect())),
+        (
+            "tiers",
+            Json::Arr(tier_rows.iter().map(TierRow::json).collect()),
+        ),
+        (
+            "packing",
+            Json::obj(vec![
+                ("shape", Json::Str(PACKING_SHAPE.to_string())),
+                ("threads", Json::Num(1.0)),
+                (
+                    "rows",
+                    Json::Arr(
+                        packing
+                            .iter()
+                            .map(|(form, [pack_a, pack_b, ukr])| {
+                                Json::obj(vec![
+                                    ("form", Json::Str(format!("{form:?}"))),
+                                    ("pack_a_frac", Json::Num(*pack_a)),
+                                    ("pack_b_frac", Json::Num(*pack_b)),
+                                    ("ukr_frac", Json::Num(*ukr)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
         (
             "elementwise",
             Json::Arr(elementwise.iter().map(ElementwiseRow::json).collect()),
@@ -474,6 +701,26 @@ fn main() {
         if ratio < 0.9 {
             eprintln!("FAIL: pooled path is {ratio:.2}x of serial at 256^3 (limit 0.9)");
             std::process::exit(1);
+        }
+        // Self-check 3: on a host with both FMA tiers, the AVX-512 tier must
+        // not be slower than the AVX2 tier at 256³ — same bits either way, so
+        // only a timing catches a tile the compiler stopped vectorizing.
+        let tier_gflops = |tier: Tier| {
+            tier_rows
+                .iter()
+                .find(|r| r.name == SQUARE_256 && r.form == Form::NN && r.tier == tier)
+                .map(|r| r.gflops)
+        };
+        if let (Some(avx2), Some(avx512)) = (tier_gflops(Tier::Avx2), tier_gflops(Tier::Avx512)) {
+            let tier_ratio = avx512 / avx2;
+            if tier_ratio < 0.9 {
+                eprintln!(
+                    "FAIL: the AVX-512 tier is {tier_ratio:.2}x of the AVX2 tier at 256^3 \
+                     ({avx512:.2} vs {avx2:.2} GFLOP/s, limit 0.9)"
+                );
+                std::process::exit(1);
+            }
+            println!("AVX-512 / AVX2 tier ratio at 256^3: {tier_ratio:.2}");
         }
         println!("smoke checks passed (pooled/serial ratio {ratio:.2})");
     }

@@ -113,10 +113,11 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
 
 /// Host metadata stamp embedded in every `BENCH_*.json` so the regression
 /// gate ([`metrics::regress`]) can tell whether a baseline and a fresh run
-/// came from comparable machines. Keys `threads` and `avx2` are the ones
-/// `regress::compare` warns on when they differ; `git_rev` records which
-/// commit produced the numbers (best-effort — `"unknown"` outside a git
-/// checkout).
+/// came from comparable machines. Keys `threads`, `avx2` and `avx512f` are
+/// the ones `regress::compare` warns on when they differ — the last two say
+/// which `tensor::gemm::Tier` the kernels ran at, worth ~1.5× between
+/// neighbours; `git_rev` records which commit produced the numbers
+/// (best-effort — `"unknown"` outside a git checkout).
 pub fn host_stamp() -> minjson::Json {
     use minjson::Json;
     // Record whether core detection actually succeeded: `threads: 1` from a
@@ -125,10 +126,7 @@ pub fn host_stamp() -> minjson::Json {
     let detected = std::thread::available_parallelism();
     let threads = detected.as_ref().map_or(1, |n| n.get());
     let threads_detected = detected.is_ok();
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
+    let tier = tensor::gemm::Tier::host();
     let git_rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -141,7 +139,8 @@ pub fn host_stamp() -> minjson::Json {
     Json::obj(vec![
         ("threads", Json::Num(threads as f64)),
         ("threads_detected", Json::Bool(threads_detected)),
-        ("avx2", Json::Bool(avx2)),
+        ("avx2", Json::Bool(tier >= tensor::gemm::Tier::Avx2)),
+        ("avx512f", Json::Bool(tier >= tensor::gemm::Tier::Avx512)),
         ("git_rev", Json::Str(git_rev)),
     ])
 }
@@ -180,14 +179,16 @@ mod tests {
     #[test]
     fn host_stamp_has_gate_keys() {
         let stamp = host_stamp();
-        // `threads` and `avx2` are the keys regress::compare warns on; both
-        // must be present and well-typed on every platform.
+        // `threads`, `avx2` and `avx512f` are the keys regress::compare warns
+        // on; all must be present and well-typed on every platform.
         assert!(stamp.get("threads").unwrap().as_usize().unwrap() >= 1);
         assert!(matches!(
             stamp.get("threads_detected").unwrap(),
             minjson::Json::Bool(_)
         ));
-        assert!(matches!(stamp.get("avx2").unwrap(), minjson::Json::Bool(_)));
+        for key in ["avx2", "avx512f"] {
+            assert!(matches!(stamp.get(key).unwrap(), minjson::Json::Bool(_)));
+        }
         assert!(matches!(
             stamp.get("git_rev").unwrap(),
             minjson::Json::Str(s) if !s.is_empty()

@@ -14,7 +14,8 @@
 //! Improvements never fail. Metrics present on only one side are skipped
 //! (a smoke run covers a subset of the full shape sweep), so the same gate
 //! works for CI smoke runs against the committed full baselines. Host
-//! metadata (`host.threads`, `host.avx2`) is *compared but never gated* —
+//! metadata (`host.threads`, `host.avx2`, `host.avx512f`) is *compared but
+//! never gated* —
 //! a mismatch is reported as a warning because absolute numbers from a
 //! different machine are only loosely comparable; pick the tolerance
 //! accordingly.
@@ -179,7 +180,7 @@ fn host_warnings(baseline: &Json, fresh: &Json) -> Vec<String> {
     let fresh_host = fresh.get("host").ok();
     match (base_host, fresh_host) {
         (Some(b), Some(f)) => {
-            for key in ["threads", "avx2"] {
+            for key in ["threads", "avx2", "avx512f"] {
                 let (bv, fv) = (b.get(key).ok(), f.get(key).ok());
                 if bv != fv {
                     warnings.push(format!(
@@ -384,19 +385,32 @@ mod tests {
 
     #[test]
     fn host_mismatch_warns_but_does_not_gate() {
-        let mut fresh = gemm(57.0, 3.2, false);
-        if let Json::Obj(map) = &mut fresh {
-            map.insert(
-                "host".into(),
-                Json::obj(vec![
-                    ("threads", Json::Num(8.0)),
-                    ("avx2", Json::Bool(true)),
-                ]),
-            );
-        }
-        let cmp = compare(&gemm(57.0, 3.2, false), &fresh, 0.1).unwrap();
+        let with_host = |threads: f64, avx512f: bool| {
+            let mut j = gemm(57.0, 3.2, false);
+            if let Json::Obj(map) = &mut j {
+                map.insert(
+                    "host".into(),
+                    Json::obj(vec![
+                        ("threads", Json::Num(threads)),
+                        ("avx2", Json::Bool(true)),
+                        ("avx512f", Json::Bool(avx512f)),
+                    ]),
+                );
+            }
+            j
+        };
+        let warned = |cmp: &Comparison, key: &str| cmp.warnings.iter().any(|w| w.contains(key));
+        // A baseline stamped before `avx512f` existed differs in that key.
+        let cmp = compare(&gemm(57.0, 3.2, false), &with_host(8.0, true), 0.1).unwrap();
         assert!(cmp.passed());
-        assert!(cmp.warnings.iter().any(|w| w.contains("host.threads")));
+        assert!(warned(&cmp, "host.threads") && warned(&cmp, "host.avx512f"));
+        assert!(!warned(&cmp, "host.avx2"));
+        // An AVX2-only runner against an AVX-512 baseline: the tier's ~1.5×
+        // reads as a kernel regression, and the warning sits beside it.
+        let cmp = compare(&with_host(1.0, true), &with_host(1.0, false), 0.1).unwrap();
+        assert!(warned(&cmp, "host.avx512f") && !warned(&cmp, "host.threads"));
+        let cmp = compare(&with_host(1.0, true), &with_host(1.0, true), 0.1).unwrap();
+        assert!(cmp.warnings.is_empty(), "{}", cmp.render());
     }
 
     #[test]

@@ -381,6 +381,14 @@ fn helper_budget() -> usize {
     }
 }
 
+/// Workers a `parallel_*` call made now on this thread could share its tasks
+/// with: zero on a device thread, under a thread cap of one and on a
+/// one-core host. A kernel whose tasks each repeat some set-up reads it to
+/// cut fewer, larger tasks when it is the only participant.
+pub fn helpers() -> usize {
+    helper_budget().min(pool().worker_count())
+}
+
 /// Runs `f(0..tasks)` on the global pool with the caller participating.
 /// Respects [`with_thread_cap`]; inline on a device thread.
 pub fn parallel_for(tasks: usize, f: impl Fn(usize) + Sync) {

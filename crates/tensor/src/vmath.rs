@@ -8,9 +8,11 @@
 //! instantiated once under `#[target_feature(enable = "avx2,fma")]` (where
 //! `mul_add` is one instruction and the loops auto-vectorize eight lanes
 //! wide) and once portable (separate multiply and add — `mul_add` without
-//! hardware FMA is a libm call). The microkernel's CPU detection
-//! (`gemm::fma_host`) picks between the two once per process. No intrinsics,
-//! no libm.
+//! hardware FMA is a libm call). The crate's one CPU detection
+//! (`gemm::Tier::host`) picks between the two once per process: the FMA
+//! instantiation on the `Avx2` tier and above. There is no `avx512f`
+//! instantiation — it was measured and is mixed (GELU faster, softmax and
+//! cross-entropy slower; DESIGN.md §Compute engine). No intrinsics, no libm.
 //!
 //! # Determinism
 //!
@@ -46,7 +48,7 @@
 //! of the cancellation — GELU needs the absolute bound only.
 
 #[cfg(target_arch = "x86_64")]
-use crate::gemm::fma_host;
+use crate::gemm::Tier;
 
 #[inline(always)]
 fn fmadd<const FMA: bool>(a: f32, b: f32, c: f32) -> f32 {
@@ -196,7 +198,7 @@ fn softmax_from_parts_body<const FMA: bool>(
 }
 
 /// Stamps out the two instantiations of `$body` and the entry point that
-/// picks one by `fma_host`.
+/// picks one by the host's [`Tier`].
 macro_rules! instantiate {
     ($(#[$doc:meta])* $name:ident, $portable:ident, $avx2:ident =
         $body:ident($($arg:ident: $ty:ty),*)) => {
@@ -205,7 +207,7 @@ macro_rules! instantiate {
         }
 
         /// # Safety
-        /// Must only be called on CPUs with AVX2 and FMA (`fma_host`).
+        /// Must only be called on CPUs with AVX2 and FMA (`Tier::Avx2`).
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn $avx2($($arg: $ty),*) {
@@ -215,8 +217,8 @@ macro_rules! instantiate {
         $(#[$doc])*
         pub(crate) fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
-            if fma_host() {
-                // SAFETY: `fma_host` detected AVX2 and FMA on this CPU.
+            if Tier::host() >= Tier::Avx2 {
+                // SAFETY: `Tier::host` detected AVX2 and FMA on this CPU.
                 return unsafe { $avx2($($arg),*) };
             }
             $portable($($arg),*)
@@ -423,9 +425,9 @@ mod tests {
         // `mul_add` rounds the same with or without the instruction, so the
         // compiled AVX2 kernel gives the FMA body's bits exactly.
         #[cfg(target_arch = "x86_64")]
-        if fma_host() {
+        if Tier::host() >= Tier::Avx2 {
             let mut c = vec![0.0; len];
-            // SAFETY: guarded by `fma_host`.
+            // SAFETY: guarded by the host's tier.
             unsafe { softmax_rows_avx2(&xs, cols, &mut c) };
             assert!(b[..len]
                 .iter()

@@ -2,11 +2,14 @@
 //! vectorized element-wise kernels (GELU, softmax, cross-entropy).
 //!
 //! For every form (NN / NT / TN) and a grid of edge-case shapes — unit
-//! dims, prime dims, exact microkernel stripe/panel boundaries, one past
-//! them, cache-block boundaries, and sizes past the small-path threshold —
-//! the engine must be **bitwise identical** whether it runs serially
-//! (thread cap 1), over the pool (uncapped) or inline on a simulated-device
-//! thread (`enter_device`), and must agree with an
+//! dims, prime dims, exact microkernel stripe/panel boundaries of both
+//! register tiles, one past them, cache-block boundaries, and sizes past the
+//! small-path threshold — the engine must be **bitwise identical** whether it
+//! runs serially (thread cap 1: one slab), over the pool (uncapped), as
+//! `MC`-row slabs each packing `op(B)` for itself (what pool participants
+//! do, here on any host) or inline on a simulated-device thread
+//! (`enter_device`), and on a host with both FMA tiers whether the AVX-512
+//! or the AVX2 microkernel computes it; and it must agree with an
 //! f64-accumulated naive product to within f32 rounding. A final test
 //! pins the pool's defining property: a thousand back-to-back matmuls
 //! spawn no threads beyond the initial worker set.
@@ -17,17 +20,19 @@
 //! which is what keeps serial ≡ distributed bitwise however an activation
 //! is partitioned.
 
-use tensor::gemm::{gemm_acc, Form, MC};
+use tensor::gemm::{gemm_acc, with_tier, Form, Tier, BLOCKED_THRESHOLD, MC};
 use tensor::loss::{ce_grad_local, partial_row_max, partial_sumexp, softmax_from_parts};
 use tensor::matmul::reference;
 use tensor::ops::{gelu, gelu_backward, gelu_forward, gelu_grad};
 use tensor::softmax::{softmax_backward, softmax_rows};
 use tensor::{pool, Rng, Tensor};
 
-/// Shape grid: microkernel stripes are 6 rows (MR) × 16 columns (NR),
-/// cache blocks are MC=96 / KC=256 / NC=1024, and products under 32³ MACs
-/// take the direct small path.
+/// Shape grid: microkernel stripes are 6 rows (MR) × 16 or 32 columns (NR,
+/// by tier), cache blocks are MC=96 / KC=256 / NC=1024, and products under
+/// 32³ MACs take the direct small path. The tiers differ in NR alone, so
+/// only the column axis carries the edges of the 32-wide tile.
 const DIMS: &[usize] = &[1, 6, 7, 16, 17, 31, 96, 97, 256];
+const N_DIMS: &[usize] = &[1, 6, 7, 16, 17, 31, 32, 33, 63, 64, 65, 96, 97, 256];
 const FORMS: &[Form] = &[Form::NN, Form::NT, Form::TN];
 
 fn fill(len: usize, rng: &mut Rng) -> Vec<f32> {
@@ -43,34 +48,89 @@ fn buf_lens(form: Form, m: usize, k: usize, n: usize) -> (usize, usize) {
     }
 }
 
+/// Checks `whole` (an `m × n` product the blocked engine computed) against
+/// the product computed the way pool participants compute it: one `gemm_acc`
+/// per `MC`-row slab of the output, each packing `op(B)` itself. A slab too
+/// small for the blocked engine on its own (a ragged last one, or every slab
+/// of a product that took the small path whole) is not compared.
+fn assert_slabs_match(
+    whole: &[f32],
+    form: Form,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+) {
+    for r0 in (0..m).step_by(MC) {
+        let r1 = m.min(r0 + MC);
+        if (r1 - r0) * k * n < BLOCKED_THRESHOLD {
+            continue;
+        }
+        // Rows [r0, r1) of op(A): columns of the physical A under TN.
+        let a_slab: Vec<f32> = match form {
+            Form::NN | Form::NT => a[r0 * k..r1 * k].to_vec(),
+            Form::TN => (0..k)
+                .flat_map(|l| a[l * m + r0..l * m + r1].iter().copied())
+                .collect(),
+        };
+        let mut c_slab = vec![0.0f32; (r1 - r0) * n];
+        pool::with_thread_cap(1, || gemm_acc(form, &mut c_slab, r1 - r0, n, &a_slab, b, k));
+        assert_eq!(
+            bits(&whole[r0 * n..r1 * n]),
+            bits(&c_slab),
+            "{form:?} {m}x{k}x{n}: rows {r0}..{r1} as a slab of their own differ from one slab"
+        );
+    }
+}
+
 fn check_shape(form: Form, m: usize, k: usize, n: usize, rng: &mut Rng) {
     let (alen, blen) = buf_lens(form, m, k, n);
     let a = fill(alen, rng);
     let b = fill(blen, rng);
 
+    // One thread, no helpers: one slab over all rows, op(B) packed once.
     let mut serial = vec![0.0f32; m * n];
     pool::with_thread_cap(1, || gemm_acc(form, &mut serial, m, n, &a, &b, k));
 
     let mut pooled = vec![0.0f32; m * n];
     gemm_acc(form, &mut pooled, m, n, &a, &b, k);
 
-    // Row-slab ownership with a fixed per-slab accumulation order makes the
-    // pooled result bitwise equal to the serial one, not merely close.
+    // Row-slab ownership with a fixed per-element accumulation order makes
+    // the pooled result bitwise equal to the serial one, not merely close —
+    // whatever the host's core count made of "pooled".
     assert_eq!(
-        serial, pooled,
+        bits(&serial),
+        bits(&pooled),
         "{form:?} {m}x{k}x{n}: pooled differs from serial"
     );
+    assert_slabs_match(&serial, form, m, k, n, &a, &b);
 
-    // A device thread runs the same slabs inline, in order.
+    // A device thread runs one slab inline.
     let mut device = vec![0.0f32; m * n];
     {
         let _device = pool::enter_device();
         gemm_acc(form, &mut device, m, n, &a, &b, k);
     }
     assert_eq!(
-        serial, device,
+        bits(&serial),
+        bits(&device),
         "{form:?} {m}x{k}x{n}: device-thread result differs from serial"
     );
+
+    // The tile an element is computed in does not enter its operation
+    // sequence either: the two FMA tiers agree to the bit.
+    if Tier::host() == Tier::Avx512 {
+        let mut avx2 = vec![0.0f32; m * n];
+        with_tier(Tier::Avx2, || {
+            pool::with_thread_cap(1, || gemm_acc(form, &mut avx2, m, n, &a, &b, k))
+        });
+        assert_eq!(
+            bits(&serial),
+            bits(&avx2),
+            "{form:?} {m}x{k}x{n}: AVX-512 tier differs from AVX2 tier"
+        );
+    }
 
     let oracle = reference::naive_f64(form, m, n, &a, &b, k);
     for (idx, (&got, &want)) in serial.iter().zip(&oracle).enumerate() {
@@ -88,7 +148,7 @@ fn edge_shape_sweep_all_forms() {
     for &form in FORMS {
         for &m in DIMS {
             for &k in DIMS {
-                for &n in DIMS {
+                for &n in N_DIMS {
                     // Keep the sweep fast: skip products where every dim is
                     // large (covered by the dedicated big-shape test below).
                     if m * k * n > 100 * 96 * 96 {
@@ -111,6 +171,8 @@ fn blocked_path_large_shapes() {
         // Tall-skinny and k=1 extremes through the blocked path.
         check_shape(form, 300, 40, 5, &mut rng);
         check_shape(form, 64, 1, 64, &mut rng);
+        // Several KC bands and several MC blocks under one pack of op(B).
+        check_shape(form, 2 * MC + 5, 600, 70, &mut rng);
         // One slab, a ragged second slab, and a ragged third.
         for m in [MC - 1, MC + 1, 2 * MC + 5] {
             check_shape(form, m, 70, 90, &mut rng);
