@@ -1,13 +1,14 @@
 //! The live interpreter: executes a step list on the mailbox fabric.
 //!
-//! [`execute`] is the only code that moves collective payloads. The device
-//! thread runs it inline for a blocking collective and the progress queue
-//! runs it for a posted one (`nonblocking.rs`) — same function, so a posted
-//! collective is bitwise identical to its blocking form. Each `Send` copies
-//! (or, under a 16-bit wire dtype, quantizes and packs) its range into a
-//! pooled buffer and pushes it to the peer's mailbox; each `Recv` pops the
-//! peer's next payload, applies it to its range and recycles the buffer, so
-//! steady-state collective traffic allocates nothing.
+//! [`execute`] is the only code that moves collective payloads, always on
+//! the device thread: inline for a blocking collective, from the device's
+//! posted queue for a posted one (`nonblocking.rs`) — same function, same
+//! pool, so a posted collective is bitwise identical to its blocking form.
+//! Each `Send` copies (or, under a 16-bit wire dtype, quantizes and packs)
+//! its range into a pooled buffer and pushes it to the peer's mailbox; each
+//! `Recv` pops the peer's next payload, applies it to its range and
+//! recycles the buffer, so steady-state collective traffic allocates
+//! nothing.
 //!
 //! Which steps run is decided in [`crate::schedule`]; the op and link
 //! records are written before execution by `comm::run_collective`. All
@@ -106,7 +107,7 @@ impl Backend for DeviceCtx {
         buf: Vec<f32>,
         op: CommOp,
         traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl {
+    ) -> PendingColl<'_> {
         self.post(list, buf, op, traced)
     }
 }
@@ -133,7 +134,7 @@ impl Communicator for DeviceCtx {
         group: &Group,
         buf: CollBuf<'_>,
         plan: CollPlan,
-    ) -> Option<PendingColl> {
+    ) -> Option<PendingColl<'_>> {
         run_collective(self, coll, group, buf, plan)
     }
     fn log_snapshot(&self) -> CommLog {

@@ -159,7 +159,7 @@ pub trait Communicator {
         group: &Group,
         buf: CollBuf<'_>,
         plan: CollPlan,
-    ) -> Option<PendingColl>;
+    ) -> Option<PendingColl<'_>>;
 
     /// Broadcast from group index `root`. Non-root buffers must be
     /// pre-sized to the root's payload length on both backends (no
@@ -177,12 +177,13 @@ pub trait Communicator {
     }
 
     /// Non-blocking broadcast: posts the transfer and returns a
-    /// [`PendingColl`] immediately; `wait()` yields the buffer. Non-root
-    /// buffers must be pre-sized to the root's payload length (the logical
-    /// size is recorded at post). Between post and wait, callers must not
-    /// issue collectives sharing a (src, dst) pair with the in-flight tree.
-    /// Always the tree schedule; wire precision from the run's tables.
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
+    /// [`PendingColl`] immediately; `wait()` runs it and yields the buffer.
+    /// Non-root buffers must be pre-sized to the root's payload length (the
+    /// logical size is recorded at post). Between post and wait, callers
+    /// must not issue collectives sharing a (src, dst) pair with the
+    /// in-flight tree. Always the tree schedule; wire precision from the
+    /// run's tables.
+    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl<'_> {
         let plan = CollPlan {
             algo: CollAlgo::Tree,
             ..self.plan(CommOp::Broadcast, group.len(), buf.len())
@@ -194,7 +195,7 @@ pub trait Communicator {
     /// Non-blocking sum-reduce; see [`Communicator::ibroadcast`] for the
     /// pending-collective contract. Only the root's waited buffer holds the
     /// full sum.
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl {
+    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl<'_> {
         let plan = CollPlan {
             algo: CollAlgo::Tree,
             ..self.plan(CommOp::Reduce, group.len(), buf.len())
@@ -306,20 +307,20 @@ pub(crate) trait Backend: Communicator {
         buf: Vec<f32>,
         op: CommOp,
         traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl;
+    ) -> PendingColl<'_>;
 }
 
 /// [`Communicator::collective`] for every backend: step list → op event →
 /// log records → interpret. Record order is part of the log contract:
 /// a broadcast records its links, then the op; everything else the op, then
 /// its links; a barrier its own op, then an empty reduce and broadcast.
-pub(crate) fn run_collective<B: Backend>(
-    b: &B,
+pub(crate) fn run_collective<'b, B: Backend>(
+    b: &'b B,
     coll: Coll,
     group: &Group,
     buf: CollBuf<'_>,
     plan: CollPlan,
-) -> Option<PendingColl> {
+) -> Option<PendingColl<'b>> {
     let g = group.len();
     let me = my_index(b.rank(), group);
     let op = coll.op();

@@ -99,7 +99,7 @@ impl Backend for DryRunComm {
         buf: Vec<f32>,
         op: CommOp,
         traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl {
+    ) -> PendingColl<'_> {
         PendingColl::ready(op, buf, traced)
     }
 }
@@ -162,7 +162,7 @@ impl Communicator for DryRunComm {
         group: &Group,
         buf: CollBuf<'_>,
         plan: CollPlan,
-    ) -> Option<PendingColl> {
+    ) -> Option<PendingColl<'_>> {
         run_collective(self, coll, group, buf, plan)
     }
 

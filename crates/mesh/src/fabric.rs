@@ -3,12 +3,11 @@
 //!
 //! Each device owns one [`Mailbox`]: a mutex-protected set of per-source
 //! FIFO queues plus a condvar. A send locks the *destination's* mailbox,
-//! pushes, and notifies; a receive blocks on the owner's mailbox until the
-//! queue for the requested source is non-empty. Unlike the per-pair mpsc
-//! channels this fabric started with, a mailbox supports **multiple
-//! concurrent consumers** on different sources — which is what lets each
-//! device run a background progress thread for non-blocking collectives
-//! (see `nonblocking.rs`) while its main thread computes.
+//! pushes, and wakes it; a receive blocks on the owner's mailbox until the
+//! queue for the requested source is non-empty. Any device thread may push
+//! into any mailbox, but **only the owning device thread pops** — blocking
+//! and posted collectives alike run on it (see `nonblocking.rs`) — so a
+//! mailbox has at most one waiter.
 //!
 //! Disconnect semantics match the old channel fabric: when a device's
 //! context drops (normally or during a panic), it marks itself closed in
@@ -16,6 +15,7 @@
 //! with a "disconnected" error instead of hanging.
 
 use crate::algo::CollTables;
+use crate::nonblocking::PostQueue;
 use crate::pool::BufferPool;
 use crate::stats::CommLog;
 use std::cell::RefCell;
@@ -32,8 +32,8 @@ struct MailboxInner {
     retired: bool,
 }
 
-/// One device's inbox. Shared (`Arc`) with every peer and with the device's
-/// own progress thread.
+/// One device's inbox, shared (`Arc`) with every peer. Peers push; only the
+/// owning device thread pops, so at most one thread waits on `cv`.
 pub(crate) struct Mailbox {
     inner: Mutex<MailboxInner>,
     cv: Condvar,
@@ -66,7 +66,7 @@ impl Mailbox {
         }
         inner.queues[src].push_back(data);
         drop(inner);
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 
     /// Blocks until a payload from `src` is available and returns it.
@@ -107,9 +107,10 @@ impl Mailbox {
 ///
 /// Collectives ([`crate::Communicator`]) move their payloads through the
 /// same mailboxes, interpreted by `collectives.rs` (inline) and
-/// `nonblocking.rs` (posted). Per-hop scratch buffers come from a per-device
-/// [`BufferPool`]; consumed receive buffers are recycled back into it, so
-/// steady-state collective traffic allocates nothing.
+/// `nonblocking.rs` (posted), both on the device thread. Per-hop scratch
+/// buffers come from the one per-device [`BufferPool`]; consumed receive
+/// buffers are recycled back into it, so steady-state collective traffic
+/// allocates nothing.
 pub struct DeviceCtx {
     rank: usize,
     p: usize,
@@ -119,9 +120,8 @@ pub struct DeviceCtx {
     pub(crate) tables: Arc<CollTables>,
     pub(crate) log: RefCell<CommLog>,
     pub(crate) pool: RefCell<BufferPool>,
-    /// Lazily spawned background progress thread for non-blocking
-    /// collectives (`nonblocking.rs`); joined on drop.
-    pub(crate) progress: RefCell<Option<crate::nonblocking::Progress>>,
+    /// Posted collectives not yet waited (`nonblocking.rs`).
+    pub(crate) posted: RefCell<PostQueue>,
 }
 
 /// Builds a fully connected fabric of `p` devices selecting from `tables`.
@@ -135,7 +135,7 @@ pub(crate) fn build_fabric(p: usize, tables: &Arc<CollTables>) -> Vec<DeviceCtx>
             tables: tables.clone(),
             log: RefCell::new(CommLog::new(rank)),
             pool: RefCell::new(BufferPool::new()),
-            progress: RefCell::new(None),
+            posted: RefCell::default(),
         })
         .collect()
 }
@@ -195,23 +195,6 @@ impl DeviceCtx {
 
 impl Drop for DeviceCtx {
     fn drop(&mut self) {
-        let panicking = std::thread::panicking();
-        if let Some(progress) = self.progress.borrow_mut().take() {
-            if panicking {
-                // Abandon in-flight work: wake the worker out of any
-                // blocked receive so it exits instead of deadlocking the
-                // unwind. Peers it would have fed see "disconnected" below.
-                self.boxes[self.rank].retire();
-            }
-            let worker = progress.shutdown();
-            if let Err(payload) = worker.join() {
-                // The worker hit a disconnect (or a bug). Surface it unless
-                // we are already unwinding for another reason.
-                if !panicking {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
         // Sends to us now fail, and peers blocked waiting on us wake up.
         self.boxes[self.rank].retire();
         for (dst, mailbox) in self.boxes.iter().enumerate() {

@@ -60,6 +60,10 @@ impl MeshRun {
                     // histograms); harvested per rank after `f` returns.
                     let installed = metrics::device_install();
                     let out = f(&GridNd::with_shape(&ctx, dims));
+                    // Collectives posted and never waited still run here,
+                    // before the context closes: peers may be blocked on
+                    // them. A device that panicked never gets here.
+                    ctx.run_posted();
                     let rank = ctx.rank();
                     if installed {
                         metrics::device_finish(rank);

@@ -11,9 +11,12 @@
 //! warm-up pass — from then on [`BufferPool::fresh_allocs`] stays flat (the
 //! ablation bench asserts exactly this).
 
-/// Size of the free list above which returned buffers are dropped instead of
-/// kept. Collectives need at most a couple of in-flight buffers per device;
-/// the cap only matters if user code recycles many odd-sized vectors.
+/// Size of the free list above which a buffer is dropped instead of kept.
+/// A device that receives more messages than it sends reaches it every step
+/// (all but the first mesh row in a 2D step), so which buffer goes matters:
+/// a full list keeps its largest buffers, or small all-reduce chunks would
+/// crowd out the panel-sized ones that posted and blocking collectives
+/// share.
 const MAX_FREE: usize = 64;
 
 /// A free list of `Vec<f32>` scratch buffers with allocation accounting.
@@ -28,15 +31,23 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Returns an empty buffer with capacity at least `len`. Reuses a pooled
-    /// buffer when one is large enough; otherwise allocates (counted in
+    /// Returns an empty buffer with capacity at least `len`: the smallest
+    /// pooled buffer that fits, so small sends leave the large buffers to
+    /// large ones; otherwise a fresh allocation (counted in
     /// [`BufferPool::fresh_allocs`]).
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         if len == 0 {
             // Empty sends (barrier tokens) need no backing storage.
             return Vec::new();
         }
-        if let Some(pos) = self.free.iter().position(|b| b.capacity() >= len) {
+        let fit = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(pos, _)| pos);
+        if let Some(pos) = fit {
             let mut buf = self.free.swap_remove(pos);
             buf.clear();
             return buf;
@@ -45,10 +56,18 @@ impl BufferPool {
         Vec::with_capacity(len)
     }
 
-    /// Returns a consumed buffer to the free list.
+    /// Returns a consumed buffer to the free list. A full list keeps its
+    /// largest buffers: `buf` replaces the smallest one if it is larger.
     pub fn put(&mut self, buf: Vec<f32>) {
-        if self.free.len() < MAX_FREE && buf.capacity() > 0 {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if self.free.len() < MAX_FREE {
             self.free.push(buf);
+        } else if let Some(smallest) = self.free.iter_mut().min_by_key(|b| b.capacity()) {
+            if buf.capacity() > smallest.capacity() {
+                *smallest = buf;
+            }
         }
     }
 
@@ -88,6 +107,28 @@ mod tests {
         let _big = pool.take(1024);
         assert_eq!(pool.fresh_allocs(), 2);
         pool.reset_stats();
+        assert_eq!(pool.fresh_allocs(), 0);
+    }
+
+    #[test]
+    fn take_picks_the_smallest_buffer_that_fits() {
+        let mut pool = BufferPool::new();
+        pool.put(Vec::with_capacity(1024));
+        pool.put(Vec::with_capacity(16));
+        assert!(pool.take(8).capacity() < 1024);
+        let _ = pool.take(1024);
+        assert_eq!(pool.fresh_allocs(), 0);
+    }
+
+    #[test]
+    fn a_full_pool_keeps_its_largest_buffers() {
+        let mut pool = BufferPool::new();
+        pool.put(Vec::with_capacity(1024));
+        for _ in 0..MAX_FREE {
+            pool.put(Vec::with_capacity(8));
+        }
+        pool.put(Vec::with_capacity(2048));
+        let _ = (pool.take(2048), pool.take(1024));
         assert_eq!(pool.fresh_allocs(), 0);
     }
 

@@ -17,14 +17,15 @@
 //!
 //! There is one schedule, the prefetch schedule: iteration `l+1`'s panel
 //! broadcasts are **posted** (non-blocking `ibroadcast`) before iteration
-//! `l`'s GEMM runs, so the transfer proceeds on the fabric's progress
-//! threads while this device computes; the reduce forms likewise post
-//! iteration `l`'s `ireduce` and only wait for it during iteration `l+1`'s
-//! GEMM window. Per-iteration cost drops from `T_comm + T_comp` toward
-//! `max(T_comm, T_comp)` (see `perf::cost`). On a host without spare cores
-//! the posted transfer runs inside `wait()` on the device thread, and on a
-//! `q = 1` mesh every post completes at once (trivial groups), so the loop
-//! degrades by itself to the paper's communicate-then-compute order.
+//! `l`'s GEMM runs, and the reduce forms likewise post iteration `l`'s
+//! `ireduce` and only wait for it after iteration `l+1`'s GEMM. A posted
+//! transfer runs inside `wait()` on this device's thread; what the order
+//! buys is that a peer's sends land in this device's mailbox while it
+//! computes, so its `wait` may find them queued instead of blocking on them.
+//! The modeled per-iteration cost drops from `T_comm + T_comp` toward
+//! `max(T_comm, T_comp)` (see `perf::cost`). On a `q = 1` mesh every post
+//! completes at once (trivial groups), so the loop degrades by itself to
+//! the paper's communicate-then-compute order.
 //!
 //! The schedule is **bitwise identical** to the paper's serial loop
 //! (Algorithms 1–3), which survives as the test oracle in
@@ -100,15 +101,15 @@ fn stage_panel(
 
 /// Posts a non-blocking panel broadcast from a reused buffer; the buffer
 /// rides inside the returned handle.
-fn post_panel<C: Communicator>(
-    grid: &Grid2d<C>,
+fn post_panel<'g, C: Communicator>(
+    grid: &'g Grid2d<C>,
     group: &mesh::Group,
     root: usize,
     local: &Tensor,
     n: usize,
     mut buf: Vec<f32>,
     fresh: &mut usize,
-) -> PendingColl {
+) -> PendingColl<'g> {
     let my_idx = group
         .index_of(grid.ctx().rank())
         .expect("device not in group");
@@ -333,7 +334,7 @@ fn reduce_form_core<C: Communicator>(
     };
     // Completes iteration l's reduce: its root keeps the sum, and the
     // buffer returns to the slot it was taken from.
-    let finish = |(l, red): (usize, PendingColl), ws: &mut Workspace, c: &mut [f32]| {
+    let finish = |(l, red): (usize, PendingColl<'_>), ws: &mut Workspace, c: &mut [f32]| {
         let done = red.wait();
         if my_reduce_idx == l {
             c.copy_from_slice(&done);
@@ -341,7 +342,7 @@ fn reduce_form_core<C: Communicator>(
         ws.partial[slot(l)] = done;
     };
     let mut pending_panel = Some(post(lo, ws, &mut fresh));
-    let mut pending_red: Option<(usize, PendingColl)> = None;
+    let mut pending_red: Option<(usize, PendingColl<'_>)> = None;
     for l in lo..hi {
         let next = (l + 1 < hi).then(|| post(l + 1, ws, &mut fresh));
         let panel = pending_panel

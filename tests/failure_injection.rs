@@ -2,7 +2,7 @@
 //! configurations must be rejected loudly rather than corrupting results.
 
 use optimus::megatron::{MegatronConfig, MegatronModel};
-use optimus::mesh::{Group, Mesh, Mesh2d};
+use optimus::mesh::{Communicator, Group, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
 use optimus::serial::ModelConfig;
 
@@ -38,6 +38,50 @@ fn crashing_device_unblocks_ring_peers() {
         ctx.all_reduce(&g, &mut data);
         data
     });
+}
+
+#[test]
+fn unwaited_posts_still_feed_their_peers() {
+    // Rank 0 roots the broadcast and is a plain member of the reduce, and
+    // drops both handles; rank 1 drops its reduce handle. Their transfers
+    // must still run, so every peer that waits gets the blocking bits.
+    let (g, bcast_root, reduce_root) = (Group::world(4), 0, 3);
+    let payload = |rank: usize| -> Vec<f32> {
+        (0..7)
+            .map(|i| (0.1 + rank as f32 * 1e-3).powi(i % 3 + 1))
+            .collect()
+    };
+    let staged = |rank: usize| {
+        if rank == bcast_root {
+            payload(9)
+        } else {
+            vec![0.0; 7]
+        }
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let blocking = Mesh::run(4, |ctx| {
+        let mut b = staged(ctx.rank());
+        ctx.broadcast(&g, bcast_root, &mut b);
+        let mut r = payload(ctx.rank());
+        ctx.reduce(&g, reduce_root, &mut r);
+        (bits(&b), bits(&r))
+    });
+    let posted = Mesh::run(4, |ctx| {
+        let b = ctx.ibroadcast(&g, bcast_root, staged(ctx.rank()));
+        let r = ctx.ireduce(&g, reduce_root, payload(ctx.rank()));
+        match ctx.rank() {
+            0 => (None, None),
+            1 => (Some(bits(&b.wait())), None),
+            _ => (Some(bits(&b.wait())), Some(bits(&r.wait()))),
+        }
+    });
+    for (rank, (b, r)) in posted.iter().enumerate().skip(1) {
+        assert_eq!(b.as_ref(), Some(&blocking[rank].0), "broadcast at {rank}");
+        if let Some(r) = r {
+            assert_eq!(r, &blocking[rank].1, "reduce at {rank}");
+        }
+    }
+    assert!(posted[reduce_root].1.is_some(), "the reduce root waits");
 }
 
 #[test]

@@ -206,3 +206,29 @@ fn train_step_detailed_reports_consistent_peaks_across_devices() {
     }
     assert!(peaks[0] > 0);
 }
+
+#[test]
+fn transport_buffers_reach_steady_state_outside_the_first_row() {
+    // Outside mesh row 0 a device receives more messages per step than it
+    // sends, so its transport pool fills up every step. Posted panels and
+    // blocking all-reduce chunks share that pool; unless a full pool keeps
+    // its panel-sized buffers, each later panel send allocates afresh. (Row
+    // 0 sends more than it receives and allocates every step by design of
+    // the traffic, not of the pool.)
+    let c = OptimusConfig {
+        batch: 8,
+        hidden: 32,
+        ..cfg(4, true)
+    };
+    let (tokens, labels) = data(&c, 8);
+    let fresh = Mesh2d::run(c.q, |g| {
+        let mut m = OptimusModel::new(&c, 4, g);
+        m.train_step(g, &tokens, &labels, 0.1);
+        g.ctx().reset_pool_stats();
+        for _ in 0..10 {
+            m.train_step(g, &tokens, &labels, 0.1);
+        }
+        g.ctx().fresh_allocs()
+    });
+    assert_eq!(fresh[c.q..], [0, 0], "fresh buffers per rank: {fresh:?}");
+}

@@ -1,7 +1,8 @@
 //! A simulated device is exactly one OS thread: under the mesh every
 //! `tensor::pool` call runs its tasks on the device thread that made it, in
-//! this process's global pool no job is ever shared with a worker, and the
-//! calls are still counted (as inline jobs).
+//! this process's global pool no job is ever shared with a worker, the
+//! calls are still counted (as inline jobs), and (on Linux) no thread of
+//! the process runs a device's posted collectives for it.
 //!
 //! One test, alone in its file: `pool().job_counts()` is process-wide, and a
 //! test binary of its own is the only way to keep other tests' kernels out of
@@ -52,6 +53,18 @@ fn device_threads_never_share_a_pool_job() {
         summa_nt(g, &distribute(g, &a_nt), &distribute(g, &b_nt));
         summa_tn(g, &distribute(g, &a_tn), &distribute(g, &b_tn));
         let loss = OptimusModel::new(&cfg, 5, g).train_step(g, &tokens, &labels, 0.1);
+        // The products above posted panel broadcasts and reduces; no
+        // helper thread was started to run them.
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let comm = std::fs::read_to_string(task.unwrap().path().join("comm"));
+            let name = comm.unwrap_or_default();
+            assert!(
+                !name.starts_with("mesh-progress"),
+                "a second thread ({}) serves a device",
+                name.trim_end()
+            );
+        }
 
         let ran_on: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
         pool::parallel_for(64, |i| {
