@@ -7,9 +7,8 @@
 //! saved as JSON, loaded into the serial reference, resharded onto a
 //! *different* mesh size, or handed to the Megatron implementation.
 
-use crate::layernorm2d::LayerNorm2d;
 use crate::model::OptimusModel;
-use crate::params2d::slice_layer2d;
+use crate::params2d::{hosted_slice, slice_layer2d};
 use mesh::{Communicator, Grid2d};
 use serial::{LayerParams, ModelParams};
 use tensor::Tensor;
@@ -114,7 +113,8 @@ impl OptimusModel {
                 .iter()
                 .map(|lp| slice_layer2d(grid, lp))
                 .collect(),
-            final_ln: LayerNorm2d::from_full(grid, &params.final_ln_g, &params.final_ln_b),
+            final_ln_g: hosted_slice(grid, &params.final_ln_g),
+            final_ln_b: hosted_slice(grid, &params.final_ln_b),
             cls: None,
             meter: crate::MemMeter::new(),
         }
@@ -152,8 +152,8 @@ impl OptimusModel {
                 b_fc2: vec(&lp.b_fc2),
             });
         }
-        let final_g = gather_row0_vector(grid, self.final_ln.gamma.as_ref());
-        let final_b = gather_row0_vector(grid, self.final_ln.beta.as_ref());
+        let final_g = gather_row0_vector(grid, self.final_ln_g.as_ref());
+        let final_b = gather_row0_vector(grid, self.final_ln_b.as_ref());
 
         embedding.map(|embedding| ModelParams {
             embedding,

@@ -208,10 +208,12 @@ pub fn layer2d_backward<C: Communicator>(
 #[allow(clippy::needless_range_loop)] // explicit indices aid test diagnostics
 mod tests {
     use super::*;
-    use crate::params2d::slice_layer2d;
+    use crate::params2d::{hosted_slice, slice_layer2d};
     use mesh::Mesh2d;
-    use serial::{stem, Hosted, LayerParams, LayerTensors, Local};
+    use serial::{linear_backward, linear_forward, ln_backward, ln_forward, stem};
+    use serial::{Hosted, LayerParams, LayerTensors, Local};
     use summa::{collect_blocks, distribute};
+    use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LN_EPS};
     use tensor::{assert_close, Rng, Tensor};
 
     fn setup(q: usize) -> (OptimusConfig, LayerParams, Tensor, Tensor) {
@@ -311,6 +313,62 @@ mod tests {
                 db_fc1.extend(outs[j].2.b_fc1.as_ref().unwrap());
             }
             assert_close(&db_fc1, &grads_ref.b_fc1, 2e-4, 1e-3);
+        }
+    }
+
+    #[test]
+    fn linear_and_layer_norm_match_the_tensor_kernels() {
+        // The classification head and the final layer norm use these two
+        // outside a layer: forward and backward against the plain kernels,
+        // with every row-0-hosted vector gradient concatenated by column.
+        for q in [1usize, 2, 3] {
+            let (cfg, full, x, dy) = setup(q);
+            let w = &full.w_out;
+            let b: Vec<f32> = (0..cfg.hidden).map(|i| 0.1 * i as f32).collect();
+            let gamma: Vec<f32> = b.iter().map(|v| 1.0 + v).collect();
+            let beta: Vec<f32> = b.iter().map(|v| v - 0.3).collect();
+
+            let mut y_ref = tensor::matmul_nn(&x, w);
+            tensor::ops::bias_add(&mut y_ref, &b);
+            let db_ref: Vec<f32> = (0..dy.cols())
+                .map(|c| (0..dy.rows()).map(|r| dy.at(r, c)).sum())
+                .collect();
+            let (ln_ref, cache_ref) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
+            let (dxln_ref, dg_ref, dbeta_ref) = layer_norm_backward(&dy, &cache_ref, &gamma);
+            let blocks_ref = [
+                y_ref,
+                tensor::matmul_nt(&dy, w),
+                tensor::matmul_tn(&x, &dy),
+                ln_ref,
+                dxln_ref,
+            ];
+
+            let outs = Mesh2d::run(q, |g| {
+                let low = Summa2d { grid: g, cfg: &cfg };
+                let (xl, wl, dyl) = (distribute(g, &x), distribute(g, w), distribute(g, &dy));
+                let y = linear_forward(&low, Role::Expand, &xl, &wl, &hosted_slice(g, &b));
+                let (dx, dw, db) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl);
+                let (yln, cache) =
+                    ln_forward(&low, &xl, &hosted_slice(g, &gamma), &hosted_slice(g, &beta));
+                let (dxln, dg, dbeta) = ln_backward(&low, &dyl, &cache);
+                ([y, dx, dw, yln, dxln], [db, dg, dbeta])
+            });
+            for (i, want) in blocks_ref.iter().enumerate() {
+                let got: Vec<Tensor> = outs.iter().map(|o| o.0[i].clone()).collect();
+                let got = collect_blocks(&got, q);
+                assert_close(got.as_slice(), want.as_slice(), 1e-4, 1e-3);
+            }
+            for (i, want) in [db_ref, dg_ref, dbeta_ref].iter().enumerate() {
+                let got: Vec<f32> = outs[..q]
+                    .iter()
+                    .flat_map(|o| o.1[i].clone().unwrap())
+                    .collect();
+                assert_close(&got, want, 1e-4, 1e-3);
+                assert!(
+                    outs[q..].iter().all(|o| o.1[i].is_none()),
+                    "hosted off row 0"
+                );
+            }
         }
     }
 

@@ -11,8 +11,9 @@
 //! gradients are `serial::LayerTensors<Option<Vec<f32>>>` blocks, walked in
 //! the canonical order of [`serial::walk_stem`]. What the lowering decides:
 //!
-//! * **SUMMA linear layers** ([`Linear2d`]) — all four matmuls of a
-//!   transformer layer run as Algorithm 1 forward and Algorithms 2–3 in
+//! * **SUMMA linear layers** (`serial::linear_{forward,backward}` under
+//!   [`Summa2d`]) — all four matmuls of a transformer layer, and the
+//!   classification head, run as Algorithm 1 forward and Algorithms 2–3 in
 //!   backward (the closed set of paper Eqs. 1–3). Biases live on mesh row 0,
 //!   broadcast down columns in forward and reduced back in backward
 //!   (Fig. 5).
@@ -20,8 +21,9 @@
 //!   *hidden* (not sequence), so each device owns `b/q` sequences × `n/q`
 //!   complete heads and `softmax(QKᵀ)V` is entirely local (Section 3.2.1);
 //!   the rejected `(s, h)` partition would move the `b·n·s²` score tensor.
-//! * **2D layer norm** ([`LayerNorm2d`]) — local `Σx`, `Σx²` all-reduced
-//!   along mesh rows; `x̂` and `1/σ` saved for backward (Section 3.2.2).
+//! * **2D layer norm** (`serial::ln_{forward,backward}` under [`Summa2d`])
+//!   — local `Σx`, `Σx²` all-reduced along mesh rows; `x̂` and `1/σ` saved
+//!   for backward; γ, β hosted on mesh row 0 like biases (Section 3.2.2).
 //! * **2D embedding / LM head / cross-entropy** — the embedding table is
 //!   `q × q`-blocked; the lookup is SUMMA `C = AB` with an implicit one-hot
 //!   `A`, the tied LM head is Algorithm 2, and the cross-entropy completes
@@ -40,18 +42,12 @@
 pub mod attention_sh;
 pub mod checkpoint;
 mod config;
-pub mod dp;
 mod layer2d;
-mod layernorm2d;
-mod linear2d;
 mod model;
 mod params2d;
 
 pub use config::OptimusConfig;
-pub use dp::{hybrid_layout, hybrid_train_step, hybrid_train_step_ef, hybrid_train_step_zero1};
 pub use layer2d::{layer2d_backward, layer2d_forward, Summa2d};
-pub use layernorm2d::LayerNorm2d;
-pub use linear2d::Linear2d;
 pub use model::{Model2dGrads, OptimusModel, TrainOutput};
 pub use params2d::{slice_layer2d, Layer2dParams};
 pub use serial::stem::MemMeter;

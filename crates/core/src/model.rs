@@ -5,11 +5,12 @@
 
 use crate::config::OptimusConfig;
 use crate::layer2d::Summa2d;
-use crate::layernorm2d::LayerNorm2d;
-use crate::params2d::Layer2dParams;
+use crate::params2d::{hosted_slice, Layer2dParams};
 use mesh::{Communicator, Grid2d};
 use serial::stem::{self, Keep, MemMeter, StemRef};
-use serial::{walk_pair, walk_stem, Lowering, ModelTensors};
+use serial::{
+    linear_forward, ln_backward, ln_forward, walk_pair, walk_stem, Lowering, ModelTensors, Role,
+};
 use tensor::Tensor;
 
 /// Device-local gradients for everything this device owns; `embedding`
@@ -32,11 +33,13 @@ pub struct OptimusModel {
     /// Embedding table block `[v/q, h/q]` (tied with the LM head).
     pub table: Tensor,
     pub layers: Vec<Layer2dParams>,
-    pub final_ln: LayerNorm2d,
-    /// Sentence-classification head block `[h/q, c/q]` (the second branch
-    /// of the paper's Fig. 1), present after
-    /// [`OptimusModel::with_classifier`].
-    pub cls: Option<crate::linear2d::Linear2d>,
+    /// Final layer-norm γ, β: this column's `h/q` slice on mesh row 0.
+    pub final_ln_g: Option<Vec<f32>>,
+    pub final_ln_b: Option<Vec<f32>>,
+    /// Sentence-classification head (the second branch of the paper's
+    /// Fig. 1): weight block `[h/q, c/q]` and, on mesh row 0, this column's
+    /// bias slice; present after [`OptimusModel::with_classifier`].
+    pub cls: Option<(Tensor, Option<Vec<f32>>)>,
     /// Activation-byte accounting for the most recent step.
     pub meter: MemMeter,
 }
@@ -70,8 +73,8 @@ impl OptimusModel {
             &[self.cfg.hidden, num_classes],
             tensor::init::WEIGHT_STD,
         );
-        let bias = vec![0.0f32; num_classes];
-        self.cls = Some(crate::linear2d::Linear2d::from_full(grid, &full, &bias));
+        let w = full.summa_block(grid.row(), grid.col(), grid.q());
+        self.cls = Some((w, hosted_slice(grid, &vec![0.0f32; num_classes])));
         self
     }
 
@@ -91,7 +94,7 @@ impl OptimusModel {
         StemRef {
             table: &self.table,
             layers: &self.layers,
-            final_ln: [&self.final_ln.gamma, &self.final_ln.beta],
+            final_ln: [&self.final_ln_g, &self.final_ln_b],
         }
     }
 
@@ -104,11 +107,11 @@ impl OptimusModel {
 
     /// Classification logits for this device's sequences: `[b/q, c/q]`.
     pub fn classify_forward<C: Communicator>(&self, grid: &Grid2d<C>, tokens: &[usize]) -> Tensor {
-        let cls = self.cls.as_ref().expect("built without classifier head");
+        let (w, b) = self.cls.as_ref().expect("built without classifier head");
         let cfg = &self.cfg;
         let low = Summa2d { grid, cfg };
         let hidden = self.hidden_states(&low, tokens);
-        cls.forward(&low, &self.pool_first_token(&hidden))
+        linear_forward(&low, Role::Expand, &self.pool_first_token(&hidden), w, b)
     }
 
     /// Global mean classification loss for per-sequence labels `[b]`
@@ -219,16 +222,16 @@ impl OptimusModel {
 
         let x = low.embed(table, tokens_local);
         let (y, kept) = stem::sweep_forward(&low, &self.layers, x, Keep::Inputs, meter);
-        let (hidden, final_ln_cache) = self.final_ln.forward(&low, &y);
+        let (hidden, final_ln_cache) = ln_forward(&low, &y, &self.final_ln_g, &self.final_ln_b);
         let (loss, dlogits) =
             stem::head_loss(&low, table, &hidden, labels_local, total_rows, meter);
 
         let mut d_table = Tensor::zeros(&[table.rows(), table.cols()]);
         let dhidden = stem::head_backward(&low, table, &hidden, dlogits, &mut d_table, meter);
-        let (dx, fg, fb) = self.final_ln.backward(&low, &dhidden, &final_ln_cache);
+        let (dx, fg, fb) = ln_backward(&low, &dhidden, &final_ln_cache);
         let mut update = |p: &mut [f32], g: &[f32]| sgd(p, g, lr);
-        walk_pair(&mut self.final_ln.gamma, &fg, &mut update);
-        walk_pair(&mut self.final_ln.beta, &fb, &mut update);
+        walk_pair(&mut self.final_ln_g, &fg, &mut update);
+        walk_pair(&mut self.final_ln_b, &fb, &mut update);
 
         // Immediate update: the sink applies a layer's gradients and drops
         // them, which is the "reset the parameter gradient buffer" step.
@@ -287,39 +290,11 @@ impl OptimusModel {
     ) {
         walk_stem(
             &mut self.table,
-            [&mut self.final_ln.gamma, &mut self.final_ln.beta],
+            [&mut self.final_ln_g, &mut self.final_ln_b],
             &mut self.layers,
             grads,
             f,
         );
-    }
-
-    /// One SGD step accumulated over several microbatches (gradient
-    /// accumulation): each `(tokens, labels)` pair is a full `b·s` batch for
-    /// this config; the averaged gradients are exactly those of one large
-    /// batch of `k·b` sequences. Returns the mean loss.
-    pub fn train_step_accumulated<C: Communicator>(
-        &mut self,
-        grid: &Grid2d<C>,
-        microbatches: &[(Vec<usize>, Vec<usize>)],
-        lr: f32,
-    ) -> f32 {
-        assert!(!microbatches.is_empty());
-        let k = microbatches.len() as f32;
-        let mut total: Option<Model2dGrads> = None;
-        let mut loss_sum = 0.0f32;
-        for (tokens, labels) in microbatches {
-            let (loss, grads) = self.lm_grads(grid, tokens, labels);
-            loss_sum += loss;
-            match &mut total {
-                None => total = Some(grads),
-                Some(acc) => acc.accumulate(&grads),
-            }
-        }
-        let mut grads = total.expect("at least one microbatch");
-        grads.scale(1.0 / k);
-        self.apply_sgd(&grads, lr);
-        loss_sum / k
     }
 
     /// One SGD step with **global** gradient-norm clipping: every device
@@ -501,40 +476,6 @@ mod tests {
         // The same sweep with a different sink: when a gradient is applied
         // does not change it.
         assert_eq!(bits(&plain), bits(&fused));
-    }
-
-    #[test]
-    fn gradient_accumulation_equals_the_large_batch() {
-        // Two accumulated microbatches of b sequences == one serial batch
-        // of 2b sequences (same tokens, concatenated).
-        let cfg = OptimusConfig::tiny(2);
-        let (t1, l1) = data(&cfg, 40);
-        let (t2, l2) = data(&cfg, 41);
-        let lr = 0.25;
-
-        let big_cfg = serial::ModelConfig {
-            batch: 2 * cfg.batch,
-            ..cfg.model()
-        };
-        let big_tokens: Vec<usize> = t1.iter().chain(&t2).copied().collect();
-        let big_labels: Vec<usize> = l1.iter().chain(&l2).copied().collect();
-        let mut reference = SerialModel::new(big_cfg, 14);
-        let ref_losses: Vec<f32> = (0..3)
-            .map(|_| reference.train_step(&big_tokens, &big_labels, lr))
-            .collect();
-
-        let micro = vec![(t1, l1), (t2, l2)];
-        let losses = Mesh2d::run(cfg.q, |grid| {
-            let mut m = OptimusModel::new(&cfg, 14, grid);
-            (0..3)
-                .map(|_| m.train_step_accumulated(grid, &micro, lr))
-                .collect::<Vec<f32>>()
-        });
-        for dev in &losses {
-            for (a, b) in dev.iter().zip(&ref_losses) {
-                assert!((a - b).abs() < 2e-3, "accumulated={a} big-batch={b}");
-            }
-        }
     }
 
     #[test]

@@ -507,6 +507,13 @@ mod tests {
             dot(&layer_forward(&Local(cfg), &p2, &x).0, &w)
         };
         check_grad(with_wfc2, &p.w_fc2, &grads.w_fc2, 1e-2, 5e-3, 5e-2);
+
+        // fc2's output joins the residual unchanged, so its bias gradient is
+        // the column sum of the upstream gradient.
+        for c in 0..cfg.hidden {
+            let col: f32 = (0..cfg.tokens()).map(|r| w.at(r, c)).sum();
+            assert!((grads.b_fc2[c] - col).abs() < 1e-5, "b_fc2[{c}]");
+        }
     }
 
     #[test]

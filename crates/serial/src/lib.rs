@@ -33,7 +33,6 @@
 mod attention;
 mod config;
 mod layer;
-mod linear;
 mod model;
 mod params;
 pub mod stem;
@@ -44,7 +43,6 @@ pub use layer::{
     layer_backward, layer_forward, linear_backward, linear_forward, ln_backward, ln_forward,
     local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
 };
-pub use linear::Linear;
 pub use model::SerialModel;
 pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,

@@ -3,8 +3,7 @@
 //! cross-entropy) and the sentence-level classification branch.
 
 use crate::config::ModelConfig;
-use crate::layer::{Local, Lowering};
-use crate::linear::Linear;
+use crate::layer::{linear_forward, Local, Lowering, Role};
 use crate::params::ModelParams;
 use crate::stem::{self, MemMeter, StemRef};
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
@@ -15,9 +14,9 @@ use tensor::Tensor;
 pub struct SerialModel {
     pub cfg: ModelConfig,
     pub params: ModelParams,
-    /// Sentence-classification head (`[h, 2]`), present when constructed
-    /// with [`SerialModel::with_classifier`].
-    pub cls: Option<Linear>,
+    /// Sentence-classification head: weight `[h, 2]` and bias `[2]`,
+    /// present when constructed with [`SerialModel::with_classifier`].
+    pub cls: Option<(Tensor, Vec<f32>)>,
 }
 
 impl SerialModel {
@@ -33,7 +32,7 @@ impl SerialModel {
     /// Adds the binary sentence-classification head.
     pub fn with_classifier(mut self, seed: u64) -> Self {
         let w = init_matrix(seed, param_ids::CLS_HEAD, &[self.cfg.hidden, 2], WEIGHT_STD);
-        self.cls = Some(Linear::new(w, init_vector(2, 0.0)));
+        self.cls = Some((w, init_vector(2, 0.0)));
         self
     }
 
@@ -151,7 +150,7 @@ impl SerialModel {
     /// token of each sequence and project to two classes. Returns per-
     /// sequence logits `[b, 2]`.
     pub fn classify_forward(&self, tokens: &[usize]) -> Tensor {
-        let cls = self.cls.as_ref().expect("built without classifier head");
+        let (w, b) = self.cls.as_ref().expect("built without classifier head");
         let hidden = self.hidden_states(tokens);
         let mut pooled = Tensor::zeros(&[self.cfg.batch, self.cfg.hidden]);
         for b in 0..self.cfg.batch {
@@ -159,7 +158,7 @@ impl SerialModel {
                 .row_mut(b)
                 .copy_from_slice(hidden.row(b * self.cfg.seq));
         }
-        cls.forward(&pooled)
+        linear_forward(&Local(self.cfg), Role::Expand, &pooled, w, b)
     }
 
     /// Classification loss for per-sequence binary labels.

@@ -245,17 +245,6 @@ impl<B: Hosted> ModelTensors<B> {
         );
     }
 
-    /// [`ModelTensors::walk`] over one set of tensors.
-    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut [f32])) {
-        f(self.embedding.as_mut_slice());
-        for v in [&mut self.final_ln_g, &mut self.final_ln_b] {
-            v.hosted_mut().into_iter().for_each(&mut *f);
-        }
-        for l in &mut self.layers {
-            l.walk_mut(f);
-        }
-    }
-
     /// `self += other` — gradient accumulation.
     pub fn accumulate(&mut self, other: &Self) {
         self.walk(other, &mut |a, b| {
@@ -263,12 +252,6 @@ impl<B: Hosted> ModelTensors<B> {
                 *x += y;
             }
         });
-    }
-
-    /// Scales every tensor by `s` (e.g. `1/k` after accumulating `k`
-    /// microbatches).
-    pub fn scale(&mut self, s: f32) {
-        self.walk_mut(&mut |a| a.iter_mut().for_each(|x| *x *= s));
     }
 
     /// Scalars held locally.

@@ -1,21 +1,29 @@
 //! Hybrid data-parallel × 2D tensor-parallel training: 2 replicas, each an
 //! Optimus 2×2 sub-mesh (8 simulated devices total), trained on a shared
 //! global batch — and verified against the serial model on that same batch.
+//! Data parallelism is the `dp` axis of a `HybridSpec` with one pipeline
+//! stage and one microbatch.
 //!
 //! ```text
 //! cargo run --release --example hybrid_dp
 //! ```
 
+use optimus::hybrid::{self, HybridSpec};
 use optimus::mesh::Mesh;
-use optimus::optimus_core::{hybrid_layout, hybrid_train_step, OptimusConfig, OptimusModel};
-use optimus::serial::{ModelConfig, SerialModel};
+use optimus::optimus_core::OptimusConfig;
+use optimus::serial::SerialModel;
 use optimus::tensor::Rng;
 
 fn main() {
-    let dp = 2; // data-parallel replicas
+    let spec = HybridSpec {
+        pp: 1,
+        dp: 2, // data-parallel replicas
+        grid: [2, 2, 1],
+        microbatches: 1,
+    };
     let cfg = OptimusConfig {
-        q: 2,
-        batch: 4, // per replica; global batch = dp * batch = 8
+        q: spec.q(),
+        batch: 8, // the global batch: 4 sequences per replica
         seq: 8,
         hidden: 16,
         heads: 4,
@@ -25,40 +33,29 @@ fn main() {
         checkpoint: true,
         fused_attention: false,
     };
-    let devices = dp * cfg.q * cfg.q;
-    let global_batch = dp * cfg.batch;
+    let devices = spec.devices();
     println!(
-        "hybrid layout: {dp} replicas x {}x{} mesh = {devices} devices, global batch {global_batch}",
-        cfg.q, cfg.q
+        "hybrid layout: {} replicas x {}x{} mesh = {devices} devices, global batch {}",
+        spec.dp, cfg.q, cfg.q, cfg.batch
     );
 
     let mut rng = Rng::new(0);
-    let n = global_batch * cfg.seq;
+    let n = cfg.batch * cfg.seq;
     let tokens: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
     let labels: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
 
     let steps = 8;
     let lr = 0.4;
     let losses = Mesh::run(devices, |ctx| {
-        let (grid, dp_group, replica) = hybrid_layout(ctx, dp, cfg.q);
-        let mut model = OptimusModel::new(&cfg, 11, &grid);
+        let (mut stage, grid) = hybrid::build(ctx, &spec, &cfg, 11);
         (0..steps)
-            .map(|_| hybrid_train_step(&mut model, &grid, &dp_group, replica, &tokens, &labels, lr))
+            .map(|_| stage.train_step(&grid, &tokens, &labels, lr))
             .collect::<Vec<f32>>()
     });
 
     // The serial reference trained on the full global batch must follow the
-    // exact same trajectory (gradient averaging == global mean loss).
-    let serial_cfg = ModelConfig {
-        batch: global_batch,
-        seq: cfg.seq,
-        hidden: cfg.hidden,
-        heads: cfg.heads,
-        vocab: cfg.vocab,
-        layers: cfg.layers,
-        causal: false,
-    };
-    let mut reference = SerialModel::new(serial_cfg, 11);
+    // exact same trajectory (summed replica gradients == global mean loss).
+    let mut reference = SerialModel::new(cfg.model(), 11);
     println!("\nstep   hybrid(2x2x2)   serial(b=8)   |diff|");
     for (step, &loss) in losses[0].iter().enumerate() {
         let r = reference.train_step(&tokens, &labels, lr);

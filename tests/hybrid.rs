@@ -1,15 +1,17 @@
-//! Integration tests for the hybrid 3D/4D schedule (ISSUE PR 8, satellite e):
-//! the degenerate hybrid step must be *bitwise* the plain `GridNd` step, the
-//! dp=2 step must match serial gradient summation to 1e-12, mixed specs must
-//! replay identically on the dry-run backend, and every configuration the
-//! autotuner prices must be a spec the live runtime accepts.
+//! Integration tests for the hybrid 3D/4D schedule: the degenerate hybrid
+//! step must be *bitwise* the plain `GridNd` step, the dp=2 step must match
+//! serial gradient summation to 1e-12, ZeRO-1 must be serial Adam with
+//! sharded state, mixed specs must replay identically on the dry-run
+//! backend, and every configuration the autotuner prices must be a spec the
+//! live runtime accepts.
 
 use hybrid::{build, HybridSpec, HybridStage};
 use mesh::{GridNd, Mesh};
 use optimus_core::{OptimusConfig, OptimusModel};
 use perf::autotune::{autotune, AutotuneModel};
 use perf::HardwareProfile;
-use serial::ModelParams;
+use serial::{ModelParams, SerialModel};
+use tensor::optim::AdamSet;
 use tensor::Rng;
 
 fn data(cfg: &OptimusConfig, seed: u64) -> (Vec<usize>, Vec<usize>) {
@@ -161,6 +163,74 @@ fn dp2_step_matches_serial_gradient_averaging_to_1e12() {
         worst <= 1e-12,
         "max parameter deviation {worst:e} exceeds 1e-12"
     );
+}
+
+/// ZeRO-1 on the hybrid stage is full-state Adam on the global batch: the
+/// serial Adam trajectory within 2e-3 and one loss on every device, on a
+/// dp × 2D spec, on a pipeline × dp spec and on a pipeline alone.
+#[test]
+fn zero1_matches_serial_adam_on_the_global_batch() {
+    let lr = 0.02;
+    for (pp, dp, q, microbatches) in [(1, 2, 2, 1), (2, 2, 1, 2), (2, 1, 1, 2)] {
+        let spec = HybridSpec {
+            pp,
+            dp,
+            grid: [q, q, 1],
+            microbatches,
+        };
+        let cfg = OptimusConfig {
+            batch: 4,
+            ..OptimusConfig::tiny(q)
+        };
+        let (tokens, labels) = data(&cfg, 3);
+        let mut reference = SerialModel::new(cfg.model(), 5);
+        let mut ref_opt = AdamSet::new(lr);
+        let ref_losses: Vec<f32> = (0..4)
+            .map(|_| reference.train_step_adam(&tokens, &labels, &mut ref_opt))
+            .collect();
+
+        let losses = Mesh::run(spec.devices(), |ctx| {
+            let (mut st, grid) = build(ctx, &spec, &cfg, 5);
+            let mut opt = AdamSet::new(lr);
+            (0..4)
+                .map(|_| st.train_step_zero1(&grid, &tokens, &labels, &mut opt))
+                .collect::<Vec<f32>>()
+        });
+        for dev in &losses {
+            assert_eq!(dev, &losses[0], "{spec:?}: losses differ across devices");
+            for (a, b) in dev.iter().zip(&ref_losses) {
+                assert!((a - b).abs() < 2e-3, "{spec:?}: zero1={a} serial={b}");
+            }
+        }
+    }
+}
+
+/// ZeRO-1 shards the Adam moments: with one stage, all devices together
+/// hold exactly one f32 pair (8 bytes) per model parameter, and each dp
+/// pair splits its blocks about evenly.
+#[test]
+fn zero1_state_bytes_sum_to_eight_per_parameter() {
+    let spec = HybridSpec {
+        pp: 1,
+        dp: 2,
+        grid: [2, 2, 1],
+        microbatches: 1,
+    };
+    let cfg = OptimusConfig {
+        batch: 4,
+        ..OptimusConfig::tiny(2)
+    };
+    let (tokens, labels) = data(&cfg, 4);
+    let bytes = Mesh::run(spec.devices(), |ctx| {
+        let (mut st, grid) = build(ctx, &spec, &cfg, 5);
+        let mut opt = AdamSet::new(0.01);
+        st.train_step_zero1(&grid, &tokens, &labels, &mut opt);
+        opt.state_bytes()
+    });
+    let total: usize = bytes.iter().sum();
+    assert_eq!(total, 8 * cfg.model().total_params());
+    let pair = bytes[0] + bytes[spec.mesh_devices()];
+    assert!(bytes[0] < pair * 6 / 10, "shard not balanced: {bytes:?}");
 }
 
 /// A full 4D spec — 2 pipeline stages over 2.5D `[2,2,2]` meshes — must emit

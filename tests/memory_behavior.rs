@@ -4,7 +4,7 @@
 
 use optimus::mesh::{Mesh2d, MeshNd};
 use optimus::optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
-use optimus::serial::{stem, Lowering};
+use optimus::serial::{ln_forward, stem, Lowering};
 use optimus::summa::{distribute, summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
 use optimus::tensor::gemm::Form;
 use optimus::tensor::{Rng, Tensor};
@@ -73,7 +73,7 @@ fn non_checkpointed_peak_is_the_caches_and_the_head_exactly() {
             want += cache.bytes();
             x = y;
         }
-        let (hidden, _) = m.final_ln.forward(&low, &x);
+        let (hidden, _) = ln_forward(&low, &x, &m.final_ln_g, &m.final_ln_b);
         want += (hidden.len() + stem::logits(&low, &hidden, &m.table).len()) * 4;
         let got = m.train_step_detailed(g, &tokens, &labels, 0.1);
         (got.peak_activation_bytes, want)
