@@ -52,8 +52,7 @@
 //!
 //! `--metrics out.json` writes a runtime metrics report (see
 //! OBSERVABILITY.md, "Metrics"): under a live `train`, per-rank **measured**
-//! peak memory per phase, pool utilization counters, and per-collective
-//! wait histograms harvested from the metered training run; under
+//! peak memory per phase and per-collective wait histograms harvested from the metered training run; under
 //! `--dry-run` the memory numbers come from the `perf::memory` analytical
 //! model instead — the report's `source` fields label which is which.
 //! Unwritable `--trace`/`--metrics` paths are rejected before the run.
@@ -517,8 +516,8 @@ fn projection_cost(a: &Args) -> (HardwareProfile, usize, CostModel) {
     (profile, gpn, cost)
 }
 
-/// Extracts a [`Calibration`] from a `gemm-bench` artifact: the
-/// single-thread engine row with the most MACs (the most load-bearing
+/// Extracts a [`Calibration`] from a `gemm-bench` artifact: the engine row
+/// with the most MACs (the most load-bearing
 /// measurement, `square-512` in a full run). `Ok(None)` if the file is
 /// absent so the caller can fall back to measuring in-process.
 fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
@@ -534,9 +533,6 @@ fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
     };
     let mut best: Option<(usize, Calibration)> = None;
     for row in results {
-        if row.get("threads")?.as_usize()? != 1 {
-            continue;
-        }
         let (m, k, n) = (
             row.get("m")?.as_usize()?,
             row.get("k")?.as_usize()?,
@@ -553,7 +549,6 @@ fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
                 Calibration {
                     mac_rate: row.get("gflops")?.as_f64()? * 1e9 / 2.0,
                     shape: [m, k, n],
-                    threads: 1,
                     source: format!("{path}:{name}"),
                 },
             ));
@@ -561,26 +556,25 @@ fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
     }
     match best {
         Some((_, cal)) => Ok(Some(cal)),
-        None => Err(format!("{path} has no single-thread result rows")),
+        None => Err(format!("{path} has no result rows")),
     }
 }
 
-/// Measures the engine in-process at 512³ single-threaded (the same
-/// configuration `gemm-bench` uses for its seed-speedup headline).
+/// Measures the engine in-process at 512³ (the same configuration
+/// `gemm-bench` uses for its seed-speedup headline).
 fn calibration_measured() -> Calibration {
     use tensor::gemm::{gemm_acc, Form};
     const S: usize = 512;
     let a = tensor::Tensor::randn(&[S, S], 1.0, &mut Rng::new(1)).into_vec();
     let b = tensor::Tensor::randn(&[S, S], 1.0, &mut Rng::new(2)).into_vec();
     let mut c = vec![0.0f32; S * S];
-    let secs = bench::bench_fn("calibrate", "square-512/t1", 5, || {
-        tensor::pool::with_thread_cap(1, || gemm_acc(Form::NN, &mut c, S, S, &a, &b, S));
+    let secs = bench::bench_fn("calibrate", "square-512", 5, || {
+        gemm_acc(Form::NN, &mut c, S, S, &a, &b, S);
         c[0]
     });
     Calibration {
         mac_rate: (S * S * S) as f64 / secs,
         shape: [S, S, S],
-        threads: 1,
         source: format!("measured in-process ({})", tensor::gemm::kernel_name()),
     }
 }
@@ -613,13 +607,11 @@ fn calibrate(flags: &HashMap<String, String>) {
         .unwrap_or(CALIBRATION_PATH);
     cal.save(out).expect("write calibration file");
     println!(
-        "calibrated: {:.2} GFLOP/s at {}x{}x{} ({} thread{}) — wrote {out}",
+        "calibrated: {:.2} GFLOP/s at {}x{}x{} — wrote {out}",
         cal.gflops(),
         cal.shape[0],
         cal.shape[1],
         cal.shape[2],
-        cal.threads,
-        if cal.threads == 1 { "" } else { "s" },
     );
     println!("dry-run projections now use this rate (override with --profile frontera)");
 }
@@ -1814,18 +1806,16 @@ mod tests {
     }
 
     #[test]
-    fn calibration_prefers_largest_single_thread_row() {
+    fn calibration_prefers_largest_row() {
         let dir = std::env::temp_dir().join("optimus-cli-calibrate-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_gemm.json");
-        // Two t=1 rows plus a pooled row that must be ignored; the 512³ row
-        // wins even though the pooled one is faster.
+        // The 512³ row wins even though the 256³ one is faster.
         std::fs::write(
             &path,
             r#"{"results": [
-                {"name": "square-256", "m": 256, "k": 256, "n": 256, "threads": 1, "secs": 0.001, "gflops": 40.0},
-                {"name": "square-512", "m": 512, "k": 512, "n": 512, "threads": 1, "secs": 0.005, "gflops": 50.0},
-                {"name": "square-512", "m": 512, "k": 512, "n": 512, "threads": 8, "secs": 0.001, "gflops": 250.0}
+                {"name": "square-256", "m": 256, "k": 256, "n": 256, "secs": 0.001, "gflops": 60.0},
+                {"name": "square-512", "m": 512, "k": 512, "n": 512, "secs": 0.005, "gflops": 50.0}
             ]}"#,
         )
         .unwrap();
@@ -1833,7 +1823,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(cal.shape, [512, 512, 512]);
-        assert_eq!(cal.threads, 1);
         assert!((cal.gflops() - 50.0).abs() < 1e-9);
         assert!(cal.source.ends_with("square-512"));
         assert!(calibration_from_bench("/nonexistent/BENCH.json")

@@ -51,10 +51,6 @@ impl MeshRun {
             for ctx in ctxs.drain(..) {
                 let tx = tx.clone();
                 scope.spawn(move || {
-                    // Mark this thread as a simulated device: its tensor
-                    // kernels run on this thread alone, never fanned out to
-                    // the shared compute pool.
-                    let _device = tensor::pool::enter_device();
                     // When metrics collection is enabled, give this device
                     // thread its own registry (allocation tracker, wait
                     // histograms); harvested per rank after `f` returns.

@@ -1,31 +1,26 @@
-//! Runtime metrics: counters, gauges, log₂ histograms, and per-device
-//! memory telemetry.
+//! Runtime metrics: counters, log₂ histograms, and per-device memory
+//! telemetry.
 //!
 //! The `trace` crate answers *what happened when*; this crate answers *how
-//! much*: measured peak memory per (rank, phase), compute-pool utilization,
-//! and wait-time distributions for non-blocking collectives. The ROADMAP
+//! much*: measured peak memory per (rank, phase) and wait-time distributions
+//! for non-blocking collectives. The ROADMAP
 //! items that motivated it — memory-budgeted autotuning, serving SLOs,
 //! explaining overlap losses — all consume aggregates, not timelines.
 //!
 //! # Design
 //!
-//! Two registries, both built from the same three primitives ([`Counter`],
-//! [`Gauge`], [`Histogram`] — plain relaxed atomics, no locks on any hot
-//! path):
-//!
-//! * **Per-device registry** — thread-local, installed on every live device
-//!   thread by `mesh::Mesh::run_with_logs` when collection is [`enable`]d,
-//!   and harvested per rank at run end (the same lifecycle as `CommLog` and
-//!   the `trace` collector). It holds the allocation tracker (live/peak
-//!   tensor bytes, fed by the `tensor` crate's construction/drop funnel),
-//!   per-phase peak memory (fed by `trace` span boundaries through
-//!   [`phase_enter`]/[`phase_exit`]), and per-collective-kind wait
-//!   histograms (fed by `mesh::nonblocking`).
-//! * **Global registry** — process-wide named counters and gauges for
-//!   shared infrastructure that is not per-device, chiefly the compute pool
-//!   (tasks executed, steals, idle nanoseconds, queue depth). [`enable`]
-//!   snapshots a baseline so a run's report shows deltas, not process
-//!   lifetime totals.
+//! The primitives ([`Counter`], [`Histogram`]) are plain relaxed atomics,
+//! with no locks on any hot path. Collection is a **per-device registry**:
+//! thread-local, installed on every live device thread by
+//! `mesh::Mesh::run_with_logs` when collection is [`enable`]d, and harvested
+//! per rank at run end (the same lifecycle as `CommLog` and the `trace`
+//! collector). It holds the allocation tracker (live/peak tensor bytes, fed
+//! by the `tensor` crate's construction/drop funnel), per-phase peak memory
+//! (fed by `trace` span boundaries through [`phase_enter`]/[`phase_exit`]),
+//! and per-collective-kind wait histograms (fed by `mesh::nonblocking`).
+//! Every kernel runs on its device's thread, so nothing is shared between
+//! devices to count process-wide; [`global_counter`] stays only as the
+//! by-name lookup the step benchmark reads (its counters read 0).
 //!
 //! When collection is disabled (the default), every hot-path entry point is
 //! one thread-local `RefCell` check — the same zero-cost-when-off contract
@@ -40,10 +35,8 @@
 //! // ... run a live mesh program; device threads install/harvest
 //! //     automatically via mesh::Mesh::run_with_logs ...
 //! let devices = metrics::drain();
-//! let pool = metrics::global_delta_json();
 //! metrics::disable();
 //! # assert!(devices.is_empty());
-//! # let _ = pool;
 //! ```
 //!
 //! [`regress`] is the perf-regression gate: it compares a fresh
@@ -82,48 +75,6 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
-    }
-}
-
-/// A level with peak tracking (e.g. queue depth, live bytes).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    cur: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Gauge {
-    pub const fn new() -> Self {
-        Gauge {
-            cur: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        }
-    }
-
-    pub fn add(&self, v: u64) {
-        let now = self.cur.fetch_add(v, Relaxed) + v;
-        self.peak.fetch_max(now, Relaxed);
-    }
-
-    /// Saturating decrement: unmatched releases clamp at zero instead of
-    /// wrapping (a buffer may be created before collection was enabled).
-    pub fn sub(&self, v: u64) {
-        let _ = self
-            .cur
-            .fetch_update(Relaxed, Relaxed, |c| Some(c.saturating_sub(v)));
-    }
-
-    pub fn set(&self, v: u64) {
-        self.cur.store(v, Relaxed);
-        self.peak.fetch_max(v, Relaxed);
-    }
-
-    pub fn current(&self) -> u64 {
-        self.cur.load(Relaxed)
-    }
-
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Relaxed)
     }
 }
 
@@ -264,55 +215,18 @@ impl HistSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Global registry (process-wide, shared infrastructure like the pool)
+// Process-wide counters
 // ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct GlobalRegistry {
-    counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
-}
-
-fn global() -> &'static GlobalRegistry {
-    static GLOBAL: std::sync::OnceLock<GlobalRegistry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(GlobalRegistry::default)
-}
 
 /// Interns (or retrieves) the process-wide counter `name`. The returned
 /// reference is `'static`: resolve once at setup, increment lock-free after.
 pub fn global_counter(name: &'static str) -> &'static Counter {
-    let mut map = global().counters.lock().unwrap();
+    static COUNTERS: Mutex<BTreeMap<&'static str, &'static Counter>> = Mutex::new(BTreeMap::new());
+    let mut map = COUNTERS
+        .lock()
+        .expect("no thread panics while interning a counter");
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(Counter::new())))
-}
-
-/// Interns (or retrieves) the process-wide gauge `name`.
-pub fn global_gauge(name: &'static str) -> &'static Gauge {
-    let mut map = global().gauges.lock().unwrap();
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
-}
-
-/// Current values of every global counter.
-pub fn global_counter_values() -> BTreeMap<&'static str, u64> {
-    global()
-        .counters
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(&k, c)| (k, c.get()))
-        .collect()
-}
-
-/// Current `(level, peak)` of every global gauge.
-pub fn global_gauge_values() -> BTreeMap<&'static str, (u64, u64)> {
-    global()
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(&k, g)| (k, (g.current(), g.peak())))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -321,14 +235,11 @@ pub fn global_gauge_values() -> BTreeMap<&'static str, (u64, u64)> {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Vec<DeviceSnapshot>> = Mutex::new(Vec::new());
-static BASELINE: Mutex<Option<BTreeMap<&'static str, u64>>> = Mutex::new(None);
 
-/// Turns collection on: clears previously drained snapshots and records the
-/// global-counter baseline so [`global_delta_json`] reports this run only.
-/// Device threads spawned after this call install per-device registries.
+/// Turns collection on and clears previously drained snapshots. Device
+/// threads spawned after this call install per-device registries.
 pub fn enable() {
     SINK.lock().unwrap().clear();
-    *BASELINE.lock().unwrap() = Some(global_counter_values());
     ENABLED.store(true, Relaxed);
 }
 
@@ -604,23 +515,6 @@ impl DeviceSnapshot {
     }
 }
 
-/// Global counters as deltas against the [`enable`]-time baseline, plus
-/// gauge peaks — the report's "pool" section.
-pub fn global_delta_json() -> Json {
-    let baseline = BASELINE.lock().unwrap().clone().unwrap_or_default();
-    let mut fields: Vec<(&str, Json)> = global_counter_values()
-        .into_iter()
-        .map(|(k, v)| {
-            let b = baseline.get(k).copied().unwrap_or(0);
-            (k, Json::Num(v.saturating_sub(b) as f64))
-        })
-        .collect();
-    for (k, (_cur, peak)) in global_gauge_values() {
-        fields.push((k, Json::Num(peak as f64)));
-    }
-    Json::obj(fields)
-}
-
 /// Assembles the full metrics report. `source` is `"live"` (memory comes
 /// from the measured tracker) or `"dry-run"` (memory comes from the
 /// analytical model); `extras` are caller fields (grid, scheme, the
@@ -633,7 +527,6 @@ pub fn report_json(source: &str, devices: &[DeviceSnapshot], extras: Vec<(&str, 
             "devices",
             Json::Arr(devices.iter().map(|d| d.to_json()).collect()),
         ),
-        ("pool", global_delta_json()),
     ];
     fields.extend(extras);
     Json::obj(fields)
@@ -659,8 +552,8 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Human summary of the per-device snapshots plus the pool delta — what the
-/// CLI prints to stdout next to the JSON report.
+/// Human summary of the per-device snapshots — what the CLI prints to stdout
+/// next to the JSON report.
 pub fn render_summary(devices: &[DeviceSnapshot]) -> String {
     let mut out = String::new();
     out.push_str("rank  peak mem      live@end      allocs  phases (peak)\n");
@@ -702,8 +595,6 @@ pub fn render_summary(devices: &[DeviceSnapshot]) -> String {
             ));
         }
     }
-    let pool = global_delta_json();
-    out.push_str(&format!("pool: {}\n", pool.to_string()));
     out
 }
 
@@ -736,7 +627,6 @@ pub fn validate_report(j: &Json) -> Result<(), String> {
         d.get("inflight_ns")?;
         d.get("rank")?.as_usize()?;
     }
-    j.get("pool")?;
     Ok(())
 }
 
@@ -762,21 +652,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.add(3);
         c.inc();
         assert_eq!(c.get(), 4);
-        let g = Gauge::new();
-        g.add(10);
-        g.add(5);
-        g.sub(12);
-        assert_eq!(g.current(), 3);
-        assert_eq!(g.peak(), 15);
-        g.sub(100); // saturates
-        assert_eq!(g.current(), 0);
-        g.set(7);
-        assert_eq!((g.current(), g.peak()), (7, 15));
     }
 
     #[test]
@@ -901,15 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn global_registry_interns_and_deltas() {
+    fn global_counters_intern_by_name() {
         let c = global_counter("test.metric_a");
         let again = global_counter("test.metric_a");
         assert!(std::ptr::eq(c, again));
         c.add(5);
-        let g = global_gauge("test.gauge_a");
-        g.set(3);
-        assert!(global_counter_values()["test.metric_a"] >= 5);
-        assert_eq!(global_gauge_values()["test.gauge_a"].1, 3);
+        assert_eq!(again.get(), 5);
+        assert!(!std::ptr::eq(c, global_counter("test.metric_b")));
     }
 
     #[test]
@@ -921,6 +799,5 @@ mod tests {
         let text = render_summary(&[snap]);
         assert!(text.contains("MiB"));
         assert!(text.contains("Reduce"));
-        assert!(text.contains("pool:"));
     }
 }

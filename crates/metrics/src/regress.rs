@@ -4,8 +4,8 @@
 //! The bench binaries have always recorded their numbers; nothing *gated*
 //! on them, so a kernel regression only surfaced when someone eyeballed the
 //! JSON. This module extracts the comparable scalar metrics from both bench
-//! schemas, pairs them by stable keys (shape name + thread count for GEMM
-//! rows; op + payload + algorithm for collective rows), and checks each
+//! schemas, pairs them by stable keys (shape name for GEMM rows; op +
+//! payload + algorithm for collective rows), and checks each
 //! fresh value against the baseline within a relative tolerance band:
 //!
 //! * higher-is-better metrics (GFLOP/s, GB/s, speedups): `fresh ≥ base·(1 − tol)`
@@ -25,7 +25,7 @@ use minjson::Json;
 /// One paired metric and its verdict.
 #[derive(Clone, Debug)]
 pub struct Check {
-    /// Stable metric key, e.g. `"gemm.square-512.t1.gflops"`.
+    /// Stable metric key, e.g. `"gemm.square-512.gflops"`.
     pub key: String,
     pub baseline: f64,
     pub fresh: f64,
@@ -103,26 +103,10 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
             j.get("speedup_vs_seed")?.as_f64()?,
             true,
         ));
-        if let Some(r) = num(j, "pooled_vs_serial_256") {
-            out.push(("gemm.pooled_vs_serial_256".into(), r, true));
-        } else if let Ok(p) = j.get("pooled_vs_serial_256") {
-            if let Some(r) = num(p, "ratio") {
-                out.push(("gemm.pooled_vs_serial_256".into(), r, true));
-            }
-        }
         for row in j.get("results")?.as_arr()? {
-            let name = match row.get("name")? {
-                Json::Str(s) => s.clone(),
-                other => {
-                    return Err(format!(
-                        "shape name must be a string, got {}",
-                        other.to_string()
-                    ))
-                }
-            };
-            let threads = row.get("threads")?.as_usize()?;
+            let name = str_field(row, "name")?;
             let gflops = row.get("gflops")?.as_f64()?;
-            out.push((format!("gemm.{name}.t{threads}.gflops"), gflops, true));
+            out.push((format!("gemm.{name}.gflops"), gflops, true));
         }
         // Element-wise kernel rows (absent from files written before them).
         if let Ok(rows) = j.get("elementwise") {
@@ -244,11 +228,10 @@ mod tests {
     fn gemm(gflops_512: f64, speedup: f64, smoke: bool) -> Json {
         minjson::parse(&format!(
             r#"{{"smoke":{smoke},"speedup_vs_seed":{speedup},
-                "pooled_vs_serial_256":{{"ratio":1.05}},
                 "host":{{"threads":1,"avx2":true}},
                 "results":[
-                  {{"name":"square-512","threads":1,"gflops":{gflops_512},"m":512,"n":512,"k":512,"secs":0.004}},
-                  {{"name":"square-64","threads":1,"gflops":30.0,"m":64,"n":64,"k":64,"secs":0.0001}}
+                  {{"name":"square-512","gflops":{gflops_512},"m":512,"n":512,"k":512,"secs":0.004}},
+                  {{"name":"square-64","gflops":30.0,"m":64,"n":64,"k":64,"secs":0.0001}}
                 ]}}"#
         ))
         .unwrap()
@@ -279,7 +262,7 @@ mod tests {
                 unreachable!()
             };
             let rows = format!(
-                r#"[{{"name":"gelu_fwd_bwd","rows":256,"cols":512,"threads":1,"us":300.0,
+                r#"[{{"name":"gelu_fwd_bwd","rows":256,"cols":512,"us":300.0,
                      "ns_per_elem":2.3,"melem_per_s":{rate}}}]"#
             );
             fields.insert("elementwise".into(), minjson::parse(&rows).unwrap());
@@ -331,7 +314,7 @@ mod tests {
     fn identical_gemm_runs_pass() {
         let cmp = compare(&gemm(57.0, 3.2, false), &gemm(57.0, 3.2, false), 0.1).unwrap();
         assert!(cmp.passed(), "{}", cmp.render());
-        assert!(cmp.checks.len() >= 4);
+        assert!(cmp.checks.len() >= 3);
     }
 
     #[test]
@@ -341,7 +324,7 @@ mod tests {
         assert!(!cmp.passed());
         let bad = cmp.violations();
         assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].key, "gemm.square-512.t1.gflops");
+        assert_eq!(bad[0].key, "gemm.square-512.gflops");
         // 40% faster: improvements never fail.
         let cmp = compare(&gemm(57.0, 3.2, false), &gemm(80.0, 4.5, false), 0.1).unwrap();
         assert!(cmp.passed());
@@ -374,7 +357,7 @@ mod tests {
         let fresh = minjson::parse(
             r#"{"smoke":true,"speedup_vs_seed":3.1,
                 "host":{"threads":1,"avx2":true},
-                "results":[{"name":"square-64","threads":1,"gflops":29.0,"m":64,"n":64,"k":64,"secs":0.0001}]}"#,
+                "results":[{"name":"square-64","gflops":29.0,"m":64,"n":64,"k":64,"secs":0.0001}]}"#,
         )
         .unwrap();
         let cmp = compare(&gemm(57.0, 3.2, false), &fresh, 0.5).unwrap();

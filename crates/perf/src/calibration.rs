@@ -22,8 +22,6 @@ pub struct Calibration {
     pub mac_rate: f64,
     /// Shape the rate was measured at, `[m, k, n]`.
     pub shape: [usize; 3],
-    /// Threads the measurement used.
-    pub threads: usize,
     /// Where the number came from (e.g. `"gemm-bench"` or `"BENCH_gemm.json"`).
     pub source: String,
 }
@@ -56,12 +54,12 @@ impl Calibration {
                         .collect::<Vec<_>>(),
                 ),
             ),
-            ("threads", Json::Num(self.threads as f64)),
             ("source", Json::Str(self.source.clone())),
         ])
     }
 
-    /// Inverse of [`Calibration::to_json`].
+    /// Inverse of [`Calibration::to_json`]. A `threads` key, which files
+    /// written when the engine could fan out still carry, is ignored.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let shape_v = match v.get("shape")? {
             Json::Arr(items) if items.len() == 3 => items,
@@ -78,7 +76,6 @@ impl Calibration {
         Ok(Calibration {
             mac_rate: v.get("mac_rate")?.as_f64()?,
             shape,
-            threads: v.get("threads")?.as_usize()?,
             source,
         })
     }
@@ -111,7 +108,6 @@ mod tests {
         Calibration {
             mac_rate: 5.0e9,
             shape: [512, 512, 512],
-            threads: 1,
             source: "gemm-bench".to_string(),
         }
     }
@@ -123,8 +119,16 @@ mod tests {
         let back = Calibration::from_json(&minjson::parse(&s).unwrap()).unwrap();
         assert_eq!(back.mac_rate, c.mac_rate);
         assert_eq!(back.shape, c.shape);
-        assert_eq!(back.threads, 1);
         assert_eq!(back.source, "gemm-bench");
+        assert!(!s.contains("threads"), "{s}");
+    }
+
+    #[test]
+    fn loads_a_file_that_records_a_thread_count() {
+        let s = r#"{"mac_rate":5e9,"shape":[512,512,512],"threads":1,"source":"gemm-bench"}"#;
+        let c = Calibration::from_json(&minjson::parse(s).unwrap()).unwrap();
+        assert_eq!((c.mac_rate, c.shape), (5.0e9, [512, 512, 512]));
+        assert_eq!(c.source, "gemm-bench");
     }
 
     #[test]

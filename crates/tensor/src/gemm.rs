@@ -35,8 +35,8 @@
 //! `#[target_feature(enable = "avx512f,avx2,fma")]` at `6×32`, under
 //! `#[target_feature(enable = "avx2,fma")]` at `6×16` (both using `mul_add`)
 //! and portable at `6×16` (separate multiply/add — `mul_add` without hardware
-//! FMA is a libm call) — the whole slab loop rather than the kernel alone, so
-//! that the `c += acc` write-back runs at the tier's vector width too
+//! FMA is a libm call) — the whole blocked loop rather than the kernel alone,
+//! so that the `c += acc` write-back runs at the tier's vector width too
 //! (4–18 % of a one-thread product on the workloads' blocks, most at
 //! `k = 32`, against a baseline-SSE2 write-back around a per-tier kernel).
 //! [`Tier::host`] detects the CPU once per process and the widest tier it
@@ -49,27 +49,18 @@
 //! with zeros to full MR/NR multiples, so the kernel itself has no edge
 //! branches; the write-back clips to the real tile bounds.
 //!
-//! # Parallelism and determinism
+//! # Determinism
 //!
-//! A caller with pool helpers splits the *output rows* into MC-row slabs
-//! executed on the shared [`crate::pool`]: each slab re-runs the full blocked
-//! loop nest on its rows, re-packing `op(B)` for itself (one element copied
-//! per `MC` multiply-adds). A caller with no helpers — a simulated-device
-//! thread under the mesh (a device is one thread; see [`crate::pool`]), a
-//! thread cap of one, a one-core host — is the only participant, so it runs
-//! one slab over all rows and packs each `op(B)` band once; the `i0` loop
-//! walks the same MC blocks.
-//!
-//! Every output element is computed by exactly one task in a fixed order:
-//! per contraction band, `acc = fma(a_l, b_l, acc)` for `l` ascending from
-//! zero, then `c += acc`. Neither the slab a row falls in nor the tile it is
-//! computed in enters that sequence, so the result is **bitwise identical**
-//! across task counts, thread counts and the two FMA tiers (the portable tier
-//! rounds the multiply and differs, as it always has). Packing scratch lives
-//! in pool-owned thread-local buffers that persist across calls (no
-//! steady-state allocation).
+//! A product runs on its caller's thread over all output rows at once,
+//! packing each `op(B)` band once; the `i0` loop walks the MC blocks.
+//! Every output element is computed in a fixed order: per contraction band,
+//! `acc = fma(a_l, b_l, acc)` for `l` ascending from zero, then `c += acc`.
+//! Neither the row block an element falls in nor the tile it is computed in
+//! enters that sequence, so the result is **bitwise identical** across the
+//! two FMA tiers (the portable tier rounds the multiply and differs, as it
+//! always has). Packing scratch lives in thread-local buffers that persist
+//! across calls (no steady-state allocation).
 
-use crate::pool::{self, SendPtr};
 use std::cell::{Cell, RefCell};
 
 /// Rows of `op(A)` packed per macro-block (a multiple of every tier's `MR`).
@@ -135,7 +126,7 @@ impl Tier {
         })
     }
 
-    /// The GEMM register tile `(MR, NR)` of this tier (what `run_rows`
+    /// The GEMM register tile `(MR, NR)` of this tier (what `run_blocked`
     /// instantiates the driver at).
     pub const fn tile(self) -> (usize, usize) {
         match self {
@@ -229,7 +220,7 @@ fn ukr_body<const FMA: bool, const MR: usize, const NR: usize>(
 // Packing
 // ---------------------------------------------------------------------------
 
-/// Pool-owned, per-thread packing scratch, reused across calls.
+/// Per-thread packing scratch, reused across calls.
 struct Scratch {
     apack: Vec<f32>,
     bpack: Vec<f32>,
@@ -352,7 +343,7 @@ fn pack_b<const NR: usize>(
 // Blocked driver
 // ---------------------------------------------------------------------------
 
-/// The operands of one product, as every row slab of it sees them.
+/// The operands of one product.
 #[derive(Clone, Copy)]
 struct Product<'a> {
     form: Form,
@@ -363,19 +354,16 @@ struct Product<'a> {
     k: usize,
 }
 
-/// Runs the full blocked loop nest over output rows `[r0, r1)` with the
-/// `MR×NR` microkernel, writing into `c_slab` (the `(r1-r0) × n` row-major
-/// slab of `C` starting at row `r0`). Inlined whole into the per-tier
-/// `target_feature` wrappers below — packing, microkernel and write-back
-/// compile at the tier's vector width — so it holds no closure: a closure's
-/// body is a function of its own and would keep the baseline features.
+/// Runs the full blocked loop nest over the `m × n` row-major `c` with the
+/// `MR×NR` microkernel. Inlined whole into the per-tier `target_feature`
+/// wrappers below — packing, microkernel and write-back compile at the
+/// tier's vector width — so it holds no closure: a closure's body is a
+/// function of its own and would keep the baseline features.
 #[inline(always)]
-fn gemm_blocked_rows<const FMA: bool, const MR: usize, const NR: usize>(
+fn gemm_blocked<const FMA: bool, const MR: usize, const NR: usize>(
     p: Product,
     scratch: &mut Scratch,
-    c_slab: &mut [f32],
-    r0: usize,
-    r1: usize,
+    c: &mut [f32],
 ) {
     let Product {
         form,
@@ -395,8 +383,8 @@ fn gemm_blocked_rows<const FMA: bool, const MR: usize, const NR: usize>(
                 let _span = trace::span_guard("gemm.pack_b");
                 pack_b::<NR>(form, bpack, b, k, n, l0, kc, j0, nc);
             }
-            for i0 in (r0..r1).step_by(MC) {
-                let mc = MC.min(r1 - i0);
+            for i0 in (0..m).step_by(MC) {
+                let mc = MC.min(m - i0);
                 {
                     let _span = trace::span_guard("gemm.pack_a");
                     pack_a::<MR>(form, apack, a, k, m, (i0, i0 + mc), l0, kc);
@@ -410,9 +398,9 @@ fn gemm_blocked_rows<const FMA: bool, const MR: usize, const NR: usize>(
                         let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
                         let mut acc = [[0.0f32; NR]; MR];
                         ukr_body::<FMA, MR, NR>(kc, apanel, bpanel, &mut acc);
-                        let row_base = i0 - r0 + ip * MR;
+                        let row_base = i0 + ip * MR;
                         for (r, acc_row) in acc.iter().enumerate().take(m_eff) {
-                            let crow = &mut c_slab[(row_base + r) * n + j0 + jp * NR..][..n_eff];
+                            let crow = &mut c[(row_base + r) * n + j0 + jp * NR..][..n_eff];
                             for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
                                 *dst += v;
                             }
@@ -428,8 +416,8 @@ fn gemm_blocked_rows<const FMA: bool, const MR: usize, const NR: usize>(
 /// Must only be called on CPUs with AVX2 and FMA ([`Tier::Avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn rows_avx2(p: Product, s: &mut Scratch, c_slab: &mut [f32], r0: usize, r1: usize) {
-    gemm_blocked_rows::<true, 6, 16>(p, s, c_slab, r0, r1);
+unsafe fn blocked_avx2(p: Product, s: &mut Scratch, c: &mut [f32]) {
+    gemm_blocked::<true, 6, 16>(p, s, c);
 }
 
 /// # Safety
@@ -437,14 +425,14 @@ unsafe fn rows_avx2(p: Product, s: &mut Scratch, c_slab: &mut [f32], r0: usize, 
 /// ([`Tier::Avx512`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn rows_avx512(p: Product, s: &mut Scratch, c_slab: &mut [f32], r0: usize, r1: usize) {
-    gemm_blocked_rows::<true, 6, 32>(p, s, c_slab, r0, r1);
+unsafe fn blocked_avx512(p: Product, s: &mut Scratch, c: &mut [f32]) {
+    gemm_blocked::<true, 6, 32>(p, s, c);
 }
 
-/// [`gemm_blocked_rows`] with `tier`'s tile and target features, on this
+/// [`gemm_blocked`] with `tier`'s tile and target features, on this
 /// thread's packing scratch. `tier` comes from [`tier`], which never exceeds
 /// [`Tier::host`].
-fn run_rows(tier: Tier, p: Product, c_slab: &mut [f32], r0: usize, r1: usize) {
+fn run_blocked(tier: Tier, p: Product, c: &mut [f32]) {
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         s.apack.resize(MC * KC, 0.0);
@@ -452,11 +440,11 @@ fn run_rows(tier: Tier, p: Product, c_slab: &mut [f32], r0: usize, r1: usize) {
         match tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Tier::host` detected this tier's features on this CPU.
-            Tier::Avx512 => unsafe { rows_avx512(p, s, c_slab, r0, r1) },
+            Tier::Avx512 => unsafe { blocked_avx512(p, s, c) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
-            Tier::Avx2 => unsafe { rows_avx2(p, s, c_slab, r0, r1) },
-            _ => gemm_blocked_rows::<false, 6, 16>(p, s, c_slab, r0, r1),
+            Tier::Avx2 => unsafe { blocked_avx2(p, s, c) },
+            _ => gemm_blocked::<false, 6, 16>(p, s, c),
         }
     });
 }
@@ -519,10 +507,7 @@ fn gemm_small(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32
 /// `op(B): [k, n]` (see [`Form`] for the physical layouts).
 ///
 /// Small products run direct loops; large ones run the cache-blocked packed
-/// engine — split over the shared compute pool by MC-row output slabs when
-/// the caller has helpers, as one slab on the calling thread when it has none
-/// (a simulated-device thread; see [`crate::pool`]). Results are bitwise
-/// independent of the thread count and of the slab count.
+/// engine, on the calling thread either way.
 pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32], k: usize) {
     let (a_len, b_len) = match form {
         Form::NN => (m * k, k * n),
@@ -539,8 +524,6 @@ pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f
         gemm_small(form, c, m, n, a, b, k);
         return;
     }
-    // Read on the calling thread: pool workers run its slabs at its tier.
-    let tier = tier();
     let p = Product {
         form,
         a,
@@ -549,16 +532,7 @@ pub fn gemm_acc(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f
         n,
         k,
     };
-    // Every participant packs op(B) once per slab it runs, so a caller on its
-    // own takes all rows as one slab.
-    let slab_rows = if pool::helpers() == 0 { m } else { MC };
-    let cptr = SendPtr::new(c.as_mut_ptr());
-    pool::parallel_row_blocks(m, slab_rows, |r0, r1| {
-        // SAFETY: each task owns the disjoint row range [r0, r1) of C.
-        let c_slab =
-            unsafe { std::slice::from_raw_parts_mut(cptr.get().add(r0 * n), (r1 - r0) * n) };
-        run_rows(tier, p, c_slab, r0, r1);
-    });
+    run_blocked(tier(), p, c);
 }
 
 #[cfg(test)]

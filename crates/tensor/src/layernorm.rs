@@ -7,25 +7,11 @@
 //! treated the same way. The `*_partial` / `*_finish` split below is exactly
 //! that decomposition; the serial entry points simply glue the two halves
 //! with no communication in between.
-//!
-//! All row-independent passes (partial sums, normalisation, affine, backward
-//! finish) split into row blocks on the shared compute pool
-//! ([`crate::pool`]); each row is owned by exactly one task, so results are
-//! bitwise independent of the thread count. Only the column-wise `dγ`/`dβ`
-//! reduction in [`ln_param_grads`] stays serial (it accumulates across rows).
 
-use crate::pool::{self, SendPtr};
 use crate::tensor::Tensor;
 
 /// Default epsilon used by all models in the workspace.
 pub const LN_EPS: f32 = 1e-5;
-
-/// Elements per pool task for the row-parallel passes.
-const PAR_ROW_ELEMS: usize = 8192;
-
-fn rows_per_task(cols: usize) -> usize {
-    (PAR_ROW_ELEMS / cols.max(1)).max(1)
-}
 
 /// Saved forward state needed by the backward pass.
 #[derive(Clone, Debug)]
@@ -42,24 +28,16 @@ pub fn ln_partial_sums(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
     let rows = x.rows();
     let mut s = vec![0.0f32; rows];
     let mut s2 = vec![0.0f32; rows];
-    let xs = x.as_slice();
-    let sp = SendPtr::new(s.as_mut_ptr());
-    let s2p = SendPtr::new(s2.as_mut_ptr());
-    pool::parallel_row_blocks(rows, rows_per_task(cols), |r0, r1| {
-        for (r, row) in xs[r0 * cols..r1 * cols].chunks(cols).enumerate() {
-            let mut a = 0.0f64;
-            let mut b = 0.0f64;
-            for &v in row {
-                a += v as f64;
-                b += (v * v) as f64;
-            }
-            // SAFETY: row indices are disjoint per task.
-            unsafe {
-                *sp.get().add(r0 + r) = a as f32;
-                *s2p.get().add(r0 + r) = b as f32;
-            }
+    for ((row, s), s2) in x.as_slice().chunks(cols).zip(&mut s).zip(&mut s2) {
+        let mut a = 0.0f64;
+        let mut b = 0.0f64;
+        for &v in row {
+            a += v as f64;
+            b += (v * v) as f64;
         }
-    });
+        *s = a as f32;
+        *s2 = b as f32;
+    }
     (s, s2)
 }
 
@@ -76,23 +54,15 @@ pub fn ln_finish(x: &Tensor, sum: &[f32], sumsq: &[f32], h_total: usize, eps: f3
     let mut xhat = x.clone();
     let mut inv_std = vec![0.0f32; rows];
     let inv_h = 1.0 / h_total as f32;
-    let xp = SendPtr::new(xhat.as_mut_slice().as_mut_ptr());
-    let isp = SendPtr::new(inv_std.as_mut_ptr());
-    pool::parallel_row_blocks(rows, rows_per_task(cols), |r0, r1| {
-        // SAFETY: row ranges are disjoint per task.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(xp.get().add(r0 * cols), (r1 - r0) * cols) };
-        for (r, row) in chunk.chunks_mut(cols).enumerate() {
-            let mean = sum[r0 + r] * inv_h;
-            let var = (sumsq[r0 + r] * inv_h - mean * mean).max(0.0);
-            let is = 1.0 / (var + eps).sqrt();
-            // SAFETY: as above — one writer per row index.
-            unsafe { *isp.get().add(r0 + r) = is };
-            for v in row {
-                *v = (*v - mean) * is;
-            }
+    for (r, row) in xhat.as_mut_slice().chunks_mut(cols).enumerate() {
+        let mean = sum[r] * inv_h;
+        let var = (sumsq[r] * inv_h - mean * mean).max(0.0);
+        let is = 1.0 / (var + eps).sqrt();
+        inv_std[r] = is;
+        for v in row {
+            *v = (*v - mean) * is;
         }
-    });
+    }
     LnCache { xhat, inv_std }
 }
 
@@ -102,13 +72,11 @@ pub fn ln_affine(xhat: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
     assert_eq!(gamma.len(), cols);
     assert_eq!(beta.len(), cols);
     let mut y = xhat.clone();
-    pool::parallel_chunks_mut(y.as_mut_slice(), rows_per_task(cols) * cols, |_, chunk| {
-        for row in chunk.chunks_mut(cols) {
-            for ((v, &g), &b) in row.iter_mut().zip(gamma.iter()).zip(beta.iter()) {
-                *v = *v * g + b;
-            }
+    for row in y.as_mut_slice().chunks_mut(cols) {
+        for ((v, &g), &b) in row.iter_mut().zip(gamma.iter()).zip(beta.iter()) {
+            *v = *v * g + b;
         }
-    });
+    }
     y
 }
 
@@ -150,28 +118,20 @@ pub fn ln_backward_partials(dxhat: &Tensor, xhat: &Tensor) -> (Vec<f32>, Vec<f32
     let rows = dxhat.rows();
     let mut sum_gx = vec![0.0f32; rows];
     let mut sum_g = vec![0.0f32; rows];
-    let (ds, xs) = (dxhat.as_slice(), xhat.as_slice());
-    let gxp = SendPtr::new(sum_gx.as_mut_ptr());
-    let gp = SendPtr::new(sum_g.as_mut_ptr());
-    pool::parallel_row_blocks(rows, rows_per_task(cols), |r0, r1| {
-        for (r, (drow, xrow)) in ds[r0 * cols..r1 * cols]
-            .chunks(cols)
-            .zip(xs[r0 * cols..r1 * cols].chunks(cols))
-            .enumerate()
-        {
-            let mut gx = 0.0f64;
-            let mut g = 0.0f64;
-            for (&d, &xh) in drow.iter().zip(xrow.iter()) {
-                gx += (d * xh) as f64;
-                g += d as f64;
-            }
-            // SAFETY: row indices are disjoint per task.
-            unsafe {
-                *gxp.get().add(r0 + r) = gx as f32;
-                *gp.get().add(r0 + r) = g as f32;
-            }
+    let row_pairs = dxhat
+        .as_slice()
+        .chunks(cols)
+        .zip(xhat.as_slice().chunks(cols));
+    for (((drow, xrow), sgx), sg) in row_pairs.zip(&mut sum_gx).zip(&mut sum_g) {
+        let mut gx = 0.0f64;
+        let mut g = 0.0f64;
+        for (&d, &xh) in drow.iter().zip(xrow.iter()) {
+            gx += (d * xh) as f64;
+            g += d as f64;
         }
-    });
+        *sgx = gx as f32;
+        *sg = g as f32;
+    }
     (sum_gx, sum_g)
 }
 
@@ -190,25 +150,18 @@ pub fn ln_backward_finish(
     assert_eq!(inv_std.len(), rows);
     let inv_h = 1.0 / h_total as f32;
     let mut dx = dxhat.clone();
-    let xs = xhat.as_slice();
-    let dp = SendPtr::new(dx.as_mut_slice().as_mut_ptr());
-    pool::parallel_row_blocks(rows, rows_per_task(cols), |r0, r1| {
-        // SAFETY: row ranges are disjoint per task.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(dp.get().add(r0 * cols), (r1 - r0) * cols) };
-        for (r, (drow, xrow)) in chunk
-            .chunks_mut(cols)
-            .zip(xs[r0 * cols..r1 * cols].chunks(cols))
-            .enumerate()
-        {
-            let a = sum_gx[r0 + r] * inv_h;
-            let b = sum_g[r0 + r] * inv_h;
-            let is = inv_std[r0 + r];
-            for (d, &xh) in drow.iter_mut().zip(xrow.iter()) {
-                *d = is * (*d - a * xh - b);
-            }
+    let row_pairs = dx
+        .as_mut_slice()
+        .chunks_mut(cols)
+        .zip(xhat.as_slice().chunks(cols));
+    for (r, (drow, xrow)) in row_pairs.enumerate() {
+        let a = sum_gx[r] * inv_h;
+        let b = sum_g[r] * inv_h;
+        let is = inv_std[r];
+        for (d, &xh) in drow.iter_mut().zip(xrow.iter()) {
+            *d = is * (*d - a * xh - b);
         }
-    });
+    }
     dx
 }
 

@@ -7,8 +7,9 @@
 //!
 //! * [`Tensor`] — a dense, row-major `f32` tensor with shape metadata.
 //! * Cache-blocked, packed matrix-multiplication kernels in [`matmul`] /
-//!   [`gemm`] (`C = AB`, `C = ABᵀ`, `C = AᵀB`), parallelised over the
-//!   persistent in-tree compute pool in [`pool`].
+//!   [`gemm`] (`C = AB`, `C = ABᵀ`, `C = AᵀB`). Every kernel runs on its
+//!   caller's thread: a mesh device is one thread, and so is the serial
+//!   reference.
 //! * Neural-network primitives with **manual backward passes**: bias add,
 //!   GELU, row softmax, layer normalisation (saving `x̂` and `1/σ` exactly as
 //!   the paper's Section 3.2.2 prescribes), and cross-entropy from logits.

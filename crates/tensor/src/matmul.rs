@@ -11,8 +11,7 @@
 //! accumulates one outer-product panel per iteration into the local output
 //! block. All three forms dispatch into the cache-blocked packed engine in
 //! [`crate::gemm`], which packs panels so one register microkernel serves
-//! every layout, and splits large products over the persistent compute pool
-//! in [`crate::pool`] (no per-call thread spawning). The historical seed
+//! every layout, on the calling thread. The historical seed
 //! kernels are preserved under [`mod@reference`] for benchmarking and as test
 //! oracles.
 

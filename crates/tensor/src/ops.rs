@@ -1,22 +1,10 @@
 //! Element-wise and broadcasting operations with manual gradients.
 //!
-//! The GELU passes run on the vectorized `vmath` kernels and, when large,
-//! split into element blocks on the shared compute pool ([`crate::pool`]);
-//! each element is written by exactly one task and its value depends on
-//! nothing but its input, so results are bitwise independent of the thread
-//! count.
+//! The GELU passes run on the vectorized `vmath` kernels; an element's value
+//! depends on nothing but its input.
 
-use crate::pool;
 use crate::tensor::Tensor;
 use crate::vmath;
-
-/// Elements per pool task for the GELU loops, and so the size above which
-/// they share at all. A pass costs ~1.1 ns per element and waking a worker
-/// 30–40 µs, so sharing pays from ~10⁵ elements: on the 2-core host,
-/// forward + backward of 16 Ki / 64 Ki / 128 Ki / 512 Ki elements take
-/// 36 / 153 / 308 / 1330 µs on one thread; 4 Ki-element tasks make that
-/// 63 / 141 / 244 / 900 µs, 64 Ki-element tasks 36 / 153 / 260 / 930 µs.
-const GELU_CHUNK: usize = 65536;
 
 /// Adds `bias` (length = cols) to every row of `x`, in place.
 ///
@@ -69,19 +57,10 @@ pub fn gelu_grad(x: f32) -> f32 {
     g[0]
 }
 
-/// Runs a `vmath` kernel `(x, y)` over equal-length slices in
-/// [`GELU_CHUNK`]-element pool tasks.
-fn gelu_pass(kernel: fn(&[f32], &mut [f32]), x: &[f32], y: &mut [f32]) {
-    pool::parallel_chunks_mut(y, GELU_CHUNK, |i, chunk| {
-        let i0 = i * GELU_CHUNK;
-        kernel(&x[i0..i0 + chunk.len()], chunk);
-    });
-}
-
 /// Applies GELU element-wise, returning a new tensor.
 pub fn gelu_forward(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(x.dims());
-    gelu_pass(vmath::gelu, x.as_slice(), out.as_mut_slice());
+    vmath::gelu(x.as_slice(), out.as_mut_slice());
     out
 }
 
@@ -90,7 +69,7 @@ pub fn gelu_forward(x: &Tensor) -> Tensor {
 /// can discard outputs). The layers own `dy` and have no further use for it.
 pub fn gelu_backward_in_place(dy: &mut Tensor, x: &Tensor) {
     assert_eq!(dy.dims(), x.dims());
-    gelu_pass(vmath::gelu_grad_mul, x.as_slice(), dy.as_mut_slice());
+    vmath::gelu_grad_mul(x.as_slice(), dy.as_mut_slice());
 }
 
 /// [`gelu_backward_in_place`] on a copy, for callers that only borrow `dy`.

@@ -4,30 +4,14 @@
 //! device (Optimus even resets the gradient buffer immediately after the
 //! update, method (2) of Section 3.2.3), so optimizers only ever see local
 //! slices — the same code drives the serial, 1D and 2D models.
-//!
-//! Updates are purely elementwise, so they split into index blocks on the
-//! shared compute pool ([`crate::pool`]); each parameter is written by
-//! exactly one task, keeping updates bitwise independent of thread count.
 
-use crate::pool::{self, SendPtr};
-
-/// Parameters per pool task for the update loops (small blocks inline).
-const OPT_CHUNK: usize = 8192;
-
-/// Plain (momentum-free) SGD update `p -= lr * g` over a flat slice, split
-/// over the compute pool. The models' hand-rolled update loops route through
-/// this so every optimizer path shares the pool.
+/// Plain (momentum-free) SGD update `p -= lr * g` over a flat slice. The
+/// models' hand-rolled update loops route through this.
 pub fn sgd_update(params: &mut [f32], grads: &[f32], lr: f32) {
     assert_eq!(params.len(), grads.len());
-    let n = params.len();
-    let pp = SendPtr::new(params.as_mut_ptr());
-    pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
-        // SAFETY: index ranges are disjoint per task.
-        let ps = unsafe { std::slice::from_raw_parts_mut(pp.get().add(i0), i1 - i0) };
-        for (p, g) in ps.iter_mut().zip(&grads[i0..i1]) {
-            *p -= lr * g;
-        }
-    });
+    for (p, g) in params.iter_mut().zip(grads) {
+        *p -= lr * g;
+    }
 }
 
 /// Plain SGD with optional momentum.
@@ -55,28 +39,15 @@ impl Sgd {
     /// Applies one update: `p -= lr * (momentum-filtered) g`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len());
-        let n = params.len();
-        let lr = self.lr;
-        if self.momentum == 0.0 {
+        let (lr, momentum) = (self.lr, self.momentum);
+        if momentum == 0.0 {
             sgd_update(params, grads, lr);
         } else {
-            let pp = SendPtr::new(params.as_mut_ptr());
             assert_eq!(self.velocity.len(), params.len());
-            let momentum = self.momentum;
-            let vp = SendPtr::new(self.velocity.as_mut_ptr());
-            pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
-                // SAFETY: index ranges are disjoint per task.
-                let (ps, vs) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(pp.get().add(i0), i1 - i0),
-                        std::slice::from_raw_parts_mut(vp.get().add(i0), i1 - i0),
-                    )
-                };
-                for ((p, g), v) in ps.iter_mut().zip(&grads[i0..i1]).zip(vs.iter_mut()) {
-                    *v = momentum * *v + g;
-                    *p -= lr * *v;
-                }
-            });
+            for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+                *v = momentum * *v + g;
+                *p -= lr * *v;
+            }
         }
     }
 }
@@ -114,33 +85,19 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let n = params.len();
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let pp = SendPtr::new(params.as_mut_ptr());
-        let mp = SendPtr::new(self.m.as_mut_ptr());
-        let vp = SendPtr::new(self.v.as_mut_ptr());
-        pool::parallel_row_blocks(n, OPT_CHUNK, |i0, i1| {
-            // SAFETY: index ranges are disjoint per task.
-            let (ps, ms, vs) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pp.get().add(i0), i1 - i0),
-                    std::slice::from_raw_parts_mut(mp.get().add(i0), i1 - i0),
-                    std::slice::from_raw_parts_mut(vp.get().add(i0), i1 - i0),
-                )
-            };
-            for (((p, g), m), v) in ps
-                .iter_mut()
-                .zip(&grads[i0..i1])
-                .zip(ms.iter_mut())
-                .zip(vs.iter_mut())
-            {
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *p -= lr * mhat / (vhat.sqrt() + eps);
-            }
-        });
+        for (((p, g), m), v) in params
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+        {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
+        }
     }
 
     /// Bytes of optimizer state per parameter (used by the memory model:

@@ -1,25 +1,7 @@
 //! Numerically stable row softmax with manual backward.
-//!
-//! Rows are independent, so the forward and backward passes split into
-//! row blocks on the shared compute pool ([`crate::pool`]); each row is
-//! processed by exactly one task, keeping results bitwise independent of
-//! the thread count.
 
-use crate::pool::{self, SendPtr};
 use crate::tensor::Tensor;
 use crate::vmath;
-
-/// Elements per pool task for the softmax passes; smaller tensors inline.
-/// Forward + backward cost ~4.5 ns per element (the ordered row sums, not the
-/// `exp`, set that) against 30–40 µs to wake a worker: on the 2-core host
-/// 16 Ki / 64 Ki / 512 Ki elements take 36 / 270 / 2720 µs on one thread,
-/// 70 / 280 / 2270 µs shared in 4 Ki-element tasks and 36 / 270 / 2290 µs in
-/// tasks of this size.
-const PAR_ROW_ELEMS: usize = 65536;
-
-fn rows_per_task(cols: usize) -> usize {
-    (PAR_ROW_ELEMS / cols.max(1)).max(1)
-}
 
 /// Row-wise softmax: each row of `x` becomes a probability distribution
 /// (stable: the row maximum is subtracted first; a masked `-inf` score
@@ -29,13 +11,7 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
     if x.is_empty() {
         return out;
     }
-    let cols = x.cols();
-    let xs = x.as_slice();
-    let block = rows_per_task(cols) * cols;
-    pool::parallel_chunks_mut(out.as_mut_slice(), block, |i, chunk| {
-        let i0 = i * block;
-        vmath::softmax_rows(&xs[i0..i0 + chunk.len()], cols, chunk);
-    });
+    vmath::softmax_rows(x.as_slice(), x.cols(), out.as_mut_slice());
     out
 }
 
@@ -43,25 +19,21 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
 /// `dx_i = y_i * (dy_i - Σ_j dy_j y_j)` per row.
 pub fn softmax_backward(dy: &Tensor, y: &Tensor) -> Tensor {
     assert_eq!(dy.dims(), y.dims());
-    let cols = y.cols();
     let mut dx = dy.clone();
-    let rows = dx.as_mut_slice().len() / cols.max(1);
-    let ys = y.as_slice();
-    let base = SendPtr::new(dx.as_mut_slice().as_mut_ptr());
-    pool::parallel_row_blocks(rows, rows_per_task(cols), |r0, r1| {
-        // SAFETY: row ranges are disjoint per task.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * cols), (r1 - r0) * cols) };
-        for (dx_row, y_row) in chunk
-            .chunks_mut(cols)
-            .zip(ys[r0 * cols..r1 * cols].chunks(cols))
-        {
-            let dot: f32 = dx_row.iter().zip(y_row.iter()).map(|(d, y)| d * y).sum();
-            for (d, &yv) in dx_row.iter_mut().zip(y_row.iter()) {
-                *d = yv * (*d - dot);
-            }
+    if dx.is_empty() {
+        return dx;
+    }
+    let cols = y.cols();
+    for (dx_row, y_row) in dx
+        .as_mut_slice()
+        .chunks_mut(cols)
+        .zip(y.as_slice().chunks(cols))
+    {
+        let dot: f32 = dx_row.iter().zip(y_row.iter()).map(|(d, y)| d * y).sum();
+        for (d, &yv) in dx_row.iter_mut().zip(y_row.iter()) {
+            *d = yv * (*d - dot);
         }
-    });
+    }
     dx
 }
 

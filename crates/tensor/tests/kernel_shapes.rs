@@ -4,28 +4,21 @@
 //! For every form (NN / NT / TN) and a grid of edge-case shapes — unit
 //! dims, prime dims, exact microkernel stripe/panel boundaries of both
 //! register tiles, one past them, cache-block boundaries, and sizes past the
-//! small-path threshold — the engine must be **bitwise identical** whether it
-//! runs serially (thread cap 1: one slab), over the pool (uncapped), as
-//! `MC`-row slabs each packing `op(B)` for itself (what pool participants
-//! do, here on any host) or inline on a simulated-device thread
-//! (`enter_device`), and on a host with both FMA tiers whether the AVX-512
-//! or the AVX2 microkernel computes it; and it must agree with an
-//! f64-accumulated naive product to within f32 rounding. A final test
-//! pins the pool's defining property: a thousand back-to-back matmuls
-//! spawn no threads beyond the initial worker set.
+//! small-path threshold — the engine must agree with an f64-accumulated
+//! naive product to within f32 rounding, and on a host with both FMA tiers
+//! the AVX-512 and the AVX2 microkernel must compute it to the same bits.
 //!
 //! The element-wise kernels must give every element a result that depends
-//! on its value alone — not on its offset in the buffer, the buffer's
-//! length (vector body or scalar tail), the chunking or the thread count —
-//! which is what keeps serial ≡ distributed bitwise however an activation
-//! is partitioned.
+//! on its value alone — not on its offset in the buffer or the buffer's
+//! length (vector body or scalar tail) — which is what keeps serial ≡
+//! distributed bitwise however an activation is partitioned.
 
-use tensor::gemm::{gemm_acc, with_tier, Form, Tier, BLOCKED_THRESHOLD, MC};
+use tensor::gemm::{gemm_acc, with_tier, Form, Tier, MC};
 use tensor::loss::{ce_grad_local, partial_row_max, partial_sumexp, softmax_from_parts};
 use tensor::matmul::reference;
 use tensor::ops::{gelu, gelu_backward, gelu_forward, gelu_grad};
-use tensor::softmax::{softmax_backward, softmax_rows};
-use tensor::{pool, Rng, Tensor};
+use tensor::softmax::softmax_rows;
+use tensor::{Rng, Tensor};
 
 /// Shape grid: microkernel stripes are 6 rows (MR) × 16 or 32 columns (NR,
 /// by tier), cache blocks are MC=96 / KC=256 / NC=1024, and products under
@@ -48,13 +41,11 @@ fn buf_lens(form: Form, m: usize, k: usize, n: usize) -> (usize, usize) {
     }
 }
 
-/// Checks `whole` (an `m × n` product the blocked engine computed) against
-/// the product computed the way pool participants compute it: one `gemm_acc`
-/// per `MC`-row slab of the output, each packing `op(B)` itself. A slab too
-/// small for the blocked engine on its own (a ragged last one, or every slab
-/// of a product that took the small path whole) is not compared.
-fn assert_slabs_match(
-    whole: &[f32],
+/// Asserts `got ≈ init + op(A)·op(B)` with the product accumulated in f64.
+#[allow(clippy::too_many_arguments)]
+fn assert_matches_oracle(
+    got: &[f32],
+    init: &[f32],
     form: Form,
     m: usize,
     k: usize,
@@ -62,24 +53,13 @@ fn assert_slabs_match(
     a: &[f32],
     b: &[f32],
 ) {
-    for r0 in (0..m).step_by(MC) {
-        let r1 = m.min(r0 + MC);
-        if (r1 - r0) * k * n < BLOCKED_THRESHOLD {
-            continue;
-        }
-        // Rows [r0, r1) of op(A): columns of the physical A under TN.
-        let a_slab: Vec<f32> = match form {
-            Form::NN | Form::NT => a[r0 * k..r1 * k].to_vec(),
-            Form::TN => (0..k)
-                .flat_map(|l| a[l * m + r0..l * m + r1].iter().copied())
-                .collect(),
-        };
-        let mut c_slab = vec![0.0f32; (r1 - r0) * n];
-        pool::with_thread_cap(1, || gemm_acc(form, &mut c_slab, r1 - r0, n, &a_slab, b, k));
-        assert_eq!(
-            bits(&whole[r0 * n..r1 * n]),
-            bits(&c_slab),
-            "{form:?} {m}x{k}x{n}: rows {r0}..{r1} as a slab of their own differ from one slab"
+    let oracle = reference::naive_f64(form, m, n, a, b, k);
+    for (idx, ((&got, &c0), &p)) in got.iter().zip(init).zip(&oracle).enumerate() {
+        let want = c0 + p;
+        let tol = 1e-4 * (k as f32).sqrt().max(1.0) + 1e-5;
+        assert!(
+            (got - want).abs() <= tol * want.abs().max(1.0),
+            "{form:?} {m}x{k}x{n} at {idx}: {got} vs f64 oracle {want}"
         );
     }
 }
@@ -89,57 +69,22 @@ fn check_shape(form: Form, m: usize, k: usize, n: usize, rng: &mut Rng) {
     let a = fill(alen, rng);
     let b = fill(blen, rng);
 
-    // One thread, no helpers: one slab over all rows, op(B) packed once.
-    let mut serial = vec![0.0f32; m * n];
-    pool::with_thread_cap(1, || gemm_acc(form, &mut serial, m, n, &a, &b, k));
-
-    let mut pooled = vec![0.0f32; m * n];
-    gemm_acc(form, &mut pooled, m, n, &a, &b, k);
-
-    // Row-slab ownership with a fixed per-element accumulation order makes
-    // the pooled result bitwise equal to the serial one, not merely close —
-    // whatever the host's core count made of "pooled".
-    assert_eq!(
-        bits(&serial),
-        bits(&pooled),
-        "{form:?} {m}x{k}x{n}: pooled differs from serial"
-    );
-    assert_slabs_match(&serial, form, m, k, n, &a, &b);
-
-    // A device thread runs one slab inline.
-    let mut device = vec![0.0f32; m * n];
-    {
-        let _device = pool::enter_device();
-        gemm_acc(form, &mut device, m, n, &a, &b, k);
-    }
-    assert_eq!(
-        bits(&serial),
-        bits(&device),
-        "{form:?} {m}x{k}x{n}: device-thread result differs from serial"
-    );
+    let mut c = vec![0.0f32; m * n];
+    gemm_acc(form, &mut c, m, n, &a, &b, k);
 
     // The tile an element is computed in does not enter its operation
-    // sequence either: the two FMA tiers agree to the bit.
+    // sequence: the two FMA tiers agree to the bit.
     if Tier::host() == Tier::Avx512 {
         let mut avx2 = vec![0.0f32; m * n];
-        with_tier(Tier::Avx2, || {
-            pool::with_thread_cap(1, || gemm_acc(form, &mut avx2, m, n, &a, &b, k))
-        });
+        with_tier(Tier::Avx2, || gemm_acc(form, &mut avx2, m, n, &a, &b, k));
         assert_eq!(
-            bits(&serial),
+            bits(&c),
             bits(&avx2),
             "{form:?} {m}x{k}x{n}: AVX-512 tier differs from AVX2 tier"
         );
     }
 
-    let oracle = reference::naive_f64(form, m, n, &a, &b, k);
-    for (idx, (&got, &want)) in serial.iter().zip(&oracle).enumerate() {
-        let tol = 1e-4 * (k as f32).sqrt().max(1.0) + 1e-5;
-        assert!(
-            (got - want).abs() <= tol * want.abs().max(1.0),
-            "{form:?} {m}x{k}x{n} at {idx}: {got} vs f64 oracle {want}"
-        );
-    }
+    assert_matches_oracle(&c, &vec![0.0; m * n], form, m, k, n, &a, &b);
 }
 
 #[test]
@@ -173,7 +118,7 @@ fn blocked_path_large_shapes() {
         check_shape(form, 64, 1, 64, &mut rng);
         // Several KC bands and several MC blocks under one pack of op(B).
         check_shape(form, 2 * MC + 5, 600, 70, &mut rng);
-        // One slab, a ragged second slab, and a ragged third.
+        // One MC block, a ragged second block, and a ragged third.
         for m in [MC - 1, MC + 1, 2 * MC + 5] {
             check_shape(form, m, 70, 90, &mut rng);
         }
@@ -181,42 +126,16 @@ fn blocked_path_large_shapes() {
 }
 
 #[test]
-fn accumulation_preserved_across_paths() {
-    // gemm_acc adds into C; capped and uncapped runs must agree starting
-    // from the same non-zero C.
+fn adds_into_a_non_zero_c() {
+    // A blocked-path product: `c += acc` lands on the values already there.
     let mut rng = Rng::new(0xACC);
     let (m, k, n) = (97, 33, 49);
     let a = fill(m * k, &mut rng);
     let b = fill(k * n, &mut rng);
     let init = fill(m * n, &mut rng);
-
-    let mut serial = init.clone();
-    pool::with_thread_cap(1, || gemm_acc(Form::NN, &mut serial, m, n, &a, &b, k));
-    let mut pooled = init.clone();
-    gemm_acc(Form::NN, &mut pooled, m, n, &a, &b, k);
-    assert_eq!(serial, pooled);
-    assert_ne!(serial, init, "product must have changed C");
-}
-
-#[test]
-fn pool_thread_count_is_constant_across_many_matmuls() {
-    let (m, k, n) = (64, 48, 80);
-    let mut rng = Rng::new(0x7007);
-    let a = fill(m * k, &mut rng);
-    let b = fill(k * n, &mut rng);
-    let mut c = vec![0.0f32; m * n];
-
-    gemm_acc(Form::NN, &mut c, m, n, &a, &b, k); // force pool init
-    let spawned = pool::pool().threads_spawned();
-    for _ in 0..1000 {
-        gemm_acc(Form::NN, &mut c, m, n, &a, &b, k);
-    }
-    assert_eq!(
-        pool::pool().threads_spawned(),
-        spawned,
-        "matmuls must reuse the persistent workers, not spawn threads"
-    );
-    assert_eq!(spawned, pool::pool().worker_count());
+    let mut c = init.clone();
+    gemm_acc(Form::NN, &mut c, m, n, &a, &b, k);
+    assert_matches_oracle(&c, &init, Form::NN, m, k, n, &a, &b);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,44 +261,4 @@ fn cross_entropy_halves_share_one_exp() {
             assert_eq!(grad.at(r, c).to_bits(), want.to_bits(), "({r}, {c})");
         }
     }
-}
-
-#[test]
-fn elementwise_pooled_equals_one_thread() {
-    // Large enough that every pass splits into several pool tasks, with a
-    // ragged last task.
-    let mut rng = Rng::new(0xE4E);
-    let x = Tensor::randn(&[701, 301], 2.0, &mut rng);
-    let dy = Tensor::randn(&[701, 301], 1.0, &mut rng);
-    let run = || {
-        let y = softmax_rows(&x);
-        (
-            gelu_forward(&x),
-            gelu_backward(&dy, &x),
-            softmax_backward(&dy, &y),
-            y,
-        )
-    };
-    let serial = pool::with_thread_cap(1, run);
-    let pooled = run();
-    assert_eq!(
-        bits(serial.0.as_slice()),
-        bits(pooled.0.as_slice()),
-        "gelu_forward"
-    );
-    assert_eq!(
-        bits(serial.1.as_slice()),
-        bits(pooled.1.as_slice()),
-        "gelu_backward"
-    );
-    assert_eq!(
-        bits(serial.2.as_slice()),
-        bits(pooled.2.as_slice()),
-        "softmax_backward"
-    );
-    assert_eq!(
-        bits(serial.3.as_slice()),
-        bits(pooled.3.as_slice()),
-        "softmax_rows"
-    );
 }
