@@ -705,7 +705,19 @@ fn dry_run_projection(
     }
     let ops: usize = logs.iter().map(|l| l.ops.len()).sum();
     let elems: usize = logs.iter().map(|l| l.total_link_elems()).sum();
-    println!("totals: {ops} collective participations, {elems} f32 sent on links");
+    let by_kind: Vec<String> = CommOp::KINDS
+        .iter()
+        .map(|&(op, name)| (Some(op), name))
+        .chain([(None, "p2p")])
+        .filter_map(|(op, name)| {
+            let n: usize = logs.iter().map(|l| l.link_elems(op)).sum();
+            (n > 0).then(|| format!("{name} {n}"))
+        })
+        .collect();
+    println!(
+        "totals: {ops} collective participations, {elems} f32 sent on links ({})",
+        by_kind.join(", ")
+    );
     println!(
         "projected step comm time (slowest device): {:.3} ms",
         cost.replay_max(&logs) * 1e3
@@ -1476,6 +1488,7 @@ fn memory_model_json(a: &Args) -> Json {
         ("grads_bytes", Json::Num(est.grads)),
         ("checkpoints_bytes", Json::Num(est.checkpoints)),
         ("working_set_bytes", Json::Num(est.working_set)),
+        ("panel_strips_bytes", Json::Num(est.panel_strips)),
         ("total_bytes", Json::Num(est.total)),
     ])
 }

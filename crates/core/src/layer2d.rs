@@ -21,7 +21,7 @@ use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
 use serial::{layer_backward, layer_forward, LayerCache, Lowering, Reduce, Role, Span};
 use std::borrow::Cow;
-use summa::{summa_nn, summa_nt, summa_tn};
+use summa::{summa_product, Strips};
 use tensor::gemm::Form;
 use tensor::Tensor;
 
@@ -35,13 +35,18 @@ pub struct Summa2d<'a, C: Communicator> {
 
 impl<C: Communicator> Lowering for Summa2d<'_, C> {
     type Hosted = Option<Vec<f32>>;
+    type Panels = Strips;
 
-    fn gemm(&self, form: Form, _role: Role, a: &Tensor, b: &Tensor) -> Tensor {
-        match form {
-            Form::NN => summa_nn(self.grid, a, b),
-            Form::NT => summa_nt(self.grid, a, b),
-            Form::TN => summa_tn(self.grid, a, b),
-        }
+    fn gemm(
+        &self,
+        form: Form,
+        _role: Role,
+        a: &Tensor,
+        b: &Tensor,
+        from: &Strips,
+        keep: Option<&mut Strips>,
+    ) -> Tensor {
+        summa_product(self.grid, form, a, b, from, keep)
     }
 
     /// Column broadcast from the hosting device in mesh row 0.
@@ -100,8 +105,7 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
             let off = l * vb;
             for (r, &t) in tokens.iter().enumerate() {
                 if t >= off && t < off + vb {
-                    let src = panel.row(t - off).to_vec();
-                    for (dst, v) in x.row_mut(r).iter_mut().zip(src) {
+                    for (dst, v) in x.row_mut(r).iter_mut().zip(panel.row(t - off)) {
                         *dst += v;
                     }
                 }
@@ -120,8 +124,7 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
             let off = l * vb;
             for (r, &t) in tokens.iter().enumerate() {
                 if t >= off && t < off + vb {
-                    let src = dx.row(r).to_vec();
-                    for (dst, v) in partial.row_mut(t - off).iter_mut().zip(src) {
+                    for (dst, v) in partial.row_mut(t - off).iter_mut().zip(dx.row(r)) {
                         *dst += v;
                     }
                 }
@@ -182,7 +185,7 @@ pub fn layer2d_forward<C: Communicator>(
     cfg: &OptimusConfig,
     p: &Layer2dParams,
     x: &Tensor,
-) -> (Tensor, LayerCache) {
+) -> (Tensor, LayerCache<Strips>) {
     assert_eq!(
         x.dims(),
         &[cfg.local_rows(), cfg.local_cols()],
@@ -198,7 +201,7 @@ pub fn layer2d_backward<C: Communicator>(
     grid: &Grid2d<C>,
     cfg: &OptimusConfig,
     p: &Layer2dParams,
-    cache: &LayerCache,
+    cache: &LayerCache<Strips>,
     dy: &Tensor,
 ) -> (Tensor, Layer2dParams) {
     layer_backward(&Summa2d { grid, cfg }, p, cache, dy)
@@ -346,8 +349,9 @@ mod tests {
             let outs = Mesh2d::run(q, |g| {
                 let low = Summa2d { grid: g, cfg: &cfg };
                 let (xl, wl, dyl) = (distribute(g, &x), distribute(g, w), distribute(g, &dy));
-                let y = linear_forward(&low, Role::Expand, &xl, &wl, &hosted_slice(g, &b));
-                let (dx, dw, db) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl);
+                let y = linear_forward(&low, Role::Expand, &xl, &wl, &hosted_slice(g, &b), None);
+                let kept = Strips::default();
+                let (dx, dw, db) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl, &kept);
                 let (yln, cache) =
                     ln_forward(&low, &xl, &hosted_slice(g, &gamma), &hosted_slice(g, &beta));
                 let (dxln, dg, dbeta) = ln_backward(&low, &dyl, &cache);

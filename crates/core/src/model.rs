@@ -111,7 +111,14 @@ impl OptimusModel {
         let cfg = &self.cfg;
         let low = Summa2d { grid, cfg };
         let hidden = self.hidden_states(&low, tokens);
-        linear_forward(&low, Role::Expand, &self.pool_first_token(&hidden), w, b)
+        linear_forward(
+            &low,
+            Role::Expand,
+            &self.pool_first_token(&hidden),
+            w,
+            b,
+            None,
+        )
     }
 
     /// Global mean classification loss for per-sequence labels `[b]`
@@ -223,11 +230,12 @@ impl OptimusModel {
         let x = low.embed(table, tokens_local);
         let (y, kept) = stem::sweep_forward(&low, &self.layers, x, Keep::Inputs, meter);
         let (hidden, final_ln_cache) = ln_forward(&low, &y, &self.final_ln_g, &self.final_ln_b);
-        let (loss, dlogits) =
+        let (loss, dlogits, panels) =
             stem::head_loss(&low, table, &hidden, labels_local, total_rows, meter);
 
         let mut d_table = Tensor::zeros(&[table.rows(), table.cols()]);
-        let dhidden = stem::head_backward(&low, table, &hidden, dlogits, &mut d_table, meter);
+        let dhidden =
+            stem::head_backward(&low, table, &hidden, dlogits, panels, &mut d_table, meter);
         let (dx, fg, fb) = ln_backward(&low, &dhidden, &final_ln_cache);
         let mut update = |p: &mut [f32], g: &[f32]| sgd(p, g, lr);
         walk_pair(&mut self.final_ln_g, &fg, &mut update);

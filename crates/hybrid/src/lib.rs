@@ -101,6 +101,7 @@ use mesh::{
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Keep, Kept, MemMeter};
 use serial::{ln_backward, ln_forward, walk_pair, LnCache, Lowering, Span};
+use summa::Strips;
 use tensor::optim::AdamSet;
 use tensor::Tensor;
 
@@ -334,10 +335,11 @@ pub fn build<'a, C: Communicator>(
 /// One stage's in-flight state for one microbatch: what the stem's forward
 /// sweep kept.
 struct MicroState {
-    kept: Vec<Kept>,
-    /// Last stage only: final layer-norm cache, normalized hidden state and
-    /// the loss-scaled logits gradient.
-    head: Option<(LnCache, Tensor, Tensor)>,
+    kept: Vec<Kept<Strips>>,
+    /// Last stage only: final layer-norm cache, normalized hidden state,
+    /// the loss-scaled logits gradient and the table panels the logits
+    /// product received.
+    head: Option<(LnCache, Tensor, Tensor, Strips)>,
 }
 
 fn add(acc: &mut [f32], g: &[f32]) {
@@ -488,13 +490,13 @@ impl HybridStage {
         let head = match ln {
             Some(ln) => {
                 let mb_labels = micro.local_tokens(self.micro_slice(labels, i), grid.row());
-                let (loss, dlogits) = low.scope(Span::LossHead, || {
+                let (loss, dlogits, panels) = low.scope(Span::LossHead, || {
                     stem::head_loss(&low, &model.table, &y, mb_labels, total_rows, meter)
                 });
                 // Already scaled by 1/total_rows: losses and gradients
                 // combine across microbatches and replicas by plain summation.
                 *losses += loss as f64;
-                Some((ln, y, dlogits))
+                Some((ln, y, dlogits, panels))
             }
             None => {
                 let to = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
@@ -525,9 +527,10 @@ impl HybridStage {
         let mut d_table = Tensor::zeros(&[model.table.rows(), model.table.cols()]);
 
         let (dx, final_ln_g, final_ln_b) = match state.head {
-            Some((ln, hidden, dlogits)) => {
+            Some((ln, hidden, dlogits, panels)) => {
                 let dhidden = low.scope(Span::LossHead, || {
-                    stem::head_backward(&low, &model.table, &hidden, dlogits, &mut d_table, meter)
+                    let table = &model.table;
+                    stem::head_backward(&low, table, &hidden, dlogits, panels, &mut d_table, meter)
                 });
                 low.scope(Span::Bwd, || ln_backward(&low, &dhidden, &ln))
             }

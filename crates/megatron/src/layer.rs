@@ -31,12 +31,21 @@ pub struct Megatron1d<'a, C: Communicator> {
 
 impl<C: Communicator> Lowering for Megatron1d<'_, C> {
     type Hosted = Vec<f32>;
+    type Panels = ();
 
     /// A local GEMM on this device's slice. The two products that contract
     /// over the partitioned dimension — a row-parallel forward and a
     /// column-parallel input gradient — are partial sums, completed by the
     /// one world all-reduce of Fig. 2.
-    fn gemm(&self, form: Form, role: Role, a: &Tensor, b: &Tensor) -> Tensor {
+    fn gemm(
+        &self,
+        form: Form,
+        role: Role,
+        a: &Tensor,
+        b: &Tensor,
+        _: &(),
+        _: Option<&mut ()>,
+    ) -> Tensor {
         let mut c = local_gemm(form, a, b);
         if matches!(
             (form, role),

@@ -358,7 +358,7 @@ pub(crate) fn run_collective<'b, B: Backend>(
                 let p = b.world_size();
                 assert!(*peer < p, "send to rank {peer} out of range (p={p})");
                 let packed = packed_len(range.len(), plan.wire);
-                log.record_link(b.rank(), *peer, packed);
+                log.record_link(b.rank(), *peer, packed, Some(op));
                 wire_elems += packed;
                 logical_elems += range.len();
             }

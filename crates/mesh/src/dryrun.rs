@@ -115,7 +115,9 @@ impl Communicator for DryRunComm {
 
     fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
-        self.log.borrow_mut().record_link(self.rank, to, data.len());
+        self.log
+            .borrow_mut()
+            .record_link(self.rank, to, data.len(), None);
         self.wire
             .borrow_mut()
             .queued

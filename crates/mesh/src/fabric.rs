@@ -154,7 +154,9 @@ impl DeviceCtx {
     /// Point-to-point send. Counted in the [`CommLog`].
     pub fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
-        self.log.borrow_mut().record_link(self.rank, to, data.len());
+        self.log
+            .borrow_mut()
+            .record_link(self.rank, to, data.len(), None);
         self.boxes[to].push(self.rank, to, data);
     }
 

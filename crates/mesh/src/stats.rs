@@ -102,6 +102,9 @@ pub struct LinkRecord {
     pub from: usize,
     pub to: usize,
     pub elems: usize,
+    /// The kind of collective the transfer was a step of; `None` for a
+    /// point-to-point send.
+    pub op: Option<CommOp>,
     /// The innermost [`trace`] span open when the send ran (0 = untraced).
     pub span: u32,
 }
@@ -180,12 +183,13 @@ impl CommLog {
         });
     }
 
-    pub(crate) fn record_link(&mut self, from: usize, to: usize, elems: usize) {
+    pub(crate) fn record_link(&mut self, from: usize, to: usize, elems: usize, op: Option<CommOp>) {
         self.wire += elems;
         self.links.push(LinkRecord {
             from,
             to,
             elems,
+            op,
             span: trace::current_span(),
         });
     }
@@ -194,6 +198,16 @@ impl CommLog {
     pub fn total_link_elems(&self) -> usize {
         debug_assert_eq!(self.wire, self.links.iter().map(|l| l.elems).sum::<usize>());
         self.wire
+    }
+
+    /// `f32` elements this device pushed onto the fabric as steps of
+    /// collectives of kind `op` (`None`: point-to-point sends).
+    pub fn link_elems(&self, op: Option<CommOp>) -> usize {
+        self.links
+            .iter()
+            .filter(|l| l.op == op)
+            .map(|l| l.elems)
+            .sum()
     }
 
     /// Total logical payload across collectives of a given kind.
@@ -281,12 +295,15 @@ mod tests {
     #[test]
     fn link_accounting_and_merge() {
         let mut a = CommLog::new(0);
-        a.record_link(0, 1, 10);
+        a.record_link(0, 1, 10, Some(CommOp::Broadcast));
         let mut b = CommLog::new(1);
-        b.record_link(1, 0, 5);
+        b.record_link(1, 0, 5, None);
         a.merge(&b);
         assert_eq!(a.total_link_elems(), 15);
         assert_eq!(a.links.len(), 2);
+        assert_eq!(a.link_elems(Some(CommOp::Broadcast)), 10);
+        assert_eq!(a.link_elems(None), 5);
+        assert_eq!(a.link_elems(Some(CommOp::Reduce)), 0);
     }
 
     #[test]
@@ -295,7 +312,7 @@ mod tests {
         a.record_op(CommOp::Broadcast, crate::CollAlgo::Tree, 4, 100, 0, 1);
         let mut b = CommLog::new(1);
         b.record_op(CommOp::Reduce, crate::CollAlgo::Tree, 4, 50, 0, 1);
-        b.record_link(1, 0, 50);
+        b.record_link(1, 0, 50, Some(CommOp::Reduce));
         a.merge(&b);
         // Ops remember who recorded them...
         assert_eq!(a.ops[0].rank, 0);

@@ -40,6 +40,10 @@ pub struct MemoryEstimate {
     pub grads: f64,
     pub checkpoints: f64,
     pub working_set: f64,
+    /// SUMMA panel strips a checkpoint recompute keeps for the layer's
+    /// backward: transport buffers, not in `total` (nor in the measured
+    /// `Tensor` peak).
+    pub panel_strips: f64,
     pub total: f64,
 }
 
@@ -68,6 +72,7 @@ pub fn megatron_bytes(c: &MemoryConfig, b: usize) -> MemoryEstimate {
         grads,
         checkpoints,
         working_set: working,
+        panel_strips: 0.0,
         total,
     }
 }
@@ -93,8 +98,20 @@ pub fn optimus_bytes(c: &MemoryConfig, b: usize) -> MemoryEstimate {
         grads,
         checkpoints,
         working_set: working,
+        panel_strips: panel_strip_bytes(b, c.seq, c.hidden, c.p),
         total,
     }
+}
+
+/// Bytes of the SUMMA panel strips one device holds between a layer's
+/// checkpoint recompute and its backward, on a `√p × √p` mesh at batch `b`:
+/// each projection `y = x·W` keeps the row strip of `x` (`[bs/q, K]`) and
+/// the column strip of `W` (`[K, N/q]`), which over QKV, out-proj, fc1 and
+/// fc2 sums to `(7bsh + 12h²)/q` elements — one forward's SUMMA payload.
+fn panel_strip_bytes(b: usize, s: usize, h: usize, p: usize) -> f64 {
+    let q = (p as f64).sqrt();
+    let (bsh, h2) = ((b * s * h) as f64, (h * h) as f64);
+    (7.0 * bsh + 12.0 * h2) / q * F
 }
 
 /// Which scheme to estimate.
@@ -196,6 +213,11 @@ mod tests {
         let m = megatron_bytes(&c, 64);
         let o = optimus_bytes(&c, 64);
         assert!(o.working_set < m.working_set / 2.0);
+        // Kept panel strips are reported beside the total, not in it.
+        assert_eq!(m.panel_strips, 0.0);
+        assert!(o.panel_strips > 0.0);
+        let parts = o.params + o.grads + o.checkpoints + o.working_set;
+        assert_eq!(o.total, parts);
         // Sharded state is identical.
         assert_eq!(m.params, o.params);
         assert_eq!(m.checkpoints, o.checkpoints);

@@ -42,7 +42,14 @@ pub fn megatron_layer_costs(b: usize, s: usize, h: usize, p: usize) -> LayerCost
 
 /// Table 1, Optimus column: `log(p)/(2√p)·(7bsh + 12h²)` forward, 3× that
 /// backward (each matmul's backward is two SUMMA products, plus the
-/// checkpoint recompute).
+/// checkpoint recompute), exactly as the paper prints it.
+///
+/// The executed checkpointed backward moves 2× the forward, not 3×: the
+/// recompute keeps the panels it receives and the backward's `NT`/`TN`
+/// products read them instead of broadcasting them again, so they move only
+/// their reduces (`tests/panel_reuse.rs` checks the 2× on an executed
+/// layer). Without checkpointing the backward is the two products alone,
+/// 2× as well.
 pub fn optimus_layer_costs(b: usize, s: usize, h: usize, p: usize) -> LayerCosts {
     let q = (p as f64).sqrt();
     assert!(

@@ -59,9 +59,25 @@ pub trait Lowering {
     /// How a device holds a bias or layer-norm vector.
     type Hosted: Hosted;
 
+    /// Operand panels a product received from other devices, kept for a
+    /// later product that needs the same ones (`()` for a lowering that
+    /// moves no panels).
+    type Panels: Default;
+
     /// One of a projection's three products on this device's operands:
-    /// `NN` is `x·W`, `NT` is `dy·Wᵀ`, `TN` is `xᵀ·dy`.
-    fn gemm(&self, form: Form, role: Role, a: &Tensor, b: &Tensor) -> Tensor;
+    /// `NN` is `x·W`, `NT` is `dy·Wᵀ`, `TN` is `xᵀ·dy`. Panels that `from`
+    /// holds are read from there instead of being received again; with
+    /// `keep`, it ends up holding the panels the product did receive (its
+    /// old panels lending them their storage).
+    fn gemm(
+        &self,
+        form: Form,
+        role: Role,
+        a: &Tensor,
+        b: &Tensor,
+        from: &Self::Panels,
+        keep: Option<&mut Self::Panels>,
+    ) -> Tensor;
 
     /// The `len` values of a hosted vector this device's columns need.
     fn fetch<'a>(&self, v: &'a Self::Hosted, len: usize) -> Cow<'a, [f32]>;
@@ -132,8 +148,17 @@ pub struct Local(pub ModelConfig);
 
 impl Lowering for Local {
     type Hosted = Vec<f32>;
+    type Panels = ();
 
-    fn gemm(&self, form: Form, _role: Role, a: &Tensor, b: &Tensor) -> Tensor {
+    fn gemm(
+        &self,
+        form: Form,
+        _: Role,
+        a: &Tensor,
+        b: &Tensor,
+        _: &(),
+        _: Option<&mut ()>,
+    ) -> Tensor {
         local_gemm(form, a, b)
     }
     fn fetch<'a>(&self, v: &'a Vec<f32>, _len: usize) -> Cow<'a, [f32]> {
@@ -157,24 +182,25 @@ impl Lowering for Local {
     }
     fn embed_backward(&self, d_table: &mut Tensor, dx: &Tensor, tokens: &[usize]) {
         for (r, &t) in tokens.iter().enumerate() {
-            let drow = dx.row(r).to_vec();
-            for (dst, v) in d_table.row_mut(t).iter_mut().zip(drow) {
+            for (dst, v) in d_table.row_mut(t).iter_mut().zip(dx.row(r)) {
                 *dst += v;
             }
         }
     }
 }
 
-/// `y = xW + b`.
+/// `y = xW + b`. With `keep`, the operand panels the product receives are
+/// left there for [`linear_backward`].
 pub fn linear_forward<L: Lowering>(
     low: &L,
     role: Role,
     x: &Tensor,
     w: &Tensor,
     b: &L::Hosted,
+    keep: Option<&mut L::Panels>,
 ) -> Tensor {
     low.scope(Span::LinearFwd, || {
-        let mut y = low.gemm(Form::NN, role, x, w);
+        let mut y = low.gemm(Form::NN, role, x, w, &L::Panels::default(), keep);
         let bias = low.fetch(b, y.cols());
         bias_add(&mut y, &bias);
         y
@@ -183,17 +209,19 @@ pub fn linear_forward<L: Lowering>(
 
 /// Given a linear layer's input and upstream gradient, returns
 /// `(dx, dw, db)`: `dx = dy Wᵀ`, `dw = xᵀ dy`, `db = Σ_rows dy` (paper
-/// Eq. 1 plus the bias rule of Fig. 5).
+/// Eq. 1 plus the bias rule of Fig. 5). `kept` holds the panels of `x` and
+/// `W` that the forward product kept, if any.
 pub fn linear_backward<L: Lowering>(
     low: &L,
     role: Role,
     x: &Tensor,
     w: &Tensor,
     dy: &Tensor,
+    kept: &L::Panels,
 ) -> (Tensor, Tensor, L::Hosted) {
     low.scope(Span::LinearBwd, || {
-        let dx = low.gemm(Form::NT, role, dy, w);
-        let dw = low.gemm(Form::TN, role, x, dy);
+        let dx = low.gemm(Form::NT, role, dy, w, kept, None);
+        let dw = low.gemm(Form::TN, role, x, dy, kept, None);
         let db = low.send_home(bias_grad(dy));
         (dx, dw, db)
     })
@@ -268,8 +296,10 @@ pub fn ln_backward<L: Lowering>(
 /// This is the paper's forward buffer: the *outputs* of the matmuls other
 /// than the layer's final output never appear here — only matmul inputs,
 /// layer-norm caches and attention probabilities (the observation behind
-/// memory method (3) of Section 3.2.3).
-pub struct LayerCache {
+/// memory method (3) of Section 3.2.3). A recompute ([`layer_recompute`])
+/// also keeps the operand panels of its four projections, `P` being the
+/// lowering's [`Lowering::Panels`].
+pub struct LayerCache<P = ()> {
     pub ln1: LnCache,
     pub ln1_out: Tensor,
     pub q: Tensor,
@@ -283,9 +313,13 @@ pub struct LayerCache {
     pub ln2_out: Tensor,
     pub f1: Tensor,
     pub g: Tensor,
+    /// The operand panels each projection's forward product kept, in the
+    /// order QKV, output projection, fc1, fc2. Transport buffers, not
+    /// activations: [`LayerCache::bytes`] leaves them out.
+    pub panels: [P; 4],
 }
 
-impl LayerCache {
+impl<P> LayerCache<P> {
     /// Bytes of activation state this cache pins (for the memory meter).
     pub fn bytes(&self) -> usize {
         let probs = self.attn.iter().flat_map(|a| &a.probs);
@@ -316,28 +350,84 @@ pub fn layer_forward<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
     x: &Tensor,
-) -> (Tensor, LayerCache) {
+) -> (Tensor, LayerCache<L::Panels>) {
+    layer_pass(low, p, x, None)
+}
+
+/// The checkpoint recompute of [`layer_forward`] right before the layer's
+/// backward: returns the cache, with the operand panels each projection
+/// received kept in it, so [`layer_backward`] reads them instead of
+/// receiving them a second time. `reuse` is a previous cache's `panels`,
+/// whose storage the new panels take over (pass `Default::default()` when
+/// there is none).
+pub fn layer_recompute<L: Lowering>(
+    low: &L,
+    p: &LayerTensors<L::Hosted>,
+    x: &Tensor,
+    reuse: [L::Panels; 4],
+) -> LayerCache<L::Panels> {
+    layer_pass(low, p, x, Some(reuse)).1
+}
+
+/// [`layer_forward`], keeping each projection's panels in `keep` when given.
+fn layer_pass<L: Lowering>(
+    low: &L,
+    p: &LayerTensors<L::Hosted>,
+    x: &Tensor,
+    keep: Option<[L::Panels; 4]>,
+) -> (Tensor, LayerCache<L::Panels>) {
     low.scope(Span::LayerFwd, || {
         let view = low.attn_view();
         let (rows, w) = (view.tokens(), view.hidden);
         assert_eq!(x.rows(), rows, "bad activation block");
+        let keeping = keep.is_some();
+        let mut panels = keep.unwrap_or_default();
+        let [qkv_p, out_p, fc1_p, fc2_p] = &mut panels;
 
         // Attention half.
         let (ln1_out, ln1) = ln_forward(low, x, &p.ln1_g, &p.ln1_b);
-        let qkv = linear_forward(low, Role::Expand, &ln1_out, &p.w_qkv, &p.b_qkv);
+        let qkv = linear_forward(
+            low,
+            Role::Expand,
+            &ln1_out,
+            &p.w_qkv,
+            &p.b_qkv,
+            keeping.then_some(qkv_p),
+        );
         let q = qkv.block(0, 0, rows, w);
         let k = qkv.block(0, w, rows, w);
         let v = qkv.block(0, 2 * w, rows, w);
         let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
-        let attn_out = linear_forward(low, Role::Contract, &ctxt, &p.w_out, &p.b_out);
+        let attn_out = linear_forward(
+            low,
+            Role::Contract,
+            &ctxt,
+            &p.w_out,
+            &p.b_out,
+            keeping.then_some(out_p),
+        );
         let mut x1 = x.clone();
         x1.add_assign(&attn_out);
 
         // MLP half.
         let (ln2_out, ln2) = ln_forward(low, &x1, &p.ln2_g, &p.ln2_b);
-        let f1 = linear_forward(low, Role::Expand, &ln2_out, &p.w_fc1, &p.b_fc1);
+        let f1 = linear_forward(
+            low,
+            Role::Expand,
+            &ln2_out,
+            &p.w_fc1,
+            &p.b_fc1,
+            keeping.then_some(fc1_p),
+        );
         let g = gelu_forward(&f1);
-        let f2 = linear_forward(low, Role::Contract, &g, &p.w_fc2, &p.b_fc2);
+        let f2 = linear_forward(
+            low,
+            Role::Contract,
+            &g,
+            &p.w_fc2,
+            &p.b_fc2,
+            keeping.then_some(fc2_p),
+        );
         let mut y = x1.clone();
         y.add_assign(&f2);
 
@@ -356,27 +446,31 @@ pub fn layer_forward<L: Lowering>(
                 ln2_out,
                 f1,
                 g,
+                panels,
             },
         )
     })
 }
 
 /// Layer backward: returns the input gradient and all parameter gradients.
+/// Each projection's products read the panels `cache` kept for it.
 pub fn layer_backward<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
-    cache: &LayerCache,
+    cache: &LayerCache<L::Panels>,
     dy: &Tensor,
 ) -> (Tensor, LayerTensors<L::Hosted>) {
     low.scope(Span::LayerBwd, || {
         let view = low.attn_view();
         let (rows, w) = (view.tokens(), view.hidden);
+        let [qkv_p, out_p, fc1_p, fc2_p] = &cache.panels;
 
         // MLP half.
-        let (mut df1, w_fc2, b_fc2) = linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy);
+        let (mut df1, w_fc2, b_fc2) =
+            linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy, fc2_p);
         gelu_backward_in_place(&mut df1, &cache.f1);
         let (dln2_out, w_fc1, b_fc1) =
-            linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1);
+            linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1, fc1_p);
         let (dx1_ln, ln2_g, ln2_b) = ln_backward(low, &dln2_out, &cache.ln2);
 
         // Residual into x1: from the skip connection (dy) and from LN2.
@@ -385,7 +479,7 @@ pub fn layer_backward<L: Lowering>(
 
         // Attention half.
         let (dctxt, w_out, b_out) =
-            linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1);
+            linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1, out_p);
         let (dq, dk, dv) = attention_backward(
             &view,
             &dctxt,
@@ -399,7 +493,7 @@ pub fn layer_backward<L: Lowering>(
         dqkv.set_block(0, w, &dk);
         dqkv.set_block(0, 2 * w, &dv);
         let (dln1_out, w_qkv, b_qkv) =
-            linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv);
+            linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv, qkv_p);
         let (dx_ln, ln1_g, ln1_b) = ln_backward(low, &dln1_out, &cache.ln1);
 
         // Residual into x: skip (dx1) plus LN1 path.

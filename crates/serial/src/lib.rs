@@ -40,8 +40,8 @@ pub mod stem;
 pub use attention::{attention_backward, attention_forward, AttnCache};
 pub use config::ModelConfig;
 pub use layer::{
-    layer_backward, layer_forward, linear_backward, linear_forward, ln_backward, ln_forward,
-    local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
+    layer_backward, layer_forward, layer_recompute, linear_backward, linear_forward, ln_backward,
+    ln_forward, local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
 };
 pub use model::SerialModel;
 pub use params::{

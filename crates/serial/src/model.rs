@@ -158,7 +158,7 @@ impl SerialModel {
                 .row_mut(b)
                 .copy_from_slice(hidden.row(b * self.cfg.seq));
         }
-        linear_forward(&Local(self.cfg), Role::Expand, &pooled, w, b)
+        linear_forward(&Local(self.cfg), Role::Expand, &pooled, w, b, None)
     }
 
     /// Classification loss for per-sequence binary labels.

@@ -9,10 +9,13 @@
 //!   [`LayerCache`]; [`sweep_backward`] recomputes or pops, runs
 //!   [`layer_backward`] and hands each layer's gradients to a caller-supplied
 //!   sink — collect them, add them to a running total, or apply them on the
-//!   spot and drop them (the paper's immediate update);
+//!   spot and drop them (the paper's immediate update). The recompute keeps
+//!   the operand panels its products received, and the layer's backward
+//!   reads them instead of receiving them again;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
-//!   (`dH = dL·E`, `dE += dLᵀ·H`);
+//!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
+//!   logits product and the `dL` panels shared between the two);
 //! * the **single-stage compositions** [`hidden_states`], [`lm_loss`] and
 //!   [`lm_grads`] that the serial, Megatron and Optimus models call; a
 //!   pipeline stage composes the same pieces around its boundary send/recv.
@@ -21,8 +24,8 @@
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
 
 use crate::layer::{
-    layer_backward, layer_forward, ln_backward, ln_forward, LayerCache, Lowering, Reduce, Role,
-    Span,
+    layer_backward, layer_forward, layer_recompute, ln_backward, ln_forward, LayerCache, Lowering,
+    Reduce, Role, Span,
 };
 use crate::params::{LayerTensors, ModelTensors};
 use std::borrow::Borrow;
@@ -107,9 +110,9 @@ impl Keep {
 }
 
 /// One layer's share of a forward sweep's state.
-pub enum Kept {
+pub enum Kept<P> {
     Input(Tensor),
-    Cache(Box<LayerCache>),
+    Cache(Box<LayerCache<P>>),
 }
 
 /// Panics unless `ids` holds `rows` ids, all below `vocab`. Every entry
@@ -141,7 +144,7 @@ pub fn sweep_forward<L: Lowering>(
     mut x: Tensor,
     keep: Keep,
     meter: &mut MemMeter,
-) -> (Tensor, Vec<Kept>) {
+) -> (Tensor, Vec<Kept<L::Panels>>) {
     let mut kept = Vec::new();
     for p in layers {
         let (y, cache) = layer_forward(low, p, &x);
@@ -162,7 +165,8 @@ pub fn sweep_forward<L: Lowering>(
 }
 
 /// Runs the output gradient `dy` down through `layers`, top layer first:
-/// pops each layer's cache (or recomputes it from the kept input), runs
+/// pops each layer's cache (or recomputes it from the kept input, keeping
+/// the panels the recompute received for the backward), runs
 /// [`layer_backward`] and hands `(l, layer, gradients)` to `sink`. Returns
 /// the gradient of the bottom layer's input.
 ///
@@ -172,22 +176,26 @@ pub fn sweep_forward<L: Lowering>(
 pub fn sweep_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
-    mut kept: Vec<Kept>,
+    mut kept: Vec<Kept<L::Panels>>,
     mut dy: Tensor,
     meter: &mut MemMeter,
     mut sink: impl FnMut(usize, P, LayerTensors<L::Hosted>),
 ) -> Tensor {
     assert_eq!(kept.len(), layers.len(), "one kept entry per layer");
+    // Each recompute's panels take over the storage of the previous
+    // layer's, which its backward has finished reading.
+    let mut spare: [L::Panels; 4] = Default::default();
     for (l, p) in layers.enumerate().rev() {
-        let (cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
+        let (mut cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
             Kept::Cache(cache) => (*cache, 0),
             Kept::Input(x) => {
-                let (_, cache) = layer_forward(low, p.borrow(), &x);
+                let cache = layer_recompute(low, p.borrow(), &x, std::mem::take(&mut spare));
                 meter.alloc(cache.bytes());
                 (cache, bytes(&x))
             }
         };
         let (dx, grads) = layer_backward(low, p.borrow(), &cache, &dy);
+        spare = std::mem::take(&mut cache.panels);
         meter.free(cache.bytes() + input_bytes);
         sink(l, p, grads);
         dy = dx;
@@ -197,7 +205,14 @@ pub fn sweep_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
 
 /// Tied LM head: `logits = H·Eᵀ` on this device's blocks.
 pub fn logits<L: Lowering>(low: &L, hidden: &Tensor, table: &Tensor) -> Tensor {
-    low.gemm(Form::NT, Role::Contract, hidden, table)
+    low.gemm(
+        Form::NT,
+        Role::Contract,
+        hidden,
+        table,
+        &L::Panels::default(),
+        None,
+    )
 }
 
 /// Cross-entropy over logits whose vocabulary columns may be split across
@@ -227,9 +242,10 @@ pub fn cross_entropy<L: Lowering>(
     (loss, grad)
 }
 
-/// Head forward and loss: returns the mean loss and `dlogits`. The logits
-/// themselves do not outlive the call; `dlogits`, the same size, carries
-/// their metered bytes until [`head_backward`].
+/// Head forward and loss: returns the mean loss, `dlogits` and the table
+/// panels the logits product received, which [`head_backward`] reads. The
+/// logits themselves do not outlive the call; `dlogits`, the same size,
+/// carries their metered bytes until [`head_backward`].
 pub fn head_loss<L: Lowering>(
     low: &L,
     table: &Tensor,
@@ -237,24 +253,45 @@ pub fn head_loss<L: Lowering>(
     labels: &[usize],
     total_rows: usize,
     meter: &mut MemMeter,
-) -> (f32, Tensor) {
-    let logits = logits(low, hidden, table);
+) -> (f32, Tensor, L::Panels) {
+    let mut panels = L::Panels::default();
+    let from = &L::Panels::default();
+    let logits = low.gemm(
+        Form::NT,
+        Role::Contract,
+        hidden,
+        table,
+        from,
+        Some(&mut panels),
+    );
     meter.alloc(bytes(&logits));
-    cross_entropy(low, &logits, labels, total_rows)
+    let (loss, dlogits) = cross_entropy(low, &logits, labels, total_rows);
+    (loss, dlogits, panels)
 }
 
 /// Tied head backward (paper Eq. 3): returns `dH = dL·E` and adds
-/// `dE = dLᵀ·H` to `d_table`.
+/// `dE = dLᵀ·H` to `d_table`. `dL·E` reads the table panels [`head_loss`]
+/// kept and keeps the `dL` panels it receives, which `dLᵀ·H` then reads.
 pub fn head_backward<L: Lowering>(
     low: &L,
     table: &Tensor,
     hidden: &Tensor,
     dlogits: Tensor,
+    table_panels: L::Panels,
     d_table: &mut Tensor,
     meter: &mut MemMeter,
 ) -> Tensor {
-    let dh = low.gemm(Form::NN, Role::Contract, &dlogits, table);
-    let de = low.gemm(Form::TN, Role::Contract, &dlogits, hidden);
+    let mut dl_panels = L::Panels::default();
+    let dh = low.gemm(
+        Form::NN,
+        Role::Contract,
+        &dlogits,
+        table,
+        &table_panels,
+        Some(&mut dl_panels),
+    );
+    drop(table_panels);
+    let de = low.gemm(Form::TN, Role::Contract, &dlogits, hidden, &dl_panels, None);
     d_table.add_assign(&de);
     meter.free(bytes(&dlogits));
     dh
@@ -278,8 +315,8 @@ pub fn lm_loss<L: Lowering>(
 ) -> f32 {
     check(low, "label", labels);
     let hidden = hidden_states(low, p, tokens);
-    let meter = &mut MemMeter::new();
-    head_loss(low, p.table, &hidden, labels, total_rows, meter).0
+    let logits = logits(low, &hidden, p.table);
+    cross_entropy(low, &logits, labels, total_rows).0
 }
 
 /// Forward + backward over a whole stem held by one device (group): returns
@@ -312,8 +349,8 @@ pub fn lm_grads<L: Lowering>(
 
     let mut d_table = Tensor::zeros(&[p.table.rows(), p.table.cols()]);
     let (loss, dhidden) = low.scope(Span::LossHead, || {
-        let (loss, dlogits) = head_loss(low, p.table, &hidden, labels, total_rows, meter);
-        let dhidden = head_backward(low, p.table, &hidden, dlogits, &mut d_table, meter);
+        let (loss, dlogits, panels) = head_loss(low, p.table, &hidden, labels, total_rows, meter);
+        let dhidden = head_backward(low, p.table, &hidden, dlogits, panels, &mut d_table, meter);
         (loss, dhidden)
     });
 

@@ -16,7 +16,11 @@
 //! gradient of a SUMMA product is itself a SUMMA product — see the
 //! `grad_*` helpers. [`Workspace`] provides the paper's Section 3.2.3
 //! pre-allocated communication buffers: after warm-up, a training step
-//! performs zero fresh panel allocations.
+//! performs zero fresh panel allocations. [`summa_product`] runs any of the
+//! three forms and can keep the panels it receives as [`Strips`], or read a
+//! later product's panels from strips an earlier one kept: a checkpointed
+//! layer's backward `NT`/`TN` read the panels of `W` and `x` that the
+//! recompute's `NN` received, so they post only their reduces.
 //!
 //! All routines are generic over `mesh`'s `Communicator` trait, so they run
 //! unchanged on the live thread mesh and on the trace-only dry-run backend
@@ -33,5 +37,7 @@ mod ops;
 mod workspace;
 
 pub use dist::{collect_blocks, distribute};
-pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nt, summa_tn};
-pub use workspace::{summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
+pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nt, summa_product, summa_tn};
+pub use workspace::{
+    summa_nn_into, summa_nt_into, summa_product_into, summa_tn_into, Strips, Workspace,
+};

@@ -5,9 +5,28 @@
 //! [`Workspace`] (two buffer pairs instead of `2q` fresh tensors) and runs
 //! the prefetch schedule, the only one there is.
 
-use crate::workspace::{summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
+use crate::workspace::{product_dims, summa_product_into, Strips, Workspace};
 use mesh::{Communicator, Grid2d};
+use tensor::gemm::Form;
 use tensor::Tensor;
+
+/// One SUMMA product of `form` into a fresh output block: `NN` is `A B`,
+/// `NT` is `A Bᵀ`, `TN` is `Aᵀ B`. Operand panels that `from` holds are read
+/// from there instead of being received again; with `keep`, the panels the
+/// product receives are left in it (see [`summa_product_into`]).
+pub fn summa_product<C: Communicator>(
+    grid: &Grid2d<C>,
+    form: Form,
+    a: &Tensor,
+    b: &Tensor,
+    from: &Strips,
+    keep: Option<&mut Strips>,
+) -> Tensor {
+    let (mb, nb, _) = product_dims(form, a, b);
+    let mut c = Tensor::zeros(&[mb, nb]);
+    summa_product_into(grid, form, a, b, &mut c, &mut Workspace::new(), from, keep);
+    c
+}
 
 /// `C = A B` (Algorithm 1). `a: [M/q, K/q]`, `b: [K/q, N/q]` local blocks;
 /// returns the local `[M/q, N/q]` block of `C`.
@@ -17,12 +36,7 @@ use tensor::Tensor;
 /// locally (Fig. 3). Iteration `l+1`'s broadcasts are posted before
 /// iteration `l`'s GEMM runs.
 pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
-    let (mb, kb) = (a.rows(), a.cols());
-    let (kb2, nb) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
-    let mut c = Tensor::zeros(&[mb, nb]);
-    summa_nn_into(grid, a, b, &mut c, &mut Workspace::new());
-    c
+    summa_product(grid, Form::NN, a, b, &Strips::default(), None)
 }
 
 /// `C = A Bᵀ` (Algorithm 2). `a: [M/q, K/q]` blocks of `A: [M, K]`;
@@ -32,12 +46,7 @@ pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
 /// partial product locally, and reduces it along rows to column `l`; the
 /// reduce rides the fabric during the next iteration's GEMM.
 pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
-    let (mb, kb) = (a.rows(), a.cols());
-    let (nb, kb2) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
-    let mut c = Tensor::zeros(&[mb, nb]);
-    summa_nt_into(grid, a, b, &mut c, &mut Workspace::new());
-    c
+    summa_product(grid, Form::NT, a, b, &Strips::default(), None)
 }
 
 /// `C = Aᵀ B` (Algorithm 3). `a: [K/q, M/q]` blocks of `A: [K, M]`;
@@ -47,12 +56,7 @@ pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
 /// partial product locally, and reduces it along columns to row `l`; the
 /// reduce rides the fabric during the next iteration's GEMM.
 pub fn summa_tn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
-    let (kb, mb) = (a.rows(), a.cols());
-    let (kb2, nb) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
-    let mut c = Tensor::zeros(&[mb, nb]);
-    summa_tn_into(grid, a, b, &mut c, &mut Workspace::new());
-    c
+    summa_product(grid, Form::TN, a, b, &Strips::default(), None)
 }
 
 /// Gradients of `C = A B` (paper Eq. 1): `dA = dC Bᵀ`, `dB = Aᵀ dC`.

@@ -8,10 +8,25 @@
 //! volume of memory among those required" — [`Workspace`] implements exactly
 //! that, with one twist: each logical buffer is a **pair**, because the
 //! prefetch schedule keeps iteration `l+1`'s panel in flight while
-//! iteration `l`'s is being consumed. Buffers grow to a high-water mark
+//! iteration `l`'s is being consumed (a product that keeps its panels, see
+//! below, hands them over instead of returning them to the pair). Buffers grow to a high-water mark
 //! during warm-up and are reused afterwards; [`Workspace::fresh_allocs`]
 //! exposes the growth count so the ablation benchmark (and a regression
 //! test) can prove steady-state reuse.
+//!
+//! # Kept panels
+//!
+//! A product can instead **keep** the panels its broadcasts deliver — all
+//! `q` of them, the received `Vec`s themselves, no copy — as [`Strips`],
+//! and a later product over the same operand reads its panel `l` from the
+//! strip instead of receiving it again. The checkpoint recompute's `NN`
+//! (`y = x·W`) keeps the row strip of `x` and the column strip of `W`; the
+//! layer's backward `NT` (`dx = dy·Wᵀ`) reads the `W` strip and `TN`
+//! (`dW = xᵀ·dy`) the `x` strip, so both post only their reduces. Both cores
+//! take each operand's panels from one `Source`: a kept strip, or a
+//! broadcast posted now. A broadcast moves exact payloads, so a kept panel
+//! is bitwise the panel a second broadcast would deliver, and every product
+//! reads the same bytes and reduces in the same order either way.
 //!
 //! # Comm/compute overlap
 //!
@@ -49,7 +64,8 @@
 //! `d = 1` mesh every depth collective is skipped, so the 2D op/link
 //! streams are byte-identical to the pre-2.5D code.
 
-use mesh::{Communicator, Grid2d, PendingColl};
+use mesh::{Communicator, Grid2d, Group, PendingColl};
+use std::borrow::Cow;
 use tensor::gemm::{gemm_acc, Form};
 use tensor::Tensor;
 
@@ -72,6 +88,116 @@ impl Workspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Workspace::default()
+    }
+}
+
+/// The panels one product received, kept for a later product that needs
+/// the same ones: `row` holds the panels that travelled along mesh rows
+/// (the left operand of `NN` and `TN`), `col` those that travelled down
+/// mesh columns (the right operand of `NN` and `NT`), one per iteration of
+/// this device's depth slice. An empty strip was not kept.
+#[derive(Debug, Default)]
+pub struct Strips {
+    pub row: Vec<Vec<f32>>,
+    pub col: Vec<Vec<f32>>,
+}
+
+impl Strips {
+    /// Bytes the kept panels hold.
+    pub fn bytes(&self) -> usize {
+        self.row.iter().chain(&self.col).map(|p| p.len() * 4).sum()
+    }
+}
+
+/// Where a product gets one operand's panels: from a strip an earlier
+/// product kept, or from broadcasts posted now. With `keep`, the posted
+/// panels are staged in the storage of the panels the strip held before
+/// (no allocation once warm) and the strip ends up holding exactly the
+/// panels this product received; without, they are staged in and returned
+/// to the workspace pair.
+struct Source<'s> {
+    kept: &'s [Vec<f32>],
+    keep: Option<&'s mut Vec<Vec<f32>>>,
+    received: usize,
+}
+
+/// Panel `l` of one operand: in flight, or at hand in a kept strip.
+enum Panel<'g, 's> {
+    Posted(PendingColl<'g>),
+    Kept(&'s [f32]),
+}
+
+impl<'s> Panel<'_, 's> {
+    fn wait(self) -> Cow<'s, [f32]> {
+        match self {
+            Panel::Posted(pending) => Cow::Owned(pending.wait()),
+            Panel::Kept(panel) => Cow::Borrowed(panel),
+        }
+    }
+}
+
+impl<'s> Source<'s> {
+    fn new(kept: &'s [Vec<f32>], keep: Option<&'s mut Vec<Vec<f32>>>) -> Self {
+        Source {
+            kept,
+            keep,
+            received: 0,
+        }
+    }
+
+    /// The buffer to stage the depth slice's `i`-th panel in: the keep
+    /// strip's old panel `i` when there is one, else `slot`; none when the
+    /// panel is read from a kept strip.
+    fn buffer(&mut self, i: usize, slot: &mut Vec<f32>) -> Vec<f32> {
+        if !self.kept.is_empty() {
+            return Vec::new();
+        }
+        match &mut self.keep {
+            Some(strip) if i < strip.len() => std::mem::take(&mut strip[i]),
+            _ => std::mem::take(slot),
+        }
+    }
+
+    /// Iteration `l`'s panel of `local`'s operand, `n` elements from the
+    /// group member `l`: read from the kept strip, or posted from `buf`.
+    #[allow(clippy::too_many_arguments)]
+    fn panel<'g, C: Communicator>(
+        kept: &'s [Vec<f32>],
+        grid: &'g Grid2d<C>,
+        group: &Group,
+        (l, lo): (usize, usize),
+        local: &Tensor,
+        n: usize,
+        buf: Vec<f32>,
+        fresh: &mut usize,
+    ) -> Panel<'g, 's> {
+        if kept.is_empty() {
+            return Panel::Posted(post_panel(grid, group, l, local, n, buf, fresh));
+        }
+        let panel = &kept[l - lo];
+        assert_eq!(panel.len(), n, "kept panel has the wrong size");
+        Panel::Kept(panel)
+    }
+
+    /// Hands back a consumed panel: a received one goes to the strip being
+    /// kept, or to `slot`, the workspace buffer it was posted from.
+    fn release(&mut self, panel: Cow<'_, [f32]>, slot: &mut Vec<f32>) {
+        if let Cow::Owned(buf) = panel {
+            match &mut self.keep {
+                Some(strip) if self.received < strip.len() => strip[self.received] = buf,
+                Some(strip) => strip.push(buf),
+                None => *slot = buf,
+            }
+            self.received += 1;
+        }
+    }
+
+    /// Drops what the keep strip held beyond the panels this product
+    /// received (all of it when the product received none).
+    fn finish(self) {
+        if let Some(strip) = self.keep {
+            strip.truncate(self.received);
+        }
     }
 }
 
@@ -103,7 +229,7 @@ fn stage_panel(
 /// rides inside the returned handle.
 fn post_panel<'g, C: Communicator>(
     grid: &'g Grid2d<C>,
-    group: &mesh::Group,
+    group: &Group,
     root: usize,
     local: &Tensor,
     n: usize,
@@ -185,13 +311,17 @@ fn nn_consume(
 /// outer product locally, both panels double-buffered so iteration `l+1`'s
 /// broadcasts ride behind iteration `l`'s GEMM. On a `[q, q, d]` mesh each
 /// depth slice runs its share of the iterations and the partial C sums are
-/// reduced onto depth 0 then re-broadcast.
+/// reduced onto depth 0 then re-broadcast. `a`'s panels travel along rows
+/// and come from `a_src`, `b`'s down columns and come from `b_src`.
+#[allow(clippy::too_many_arguments)]
 fn nn_core<C: Communicator>(
     grid: &Grid2d<C>,
     a: &Tensor,
     b: &Tensor,
     c: &mut [f32],
     ws: &mut Workspace,
+    a_src: &mut Source<'_>,
+    b_src: &mut Source<'_>,
 ) {
     let (mb, kb) = (a.rows(), a.cols());
     let nb = b.cols();
@@ -206,33 +336,21 @@ fn nn_core<C: Communicator>(
     let mut started = false;
     // Iteration l's panels live in this slot of each pair.
     let slot = |l: usize| (l - lo) % 2;
-    let post = |l: usize, ws: &mut Workspace, fresh: &mut usize| {
-        (
-            post_panel(
-                grid,
-                grid.row_group(),
-                l,
-                a,
-                an,
-                std::mem::take(&mut ws.panel_a[slot(l)]),
-                fresh,
-            ),
-            post_panel(
-                grid,
-                grid.col_group(),
-                l,
-                b,
-                bn,
-                std::mem::take(&mut ws.panel_b[slot(l)]),
-                fresh,
-            ),
-        )
-    };
-    let mut pending = Some(post(lo, ws, &mut fresh));
+    let (a_kept, b_kept) = (a_src.kept, b_src.kept);
+    let post =
+        |l: usize, srcs: (&mut Source, &mut Source), ws: &mut Workspace, fresh: &mut usize| {
+            let a_buf = srcs.0.buffer(l - lo, &mut ws.panel_a[slot(l)]);
+            let b_buf = srcs.1.buffer(l - lo, &mut ws.panel_b[slot(l)]);
+            (
+                Source::panel(a_kept, grid, grid.row_group(), (l, lo), a, an, a_buf, fresh),
+                Source::panel(b_kept, grid, grid.col_group(), (l, lo), b, bn, b_buf, fresh),
+            )
+        };
+    let mut pending = Some(post(lo, (a_src, b_src), ws, &mut fresh));
     for l in lo..hi {
         // Prefetch: iteration l+1's panels enter the fabric before
         // iteration l's GEMM starts, from the other buffer of each pair.
-        let next = (l + 1 < hi).then(|| post(l + 1, ws, &mut fresh));
+        let next = (l + 1 < hi).then(|| post(l + 1, (a_src, b_src), ws, &mut fresh));
         let (pa, pb) = pending.take().expect("panel broadcasts in flight");
         let a_panel = pa.wait();
         let b_panel = pb.wait();
@@ -249,8 +367,8 @@ fn nn_core<C: Communicator>(
             kb,
             &mut fresh,
         );
-        ws.panel_a[slot(l)] = a_panel;
-        ws.panel_b[slot(l)] = b_panel;
+        a_src.release(a_panel, &mut ws.panel_a[slot(l)]);
+        b_src.release(b_panel, &mut ws.panel_b[slot(l)]);
         pending = next;
     }
     if d > 1 {
@@ -284,19 +402,19 @@ fn nn_core<C: Communicator>(
 /// The reduce-form core shared by `C = A Bᵀ` (panels of `B` along columns,
 /// reduce along rows) and `C = Aᵀ B` (panels of `A` along rows, reduce
 /// along columns). `form` picks the GEMM; `stationary` is the operand that
-/// stays local. Iteration `l`'s `ireduce` is posted immediately after its
-/// GEMM and only waited one iteration later, so the reduce tree overlaps the
-/// next panel's GEMM (and that panel's broadcast overlapped this GEMM).
+/// stays local, `panel_src` the one whose panels `src` supplies. Iteration
+/// `l`'s `ireduce` is posted immediately after its GEMM and only waited one
+/// iteration later, so the reduce tree overlaps the next panel's GEMM (and
+/// that panel's broadcast, when there is one, overlapped this GEMM).
 #[allow(clippy::too_many_arguments)]
 fn reduce_form_core<C: Communicator>(
     grid: &Grid2d<C>,
     form: Form,
     stationary: &Tensor,
     panel_src: &Tensor,
+    src: &mut Source<'_>,
     panel_elems: usize,
-    mb: usize,
-    nb: usize,
-    kb: usize,
+    (mb, nb, kb): (usize, usize, usize),
     c: &mut [f32],
     ws: &mut Workspace,
 ) {
@@ -321,14 +439,17 @@ fn reduce_form_core<C: Communicator>(
     // partial rides the fabric inside the in-flight reduce while the other
     // is being filled by the GEMM.
     let slot = |l: usize| (l - lo) % 2;
-    let post = |l: usize, ws: &mut Workspace, fresh: &mut usize| {
-        post_panel(
+    let kept = src.kept;
+    let post = |l: usize, src: &mut Source, ws: &mut Workspace, fresh: &mut usize| {
+        let buf = src.buffer(l - lo, &mut ws.panel_b[slot(l)]);
+        Source::panel(
+            kept,
             grid,
             bcast_group,
-            l,
+            (l, lo),
             panel_src,
             panel_elems,
-            std::mem::take(&mut ws.panel_b[slot(l)]),
+            buf,
             fresh,
         )
     };
@@ -341,10 +462,10 @@ fn reduce_form_core<C: Communicator>(
         }
         ws.partial[slot(l)] = done;
     };
-    let mut pending_panel = Some(post(lo, ws, &mut fresh));
+    let mut pending_panel = Some(post(lo, src, ws, &mut fresh));
     let mut pending_red: Option<(usize, PendingColl<'_>)> = None;
     for l in lo..hi {
-        let next = (l + 1 < hi).then(|| post(l + 1, ws, &mut fresh));
+        let next = (l + 1 < hi).then(|| post(l + 1, src, ws, &mut fresh));
         let panel = pending_panel
             .take()
             .expect("panel broadcast in flight")
@@ -353,7 +474,7 @@ fn reduce_form_core<C: Communicator>(
         let mut part = std::mem::take(&mut ws.partial[slot(l)]);
         zeroed(&mut part, cn, &mut fresh);
         gemm(&mut part, &panel);
-        ws.panel_b[slot(l)] = panel;
+        src.release(panel, &mut ws.panel_b[slot(l)]);
         let red = grid.ctx().ireduce(reduce_group, l, part);
         if let Some(prev) = pending_red.replace((l, red)) {
             finish(prev, ws, c);
@@ -385,9 +506,66 @@ fn reduce_form_core<C: Communicator>(
     ws.fresh_allocs += fresh;
 }
 
-/// `C += A B` into a caller-owned output block, with panels staged through
-/// the workspace. Accumulates (callers reset `c` when needed), mirroring the
-/// paper's forward-buffer discipline.
+/// One SUMMA product of `form` into a caller-owned output block, with
+/// panels staged through the workspace: `NN` accumulates `C += A B`
+/// (callers reset `c` when needed, mirroring the paper's forward-buffer
+/// discipline), `NT` and `TN` overwrite `c` with `A Bᵀ` and `Aᵀ B`.
+///
+/// Each operand panel that `from` holds is read from there instead of being
+/// received again. With `keep`, `keep` ends up holding exactly the panels
+/// this product received, for a later product (see *Kept panels* in the
+/// module docs); the panels it held before lend their storage to them.
+#[allow(clippy::too_many_arguments)]
+pub fn summa_product_into<C: Communicator>(
+    grid: &Grid2d<C>,
+    form: Form,
+    a: &Tensor,
+    b: &Tensor,
+    c: &mut Tensor,
+    ws: &mut Workspace,
+    from: &Strips,
+    keep: Option<&mut Strips>,
+) {
+    let (keep_row, keep_col) = match keep {
+        Some(k) => (Some(&mut k.row), Some(&mut k.col)),
+        None => (None, None),
+    };
+    let mut rows = Source::new(&from.row, keep_row);
+    let mut cols = Source::new(&from.col, keep_col);
+    let (mb, nb, kb) = product_dims(form, a, b);
+    assert_eq!((c.rows(), c.cols()), (mb, nb), "output block shape");
+    let c = c.as_mut_slice();
+    match form {
+        Form::NN => {
+            let _span = trace::span_guard("summa.nn");
+            nn_core(grid, a, b, c, ws, &mut rows, &mut cols);
+        }
+        Form::NT => {
+            let _span = trace::span_guard("summa.nt");
+            reduce_form_core(grid, form, a, b, &mut cols, nb * kb, (mb, nb, kb), c, ws);
+        }
+        Form::TN => {
+            let _span = trace::span_guard("summa.tn");
+            reduce_form_core(grid, form, b, a, &mut rows, kb * mb, (mb, nb, kb), c, ws);
+        }
+    }
+    rows.finish();
+    cols.finish();
+}
+
+/// `(M, N, K)` blocks of a `form` product of `a` and `b`: `C` is `[M, N]`
+/// and the contraction runs over `K`.
+pub(crate) fn product_dims(form: Form, a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
+    let ((mb, kb), (kb2, nb)) = match form {
+        Form::NN => ((a.rows(), a.cols()), (b.rows(), b.cols())),
+        Form::NT => ((a.rows(), a.cols()), (b.cols(), b.rows())),
+        Form::TN => ((a.cols(), a.rows()), (b.rows(), b.cols())),
+    };
+    assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
+    (mb, nb, kb)
+}
+
+/// `C += A B` into a caller-owned output block (see [`summa_product_into`]).
 pub fn summa_nn_into<C: Communicator>(
     grid: &Grid2d<C>,
     a: &Tensor,
@@ -395,12 +573,7 @@ pub fn summa_nn_into<C: Communicator>(
     c: &mut Tensor,
     ws: &mut Workspace,
 ) {
-    let _span = trace::span_guard("summa.nn");
-    let (mb, kb) = (a.rows(), a.cols());
-    let (kb2, nb) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree");
-    assert_eq!((c.rows(), c.cols()), (mb, nb), "output block shape");
-    nn_core(grid, a, b, c.as_mut_slice(), ws);
+    summa_product_into(grid, Form::NN, a, b, c, ws, &Strips::default(), None);
 }
 
 /// `C = A Bᵀ` into a caller-owned output block (overwrites `c`).
@@ -411,23 +584,7 @@ pub fn summa_nt_into<C: Communicator>(
     c: &mut Tensor,
     ws: &mut Workspace,
 ) {
-    let _span = trace::span_guard("summa.nt");
-    let (mb, kb) = (a.rows(), a.cols());
-    let (nb, kb2) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree");
-    assert_eq!((c.rows(), c.cols()), (mb, nb), "output block shape");
-    reduce_form_core(
-        grid,
-        Form::NT,
-        a,
-        b,
-        nb * kb,
-        mb,
-        nb,
-        kb,
-        c.as_mut_slice(),
-        ws,
-    );
+    summa_product_into(grid, Form::NT, a, b, c, ws, &Strips::default(), None);
 }
 
 /// `C = Aᵀ B` into a caller-owned output block (overwrites `c`).
@@ -438,23 +595,7 @@ pub fn summa_tn_into<C: Communicator>(
     c: &mut Tensor,
     ws: &mut Workspace,
 ) {
-    let _span = trace::span_guard("summa.tn");
-    let (kb, mb) = (a.rows(), a.cols());
-    let (kb2, nb) = (b.rows(), b.cols());
-    assert_eq!(kb, kb2, "contraction blocks disagree");
-    assert_eq!((c.rows(), c.cols()), (mb, nb), "output block shape");
-    reduce_form_core(
-        grid,
-        Form::TN,
-        b,
-        a,
-        kb * mb,
-        mb,
-        nb,
-        kb,
-        c.as_mut_slice(),
-        ws,
-    );
+    summa_product_into(grid, Form::TN, a, b, c, ws, &Strips::default(), None);
 }
 
 #[cfg(test)]
