@@ -16,7 +16,9 @@ pub struct OptimusConfig {
     /// Causal (decoder) attention; the paper's benchmarks use `false`.
     pub causal: bool,
     /// Distributed activation checkpointing (Section 3.2.3): keep only each
-    /// layer's input block, recompute the rest during backward.
+    /// layer's input block, recompute the rest during backward. The top
+    /// layer of a sweep whose backward follows at once keeps its cache and
+    /// is not recomputed.
     pub checkpoint: bool,
     /// Memory-lean ("fused") attention — the paper's Section 6 future-work
     /// direction: never cache the `[b, n, s, s]` attention probabilities;

@@ -154,8 +154,10 @@ impl OptimusModel {
 
     /// Forward + backward. Honors `cfg.checkpoint`: when set, only each
     /// layer's input block is kept during forward and the layer is
-    /// recomputed inside backward (Section 3.2.3). Returns the loss and all
-    /// local gradients; `self.meter` holds the step's activation peak.
+    /// recomputed inside backward (Section 3.2.3), except the top layer,
+    /// whose forward keeps its cache for the backward that follows. Returns
+    /// the loss and all local gradients; `self.meter` holds the step's
+    /// activation peak.
     pub fn lm_grads<C: Communicator>(
         &mut self,
         grid: &Grid2d<C>,
@@ -228,7 +230,8 @@ impl OptimusModel {
         stem::check_batch(&low, tokens_local, labels_local);
 
         let x = low.embed(table, tokens_local);
-        let (y, kept) = stem::sweep_forward(&low, &self.layers, x, Keep::Inputs, meter);
+        let keep = Keep::TopCache { checkpoint: true };
+        let (y, kept) = stem::sweep_forward(&low, &self.layers, x, keep, meter);
         let (hidden, final_ln_cache) = ln_forward(&low, &y, &self.final_ln_g, &self.final_ln_b);
         let (loss, dlogits, panels) =
             stem::head_loss(&low, table, &hidden, labels_local, total_rows, meter);

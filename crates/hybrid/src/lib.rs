@@ -464,7 +464,15 @@ impl HybridStage {
     ) -> MicroState {
         let micro = self.model.cfg;
         let low = Summa2d { grid, cfg: &micro };
-        let (model, keep) = (&self.model, Keep::training(micro.checkpoint));
+        // Only the last stage runs a microbatch's backward straight after its
+        // forward; elsewhere other microbatches' forwards come in between,
+        // and a kept top-layer cache would raise the peak.
+        let keep = match (self.is_last(), micro.checkpoint) {
+            (true, checkpoint) => Keep::TopCache { checkpoint },
+            (false, true) => Keep::Inputs,
+            (false, false) => Keep::Caches,
+        };
+        let model = &self.model;
         let total_rows = self.cfg.batch * self.cfg.seq;
 
         let (y, kept, ln) = low.scope(Span::Fwd, || {
@@ -509,7 +517,8 @@ impl HybridStage {
 
     /// Backward of microbatch `i` given its forward state: head backward on
     /// the last stage (or receive the boundary gradient), layers in reverse
-    /// (recomputing from checkpoints when `cfg.checkpoint`), then the
+    /// (recomputing from checkpoints when `cfg.checkpoint`, all but the top
+    /// layer on the last stage), then the
     /// embedding backward on the first stage (or send the gradient on).
     /// The microbatch's parameter gradients become `acc`, or add to it.
     fn backward_micro<C: Communicator>(

@@ -79,7 +79,8 @@ impl MegatronModel {
     /// Honors `cfg.checkpoint`: when set, only each layer's replicated
     /// input is kept during forward and the layer is recomputed (including
     /// its two all-reduces — the source of Table 1's `8(p−1)/p·bsh`
-    /// backward communication) inside the backward sweep.
+    /// backward communication) inside the backward sweep. The top layer's
+    /// forward keeps its cache instead, so a step makes `L − 1` recomputes.
     pub fn lm_grads<C: Communicator>(
         &self,
         ctx: &C,

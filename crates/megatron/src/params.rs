@@ -12,7 +12,8 @@ pub struct MegatronConfig {
     pub p: usize,
     /// Distributed activation checkpointing: keep only each layer's
     /// (replicated) input and recompute the layer inside backward — the
-    /// configuration the paper's Megatron baseline runs with.
+    /// configuration the paper's Megatron baseline runs with. The top
+    /// layer's forward keeps its cache instead, so `L − 1` layers re-run.
     pub checkpoint: bool,
 }
 

@@ -40,8 +40,8 @@ pub struct MemoryEstimate {
     pub grads: f64,
     pub checkpoints: f64,
     pub working_set: f64,
-    /// SUMMA panel strips a checkpoint recompute keeps for the layer's
-    /// backward: transport buffers, not in `total` (nor in the measured
+    /// High-water of the SUMMA panel strips a step keeps for a later
+    /// product: transport buffers, not in `total` (nor in the measured
     /// `Tensor` peak).
     pub panel_strips: f64,
     pub total: f64,
@@ -98,20 +98,24 @@ pub fn optimus_bytes(c: &MemoryConfig, b: usize) -> MemoryEstimate {
         grads,
         checkpoints,
         working_set: working,
-        panel_strips: panel_strip_bytes(b, c.seq, c.hidden, c.p),
+        panel_strips: panel_strip_bytes(b, c),
         total,
     }
 }
 
-/// Bytes of the SUMMA panel strips one device holds between a layer's
-/// checkpoint recompute and its backward, on a `√p × √p` mesh at batch `b`:
-/// each projection `y = x·W` keeps the row strip of `x` (`[bs/q, K]`) and
-/// the column strip of `W` (`[K, N/q]`), which over QKV, out-proj, fc1 and
-/// fc2 sums to `(7bsh + 12h²)/q` elements — one forward's SUMMA payload.
-fn panel_strip_bytes(b: usize, s: usize, h: usize, p: usize) -> f64 {
-    let q = (p as f64).sqrt();
-    let (bsh, h2) = ((b * s * h) as f64, (h * h) as f64);
-    (7.0 * bsh + 12.0 * h2) / q * F
+/// Most bytes of SUMMA panel strips one device holds at once, on a
+/// `√p × √p` mesh at batch `b`. A layer's strips live from its forward
+/// (the top layer's) or recompute to its backward: each projection
+/// `y = x·W` keeps the row strip of `x` (`[bs/q, K]`) and the column strip
+/// of `W` (`[K, N/q]`), which over QKV, out-proj, fc1 and fc2 sums to
+/// `(7bsh + 12h²)/q` elements — one forward's SUMMA payload. The top
+/// layer's strips are live through the tied head, whose `dL·E` holds the
+/// table strip the logits product kept (`vh/q`) while it keeps the `dL`
+/// strip (`bs·v/q`): `(7bsh + 12h² + vh + bs·v)/q` elements in all.
+fn panel_strip_bytes(b: usize, c: &MemoryConfig) -> f64 {
+    let q = (c.p as f64).sqrt();
+    let (bs, h, v) = ((b * c.seq) as f64, c.hidden as f64, c.vocab as f64);
+    (7.0 * bs * h + 12.0 * h * h + v * h + bs * v) / q * F
 }
 
 /// Which scheme to estimate.

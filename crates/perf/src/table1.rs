@@ -5,6 +5,12 @@
 //! are multiply-accumulates per device ("scalar-scalar multiplications").
 //! Integration tests validate these expressions against the *executed*
 //! `megatron`/`optimus-core` layers' [`mesh::CommLog`]s.
+//!
+//! The table is per layer, as the paper prints it: its checkpointed
+//! backward includes one recompute. An executed step makes `L − 1`
+//! recomputes, not `L`: the top layer's forward keeps its cache for the
+//! backward that follows it (`serial::stem::Keep::TopCache`), so that
+//! layer's backward costs what a non-checkpointed one does.
 
 /// Per-layer, per-device costs of one scheme.
 #[derive(Clone, Copy, Debug, PartialEq)]

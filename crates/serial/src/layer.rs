@@ -86,7 +86,8 @@ pub trait Lowering {
     fn send_home(&self, g: Vec<f32>) -> Self::Hosted;
 
     /// Turns per-row sums over the local columns into sums over the whole
-    /// hidden dimension.
+    /// hidden dimension. The layer norm passes each pair of row sums as one
+    /// interleaved `[rows, 2]` buffer, so a pair costs one call.
     fn complete_rows(&self, _partial: &mut [f32]) {}
 
     /// The full hidden size `h` (layer norm's divisor).
@@ -253,10 +254,9 @@ pub fn ln_forward<L: Lowering>(
 ) -> (Tensor, LnCache) {
     let gamma = low.fetch(gamma, x.cols());
     let beta = low.fetch(beta, x.cols());
-    let (mut s, mut s2) = ln_partial_sums(x);
-    low.complete_rows(&mut s);
-    low.complete_rows(&mut s2);
-    let cache = ln_finish(x, &s, &s2, low.hidden(), LN_EPS);
+    let mut sums = ln_partial_sums(x);
+    low.complete_rows(&mut sums);
+    let cache = ln_finish(x, &sums, low.hidden(), LN_EPS);
     let y = ln_affine(&cache.xhat, &gamma, &beta);
     (
         y,
@@ -277,17 +277,9 @@ pub fn ln_backward<L: Lowering>(
     let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, &cache.gamma);
     let dgamma = low.send_home(dgamma);
     let dbeta = low.send_home(dbeta);
-    let (mut sum_gx, mut sum_g) = ln_backward_partials(&dxhat, &cache.xhat);
-    low.complete_rows(&mut sum_gx);
-    low.complete_rows(&mut sum_g);
-    let dx = ln_backward_finish(
-        &dxhat,
-        &cache.xhat,
-        &cache.inv_std,
-        &sum_gx,
-        &sum_g,
-        low.hidden(),
-    );
+    let mut sums = ln_backward_partials(&dxhat, &cache.xhat);
+    low.complete_rows(&mut sums);
+    let dx = ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, low.hidden());
     (dx, dgamma, dbeta)
 }
 
@@ -297,8 +289,9 @@ pub fn ln_backward<L: Lowering>(
 /// than the layer's final output never appear here — only matmul inputs,
 /// layer-norm caches and attention probabilities (the observation behind
 /// memory method (3) of Section 3.2.3). A recompute ([`layer_recompute`])
-/// also keeps the operand panels of its four projections, `P` being the
-/// lowering's [`Lowering::Panels`].
+/// and the top layer's forward in a sweep that keeps its cache for a
+/// backward run straight after it also keep the operand panels of their
+/// four projections, `P` being the lowering's [`Lowering::Panels`].
 pub struct LayerCache<P = ()> {
     pub ln1: LnCache,
     pub ln1_out: Tensor,
@@ -369,8 +362,11 @@ pub fn layer_recompute<L: Lowering>(
     layer_pass(low, p, x, Some(reuse)).1
 }
 
-/// [`layer_forward`], keeping each projection's panels in `keep` when given.
-fn layer_pass<L: Lowering>(
+/// [`layer_forward`], keeping each projection's panels in `keep` when given:
+/// the one body behind [`layer_forward`], [`layer_recompute`] and the top
+/// layer of a sweep whose backward comes straight after its forward
+/// ([`crate::stem::Keep::TopCache`]).
+pub(crate) fn layer_pass<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
     x: &Tensor,

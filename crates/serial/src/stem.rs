@@ -11,7 +11,10 @@
 //!   sink — collect them, add them to a running total, or apply them on the
 //!   spot and drop them (the paper's immediate update). The recompute keeps
 //!   the operand panels its products received, and the layer's backward
-//!   reads them instead of receiving them again;
+//!   reads them instead of receiving them again. When the backward comes
+//!   straight after the forward ([`Keep::TopCache`]), the top layer's
+//!   forward keeps its cache and panels and is its own recompute, so a
+//!   checkpointed step re-runs `L − 1` layers, not `L`;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
 //!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
@@ -24,7 +27,7 @@
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
 
 use crate::layer::{
-    layer_backward, layer_forward, layer_recompute, ln_backward, ln_forward, LayerCache, Lowering,
+    layer_backward, layer_pass, layer_recompute, ln_backward, ln_forward, LayerCache, Lowering,
     Reduce, Role, Span,
 };
 use crate::params::{LayerTensors, ModelTensors};
@@ -96,17 +99,17 @@ pub enum Keep {
     Inputs,
     /// The layer's full [`LayerCache`].
     Caches,
-}
-
-impl Keep {
-    /// What a training step keeps with or without activation checkpointing.
-    pub fn training(checkpoint: bool) -> Keep {
-        if checkpoint {
-            Keep::Inputs
-        } else {
-            Keep::Caches
-        }
-    }
+    /// For a sweep whose backward comes straight after its forward: the top
+    /// layer's full [`LayerCache`] with the operand panels its projections
+    /// received, which its backward reads as it would a recompute's; below
+    /// it, each layer's input (with `checkpoint`) or full cache. A
+    /// recompute of the top layer would repeat the forward just run —
+    /// input, panels and row statistics alike — so backward re-runs only
+    /// the layers below it. A sweep whose backward waits for other sweeps'
+    /// forwards (a pipeline stage before the last) keeps [`Keep::Inputs`]
+    /// or [`Keep::Caches`] instead: the top cache and its panels would
+    /// outlive them.
+    TopCache { checkpoint: bool },
 }
 
 /// One layer's share of a forward sweep's state.
@@ -146,15 +149,16 @@ pub fn sweep_forward<L: Lowering>(
     meter: &mut MemMeter,
 ) -> (Tensor, Vec<Kept<L::Panels>>) {
     let mut kept = Vec::new();
-    for p in layers {
-        let (y, cache) = layer_forward(low, p, &x);
+    for (l, p) in layers.iter().enumerate() {
+        let top = matches!(keep, Keep::TopCache { .. }) && l + 1 == layers.len();
+        let (y, cache) = layer_pass(low, p, &x, top.then(Default::default));
         match keep {
             Keep::Nothing => {}
-            Keep::Inputs => {
+            Keep::Inputs | Keep::TopCache { checkpoint: true } if !top => {
                 meter.alloc(bytes(&x));
                 kept.push(Kept::Input(x));
             }
-            Keep::Caches => {
+            _ => {
                 meter.alloc(cache.bytes());
                 kept.push(Kept::Cache(Box::new(cache)));
             }
@@ -168,7 +172,9 @@ pub fn sweep_forward<L: Lowering>(
 /// pops each layer's cache (or recomputes it from the kept input, keeping
 /// the panels the recompute received for the backward), runs
 /// [`layer_backward`] and hands `(l, layer, gradients)` to `sink`. Returns
-/// the gradient of the bottom layer's input.
+/// the gradient of the bottom layer's input. A cache the forward kept with
+/// its panels ([`Keep::TopCache`]) is read exactly like a recompute's, and
+/// lends its panels' storage to the next recompute.
 ///
 /// `layers` yields `&LayerTensors` or, when the sink updates parameters in
 /// place, `&mut LayerTensors`; nothing reads a layer again once the sink
@@ -230,10 +236,13 @@ pub fn cross_entropy<L: Lowering>(
     let off = low.vocab_block() * logits.cols();
     let mut m = partial_row_max(logits);
     low.complete_vocab(Reduce::Max, &mut m);
-    let mut se = partial_sumexp(logits, &m);
-    low.complete_vocab(Reduce::Sum, &mut se);
-    let mut ll = partial_label_logit(logits, labels, off);
-    low.complete_vocab(Reduce::Sum, &mut ll);
+    // `Σexp` and the label logit complete in one call, as interleaved row
+    // pairs (see `tensor::layernorm` for why the sums keep their bits).
+    let se = partial_sumexp(logits, &m);
+    let ll = partial_label_logit(logits, labels, off);
+    let mut pairs: Vec<f32> = se.iter().zip(&ll).flat_map(|(&s, &l)| [s, l]).collect();
+    low.complete_vocab(Reduce::Sum, &mut pairs);
+    let (se, ll): (Vec<f32>, Vec<f32>) = pairs.chunks(2).map(|p| (p[0], p[1])).unzip();
     let local_sum: f64 = (0..logits.rows())
         .map(|r| (m[r] + se[r].ln() - ll[r]) as f64)
         .sum();
@@ -321,8 +330,9 @@ pub fn lm_loss<L: Lowering>(
 
 /// Forward + backward over a whole stem held by one device (group): returns
 /// the loss and every gradient. With `checkpoint`, only each layer's input
-/// is kept and the layer is recomputed inside the reverse sweep. `meter`
-/// sees the step's pinned activation bytes.
+/// is kept and the layer is recomputed inside the reverse sweep, except the
+/// top layer, whose cache the forward keeps ([`Keep::TopCache`]).
+/// `meter` sees the step's pinned activation bytes.
 pub fn lm_grads<L: Lowering>(
     low: &L,
     p: &StemRef<L::Hosted>,
@@ -341,7 +351,7 @@ pub fn lm_grads<L: Lowering>(
         // backward: `x` going up, its gradient coming down.
         let block = bytes(&x);
         meter.alloc(block);
-        let (y, kept) = sweep_forward(low, p.layers, x, Keep::training(checkpoint), meter);
+        let (y, kept) = sweep_forward(low, p.layers, x, Keep::TopCache { checkpoint }, meter);
         let (hidden, final_ln) = ln_forward(low, &y, gamma, beta);
         meter.alloc(bytes(&hidden));
         (kept, hidden, final_ln, block)

@@ -20,7 +20,8 @@
 //! three forms and can keep the panels it receives as [`Strips`], or read a
 //! later product's panels from strips an earlier one kept: a checkpointed
 //! layer's backward `NT`/`TN` read the panels of `W` and `x` that the
-//! recompute's `NN` received, so they post only their reduces.
+//! recompute's `NN` (or the top layer's forward `NN`) received, so they
+//! post only their reduces.
 //!
 //! All routines are generic over `mesh`'s `Communicator` trait, so they run
 //! unchanged on the live thread mesh and on the trace-only dry-run backend

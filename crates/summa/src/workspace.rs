@@ -20,7 +20,8 @@
 //! `q` of them, the received `Vec`s themselves, no copy — as [`Strips`],
 //! and a later product over the same operand reads its panel `l` from the
 //! strip instead of receiving it again. The checkpoint recompute's `NN`
-//! (`y = x·W`) keeps the row strip of `x` and the column strip of `W`; the
+//! (`y = x·W`), and the top layer's forward when its backward follows at
+//! once, keeps the row strip of `x` and the column strip of `W`; the
 //! layer's backward `NT` (`dx = dy·Wᵀ`) reads the `W` strip and `TN`
 //! (`dW = xᵀ·dy`) the `x` strip, so both post only their reduces. Both cores
 //! take each operand's panels from one `Source`: a kept strip, or a

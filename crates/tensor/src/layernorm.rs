@@ -7,6 +7,12 @@
 //! treated the same way. The `*_partial` / `*_finish` split below is exactly
 //! that decomposition; the serial entry points simply glue the two halves
 //! with no communication in between.
+//!
+//! Each pair of row sums travels as one interleaved `[rows, 2]` buffer
+//! (`[a₀, b₀, a₁, b₁, …]`), so the distributed case completes both with one
+//! all-reduce. When the group size divides `rows`, a ring splits that
+//! buffer exactly where it would split each half alone, and every sum is
+//! combined in the same order as two separate all-reduces would.
 
 use crate::tensor::Tensor;
 
@@ -22,41 +28,40 @@ pub struct LnCache {
     pub inv_std: Vec<f32>,
 }
 
-/// Per-row partial sums `(Σ_j x_j, Σ_j x_j²)` over the *local* columns.
-pub fn ln_partial_sums(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+/// Per-row partial sums `[Σ_j x_j, Σ_j x_j²]` over the *local* columns, as
+/// one interleaved `[rows, 2]` buffer.
+pub fn ln_partial_sums(x: &Tensor) -> Vec<f32> {
     let cols = x.cols();
-    let rows = x.rows();
-    let mut s = vec![0.0f32; rows];
-    let mut s2 = vec![0.0f32; rows];
-    for ((row, s), s2) in x.as_slice().chunks(cols).zip(&mut s).zip(&mut s2) {
+    let mut sums = vec![0.0f32; 2 * x.rows()];
+    for (row, pair) in x.as_slice().chunks(cols).zip(sums.chunks_mut(2)) {
         let mut a = 0.0f64;
         let mut b = 0.0f64;
         for &v in row {
             a += v as f64;
             b += (v * v) as f64;
         }
-        *s = a as f32;
-        *s2 = b as f32;
+        pair[0] = a as f32;
+        pair[1] = b as f32;
     }
-    (s, s2)
+    sums
 }
 
-/// Completes the forward pass given *global* row sums over the full hidden
-/// dimension `h_total` (after the all-reduce in the distributed case).
+/// Completes the forward pass given *global* row sums `[Σx, Σx²]` (the
+/// [`ln_partial_sums`] layout) over the full hidden dimension `h_total`
+/// (after the all-reduce in the distributed case).
 ///
 /// Returns `x̂` and the per-row `inv_std`; the affine transform is applied by
 /// [`ln_affine`].
-pub fn ln_finish(x: &Tensor, sum: &[f32], sumsq: &[f32], h_total: usize, eps: f32) -> LnCache {
+pub fn ln_finish(x: &Tensor, sums: &[f32], h_total: usize, eps: f32) -> LnCache {
     let rows = x.rows();
-    assert_eq!(sum.len(), rows);
-    assert_eq!(sumsq.len(), rows);
+    assert_eq!(sums.len(), 2 * rows);
     let cols = x.cols();
     let mut xhat = x.clone();
     let mut inv_std = vec![0.0f32; rows];
     let inv_h = 1.0 / h_total as f32;
     for (r, row) in xhat.as_mut_slice().chunks_mut(cols).enumerate() {
-        let mean = sum[r] * inv_h;
-        let var = (sumsq[r] * inv_h - mean * mean).max(0.0);
+        let mean = sums[2 * r] * inv_h;
+        let var = (sums[2 * r + 1] * inv_h - mean * mean).max(0.0);
         let is = 1.0 / (var + eps).sqrt();
         inv_std[r] = is;
         for v in row {
@@ -82,8 +87,7 @@ pub fn ln_affine(xhat: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
 
 /// Serial layer-norm forward over the last dimension.
 pub fn layer_norm_forward(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Tensor, LnCache) {
-    let (s, s2) = ln_partial_sums(x);
-    let cache = ln_finish(x, &s, &s2, x.cols(), eps);
+    let cache = ln_finish(x, &ln_partial_sums(x), x.cols(), eps);
     let y = ln_affine(&cache.xhat, gamma, beta);
     (y, cache)
 }
@@ -111,43 +115,43 @@ pub fn ln_param_grads(dy: &Tensor, xhat: &Tensor, gamma: &[f32]) -> (Tensor, Vec
     (dxhat, dgamma, dbeta)
 }
 
-/// Per-row partial sums `(Σ_j x̂_j g_j, Σ_j g_j)` of the backward pass, where
-/// `g = ∂J/∂x̂`. All-reduced along mesh rows in the distributed case.
-pub fn ln_backward_partials(dxhat: &Tensor, xhat: &Tensor) -> (Vec<f32>, Vec<f32>) {
+/// Per-row partial sums `[Σ_j x̂_j g_j, Σ_j g_j]` of the backward pass, where
+/// `g = ∂J/∂x̂`, as one interleaved `[rows, 2]` buffer. All-reduced along
+/// mesh rows in the distributed case.
+pub fn ln_backward_partials(dxhat: &Tensor, xhat: &Tensor) -> Vec<f32> {
     let cols = dxhat.cols();
-    let rows = dxhat.rows();
-    let mut sum_gx = vec![0.0f32; rows];
-    let mut sum_g = vec![0.0f32; rows];
+    let mut sums = vec![0.0f32; 2 * dxhat.rows()];
     let row_pairs = dxhat
         .as_slice()
         .chunks(cols)
         .zip(xhat.as_slice().chunks(cols));
-    for (((drow, xrow), sgx), sg) in row_pairs.zip(&mut sum_gx).zip(&mut sum_g) {
+    for ((drow, xrow), pair) in row_pairs.zip(sums.chunks_mut(2)) {
         let mut gx = 0.0f64;
         let mut g = 0.0f64;
         for (&d, &xh) in drow.iter().zip(xrow.iter()) {
             gx += (d * xh) as f64;
             g += d as f64;
         }
-        *sgx = gx as f32;
-        *sg = g as f32;
+        pair[0] = gx as f32;
+        pair[1] = g as f32;
     }
-    (sum_gx, sum_g)
+    sums
 }
 
-/// Completes the input gradient given global backward sums:
+/// Completes the input gradient given global backward sums `[Σx̂g, Σg]` (the
+/// [`ln_backward_partials`] layout):
 /// `dx = inv_std * [ g − (Σ x̂g / h)·x̂ − (Σ g / h) ]` (paper Section 3.2.2).
 pub fn ln_backward_finish(
     dxhat: &Tensor,
     xhat: &Tensor,
     inv_std: &[f32],
-    sum_gx: &[f32],
-    sum_g: &[f32],
+    sums: &[f32],
     h_total: usize,
 ) -> Tensor {
     let cols = dxhat.cols();
     let rows = dxhat.rows();
     assert_eq!(inv_std.len(), rows);
+    assert_eq!(sums.len(), 2 * rows);
     let inv_h = 1.0 / h_total as f32;
     let mut dx = dxhat.clone();
     let row_pairs = dx
@@ -155,8 +159,8 @@ pub fn ln_backward_finish(
         .chunks_mut(cols)
         .zip(xhat.as_slice().chunks(cols));
     for (r, (drow, xrow)) in row_pairs.enumerate() {
-        let a = sum_gx[r] * inv_h;
-        let b = sum_g[r] * inv_h;
+        let a = sums[2 * r] * inv_h;
+        let b = sums[2 * r + 1] * inv_h;
         let is = inv_std[r];
         for (d, &xh) in drow.iter_mut().zip(xrow.iter()) {
             *d = is * (*d - a * xh - b);
@@ -172,15 +176,8 @@ pub fn layer_norm_backward(
     gamma: &[f32],
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, gamma);
-    let (sum_gx, sum_g) = ln_backward_partials(&dxhat, &cache.xhat);
-    let dx = ln_backward_finish(
-        &dxhat,
-        &cache.xhat,
-        &cache.inv_std,
-        &sum_gx,
-        &sum_g,
-        dy.cols(),
-    );
+    let sums = ln_backward_partials(&dxhat, &cache.xhat);
+    let dx = ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, dy.cols());
     (dx, dgamma, dbeta)
 }
 
@@ -294,12 +291,11 @@ mod tests {
 
         let left = x.block(0, 0, 4, 6);
         let right = x.block(0, 6, 4, 6);
-        let (sl, sl2) = ln_partial_sums(&left);
-        let (sr, sr2) = ln_partial_sums(&right);
+        let sl = ln_partial_sums(&left);
+        let sr = ln_partial_sums(&right);
         let s: Vec<f32> = sl.iter().zip(&sr).map(|(a, b)| a + b).collect();
-        let s2: Vec<f32> = sl2.iter().zip(&sr2).map(|(a, b)| a + b).collect();
-        let cl = ln_finish(&left, &s, &s2, 12, LN_EPS);
-        let cr = ln_finish(&right, &s, &s2, 12, LN_EPS);
+        let cl = ln_finish(&left, &s, 12, LN_EPS);
+        let cr = ln_finish(&right, &s, 12, LN_EPS);
 
         let mut reassembled = Tensor::zeros(&[4, 12]);
         reassembled.set_block(0, 0, &cl.xhat);

@@ -17,8 +17,11 @@ use optimus::optimus_core::{slice_layer2d, OptimusConfig, OptimusModel, Summa2d}
 use optimus::perf::memory::{optimus_bytes, MemoryConfig};
 use optimus::perf::table1::optimus_layer_costs;
 use optimus::perf::{CostModel, HardwareProfile};
-use optimus::serial::{layer_backward, layer_forward, layer_recompute, LayerParams};
+use optimus::serial::{
+    layer_backward, layer_forward, layer_recompute, stem, LayerParams, Lowering, MemMeter, Role,
+};
 use optimus::summa::{distribute, Strips};
+use optimus::tensor::gemm::Form;
 use optimus::tensor::{Rng, Tensor};
 use optimus::trace::{DeviceTrace, Event};
 use std::collections::HashMap;
@@ -177,9 +180,10 @@ fn a_checkpointed_backward_receives_no_panel_twice() {
         // one, only the recompute's four row all-reduces of `bs/q` layer-norm
         // partials (`2(q−1)·n` link elements per group of `q`) and its column
         // fetches of `13h/q` layer-norm and bias elements (`(q−1)·n` per
-        // group), on each of `q` groups, per layer.
+        // group), on each of `q` groups, per recomputed layer. The top
+        // layer's forward kept its cache, so `L − 1` layers are recomputed.
         let (h, bs) = (cfg.hidden, cfg.batch * cfg.seq);
-        let extra = cfg.layers * (q - 1) * (13 * h + 8 * bs);
+        let extra = (cfg.layers - 1) * (q - 1) * (13 * h + 8 * bs);
         assert_eq!(
             link_elems(&ckpt_logs),
             link_elems(&cached_logs) + extra,
@@ -257,44 +261,41 @@ fn bench_cfg(q: usize, hidden: usize, batch: usize) -> OptimusConfig {
     }
 }
 
-/// Link elements the tied head no longer sends: `dL·E` takes the table
-/// panels the logits product received (`(q−1)·vh`) and `dLᵀ·H` the `dL`
-/// panels `dL·E` received (`(q−1)·bs·v`), per head pass.
-fn head_saving(c: &OptimusConfig, q: usize, bs: usize) -> usize {
-    (q - 1) * (c.vocab * c.hidden + bs * c.vocab)
-}
-
-/// Link elements a layer's backward no longer sends: the `q − 1` copies of
-/// every projection's input and weight, `(q−1)·(7bsh + 12h²)`.
-fn layer_saving(c: &OptimusConfig, q: usize, bs: usize) -> usize {
-    (q - 1) * (7 * bs * c.hidden + 12 * c.hidden * c.hidden)
+/// Link elements the top layer's recompute sent before its forward kept its
+/// cache: the `q − 1` copies of every projection's input and weight plus
+/// its layer-norm all-reduces and vector fetches,
+/// `(q−1)·(7bsh + 12h² + 13h + 8bs)`.
+fn top_recompute(c: &OptimusConfig, q: usize, bs: usize) -> usize {
+    let h = c.hidden;
+    (q - 1) * (7 * bs * h + 12 * h * h + 13 * h + 8 * bs)
 }
 
 #[test]
 fn benchmark_2d_workloads_send_the_pinned_link_elements_per_step() {
     // Pinned against the same `CommLog::total_link_elems` that the step
     // benchmark's `comm_mib_per_step` reads (elements · 4 / 2²⁰), with the
-    // parent's counts (before the panels were kept) alongside, so the
-    // difference is the closed-form saving.
+    // counts before the top layer's recompute was dropped alongside, so the
+    // difference is the closed-form top-layer recompute.
     let (tokens, labels) = data(&bench_cfg(1, 1, 8), 9);
     let step = |q: usize, hidden: usize| {
         let cfg = bench_cfg(q, hidden, 8);
         let (_, logs) = MeshNd::dry_run_with_logs(&[q, q], |g| {
             OptimusModel::new(&cfg, 1, g).train_step(g, &tokens, &labels, 0.01)
         });
-        let bs = cfg.batch * cfg.seq;
-        let saving = cfg.layers * layer_saving(&cfg, q, bs) + head_saving(&cfg, q, bs);
-        (link_elems(&logs), saving)
+        (
+            link_elems(&logs),
+            top_recompute(&cfg, q, cfg.batch * cfg.seq),
+        )
     };
-    // opt2d_2x2_h256: 107.1211 → 80.3711 MiB.
+    // opt2d_2x2_h256: 80.3711 → 73.8428 MiB.
     let (now, saving) = step(2, 256);
-    assert_eq!((now, now + saving), (21_068_804, 28_081_156));
-    // opt2d_4x4_h128: 127.2540 → 95.3790 MiB.
+    assert_eq!((now, now + saving), (19_357_444, 21_068_804));
+    // opt2d_4x4_h128: 95.3790 → 87.8131 MiB.
     let (now, saving) = step(4, 128);
-    assert_eq!((now, now + saving), (25_003_032, 33_358_872));
+    assert_eq!((now, now + saving), (23_019_672, 25_003_032));
 
-    // hyb_pp2_dp2_2x2_h128: 118.2950 → 90.7950 MiB; every (replica,
-    // microbatch) pair makes one pass over all four layers and one head pass.
+    // hyb_pp2_dp2_2x2_h128: 90.7950 → 84.2384 MiB; only the last stage's
+    // (replica, microbatch) pairs skip a recompute, one layer each.
     let spec = HybridSpec {
         pp: 2,
         dp: 2,
@@ -309,9 +310,9 @@ fn benchmark_2d_workloads_send_the_pinned_link_elements_per_step() {
     });
     let passes = spec.dp * spec.microbatches;
     let bs = spec.micro_batch(&cfg) * cfg.seq;
-    let saving = passes * (cfg.layers * layer_saving(&cfg, 2, bs) + head_saving(&cfg, 2, bs));
+    let saving = passes * top_recompute(&cfg, 2, bs);
     let now = link_elems(&logs);
-    assert_eq!((now, now + saving), (23_801_376, 31_010_336));
+    assert_eq!((now, now + saving), (22_082_592, 23_801_376));
 }
 
 fn panel_ptrs(s: &Strips) -> Vec<*const f32> {
@@ -325,7 +326,11 @@ fn strips_held_after_a_recompute_are_the_memory_model_term() {
     for (q, hidden, batch) in [(2usize, 256usize, 8usize), (4, 128, 8), (2, 128, 4)] {
         let cfg = bench_cfg(q, hidden, batch);
         let full = LayerParams::init(0, 0, hidden);
-        let x = Tensor::randn(&[batch * cfg.seq, hidden], 1.0, &mut Rng::new(3));
+        let bs = batch * cfg.seq;
+        let mut rng = Rng::new(3);
+        let x = Tensor::randn(&[bs, hidden], 1.0, &mut rng);
+        let table = Tensor::randn(&[cfg.vocab, hidden], 1.0, &mut rng);
+        let (_, labels) = data(&cfg, 8);
         let held = MeshNd::dry_run_with_logs(&[q, q], |g| {
             let low = Summa2d { grid: g, cfg: &cfg };
             let (p, x) = (slice_layer2d(g, &full), distribute(g, &x));
@@ -336,7 +341,24 @@ fn strips_held_after_a_recompute_are_the_memory_model_term() {
             let again = layer_recompute(&low, &p, &x, first.panels);
             let after: Vec<*const f32> = again.panels.iter().flat_map(panel_ptrs).collect();
             assert_eq!(before, after, "the recompute allocated new panels");
-            again.panels.iter().map(Strips::bytes).sum::<usize>()
+            let layer: usize = again.panels.iter().map(Strips::bytes).sum();
+
+            // The top layer's strips are live through the tied head, whose
+            // `dL·E` reads the table strip the logits product kept while it
+            // keeps the `dL` strip (the first product of `head_backward`).
+            let (table, labels) = (distribute(g, &table), cfg.local_tokens(&labels, g.row()));
+            let meter = &mut MemMeter::new();
+            let (_, dlogits, table_strip) = stem::head_loss(&low, &table, &x, labels, bs, meter);
+            let mut dl_strip = Strips::default();
+            low.gemm(
+                Form::NN,
+                Role::Contract,
+                &dlogits,
+                &table,
+                &table_strip,
+                Some(&mut dl_strip),
+            );
+            layer + table_strip.bytes() + dl_strip.bytes()
         })
         .0;
         let model = optimus_bytes(

@@ -1,0 +1,54 @@
+//! The tensor memory a checkpointed step peaks at, pinned. Keeping the top
+//! layer's cache through the loss head instead of recomputing it must not
+//! raise the step's peak: the head's tensors sit beside `L − 1` kept inputs
+//! and one cache, while the backward sweep's peak holds the kept inputs,
+//! one recomputed cache and the gradients in flight.
+//!
+//! Alone in its test binary: the `metrics` sink is process-global, so a live
+//! mesh of any concurrently running test would land in this test's
+//! `drain()`.
+
+use optimus::mesh::Mesh2d;
+use optimus::optimus_core::{OptimusConfig, OptimusModel};
+use optimus::tensor::Rng;
+
+#[test]
+fn a_checkpointed_four_layer_2d_step_peaks_where_it_did_when_every_layer_was_recomputed() {
+    let cfg = OptimusConfig {
+        q: 2,
+        batch: 4,
+        seq: 8,
+        hidden: 16,
+        heads: 4,
+        vocab: 32,
+        layers: 4,
+        causal: true,
+        checkpoint: true,
+        fused_attention: false,
+    };
+    let mut rng = Rng::new(3);
+    let n = cfg.batch * cfg.seq;
+    let tokens: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
+    let labels: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
+
+    metrics::enable();
+    let pinned = Mesh2d::run(cfg.q, |g| {
+        let mut m = OptimusModel::new(&cfg, 1, g);
+        m.train_step_detailed(g, &tokens, &labels, 0.1)
+            .peak_activation_bytes
+    });
+    metrics::disable();
+    let tracked: Vec<u64> = metrics::drain().iter().map(|d| d.peak_bytes).collect();
+
+    // The live-tensor tracker behind the step benchmark's `peak_mem_mib`
+    // reads what it read when every layer was recomputed: the backward
+    // sweep's transients still set the peak.
+    assert_eq!(tracked, vec![64_000; 4]);
+    // The meter counts only what the sweeps and the head pin, not those
+    // transients. Its peak moves from the backward sweep (`L` inputs and a
+    // recomputed cache) to the loss head (`L − 1` inputs, the top cache, the
+    // final hidden block and `dlogits`): one `[bs/q, v/q]` block above the
+    // 12 480 bytes it read then.
+    let dlogits = 4 * (n / cfg.q) * (cfg.vocab / cfg.q);
+    assert_eq!(pinned, vec![12_480 + dlogits; 4]);
+}
