@@ -444,7 +444,7 @@ fn projection(profile: &HardwareProfile) {
 /// recorded volumes against the Table 1 closed forms — the worked example of
 /// EXPERIMENTS.md and OBSERVABILITY.md.
 fn trace_demo(profile: &HardwareProfile) {
-    use mesh::{Arrangement, Communicator, Mesh, Mesh2d, Topology};
+    use mesh::{Arrangement, Mesh, Mesh2d, Topology};
     use optimus_core::{OptimusConfig, OptimusModel};
     use perf::tracecheck;
     use tensor::Rng;
@@ -503,7 +503,12 @@ fn trace_demo(profile: &HardwareProfile) {
     let flat = CostModel::new(profile.clone(), Topology::flat(p, profile.gpus_per_node));
     let (_, _, mtraces) = Mesh::dry_run_traced(p, flat.ns_pricer(), |ctx| {
         let world = mesh::Group::world(p);
-        let lp = megatron::slice_layer1d(&full, model_cfg.hidden, p, ctx.rank());
+        let low = megatron::Megatron1d {
+            ctx,
+            world: &world,
+            cfg: &mcfg,
+        };
+        let lp = serial::shard_layer(&low, &full);
         megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
     });
     let mtotals = tracecheck::op_totals(&flat, &mtraces);
@@ -532,7 +537,7 @@ fn trace_demo(profile: &HardwareProfile) {
 /// serial reference.
 fn validate() {
     use mesh::{CommOp, Group, Mesh, Mesh2d};
-    use optimus_core::{layer2d_forward, slice_layer2d, OptimusConfig, OptimusModel};
+    use optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
     use serial::{LayerParams, ModelConfig, SerialModel};
     use summa::distribute;
     use tensor::{Rng, Tensor};
@@ -556,7 +561,12 @@ fn validate() {
     let x = Tensor::randn(&[model_cfg.tokens(), model_cfg.hidden], 1.0, &mut rng);
     let (_, logs) = Mesh::run_with_logs(p, |ctx| {
         let world = Group::world(p);
-        let lp = megatron::slice_layer1d(&full, model_cfg.hidden, p, ctx.rank());
+        let low = megatron::Megatron1d {
+            ctx,
+            world: &world,
+            cfg: &mcfg,
+        };
+        let lp = serial::shard_layer(&low, &full);
         megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
     });
     let bsh = model_cfg.tokens() * model_cfg.hidden;
@@ -595,7 +605,11 @@ fn validate() {
         fused_attention: false,
     };
     let (_, logs) = Mesh2d::run_with_logs(ocfg.q, |g| {
-        let lp = slice_layer2d(g, &full);
+        let low = Summa2d {
+            grid: g,
+            cfg: &ocfg,
+        };
+        let lp = serial::shard_layer(&low, &full);
         layer2d_forward(g, &ocfg, &lp, &distribute(g, &x));
     });
     let (b, s, h, q) = (ocfg.batch, ocfg.seq, ocfg.hidden, ocfg.q);

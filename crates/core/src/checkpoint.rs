@@ -2,96 +2,25 @@
 //! canonical (serial) parameter form on one device, and rebuilding a
 //! sharded model from canonical parameters.
 //!
-//! The canonical form is `serial::ModelParams` — the same structure the
-//! deterministic initialiser produces — so a gathered checkpoint can be
+//! Both directions read [`Summa2d`]'s one placement table
+//! (`serial::Lowering::place`) through `serial::{shard, gather}`, the same
+//! two interpreters `megatron::MegatronModel::{from_params, gather_params}`
+//! use. The canonical form is `serial::ModelParams` — the same structure
+//! the deterministic initialiser produces — so a gathered checkpoint can be
 //! saved as JSON, loaded into the serial reference, resharded onto a
-//! *different* mesh size, or handed to the Megatron implementation.
+//! *different* mesh size, or loaded by the Megatron implementation, and a
+//! Megatron checkpoint loads here the same way.
 
 use crate::model::OptimusModel;
-use crate::params2d::{hosted_slice, slice_layer2d};
+use crate::Summa2d;
 use mesh::{Communicator, Grid2d};
-use serial::{LayerParams, ModelParams};
-use tensor::Tensor;
-
-/// Gathers the `q × q` blocks of one matrix to mesh position (0,0).
-/// Returns `Some(full)` there, `None` elsewhere.
-fn gather_matrix<C: Communicator>(
-    grid: &Grid2d<C>,
-    local: &Tensor,
-    full_rows: usize,
-    full_cols: usize,
-) -> Option<Tensor> {
-    // Gather within this device's 2D slice: on a [q, q, d] mesh every depth
-    // slice holds a full parameter replica, so slice 0's (0,0) device is the
-    // canonical root and deeper slices gather redundant (identical) copies.
-    let mesh = grid.slice_group();
-    let root_rank = mesh.rank_of(0);
-    let flat = grid.ctx().gather(&mesh, 0, local.as_slice());
-    if grid.ctx().rank() != root_rank {
-        return None;
-    }
-    let q = grid.q();
-    let (br, bc) = (full_rows / q, full_cols / q);
-    assert_eq!(flat.len(), full_rows * full_cols, "gathered size mismatch");
-    let blocks: Vec<Tensor> = flat
-        .chunks(br * bc)
-        .map(|c| Tensor::from_vec(&[br, bc], c.to_vec()))
-        .collect();
-    Some(Tensor::from_summa_blocks(&blocks, q))
-}
-
-/// Gathers a row-0-hosted vector (bias / LN affine) to mesh position (0,0).
-/// Only mesh-row-0 devices participate; everyone else returns `None`.
-fn gather_row0_vector<C: Communicator>(
-    grid: &Grid2d<C>,
-    local: Option<&Vec<f32>>,
-) -> Option<Vec<f32>> {
-    if grid.row() != 0 {
-        assert!(local.is_none(), "non-row-0 device holds a hosted vector");
-        return None;
-    }
-    let slice = local.expect("row-0 device missing its hosted vector");
-    let gathered = grid.ctx().gather(grid.row_group(), 0, slice);
-    if grid.col() == 0 {
-        Some(gathered)
-    } else {
-        None
-    }
-}
-
-/// Un-permutes a gathered fused-QKV matrix: block `(i, j)` of the gathered
-/// matrix holds `[Wq_ij | Wk_ij | Wv_ij]`; the canonical layout is
-/// `[Wq | Wk | Wv]` with contiguous thirds.
-fn unpermute_qkv(fused: &Tensor, h: usize, q: usize) -> Tensor {
-    let cb = h / q;
-    let mut out = Tensor::zeros(&[h, 3 * h]);
-    for part in 0..3 {
-        for j in 0..q {
-            let block = fused.block(0, j * 3 * cb + part * cb, h, cb);
-            out.set_block(0, part * h + j * cb, &block);
-        }
-    }
-    out
-}
-
-/// Un-permutes a gathered fused-QKV bias: per-column triples
-/// `[bq_j | bk_j | bv_j]` → contiguous thirds.
-fn unpermute_qkv_bias(fused: &[f32], h: usize, q: usize) -> Vec<f32> {
-    let cb = h / q;
-    let mut out = vec![0.0f32; 3 * h];
-    for part in 0..3 {
-        for j in 0..q {
-            let src = &fused[j * 3 * cb + part * cb..j * 3 * cb + (part + 1) * cb];
-            out[part * h + j * cb..part * h + (j + 1) * cb].copy_from_slice(src);
-        }
-    }
-    out
-}
+use serial::ModelParams;
 
 impl OptimusModel {
     /// Builds a device's shard from explicit canonical parameters (the
-    /// inverse of [`OptimusModel::gather_params`]). The parameters must
-    /// match `cfg.model()`'s dimensions.
+    /// inverse of [`OptimusModel::gather_params`]), cut by [`Summa2d`]'s
+    /// placement table. Panics naming any tensor whose shape does not match
+    /// `cfg.model()`.
     pub fn from_params<C: Communicator>(
         cfg: &crate::OptimusConfig,
         params: &ModelParams,
@@ -99,75 +28,26 @@ impl OptimusModel {
     ) -> Self {
         cfg.validate();
         assert_eq!(grid.q(), cfg.q, "grid side must equal cfg.q");
-        assert_eq!(
-            params.embedding.rows(),
-            cfg.vocab,
-            "parameter dimensions must match the config"
-        );
-        assert_eq!(params.layers.len(), cfg.layers);
+        let t = serial::shard(&Summa2d { grid, cfg }, params, &cfg.model());
         OptimusModel {
             cfg: *cfg,
-            table: params.embedding.summa_block(grid.row(), grid.col(), cfg.q),
-            layers: params
-                .layers
-                .iter()
-                .map(|lp| slice_layer2d(grid, lp))
-                .collect(),
-            final_ln_g: hosted_slice(grid, &params.final_ln_g),
-            final_ln_b: hosted_slice(grid, &params.final_ln_b),
+            table: t.embedding,
+            layers: t.layers,
+            final_ln_g: t.final_ln_g,
+            final_ln_b: t.final_ln_b,
             cls: None,
             meter: crate::MemMeter::new(),
         }
     }
 
     /// Gathers every parameter block to mesh position (0,0) and reassembles
-    /// the canonical [`ModelParams`]. Returns `Some` only there. All mesh
-    /// devices must call this together (it is a collective).
+    /// the canonical [`ModelParams`]: matrices over the mesh (each depth
+    /// slice's own), row-0 vectors along mesh row 0. Returns `Some` only
+    /// there. All mesh devices must call this together (it is a
+    /// collective).
     pub fn gather_params<C: Communicator>(&self, grid: &Grid2d<C>) -> Option<ModelParams> {
-        let (h, v) = (self.cfg.hidden, self.cfg.vocab);
-        let q = self.cfg.q;
-        let embedding = gather_matrix(grid, &self.table, v, h);
-
-        // Struct fields evaluate in source order, so every device issues
-        // the gathers in the canonical order; off the root they yield empty
-        // placeholders, discarded with the `None` embedding below.
-        let mat = |w: &Tensor, rows: usize, cols: usize| {
-            gather_matrix(grid, w, rows, cols).unwrap_or_else(|| Tensor::zeros(&[0, 0]))
-        };
-        let vec = |v: &Option<Vec<f32>>| gather_row0_vector(grid, v.as_ref()).unwrap_or_default();
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for lp in &self.layers {
-            layers.push(LayerParams {
-                ln1_g: vec(&lp.ln1_g),
-                ln1_b: vec(&lp.ln1_b),
-                w_qkv: mat(&lp.w_qkv, h, 3 * h),
-                b_qkv: vec(&lp.b_qkv),
-                w_out: mat(&lp.w_out, h, h),
-                b_out: vec(&lp.b_out),
-                ln2_g: vec(&lp.ln2_g),
-                ln2_b: vec(&lp.ln2_b),
-                w_fc1: mat(&lp.w_fc1, h, 4 * h),
-                b_fc1: vec(&lp.b_fc1),
-                w_fc2: mat(&lp.w_fc2, 4 * h, h),
-                b_fc2: vec(&lp.b_fc2),
-            });
-        }
-        let final_g = gather_row0_vector(grid, self.final_ln_g.as_ref());
-        let final_b = gather_row0_vector(grid, self.final_ln_b.as_ref());
-
-        embedding.map(|embedding| ModelParams {
-            embedding,
-            layers: layers
-                .into_iter()
-                .map(|l| LayerParams {
-                    w_qkv: unpermute_qkv(&l.w_qkv, h, q),
-                    b_qkv: unpermute_qkv_bias(&l.b_qkv, h, q),
-                    ..l
-                })
-                .collect(),
-            final_ln_g: final_g.unwrap(),
-            final_ln_b: final_b.unwrap(),
-        })
+        let cfg = &self.cfg;
+        serial::gather(&Summa2d { grid, cfg }, &self.stem())
     }
 }
 

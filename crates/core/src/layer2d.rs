@@ -17,13 +17,19 @@
 //! mesh rows (the vocabulary spans a row).
 
 use crate::config::OptimusConfig;
-use crate::params2d::Layer2dParams;
 use mesh::{Communicator, Grid2d};
-use serial::{layer_backward, layer_forward, LayerCache, Lowering, Reduce, Role, Span};
+use serial::{layer_backward, layer_forward, Cut, LayerCache, LayerTensors, Lowering, Reduce};
+use serial::{Role, Slot, Span};
 use std::borrow::Cow;
 use summa::{summa_product, Strips};
 use tensor::gemm::Form;
 use tensor::Tensor;
+
+/// One layer's parameters (or their gradients) as held by a single device
+/// of the mesh: `[·/q, ·/q]` weight blocks and, on mesh row 0 only, this
+/// column's slice of every bias and layer-norm vector ([`Summa2d`]'s
+/// [`Lowering::place`]).
+pub type Layer2dParams = LayerTensors<Option<Vec<f32>>>;
 
 /// The Optimus-2D lowering: SUMMA products (Algorithms 1–3), vectors hosted
 /// on mesh row 0 (Fig. 5), layer-norm statistics summed along mesh rows
@@ -150,6 +156,29 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
         }
     }
 
+    /// Weights and the table are block `(i, j)`; a vector is column slice
+    /// `j`, hosted on mesh row 0 only (Fig. 5).
+    fn place(&self, slot: Slot) -> Cut {
+        let (q, i, j) = (self.grid.q(), self.grid.row(), self.grid.col());
+        match slot {
+            Slot::Table | Slot::Weight(_) => Cut::new((i, q), (j, q), true),
+            Slot::Bias(_) | Slot::Norm => Cut::new((0, 1), (j, q), i == 0),
+        }
+    }
+
+    /// A vector along mesh row 0; a matrix over this device's depth slice
+    /// (each slice of a `[q, q, d]` mesh holds a replica, so each slice's
+    /// `(0, 0)` is a root).
+    fn gather_pieces(&self, slot: Slot, piece: Option<&[f32]>) -> Option<Vec<f32>> {
+        let (grid, ctx) = (self.grid, self.grid.ctx());
+        let group = match slot {
+            Slot::Bias(_) | Slot::Norm => grid.row_group().clone(),
+            Slot::Table | Slot::Weight(_) => grid.slice_group(),
+        };
+        let flat = ctx.gather(&group, 0, piece?);
+        (ctx.rank() == group.rank_of(0)).then_some(flat)
+    }
+
     /// Per-row losses are identical across the mesh row; this block's sum
     /// is rounded to `f32`, combined across batch blocks (the column) and
     /// divided by the global row count, so every device reports the same
@@ -211,10 +240,9 @@ pub fn layer2d_backward<C: Communicator>(
 #[allow(clippy::needless_range_loop)] // explicit indices aid test diagnostics
 mod tests {
     use super::*;
-    use crate::params2d::{hosted_slice, slice_layer2d};
     use mesh::Mesh2d;
     use serial::{linear_backward, linear_forward, ln_backward, ln_forward, stem};
-    use serial::{Hosted, LayerParams, LayerTensors, Local};
+    use serial::{shard_layer, shard_tensor, Hosted, LayerParams, Local};
     use summa::{collect_blocks, distribute};
     use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LN_EPS};
     use tensor::{assert_close, Rng, Tensor};
@@ -235,7 +263,7 @@ mod tests {
             let (cfg, full, x, _) = setup(q);
             let (y_ref, _) = layer_forward(&Local(cfg.model()), &full, &x);
             let blocks = Mesh2d::run(q, |g| {
-                let p = slice_layer2d(g, &full);
+                let p = shard_layer(&Summa2d { grid: g, cfg: &cfg }, &full);
                 layer2d_forward(g, &cfg, &p, &distribute(g, &x)).0
             });
             assert_close(
@@ -269,7 +297,7 @@ mod tests {
             let (dx_ref, grads_ref) = layer_backward(&low, &full, &cache_ref, &dy);
 
             let outs = Mesh2d::run(q, |g| {
-                let p = slice_layer2d(g, &full);
+                let p = shard_layer(&Summa2d { grid: g, cfg: &cfg }, &full);
                 let (y, cache) = layer2d_forward(g, &cfg, &p, &distribute(g, &x));
                 assert_eq!(cache.attn.is_none(), fused);
                 let (dx, grads) = layer2d_backward(g, &cfg, &p, &cache, &distribute(g, &dy));
@@ -348,12 +376,15 @@ mod tests {
 
             let outs = Mesh2d::run(q, |g| {
                 let low = Summa2d { grid: g, cfg: &cfg };
+                let host = |v: &[f32]| {
+                    let full = Tensor::from_vec(&[1, v.len()], v.to_vec());
+                    shard_tensor(&low, Slot::Norm, &full).map(Tensor::into_vec)
+                };
                 let (xl, wl, dyl) = (distribute(g, &x), distribute(g, w), distribute(g, &dy));
-                let y = linear_forward(&low, Role::Expand, &xl, &wl, &hosted_slice(g, &b), None);
+                let y = linear_forward(&low, Role::Expand, &xl, &wl, &host(&b), None);
                 let kept = Strips::default();
                 let (dx, dw, db) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl, &kept);
-                let (yln, cache) =
-                    ln_forward(&low, &xl, &hosted_slice(g, &gamma), &hosted_slice(g, &beta));
+                let (yln, cache) = ln_forward(&low, &xl, &host(&gamma), &host(&beta));
                 let (dxln, dg, dbeta) = ln_backward(&low, &dyl, &cache);
                 ([y, dx, dw, yln, dxln], [db, dg, dbeta])
             });
@@ -462,7 +493,7 @@ mod tests {
         let q = 2;
         let (cfg, full, x, _) = setup(q);
         let sizes = Mesh2d::run(q, |g| {
-            let p = slice_layer2d(g, &full);
+            let p = shard_layer(&Summa2d { grid: g, cfg: &cfg }, &full);
             let (_, cache) = layer2d_forward(g, &cfg, &p, &distribute(g, &x));
             cache.bytes()
         });

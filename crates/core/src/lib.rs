@@ -44,10 +44,8 @@ pub mod checkpoint;
 mod config;
 mod layer2d;
 mod model;
-mod params2d;
 
 pub use config::OptimusConfig;
-pub use layer2d::{layer2d_backward, layer2d_forward, Summa2d};
+pub use layer2d::{layer2d_backward, layer2d_forward, Layer2dParams, Summa2d};
 pub use model::{Model2dGrads, OptimusModel, TrainOutput};
-pub use params2d::{slice_layer2d, Layer2dParams};
 pub use serial::stem::MemMeter;

@@ -4,12 +4,12 @@
 //! training step.
 
 use crate::config::OptimusConfig;
-use crate::layer2d::Summa2d;
-use crate::params2d::{hosted_slice, Layer2dParams};
+use crate::layer2d::{Layer2dParams, Summa2d};
 use mesh::{Communicator, Grid2d};
 use serial::stem::{self, Keep, MemMeter, StemRef};
 use serial::{
-    linear_forward, ln_backward, ln_forward, walk_pair, walk_stem, Lowering, ModelTensors, Role,
+    linear_forward, ln_backward, ln_forward, shard_tensor, walk_pair, walk_stem, Lowering,
+    ModelTensors, Role, Slot,
 };
 use tensor::Tensor;
 
@@ -53,8 +53,9 @@ impl OptimusModel {
     }
 
     /// Adds the sentence-classification branch (Fig. 1): a `[h, c]` head
-    /// applied to the first token's hidden state of every sequence, blocked
-    /// like every other parameter. Requires `q | num_classes`.
+    /// applied to the first token's hidden state of every sequence, placed
+    /// as an `Expand` projection like every other parameter. Requires
+    /// `q | num_classes`.
     pub fn with_classifier<C: Communicator>(
         mut self,
         grid: &Grid2d<C>,
@@ -73,8 +74,11 @@ impl OptimusModel {
             &[self.cfg.hidden, num_classes],
             tensor::init::WEIGHT_STD,
         );
-        let w = full.summa_block(grid.row(), grid.col(), grid.q());
-        self.cls = Some((w, hosted_slice(grid, &vec![0.0f32; num_classes])));
+        let (cfg, role) = (self.cfg, Role::Expand);
+        let low = Summa2d { grid, cfg: &cfg };
+        let w = shard_tensor(&low, Slot::Weight(role), &full).expect("on every device");
+        let b = shard_tensor(&low, Slot::Bias(role), &Tensor::zeros(&[1, num_classes]));
+        self.cls = Some((w, b.map(Tensor::into_vec)));
         self
     }
 
@@ -90,7 +94,7 @@ impl OptimusModel {
         pooled
     }
 
-    fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
+    pub(crate) fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
         StemRef {
             table: &self.table,
             layers: &self.layers,

@@ -16,7 +16,8 @@
 
 use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
-use serial::{layer_backward, layer_forward, local_gemm, LayerCache, Lowering, Reduce, Role, Span};
+use serial::{layer_backward, layer_forward, local_gemm, Cut, LayerCache, Lowering, Reduce};
+use serial::{Role, Slot, Span};
 use std::borrow::Cow;
 use tensor::gemm::Form;
 use tensor::Tensor;
@@ -120,6 +121,23 @@ impl<C: Communicator> Lowering for Megatron1d<'_, C> {
             Reduce::Max => self.ctx.all_reduce_max(self.world, partial),
         }
     }
+
+    /// `Expand` weights and biases split by columns, `Contract` weights and
+    /// the table by rows; every other vector is replicated.
+    fn place(&self, slot: Slot) -> Cut {
+        let part = (self.ctx.rank(), self.cfg.p);
+        match slot {
+            Slot::Weight(Role::Expand) | Slot::Bias(Role::Expand) => Cut::new((0, 1), part, true),
+            Slot::Weight(Role::Contract) | Slot::Table => Cut::new(part, (0, 1), true),
+            _ => Cut::WHOLE,
+        }
+    }
+
+    /// Over the world, to rank 0.
+    fn gather_pieces(&self, _: Slot, piece: Option<&[f32]>) -> Option<Vec<f32>> {
+        let flat = self.ctx.gather(self.world, 0, piece?);
+        (self.ctx.rank() == 0).then_some(flat)
+    }
 }
 
 /// Layer forward. `x` is the replicated `[b·s, h]` input.
@@ -150,9 +168,8 @@ pub fn layer1d_backward<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::slice_layer1d;
     use mesh::Mesh;
-    use serial::{LayerParams, Local, ModelConfig};
+    use serial::{shard_layer, LayerParams, Local, ModelConfig};
     use tensor::{assert_close, Rng};
 
     fn setup() -> (MegatronConfig, LayerParams, Tensor, Tensor) {
@@ -163,6 +180,16 @@ mod tests {
         let x = Tensor::randn(&[model.tokens(), model.hidden], 1.0, &mut rng);
         let dy = Tensor::randn(&[model.tokens(), model.hidden], 1.0, &mut rng);
         (cfg, full, x, dy)
+    }
+
+    /// Device `ctx`'s slice of one layer.
+    fn slice<C: Communicator>(
+        ctx: &C,
+        world: &Group,
+        cfg: &MegatronConfig,
+        full: &LayerParams,
+    ) -> Layer1dParams {
+        shard_layer(&Megatron1d { ctx, world, cfg }, full)
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -184,7 +211,7 @@ mod tests {
             let cfg = MegatronConfig::new(cfg.model, p);
             let outs = Mesh::run(p, |ctx| {
                 let world = Group::world(p);
-                let lp = slice_layer1d(&full, cfg.model.hidden, p, ctx.rank());
+                let lp = slice(ctx, &world, &cfg, &full);
                 layer1d_forward(ctx, &world, &cfg, &lp, &x).0
             });
             for (rank, y) in outs.iter().enumerate() {
@@ -207,7 +234,7 @@ mod tests {
             let cfg = MegatronConfig::new(cfg.model, p);
             Mesh::run(p, |ctx| {
                 let world = Group::world(p);
-                let lp = slice_layer1d(&full, cfg.model.hidden, p, ctx.rank());
+                let lp = slice(ctx, &world, &cfg, &full);
                 let (_, cache) = layer1d_forward(ctx, &world, &cfg, &lp, &x);
                 layer1d_backward(ctx, &world, &cfg, &lp, &cache, &dy)
             })
@@ -295,7 +322,7 @@ mod tests {
         let (cfg, full, x, _) = setup();
         let (_, logs) = Mesh::run_with_logs(cfg.p, |ctx| {
             let world = Group::world(cfg.p);
-            let p = slice_layer1d(&full, cfg.model.hidden, cfg.p, ctx.rank());
+            let p = slice(ctx, &world, &cfg, &full);
             layer1d_forward(ctx, &world, &cfg, &p, &x);
         });
         let bsh = cfg.model.tokens() * cfg.model.hidden;
@@ -310,7 +337,7 @@ mod tests {
         let (cfg, full, x, _) = setup();
         let outs = Mesh::run(cfg.p, |ctx| {
             let world = Group::world(cfg.p);
-            let p = slice_layer1d(&full, cfg.model.hidden, cfg.p, ctx.rank());
+            let p = slice(ctx, &world, &cfg, &full);
             layer1d_forward(ctx, &world, &cfg, &p, &x).0
         });
         // Ring all-reduce is deterministic, so replicas are bit-identical.

@@ -17,7 +17,8 @@
 //! Parameters and gradients are `serial::LayerTensors<Vec<f32>>` slices,
 //! walked in the canonical order of [`serial::walk_stem`].
 //!
-//! Layout conventions (per device `j` of `p`):
+//! Layout conventions (per device `j` of `p`), [`Megatron1d`]'s placement
+//! table (`serial::Lowering::place`), which `serial::{shard, gather}` read:
 //! * fused QKV weight: columns of each of `Wq`, `Wk`, `Wv` for heads
 //!   `j·n/p … (j+1)·n/p`, i.e. a `[h, 3h/p]` local matrix;
 //! * attention output projection: row slice `[h/p, h]`;
@@ -26,11 +27,10 @@
 //! * embedding table: vocabulary row slice `[v/p, h]` (vocab-parallel), with
 //!   the LM head tied and the cross-entropy computed vocab-parallel.
 
-mod gather;
 mod layer;
 mod model;
 mod params;
 
 pub use layer::{layer1d_backward, layer1d_forward, Megatron1d};
 pub use model::MegatronModel;
-pub use params::{slice_layer1d, Layer1dParams, MegatronConfig};
+pub use params::{Layer1dParams, MegatronConfig};

@@ -3,10 +3,10 @@
 //! vocab-parallel cross-entropy.
 
 use crate::layer::Megatron1d;
-use crate::params::{slice_layer1d, Layer1dParams, MegatronConfig};
+use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
 use serial::stem::{self, MemMeter, StemRef};
-use serial::{walk_stem, ModelTensors};
+use serial::{walk_stem, ModelParams, ModelTensors};
 use tensor::Tensor;
 
 /// Device-local gradients for every parameter this device owns (plus its
@@ -26,25 +26,45 @@ pub struct MegatronModel {
 }
 
 impl MegatronModel {
-    /// Builds this device's shard by slicing the canonical full parameters.
+    /// Builds this device's shard by slicing the canonical full parameters
+    /// generated deterministically from `seed`.
     pub fn new<C: Communicator>(cfg: MegatronConfig, seed: u64, ctx: &C) -> Self {
+        MegatronModel::from_params(cfg, &ModelParams::init(seed, &cfg.model), ctx)
+    }
+
+    /// Builds a device's shard from explicit canonical parameters (the
+    /// inverse of [`MegatronModel::gather_params`]), cut by [`Megatron1d`]'s
+    /// placement table. Panics naming any tensor whose shape does not match
+    /// `cfg.model`.
+    pub fn from_params<C: Communicator>(
+        cfg: MegatronConfig,
+        params: &ModelParams,
+        ctx: &C,
+    ) -> Self {
         assert_eq!(ctx.world_size(), cfg.p, "mesh size must equal cfg.p");
-        let full = serial::ModelParams::init(seed, &cfg.model);
-        let rank = ctx.rank();
-        let vp = cfg.model.vocab / cfg.p;
+        let world = Group::world(cfg.p);
+        let low = Megatron1d {
+            ctx,
+            world: &world,
+            cfg: &cfg,
+        };
+        let t = serial::shard(&low, params, &cfg.model);
         MegatronModel {
             cfg,
-            rank,
-            world: Group::world(cfg.p),
-            table: full.embedding.block(rank * vp, 0, vp, cfg.model.hidden),
-            layers: full
-                .layers
-                .iter()
-                .map(|lp| slice_layer1d(lp, cfg.model.hidden, cfg.p, rank))
-                .collect(),
-            final_ln_g: full.final_ln_g,
-            final_ln_b: full.final_ln_b,
+            rank: ctx.rank(),
+            world,
+            table: t.embedding,
+            layers: t.layers,
+            final_ln_g: t.final_ln_g,
+            final_ln_b: t.final_ln_b,
         }
+    }
+
+    /// Gathers every parameter to rank 0 and reassembles the canonical
+    /// [`ModelParams`]: split tensors over the world, replicated ones from
+    /// rank 0's own copy. All devices must call this together.
+    pub fn gather_params<C: Communicator>(&self, ctx: &C) -> Option<ModelParams> {
+        serial::gather(&self.low(ctx), &self.stem())
     }
 
     fn low<'a, C: Communicator>(&'a self, ctx: &'a C) -> Megatron1d<'a, C> {
@@ -262,5 +282,50 @@ mod tests {
         });
         assert_eq!(outs[0].0, outs[1].0);
         assert_eq!(outs[0].1, outs[1].1);
+    }
+
+    #[test]
+    fn gather_recovers_initial_parameters() {
+        let model_cfg = ModelConfig::tiny();
+        let cfg = MegatronConfig::new(model_cfg, 2);
+        let gathered = Mesh::run(2, |ctx| MegatronModel::new(cfg, 13, ctx).gather_params(ctx));
+        let full = serial::ModelParams::init(13, &model_cfg);
+        let got = gathered[0].as_ref().expect("rank 0 has the params");
+        assert_eq!(got.embedding, full.embedding);
+        assert_eq!(got.layers[0].w_qkv, full.layers[0].w_qkv);
+        assert_eq!(got.layers[1].w_fc1, full.layers[1].w_fc1);
+        assert_eq!(got.layers[0].b_qkv, full.layers[0].b_qkv);
+        assert!(gathered[1].is_none());
+    }
+
+    #[test]
+    fn trained_gathered_params_match_serial() {
+        let model_cfg = ModelConfig::tiny();
+        let cfg = MegatronConfig::new(model_cfg, 2);
+        let (tokens, labels) = data(&model_cfg, 0);
+        let gathered = Mesh::run(2, |ctx| {
+            let mut m = MegatronModel::new(cfg, 21, ctx);
+            for _ in 0..3 {
+                m.train_step(ctx, &tokens, &labels, 0.2);
+            }
+            m.gather_params(ctx)
+        });
+        let mut reference = SerialModel::new(model_cfg, 21);
+        for _ in 0..3 {
+            reference.train_step(&tokens, &labels, 0.2);
+        }
+        let got = gathered[0].as_ref().unwrap();
+        tensor::assert_close(
+            got.embedding.as_slice(),
+            reference.params.embedding.as_slice(),
+            1e-4,
+            1e-3,
+        );
+        tensor::assert_close(
+            got.layers[1].w_qkv.as_slice(),
+            reference.params.layers[1].w_qkv.as_slice(),
+            1e-4,
+            1e-3,
+        );
     }
 }

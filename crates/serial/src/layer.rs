@@ -11,6 +11,7 @@
 
 use crate::attention::{attention_backward, attention_forward, AttnCache};
 use crate::config::ModelConfig;
+use crate::layout::{Cut, Slot};
 use crate::params::{Hosted, LayerTensors};
 use std::borrow::Cow;
 use tensor::gemm::Form;
@@ -125,6 +126,21 @@ pub trait Lowering {
     /// Turns per-row partials over the local vocabulary slice into values
     /// over the whole vocabulary.
     fn complete_vocab(&self, _how: Reduce, _partial: &mut [f32]) {}
+
+    /// How this device's share of a canonical tensor is cut from the full
+    /// one, for [`crate::shard`] and [`crate::gather`]: all of it, by
+    /// default.
+    fn place(&self, _slot: Slot) -> Cut {
+        Cut::WHOLE
+    }
+
+    /// Gathers the pieces of a tensor that is not held whole (`piece` is
+    /// `None` where it is hosted elsewhere) to the root over the devices
+    /// that hold distinct pieces, concatenated in row-major order of their
+    /// [`Lowering::place`] blocks. `Some` on the root only.
+    fn gather_pieces(&self, _slot: Slot, piece: Option<&[f32]>) -> Option<Vec<f32>> {
+        piece.map(<[f32]>::to_vec)
+    }
 
     /// The reported mean loss from this device's `f64` sum of row losses.
     /// `total_rows` is the global `b·s`, so microbatch and replica losses

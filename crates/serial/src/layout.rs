@@ -1,0 +1,250 @@
+//! One placement table, two interpreters.
+//!
+//! A [`Lowering`] says how each canonical tensor ([`Slot`]) is cut into this
+//! device's share ([`Lowering::place`], a [`Cut`]). [`shard`] cuts canonical
+//! [`ModelParams`] by it; [`gather`] inverts it on a root device for any
+//! per-device tensor set — parameters or gradients alike — through one
+//! communication hook, [`Lowering::gather_pieces`]. No scheme writes a slicer
+//! or a gather of its own.
+
+use crate::config::ModelConfig;
+use crate::layer::{Lowering, Role};
+use crate::params::{Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors};
+use crate::stem::StemRef;
+use std::iter::once;
+use std::ops::Range;
+use tensor::Tensor;
+
+/// A canonical tensor, as far as placing it goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// The `[v, h]` embedding table.
+    Table,
+    /// A projection's weight.
+    Weight(Role),
+    /// A projection's bias.
+    Bias(Role),
+    /// A layer-norm γ or β.
+    Norm,
+}
+
+/// One device's piece of a full tensor (a vector is one row): row block
+/// `rows.0` of `rows.1` and column block `cols.0` of `cols.1` — taken within
+/// each third of the fused QKV weight and bias, so a device's Q, K and V
+/// columns are the same heads — held only where `hosted`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cut {
+    pub rows: (usize, usize),
+    pub cols: (usize, usize),
+    pub hosted: bool,
+}
+
+impl Cut {
+    /// The whole tensor, held everywhere.
+    pub const WHOLE: Cut = Cut::new((0, 1), (0, 1), true);
+
+    /// Row block `rows`, column block `cols`, held where `hosted`.
+    pub const fn new(rows: (usize, usize), cols: (usize, usize), hosted: bool) -> Cut {
+        Cut { rows, cols, hosted }
+    }
+
+    /// The piece's contiguous runs in a full row-major `[r, c]` tensor, in
+    /// the piece's own order.
+    fn runs(self, [r, c]: [usize; 2], thirds: bool) -> impl Iterator<Item = Range<usize>> {
+        let t = if thirds { 3 } else { 1 };
+        let (rb, w) = (r / self.rows.1, c / t / self.cols.1);
+        let rows = self.rows.0 * rb..(self.rows.0 + 1) * rb;
+        let starts = rows.flat_map(move |row| (0..t).map(move |i| row * c + i * c / t));
+        starts.map(move |s| s + self.cols.0 * w..s + (self.cols.0 + 1) * w)
+    }
+}
+
+/// The twelve layer tensors in field order: name, slot, shape in units of
+/// `h` (`0` rows: a vector, one row), and whether it is cut within thirds.
+const LAYER: [(&str, Slot, [usize; 2], bool); 12] = {
+    use Role::{Contract, Expand};
+    use Slot::{Bias, Norm, Weight};
+    [
+        ("ln1_g", Norm, [0, 1], false),
+        ("ln1_b", Norm, [0, 1], false),
+        ("w_qkv", Weight(Expand), [1, 3], true),
+        ("b_qkv", Bias(Expand), [0, 3], true),
+        ("w_out", Weight(Contract), [1, 1], false),
+        ("b_out", Bias(Contract), [0, 1], false),
+        ("ln2_g", Norm, [0, 1], false),
+        ("ln2_b", Norm, [0, 1], false),
+        ("w_fc1", Weight(Expand), [1, 4], false),
+        ("b_fc1", Bias(Expand), [0, 4], false),
+        ("w_fc2", Weight(Contract), [4, 1], false),
+        ("b_fc2", Bias(Contract), [0, 1], false),
+    ]
+};
+
+/// A tensor to place: its slot, full shape, and whether it is cut within
+/// thirds (the fused QKV weight and bias).
+type Entry = (Slot, [usize; 2], bool);
+
+/// A tensor as values (`None` where hosted elsewhere) and shape.
+type Piece = (Option<Vec<f32>>, [usize; 2]);
+
+/// The twelve layer tensors of width `h` in field order.
+fn layer_entries(h: usize) -> impl Iterator<Item = Entry> {
+    let entries = LAYER.map(|(_, slot, [r, c], thirds)| (slot, [(r * h).max(1), c * h], thirds));
+    entries.into_iter()
+}
+
+/// Every stem tensor in gather order: table, layers, final layer norm.
+fn stem_entries(v: usize, h: usize, layers: usize) -> impl Iterator<Item = Entry> {
+    let norm = (Slot::Norm, [1, h], false);
+    let layers = (0..layers).flat_map(move |_| layer_entries(h));
+    let table = once((Slot::Table, [v, h], false));
+    table.chain(layers).chain([norm, norm])
+}
+
+/// `l`'s tensor shapes in field order, a vector as one row.
+fn shapes(l: &LayerParams) -> impl Iterator<Item = Vec<usize>> + '_ {
+    let mut weights = [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2].into_iter();
+    LAYER
+        .iter()
+        .zip(l.slots())
+        .map(move |((_, slot, ..), v)| match slot {
+            Slot::Weight(_) => weights.next().expect("four weights").dims().to_vec(),
+            _ => vec![1, v.expect("a full layer").len()],
+        })
+}
+
+/// The name of the `k`-th stem tensor in gather order.
+fn name(k: usize, layers: usize) -> String {
+    match k.checked_sub(1) {
+        None => "embedding".into(),
+        Some(k) if k < 12 * layers => format!("layers[{}].{}", k / 12, LAYER[k % 12].0),
+        Some(k) => ["final_ln_g", "final_ln_b"][k - 12 * layers].into(),
+    }
+}
+
+/// `low`'s piece of one full tensor.
+fn cut<L: Lowering>(low: &L, (slot, dims, thirds): Entry, full: &[f32]) -> Piece {
+    let cut = low.place(slot);
+    let piece = cut.hosted.then(|| {
+        let mut piece = Vec::with_capacity(full.len() / (cut.rows.1 * cut.cols.1));
+        let runs = cut.runs(dims, thirds);
+        runs.for_each(|r| piece.extend_from_slice(&full[r]));
+        piece
+    });
+    (piece, [dims[0] / cut.rows.1, dims[1] / cut.cols.1])
+}
+
+/// `low`'s piece of one full tensor outside the stem (a vector as one row),
+/// such as a classification head; `None` where it is hosted elsewhere.
+pub fn shard_tensor<L: Lowering>(low: &L, slot: Slot, full: &Tensor) -> Option<Tensor> {
+    let entry = (slot, [full.rows(), full.cols()], false);
+    let (piece, dims) = cut(low, entry, full.as_slice());
+    piece.map(|v| Tensor::from_vec(&dims, v))
+}
+
+/// [`shard`] for one layer's well-formed full tensors.
+pub fn shard_layer<L: Lowering>(low: &L, full: &LayerParams) -> LayerTensors<L::Hosted> {
+    let pieces = layer_entries(low.hidden()).zip(full.slots());
+    LayerTensors::from_slots(pieces.map(|(e, v)| cut(low, e, v.expect("a full layer"))))
+}
+
+/// This device's tensors, cut from the canonical `full` as `low` places
+/// them.
+///
+/// # Panics
+/// Naming the first tensor (`layers[1].b_fc1`, say) whose shape does not
+/// match `cfg`, before anything is cut.
+pub fn shard<L: Lowering>(
+    low: &L,
+    full: &ModelParams,
+    cfg: &ModelConfig,
+) -> ModelTensors<L::Hosted> {
+    let (n, want) = (full.layers.len(), cfg.layers);
+    assert_eq!(n, want, "layers: {n} given, {want} in the config");
+    let entries = || stem_entries(cfg.vocab, cfg.hidden, n);
+    let layers = full.layers.iter().flat_map(shapes);
+    let ln = [&full.final_ln_g, &full.final_ln_b].map(|v| vec![1, v.len()]);
+    let shapes = once(full.embedding.dims().to_vec()).chain(layers).chain(ln);
+    for (k, ((_, want, _), got)) in entries().zip(shapes).enumerate() {
+        assert!(got == want, "{}: shape must match the config", name(k, n));
+    }
+    let pieces = entries().zip(stem_values(&full.stem()));
+    let pieces = pieces.map(|(e, v)| cut(low, e, v.expect("full parameters")));
+    from_pieces(n, pieces)
+}
+
+/// Every tensor of `stem` in gather order, `None` where hosted elsewhere.
+pub(crate) fn stem_values<'a, H: Hosted>(
+    stem: &StemRef<'a, H>,
+) -> impl Iterator<Item = Option<&'a [f32]>> {
+    let [g, b] = stem.final_ln;
+    let layers = stem.layers.iter().flat_map(LayerTensors::slots);
+    let table = once(Some(stem.table.as_slice()));
+    table.chain(layers).chain([g.hosted(), b.hosted()])
+}
+
+/// Builds a stem of `layers` layers from its tensors in gather order.
+fn from_pieces<H: Hosted>(
+    layers: usize,
+    mut pieces: impl Iterator<Item = Piece>,
+) -> ModelTensors<H> {
+    let (table, dims) = pieces.next().expect("the table");
+    let embedding = Tensor::from_vec(&dims, table.expect("the table is on every device"));
+    let layers = (0..layers).map(|_| LayerTensors::from_slots(pieces.by_ref().take(12)));
+    let layers = layers.collect();
+    let mut vector = || H::host(pieces.next().expect("the final layer norm").0);
+    let (final_ln_g, final_ln_b) = (vector(), vector());
+    ModelTensors {
+        embedding,
+        layers,
+        final_ln_g,
+        final_ln_b,
+    }
+}
+
+/// Gathers one tensor's pieces to the root and puts each back where its cut
+/// took it from; `None` off the root.
+fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f32]>) -> Piece {
+    let cut = low.place(slot);
+    assert_eq!(
+        piece.is_some(),
+        cut.hosted,
+        "a piece is held where it is hosted"
+    );
+    // A tensor every device holds whole needs no communication.
+    let flat = if cut == Cut::WHOLE {
+        piece.map(<[f32]>::to_vec)
+    } else {
+        low.gather_pieces(slot, piece)
+    };
+    let Some(flat) = flat else {
+        return (None, dims);
+    };
+    let (rp, cp) = (cut.rows.1, cut.cols.1);
+    let blocks = (0..rp * cp).map(|k| Cut::new((k / cp, rp), (k % cp, cp), true));
+    let mut full = vec![0.0; dims[0] * dims[1]];
+    assert_eq!(flat.len(), full.len(), "gathered size mismatch");
+    let mut rest = &flat[..];
+    for r in blocks.flat_map(|b| b.runs(dims, thirds)) {
+        let (run, tail) = rest.split_at(r.len());
+        full[r].copy_from_slice(run);
+        rest = tail;
+    }
+    (Some(full), dims)
+}
+
+/// Rebuilds the canonical tensors on the root from every device's `local`
+/// share — parameters or gradients alike — with one
+/// [`Lowering::gather_pieces`] per tensor, in the order table, layers (field
+/// order), final layer norm. `Some` on the root only; every device must call
+/// it.
+pub fn gather<L: Lowering>(low: &L, local: &StemRef<'_, L::Hosted>) -> Option<ModelParams> {
+    let n = local.layers.len();
+    let v = local.table.rows() * low.place(Slot::Table).rows.1;
+    let entries = stem_entries(v, low.hidden(), n).zip(stem_values(local));
+    let full: Vec<_> = entries.map(|(e, piece)| assemble(low, e, piece)).collect();
+    // Every device has taken part in every gather; the root is where the
+    // table landed.
+    full[0].0.as_ref()?;
+    Some(from_pieces(n, full.into_iter()))
+}

@@ -15,7 +15,9 @@
 //! is this crate's lowering, and the Megatron and Optimus crates supply
 //! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
 //! holds parameters and gradients for all three, walked in one canonical
-//! order ([`walk_stem`]). The stem around the layer — the forward and
+//! order ([`walk_stem`]), and one placement table per lowering
+//! ([`Lowering::place`]) is what [`shard`] cuts every device's share by and
+//! [`gather`] reassembles it by. The stem around the layer — the forward and
 //! reverse sweeps with checkpoint recompute, the tied head and the
 //! vocabulary-split cross-entropy — is written once too, in [`stem`], over
 //! the same [`Lowering`].
@@ -33,6 +35,7 @@
 mod attention;
 mod config;
 mod layer;
+mod layout;
 mod model;
 mod params;
 pub mod stem;
@@ -43,6 +46,7 @@ pub use layer::{
     layer_backward, layer_forward, layer_recompute, linear_backward, linear_forward, ln_backward,
     ln_forward, local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
 };
+pub use layout::{gather, shard, shard_layer, shard_tensor, Cut, Slot};
 pub use model::SerialModel;
 pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,

@@ -5,7 +5,7 @@
 use crate::config::ModelConfig;
 use crate::layer::{linear_forward, Local, Lowering, Role};
 use crate::params::ModelParams;
-use crate::stem::{self, MemMeter, StemRef};
+use crate::stem::{self, MemMeter};
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::loss::cross_entropy;
 use tensor::Tensor;
@@ -36,14 +36,6 @@ impl SerialModel {
         self
     }
 
-    fn stem(&self) -> StemRef<'_, Vec<f32>> {
-        StemRef {
-            table: &self.params.embedding,
-            layers: &self.params.layers,
-            final_ln: [&self.params.final_ln_g, &self.params.final_ln_b],
-        }
-    }
-
     /// Embedding lookup: tokens `[b·s]` → activations `[b·s, h]`.
     pub fn embed(&self, tokens: &[usize]) -> Tensor {
         stem::check_ids("token", tokens, self.cfg.tokens(), self.cfg.vocab);
@@ -53,7 +45,7 @@ impl SerialModel {
     /// Stem forward: embedding → layers → final LN, the hidden states
     /// `[b·s, h]`.
     pub fn hidden_states(&self, tokens: &[usize]) -> Tensor {
-        stem::hidden_states(&Local(self.cfg), &self.stem(), tokens)
+        stem::hidden_states(&Local(self.cfg), &self.params.stem(), tokens)
     }
 
     /// LM logits via the tied head: `hidden · Eᵀ`, `[b·s, v]`.
@@ -64,14 +56,14 @@ impl SerialModel {
     /// Mean LM loss for token labels `[b·s]`.
     pub fn lm_loss(&self, tokens: &[usize], labels: &[usize]) -> f32 {
         let rows = self.cfg.tokens();
-        stem::lm_loss(&Local(self.cfg), &self.stem(), tokens, labels, rows)
+        stem::lm_loss(&Local(self.cfg), &self.params.stem(), tokens, labels, rows)
     }
 
     /// Full forward + backward: returns the loss and all parameter grads.
     pub fn lm_grads(&self, tokens: &[usize], labels: &[usize]) -> (f32, ModelParams) {
-        let (low, rows) = (Local(self.cfg), self.cfg.tokens());
+        let (low, rows, stem) = (Local(self.cfg), self.cfg.tokens(), self.params.stem());
         let meter = &mut MemMeter::new();
-        stem::lm_grads(&low, &self.stem(), tokens, labels, rows, false, meter)
+        stem::lm_grads(&low, &stem, tokens, labels, rows, false, meter)
     }
 
     /// One SGD training step; returns the loss before the update.

@@ -10,6 +10,7 @@
 //! visit and gradient sync in the workspace is derived from.
 
 use crate::config::ModelConfig;
+use crate::stem::StemRef;
 use minjson::Json;
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::Tensor;
@@ -22,6 +23,8 @@ pub trait Hosted {
     fn hosted(&self) -> Option<&[f32]>;
     /// Mutable counterpart of [`Hosted::hosted`].
     fn hosted_mut(&mut self) -> Option<&mut [f32]>;
+    /// Holds `piece`, `None` on a device that does not host it.
+    fn host(piece: Option<Vec<f32>>) -> Self;
 }
 
 impl Hosted for Vec<f32> {
@@ -31,6 +34,9 @@ impl Hosted for Vec<f32> {
     fn hosted_mut(&mut self) -> Option<&mut [f32]> {
         Some(self)
     }
+    fn host(piece: Option<Vec<f32>>) -> Self {
+        piece.expect("a replicated vector is hosted on every device")
+    }
 }
 
 impl Hosted for Option<Vec<f32>> {
@@ -39,6 +45,9 @@ impl Hosted for Option<Vec<f32>> {
     }
     fn hosted_mut(&mut self) -> Option<&mut [f32]> {
         self.as_deref_mut()
+    }
+    fn host(piece: Option<Vec<f32>>) -> Self {
+        piece
     }
 }
 
@@ -65,8 +74,10 @@ pub fn walk_pair<B: Hosted>(p: &mut B, g: &B, f: &mut impl FnMut(&mut [f32], &[f
 /// follow it.
 ///
 /// The fused QKV weight uses the canonical column layout `[Wq | Wk | Wv]`
-/// (each `[h, h]`); partitioned implementations permute columns as needed
-/// but must map their gradients back to this layout for comparison.
+/// (each `[h, h]`). How each scheme cuts a device's share from the full
+/// tensors, and puts the shares back, is one table per lowering
+/// ([`crate::Lowering::place`]) read by [`crate::shard`] and
+/// [`crate::gather`]; a device's QKV columns are its heads' `[Q | K | V]`.
 #[derive(Clone, Debug)]
 pub struct LayerTensors<B> {
     pub ln1_g: B,
@@ -112,8 +123,35 @@ macro_rules! slots {
 }
 
 impl<B: Hosted> LayerTensors<B> {
-    fn slots(&self) -> [Option<&[f32]>; 12] {
+    pub(crate) fn slots(&self) -> [Option<&[f32]>; 12] {
         slots!(self, hosted, as_slice)
+    }
+
+    /// Builds a layer from its twelve tensors in field order, each given as
+    /// its values (`None` where hosted elsewhere) and shape.
+    pub(crate) fn from_slots(
+        slots: impl IntoIterator<Item = (Option<Vec<f32>>, [usize; 2])>,
+    ) -> Self {
+        let mut slots = slots.into_iter();
+        let mut next = || slots.next().expect("twelve layer tensors");
+        let mat = |(v, dims): (Option<Vec<f32>>, [usize; 2])| {
+            Tensor::from_vec(&dims, v.expect("every device holds its weight blocks"))
+        };
+        // Fields evaluate in source order, which is the slot order.
+        LayerTensors {
+            ln1_g: B::host(next().0),
+            ln1_b: B::host(next().0),
+            w_qkv: mat(next()),
+            b_qkv: B::host(next().0),
+            w_out: mat(next()),
+            b_out: B::host(next().0),
+            ln2_g: B::host(next().0),
+            ln2_b: B::host(next().0),
+            w_fc1: mat(next()),
+            b_fc1: B::host(next().0),
+            w_fc2: mat(next()),
+            b_fc2: B::host(next().0),
+        }
     }
 
     fn slots_mut(&mut self) -> [Option<&mut [f32]>; 12] {
@@ -234,6 +272,15 @@ pub fn walk_stem<B: Hosted>(
 }
 
 impl<B: Hosted> ModelTensors<B> {
+    /// The tensors by reference, as the stem and [`crate::gather`] take them.
+    pub fn stem(&self) -> StemRef<'_, B> {
+        StemRef {
+            table: &self.embedding,
+            layers: &self.layers,
+            final_ln: [&self.final_ln_g, &self.final_ln_b],
+        }
+    }
+
     /// [`walk_stem`] over `(self, other)`.
     pub fn walk(&mut self, other: &Self, f: &mut impl FnMut(&mut [f32], &[f32])) {
         walk_stem(
@@ -256,17 +303,8 @@ impl<B: Hosted> ModelTensors<B> {
 
     /// Scalars held locally.
     pub fn num_params(&self) -> usize {
-        let ln = [&self.final_ln_g, &self.final_ln_b];
-        self.embedding.len()
-            + ln.iter()
-                .filter_map(|v| v.hosted())
-                .map(<[f32]>::len)
-                .sum::<usize>()
-            + self
-                .layers
-                .iter()
-                .map(LayerTensors::num_params)
-                .sum::<usize>()
+        let values = crate::layout::stem_values(&self.stem());
+        values.flatten().map(<[f32]>::len).sum()
     }
 }
 

@@ -13,12 +13,13 @@
 
 use optimus::hybrid::{build, HybridSpec};
 use optimus::mesh::{CommLog, Mesh, MeshNd, Topology};
-use optimus::optimus_core::{slice_layer2d, OptimusConfig, OptimusModel, Summa2d};
+use optimus::optimus_core::{OptimusConfig, OptimusModel, Summa2d};
 use optimus::perf::memory::{optimus_bytes, MemoryConfig};
 use optimus::perf::table1::optimus_layer_costs;
 use optimus::perf::{CostModel, HardwareProfile};
 use optimus::serial::{
-    layer_backward, layer_forward, layer_recompute, stem, LayerParams, Lowering, MemMeter, Role,
+    layer_backward, layer_forward, layer_recompute, shard_layer, stem, LayerParams, Lowering,
+    MemMeter, Role,
 };
 use optimus::summa::{distribute, Strips};
 use optimus::tensor::gemm::Form;
@@ -227,11 +228,11 @@ fn the_executed_checkpointed_backward_moves_twice_the_forward_payload() {
     };
     let (_, fwd_logs) = MeshNd::dry_run_with_logs(&[q, q], |g| {
         let low = Summa2d { grid: g, cfg: &cfg };
-        layer_forward(&low, &slice_layer2d(g, &full), &distribute(g, &x));
+        layer_forward(&low, &shard_layer(&low, &full), &distribute(g, &x));
     });
     let (_, bwd_logs) = MeshNd::dry_run_with_logs(&[q, q], |g| {
         let low = Summa2d { grid: g, cfg: &cfg };
-        let p = slice_layer2d(g, &full);
+        let p = shard_layer(&low, &full);
         let cache = layer_recompute(&low, &p, &distribute(g, &x), Default::default());
         layer_backward(&low, &p, &cache, &distribute(g, &dy));
     });
@@ -333,7 +334,7 @@ fn strips_held_after_a_recompute_are_the_memory_model_term() {
         let (_, labels) = data(&cfg, 8);
         let held = MeshNd::dry_run_with_logs(&[q, q], |g| {
             let low = Summa2d { grid: g, cfg: &cfg };
-            let (p, x) = (slice_layer2d(g, &full), distribute(g, &x));
+            let (p, x) = (shard_layer(&low, &full), distribute(g, &x));
             let first = layer_recompute(&low, &p, &x, Default::default());
             // A recompute that takes over an earlier one's panels holds the
             // same bytes, in the same allocations.
@@ -383,7 +384,7 @@ fn strips_held_after_a_recompute_are_the_memory_model_term() {
     let x = Tensor::randn(&[cfg.batch * cfg.seq, cfg.hidden], 1.0, &mut Rng::new(4));
     let (kept, _) = MeshNd::dry_run_with_logs(&[2, 2], |g| {
         let low = Summa2d { grid: g, cfg: &cfg };
-        let (_, cache) = layer_forward(&low, &slice_layer2d(g, &full), &distribute(g, &x));
+        let (_, cache) = layer_forward(&low, &shard_layer(&low, &full), &distribute(g, &x));
         cache.panels.iter().map(Strips::bytes).sum::<usize>()
     });
     assert!(kept.iter().all(|&b| b == 0));

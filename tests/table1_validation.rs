@@ -2,11 +2,11 @@
 //! the *executed* simulation's communication logs, for both schemes, at
 //! several problem sizes.
 
-use optimus::megatron::{layer1d_backward, layer1d_forward, slice_layer1d, MegatronConfig};
+use optimus::megatron::{layer1d_backward, layer1d_forward, Megatron1d, MegatronConfig};
 use optimus::mesh::{CommOp, Group, Mesh, Mesh2d};
-use optimus::optimus_core::{layer2d_backward, layer2d_forward, slice_layer2d, OptimusConfig};
+use optimus::optimus_core::{layer2d_backward, layer2d_forward, OptimusConfig, Summa2d};
 use optimus::perf::table1::{megatron_layer_costs, optimus_layer_costs};
-use optimus::serial::{LayerParams, ModelConfig};
+use optimus::serial::{shard_layer, LayerParams, ModelConfig};
 use optimus::summa::distribute;
 use optimus::tensor::{Rng, Tensor};
 
@@ -33,7 +33,12 @@ fn megatron_case(b: usize, s: usize, h: usize, n: usize, p: usize) {
 
     let (_, logs) = Mesh::run_with_logs(p, |ctx| {
         let world = Group::world(p);
-        let lp = slice_layer1d(&full, h, p, ctx.rank());
+        let low = Megatron1d {
+            ctx,
+            world: &world,
+            cfg: &mcfg,
+        };
+        let lp = shard_layer(&low, &full);
         let (_, cache) = layer1d_forward(ctx, &world, &mcfg, &lp, &x);
         layer1d_backward(ctx, &world, &mcfg, &lp, &cache, &dy);
     });
@@ -84,7 +89,7 @@ fn optimus_case(b: usize, s: usize, h: usize, n: usize, q: usize) {
     let dy = Tensor::randn(&[b * s, h], 1.0, &mut rng);
 
     let (_, logs) = Mesh2d::run_with_logs(q, |g| {
-        let lp = slice_layer2d(g, &full);
+        let lp = shard_layer(&Summa2d { grid: g, cfg: &cfg }, &full);
         let (_, cache) = layer2d_forward(g, &cfg, &lp, &distribute(g, &x));
         layer2d_backward(g, &cfg, &lp, &cache, &distribute(g, &dy));
     });
@@ -212,7 +217,7 @@ fn non_summa_comm_is_negligible() {
     let mut rng = Rng::new(3);
     let x = Tensor::randn(&[b * s, h], 1.0, &mut rng);
     let (_, logs) = Mesh2d::run_with_logs(q, |g| {
-        let lp = slice_layer2d(g, &full);
+        let lp = shard_layer(&Summa2d { grid: g, cfg: &cfg }, &full);
         layer2d_forward(g, &cfg, &lp, &distribute(g, &x));
     });
     let p = q * q;
