@@ -179,6 +179,15 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
         (ctx.rank() == group.rank_of(0)).then_some(flat)
     }
 
+    /// Over this device's depth slice, in `f32`: each slice of a `[q, q, d]`
+    /// mesh holds every parameter once.
+    fn complete_norm(&self, partial: f64) -> f64 {
+        let mut total = vec![partial as f32];
+        let slice = self.grid.slice_group();
+        self.grid.ctx().all_reduce(&slice, &mut total);
+        total[0] as f64
+    }
+
     /// Per-row losses are identical across the mesh row; this block's sum
     /// is rounded to `f32`, combined across batch blocks (the column) and
     /// divided by the global row count, so every device reports the same

@@ -6,11 +6,12 @@
 use crate::config::OptimusConfig;
 use crate::layer2d::{Layer2dParams, Summa2d};
 use mesh::{Communicator, Grid2d};
-use serial::stem::{self, Keep, MemMeter, StemRef};
+use serial::stem::{self, Grad, Keep, MemMeter, StemRef};
 use serial::{
-    linear_forward, ln_backward, ln_forward, shard_tensor, walk_pair, walk_stem, Lowering,
-    ModelTensors, Role, Slot,
+    linear_forward, shard_tensor, walk_pair, walk_stem, Lowering, ModelTensors, Optimizer, Role,
+    Slot, StemMut,
 };
+use tensor::optim::sgd_update;
 use tensor::Tensor;
 
 /// Device-local gradients for everything this device owns; `embedding`
@@ -94,11 +95,21 @@ impl OptimusModel {
         pooled
     }
 
-    pub(crate) fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
+    /// This device's stem parameters by reference.
+    pub fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
         StemRef {
             table: &self.table,
             layers: &self.layers,
             final_ln: [&self.final_ln_g, &self.final_ln_b],
+        }
+    }
+
+    /// This device's stem parameters by mutable reference.
+    pub fn stem_mut(&mut self) -> StemMut<'_, Option<Vec<f32>>> {
+        StemMut {
+            table: &mut self.table,
+            layers: &mut self.layers,
+            final_ln: [&mut self.final_ln_g, &mut self.final_ln_b],
         }
     }
 
@@ -186,6 +197,26 @@ impl OptimusModel {
         out
     }
 
+    /// One training step under `opt`: [`OptimusModel::lm_grads`], then the
+    /// update. Returns the pre-update loss and the clip scale (1 unless
+    /// [`Optimizer::Clipped`]), both identical on every device. Every
+    /// parameter is hosted, and so updated, on exactly one device of a
+    /// depth slice, so the distributed trajectory under any optimizer is
+    /// the serial one.
+    pub fn step<C: Communicator>(
+        &mut self,
+        grid: &Grid2d<C>,
+        tokens: &[usize],
+        labels: &[usize],
+        opt: &mut Optimizer,
+    ) -> (f32, f32) {
+        let (loss, grads) = self.lm_grads(grid, tokens, labels);
+        let cfg = self.cfg;
+        let low = Summa2d { grid, cfg: &cfg };
+        let scale = trace::span("update", || opt.step(&low, self.stem_mut(), &grads));
+        (loss, scale)
+    }
+
     /// One SGD step (gradients accumulated, then applied). Returns the
     /// pre-update loss.
     pub fn train_step<C: Communicator>(
@@ -206,8 +237,7 @@ impl OptimusModel {
         labels: &[usize],
         lr: f32,
     ) -> TrainOutput {
-        let (loss, grads) = self.lm_grads(grid, tokens, labels);
-        trace::span("update", || self.apply_sgd(&grads, lr));
+        let (loss, _) = self.step(grid, tokens, labels, &mut Optimizer::Sgd { lr });
         TrainOutput {
             loss,
             peak_activation_bytes: self.meter.peak(),
@@ -217,7 +247,9 @@ impl OptimusModel {
     /// The paper's method (2): update each layer's parameters *immediately*
     /// after its backward pass and release its gradient buffer, so only one
     /// layer's parameter gradients are ever live. Requires checkpointing.
-    /// Mathematically identical to [`OptimusModel::train_step`].
+    /// Mathematically identical to [`OptimusModel::train_step`]: the same
+    /// stage forward and backward, with a sink that applies each gradient
+    /// instead of collecting it.
     pub fn train_step_fused<C: Communicator>(
         &mut self,
         grid: &Grid2d<C>,
@@ -229,35 +261,39 @@ impl OptimusModel {
         let low = Summa2d { grid, cfg: &cfg };
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
-        let total_rows = cfg.batch * cfg.seq;
-        let (table, meter) = (&self.table, &mut MemMeter::new());
+        let (head, meter) = ((labels_local, cfg.batch * cfg.seq), &mut MemMeter::new());
         stem::check_batch(&low, tokens_local, labels_local);
-
-        let x = low.embed(table, tokens_local);
+        let input = || low.embed(&self.table, tokens_local);
         let keep = Keep::TopCache { checkpoint: true };
-        let (y, kept) = stem::sweep_forward(&low, &self.layers, x, keep, meter);
-        let (hidden, final_ln_cache) = ln_forward(&low, &y, &self.final_ln_g, &self.final_ln_b);
-        let (loss, dlogits, panels) =
-            stem::head_loss(&low, table, &hidden, labels_local, total_rows, meter);
+        let (pass, out) = stem::stage_forward(&low, &self.stem(), input, Some(head), keep, meter);
 
-        let mut d_table = Tensor::zeros(&[table.rows(), table.cols()]);
-        let dhidden =
-            stem::head_backward(&low, table, &hidden, dlogits, panels, &mut d_table, meter);
-        let (dx, fg, fb) = ln_backward(&low, &dhidden, &final_ln_cache);
-        let mut update = |p: &mut [f32], g: &[f32]| sgd(p, g, lr);
-        walk_pair(&mut self.final_ln_g, &fg, &mut update);
-        walk_pair(&mut self.final_ln_b, &fb, &mut update);
-
-        // Immediate update: the sink applies a layer's gradients and drops
-        // them, which is the "reset the parameter gradient buffer" step.
-        let layers = self.layers.iter_mut();
-        let dx = stem::sweep_backward(&low, layers, kept, dx, meter, |_, p, g| {
-            p.walk(&g, &mut update)
-        });
-
-        low.embed_backward(&mut d_table, &dx, tokens_local);
-        update(self.table.as_mut_slice(), d_table.as_slice());
-        loss
+        let mut update = |p: &mut [f32], g: &[f32]| sgd_update(p, g, lr);
+        let StemMut {
+            table,
+            layers,
+            final_ln: [gamma, beta],
+        } = self.stem_mut();
+        let bottom =
+            |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens_local);
+        // Immediate update: the sink applies each gradient and drops it,
+        // which is the "reset the parameter gradient buffer" step.
+        stem::stage_backward(
+            &low,
+            layers.iter_mut(),
+            pass,
+            None,
+            bottom,
+            meter,
+            |g| match g {
+                Grad::FinalLn([g, b]) => {
+                    walk_pair(&mut *gamma, &g, &mut update);
+                    walk_pair(&mut *beta, &b, &mut update);
+                }
+                Grad::Layer(_, p, g) => p.walk(&g, &mut update),
+                Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
+            },
+        );
+        out.loss()
     }
 
     /// Distributed greedy next-token prediction (the paper's "inference"
@@ -293,77 +329,9 @@ impl OptimusModel {
         all.into_iter().map(|v| v as usize).collect()
     }
 
-    /// Visits every *locally hosted* `(parameter, gradient)` pair in the
-    /// canonical order of [`serial::walk_stem`]. Devices off mesh row 0
-    /// simply skip the bias/affine entries, so each device's visitation
-    /// order is stable across steps (the contract
-    /// [`tensor::optim::AdamSet`] needs).
-    pub fn visit_params_grads(
-        &mut self,
-        grads: &Model2dGrads,
-        f: &mut impl FnMut(&mut [f32], &[f32]),
-    ) {
-        walk_stem(
-            &mut self.table,
-            [&mut self.final_ln_g, &mut self.final_ln_b],
-            &mut self.layers,
-            grads,
-            f,
-        );
-    }
-
-    /// One SGD step with **global** gradient-norm clipping: every device
-    /// contributes its hosted gradients' squared norm (each parameter is
-    /// hosted exactly once, so the mesh-wide sum is the true global norm),
-    /// one scalar all-reduce shares it, and the uniform clip is applied as
-    /// an effective learning-rate scale. Returns `(loss, clip scale)` —
-    /// identical on every device and to the serial model.
-    pub fn train_step_clipped<C: Communicator>(
-        &mut self,
-        grid: &Grid2d<C>,
-        tokens: &[usize],
-        labels: &[usize],
-        lr: f32,
-        max_norm: f64,
-    ) -> (f32, f32) {
-        let (loss, grads) = self.lm_grads(grid, tokens, labels);
-        let mut sq = 0.0f64;
-        self.visit_params_grads(&grads, &mut |_, g| sq += tensor::schedule::sq_norm(g));
-        let mut total = vec![sq as f32];
-        grid.ctx().all_reduce(&grid.slice_group(), &mut total);
-        let scale = tensor::schedule::clip_scale(total[0] as f64, max_norm);
-        self.apply_sgd(&grads, lr * scale);
-        (loss, scale)
-    }
-
-    /// One Adam training step; `opt` holds this device's moments.
-    ///
-    /// Because every parameter is hosted (and therefore Adam-updated) on
-    /// exactly one device, the distributed Adam trajectory is identical to
-    /// the serial one — asserted by the integration tests.
-    pub fn train_step_adam<C: Communicator>(
-        &mut self,
-        grid: &Grid2d<C>,
-        tokens: &[usize],
-        labels: &[usize],
-        opt: &mut tensor::optim::AdamSet,
-    ) -> f32 {
-        let (loss, grads) = self.lm_grads(grid, tokens, labels);
-        opt.begin_step();
-        self.visit_params_grads(&grads, &mut |p, g| opt.apply(p, g));
-        loss
-    }
-
     /// Plain SGD over all local parameters.
     pub fn apply_sgd(&mut self, grads: &Model2dGrads, lr: f32) {
-        self.visit_params_grads(grads, &mut |p, g| sgd(p, g, lr));
-    }
-}
-
-/// `p -= lr·g`, inline on the device thread.
-fn sgd(p: &mut [f32], g: &[f32], lr: f32) {
-    for (a, b) in p.iter_mut().zip(g) {
-        *a -= lr * b;
+        walk_stem(self.stem_mut(), grads, &mut |p, g| sgd_update(p, g, lr));
     }
 }
 

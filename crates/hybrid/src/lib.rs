@@ -58,10 +58,15 @@
 //! Stages run the PipeDream-flush (1F1B) schedule: `pp − 1 − stage` warm-up
 //! forwards, then one-forward-one-backward, then cooldown — bounding live
 //! microbatch caches at `pp − stage` (tracked in
-//! [`HybridStage::peak_live_microbatches`]). Inside a stage, every layer is
-//! the usual SUMMA/2D machinery on the stage's own sub-mesh; between
-//! stages, each device exchanges only its *local* `[bm·s/q, h/q]` activation
-//! block with the same `(replica, mesh_rank)` device of the adjacent stage.
+//! [`HybridStage::peak_live_microbatches`]). A microbatch is the stem's one
+//! stage pair, [`serial::stem::stage_forward`] and
+//! [`serial::stem::stage_backward`] — the same code as a single-stage step —
+//! under the stage's own SUMMA lowering, wrapped in the boundary receive and
+//! send; the last stage's forward ends in the loss head, and the
+//! microbatches' gradients add up in one accumulating sink as each
+//! completes. Between stages, each device exchanges only its *local*
+//! `[bm·s/q, h/q]` activation block with the same `(replica, mesh_rank)`
+//! device of the adjacent stage.
 //! Backward-edge receives use [`mesh::Communicator::recv_expect`] with the
 //! declared block length, which is what lets the sequential dry-run backend
 //! replay the schedule and emit CommLog streams **byte-identical** to a
@@ -99,9 +104,8 @@ use mesh::{
     chunk, Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype,
 };
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
-use serial::stem::{self, Keep, Kept, MemMeter};
-use serial::{ln_backward, ln_forward, walk_pair, LnCache, Lowering, Span};
-use summa::Strips;
+use serial::stem::{self, Grads, Keep, MemMeter, Out};
+use serial::{walk_stem, Lowering};
 use tensor::optim::AdamSet;
 use tensor::Tensor;
 
@@ -332,22 +336,6 @@ pub fn build<'a, C: Communicator>(
     (st, grid)
 }
 
-/// One stage's in-flight state for one microbatch: what the stem's forward
-/// sweep kept.
-struct MicroState {
-    kept: Vec<Kept<Strips>>,
-    /// Last stage only: final layer-norm cache, normalized hidden state,
-    /// the loss-scaled logits gradient and the table panels the logits
-    /// product received.
-    head: Option<(LnCache, Tensor, Tensor, Strips)>,
-}
-
-fn add(acc: &mut [f32], g: &[f32]) {
-    for (a, g) in acc.iter_mut().zip(g) {
-        *a += g;
-    }
-}
-
 /// One device's stage-replica shard of the hybrid schedule: a stage-sliced
 /// 2D Optimus model plus its position in the `(stage, replica, mesh)`
 /// decomposition.
@@ -450,189 +438,95 @@ impl HybridStage {
         &tokens[start..start + bm * s]
     }
 
-    /// Forward of microbatch `i`: receive (or embed), run this stage's
-    /// layers, send on (or run the loss head). Adds the microbatch's
-    /// `1/total_rows`-scaled loss contribution to `losses`.
-    fn forward_micro<C: Communicator>(
-        &self,
-        grid: &GridNd<C>,
-        tokens: &[usize],
-        labels: &[usize],
-        i: usize,
-        losses: &mut f64,
-        meter: &mut MemMeter,
-    ) -> MicroState {
-        let micro = self.model.cfg;
-        let low = Summa2d { grid, cfg: &micro };
-        // Only the last stage runs a microbatch's backward straight after its
-        // forward; elsewhere other microbatches' forwards come in between,
-        // and a kept top-layer cache would raise the peak.
-        let keep = match (self.is_last(), micro.checkpoint) {
-            (true, checkpoint) => Keep::TopCache { checkpoint },
-            (false, true) => Keep::Inputs,
-            (false, false) => Keep::Caches,
-        };
-        let model = &self.model;
-        let total_rows = self.cfg.batch * self.cfg.seq;
-
-        let (y, kept, ln) = low.scope(Span::Fwd, || {
-            let x = if self.is_first() {
-                let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
-                low.embed(&model.table, mb_tokens)
-            } else {
-                let from = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
-                Tensor::from_vec(
-                    &[micro.local_rows(), micro.local_cols()],
-                    grid.ctx().recv_expect(from, self.boundary_elems()),
-                )
-            };
-            let (y, kept) = stem::sweep_forward(&low, &model.layers, x, keep, meter);
-            if self.is_last() {
-                let (hidden, ln) = ln_forward(&low, &y, &model.final_ln_g, &model.final_ln_b);
-                (hidden, kept, Some(ln))
-            } else {
-                (y, kept, None)
-            }
-        });
-
-        let head = match ln {
-            Some(ln) => {
-                let mb_labels = micro.local_tokens(self.micro_slice(labels, i), grid.row());
-                let (loss, dlogits, panels) = low.scope(Span::LossHead, || {
-                    stem::head_loss(&low, &model.table, &y, mb_labels, total_rows, meter)
-                });
-                // Already scaled by 1/total_rows: losses and gradients
-                // combine across microbatches and replicas by plain summation.
-                *losses += loss as f64;
-                Some((ln, y, dlogits, panels))
-            }
-            None => {
-                let to = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
-                grid.ctx().send(to, y.into_vec());
-                None
-            }
-        };
-        MicroState { kept, head }
-    }
-
-    /// Backward of microbatch `i` given its forward state: head backward on
-    /// the last stage (or receive the boundary gradient), layers in reverse
-    /// (recomputing from checkpoints when `cfg.checkpoint`, all but the top
-    /// layer on the last stage), then the
-    /// embedding backward on the first stage (or send the gradient on).
-    /// The microbatch's parameter gradients become `acc`, or add to it.
-    fn backward_micro<C: Communicator>(
-        &self,
-        grid: &GridNd<C>,
-        state: MicroState,
-        i: usize,
-        tokens: &[usize],
-        acc: &mut Option<Model2dGrads>,
-        meter: &mut MemMeter,
-    ) {
-        let micro = self.model.cfg;
-        let low = Summa2d { grid, cfg: &micro };
-        let model = &self.model;
-        let mut d_table = Tensor::zeros(&[model.table.rows(), model.table.cols()]);
-
-        let (dx, final_ln_g, final_ln_b) = match state.head {
-            Some((ln, hidden, dlogits, panels)) => {
-                let dhidden = low.scope(Span::LossHead, || {
-                    let table = &model.table;
-                    stem::head_backward(&low, table, &hidden, dlogits, panels, &mut d_table, meter)
-                });
-                low.scope(Span::Bwd, || ln_backward(&low, &dhidden, &ln))
-            }
-            None => {
-                let from = self.spec.first_rank(self.stage + 1, self.replica) + self.mesh_rank;
-                let dx = Tensor::from_vec(
-                    &[micro.local_rows(), micro.local_cols()],
-                    grid.ctx().recv_expect(from, self.boundary_elems()),
-                );
-                // Middle/first stages host zero final-LN gradients on mesh row 0
-                // so the accumulator/update layout is uniform across stages.
-                let zeros = model.final_ln_g.as_ref().map(|g| vec![0.0f32; g.len()]);
-                (dx, zeros.clone(), zeros)
-            }
-        };
-
-        // The first microbatch's layer gradients are collected, later ones
-        // added to the running total as each layer's backward finishes.
-        let mut collected = Vec::new();
-        low.scope(Span::Bwd, || {
-            let layers = model.layers.iter();
-            let dx = stem::sweep_backward(&low, layers, state.kept, dx, meter, |l, _, g| match acc
-                .as_mut()
-            {
-                Some(a) => a.layers[l].walk(&g, &mut add),
-                None => collected.push(g),
-            });
-            if self.is_first() {
-                let mb_tokens = micro.local_tokens(self.micro_slice(tokens, i), grid.row());
-                low.embed_backward(&mut d_table, &dx, mb_tokens);
-            } else {
-                let to = self.spec.first_rank(self.stage - 1, self.replica) + self.mesh_rank;
-                grid.ctx().send(to, dx.into_vec());
-            }
-        });
-
-        match acc {
-            Some(a) => {
-                a.embedding.add_assign(&d_table);
-                walk_pair(&mut a.final_ln_g, &final_ln_g, &mut add);
-                walk_pair(&mut a.final_ln_b, &final_ln_b, &mut add);
-            }
-            None => {
-                collected.reverse();
-                *acc = Some(Model2dGrads {
-                    embedding: d_table,
-                    layers: collected,
-                    final_ln_g,
-                    final_ln_b,
-                });
-            }
-        }
-    }
-
     /// The accumulation phase of one step: runs this replica's microbatches
     /// through the 1F1B schedule and returns `(Σ scaled losses, Σ scaled
     /// gradients)` — *sums*, not averages (see the crate docs), ready for a
     /// plain all-reduce over the `dp` axis, or the reduce-scatter of
     /// [`HybridStage::train_step_zero1`]. Public so tests can observe
     /// pre-synchronization gradients.
+    ///
+    /// A microbatch is the stem's one stage forward and one stage backward,
+    /// wrapped in the boundary receive and send (or the embedding, on the
+    /// first stage); the last stage's forward ends in the loss head. Its
+    /// gradients go to an accumulating sink as each completes.
     pub fn replica_grads<C: Communicator>(
         &mut self,
         grid: &GridNd<C>,
         tokens: &[usize],
         labels: &[usize],
     ) -> (f64, Model2dGrads) {
-        let m = self.spec.microbatches;
+        let (m, micro, ctx) = (self.spec.microbatches, self.model.cfg, grid.ctx());
         let rows = self.cfg.batch * self.cfg.seq;
         stem::check_ids("token", tokens, rows, self.cfg.vocab);
         stem::check_ids("label", labels, rows, self.cfg.vocab);
+        let low = Summa2d { grid, cfg: &micro };
+        let peer = |stage| self.spec.first_rank(stage, self.replica) + self.mesh_rank;
+        let below = (!self.is_first()).then(|| peer(self.stage - 1));
+        let above = (!self.is_last()).then(|| peer(self.stage + 1));
+        let recv = |from| {
+            let block = ctx.recv_expect(from, self.boundary_elems());
+            Tensor::from_vec(&[micro.local_rows(), micro.local_cols()], block)
+        };
+        // This device's rows of microbatch `i` of `ids`.
+        let local = |ids, i| micro.local_tokens(self.micro_slice(ids, i), grid.row());
+        // Only the last stage runs a microbatch's backward straight after its
+        // forward; elsewhere other microbatches' forwards come in between,
+        // and a kept top-layer cache would raise the peak.
+        let keep = match (above, micro.checkpoint) {
+            (None, checkpoint) => Keep::TopCache { checkpoint },
+            (Some(_), true) => Keep::Inputs,
+            (Some(_), false) => Keep::Caches,
+        };
+        // Stages below the last carry a final layer norm whose gradients are
+        // permanently zero, so every stage's gradient layout is the same.
+        let zeros = self
+            .model
+            .final_ln_g
+            .as_ref()
+            .map(|g| vec![0.0f32; g.len()]);
+        let mut grads = Grads::new(above.map(|_| [zeros.clone(), zeros]));
 
         let warmup = (self.spec.pp - 1 - self.stage).min(m);
         let mut losses = 0.0f64;
-        let mut acc: Option<Model2dGrads> = None;
-        let mut live: VecDeque<MicroState> = VecDeque::new();
+        let mut live = VecDeque::new();
         let mut peak_live = 0;
-        let meter = &mut MemMeter::new();
+        let (model, meter) = (self.model.stem(), &mut MemMeter::new());
 
         // `warmup` forwards, then one-forward-one-backward, then cooldown
         // backwards: microbatch `i`'s backward runs once forward
         // `i + warmup` has (or every forward has).
         for i in 0..m + warmup {
             if i < m {
-                live.push_back(self.forward_micro(grid, tokens, labels, i, &mut losses, meter));
+                let input = || match below {
+                    None => low.embed(model.table, local(tokens, i)),
+                    Some(from) => recv(from),
+                };
+                let head = above.is_none().then(|| (local(labels, i), rows));
+                let (pass, out) = stem::stage_forward(&low, &model, input, head, keep, meter);
+                match out {
+                    // Already scaled by 1/total_rows: losses and gradients
+                    // combine across microbatches and replicas by plain
+                    // summation.
+                    Out::Loss(loss) => losses += loss as f64,
+                    Out::Block(y) => ctx.send(above.expect("a stage above"), y.into_vec()),
+                }
+                live.push_back(pass);
                 peak_live = peak_live.max(live.len());
             }
             if i >= warmup {
-                let st = live.pop_front().expect("a forward is outstanding");
-                self.backward_micro(grid, st, i - warmup, tokens, &mut acc, meter);
+                let pass = live.pop_front().expect("a forward is outstanding");
+                let j = i - warmup;
+                let dy = above.map(recv);
+                let bottom = |dx: Tensor, d_table: &mut Tensor| match below {
+                    None => low.embed_backward(d_table, &dx, local(tokens, j)),
+                    Some(to) => ctx.send(to, dx.into_vec()),
+                };
+                let layers = model.layers.iter();
+                stem::stage_backward(&low, layers, pass, dy, bottom, meter, |g| grads.put(g));
             }
         }
         self.peak_live_microbatches = peak_live;
-        (losses, acc.expect("at least one microbatch"))
+        (losses, grads.finish())
     }
 
     /// The first↔last tied-table all-reduce: both ends of the pipeline
@@ -729,7 +623,7 @@ impl HybridStage {
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
         let (d, me) = (dp.len(), self.replica);
         opt.begin_step();
-        self.model.visit_params_grads(&grads, &mut |param, grad| {
+        walk_stem(self.model.stem_mut(), &grads, &mut |param, grad| {
             let (n, mine) = (param.len(), ctx.reduce_scatter(&dp, &mut grad.to_vec()));
             opt.apply(&mut param[chunk(n, d, me)], &mine);
             for r in 0..d {

@@ -133,6 +133,13 @@ impl<C: Communicator> Lowering for Megatron1d<'_, C> {
         }
     }
 
+    /// Over the world, in `f32`.
+    fn complete_norm(&self, partial: f64) -> f64 {
+        let mut total = vec![partial as f32];
+        self.ctx.all_reduce(self.world, &mut total);
+        total[0] as f64
+    }
+
     /// Over the world, to rank 0.
     fn gather_pieces(&self, _: Slot, piece: Option<&[f32]>) -> Option<Vec<f32>> {
         let flat = self.ctx.gather(self.world, 0, piece?);

@@ -6,7 +6,8 @@ use crate::layer::Megatron1d;
 use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
 use serial::stem::{self, MemMeter, StemRef};
-use serial::{walk_stem, ModelParams, ModelTensors};
+use serial::{walk_stem, ModelParams, ModelTensors, Optimizer, StemMut};
+use tensor::optim::sgd_update;
 use tensor::Tensor;
 
 /// Device-local gradients for every parameter this device owns (plus its
@@ -83,6 +84,14 @@ impl MegatronModel {
         }
     }
 
+    fn stem_mut(&mut self) -> StemMut<'_, Vec<f32>> {
+        StemMut {
+            table: &mut self.table,
+            layers: &mut self.layers,
+            final_ln: [&mut self.final_ln_g, &mut self.final_ln_b],
+        }
+    }
+
     /// Stem forward; the returned hidden states `[b·s, h]` are replicated.
     pub fn hidden_states<C: Communicator>(&self, ctx: &C, tokens: &[usize]) -> Tensor {
         stem::hidden_states(&self.low(ctx), &self.stem(), tokens)
@@ -113,6 +122,28 @@ impl MegatronModel {
         stem::lm_grads(&low, &stem, tokens, labels, rows, checkpoint, meter)
     }
 
+    /// One training step under `opt`; returns the pre-update loss and the
+    /// clip scale (1 unless [`Optimizer::Clipped`]). Replicated parameters
+    /// see identical gradients on every device, so per-device optimizer
+    /// states stay in sync.
+    pub fn step<C: Communicator>(
+        &mut self,
+        ctx: &C,
+        tokens: &[usize],
+        labels: &[usize],
+        opt: &mut Optimizer,
+    ) -> (f32, f32) {
+        let (loss, grads) = self.lm_grads(ctx, tokens, labels);
+        let (cfg, world) = (self.cfg, self.world.clone());
+        let low = Megatron1d {
+            ctx,
+            world: &world,
+            cfg: &cfg,
+        };
+        let scale = trace::span("update", || opt.step(&low, self.stem_mut(), &grads));
+        (loss, scale)
+    }
+
     /// One SGD step; returns the pre-update loss.
     pub fn train_step<C: Communicator>(
         &mut self,
@@ -121,9 +152,7 @@ impl MegatronModel {
         labels: &[usize],
         lr: f32,
     ) -> f32 {
-        let (loss, grads) = self.lm_grads(ctx, tokens, labels);
-        trace::span("update", || self.apply_sgd(&grads, lr));
-        loss
+        self.step(ctx, tokens, labels, &mut Optimizer::Sgd { lr }).0
     }
 
     /// Greedy next-token prediction: each device holds a `[b·s, v/p]`
@@ -146,41 +175,9 @@ impl MegatronModel {
             .collect()
     }
 
-    /// Visits every `(parameter, gradient)` slice pair in the canonical
-    /// order of [`serial::walk_stem`] (replicated parameters see identical
-    /// gradients on every device, so per-device optimizer states stay in
-    /// sync).
-    pub fn visit_params_grads(
-        &mut self,
-        grads: &Model1dGrads,
-        f: &mut impl FnMut(&mut [f32], &[f32]),
-    ) {
-        walk_stem(
-            &mut self.table,
-            [&mut self.final_ln_g, &mut self.final_ln_b],
-            &mut self.layers,
-            grads,
-            f,
-        );
-    }
-
-    /// One Adam training step; `opt` holds this device's moments.
-    pub fn train_step_adam<C: Communicator>(
-        &mut self,
-        ctx: &C,
-        tokens: &[usize],
-        labels: &[usize],
-        opt: &mut tensor::optim::AdamSet,
-    ) -> f32 {
-        let (loss, grads) = self.lm_grads(ctx, tokens, labels);
-        opt.begin_step();
-        self.visit_params_grads(&grads, &mut |p, g| opt.apply(p, g));
-        loss
-    }
-
     /// Plain SGD over all local parameters.
     pub fn apply_sgd(&mut self, grads: &Model1dGrads, lr: f32) {
-        self.visit_params_grads(grads, &mut |p, g| tensor::optim::sgd_update(p, g, lr));
+        walk_stem(self.stem_mut(), grads, &mut |p, g| sgd_update(p, g, lr));
     }
 }
 

@@ -142,6 +142,13 @@ pub trait Lowering {
         piece.map(<[f32]>::to_vec)
     }
 
+    /// Completes a squared gradient norm summed over this device's pieces of
+    /// tensors that are not held whole, over the devices that hold distinct
+    /// pieces: as it is, by default.
+    fn complete_norm(&self, partial: f64) -> f64 {
+        partial
+    }
+
     /// The reported mean loss from this device's `f64` sum of row losses.
     /// `total_rows` is the global `b·s`, so microbatch and replica losses
     /// add without rescaling.

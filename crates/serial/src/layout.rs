@@ -183,6 +183,37 @@ pub(crate) fn stem_values<'a, H: Hosted>(
     table.chain(layers).chain([g.hosted(), b.hosted()])
 }
 
+/// A stem's tensors in the canonical walk order of [`crate::walk_stem`] —
+/// table, final layer-norm γ and β, then each layer in field order — each
+/// with its slot.
+pub(crate) fn in_walk_order<T>(
+    table: T,
+    [gamma, beta]: [T; 2],
+    layers: impl Iterator<Item = [T; 12]>,
+) -> impl Iterator<Item = (Slot, T)> {
+    let layers = layers.flat_map(|l| LAYER.map(|(_, slot, ..)| slot).into_iter().zip(l));
+    let stem = [
+        (Slot::Table, table),
+        (Slot::Norm, gamma),
+        (Slot::Norm, beta),
+    ];
+    stem.into_iter().chain(layers)
+}
+
+/// Every tensor of `stem` in walk order with its slot, `None` where hosted
+/// elsewhere.
+pub(crate) fn walk_values<'a, H: Hosted>(
+    stem: &StemRef<'a, H>,
+) -> impl Iterator<Item = (Slot, Option<&'a [f32]>)> {
+    let [g, b] = stem.final_ln;
+    let layers = stem.layers.iter().map(LayerTensors::slots);
+    in_walk_order(
+        Some(stem.table.as_slice()),
+        [g.hosted(), b.hosted()],
+        layers,
+    )
+}
+
 /// Builds a stem of `layers` layers from its tensors in gather order.
 fn from_pieces<H: Hosted>(
     layers: usize,

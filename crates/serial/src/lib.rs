@@ -15,12 +15,13 @@
 //! is this crate's lowering, and the Megatron and Optimus crates supply
 //! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
 //! holds parameters and gradients for all three, walked in one canonical
-//! order ([`walk_stem`]), and one placement table per lowering
-//! ([`Lowering::place`]) is what [`shard`] cuts every device's share by and
-//! [`gather`] reassembles it by. The stem around the layer — the forward and
+//! order ([`walk_stem`]) by the one [`Optimizer`], and one placement table
+//! per lowering ([`Lowering::place`]) is what [`shard`] cuts every device's
+//! share by and [`gather`] reassembles it by. The stem around the layer — the forward and
 //! reverse sweeps with checkpoint recompute, the tied head and the
 //! vocabulary-split cross-entropy — is written once too, in [`stem`], over
-//! the same [`Lowering`].
+//! the same [`Lowering`], as one stage forward and one stage backward that
+//! every step composes.
 //!
 //! The model follows the structure of the paper's Figure 1: a token-wise
 //! language-modelling branch (LM head + token labels) plus a sentence-level
@@ -37,6 +38,7 @@ mod config;
 mod layer;
 mod layout;
 mod model;
+mod optim;
 mod params;
 pub mod stem;
 
@@ -48,7 +50,8 @@ pub use layer::{
 };
 pub use layout::{gather, shard, shard_layer, shard_tensor, Cut, Slot};
 pub use model::SerialModel;
+pub use optim::Optimizer;
 pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
 };
-pub use stem::{MemMeter, StemRef};
+pub use stem::{MemMeter, StemMut, StemRef};

@@ -4,10 +4,12 @@
 
 use crate::config::ModelConfig;
 use crate::layer::{linear_forward, Local, Lowering, Role};
-use crate::params::ModelParams;
+use crate::optim::Optimizer;
+use crate::params::{walk_stem, ModelParams};
 use crate::stem::{self, MemMeter};
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::loss::cross_entropy;
+use tensor::optim::sgd_update;
 use tensor::Tensor;
 
 /// The reference model.
@@ -66,16 +68,24 @@ impl SerialModel {
         stem::lm_grads(&low, &stem, tokens, labels, rows, false, meter)
     }
 
+    /// One training step under `opt`; returns the loss before the update
+    /// and the clip scale (1 unless [`Optimizer::Clipped`]).
+    pub fn step(&mut self, tokens: &[usize], labels: &[usize], opt: &mut Optimizer) -> (f32, f32) {
+        let (loss, grads) = self.lm_grads(tokens, labels);
+        let scale = opt.step(&Local(self.cfg), self.params.stem_mut(), &grads);
+        (loss, scale)
+    }
+
     /// One SGD training step; returns the loss before the update.
     pub fn train_step(&mut self, tokens: &[usize], labels: &[usize], lr: f32) -> f32 {
-        let (loss, grads) = self.lm_grads(tokens, labels);
-        self.apply_sgd(&grads, lr);
-        loss
+        self.step(tokens, labels, &mut Optimizer::Sgd { lr }).0
     }
 
     /// Plain SGD over every parameter.
     pub fn apply_sgd(&mut self, grads: &ModelParams, lr: f32) {
-        self.visit_params_grads(grads, &mut |p, g| tensor::optim::sgd_update(p, g, lr));
+        walk_stem(self.params.stem_mut(), grads, &mut |p, g| {
+            sgd_update(p, g, lr)
+        });
     }
 
     /// Greedy next-token prediction: for each of the `b` sequences, the
@@ -93,49 +103,6 @@ impl SerialModel {
                     .0
             })
             .collect()
-    }
-
-    /// Visits every `(parameter, gradient)` slice pair in the canonical
-    /// order of [`crate::walk_stem`] — the contract
-    /// [`tensor::optim::AdamSet`] relies on.
-    pub fn visit_params_grads(
-        &mut self,
-        grads: &ModelParams,
-        f: &mut impl FnMut(&mut [f32], &[f32]),
-    ) {
-        self.params.walk(grads, f);
-    }
-
-    /// One SGD step with global gradient-norm clipping: if the gradient
-    /// norm exceeds `max_norm`, all gradients are scaled down uniformly
-    /// (implemented as an effective learning-rate scale, which is
-    /// algebraically identical). Returns `(loss, clip scale)`.
-    pub fn train_step_clipped(
-        &mut self,
-        tokens: &[usize],
-        labels: &[usize],
-        lr: f32,
-        max_norm: f64,
-    ) -> (f32, f32) {
-        let (loss, grads) = self.lm_grads(tokens, labels);
-        let mut sq = 0.0f64;
-        self.visit_params_grads(&grads, &mut |_, g| sq += tensor::schedule::sq_norm(g));
-        let scale = tensor::schedule::clip_scale(sq, max_norm);
-        self.apply_sgd(&grads, lr * scale);
-        (loss, scale)
-    }
-
-    /// One Adam training step; `opt` carries the moments across steps.
-    pub fn train_step_adam(
-        &mut self,
-        tokens: &[usize],
-        labels: &[usize],
-        opt: &mut tensor::optim::AdamSet,
-    ) -> f32 {
-        let (loss, grads) = self.lm_grads(tokens, labels);
-        opt.begin_step();
-        self.visit_params_grads(&grads, &mut |p, g| opt.apply(p, g));
-        loss
     }
 
     /// Classification branch (Fig. 1): take the hidden state of the first

@@ -5,12 +5,12 @@
 //! `(seed, param id)` streams and slicing — see [`tensor::init`].
 //!
 //! One per-layer tensor set, [`LayerTensors`], serves as parameters *and*
-//! gradients for every scheme, and one ordered walk over it
-//! ([`LayerTensors::walk`]) is what every update, accumulation, optimizer
-//! visit and gradient sync in the workspace is derived from.
+//! gradients for every scheme, and one ordered walk over a stem of them
+//! ([`walk_stem`]) is what every optimizer step, accumulation and gradient
+//! sync in the workspace is derived from.
 
 use crate::config::ModelConfig;
-use crate::stem::StemRef;
+use crate::stem::{StemMut, StemRef};
 use minjson::Json;
 use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::Tensor;
@@ -154,7 +154,7 @@ impl<B: Hosted> LayerTensors<B> {
         }
     }
 
-    fn slots_mut(&mut self) -> [Option<&mut [f32]>; 12] {
+    pub(crate) fn slots_mut(&mut self) -> [Option<&mut [f32]>; 12] {
         slots!(self, hosted_mut, as_mut_slice)
     }
 
@@ -253,21 +253,36 @@ pub type ModelParams = ModelTensors<Vec<f32>>;
 
 /// The one ordered walk over a stem's `(parameter, gradient)` slice pairs:
 /// embedding table, final layer-norm γ and β, then every layer in
-/// [`LayerTensors::walk`] order. The parameter side is taken piecewise
-/// because the distributed models hold these as fields of their own.
+/// [`LayerTensors::walk`] order. Every optimizer step
+/// ([`crate::Optimizer`]), accumulation and gradient sync in the workspace
+/// follows it.
+///
+/// # Panics
+/// If the two sides hold different numbers of layers, or disagree about
+/// hosting.
 pub fn walk_stem<B: Hosted>(
-    embedding: &mut Tensor,
-    final_ln: [&mut B; 2],
-    layers: &mut [LayerTensors<B>],
+    params: StemMut<'_, B>,
     grads: &ModelTensors<B>,
     f: &mut impl FnMut(&mut [f32], &[f32]),
 ) {
-    f(embedding.as_mut_slice(), grads.embedding.as_slice());
-    let [gamma, beta] = final_ln;
-    walk_pair(gamma, &grads.final_ln_g, f);
-    walk_pair(beta, &grads.final_ln_b, f);
-    for (lp, lg) in layers.iter_mut().zip(&grads.layers) {
-        lp.walk(lg, f);
+    let (n, m) = (params.layers.len(), grads.layers.len());
+    assert_eq!(n, m, "a stem of {n} layers given gradients of {m}");
+    let [gamma, beta] = params.final_ln;
+    let params = crate::layout::in_walk_order(
+        Some(params.table.as_mut_slice()),
+        [gamma.hosted_mut(), beta.hosted_mut()],
+        params.layers.iter_mut().map(LayerTensors::slots_mut),
+    );
+    for ((_, p), (_, g)) in params.zip(crate::layout::walk_values(&grads.stem())) {
+        pair(p, g, f);
+    }
+}
+
+/// `a += b`, element-wise — gradient accumulation.
+pub(crate) fn add(a: &mut [f32], b: &[f32]) {
+    assert_eq!(a.len(), b.len(), "accumulating gradients of another shape");
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
     }
 }
 
@@ -281,24 +296,23 @@ impl<B: Hosted> ModelTensors<B> {
         }
     }
 
+    /// The tensors by mutable reference, as [`walk_stem`] takes them.
+    pub fn stem_mut(&mut self) -> StemMut<'_, B> {
+        StemMut {
+            table: &mut self.embedding,
+            layers: &mut self.layers,
+            final_ln: [&mut self.final_ln_g, &mut self.final_ln_b],
+        }
+    }
+
     /// [`walk_stem`] over `(self, other)`.
     pub fn walk(&mut self, other: &Self, f: &mut impl FnMut(&mut [f32], &[f32])) {
-        walk_stem(
-            &mut self.embedding,
-            [&mut self.final_ln_g, &mut self.final_ln_b],
-            &mut self.layers,
-            other,
-            f,
-        );
+        walk_stem(self.stem_mut(), other, f);
     }
 
     /// `self += other` — gradient accumulation.
     pub fn accumulate(&mut self, other: &Self) {
-        self.walk(other, &mut |a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        });
+        self.walk(other, &mut add);
     }
 
     /// Scalars held locally.

@@ -4,33 +4,37 @@
 //!
 //! Three pieces, each the only copy in the workspace:
 //!
-//! * the **sweeps** over a slice of layers: [`sweep_forward`] keeps each
-//!   layer's input (checkpointing, paper Section 3.2.3) or its
-//!   [`LayerCache`]; [`sweep_backward`] recomputes or pops, runs
-//!   [`layer_backward`] and hands each layer's gradients to a caller-supplied
-//!   sink — collect them, add them to a running total, or apply them on the
-//!   spot and drop them (the paper's immediate update). The recompute keeps
-//!   the operand panels its products received, and the layer's backward
-//!   reads them instead of receiving them again. When the backward comes
-//!   straight after the forward ([`Keep::TopCache`]), the top layer's
-//!   forward keeps its cache and panels and is its own recompute, so a
-//!   checkpointed step re-runs `L − 1` layers, not `L`;
+//! * the **stage pair** over a slice of layers: [`stage_forward`] takes the
+//!   stage's input (an embedding, or a block from the stage below), keeps
+//!   each layer's input (checkpointing, paper Section 3.2.3) or its
+//!   [`LayerCache`] and, on the stage with the head, runs the final layer
+//!   norm, the loss and the head's backward; [`stage_backward`] recomputes
+//!   or pops, runs [`layer_backward`], and ends in the embedding backward or
+//!   a send to the stage below. Each gradient goes to a caller's sink as
+//!   soon as it is complete ([`Grad`]) — collected ([`Grads`], which is
+//!   [`lm_grads`]), added to a running total (the same sink, once per
+//!   pipeline microbatch), or applied on the spot and dropped (the paper's
+//!   immediate update). The recompute keeps the operand panels its products
+//!   received, and the layer's backward reads them instead of receiving them
+//!   again. When the backward comes straight after the forward
+//!   ([`Keep::TopCache`]), the top layer's forward keeps its cache and
+//!   panels and is its own recompute, so a checkpointed step re-runs
+//!   `L − 1` layers, not `L`;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
 //!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
 //!   logits product and the `dL` panels shared between the two);
 //! * the **single-stage compositions** [`hidden_states`], [`lm_loss`] and
-//!   [`lm_grads`] that the serial, Megatron and Optimus models call; a
-//!   pipeline stage composes the same pieces around its boundary send/recv.
+//!   [`lm_grads`] that the serial, Megatron and Optimus models call.
 //!
 //! Like `layer`, this module issues no communication of its own: what a
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
 
 use crate::layer::{
-    layer_backward, layer_pass, layer_recompute, ln_backward, ln_forward, LayerCache, Lowering,
-    Reduce, Role, Span,
+    layer_backward, layer_pass, layer_recompute, ln_backward, ln_forward, LayerCache, LnCache,
+    Lowering, Reduce, Role, Span,
 };
-use crate::params::{LayerTensors, ModelTensors};
+use crate::params::{add, walk_pair, Hosted, LayerTensors, ModelTensors};
 use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
@@ -90,6 +94,13 @@ pub struct StemRef<'a, H> {
     pub final_ln: [&'a H; 2],
 }
 
+/// [`StemRef`] by mutable reference: what an optimizer step updates.
+pub struct StemMut<'a, H> {
+    pub table: &'a mut Tensor,
+    pub layers: &'a mut [LayerTensors<H>],
+    pub final_ln: [&'a mut H; 2],
+}
+
 /// What a forward sweep keeps of each layer for the reverse sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Keep {
@@ -113,7 +124,7 @@ pub enum Keep {
 }
 
 /// One layer's share of a forward sweep's state.
-pub enum Kept<P> {
+enum Kept<P> {
     Input(Tensor),
     Cache(Box<LayerCache<P>>),
 }
@@ -141,7 +152,7 @@ pub fn check_batch<L: Lowering>(low: &L, tokens: &[usize], labels: &[usize]) {
 
 /// Runs `x` up through `layers`, keeping per layer what `keep` says.
 /// Returns the last layer's output and the kept state, bottom layer first.
-pub fn sweep_forward<L: Lowering>(
+fn sweep_forward<L: Lowering>(
     low: &L,
     layers: &[LayerTensors<L::Hosted>],
     mut x: Tensor,
@@ -166,47 +177,6 @@ pub fn sweep_forward<L: Lowering>(
         x = y;
     }
     (x, kept)
-}
-
-/// Runs the output gradient `dy` down through `layers`, top layer first:
-/// pops each layer's cache (or recomputes it from the kept input, keeping
-/// the panels the recompute received for the backward), runs
-/// [`layer_backward`] and hands `(l, layer, gradients)` to `sink`. Returns
-/// the gradient of the bottom layer's input. A cache the forward kept with
-/// its panels ([`Keep::TopCache`]) is read exactly like a recompute's, and
-/// lends its panels' storage to the next recompute.
-///
-/// `layers` yields `&LayerTensors` or, when the sink updates parameters in
-/// place, `&mut LayerTensors`; nothing reads a layer again once the sink
-/// has had it.
-pub fn sweep_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
-    low: &L,
-    layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
-    mut kept: Vec<Kept<L::Panels>>,
-    mut dy: Tensor,
-    meter: &mut MemMeter,
-    mut sink: impl FnMut(usize, P, LayerTensors<L::Hosted>),
-) -> Tensor {
-    assert_eq!(kept.len(), layers.len(), "one kept entry per layer");
-    // Each recompute's panels take over the storage of the previous
-    // layer's, which its backward has finished reading.
-    let mut spare: [L::Panels; 4] = Default::default();
-    for (l, p) in layers.enumerate().rev() {
-        let (mut cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
-            Kept::Cache(cache) => (*cache, 0),
-            Kept::Input(x) => {
-                let cache = layer_recompute(low, p.borrow(), &x, std::mem::take(&mut spare));
-                meter.alloc(cache.bytes());
-                (cache, bytes(&x))
-            }
-        };
-        let (dx, grads) = layer_backward(low, p.borrow(), &cache, &dy);
-        spare = std::mem::take(&mut cache.panels);
-        meter.free(cache.bytes() + input_bytes);
-        sink(l, p, grads);
-        dy = dx;
-    }
-    dy
 }
 
 /// Tied LM head: `logits = H·Eᵀ` on this device's blocks.
@@ -328,6 +298,232 @@ pub fn lm_loss<L: Lowering>(
     cross_entropy(low, &logits, labels, total_rows).0
 }
 
+/// What a stage forward leaves for its stage backward.
+pub struct Pass<P> {
+    kept: Vec<Kept<P>>,
+    /// Metered bytes of the stage's input block.
+    block: usize,
+    /// The shape of this device's table block.
+    table: [usize; 2],
+    top: Option<Top>,
+}
+
+/// A head stage's share of a [`Pass`]: the final layer norm's cache, output
+/// and output gradient, and the table gradient the tied head began.
+struct Top {
+    ln: LnCache,
+    hidden: Tensor,
+    dhidden: Tensor,
+    d_table: Tensor,
+}
+
+/// How a stage forward ends.
+pub enum Out {
+    /// Below the head: the stage's output block, for the stage above.
+    Block(Tensor),
+    /// The head stage's loss, already scaled by `1 / total_rows`.
+    Loss(f32),
+}
+
+impl Out {
+    /// The head stage's loss.
+    pub fn loss(self) -> f32 {
+        match self {
+            Out::Loss(loss) => loss,
+            Out::Block(_) => panic!("only a head stage has a loss"),
+        }
+    }
+}
+
+/// A gradient a stage backward hands its sink as soon as it is complete.
+pub enum Grad<P, H> {
+    /// The final layer norm's γ and β (a head stage only), first.
+    FinalLn([H; 2]),
+    /// Layer `l`'s gradients with the layer as `layers` yielded it, top
+    /// layer first.
+    Layer(usize, P, LayerTensors<H>),
+    /// The table block's, last.
+    Table(Tensor),
+}
+
+/// A stage forward: `input` (the embedding of the stage's tokens, or a
+/// block received from the stage below) up through its layers, keeping per
+/// layer what `keep` says. With a `head` — this device's labels and the
+/// global row count — then the final layer norm, the loss and the tied
+/// head's backward, whose gradients wait in the [`Pass`].
+pub fn stage_forward<L: Lowering>(
+    low: &L,
+    p: &StemRef<L::Hosted>,
+    input: impl FnOnce() -> Tensor,
+    head: Option<(&[usize], usize)>,
+    keep: Keep,
+    meter: &mut MemMeter,
+) -> (Pass<L::Panels>, Out) {
+    let [gamma, beta] = p.final_ln;
+    let (y, ln, kept, block) = low.scope(Span::Fwd, || {
+        let x = input();
+        // One activation block is in flight from here to the stage's input
+        // gradient: `x` going up, its gradient coming down.
+        let block = bytes(&x);
+        meter.alloc(block);
+        let (y, kept) = sweep_forward(low, p.layers, x, keep, meter);
+        if head.is_none() {
+            return (y, None, kept, block);
+        }
+        let (hidden, ln) = ln_forward(low, &y, gamma, beta);
+        meter.alloc(bytes(&hidden));
+        (hidden, Some(ln), kept, block)
+    });
+    let table = [p.table.rows(), p.table.cols()];
+    let (top, out) = match (head, ln) {
+        (Some((labels, total_rows)), Some(ln)) => {
+            let mut d_table = Tensor::zeros(&table);
+            let (loss, dhidden) = low.scope(Span::LossHead, || {
+                let (loss, dlogits, panels) =
+                    head_loss(low, p.table, &y, labels, total_rows, meter);
+                let dhidden = head_backward(low, p.table, &y, dlogits, panels, &mut d_table, meter);
+                (loss, dhidden)
+            });
+            let top = Top {
+                ln,
+                hidden: y,
+                dhidden,
+                d_table,
+            };
+            (Some(top), Out::Loss(loss))
+        }
+        _ => (None, Out::Block(y)),
+    };
+    (
+        Pass {
+            kept,
+            block,
+            table,
+            top,
+        },
+        out,
+    )
+}
+
+/// A stage backward from its [`Pass`]: the gradient of the final layer
+/// norm's output (a head stage) or the received gradient `dy` of the
+/// stage's output runs down through `layers`, top layer first, popping each
+/// layer's cache or recomputing it from the kept input (keeping the panels
+/// the recompute received for the layer's backward); then `bottom` takes
+/// the gradient of the stage's input — the embedding backward into the
+/// table gradient, or a send to the stage below. Each gradient goes to
+/// `sink` as soon as it is complete. A cache the forward kept with its
+/// panels ([`Keep::TopCache`]) is read exactly like a recompute's, and lends
+/// its panels' storage to the next recompute.
+///
+/// `layers` yields `&LayerTensors` or, when the sink updates parameters in
+/// place, `&mut LayerTensors`; nothing reads a layer again once the sink
+/// has had it.
+pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
+    low: &L,
+    layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
+    pass: Pass<L::Panels>,
+    dy: Option<Tensor>,
+    bottom: impl FnOnce(Tensor, &mut Tensor),
+    meter: &mut MemMeter,
+    mut sink: impl FnMut(Grad<P, L::Hosted>),
+) {
+    let mut kept = pass.kept;
+    assert_eq!(kept.len(), layers.len(), "one kept entry per layer");
+    low.scope(Span::Bwd, || {
+        let (mut dy, mut d_table) = match (pass.top, dy) {
+            (Some(top), None) => {
+                let (dx, g, b) = ln_backward(low, &top.dhidden, &top.ln);
+                meter.free(bytes(&top.hidden));
+                drop((top.hidden, top.ln, top.dhidden));
+                sink(Grad::FinalLn([g, b]));
+                (dx, top.d_table)
+            }
+            (None, Some(dy)) => (dy, Tensor::zeros(&pass.table)),
+            _ => panic!("a head stage's backward starts at its loss, any other at dy"),
+        };
+        // Each recompute's panels take over the storage of the previous
+        // layer's, which its backward has finished reading.
+        let mut spare: [L::Panels; 4] = Default::default();
+        for (l, p) in layers.enumerate().rev() {
+            let (mut cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
+                Kept::Cache(cache) => (*cache, 0),
+                Kept::Input(x) => {
+                    let cache = layer_recompute(low, p.borrow(), &x, std::mem::take(&mut spare));
+                    meter.alloc(cache.bytes());
+                    (cache, bytes(&x))
+                }
+            };
+            let (dx, grads) = layer_backward(low, p.borrow(), &cache, &dy);
+            spare = std::mem::take(&mut cache.panels);
+            meter.free(cache.bytes() + input_bytes);
+            sink(Grad::Layer(l, p, grads));
+            dy = dx;
+        }
+        bottom(dy, &mut d_table);
+        meter.free(pass.block);
+        sink(Grad::Table(d_table));
+    });
+}
+
+/// The collecting and accumulating sink: the first stage backward's
+/// gradients are moved in as they complete, each later one's added to them.
+pub struct Grads<H> {
+    total: Option<ModelTensors<H>>,
+    final_ln: Option<[H; 2]>,
+    /// The first pass's layer gradients, top layer first.
+    layers: Vec<LayerTensors<H>>,
+}
+
+impl<H: Hosted> Grads<H> {
+    /// An empty sink. A stage without the head passes its zero final
+    /// layer-norm gradients as `final_ln`, so every stage's set has one
+    /// layout.
+    pub fn new(final_ln: Option<[H; 2]>) -> Self {
+        let (total, layers) = (None, Vec::new());
+        Grads {
+            total,
+            final_ln,
+            layers,
+        }
+    }
+
+    /// Takes one completed gradient.
+    pub fn put<P>(&mut self, g: Grad<P, H>) {
+        let Some(total) = &mut self.total else {
+            match g {
+                Grad::FinalLn(ln) => self.final_ln = Some(ln),
+                Grad::Layer(_, _, g) => self.layers.push(g),
+                Grad::Table(embedding) => {
+                    let [final_ln_g, final_ln_b] = self.final_ln.take().expect("final LN grads");
+                    let layers = self.layers.drain(..).rev().collect();
+                    let grads = ModelTensors {
+                        embedding,
+                        layers,
+                        final_ln_g,
+                        final_ln_b,
+                    };
+                    self.total = Some(grads);
+                }
+            }
+            return;
+        };
+        match g {
+            Grad::FinalLn([g, b]) => {
+                walk_pair(&mut total.final_ln_g, &g, &mut add);
+                walk_pair(&mut total.final_ln_b, &b, &mut add);
+            }
+            Grad::Layer(l, _, g) => total.layers[l].walk(&g, &mut add),
+            Grad::Table(d) => total.embedding.add_assign(&d),
+        }
+    }
+
+    /// Every completed stage backward's gradients, summed.
+    pub fn finish(self) -> ModelTensors<H> {
+        self.total.expect("a completed stage backward")
+    }
+}
+
 /// Forward + backward over a whole stem held by one device (group): returns
 /// the loss and every gradient. With `checkpoint`, only each layer's input
 /// is kept and the layer is recomputed inside the reverse sweep, except the
@@ -343,48 +539,14 @@ pub fn lm_grads<L: Lowering>(
     meter: &mut MemMeter,
 ) -> (f32, ModelTensors<L::Hosted>) {
     check_batch(low, tokens, labels);
-    let [gamma, beta] = p.final_ln;
-
-    let (kept, hidden, final_ln, block) = low.scope(Span::Fwd, || {
-        let x = low.embed(p.table, tokens);
-        // One activation block is in flight from here to the embedding
-        // backward: `x` going up, its gradient coming down.
-        let block = bytes(&x);
-        meter.alloc(block);
-        let (y, kept) = sweep_forward(low, p.layers, x, Keep::TopCache { checkpoint }, meter);
-        let (hidden, final_ln) = ln_forward(low, &y, gamma, beta);
-        meter.alloc(bytes(&hidden));
-        (kept, hidden, final_ln, block)
+    let (input, keep) = (|| low.embed(p.table, tokens), Keep::TopCache { checkpoint });
+    let (pass, out) = stage_forward(low, p, input, Some((labels, total_rows)), keep, meter);
+    let bottom = |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens);
+    let mut grads = Grads::new(None);
+    stage_backward(low, p.layers.iter(), pass, None, bottom, meter, |g| {
+        grads.put(g)
     });
-
-    let mut d_table = Tensor::zeros(&[p.table.rows(), p.table.cols()]);
-    let (loss, dhidden) = low.scope(Span::LossHead, || {
-        let (loss, dlogits, panels) = head_loss(low, p.table, &hidden, labels, total_rows, meter);
-        let dhidden = head_backward(low, p.table, &hidden, dlogits, panels, &mut d_table, meter);
-        (loss, dhidden)
-    });
-
-    let mut layers = Vec::with_capacity(p.layers.len());
-    let (final_ln_g, final_ln_b) = low.scope(Span::Bwd, || {
-        let (dx, g, b) = ln_backward(low, &dhidden, &final_ln);
-        meter.free(bytes(&hidden));
-        drop((hidden, final_ln, dhidden));
-        let dx = sweep_backward(low, p.layers.iter(), kept, dx, meter, |_, _, g| {
-            layers.push(g)
-        });
-        low.embed_backward(&mut d_table, &dx, tokens);
-        meter.free(block);
-        (g, b)
-    });
-    layers.reverse();
-
-    let grads = ModelTensors {
-        embedding: d_table,
-        layers,
-        final_ln_g,
-        final_ln_b,
-    };
-    (loss, grads)
+    (out.loss(), grads.finish())
 }
 
 #[cfg(test)]

@@ -5,50 +5,12 @@
 //! update, method (2) of Section 3.2.3), so optimizers only ever see local
 //! slices — the same code drives the serial, 1D and 2D models.
 
-/// Plain (momentum-free) SGD update `p -= lr * g` over a flat slice. The
-/// models' hand-rolled update loops route through this.
+/// Plain (momentum-free) SGD update `p -= lr * g` over a flat slice. Every
+/// model's SGD step routes through this (`serial::Optimizer`).
 pub fn sgd_update(params: &mut [f32], grads: &[f32], lr: f32) {
     assert_eq!(params.len(), grads.len());
     for (p, g) in params.iter_mut().zip(grads) {
         *p -= lr * g;
-    }
-}
-
-/// Plain SGD with optional momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// SGD over `n` parameters.
-    pub fn new(n: usize, lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: if momentum != 0.0 {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    /// Applies one update: `p -= lr * (momentum-filtered) g`.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len());
-        let (lr, momentum) = (self.lr, self.momentum);
-        if momentum == 0.0 {
-            sgd_update(params, grads, lr);
-        } else {
-            assert_eq!(self.velocity.len(), params.len());
-            for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-                *v = momentum * *v + g;
-                *p -= lr * *v;
-            }
-        }
     }
 }
 
@@ -175,22 +137,11 @@ mod tests {
     fn sgd_descends_quadratic() {
         // Minimise f(p) = 0.5 p^2 from p = 1.
         let mut p = vec![1.0f32];
-        let mut opt = Sgd::new(1, 0.1, 0.0);
         for _ in 0..100 {
             let g = vec![p[0]];
-            opt.step(&mut p, &g);
+            sgd_update(&mut p, &g, 0.1);
         }
         assert!(p[0].abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates_velocity() {
-        let mut p = vec![0.0f32];
-        let mut opt = Sgd::new(1, 0.1, 0.9);
-        opt.step(&mut p, &[1.0]);
-        opt.step(&mut p, &[1.0]);
-        // First step: v=1, p=-0.1. Second: v=1.9, p=-0.29.
-        assert!((p[0] + 0.29).abs() < 1e-6);
     }
 
     #[test]
@@ -216,9 +167,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
-        let mut opt = Sgd::new(2, 0.1, 0.0);
         let mut p = vec![0.0; 2];
-        opt.step(&mut p, &[1.0]);
+        sgd_update(&mut p, &[1.0], 0.1);
     }
 
     #[test]

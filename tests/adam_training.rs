@@ -6,7 +6,7 @@
 use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
-use optimus::serial::{ModelConfig, SerialModel};
+use optimus::serial::{ModelConfig, Optimizer, SerialModel};
 use optimus::tensor::optim::AdamSet;
 use optimus::tensor::Rng;
 
@@ -39,17 +39,17 @@ fn adam_trajectories_match_across_schemes() {
     let lr = 0.01;
 
     let mut serial = SerialModel::new(cfg, 3);
-    let mut opt = AdamSet::new(lr);
+    let mut opt = Optimizer::Adam(AdamSet::new(lr));
     let ref_losses: Vec<f32> = (0..steps)
-        .map(|_| serial.train_step_adam(&tokens, &labels, &mut opt))
+        .map(|_| serial.step(&tokens, &labels, &mut opt).0)
         .collect();
 
     let mcfg = MegatronConfig::new(cfg, 2);
     let meg = Mesh::run(2, |ctx| {
         let mut m = MegatronModel::new(mcfg, 3, ctx);
-        let mut opt = AdamSet::new(lr);
+        let mut opt = Optimizer::Adam(AdamSet::new(lr));
         (0..steps)
-            .map(|_| m.train_step_adam(ctx, &tokens, &labels, &mut opt))
+            .map(|_| m.step(ctx, &tokens, &labels, &mut opt).0)
             .collect::<Vec<f32>>()
     });
 
@@ -67,9 +67,9 @@ fn adam_trajectories_match_across_schemes() {
     };
     let opt2d = Mesh2d::run(2, |g| {
         let mut m = OptimusModel::new(&ocfg, 3, g);
-        let mut opt = AdamSet::new(lr);
+        let mut opt = Optimizer::Adam(AdamSet::new(lr));
         (0..steps)
-            .map(|_| m.train_step_adam(g, &tokens, &labels, &mut opt))
+            .map(|_| m.step(g, &tokens, &labels, &mut opt).0)
             .collect::<Vec<f32>>()
     });
 
@@ -103,10 +103,10 @@ fn adam_converges_faster_than_sgd_with_small_lr() {
         sgd_last = sgd_model.train_step(&tokens, &labels, lr);
     }
     let mut adam_model = SerialModel::new(cfg, 5);
-    let mut opt = AdamSet::new(lr);
+    let mut opt = Optimizer::Adam(AdamSet::new(lr));
     let mut adam_last = 0.0;
     for _ in 0..steps {
-        adam_last = adam_model.train_step_adam(&tokens, &labels, &mut opt);
+        adam_last = adam_model.step(&tokens, &labels, &mut opt).0;
     }
     assert!(
         adam_last < sgd_last - 0.1,
@@ -134,8 +134,11 @@ fn adam_state_is_sharded_like_the_parameters() {
     };
     let state_bytes = Mesh2d::run(2, |g| {
         let mut m = OptimusModel::new(&ocfg, 3, g);
-        let mut opt = AdamSet::new(0.01);
-        m.train_step_adam(g, &tokens, &labels, &mut opt);
+        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        m.step(g, &tokens, &labels, &mut opt);
+        let Optimizer::Adam(opt) = opt else {
+            unreachable!()
+        };
         opt.state_bytes()
     });
     let total: usize = state_bytes.iter().sum();

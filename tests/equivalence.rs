@@ -6,7 +6,7 @@
 use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
-use optimus::serial::{ModelConfig, SerialModel};
+use optimus::serial::{ModelConfig, Optimizer, SerialModel};
 use optimus::tensor::Rng;
 
 fn model_cfg() -> ModelConfig {
@@ -227,9 +227,11 @@ fn clipped_training_matches_serial_including_the_clip_scale() {
     // A max-norm low enough that early steps actually clip.
     let max_norm = 0.5;
 
-    let mut serial = SerialModel::new(cfg, 6);
+    let clipped = || Optimizer::Clipped { lr, max_norm };
+
+    let (mut serial, mut opt) = (SerialModel::new(cfg, 6), clipped());
     let serial_out: Vec<(f32, f32)> = (0..4)
-        .map(|_| serial.train_step_clipped(&tokens, &labels, lr, max_norm))
+        .map(|_| serial.step(&tokens, &labels, &mut opt))
         .collect();
     assert!(
         serial_out.iter().any(|(_, s)| *s < 1.0),
@@ -237,13 +239,23 @@ fn clipped_training_matches_serial_including_the_clip_scale() {
     );
 
     let ocfg = optimus_cfg(&cfg, 2, false);
-    let opt = Mesh2d::run(2, |g| {
-        let mut m = OptimusModel::new(&ocfg, 6, g);
+    let mut runs = Mesh2d::run(2, |g| {
+        let (mut m, mut opt) = (OptimusModel::new(&ocfg, 6, g), clipped());
         (0..4)
-            .map(|_| m.train_step_clipped(g, &tokens, &labels, lr, max_norm))
+            .map(|_| m.step(g, &tokens, &labels, &mut opt))
             .collect::<Vec<(f32, f32)>>()
     });
-    for dev in &opt {
+    // Megatron at the widths that split the config's 6 heads.
+    for p in [2, 3] {
+        let mcfg = MegatronConfig::new(cfg, p);
+        runs.extend(Mesh::run(p, |ctx| {
+            let (mut m, mut opt) = (MegatronModel::new(mcfg, 6, ctx), clipped());
+            (0..4)
+                .map(|_| m.step(ctx, &tokens, &labels, &mut opt))
+                .collect::<Vec<(f32, f32)>>()
+        }));
+    }
+    for dev in &runs {
         for ((l, s), (rl, rs)) in dev.iter().zip(&serial_out) {
             assert!((l - rl).abs() < 2e-3, "loss {l} vs {rl}");
             assert!((s - rs).abs() < 1e-4, "clip scale {s} vs {rs}");

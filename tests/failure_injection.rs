@@ -4,7 +4,8 @@
 use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{Communicator, Group, Mesh, Mesh2d};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
-use optimus::serial::ModelConfig;
+use optimus::serial::{ModelConfig, SerialModel};
+use optimus::tensor::Tensor;
 
 #[test]
 #[should_panic]
@@ -189,6 +190,35 @@ fn model_rejects_wrong_mesh_size() {
     let cfg = OptimusConfig::tiny(2);
     Mesh2d::run(3, |g| {
         OptimusModel::new(&cfg, 0, g);
+    });
+}
+
+/// `apply_sgd` takes caller-supplied gradients: ones of a shallower model
+/// must not silently update a prefix of the layers.
+#[test]
+#[should_panic(expected = "a stem of 2 layers given gradients of 1")]
+fn sgd_rejects_gradients_of_fewer_layers() {
+    let cfg = ModelConfig::tiny();
+    assert_eq!(cfg.layers, 2);
+    let shallow = SerialModel::new(ModelConfig { layers: 1, ..cfg }, 0);
+    let tokens = vec![0usize; cfg.tokens()];
+    let (_, grads) = shallow.lm_grads(&tokens, &tokens);
+    SerialModel::new(cfg, 0).apply_sgd(&grads, 0.1);
+}
+
+/// Nor may a gradient tensor of the wrong length update a prefix of its
+/// parameter.
+#[test]
+#[should_panic] // device threads die with "assertion `left == right` failed"
+fn sgd_rejects_a_shortened_gradient_tensor() {
+    let cfg = OptimusConfig::tiny(2);
+    let tokens = vec![0usize; cfg.batch * cfg.seq];
+    Mesh2d::run(cfg.q, |g| {
+        let mut model = OptimusModel::new(&cfg, 0, g);
+        let (_, mut grads) = model.lm_grads(g, &tokens, &tokens);
+        let w = &mut grads.layers[1].w_fc2;
+        *w = Tensor::from_vec(&[1, w.cols()], w.row(0).to_vec());
+        model.apply_sgd(&grads, 0.1);
     });
 }
 

@@ -6,11 +6,12 @@
 //! live runtime accepts.
 
 use hybrid::{build, HybridSpec, HybridStage};
-use mesh::{GridNd, Mesh};
+use mesh::{CommLog, GridNd, Mesh};
 use optimus_core::{OptimusConfig, OptimusModel};
 use perf::autotune::{autotune, AutotuneModel};
 use perf::HardwareProfile;
-use serial::{ModelParams, SerialModel};
+use serial::{ModelParams, Optimizer, SerialModel};
+use std::fmt::Write;
 use tensor::optim::AdamSet;
 use tensor::Rng;
 
@@ -184,9 +185,9 @@ fn zero1_matches_serial_adam_on_the_global_batch() {
         };
         let (tokens, labels) = data(&cfg, 3);
         let mut reference = SerialModel::new(cfg.model(), 5);
-        let mut ref_opt = AdamSet::new(lr);
+        let mut ref_opt = Optimizer::Adam(AdamSet::new(lr));
         let ref_losses: Vec<f32> = (0..4)
-            .map(|_| reference.train_step_adam(&tokens, &labels, &mut ref_opt))
+            .map(|_| reference.step(&tokens, &labels, &mut ref_opt).0)
             .collect();
 
         let losses = Mesh::run(spec.devices(), |ctx| {
@@ -265,6 +266,61 @@ fn mixed_4d_spec_replays_identically_on_the_dry_run_backend() {
         assert_eq!(l.ops, d.ops, "op stream mismatch at rank {}", l.rank);
         assert_eq!(l.links, d.links, "link stream mismatch at rank {}", l.rank);
     }
+}
+
+/// Every rank's collectives as (op, group, elems) in order, then its
+/// point-to-point sends in order.
+fn render(logs: &[CommLog]) -> String {
+    let mut s = String::new();
+    for log in logs {
+        for op in &log.ops {
+            let g = (op.group_first, op.group_stride, op.group_size);
+            let (rank, name, elems) = (op.rank, op.op.name(), op.elems);
+            writeln!(s, "rank {rank} {name} group {g:?} elems {elems}").unwrap();
+        }
+        for l in log.links.iter().filter(|l| l.op.is_none()) {
+            writeln!(s, "rank {} Send to {} elems {}", l.from, l.to, l.elems).unwrap();
+        }
+    }
+    s
+}
+
+/// The 1F1B schedule's communication, pinned: a checkpointed
+/// `pp=2, dp=2, [2,2,1], microbatches=2` step — SGD, and Adam under ZeRO-1 —
+/// issues the collectives and boundary sends of `golden/hybrid_step.txt` in
+/// its order, on every rank. Live ≡ dry-run alone would let a rewrite
+/// reorder both backends together.
+#[test]
+fn a_hybrid_step_issues_the_pinned_schedule() {
+    let cfg = OptimusConfig {
+        batch: 8,
+        checkpoint: true,
+        ..OptimusConfig::tiny(2)
+    };
+    let spec = HybridSpec {
+        pp: 2,
+        dp: 2,
+        grid: [2, 2, 1],
+        microbatches: 2,
+    };
+    let (tokens, labels) = data(&cfg, 9);
+    let (_, sgd) = Mesh::run_with_logs(spec.devices(), |ctx| {
+        let (mut st, grid) = build(ctx, &spec, &cfg, 7);
+        st.train_step(&grid, &tokens, &labels, 0.1)
+    });
+    let (_, zero1) = Mesh::run_with_logs(spec.devices(), |ctx| {
+        let (mut st, grid) = build(ctx, &spec, &cfg, 7);
+        st.train_step_zero1(&grid, &tokens, &labels, &mut AdamSet::new(0.01))
+    });
+    let got = format!(
+        "# train_step\n{}# train_step_zero1\n{}",
+        render(&sgd),
+        render(&zero1)
+    );
+    assert!(
+        got == include_str!("golden/hybrid_step.txt"),
+        "the hybrid step's schedule drifted from tests/golden/hybrid_step.txt"
+    );
 }
 
 /// Everything the autotuner prices must be runnable: each frontier entry,
