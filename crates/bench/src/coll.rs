@@ -16,7 +16,7 @@
 //! and reduce-scatter payloads must divide by the group size, so sweep
 //! sizes should be multiples of the world size.
 
-use mesh::{Coll, CollAlgo, CollBuf, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype};
+use mesh::{Coll, CollAlgo, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -101,7 +101,7 @@ pub fn measure_coll(
         // dtype it names.
         let mut work = vec![1.0f32; elems];
         let mut run_once = || {
-            ctx.collective(coll, &g, CollBuf::Now(&mut work), plan);
+            ctx.collective(coll, &g, &mut work, plan);
             black_box(&mut work);
         };
         run_once(); // warm the queues

@@ -100,9 +100,7 @@
 
 use std::collections::VecDeque;
 
-use mesh::{
-    chunk, Coll, CollBuf, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype,
-};
+use mesh::{chunk, Coll, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Grads, Keep, MemMeter, Out};
 use serial::{walk_stem, Lowering};
@@ -579,7 +577,7 @@ impl HybridStage {
                     wire: w,
                     ..ctx.plan(CommOp::AllReduce, dp.len(), v.len())
                 };
-                ctx.collective(Coll::AllReduce, &dp, CollBuf::Now(v), plan);
+                ctx.collective(Coll::AllReduce, &dp, v, plan);
             };
             // Middle stages carry a table and a final LN whose gradients
             // are permanently zero: nothing to sync.

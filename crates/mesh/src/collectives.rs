@@ -1,10 +1,8 @@
 //! The live interpreter: executes a step list on the mailbox fabric.
 //!
 //! [`execute`] is the only code that moves collective payloads, always on
-//! the device thread: inline for a blocking collective, from the device's
-//! posted queue for a posted one (`nonblocking.rs`) — same function, same
-//! pool, so a posted collective is bitwise identical to its blocking form.
-//! Each `Send` copies (or, under a 16-bit wire dtype, quantizes and packs)
+//! the device thread and inside the call that issued the collective. Each
+//! `Send` copies (or, under a 16-bit wire dtype, quantizes and packs)
 //! its range into a pooled buffer and pushes it to the peer's mailbox; each
 //! `Recv` pops the peer's next payload, applies it to its range and
 //! recycles the buffer, so steady-state collective traffic allocates
@@ -16,13 +14,12 @@
 //! the same order; ordering between distinct (sender, receiver) pairs is
 //! guaranteed by the per-pair FIFO mailboxes.
 
-use crate::comm::{run_collective, Backend, CollBuf, Communicator, StepList};
+use crate::comm::{run_collective, Backend, Communicator, StepList};
 use crate::fabric::{DeviceCtx, Mailbox};
 use crate::group::Group;
-use crate::nonblocking::PendingColl;
 use crate::pool::BufferPool;
 use crate::schedule::{Coll, Combine, RecvMode, Step};
-use crate::stats::{CommLog, CommOp};
+use crate::stats::CommLog;
 use crate::wire::{self, packed_len};
 use crate::CollPlan;
 use std::cell::RefCell;
@@ -100,16 +97,6 @@ impl Backend for DeviceCtx {
             buf,
         );
     }
-
-    fn post_steps(
-        &self,
-        list: StepList,
-        buf: Vec<f32>,
-        op: CommOp,
-        traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl<'_> {
-        self.post(list, buf, op, traced)
-    }
 }
 
 impl Communicator for DeviceCtx {
@@ -128,13 +115,7 @@ impl Communicator for DeviceCtx {
     fn tables(&self) -> &crate::CollTables {
         &self.tables
     }
-    fn collective(
-        &self,
-        coll: Coll,
-        group: &Group,
-        buf: CollBuf<'_>,
-        plan: CollPlan,
-    ) -> Option<PendingColl<'_>> {
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan) {
         run_collective(self, coll, group, buf, plan)
     }
     fn log_snapshot(&self) -> CommLog {
@@ -426,6 +407,35 @@ mod tests {
             data
         });
         assert_eq!(out[0], vec![20.0; 6]);
+    }
+
+    #[test]
+    fn collectives_draw_from_the_device_pool() {
+        let fresh = Mesh::run(4, |ctx| {
+            let g = Group::world(4);
+            let mut buf = vec![1.0f32; 256];
+            // A cold device's first send misses its own pool.
+            ctx.broadcast(&g, 0, &mut buf);
+            let cold = ctx.fresh_allocs();
+            // Root 0 sends the broadcast and receives the reduce over the
+            // same tree, so every device's buffers balance per round.
+            let round = |buf: &mut [f32]| {
+                let mut ring = vec![1.0f32; 256];
+                ctx.all_reduce(&g, &mut ring);
+                ctx.broadcast(&g, 0, buf);
+                ctx.reduce(&g, 0, buf);
+            };
+            for _ in 0..3 {
+                round(&mut buf);
+            }
+            ctx.reset_pool_stats();
+            for _ in 0..10 {
+                round(&mut buf);
+            }
+            (cold, ctx.fresh_allocs())
+        });
+        assert!(fresh[0].0 > 0, "the root's first send must miss its pool");
+        assert!(fresh.iter().all(|f| f.1 == 0), "steady state: {fresh:?}");
     }
 
     #[test]

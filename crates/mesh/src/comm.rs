@@ -57,29 +57,11 @@
 
 use crate::algo::{CollAlgo, CollPlan, CollTables};
 use crate::group::Group;
-use crate::nonblocking::{post_records, PendingColl};
 use crate::schedule::{chunk, coll_steps, Coll, Combine, Step};
 use crate::stats::{group_shape, record_group_op, CommLog, CommOp};
 use crate::wire::{packed_len, WireDtype};
 use std::cell::RefCell;
-
-/// A collective's working buffer — and with it, when the collective runs.
-pub enum CollBuf<'a> {
-    /// Borrowed: the collective completes before the call returns.
-    Now(&'a mut [f32]),
-    /// Owned: the collective is posted and the returned [`PendingColl`]
-    /// yields the buffer back.
-    Post(Vec<f32>),
-}
-
-impl CollBuf<'_> {
-    fn len(&self) -> usize {
-        match self {
-            CollBuf::Now(data) => data.len(),
-            CollBuf::Post(data) => data.len(),
-        }
-    }
-}
+use std::time::Instant;
 
 /// A device's handle to the communication fabric: identity, point-to-point
 /// transfers, collectives, and the per-device communication log.
@@ -141,8 +123,8 @@ pub trait Communicator {
     /// Runs `coll` over `group` under an explicit `plan`: logs the op and
     /// this member's sends, then interprets its step list
     /// ([`crate::coll_steps`]) over the working buffer — moving the bytes on
-    /// the live backend, nothing more on the trace-only one. Returns the
-    /// pending handle for [`CollBuf::Post`], `None` for [`CollBuf::Now`].
+    /// the live backend, nothing more on the trace-only one. The collective
+    /// is complete when the call returns.
     ///
     /// The working buffer is the payload itself, except for
     /// [`Coll::AllGather`] and [`Coll::Gather`], where it is the `g`-slot
@@ -153,67 +135,33 @@ pub trait Communicator {
     /// once-quantized payload (re-packing is lossless), and a member's own
     /// data never crosses the wire — so compressed all-reduce results are
     /// **not** bitwise-equal across members.
-    fn collective(
-        &self,
-        coll: Coll,
-        group: &Group,
-        buf: CollBuf<'_>,
-        plan: CollPlan,
-    ) -> Option<PendingColl<'_>>;
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan);
 
     /// Broadcast from group index `root`. Non-root buffers must be
     /// pre-sized to the root's payload length on both backends (no
     /// collective resizes the buffer).
     fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
         let plan = self.plan(CommOp::Broadcast, group.len(), data.len());
-        self.collective(Coll::Broadcast { root }, group, CollBuf::Now(data), plan);
+        self.collective(Coll::Broadcast { root }, group, data, plan);
     }
 
     /// Sum-reduce to group index `root`. Non-root buffers hold partial
     /// sums afterwards and must be treated as scratch.
     fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
         let plan = self.plan(CommOp::Reduce, group.len(), data.len());
-        self.collective(Coll::Reduce { root }, group, CollBuf::Now(data), plan);
-    }
-
-    /// Non-blocking broadcast: posts the transfer and returns a
-    /// [`PendingColl`] immediately; `wait()` runs it and yields the buffer.
-    /// Non-root buffers must be pre-sized to the root's payload length (the
-    /// logical size is recorded at post). Between post and wait, callers
-    /// must not issue collectives sharing a (src, dst) pair with the
-    /// in-flight tree. Always the tree schedule; wire precision from the
-    /// run's tables.
-    fn ibroadcast(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl<'_> {
-        let plan = CollPlan {
-            algo: CollAlgo::Tree,
-            ..self.plan(CommOp::Broadcast, group.len(), buf.len())
-        };
-        self.collective(Coll::Broadcast { root }, group, CollBuf::Post(buf), plan)
-            .expect("a posted collective returns its handle")
-    }
-
-    /// Non-blocking sum-reduce; see [`Communicator::ibroadcast`] for the
-    /// pending-collective contract. Only the root's waited buffer holds the
-    /// full sum.
-    fn ireduce(&self, group: &Group, root: usize, buf: Vec<f32>) -> PendingColl<'_> {
-        let plan = CollPlan {
-            algo: CollAlgo::Tree,
-            ..self.plan(CommOp::Reduce, group.len(), buf.len())
-        };
-        self.collective(Coll::Reduce { root }, group, CollBuf::Post(buf), plan)
-            .expect("a posted collective returns its handle")
+        self.collective(Coll::Reduce { root }, group, data, plan);
     }
 
     /// All-reduce (sum): every member ends with the element-wise sum.
     fn all_reduce(&self, group: &Group, data: &mut [f32]) {
         let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
-        self.collective(Coll::AllReduce, group, CollBuf::Now(data), plan);
+        self.collective(Coll::AllReduce, group, data, plan);
     }
 
     /// All-reduce (max) — for the distributed log-sum-exp.
     fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
         let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
-        self.collective(Coll::AllReduceMax, group, CollBuf::Now(data), plan);
+        self.collective(Coll::AllReduceMax, group, data, plan);
     }
 
     /// All-gather: concatenation of every member's equal-length `local` in
@@ -221,7 +169,7 @@ pub trait Communicator {
     fn all_gather(&self, group: &Group, local: &[f32]) -> Vec<f32> {
         let plan = self.plan(CommOp::AllGather, group.len(), local.len());
         let mut out = slots(my_index(self.rank(), group), group.len(), local);
-        self.collective(Coll::AllGather, group, CollBuf::Now(&mut out), plan);
+        self.collective(Coll::AllGather, group, &mut out, plan);
         out
     }
 
@@ -230,7 +178,7 @@ pub trait Communicator {
     fn reduce_scatter(&self, group: &Group, data: &mut [f32]) -> Vec<f32> {
         let plan = self.plan(CommOp::ReduceScatter, group.len(), data.len());
         let mine = chunk(data.len(), group.len(), my_index(self.rank(), group));
-        self.collective(Coll::ReduceScatter, group, CollBuf::Now(data), plan);
+        self.collective(Coll::ReduceScatter, group, data, plan);
         data[mine].to_vec()
     }
 
@@ -243,7 +191,7 @@ pub trait Communicator {
         };
         let me = my_index(self.rank(), group);
         let mut out = slots(me, group.len(), local);
-        self.collective(Coll::Gather { root }, group, CollBuf::Now(&mut out), plan);
+        self.collective(Coll::Gather { root }, group, &mut out, plan);
         if me == root {
             out
         } else {
@@ -257,7 +205,7 @@ pub trait Communicator {
             algo: CollAlgo::Tree,
             wire: WireDtype::F32,
         };
-        self.collective(Coll::Barrier, group, CollBuf::Now(&mut []), plan);
+        self.collective(Coll::Barrier, group, &mut [], plan);
     }
 
     /// Read-only snapshot of the accumulated communication log.
@@ -290,51 +238,43 @@ pub(crate) struct StepList {
     pub combine: Combine,
 }
 
-/// What a backend supplies to [`run_collective`]: its log, and the two ways
-/// of interpreting a step list whose op and link records are already
-/// written.
+/// What a backend supplies to [`run_collective`]: its log, and how it
+/// interprets a step list whose op and link records are already written.
 pub(crate) trait Backend: Communicator {
     fn log(&self) -> &RefCell<CommLog>;
 
     /// Interprets `list` over `buf` before returning.
     fn run_steps(&self, list: &StepList, buf: &mut [f32]);
-
-    /// Takes `list` and `buf`; the returned handle yields `buf` once the
-    /// steps have run. `traced` is the post-time trace bookkeeping.
-    fn post_steps(
-        &self,
-        list: StepList,
-        buf: Vec<f32>,
-        op: CommOp,
-        traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl<'_>;
 }
 
 /// [`Communicator::collective`] for every backend: step list → op event →
 /// log records → interpret. Record order is part of the log contract:
 /// a broadcast records its links, then the op; everything else the op, then
 /// its links; a barrier its own op, then an empty reduce and broadcast.
-pub(crate) fn run_collective<'b, B: Backend>(
-    b: &'b B,
+///
+/// When a metrics registry is active on the calling thread, the time spent
+/// interpreting the steps feeds the `wait_ns` histogram of the collective's
+/// kind (a barrier's parts count as their own reduce and broadcast).
+pub(crate) fn run_collective<B: Backend>(
+    b: &B,
     coll: Coll,
     group: &Group,
-    buf: CollBuf<'_>,
+    buf: &mut [f32],
     plan: CollPlan,
-) -> Option<PendingColl<'b>> {
+) {
     let g = group.len();
     let me = my_index(b.rank(), group);
     let op = coll.op();
     if coll == Coll::Barrier {
         // The nested op events collapse into this one (the tracer's depth
         // guard), so both backends emit one event per logical collective.
-        traced_op(b.log(), op, plan, group, 0, || {
+        return traced_op(b.log(), op, plan, group, 0, || {
             record_group_op(&mut b.log().borrow_mut(), op, plan.algo, group, 0);
             for part in Coll::BARRIER_PARTS {
                 let plan = b.plan(part.op(), g, 0);
-                run_collective(b, part, group, CollBuf::Now(&mut []), plan);
+                run_collective(b, part, group, &mut [], plan);
             }
         });
-        return None;
     }
     let n = coll.payload_len(buf.len(), g);
     let mut list = StepList {
@@ -347,7 +287,7 @@ pub(crate) fn run_collective<'b, B: Backend>(
             *peer = group.rank_of(*peer);
         }
     }
-    let record = || {
+    traced_op(b.log(), op, plan, group, n, || {
         let mut log = b.log().borrow_mut();
         if op != CommOp::Broadcast {
             record_group_op(&mut log, op, plan.algo, group, n);
@@ -366,26 +306,19 @@ pub(crate) fn run_collective<'b, B: Backend>(
         if op == CommOp::Broadcast {
             record_group_op(&mut log, op, plan.algo, group, n);
         }
+        drop(log);
         metrics::device_counter_add("coll_wire_bytes", 4 * wire_elems as u64);
         metrics::device_counter_add("coll_logical_bytes", 4 * logical_elems as u64);
-    };
-    match buf {
-        CollBuf::Now(data) => {
-            traced_op(b.log(), op, plan, group, n, || {
-                record();
-                b.run_steps(&list, data);
-            });
-            None
+        let started = metrics::device_active().then(Instant::now);
+        b.run_steps(&list, buf);
+        if let Some(t0) = started {
+            metrics::comm_wait_ns(op.name(), t0.elapsed().as_nanos() as u64);
         }
-        CollBuf::Post(data) => {
-            let traced = post_records(b.log(), op, plan, group, n, record);
-            Some(b.post_steps(list, data, op, traced))
-        }
-    }
+    });
 }
 
 /// The trace metadata of one collective participation.
-pub(crate) fn op_meta(
+fn op_meta(
     op: CommOp,
     plan: CollPlan,
     group: &Group,

@@ -29,11 +29,10 @@
 //!   i.e. the sender's rank was replayed earlier. Forward pipelines satisfy
 //!   this; cyclic p2p patterns (Cannon shifts) need the live backend.
 
-use crate::comm::{run_collective, Backend, CollBuf, Communicator, StepList};
+use crate::comm::{run_collective, Backend, Communicator, StepList};
 use crate::group::Group;
-use crate::nonblocking::PendingColl;
 use crate::schedule::Coll;
-use crate::stats::{CommLog, CommOp};
+use crate::stats::CommLog;
 use crate::{CollPlan, CollTables};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -88,20 +87,6 @@ impl Backend for DryRunComm {
 
     /// No wire, nothing to move: the records are the whole interpretation.
     fn run_steps(&self, _list: &StepList, _buf: &mut [f32]) {}
-
-    /// Completes at post — there is no wire for the transfer to overlap
-    /// with. Under a traced dry run the op event is still emitted at `wait`,
-    /// spanning `[post, post + priced duration]` on the virtual clock, which
-    /// is how a dry run prices comm/compute overlap.
-    fn post_steps(
-        &self,
-        _list: StepList,
-        buf: Vec<f32>,
-        op: CommOp,
-        traced: Option<(u64, trace::OpMeta)>,
-    ) -> PendingColl<'_> {
-        PendingColl::ready(op, buf, traced)
-    }
 }
 
 impl Communicator for DryRunComm {
@@ -158,13 +143,7 @@ impl Communicator for DryRunComm {
         &self.tables
     }
 
-    fn collective(
-        &self,
-        coll: Coll,
-        group: &Group,
-        buf: CollBuf<'_>,
-        plan: CollPlan,
-    ) -> Option<PendingColl<'_>> {
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan) {
         run_collective(self, coll, group, buf, plan)
     }
 

@@ -5,9 +5,9 @@
 //! FIFO queues plus a condvar. A send locks the *destination's* mailbox,
 //! pushes, and wakes it; a receive blocks on the owner's mailbox until the
 //! queue for the requested source is non-empty. Any device thread may push
-//! into any mailbox, but **only the owning device thread pops** — blocking
-//! and posted collectives alike run on it (see `nonblocking.rs`) — so a
-//! mailbox has at most one waiter.
+//! into any mailbox, but **only the owning device thread pops** — every
+//! collective runs on it, inside the call that issues it — so a mailbox has
+//! at most one waiter.
 //!
 //! Disconnect semantics match the old channel fabric: when a device's
 //! context drops (normally or during a panic), it marks itself closed in
@@ -15,7 +15,6 @@
 //! with a "disconnected" error instead of hanging.
 
 use crate::algo::CollTables;
-use crate::nonblocking::PostQueue;
 use crate::pool::BufferPool;
 use crate::stats::CommLog;
 use std::cell::RefCell;
@@ -106,11 +105,10 @@ impl Mailbox {
 /// Per-device handle: identity plus the mailbox fabric to every peer.
 ///
 /// Collectives ([`crate::Communicator`]) move their payloads through the
-/// same mailboxes, interpreted by `collectives.rs` (inline) and
-/// `nonblocking.rs` (posted), both on the device thread. Per-hop scratch
-/// buffers come from the one per-device [`BufferPool`]; consumed receive
-/// buffers are recycled back into it, so steady-state collective traffic
-/// allocates nothing.
+/// same mailboxes, interpreted by `collectives.rs` on the device thread.
+/// Per-hop scratch buffers come from the one per-device [`BufferPool`];
+/// consumed receive buffers are recycled back into it, so steady-state
+/// collective traffic allocates nothing.
 pub struct DeviceCtx {
     rank: usize,
     p: usize,
@@ -120,8 +118,6 @@ pub struct DeviceCtx {
     pub(crate) tables: Arc<CollTables>,
     pub(crate) log: RefCell<CommLog>,
     pub(crate) pool: RefCell<BufferPool>,
-    /// Posted collectives not yet waited (`nonblocking.rs`).
-    pub(crate) posted: RefCell<PostQueue>,
 }
 
 /// Builds a fully connected fabric of `p` devices selecting from `tables`.
@@ -135,7 +131,6 @@ pub(crate) fn build_fabric(p: usize, tables: &Arc<CollTables>) -> Vec<DeviceCtx>
             tables: tables.clone(),
             log: RefCell::new(CommLog::new(rank)),
             pool: RefCell::new(BufferPool::new()),
-            posted: RefCell::default(),
         })
         .collect()
 }

@@ -71,7 +71,6 @@ mod fabric;
 mod group;
 mod launch;
 mod mesh2d;
-mod nonblocking;
 mod pool;
 mod schedule;
 mod shape;
@@ -80,13 +79,12 @@ mod topology;
 mod wire;
 
 pub use algo::{AlgoRule, AlgoTable, CollAlgo, CollPlan, CollTables};
-pub use comm::{CollBuf, Communicator};
+pub use comm::Communicator;
 pub use dryrun::DryRunComm;
 pub use fabric::DeviceCtx;
 pub use group::Group;
 pub use launch::{Mesh, Mesh2d, MeshNd, MeshRun};
 pub use mesh2d::{Grid2d, GridNd};
-pub use nonblocking::PendingColl;
 pub use pool::BufferPool;
 pub use schedule::{chain_segments, chunk, coll_steps, group_steps, replay, Coll, RecvMode, Step};
 pub use shape::MeshShape;

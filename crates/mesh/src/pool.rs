@@ -1,22 +1,23 @@
 //! Reusable scratch-buffer pool for the live collectives.
 //!
 //! Every hop of a tree or ring collective needs an owned `Vec<f32>` to push
-//! onto a channel. Allocating one per hop dominates small-payload collective
+//! into a peer's mailbox. Allocating one per hop dominates small-payload collective
 //! cost and makes the simulation's timing noisier than the α-β model it is
 //! meant to ground. The pool recycles those vectors instead: a send draws a
 //! cleared buffer ([`BufferPool::take`]) and the matching receive returns the
 //! consumed buffer ([`BufferPool::put`]). Buffers therefore migrate between
 //! devices along with the traffic, and because tree/ring traffic is balanced
 //! across an iteration, each device's pool reaches a steady state after one
-//! warm-up pass — from then on [`BufferPool::fresh_allocs`] stays flat (the
-//! ablation bench asserts exactly this).
+//! warm-up pass — from then on [`BufferPool::fresh_allocs`] stays flat
+//! (`collectives.rs`'s tests assert exactly this over blocking all-reduce,
+//! broadcast and reduce rounds).
 
 /// Size of the free list above which a buffer is dropped instead of kept.
 /// A device that receives more messages than it sends reaches it every step
 /// (all but the first mesh row in a 2D step), so which buffer goes matters:
 /// a full list keeps its largest buffers, or small all-reduce chunks would
-/// crowd out the panel-sized ones that posted and blocking collectives
-/// share.
+/// crowd out the panel-sized ones that SUMMA's broadcasts and reduces
+/// need.
 const MAX_FREE: usize = 64;
 
 /// A free list of `Vec<f32>` scratch buffers with allocation accounting.

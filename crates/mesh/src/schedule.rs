@@ -5,11 +5,11 @@
 //! range of the member's **working buffer** to a peer, receives a peer's
 //! payload into a range (overwriting it or combining into it), or rotates
 //! the buffer locally. Everything else in the crate *interprets* the list:
-//! the live backend moves the bytes (inline, or popped from the progress
-//! queue), the trace-only backend logs the `Send`s, and [`replay`] walks all
-//! members' lists without threads — which is how `perf::CostModel` prices a
-//! collective and how `tests/coll_algos.rs` proves each schedule sound. So
-//! live ≡ dry-run ≡ non-blocking ≡ priced holds by construction.
+//! the live backend moves the bytes, the trace-only backend logs the
+//! `Send`s, and [`replay`] walks all members' lists without threads — which
+//! is how `perf::CostModel` prices a collective and how
+//! `tests/coll_algos.rs` proves each schedule sound. So live ≡ dry-run ≡
+//! priced holds by construction.
 //!
 //! The working buffer is the caller's payload for every collective except
 //! all-gather and gather, where it is the `g`-slot output with the member's

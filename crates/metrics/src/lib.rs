@@ -2,10 +2,10 @@
 //! telemetry.
 //!
 //! The `trace` crate answers *what happened when*; this crate answers *how
-//! much*: measured peak memory per (rank, phase) and wait-time distributions
-//! for non-blocking collectives. The ROADMAP
+//! much*: measured peak memory per (rank, phase) and per-kind time spent
+//! inside collectives. The ROADMAP
 //! items that motivated it — memory-budgeted autotuning, serving SLOs,
-//! explaining overlap losses — all consume aggregates, not timelines.
+//! explaining where a step waits — all consume aggregates, not timelines.
 //!
 //! # Design
 //!
@@ -17,7 +17,8 @@
 //! collector). It holds the allocation tracker (live/peak tensor bytes, fed
 //! by the `tensor` crate's construction/drop funnel), per-phase peak memory
 //! (fed by `trace` span boundaries through [`phase_enter`]/[`phase_exit`]),
-//! and per-collective-kind wait histograms (fed by `mesh::nonblocking`).
+//! and per-collective-kind wait histograms (fed by every live collective in
+//! `mesh::comm`).
 //! Every kernel runs on its device's thread, so nothing is shared between
 //! devices to count process-wide; [`global_counter`] stays only as the
 //! by-name lookup the step benchmark reads (its counters read 0).
@@ -292,7 +293,6 @@ struct DeviceState {
     phase_stack: Vec<(&'static str, u64)>,
     phase_peaks: Vec<(&'static str, u64)>,
     wait_ns: Vec<(&'static str, Histogram)>,
-    inflight_ns: Vec<(&'static str, Histogram)>,
     counters: Vec<(&'static str, u64)>,
 }
 
@@ -308,7 +308,6 @@ impl DeviceState {
             phase_stack: Vec::new(),
             phase_peaks: Vec::new(),
             wait_ns: Vec::new(),
-            inflight_ns: Vec::new(),
             counters: Vec::new(),
         }
     }
@@ -349,11 +348,6 @@ pub fn device_finish(rank: usize) {
         alloc_bytes_total: st.alloc_bytes_total,
         phase_peaks: st.phase_peaks.into_iter().collect(),
         wait_ns: st.wait_ns.iter().map(|(k, h)| (*k, h.snapshot())).collect(),
-        inflight_ns: st
-            .inflight_ns
-            .iter()
-            .map(|(k, h)| (*k, h.snapshot()))
-            .collect(),
         counters: st.counters.into_iter().collect(),
     };
     SINK.lock().unwrap().push(snap);
@@ -426,18 +420,13 @@ pub fn phase_exit(name: &'static str) {
     });
 }
 
-// ---- collective wait telemetry (fed by mesh::nonblocking) ----
+// ---- collective wait telemetry (fed by mesh::comm) ----
 
-/// Records how long the device thread blocked in `wait()` for a pending
-/// collective of the given kind (a `CommOp::name()` string).
+/// Records how long the device thread spent running one collective of the
+/// given kind (a `CommOp::name()` string): its sends, and its receives
+/// including the time blocked on a peer.
 pub fn comm_wait_ns(kind: &'static str, ns: u64) {
     with_state(|st| vec_entry(&mut st.wait_ns, kind, Histogram::new).record(ns));
-}
-
-/// Records the post→completion latency of a pending collective of the
-/// given kind.
-pub fn comm_inflight_ns(kind: &'static str, ns: u64) {
-    with_state(|st| vec_entry(&mut st.inflight_ns, kind, Histogram::new).record(ns));
 }
 
 /// Adds to a free-form per-device counter.
@@ -463,10 +452,8 @@ pub struct DeviceSnapshot {
     pub alloc_bytes_total: u64,
     /// Peak live bytes per phase name (max over occurrences of the phase).
     pub phase_peaks: BTreeMap<&'static str, u64>,
-    /// Wait-block duration histograms per collective kind, in ns.
+    /// Time-inside-the-collective histograms per collective kind, in ns.
     pub wait_ns: BTreeMap<&'static str, HistSnapshot>,
-    /// Post→completion latency histograms per collective kind, in ns.
-    pub inflight_ns: BTreeMap<&'static str, HistSnapshot>,
     pub counters: BTreeMap<&'static str, u64>,
 }
 
@@ -501,7 +488,6 @@ impl DeviceSnapshot {
                 ]),
             ),
             ("wait_ns", hist_map_json(&self.wait_ns)),
-            ("inflight_ns", hist_map_json(&self.inflight_ns)),
             (
                 "counters",
                 Json::obj(
@@ -624,7 +610,6 @@ pub fn validate_report(j: &Json) -> Result<(), String> {
         mem.get("peak_bytes")?.as_f64()?;
         mem.get("phase_peak_bytes")?;
         d.get("wait_ns")?;
-        d.get("inflight_ns")?;
         d.get("rank")?.as_usize()?;
     }
     Ok(())
@@ -748,11 +733,9 @@ mod tests {
         let (_, snap) = with_device(|| {
             comm_wait_ns("Broadcast", 10);
             comm_wait_ns("Broadcast", 1000);
-            comm_inflight_ns("Reduce", 77);
             device_counter_add("steps", 2);
         });
         assert_eq!(snap.wait_ns["Broadcast"].count, 2);
-        assert_eq!(snap.inflight_ns["Reduce"].count, 1);
         assert_eq!(snap.counters["steps"], 2);
         assert!(!snap.wait_ns.contains_key("Reduce"));
     }
@@ -764,7 +747,6 @@ mod tests {
             alloc_bytes(64);
             phase_exit("fwd");
             comm_wait_ns("Broadcast", 10);
-            comm_inflight_ns("Broadcast", 20);
             free_bytes(64);
         });
         let report = report_json("live", &[snap], vec![("grid", Json::usize_arr(&[2, 2]))]);

@@ -210,70 +210,25 @@ impl CostModel {
         log.ops.iter().map(|op| self.op_time(op)).sum()
     }
 
-    /// Prices one SUMMA-style product loop (`iters` panel rounds of
-    /// `t_comm` communication and `t_comp` compute each) under both
-    /// schedules — the serial reference and the double-buffered prefetch
-    /// pipeline the live mesh runs by default.
-    pub fn loop_cost(&self, iters: usize, t_comm: f64, t_comp: f64) -> OverlapCost {
-        OverlapCost {
-            serial_s: serial_loop_time(iters, t_comm, t_comp),
-            overlapped_s: pipelined_loop_time(iters, t_comm, t_comp),
-        }
-    }
-
     /// Replays a whole mesh run: the slowest device's communication time.
     pub fn replay_max(&self, logs: &[CommLog]) -> f64 {
         logs.iter().map(|l| self.replay(l)).fold(0.0, f64::max)
     }
 }
 
-/// Serial cost of an `iters`-round communicate-then-compute loop — the
-/// paper's Algorithms 1–3 as written, and the schedule of the test oracle in
-/// `tests/overlap.rs`: every round pays both terms in full,
-/// `iters · (t_comm + t_comp)`.
-pub fn serial_loop_time(iters: usize, t_comm: f64, t_comp: f64) -> f64 {
-    iters as f64 * (t_comm + t_comp)
-}
-
-/// Double-buffered (prefetch) cost of the same loop: round `l+1`'s panels
-/// move while round `l` computes, so only the first communication and the
+/// Cost of an `iters`-round panel loop whose round `l+1` communication
+/// runs while round `l` computes, so only the first communication and the
 /// last compute are exposed —
 /// `t_comm + (iters − 1) · max(t_comm, t_comp) + t_comp`.
 ///
-/// This is the one schedule `summa_*_into` runs; the serial form prices
-/// what it hides.
+/// This projects a GPU schedule with a separate communication engine (the
+/// paper's NCCL streams). The thread mesh does not run it: each device is
+/// one thread, and every SUMMA round pays `t_comm + t_comp` in full.
 pub fn pipelined_loop_time(iters: usize, t_comm: f64, t_comp: f64) -> f64 {
     if iters == 0 {
         return 0.0;
     }
     t_comm + (iters as f64 - 1.0) * t_comm.max(t_comp) + t_comp
-}
-
-/// Both prices of one overlapped loop, plus the derived hidden time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OverlapCost {
-    /// The blocking schedule's time.
-    pub serial_s: f64,
-    /// The double-buffered schedule's time.
-    pub overlapped_s: f64,
-}
-
-impl OverlapCost {
-    /// Communication (or compute) time hidden by the overlap — the
-    /// difference between the two schedules. Never negative: the pipeline
-    /// degenerates to the serial schedule when `iters ≤ 1`.
-    pub fn hidden_s(&self) -> f64 {
-        (self.serial_s - self.overlapped_s).max(0.0)
-    }
-
-    /// Serial / overlapped; ≥ 1, and → 2 for a long perfectly balanced loop.
-    pub fn speedup(&self) -> f64 {
-        if self.overlapped_s == 0.0 {
-            1.0
-        } else {
-            self.serial_s / self.overlapped_s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,20 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn balanced_loop_approaches_2x_speedup() {
-        let c = uniform_model(1e-9).loop_cost(64, 1.0, 1.0);
-        assert_eq!(c.serial_s, 128.0);
-        assert_eq!(c.overlapped_s, 65.0); // 1 + 63·1 + 1
-        assert!((c.speedup() - 128.0 / 65.0).abs() < 1e-12);
-        assert_eq!(c.hidden_s(), 63.0);
-    }
-
-    #[test]
     fn single_round_loop_has_nothing_to_hide() {
-        let c = uniform_model(1e-9).loop_cost(1, 2.0, 5.0);
-        assert_eq!(c.serial_s, c.overlapped_s);
-        assert_eq!(c.hidden_s(), 0.0);
-        assert_eq!(c.speedup(), 1.0);
+        assert_eq!(pipelined_loop_time(1, 2.0, 5.0), 7.0);
         assert_eq!(pipelined_loop_time(0, 2.0, 5.0), 0.0);
     }
 
@@ -486,7 +429,7 @@ mod tests {
         // overlapped ≤ serial, and overlapped ≥ max(Σcomm, Σcomp) — the
         // pipeline can hide the smaller stream but never shrink the larger.
         for &(iters, comm, comp) in &[(2, 0.5, 3.0), (7, 2.0, 2.0), (16, 4.0, 0.1)] {
-            let s = serial_loop_time(iters, comm, comp);
+            let s = iters as f64 * (comm + comp);
             let o = pipelined_loop_time(iters, comm, comp);
             let floor = (iters as f64 * comm).max(iters as f64 * comp);
             assert!(o <= s + 1e-12, "o={o} s={s}");

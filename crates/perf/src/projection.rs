@@ -29,7 +29,8 @@ pub struct ProjectionPoint {
     pub megatron_throughput: f64,
     /// Optimus with the serial (communicate-then-compute) SUMMA schedule.
     pub optimus_throughput: f64,
-    /// Optimus with double-buffered panel prefetch (the schedule `summa` runs).
+    /// Optimus with panel prefetch on a communication engine (a GPU
+    /// schedule; the thread mesh's `summa` runs the serial loop).
     pub optimus_throughput_overlapped: f64,
     /// Optimus (serial) / Megatron.
     pub advantage: f64,

@@ -206,12 +206,13 @@ pub fn optimus25d_stem_times(
 }
 
 /// Like [`optimus_stem_times`] but pricing every SUMMA product's `q`-round
-/// panel loop with the double-buffered prefetch schedule
-/// ([`pipelined_loop_time`]) instead of the serial sum — the schedule the
-/// live mesh runs by default. Communication volumes are identical; only the
-/// exposure differs: per product, one panel transfer and one GEMM round stay
-/// on the critical path while the interior rounds cost
-/// `max(T_comm, T_comp)` each.
+/// panel loop with a prefetch schedule ([`pipelined_loop_time`]) instead of
+/// the serial sum: a projection for GPUs whose communication engine moves
+/// round `l+1`'s panels while round `l` computes. The thread mesh does not
+/// run this schedule; its SUMMA is the serial loop [`optimus_stem_times`]
+/// prices. Communication volumes are identical; only the exposure differs:
+/// per product, one panel transfer and one GEMM round stay on the critical
+/// path while the interior rounds cost `max(T_comm, T_comp)` each.
 pub fn optimus_stem_times_overlapped(
     cm: &CostModel,
     b: usize,
@@ -503,7 +504,7 @@ mod tests {
     #[test]
     fn overlap_helps_where_comm_and_comp_are_comparable() {
         // At the paper's 64-GPU point communication is a substantial share,
-        // so the prefetch schedule must buy a visible improvement.
+        // so a GPU prefetch schedule must buy a visible improvement.
         let prof = profile();
         let cm = CostModel::new(prof.clone(), Topology::new(8, 4, Arrangement::Bunched));
         let (sf, sb) = optimus_stem_times(&cm, 384, SEQ, 8192, LAYERS, 8);

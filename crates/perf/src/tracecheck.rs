@@ -74,47 +74,6 @@ pub fn modeled_total(totals: &[KindTotals]) -> f64 {
     totals.iter().map(|t| t.modeled_s).sum()
 }
 
-/// Communication time hidden by overlap, in seconds, per the trace's own
-/// clock: for each device, the sum of its op-event durations minus the
-/// length of their interval **union**, summed over devices. Back-to-back
-/// collectives (the blocking schedule) yield exactly zero; pending
-/// collectives whose `[post, wait]` windows overlap each other yield the
-/// double-counted span. On a dry-run trace this is deterministic — the
-/// virtual clock stamps each op at its post time — so it quantifies how
-/// much of the modeled communication the prefetch schedule hides.
-pub fn hidden_comm_time(traces: &[DeviceTrace]) -> f64 {
-    let mut hidden_ns = 0u64;
-    for dev in traces {
-        let mut spans: Vec<(u64, u64)> = dev
-            .events
-            .iter()
-            .filter_map(|ev| match ev {
-                Event::Op { t0_ns, t1_ns, .. } => Some((*t0_ns, *t1_ns)),
-                _ => None,
-            })
-            .collect();
-        let sum: u64 = spans.iter().map(|(a, b)| b.saturating_sub(*a)).sum();
-        spans.sort_unstable();
-        let mut union = 0u64;
-        let mut open: Option<(u64, u64)> = None;
-        for (a, b) in spans {
-            match open {
-                Some((oa, ob)) if a <= ob => open = Some((oa, ob.max(b))),
-                Some((oa, ob)) => {
-                    union += ob - oa;
-                    open = Some((a, b));
-                }
-                None => open = Some((a, b)),
-            }
-        }
-        if let Some((oa, ob)) = open {
-            union += ob - oa;
-        }
-        hidden_ns += sum.saturating_sub(union);
-    }
-    hidden_ns as f64 * 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,32 +115,6 @@ mod tests {
             (from_logs - from_trace).abs() < 1e-12 * from_logs.max(1.0),
             "logs={from_logs} trace={from_trace}"
         );
-    }
-
-    #[test]
-    fn blocking_schedule_hides_nothing() {
-        let m = model();
-        let (_, _, traces) = Mesh::dry_run_traced(4, m.ns_pricer(), program);
-        assert_eq!(hidden_comm_time(&traces), 0.0);
-    }
-
-    #[test]
-    fn pending_windows_overlap_on_the_virtual_clock() {
-        let m = model();
-        let (_, _, traces) = Mesh::dry_run_traced(4, m.ns_pricer(), |c: &mesh::DryRunComm| {
-            let world = Group::world(4);
-            // Two collectives in flight at once: both are stamped at their
-            // post time, so their priced windows coincide.
-            let a = c.ibroadcast(&world, 0, vec![0.0f32; 4096]);
-            let b = c.ibroadcast(&world, 1, vec![0.0f32; 4096]);
-            a.wait();
-            b.wait();
-        });
-        let hidden = hidden_comm_time(&traces);
-        let totals = op_totals(&m, &traces);
-        assert!(hidden > 0.0, "overlapped windows must double-count");
-        // Each device hides at most one of its two broadcasts.
-        assert!(hidden <= modeled_total(&totals) / 2.0 + 1e-9);
     }
 
     #[test]

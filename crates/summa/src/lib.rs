@@ -21,14 +21,16 @@
 //! later product's panels from strips an earlier one kept: a checkpointed
 //! layer's backward `NT`/`TN` read the panels of `W` and `x` that the
 //! recompute's `NN` (or the top layer's forward `NN`) received, so they
-//! post only their reduces.
+//! issue only their reduces.
 //!
 //! All routines are generic over `mesh`'s `Communicator` trait, so they run
 //! unchanged on the live thread mesh and on the trace-only dry-run backend
-//! (see the trait docs for the blocking/pre-sizing contract). Every product
-//! opens a `trace` span — `"summa.nn"`, `"summa.nt"`, `"summa.tn"`, shared
-//! by the allocating and [`Workspace`] variants — so a traced run attributes
-//! each broadcast/reduce wave to the algorithm that issued it
+//! (see the trait docs for the pre-sizing contract). Every collective runs
+//! inside the call that issues it, so each product is the paper's blocking
+//! loop (see `workspace.rs`). Every product opens a `trace` span —
+//! `"summa.nn"`, `"summa.nt"`, `"summa.tn"`, shared by the allocating and
+//! [`Workspace`] variants — so a traced run attributes each
+//! broadcast/reduce wave to the algorithm that issued it
 //! (`OBSERVABILITY.md` at the repo root shows the resulting timelines).
 //! The per-panel communication volumes are priced in closed form by
 //! `perf::table1` and cross-checked against executed runs in tests.

@@ -1,9 +1,9 @@
 //! The three SUMMA product forms and their gradients.
 //!
-//! These are thin allocating wrappers over the double-buffered cores in
-//! `workspace.rs`: each call stages panels through a throwaway
-//! [`Workspace`] (two buffer pairs instead of `2q` fresh tensors) and runs
-//! the prefetch schedule, the only one there is.
+//! These are thin allocating wrappers over the cores in `workspace.rs`:
+//! each call stages panels through a throwaway [`Workspace`] (one buffer
+//! per operand instead of `2q` fresh tensors) and runs the paper's blocking
+//! loop.
 
 use crate::workspace::{product_dims, summa_product_into, Strips, Workspace};
 use mesh::{Communicator, Grid2d};
@@ -33,8 +33,7 @@ pub fn summa_product<C: Communicator>(
 ///
 /// Iteration `l` broadcasts `A`'s column-`l` panel along mesh rows and `B`'s
 /// row-`l` panel along mesh columns, then accumulates the outer product
-/// locally (Fig. 3). Iteration `l+1`'s broadcasts are posted before
-/// iteration `l`'s GEMM runs.
+/// locally (Fig. 3).
 pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     summa_product(grid, Form::NN, a, b, &Strips::default(), None)
 }
@@ -44,7 +43,7 @@ pub fn summa_nn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
 ///
 /// Iteration `l` broadcasts `B`'s row-`l` panel along columns, forms the
 /// partial product locally, and reduces it along rows to column `l`; the
-/// reduce rides the fabric during the next iteration's GEMM.
+/// reduce runs after the next iteration's GEMM.
 pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     summa_product(grid, Form::NT, a, b, &Strips::default(), None)
 }
@@ -54,7 +53,7 @@ pub fn summa_nt<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Te
 ///
 /// Iteration `l` broadcasts `A`'s column-`l` panel along rows, forms the
 /// partial product locally, and reduces it along columns to row `l`; the
-/// reduce rides the fabric during the next iteration's GEMM.
+/// reduce runs after the next iteration's GEMM.
 pub fn summa_tn<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor) -> Tensor {
     summa_product(grid, Form::TN, a, b, &Strips::default(), None)
 }

@@ -1,15 +1,15 @@
 //! Pre-allocated communication workspace (paper Section 3.2.3) and the
-//! double-buffered SUMMA cores.
+//! SUMMA cores.
 //!
 //! The naive SUMMA loop allocates two fresh panel tensors per iteration
 //! (`2q` allocations per product) plus a partial-product buffer for the
 //! reduce forms. "Inspired by activation checkpointing, we pre-allocate a
 //! piece of memory as a workspace … it suffices to allocate the largest
 //! volume of memory among those required" — [`Workspace`] implements exactly
-//! that, with one twist: each logical buffer is a **pair**, because the
-//! prefetch schedule keeps iteration `l+1`'s panel in flight while
-//! iteration `l`'s is being consumed (a product that keeps its panels, see
-//! below, hands them over instead of returning them to the pair). Buffers grow to a high-water mark
+//! that: one panel buffer per operand, and two partials, because a reduce
+//! form still holds round `l − 1`'s partial while round `l` fills the other
+//! (a product that keeps its panels, see below, hands them over instead of
+//! returning them to the workspace). Buffers grow to a high-water mark
 //! during warm-up and are reused afterwards; [`Workspace::fresh_allocs`]
 //! exposes the growth count so the ablation benchmark (and a regression
 //! test) can prove steady-state reuse.
@@ -23,33 +23,24 @@
 //! (`y = x·W`), and the top layer's forward when its backward follows at
 //! once, keeps the row strip of `x` and the column strip of `W`; the
 //! layer's backward `NT` (`dx = dy·Wᵀ`) reads the `W` strip and `TN`
-//! (`dW = xᵀ·dy`) the `x` strip, so both post only their reduces. Both cores
-//! take each operand's panels from one `Source`: a kept strip, or a
-//! broadcast posted now. A broadcast moves exact payloads, so a kept panel
+//! (`dW = xᵀ·dy`) the `x` strip, so both issue only their reduces. Both
+//! cores take each operand's panels from one `Source`: a kept strip, or a
+//! broadcast issued now. A broadcast moves exact payloads, so a kept panel
 //! is bitwise the panel a second broadcast would deliver, and every product
 //! reads the same bytes and reduces in the same order either way.
 //!
-//! # Comm/compute overlap
+//! # One blocking loop
 //!
-//! There is one schedule, the prefetch schedule: iteration `l+1`'s panel
-//! broadcasts are **posted** (non-blocking `ibroadcast`) before iteration
-//! `l`'s GEMM runs, and the reduce forms likewise post iteration `l`'s
-//! `ireduce` and only wait for it after iteration `l+1`'s GEMM. A posted
-//! transfer runs inside `wait()` on this device's thread; what the order
-//! buys is that a peer's sends land in this device's mailbox while it
-//! computes, so its `wait` may find them queued instead of blocking on them.
-//! The modeled per-iteration cost drops from `T_comm + T_comp` toward
-//! `max(T_comm, T_comp)` (see `perf::cost`). On a `q = 1` mesh every post
-//! completes at once (trivial groups), so the loop degrades by itself to
-//! the paper's communicate-then-compute order.
-//!
-//! The schedule is **bitwise identical** to the paper's serial loop
-//! (Algorithms 1–3), which survives as the test oracle in
-//! `tests/overlap.rs`: the same tree walks move the same payloads, and
-//! reduces accumulate in the same order (guaranteed by `mesh`'s shared tree
-//! schedules). Per-device op/link byte totals equal the oracle's; only the
-//! interleaving of record order differs (a reduce may be recorded before
-//! the next broadcast rather than after).
+//! Every collective runs inside the call that issues it, so the cores are
+//! the paper's Algorithms 1–3 as written. `NN` broadcasts round `l`'s row
+//! panel, then its column panel, then runs GEMM `l`. The reduce forms
+//! broadcast panel `l`, run GEMM `l`, then reduce round `l − 1`'s partial:
+//! the reduce trails by one round, which keeps every device's op and link
+//! records in the order the CommLog goldens pin. Panels and reduces go
+//! through `Communicator::plan` like every other collective, so they follow
+//! the run's algorithm and wire tables. The oracle in `tests/overlap.rs`
+//! restates the loop with plain blocking calls and checks the products
+//! bitwise and the dry-run timelines on the clock.
 //!
 //! # Tesseract 2.5D
 //!
@@ -65,21 +56,21 @@
 //! `d = 1` mesh every depth collective is skipped, so the 2D op/link
 //! streams are byte-identical to the pre-2.5D code.
 
-use mesh::{Communicator, Grid2d, Group, PendingColl};
+use mesh::{Communicator, Grid2d, Group};
 use std::borrow::Cow;
 use tensor::gemm::{gemm_acc, Form};
 use tensor::Tensor;
 
-/// Reusable buffers for SUMMA panel traffic and partial products. Each
-/// logical buffer is doubled so the prefetch schedule can keep one panel in
-/// flight while the other is consumed; a product's iteration `l` uses slot
-/// `(l - lo) % 2` of each pair, `lo` being its depth slice's first
+/// Reusable buffers for SUMMA panel traffic and partial products: one
+/// panel buffer per operand, and two partials — `NN`'s round product and
+/// slice accumulator, or a reduce form's current and trailing partial
+/// (round `l` uses slot `(l - lo) % 2`, `lo` being its depth slice's first
 /// iteration, so every product finds its warm buffers where the last one
-/// left them.
+/// left them).
 #[derive(Debug, Default)]
 pub struct Workspace {
-    panel_a: [Vec<f32>; 2],
-    panel_b: [Vec<f32>; 2],
+    panel_a: Vec<f32>,
+    panel_b: Vec<f32>,
     partial: [Vec<f32>; 2],
     /// Number of times any buffer had to grow (0 in steady state).
     pub fresh_allocs: usize,
@@ -111,30 +102,15 @@ impl Strips {
 }
 
 /// Where a product gets one operand's panels: from a strip an earlier
-/// product kept, or from broadcasts posted now. With `keep`, the posted
+/// product kept, or from broadcasts issued now. With `keep`, the broadcast
 /// panels are staged in the storage of the panels the strip held before
 /// (no allocation once warm) and the strip ends up holding exactly the
 /// panels this product received; without, they are staged in and returned
-/// to the workspace pair.
+/// to the workspace buffer.
 struct Source<'s> {
     kept: &'s [Vec<f32>],
     keep: Option<&'s mut Vec<Vec<f32>>>,
     received: usize,
-}
-
-/// Panel `l` of one operand: in flight, or at hand in a kept strip.
-enum Panel<'g, 's> {
-    Posted(PendingColl<'g>),
-    Kept(&'s [f32]),
-}
-
-impl<'s> Panel<'_, 's> {
-    fn wait(self) -> Cow<'s, [f32]> {
-        match self {
-            Panel::Posted(pending) => Cow::Owned(pending.wait()),
-            Panel::Kept(panel) => Cow::Borrowed(panel),
-        }
-    }
 }
 
 impl<'s> Source<'s> {
@@ -146,42 +122,41 @@ impl<'s> Source<'s> {
         }
     }
 
-    /// The buffer to stage the depth slice's `i`-th panel in: the keep
-    /// strip's old panel `i` when there is one, else `slot`; none when the
-    /// panel is read from a kept strip.
-    fn buffer(&mut self, i: usize, slot: &mut Vec<f32>) -> Vec<f32> {
-        if !self.kept.is_empty() {
-            return Vec::new();
-        }
-        match &mut self.keep {
-            Some(strip) if i < strip.len() => std::mem::take(&mut strip[i]),
-            _ => std::mem::take(slot),
-        }
-    }
-
     /// Iteration `l`'s panel of `local`'s operand, `n` elements from the
-    /// group member `l`: read from the kept strip, or posted from `buf`.
+    /// group member `l`: read from the kept strip, or broadcast now. A
+    /// broadcast panel is staged in the keep strip's old panel `l - lo`
+    /// when there is one, else in `slot`.
     #[allow(clippy::too_many_arguments)]
-    fn panel<'g, C: Communicator>(
-        kept: &'s [Vec<f32>],
-        grid: &'g Grid2d<C>,
+    fn panel<C: Communicator>(
+        &mut self,
+        grid: &Grid2d<C>,
         group: &Group,
         (l, lo): (usize, usize),
         local: &Tensor,
         n: usize,
-        buf: Vec<f32>,
+        slot: &mut Vec<f32>,
         fresh: &mut usize,
-    ) -> Panel<'g, 's> {
-        if kept.is_empty() {
-            return Panel::Posted(post_panel(grid, group, l, local, n, buf, fresh));
+    ) -> Cow<'s, [f32]> {
+        let kept = self.kept;
+        if !kept.is_empty() {
+            let panel = &kept[l - lo];
+            assert_eq!(panel.len(), n, "kept panel has the wrong size");
+            return Cow::Borrowed(panel);
         }
-        let panel = &kept[l - lo];
-        assert_eq!(panel.len(), n, "kept panel has the wrong size");
-        Panel::Kept(panel)
+        let mut buf = match &mut self.keep {
+            Some(strip) if l - lo < strip.len() => std::mem::take(&mut strip[l - lo]),
+            _ => std::mem::take(slot),
+        };
+        let my_idx = group
+            .index_of(grid.ctx().rank())
+            .expect("device not in group");
+        stage_panel(my_idx, l, local, n, &mut buf, fresh);
+        grid.ctx().broadcast(group, l, &mut buf);
+        Cow::Owned(buf)
     }
 
     /// Hands back a consumed panel: a received one goes to the strip being
-    /// kept, or to `slot`, the workspace buffer it was posted from.
+    /// kept, or to `slot`, the workspace buffer it was staged in.
     fn release(&mut self, panel: Cow<'_, [f32]>, slot: &mut Vec<f32>) {
         if let Cow::Owned(buf) = panel {
             match &mut self.keep {
@@ -224,24 +199,6 @@ fn stage_panel(
     } else {
         buf.resize(n, 0.0);
     }
-}
-
-/// Posts a non-blocking panel broadcast from a reused buffer; the buffer
-/// rides inside the returned handle.
-fn post_panel<'g, C: Communicator>(
-    grid: &'g Grid2d<C>,
-    group: &Group,
-    root: usize,
-    local: &Tensor,
-    n: usize,
-    mut buf: Vec<f32>,
-    fresh: &mut usize,
-) -> PendingColl<'g> {
-    let my_idx = group
-        .index_of(grid.ctx().rank())
-        .expect("device not in group");
-    stage_panel(my_idx, root, local, n, &mut buf, fresh);
-    grid.ctx().ibroadcast(group, root, buf)
 }
 
 /// Resizes a partial-product buffer to `len` zeros, counting capacity growth.
@@ -309,11 +266,10 @@ fn nn_consume(
 }
 
 /// The `C += A B` core: broadcast panels of both operands, accumulate the
-/// outer product locally, both panels double-buffered so iteration `l+1`'s
-/// broadcasts ride behind iteration `l`'s GEMM. On a `[q, q, d]` mesh each
-/// depth slice runs its share of the iterations and the partial C sums are
-/// reduced onto depth 0 then re-broadcast. `a`'s panels travel along rows
-/// and come from `a_src`, `b`'s down columns and come from `b_src`.
+/// outer product locally. On a `[q, q, d]` mesh each depth slice runs its
+/// share of the iterations and the partial C sums are reduced onto depth 0
+/// then re-broadcast. `a`'s panels travel along rows and come from
+/// `a_src`, `b`'s down columns and come from `b_src`.
 #[allow(clippy::too_many_arguments)]
 fn nn_core<C: Communicator>(
     grid: &Grid2d<C>,
@@ -335,26 +291,10 @@ fn nn_core<C: Communicator>(
     let mut scratch = std::mem::take(&mut ws.partial[1]);
     let use_scratch = grid.depth() > 0;
     let mut started = false;
-    // Iteration l's panels live in this slot of each pair.
-    let slot = |l: usize| (l - lo) % 2;
-    let (a_kept, b_kept) = (a_src.kept, b_src.kept);
-    let post =
-        |l: usize, srcs: (&mut Source, &mut Source), ws: &mut Workspace, fresh: &mut usize| {
-            let a_buf = srcs.0.buffer(l - lo, &mut ws.panel_a[slot(l)]);
-            let b_buf = srcs.1.buffer(l - lo, &mut ws.panel_b[slot(l)]);
-            (
-                Source::panel(a_kept, grid, grid.row_group(), (l, lo), a, an, a_buf, fresh),
-                Source::panel(b_kept, grid, grid.col_group(), (l, lo), b, bn, b_buf, fresh),
-            )
-        };
-    let mut pending = Some(post(lo, (a_src, b_src), ws, &mut fresh));
+    let (row, col) = (grid.row_group(), grid.col_group());
     for l in lo..hi {
-        // Prefetch: iteration l+1's panels enter the fabric before
-        // iteration l's GEMM starts, from the other buffer of each pair.
-        let next = (l + 1 < hi).then(|| post(l + 1, (a_src, b_src), ws, &mut fresh));
-        let (pa, pb) = pending.take().expect("panel broadcasts in flight");
-        let a_panel = pa.wait();
-        let b_panel = pb.wait();
+        let a_panel = a_src.panel(grid, row, (l, lo), a, an, &mut ws.panel_a, &mut fresh);
+        let b_panel = b_src.panel(grid, col, (l, lo), b, bn, &mut ws.panel_b, &mut fresh);
         nn_consume(
             &mut part,
             &mut scratch,
@@ -368,9 +308,8 @@ fn nn_core<C: Communicator>(
             kb,
             &mut fresh,
         );
-        a_src.release(a_panel, &mut ws.panel_a[slot(l)]);
-        b_src.release(b_panel, &mut ws.panel_b[slot(l)]);
-        pending = next;
+        a_src.release(a_panel, &mut ws.panel_a);
+        b_src.release(b_panel, &mut ws.panel_b);
     }
     if d > 1 {
         // Tesseract epilogue: sum the slice partials onto depth 0's C —
@@ -403,10 +342,9 @@ fn nn_core<C: Communicator>(
 /// The reduce-form core shared by `C = A Bᵀ` (panels of `B` along columns,
 /// reduce along rows) and `C = Aᵀ B` (panels of `A` along rows, reduce
 /// along columns). `form` picks the GEMM; `stationary` is the operand that
-/// stays local, `panel_src` the one whose panels `src` supplies. Iteration
-/// `l`'s `ireduce` is posted immediately after its GEMM and only waited one
-/// iteration later, so the reduce tree overlaps the next panel's GEMM (and
-/// that panel's broadcast, when there is one, overlapped this GEMM).
+/// stays local, `panel_src` the one whose panels `src` supplies. Round
+/// `l`'s partial is reduced after round `l + 1`'s GEMM, so two partials
+/// alternate between the GEMM and the reduce.
 #[allow(clippy::too_many_arguments)]
 fn reduce_form_core<C: Communicator>(
     grid: &Grid2d<C>,
@@ -436,52 +374,35 @@ fn reduce_form_core<C: Communicator>(
     };
     let cn = mb * nb;
     let mut fresh = 0;
-    // Iteration l's panel and partial live in this slot of their pairs: one
-    // partial rides the fabric inside the in-flight reduce while the other
-    // is being filled by the GEMM.
+    // Iteration l's partial lives in this slot of the pair.
     let slot = |l: usize| (l - lo) % 2;
-    let kept = src.kept;
-    let post = |l: usize, src: &mut Source, ws: &mut Workspace, fresh: &mut usize| {
-        let buf = src.buffer(l - lo, &mut ws.panel_b[slot(l)]);
-        Source::panel(
-            kept,
+    // Reduces iteration l's partial to its owner, who keeps the sum.
+    let reduce = |l: usize, ws: &mut Workspace, c: &mut [f32]| {
+        let part = &mut ws.partial[slot(l)];
+        grid.ctx().reduce(reduce_group, l, part);
+        if my_reduce_idx == l {
+            c.copy_from_slice(part);
+        }
+    };
+    for l in lo..hi {
+        let panel = src.panel(
             grid,
             bcast_group,
             (l, lo),
             panel_src,
             panel_elems,
-            buf,
-            fresh,
-        )
-    };
-    // Completes iteration l's reduce: its root keeps the sum, and the
-    // buffer returns to the slot it was taken from.
-    let finish = |(l, red): (usize, PendingColl<'_>), ws: &mut Workspace, c: &mut [f32]| {
-        let done = red.wait();
-        if my_reduce_idx == l {
-            c.copy_from_slice(&done);
-        }
-        ws.partial[slot(l)] = done;
-    };
-    let mut pending_panel = Some(post(lo, src, ws, &mut fresh));
-    let mut pending_red: Option<(usize, PendingColl<'_>)> = None;
-    for l in lo..hi {
-        let next = (l + 1 < hi).then(|| post(l + 1, src, ws, &mut fresh));
-        let panel = pending_panel
-            .take()
-            .expect("panel broadcast in flight")
-            .wait();
-        pending_panel = next;
-        let mut part = std::mem::take(&mut ws.partial[slot(l)]);
-        zeroed(&mut part, cn, &mut fresh);
-        gemm(&mut part, &panel);
-        src.release(panel, &mut ws.panel_b[slot(l)]);
-        let red = grid.ctx().ireduce(reduce_group, l, part);
-        if let Some(prev) = pending_red.replace((l, red)) {
-            finish(prev, ws, c);
+            &mut ws.panel_b,
+            &mut fresh,
+        );
+        let part = &mut ws.partial[slot(l)];
+        zeroed(part, cn, &mut fresh);
+        gemm(part, &panel);
+        src.release(panel, &mut ws.panel_b);
+        if l > lo {
+            reduce(l - 1, ws, c);
         }
     }
-    finish(pending_red.expect("every slice runs >= 1 round"), ws, c);
+    reduce(hi - 1, ws, c);
     if d > 1 {
         // Depth epilogue: my C block was finished (reduced within the
         // slice) by whichever slice ran iteration `my_reduce_idx`; that

@@ -331,13 +331,6 @@ pub fn is_active() -> bool {
     COLLECTOR.with(|c| c.borrow().is_some())
 }
 
-/// Current timestamp on the active collector's clock, or `0` when none is
-/// active. Non-blocking collectives sample this at post time and hand it to
-/// [`op_async_end`] when the matching `wait()` completes.
-pub fn now_ns() -> u64 {
-    COLLECTOR.with(|c| c.borrow().as_ref().map_or(0, |col| col.now_ns()))
-}
-
 /// The innermost open span id, or [`ROOT_SPAN`] when none (or no collector).
 pub fn current_span() -> SpanId {
     COLLECTOR.with(|c| c.borrow().as_ref().map_or(ROOT_SPAN, |col| col.current()))
@@ -448,55 +441,6 @@ pub fn op_end(timer: OpTimer, meta: OpMeta) {
         let ev = Event::Op {
             span: col.current(),
             t0_ns: timer.t0_ns,
-            t1_ns,
-            meta,
-        };
-        col.events.push(ev);
-    });
-}
-
-/// Records a **non-blocking** collective whose `wait()` just completed.
-///
-/// `t0_ns` is the post timestamp (sampled with [`now_ns`] when the op was
-/// issued). Under a wall clock the event ends at `wall_t1_ns` — the
-/// completion time measured by the progress mechanism — or at the current
-/// time when `None`. Under a virtual clock the event occupies
-/// `[t0, t0 + price(meta)]` and the clock advances to the completion time
-/// only if it lies in the future: virtual time spent between post and wait
-/// (e.g. a GEMM issued while the transfer was in flight) hides the
-/// transfer, which is exactly the overlap the double-buffered SUMMA
-/// schedule buys.
-///
-/// Unlike [`op_end`] there is no depth guard: an async op is never nested
-/// inside another collective.
-pub fn op_async_end(t0_ns: u64, wall_t1_ns: Option<u64>, meta: OpMeta) {
-    // Phase 1: fetch the pricer (if any) without holding the borrow across
-    // the pricer call.
-    let price = COLLECTOR.with(|c| {
-        let slot = c.borrow();
-        let col = slot.as_ref()?;
-        match &col.clock {
-            Clock::Wall(_) => Some(None),
-            Clock::Virtual { price, .. } => Some(Some(Rc::clone(price))),
-        }
-    });
-    let Some(price) = price else { return };
-    let dt = price.map(|p| p(&meta));
-    // Phase 2: stamp the completion time and push the event.
-    COLLECTOR.with(|c| {
-        let mut slot = c.borrow_mut();
-        let Some(col) = slot.as_mut() else { return };
-        let t1_ns = match (&mut col.clock, dt) {
-            (Clock::Virtual { now_ns, .. }, Some(dt)) => {
-                let t1 = t0_ns + dt;
-                *now_ns = (*now_ns).max(t1);
-                t1
-            }
-            _ => wall_t1_ns.unwrap_or_else(|| col.now_ns()),
-        };
-        let ev = Event::Op {
-            span: col.current(),
-            t0_ns,
             t1_ns,
             meta,
         };
@@ -631,60 +575,6 @@ mod tests {
         }
         assert_eq!(current_span(), ROOT_SPAN);
         finish(0).unwrap();
-    }
-
-    #[test]
-    fn async_op_hides_behind_later_virtual_time() {
-        // Op posted at t=0 with price 100; by wait time the clock already
-        // reached 150 (a later sync op), so the async op is fully hidden:
-        // the clock must NOT advance past 150.
-        start_virtual(Rc::new(|m: &OpMeta| m.elems as u64));
-        let t0 = now_ns();
-        let t = op_begin();
-        op_end(t, meta("Reduce", 150));
-        op_async_end(t0, None, meta("Broadcast", 100));
-        let dev = finish(0).unwrap();
-        match &dev.events[1] {
-            Event::Op { t0_ns, t1_ns, .. } => assert_eq!((*t0_ns, *t1_ns), (0, 100)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // A subsequent op starts at 150, not 100.
-        start_virtual(Rc::new(|m: &OpMeta| m.elems as u64));
-        let t0 = now_ns();
-        let t = op_begin();
-        op_end(t, meta("Reduce", 150));
-        op_async_end(t0, None, meta("Broadcast", 100));
-        assert_eq!(now_ns(), 150);
-        finish(0).unwrap();
-    }
-
-    #[test]
-    fn async_op_exposes_remaining_virtual_time() {
-        // Price 100, nothing else advanced the clock: waiting exposes the
-        // full transfer and the clock jumps to t0 + price.
-        start_virtual(Rc::new(|m: &OpMeta| m.elems as u64));
-        let t0 = now_ns();
-        op_async_end(t0, None, meta("Broadcast", 100));
-        assert_eq!(now_ns(), 100);
-        finish(0).unwrap();
-    }
-
-    #[test]
-    fn async_op_on_wall_clock_uses_supplied_completion() {
-        start_wall();
-        op_async_end(5, Some(42), meta("Broadcast", 10));
-        let dev = finish(0).unwrap();
-        match &dev.events[0] {
-            Event::Op { t0_ns, t1_ns, .. } => assert_eq!((*t0_ns, *t1_ns), (5, 42)),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn async_op_without_collector_is_noop() {
-        assert_eq!(now_ns(), 0);
-        op_async_end(0, None, meta("Broadcast", 1));
-        assert!(finish(0).is_none());
     }
 
     #[test]

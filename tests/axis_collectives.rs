@@ -1,15 +1,13 @@
 //! Axis-subgroup collective coverage on non-square `MeshNd` shapes.
 //!
-//! Three properties, each over the shapes `[2, 3]`, `[2, 2, 2]`, and
+//! Two properties, each over the shapes `[2, 3]`, `[2, 2, 2]`, and
 //! `[1, 4, 2]` (mixed extents, a unit axis, and a cubic mesh):
 //!
 //! 1. broadcast / reduce / all-reduce over every axis subgroup produce the
 //!    values the group membership dictates — with a deliberately uneven
 //!    13-element payload, so the chunked tree pipelines exercise their
 //!    ragged-tail arithmetic;
-//! 2. the non-blocking `ibroadcast` / `ireduce` path returns exactly the
-//!    blocking results;
-//! 3. the dry-run backend replays the whole schedule with op and link logs
+//! 2. the dry-run backend replays the whole schedule with op and link logs
 //!    byte-identical to the live mesh's.
 
 use mesh::{Communicator, GridNd, MeshNd};
@@ -35,24 +33,6 @@ fn exercise_blocking<C: Communicator>(g: &GridNd<C>) -> Vec<(Vec<f32>, Vec<f32>,
             let mut rd = payload(me);
             let last = group.len() - 1;
             g.ctx().reduce(&group, last, &mut rd);
-            let mut ar = payload(me);
-            g.ctx().all_reduce(&group, &mut ar);
-            (bc, rd, ar)
-        })
-        .collect()
-}
-
-/// The same schedule through `ibroadcast`/`ireduce` (the double-buffered
-/// prefetch path), plus a blocking all-reduce to keep the op sequence
-/// aligned with [`exercise_blocking`]'s.
-fn exercise_nonblocking<C: Communicator>(g: &GridNd<C>) -> Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> {
-    let me = g.ctx().rank();
-    (0..g.ndim())
-        .map(|axis| {
-            let group = g.axis_group(axis).clone();
-            let bc = g.ctx().ibroadcast(&group, 0, payload(me)).wait();
-            let last = group.len() - 1;
-            let rd = g.ctx().ireduce(&group, last, payload(me)).wait();
             let mut ar = payload(me);
             g.ctx().all_reduce(&group, &mut ar);
             (bc, rd, ar)
@@ -97,34 +77,11 @@ fn axis_collectives_produce_group_correct_values_on_odd_shapes() {
 }
 
 #[test]
-fn nonblocking_axis_collectives_match_the_blocking_results() {
-    for dims in SHAPES {
-        let blocking = MeshNd::run(dims, exercise_blocking);
-        let nonblocking = MeshNd::run(dims, exercise_nonblocking);
-        for (rank, (b, nb)) in blocking.iter().zip(&nonblocking).enumerate() {
-            assert_eq!(b, nb, "rank {rank} of {dims:?}");
-        }
-    }
-}
-
-#[test]
 fn dry_run_logs_are_byte_identical_to_live_for_axis_collectives() {
     for dims in SHAPES {
         let (_, live) = MeshNd::run_with_logs(dims, exercise_blocking);
         let (_, dry) = MeshNd::dry_run_with_logs(dims, exercise_blocking);
         assert_eq!(live.len(), dry.len());
-        for (rank, (l, d)) in live.iter().zip(&dry).enumerate() {
-            assert_eq!(l.ops, d.ops, "op log, rank {rank} of {dims:?}");
-            assert_eq!(l.links, d.links, "link log, rank {rank} of {dims:?}");
-        }
-    }
-}
-
-#[test]
-fn dry_run_logs_are_byte_identical_to_live_for_nonblocking_path() {
-    for dims in SHAPES {
-        let (_, live) = MeshNd::run_with_logs(dims, exercise_nonblocking);
-        let (_, dry) = MeshNd::dry_run_with_logs(dims, exercise_nonblocking);
         for (rank, (l, d)) in live.iter().zip(&dry).enumerate() {
             assert_eq!(l.ops, d.ops, "op log, rank {rank} of {dims:?}");
             assert_eq!(l.links, d.links, "link log, rank {rank} of {dims:?}");

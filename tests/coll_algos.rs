@@ -29,7 +29,7 @@
 //! DESIGN.md §10 wherever those are exact).
 
 use mesh::{
-    chain_segments, chunk, coll_steps, replay, Coll, CollAlgo, CollBuf, CollPlan, CommLog, CommOp,
+    chain_segments, chunk, coll_steps, replay, Coll, CollAlgo, CollPlan, CommLog, CommOp,
     Communicator, Group, Mesh, RecvMode, Step, WireDtype,
 };
 use tensor::Rng;
@@ -78,15 +78,15 @@ fn run<C: Communicator>(
         Coll::AllGather => {
             let mut out = vec![0.0f32; n * g];
             out[me * n..(me + 1) * n].copy_from_slice(&data);
-            ctx.collective(coll, &world, CollBuf::Now(&mut out), plan);
+            ctx.collective(coll, &world, &mut out, plan);
             out
         }
         Coll::ReduceScatter => {
-            ctx.collective(coll, &world, CollBuf::Now(&mut data), plan);
+            ctx.collective(coll, &world, &mut data, plan);
             data[chunk(n, g, me)].to_vec()
         }
         _ => {
-            ctx.collective(coll, &world, CollBuf::Now(&mut data), plan);
+            ctx.collective(coll, &world, &mut data, plan);
             data
         }
     }

@@ -189,3 +189,69 @@ fn concurrent_runs_select_from_their_own_tables() {
         assert_eq!(rb.links[0].elems, packed_len(N / 4, WireDtype::Bf16));
     }
 }
+
+/// SUMMA's panel broadcasts resolve their schedule from the run's table
+/// like every other collective: under an always-chain broadcast rule every
+/// panel logs `chain`, live ≡ dry-run, and the product is bitwise the
+/// default-table product, because a broadcast only copies.
+#[test]
+fn summa_panels_follow_the_runs_table() {
+    let q = 2;
+    let mut rng = Rng::new(5);
+    let a = tensor::Tensor::randn(&[3 * q, 2 * q], 1.0, &mut rng);
+    let b = tensor::Tensor::randn(&[2 * q, 5 * q], 1.0, &mut rng);
+    let chain = CollTables {
+        algo: AlgoTable {
+            rules: vec![AlgoRule {
+                op: CommOp::Broadcast,
+                min_group: 1,
+                max_group: usize::MAX,
+                min_bytes: 0,
+                max_bytes: usize::MAX,
+                algo: CollAlgo::Chain,
+            }],
+        },
+        ..CollTables::default()
+    };
+    fn product<C: Communicator>(
+        g: &Grid2d<C>,
+        a: &tensor::Tensor,
+        b: &tensor::Tensor,
+    ) -> tensor::Tensor {
+        summa::summa_nn(g, &summa::distribute(g, a), &summa::distribute(g, b))
+    }
+    let bits = |tables: CollTables| {
+        let run = MeshRun::new(&[q, q], tables);
+        let (blocks, live) = run.run_with_logs(|g| product(g, &a, &b));
+        let (_, dry) = run.dry_run_with_logs(|g| {
+            product(g, &a, &b);
+        });
+        assert_identical_logs(&live, &dry);
+        let c = summa::collect_blocks(&blocks, q);
+        (
+            c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            live,
+        )
+    };
+    let (want, _) = bits(CollTables::default());
+    let (got, logs) = bits(chain);
+    assert_eq!(got, want, "a chain broadcast changed the product");
+    for log in &logs {
+        let panels: Vec<_> = log
+            .ops
+            .iter()
+            .filter(|o| o.op == CommOp::Broadcast)
+            .collect();
+        assert_eq!(
+            panels.len(),
+            2 * q,
+            "rank {}: one row and one column panel per round",
+            log.rank
+        );
+        assert!(
+            panels.iter().all(|o| o.algo == CollAlgo::Chain),
+            "rank {}: a panel broadcast ignored the run's table",
+            log.rank
+        );
+    }
+}

@@ -179,4 +179,21 @@ fn dry_run_8x8_trace_is_valid_and_matches_the_cost_model() {
         (from_logs - from_trace).abs() < 1e-9 * from_logs.max(1.0),
         "logs={from_logs} trace={from_trace}"
     );
+
+    // (d) Every collective runs where it is called, so each rank's virtual
+    // timeline is its CommLog replayed back to back: the makespan equals
+    // the replay within 1 ns of rounding per op event.
+    for (dev, log) in traces.iter().zip(&logs) {
+        let ends = dev.events.iter().filter_map(|e| match e {
+            trace::Event::Op { t1_ns, .. } => Some(*t1_ns),
+            _ => None,
+        });
+        let (ops, makespan) = ends.fold((0usize, 0u64), |(n, m), t| (n + 1, m.max(t)));
+        let replay_ns = cost.replay(log) * 1e9;
+        assert!(
+            (makespan as f64 - replay_ns).abs() <= ops as f64,
+            "rank {}: virtual makespan {makespan} ns vs replay {replay_ns} ns over {ops} ops",
+            dev.rank
+        );
+    }
 }
