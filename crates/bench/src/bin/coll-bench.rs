@@ -14,10 +14,9 @@
 //!   baseline is flagged (the honesty rule every bench binary follows).
 //! * `--out`     — output path (default `BENCH_coll.json`).
 //!
-//! The artifact's `results` array holds one row per
-//! `(op, algorithm, size, wire dtype)` cell — each menu entry is timed both
-//! full-width and bf16-compressed (compressed rows carry a `"wire"` key;
-//! f32 rows keep the legacy shape) — with seconds-per-call and *logical*
+//! The artifact's `results` array holds one row per `(op, algorithm, size)`
+//! cell, timed on the full-width f32 wire (the bf16 wire measured slower in
+//! every cell, see DESIGN.md §11), with seconds-per-call and *logical*
 //! payload GB/s (higher is better, gated);
 //! `coll_winners` holds the per-`(op, size)` measured winner with its
 //! speedup over the op's built-in default algorithm — the headline numbers
@@ -75,33 +74,29 @@ fn main() {
             if matches!(op, CommOp::AllGather | CommOp::ReduceScatter) && elems % devices != 0 {
                 continue; // both split the payload `devices` ways
             }
-            // Full-width and bf16-compressed cells for every menu entry:
-            // the compressed-vs-full comparison is the artifact's point,
-            // while winners (and the tuned selection table downstream)
-            // stay a full-width f32 contest.
-            let cell: Vec<CollSample> = [WireDtype::F32, WireDtype::Bf16]
+            let cell: Vec<CollSample> = CollAlgo::menu(op)
                 .iter()
-                .flat_map(|&w| {
-                    CollAlgo::menu(op).iter().map(move |&algo| {
-                        measure_coll(
-                            op,
-                            CollPlan { algo, wire: w },
-                            devices,
-                            elems,
-                            reps_for(base_reps, elems),
-                            trials,
-                        )
-                    })
+                .map(|&algo| {
+                    measure_coll(
+                        op,
+                        CollPlan {
+                            algo,
+                            wire: WireDtype::F32,
+                        },
+                        devices,
+                        elems,
+                        reps_for(base_reps, elems),
+                        trials,
+                    )
                 })
                 .collect();
             let best = *cell
                 .iter()
-                .filter(|s| s.wire.is_f32())
                 .min_by(|x, y| x.secs.total_cmp(&y.secs))
                 .expect("non-empty menu");
             let default = cell
                 .iter()
-                .find(|s| s.wire.is_f32() && s.algo == CollAlgo::default_for(op))
+                .find(|s| s.algo == CollAlgo::default_for(op))
                 .expect("default algorithm is always on the menu");
             winners.push(Winner {
                 op,
@@ -115,10 +110,9 @@ fn main() {
                     op.name().to_string(),
                     elems.to_string(),
                     s.algo.name().to_string(),
-                    s.wire.name().to_string(),
                     format!("{:.1}", s.secs * 1e6),
                     format!("{:.3}", s.gbps()),
-                    if s.wire.is_f32() && s.algo == best.algo {
+                    if s.algo == best.algo {
                         "<-- winner".into()
                     } else {
                         String::new()
@@ -130,10 +124,7 @@ fn main() {
     }
     println!(
         "{}",
-        bench::render_table(
-            &["op", "elems", "algo", "wire", "us/call", "GB/s", ""],
-            &table
-        )
+        bench::render_table(&["op", "elems", "algo", "us/call", "GB/s", ""], &table)
     );
     for w in &winners {
         println!(
@@ -157,19 +148,13 @@ fn main() {
                 samples
                     .iter()
                     .map(|s| {
-                        let mut row = vec![
+                        Json::obj(vec![
                             ("op", Json::Str(s.op.name().to_string())),
                             ("algo", Json::Str(s.algo.name().to_string())),
                             ("elems", Json::Num(s.elems as f64)),
                             ("secs", Json::Num(s.secs)),
                             ("gbps", Json::Num(s.gbps())),
-                        ];
-                        // f32 rows keep the legacy shape so old baselines
-                        // still line up key-for-key.
-                        if !s.wire.is_f32() {
-                            row.push(("wire", Json::Str(s.wire.name().to_string())));
-                        }
-                        Json::obj(row)
+                        ])
                     })
                     .collect(),
             ),

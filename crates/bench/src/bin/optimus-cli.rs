@@ -14,7 +14,7 @@
 //! optimus-cli crossover                             # 1D vs 2D vs 2.5D table
 //! optimus-cli autotune --devices 512 --mem-budget 16 [--report R.json] [--check]
 //! optimus-cli calibrate [--bench BENCH_gemm.json]
-//! optimus-cli tune-coll [--devices 8] [--reps 24] [--wire bf16] [--save results/coll_tune.json]
+//! optimus-cli tune-coll [--devices 8] [--reps 24] [--save results/coll_tune.json]
 //! optimus-cli info
 //! ```
 //!
@@ -72,12 +72,9 @@
 //! `results/coll_tune.json` — which every other command loads and hands,
 //! as a `mesh::CollTables` value, to each mesh it launches
 //! (`mesh::MeshRun::new`). Delete the file to return to the built-in
-//! defaults. Every cell is additionally measured on the compressed 16-bit
-//! wire (bf16 by default) and reported next to the full-width winner;
-//! `--wire bf16` (or `f16`) opts in to *persisting* wire-precision rules
-//! for the cells where compression measured faster, which subsequent runs
-//! then select from too — an explicit opt-in, because a compressed wire
-//! trades bitwise f32 reproducibility for bandwidth (see DESIGN.md §11).
+//! defaults. The tune is a full-width f32 contest and persists no wire
+//! dtype: the bf16 wire measured slower than f32 in every cell on this
+//! fabric (DESIGN.md §11), so it stays a pricing and dry-run feature.
 //!
 //! The training corpus is the built-in cyclic-pattern language (the same one
 //! the tests and examples use), so runs are self-contained and deterministic.
@@ -85,7 +82,7 @@
 use megatron::{MegatronConfig, MegatronModel};
 use mesh::{
     AlgoRule, AlgoTable, Arrangement, CollAlgo, CollPlan, CollTables, CommOp, MeshRun, Topology,
-    WireDtype, WireRule, WireTable,
+    WireDtype,
 };
 use minjson::Json;
 use optimus_core::{OptimusConfig, OptimusModel};
@@ -233,7 +230,7 @@ fn apply_flags(mut args: Args, flags: &HashMap<String, String>) -> Result<Args, 
             }
             "save" | "load" | "trace" | "bench" | "metrics" => {} // handled by the caller
             "mem-budget" | "report" | "check" => {}               // autotune flags, handled there
-            "reps" | "wire" => {}                                 // tune-coll flags, handled there
+            "reps" => {}                                          // tune-coll flag, handled there
             "grid" => {} // handled by finalize_mesh (order-independent)
             other => return Err(format!("unknown flag --{other}")),
         }
@@ -480,29 +477,38 @@ fn generate(a: &Args, params: ModelParams) -> Vec<usize> {
     out
 }
 
-/// The projection's cost model: the paper's hardware profile, bunched
-/// placement (Fig. 8) on the projected `q × q` mesh. Under the default
-/// `--profile auto`, a `results/calibration.json` written by
-/// `optimus-cli calibrate` overrides the compute rate with the one this
-/// host's GEMM engine actually measured (communication terms keep modelling
-/// the paper's fabric either way).
-fn projection_cost(a: &Args) -> (HardwareProfile, usize, CostModel) {
-    let mut profile = HardwareProfile::frontera_rtx5000();
-    if a.profile == ProfileChoice::Auto {
-        match Calibration::load(CALIBRATION_PATH) {
-            Ok(Some(cal)) => {
-                println!(
-                    "compute rate calibrated to {:.2} GFLOP/s from {CALIBRATION_PATH} \
-                     (source: {}; pass --profile frontera for the paper profile)",
-                    cal.gflops(),
-                    cal.source,
-                );
-                profile = cal.apply(profile);
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: ignoring calibration: {e}"),
+/// The paper's hardware profile. Under the default `--profile auto`, a
+/// `results/calibration.json` written by `optimus-cli calibrate` overrides
+/// the compute rate with the one this host's GEMM engine actually measured
+/// (communication terms keep modelling the paper's fabric either way); a
+/// malformed file is ignored with a warning.
+fn calibrated_profile(a: &Args) -> HardwareProfile {
+    let paper = HardwareProfile::frontera_rtx5000();
+    if a.profile == ProfileChoice::Frontera {
+        return paper;
+    }
+    match Calibration::load(CALIBRATION_PATH) {
+        Ok(Some(cal)) => {
+            println!(
+                "compute rate calibrated to {:.2} GFLOP/s from {CALIBRATION_PATH} \
+                 (source: {}; pass --profile frontera for the paper profile)",
+                cal.gflops(),
+                cal.source,
+            );
+            cal.apply(paper)
+        }
+        Ok(None) => paper,
+        Err(e) => {
+            eprintln!("warning: ignoring calibration: {e}");
+            paper
         }
     }
+}
+
+/// The projection's cost model: [`calibrated_profile`], bunched placement
+/// (Fig. 8) on the projected `q × q` mesh.
+fn projection_cost(a: &Args) -> (HardwareProfile, usize, CostModel) {
+    let profile = calibrated_profile(a);
     let p = a.q * a.q * a.depth;
     let gpn = profile.gpus_per_node.min(p);
     // Bunched tiling is defined on a square mesh; a deep grid falls back to
@@ -755,12 +761,7 @@ fn dry_run_projection(
 /// 512–4096 devices (the Tesseract claim), plus the full d-sweep behind
 /// each winning grid.
 fn crossover(a: &Args) {
-    let mut profile = HardwareProfile::frontera_rtx5000();
-    if a.profile == ProfileChoice::Auto {
-        if let Ok(Some(cal)) = Calibration::load(CALIBRATION_PATH) {
-            profile = cal.apply(profile);
-        }
-    }
+    let profile = calibrated_profile(a);
     let pts = perf::projection::crossover_projection(&profile);
     println!(
         "projected training throughput (seq/s), profile={}, weak-scaling sizes:",
@@ -833,19 +834,6 @@ fn autotune_model(
         vocab: pick("vocab", a.vocab, 32_000),
         layers: pick("layers", a.layers, 24),
     }
-}
-
-/// The autotune cost profile: the paper's hardware, with the compute rate
-/// overridden by `results/calibration.json` under the default
-/// `--profile auto` (same policy as the other projections).
-fn autotune_profile(a: &Args) -> HardwareProfile {
-    let mut profile = HardwareProfile::frontera_rtx5000();
-    if a.profile == ProfileChoice::Auto {
-        if let Ok(Some(cal)) = Calibration::load(CALIBRATION_PATH) {
-            profile = cal.apply(profile);
-        }
-    }
-    profile
 }
 
 /// Shapes the sweep result as a metrics-schema report (`optimus-metrics-v1`
@@ -968,23 +956,16 @@ fn autotune_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), 
         }
     }
 
-    // Run the virtual clock 1024× finer than a nanosecond: every term of
-    // the α-β model is linear, so scaling α, β and 1/mac_rate together
-    // leaves relative gaps untouched while the clock-rounding floor (±0.5
-    // tick per event, which alone is ~2.5e-5 of a bare-α op) drops three
-    // orders of magnitude below the 1e-5 bar. Stamping and re-pricing use
-    // the same scaled model, so the reconciliation is exact by construction
-    // up to that rounding.
-    const CLOCK_SCALE: f64 = 1024.0;
-    let fine = HardwareProfile {
-        mac_rate: profile.mac_rate / CLOCK_SCALE,
-        alpha: profile.alpha * CLOCK_SCALE,
-        beta_intra: profile.beta_intra * CLOCK_SCALE,
-        beta_inter: profile.beta_inter * CLOCK_SCALE,
-        ..profile.clone()
-    };
+    // Run the virtual clock 1024× finer than a nanosecond: the clock-
+    // rounding floor (±0.5 tick per event, which alone is ~2.5e-5 of a
+    // bare-α op) drops three orders of magnitude below the 1e-5 bar.
+    // Stamping and re-pricing use the same scaled model, so the
+    // reconciliation is exact by construction up to that rounding.
     let gpn = profile.gpus_per_node.min(CHECK_DEVICES);
-    let cost = CostModel::new(fine, Topology::flat(CHECK_DEVICES, gpn));
+    let cost = CostModel::new(
+        profile.clock_scaled(1024.0),
+        Topology::flat(CHECK_DEVICES, gpn),
+    );
     let (_, _, traces) = run.dry_run_traced(cost.ns_pricer(), |g| {
         let (mut st, grid) = hybrid::build(g.ctx(), &spec, &cfg, 7);
         st.train_step(&grid, &tokens, &labels, 0.1)
@@ -1055,20 +1036,12 @@ fn tune_coll_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(),
     let n = ocfg.batch * ocfg.seq;
     let tokens: Vec<usize> = (0..n).map(|_| rng.below(ocfg.vocab)).collect();
     let labels: Vec<usize> = (0..n).map(|_| rng.below(ocfg.vocab)).collect();
-    // Same fine-clock trick as `autotune --check`: the α-β model is linear,
-    // so scaling every rate term together shrinks the clock-rounding floor
-    // three orders of magnitude below the 1e-5 bar without moving any
-    // relative gap.
-    const CLOCK_SCALE: f64 = 1024.0;
-    let fine = HardwareProfile {
-        mac_rate: profile.mac_rate / CLOCK_SCALE,
-        alpha: profile.alpha * CLOCK_SCALE,
-        beta_intra: profile.beta_intra * CLOCK_SCALE,
-        beta_inter: profile.beta_inter * CLOCK_SCALE,
-        ..profile.clone()
-    };
+    // Same fine clock as `autotune --check`.
     let p = Q * Q;
-    let cost = CostModel::new(fine, Topology::flat(p, profile.gpus_per_node.min(p)));
+    let cost = CostModel::new(
+        profile.clock_scaled(1024.0),
+        Topology::flat(p, profile.gpus_per_node.min(p)),
+    );
     let run = MeshRun::new(&[Q, Q, 1], tables.clone());
     let (_, _, traces) = run.dry_run_traced(cost.ns_pricer(), |g| {
         let mut m = OptimusModel::new(&ocfg, 7, g);
@@ -1103,23 +1076,9 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
         Some(v) => v.parse().map_err(|e| format!("--reps: {e}"))?,
         None => 24,
     };
-    // `--wire bf16|f16` opts in to *persisting* wire-precision rules for
-    // cells where the compressed wire measures faster than the full-width
-    // winner — an explicit opt-in because persisted rules trade bitwise
-    // reproducibility for bandwidth. Without the flag the compressed column
-    // is still measured and reported (at bf16), just never saved.
-    let wire_opt: Option<WireDtype> = match flags.get("wire").map(String::as_str) {
-        None | Some("off") | Some("f32") => None,
-        Some(name) => Some(
-            WireDtype::from_name(name)
-                .filter(|w| !w.is_f32())
-                .ok_or_else(|| format!("--wire wants bf16|f16|off, got '{name}'"))?,
-        ),
-    };
-    let probe = wire_opt.unwrap_or(WireDtype::Bf16);
     let trials = 3;
     let sizes: Vec<usize> = bench::coll::TUNE_ELEMS.to_vec();
-    let profile = autotune_profile(a);
+    let profile = calibrated_profile(a);
     let cost = CostModel::new(
         profile.clone(),
         Topology::flat(p, profile.gpus_per_node.min(p)),
@@ -1132,7 +1091,6 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
     );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut rules: Vec<AlgoRule> = Vec::new();
-    let mut wire_rules: Vec<WireRule> = Vec::new();
     let (mut cells, mut agree) = (0usize, 0usize);
     for op in bench::coll::TUNE_OPS {
         // What the selection tables and the cost model key each cell on.
@@ -1144,32 +1102,23 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
             if matches!(op, CommOp::AllGather | CommOp::ReduceScatter) && elems % p != 0 {
                 continue; // both split the payload p ways
             }
-            let measure = |algo: CollAlgo, wire: WireDtype| {
-                bench::coll::measure_coll(
-                    op,
-                    CollPlan { algo, wire },
-                    p,
-                    elems,
-                    bench::coll::reps_for(base_reps, elems),
-                    trials,
-                )
-            };
             let samples: Vec<bench::coll::CollSample> = CollAlgo::menu(op)
                 .iter()
-                .map(|&algo| measure(algo, WireDtype::F32))
-                .collect();
-            // Same menu again on the compressed wire: half the bytes move,
-            // plus pack/unpack work — whether that nets out faster is
-            // exactly what the cell measures.
-            let compressed: Vec<bench::coll::CollSample> = CollAlgo::menu(op)
-                .iter()
-                .map(|&algo| measure(algo, probe))
+                .map(|&algo| {
+                    bench::coll::measure_coll(
+                        op,
+                        CollPlan {
+                            algo,
+                            wire: WireDtype::F32,
+                        },
+                        p,
+                        elems,
+                        bench::coll::reps_for(base_reps, elems),
+                        trials,
+                    )
+                })
                 .collect();
             let winner = samples
-                .iter()
-                .min_by(|x, y| x.secs.total_cmp(&y.secs))
-                .expect("non-empty menu");
-            let cbest = compressed
                 .iter()
                 .min_by(|x, y| x.secs.total_cmp(&y.secs))
                 .expect("non-empty menu");
@@ -1194,12 +1143,6 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
                     .join("  "),
                 winner.algo.name().to_string(),
                 modeled.name().to_string(),
-                format!(
-                    "{} {:.1}us ({:.2}x)",
-                    cbest.algo.name(),
-                    cbest.secs * 1e6,
-                    winner.secs / cbest.secs
-                ),
             ]);
             let (min_bytes, max_bytes) = cell_bounds(&keyed, i);
             if winner.algo != CollAlgo::default_for(op) {
@@ -1212,31 +1155,12 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
                     algo: winner.algo,
                 });
             }
-            if let Some(w) = wire_opt {
-                if cbest.secs < winner.secs {
-                    wire_rules.push(WireRule {
-                        op,
-                        min_group: 2,
-                        max_group: usize::MAX,
-                        min_bytes,
-                        max_bytes,
-                        wire: w,
-                    });
-                }
-            }
         }
     }
     println!(
         "{}",
         bench::render_table(
-            &[
-                "op",
-                "elems",
-                "measured per algorithm",
-                "winner",
-                "modeled",
-                &format!("{} best", probe.name()),
-            ],
+            &["op", "elems", "measured per algorithm", "winner", "modeled"],
             &rows
         )
     );
@@ -1265,47 +1189,17 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
         );
     }
 
-    if let Some(w) = wire_opt {
-        if wire_rules.is_empty() {
-            println!(
-                "no cell measured {} faster than the full-width winner; \
-                 persisting no wire rules",
-                w.name()
-            );
-        } else {
-            println!(
-                "{} cell(s) measured faster at {} — wire rules: {}",
-                wire_rules.len(),
-                w.name(),
-                wire_rules
-                    .iter()
-                    .map(|r| format!(
-                        "{} [{}..{}B]",
-                        r.op.name(),
-                        r.min_bytes,
-                        if r.max_bytes == usize::MAX {
-                            "inf".to_string()
-                        } else {
-                            r.max_bytes.to_string()
-                        },
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-        }
-    }
-
     let tune = CollTune {
         source: format!("tune-coll p={p} ({cells} cells)"),
-        tables: CollTables {
-            algo: AlgoTable { rules },
-            wire: WireTable { rules: wire_rules },
-        },
+        algo: AlgoTable { rules },
     };
-    // Gate with the wire rules in force too: the 8x8 dry-run then prices
-    // compressed cells end-to-end, so a mispriced wire dtype fails here
-    // instead of after the table ships.
-    tune_coll_check(&profile, &tune.tables)?;
+    tune_coll_check(
+        &profile,
+        &CollTables {
+            algo: tune.algo.clone(),
+            ..CollTables::default()
+        },
+    )?;
     let out = flags
         .get("save")
         .map(String::as_str)
@@ -1338,7 +1232,7 @@ fn autotune_cmd(
         None => f64::INFINITY,
     };
     let model = autotune_model(a, flags, devices);
-    let profile = autotune_profile(a);
+    let profile = calibrated_profile(a);
     let t0 = std::time::Instant::now();
     let r = perf::autotune::autotune(&profile, &model, devices, budget_bytes);
     let secs = t0.elapsed().as_secs_f64();
@@ -1567,18 +1461,10 @@ fn main() {
             Ok(Some(tune)) => {
                 println!(
                     "collective algorithms: {} tuned rule(s) from {COLL_TUNE_PATH} (source: {})",
-                    tune.tables.algo.rules.len(),
+                    tune.algo.rules.len(),
                     tune.source
                 );
-                if !tune.tables.wire.rules.is_empty() {
-                    println!(
-                        "wire compression: {} tuned rule(s) in force — collectives they match \
-                         travel 16-bit (results are no longer bitwise vs f32; delete \
-                         {COLL_TUNE_PATH} to revert)",
-                        tune.tables.wire.rules.len()
-                    );
-                }
-                tables = tune.tables;
+                tables.algo = tune.algo;
             }
             Ok(None) => {}
             Err(e) => eprintln!("warning: ignoring collective tune: {e}"),
@@ -1778,7 +1664,9 @@ mod tests {
 
     #[test]
     fn unknown_flags_fail() {
-        assert!(apply_flags(Args::default(), &flags(&[("bogus", "1")])).is_err());
+        for flag in ["bogus", "wire"] {
+            assert!(apply_flags(Args::default(), &flags(&[(flag, "1")])).is_err());
+        }
         let argv = vec!["steps".to_string()];
         assert!(parse_flags(&argv).is_err());
     }

@@ -16,7 +16,7 @@
 //! and reduce-scatter payloads must divide by the group size, so sweep
 //! sizes should be multiples of the world size.
 
-use mesh::{Coll, CollAlgo, CollPlan, CommOp, Communicator, Group, Mesh, WireDtype};
+use mesh::{Coll, CollAlgo, CollPlan, CommOp, Communicator, Group, Mesh};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -33,15 +33,13 @@ pub const TUNE_OPS: [CommOp; 5] = [
 /// Default payload sizes (f32 elements): 256 B, 4 KiB, 64 KiB, 1 MiB.
 pub const TUNE_ELEMS: [usize; 4] = [64, 1024, 16384, 262144];
 
-/// One measured `(op, algorithm, size, wire dtype)` cell.
+/// One measured `(op, algorithm, size)` cell.
 #[derive(Clone, Copy, Debug)]
 pub struct CollSample {
     pub op: CommOp,
     pub algo: CollAlgo,
     /// Total payload f32 elements (see the module docs).
     pub elems: usize,
-    /// Wire dtype the payload traveled as (f32 = full width).
-    pub wire: WireDtype,
     /// Seconds per collective call.
     pub secs: f64,
 }
@@ -56,8 +54,8 @@ impl CollSample {
     }
 }
 
-/// The payload size `mesh::AlgoTable`, `mesh::WireTable` and
-/// `perf::CostModel::coll_time` key a cell of `elems` total elements on.
+/// The payload size `mesh::AlgoTable` and `perf::CostModel::coll_time` key
+/// a cell of `elems` total elements on.
 pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
     match op {
         CommOp::AllGather => elems / p,
@@ -66,10 +64,9 @@ pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
 }
 
 /// Measures one cell — `op` under an explicit `plan` (algorithm and wire
-/// dtype; the compressed-vs-full-width cells of `BENCH_coll.json` differ
-/// only in `plan.wire`) — on a live `p`-device thread mesh. Panics if
-/// `plan.algo` is not on `op`'s menu (the sweep should never ask for an
-/// invalid pairing).
+/// dtype; both sweeps time the f32 wire) — on a live `p`-device thread
+/// mesh. Panics if `plan.algo` is not on `op`'s menu (the sweep should
+/// never ask for an invalid pairing).
 pub fn measure_coll(
     op: CommOp,
     plan: CollPlan,
@@ -125,7 +122,6 @@ pub fn measure_coll(
         op,
         algo: plan.algo,
         elems,
-        wire: plan.wire,
         secs,
     }
 }
@@ -148,7 +144,7 @@ mod tests {
                 if !algo.valid_for(op) {
                     continue;
                 }
-                let wire = WireDtype::F32;
+                let wire = mesh::WireDtype::F32;
                 let s = measure_coll(op, CollPlan { algo, wire }, 4, 64, 2, 1);
                 assert!(s.secs > 0.0, "{} / {:?}", op.name(), algo);
                 assert!(s.gbps() > 0.0);

@@ -10,7 +10,7 @@
 //! `(op, group_size, bytes)` that picks one per call.
 //!
 //! Selection is a value on the run: a [`CollTables`] (this table plus the
-//! [`WireTable`]) is handed to [`crate::MeshRun::new`], every device of that
+//! run's wire dtype) is handed to [`crate::MeshRun::new`], every device of that
 //! run holds it, and every plain [`crate::Communicator`] method resolves its
 //! [`CollPlan`] through [`crate::Communicator::plan`] — so the live mesh
 //! and the dry-run replay of one run always agree on the schedule, and two
@@ -22,7 +22,7 @@
 //! `CollTables::default()`.
 
 use crate::stats::CommOp;
-use crate::wire::{WireDtype, WireTable};
+use crate::wire::WireDtype;
 
 /// A concrete collective schedule. Not every algorithm applies to every
 /// collective — see [`CollAlgo::menu`] for the valid choices per op.
@@ -155,13 +155,14 @@ pub struct CollPlan {
     pub wire: WireDtype,
 }
 
-/// The selection tables of one mesh run, both keyed on `(op, group size,
-/// payload bytes)`. `Default` is the baseline: hardwired algorithms,
+/// The selection of one mesh run: the algorithm table, keyed on `(op,
+/// group size, payload bytes)`, and the one wire dtype every selectable
+/// collective travels at. `Default` is the baseline: hardwired algorithms,
 /// full-width f32.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CollTables {
     pub algo: AlgoTable,
-    pub wire: WireTable,
+    pub wire: WireDtype,
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! [`execute`] is the only code that moves collective payloads, always on
 //! the device thread and inside the call that issued the collective. Each
-//! `Send` copies (or, under a 16-bit wire dtype, quantizes and packs)
+//! `Send` copies (or, under the bf16 wire, quantizes and packs)
 //! its range into a pooled buffer and pushes it to the peer's mailbox; each
 //! `Recv` pops the peer's next payload, applies it to its range and
 //! recycles the buffer, so steady-state collective traffic allocates
@@ -43,7 +43,7 @@ pub(crate) fn execute(
                 if w.is_f32() {
                     out.extend_from_slice(data);
                 } else {
-                    wire::pack_into(data, w, &mut out);
+                    wire::pack_into(data, &mut out);
                 }
                 boxes[*peer].push(rank, *peer, out);
             }
@@ -72,14 +72,14 @@ pub(crate) fn execute(
 }
 
 /// Applies `f(slot, value)` over a received payload, unpacking it first
-/// when it traveled at a 16-bit wire dtype.
+/// when it traveled as bf16.
 fn apply(incoming: &[f32], dst: &mut [f32], w: crate::WireDtype, f: impl Fn(&mut f32, f32)) {
     if w.is_f32() {
         for (d, v) in dst.iter_mut().zip(incoming) {
             f(d, *v);
         }
     } else {
-        wire::unpack_with(incoming, dst.len(), w, |i, v| f(&mut dst[i], v));
+        wire::unpack_with(incoming, dst.len(), |i, v| f(&mut dst[i], v));
     }
 }
 

@@ -107,16 +107,21 @@ pub trait Communicator {
     /// The selection tables of the run this device belongs to.
     fn tables(&self) -> &CollTables;
 
-    /// The one selection lookup: this run's [`crate::AlgoTable`] and
-    /// [`crate::WireTable`], both keyed on `(op, group size, payload
-    /// bytes)`. `elems` is the logical payload in `f32` elements. Override
-    /// one half with struct-update syntax:
-    /// `CollPlan { wire, ..comm.plan(op, g, n) }`.
+    /// The one selection lookup: this run's [`crate::AlgoTable`], keyed on
+    /// `(op, group size, payload bytes)`, and its wire dtype, which every
+    /// collective but a barrier takes in a group of two or more. `elems` is
+    /// the logical payload in `f32` elements. Override one half with
+    /// struct-update syntax: `CollPlan { wire, ..comm.plan(op, g, n) }`.
     fn plan(&self, op: CommOp, group_size: usize, elems: usize) -> CollPlan {
         let tables = self.tables();
+        let compressible = op != CommOp::Barrier && group_size >= 2;
         CollPlan {
             algo: tables.algo.select(op, group_size, elems * 4),
-            wire: tables.wire.select(op, group_size, elems * 4),
+            wire: if compressible {
+                tables.wire
+            } else {
+                WireDtype::F32
+            },
         }
     }
 
@@ -128,8 +133,8 @@ pub trait Communicator {
     ///
     /// The working buffer is the payload itself, except for
     /// [`Coll::AllGather`] and [`Coll::Gather`], where it is the `g`-slot
-    /// output with this member's block already in its slot. Under a 16-bit
-    /// wire dtype every hop moves the packed half-length buffer: each wire
+    /// output with this member's block already in its slot. Under the bf16
+    /// wire every hop moves the packed half-length buffer: each wire
     /// crossing costs a reduction at most one rounding error per element
     /// (partial sums accumulate in f32), pure movement delivers the
     /// once-quantized payload (re-packing is lossless), and a member's own

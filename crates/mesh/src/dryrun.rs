@@ -177,6 +177,25 @@ mod tests {
     }
 
     #[test]
+    fn plan_takes_the_run_wire_for_selectable_ops_in_groups_of_two_or_more() {
+        let tables = CollTables {
+            wire: crate::WireDtype::Bf16,
+            ..CollTables::default()
+        };
+        let c = DryRunComm::new(0, 1, Rc::default(), Arc::new(tables));
+        for (op, _) in crate::CommOp::KINDS {
+            let want = if op == crate::CommOp::Barrier {
+                crate::WireDtype::F32
+            } else {
+                crate::WireDtype::Bf16
+            };
+            assert_eq!(c.plan(op, 2, 1).wire, want, "{}", op.name());
+            assert_eq!(c.plan(op, 8, 0).wire, want, "{}", op.name());
+            assert_eq!(c.plan(op, 1, 1 << 20).wire, crate::WireDtype::F32);
+        }
+    }
+
+    #[test]
     fn broadcast_trace_matches_live() {
         for p in [2usize, 3, 4, 7] {
             for root in 0..p {

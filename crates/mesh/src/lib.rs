@@ -90,7 +90,7 @@ pub use schedule::{chain_segments, chunk, coll_steps, group_steps, replay, Coll,
 pub use shape::MeshShape;
 pub use stats::{CommLog, CommOp, LinkRecord, OpRecord};
 pub use topology::{Arrangement, Topology};
-pub use wire::{packed_len, ErrorFeedback, WireDtype, WireRule, WireTable};
+pub use wire::{packed_len, ErrorFeedback, WireDtype};
 
 #[cfg(test)]
 mod tests {

@@ -1,25 +1,27 @@
 //! Wire-precision layer for the collectives: payloads can travel as
-//! half-width bf16 or f16 with pack-on-send / unpack-on-recv at the fabric
+//! half-width bf16 with pack-on-send / unpack-on-recv at the fabric
 //! boundary.
 //!
 //! The β term of the paper's Eqs. 4–5 is paid per byte on the wire, and
 //! every payload here is f32 — so compressing the wire format to 16 bits
 //! halves the bandwidth term of every collective at the cost of a rounding
 //! error per hop (and a pack/unpack γ term the cost model prices; see
-//! `perf::CostModel::meta_time`). Three wire dtypes:
+//! `perf::CostModel::meta_time`). Two wire dtypes:
 //!
 //! * [`WireDtype::F32`] — the default: no conversion, bitwise-identical to
 //!   the legacy path. Every existing test and golden trace holds unchanged.
 //! * [`WireDtype::Bf16`] — f32 truncated to its top 16 bits with
 //!   round-to-nearest-even: full f32 exponent range, 7 mantissa bits,
 //!   relative error ≤ 2⁻⁸ per quantization.
-//! * [`WireDtype::F16`] — IEEE half via `tensor::amp`: 10 mantissa bits
-//!   (relative error ≤ 2⁻¹¹) but a narrow exponent (|x| ≤ 65504; smaller
-//!   magnitudes flush gradually through subnormals).
+//!
+//! On the in-process fabric β is a memcpy, and no collective measures
+//! faster compressed (EXPERIMENTS.md, "Wire compression, decided by
+//! measurement"), so the bf16 path here is the reference semantics the
+//! cost model and the dry run price, not a speed-up.
 //!
 //! # Wire format
 //!
-//! The fabric moves `Vec<f32>` buffers, so a 16-bit wire dtype packs **two**
+//! The fabric moves `Vec<f32>` buffers, so the bf16 wire packs **two**
 //! values per f32 slot: element `2i` in the low 16 bits, element `2i+1` in
 //! the high 16 bits ([`packed_len`] = `⌈n/2⌉`; an odd tail leaves the high
 //! half zero). The packed buffer is physically half-length, so link records,
@@ -28,14 +30,11 @@
 //!
 //! # Selection
 //!
-//! Like the collective-algorithm registry ([`crate::AlgoTable`]), the wire
-//! dtype is chosen per call site by a first-match-wins rule table
-//! ([`WireTable`]) keyed on `(op, group size, payload bytes)`. The baseline
-//! table is empty — every collective defaults to f32 — and a run that wants
-//! compression carries a non-empty one in its [`crate::CollTables`].
-//! A caller that passes its own [`crate::CollPlan`] to
-//! [`crate::Communicator::collective`] bypasses the table entirely, which is
-//! what the error-feedback gradient sync does.
+//! One wire dtype per run: [`crate::CollTables::wire`] (default f32) applies
+//! to every selectable collective of a group of two or more, see
+//! [`crate::Communicator::plan`]. A caller that passes its own
+//! [`crate::CollPlan`] to [`crate::Communicator::collective`] picks its own
+//! dtype, which is what the error-feedback gradient sync does.
 //!
 //! # Error feedback
 //!
@@ -47,8 +46,6 @@
 //! `optimus-core` and `hybrid` apply it caller-side before their dp
 //! gradient all-reduce.
 
-use crate::stats::CommOp;
-
 /// A wire precision for collective payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WireDtype {
@@ -57,19 +54,14 @@ pub enum WireDtype {
     F32,
     /// bfloat16: f32's exponent, 7 mantissa bits, rel. error ≤ 2⁻⁸.
     Bf16,
-    /// IEEE binary16: 10 mantissa bits, |x| ≤ 65504.
-    F16,
 }
 
 impl WireDtype {
     /// Every wire dtype with its canonical lower-case name.
-    pub const ALL: [(WireDtype, &'static str); 3] = [
-        (WireDtype::F32, "f32"),
-        (WireDtype::Bf16, "bf16"),
-        (WireDtype::F16, "f16"),
-    ];
+    pub const ALL: [(WireDtype, &'static str); 2] =
+        [(WireDtype::F32, "f32"), (WireDtype::Bf16, "bf16")];
 
-    /// Canonical name (`"f32"`, `"bf16"`, `"f16"`).
+    /// Canonical name (`"f32"`, `"bf16"`).
     pub fn name(self) -> &'static str {
         Self::ALL[self as usize].1
     }
@@ -83,7 +75,7 @@ impl WireDtype {
     pub fn bytes_per_elem(self) -> usize {
         match self {
             WireDtype::F32 => 4,
-            WireDtype::Bf16 | WireDtype::F16 => 2,
+            WireDtype::Bf16 => 2,
         }
     }
 
@@ -93,30 +85,13 @@ impl WireDtype {
     }
 
     /// Quantizes one value to this wire precision (and back to f32).
-    /// Identity for [`WireDtype::F32`]; idempotent for all dtypes, so
+    /// Identity for [`WireDtype::F32`]; idempotent for both dtypes, so
     /// re-packing an already-quantized value at an intermediate hop is
     /// lossless.
     pub fn quantize(self, x: f32) -> f32 {
         match self {
             WireDtype::F32 => x,
             WireDtype::Bf16 => bf16_bits_to_f32(f32_to_bf16_bits(x)),
-            WireDtype::F16 => tensor::amp::f16_bits_to_f32(tensor::amp::f32_to_f16_bits(x)),
-        }
-    }
-
-    fn encode_bits16(self, x: f32) -> u16 {
-        match self {
-            WireDtype::F32 => unreachable!("f32 payloads are not bit-packed"),
-            WireDtype::Bf16 => f32_to_bf16_bits(x),
-            WireDtype::F16 => tensor::amp::f32_to_f16_bits(x),
-        }
-    }
-
-    fn decode_bits16(self, h: u16) -> f32 {
-        match self {
-            WireDtype::F32 => unreachable!("f32 payloads are not bit-packed"),
-            WireDtype::Bf16 => bf16_bits_to_f32(h),
-            WireDtype::F16 => tensor::amp::f16_bits_to_f32(h),
         }
     }
 }
@@ -138,7 +113,7 @@ pub fn bf16_bits_to_f32(h: u16) -> f32 {
 }
 
 /// Number of f32 slots a payload of `n` logical elements occupies on the
-/// wire under `w`: `n` at full width, `⌈n/2⌉` for 16-bit dtypes.
+/// wire under `w`: `n` at full width, `⌈n/2⌉` at bf16.
 pub fn packed_len(n: usize, w: WireDtype) -> usize {
     if w.is_f32() {
         n
@@ -149,13 +124,12 @@ pub fn packed_len(n: usize, w: WireDtype) -> usize {
 
 /// Packs `data` into `out` (which must hold [`packed_len`] slots): element
 /// `2i` in the low 16 bits of slot `i`, element `2i+1` in the high 16 bits,
-/// an odd tail's high half zero. Values are quantized to `w` on the way in.
-pub fn pack_into(data: &[f32], w: WireDtype, out: &mut Vec<f32>) {
-    debug_assert!(!w.is_f32(), "f32 payloads are not bit-packed");
+/// an odd tail's high half zero. Values are quantized to bf16 on the way in.
+pub fn pack_into(data: &[f32], out: &mut Vec<f32>) {
     for pair in data.chunks(2) {
-        let lo = w.encode_bits16(pair[0]) as u32;
+        let lo = f32_to_bf16_bits(pair[0]) as u32;
         let hi = if pair.len() == 2 {
-            w.encode_bits16(pair[1]) as u32
+            f32_to_bf16_bits(pair[1]) as u32
         } else {
             0
         };
@@ -167,88 +141,14 @@ pub fn pack_into(data: &[f32], w: WireDtype, out: &mut Vec<f32>) {
 /// applying `f(slot, value)` per element in order — the single walk that
 /// serves both plain delivery (`|d, v| *d = v`) and reduce accumulation
 /// (`|d, v| *d += v`).
-pub fn unpack_with(packed: &[f32], n: usize, w: WireDtype, mut f: impl FnMut(usize, f32)) {
-    debug_assert!(!w.is_f32(), "f32 payloads are not bit-packed");
-    debug_assert_eq!(packed.len(), packed_len(n, w));
+pub fn unpack_with(packed: &[f32], n: usize, mut f: impl FnMut(usize, f32)) {
+    debug_assert_eq!(packed.len(), packed_len(n, WireDtype::Bf16));
     for (i, slot) in packed.iter().enumerate() {
         let bits = slot.to_bits();
-        f(2 * i, w.decode_bits16(bits as u16));
+        f(2 * i, bf16_bits_to_f32(bits as u16));
         if 2 * i + 1 < n {
-            f(2 * i + 1, w.decode_bits16((bits >> 16) as u16));
+            f(2 * i + 1, bf16_bits_to_f32((bits >> 16) as u16));
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Selection rules
-// ---------------------------------------------------------------------------
-
-/// One wire-precision selection rule. All bounds inclusive; `usize::MAX`
-/// means unbounded. `min_bytes`/`max_bytes` are **logical** payload bytes
-/// (`elems * 4`), the same key the algorithm table uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireRule {
-    pub op: CommOp,
-    pub min_group: usize,
-    pub max_group: usize,
-    pub min_bytes: usize,
-    pub max_bytes: usize,
-    pub wire: WireDtype,
-}
-
-impl WireRule {
-    fn matches(&self, op: CommOp, group_size: usize, bytes: usize) -> bool {
-        self.op == op
-            && (self.min_group..=self.max_group).contains(&group_size)
-            && (self.min_bytes..=self.max_bytes).contains(&bytes)
-    }
-}
-
-/// A first-match-wins wire-precision table, the [`crate::AlgoTable`] of the
-/// wire layer. The fallback when no rule matches is always
-/// [`WireDtype::F32`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireTable {
-    pub rules: Vec<WireRule>,
-}
-
-impl WireTable {
-    /// The empty table: every collective travels full-width f32.
-    pub fn baseline() -> Self {
-        WireTable::default()
-    }
-
-    /// A table compressing every selectable collective to `w` for groups of
-    /// two or more, at every payload size.
-    pub fn all(w: WireDtype) -> Self {
-        let rules = [
-            CommOp::Broadcast,
-            CommOp::Reduce,
-            CommOp::AllReduce,
-            CommOp::AllGather,
-            CommOp::ReduceScatter,
-        ]
-        .into_iter()
-        .map(|op| WireRule {
-            op,
-            min_group: 2,
-            max_group: usize::MAX,
-            min_bytes: 0,
-            max_bytes: usize::MAX,
-            wire: w,
-        })
-        .collect();
-        WireTable { rules }
-    }
-
-    /// The wire dtype for one collective call: first matching rule wins,
-    /// f32 otherwise.
-    pub fn select(&self, op: CommOp, group_size: usize, bytes: usize) -> WireDtype {
-        self.rules
-            .iter()
-            .find(|r| r.matches(op, group_size, bytes))
-            .map(|r| r.wire)
-            .unwrap_or(WireDtype::F32)
     }
 }
 
@@ -325,7 +225,7 @@ mod tests {
     fn packed_len_halves_and_rounds_up() {
         assert_eq!(packed_len(0, WireDtype::Bf16), 0);
         assert_eq!(packed_len(1, WireDtype::Bf16), 1);
-        assert_eq!(packed_len(7, WireDtype::F16), 4);
+        assert_eq!(packed_len(7, WireDtype::Bf16), 4);
         assert_eq!(packed_len(8, WireDtype::Bf16), 4);
         assert_eq!(packed_len(7, WireDtype::F32), 7);
     }
@@ -359,19 +259,18 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrips_quantized_values() {
-        for w in [WireDtype::Bf16, WireDtype::F16] {
-            for n in [0usize, 1, 2, 7, 1023] {
-                let mut rng = tensor::Rng::new(n as u64 + 9);
-                let data: Vec<f32> = (0..n).map(|_| w.quantize(rng.normal())).collect();
-                let mut packed = Vec::with_capacity(packed_len(n, w));
-                pack_into(&data, w, &mut packed);
-                assert_eq!(packed.len(), packed_len(n, w));
-                let mut out = vec![0.0f32; n];
-                unpack_with(&packed, n, w, |i, v| out[i] = v);
-                // Already-quantized values roundtrip bitwise.
-                for (a, b) in data.iter().zip(&out) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+        let w = WireDtype::Bf16;
+        for n in [0usize, 1, 2, 7, 1023] {
+            let mut rng = tensor::Rng::new(n as u64 + 9);
+            let data: Vec<f32> = (0..n).map(|_| w.quantize(rng.normal())).collect();
+            let mut packed = Vec::with_capacity(packed_len(n, w));
+            pack_into(&data, &mut packed);
+            assert_eq!(packed.len(), packed_len(n, w));
+            let mut out = vec![0.0f32; n];
+            unpack_with(&packed, n, |i, v| out[i] = v);
+            // Already-quantized values roundtrip bitwise.
+            for (a, b) in data.iter().zip(&out) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
@@ -383,47 +282,13 @@ mod tests {
         // storage must preserve the bits exactly.
         let data = [1.0f32, f32::INFINITY, f32::NAN, -0.0];
         let mut packed = Vec::new();
-        pack_into(&data, WireDtype::Bf16, &mut packed);
+        pack_into(&data, &mut packed);
         let mut out = [0.0f32; 4];
-        unpack_with(&packed, 4, WireDtype::Bf16, |i, v| out[i] = v);
+        unpack_with(&packed, 4, |i, v| out[i] = v);
         assert_eq!(out[0], 1.0);
         assert_eq!(out[1], f32::INFINITY);
         assert!(out[2].is_nan());
         assert_eq!(out[3].to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
-    fn table_is_first_match_wins_with_f32_fallback() {
-        let t = WireTable {
-            rules: vec![
-                WireRule {
-                    op: CommOp::AllReduce,
-                    min_group: 2,
-                    max_group: usize::MAX,
-                    min_bytes: 4096,
-                    max_bytes: usize::MAX,
-                    wire: WireDtype::Bf16,
-                },
-                WireRule {
-                    op: CommOp::AllReduce,
-                    min_group: 2,
-                    max_group: usize::MAX,
-                    min_bytes: 0,
-                    max_bytes: usize::MAX,
-                    wire: WireDtype::F16,
-                },
-            ],
-        };
-        assert_eq!(t.select(CommOp::AllReduce, 4, 1 << 20), WireDtype::Bf16);
-        assert_eq!(t.select(CommOp::AllReduce, 4, 64), WireDtype::F16);
-        assert_eq!(t.select(CommOp::Broadcast, 4, 1 << 20), WireDtype::F32);
-        assert_eq!(
-            WireTable::baseline().select(CommOp::AllReduce, 8, 1 << 20),
-            WireDtype::F32
-        );
-        let all = WireTable::all(WireDtype::Bf16);
-        assert_eq!(all.select(CommOp::Broadcast, 2, 4), WireDtype::Bf16);
-        assert_eq!(all.select(CommOp::Barrier, 8, 0), WireDtype::F32);
     }
 
     #[test]

@@ -127,21 +127,19 @@ fn extract(j: &Json) -> Result<Vec<(String, f64, bool)>, String> {
         }
     } else if j.get("coll_winners").is_ok() {
         // BENCH_coll.json
-        for row in j.get("results")?.as_arr()? {
+        for (i, row) in j.get("results")?.as_arr()?.iter().enumerate() {
             let op = str_field(row, "op")?;
             let algo = str_field(row, "algo")?;
             let elems = row.get("elems")?.as_usize()?;
             let gbps = row.get("gbps")?.as_f64()?;
-            // Compressed cells carry a "wire" key and get their own metric
-            // key; full-width rows keep the legacy key so old baselines
-            // still pair up.
-            let key = match row.get("wire") {
-                Ok(Json::Str(w)) if w != "f32" => {
-                    format!("coll.{op}.e{elems}.{algo}.{w}.gbps")
-                }
-                _ => format!("coll.{op}.e{elems}.{algo}.gbps"),
-            };
-            out.push((key, gbps, true));
+            // coll-bench times the f32 wire only; a "wire" row is stale.
+            if row.get("wire").is_ok() {
+                return Err(format!(
+                    "results[{i}] ({op} {algo} e{elems}) carries a \"wire\" key; \
+                     coll rows are full-width f32 only"
+                ));
+            }
+            out.push((format!("coll.{op}.e{elems}.{algo}.gbps"), gbps, true));
         }
         for row in j.get("coll_winners")?.as_arr()? {
             let op = str_field(row, "op")?;
@@ -243,8 +241,7 @@ mod tests {
                 "host":{{"threads":1,"avx2":true}},
                 "results":[
                   {{"op":"AllReduce","algo":"ring","elems":1024,"secs":0.0001,"gbps":{ring_gbps}}},
-                  {{"op":"AllReduce","algo":"tree","elems":1024,"secs":0.00005,"gbps":0.08}},
-                  {{"op":"AllReduce","algo":"ring","elems":1024,"secs":0.00008,"gbps":0.05,"wire":"bf16"}}
+                  {{"op":"AllReduce","algo":"tree","elems":1024,"secs":0.00005,"gbps":0.08}}
                 ],
                 "coll_winners":[
                   {{"op":"AllReduce","elems":1024,"algo":"tree","gbps":0.08,
@@ -296,12 +293,20 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.key == "coll.AllReduce.e1024.win_vs_default"));
-        // Compressed cells key separately, so a bf16 row never pairs with
-        // (or regresses against) the full-width cell of the same shape.
-        assert!(cmp
-            .checks
-            .iter()
-            .any(|c| c.key == "coll.AllReduce.e1024.ring.bf16.gbps" && c.higher_is_better));
+        // A row carrying a wire dtype is rejected, naming the row.
+        let mut stale = coll(0.04, 2.0);
+        let Json::Obj(fields) = &mut stale else {
+            unreachable!()
+        };
+        let Some(Json::Arr(rows)) = fields.get_mut("results") else {
+            unreachable!()
+        };
+        let Json::Obj(row) = &mut rows[1] else {
+            unreachable!()
+        };
+        row.insert("wire".into(), Json::Str("bf16".into()));
+        let e = compare(&coll(0.04, 2.0), &stale, 0.1).unwrap_err();
+        assert!(e.contains("results[1] (AllReduce tree e1024)"), "{e}");
         // Halved bandwidth with a 10% band: must fail.
         let cmp = compare(&coll(0.04, 2.0), &coll(0.02, 2.0), 0.1).unwrap();
         assert!(!cmp.passed());

@@ -1,38 +1,34 @@
-//! Persistence for the tuned collective selection tables.
+//! Persistence for the tuned collective-algorithm table.
 //!
 //! `optimus-cli tune-coll` sweeps every registered algorithm across message
 //! sizes on the live mesh, derives an [`mesh::AlgoTable`] of measured
 //! winners, and persists it here ([`CollTune::save`], conventionally at
 //! [`COLL_TUNE_PATH`], which is *not* committed — fresh clones keep the
-//! baseline table until they tune). CLI entry points load the file and pass
-//! its [`CollTune::tables`] to every [`mesh::MeshRun`] they launch, the same
+//! baseline table until they tune). CLI entry points load the file and hand
+//! its [`CollTune::algo`] to every [`mesh::MeshRun`] they launch, the same
 //! convention `results/calibration.json` uses for the compute rate.
 //!
 //! The file format is a rule list in first-match-wins order, one JSON
 //! object per [`mesh::AlgoRule`]; unbounded range ends serialize as `-1`
 //! (JSON numbers are doubles and cannot carry `usize::MAX` exactly).
 //!
-//! A tune may additionally carry **wire-precision** rules
-//! ([`mesh::WireRule`], serialized under `"wire_rules"`): cells where
-//! `tune-coll --wire bf16` measured the compressed wire faster than
-//! full-width. The key is absent when empty, so files written before wire
-//! compression (and tunes that never opted in) load unchanged — and loading
-//! such a file keeps every collective at bitwise-identical f32.
+//! A tune persists no wire dtype: every tuned run travels full-width f32
+//! unless it asks for bf16 itself. A file carrying the retired
+//! `"wire_rules"` key is rejected by name rather than read as f32.
 
-use mesh::{AlgoRule, AlgoTable, CollAlgo, CollTables, CommOp, WireDtype, WireRule, WireTable};
+use mesh::{AlgoRule, AlgoTable, CollAlgo, CommOp};
 use minjson::Json;
 
 /// Default on-disk location, relative to the repo root.
 pub const COLL_TUNE_PATH: &str = "results/coll_tune.json";
 
-/// Tuned selection tables plus their provenance.
+/// A tuned algorithm table plus its provenance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CollTune {
-    /// Where the tables came from (e.g. `"tune-coll p=8"`).
+    /// Where the table came from (e.g. `"tune-coll p=8"`).
     pub source: String,
-    /// The algorithm rules and the wire-precision rules, first match wins;
-    /// empty wire rules mean every collective stays full-width f32.
-    pub tables: CollTables,
+    /// The algorithm rules, first match wins.
+    pub algo: AlgoTable,
 }
 
 fn bound_to_json(v: usize) -> Json {
@@ -43,20 +39,61 @@ fn bound_to_json(v: usize) -> Json {
     }
 }
 
+/// A range end: a non-negative integer a double holds exactly, or `-1` for
+/// unbounded.
 fn bound_from_json(v: &Json) -> Result<usize, String> {
     let f = v.as_f64()?;
-    if f < 0.0 {
+    if f == -1.0 {
         Ok(usize::MAX)
-    } else {
+    } else if f >= 0.0 && f.fract() == 0.0 && f <= (1u64 << 53) as f64 {
         Ok(f as usize)
+    } else {
+        Err(format!(
+            "bound {f:?} is neither a non-negative integer nor -1"
+        ))
     }
+}
+
+fn rule_from_json(rv: &Json) -> Result<AlgoRule, String> {
+    let op_name = match rv.get("op")? {
+        Json::Str(s) => s.clone(),
+        other => return Err(format!("expected string op, got {other:?}")),
+    };
+    let op =
+        CommOp::from_name(&op_name).ok_or_else(|| format!("unknown collective {op_name:?}"))?;
+    let algo_name = match rv.get("algo")? {
+        Json::Str(s) => s.clone(),
+        other => return Err(format!("expected string algo, got {other:?}")),
+    };
+    let algo = CollAlgo::from_name(&algo_name)
+        .ok_or_else(|| format!("unknown algorithm {algo_name:?}"))?;
+    if !algo.valid_for(op) {
+        return Err(format!("{algo_name:?} is not a {op_name} algorithm"));
+    }
+    let bound = |key: &str| bound_from_json(rv.get(key)?).map_err(|e| format!("{key}: {e}"));
+    let rule = AlgoRule {
+        op,
+        min_group: bound("min_group")?,
+        max_group: bound("max_group")?,
+        min_bytes: bound("min_bytes")?,
+        max_bytes: bound("max_bytes")?,
+        algo,
+    };
+    for (what, lo, hi) in [
+        ("group", rule.min_group, rule.max_group),
+        ("bytes", rule.min_bytes, rule.max_bytes),
+    ] {
+        if lo > hi {
+            return Err(format!("min_{what} {lo} > max_{what} {hi} never matches"));
+        }
+    }
+    Ok(rule)
 }
 
 impl CollTune {
     /// The tune as JSON.
     pub fn to_json(&self) -> Json {
         let rules = self
-            .tables
             .algo
             .rules
             .iter()
@@ -71,105 +108,37 @@ impl CollTune {
                 ])
             })
             .collect();
-        let mut doc = vec![
+        Json::obj(vec![
             ("source", Json::Str(self.source.clone())),
             ("rules", Json::Arr(rules)),
-        ];
-        if !self.tables.wire.rules.is_empty() {
-            let wire_rules = self
-                .tables
-                .wire
-                .rules
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("op", Json::Str(r.op.name().to_string())),
-                        ("min_group", bound_to_json(r.min_group)),
-                        ("max_group", bound_to_json(r.max_group)),
-                        ("min_bytes", bound_to_json(r.min_bytes)),
-                        ("max_bytes", bound_to_json(r.max_bytes)),
-                        ("wire", Json::Str(r.wire.name().to_string())),
-                    ])
-                })
-                .collect();
-            doc.push(("wire_rules", Json::Arr(wire_rules)));
-        }
-        Json::obj(doc)
+        ])
     }
 
     /// Inverse of [`CollTune::to_json`]. Rejects unknown op or algorithm
-    /// names and rules naming an algorithm the op does not implement, so a
-    /// hand-edited file fails loudly instead of silently falling back.
+    /// names, rules naming an algorithm the op does not implement, range
+    /// ends that are not a non-negative integer or `-1`, inverted ranges
+    /// and the retired `"wire_rules"` key, so a hand-edited or stale file
+    /// fails loudly instead of silently falling back.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        if v.get("wire_rules").is_ok() {
+            return Err("\"wire_rules\" is retired: a tune carries no wire dtype".to_string());
+        }
         let source = match v.get("source")? {
             Json::Str(s) => s.clone(),
             other => return Err(format!("expected string source, got {other:?}")),
         };
-        let rules_v = match v.get("rules")? {
-            Json::Arr(items) => items,
-            other => return Err(format!("expected rules array, got {other:?}")),
-        };
-        let mut rules = Vec::with_capacity(rules_v.len());
-        for rv in rules_v {
-            let op_name = match rv.get("op")? {
-                Json::Str(s) => s.clone(),
-                other => return Err(format!("expected string op, got {other:?}")),
-            };
-            let op = CommOp::from_name(&op_name)
-                .ok_or_else(|| format!("unknown collective {op_name:?}"))?;
-            let algo_name = match rv.get("algo")? {
-                Json::Str(s) => s.clone(),
-                other => return Err(format!("expected string algo, got {other:?}")),
-            };
-            let algo = CollAlgo::from_name(&algo_name)
-                .ok_or_else(|| format!("unknown algorithm {algo_name:?}"))?;
-            if !algo.valid_for(op) {
-                return Err(format!("{algo_name:?} is not a {op_name} algorithm"));
-            }
-            rules.push(AlgoRule {
-                op,
-                min_group: bound_from_json(rv.get("min_group")?)?,
-                max_group: bound_from_json(rv.get("max_group")?)?,
-                min_bytes: bound_from_json(rv.get("min_bytes")?)?,
-                max_bytes: bound_from_json(rv.get("max_bytes")?)?,
-                algo,
-            });
-        }
-        // `wire_rules` postdates the format; absent means full-width f32.
-        let mut wire_rules = Vec::new();
-        if let Ok(Json::Arr(items)) = v.get("wire_rules") {
-            for rv in items {
-                let op_name = match rv.get("op")? {
-                    Json::Str(s) => s.clone(),
-                    other => return Err(format!("expected string op, got {other:?}")),
-                };
-                let op = CommOp::from_name(&op_name)
-                    .ok_or_else(|| format!("unknown collective {op_name:?}"))?;
-                let wire_name = match rv.get("wire")? {
-                    Json::Str(s) => s.clone(),
-                    other => return Err(format!("expected string wire dtype, got {other:?}")),
-                };
-                let wire = WireDtype::from_name(&wire_name)
-                    .ok_or_else(|| format!("unknown wire dtype {wire_name:?}"))?;
-                wire_rules.push(WireRule {
-                    op,
-                    min_group: bound_from_json(rv.get("min_group")?)?,
-                    max_group: bound_from_json(rv.get("max_group")?)?,
-                    min_bytes: bound_from_json(rv.get("min_bytes")?)?,
-                    max_bytes: bound_from_json(rv.get("max_bytes")?)?,
-                    wire,
-                });
-            }
-        }
+        let rules = v
+            .get("rules")?
+            .as_arr()?
+            .iter()
+            .enumerate()
+            .map(|(i, rv)| rule_from_json(rv).map_err(|e| format!("rule {i}: {e}")))
+            .collect::<Result<_, _>>()?;
         Ok(CollTune {
             source,
-            tables: CollTables {
-                algo: AlgoTable { rules },
-                wire: WireTable { rules: wire_rules },
-            },
+            algo: AlgoTable { rules },
         })
     }
-
     /// Writes the tune to `path` as JSON.
     pub fn save(&self, path: &str) -> std::io::Result<()> {
         if let Some(dir) = std::path::Path::new(path).parent() {
@@ -217,10 +186,7 @@ mod tests {
         };
         CollTune {
             source: "tune-coll p=8".to_string(),
-            tables: CollTables {
-                algo,
-                wire: WireTable::default(),
-            },
+            algo,
         }
     }
 
@@ -228,50 +194,10 @@ mod tests {
     fn json_roundtrip_preserves_rules_and_unbounded_ends() {
         let t = sample();
         let s = t.to_json().to_string();
-        // No wire rules -> the key is absent, exactly the legacy shape.
-        assert!(!s.contains("wire_rules"));
         let back = CollTune::from_json(&minjson::parse(&s).unwrap()).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.tables.algo.rules[0].max_group, usize::MAX);
-        assert_eq!(back.tables.algo.rules[1].max_bytes, usize::MAX);
-    }
-
-    #[test]
-    fn wire_rules_roundtrip_and_select_after_reload() {
-        let mut t = sample();
-        t.tables.wire = WireTable {
-            rules: vec![WireRule {
-                op: CommOp::AllReduce,
-                min_group: 2,
-                max_group: usize::MAX,
-                min_bytes: 4096,
-                max_bytes: usize::MAX,
-                wire: WireDtype::Bf16,
-            }],
-        };
-        let s = t.to_json().to_string();
-        let back = CollTune::from_json(&minjson::parse(&s).unwrap()).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(
-            back.tables.wire.select(CommOp::AllReduce, 8, 1 << 20),
-            WireDtype::Bf16
-        );
-        assert_eq!(
-            back.tables.wire.select(CommOp::AllReduce, 8, 64),
-            WireDtype::F32
-        );
-        assert_eq!(
-            back.tables.wire.select(CommOp::Broadcast, 8, 1 << 20),
-            WireDtype::F32
-        );
-    }
-
-    #[test]
-    fn unknown_wire_dtype_is_rejected() {
-        let text = r#"{"source":"x","rules":[],"wire_rules":[{"op":"AllReduce",
-            "min_group":2,"max_group":-1,"min_bytes":0,"max_bytes":-1,"wire":"fp8"}]}"#;
-        let v = minjson::parse(text).unwrap();
-        assert!(CollTune::from_json(&v).is_err());
+        assert_eq!(back.algo.rules[0].max_group, usize::MAX);
+        assert_eq!(back.algo.rules[1].max_bytes, usize::MAX);
     }
 
     #[test]
@@ -285,10 +211,7 @@ mod tests {
             (CommOp::Broadcast, 8, 1 << 20),
             (CommOp::AllGather, 8, 64),
         ] {
-            assert_eq!(
-                back.tables.algo.select(op, g, bytes),
-                t.tables.algo.select(op, g, bytes)
-            );
+            assert_eq!(back.algo.select(op, g, bytes), t.algo.select(op, g, bytes));
         }
     }
 
@@ -298,6 +221,55 @@ mod tests {
             "max_group":-1,"min_bytes":0,"max_bytes":-1,"algo":"bruck"}]}"#;
         let v = minjson::parse(text).unwrap();
         assert!(CollTune::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn malformed_bounds_and_stale_keys_are_rejected_by_name() {
+        let rule = |[min_group, max_group, min_bytes, max_bytes]: [&str; 4]| {
+            format!(
+                r#"{{"op":"AllReduce","min_group":{min_group},"max_group":{max_group},
+                "min_bytes":{min_bytes},"max_bytes":{max_bytes},"algo":"ring"}}"#
+            )
+        };
+        let ok = rule(["2", "-1", "0", "-1"]);
+        let second = |r: [&str; 4]| format!("{ok},{}", rule(r));
+        // (rules, extra top-level keys, expected error; "" = accepted)
+        for (rules, extra, want) in [
+            (ok.clone(), "", ""),
+            (second(["2", "8", "0", "0"]), "", ""),
+            (
+                rule(["-2", "-1", "0", "-1"]),
+                "",
+                "rule 0: min_group: bound -2.0",
+            ),
+            (
+                rule(["2.5", "-1", "0", "-1"]),
+                "",
+                "rule 0: min_group: bound 2.5",
+            ),
+            (
+                rule(["2", "-1", "0", "1e300"]),
+                "",
+                "rule 0: max_bytes: bound 1e300",
+            ),
+            (
+                second(["9", "4", "0", "-1"]),
+                "",
+                "rule 1: min_group 9 > max_group 4",
+            ),
+            (
+                second(["2", "-1", "64", "32"]),
+                "",
+                "rule 1: min_bytes 64 > max_bytes 32",
+            ),
+            (ok.clone(), r#","wire_rules":[]"#, "\"wire_rules\""),
+        ] {
+            let text = format!(r#"{{"source":"x","rules":[{rules}]{extra}}}"#);
+            match CollTune::from_json(&minjson::parse(&text).unwrap()) {
+                Err(e) => assert!(!want.is_empty() && e.contains(want), "{text}: {e}"),
+                Ok(_) => assert!(want.is_empty(), "{text} was accepted"),
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct HardwareProfile {
     /// Seconds per f32 moved between nodes (per concurrent flow).
     pub beta_inter: f64,
     /// Pack/unpack cost in seconds per logical element converted at the
-    /// fabric boundary when a collective travels compressed (bf16/f16 wire
+    /// fabric boundary when a collective travels compressed (the bf16 wire
     /// dtype). Zero for full-width f32 payloads, which skip the conversion.
     pub gamma: f64,
     /// Device memory capacity in bytes.
@@ -69,6 +69,22 @@ impl HardwareProfile {
             gamma: 0.0,
             mem_bytes: f64::INFINITY,
             gpus_per_node: usize::MAX,
+        }
+    }
+
+    /// The same machine on a clock `k` times finer: every time term (α,
+    /// both β, γ and the time per MAC) is multiplied by `k`. The model is
+    /// linear in them, so relative gaps are unchanged while a priced
+    /// timeline's 1 ns rounding floor shrinks `k`-fold — how the 1e-5
+    /// reconciliation gates price a dry run.
+    pub fn clock_scaled(&self, k: f64) -> Self {
+        HardwareProfile {
+            mac_rate: self.mac_rate / k,
+            alpha: self.alpha * k,
+            beta_intra: self.beta_intra * k,
+            beta_inter: self.beta_inter * k,
+            gamma: self.gamma * k,
+            ..self.clone()
         }
     }
 
@@ -126,6 +142,23 @@ mod tests {
         assert!(p.beta_inter >= p.beta_intra);
         assert_eq!(p.gpus_per_node, 4);
         assert!(p.mem_bytes > 15e9);
+    }
+
+    #[test]
+    fn clock_scaling_scales_f32_and_bf16_collectives_exactly() {
+        use mesh::{CollAlgo, CommOp, Topology, WireDtype};
+        const K: f64 = 1024.0;
+        let p = HardwareProfile::frontera_rtx5000();
+        let ranks: Vec<usize> = (0..8).collect();
+        let base = crate::CostModel::new(p.clone(), Topology::flat(8, 4));
+        let fine = crate::CostModel::new(p.clock_scaled(K), Topology::flat(8, 4));
+        for wire in [WireDtype::F32, WireDtype::Bf16] {
+            let t = |m: &crate::CostModel| {
+                m.coll_time(CommOp::AllReduce, CollAlgo::Ring, wire, &ranks, 4096)
+            };
+            assert_eq!(t(&fine), K * t(&base), "{}", wire.name());
+        }
+        assert_eq!(fine.compute_time(1e9), K * base.compute_time(1e9));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! the reduce trails by one round, which keeps every device's op and link
 //! records in the order the CommLog goldens pin. Panels and reduces go
 //! through `Communicator::plan` like every other collective, so they follow
-//! the run's algorithm and wire tables. The oracle in `tests/overlap.rs`
+//! the run's algorithm table and wire dtype. The oracle in `tests/overlap.rs`
 //! restates the loop with plain blocking calls and checks the products
 //! bitwise and the dry-run timelines on the clock.
 //!

@@ -6,7 +6,7 @@
 
 use mesh::{
     packed_len, AlgoRule, AlgoTable, CollAlgo, CollTables, CommLog, CommOp, Communicator, Grid2d,
-    Group, Mesh, Mesh2d, MeshRun, WireDtype, WireTable,
+    Group, Mesh, Mesh2d, MeshRun, WireDtype,
 };
 use optimus_core::{OptimusConfig, OptimusModel};
 use tensor::Rng;
@@ -147,7 +147,7 @@ fn concurrent_runs_select_from_their_own_tables() {
         ..CollTables::default()
     };
     let compressed = CollTables {
-        wire: WireTable::all(WireDtype::Bf16),
+        wire: WireDtype::Bf16,
         ..CollTables::default()
     };
     fn program<C: Communicator>(ctx: &C) {

@@ -5,7 +5,7 @@
 //! counters are checked in `tests/wire_counters.rs`.)
 
 use hybrid::HybridSpec;
-use mesh::{CollTables, Mesh, MeshRun, WireDtype, WireTable};
+use mesh::{CollTables, Mesh, MeshRun, WireDtype};
 use optimus_core::{OptimusConfig, OptimusModel};
 use perf::{CostModel, HardwareProfile};
 use tensor::Rng;
@@ -40,23 +40,16 @@ fn compressed_8x8_dry_run_reconciles_with_the_cost_model() {
         fused_attention: false,
     };
     let (tokens, labels) = batch(&cfg, 0xC0117);
-    // Fine-clock trick (same as `tune-coll`'s gate): the model is linear in
-    // its rate terms, so scaling them together pushes the 1 ns clock-
-    // rounding floor well below the 1e-5 bar without moving relative gaps.
-    const CLOCK_SCALE: f64 = 1024.0;
+    // Fine clock (same as `tune-coll`'s gate): the 1 ns clock-rounding
+    // floor drops well below the 1e-5 bar without moving relative gaps.
     let profile = HardwareProfile::frontera_rtx5000();
-    let fine = HardwareProfile {
-        mac_rate: profile.mac_rate / CLOCK_SCALE,
-        alpha: profile.alpha * CLOCK_SCALE,
-        beta_intra: profile.beta_intra * CLOCK_SCALE,
-        beta_inter: profile.beta_inter * CLOCK_SCALE,
-        gamma: profile.gamma * CLOCK_SCALE,
-        ..profile.clone()
-    };
     let p = Q * Q;
-    let cost = CostModel::new(fine, mesh::Topology::flat(p, profile.gpus_per_node.min(p)));
+    let cost = CostModel::new(
+        profile.clock_scaled(1024.0),
+        mesh::Topology::flat(p, profile.gpus_per_node.min(p)),
+    );
     let compressed = CollTables {
-        wire: WireTable::all(WireDtype::Bf16),
+        wire: WireDtype::Bf16,
         ..CollTables::default()
     };
     let run = MeshRun::new(&[Q, Q, 1], compressed);
