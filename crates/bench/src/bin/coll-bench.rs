@@ -20,10 +20,14 @@
 //! payload GB/s (higher is better, gated);
 //! `coll_winners` holds the per-`(op, size)` measured winner with its
 //! speedup over the op's built-in default algorithm — the headline numbers
-//! that justify the tuned selection table. A `host` stamp (threads, AVX2,
-//! git rev) qualifies cross-machine comparisons.
+//! that justify the tuned selection table, which `optimus-cli tune-coll
+//! --bench PATH` derives from this artifact with the same winner selection.
+//! A `host` stamp (threads, AVX2, git rev) qualifies cross-machine
+//! comparisons.
 
-use bench::coll::{measure_coll, reps_for, CollSample, TUNE_ELEMS, TUNE_OPS};
+use bench::coll::{
+    measure_coll, read_artifact, reps_for, winner, CollSample, TUNE_ELEMS, TUNE_OPS,
+};
 use mesh::{CollAlgo, CollPlan, CommOp, WireDtype};
 use minjson::Json;
 
@@ -90,10 +94,7 @@ fn main() {
                     )
                 })
                 .collect();
-            let best = *cell
-                .iter()
-                .min_by(|x, y| x.secs.total_cmp(&y.secs))
-                .expect("non-empty menu");
+            let best = winner(&cell);
             let default = cell
                 .iter()
                 .find(|s| s.algo == CollAlgo::default_for(op))
@@ -181,32 +182,15 @@ fn main() {
     println!("wrote {out}");
 
     if smoke {
-        // Self-check 1: the artifact must re-parse with minjson and carry
-        // the sentinel key `regress-check compare` dispatches on.
-        let text = std::fs::read_to_string(&out).expect("re-read artifact");
-        let parsed = minjson::parse(&text).expect("BENCH_coll.json must re-parse with minjson");
-        let winners = parsed
-            .get("coll_winners")
-            .and_then(|w| w.as_arr().map(|a| a.len()))
-            .expect("coll_winners array");
-        // Self-check 2: every measured cell must have positive bandwidth.
-        let rows = parsed
-            .get("results")
-            .and_then(|r| r.as_arr())
-            .expect("results array");
-        let bad = rows
-            .iter()
-            .filter(|row| {
-                row.get("gbps")
-                    .and_then(|g| g.as_f64())
-                    .map(|g| g <= 0.0)
-                    .unwrap_or(true)
-            })
-            .count();
-        if bad > 0 {
-            eprintln!("FAIL: {bad} cell(s) with non-positive bandwidth");
-            std::process::exit(1);
+        // Self-check: the artifact reads back the way `tune-coll` reads it —
+        // every row a tuned collective on its menu with a positive time,
+        // hence a positive bandwidth.
+        match read_artifact(&out) {
+            Ok((_, cells)) => println!("smoke checks passed ({} cells read back)", cells.len()),
+            Err(e) => {
+                eprintln!("FAIL: {e}");
+                std::process::exit(1);
+            }
         }
-        println!("smoke checks passed ({winners} winner cells, all bandwidths positive)");
     }
 }

@@ -14,7 +14,7 @@
 //! optimus-cli crossover                             # 1D vs 2D vs 2.5D table
 //! optimus-cli autotune --devices 512 --mem-budget 16 [--report R.json] [--check]
 //! optimus-cli calibrate [--bench BENCH_gemm.json]
-//! optimus-cli tune-coll [--devices 8] [--reps 24] [--save results/coll_tune.json]
+//! optimus-cli tune-coll [--bench BENCH_coll.json] [--save results/coll_tune.json]
 //! optimus-cli info
 //! ```
 //!
@@ -57,17 +57,17 @@
 //! model instead — the report's `source` fields label which is which.
 //! Unwritable `--trace`/`--metrics` paths are rejected before the run.
 //!
-//! `calibrate` measures (or reads from a `gemm-bench` artifact) the GFLOP/s
-//! the in-tree GEMM engine actually achieves on this host and stores it at
+//! `calibrate` reads from a `gemm-bench` artifact the GFLOP/s the in-tree
+//! GEMM engine achieves on this host and stores it at
 //! `results/calibration.json`. Later `--dry-run` projections pick the file
 //! up automatically, so Eq. 4–5 track the measured kernels instead of the
 //! paper's GPU profile; `--profile frontera` forces the paper profile back.
 //!
-//! `tune-coll` does the same for the **collective algorithm registry**: it
-//! times every algorithm on each collective's menu across message sizes on
-//! the live thread mesh (`--devices`, default 8), keeps a byte-range rule
-//! for every cell where a non-default algorithm measures fastest, prints
-//! the measured-vs-α-β-modeled winner per cell, gates the table with a
+//! `tune-coll` does the same for the **collective algorithm registry** from
+//! a `coll-bench` artifact (`--bench`, default `BENCH_coll.json`, measured
+//! on its `devices`): it keeps a byte-range rule for every cell where
+//! coll-bench's winner is not the default algorithm, prints the
+//! measured-vs-α-β-modeled winner per cell, gates the table with a
 //! tracecheck-reconciled (< 1e-5) 8 × 8 dry-run, and persists it to
 //! `results/coll_tune.json` — which every other command loads and hands,
 //! as a `mesh::CollTables` value, to each mesh it launches
@@ -79,10 +79,10 @@
 //! The training corpus is the built-in cyclic-pattern language (the same one
 //! the tests and examples use), so runs are self-contained and deterministic.
 
+use bench::coll::CollSample;
 use megatron::{MegatronConfig, MegatronModel};
 use mesh::{
-    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollPlan, CollTables, CommOp, MeshRun, Topology,
-    WireDtype,
+    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollTables, CommOp, MeshRun, Topology, WireDtype,
 };
 use minjson::Json;
 use optimus_core::{OptimusConfig, OptimusModel};
@@ -230,7 +230,6 @@ fn apply_flags(mut args: Args, flags: &HashMap<String, String>) -> Result<Args, 
             }
             "save" | "load" | "trace" | "bench" | "metrics" => {} // handled by the caller
             "mem-budget" | "report" | "check" => {}               // autotune flags, handled there
-            "reps" => {}                                          // tune-coll flag, handled there
             "grid" => {} // handled by finalize_mesh (order-independent)
             other => return Err(format!("unknown flag --{other}")),
         }
@@ -523,15 +522,10 @@ fn projection_cost(a: &Args) -> (HardwareProfile, usize, CostModel) {
 }
 
 /// Extracts a [`Calibration`] from a `gemm-bench` artifact: the engine row
-/// with the most MACs (the most load-bearing
-/// measurement, `square-512` in a full run). `Ok(None)` if the file is
-/// absent so the caller can fall back to measuring in-process.
-fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("read {path}: {e}")),
-    };
+/// with the most MACs (the most load-bearing measurement, `square-512` in a
+/// full run). Errors name the path.
+fn calibration_from_bench(path: &str) -> Result<Calibration, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = minjson::parse(&text).map_err(|e| format!("parse {path}: {e:?}"))?;
     let results = match doc.get("results")? {
         Json::Arr(rows) => rows,
@@ -560,53 +554,23 @@ fn calibration_from_bench(path: &str) -> Result<Option<Calibration>, String> {
             ));
         }
     }
-    match best {
-        Some((_, cal)) => Ok(Some(cal)),
-        None => Err(format!("{path} has no result rows")),
-    }
+    best.map(|(_, cal)| cal)
+        .ok_or_else(|| format!("{path} has no result rows"))
 }
 
-/// Measures the engine in-process at 512³ (the same configuration
-/// `gemm-bench` uses for its seed-speedup headline).
-fn calibration_measured() -> Calibration {
-    use tensor::gemm::{gemm_acc, Form};
-    const S: usize = 512;
-    let a = tensor::Tensor::randn(&[S, S], 1.0, &mut Rng::new(1)).into_vec();
-    let b = tensor::Tensor::randn(&[S, S], 1.0, &mut Rng::new(2)).into_vec();
-    let mut c = vec![0.0f32; S * S];
-    let secs = bench::bench_fn("calibrate", "square-512", 5, || {
-        gemm_acc(Form::NN, &mut c, S, S, &a, &b, S);
-        c[0]
-    });
-    Calibration {
-        mac_rate: (S * S * S) as f64 / secs,
-        shape: [S, S, S],
-        source: format!("measured in-process ({})", tensor::gemm::kernel_name()),
-    }
-}
-
-/// The `calibrate` command: derive the measured compute rate (preferring an
-/// existing `gemm-bench` artifact, measuring in-process otherwise) and
-/// persist it where [`projection_cost`] auto-loads it.
+/// The `calibrate` command: read the measured compute rate from a
+/// `gemm-bench` artifact and persist it where [`projection_cost`]
+/// auto-loads it.
 fn calibrate(flags: &HashMap<String, String>) {
     let bench_path = flags
         .get("bench")
         .map(String::as_str)
         .unwrap_or("BENCH_gemm.json");
-    let cal = match calibration_from_bench(bench_path) {
-        Ok(Some(cal)) => {
-            println!("read measured rate from {bench_path}");
-            cal
-        }
-        Ok(None) => {
-            println!("{bench_path} not found; measuring 512^3 in-process (~seconds)…");
-            calibration_measured()
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cal = calibration_from_bench(bench_path).unwrap_or_else(|e| {
+        eprintln!("error: {e} (gemm-bench --out {bench_path} measures the engine)");
+        std::process::exit(1);
+    });
+    println!("read measured rate from {bench_path}");
     let out = flags
         .get("save")
         .map(String::as_str)
@@ -951,7 +915,7 @@ fn autotune_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), 
             return Err(format!(
                 "live and dry-run CommLogs diverge at rank {} for {}",
                 l.rank,
-                spec_label(&spec)
+                best.label()
             ));
         }
     }
@@ -975,22 +939,15 @@ fn autotune_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), 
     if gap.is_nan() || gap >= 1e-5 {
         return Err(format!(
             "tracecheck reconciliation gap {gap:.3e} exceeds 1e-5 for {}",
-            spec_label(&spec)
+            best.label()
         ));
     }
     println!(
         "live cross-check ({} on {CHECK_DEVICES} devices): CommLogs byte-identical, \
          tracecheck max relative gap {gap:.2e} < 1e-5",
-        spec_label(&spec)
+        best.label()
     );
     Ok(())
-}
-
-fn spec_label(s: &hybrid::HybridSpec) -> String {
-    format!(
-        "{}x{}x[{},{},{}]x{}",
-        s.pp, s.dp, s.grid[0], s.grid[1], s.grid[2], s.microbatches
-    )
 }
 
 /// Byte-range boundaries for the tuned rules: cell `i` of the sweep grid
@@ -1061,137 +1018,112 @@ fn tune_coll_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(),
     Ok(())
 }
 
-/// The `tune-coll` command: measures every registered collective algorithm
-/// on the live thread mesh across message sizes, derives the selection
-/// table of measured winners (one byte-range rule per cell where the winner
-/// differs from the built-in default), cross-checks the modeled winner
-/// against the measured one per cell, gates the table with a tracecheck'd
-/// 8 × 8 dry-run, and persists it where every entry point loads it from.
-fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String> {
-    let p = a.devices.unwrap_or(8);
-    if p < 2 {
-        return Err("--devices must be at least 2 to measure collectives".to_string());
-    }
-    let base_reps: usize = match flags.get("reps") {
-        Some(v) => v.parse().map_err(|e| format!("--reps: {e}"))?,
-        None => 24,
-    };
-    let trials = 3;
-    let sizes: Vec<usize> = bench::coll::TUNE_ELEMS.to_vec();
-    let profile = calibrated_profile(a);
-    let cost = CostModel::new(
-        profile.clone(),
-        Topology::flat(p, profile.gpus_per_node.min(p)),
-    );
-    let ranks: Vec<usize> = (0..p).collect();
+/// The selection table a `coll-bench` sweep implies, with its evidence.
+#[derive(Default)]
+struct CollTuneTable {
+    /// Per cell: op, size, time per algorithm, measured and modeled winner.
+    rows: Vec<Vec<String>>,
+    /// A byte-range rule for every cell whose measured winner is not the
+    /// op's built-in default.
+    rules: Vec<AlgoRule>,
+    /// Cells where the α-β model picks the measured winner.
+    agree: usize,
+}
 
-    println!(
-        "tune-coll: {p}-device live mesh, sizes {:?} f32 elems, reps<= {base_reps}, min of {trials} trials",
-        sizes
-    );
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut rules: Vec<AlgoRule> = Vec::new();
-    let (mut cells, mut agree) = (0usize, 0usize);
+/// Derives the selection table from the cells of a `coll-bench` sweep on
+/// `p` devices: per `(op, size)` cell the measured winner
+/// ([`bench::coll::winner`], coll-bench's own selection), a rule where it is
+/// not the default, and beside it the winner `cost` models.
+fn derive_coll_tune(cost: &CostModel, p: usize, cells: &[Vec<CollSample>]) -> CollTuneTable {
+    let ranks: Vec<usize> = (0..p).collect();
+    let mut t = CollTuneTable::default();
     for op in bench::coll::TUNE_OPS {
+        let mut op_cells: Vec<&Vec<CollSample>> = cells.iter().filter(|c| c[0].op == op).collect();
+        op_cells.sort_by_key(|c| c[0].elems);
         // What the selection tables and the cost model key each cell on.
-        let keyed: Vec<usize> = sizes
-            .iter()
-            .map(|&elems| bench::coll::select_elems(op, p, elems))
+        let keyed: Vec<usize> = (op_cells.iter())
+            .map(|c| bench::coll::select_elems(op, p, c[0].elems))
             .collect();
-        for (i, &elems) in sizes.iter().enumerate() {
-            if matches!(op, CommOp::AllGather | CommOp::ReduceScatter) && elems % p != 0 {
-                continue; // both split the payload p ways
-            }
-            let samples: Vec<bench::coll::CollSample> = CollAlgo::menu(op)
-                .iter()
-                .map(|&algo| {
-                    bench::coll::measure_coll(
-                        op,
-                        CollPlan {
-                            algo,
-                            wire: WireDtype::F32,
-                        },
-                        p,
-                        elems,
-                        bench::coll::reps_for(base_reps, elems),
-                        trials,
-                    )
-                })
-                .collect();
-            let winner = samples
-                .iter()
-                .min_by(|x, y| x.secs.total_cmp(&y.secs))
-                .expect("non-empty menu");
+        for (i, cell) in op_cells.into_iter().enumerate() {
+            let measured = bench::coll::winner(cell).algo;
+            let price = |algo| cost.coll_time(op, algo, WireDtype::F32, &ranks, keyed[i]);
             let modeled = *CollAlgo::menu(op)
                 .iter()
-                .min_by(|&&x, &&y| {
-                    let price = |algo| cost.coll_time(op, algo, WireDtype::F32, &ranks, keyed[i]);
-                    price(x).total_cmp(&price(y))
-                })
+                .min_by(|&&x, &&y| price(x).total_cmp(&price(y)))
                 .expect("non-empty menu");
-            cells += 1;
-            if winner.algo == modeled {
-                agree += 1;
-            }
-            rows.push(vec![
+            t.agree += usize::from(measured == modeled);
+            t.rows.push(vec![
                 op.name().to_string(),
-                elems.to_string(),
-                samples
-                    .iter()
+                cell[0].elems.to_string(),
+                (cell.iter())
                     .map(|s| format!("{} {:.1}us", s.algo.name(), s.secs * 1e6))
                     .collect::<Vec<_>>()
                     .join("  "),
-                winner.algo.name().to_string(),
+                measured.name().to_string(),
                 modeled.name().to_string(),
             ]);
-            let (min_bytes, max_bytes) = cell_bounds(&keyed, i);
-            if winner.algo != CollAlgo::default_for(op) {
-                rules.push(AlgoRule {
+            if measured != CollAlgo::default_for(op) {
+                let (min_bytes, max_bytes) = cell_bounds(&keyed, i);
+                t.rules.push(AlgoRule {
                     op,
                     min_group: 2,
                     max_group: usize::MAX,
                     min_bytes,
                     max_bytes,
-                    algo: winner.algo,
+                    algo: measured,
                 });
             }
         }
     }
+    t
+}
+
+/// The `tune-coll` command: derives the selection table of measured winners
+/// from a `coll-bench` artifact (`--bench`, default `BENCH_coll.json`; the
+/// mesh size is the artifact's `devices`), prints the measured-vs-modeled
+/// winner per cell, gates the table with a tracecheck'd 8 × 8 dry-run, and
+/// persists it where every entry point loads it from.
+fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String> {
+    if a.devices.is_some() {
+        return Err(
+            "tune-coll takes the device count from the artifact's `devices` field; drop --devices"
+                .to_string(),
+        );
+    }
+    let path = flags
+        .get("bench")
+        .map(String::as_str)
+        .unwrap_or("BENCH_coll.json");
+    let (p, cells) = bench::coll::read_artifact(path)?;
+    let profile = calibrated_profile(a);
+    let cost = CostModel::new(
+        profile.clone(),
+        Topology::flat(p, profile.gpus_per_node.min(p)),
+    );
+    println!(
+        "tune-coll: {} cells measured on {p} devices, from {path}",
+        cells.len()
+    );
+    let t = derive_coll_tune(&cost, p, &cells);
     println!(
         "{}",
         bench::render_table(
             &["op", "elems", "measured per algorithm", "winner", "modeled"],
-            &rows
+            &t.rows
         )
     );
-    println!("α-β model picks the measured winner in {agree}/{cells} cells");
-    if rules.is_empty() {
-        println!("every measured winner matches the built-in default; writing an empty table");
-    } else {
-        println!(
-            "{} cell(s) beat the default — rules: {}",
-            rules.len(),
-            rules
-                .iter()
-                .map(|r| format!(
-                    "{} [{}..{}B] -> {}",
-                    r.op.name(),
-                    r.min_bytes,
-                    if r.max_bytes == usize::MAX {
-                        "inf".to_string()
-                    } else {
-                        r.max_bytes.to_string()
-                    },
-                    r.algo.name()
-                ))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
-
+    println!(
+        "α-β model picks the measured winner in {}/{} cells",
+        t.agree,
+        t.rows.len()
+    );
+    println!(
+        "{} rule(s): one per cell whose measured winner is not the built-in default",
+        t.rules.len()
+    );
     let tune = CollTune {
-        source: format!("tune-coll p={p} ({cells} cells)"),
-        algo: AlgoTable { rules },
+        source: format!("tune-coll from {path}, p={p} ({} cells)", t.rows.len()),
+        algo: AlgoTable { rules: t.rules },
     };
     tune_coll_check(
         &profile,
@@ -1439,8 +1371,8 @@ fn main() {
     };
     let args = match apply_flags(base, &flags).and_then(|a| {
         if cmd == "autotune" || cmd == "tune-coll" {
-            // autotune and tune-coll size their own worlds: --devices is the
-            // world to partition/measure, not a q²·d cross-check.
+            // autotune sizes its own world: --devices is the world to
+            // partition, not a q²·d cross-check (tune-coll refuses it).
             Ok(a)
         } else {
             finalize_mesh(a, &flags)
@@ -1454,7 +1386,7 @@ fn main() {
     };
     // The selection tables persisted by `tune-coll` apply to every mesh an
     // entry point launches, exactly like the calibrated compute rate —
-    // except to `tune-coll` itself, which must measure from the baseline.
+    // except to `tune-coll` itself, which derives a fresh one.
     let mut tables = CollTables::default();
     if cmd != "tune-coll" {
         match CollTune::load(COLL_TUNE_PATH) {
@@ -1664,7 +1596,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_fail() {
-        for flag in ["bogus", "wire"] {
+        for flag in ["bogus", "wire", "reps"] {
             assert!(apply_flags(Args::default(), &flags(&[(flag, "1")])).is_err());
         }
         let argv = vec!["steps".to_string()];
@@ -1720,15 +1652,87 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let cal = calibration_from_bench(path.to_str().unwrap())
-            .unwrap()
-            .unwrap();
+        let cal = calibration_from_bench(path.to_str().unwrap()).unwrap();
         assert_eq!(cal.shape, [512, 512, 512]);
         assert!((cal.gflops() - 50.0).abs() < 1e-9);
         assert!(cal.source.ends_with("square-512"));
-        assert!(calibration_from_bench("/nonexistent/BENCH.json")
-            .unwrap()
-            .is_none());
+        let e = calibration_from_bench("/nonexistent/BENCH.json").unwrap_err();
+        assert!(e.contains("/nonexistent/BENCH.json"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tune_table_derives_from_a_coll_bench_artifact() {
+        let dir = std::env::temp_dir().join("optimus-cli-tune-coll-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let read = |head: &str, rows: &[&str]| {
+            let path = dir.join("BENCH_coll.json").to_str().unwrap().to_string();
+            let text = format!(r#"{{{head} "results": [{}]}}"#, rows.join(","));
+            std::fs::write(&path, text).unwrap();
+            bench::coll::read_artifact(&path).map_err(|e| (path, e))
+        };
+        let rows = [
+            r#"{"op": "AllReduce", "algo": "ring", "elems": 1024, "secs": 9e-6}"#,
+            r#"{"op": "AllReduce", "algo": "halving", "elems": 1024, "secs": 8e-6}"#,
+            r#"{"op": "AllReduce", "algo": "tree", "elems": 1024, "secs": 7e-6}"#,
+            r#"{"op": "Broadcast", "algo": "tree", "elems": 64, "secs": 4e-6}"#,
+            r#"{"op": "Broadcast", "algo": "chain", "elems": 64, "secs": 2e-6}"#,
+            r#"{"op": "Broadcast", "algo": "tree", "elems": 1024, "secs": 1e-5}"#,
+            r#"{"op": "Broadcast", "algo": "chain", "elems": 1024, "secs": 3e-5}"#,
+        ];
+        let (p, cells) = read(r#""devices": 4,"#, &rows).unwrap();
+        let cost = CostModel::new(HardwareProfile::frontera_rtx5000(), Topology::flat(4, 4));
+        let t = derive_coll_tune(&cost, p, &cells);
+        // A rule per cell whose winner is not the default, in op order: chain
+        // for the small broadcast only (up to the geometric midpoint of
+        // 256 B and 4 KiB), tree for every all-reduce.
+        let rules: Vec<_> = (t.rules.iter())
+            .map(|r| (r.op, r.min_bytes, r.max_bytes, r.algo))
+            .collect();
+        assert_eq!(
+            rules,
+            [
+                (CommOp::Broadcast, 0, 1024, CollAlgo::Chain),
+                (CommOp::AllReduce, 0, usize::MAX, CollAlgo::Tree),
+            ]
+        );
+        // α-dominated, the model picks the tree broadcast and the halving
+        // all-reduce: it agrees with the measurement in one cell of three.
+        let picks: Vec<_> = (t.rows.iter()).map(|r| (&*r[3], &*r[4])).collect();
+        assert_eq!(
+            picks,
+            [("chain", "tree"), ("tree", "tree"), ("tree", "halving")]
+        );
+        assert_eq!(t.agree, 1);
+
+        let missing = bench::coll::read_artifact("/nonexistent/BENCH_coll.json").unwrap_err();
+        assert!(
+            missing.contains("/nonexistent/BENCH_coll.json"),
+            "{missing}"
+        );
+        let (path, e) = read("", &rows).unwrap_err();
+        assert!(e.contains(&path) && e.contains("devices"), "{e}");
+        for (row, field) in [
+            (
+                r#"{"op":"Broadcast","algo":"ring","elems":64,"secs":1}"#,
+                "results[1].algo",
+            ),
+            (
+                r#"{"op":"Barrier","algo":"tree","elems":64,"secs":1}"#,
+                "results[1].op",
+            ),
+            (
+                r#"{"op":"Reduce","algo":"tree","elems":64,"secs":-1}"#,
+                "results[1].secs",
+            ),
+            (
+                r#"{"op":"Reduce","algo":"tree","secs":1}"#,
+                "results[1].elems",
+            ),
+        ] {
+            let (path, e) = read(r#""devices": 4,"#, &[rows[0], row]).unwrap_err();
+            assert!(e.contains(&path) && e.contains(field), "{field}: {e}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,7 +14,7 @@
 
 use bench::{f3, f4, render_table, write_csv};
 use perf::memory;
-use perf::scaling::{self, optimus_stem_times, strong_scaling, weak_scaling, LAYERS, SEQ};
+use perf::scaling::{self, optimus25d_stem_times, strong_scaling, weak_scaling, LAYERS, SEQ};
 use perf::table1::{megatron_layer_costs, optimus_layer_costs};
 use perf::{CostModel, HardwareProfile};
 
@@ -248,7 +248,7 @@ fn fig8(profile: &HardwareProfile) {
                 profile.clone(),
                 Topology::new(q, profile.gpus_per_node, arr),
             );
-            let (fwd, bwd) = optimus_stem_times(&cm, b, SEQ, h, LAYERS, q);
+            let (fwd, bwd) = optimus25d_stem_times(&cm, b, SEQ, h, LAYERS, q, 1);
             fwd + bwd
         };
         let naive = t(Arrangement::Naive);
@@ -333,7 +333,7 @@ fn paradigms(profile: &HardwareProfile) {
             Topology::new(q, gpn, mesh::Arrangement::Bunched),
         );
         let (mf, mb) = megatron_stem_times(&cm_flat, b_meg, SEQ, h, LAYERS, gpus);
-        let (of, ob) = optimus_stem_times(&cm_mesh, b_opt, SEQ, h, LAYERS, q);
+        let (of, ob) = optimus25d_stem_times(&cm_mesh, b_opt, SEQ, h, LAYERS, q, 1);
         // Pipeline with as many stages as devices (layers=24 divides by 4,
         // not by 36/64 — cap stages at a divisor of 24).
         let stages = (1..=gpus.min(LAYERS))

@@ -1,5 +1,7 @@
-//! Live measurement harness for collective algorithms, shared by
-//! `optimus-cli tune-coll` and the `coll-bench` binary.
+//! Live measurement harness for collective algorithms behind the
+//! `coll-bench` binary, and the reader `optimus-cli tune-coll` derives its
+//! selection table from ([`read_artifact`]); both pick a cell's winner with
+//! [`winner`].
 //!
 //! Each cell of the sweep runs one `(op, algorithm, payload size)`
 //! combination on a fresh thread mesh: every rank loops the collective
@@ -17,6 +19,7 @@
 //! sizes should be multiples of the world size.
 
 use mesh::{Coll, CollAlgo, CollPlan, CommOp, Communicator, Group, Mesh};
+use minjson::Json;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -54,6 +57,73 @@ impl CollSample {
     }
 }
 
+/// The measured winner of one `(op, size)` cell: its fastest sample.
+pub fn winner(cell: &[CollSample]) -> CollSample {
+    *cell
+        .iter()
+        .min_by(|x, y| x.secs.total_cmp(&y.secs))
+        .expect("a cell measures at least one algorithm")
+}
+
+/// Reads a `coll-bench` artifact back: the mesh size it was measured on
+/// (`devices`) and its `results` rows grouped into `(op, size)` cells, in
+/// order of first appearance. Errors name the path, and the row and field
+/// of a malformed row.
+pub fn read_artifact(path: &str) -> Result<(usize, Vec<Vec<CollSample>>), String> {
+    fn at<T>(path: &str, field: &str, r: Result<T, String>) -> Result<T, String> {
+        r.map_err(|e| format!("{path}: {field}: {e}"))
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc = minjson::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let devices = at(path, "devices", doc.get("devices").and_then(Json::as_usize))?;
+    let rows = at(path, "results", doc.get("results").and_then(Json::as_arr))?;
+    let mut cells: Vec<Vec<CollSample>> = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let field = |key: &str| format!("results[{i}].{key}");
+        let name = |key: &str| match row.get(key)? {
+            Json::Str(s) => Ok(s.as_str()),
+            other => Err(format!("expected a string, got {}", other.to_string())),
+        };
+        let op = name("op").and_then(|n| {
+            (CommOp::from_name(n).filter(|op| TUNE_OPS.contains(op)))
+                .ok_or(format!("{n:?} is not a tuned collective"))
+        });
+        let op = at(path, &field("op"), op)?;
+        let algo = name("algo").and_then(|n| {
+            (CollAlgo::from_name(n).filter(|a| a.valid_for(op)))
+                .ok_or(format!("{n:?} is not on {}'s menu", op.name()))
+        });
+        let algo = at(path, &field("algo"), algo)?;
+        let elems = at(
+            path,
+            &field("elems"),
+            row.get("elems").and_then(Json::as_usize),
+        )?;
+        let secs = row.get("secs").and_then(Json::as_f64).and_then(|s| {
+            (s.is_finite() && s > 0.0)
+                .then_some(s)
+                .ok_or(format!("{s} is not a positive time"))
+        });
+        let secs = at(path, &field("secs"), secs)?;
+        let sample = CollSample {
+            op,
+            algo,
+            elems,
+            secs,
+        };
+        match (cells.iter_mut()).find(|c| c[0].op == op && c[0].elems == elems) {
+            Some(cell) => cell.push(sample),
+            None => cells.push(vec![sample]),
+        }
+    }
+    if devices < 2 || cells.is_empty() {
+        return Err(format!(
+            "{path}: needs devices >= 2 and at least one results row"
+        ));
+    }
+    Ok((devices, cells))
+}
+
 /// The payload size `mesh::AlgoTable` and `perf::CostModel::coll_time` key
 /// a cell of `elems` total elements on.
 pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
@@ -64,7 +134,7 @@ pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
 }
 
 /// Measures one cell — `op` under an explicit `plan` (algorithm and wire
-/// dtype; both sweeps time the f32 wire) — on a live `p`-device thread
+/// dtype; coll-bench times the f32 wire) — on a live `p`-device thread
 /// mesh. Panics if `plan.algo` is not on `op`'s menu (the sweep should
 /// never ask for an invalid pairing).
 pub fn measure_coll(

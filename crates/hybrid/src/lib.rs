@@ -17,8 +17,9 @@
 //! replicas of one `q × q` Optimus mesh, and
 //! `HybridSpec { pp: 1, dp: 1, grid, microbatches: k }` accumulates `k`
 //! microbatches into one update. In every spec `cfg.batch` is the *global*
-//! batch. [`HybridStage::train_step_zero1`] replaces SGD with Adam over
-//! ZeRO-1 sharded optimizer state, on any spec.
+//! batch. [`HybridStage::step`] takes the optimizer as a value
+//! ([`serial::Optimizer`]), as every model's step does: SGD, clipped SGD
+//! (one stage) or Adam, which keeps ZeRO-1 sharded state whenever `dp > 1`.
 //!
 //! # Device partitioning
 //!
@@ -103,8 +104,7 @@ use std::collections::VecDeque;
 use mesh::{chunk, Coll, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Grads, Keep, MemMeter, Out};
-use serial::{walk_stem, Lowering};
-use tensor::optim::AdamSet;
+use serial::{walk_stem, Lowering, Optimizer};
 use tensor::Tensor;
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -355,7 +355,7 @@ pub struct HybridStage {
     /// most recent step — the quantity 1F1B bounds at `pp − stage`.
     pub peak_live_microbatches: usize,
     /// Wire dtype of the data-parallel gradient all-reduces in
-    /// [`HybridStage::train_step`] (default full-width f32). Set with
+    /// [`HybridStage::step`] (default full-width f32). Set with
     /// [`HybridStage::set_grad_wire`].
     grad_wire: WireDtype,
     /// Error-feedback residuals for the dp gradient sync — one buffer per
@@ -404,7 +404,8 @@ impl HybridStage {
     /// Compressed dtypes run under error feedback: the per-step rounding
     /// error is carried into the next step's gradients, so the loss curve
     /// tracks the f32 run (asserted by the convergence tests). Switching
-    /// dtype mid-training resets the residuals.
+    /// dtype mid-training resets the residuals. ZeRO-1's reduce-scatter and
+    /// broadcasts stay full-width.
     pub fn set_grad_wire(&mut self, wire: WireDtype) {
         if wire != self.grad_wire {
             self.dp_ef = ErrorFeedback::new();
@@ -439,8 +440,8 @@ impl HybridStage {
     /// The accumulation phase of one step: runs this replica's microbatches
     /// through the 1F1B schedule and returns `(Σ scaled losses, Σ scaled
     /// gradients)` — *sums*, not averages (see the crate docs), ready for a
-    /// plain all-reduce over the `dp` axis, or the reduce-scatter of
-    /// [`HybridStage::train_step_zero1`]. Public so tests can observe
+    /// plain all-reduce over the `dp` axis, or the ZeRO-1 reduce-scatter of
+    /// [`HybridStage::step`]. Public so tests can observe
     /// pre-synchronization gradients.
     ///
     /// A microbatch is the stem's one stage forward and one stage backward,
@@ -551,9 +552,66 @@ impl HybridStage {
         loss[0]
     }
 
-    /// One full hybrid training step: the 1F1B schedule, the dp all-reduce
-    /// (sum) of every gradient, the tied-table sync and SGD. Returns the
-    /// global mean loss — identical on every device of the world.
+    /// One full hybrid training step under `opt`: the 1F1B schedule, the
+    /// gradient sync and the update. Returns the global mean loss and the
+    /// clip scale (1 unless [`Optimizer::Clipped`]), both identical on every
+    /// device of the world.
+    ///
+    /// [`Optimizer::Adam`] with `dp > 1` runs under **ZeRO stage-1**
+    /// (Rajbhandari et al., which the paper cites as orthogonal to its own
+    /// method): replica `r` keeps the moments of, and updates, only chunk `r`
+    /// of each tensor ([`mesh::chunk`], the reduce-scatter's partition). Per
+    /// tensor the gradient is reduce-scattered over the dp group, the owned
+    /// chunk takes its Adam step and every chunk is broadcast back from its
+    /// owner, full-width: optimizer memory drops `dp`-fold, the math is
+    /// full-state Adam on the global batch. Every other update all-reduces
+    /// each gradient over the dp axis on the [`HybridStage::set_grad_wire`]
+    /// wire, syncs the tied table and takes [`Optimizer::step`].
+    ///
+    /// # Panics
+    ///
+    /// On [`Optimizer::Clipped`] with `pp > 1`: a stage holds only its own
+    /// layers, so its gradient norm would cover one stage.
+    pub fn step<C: Communicator>(
+        &mut self,
+        grid: &GridNd<C>,
+        tokens: &[usize],
+        labels: &[usize],
+        opt: &mut Optimizer,
+    ) -> (f32, f32) {
+        assert!(
+            self.spec.pp == 1 || !matches!(opt, Optimizer::Clipped { .. }),
+            "Optimizer::Clipped needs pp = 1: a pipeline stage's gradient norm covers only its own layers"
+        );
+        let (losses, mut grads) = self.replica_grads(grid, tokens, labels);
+        let ctx = grid.ctx();
+        let scale = match opt {
+            Optimizer::Adam(opt) if self.spec.dp > 1 => {
+                self.tie_sync(ctx, grads.embedding.as_mut_slice());
+                let dp = self.spec.dp_group(self.stage, self.mesh_rank);
+                let (d, me) = (dp.len(), self.replica);
+                opt.begin_step();
+                walk_stem(self.model.stem_mut(), &grads, &mut |param, grad| {
+                    let (n, mine) = (param.len(), ctx.reduce_scatter(&dp, &mut grad.to_vec()));
+                    opt.apply(&mut param[chunk(n, d, me)], &mine);
+                    for r in 0..d {
+                        ctx.broadcast(&dp, r, &mut param[chunk(n, d, r)]);
+                    }
+                });
+                1.0
+            }
+            _ => {
+                self.dp_sync(ctx, &mut grads);
+                self.tie_sync(ctx, grads.embedding.as_mut_slice());
+                let micro = self.model.cfg;
+                let low = Summa2d { grid, cfg: &micro };
+                opt.step(&low, self.model.stem_mut(), &grads)
+            }
+        };
+        (self.exchange_loss(ctx, losses), scale)
+    }
+
+    /// [`HybridStage::step`] under SGD. Returns the global mean loss.
     pub fn train_step<C: Communicator>(
         &mut self,
         grid: &GridNd<C>,
@@ -561,74 +619,45 @@ impl HybridStage {
         labels: &[usize],
         lr: f32,
     ) -> f32 {
-        let (losses, mut grads) = self.replica_grads(grid, tokens, labels);
-        let ctx = grid.ctx();
-        if self.spec.dp > 1 {
-            let dp = self.spec.dp_group(self.stage, self.mesh_rank);
-            let (has_table, is_last) = (self.is_first() || self.is_last(), self.is_last());
-            let w = self.grad_wire;
-            // The residual cursor rewinds every step; buffers line up with
-            // the canonical walk order of the gradient slices below.
-            let ef = &mut self.dp_ef;
-            ef.begin_step();
-            let mut sync = |v: &mut [f32]| {
-                ef.apply(v, w);
-                let plan = CollPlan {
-                    wire: w,
-                    ..ctx.plan(CommOp::AllReduce, dp.len(), v.len())
-                };
-                ctx.collective(Coll::AllReduce, &dp, v, plan);
-            };
-            // Middle stages carry a table and a final LN whose gradients
-            // are permanently zero: nothing to sync.
-            if has_table {
-                sync(grads.embedding.as_mut_slice());
-            }
-            if is_last {
-                for v in [&mut grads.final_ln_g, &mut grads.final_ln_b] {
-                    v.iter_mut().for_each(|v| sync(v));
-                }
-            }
-            for g in &mut grads.layers {
-                g.walk_mut(&mut sync);
-            }
-        }
-        self.tie_sync(ctx, grads.embedding.as_mut_slice());
-        self.model.apply_sgd(&grads, lr);
-        self.exchange_loss(ctx, losses)
+        let mut sgd = Optimizer::Sgd { lr };
+        self.step(grid, tokens, labels, &mut sgd).0
     }
 
-    /// [`HybridStage::train_step`] with Adam under **ZeRO stage-1
-    /// optimizer-state sharding** (Rajbhandari et al., which the paper cites
-    /// as orthogonal to its own method). Replica `r` holds the moments of,
-    /// and updates, only chunk `r` of each tensor — [`mesh::chunk`], the
-    /// reduce-scatter's own partition. Per tensor the gradient is
-    /// reduce-scattered over the dp group, the owned chunk takes its Adam
-    /// step and every chunk is broadcast back from its owner. Optimizer
-    /// memory per replica drops `dp`-fold; the math is full-state Adam on
-    /// the global batch. The dp traffic is full-width:
-    /// [`HybridStage::set_grad_wire`] applies to `train_step` only.
-    pub fn train_step_zero1<C: Communicator>(
-        &mut self,
-        grid: &GridNd<C>,
-        tokens: &[usize],
-        labels: &[usize],
-        opt: &mut AdamSet,
-    ) -> f32 {
-        let (losses, mut grads) = self.replica_grads(grid, tokens, labels);
-        let ctx = grid.ctx();
-        self.tie_sync(ctx, grads.embedding.as_mut_slice());
+    /// The dp all-reduce (sum) of every gradient slice this stage syncs, in
+    /// the canonical walk order, on the stage's gradient wire under error
+    /// feedback.
+    fn dp_sync<C: Communicator>(&mut self, ctx: &C, grads: &mut Model2dGrads) {
+        if self.spec.dp == 1 {
+            return;
+        }
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
-        let (d, me) = (dp.len(), self.replica);
-        opt.begin_step();
-        walk_stem(self.model.stem_mut(), &grads, &mut |param, grad| {
-            let (n, mine) = (param.len(), ctx.reduce_scatter(&dp, &mut grad.to_vec()));
-            opt.apply(&mut param[chunk(n, d, me)], &mine);
-            for r in 0..d {
-                ctx.broadcast(&dp, r, &mut param[chunk(n, d, r)]);
+        let (has_table, is_last) = (self.is_first() || self.is_last(), self.is_last());
+        let w = self.grad_wire;
+        // The residual cursor rewinds every step; buffers line up with the
+        // canonical walk order of the gradient slices below.
+        let ef = &mut self.dp_ef;
+        ef.begin_step();
+        let mut sync = |v: &mut [f32]| {
+            ef.apply(v, w);
+            let plan = CollPlan {
+                wire: w,
+                ..ctx.plan(CommOp::AllReduce, dp.len(), v.len())
+            };
+            ctx.collective(Coll::AllReduce, &dp, v, plan);
+        };
+        // Middle stages carry a table and a final LN whose gradients are
+        // permanently zero: nothing to sync.
+        if has_table {
+            sync(grads.embedding.as_mut_slice());
+        }
+        if is_last {
+            for v in [&mut grads.final_ln_g, &mut grads.final_ln_b] {
+                v.iter_mut().for_each(|v| sync(v));
             }
-        });
-        self.exchange_loss(ctx, losses)
+        }
+        for g in &mut grads.layers {
+            g.walk_mut(&mut sync);
+        }
     }
 }
 

@@ -161,12 +161,6 @@ impl DeviceCtx {
         self.boxes[self.rank].pop(from, self.rank)
     }
 
-    /// Returns a consumed receive buffer to the scratch pool so a later
-    /// collective send can reuse its allocation.
-    pub fn recycle(&self, buf: Vec<f32>) {
-        self.pool.borrow_mut().put(buf);
-    }
-
     /// Buffers the scratch pool had to allocate fresh (pool misses) since
     /// the mesh started or [`DeviceCtx::reset_pool_stats`] was called.
     pub fn fresh_allocs(&self) -> usize {

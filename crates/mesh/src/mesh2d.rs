@@ -140,11 +140,6 @@ impl<'a, C: Communicator> GridNd<'a, C> {
         &self.shape
     }
 
-    /// This device's coordinate on one axis.
-    pub fn coord(&self, axis: usize) -> usize {
-        self.coords[axis]
-    }
-
     /// Mesh side length `q` for square-fronted meshes (so the SUMMA slice
     /// is `q²` devices). Requires the first two axes to be equal.
     pub fn q(&self) -> usize {
@@ -178,15 +173,6 @@ impl<'a, C: Communicator> GridNd<'a, C> {
         } else {
             1
         }
-    }
-
-    /// World rank of the device at `(row, col)` **in this device's slice**
-    /// (all axis-2+ coordinates held at this device's own).
-    pub fn rank_at(&self, row: usize, col: usize) -> usize {
-        let mut c = self.coords.clone();
-        c[0] = row;
-        c[1] = col;
-        self.first + self.shape.rank_of(&c)
     }
 
     /// Subgroup obtained by sweeping `axis` while every other coordinate
@@ -419,17 +405,6 @@ mod tests {
         });
         let (slice, mesh) = &flat[0];
         assert_eq!(slice, mesh);
-    }
-
-    #[test]
-    fn rank_at_stays_in_my_slice() {
-        let out = MeshNd::run(&[2, 2, 2], |g| g.rank_at(g.row(), g.col()));
-        // rank_at of my own coordinates is my own rank, for every depth.
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-
-        let cross = MeshNd::run(&[2, 2, 2], |g| g.rank_at(0, 1));
-        // (0, 1) in depth-0's slice is rank 2; in depth-1's slice rank 3.
-        assert_eq!(cross, vec![2, 3, 2, 3, 2, 3, 2, 3]);
     }
 
     #[test]

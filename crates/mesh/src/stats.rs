@@ -234,12 +234,6 @@ impl CommLog {
         self.links.extend_from_slice(&other.links);
         self.wire += other.wire;
     }
-
-    /// The subset of a (possibly merged) log recorded by `rank`, in
-    /// original program order.
-    pub fn ops_by_rank(&self, rank: usize) -> impl Iterator<Item = &OpRecord> {
-        self.ops.iter().filter(move |r| r.rank == rank)
-    }
 }
 
 #[cfg(test)]
@@ -317,10 +311,7 @@ mod tests {
         // Ops remember who recorded them...
         assert_eq!(a.ops[0].rank, 0);
         assert_eq!(a.ops[1].rank, 1);
-        assert_eq!(
-            a.ops_by_rank(1).map(|r| r.elems).collect::<Vec<_>>(),
-            vec![50]
-        );
+        assert_eq!(a.ops[1].elems, 50);
         // ...and links always carried their sender.
         assert_eq!(a.links[0].from, 1);
     }

@@ -124,11 +124,6 @@ impl Topology {
         self.gpus_per_node
     }
 
-    /// True if the link `a → b` stays inside one node.
-    pub fn is_intra_node(&self, a: usize, b: usize) -> bool {
-        self.node_of[a] == self.node_of[b]
-    }
-
     /// Number of distinct nodes spanned by a set of ranks — the quantity
     /// Fig. 8 minimises for column groups.
     pub fn nodes_spanned(&self, ranks: &[usize]) -> usize {
@@ -191,7 +186,7 @@ mod tests {
     fn single_node_is_all_intra() {
         let t = Topology::single_node(9);
         assert_eq!(t.num_nodes(), 1);
-        assert!(t.is_intra_node(0, 8));
+        assert_eq!(t.nodes_spanned(&[0, 8]), 1);
     }
 
     #[test]

@@ -70,10 +70,6 @@ impl Counter {
         self.0.fetch_add(v, Relaxed);
     }
 
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
     }
@@ -640,7 +636,7 @@ mod tests {
     fn counter_basics() {
         let c = Counter::new();
         c.add(3);
-        c.inc();
+        c.add(1);
         assert_eq!(c.get(), 4);
     }
 

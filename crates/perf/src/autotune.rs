@@ -1,7 +1,9 @@
 //! Configuration-space search for hybrid 3D/4D training: enumerate every
-//! valid `pp × dp × [q, q, d] × m` partition of an `N`-device world, price
-//! each one with the α-β cost model plus the per-device memory model, and
-//! keep the Pareto frontier of throughput versus peak memory.
+//! `pp × dp × [q, q, d] × m` partition of an `N`-device world that the live
+//! runtime accepts (`hybrid::HybridSpec::validate_for_world` is the one
+//! validity rule), price each one with the α-β cost model plus the
+//! per-device memory model, and keep the Pareto frontier of throughput
+//! versus peak memory.
 //!
 //! This is the dry-run backend of `optimus-cli autotune`: nothing here
 //! spawns a mesh — every candidate is priced in closed form (the same
@@ -37,7 +39,9 @@ use crate::cost::CostModel;
 use crate::memory::{optimus_bytes, MemoryConfig};
 use crate::profile::HardwareProfile;
 use crate::projection::tesseract_grids;
+use hybrid::HybridSpec;
 use mesh::Topology;
+use optimus_core::OptimusConfig;
 
 /// Model dimensions and the global batch to autotune for.
 #[derive(Clone, Copy, Debug)]
@@ -117,8 +121,9 @@ fn divisors(n: usize) -> Vec<usize> {
 }
 
 /// Prices one hybrid configuration. Returns `None` when the combination is
-/// invalid (divisibility) — the enumeration calls this for every candidate
-/// rather than pre-filtering, so validity lives in exactly one place.
+/// not a valid partition of `devices` — the live spec's own
+/// [`HybridSpec::validate_for_world`] decides, so the sweep enumerates
+/// exactly the configurations `hybrid::build` accepts.
 #[allow(clippy::too_many_arguments)] // the five spec axes are the signature
 pub fn price_candidate(
     profile: &HardwareProfile,
@@ -130,19 +135,26 @@ pub fn price_candidate(
     d: usize,
     m: usize,
 ) -> Option<CandidateCost> {
-    let msz = q * q * d;
-    if pp * dp * msz != devices
-        || !model.layers.is_multiple_of(pp)
-        || !model.batch.is_multiple_of(dp)
-        || !(model.batch / dp).is_multiple_of(m)
-        || !(model.batch / (dp * m)).is_multiple_of(q)
-        || !q.is_multiple_of(d)
-        || !model.hidden.is_multiple_of(q)
-        || !model.heads.is_multiple_of(q)
-        || !model.vocab.is_multiple_of(q)
-    {
-        return None;
-    }
+    let spec = HybridSpec {
+        pp,
+        dp,
+        grid: [q, q, d],
+        microbatches: m,
+    };
+    let cfg = OptimusConfig {
+        q,
+        batch: model.batch,
+        seq: model.seq,
+        hidden: model.hidden,
+        heads: model.heads,
+        vocab: model.vocab,
+        layers: model.layers,
+        causal: true,
+        checkpoint: true,
+        fused_attention: false,
+    };
+    spec.validate_for_world(&cfg, devices).ok()?;
+    let msz = spec.mesh_devices();
     let bm = model.batch / (dp * m);
     let lps = model.layers / pp;
     let gpn = profile.gpus_per_node.min(devices);

@@ -1,8 +1,8 @@
 //! Persistence for the tuned collective-algorithm table.
 //!
-//! `optimus-cli tune-coll` sweeps every registered algorithm across message
-//! sizes on the live mesh, derives an [`mesh::AlgoTable`] of measured
-//! winners, and persists it here ([`CollTune::save`], conventionally at
+//! `optimus-cli tune-coll` derives an [`mesh::AlgoTable`] of measured
+//! winners from `coll-bench`'s sweep of every registered algorithm across
+//! message sizes on the live mesh, and persists it here ([`CollTune::save`], conventionally at
 //! [`COLL_TUNE_PATH`], which is *not* committed — fresh clones keep the
 //! baseline table until they tune). CLI entry points load the file and hand
 //! its [`CollTune::algo`] to every [`mesh::MeshRun`] they launch, the same

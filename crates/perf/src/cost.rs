@@ -101,11 +101,6 @@ impl CostModel {
             * (self.profile.alpha + self.group_beta(ranks) * elems as f64 / g as f64)
     }
 
-    /// One ring pass (all-gather or reduce-scatter): half of Eq. 5.
-    pub fn ring_pass_time(&self, ranks: &[usize], elems: usize) -> f64 {
-        self.all_reduce_time(ranks, elems) / 2.0
-    }
-
     /// Time to execute `macs` multiply-accumulates on one device.
     pub fn compute_time(&self, macs: f64) -> f64 {
         macs / self.profile.mac_rate

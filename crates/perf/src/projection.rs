@@ -8,13 +8,13 @@
 //! models the paper's remark that "the mesh topology of newly emerging
 //! supercomputers is able to further liberate the power of Optimus" via a
 //! torus profile with nearest-neighbour links (TPU-style), where SUMMA's
-//! row/column traffic never leaves a physical ring.
+//! row/column traffic never leaves a physical ring. Every Optimus row is
+//! [`optimus25d_stem_times`]; the 2D rows are its `d = 1` case.
 
 use crate::cost::CostModel;
 use crate::profile::HardwareProfile;
 use crate::scaling::{
-    megatron_stem_times, optimus25d_stem_times, optimus_stem_times, optimus_stem_times_overlapped,
-    LAYERS, SEQ,
+    megatron_stem_times, optimus25d_stem_times, optimus_stem_times_overlapped, LAYERS, SEQ,
 };
 use mesh::{Arrangement, Topology};
 
@@ -54,7 +54,7 @@ pub fn weak_scaling_projection(profile: &HardwareProfile) -> Vec<ProjectionPoint
         let cm_meg = CostModel::new(profile.clone(), Topology::flat(gpus, gpn));
         let cm_opt = CostModel::new(profile.clone(), Topology::new(q, gpn, Arrangement::Bunched));
         let (mf, mb) = megatron_stem_times(&cm_meg, b_meg, SEQ, h, LAYERS, gpus);
-        let (of, ob) = optimus_stem_times(&cm_opt, b_opt, SEQ, h, LAYERS, q);
+        let (of, ob) = optimus25d_stem_times(&cm_opt, b_opt, SEQ, h, LAYERS, q, 1);
         let (ovf, ovb) = optimus_stem_times_overlapped(&cm_opt, b_opt, SEQ, h, LAYERS, q);
         let m_thr = b_meg as f64 / (mf + mb);
         let o_thr = b_opt as f64 / (of + ob);
@@ -163,7 +163,7 @@ pub fn crossover_projection(profile: &HardwareProfile) -> Vec<CrossoverPoint> {
             profile.clone(),
             Topology::new(q2, gpn, Arrangement::Bunched),
         );
-        let (of, ob) = optimus_stem_times(&cm_2d, b, SEQ, h, LAYERS, q2);
+        let (of, ob) = optimus25d_stem_times(&cm_2d, b, SEQ, h, LAYERS, q2, 1);
         let thr_2d = b as f64 / (of + ob);
 
         let mut sweep = Vec::new();

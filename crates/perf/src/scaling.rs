@@ -8,7 +8,8 @@
 //! Megatron's per-layer all-reduces over the world group and Optimus's SUMMA
 //! panel broadcasts/reductions over mesh rows and columns — all priced by
 //! [`CostModel`], so node placement (Fig. 8) and NIC contention are in the
-//! numbers.
+//! numbers. One formula, [`optimus25d_stem_times`], prices every Optimus
+//! mesh: the paper's 2D stem is its depth-1 case.
 
 use crate::cost::{pipelined_loop_time, CostModel};
 use crate::profile::HardwareProfile;
@@ -78,50 +79,6 @@ fn layer_products(b: usize, s: usize, h: usize, q: usize) -> [(usize, usize); 4]
     ]
 }
 
-/// Optimus stem forward/backward times (seconds per iteration) on a bunched
-/// `q × q` mesh.
-pub fn optimus_stem_times(
-    cm: &CostModel,
-    b: usize,
-    s: usize,
-    h: usize,
-    layers: usize,
-    q: usize,
-) -> (f64, f64) {
-    let p = q * q;
-    let row: Vec<usize> = (0..q).collect();
-    let col: Vec<usize> = (0..q).map(|i| i * q).collect();
-
-    let comp_fwd = layers as f64 * cm.compute_time(layer_macs(b, s, h) / p as f64);
-
-    let mut comm_fwd = 0.0;
-    let mut comm_bwd_grads = 0.0;
-    for (act, w) in layer_products(b, s, h, q) {
-        // Forward (Algorithm 1): q iterations, each broadcasting an
-        // activation panel along the row and a weight panel down the column.
-        comm_fwd += q as f64 * (cm.broadcast_time(&row, act) + cm.broadcast_time(&col, w));
-        // Backward: dX (Algorithm 2: weight panels down columns, partial
-        // activations reduced along rows) and dW (Algorithm 3: activation
-        // panels along rows, partial weights reduced down columns).
-        comm_bwd_grads += q as f64
-            * (cm.broadcast_time(&col, w)
-                + cm.reduce_time(&row, act)
-                + cm.broadcast_time(&row, act)
-                + cm.reduce_time(&col, w));
-    }
-    // Layer norms and biases (Section 3.2.2): per layer, two LNs each
-    // all-reduce two row-length vectors along the row, plus column
-    // broadcasts of the h/q parameter slices. Small but priced.
-    let ln_rows = b * s / q;
-    let ln = 2.0 * (2.0 * cm.all_reduce_time(&row, ln_rows) + 2.0 * cm.broadcast_time(&col, h / q));
-    comm_fwd += ln;
-    comm_bwd_grads += ln;
-
-    let comm_fwd = layers as f64 * comm_fwd;
-    let comm_bwd = layers as f64 * comm_bwd_grads + comm_fwd; // + recompute
-    (comp_fwd + comm_fwd, 3.0 * comp_fwd + comm_bwd)
-}
-
 /// Per-product output-block element counts on a `q × q` slice — the C
 /// blocks the 2.5D depth epilogues move — in [`layer_products`] order.
 fn layer_product_outputs(b: usize, s: usize, h: usize, q: usize) -> [usize; 4] {
@@ -141,8 +98,11 @@ fn layer_product_outputs(b: usize, s: usize, h: usize, q: usize) -> [usize; 4] {
 /// slice and broadcast it from its owner. The attention-score/context
 /// matmuls are local under the adopted `(b, h)` partition and are
 /// replicated across depth, so their compute does **not** divide by `d`.
-/// With `d = 1` every epilogue vanishes and the times equal
-/// [`optimus_stem_times`] (up to float associativity in the compute term).
+/// With `d = 1` every epilogue vanishes and this is the paper's 2D Optimus
+/// stem on a `q × q` mesh: forward, Algorithm 1 (an activation panel along
+/// the row and a weight panel down the column per round); backward, the
+/// dX and dW products of Algorithms 2–3 plus the checkpoint recompute of
+/// the forward.
 ///
 /// Group geometry comes from [`mesh::MeshShape`] on `[q, q, d]`, so the
 /// priced rank lists are exactly the live mesh's axis subgroups: depth
@@ -205,14 +165,15 @@ pub fn optimus25d_stem_times(
     (comp_fwd + comm_fwd, 3.0 * comp_fwd + comm_bwd)
 }
 
-/// Like [`optimus_stem_times`] but pricing every SUMMA product's `q`-round
-/// panel loop with a prefetch schedule ([`pipelined_loop_time`]) instead of
-/// the serial sum: a projection for GPUs whose communication engine moves
-/// round `l+1`'s panels while round `l` computes. The thread mesh does not
-/// run this schedule; its SUMMA is the serial loop [`optimus_stem_times`]
-/// prices. Communication volumes are identical; only the exposure differs:
-/// per product, one panel transfer and one GEMM round stay on the critical
-/// path while the interior rounds cost `max(T_comm, T_comp)` each.
+/// Like [`optimus25d_stem_times`] at `d = 1` but pricing every SUMMA
+/// product's `q`-round panel loop with a prefetch schedule
+/// ([`pipelined_loop_time`]) instead of the serial sum: a projection for
+/// GPUs whose communication engine moves round `l+1`'s panels while round
+/// `l` computes. The thread mesh does not run this schedule; its SUMMA is
+/// the serial loop [`optimus25d_stem_times`] prices. Communication volumes
+/// are identical; only the exposure differs: per product, one panel
+/// transfer and one GEMM round stay on the critical path while the interior
+/// rounds cost `max(T_comm, T_comp)` each.
 pub fn optimus_stem_times_overlapped(
     cm: &CostModel,
     b: usize,
@@ -326,7 +287,7 @@ pub fn weak_scaling(profile: &HardwareProfile) -> (Vec<ScalingRow>, Vec<ScalingR
             Topology::new(q, profile.gpus_per_node.min(gpus), Arrangement::Bunched),
         );
         let mt = megatron_stem_times(&cm_meg, b_meg, SEQ, h, LAYERS, gpus);
-        let ot = optimus_stem_times(&cm_opt, b_opt, SEQ, h, LAYERS, q);
+        let ot = optimus25d_stem_times(&cm_opt, b_opt, SEQ, h, LAYERS, q, 1);
         meg.push(row("megatron", profile, nodes, gpus, b_meg, h, n, mt));
         opt.push(row("optimus", profile, nodes, gpus, b_opt, h, n, ot));
     }
@@ -362,7 +323,7 @@ pub fn strong_scaling(profile: &HardwareProfile) -> (Vec<ScalingRow>, Vec<Scalin
             Topology::new(q, profile.gpus_per_node.min(gpus), Arrangement::Bunched),
         );
         let mt = megatron_stem_times(&cm_meg, STRONG_BATCH_MEGATRON, SEQ, h_meg, LAYERS, gpus);
-        let ot = optimus_stem_times(&cm_opt, STRONG_BATCH_OPTIMUS, SEQ, h_opt, LAYERS, q);
+        let ot = optimus25d_stem_times(&cm_opt, STRONG_BATCH_OPTIMUS, SEQ, h_opt, LAYERS, q, 1);
         meg.push(row(
             "megatron",
             profile,
@@ -491,7 +452,7 @@ mod tests {
                 prof.clone(),
                 Topology::new(q, prof.gpus_per_node.min(gpus), Arrangement::Bunched),
             );
-            let (sf, sb) = optimus_stem_times(&cm, b_opt, SEQ, h, LAYERS, q);
+            let (sf, sb) = optimus25d_stem_times(&cm, b_opt, SEQ, h, LAYERS, q, 1);
             let (of, ob) = optimus_stem_times_overlapped(&cm, b_opt, SEQ, h, LAYERS, q);
             assert!(of <= sf * (1.0 + 1e-12), "fwd {of} > serial {sf} at q={q}");
             assert!(ob <= sb * (1.0 + 1e-12), "bwd {ob} > serial {sb} at q={q}");
@@ -507,31 +468,13 @@ mod tests {
         // so a GPU prefetch schedule must buy a visible improvement.
         let prof = profile();
         let cm = CostModel::new(prof.clone(), Topology::new(8, 4, Arrangement::Bunched));
-        let (sf, sb) = optimus_stem_times(&cm, 384, SEQ, 8192, LAYERS, 8);
+        let (sf, sb) = optimus25d_stem_times(&cm, 384, SEQ, 8192, LAYERS, 8, 1);
         let (of, ob) = optimus_stem_times_overlapped(&cm, 384, SEQ, 8192, LAYERS, 8);
         let gain = (sf + sb) / (of + ob);
         assert!(
             gain > 1.05,
             "overlap gain at 64 GPUs should exceed 5%: {gain}"
         );
-    }
-
-    #[test]
-    fn depth_one_25d_stem_equals_the_2d_stem() {
-        // The cost-model analogue of the live kernel's d=1 contract: with no
-        // depth, the 2.5D formula collapses to the 2D one (compute differs
-        // only by float associativity).
-        let prof = profile();
-        for &(_, gpus, q, h, _, _, b_opt) in &WEAK_CONFIGS {
-            let cm = CostModel::new(
-                prof.clone(),
-                Topology::new(q, prof.gpus_per_node.min(gpus), Arrangement::Bunched),
-            );
-            let (sf, sb) = optimus_stem_times(&cm, b_opt, SEQ, h, LAYERS, q);
-            let (f, bw) = optimus25d_stem_times(&cm, b_opt, SEQ, h, LAYERS, q, 1);
-            assert!(((f - sf) / sf).abs() < 1e-12, "fwd {f} vs {sf} at q={q}");
-            assert!(((bw - sb) / sb).abs() < 1e-12, "bwd {bw} vs {sb} at q={q}");
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@ use crate::layer::Lowering;
 use crate::layout::{walk_values, Cut};
 use crate::params::{walk_stem, ModelTensors};
 use crate::stem::StemMut;
-use tensor::optim::{sgd_update, AdamSet};
-use tensor::schedule::{clip_scale, sq_norm};
+use tensor::optim::{clip_scale, sgd_update, sq_norm, AdamSet};
 
 /// How a training step turns gradients into a parameter update.
 #[derive(Clone, Debug)]

@@ -70,14 +70,9 @@ impl MemMeter {
         self.current
     }
 
-    /// High-water mark since construction (or last [`MemMeter::reset_peak`]).
+    /// High-water mark since construction.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Resets the peak to the current level.
-    pub fn reset_peak(&mut self) {
-        self.peak = self.current;
     }
 }
 
@@ -562,8 +557,6 @@ mod tests {
         m.alloc(10);
         assert_eq!(m.current(), 40);
         assert_eq!(m.peak(), 150);
-        m.reset_peak();
-        assert_eq!(m.peak(), 40);
     }
 
     #[test]

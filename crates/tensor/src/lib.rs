@@ -33,7 +33,6 @@ pub mod ops;
 pub mod optim;
 pub mod pool;
 pub mod rng;
-pub mod schedule;
 pub mod softmax;
 mod tensor;
 mod vmath;

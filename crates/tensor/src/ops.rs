@@ -87,27 +87,6 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Element-wise (Hadamard) product.
-pub fn hadamard(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.dims(), b.dims(), "shape mismatch in hadamard");
-    let mut out = a.clone();
-    for (x, y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x *= y;
-    }
-    out
-}
-
-/// Scales each row of `x` by the corresponding entry of `s` (length = rows).
-pub fn row_scale(x: &mut Tensor, s: &[f32]) {
-    let cols = x.cols();
-    assert_eq!(s.len(), x.rows());
-    for (row, &f) in x.as_mut_slice().chunks_mut(cols).zip(s.iter()) {
-        for v in row {
-            *v *= f;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,18 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_hadamard() {
+    fn add_is_elementwise() {
         let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::from_vec(&[2, 2], vec![4.0, 3.0, 2.0, 1.0]);
         assert_eq!(add(&a, &b).as_slice(), &[5.0; 4]);
-        assert_eq!(hadamard(&a, &b).as_slice(), &[4.0, 6.0, 6.0, 4.0]);
-    }
-
-    #[test]
-    fn row_scale_scales_rows() {
-        let mut x = Tensor::full(&[2, 3], 1.0);
-        row_scale(&mut x, &[2.0, 3.0]);
-        assert_eq!(x.as_slice(), &[2.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]

@@ -14,6 +14,27 @@ pub fn sgd_update(params: &mut [f32], grads: &[f32], lr: f32) {
     }
 }
 
+/// Global gradient-norm clipping, split into the local and global halves so
+/// distributed callers can all-reduce the squared norm between them:
+///
+/// 1. every shard computes [`sq_norm`] of its local gradients;
+/// 2. the shards' values are summed (all-reduce in the distributed case);
+/// 3. every shard applies [`clip_scale`] with the *global* squared norm.
+pub fn sq_norm(grads: &[f32]) -> f64 {
+    grads.iter().map(|&g| (g as f64) * (g as f64)).sum()
+}
+
+/// The multiplier that caps the global norm at `max_norm` (1.0 if already
+/// within bounds).
+pub fn clip_scale(global_sq_norm: f64, max_norm: f64) -> f32 {
+    let norm = global_sq_norm.sqrt();
+    if norm <= max_norm || norm == 0.0 {
+        1.0
+    } else {
+        (max_norm / norm) as f32
+    }
+}
+
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Clone, Debug)]
 pub struct Adam {
@@ -200,5 +221,30 @@ mod tests {
         set.apply(&mut [0.0, 0.0], &[1.0, 1.0]);
         set.begin_step();
         set.apply(&mut [0.0], &[1.0]);
+    }
+
+    #[test]
+    fn clipping_caps_the_norm() {
+        let g = vec![3.0f32, 4.0]; // norm 5
+        let scale = clip_scale(sq_norm(&g), 1.0);
+        assert!((scale - 0.2).abs() < 1e-6);
+        // Applying it yields unit norm.
+        let clipped: Vec<f32> = g.iter().map(|v| v * scale).collect();
+        assert!((sq_norm(&clipped).sqrt() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clipping_is_identity_within_bounds() {
+        assert_eq!(clip_scale(sq_norm(&[0.1, 0.1]), 1.0), 1.0);
+        assert_eq!(clip_scale(0.0, 1.0), 1.0);
+    }
+
+    #[test]
+    fn split_norm_equals_whole_norm() {
+        // The distributed decomposition: sum of shard sq-norms = global.
+        let all = vec![1.0f32, -2.0, 3.0, 0.5, -0.25, 4.0];
+        let whole = sq_norm(&all);
+        let split = sq_norm(&all[..2]) + sq_norm(&all[2..4]) + sq_norm(&all[4..]);
+        assert!((whole - split).abs() < 1e-12);
     }
 }

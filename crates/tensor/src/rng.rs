@@ -73,22 +73,12 @@ impl Rng {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
-    /// Uniform `f32` in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Standard normal sample via Box–Muller.
     pub fn normal(&mut self) -> f32 {
         // Avoid ln(0) by nudging u1 away from zero.
         let u1 = (self.uniform() as f64).max(1e-12);
         let u2 = self.uniform() as f64;
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -101,13 +91,6 @@ impl Rng {
     pub fn fill_normal(&mut self, out: &mut [f32], std: f32) {
         for v in out {
             *v = self.normal() * std;
-        }
-    }
-
-    /// Fills a slice with uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.uniform_in(lo, hi);
         }
     }
 }

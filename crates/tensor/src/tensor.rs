@@ -77,13 +77,6 @@ impl Tensor {
         t
     }
 
-    /// Tensor with i.i.d. uniform entries in `[lo, hi)`.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let mut t = Tensor::zeros(dims);
-        rng.fill_uniform(&mut t.data, lo, hi);
-        t
-    }
-
     /// The shape of the tensor.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -134,13 +127,6 @@ impl Tensor {
         let n: usize = dims.iter().product();
         assert_eq!(n, self.data.len(), "reshape {:?} -> {:?}", self.dims, dims);
         Tensor::new_tracked(dims.to_vec(), self.data.clone())
-    }
-
-    /// Reshapes in place without copying the buffer.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) {
-        let n: usize = dims.iter().product();
-        assert_eq!(n, self.data.len(), "reshape {:?} -> {:?}", self.dims, dims);
-        self.dims = dims.to_vec();
     }
 
     /// Element at `(r, c)` of the matrix view.
@@ -256,14 +242,6 @@ impl Tensor {
         }
     }
 
-    /// `self += alpha * other` element-wise.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.dims, other.dims, "shape mismatch in axpy");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// `self *= alpha` element-wise.
     pub fn scale(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -370,11 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::full(&[2, 2], 1.0);
-        let b = Tensor::full(&[2, 2], 2.0);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[2.0; 4]);
+    fn scale_multiplies_in_place() {
+        let mut a = Tensor::full(&[2, 2], 2.0);
         a.scale(2.0);
         assert_eq!(a.as_slice(), &[4.0; 4]);
     }

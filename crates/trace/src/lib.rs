@@ -122,12 +122,6 @@ impl OpMeta {
         }
     }
 
-    /// This meta with its mesh-axis label set (builder style).
-    pub fn with_axis(mut self, axis: &'static str) -> Self {
-        self.axis = axis;
-        self
-    }
-
     /// This meta with its algorithm name set (builder style).
     pub fn with_algo(mut self, algo: &'static str) -> Self {
         self.algo = algo;

@@ -6,7 +6,7 @@
 
 use optimus::mesh::{Arrangement, Mesh2d, Topology};
 use optimus::optimus_core::{layer2d_backward, layer2d_forward, OptimusConfig, Summa2d};
-use optimus::perf::scaling::optimus_stem_times;
+use optimus::perf::scaling::optimus25d_stem_times;
 use optimus::perf::{CostModel, HardwareProfile};
 use optimus::serial::{shard_layer, LayerParams};
 use optimus::summa::distribute;
@@ -56,7 +56,7 @@ fn replayed_forward_matches_stem_model() {
     // Closed-form forward communication time for one layer: stem model with
     // compute priced at (effectively) zero cost contribution removed by
     // subtracting the pure-compute term.
-    let (fwd_model, _) = optimus_stem_times(&cm, cfg.batch, cfg.seq, cfg.hidden, 1, cfg.q);
+    let (fwd_model, _) = optimus25d_stem_times(&cm, cfg.batch, cfg.seq, cfg.hidden, 1, cfg.q, 1);
     let comp = cm.compute_time(
         optimus::perf::table1::layer_macs(cfg.batch, cfg.seq, cfg.hidden) / (cfg.q * cfg.q) as f64,
     );

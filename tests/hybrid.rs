@@ -1,7 +1,7 @@
 //! Integration tests for the hybrid 3D/4D schedule: the degenerate hybrid
 //! step must be *bitwise* the plain `GridNd` step, the dp=2 step must match
 //! serial gradient summation to 1e-12, ZeRO-1 must be serial Adam with
-//! sharded state, mixed specs must replay identically on the dry-run
+//! sharded state, clipping must be the serial clip, mixed specs must replay identically on the dry-run
 //! backend, and every configuration the autotuner prices must be a spec the
 //! live runtime accepts.
 
@@ -192,9 +192,9 @@ fn zero1_matches_serial_adam_on_the_global_batch() {
 
         let losses = Mesh::run(spec.devices(), |ctx| {
             let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-            let mut opt = AdamSet::new(lr);
+            let mut opt = Optimizer::Adam(AdamSet::new(lr));
             (0..4)
-                .map(|_| st.train_step_zero1(&grid, &tokens, &labels, &mut opt))
+                .map(|_| st.step(&grid, &tokens, &labels, &mut opt).0)
                 .collect::<Vec<f32>>()
         });
         for dev in &losses {
@@ -224,14 +224,89 @@ fn zero1_state_bytes_sum_to_eight_per_parameter() {
     let (tokens, labels) = data(&cfg, 4);
     let bytes = Mesh::run(spec.devices(), |ctx| {
         let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-        let mut opt = AdamSet::new(0.01);
-        st.train_step_zero1(&grid, &tokens, &labels, &mut opt);
+        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        st.step(&grid, &tokens, &labels, &mut opt);
+        let Optimizer::Adam(opt) = opt else {
+            unreachable!()
+        };
         opt.state_bytes()
     });
     let total: usize = bytes.iter().sum();
     assert_eq!(total, 8 * cfg.model().total_params());
     let pair = bytes[0] + bytes[spec.mesh_devices()];
     assert!(bytes[0] < pair * 6 / 10, "shard not balanced: {bytes:?}");
+}
+
+/// Clipping composes with data parallelism: on `pp 1, dp 2, [2,2,1]` the
+/// norm is taken over the dp-summed gradients, so the trajectory and the
+/// clip scale track the serial model under the same clip, and every device
+/// reports one loss and one scale.
+#[test]
+fn clipped_dp_step_tracks_the_serial_clip() {
+    let spec = HybridSpec {
+        pp: 1,
+        dp: 2,
+        grid: [2, 2, 1],
+        microbatches: 1,
+    };
+    let cfg = OptimusConfig {
+        batch: 4,
+        ..OptimusConfig::tiny(2)
+    };
+    let (tokens, labels) = data(&cfg, 9);
+    let clipped = || Optimizer::Clipped {
+        lr: 0.3,
+        max_norm: 0.5,
+    };
+    let (mut reference, mut ref_opt) = (SerialModel::new(cfg.model(), 6), clipped());
+    let ref_out: Vec<(f32, f32)> = (0..4)
+        .map(|_| reference.step(&tokens, &labels, &mut ref_opt))
+        .collect();
+    assert!(
+        ref_out.iter().any(|(_, s)| *s < 1.0),
+        "the test must exercise actual clipping: {ref_out:?}"
+    );
+
+    let runs = Mesh::run(spec.devices(), |ctx| {
+        let (mut st, grid) = build(ctx, &spec, &cfg, 6);
+        let mut opt = clipped();
+        (0..4)
+            .map(|_| st.step(&grid, &tokens, &labels, &mut opt))
+            .collect::<Vec<(f32, f32)>>()
+    });
+    for dev in &runs {
+        assert_eq!(dev, &runs[0], "loss or clip scale differs across devices");
+        for ((l, s), (rl, rs)) in dev.iter().zip(&ref_out) {
+            assert!((l - rl).abs() < 2e-3, "loss {l} vs serial {rl}");
+            assert!((s - rs).abs() < 1e-4, "clip scale {s} vs serial {rs}");
+        }
+    }
+}
+
+/// A pipeline stage holds only its own layers' gradients, so a global-norm
+/// clip over a pipeline is refused by name rather than taken per stage.
+#[test]
+#[should_panic(expected = "Optimizer::Clipped needs pp = 1")]
+fn clipping_a_pipeline_is_refused() {
+    let spec = HybridSpec {
+        pp: 2,
+        dp: 1,
+        grid: [1, 1, 1],
+        microbatches: 2,
+    };
+    let cfg = OptimusConfig {
+        batch: 4,
+        ..OptimusConfig::tiny(1)
+    };
+    let (tokens, labels) = data(&cfg, 9);
+    let clipped = || Optimizer::Clipped {
+        lr: 0.1,
+        max_norm: 1.0,
+    };
+    Mesh::dry_run_with_logs(spec.devices(), |c| {
+        let (mut st, grid) = build(c, &spec, &cfg, 6);
+        st.step(&grid, &tokens, &labels, &mut clipped())
+    });
 }
 
 /// A full 4D spec — 2 pipeline stages over 2.5D `[2,2,2]` meshes — must emit
@@ -310,7 +385,8 @@ fn a_hybrid_step_issues_the_pinned_schedule() {
     });
     let (_, zero1) = Mesh::run_with_logs(spec.devices(), |ctx| {
         let (mut st, grid) = build(ctx, &spec, &cfg, 7);
-        st.train_step_zero1(&grid, &tokens, &labels, &mut AdamSet::new(0.01))
+        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        st.step(&grid, &tokens, &labels, &mut opt).0
     });
     let got = format!(
         "# train_step\n{}# train_step_zero1\n{}",
@@ -325,8 +401,7 @@ fn a_hybrid_step_issues_the_pinned_schedule() {
 
 /// Everything the autotuner prices must be runnable: each frontier entry,
 /// rebuilt as a `HybridSpec` against the model it was priced for, passes the
-/// live runtime's own validation for that world size. This pins the two
-/// independent divisibility implementations (pricer vs runtime) together.
+/// live runtime's own validation for that world size.
 #[test]
 fn every_autotune_frontier_entry_is_a_valid_live_spec() {
     let profile = HardwareProfile::frontera_rtx5000();

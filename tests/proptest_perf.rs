@@ -4,7 +4,7 @@
 
 use optimus::mesh::{Arrangement, Topology};
 use optimus::perf::memory::{megatron_bytes, optimus_bytes, MemoryConfig};
-use optimus::perf::scaling::{megatron_stem_times, optimus_stem_times};
+use optimus::perf::scaling::{megatron_stem_times, optimus25d_stem_times};
 use optimus::perf::table1::{layer_macs, megatron_layer_costs, optimus_layer_costs};
 use optimus::perf::{CostModel, HardwareProfile};
 use optimus::tensor::Rng;
@@ -87,7 +87,7 @@ fn stem_times_exceed_pure_compute() {
         let (mf, mb_) = megatron_stem_times(&cm, b, s, h, layers, gpus);
         assert!(mf >= compute);
         assert!(mb_ >= 3.0 * compute);
-        let (of, ob) = optimus_stem_times(&cm2, b, s, h, layers, q);
+        let (of, ob) = optimus25d_stem_times(&cm2, b, s, h, layers, q, 1);
         assert!(of >= compute);
         assert!(ob >= 3.0 * compute);
     }
