@@ -26,18 +26,7 @@ impl OptimusModel {
         params: &ModelParams,
         grid: &Grid2d<C>,
     ) -> Self {
-        cfg.validate();
-        assert_eq!(grid.q(), cfg.q, "grid side must equal cfg.q");
-        let t = serial::shard(&Summa2d { grid, cfg }, params, &cfg.model());
-        OptimusModel {
-            cfg: *cfg,
-            table: t.embedding,
-            layers: t.layers,
-            final_ln_g: t.final_ln_g,
-            final_ln_b: t.final_ln_b,
-            cls: None,
-            meter: crate::MemMeter::new(),
-        }
+        OptimusModel::build(cfg, grid, |low| serial::shard(low, params, &cfg.model()))
     }
 
     /// Gathers every parameter block to mesh position (0,0) and reassembles

@@ -8,8 +8,8 @@ use crate::layer2d::{Layer2dParams, Summa2d};
 use mesh::{Communicator, Grid2d};
 use serial::stem::{self, Grad, Keep, MemMeter, StemRef};
 use serial::{
-    linear_forward, shard_tensor, walk_pair, walk_stem, Lowering, ModelTensors, Optimizer, Role,
-    Slot, StemMut,
+    init_head, linear_forward, walk_pair, walk_stem, Lowering, ModelTensors, Optimizer, Role,
+    StemMut,
 };
 use tensor::optim::sgd_update;
 use tensor::Tensor;
@@ -46,11 +46,34 @@ pub struct OptimusModel {
 }
 
 impl OptimusModel {
-    /// Builds this device's shard by slicing the canonical full parameters
-    /// generated deterministically from `seed`.
+    /// Builds this device's shard of the model `seed` initialises, drawing
+    /// only this device's pieces ([`serial::init`]).
     pub fn new<C: Communicator>(cfg: &OptimusConfig, seed: u64, grid: &Grid2d<C>) -> Self {
-        let full = serial::ModelParams::init(seed, &cfg.model());
-        OptimusModel::from_params(cfg, &full, grid)
+        let layers = 0..cfg.layers;
+        OptimusModel::build(cfg, grid, |low| {
+            serial::init(low, seed, &cfg.model(), layers)
+        })
+    }
+
+    /// Builds this device's shard from the tensors `tensors` makes under
+    /// [`Summa2d`]'s placement table, after checking `cfg` against `grid`.
+    pub fn build<C: Communicator>(
+        cfg: &OptimusConfig,
+        grid: &Grid2d<C>,
+        tensors: impl FnOnce(&Summa2d<C>) -> ModelTensors<Option<Vec<f32>>>,
+    ) -> Self {
+        cfg.validate();
+        assert_eq!(grid.q(), cfg.q, "grid side must equal cfg.q");
+        let t = tensors(&Summa2d { grid, cfg });
+        OptimusModel {
+            cfg: *cfg,
+            table: t.embedding,
+            layers: t.layers,
+            final_ln_g: t.final_ln_g,
+            final_ln_b: t.final_ln_b,
+            cls: None,
+            meter: MemMeter::new(),
+        }
     }
 
     /// Adds the sentence-classification branch (Fig. 1): a `[h, c]` head
@@ -69,17 +92,8 @@ impl OptimusModel {
             "classes {num_classes} must be divisible by q={}",
             self.cfg.q
         );
-        let full = tensor::init::init_matrix(
-            seed,
-            tensor::init::param_ids::CLS_HEAD,
-            &[self.cfg.hidden, num_classes],
-            tensor::init::WEIGHT_STD,
-        );
-        let (cfg, role) = (self.cfg, Role::Expand);
-        let low = Summa2d { grid, cfg: &cfg };
-        let w = shard_tensor(&low, Slot::Weight(role), &full).expect("on every device");
-        let b = shard_tensor(&low, Slot::Bias(role), &Tensor::zeros(&[1, num_classes]));
-        self.cls = Some((w, b.map(Tensor::into_vec)));
+        let cfg = self.cfg;
+        self.cls = Some(init_head(&Summa2d { grid, cfg: &cfg }, seed, num_classes));
         self
     }
 

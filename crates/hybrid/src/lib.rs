@@ -364,10 +364,10 @@ pub struct HybridStage {
 }
 
 impl HybridStage {
-    /// Builds the stage for an explicit `(stage, replica)` position by
-    /// slicing the canonical full parameters generated from `seed` — every
-    /// stage's parameters are bitwise those of the corresponding layers of
-    /// the unpartitioned model.
+    /// Builds the stage for an explicit `(stage, replica)` position, drawing
+    /// only this device's pieces of the stage's layers of the model `seed`
+    /// initialises ([`serial::init`]) — every stage's parameters are bitwise
+    /// those of the corresponding layers of the unpartitioned model.
     pub fn new<C: Communicator>(
         spec: &HybridSpec,
         cfg: &OptimusConfig,
@@ -377,16 +377,11 @@ impl HybridStage {
         grid: &GridNd<C>,
     ) -> Self {
         assert!(stage < spec.pp && replica < spec.dp);
-        let full = serial::ModelParams::init(seed, &cfg.model());
         let lps = spec.layers_per_stage(cfg);
-        let stage_params = serial::ModelParams {
-            embedding: full.embedding.clone(),
-            layers: full.layers[stage * lps..(stage + 1) * lps].to_vec(),
-            final_ln_g: full.final_ln_g.clone(),
-            final_ln_b: full.final_ln_b.clone(),
-        };
-        let micro = spec.micro_cfg(cfg);
-        let model = OptimusModel::from_params(&micro, &stage_params, grid);
+        let (micro, layers) = (spec.micro_cfg(cfg), stage * lps..(stage + 1) * lps);
+        let model = OptimusModel::build(&micro, grid, |low| {
+            serial::init(low, seed, &micro.model(), layers)
+        });
         HybridStage {
             spec: *spec,
             cfg: *cfg,

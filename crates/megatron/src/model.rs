@@ -27,10 +27,11 @@ pub struct MegatronModel {
 }
 
 impl MegatronModel {
-    /// Builds this device's shard by slicing the canonical full parameters
-    /// generated deterministically from `seed`.
+    /// Builds this device's shard of the model `seed` initialises, drawing
+    /// only this device's pieces ([`serial::init`]).
     pub fn new<C: Communicator>(cfg: MegatronConfig, seed: u64, ctx: &C) -> Self {
-        MegatronModel::from_params(cfg, &ModelParams::init(seed, &cfg.model), ctx)
+        let layers = 0..cfg.model.layers;
+        MegatronModel::build(cfg, ctx, |low| serial::init(low, seed, &cfg.model, layers))
     }
 
     /// Builds a device's shard from explicit canonical parameters (the
@@ -42,14 +43,23 @@ impl MegatronModel {
         params: &ModelParams,
         ctx: &C,
     ) -> Self {
+        MegatronModel::build(cfg, ctx, |low| serial::shard(low, params, &cfg.model))
+    }
+
+    /// Builds this device's shard from the tensors `tensors` makes under
+    /// [`Megatron1d`]'s placement table.
+    fn build<C: Communicator>(
+        cfg: MegatronConfig,
+        ctx: &C,
+        tensors: impl FnOnce(&Megatron1d<C>) -> ModelTensors<Vec<f32>>,
+    ) -> Self {
         assert_eq!(ctx.world_size(), cfg.p, "mesh size must equal cfg.p");
         let world = Group::world(cfg.p);
-        let low = Megatron1d {
+        let t = tensors(&Megatron1d {
             ctx,
             world: &world,
             cfg: &cfg,
-        };
-        let t = serial::shard(&low, params, &cfg.model);
+        });
         MegatronModel {
             cfg,
             rank: ctx.rank(),

@@ -1,11 +1,13 @@
-//! One placement table, two interpreters.
+//! One placement table, three interpreters.
 //!
 //! A [`Lowering`] says how each canonical tensor ([`Slot`]) is cut into this
-//! device's share ([`Lowering::place`], a [`Cut`]). [`shard`] cuts canonical
-//! [`ModelParams`] by it; [`gather`] inverts it on a root device for any
+//! device's share ([`Lowering::place`], a [`Cut`]). [`init`] draws that
+//! share straight from each tensor's `(seed, param id)` stream, so no device
+//! ever holds a whole model; [`shard`] cuts canonical [`ModelParams`] (a
+//! loaded checkpoint) by it; [`gather`] inverts it on a root device for any
 //! per-device tensor set — parameters or gradients alike — through one
-//! communication hook, [`Lowering::gather_pieces`]. No scheme writes a slicer
-//! or a gather of its own.
+//! communication hook, [`Lowering::gather_pieces`]. No scheme writes an
+//! initialiser, a slicer or a gather of its own.
 
 use crate::config::ModelConfig;
 use crate::layer::{Lowering, Role};
@@ -13,6 +15,7 @@ use crate::params::{Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors
 use crate::stem::StemRef;
 use std::iter::once;
 use std::ops::Range;
+use tensor::init::{init_runs, param_ids, WEIGHT_STD};
 use tensor::Tensor;
 
 /// A canonical tensor, as far as placing it goes.
@@ -59,24 +62,37 @@ impl Cut {
     }
 }
 
+/// How a tensor's values start.
+#[derive(Clone, Copy, Debug)]
+enum Init {
+    /// Drawn from the `(seed, id)` stream ([`tensor::init::init_matrix`]);
+    /// in the layer table, `id` is the offset within the layer.
+    Normal(u64),
+    /// Every element the constant.
+    Fill(f32),
+}
+
 /// The twelve layer tensors in field order: name, slot, shape in units of
-/// `h` (`0` rows: a vector, one row), and whether it is cut within thirds.
-const LAYER: [(&str, Slot, [usize; 2], bool); 12] = {
+/// `h` (`0` rows: a vector, one row), whether it is cut within thirds, and
+/// how it starts.
+const LAYER: [(&str, Slot, [usize; 2], bool, Init); 12] = {
+    use param_ids::{W_FC1, W_FC2, W_OUT, W_QKV};
+    use Init::{Fill, Normal};
     use Role::{Contract, Expand};
     use Slot::{Bias, Norm, Weight};
     [
-        ("ln1_g", Norm, [0, 1], false),
-        ("ln1_b", Norm, [0, 1], false),
-        ("w_qkv", Weight(Expand), [1, 3], true),
-        ("b_qkv", Bias(Expand), [0, 3], true),
-        ("w_out", Weight(Contract), [1, 1], false),
-        ("b_out", Bias(Contract), [0, 1], false),
-        ("ln2_g", Norm, [0, 1], false),
-        ("ln2_b", Norm, [0, 1], false),
-        ("w_fc1", Weight(Expand), [1, 4], false),
-        ("b_fc1", Bias(Expand), [0, 4], false),
-        ("w_fc2", Weight(Contract), [4, 1], false),
-        ("b_fc2", Bias(Contract), [0, 1], false),
+        ("ln1_g", Norm, [0, 1], false, Fill(1.0)),
+        ("ln1_b", Norm, [0, 1], false, Fill(0.0)),
+        ("w_qkv", Weight(Expand), [1, 3], true, Normal(W_QKV)),
+        ("b_qkv", Bias(Expand), [0, 3], true, Fill(0.0)),
+        ("w_out", Weight(Contract), [1, 1], false, Normal(W_OUT)),
+        ("b_out", Bias(Contract), [0, 1], false, Fill(0.0)),
+        ("ln2_g", Norm, [0, 1], false, Fill(1.0)),
+        ("ln2_b", Norm, [0, 1], false, Fill(0.0)),
+        ("w_fc1", Weight(Expand), [1, 4], false, Normal(W_FC1)),
+        ("b_fc1", Bias(Expand), [0, 4], false, Fill(0.0)),
+        ("w_fc2", Weight(Contract), [4, 1], false, Normal(W_FC2)),
+        ("b_fc2", Bias(Contract), [0, 1], false, Fill(0.0)),
     ]
 };
 
@@ -87,18 +103,29 @@ type Entry = (Slot, [usize; 2], bool);
 /// A tensor as values (`None` where hosted elsewhere) and shape.
 type Piece = (Option<Vec<f32>>, [usize; 2]);
 
-/// The twelve layer tensors of width `h` in field order.
-fn layer_entries(h: usize) -> impl Iterator<Item = Entry> {
-    let entries = LAYER.map(|(_, slot, [r, c], thirds)| (slot, [(r * h).max(1), c * h], thirds));
+/// The twelve tensors of layer `idx`, of width `h`, in field order, each
+/// with how it starts.
+fn layer_entries(idx: usize, h: usize) -> impl Iterator<Item = (Entry, Init)> {
+    let entries = LAYER.map(|(_, slot, [r, c], thirds, init)| {
+        let init = match init {
+            Init::Normal(offset) => Init::Normal(param_ids::layer(idx, offset)),
+            fill => fill,
+        };
+        ((slot, [(r * h).max(1), c * h], thirds), init)
+    });
     entries.into_iter()
 }
 
-/// Every stem tensor in gather order: table, layers, final layer norm.
-fn stem_entries(v: usize, h: usize, layers: usize) -> impl Iterator<Item = Entry> {
-    let norm = (Slot::Norm, [1, h], false);
-    let layers = (0..layers).flat_map(move |_| layer_entries(h));
-    let table = once((Slot::Table, [v, h], false));
-    table.chain(layers).chain([norm, norm])
+/// Every stem tensor in gather order — table, the model's layers `layers`,
+/// final layer norm γ and β — each with how it starts.
+fn stem_entries(v: usize, h: usize, layers: Range<usize>) -> impl Iterator<Item = (Entry, Init)> {
+    let norm = |fill| ((Slot::Norm, [1, h], false), Init::Fill(fill));
+    let layers = layers.flat_map(move |idx| layer_entries(idx, h));
+    let table = (
+        (Slot::Table, [v, h], false),
+        Init::Normal(param_ids::EMBEDDING),
+    );
+    once(table).chain(layers).chain([norm(1.0), norm(0.0)])
 }
 
 /// `l`'s tensor shapes in field order, a vector as one row.
@@ -120,6 +147,58 @@ fn name(k: usize, layers: usize) -> String {
         Some(k) if k < 12 * layers => format!("layers[{}].{}", k / 12, LAYER[k % 12].0),
         Some(k) => ["final_ln_g", "final_ln_b"][k - 12 * layers].into(),
     }
+}
+
+/// The piece `cut` takes of one tensor, drawn from its `seed` stream.
+fn draw(cut: Cut, seed: u64, (_, dims, thirds): Entry, init: Init) -> Piece {
+    let piece = cut.hosted.then(|| {
+        let len = dims[0] * dims[1] / (cut.rows.1 * cut.cols.1);
+        match init {
+            Init::Normal(id) => init_runs(seed, id, WEIGHT_STD, cut.runs(dims, thirds), len),
+            Init::Fill(x) => vec![x; len],
+        }
+    });
+    (piece, [dims[0] / cut.rows.1, dims[1] / cut.cols.1])
+}
+
+/// This device's tensors of the model `seed` initialises, for the model's
+/// layers `layers` (a pipeline stage's range, say): each piece drawn as
+/// `low` places it, straight from its tensor's `(seed, param id)` stream.
+/// Bitwise what [`shard`] cuts from [`ModelParams::init`] for the same
+/// layers, without any tensor ever being whole.
+pub fn init<L: Lowering>(
+    low: &L,
+    seed: u64,
+    cfg: &ModelConfig,
+    layers: Range<usize>,
+) -> ModelTensors<L::Hosted> {
+    let n = layers.len();
+    let entries = stem_entries(cfg.vocab, cfg.hidden, layers);
+    from_pieces(
+        n,
+        entries.map(|(e, init)| draw(low.place(e.0), seed, e, init)),
+    )
+}
+
+/// [`init`] for one whole layer: layer `idx` of width `h`.
+pub(crate) fn init_layer(seed: u64, idx: usize, h: usize) -> LayerParams {
+    let entries = layer_entries(idx, h);
+    LayerTensors::from_slots(entries.map(|(e, init)| draw(Cut::WHOLE, seed, e, init)))
+}
+
+/// This device's piece of the sentence-classification head `[h, classes]`
+/// and its zero bias, placed as an `Expand` projection and drawn from the
+/// head's `seed` stream.
+pub fn init_head<L: Lowering>(low: &L, seed: u64, classes: usize) -> (Tensor, L::Hosted) {
+    let weight = (Slot::Weight(Role::Expand), [low.hidden(), classes], false);
+    let bias = (Slot::Bias(Role::Expand), [1, classes], false);
+    let head = [
+        (weight, Init::Normal(param_ids::CLS_HEAD)),
+        (bias, Init::Fill(0.0)),
+    ];
+    let [(w, dims), (b, _)] = head.map(|(e, init)| draw(low.place(e.0), seed, e, init));
+    let w = Tensor::from_vec(&dims, w.expect("every device holds its weight block"));
+    (w, L::Hosted::host(b))
 }
 
 /// `low`'s piece of one full tensor.
@@ -144,8 +223,8 @@ pub fn shard_tensor<L: Lowering>(low: &L, slot: Slot, full: &Tensor) -> Option<T
 
 /// [`shard`] for one layer's well-formed full tensors.
 pub fn shard_layer<L: Lowering>(low: &L, full: &LayerParams) -> LayerTensors<L::Hosted> {
-    let pieces = layer_entries(low.hidden()).zip(full.slots());
-    LayerTensors::from_slots(pieces.map(|(e, v)| cut(low, e, v.expect("a full layer"))))
+    let pieces = layer_entries(0, low.hidden()).zip(full.slots());
+    LayerTensors::from_slots(pieces.map(|((e, _), v)| cut(low, e, v.expect("a full layer"))))
 }
 
 /// This device's tensors, cut from the canonical `full` as `low` places
@@ -161,7 +240,7 @@ pub fn shard<L: Lowering>(
 ) -> ModelTensors<L::Hosted> {
     let (n, want) = (full.layers.len(), cfg.layers);
     assert_eq!(n, want, "layers: {n} given, {want} in the config");
-    let entries = || stem_entries(cfg.vocab, cfg.hidden, n);
+    let entries = || stem_entries(cfg.vocab, cfg.hidden, 0..n).map(|(e, _)| e);
     let layers = full.layers.iter().flat_map(shapes);
     let ln = [&full.final_ln_g, &full.final_ln_b].map(|v| vec![1, v.len()]);
     let shapes = once(full.embedding.dims().to_vec()).chain(layers).chain(ln);
@@ -272,8 +351,10 @@ fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f
 pub fn gather<L: Lowering>(low: &L, local: &StemRef<'_, L::Hosted>) -> Option<ModelParams> {
     let n = local.layers.len();
     let v = local.table.rows() * low.place(Slot::Table).rows.1;
-    let entries = stem_entries(v, low.hidden(), n).zip(stem_values(local));
-    let full: Vec<_> = entries.map(|(e, piece)| assemble(low, e, piece)).collect();
+    let entries = stem_entries(v, low.hidden(), 0..n).zip(stem_values(local));
+    let full: Vec<_> = entries
+        .map(|((e, _), piece)| assemble(low, e, piece))
+        .collect();
     // Every device has taken part in every gather; the root is where the
     // table landed.
     full[0].0.as_ref()?;

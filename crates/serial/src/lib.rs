@@ -5,8 +5,8 @@
 //! cross-entropy) implemented on one device with fully manual backward
 //! passes. The Megatron (1D) and Optimus (2D) crates are required — by
 //! integration tests — to produce *the same* losses and parameter gradients
-//! as this model when started from the same seed, because all three slice
-//! their parameters from the same deterministic full matrices
+//! as this model when started from the same seed, because all three draw
+//! their parameters from the same deterministic `(seed, param id)` streams
 //! ([`tensor::init`]).
 //!
 //! The transformer layer itself is written exactly once, here
@@ -16,12 +16,12 @@
 //! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
 //! holds parameters and gradients for all three, walked in one canonical
 //! order ([`walk_stem`]) by the one [`Optimizer`], and one placement table
-//! per lowering ([`Lowering::place`]) is what [`shard`] cuts every device's
-//! share by and [`gather`] reassembles it by. The stem around the layer — the forward and
-//! reverse sweeps with checkpoint recompute, the tied head and the
-//! vocabulary-split cross-entropy — is written once too, in [`stem`], over
-//! the same [`Lowering`], as one stage forward and one stage backward that
-//! every step composes.
+//! per lowering ([`Lowering::place`]) is what [`init`] draws every device's
+//! share by, [`shard`] cuts it by and [`gather`] reassembles it by. The stem
+//! around the layer — the forward and reverse sweeps with checkpoint
+//! recompute, the tied head and the vocabulary-split cross-entropy — is
+//! written once too, in [`stem`], over the same [`Lowering`], as one stage
+//! forward and one stage backward that every step composes.
 //!
 //! The model follows the structure of the paper's Figure 1: a token-wise
 //! language-modelling branch (LM head + token labels) plus a sentence-level
@@ -48,7 +48,7 @@ pub use layer::{
     layer_backward, layer_forward, layer_recompute, linear_backward, linear_forward, ln_backward,
     ln_forward, local_gemm, LayerCache, LnCache, Local, Lowering, Reduce, Role, Span,
 };
-pub use layout::{gather, shard, shard_layer, shard_tensor, Cut, Slot};
+pub use layout::{gather, init, init_head, shard, shard_layer, shard_tensor, Cut, Slot};
 pub use model::SerialModel;
 pub use optim::Optimizer;
 pub use params::{

@@ -4,10 +4,10 @@
 
 use crate::config::ModelConfig;
 use crate::layer::{linear_forward, Local, Lowering, Role};
+use crate::layout::init_head;
 use crate::optim::Optimizer;
 use crate::params::{walk_stem, ModelParams};
 use crate::stem::{self, MemMeter};
-use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::loss::cross_entropy;
 use tensor::optim::sgd_update;
 use tensor::Tensor;
@@ -33,8 +33,7 @@ impl SerialModel {
 
     /// Adds the binary sentence-classification head.
     pub fn with_classifier(mut self, seed: u64) -> Self {
-        let w = init_matrix(seed, param_ids::CLS_HEAD, &[self.cfg.hidden, 2], WEIGHT_STD);
-        self.cls = Some((w, init_vector(2, 0.0)));
+        self.cls = Some(init_head(&Local(self.cfg), seed, 2));
         self
     }
 

@@ -1,8 +1,9 @@
 //! Canonical parameter containers and their deterministic initialisation.
 //!
-//! All three implementations (serial, Megatron, Optimus) construct their
-//! parameters by regenerating these full matrices from the same
-//! `(seed, param id)` streams and slicing — see [`tensor::init`].
+//! All three implementations (serial, Megatron, Optimus) draw their
+//! parameters from the same `(seed, param id)` streams — see
+//! [`tensor::init`] — through one table read by [`crate::init`]: the serial
+//! model reads it whole, a distributed device reads only its own pieces.
 //!
 //! One per-layer tensor set, [`LayerTensors`], serves as parameters *and*
 //! gradients for every scheme, and one ordered walk over a stem of them
@@ -10,9 +11,9 @@
 //! sync in the workspace is derived from.
 
 use crate::config::ModelConfig;
+use crate::layer::Local;
 use crate::stem::{StemMut, StemRef};
 use minjson::Json;
-use tensor::init::{init_matrix, init_vector, param_ids, WEIGHT_STD};
 use tensor::Tensor;
 
 /// How a device holds one per-layer vector (bias or layer-norm affine):
@@ -181,23 +182,10 @@ impl<B: Hosted> LayerTensors<B> {
 }
 
 impl LayerParams {
-    /// Deterministic initialisation of layer `idx`.
+    /// Deterministic initialisation of layer `idx`: [`crate::init`]'s
+    /// table read whole.
     pub fn init(seed: u64, idx: usize, h: usize) -> Self {
-        let id = |off| param_ids::layer(idx, off);
-        LayerParams {
-            ln1_g: init_vector(h, 1.0),
-            ln1_b: init_vector(h, 0.0),
-            w_qkv: init_matrix(seed, id(param_ids::W_QKV), &[h, 3 * h], WEIGHT_STD),
-            b_qkv: init_vector(3 * h, 0.0),
-            w_out: init_matrix(seed, id(param_ids::W_OUT), &[h, h], WEIGHT_STD),
-            b_out: init_vector(h, 0.0),
-            ln2_g: init_vector(h, 1.0),
-            ln2_b: init_vector(h, 0.0),
-            w_fc1: init_matrix(seed, id(param_ids::W_FC1), &[h, 4 * h], WEIGHT_STD),
-            b_fc1: init_vector(4 * h, 0.0),
-            w_fc2: init_matrix(seed, id(param_ids::W_FC2), &[4 * h, h], WEIGHT_STD),
-            b_fc2: init_vector(h, 0.0),
-        }
+        crate::layout::init_layer(seed, idx, h)
     }
 
     /// Checkpoint JSON (an object keyed by field name).
@@ -323,21 +311,10 @@ impl<B: Hosted> ModelTensors<B> {
 }
 
 impl ModelParams {
-    /// Deterministic initialisation of the whole stem.
+    /// Deterministic initialisation of the whole stem: [`crate::init`]
+    /// under the [`Local`] lowering, which places every tensor whole.
     pub fn init(seed: u64, cfg: &ModelConfig) -> Self {
-        ModelParams {
-            embedding: init_matrix(
-                seed,
-                param_ids::EMBEDDING,
-                &[cfg.vocab, cfg.hidden],
-                WEIGHT_STD,
-            ),
-            layers: (0..cfg.layers)
-                .map(|l| LayerParams::init(seed, l, cfg.hidden))
-                .collect(),
-            final_ln_g: init_vector(cfg.hidden, 1.0),
-            final_ln_b: init_vector(cfg.hidden, 0.0),
-        }
+        crate::init(&Local(*cfg), seed, cfg, 0..cfg.layers)
     }
 
     /// Checkpoint JSON (an object keyed by field name).

@@ -2,13 +2,18 @@
 //!
 //! The serial reference, the Megatron 1D model and the Optimus 2D model must
 //! start from *identical* weights for the element-wise equivalence tests to
-//! mean anything. Every parameter matrix is therefore generated by a PRNG
-//! stream keyed only by `(experiment seed, parameter id)` — each distributed
-//! implementation regenerates the full matrix and slices out its local
-//! block, so partitioning cannot perturb initialisation.
+//! mean anything. Every parameter matrix is therefore defined as the
+//! row-major draw of a PRNG stream keyed only by `(experiment seed,
+//! parameter id)` ([`init_matrix`]). A distributed device never generates
+//! the full matrix: it draws the runs of positions its block covers from
+//! that stream and skips the rest ([`init_runs`]), so each of its values is
+//! bitwise the one the full matrix holds there and partitioning cannot
+//! perturb initialisation.
 
 use crate::rng::Rng;
 use crate::tensor::Tensor;
+use std::iter::once;
+use std::ops::Range;
 
 /// Stable parameter ids for a transformer stem. Layer `l`'s parameter `p`
 /// gets id `BASE + l * STRIDE + p`; ids below `STRIDE` are globals.
@@ -43,18 +48,35 @@ pub mod param_ids {
 }
 
 /// Generates the full parameter matrix `dims` with i.i.d. normal entries of
-/// standard deviation `std`, deterministically from `(seed, param_id)`.
+/// standard deviation `std`, deterministically from `(seed, param_id)`: the
+/// stream's draws in row-major order.
 pub fn init_matrix(seed: u64, param_id: u64, dims: &[usize], std: f32) -> Tensor {
-    let mut rng = Rng::new(seed).stream(param_id);
-    Tensor::randn(dims, std, &mut rng)
+    let n = dims.iter().product();
+    Tensor::from_vec(dims, init_runs(seed, param_id, std, once(0..n), n))
 }
 
-/// Generates a full bias/gain vector deterministically. `fill` is the
-/// constant value (biases start at 0, layer-norm gains at 1) — constant
-/// vectors are generated directly, but routing them through this function
-/// keeps all parameter creation in one place.
-pub fn init_vector(len: usize, fill: f32) -> Vec<f32> {
-    vec![fill; len]
+/// The `len` entries at `runs` — ascending, disjoint ranges of row-major
+/// positions — of the matrix [`init_matrix`] generates for `(seed,
+/// param_id)`, drawn without generating any other entry.
+///
+/// # Panics
+/// If the runs are not ascending and disjoint.
+pub fn init_runs(
+    seed: u64,
+    param_id: u64,
+    std: f32,
+    runs: impl IntoIterator<Item = Range<usize>>,
+    len: usize,
+) -> Vec<f32> {
+    let mut rng = Rng::new(seed).stream(param_id);
+    let (mut values, mut at) = (Vec::with_capacity(len), 0);
+    for run in runs {
+        let gap = run.start.checked_sub(at).expect("runs ascend");
+        rng.skip_normals(gap);
+        at = run.end;
+        values.extend(run.map(|_| rng.normal() * std));
+    }
+    values
 }
 
 /// The standard deviation used for weight matrices: `0.02` scaled down by
@@ -82,12 +104,13 @@ mod tests {
 
     #[test]
     fn block_of_full_matrix_is_deterministic() {
-        // The property the distributed models rely on: regenerating the full
-        // matrix and slicing gives the same block every time.
+        // The property the distributed models rely on: drawing only a
+        // block's runs from the stream gives, bit for bit, the block of the
+        // full matrix — here block (1, 0) of a 2×2 cut of `[6, 6]`.
         let full = init_matrix(7, 42, &[6, 6], 1.0);
-        let block_a = full.summa_block(1, 0, 2);
-        let full2 = init_matrix(7, 42, &[6, 6], 1.0);
-        assert_eq!(block_a, full2.summa_block(1, 0, 2));
+        let runs = (3..6).map(|r| r * 6..r * 6 + 3);
+        let block = Tensor::from_vec(&[3, 3], init_runs(7, 42, 1.0, runs, 9));
+        assert_eq!(block, full.summa_block(1, 0, 2));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Seedable xoshiro256++ pseudo-random number generator.
 //!
 //! The distributed simulations in this workspace must be *bit-reproducible*:
-//! every device initialises its block of a parameter matrix from a seed that
-//! is a pure function of (experiment seed, parameter id, block coordinates),
-//! so the serial reference and the 1D/2D partitioned models can be built from
-//! literally identical weights. Rather than depending on `rand`'s evolving
-//! API for that core guarantee, we carry a ~60-line implementation of
-//! xoshiro256++ (public-domain algorithm by Blackman & Vigna) seeded through
-//! SplitMix64.
+//! every parameter tensor is drawn, element by element in row-major order,
+//! from a stream that is a pure function of (experiment seed, parameter id)
+//! alone, so the serial reference and the 1D/2D partitioned models start
+//! from literally identical weights whatever the device count. A device
+//! that holds only a block of a tensor draws its own elements from that
+//! stream and steps over the others ([`Rng::skip_normals`]). Rather than
+//! depending on `rand`'s evolving API for that core guarantee, we carry a
+//! ~60-line implementation of xoshiro256++ (public-domain algorithm by
+//! Blackman & Vigna) seeded through SplitMix64.
 
 /// xoshiro256++ generator.
 #[derive(Clone, Debug)]
@@ -38,8 +40,8 @@ impl Rng {
 
     /// Derives an independent stream from this seed and a stream id.
     ///
-    /// Used to give each (parameter, block) pair its own deterministic
-    /// stream: `Rng::new(seed).stream(param_id).stream(block_id)`.
+    /// Used to give each parameter its own deterministic stream:
+    /// `Rng::new(seed).stream(param_id)`.
     pub fn stream(&self, id: u64) -> Self {
         // Mix the id into the state through SplitMix64 so that nearby ids
         // produce uncorrelated streams.
@@ -79,6 +81,14 @@ impl Rng {
         let u1 = (self.uniform() as f64).max(1e-12);
         let u2 = self.uniform() as f64;
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+    }
+
+    /// Advances the generator past `n` [`Rng::normal`] draws without
+    /// computing them: two raw outputs each, no Box–Muller.
+    pub fn skip_normals(&mut self, n: usize) {
+        for _ in 0..2 * n {
+            self.next_u64();
+        }
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -152,6 +162,17 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.03, "var={var}");
+    }
+
+    #[test]
+    fn skipping_normals_lands_on_the_next_draw() {
+        for n in [0usize, 1, 7] {
+            let mut drawn = Rng::new(13).stream(4);
+            let want: Vec<u32> = (0..=n).map(|_| drawn.normal().to_bits()).collect();
+            let mut skipped = Rng::new(13).stream(4);
+            skipped.skip_normals(n);
+            assert_eq!(skipped.normal().to_bits(), want[n], "n={n}");
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ fn flatten(p: &ModelParams) -> Vec<f32> {
 
 /// The degenerate spec `pp=1, dp=1, m=1` must collapse to the existing 2D
 /// step *bitwise*: same losses, same updated parameters, over several steps.
-/// This holds because `HybridStage::new` slices the same
-/// `ModelParams::init(seed, ..)` that `OptimusModel::new` consumes, and the
+/// This holds because `HybridStage::new` and `OptimusModel::new` draw the
+/// same pieces of the same `seed` streams (`serial::init`), and the
 /// schedule degenerates to exactly the `lm_grads` + SGD op sequence.
 #[test]
 fn degenerate_hybrid_step_is_bitwise_the_grid_nd_step() {

@@ -1,8 +1,10 @@
 //! The tensor memory a checkpointed step peaks at, pinned. Keeping the top
 //! layer's cache through the loss head instead of recomputing it must not
 //! raise the step's peak: the head's tensors sit beside `L − 1` kept inputs
-//! and one cache, while the backward sweep's peak holds the kept inputs,
-//! one recomputed cache and the gradients in flight.
+//! and one cache, while the backward sweep's peak holds the parameter
+//! blocks, the kept inputs, one recomputed cache and the gradients in
+//! flight. Building the model draws only this device's blocks, so the
+//! build stays below the step (`tests/build_peak.rs`).
 //!
 //! Alone in its test binary: the `metrics` sink is process-global, so a live
 //! mesh of any concurrently running test would land in this test's
@@ -41,9 +43,11 @@ fn a_checkpointed_four_layer_2d_step_peaks_where_it_did_when_every_layer_was_rec
     let tracked: Vec<u64> = metrics::drain().iter().map(|d| d.peak_bytes).collect();
 
     // The live-tensor tracker behind the step benchmark's `peak_mem_mib`
-    // reads what it read when every layer was recomputed: the backward
-    // sweep's transients still set the peak.
-    assert_eq!(tracked, vec![64_000; 4]);
+    // peaks in a layer's backward: the 12 800 bytes of parameter blocks the
+    // device keeps, the gradients accumulated so far, the kept inputs and the
+    // backward sweep's transients. (It read 64 000 while a device built the
+    // whole model — 51 200 bytes — before cutting its blocks from it.)
+    assert_eq!(tracked, vec![44_544; 4]);
     // The meter counts only what the sweeps and the head pin, not those
     // transients. Its peak moves from the backward sweep (`L` inputs and a
     // recomputed cache) to the loss head (`L − 1` inputs, the top cache, the
