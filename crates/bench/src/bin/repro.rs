@@ -614,12 +614,14 @@ fn validate() {
     });
     let (b, s, h, q) = (ocfg.batch, ocfg.seq, ocfg.hidden, ocfg.q);
     let summa_payload = (7 * b * s * h + 12 * h * h) / q;
-    // Exclude the small bias/LN parameter broadcasts (≤ 4h/q elems) to
-    // isolate the SUMMA panels (≥ h²/q² elems).
+    // Isolate the SUMMA panels (≥ h²/q² elems): the layer's eight bias and
+    // LN vectors travel as one region of 13h/q elems, which can be as
+    // large, so it is told apart by its exact length.
     let measured: usize = logs[0]
         .ops
         .iter()
         .filter(|o| o.op == CommOp::Broadcast && o.elems >= h * h / (q * q))
+        .filter(|o| o.elems != 13 * h / q)
         .map(|o| o.elems)
         .sum();
     println!(

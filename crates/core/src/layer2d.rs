@@ -20,7 +20,6 @@ use crate::config::OptimusConfig;
 use mesh::{Communicator, Grid2d};
 use serial::{layer_backward, layer_forward, Cut, LayerCache, LayerTensors, Lowering, Reduce};
 use serial::{Role, Slot, Span};
-use std::borrow::Cow;
 use summa::{summa_product, Strips};
 use tensor::gemm::Form;
 use tensor::Tensor;
@@ -55,23 +54,15 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
         summa_product(self.grid, form, a, b, from, keep)
     }
 
-    /// Column broadcast from the hosting device in mesh row 0.
-    fn fetch<'v>(&self, v: &'v Option<Vec<f32>>, len: usize) -> Cow<'v, [f32]> {
-        debug_assert_eq!(v.is_some(), self.grid.row() == 0);
-        // Non-root buffers are pre-sized so the trace backend knows the
-        // payload length.
-        let mut buf = v.clone().unwrap_or_else(|| vec![0.0; len]);
-        self.grid
-            .ctx()
-            .broadcast(self.grid.col_group(), 0, &mut buf);
-        Cow::Owned(buf)
+    /// One column broadcast from mesh row 0, which hosts the vectors.
+    fn broadcast_vectors(&self, region: &mut [f32]) {
+        self.grid.ctx().broadcast(self.grid.col_group(), 0, region);
     }
 
-    /// Column reduce to mesh row 0, so each vector is updated on exactly
+    /// One column reduce to mesh row 0, so each vector is updated on exactly
     /// one device.
-    fn send_home(&self, mut g: Vec<f32>) -> Option<Vec<f32>> {
-        self.grid.ctx().reduce(self.grid.col_group(), 0, &mut g);
-        (self.grid.row() == 0).then_some(g)
+    fn reduce_vector_grads(&self, region: &mut [f32]) {
+        self.grid.ctx().reduce(self.grid.col_group(), 0, region);
     }
 
     fn complete_rows(&self, partial: &mut [f32]) {
@@ -360,7 +351,8 @@ mod tests {
     fn linear_and_layer_norm_match_the_tensor_kernels() {
         // The classification head and the final layer norm use these two
         // outside a layer: forward and backward against the plain kernels,
-        // with every row-0-hosted vector gradient concatenated by column.
+        // with every vector gradient reduced to mesh row 0 and concatenated
+        // by column there.
         for q in [1usize, 2, 3] {
             let (cfg, full, x, dy) = setup(q);
             let w = &full.w_out;
@@ -391,11 +383,15 @@ mod tests {
                 };
                 let (xl, wl, dyl) = (distribute(g, &x), distribute(g, w), distribute(g, &dy));
                 let y = linear_forward(&low, Role::Expand, &xl, &wl, &host(&b), None);
-                let kept = Strips::default();
-                let (dx, dw, db) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl, &kept);
+                let (kept, cols) = (Strips::default(), dyl.cols());
+                let [mut db, mut dg, mut dbeta] = [(); 3].map(|_| vec![0.0; cols]);
+                let (dx, dw) = linear_backward(&low, Role::Expand, &xl, &wl, &dyl, &kept, &mut db);
                 let (yln, cache) = ln_forward(&low, &xl, &host(&gamma), &host(&beta));
-                let (dxln, dg, dbeta) = ln_backward(&low, &dyl, &cache);
-                ([y, dx, dw, yln, dxln], [db, dg, dbeta])
+                let dxln = ln_backward(&low, &dyl, &cache, [&mut dg, &mut dbeta]);
+                // The vector gradients are summed onto mesh row 0.
+                let mut grads = [db, dg, dbeta];
+                grads.iter_mut().for_each(|v| low.reduce_vector_grads(v));
+                ([y, dx, dw, yln, dxln], grads)
             });
             for (i, want) in blocks_ref.iter().enumerate() {
                 let got: Vec<Tensor> = outs.iter().map(|o| o.0[i].clone()).collect();
@@ -403,15 +399,8 @@ mod tests {
                 assert_close(got.as_slice(), want.as_slice(), 1e-4, 1e-3);
             }
             for (i, want) in [db_ref, dg_ref, dbeta_ref].iter().enumerate() {
-                let got: Vec<f32> = outs[..q]
-                    .iter()
-                    .flat_map(|o| o.1[i].clone().unwrap())
-                    .collect();
+                let got: Vec<f32> = outs[..q].iter().flat_map(|o| o.1[i].clone()).collect();
                 assert_close(&got, want, 1e-4, 1e-3);
-                assert!(
-                    outs[q..].iter().all(|o| o.1[i].is_none()),
-                    "hosted off row 0"
-                );
             }
         }
     }

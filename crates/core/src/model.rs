@@ -8,8 +8,8 @@ use crate::layer2d::{Layer2dParams, Summa2d};
 use mesh::{Communicator, Grid2d};
 use serial::stem::{self, Grad, Keep, MemMeter, StemRef};
 use serial::{
-    init_head, linear_forward, walk_pair, walk_stem, Lowering, ModelTensors, Optimizer, Role,
-    StemMut,
+    init_head, linear_forward, walk_stem, LayerTensors, Lowering, ModelTensors, Optimizer, Role,
+    StemMut, Vectors,
 };
 use tensor::optim::sgd_update;
 use tensor::Tensor;
@@ -258,12 +258,13 @@ impl OptimusModel {
         }
     }
 
-    /// The paper's method (2): update each layer's parameters *immediately*
-    /// after its backward pass and release its gradient buffer, so only one
-    /// layer's parameter gradients are ever live. Requires checkpointing.
-    /// Mathematically identical to [`OptimusModel::train_step`]: the same
-    /// stage forward and backward, with a sink that applies each gradient
-    /// instead of collecting it.
+    /// The paper's method (2): update each layer's weights *immediately*
+    /// after its backward pass and release their gradient buffers, so only
+    /// one layer's weight gradients are ever live; the vectors, whose
+    /// gradients add up in one region, update after its one reduce.
+    /// Requires checkpointing. Mathematically identical to
+    /// [`OptimusModel::train_step`]: the same stage forward and backward,
+    /// with a sink that applies each gradient instead of collecting it.
     pub fn train_step_fused<C: Communicator>(
         &mut self,
         grid: &Grid2d<C>,
@@ -277,36 +278,30 @@ impl OptimusModel {
         let labels_local = cfg.local_tokens(labels, grid.row());
         let (head, meter) = ((labels_local, cfg.batch * cfg.seq), &mut MemMeter::new());
         stem::check_batch(&low, tokens_local, labels_local);
+        let stem = self.stem();
+        let v = Vectors::load(&low, Some(stem.final_ln), stem.layers);
         let input = || low.embed(&self.table, tokens_local);
         let keep = Keep::TopCache { checkpoint: true };
-        let (pass, out) = stem::stage_forward(&low, &self.stem(), input, Some(head), keep, meter);
+        let (pass, out) = stem::stage_forward(&low, &stem, &v, input, Some(head), keep, meter);
 
         let mut update = |p: &mut [f32], g: &[f32]| sgd_update(p, g, lr);
-        let StemMut {
-            table,
-            layers,
-            final_ln: [gamma, beta],
-        } = self.stem_mut();
+        let mut dv = Vectors::zeros(&low, self.layers.len(), true);
+        let StemMut { table, layers, .. } = self.stem_mut();
         let bottom =
             |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens_local);
         // Immediate update: the sink applies each gradient and drops it,
         // which is the "reset the parameter gradient buffer" step.
-        stem::stage_backward(
-            &low,
-            layers.iter_mut(),
-            pass,
-            None,
-            bottom,
-            meter,
-            |g| match g {
-                Grad::FinalLn([g, b]) => {
-                    walk_pair(&mut *gamma, &g, &mut update);
-                    walk_pair(&mut *beta, &b, &mut update);
-                }
-                Grad::Layer(_, p, g) => p.walk(&g, &mut update),
-                Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
-            },
-        );
+        let sink = |g| match g {
+            Grad::Layer(_, p, g) => {
+                let weights = LayerTensors::weights_mut(p).into_iter().zip(&g);
+                weights.for_each(|(w, g)| update(w.as_mut_slice(), g.as_slice()));
+            }
+            Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
+        };
+        let layers = layers.iter_mut();
+        stem::stage_backward(&low, layers, &v, pass, None, bottom, meter, &mut dv, sink);
+        dv.reduce(&low);
+        dv.walk(self.stem_mut(), &mut update);
         out.loss()
     }
 

@@ -54,6 +54,11 @@
 //!   [`optimus_core::OptimusModel::train_step`] on the same mesh;
 //! * a `dp=2` step matches serial gradient averaging to better than 1e-12.
 //!
+//! A bias or layer-norm gradient is summed over the microbatches on each
+//! device first and over the mesh column after, in the stage's one reduce;
+//! with `q > 1` and `microbatches > 1` that order can move its last bits
+//! against summing each microbatch's column-reduced gradient.
+//!
 //! # 1F1B over SUMMA
 //!
 //! Stages run the PipeDream-flush (1F1B) schedule: `pp − 1 − stage` warm-up
@@ -65,7 +70,10 @@
 //! under the stage's own SUMMA lowering, wrapped in the boundary receive and
 //! send; the last stage's forward ends in the loss head, and the
 //! microbatches' gradients add up in one accumulating sink as each
-//! completes. Between stages, each device exchanges only its *local*
+//! completes. The stage's bias and layer-norm vectors travel once per step,
+//! not per microbatch: one column broadcast before the first forward, and
+//! one column reduce of their summed gradients after the last backward
+//! ([`serial::Vectors`]). Between stages, each device exchanges only its *local*
 //! `[bm·s/q, h/q]` activation block with the same `(replica, mesh_rank)`
 //! device of the adjacent stage.
 //! Backward-edge receives use [`mesh::Communicator::recv_expect`] with the
@@ -104,7 +112,7 @@ use std::collections::VecDeque;
 use mesh::{chunk, Coll, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Grads, Keep, MemMeter, Out};
-use serial::{walk_stem, Lowering, Optimizer};
+use serial::{walk_stem, LayerTensors, Lowering, Optimizer, Slot, Vectors};
 use tensor::Tensor;
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -442,7 +450,9 @@ impl HybridStage {
     /// A microbatch is the stem's one stage forward and one stage backward,
     /// wrapped in the boundary receive and send (or the embedding, on the
     /// first stage); the last stage's forward ends in the loss head. Its
-    /// gradients go to an accumulating sink as each completes.
+    /// weight and table gradients go to an accumulating sink as each
+    /// completes; its vector gradients add up in one region, reduced down
+    /// the mesh columns once after the last microbatch.
     pub fn replica_grads<C: Communicator>(
         &mut self,
         grid: &GridNd<C>,
@@ -471,20 +481,21 @@ impl HybridStage {
             (Some(_), true) => Keep::Inputs,
             (Some(_), false) => Keep::Caches,
         };
-        // Stages below the last carry a final layer norm whose gradients are
-        // permanently zero, so every stage's gradient layout is the same.
-        let zeros = self
-            .model
-            .final_ln_g
-            .as_ref()
-            .map(|g| vec![0.0f32; g.len()]);
-        let mut grads = Grads::new(above.map(|_| [zeros.clone(), zeros]));
+        // The stage's vectors travel once per step, whatever `m`: one
+        // broadcast here, one reduce of their summed gradients at the end.
+        // Stages below the last carry a final layer norm that neither runs
+        // nor travels; its gradients stay zero, so every stage's gradient
+        // layout is the same.
+        let (model, head) = (self.model.stem(), above.is_none());
+        let v = Vectors::load(&low, head.then_some(model.final_ln), model.layers);
+        let mut dv = Vectors::zeros(&low, model.layers.len(), head);
+        let mut grads = Grads::new();
 
         let warmup = (self.spec.pp - 1 - self.stage).min(m);
         let mut losses = 0.0f64;
         let mut live = VecDeque::new();
         let mut peak_live = 0;
-        let (model, meter) = (self.model.stem(), &mut MemMeter::new());
+        let meter = &mut MemMeter::new();
 
         // `warmup` forwards, then one-forward-one-backward, then cooldown
         // backwards: microbatch `i`'s backward runs once forward
@@ -496,7 +507,7 @@ impl HybridStage {
                     Some(from) => recv(from),
                 };
                 let head = above.is_none().then(|| (local(labels, i), rows));
-                let (pass, out) = stem::stage_forward(&low, &model, input, head, keep, meter);
+                let (pass, out) = stem::stage_forward(&low, &model, &v, input, head, keep, meter);
                 match out {
                     // Already scaled by 1/total_rows: losses and gradients
                     // combine across microbatches and replicas by plain
@@ -516,11 +527,13 @@ impl HybridStage {
                     Some(to) => ctx.send(to, dx.into_vec()),
                 };
                 let layers = model.layers.iter();
-                stem::stage_backward(&low, layers, pass, dy, bottom, meter, |g| grads.put(g));
+                let sink = |g| grads.put(g);
+                stem::stage_backward(&low, layers, &v, pass, dy, bottom, meter, &mut dv, sink);
             }
         }
+        dv.reduce(&low);
         self.peak_live_microbatches = peak_live;
-        (losses, grads.finish())
+        (losses, grads.finish(&low, &dv))
     }
 
     /// The first↔last tied-table all-reduce: both ends of the pipeline
@@ -596,10 +609,10 @@ impl HybridStage {
                 1.0
             }
             _ => {
-                self.dp_sync(ctx, &mut grads);
-                self.tie_sync(ctx, grads.embedding.as_mut_slice());
                 let micro = self.model.cfg;
                 let low = Summa2d { grid, cfg: &micro };
+                self.dp_sync(&low, &mut grads);
+                self.tie_sync(ctx, grads.embedding.as_mut_slice());
                 opt.step(&low, self.model.stem_mut(), &grads)
             }
         };
@@ -618,13 +631,15 @@ impl HybridStage {
         self.step(grid, tokens, labels, &mut sgd).0
     }
 
-    /// The dp all-reduce (sum) of every gradient slice this stage syncs, in
-    /// the canonical walk order, on the stage's gradient wire under error
+    /// The dp all-reduce (sum) of every gradient this stage syncs — the
+    /// table, each weight in walk order, then on the devices that host them
+    /// the vectors as one region — on the stage's gradient wire under error
     /// feedback.
-    fn dp_sync<C: Communicator>(&mut self, ctx: &C, grads: &mut Model2dGrads) {
+    fn dp_sync<C: Communicator>(&mut self, low: &Summa2d<C>, grads: &mut Model2dGrads) {
         if self.spec.dp == 1 {
             return;
         }
+        let ctx = low.grid.ctx();
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
         let (has_table, is_last) = (self.is_first() || self.is_last(), self.is_last());
         let w = self.grad_wire;
@@ -645,13 +660,16 @@ impl HybridStage {
         if has_table {
             sync(grads.embedding.as_mut_slice());
         }
-        if is_last {
-            for v in [&mut grads.final_ln_g, &mut grads.final_ln_b] {
-                v.iter_mut().for_each(|v| sync(v));
-            }
+        for w in grads.layers.iter_mut().flat_map(LayerTensors::weights_mut) {
+            sync(w.as_mut_slice());
         }
-        for g in &mut grads.layers {
-            g.walk_mut(&mut sync);
+        // The devices that host the vectors sync them as one region, which
+        // holds the final layer norm's only on the stage that runs it.
+        if low.place(Slot::Norm).hosted {
+            let final_ln = is_last.then_some([&grads.final_ln_g, &grads.final_ln_b]);
+            let mut v = Vectors::pack(low, final_ln, &grads.layers);
+            sync(v.travelling_mut());
+            v.walk(grads.stem_mut(), &mut |g, synced| g.copy_from_slice(synced));
         }
     }
 }
@@ -894,12 +912,12 @@ mod tests {
     }
 
     #[test]
-    fn dp_sync_moves_the_same_all_reduces_as_the_weights_first_order_did() {
-        // The dp sync walks gradients in the canonical order. Before, it
-        // went table, final LN, then per layer the four (weight, bias)
-        // pairs followed by all four LN vectors; per rank the multiset of
-        // dp all-reduce sizes (plus the last stage's loss scalar) must be
-        // what that order produced.
+    fn dp_sync_moves_the_table_the_weights_and_one_vector_region() {
+        // Per rank the multiset of dp all-reduce sizes (plus the last
+        // stage's loss scalar) is the table on the two ends of the pipeline,
+        // each weight, and on mesh row 0, which hosts the vectors, one
+        // region of them all: the layers' eight each and, on the last
+        // stage, the final layer norm's two.
         let cfg = OptimusConfig {
             batch: 8,
             ..OptimusConfig::tiny(2)
@@ -915,17 +933,25 @@ mod tests {
             let (mut st, grid) = build(ctx, &spec, &cfg, 7);
             st.train_step(&grid, &tokens, &labels, 0.1);
             let (m, last) = (&st.model, st.is_last());
-            let len = |v: &Option<Vec<f32>>| v.as_ref().map(Vec::len);
+            let len = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, Vec::len);
             let mut want = vec![(st.is_first() || last).then_some(m.table.len())];
+            let mut region = 0;
             if last {
-                want.extend([len(&m.final_ln_g), len(&m.final_ln_b), Some(1)]);
+                want.push(Some(1));
+                region += len(&m.final_ln_g) + len(&m.final_ln_b);
             }
             for l in &m.layers {
-                want.extend([Some(l.w_qkv.len()), len(&l.b_qkv), Some(l.w_out.len())]);
-                want.extend([len(&l.b_out), Some(l.w_fc1.len()), len(&l.b_fc1)]);
-                want.extend([Some(l.w_fc2.len()), len(&l.b_fc2), len(&l.ln1_g)]);
-                want.extend([len(&l.ln1_b), len(&l.ln2_g), len(&l.ln2_b)]);
+                want.extend([l.w_qkv.len(), l.w_out.len(), l.w_fc1.len(), l.w_fc2.len()].map(Some));
+                region += [&l.ln1_g, &l.ln1_b, &l.b_qkv, &l.b_out]
+                    .map(len)
+                    .iter()
+                    .sum::<usize>();
+                region += [&l.ln2_g, &l.ln2_b, &l.b_fc1, &l.b_fc2]
+                    .map(len)
+                    .iter()
+                    .sum::<usize>();
             }
+            want.push((region > 0).then_some(region));
             let mut want: Vec<usize> = want.into_iter().flatten().collect();
             want.sort_unstable();
             want

@@ -18,7 +18,6 @@ use crate::params::{Layer1dParams, MegatronConfig};
 use mesh::{Communicator, Group};
 use serial::{layer_backward, layer_forward, local_gemm, Cut, LayerCache, Lowering, Reduce};
 use serial::{Role, Slot, Span};
-use std::borrow::Cow;
 use tensor::gemm::Form;
 use tensor::Tensor;
 
@@ -55,12 +54,6 @@ impl<C: Communicator> Lowering for Megatron1d<'_, C> {
             self.ctx.all_reduce(self.world, c.as_mut_slice());
         }
         c
-    }
-    fn fetch<'v>(&self, v: &'v Vec<f32>, _len: usize) -> Cow<'v, [f32]> {
-        Cow::Borrowed(v)
-    }
-    fn send_home(&self, g: Vec<f32>) -> Vec<f32> {
-        g
     }
     fn hidden(&self) -> usize {
         self.cfg.model.hidden

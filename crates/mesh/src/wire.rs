@@ -182,9 +182,13 @@ impl ErrorFeedback {
     }
 
     /// Applies the EF transform to the next gradient tensor in visitation
-    /// order. A no-op (beyond cursor bookkeeping) at full width, so the
-    /// same call sequence serves compressed and uncompressed runs.
+    /// order. A no-op at full width, which rounds nothing and so keeps no
+    /// residual, so the same call sequence serves compressed and
+    /// uncompressed runs.
     pub fn apply(&mut self, data: &mut [f32], w: WireDtype) {
+        if w.is_f32() {
+            return;
+        }
         if self.cursor == self.bufs.len() {
             self.bufs.push(vec![0.0; data.len()]);
         }
@@ -196,9 +200,6 @@ impl ErrorFeedback {
             self.cursor
         );
         self.cursor += 1;
-        if w.is_f32() {
-            return;
-        }
         for (x, e) in data.iter_mut().zip(residual.iter_mut()) {
             let v = *x + *e;
             let q = w.quantize(v);
@@ -329,5 +330,18 @@ mod tests {
         ef.begin_step();
         ef.apply(&mut a, WireDtype::F32);
         ef.apply(&mut b, WireDtype::F32);
+    }
+
+    #[test]
+    fn error_feedback_keeps_no_residual_at_full_width() {
+        let mut ef = ErrorFeedback::new();
+        for _ in 0..3 {
+            ef.begin_step();
+            ef.apply(&mut [0.1f32; 64], WireDtype::F32);
+            ef.apply(&mut [0.2f32; 8], WireDtype::F32);
+        }
+        assert!(ef.bufs.is_empty(), "an f32 run allocated residuals");
+        ef.apply(&mut [0.3f32; 8], WireDtype::Bf16);
+        assert_eq!(ef.bufs.iter().map(Vec::len).collect::<Vec<_>>(), [8]);
     }
 }

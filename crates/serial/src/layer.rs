@@ -12,8 +12,8 @@
 use crate::attention::{attention_backward, attention_forward, AttnCache};
 use crate::config::ModelConfig;
 use crate::layout::{Cut, Slot};
-use crate::params::{Hosted, LayerTensors};
-use std::borrow::Cow;
+use crate::params::{add, Hosted, LayerTensors};
+use crate::vectors::Vectors;
 use tensor::gemm::Form;
 use tensor::layernorm::{
     ln_affine, ln_backward_finish, ln_backward_partials, ln_finish, ln_param_grads,
@@ -80,11 +80,17 @@ pub trait Lowering {
         keep: Option<&mut Self::Panels>,
     ) -> Tensor;
 
-    /// The `len` values of a hosted vector this device's columns need.
-    fn fetch<'a>(&self, v: &'a Self::Hosted, len: usize) -> Cow<'a, [f32]>;
+    /// Gives every device the hosted vectors its columns need: `region`
+    /// holds bias and layer-norm vectors back to back, filled where they are
+    /// hosted ([`crate::Vectors`]). Nothing to do where every device hosts
+    /// its own (the default).
+    fn broadcast_vectors(&self, _region: &mut [f32]) {}
 
-    /// Delivers a vector gradient to whoever hosts the vector.
-    fn send_home(&self, g: Vec<f32>) -> Self::Hosted;
+    /// Sums every device's vector gradients, laid out as in
+    /// [`Lowering::broadcast_vectors`], onto the devices that host the
+    /// vectors. Nothing to do where every device hosts its own (the
+    /// default).
+    fn reduce_vector_grads(&self, _region: &mut [f32]) {}
 
     /// Turns per-row sums over the local columns into sums over the whole
     /// hidden dimension. The layer norm passes each pair of row sums as one
@@ -185,12 +191,6 @@ impl Lowering for Local {
     ) -> Tensor {
         local_gemm(form, a, b)
     }
-    fn fetch<'a>(&self, v: &'a Vec<f32>, _len: usize) -> Cow<'a, [f32]> {
-        Cow::Borrowed(v)
-    }
-    fn send_home(&self, g: Vec<f32>) -> Vec<f32> {
-        g
-    }
     fn hidden(&self) -> usize {
         self.0.hidden
     }
@@ -213,8 +213,49 @@ impl Lowering for Local {
     }
 }
 
-/// `y = xW + b`. With `keep`, the operand panels the product receives are
-/// left there for [`linear_backward`].
+/// `y = xW + b`, the bias already at hand. With `keep`, the operand panels
+/// the product receives are left there for [`linear_backward`].
+fn linear<L: Lowering>(
+    low: &L,
+    role: Role,
+    x: &Tensor,
+    w: &Tensor,
+    b: &[f32],
+    keep: Option<&mut L::Panels>,
+) -> Tensor {
+    low.scope(Span::LinearFwd, || {
+        let mut y = low.gemm(Form::NN, role, x, w, &L::Panels::default(), keep);
+        bias_add(&mut y, b);
+        y
+    })
+}
+
+/// Given a linear layer's input and upstream gradient, returns `(dx, dw)`,
+/// `dx = dy Wᵀ` and `dw = xᵀ dy`, and adds `Σ_rows dy` to `db`, this
+/// device's part of a gradient region that its caller reduces onto the
+/// bias's hosts (paper Eq. 1 plus the bias rule of Fig. 5). `kept` holds the
+/// panels of `x` and `W` that the forward product kept, if any.
+pub fn linear_backward<L: Lowering>(
+    low: &L,
+    role: Role,
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    kept: &L::Panels,
+    db: &mut [f32],
+) -> (Tensor, Tensor) {
+    low.scope(Span::LinearBwd, || {
+        let dx = low.gemm(Form::NT, role, dy, w, kept, None);
+        let dw = low.gemm(Form::TN, role, x, dy, kept, None);
+        add(db, &bias_grad(dy));
+        (dx, dw)
+    })
+}
+
+/// `y = xW + b` on its own: the bias, hosted as `low` hosts it, is
+/// broadcast to the devices that need it first (a region of one vector).
+/// With `keep`, the operand panels the product receives are left there for
+/// [`linear_backward`].
 pub fn linear_forward<L: Lowering>(
     low: &L,
     role: Role,
@@ -223,32 +264,11 @@ pub fn linear_forward<L: Lowering>(
     b: &L::Hosted,
     keep: Option<&mut L::Panels>,
 ) -> Tensor {
-    low.scope(Span::LinearFwd, || {
-        let mut y = low.gemm(Form::NN, role, x, w, &L::Panels::default(), keep);
-        let bias = low.fetch(b, y.cols());
-        bias_add(&mut y, &bias);
-        y
-    })
-}
-
-/// Given a linear layer's input and upstream gradient, returns
-/// `(dx, dw, db)`: `dx = dy Wᵀ`, `dw = xᵀ dy`, `db = Σ_rows dy` (paper
-/// Eq. 1 plus the bias rule of Fig. 5). `kept` holds the panels of `x` and
-/// `W` that the forward product kept, if any.
-pub fn linear_backward<L: Lowering>(
-    low: &L,
-    role: Role,
-    x: &Tensor,
-    w: &Tensor,
-    dy: &Tensor,
-    kept: &L::Panels,
-) -> (Tensor, Tensor, L::Hosted) {
-    low.scope(Span::LinearBwd, || {
-        let dx = low.gemm(Form::NT, role, dy, w, kept, None);
-        let dw = low.gemm(Form::TN, role, x, dy, kept, None);
-        let db = low.send_home(bias_grad(dy));
-        (dx, dw, db)
-    })
+    let mut bias = b
+        .hosted()
+        .map_or_else(|| vec![0.0; w.cols()], <[f32]>::to_vec);
+    low.broadcast_vectors(&mut bias);
+    linear(low, role, x, w, &bias, keep)
 }
 
 /// Saved layer-norm forward state.
@@ -257,7 +277,7 @@ pub struct LnCache {
     pub xhat: Tensor,
     /// Per-row `1/√(Var[x]+ε)`.
     pub inv_std: Vec<f32>,
-    /// The γ values forward fetched for the local columns.
+    /// The γ values of the local columns.
     pub gamma: Vec<f32>,
 }
 
@@ -268,42 +288,54 @@ impl LnCache {
     }
 }
 
-/// Layer norm over the hidden dimension (paper Section 3.2.2).
+/// Layer norm over the hidden dimension (paper Section 3.2.2), γ and β
+/// already at hand.
+pub(crate) fn norm<L: Lowering>(
+    low: &L,
+    x: &Tensor,
+    [gamma, beta]: [&[f32]; 2],
+) -> (Tensor, LnCache) {
+    let mut sums = ln_partial_sums(x);
+    low.complete_rows(&mut sums);
+    let cache = ln_finish(x, &sums, low.hidden(), LN_EPS);
+    let y = ln_affine(&cache.xhat, gamma, beta);
+    (
+        y,
+        LnCache {
+            xhat: cache.xhat,
+            inv_std: cache.inv_std,
+            gamma: gamma.to_vec(),
+        },
+    )
+}
+
+/// Layer-norm backward: returns `dx` and adds `dγ`, `dβ` to `[dg, db]`,
+/// this device's part of a gradient region that its caller reduces onto
+/// the vectors' hosts.
+pub fn ln_backward<L: Lowering>(
+    low: &L,
+    dy: &Tensor,
+    cache: &LnCache,
+    [dg, db]: [&mut [f32]; 2],
+) -> Tensor {
+    let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, &cache.gamma);
+    add(dg, &dgamma);
+    add(db, &dbeta);
+    let mut sums = ln_backward_partials(&dxhat, &cache.xhat);
+    low.complete_rows(&mut sums);
+    ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, low.hidden())
+}
+
+/// Layer norm on its own: γ and β, hosted as `low` hosts them, are
+/// broadcast to the devices that need them first (one region of two).
 pub fn ln_forward<L: Lowering>(
     low: &L,
     x: &Tensor,
     gamma: &L::Hosted,
     beta: &L::Hosted,
 ) -> (Tensor, LnCache) {
-    let gamma = low.fetch(gamma, x.cols());
-    let beta = low.fetch(beta, x.cols());
-    let mut sums = ln_partial_sums(x);
-    low.complete_rows(&mut sums);
-    let cache = ln_finish(x, &sums, low.hidden(), LN_EPS);
-    let y = ln_affine(&cache.xhat, &gamma, &beta);
-    (
-        y,
-        LnCache {
-            xhat: cache.xhat,
-            inv_std: cache.inv_std,
-            gamma: gamma.into_owned(),
-        },
-    )
-}
-
-/// Layer-norm backward: returns `(dx, dγ, dβ)`.
-pub fn ln_backward<L: Lowering>(
-    low: &L,
-    dy: &Tensor,
-    cache: &LnCache,
-) -> (Tensor, L::Hosted, L::Hosted) {
-    let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, &cache.gamma);
-    let dgamma = low.send_home(dgamma);
-    let dbeta = low.send_home(dbeta);
-    let mut sums = ln_backward_partials(&dxhat, &cache.xhat);
-    low.complete_rows(&mut sums);
-    let dx = ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, low.hidden());
-    (dx, dgamma, dbeta)
+    let v = Vectors::load(low, Some([gamma, beta]), &[]);
+    norm(low, x, v.final_ln())
 }
 
 /// Everything the backward pass needs, saved during forward.
@@ -361,13 +393,15 @@ impl<P> LayerCache<P> {
 }
 
 /// Layer forward over this device's activation block; returns the output
-/// and the cache.
+/// and the cache. Run on its own, the layer's vectors travel as one region
+/// of eight.
 pub fn layer_forward<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
     x: &Tensor,
 ) -> (Tensor, LayerCache<L::Panels>) {
-    layer_pass(low, p, x, None)
+    let v = Vectors::load(low, None, std::slice::from_ref(p));
+    layer_pass(low, p, v.layer(0), x, None)
 }
 
 /// The checkpoint recompute of [`layer_forward`] right before the layer's
@@ -382,16 +416,18 @@ pub fn layer_recompute<L: Lowering>(
     x: &Tensor,
     reuse: [L::Panels; 4],
 ) -> LayerCache<L::Panels> {
-    layer_pass(low, p, x, Some(reuse)).1
+    let v = Vectors::load(low, None, std::slice::from_ref(p));
+    layer_pass(low, p, v.layer(0), x, Some(reuse)).1
 }
 
-/// [`layer_forward`], keeping each projection's panels in `keep` when given:
-/// the one body behind [`layer_forward`], [`layer_recompute`] and the top
-/// layer of a sweep whose backward comes straight after its forward
-/// ([`crate::stem::Keep::TopCache`]).
+/// [`layer_forward`] with the layer's vectors `v` at hand, keeping each
+/// projection's panels in `keep` when given: the one body behind
+/// [`layer_forward`], [`layer_recompute`] and every layer of a stem's
+/// sweeps ([`crate::stem`]), which read `v` from the step's one region.
 pub(crate) fn layer_pass<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
+    v: [&[f32]; 8],
     x: &Tensor,
     keep: Option<[L::Panels; 4]>,
 ) -> (Tensor, LayerCache<L::Panels>) {
@@ -402,49 +438,50 @@ pub(crate) fn layer_pass<L: Lowering>(
         let keeping = keep.is_some();
         let mut panels = keep.unwrap_or_default();
         let [qkv_p, out_p, fc1_p, fc2_p] = &mut panels;
+        let [ln1_g, ln1_b, b_qkv, b_out, ln2_g, ln2_b, b_fc1, b_fc2] = v;
 
         // Attention half.
-        let (ln1_out, ln1) = ln_forward(low, x, &p.ln1_g, &p.ln1_b);
-        let qkv = linear_forward(
+        let (ln1_out, ln1) = norm(low, x, [ln1_g, ln1_b]);
+        let qkv = linear(
             low,
             Role::Expand,
             &ln1_out,
             &p.w_qkv,
-            &p.b_qkv,
+            b_qkv,
             keeping.then_some(qkv_p),
         );
         let q = qkv.block(0, 0, rows, w);
         let k = qkv.block(0, w, rows, w);
         let v = qkv.block(0, 2 * w, rows, w);
         let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
-        let attn_out = linear_forward(
+        let attn_out = linear(
             low,
             Role::Contract,
             &ctxt,
             &p.w_out,
-            &p.b_out,
+            b_out,
             keeping.then_some(out_p),
         );
         let mut x1 = x.clone();
         x1.add_assign(&attn_out);
 
         // MLP half.
-        let (ln2_out, ln2) = ln_forward(low, &x1, &p.ln2_g, &p.ln2_b);
-        let f1 = linear_forward(
+        let (ln2_out, ln2) = norm(low, &x1, [ln2_g, ln2_b]);
+        let f1 = linear(
             low,
             Role::Expand,
             &ln2_out,
             &p.w_fc1,
-            &p.b_fc1,
+            b_fc1,
             keeping.then_some(fc1_p),
         );
         let g = gelu_forward(&f1);
-        let f2 = linear_forward(
+        let f2 = linear(
             low,
             Role::Contract,
             &g,
             &p.w_fc2,
-            &p.b_fc2,
+            b_fc2,
             keeping.then_some(fc2_p),
         );
         let mut y = x1.clone();
@@ -472,33 +509,67 @@ pub(crate) fn layer_pass<L: Lowering>(
 }
 
 /// Layer backward: returns the input gradient and all parameter gradients.
-/// Each projection's products read the panels `cache` kept for it.
+/// Each projection's products read the panels `cache` kept for it. Run on
+/// its own, the eight vector gradients travel home as one region.
 pub fn layer_backward<L: Lowering>(
     low: &L,
     p: &LayerTensors<L::Hosted>,
     cache: &LayerCache<L::Panels>,
     dy: &Tensor,
 ) -> (Tensor, LayerTensors<L::Hosted>) {
+    let mut dv = Vectors::zeros(low, 1, false);
+    let (dx, weights) = layer_grads(low, p, cache, dy, dv.layer_mut(0));
+    dv.reduce(low);
+    let (_, mut vectors) = dv.hosted(low);
+    let vectors = vectors.pop().expect("one layer");
+    (dx, LayerTensors::from_parts(weights, vectors))
+}
+
+/// [`layer_backward`]'s body: returns the input gradient and the four
+/// weight gradients in field order, and adds the eight vector gradients to
+/// `dv`, the layer's part of a gradient region.
+pub(crate) fn layer_grads<L: Lowering>(
+    low: &L,
+    p: &LayerTensors<L::Hosted>,
+    cache: &LayerCache<L::Panels>,
+    dy: &Tensor,
+    dv: [&mut [f32]; 8],
+) -> (Tensor, [Tensor; 4]) {
     low.scope(Span::LayerBwd, || {
         let view = low.attn_view();
         let (rows, w) = (view.tokens(), view.hidden);
         let [qkv_p, out_p, fc1_p, fc2_p] = &cache.panels;
+        let [ln1_g, ln1_b, b_qkv, b_out, ln2_g, ln2_b, b_fc1, b_fc2] = dv;
 
         // MLP half.
-        let (mut df1, w_fc2, b_fc2) =
-            linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy, fc2_p);
+        let (mut df1, w_fc2) =
+            linear_backward(low, Role::Contract, &cache.g, &p.w_fc2, dy, fc2_p, b_fc2);
         gelu_backward_in_place(&mut df1, &cache.f1);
-        let (dln2_out, w_fc1, b_fc1) =
-            linear_backward(low, Role::Expand, &cache.ln2_out, &p.w_fc1, &df1, fc1_p);
-        let (dx1_ln, ln2_g, ln2_b) = ln_backward(low, &dln2_out, &cache.ln2);
+        let (dln2_out, w_fc1) = linear_backward(
+            low,
+            Role::Expand,
+            &cache.ln2_out,
+            &p.w_fc1,
+            &df1,
+            fc1_p,
+            b_fc1,
+        );
+        let dx1_ln = ln_backward(low, &dln2_out, &cache.ln2, [ln2_g, ln2_b]);
 
         // Residual into x1: from the skip connection (dy) and from LN2.
         let mut dx1 = dy.clone();
         dx1.add_assign(&dx1_ln);
 
         // Attention half.
-        let (dctxt, w_out, b_out) =
-            linear_backward(low, Role::Contract, &cache.ctxt, &p.w_out, &dx1, out_p);
+        let (dctxt, w_out) = linear_backward(
+            low,
+            Role::Contract,
+            &cache.ctxt,
+            &p.w_out,
+            &dx1,
+            out_p,
+            b_out,
+        );
         let (dq, dk, dv) = attention_backward(
             &view,
             &dctxt,
@@ -511,29 +582,21 @@ pub fn layer_backward<L: Lowering>(
         dqkv.set_block(0, 0, &dq);
         dqkv.set_block(0, w, &dk);
         dqkv.set_block(0, 2 * w, &dv);
-        let (dln1_out, w_qkv, b_qkv) =
-            linear_backward(low, Role::Expand, &cache.ln1_out, &p.w_qkv, &dqkv, qkv_p);
-        let (dx_ln, ln1_g, ln1_b) = ln_backward(low, &dln1_out, &cache.ln1);
+        let (dln1_out, w_qkv) = linear_backward(
+            low,
+            Role::Expand,
+            &cache.ln1_out,
+            &p.w_qkv,
+            &dqkv,
+            qkv_p,
+            b_qkv,
+        );
+        let dx_ln = ln_backward(low, &dln1_out, &cache.ln1, [ln1_g, ln1_b]);
 
         // Residual into x: skip (dx1) plus LN1 path.
         let mut dx = dx1;
         dx.add_assign(&dx_ln);
-
-        let grads = LayerTensors {
-            ln1_g,
-            ln1_b,
-            w_qkv,
-            b_qkv,
-            w_out,
-            b_out,
-            ln2_g,
-            ln2_b,
-            w_fc1,
-            b_fc1,
-            w_fc2,
-            b_fc2,
-        };
-        (dx, grads)
+        (dx, [w_qkv, w_out, w_fc1, w_fc2])
     })
 }
 

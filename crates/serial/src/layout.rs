@@ -96,6 +96,17 @@ const LAYER: [(&str, Slot, [usize; 2], bool, Init); 12] = {
     ]
 };
 
+/// A layer's eight vectors in field order, each with its slot and its width
+/// on this device as `low` places it.
+pub(crate) fn layer_vectors<L: Lowering>(low: &L) -> [(Slot, usize); 8] {
+    let h = low.hidden();
+    let mut vectors = LAYER.iter().filter(|(_, _, [r, _], ..)| *r == 0);
+    std::array::from_fn(|_| {
+        let (_, slot, [_, c], ..) = vectors.next().expect("eight layer vectors");
+        (*slot, c * h / low.place(*slot).cols.1)
+    })
+}
+
 /// A tensor to place: its slot, full shape, and whether it is cut within
 /// thirds (the fused QKV weight and bias).
 type Entry = (Slot, [usize; 2], bool);

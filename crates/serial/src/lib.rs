@@ -17,10 +17,11 @@
 //! holds parameters and gradients for all three, walked in one canonical
 //! order ([`walk_stem`]) by the one [`Optimizer`], and one placement table
 //! per lowering ([`Lowering::place`]) is what [`init`] draws every device's
-//! share by, [`shard`] cuts it by and [`gather`] reassembles it by. The stem
-//! around the layer — the forward and reverse sweeps with checkpoint
-//! recompute, the tied head and the vocabulary-split cross-entropy — is
-//! written once too, in [`stem`], over the same [`Lowering`], as one stage
+//! share by, [`shard`] cuts it by and [`gather`] reassembles it by; a step
+//! moves every bias and layer-norm vector it places as one region
+//! ([`Vectors`]). The stem around the layer — the forward and reverse
+//! sweeps with checkpoint recompute, the tied head and the
+//! vocabulary-split cross-entropy — is written once too, in [`stem`], over the same [`Lowering`], as one stage
 //! forward and one stage backward that every step composes.
 //!
 //! The model follows the structure of the paper's Figure 1: a token-wise
@@ -41,6 +42,7 @@ mod model;
 mod optim;
 mod params;
 pub mod stem;
+mod vectors;
 
 pub use attention::{attention_backward, attention_forward, AttnCache};
 pub use config::ModelConfig;
@@ -55,3 +57,4 @@ pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
 };
 pub use stem::{MemMeter, StemMut, StemRef};
+pub use vectors::Vectors;

@@ -159,6 +159,49 @@ impl<B: Hosted> LayerTensors<B> {
         slots!(self, hosted_mut, as_mut_slice)
     }
 
+    /// Builds a layer from its four weights and eight vectors, each in
+    /// field order.
+    pub(crate) fn from_parts(weights: [Tensor; 4], vectors: [B; 8]) -> Self {
+        let [w_qkv, w_out, w_fc1, w_fc2] = weights;
+        let [ln1_g, ln1_b, b_qkv, b_out, ln2_g, ln2_b, b_fc1, b_fc2] = vectors;
+        LayerTensors {
+            ln1_g,
+            ln1_b,
+            w_qkv,
+            b_qkv,
+            w_out,
+            b_out,
+            ln2_g,
+            ln2_b,
+            w_fc1,
+            b_fc1,
+            w_fc2,
+            b_fc2,
+        }
+    }
+
+    /// The four weights in field order.
+    pub fn weights_mut(&mut self) -> [&mut Tensor; 4] {
+        [
+            &mut self.w_qkv,
+            &mut self.w_out,
+            &mut self.w_fc1,
+            &mut self.w_fc2,
+        ]
+    }
+
+    /// The eight vectors in field order, `None` where hosted elsewhere.
+    pub(crate) fn vectors(&self) -> [Option<&[f32]>; 8] {
+        let [g1, b1, _, qkv, _, out, g2, b2, _, fc1, _, fc2] = self.slots();
+        [g1, b1, qkv, out, g2, b2, fc1, fc2]
+    }
+
+    /// Mutable counterpart of [`LayerTensors::vectors`].
+    pub(crate) fn vectors_mut(&mut self) -> [Option<&mut [f32]>; 8] {
+        let [g1, b1, _, qkv, _, out, g2, b2, _, fc1, _, fc2] = self.slots_mut();
+        [g1, b1, qkv, out, g2, b2, fc1, fc2]
+    }
+
     /// Visits every locally hosted `(self, other)` slice pair in field
     /// order, skipping entries hosted elsewhere.
     ///

@@ -9,14 +9,17 @@
 //!   each layer's input (checkpointing, paper Section 3.2.3) or its
 //!   [`LayerCache`] and, on the stage with the head, runs the final layer
 //!   norm, the loss and the head's backward; [`stage_backward`] recomputes
-//!   or pops, runs [`layer_backward`], and ends in the embedding backward or
-//!   a send to the stage below. Each gradient goes to a caller's sink as
-//!   soon as it is complete ([`Grad`]) — collected ([`Grads`], which is
-//!   [`lm_grads`]), added to a running total (the same sink, once per
-//!   pipeline microbatch), or applied on the spot and dropped (the paper's
-//!   immediate update). The recompute keeps the operand panels its products
-//!   received, and the layer's backward reads them instead of receiving them
-//!   again. When the backward comes straight after the forward
+//!   or pops, runs the layer's backward, and ends in the embedding backward
+//!   or a send to the stage below. Both read the stem's bias and layer-norm
+//!   vectors from one region the caller loaded ([`Vectors`]), and the
+//!   backward adds their gradients to a second one, which the caller
+//!   reduces once after its last stage backward. Each weight and table
+//!   gradient goes to a caller's sink as soon as it is complete ([`Grad`])
+//!   — collected ([`Grads`], which is [`lm_grads`]), added to a running
+//!   total (the same sink, once per pipeline microbatch), or applied on the
+//!   spot and dropped (the paper's immediate update). The recompute keeps
+//!   the operand panels its products received, and the layer's backward
+//!   reads them instead of receiving them again. When the backward comes straight after the forward
 //!   ([`Keep::TopCache`]), the top layer's forward keeps its cache and
 //!   panels and is its own recompute, so a checkpointed step re-runs
 //!   `L − 1` layers, not `L`;
@@ -31,10 +34,10 @@
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
 
 use crate::layer::{
-    layer_backward, layer_pass, layer_recompute, ln_backward, ln_forward, LayerCache, LnCache,
-    Lowering, Reduce, Role, Span,
+    layer_grads, layer_pass, ln_backward, norm, LayerCache, LnCache, Lowering, Reduce, Role, Span,
 };
-use crate::params::{add, walk_pair, Hosted, LayerTensors, ModelTensors};
+use crate::params::{LayerTensors, ModelTensors};
+use crate::vectors::Vectors;
 use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
@@ -150,6 +153,7 @@ pub fn check_batch<L: Lowering>(low: &L, tokens: &[usize], labels: &[usize]) {
 fn sweep_forward<L: Lowering>(
     low: &L,
     layers: &[LayerTensors<L::Hosted>],
+    v: &Vectors,
     mut x: Tensor,
     keep: Keep,
     meter: &mut MemMeter,
@@ -157,7 +161,7 @@ fn sweep_forward<L: Lowering>(
     let mut kept = Vec::new();
     for (l, p) in layers.iter().enumerate() {
         let top = matches!(keep, Keep::TopCache { .. }) && l + 1 == layers.len();
-        let (y, cache) = layer_pass(low, p, &x, top.then(Default::default));
+        let (y, cache) = layer_pass(low, p, v.layer(l), &x, top.then(Default::default));
         match keep {
             Keep::Nothing => {}
             Keep::Inputs | Keep::TopCache { checkpoint: true } if !top => {
@@ -271,12 +275,14 @@ pub fn head_backward<L: Lowering>(
     dh
 }
 
-/// Forward-only stem: embedding → layers → final layer norm.
+/// Forward-only stem: embedding → layers → final layer norm, the stem's
+/// vectors loaded in one region first.
 pub fn hidden_states<L: Lowering>(low: &L, p: &StemRef<L::Hosted>, tokens: &[usize]) -> Tensor {
     check(low, "token", tokens);
+    let v = Vectors::load(low, Some(p.final_ln), p.layers);
     let x = low.embed(p.table, tokens);
-    let (y, _) = sweep_forward(low, p.layers, x, Keep::Nothing, &mut MemMeter::new());
-    ln_forward(low, &y, p.final_ln[0], p.final_ln[1]).0
+    let (y, _) = sweep_forward(low, p.layers, &v, x, Keep::Nothing, &mut MemMeter::new());
+    norm(low, &y, v.final_ln()).0
 }
 
 /// Mean LM loss of this device's `tokens` / `labels`, no gradients.
@@ -331,41 +337,42 @@ impl Out {
 }
 
 /// A gradient a stage backward hands its sink as soon as it is complete.
-pub enum Grad<P, H> {
-    /// The final layer norm's γ and β (a head stage only), first.
-    FinalLn([H; 2]),
-    /// Layer `l`'s gradients with the layer as `layers` yielded it, top
-    /// layer first.
-    Layer(usize, P, LayerTensors<H>),
+/// Vector gradients are not among them: they add up in the caller's
+/// gradient region ([`Vectors`]).
+pub enum Grad<P> {
+    /// Layer `l`'s four weight gradients in field order, with the layer as
+    /// `layers` yielded it, top layer first.
+    Layer(usize, P, [Tensor; 4]),
     /// The table block's, last.
     Table(Tensor),
 }
 
 /// A stage forward: `input` (the embedding of the stage's tokens, or a
 /// block received from the stage below) up through its layers, keeping per
-/// layer what `keep` says. With a `head` — this device's labels and the
-/// global row count — then the final layer norm, the loss and the tied
-/// head's backward, whose gradients wait in the [`Pass`].
+/// layer what `keep` says, each layer reading its vectors from `v`. With a
+/// `head` — this device's labels and the global row count — then the final
+/// layer norm, the loss and the tied head's backward, whose gradients wait
+/// in the [`Pass`].
 pub fn stage_forward<L: Lowering>(
     low: &L,
     p: &StemRef<L::Hosted>,
+    v: &Vectors,
     input: impl FnOnce() -> Tensor,
     head: Option<(&[usize], usize)>,
     keep: Keep,
     meter: &mut MemMeter,
 ) -> (Pass<L::Panels>, Out) {
-    let [gamma, beta] = p.final_ln;
     let (y, ln, kept, block) = low.scope(Span::Fwd, || {
         let x = input();
         // One activation block is in flight from here to the stage's input
         // gradient: `x` going up, its gradient coming down.
         let block = bytes(&x);
         meter.alloc(block);
-        let (y, kept) = sweep_forward(low, p.layers, x, keep, meter);
+        let (y, kept) = sweep_forward(low, p.layers, v, x, keep, meter);
         if head.is_none() {
             return (y, None, kept, block);
         }
-        let (hidden, ln) = ln_forward(low, &y, gamma, beta);
+        let (hidden, ln) = norm(low, &y, v.final_ln());
         meter.alloc(bytes(&hidden));
         (hidden, Some(ln), kept, block)
     });
@@ -403,35 +410,39 @@ pub fn stage_forward<L: Lowering>(
 /// A stage backward from its [`Pass`]: the gradient of the final layer
 /// norm's output (a head stage) or the received gradient `dy` of the
 /// stage's output runs down through `layers`, top layer first, popping each
-/// layer's cache or recomputing it from the kept input (keeping the panels
-/// the recompute received for the layer's backward); then `bottom` takes
-/// the gradient of the stage's input — the embedding backward into the
-/// table gradient, or a send to the stage below. Each gradient goes to
-/// `sink` as soon as it is complete. A cache the forward kept with its
-/// panels ([`Keep::TopCache`]) is read exactly like a recompute's, and lends
-/// its panels' storage to the next recompute.
+/// layer's cache or recomputing it from the kept input with its vectors
+/// from `v` (keeping the panels the recompute received for the layer's
+/// backward); then `bottom` takes the gradient of the stage's input — the
+/// embedding backward into the table gradient, or a send to the stage
+/// below. Each weight and table gradient goes to `sink` as soon as it is
+/// complete; each vector gradient is added to `dv`, which the caller
+/// reduces once after its last stage backward. A cache the forward kept
+/// with its panels ([`Keep::TopCache`]) is read exactly like a recompute's,
+/// and lends its panels' storage to the next recompute.
 ///
 /// `layers` yields `&LayerTensors` or, when the sink updates parameters in
 /// place, `&mut LayerTensors`; nothing reads a layer again once the sink
 /// has had it.
+#[allow(clippy::too_many_arguments)]
 pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
+    v: &Vectors,
     pass: Pass<L::Panels>,
     dy: Option<Tensor>,
     bottom: impl FnOnce(Tensor, &mut Tensor),
     meter: &mut MemMeter,
-    mut sink: impl FnMut(Grad<P, L::Hosted>),
+    dv: &mut Vectors,
+    mut sink: impl FnMut(Grad<P>),
 ) {
     let mut kept = pass.kept;
     assert_eq!(kept.len(), layers.len(), "one kept entry per layer");
     low.scope(Span::Bwd, || {
         let (mut dy, mut d_table) = match (pass.top, dy) {
             (Some(top), None) => {
-                let (dx, g, b) = ln_backward(low, &top.dhidden, &top.ln);
+                let dx = ln_backward(low, &top.dhidden, &top.ln, dv.final_ln_mut());
                 meter.free(bytes(&top.hidden));
                 drop((top.hidden, top.ln, top.dhidden));
-                sink(Grad::FinalLn([g, b]));
                 (dx, top.d_table)
             }
             (None, Some(dy)) => (dy, Tensor::zeros(&pass.table)),
@@ -444,12 +455,13 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
             let (mut cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
                 Kept::Cache(cache) => (*cache, 0),
                 Kept::Input(x) => {
-                    let cache = layer_recompute(low, p.borrow(), &x, std::mem::take(&mut spare));
+                    let reuse = Some(std::mem::take(&mut spare));
+                    let (_, cache) = layer_pass(low, p.borrow(), v.layer(l), &x, reuse);
                     meter.alloc(cache.bytes());
                     (cache, bytes(&x))
                 }
             };
-            let (dx, grads) = layer_backward(low, p.borrow(), &cache, &dy);
+            let (dx, grads) = layer_grads(low, p.borrow(), &cache, &dy, dv.layer_mut(l));
             spare = std::mem::take(&mut cache.panels);
             meter.free(cache.bytes() + input_bytes);
             sink(Grad::Layer(l, p, grads));
@@ -461,69 +473,63 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     });
 }
 
-/// The collecting and accumulating sink: the first stage backward's
-/// gradients are moved in as they complete, each later one's added to them.
-pub struct Grads<H> {
-    total: Option<ModelTensors<H>>,
-    final_ln: Option<[H; 2]>,
-    /// The first pass's layer gradients, top layer first.
-    layers: Vec<LayerTensors<H>>,
+/// The collecting and accumulating sink for weight and table gradients: the
+/// first stage backward's are moved in as they complete, each later one's
+/// added to them.
+#[derive(Default)]
+pub struct Grads {
+    /// Each layer's weight gradients: top layer first while the first pass
+    /// runs, bottom layer first once it has completed.
+    layers: Vec<[Tensor; 4]>,
+    table: Option<Tensor>,
 }
 
-impl<H: Hosted> Grads<H> {
-    /// An empty sink. A stage without the head passes its zero final
-    /// layer-norm gradients as `final_ln`, so every stage's set has one
-    /// layout.
-    pub fn new(final_ln: Option<[H; 2]>) -> Self {
-        let (total, layers) = (None, Vec::new());
-        Grads {
-            total,
-            final_ln,
-            layers,
-        }
+impl Grads {
+    /// An empty sink.
+    pub fn new() -> Self {
+        Grads::default()
     }
 
     /// Takes one completed gradient.
-    pub fn put<P>(&mut self, g: Grad<P, H>) {
-        let Some(total) = &mut self.total else {
-            match g {
-                Grad::FinalLn(ln) => self.final_ln = Some(ln),
-                Grad::Layer(_, _, g) => self.layers.push(g),
-                Grad::Table(embedding) => {
-                    let [final_ln_g, final_ln_b] = self.final_ln.take().expect("final LN grads");
-                    let layers = self.layers.drain(..).rev().collect();
-                    let grads = ModelTensors {
-                        embedding,
-                        layers,
-                        final_ln_g,
-                        final_ln_b,
-                    };
-                    self.total = Some(grads);
+    pub fn put<P>(&mut self, g: Grad<P>) {
+        match (g, &mut self.table) {
+            (Grad::Layer(_, _, w), None) => self.layers.push(w),
+            (Grad::Layer(l, _, w), Some(_)) => {
+                for (a, b) in self.layers[l].iter_mut().zip(&w) {
+                    a.add_assign(b);
                 }
             }
-            return;
-        };
-        match g {
-            Grad::FinalLn([g, b]) => {
-                walk_pair(&mut total.final_ln_g, &g, &mut add);
-                walk_pair(&mut total.final_ln_b, &b, &mut add);
+            (Grad::Table(d), None) => {
+                self.layers.reverse();
+                self.table = Some(d);
             }
-            Grad::Layer(l, _, g) => total.layers[l].walk(&g, &mut add),
-            Grad::Table(d) => total.embedding.add_assign(&d),
+            (Grad::Table(d), Some(t)) => t.add_assign(&d),
         }
     }
 
-    /// Every completed stage backward's gradients, summed.
-    pub fn finish(self) -> ModelTensors<H> {
-        self.total.expect("a completed stage backward")
+    /// Every completed stage backward's gradients, summed, with the vector
+    /// gradients of the region `dv` as `low` hosts them.
+    pub fn finish<L: Lowering>(self, low: &L, dv: &Vectors) -> ModelTensors<L::Hosted> {
+        let ([final_ln_g, final_ln_b], vectors) = dv.hosted(low);
+        let layers = self.layers.into_iter().zip(vectors);
+        ModelTensors {
+            embedding: self.table.expect("a completed stage backward"),
+            layers: layers
+                .map(|(w, v)| LayerTensors::from_parts(w, v))
+                .collect(),
+            final_ln_g,
+            final_ln_b,
+        }
     }
 }
 
 /// Forward + backward over a whole stem held by one device (group): returns
-/// the loss and every gradient. With `checkpoint`, only each layer's input
-/// is kept and the layer is recomputed inside the reverse sweep, except the
-/// top layer, whose cache the forward keeps ([`Keep::TopCache`]).
-/// `meter` sees the step's pinned activation bytes.
+/// the loss and every gradient. The stem's vectors travel in one region
+/// before the forward and their gradients in one after the backward. With
+/// `checkpoint`, only each layer's input is kept and the layer is
+/// recomputed inside the reverse sweep, except the top layer, whose cache
+/// the forward keeps ([`Keep::TopCache`]). `meter` sees the step's pinned
+/// activation bytes.
 pub fn lm_grads<L: Lowering>(
     low: &L,
     p: &StemRef<L::Hosted>,
@@ -534,14 +540,17 @@ pub fn lm_grads<L: Lowering>(
     meter: &mut MemMeter,
 ) -> (f32, ModelTensors<L::Hosted>) {
     check_batch(low, tokens, labels);
+    let v = Vectors::load(low, Some(p.final_ln), p.layers);
     let (input, keep) = (|| low.embed(p.table, tokens), Keep::TopCache { checkpoint });
-    let (pass, out) = stage_forward(low, p, input, Some((labels, total_rows)), keep, meter);
+    let (pass, out) = stage_forward(low, p, &v, input, Some((labels, total_rows)), keep, meter);
     let bottom = |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens);
-    let mut grads = Grads::new(None);
-    stage_backward(low, p.layers.iter(), pass, None, bottom, meter, |g| {
+    let (mut grads, mut dv) = (Grads::new(), Vectors::zeros(low, p.layers.len(), true));
+    let layers = p.layers.iter();
+    stage_backward(low, layers, &v, pass, None, bottom, meter, &mut dv, |g| {
         grads.put(g)
     });
-    (out.loss(), grads.finish())
+    dv.reduce(low);
+    (out.loss(), grads.finish(low, &dv))
 }
 
 #[cfg(test)]

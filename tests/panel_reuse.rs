@@ -9,7 +9,8 @@
 //! shape. The traffic it removes is `(q−1)·(7bsh + 12h²)` link elements
 //! per layer pass and `(q−1)·(vh + bsv)` per head pass, and what a
 //! checkpointed step still sends beyond a cached one is exactly the
-//! recompute's layer-norm all-reduces and vector fetches.
+//! recompute's layer-norm all-reduces: its vectors come from the step's one
+//! region.
 
 use optimus::hybrid::{build, HybridSpec};
 use optimus::mesh::{CommLog, Mesh, MeshNd, Topology};
@@ -177,14 +178,14 @@ fn a_checkpointed_backward_receives_no_panel_twice() {
         assert_eq!(broadcasts_under(&ckpt_traces, "bwd.linear2d"), 0, "q={q}");
 
         // The recompute's SUMMA broadcasts are exactly the ones the backward
-        // no longer makes, so a checkpointed step sends, beyond a cached
-        // one, only the recompute's four row all-reduces of `bs/q` layer-norm
-        // partials (`2(q−1)·n` link elements per group of `q`) and its column
-        // fetches of `13h/q` layer-norm and bias elements (`(q−1)·n` per
-        // group), on each of `q` groups, per recomputed layer. The top
-        // layer's forward kept its cache, so `L − 1` layers are recomputed.
-        let (h, bs) = (cfg.hidden, cfg.batch * cfg.seq);
-        let extra = (cfg.layers - 1) * (q - 1) * (13 * h + 8 * bs);
+        // no longer makes, and its vectors come from the step's one region,
+        // so a checkpointed step sends, beyond a cached one, only the
+        // recompute's four row all-reduces of `bs/q` layer-norm partials
+        // (`2(q−1)·n` link elements per group of `q`), on each of `q`
+        // groups, per recomputed layer. The top layer's forward kept its
+        // cache, so `L − 1` layers are recomputed.
+        let bs = cfg.batch * cfg.seq;
+        let extra = (cfg.layers - 1) * (q - 1) * 8 * bs;
         assert_eq!(
             link_elems(&ckpt_logs),
             link_elems(&cached_logs) + extra,
@@ -216,13 +217,14 @@ fn the_executed_checkpointed_backward_moves_twice_the_forward_payload() {
     let mut rng = Rng::new(2);
     let x = Tensor::randn(&[b * s, h], 1.0, &mut rng);
     let dy = Tensor::randn(&[b * s, h], 1.0, &mut rng);
-    // Smallest SUMMA payload: a `bsh/p` activation or `h²/p` weight panel;
-    // the layer-norm and bias vectors are smaller.
-    let panel_min = (b * s * h).min(h * h) / (q * q);
+    // Smallest SUMMA payload: a `bsh/p` activation or `h²/p` weight panel.
+    // The layer's eight vectors travel as one region of `13h/q`, which is
+    // larger here, so it is told apart by its exact length.
+    let (panel_min, region) = ((b * s * h).min(h * h) / (q * q), 13 * h / q);
     let summa_payload = |log: &CommLog| -> usize {
         log.ops
             .iter()
-            .filter(|o| o.elems >= panel_min)
+            .filter(|o| o.elems >= panel_min && o.elems != region)
             .map(|o| o.elems)
             .sum()
     };
@@ -263,40 +265,50 @@ fn bench_cfg(q: usize, hidden: usize, batch: usize) -> OptimusConfig {
 }
 
 /// Link elements the top layer's recompute sent before its forward kept its
-/// cache: the `q − 1` copies of every projection's input and weight plus
-/// its layer-norm all-reduces and vector fetches,
-/// `(q−1)·(7bsh + 12h² + 13h + 8bs)`.
+/// cache, beyond its vector fetches: the `q − 1` copies of every
+/// projection's input and weight plus its layer-norm all-reduces,
+/// `(q−1)·(7bsh + 12h² + 8bs)`.
 fn top_recompute(c: &OptimusConfig, q: usize, bs: usize) -> usize {
     let h = c.hidden;
-    (q - 1) * (7 * bs * h + 12 * h * h + 13 * h + 8 * bs)
+    (q - 1) * (7 * bs * h + 12 * h * h + 8 * bs)
+}
+
+/// Link elements `n` layers' vectors took on all `q` mesh columns when a
+/// layer pass fetched its own, `13h/q` each down a column of `q`:
+/// `n·(q−1)·13h`.
+fn fetches(c: &OptimusConfig, q: usize, n: usize) -> usize {
+    n * (q - 1) * 13 * c.hidden
 }
 
 #[test]
 fn benchmark_2d_workloads_send_the_pinned_link_elements_per_step() {
     // Pinned against the same `CommLog::total_link_elems` that the step
     // benchmark's `comm_mib_per_step` reads (elements · 4 / 2²⁰), with the
-    // counts before the top layer's recompute was dropped alongside, so the
-    // difference is the closed-form top-layer recompute.
+    // counts before the vectors travelled in one region per step, and
+    // before that before the top layer's recompute was dropped, alongside:
+    // the differences are the recomputes' vector fetches and the
+    // closed-form top-layer recompute.
     let (tokens, labels) = data(&bench_cfg(1, 1, 8), 9);
     let step = |q: usize, hidden: usize| {
         let cfg = bench_cfg(q, hidden, 8);
         let (_, logs) = MeshNd::dry_run_with_logs(&[q, q], |g| {
             OptimusModel::new(&cfg, 1, g).train_step(g, &tokens, &labels, 0.01)
         });
-        (
-            link_elems(&logs),
-            top_recompute(&cfg, q, cfg.batch * cfg.seq),
-        )
+        let top = top_recompute(&cfg, q, cfg.batch * cfg.seq);
+        let (now, l) = (link_elems(&logs), cfg.layers);
+        [0, fetches(&cfg, q, l - 1), fetches(&cfg, q, l) + top].map(|saving| now + saving)
     };
-    // opt2d_2x2_h256: 80.3711 → 73.8428 MiB.
-    let (now, saving) = step(2, 256);
-    assert_eq!((now, now + saving), (19_357_444, 21_068_804));
-    // opt2d_4x4_h128: 95.3790 → 87.8131 MiB.
-    let (now, saving) = step(4, 128);
-    assert_eq!((now, now + saving), (23_019_672, 25_003_032));
+    // opt2d_2x2_h256: 80.3711 → 73.8428 → 73.8047 MiB.
+    assert_eq!(step(2, 256), [19_347_460, 19_357_444, 21_068_804]);
+    // opt2d_4x4_h128: 95.3790 → 87.8131 → 87.7560 MiB.
+    assert_eq!(step(4, 128), [23_004_696, 23_019_672, 25_003_032]);
 
-    // hyb_pp2_dp2_2x2_h128: 90.7950 → 84.2384 MiB; only the last stage's
-    // (replica, microbatch) pairs skip a recompute, one layer each.
+    // hyb_pp2_dp2_2x2_h128: 90.7950 → 84.2384 → 84.0568 MiB. Every
+    // (replica, microbatch) pass fetched its recomputed layers' vectors
+    // (`L − 1` over the two stages: only the last stage's top layer skips
+    // its recompute), and every microbatch after the first fetched the
+    // stage's vectors and sent their gradients home again, `(13L + 2)·h/q`
+    // a column over both stages, each way.
     let spec = HybridSpec {
         pp: 2,
         dp: 2,
@@ -309,11 +321,16 @@ fn benchmark_2d_workloads_send_the_pinned_link_elements_per_step() {
         let (mut st, grid) = build(ctx, &spec, &cfg, 1);
         st.train_step(&grid, &tokens, &labels, 0.01)
     });
-    let passes = spec.dp * spec.microbatches;
+    let (passes, q, l) = (spec.dp * spec.microbatches, spec.q(), cfg.layers);
     let bs = spec.micro_batch(&cfg) * cfg.seq;
-    let saving = passes * top_recompute(&cfg, 2, bs);
+    let repeats = 2 * spec.dp * (spec.microbatches - 1) * (q - 1) * (13 * l + 2) * cfg.hidden;
+    let vectors = passes * fetches(&cfg, q, l - 1) + repeats;
+    let top = passes * (top_recompute(&cfg, q, bs) + fetches(&cfg, q, 1));
     let now = link_elems(&logs);
-    assert_eq!((now, now + saving), (22_082_592, 23_801_376));
+    assert_eq!(
+        [now, now + vectors, now + vectors + top],
+        [22_034_976, 22_082_592, 23_801_376]
+    );
 }
 
 fn panel_ptrs(s: &Strips) -> Vec<*const f32> {

@@ -99,8 +99,11 @@ fn optimus_case(b: usize, s: usize, h: usize, n: usize, q: usize) {
     // recompute (each matmul backward = 2 SUMMA products).
     let p = q * q;
     // Smallest SUMMA panel: activation panels are bsh/p, the smallest
-    // weight panel is h*h/p; bias/LN broadcasts are at most 4h/q (smaller).
+    // weight panel is h*h/p. The layer's eight bias and layer-norm vectors
+    // travel as one region of 13h/q each way, which can exceed that at
+    // small h, so it is told apart by its exact length.
     let panel_threshold = (b * s * h).min(h * h) / p;
+    let region = 13 * h / q;
     let fwd_payload = (7 * b * s * h + 12 * h * h) / q;
     let expect_total = 3 * fwd_payload;
     for log in &logs {
@@ -108,7 +111,9 @@ fn optimus_case(b: usize, s: usize, h: usize, n: usize, q: usize) {
             .ops
             .iter()
             .filter(|o| {
-                matches!(o.op, CommOp::Broadcast | CommOp::Reduce) && o.elems >= panel_threshold
+                matches!(o.op, CommOp::Broadcast | CommOp::Reduce)
+                    && o.elems >= panel_threshold
+                    && o.elems != region
             })
             .map(|o| o.elems)
             .sum();
@@ -221,10 +226,14 @@ fn non_summa_comm_is_negligible() {
         layer2d_forward(g, &cfg, &lp, &distribute(g, &x));
     });
     let p = q * q;
-    let threshold = (h * h) / p;
+    // The layer's vectors travel as one region of `13h/q`, told apart from
+    // the panels by its exact length.
+    let (threshold, region) = ((h * h) / p, 13 * h / q);
     let (mut summa, mut other) = (0usize, 0usize);
     for o in &logs[0].ops {
-        let is_panel = matches!(o.op, CommOp::Broadcast | CommOp::Reduce) && o.elems >= threshold;
+        let is_panel = matches!(o.op, CommOp::Broadcast | CommOp::Reduce)
+            && o.elems >= threshold
+            && o.elems != region;
         if is_panel {
             summa += o.elems;
         } else {
