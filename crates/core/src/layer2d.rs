@@ -86,6 +86,7 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
             Span::LayerBwd => "bwd.layer2d",
             Span::LinearFwd => "fwd.linear2d",
             Span::LinearBwd => "bwd.linear2d",
+            Span::Update => "update",
         };
         trace::span(name, f)
     }

@@ -39,7 +39,6 @@
 //! serial reference (same seed ⇒ same losses, same gradients) by this
 //! crate's tests and the workspace integration tests.
 
-pub mod attention_sh;
 pub mod checkpoint;
 mod config;
 mod layer2d;

@@ -1,16 +1,13 @@
 //! The full Optimus model: 2D embedding → N 2D layers → 2D final layer
 //! norm → tied LM head (Algorithm 2) → row-parallel cross-entropy, with
-//! distributed activation checkpointing and the paper's immediate-update
-//! training step.
+//! distributed activation checkpointing and, under SGD, the paper's
+//! immediate update.
 
 use crate::config::OptimusConfig;
 use crate::layer2d::{Layer2dParams, Summa2d};
 use mesh::{Communicator, Grid2d};
-use serial::stem::{self, Grad, Keep, MemMeter, StemRef};
-use serial::{
-    init_head, linear_forward, walk_stem, LayerTensors, Lowering, ModelTensors, Optimizer, Role,
-    StemMut, Vectors,
-};
+use serial::stem::{self, MemMeter, StemRef};
+use serial::{init_head, linear_forward, walk_stem, ModelTensors, Optimizer, Role, StemMut};
 use tensor::optim::sgd_update;
 use tensor::Tensor;
 
@@ -211,11 +208,15 @@ impl OptimusModel {
         out
     }
 
-    /// One training step under `opt`: [`OptimusModel::lm_grads`], then the
-    /// update. Returns the pre-update loss and the clip scale (1 unless
-    /// [`Optimizer::Clipped`]), both identical on every device. Every
-    /// parameter is hosted, and so updated, on exactly one device of a
-    /// depth slice, so the distributed trajectory under any optimizer is
+    /// One training step under `opt` ([`stem::step`]), honoring
+    /// `cfg.checkpoint` as [`OptimusModel::lm_grads`] does. Under SGD each
+    /// layer's weights update as soon as its backward is done and their
+    /// gradients are dropped (the paper's method (2), Section 3.2.3); other
+    /// optimizers collect the gradients first. Returns the pre-update loss
+    /// and the clip scale (1 unless [`Optimizer::Clipped`]), both identical
+    /// on every device; `self.meter` holds the step's activation peak.
+    /// Every parameter is hosted, and so updated, on exactly one device of
+    /// a depth slice, so the distributed trajectory under any optimizer is
     /// the serial one.
     pub fn step<C: Communicator>(
         &mut self,
@@ -224,15 +225,18 @@ impl OptimusModel {
         labels: &[usize],
         opt: &mut Optimizer,
     ) -> (f32, f32) {
-        let (loss, grads) = self.lm_grads(grid, tokens, labels);
         let cfg = self.cfg;
-        let low = Summa2d { grid, cfg: &cfg };
-        let scale = trace::span("update", || opt.step(&low, self.stem_mut(), &grads));
-        (loss, scale)
+        let tokens = cfg.local_tokens(tokens, grid.row());
+        let labels = cfg.local_tokens(labels, grid.row());
+        let (low, rows) = (Summa2d { grid, cfg: &cfg }, cfg.batch * cfg.seq);
+        let (stem, meter) = (self.stem_mut(), &mut MemMeter::new());
+        let out = stem::step(&low, stem, tokens, labels, rows, cfg.checkpoint, meter, opt);
+        self.meter = *meter;
+        out
     }
 
-    /// One SGD step (gradients accumulated, then applied). Returns the
-    /// pre-update loss.
+    /// One SGD step, each gradient applied as soon as it is complete.
+    /// Returns the pre-update loss.
     pub fn train_step<C: Communicator>(
         &mut self,
         grid: &Grid2d<C>,
@@ -256,53 +260,6 @@ impl OptimusModel {
             loss,
             peak_activation_bytes: self.meter.peak(),
         }
-    }
-
-    /// The paper's method (2): update each layer's weights *immediately*
-    /// after its backward pass and release their gradient buffers, so only
-    /// one layer's weight gradients are ever live; the vectors, whose
-    /// gradients add up in one region, update after its one reduce.
-    /// Requires checkpointing. Mathematically identical to
-    /// [`OptimusModel::train_step`]: the same stage forward and backward,
-    /// with a sink that applies each gradient instead of collecting it.
-    pub fn train_step_fused<C: Communicator>(
-        &mut self,
-        grid: &Grid2d<C>,
-        tokens: &[usize],
-        labels: &[usize],
-        lr: f32,
-    ) -> f32 {
-        let cfg = self.cfg;
-        let low = Summa2d { grid, cfg: &cfg };
-        let tokens_local = cfg.local_tokens(tokens, grid.row());
-        let labels_local = cfg.local_tokens(labels, grid.row());
-        let (head, meter) = ((labels_local, cfg.batch * cfg.seq), &mut MemMeter::new());
-        stem::check_batch(&low, tokens_local, labels_local);
-        let stem = self.stem();
-        let v = Vectors::load(&low, Some(stem.final_ln), stem.layers);
-        let input = || low.embed(&self.table, tokens_local);
-        let keep = Keep::TopCache { checkpoint: true };
-        let (pass, out) = stem::stage_forward(&low, &stem, &v, input, Some(head), keep, meter);
-
-        let mut update = |p: &mut [f32], g: &[f32]| sgd_update(p, g, lr);
-        let mut dv = Vectors::zeros(&low, self.layers.len(), true);
-        let StemMut { table, layers, .. } = self.stem_mut();
-        let bottom =
-            |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens_local);
-        // Immediate update: the sink applies each gradient and drops it,
-        // which is the "reset the parameter gradient buffer" step.
-        let sink = |g| match g {
-            Grad::Layer(_, p, g) => {
-                let weights = LayerTensors::weights_mut(p).into_iter().zip(&g);
-                weights.for_each(|(w, g)| update(w.as_mut_slice(), g.as_slice()));
-            }
-            Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
-        };
-        let layers = layers.iter_mut();
-        stem::stage_backward(&low, layers, &v, pass, None, bottom, meter, &mut dv, sink);
-        dv.reduce(&low);
-        dv.walk(self.stem_mut(), &mut update);
-        out.loss()
     }
 
     /// Distributed greedy next-token prediction (the paper's "inference"
@@ -453,18 +410,21 @@ mod tests {
         let mut cfg = OptimusConfig::tiny(2);
         cfg.checkpoint = true;
         let (tokens, labels) = data(&cfg, 24);
-        let plain = Mesh2d::run(cfg.q, |grid| {
-            let mut m = OptimusModel::new(&cfg, 6, grid);
-            (0..3)
-                .map(|_| m.train_step(grid, &tokens, &labels, 0.2))
-                .collect::<Vec<f32>>()
+        let run = |opt: Optimizer| {
+            Mesh2d::run(cfg.q, |grid| {
+                let (mut m, mut opt) = (OptimusModel::new(&cfg, 6, grid), opt.clone());
+                (0..3)
+                    .map(|_| m.step(grid, &tokens, &labels, &mut opt).0)
+                    .collect::<Vec<f32>>()
+            })
+        };
+        // An infinite clip norm scales by exactly 1, but clipping collects
+        // every gradient before it updates.
+        let plain = run(Optimizer::Clipped {
+            lr: 0.2,
+            max_norm: f64::INFINITY,
         });
-        let fused = Mesh2d::run(cfg.q, |grid| {
-            let mut m = OptimusModel::new(&cfg, 6, grid);
-            (0..3)
-                .map(|_| m.train_step_fused(grid, &tokens, &labels, 0.2))
-                .collect::<Vec<f32>>()
-        });
+        let fused = run(Optimizer::Sgd { lr: 0.2 });
         // The same sweep with a different sink: when a gradient is applied
         // does not change it.
         assert_eq!(bits(&plain), bits(&fused));

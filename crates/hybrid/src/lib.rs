@@ -111,7 +111,7 @@ use std::collections::VecDeque;
 
 use mesh::{chunk, Coll, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
-use serial::stem::{self, Grads, Keep, MemMeter, Out};
+use serial::stem::{self, Bottom, Grads, Keep, MemMeter, Out};
 use serial::{walk_stem, LayerTensors, Lowering, Optimizer, Slot, Vectors};
 use tensor::Tensor;
 
@@ -522,9 +522,9 @@ impl HybridStage {
                 let pass = live.pop_front().expect("a forward is outstanding");
                 let j = i - warmup;
                 let dy = above.map(recv);
-                let bottom = |dx: Tensor, d_table: &mut Tensor| match below {
-                    None => low.embed_backward(d_table, &dx, local(tokens, j)),
-                    Some(to) => ctx.send(to, dx.into_vec()),
+                let bottom = match below {
+                    None => Bottom::Embed(local(tokens, j)),
+                    Some(to) => Bottom::Send(move |dx: Tensor| ctx.send(to, dx.into_vec())),
                 };
                 let layers = model.layers.iter();
                 let sink = |g| grads.put(g);
@@ -533,7 +533,7 @@ impl HybridStage {
         }
         dv.reduce(&low);
         self.peak_live_microbatches = peak_live;
-        (losses, grads.finish(&low, &dv))
+        (losses, grads.finish(&low, &dv, model.table))
     }
 
     /// The first↔last tied-table all-reduce: both ends of the pipeline

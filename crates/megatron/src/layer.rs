@@ -68,6 +68,7 @@ impl<C: Communicator> Lowering for Megatron1d<'_, C> {
             Span::Bwd => "bwd",
             Span::LayerFwd => "fwd.layer1d",
             Span::LayerBwd => "bwd.layer1d",
+            Span::Update => "update",
             Span::LinearFwd | Span::LinearBwd => return f(),
         };
         trace::span(name, f)

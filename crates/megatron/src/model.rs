@@ -132,10 +132,12 @@ impl MegatronModel {
         stem::lm_grads(&low, &stem, tokens, labels, rows, checkpoint, meter)
     }
 
-    /// One training step under `opt`; returns the pre-update loss and the
-    /// clip scale (1 unless [`Optimizer::Clipped`]). Replicated parameters
-    /// see identical gradients on every device, so per-device optimizer
-    /// states stay in sync.
+    /// One training step under `opt` ([`stem::step`]: SGD updates each
+    /// gradient as soon as it is complete, honoring `cfg.checkpoint`);
+    /// returns the pre-update loss and the clip scale (1 unless
+    /// [`Optimizer::Clipped`]). Replicated parameters see identical
+    /// gradients on every device, so per-device optimizer states stay in
+    /// sync.
     pub fn step<C: Communicator>(
         &mut self,
         ctx: &C,
@@ -143,15 +145,15 @@ impl MegatronModel {
         labels: &[usize],
         opt: &mut Optimizer,
     ) -> (f32, f32) {
-        let (loss, grads) = self.lm_grads(ctx, tokens, labels);
         let (cfg, world) = (self.cfg, self.world.clone());
         let low = Megatron1d {
             ctx,
             world: &world,
             cfg: &cfg,
         };
-        let scale = trace::span("update", || opt.step(&low, self.stem_mut(), &grads));
-        (loss, scale)
+        let (rows, meter) = (cfg.model.tokens(), &mut MemMeter::new());
+        let stem = self.stem_mut();
+        stem::step(&low, stem, tokens, labels, rows, cfg.checkpoint, meter, opt)
     }
 
     /// One SGD step; returns the pre-update loss.

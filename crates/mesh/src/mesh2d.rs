@@ -201,18 +201,10 @@ impl<'a, C: Communicator> GridNd<'a, C> {
         &self.axis_groups[2]
     }
 
-    /// The group of this (sub-)mesh's devices — all of them, every axis.
-    pub fn mesh_group(&self) -> Group {
-        Group::labeled(
-            (self.first..self.first + self.shape.len()).collect(),
-            "mesh",
-        )
-    }
-
     /// The `dim(0) × dim(1)` devices sharing this device's depth (and any
     /// higher-axis) coordinates, row-major over `(row, col)`. This is the
-    /// set a 2D SUMMA slice computes with; on a 2D mesh its ranks equal
-    /// [`GridNd::mesh_group`]'s.
+    /// set a 2D SUMMA slice computes with; on a 2D mesh it is every device
+    /// of the (sub-)mesh.
     pub fn slice_group(&self) -> Group {
         assert!(self.ndim() >= 2, "slice_group() needs at least two axes");
         let mut c = self.coords.clone();
@@ -306,11 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn mesh_group_covers_the_sub_mesh() {
+    fn slice_group_covers_the_sub_mesh() {
         let out = Mesh::run(8, |ctx| {
             let first = (ctx.rank() / 4) * 4;
             let g = Grid2d::sub_mesh(ctx, 2, first);
-            g.mesh_group().ranks().to_vec()
+            g.slice_group().ranks().to_vec()
         });
         assert_eq!(out[0], vec![0, 1, 2, 3]);
         assert_eq!(out[5], vec![4, 5, 6, 7]);
@@ -397,14 +389,8 @@ mod tests {
         assert_eq!(out[5], vec![1, 3, 5, 7]);
 
         // On a plain 2D mesh the slice is the whole mesh.
-        let flat = Mesh2d::run(2, |g| {
-            (
-                g.slice_group().ranks().to_vec(),
-                g.mesh_group().ranks().to_vec(),
-            )
-        });
-        let (slice, mesh) = &flat[0];
-        assert_eq!(slice, mesh);
+        let flat = Mesh2d::run(2, |g| g.slice_group().ranks().to_vec());
+        assert_eq!(flat[0], vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! Records double as the raw material of the structured tracer: each record
 //! carries the [`trace`] span that was open when it was made (`span` 0 when
-//! the run was untraced), and [`OpRecord`]s carry the recording `rank`, so
-//! attribution survives [`CommLog::merge`].
+//! the run was untraced), and [`OpRecord`]s carry the recording `rank`.
 
 /// Kind of collective a device participated in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -70,8 +69,7 @@ pub struct OpRecord {
     pub elems: usize,
     pub group_first: usize,
     pub group_stride: usize,
-    /// The device that recorded this participation (preserved by
-    /// [`CommLog::merge`], so merged logs keep per-rank attribution).
+    /// The device that recorded this participation.
     pub rank: usize,
     /// The innermost [`trace`] span open when the op ran (0 = untraced).
     pub span: u32,
@@ -95,8 +93,7 @@ impl OpRecord {
     }
 }
 
-/// One point-to-point transfer on a concrete link. The sender is `from`, so
-/// link attribution survives [`CommLog::merge`] by construction.
+/// One point-to-point transfer on a concrete link, sent by `from`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkRecord {
     pub from: usize,
@@ -223,17 +220,6 @@ impl CommLog {
     pub fn op_count(&self, op: CommOp) -> usize {
         self.ops.iter().filter(|r| r.op == op).count()
     }
-
-    /// Merges another device's log into this one (used for whole-mesh
-    /// summaries). Per-rank attribution is preserved: every merged
-    /// [`OpRecord`] keeps its recording `rank` and every [`LinkRecord`] its
-    /// `from` rank, so a merged log can still be split or filtered by
-    /// source device.
-    pub fn merge(&mut self, other: &CommLog) {
-        self.ops.extend_from_slice(&other.ops);
-        self.links.extend_from_slice(&other.links);
-        self.wire += other.wire;
-    }
 }
 
 #[cfg(test)]
@@ -287,33 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn link_accounting_and_merge() {
+    fn link_accounting() {
         let mut a = CommLog::new(0);
         a.record_link(0, 1, 10, Some(CommOp::Broadcast));
-        let mut b = CommLog::new(1);
-        b.record_link(1, 0, 5, None);
-        a.merge(&b);
+        a.record_link(1, 0, 5, None);
         assert_eq!(a.total_link_elems(), 15);
         assert_eq!(a.links.len(), 2);
         assert_eq!(a.link_elems(Some(CommOp::Broadcast)), 10);
         assert_eq!(a.link_elems(None), 5);
         assert_eq!(a.link_elems(Some(CommOp::Reduce)), 0);
-    }
-
-    #[test]
-    fn merge_preserves_per_rank_attribution() {
-        let mut a = CommLog::new(0);
-        a.record_op(CommOp::Broadcast, crate::CollAlgo::Tree, 4, 100, 0, 1);
-        let mut b = CommLog::new(1);
-        b.record_op(CommOp::Reduce, crate::CollAlgo::Tree, 4, 50, 0, 1);
-        b.record_link(1, 0, 50, Some(CommOp::Reduce));
-        a.merge(&b);
-        // Ops remember who recorded them...
-        assert_eq!(a.ops[0].rank, 0);
-        assert_eq!(a.ops[1].rank, 1);
-        assert_eq!(a.ops[1].elems, 50);
-        // ...and links always carried their sender.
-        assert_eq!(a.links[0].from, 1);
     }
 
     #[test]

@@ -387,14 +387,20 @@ mod tests {
     #[test]
     fn meta_time_dispatches_on_the_algo_and_wire_labels() {
         let m = latency_model();
-        let meta = |algo| trace::OpMeta::collective("AllReduce", 8, 0, 1, 4096, 0).with_algo(algo);
+        let meta = |algo| trace::OpMeta {
+            algo,
+            ..trace::OpMeta::collective("AllReduce", 8, 0, 1, 4096, 0)
+        };
         let ranks: Vec<usize> = (0..8).collect();
         let t = |algo, wire| m.coll_time(CommOp::AllReduce, algo, wire, &ranks, 4096);
         assert_eq!(m.meta_time(&meta("halving")), t(CollAlgo::Halving, F32));
         // Empty label (pre-registry producer) prices the default schedule.
         assert_eq!(m.meta_time(&meta("")), t(CollAlgo::Ring, F32));
         // A compressed event: β halves, γ·elems is paid once.
-        let half = meta("ring").with_wire("bf16");
+        let half = trace::OpMeta {
+            wire: "bf16",
+            ..meta("ring")
+        };
         assert_eq!(m.meta_time(&half), t(CollAlgo::Ring, WireDtype::Bf16));
         let gamma = m.profile().gamma * 4096.0;
         let beta_terms = 14.0 * 1e-9 * 512.0;

@@ -19,8 +19,6 @@
 //!   search.
 //! * [`cost`] — Eq. 4/5 collective costs, topology-aware (Figure 8's naive
 //!   vs bunched arrangements) with NIC-contention modelling.
-//! * [`isoeff`] — the isoefficiency functions `W ~ p³` (Megatron) vs
-//!   `W ~ (√p·log p)³` (Optimus).
 //! * [`tracecheck`] — cross-checks of recorded [`trace`] timelines against
 //!   the cost model (and, via the integration tests, Table 1).
 //! * [`autotune`] — the hybrid 3D/4D configuration-space search behind
@@ -31,7 +29,6 @@ pub mod autotune;
 pub mod calibration;
 pub mod colltune;
 pub mod cost;
-pub mod isoeff;
 pub mod memory;
 pub mod paradigms;
 pub mod profile;

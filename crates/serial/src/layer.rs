@@ -44,6 +44,8 @@ pub enum Span {
     LayerBwd,
     LinearFwd,
     LinearBwd,
+    /// The optimizer's update after a step that collects its gradients.
+    Update,
 }
 
 /// How a per-row partial over the local vocabulary slice is completed.

@@ -67,12 +67,13 @@ impl SerialModel {
         stem::lm_grads(&low, &stem, tokens, labels, rows, false, meter)
     }
 
-    /// One training step under `opt`; returns the loss before the update
-    /// and the clip scale (1 unless [`Optimizer::Clipped`]).
+    /// One training step under `opt` ([`stem::step`]: SGD updates each
+    /// gradient as soon as it is complete); returns the loss before the
+    /// update and the clip scale (1 unless [`Optimizer::Clipped`]).
     pub fn step(&mut self, tokens: &[usize], labels: &[usize], opt: &mut Optimizer) -> (f32, f32) {
-        let (loss, grads) = self.lm_grads(tokens, labels);
-        let scale = opt.step(&Local(self.cfg), self.params.stem_mut(), &grads);
-        (loss, scale)
+        let (low, rows, meter) = (Local(self.cfg), self.cfg.tokens(), &mut MemMeter::new());
+        let stem = self.params.stem_mut();
+        stem::step(&low, stem, tokens, labels, rows, false, meter, opt)
     }
 
     /// One SGD training step; returns the loss before the update.

@@ -10,25 +10,27 @@
 //!   [`LayerCache`] and, on the stage with the head, runs the final layer
 //!   norm, the loss and the head's backward; [`stage_backward`] recomputes
 //!   or pops, runs the layer's backward, and ends in the embedding backward
-//!   or a send to the stage below. Both read the stem's bias and layer-norm
-//!   vectors from one region the caller loaded ([`Vectors`]), and the
-//!   backward adds their gradients to a second one, which the caller
-//!   reduces once after its last stage backward. Each weight and table
-//!   gradient goes to a caller's sink as soon as it is complete ([`Grad`])
-//!   — collected ([`Grads`], which is [`lm_grads`]), added to a running
-//!   total (the same sink, once per pipeline microbatch), or applied on the
-//!   spot and dropped (the paper's immediate update). The recompute keeps
-//!   the operand panels its products received, and the layer's backward
-//!   reads them instead of receiving them again. When the backward comes straight after the forward
-//!   ([`Keep::TopCache`]), the top layer's forward keeps its cache and
-//!   panels and is its own recompute, so a checkpointed step re-runs
+//!   or a send to the stage below ([`Bottom`]). Both read the stem's bias
+//!   and layer-norm vectors from one region the caller loaded ([`Vectors`]),
+//!   and the backward adds their gradients to a second one, which the
+//!   caller reduces once after its last stage backward. Each weight and
+//!   table gradient goes to a caller's sink as soon as it is complete
+//!   ([`Grad`]) — collected ([`Grads`], which is [`lm_grads`]), added to a
+//!   running total (the same sink, once per pipeline microbatch), or
+//!   applied on the spot and dropped (the paper's immediate update, which
+//!   is [`step`] under SGD). The recompute keeps the operand panels its
+//!   products received, and the layer's backward reads them instead of
+//!   receiving them again. When the backward comes straight after the
+//!   forward ([`Keep::TopCache`]), the top layer's forward keeps its cache
+//!   and panels and is its own recompute, so a checkpointed step re-runs
 //!   `L − 1` layers, not `L`;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
 //!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
 //!   logits product and the `dL` panels shared between the two);
-//! * the **single-stage compositions** [`hidden_states`], [`lm_loss`] and
-//!   [`lm_grads`] that the serial, Megatron and Optimus models call.
+//! * the **single-stage compositions** [`hidden_states`], [`lm_loss`],
+//!   [`lm_grads`] and [`step`] that the serial, Megatron and Optimus models
+//!   call.
 //!
 //! Like `layer`, this module issues no communication of its own: what a
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
@@ -36,11 +38,13 @@
 use crate::layer::{
     layer_grads, layer_pass, ln_backward, norm, LayerCache, LnCache, Lowering, Reduce, Role, Span,
 };
+use crate::optim::Optimizer;
 use crate::params::{LayerTensors, ModelTensors};
 use crate::vectors::Vectors;
 use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
+use tensor::optim::sgd_update;
 use tensor::Tensor;
 
 /// Live-byte accounting with a high-water mark: what the sweeps and the
@@ -97,6 +101,17 @@ pub struct StemMut<'a, H> {
     pub table: &'a mut Tensor,
     pub layers: &'a mut [LayerTensors<H>],
     pub final_ln: [&'a mut H; 2],
+}
+
+impl<H> StemMut<'_, H> {
+    /// The same parameters by shared reference.
+    fn view(&self) -> StemRef<'_, H> {
+        StemRef {
+            table: self.table,
+            layers: self.layers,
+            final_ln: [&*self.final_ln[0], &*self.final_ln[1]],
+        }
+    }
 }
 
 /// What a forward sweep keeps of each layer for the reverse sweep.
@@ -343,8 +358,17 @@ pub enum Grad<P> {
     /// Layer `l`'s four weight gradients in field order, with the layer as
     /// `layers` yielded it, top layer first.
     Layer(usize, P, [Tensor; 4]),
-    /// The table block's, last.
+    /// The table block's, last, from a stage that embeds or has the head; a
+    /// stage with neither has none.
     Table(Tensor),
+}
+
+/// Where a stage backward's input gradient goes.
+pub enum Bottom<'a, S: FnOnce(Tensor)> {
+    /// The embedding of these tokens: scattered into the table gradient.
+    Embed(&'a [usize]),
+    /// The stage below, by this send.
+    Send(S),
 }
 
 /// A stage forward: `input` (the embedding of the stage's tokens, or a
@@ -430,7 +454,7 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     v: &Vectors,
     pass: Pass<L::Panels>,
     dy: Option<Tensor>,
-    bottom: impl FnOnce(Tensor, &mut Tensor),
+    bottom: Bottom<impl FnOnce(Tensor)>,
     meter: &mut MemMeter,
     dv: &mut Vectors,
     mut sink: impl FnMut(Grad<P>),
@@ -443,9 +467,9 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
                 let dx = ln_backward(low, &top.dhidden, &top.ln, dv.final_ln_mut());
                 meter.free(bytes(&top.hidden));
                 drop((top.hidden, top.ln, top.dhidden));
-                (dx, top.d_table)
+                (dx, Some(top.d_table))
             }
-            (None, Some(dy)) => (dy, Tensor::zeros(&pass.table)),
+            (None, Some(dy)) => (dy, None),
             _ => panic!("a head stage's backward starts at its loss, any other at dy"),
         };
         // Each recompute's panels take over the storage of the previous
@@ -467,9 +491,17 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
             sink(Grad::Layer(l, p, grads));
             dy = dx;
         }
-        bottom(dy, &mut d_table);
+        match bottom {
+            Bottom::Embed(tokens) => {
+                let d_table = d_table.get_or_insert_with(|| Tensor::zeros(&pass.table));
+                low.embed_backward(d_table, &dy, tokens);
+            }
+            Bottom::Send(send) => send(dy),
+        }
         meter.free(pass.block);
-        sink(Grad::Table(d_table));
+        if let Some(d_table) = d_table {
+            sink(Grad::Table(d_table));
+        }
     });
 }
 
@@ -478,9 +510,8 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
 /// added to them.
 #[derive(Default)]
 pub struct Grads {
-    /// Each layer's weight gradients: top layer first while the first pass
-    /// runs, bottom layer first once it has completed.
-    layers: Vec<[Tensor; 4]>,
+    /// Each layer's weight gradients, bottom layer first.
+    layers: Vec<Option<[Tensor; 4]>>,
     table: Option<Tensor>,
 }
 
@@ -492,35 +523,83 @@ impl Grads {
 
     /// Takes one completed gradient.
     pub fn put<P>(&mut self, g: Grad<P>) {
-        match (g, &mut self.table) {
-            (Grad::Layer(_, _, w), None) => self.layers.push(w),
-            (Grad::Layer(l, _, w), Some(_)) => {
-                for (a, b) in self.layers[l].iter_mut().zip(&w) {
-                    a.add_assign(b);
+        match g {
+            Grad::Layer(l, _, w) => {
+                if self.layers.len() <= l {
+                    self.layers.resize_with(l + 1, || None);
+                }
+                match &mut self.layers[l] {
+                    Some(sum) => sum.iter_mut().zip(&w).for_each(|(a, b)| a.add_assign(b)),
+                    slot => *slot = Some(w),
                 }
             }
-            (Grad::Table(d), None) => {
-                self.layers.reverse();
-                self.table = Some(d);
-            }
-            (Grad::Table(d), Some(t)) => t.add_assign(&d),
+            Grad::Table(d) => match &mut self.table {
+                Some(sum) => sum.add_assign(&d),
+                slot => *slot = Some(d),
+            },
         }
     }
 
     /// Every completed stage backward's gradients, summed, with the vector
-    /// gradients of the region `dv` as `low` hosts them.
-    pub fn finish<L: Lowering>(self, low: &L, dv: &Vectors) -> ModelTensors<L::Hosted> {
+    /// gradients of the region `dv` as `low` hosts them. A stage that
+    /// neither embeds nor has the head reports a zero gradient for its
+    /// `table`, made here once.
+    pub fn finish<L: Lowering>(
+        self,
+        low: &L,
+        dv: &Vectors,
+        table: &Tensor,
+    ) -> ModelTensors<L::Hosted> {
         let ([final_ln_g, final_ln_b], vectors) = dv.hosted(low);
         let layers = self.layers.into_iter().zip(vectors);
+        let layer = |(w, v): (Option<_>, _)| {
+            LayerTensors::from_parts(w.expect("a completed stage backward"), v)
+        };
         ModelTensors {
-            embedding: self.table.expect("a completed stage backward"),
-            layers: layers
-                .map(|(w, v)| LayerTensors::from_parts(w, v))
-                .collect(),
+            embedding: self.table.unwrap_or_else(|| Tensor::zeros(table.dims())),
+            layers: layers.map(layer).collect(),
             final_ln_g,
             final_ln_b,
         }
     }
+}
+
+/// The forward half of a whole stem held by one device (group): the stem's
+/// vectors travel in one region, then the stage forward from the embedding
+/// of `tokens` to the loss. With `checkpoint`, only each layer's input is
+/// kept, except the top layer's cache ([`Keep::TopCache`]).
+fn forward<L: Lowering>(
+    low: &L,
+    p: &StemRef<L::Hosted>,
+    tokens: &[usize],
+    labels: &[usize],
+    total_rows: usize,
+    checkpoint: bool,
+    meter: &mut MemMeter,
+) -> (f32, Vectors, Pass<L::Panels>) {
+    check_batch(low, tokens, labels);
+    let v = Vectors::load(low, Some(p.final_ln), p.layers);
+    let (input, keep) = (|| low.embed(p.table, tokens), Keep::TopCache { checkpoint });
+    let (pass, out) = stage_forward(low, p, &v, input, Some((labels, total_rows)), keep, meter);
+    (out.loss(), v, pass)
+}
+
+/// The backward half after [`forward`]: the stage backward down to the
+/// embedding, each weight and table gradient to `sink`, then the one reduce
+/// of the vector gradients, which it returns.
+fn backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
+    low: &L,
+    layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
+    (v, pass): (Vectors, Pass<L::Panels>),
+    tokens: &[usize],
+    meter: &mut MemMeter,
+    sink: impl FnMut(Grad<P>),
+) -> Vectors {
+    let mut dv = Vectors::zeros(low, layers.len(), true);
+    let bottom = Bottom::<fn(Tensor)>::Embed(tokens);
+    stage_backward(low, layers, &v, pass, None, bottom, meter, &mut dv, sink);
+    dv.reduce(low);
+    dv
 }
 
 /// Forward + backward over a whole stem held by one device (group): returns
@@ -539,18 +618,65 @@ pub fn lm_grads<L: Lowering>(
     checkpoint: bool,
     meter: &mut MemMeter,
 ) -> (f32, ModelTensors<L::Hosted>) {
-    check_batch(low, tokens, labels);
-    let v = Vectors::load(low, Some(p.final_ln), p.layers);
-    let (input, keep) = (|| low.embed(p.table, tokens), Keep::TopCache { checkpoint });
-    let (pass, out) = stage_forward(low, p, &v, input, Some((labels, total_rows)), keep, meter);
-    let bottom = |dx: Tensor, d_table: &mut Tensor| low.embed_backward(d_table, &dx, tokens);
-    let (mut grads, mut dv) = (Grads::new(), Vectors::zeros(low, p.layers.len(), true));
-    let layers = p.layers.iter();
-    stage_backward(low, layers, &v, pass, None, bottom, meter, &mut dv, |g| {
-        grads.put(g)
-    });
-    dv.reduce(low);
-    (out.loss(), grads.finish(low, &dv))
+    let (loss, v, pass) = forward(low, p, tokens, labels, total_rows, checkpoint, meter);
+    (loss, collect(low, p, (v, pass), tokens, meter))
+}
+
+/// [`backward`] into a collecting sink: every gradient of the stem.
+fn collect<L: Lowering>(
+    low: &L,
+    p: &StemRef<L::Hosted>,
+    fwd: (Vectors, Pass<L::Panels>),
+    tokens: &[usize],
+    meter: &mut MemMeter,
+) -> ModelTensors<L::Hosted> {
+    let mut grads = Grads::new();
+    let dv = backward(low, p.layers.iter(), fwd, tokens, meter, |g| grads.put(g));
+    grads.finish(low, &dv, p.table)
+}
+
+/// One training step under `opt` over a whole stem held by one device
+/// (group), forward and backward as in [`lm_grads`]. Returns the pre-update
+/// loss and the clip scale (1 unless [`Optimizer::Clipped`]).
+///
+/// Under [`Optimizer::Sgd`] this is the paper's method (2) (Section 3.2.3):
+/// the backward's sink applies each weight and table gradient as soon as it
+/// is complete and drops it, so no layer's weight gradients outlive its
+/// backward; the vectors update after their one reduce. SGD is elementwise
+/// and no backward reads a layer above it, so the parameters end bitwise
+/// where collecting first would leave them. [`Optimizer::Clipped`] needs
+/// the global norm before any update, and [`Optimizer::Adam`] keys its
+/// moments by the canonical walk order, not the sink's top-first one: both
+/// collect every gradient and then take [`Optimizer::step`].
+#[allow(clippy::too_many_arguments)]
+pub fn step<L: Lowering>(
+    low: &L,
+    mut p: StemMut<L::Hosted>,
+    tokens: &[usize],
+    labels: &[usize],
+    total_rows: usize,
+    checkpoint: bool,
+    meter: &mut MemMeter,
+    opt: &mut Optimizer,
+) -> (f32, f32) {
+    let stem = p.view();
+    let (loss, v, pass) = forward(low, &stem, tokens, labels, total_rows, checkpoint, meter);
+    let &mut Optimizer::Sgd { lr } = opt else {
+        let grads = collect(low, &stem, (v, pass), tokens, meter);
+        return (loss, low.scope(Span::Update, || opt.step(low, p, &grads)));
+    };
+    let mut update = |w: &mut [f32], g: &[f32]| sgd_update(w, g, lr);
+    let StemMut { table, layers, .. } = &mut p;
+    let sink = |g| match g {
+        Grad::Layer(_, w, g) => {
+            let weights = LayerTensors::weights_mut(w).into_iter().zip(&g);
+            weights.for_each(|(w, g)| update(w.as_mut_slice(), g.as_slice()));
+        }
+        Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
+    };
+    let mut dv = backward(low, layers.iter_mut(), (v, pass), tokens, meter, sink);
+    dv.walk(p, &mut update);
+    (loss, 1.0)
 }
 
 #[cfg(test)]

@@ -602,7 +602,7 @@ mod tests {
             assert!(after_warmup > 0, "warm-up must size the workspace");
             // …steady-state steps must not.
             for _ in 0..5 {
-                c.zero_();
+                c.as_mut_slice().fill(0.0);
                 summa_nn_into(g, &al, &bl, &mut c, &mut ws);
             }
             ws.fresh_allocs - after_warmup

@@ -484,7 +484,7 @@ fn gemm_small(form: Form, c: &mut [f32], m: usize, n: usize, a: &[f32], b: &[f32
         Form::TN => {
             // C[i, j] += Σ_l A[l, i] B[l, j]; stream rows of B. Dense data:
             // no zero-skip (the seed's branch mispredicted on every element
-            // and silently diverged from `gemm_flops` accounting).
+            // and made the work depend on the data).
             for l in 0..k {
                 let b_row = &b[l * n..(l + 1) * n];
                 for i in 0..m {

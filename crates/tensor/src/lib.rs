@@ -22,7 +22,6 @@
 //! benchmarks; accumulation order is deterministic so distributed results can
 //! be compared against the serial reference with tight tolerances.
 
-pub mod amp;
 pub mod gemm;
 pub mod gradcheck;
 pub mod init;

@@ -11,17 +11,12 @@
 //! accumulates one outer-product panel per iteration into the local output
 //! block. All three forms dispatch into the cache-blocked packed engine in
 //! [`crate::gemm`], which packs panels so one register microkernel serves
-//! every layout, on the calling thread. The historical seed
-//! kernels are preserved under [`mod@reference`] for benchmarking and as test
-//! oracles.
+//! every layout, on the calling thread. The historical seed `NN` kernel is
+//! preserved under [`mod@reference`] for benchmarking, beside the `f64` test
+//! oracle.
 
 use crate::gemm::{self, Form};
 use crate::tensor::Tensor;
-
-/// Number of floating point multiply-add operations for an `m×k×n` product.
-pub fn gemm_flops(m: usize, k: usize, n: usize) -> usize {
-    m * k * n
-}
 
 /// `C += A B` where `A: [m, k]`, `B: [k, n]`, `C: [m, n]`.
 pub fn matmul_nn_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) {
@@ -75,7 +70,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Dense data takes the packed path unconditionally: the seed kernel's
 /// per-element `if a_il == 0.0` skip is gone (it mispredicted on dense
-/// activations and silently diverged from [`gemm_flops`] accounting).
+/// activations and made the work depend on the data).
 pub fn matmul_tn_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) {
     let (k, m) = (a.rows(), a.cols());
     let (k2, n) = (b.rows(), b.cols());
@@ -99,7 +94,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
-/// The seed kernels and an `f64` oracle, kept verbatim for `gemm-bench`
+/// The seed's `NN` kernel and an `f64` oracle, kept verbatim for `gemm-bench`
 /// baselines and as independent references in tests. Not used by any
 /// production path.
 pub mod reference {
@@ -116,43 +111,6 @@ pub mod reference {
                 let b_row = &b[l * n..(l + 1) * n];
                 for (c_ij, &b_lj) in c_row.iter_mut().zip(b_row.iter()) {
                     *c_ij += a_il * b_lj;
-                }
-            }
-        }
-    }
-
-    /// `C += A Bᵀ` with the seed's dot-product inner loop
-    /// (`c: [m, n]`, `a: [m, k]`, `b: [n, k]`).
-    pub fn seed_nt(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-        let rows = c.len() / n;
-        for i in 0..rows {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (j, c_ij) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                *c_ij += acc;
-            }
-        }
-    }
-
-    /// `C += Aᵀ B` with the seed's loops, including its `a_il == 0.0` skip
-    /// (`c: [m, n]`, `a: [k, m]`, `b: [k, n]`).
-    pub fn seed_tn(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-        let m = c.len() / n;
-        for i in 0..k {
-            let b_row = &b[i * n..(i + 1) * n];
-            for l in 0..m {
-                let a_il = a[i * m + l];
-                if a_il == 0.0 {
-                    continue;
-                }
-                let c_row = &mut c[l * n..(l + 1) * n];
-                for (c_lj, &b_ij) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_lj += a_il * b_ij;
                 }
             }
         }
@@ -320,10 +278,5 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
         matmul_nn(&a, &b);
-    }
-
-    #[test]
-    fn gemm_flops_counts() {
-        assert_eq!(gemm_flops(2, 3, 4), 24);
     }
 }

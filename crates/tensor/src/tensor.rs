@@ -229,11 +229,6 @@ impl Tensor {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
     }
 
-    /// Fills the tensor with zeros, keeping the allocation.
-    pub fn zero_(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// `self += other` element-wise.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.dims, other.dims, "shape mismatch in add_assign");

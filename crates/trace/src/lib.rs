@@ -122,18 +122,6 @@ impl OpMeta {
         }
     }
 
-    /// This meta with its algorithm name set (builder style).
-    pub fn with_algo(mut self, algo: &'static str) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// This meta with its wire dtype set (builder style).
-    pub fn with_wire(mut self, wire: &'static str) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// The ranks of the group when it is arithmetic (`stride > 0`).
     pub fn group_ranks(&self) -> Option<Vec<usize>> {
         if self.group_size == 1 {

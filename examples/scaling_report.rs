@@ -9,7 +9,6 @@
 //! For the full side-by-side tables with the paper's numbers, run the
 //! `repro` binary: `cargo run --release -p bench --bin repro all`.
 
-use optimus::perf::isoeff::{megatron_isoefficiency, optimus_isoefficiency};
 use optimus::perf::scaling::{strong_scaling, weak_scaling};
 use optimus::perf::HardwareProfile;
 
@@ -56,15 +55,4 @@ fn main() {
         opt[3].throughput > meg[3].throughput,
         "crossover by 64 GPUs"
     );
-
-    println!("\n== isoefficiency: problem size needed to hold efficiency constant ==");
-    println!(
-        "   (normalised, W(4) = 64 for both; paper: Megatron W~p^3, Optimus W~(sqrt(p) log p)^3)"
-    );
-    println!("    p    megatron          optimus          ratio");
-    for p in [4.0, 16.0, 64.0, 256.0, 1024.0] {
-        let m = megatron_isoefficiency(p);
-        let o = optimus_isoefficiency(p);
-        println!("{p:>5}   {m:>12.3e}   {o:>12.3e}   {:>8.1}x", m / o);
-    }
 }

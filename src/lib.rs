@@ -34,10 +34,9 @@
 //!   timelines from both `Communicator` backends, Chrome `trace_event`
 //!   export (Perfetto-loadable) and per-phase summaries (see
 //!   `OBSERVABILITY.md`).
-//! * [`perf`] — the α-β communication cost model, memory model,
-//!   isoefficiency analysis, and the generators for every table and figure
-//!   of the paper's evaluation (Tables 1–3, Figures 7–9), plus projections
-//!   to 1024 devices.
+//! * [`perf`] — the α-β communication cost model, memory model and the
+//!   generators for every table and figure of the paper's evaluation
+//!   (Tables 1–3, Figures 7–9), plus projections to 1024 devices.
 //!
 //! ## Quickstart
 //!

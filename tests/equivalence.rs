@@ -270,21 +270,24 @@ fn checkpointed_and_fused_paths_follow_the_same_trajectory() {
     let lr = 0.3;
     let steps = 4;
 
-    let run = |mode: u8| {
-        let ocfg = optimus_cfg(&cfg, 2, mode != 0);
+    // SGD updates each gradient as soon as it is complete; clipping at an
+    // infinite norm scales by exactly 1 but collects every gradient first.
+    let collecting = Optimizer::Clipped {
+        lr,
+        max_norm: f64::INFINITY,
+    };
+    let run = |checkpoint: bool, opt: &Optimizer| {
+        let ocfg = optimus_cfg(&cfg, 2, checkpoint);
         Mesh2d::run(2, |g| {
-            let mut m = OptimusModel::new(&ocfg, 6, g);
+            let (mut m, mut opt) = (OptimusModel::new(&ocfg, 6, g), opt.clone());
             (0..steps)
-                .map(|_| match mode {
-                    2 => m.train_step_fused(g, &tokens, &labels, lr),
-                    _ => m.train_step(g, &tokens, &labels, lr),
-                })
+                .map(|_| m.step(g, &tokens, &labels, &mut opt).0)
                 .collect::<Vec<f32>>()
         })
     };
-    let plain = run(0);
-    let ckpt = run(1);
-    let fused = run(2);
+    let plain = run(false, &collecting);
+    let ckpt = run(true, &collecting);
+    let fused = run(true, &Optimizer::Sgd { lr });
     for step in 0..steps {
         assert!((plain[0][step] - ckpt[0][step]).abs() < 1e-5);
         assert!((plain[0][step] - fused[0][step]).abs() < 1e-5);

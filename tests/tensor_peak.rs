@@ -2,7 +2,7 @@
 //! layer's cache through the loss head instead of recomputing it must not
 //! raise the step's peak: the head's tensors sit beside `L − 1` kept inputs
 //! and one cache, while the backward sweep's peak holds the parameter
-//! blocks, the kept inputs, one recomputed cache and the gradients in
+//! blocks, the kept inputs, one layer's cache and that layer's gradients in
 //! flight. Building the model draws only this device's blocks, so the
 //! build stays below the step (`tests/build_peak.rs`).
 //!
@@ -44,10 +44,16 @@ fn a_checkpointed_four_layer_2d_step_peaks_where_it_did_when_every_layer_was_rec
 
     // The live-tensor tracker behind the step benchmark's `peak_mem_mib`
     // peaks in a layer's backward: the 12 800 bytes of parameter blocks the
-    // device keeps, the gradients accumulated so far, the kept inputs and the
-    // backward sweep's transients. (It read 64 000 while a device built the
-    // whole model — 51 200 bytes — before cutting its blocks from it.)
-    assert_eq!(tracked, vec![44_544; 4]);
+    // device keeps, the kept inputs and the backward sweep's transients. SGD
+    // applies and drops each layer's weight gradients as soon as its
+    // backward is done, so no gradient of a layer above is live there and
+    // the peak is in the top layer's backward, beside all three kept
+    // 512-byte inputs. A step that collected its gradients would peak in
+    // the bottom layer's backward instead, one input live and the weight
+    // gradients of three layers (3 072 bytes each) held: 36 864 − 3·512 +
+    // 3·3 072 = 44 544. (It read 64 000 while a device built the whole model —
+    // 51 200 bytes — before cutting its blocks from it.)
+    assert_eq!(tracked, vec![36_864; 4]);
     // The meter counts only what the sweeps and the head pin, not those
     // transients. Its peak moves from the backward sweep (`L` inputs and a
     // recomputed cache) to the loss head (`L − 1` inputs, the top cache, the

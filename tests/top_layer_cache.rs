@@ -2,9 +2,10 @@
 //! comes straight after its forward keeps the top layer's full cache, with
 //! the panels its projections received, so a checkpointed step re-runs only
 //! the `L − 1` layers below it. That holds for the single-stage models
-//! (Optimus, Megatron, the fused immediate-update step) and for the last
-//! pipeline stage, where 1F1B runs a microbatch's backward right after its
-//! forward; the other stages still re-run every layer.
+//! (Optimus and Megatron, whether the step updates each gradient as soon as
+//! it is complete or collects them first) and for the last pipeline stage,
+//! where 1F1B runs a microbatch's backward right after its forward; the
+//! other stages still re-run every layer.
 //!
 //! The kept cache is the one a recompute would rebuild from the same input,
 //! so none of this may move a bit: checkpointed training equals cached
@@ -14,7 +15,7 @@ use optimus::hybrid::{build, HybridSpec};
 use optimus::megatron::{MegatronConfig, MegatronModel};
 use optimus::mesh::{CommLog, Communicator, Mesh, MeshNd};
 use optimus::optimus_core::{OptimusConfig, OptimusModel};
-use optimus::serial::ModelConfig;
+use optimus::serial::{ModelConfig, Optimizer, SerialModel};
 use optimus::tensor::Rng;
 use optimus::trace::{DeviceTrace, Event};
 
@@ -201,6 +202,15 @@ fn with_one_layer_checkpointed_and_cached_steps_send_the_same_messages() {
 /// Per device: the loss bits of three SGD steps, then every parameter bit.
 type Run = Vec<(Vec<u32>, Vec<u32>)>;
 
+fn megatron_params(m: &MegatronModel) -> Vec<u32> {
+    let mut params: Vec<u32> = bits(m.table.as_slice()).collect();
+    params.extend(bits(&m.final_ln_g).chain(bits(&m.final_ln_b)));
+    for layer in &m.layers {
+        layer.clone().walk_mut(&mut |p| params.extend(bits(p)));
+    }
+    params
+}
+
 fn megatron_run(cfg: MegatronConfig) -> Run {
     let (tokens, labels) = data(cfg.model.tokens(), cfg.model.vocab, 4);
     Mesh::run(cfg.p, |ctx| {
@@ -208,12 +218,7 @@ fn megatron_run(cfg: MegatronConfig) -> Run {
         let losses = (0..3)
             .map(|_| m.train_step(ctx, &tokens, &labels, 0.2).to_bits())
             .collect();
-        let mut params: Vec<u32> = bits(m.table.as_slice()).collect();
-        params.extend(bits(&m.final_ln_g).chain(bits(&m.final_ln_b)));
-        for layer in &m.layers {
-            layer.clone().walk_mut(&mut |p| params.extend(bits(p)));
-        }
-        (losses, params)
+        (losses, megatron_params(&m))
     })
 }
 
@@ -245,28 +250,77 @@ fn optimus_params(m: &OptimusModel) -> Vec<u32> {
     out
 }
 
+/// Clipping at an infinite norm scales by exactly 1, but it collects every
+/// gradient before it updates; plain SGD updates each one as soon as it is
+/// complete.
+fn collecting(lr: f32) -> Optimizer {
+    Optimizer::Clipped {
+        lr,
+        max_norm: f64::INFINITY,
+    }
+}
+
+/// Three steps under `opt`: the loss bits, then every parameter bit.
+fn steps(opt: &Optimizer, mut step: impl FnMut(&mut Optimizer) -> f32) -> Vec<u32> {
+    let mut opt = opt.clone();
+    (0..3).map(|_| step(&mut opt).to_bits()).collect()
+}
+
 #[test]
 fn the_fused_immediate_update_step_is_bitwise_cached_training() {
+    // The immediate update, checkpointed or not, against cached training
+    // that collects its gradients.
     for q in [2usize, 3] {
         let cached = optimus_cfg(q, 3, false);
         let (tokens, labels) = data(cached.batch * cached.seq, cached.vocab, 8);
-        let run = |fused: bool| -> Run {
+        let run = |checkpoint: bool, opt: &Optimizer| -> Run {
             MeshNd::run(&[q, q], |g| {
-                let cfg = optimus_cfg(q, 3, fused);
-                let mut m = OptimusModel::new(&cfg, 5, g);
-                let losses = (0..3)
-                    .map(|_| {
-                        let loss = if fused {
-                            m.train_step_fused(g, &tokens, &labels, 0.2)
-                        } else {
-                            m.train_step(g, &tokens, &labels, 0.2)
-                        };
-                        loss.to_bits()
-                    })
-                    .collect();
+                let mut m = OptimusModel::new(&optimus_cfg(q, 3, checkpoint), 5, g);
+                let losses = steps(opt, |o| m.step(g, &tokens, &labels, o).0);
                 (losses, optimus_params(&m))
             })
         };
-        assert_same(&run(true), &run(false), &format!("fused q={q}"));
+        let reference = run(false, &collecting(0.2));
+        for checkpoint in [true, false] {
+            let what = format!("immediate q={q} checkpoint={checkpoint}");
+            assert_same(
+                &run(checkpoint, &Optimizer::Sgd { lr: 0.2 }),
+                &reference,
+                &what,
+            );
+        }
     }
+
+    let cfg = megatron_cfg(2, 3, false);
+    let (tokens, labels) = data(cfg.model.tokens(), cfg.model.vocab, 8);
+    let run = |checkpoint: bool, opt: &Optimizer| -> Run {
+        Mesh::run(cfg.p, |ctx| {
+            let mut m = MegatronModel::new(megatron_cfg(2, 3, checkpoint), 5, ctx);
+            let losses = steps(opt, |o| m.step(ctx, &tokens, &labels, o).0);
+            (losses, megatron_params(&m))
+        })
+    };
+    let reference = run(false, &collecting(0.2));
+    for checkpoint in [true, false] {
+        let what = format!("immediate Megatron p=2 checkpoint={checkpoint}");
+        assert_same(
+            &run(checkpoint, &Optimizer::Sgd { lr: 0.2 }),
+            &reference,
+            &what,
+        );
+    }
+
+    let run = |opt: &Optimizer| -> Run {
+        let mut m = SerialModel::new(cfg.model, 5);
+        let losses = steps(opt, |o| m.step(&tokens, &labels, o).0);
+        let p = &m.params;
+        let mut params: Vec<u32> = bits(p.embedding.as_slice()).collect();
+        params.extend(bits(&p.final_ln_g).chain(bits(&p.final_ln_b)));
+        for layer in &p.layers {
+            layer.clone().walk_mut(&mut |x| params.extend(bits(x)));
+        }
+        vec![(losses, params)]
+    };
+    let immediate = run(&Optimizer::Sgd { lr: 0.2 });
+    assert_same(&immediate, &run(&collecting(0.2)), "immediate serial");
 }
