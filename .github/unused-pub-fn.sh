@@ -7,6 +7,10 @@
 # examples/ above its first `#[cfg(test)]`, with comment lines left out: a
 # doc link is not a call. A name defined more than once counts as used.
 #
+# Names are matched as bare identifiers, not by type, so a method is missed
+# whenever another type defines or calls a method of the same name (e.g. a
+# `to_json` no caller uses hides behind every other `to_json`).
+#
 # Exits non-zero on a name missing from the allow-list and on an allow-list
 # entry that is no longer unused. Run from the repository root:
 #

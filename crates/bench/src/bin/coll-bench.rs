@@ -15,9 +15,7 @@
 //! * `--out`     — output path (default `BENCH_coll.json`).
 //!
 //! The artifact's `results` array holds one row per `(op, algorithm, size)`
-//! cell, timed on the full-width f32 wire (the bf16 wire measured slower in
-//! every cell, see DESIGN.md §11), with seconds-per-call and *logical*
-//! payload GB/s (higher is better, gated);
+//! cell, with seconds-per-call and payload GB/s (higher is better, gated);
 //! `coll_winners` holds the per-`(op, size)` measured winner with its
 //! speedup over the op's built-in default algorithm — the headline numbers
 //! that justify the tuned selection table, which `optimus-cli tune-coll
@@ -28,7 +26,7 @@
 use bench::coll::{
     measure_coll, read_artifact, reps_for, winner, CollSample, TUNE_ELEMS, TUNE_OPS,
 };
-use mesh::{CollAlgo, CollPlan, CommOp, WireDtype};
+use mesh::{CollAlgo, CommOp};
 use minjson::Json;
 
 struct Winner {
@@ -81,17 +79,7 @@ fn main() {
             let cell: Vec<CollSample> = CollAlgo::menu(op)
                 .iter()
                 .map(|&algo| {
-                    measure_coll(
-                        op,
-                        CollPlan {
-                            algo,
-                            wire: WireDtype::F32,
-                        },
-                        devices,
-                        elems,
-                        reps_for(base_reps, elems),
-                        trials,
-                    )
+                    measure_coll(op, algo, devices, elems, reps_for(base_reps, elems), trials)
                 })
                 .collect();
             let best = winner(&cell);

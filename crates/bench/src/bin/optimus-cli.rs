@@ -70,20 +70,16 @@
 //! measured-vs-α-β-modeled winner per cell, gates the table with a
 //! tracecheck-reconciled (< 1e-5) 8 × 8 dry-run, and persists it to
 //! `results/coll_tune.json` — which every other command loads and hands,
-//! as a `mesh::CollTables` value, to each mesh it launches
+//! as a `mesh::AlgoTable` value, to each mesh it launches
 //! (`mesh::MeshRun::new`). Delete the file to return to the built-in
-//! defaults. The tune is a full-width f32 contest and persists no wire
-//! dtype: the bf16 wire measured slower than f32 in every cell on this
-//! fabric (DESIGN.md §11), so it stays a pricing and dry-run feature.
+//! defaults.
 //!
 //! The training corpus is the built-in cyclic-pattern language (the same one
 //! the tests and examples use), so runs are self-contained and deterministic.
 
 use bench::coll::CollSample;
 use megatron::{MegatronConfig, MegatronModel};
-use mesh::{
-    AlgoRule, AlgoTable, Arrangement, CollAlgo, CollTables, CommOp, MeshRun, Topology, WireDtype,
-};
+use mesh::{AlgoRule, AlgoTable, Arrangement, CollAlgo, CommOp, MeshRun, Topology};
 use minjson::Json;
 use optimus_core::{OptimusConfig, OptimusModel};
 use perf::calibration::CALIBRATION_PATH;
@@ -329,7 +325,7 @@ fn pattern_batch(cfg: &ModelConfig, rng: &mut Rng) -> (Vec<usize>, Vec<usize>) {
 
 /// Trains under the chosen scheme, every mesh selecting its collectives from
 /// `tables`, and returns (losses, canonical params).
-fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
+fn train(a: &Args, tables: &AlgoTable) -> (Vec<f32>, ModelParams) {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0xDA7A);
     let batches: Vec<_> = (0..a.steps)
@@ -426,7 +422,7 @@ fn train(a: &Args, tables: &CollTables) -> (Vec<f32>, ModelParams) {
     }
 }
 
-fn eval(a: &Args, tables: &CollTables, params: ModelParams) -> f32 {
+fn eval(a: &Args, tables: &AlgoTable, params: ModelParams) -> f32 {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0xE7A1);
     let (tokens, labels) = pattern_batch(&cfg, &mut rng);
@@ -605,7 +601,7 @@ fn emit_trace(path: &str, traces: &[trace::DeviceTrace], cost: &CostModel) {
 /// also records the model-time timeline and exports it as Chrome JSON.
 fn dry_run_projection(
     a: &Args,
-    tables: &CollTables,
+    tables: &AlgoTable,
     trace_path: Option<&str>,
     metrics_path: Option<&str>,
 ) {
@@ -864,7 +860,7 @@ fn autotune_report(
 /// the dry-run timeline priced by `CostModel::ns_pricer` must reconcile
 /// with the model through `perf::tracecheck` to better than 1e-5 — the same
 /// bar the 2.5D projections are held to.
-fn autotune_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), String> {
+fn autotune_check(profile: &HardwareProfile, tables: &AlgoTable) -> Result<(), String> {
     const CHECK_DEVICES: usize = 8;
     let cfg = OptimusConfig {
         q: 2,
@@ -975,7 +971,7 @@ fn cell_bounds(sizes: &[usize], i: usize) -> (usize, usize) {
 /// mesh and the priced timeline must reconcile with the cost model through
 /// `perf::tracecheck` to better than 1e-5 — proof that the dry-run prices
 /// exactly the algorithm the selection layer picks, rule by rule.
-fn tune_coll_check(profile: &HardwareProfile, tables: &CollTables) -> Result<(), String> {
+fn tune_coll_check(profile: &HardwareProfile, tables: &AlgoTable) -> Result<(), String> {
     const Q: usize = 8;
     let ocfg = OptimusConfig {
         q: Q,
@@ -1046,7 +1042,7 @@ fn derive_coll_tune(cost: &CostModel, p: usize, cells: &[Vec<CollSample>]) -> Co
             .collect();
         for (i, cell) in op_cells.into_iter().enumerate() {
             let measured = bench::coll::winner(cell).algo;
-            let price = |algo| cost.coll_time(op, algo, WireDtype::F32, &ranks, keyed[i]);
+            let price = |algo| cost.coll_time(op, algo, &ranks, keyed[i]);
             let modeled = *CollAlgo::menu(op)
                 .iter()
                 .min_by(|&&x, &&y| price(x).total_cmp(&price(y)))
@@ -1125,13 +1121,7 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
         source: format!("tune-coll from {path}, p={p} ({} cells)", t.rows.len()),
         algo: AlgoTable { rules: t.rules },
     };
-    tune_coll_check(
-        &profile,
-        &CollTables {
-            algo: tune.algo.clone(),
-            ..CollTables::default()
-        },
-    )?;
+    tune_coll_check(&profile, &tune.algo)?;
     let out = flags
         .get("save")
         .map(String::as_str)
@@ -1144,7 +1134,7 @@ fn tune_coll_cmd(a: &Args, flags: &HashMap<String, String>) -> Result<(), String
 /// The `autotune` command: sweep, table, optional report and live check.
 fn autotune_cmd(
     a: &Args,
-    tables: &CollTables,
+    tables: &AlgoTable,
     flags: &HashMap<String, String>,
 ) -> Result<(), String> {
     let devices = a
@@ -1226,7 +1216,7 @@ fn autotune_cmd(
 /// under the chosen scheme and exports the timeline; the summary's modeled
 /// column uses the same projection cost model as `--dry-run`, so the table
 /// is a direct measured-vs-Eq. 4–5 comparison.
-fn live_trace_step(a: &Args, tables: &CollTables, path: &str) {
+fn live_trace_step(a: &Args, tables: &AlgoTable, path: &str) {
     let cfg = model_cfg(a);
     let mut rng = Rng::new(a.seed ^ 0x7ACE);
     let (tokens, labels) = pattern_batch(&cfg, &mut rng);
@@ -1384,10 +1374,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The selection tables persisted by `tune-coll` apply to every mesh an
+    // The algorithm table persisted by `tune-coll` applies to every mesh an
     // entry point launches, exactly like the calibrated compute rate —
     // except to `tune-coll` itself, which derives a fresh one.
-    let mut tables = CollTables::default();
+    let mut tables = AlgoTable::default();
     if cmd != "tune-coll" {
         match CollTune::load(COLL_TUNE_PATH) {
             Ok(Some(tune)) => {
@@ -1396,7 +1386,7 @@ fn main() {
                     tune.algo.rules.len(),
                     tune.source
                 );
-                tables.algo = tune.algo;
+                tables = tune.algo;
             }
             Ok(None) => {}
             Err(e) => eprintln!("warning: ignoring collective tune: {e}"),
@@ -1581,8 +1571,8 @@ mod tests {
             q: 2,
             ..Args::default()
         };
-        let (flat_losses, flat_params) = train(&base, &CollTables::default());
-        let (deep_losses, deep_params) = train(&Args { depth: 2, ..base }, &CollTables::default());
+        let (flat_losses, flat_params) = train(&base, &AlgoTable::default());
+        let (deep_losses, deep_params) = train(&Args { depth: 2, ..base }, &AlgoTable::default());
         assert_eq!(flat_losses, deep_losses);
         assert_eq!(
             flat_params.embedding.as_slice(),
@@ -1616,7 +1606,7 @@ mod tests {
             q: 2,
             ..Args::default()
         };
-        let tables = CollTables::default();
+        let tables = AlgoTable::default();
         let (serial_losses, serial_params) = train(
             &Args {
                 scheme: Scheme::Serial,
@@ -1739,7 +1729,7 @@ mod tests {
     #[test]
     fn autotune_rejects_impossible_specs_with_readable_errors() {
         // No --devices at all.
-        let tables = CollTables::default();
+        let tables = AlgoTable::default();
         let e = autotune_cmd(&Args::default(), &tables, &flags(&[])).unwrap_err();
         assert!(e.contains("--devices"), "{e}");
         // A prime world admits no pp·dp·q²·d factorization compatible with
@@ -1802,7 +1792,7 @@ mod tests {
     fn autotune_check_reconciles_live_and_dry_backends() {
         // The acceptance-criteria cross-check, run in-process: byte-equal
         // CommLogs and a < 1e-5 tracecheck gap on an 8-device live run.
-        autotune_check(&HardwareProfile::frontera_rtx5000(), &CollTables::default()).unwrap();
+        autotune_check(&HardwareProfile::frontera_rtx5000(), &AlgoTable::default()).unwrap();
     }
 
     #[test]
@@ -1811,7 +1801,7 @@ mod tests {
             steps: 120,
             ..Args::default()
         };
-        let tables = CollTables::default();
+        let tables = AlgoTable::default();
         let (losses, params) = train(&args, &tables);
         assert!(*losses.last().unwrap() < 1.0, "must learn the pattern");
         let eval_loss = eval(&args, &tables, params.clone());

@@ -18,7 +18,7 @@
 //! and reduce-scatter payloads must divide by the group size, so sweep
 //! sizes should be multiples of the world size.
 
-use mesh::{Coll, CollAlgo, CollPlan, CommOp, Communicator, Group, Mesh};
+use mesh::{Coll, CollAlgo, CommOp, Communicator, Group, Mesh};
 use minjson::Json;
 use std::hint::black_box;
 use std::time::Instant;
@@ -133,23 +133,21 @@ pub fn select_elems(op: CommOp, p: usize, elems: usize) -> usize {
     }
 }
 
-/// Measures one cell — `op` under an explicit `plan` (algorithm and wire
-/// dtype; coll-bench times the f32 wire) — on a live `p`-device thread
-/// mesh. Panics if `plan.algo` is not on `op`'s menu (the sweep should
-/// never ask for an invalid pairing).
+/// Measures one cell — `op` under an explicit `algo` — on a live
+/// `p`-device thread mesh. Panics if `algo` is not on `op`'s menu (the
+/// sweep should never ask for an invalid pairing).
 pub fn measure_coll(
     op: CommOp,
-    plan: CollPlan,
+    algo: CollAlgo,
     p: usize,
     elems: usize,
     reps: usize,
     trials: usize,
 ) -> CollSample {
     assert!(
-        plan.algo.valid_for(op),
-        "{} has no {:?} algorithm",
-        op.name(),
-        plan.algo
+        algo.valid_for(op),
+        "{} has no {algo:?} algorithm",
+        op.name()
     );
     assert!(
         !matches!(op, CommOp::AllGather | CommOp::ReduceScatter) || elems.is_multiple_of(p),
@@ -163,12 +161,11 @@ pub fn measure_coll(
         let g = Group::world(p);
         // Every collective's working buffer is `elems` long — for all-gather
         // the p-slot output with the own block already in place — so one
-        // allocation outside the timed loop serves every call. The plan is
-        // explicit per call: a cell measures exactly the algorithm and wire
-        // dtype it names.
+        // allocation outside the timed loop serves every call. The algorithm
+        // is explicit per call: a cell measures exactly the one it names.
         let mut work = vec![1.0f32; elems];
         let mut run_once = || {
-            ctx.collective(coll, &g, &mut work, plan);
+            ctx.collective(coll, &g, &mut work, algo);
             black_box(&mut work);
         };
         run_once(); // warm the queues
@@ -190,7 +187,7 @@ pub fn measure_coll(
         / reps as f64;
     CollSample {
         op,
-        algo: plan.algo,
+        algo,
         elems,
         secs,
     }
@@ -214,8 +211,7 @@ mod tests {
                 if !algo.valid_for(op) {
                     continue;
                 }
-                let wire = mesh::WireDtype::F32;
-                let s = measure_coll(op, CollPlan { algo, wire }, 4, 64, 2, 1);
+                let s = measure_coll(op, algo, 4, 64, 2, 1);
                 assert!(s.secs > 0.0, "{} / {:?}", op.name(), algo);
                 assert!(s.gbps() > 0.0);
             }

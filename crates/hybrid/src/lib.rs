@@ -109,7 +109,7 @@
 
 use std::collections::VecDeque;
 
-use mesh::{chunk, Coll, CollPlan, CommOp, Communicator, ErrorFeedback, GridNd, Group, WireDtype};
+use mesh::{chunk, Communicator, GridNd, Group};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Bottom, Grads, Keep, MemMeter, Out};
 use serial::{walk_stem, LayerTensors, Lowering, Optimizer, Slot, Vectors};
@@ -362,13 +362,6 @@ pub struct HybridStage {
     /// High-water mark of simultaneously live microbatch caches during the
     /// most recent step — the quantity 1F1B bounds at `pp − stage`.
     pub peak_live_microbatches: usize,
-    /// Wire dtype of the data-parallel gradient all-reduces in
-    /// [`HybridStage::step`] (default full-width f32). Set with
-    /// [`HybridStage::set_grad_wire`].
-    grad_wire: WireDtype,
-    /// Error-feedback residuals for the dp gradient sync — one buffer per
-    /// synced gradient slice, carried across steps ([`mesh::ErrorFeedback`]).
-    dp_ef: ErrorFeedback,
 }
 
 impl HybridStage {
@@ -398,22 +391,7 @@ impl HybridStage {
             mesh_rank: spec.position(grid.ctx().rank()).2,
             model,
             peak_live_microbatches: 0,
-            grad_wire: WireDtype::F32,
-            dp_ef: ErrorFeedback::new(),
         }
-    }
-
-    /// Selects the wire dtype for this stage's dp gradient all-reduces.
-    /// Compressed dtypes run under error feedback: the per-step rounding
-    /// error is carried into the next step's gradients, so the loss curve
-    /// tracks the f32 run (asserted by the convergence tests). Switching
-    /// dtype mid-training resets the residuals. ZeRO-1's reduce-scatter and
-    /// broadcasts stay full-width.
-    pub fn set_grad_wire(&mut self, wire: WireDtype) {
-        if wire != self.grad_wire {
-            self.dp_ef = ErrorFeedback::new();
-        }
-        self.grad_wire = wire;
     }
 
     fn is_first(&self) -> bool {
@@ -571,10 +549,9 @@ impl HybridStage {
     /// of each tensor ([`mesh::chunk`], the reduce-scatter's partition). Per
     /// tensor the gradient is reduce-scattered over the dp group, the owned
     /// chunk takes its Adam step and every chunk is broadcast back from its
-    /// owner, full-width: optimizer memory drops `dp`-fold, the math is
-    /// full-state Adam on the global batch. Every other update all-reduces
-    /// each gradient over the dp axis on the [`HybridStage::set_grad_wire`]
-    /// wire, syncs the tied table and takes [`Optimizer::step`].
+    /// owner: optimizer memory drops `dp`-fold, the math is full-state Adam
+    /// on the global batch. Every other update all-reduces each gradient
+    /// over the dp axis, syncs the tied table and takes [`Optimizer::step`].
     ///
     /// # Panics
     ///
@@ -633,28 +610,15 @@ impl HybridStage {
 
     /// The dp all-reduce (sum) of every gradient this stage syncs — the
     /// table, each weight in walk order, then on the devices that host them
-    /// the vectors as one region — on the stage's gradient wire under error
-    /// feedback.
-    fn dp_sync<C: Communicator>(&mut self, low: &Summa2d<C>, grads: &mut Model2dGrads) {
+    /// the vectors as one region.
+    fn dp_sync<C: Communicator>(&self, low: &Summa2d<C>, grads: &mut Model2dGrads) {
         if self.spec.dp == 1 {
             return;
         }
         let ctx = low.grid.ctx();
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
         let (has_table, is_last) = (self.is_first() || self.is_last(), self.is_last());
-        let w = self.grad_wire;
-        // The residual cursor rewinds every step; buffers line up with the
-        // canonical walk order of the gradient slices below.
-        let ef = &mut self.dp_ef;
-        ef.begin_step();
-        let mut sync = |v: &mut [f32]| {
-            ef.apply(v, w);
-            let plan = CollPlan {
-                wire: w,
-                ..ctx.plan(CommOp::AllReduce, dp.len(), v.len())
-            };
-            ctx.collective(Coll::AllReduce, &dp, v, plan);
-        };
+        let sync = |v: &mut [f32]| ctx.all_reduce(&dp, v);
         // Middle stages carry a table and a final LN whose gradients are
         // permanently zero: nothing to sync.
         if has_table {
@@ -677,7 +641,7 @@ impl HybridStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh::Mesh;
+    use mesh::{CommOp, Mesh};
     use serial::SerialModel;
     use tensor::Rng;
 

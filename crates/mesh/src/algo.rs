@@ -9,20 +9,19 @@
 //! ([`CollAlgo::menu`]), and a rule table ([`AlgoTable`]) keyed by
 //! `(op, group_size, bytes)` that picks one per call.
 //!
-//! Selection is a value on the run: a [`CollTables`] (this table plus the
-//! run's wire dtype) is handed to [`crate::MeshRun::new`], every device of that
-//! run holds it, and every plain [`crate::Communicator`] method resolves its
-//! [`CollPlan`] through [`crate::Communicator::plan`] — so the live mesh
-//! and the dry-run replay of one run always agree on the schedule, and two
-//! runs in one process cannot see each other's tables.
+//! Selection is a value on the run: an [`AlgoTable`] is handed to
+//! [`crate::MeshRun::new`], every device of that run holds it, and every
+//! plain [`crate::Communicator`] method resolves its [`CollAlgo`] through
+//! [`crate::Communicator::algo`] — so the live mesh and the dry-run replay
+//! of one run always agree on the schedule, and two runs in one process
+//! cannot see each other's tables.
 //!
 //! The default table is [`AlgoTable::baseline`]: the pre-registry
 //! hardwired choices (tree broadcast/reduce, ring everything else), so
 //! bitwise-identity tests and golden traces are unchanged under
-//! `CollTables::default()`.
+//! `AlgoTable::default()`.
 
 use crate::stats::CommOp;
-use crate::wire::WireDtype;
 
 /// A concrete collective schedule. Not every algorithm applies to every
 /// collective — see [`CollAlgo::menu`] for the valid choices per op.
@@ -143,26 +142,6 @@ impl AlgoTable {
             .map(|r| r.algo)
             .unwrap_or_else(|| CollAlgo::default_for(op))
     }
-}
-
-/// How one collective call runs: which schedule, at which wire precision.
-/// The single value every explicit caller passes to
-/// [`crate::Communicator::collective`]; the plain methods resolve it with
-/// [`crate::Communicator::plan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CollPlan {
-    pub algo: CollAlgo,
-    pub wire: WireDtype,
-}
-
-/// The selection of one mesh run: the algorithm table, keyed on `(op,
-/// group size, payload bytes)`, and the one wire dtype every selectable
-/// collective travels at. `Default` is the baseline: hardwired algorithms,
-/// full-width f32.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CollTables {
-    pub algo: AlgoTable,
-    pub wire: WireDtype,
 }
 
 #[cfg(test)]

@@ -2,16 +2,15 @@
 //!
 //! [`execute`] is the only code that moves collective payloads, always on
 //! the device thread and inside the call that issued the collective. Each
-//! `Send` copies (or, under the bf16 wire, quantizes and packs)
-//! its range into a pooled buffer and pushes it to the peer's mailbox; each
-//! `Recv` pops the peer's next payload, applies it to its range and
-//! recycles the buffer, so steady-state collective traffic allocates
-//! nothing.
+//! `Send` copies its range into a pooled buffer and pushes it to the peer's
+//! mailbox; each `Recv` pops the peer's next payload, applies it to its
+//! range and recycles the buffer, so steady-state collective traffic
+//! allocates nothing.
 //!
 //! Which steps run is decided in [`crate::schedule`]; the op and link
 //! records are written before execution by `comm::run_collective`. All
-//! members of a group must call the same collective under the same plan in
-//! the same order; ordering between distinct (sender, receiver) pairs is
+//! members of a group must call the same collective with the same algorithm
+//! in the same order; ordering between distinct (sender, receiver) pairs is
 //! guaranteed by the per-pair FIFO mailboxes.
 
 use crate::comm::{run_collective, Backend, Communicator, StepList};
@@ -20,8 +19,7 @@ use crate::group::Group;
 use crate::pool::BufferPool;
 use crate::schedule::{Coll, Combine, RecvMode, Step};
 use crate::stats::CommLog;
-use crate::wire::{self, packed_len};
-use crate::CollPlan;
+use crate::{AlgoTable, CollAlgo};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -34,17 +32,12 @@ pub(crate) fn execute(
     list: &StepList,
     buf: &mut [f32],
 ) {
-    let w = list.wire;
     for step in &list.steps {
         match step {
             Step::Send { peer, range } => {
                 let data = &buf[range.clone()];
-                let mut out = pool.take(packed_len(data.len(), w));
-                if w.is_f32() {
-                    out.extend_from_slice(data);
-                } else {
-                    wire::pack_into(data, &mut out);
-                }
+                let mut out = pool.take(data.len());
+                out.extend_from_slice(data);
                 boxes[*peer].push(rank, *peer, out);
             }
             Step::Recv { peer, range, mode } => {
@@ -52,34 +45,21 @@ pub(crate) fn execute(
                 let dst = &mut buf[range.clone()];
                 assert_eq!(
                     incoming.len(),
-                    packed_len(dst.len(), w),
-                    "rank {rank} expected {} elems from {peer}, got {} wire slots",
+                    dst.len(),
+                    "rank {rank} expected {} elems from {peer}, got {}",
                     dst.len(),
                     incoming.len()
                 );
+                let pairs = dst.iter_mut().zip(&incoming);
                 match (mode, list.combine) {
-                    (RecvMode::Copy, _) => apply(&incoming, dst, w, |d, v| *d = v),
-                    (RecvMode::Combine, Combine::Sum) => apply(&incoming, dst, w, |d, v| *d += v),
-                    (RecvMode::Combine, Combine::Max) => {
-                        apply(&incoming, dst, w, |d, v| *d = d.max(v))
-                    }
+                    (RecvMode::Copy, _) => pairs.for_each(|(d, v)| *d = *v),
+                    (RecvMode::Combine, Combine::Sum) => pairs.for_each(|(d, v)| *d += *v),
+                    (RecvMode::Combine, Combine::Max) => pairs.for_each(|(d, v)| *d = d.max(*v)),
                 }
                 pool.put(incoming);
             }
             Step::Rotate { left } => buf.rotate_left(*left),
         }
-    }
-}
-
-/// Applies `f(slot, value)` over a received payload, unpacking it first
-/// when it traveled as bf16.
-fn apply(incoming: &[f32], dst: &mut [f32], w: crate::WireDtype, f: impl Fn(&mut f32, f32)) {
-    if w.is_f32() {
-        for (d, v) in dst.iter_mut().zip(incoming) {
-            f(d, *v);
-        }
-    } else {
-        wire::unpack_with(incoming, dst.len(), |i, v| f(&mut dst[i], v));
     }
 }
 
@@ -112,11 +92,11 @@ impl Communicator for DeviceCtx {
     fn recv(&self, from: usize) -> Vec<f32> {
         DeviceCtx::recv(self, from)
     }
-    fn tables(&self) -> &crate::CollTables {
+    fn tables(&self) -> &AlgoTable {
         &self.tables
     }
-    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan) {
-        run_collective(self, coll, group, buf, plan)
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], algo: CollAlgo) {
+        run_collective(self, coll, group, buf, algo)
     }
     fn log_snapshot(&self) -> CommLog {
         DeviceCtx::log_snapshot(self)

@@ -55,11 +55,10 @@
 //! assert_eq!(live, dry); // op streams are identical, rank by rank
 //! ```
 
-use crate::algo::{CollAlgo, CollPlan, CollTables};
+use crate::algo::{AlgoTable, CollAlgo};
 use crate::group::Group;
 use crate::schedule::{chunk, coll_steps, Coll, Combine, Step};
 use crate::stats::{group_shape, record_group_op, CommLog, CommOp};
-use crate::wire::{packed_len, WireDtype};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -68,7 +67,7 @@ use std::time::Instant;
 ///
 /// Every collective goes through the one required entry,
 /// [`Communicator::collective`]; the named methods are written once here
-/// and only resolve a [`CollPlan`] and lay out the working buffer.
+/// and only resolve a [`CollAlgo`] and lay out the working buffer.
 pub trait Communicator {
     /// This device's world rank.
     fn rank(&self) -> usize;
@@ -104,28 +103,17 @@ pub trait Communicator {
         data
     }
 
-    /// The selection tables of the run this device belongs to.
-    fn tables(&self) -> &CollTables;
+    /// The algorithm table of the run this device belongs to.
+    fn tables(&self) -> &AlgoTable;
 
-    /// The one selection lookup: this run's [`crate::AlgoTable`], keyed on
-    /// `(op, group size, payload bytes)`, and its wire dtype, which every
-    /// collective but a barrier takes in a group of two or more. `elems` is
-    /// the logical payload in `f32` elements. Override one half with
-    /// struct-update syntax: `CollPlan { wire, ..comm.plan(op, g, n) }`.
-    fn plan(&self, op: CommOp, group_size: usize, elems: usize) -> CollPlan {
-        let tables = self.tables();
-        let compressible = op != CommOp::Barrier && group_size >= 2;
-        CollPlan {
-            algo: tables.algo.select(op, group_size, elems * 4),
-            wire: if compressible {
-                tables.wire
-            } else {
-                WireDtype::F32
-            },
-        }
+    /// The one selection lookup: this run's [`AlgoTable`], keyed on `(op,
+    /// group size, payload bytes)`. `elems` is the payload in `f32`
+    /// elements.
+    fn algo(&self, op: CommOp, group_size: usize, elems: usize) -> CollAlgo {
+        self.tables().select(op, group_size, elems * 4)
     }
 
-    /// Runs `coll` over `group` under an explicit `plan`: logs the op and
+    /// Runs `coll` over `group` under an explicit `algo`: logs the op and
     /// this member's sends, then interprets its step list
     /// ([`crate::coll_steps`]) over the working buffer — moving the bytes on
     /// the live backend, nothing more on the trace-only one. The collective
@@ -133,70 +121,60 @@ pub trait Communicator {
     ///
     /// The working buffer is the payload itself, except for
     /// [`Coll::AllGather`] and [`Coll::Gather`], where it is the `g`-slot
-    /// output with this member's block already in its slot. Under the bf16
-    /// wire every hop moves the packed half-length buffer: each wire
-    /// crossing costs a reduction at most one rounding error per element
-    /// (partial sums accumulate in f32), pure movement delivers the
-    /// once-quantized payload (re-packing is lossless), and a member's own
-    /// data never crosses the wire — so compressed all-reduce results are
-    /// **not** bitwise-equal across members.
-    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan);
+    /// output with this member's block already in its slot.
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], algo: CollAlgo);
 
     /// Broadcast from group index `root`. Non-root buffers must be
     /// pre-sized to the root's payload length on both backends (no
     /// collective resizes the buffer).
     fn broadcast(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let plan = self.plan(CommOp::Broadcast, group.len(), data.len());
-        self.collective(Coll::Broadcast { root }, group, data, plan);
+        let algo = self.algo(CommOp::Broadcast, group.len(), data.len());
+        self.collective(Coll::Broadcast { root }, group, data, algo);
     }
 
     /// Sum-reduce to group index `root`. Non-root buffers hold partial
     /// sums afterwards and must be treated as scratch.
     fn reduce(&self, group: &Group, root: usize, data: &mut [f32]) {
-        let plan = self.plan(CommOp::Reduce, group.len(), data.len());
-        self.collective(Coll::Reduce { root }, group, data, plan);
+        let algo = self.algo(CommOp::Reduce, group.len(), data.len());
+        self.collective(Coll::Reduce { root }, group, data, algo);
     }
 
     /// All-reduce (sum): every member ends with the element-wise sum.
     fn all_reduce(&self, group: &Group, data: &mut [f32]) {
-        let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
-        self.collective(Coll::AllReduce, group, data, plan);
+        let algo = self.algo(CommOp::AllReduce, group.len(), data.len());
+        self.collective(Coll::AllReduce, group, data, algo);
     }
 
     /// All-reduce (max) — for the distributed log-sum-exp.
     fn all_reduce_max(&self, group: &Group, data: &mut [f32]) {
-        let plan = self.plan(CommOp::AllReduce, group.len(), data.len());
-        self.collective(Coll::AllReduceMax, group, data, plan);
+        let algo = self.algo(CommOp::AllReduce, group.len(), data.len());
+        self.collective(Coll::AllReduceMax, group, data, algo);
     }
 
     /// All-gather: concatenation of every member's equal-length `local` in
     /// group order.
     fn all_gather(&self, group: &Group, local: &[f32]) -> Vec<f32> {
-        let plan = self.plan(CommOp::AllGather, group.len(), local.len());
+        let algo = self.algo(CommOp::AllGather, group.len(), local.len());
         let mut out = slots(my_index(self.rank(), group), group.len(), local);
-        self.collective(Coll::AllGather, group, &mut out, plan);
+        self.collective(Coll::AllGather, group, &mut out, algo);
         out
     }
 
     /// Reduce-scatter (sum): returns this member's chunk (`n·i/g`
     /// boundaries) of the summed vector; `data` ends as scratch.
     fn reduce_scatter(&self, group: &Group, data: &mut [f32]) -> Vec<f32> {
-        let plan = self.plan(CommOp::ReduceScatter, group.len(), data.len());
+        let algo = self.algo(CommOp::ReduceScatter, group.len(), data.len());
         let mine = chunk(data.len(), group.len(), my_index(self.rank(), group));
-        self.collective(Coll::ReduceScatter, group, data, plan);
+        self.collective(Coll::ReduceScatter, group, data, algo);
         data[mine].to_vec()
     }
 
     /// Gather every member's equal-length `local` to group index `root`, in
-    /// group order; non-roots get an empty vector. Always full-width f32.
+    /// group order; non-roots get an empty vector.
     fn gather(&self, group: &Group, root: usize, local: &[f32]) -> Vec<f32> {
-        let plan = CollPlan {
-            algo: CollAlgo::Ring,
-            wire: WireDtype::F32,
-        };
         let me = my_index(self.rank(), group);
         let mut out = slots(me, group.len(), local);
-        self.collective(Coll::Gather { root }, group, &mut out, plan);
+        self.collective(Coll::Gather { root }, group, &mut out, CollAlgo::Ring);
         if me == root {
             out
         } else {
@@ -206,11 +184,7 @@ pub trait Communicator {
 
     /// Barrier over a group (empty reduce to index 0 + empty broadcast).
     fn barrier(&self, group: &Group) {
-        let plan = CollPlan {
-            algo: CollAlgo::Tree,
-            wire: WireDtype::F32,
-        };
-        self.collective(Coll::Barrier, group, &mut [], plan);
+        self.collective(Coll::Barrier, group, &mut [], CollAlgo::Tree);
     }
 
     /// Read-only snapshot of the accumulated communication log.
@@ -235,11 +209,10 @@ fn slots(me: usize, g: usize, local: &[f32]) -> Vec<f32> {
     out
 }
 
-/// One member's resolved schedule: its steps (peers as world ranks), the
-/// wire precision of every hop and the operator `Combine` receives apply.
+/// One member's resolved schedule: its steps (peers as world ranks) and the
+/// operator `Combine` receives apply.
 pub(crate) struct StepList {
     pub steps: Vec<Step>,
-    pub wire: WireDtype,
     pub combine: Combine,
 }
 
@@ -265,7 +238,7 @@ pub(crate) fn run_collective<B: Backend>(
     coll: Coll,
     group: &Group,
     buf: &mut [f32],
-    plan: CollPlan,
+    algo: CollAlgo,
 ) {
     let g = group.len();
     let me = my_index(b.rank(), group);
@@ -273,18 +246,16 @@ pub(crate) fn run_collective<B: Backend>(
     if coll == Coll::Barrier {
         // The nested op events collapse into this one (the tracer's depth
         // guard), so both backends emit one event per logical collective.
-        return traced_op(b.log(), op, plan, group, 0, || {
-            record_group_op(&mut b.log().borrow_mut(), op, plan.algo, group, 0);
+        return traced_op(b.log(), op, algo, group, 0, || {
+            record_group_op(&mut b.log().borrow_mut(), op, algo, group, 0);
             for part in Coll::BARRIER_PARTS {
-                let plan = b.plan(part.op(), g, 0);
-                run_collective(b, part, group, &mut [], plan);
+                run_collective(b, part, group, &mut [], b.algo(part.op(), g, 0));
             }
         });
     }
     let n = coll.payload_len(buf.len(), g);
     let mut list = StepList {
-        steps: coll_steps(coll, plan.algo, g, me, n),
-        wire: plan.wire,
+        steps: coll_steps(coll, algo, g, me, n),
         combine: coll.combine(),
     };
     for step in &mut list.steps {
@@ -292,28 +263,25 @@ pub(crate) fn run_collective<B: Backend>(
             *peer = group.rank_of(*peer);
         }
     }
-    traced_op(b.log(), op, plan, group, n, || {
+    traced_op(b.log(), op, algo, group, n, || {
         let mut log = b.log().borrow_mut();
         if op != CommOp::Broadcast {
-            record_group_op(&mut log, op, plan.algo, group, n);
+            record_group_op(&mut log, op, algo, group, n);
         }
-        let (mut wire_elems, mut logical_elems) = (0, 0);
+        let mut wire_elems = 0;
         for step in &list.steps {
             if let Step::Send { peer, range } = step {
                 let p = b.world_size();
                 assert!(*peer < p, "send to rank {peer} out of range (p={p})");
-                let packed = packed_len(range.len(), plan.wire);
-                log.record_link(b.rank(), *peer, packed, Some(op));
-                wire_elems += packed;
-                logical_elems += range.len();
+                log.record_link(b.rank(), *peer, range.len(), Some(op));
+                wire_elems += range.len();
             }
         }
         if op == CommOp::Broadcast {
-            record_group_op(&mut log, op, plan.algo, group, n);
+            record_group_op(&mut log, op, algo, group, n);
         }
         drop(log);
         metrics::device_counter_add("coll_wire_bytes", 4 * wire_elems as u64);
-        metrics::device_counter_add("coll_logical_bytes", 4 * logical_elems as u64);
         let started = metrics::device_active().then(Instant::now);
         b.run_steps(&list, buf);
         if let Some(t0) = started {
@@ -325,7 +293,7 @@ pub(crate) fn run_collective<B: Backend>(
 /// The trace metadata of one collective participation.
 fn op_meta(
     op: CommOp,
-    plan: CollPlan,
+    algo: CollAlgo,
     group: &Group,
     elems: usize,
     wire_elems: usize,
@@ -339,8 +307,7 @@ fn op_meta(
         elems,
         wire_elems,
         axis: group.label(),
-        algo: plan.algo.name(),
-        wire: plan.wire.name(),
+        algo: algo.name(),
     }
 }
 
@@ -351,7 +318,7 @@ fn op_meta(
 fn traced_op(
     log: &RefCell<CommLog>,
     op: CommOp,
-    plan: CollPlan,
+    algo: CollAlgo,
     group: &Group,
     elems: usize,
     run: impl FnOnce(),
@@ -363,5 +330,5 @@ fn traced_op(
     let timer = trace::op_begin();
     run();
     let wire_elems = log.borrow().total_link_elems() - wire_before;
-    trace::op_end(timer, op_meta(op, plan, group, elems, wire_elems));
+    trace::op_end(timer, op_meta(op, algo, group, elems, wire_elems));
 }

@@ -33,7 +33,7 @@ use crate::comm::{run_collective, Backend, Communicator, StepList};
 use crate::group::Group;
 use crate::schedule::Coll;
 use crate::stats::CommLog;
-use crate::{CollPlan, CollTables};
+use crate::{AlgoTable, CollAlgo};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -51,7 +51,7 @@ pub struct DryRunComm {
     p: usize,
     log: RefCell<CommLog>,
     wire: Rc<RefCell<DryWire>>,
-    tables: Arc<CollTables>,
+    tables: Arc<AlgoTable>,
 }
 
 impl DryRunComm {
@@ -59,7 +59,7 @@ impl DryRunComm {
         rank: usize,
         p: usize,
         wire: Rc<RefCell<DryWire>>,
-        tables: Arc<CollTables>,
+        tables: Arc<AlgoTable>,
     ) -> Self {
         DryRunComm {
             rank,
@@ -139,12 +139,12 @@ impl Communicator for DryRunComm {
         vec![0.0; len]
     }
 
-    fn tables(&self) -> &CollTables {
+    fn tables(&self) -> &AlgoTable {
         &self.tables
     }
 
-    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], plan: CollPlan) {
-        run_collective(self, coll, group, buf, plan)
+    fn collective(&self, coll: Coll, group: &Group, buf: &mut [f32], algo: CollAlgo) {
+        run_collective(self, coll, group, buf, algo)
     }
 
     fn log_snapshot(&self) -> CommLog {
@@ -173,25 +173,6 @@ mod tests {
         for (l, d) in live_logs.iter().zip(&dry_logs) {
             assert_eq!(l.ops, d.ops, "op stream mismatch at rank {}", l.rank);
             assert_eq!(l.links, d.links, "link stream mismatch at rank {}", l.rank);
-        }
-    }
-
-    #[test]
-    fn plan_takes_the_run_wire_for_selectable_ops_in_groups_of_two_or_more() {
-        let tables = CollTables {
-            wire: crate::WireDtype::Bf16,
-            ..CollTables::default()
-        };
-        let c = DryRunComm::new(0, 1, Rc::default(), Arc::new(tables));
-        for (op, _) in crate::CommOp::KINDS {
-            let want = if op == crate::CommOp::Barrier {
-                crate::WireDtype::F32
-            } else {
-                crate::WireDtype::Bf16
-            };
-            assert_eq!(c.plan(op, 2, 1).wire, want, "{}", op.name());
-            assert_eq!(c.plan(op, 8, 0).wire, want, "{}", op.name());
-            assert_eq!(c.plan(op, 1, 1 << 20).wire, crate::WireDtype::F32);
         }
     }
 

@@ -14,7 +14,7 @@
 //! every peer's mailbox and retires its own, so peers blocked on it panic
 //! with a "disconnected" error instead of hanging.
 
-use crate::algo::CollTables;
+use crate::algo::AlgoTable;
 use crate::pool::BufferPool;
 use crate::stats::CommLog;
 use std::cell::RefCell;
@@ -114,14 +114,14 @@ pub struct DeviceCtx {
     p: usize,
     /// `boxes[d]` — device `d`'s mailbox; `boxes[rank]` is our own.
     pub(crate) boxes: Vec<Arc<Mailbox>>,
-    /// The run's selection tables, shared by all its devices.
-    pub(crate) tables: Arc<CollTables>,
+    /// The run's algorithm table, shared by all its devices.
+    pub(crate) tables: Arc<AlgoTable>,
     pub(crate) log: RefCell<CommLog>,
     pub(crate) pool: RefCell<BufferPool>,
 }
 
 /// Builds a fully connected fabric of `p` devices selecting from `tables`.
-pub(crate) fn build_fabric(p: usize, tables: &Arc<CollTables>) -> Vec<DeviceCtx> {
+pub(crate) fn build_fabric(p: usize, tables: &Arc<AlgoTable>) -> Vec<DeviceCtx> {
     let boxes: Vec<Arc<Mailbox>> = (0..p).map(|_| Arc::new(Mailbox::new(p))).collect();
     (0..p)
         .map(|rank| DeviceCtx {

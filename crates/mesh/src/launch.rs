@@ -1,13 +1,13 @@
 //! Mesh launchers.
 //!
-//! [`MeshRun`] is the one launcher: a mesh shape plus the [`CollTables`] its
+//! [`MeshRun`] is the one launcher: a mesh shape plus the [`AlgoTable`] its
 //! devices select from, with a live and a trace-only way of running a
 //! program on it, each with and without [`trace`] timelines. [`Mesh`],
 //! [`Mesh2d`] and [`MeshNd`] are the historical entry points — a flat world,
 //! a `q × q` mesh, any `[d0, ..., dk]` mesh — and mean "under the baseline
 //! tables"; each is a one-line delegation.
 
-use crate::algo::CollTables;
+use crate::algo::AlgoTable;
 use crate::comm::Communicator;
 use crate::dryrun::{DryRunComm, DryWire};
 use crate::fabric::{build_fabric, DeviceCtx};
@@ -19,15 +19,15 @@ use std::rc::Rc;
 use std::sync::{mpsc, Arc};
 use trace::DeviceTrace;
 
-/// One mesh launch: the shape, and the selection tables every device of the
-/// run resolves its [`crate::CollPlan`]s from.
+/// One mesh launch: the shape, and the algorithm table every device of the
+/// run resolves its [`crate::CollAlgo`]s from.
 pub struct MeshRun {
     shape: MeshShape,
-    tables: Arc<CollTables>,
+    tables: Arc<AlgoTable>,
 }
 
 impl MeshRun {
-    pub fn new(dims: &[usize], tables: CollTables) -> Self {
+    pub fn new(dims: &[usize], tables: AlgoTable) -> Self {
         MeshRun {
             shape: MeshShape::new(dims),
             tables: Arc::new(tables),
@@ -154,7 +154,7 @@ impl MeshRun {
 }
 
 fn baseline(dims: &[usize]) -> MeshRun {
-    MeshRun::new(dims, CollTables::default())
+    MeshRun::new(dims, AlgoTable::default())
 }
 
 /// A flat world of `p` devices under the baseline tables: `f` gets the

@@ -76,9 +76,8 @@ mod schedule;
 mod shape;
 mod stats;
 mod topology;
-mod wire;
 
-pub use algo::{AlgoRule, AlgoTable, CollAlgo, CollPlan, CollTables};
+pub use algo::{AlgoRule, AlgoTable, CollAlgo};
 pub use comm::Communicator;
 pub use dryrun::DryRunComm;
 pub use fabric::DeviceCtx;
@@ -90,7 +89,6 @@ pub use schedule::{chain_segments, chunk, coll_steps, group_steps, replay, Coll,
 pub use shape::MeshShape;
 pub use stats::{CommLog, CommOp, LinkRecord, OpRecord};
 pub use topology::{Arrangement, Topology};
-pub use wire::{packed_len, ErrorFeedback, WireDtype};
 
 #[cfg(test)]
 mod tests {

@@ -12,9 +12,9 @@
 //! object per [`mesh::AlgoRule`]; unbounded range ends serialize as `-1`
 //! (JSON numbers are doubles and cannot carry `usize::MAX` exactly).
 //!
-//! A tune persists no wire dtype: every tuned run travels full-width f32
-//! unless it asks for bf16 itself. A file carrying the retired
-//! `"wire_rules"` key is rejected by name rather than read as f32.
+//! A tune persists no wire dtype: every collective travels f32. A file
+//! carrying the retired `"wire_rules"` key is rejected by name rather than
+//! read as f32.
 
 use mesh::{AlgoRule, AlgoTable, CollAlgo, CommOp};
 use minjson::Json;

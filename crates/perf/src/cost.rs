@@ -9,7 +9,7 @@
 //! postal model, so an algorithm needs no formula here.
 
 use crate::profile::HardwareProfile;
-use mesh::{CollAlgo, CommLog, CommOp, OpRecord, Step, Topology, WireDtype};
+use mesh::{CollAlgo, CommLog, CommOp, OpRecord, Step, Topology};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -107,38 +107,25 @@ impl CostModel {
     }
 
     /// Seconds one collective of kind `op` takes over `ranks` when it runs
-    /// `algo` at wire dtype `wire`: the makespan of all members' step lists
-    /// under the postal model. A send occupies its sender for
-    /// `α + β_group · (wire bytes per elem / 4) · |range|` and lands when it
-    /// ends; a receive completes once both the receiver and the message are
-    /// ready; a compressed wire adds the pack/unpack cost `γ · elems` once.
+    /// `algo`: the makespan of all members' step lists under the postal
+    /// model. A send occupies its sender for `α + β_group · |range|` and
+    /// lands when it ends; a receive completes once both the receiver and
+    /// the message are ready.
     ///
     /// `elems` follows the `OpRecord` convention — the **per-member block**
     /// for all-gather (each hop of whose ring moves one whole block), the
     /// total payload for every other kind. Panics if `algo` is not on `op`'s
     /// menu.
-    pub fn coll_time(
-        &self,
-        op: CommOp,
-        algo: CollAlgo,
-        wire: WireDtype,
-        ranks: &[usize],
-        elems: usize,
-    ) -> f64 {
+    pub fn coll_time(&self, op: CommOp, algo: CollAlgo, ranks: &[usize], elems: usize) -> f64 {
         let g = ranks.len();
         if g <= 1 {
             return 0.0;
         }
         let alpha = self.profile.alpha;
-        let beta = self.group_beta(ranks) * wire.bytes_per_elem() as f64 / 4.0;
-        let pack = if wire.is_f32() {
-            0.0
-        } else {
-            self.profile.gamma * elems as f64
-        };
+        let beta = self.group_beta(ranks);
         let key = (op, algo, g, elems, beta.to_bits());
         if let Some(&t) = self.priced.borrow().get(&key) {
-            return t + pack;
+            return t;
         }
         let clock = RefCell::new(vec![0.0f64; g]);
         mesh::replay(
@@ -160,35 +147,32 @@ impl CostModel {
         );
         let t = clock.into_inner().into_iter().fold(0.0, f64::max);
         self.priced.borrow_mut().insert(key, t);
-        t + pack
+        t
     }
 
     /// Cost of one logged collective participation, priced by the
-    /// algorithm the record says actually ran (records carry no wire dtype;
-    /// full width is assumed).
+    /// algorithm the record says actually ran.
     pub fn op_time(&self, op: &OpRecord) -> f64 {
         let ranks = op.group_ranks().unwrap_or_else(|| {
             // Irregular group: be conservative, treat as inter-node.
             (0..op.group_size).collect()
         });
-        self.coll_time(op.op, op.algo, WireDtype::F32, &ranks, op.elems)
+        self.coll_time(op.op, op.algo, &ranks, op.elems)
     }
 
     /// Cost of one trace op event, in seconds — [`CostModel::coll_time`]
     /// applied to a [`trace::OpMeta`], so `tracecheck` re-prices exactly
-    /// the steps that ran and the bytes that traveled. Unknown kinds cost
-    /// zero; an empty or unknown algorithm label prices the op's default
-    /// schedule, an empty or unknown wire label full-width f32.
+    /// the steps that ran. Unknown kinds cost zero; an empty or unknown
+    /// algorithm label prices the op's default schedule.
     pub fn meta_time(&self, meta: &trace::OpMeta) -> f64 {
         let Some(op) = CommOp::from_name(meta.kind) else {
             return 0.0;
         };
         let algo = CollAlgo::from_name(meta.algo).unwrap_or_else(|| CollAlgo::default_for(op));
-        let wire = WireDtype::from_name(meta.wire).unwrap_or(WireDtype::F32);
         let ranks = meta
             .group_ranks()
             .unwrap_or_else(|| (0..meta.group_size).collect());
-        self.coll_time(op, algo, wire, &ranks, meta.elems)
+        self.coll_time(op, algo, &ranks, meta.elems)
     }
 
     /// A nanosecond pricer for [`mesh::MeshRun::dry_run_traced`]: dry-run
@@ -311,12 +295,9 @@ mod tests {
         assert_eq!(m.group_beta(&world), prof.beta_inter);
     }
 
-    const F32: WireDtype = WireDtype::F32;
-
     fn latency_model() -> CostModel {
         let prof = HardwareProfile {
             alpha: 1e-5,
-            gamma: 2e-10,
             ..HardwareProfile::uniform(1e12, 1e-9)
         };
         CostModel::new(prof, Topology::single_node(16))
@@ -335,8 +316,8 @@ mod tests {
         // The default table runs ring all-reduce and tree broadcast; the
         // replay must price those faithfully, not the closed-form envelope.
         let ranks = [0, 1, 2, 3];
-        let expect = m.coll_time(CommOp::AllReduce, CollAlgo::Ring, F32, &ranks, 1000)
-            + m.coll_time(CommOp::Broadcast, CollAlgo::Tree, F32, &ranks, 1000);
+        let expect = m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 1000)
+            + m.coll_time(CommOp::Broadcast, CollAlgo::Tree, &ranks, 1000);
         assert!((expect - (1.5 + 2.0) * 1e-6).abs() < 1e-15, "{expect}");
         for log in &logs {
             let t = m.replay(log);
@@ -352,7 +333,7 @@ mod tests {
         let m = uniform_model(1e-9);
         let ranks: Vec<usize> = (0..8).collect();
         for algo in [CollAlgo::Ring, CollAlgo::Bruck] {
-            let t = m.coll_time(CommOp::AllGather, algo, F32, &ranks, 1000);
+            let t = m.coll_time(CommOp::AllGather, algo, &ranks, 1000);
             assert!((t - 7.0 * 1e-9 * 1000.0).abs() < 1e-18, "{algo:?}: {t}");
         }
     }
@@ -363,7 +344,7 @@ mod tests {
         // a message size where the non-default algorithm is cheaper.
         let m = latency_model();
         let ranks: Vec<usize> = (0..8).collect();
-        let t = |op, algo, elems| m.coll_time(op, algo, F32, &ranks, elems);
+        let t = |op, algo, elems| m.coll_time(op, algo, &ranks, elems);
         // Tiny all-reduce: halving's 2·log g rounds beat ring's 2(g−1).
         assert!(
             t(CommOp::AllReduce, CollAlgo::Halving, 16) < t(CommOp::AllReduce, CollAlgo::Ring, 16)
@@ -385,27 +366,17 @@ mod tests {
     }
 
     #[test]
-    fn meta_time_dispatches_on_the_algo_and_wire_labels() {
+    fn meta_time_dispatches_on_the_algo_label() {
         let m = latency_model();
         let meta = |algo| trace::OpMeta {
             algo,
             ..trace::OpMeta::collective("AllReduce", 8, 0, 1, 4096, 0)
         };
         let ranks: Vec<usize> = (0..8).collect();
-        let t = |algo, wire| m.coll_time(CommOp::AllReduce, algo, wire, &ranks, 4096);
-        assert_eq!(m.meta_time(&meta("halving")), t(CollAlgo::Halving, F32));
+        let t = |algo| m.coll_time(CommOp::AllReduce, algo, &ranks, 4096);
+        assert_eq!(m.meta_time(&meta("halving")), t(CollAlgo::Halving));
         // Empty label (pre-registry producer) prices the default schedule.
-        assert_eq!(m.meta_time(&meta("")), t(CollAlgo::Ring, F32));
-        // A compressed event: β halves, γ·elems is paid once.
-        let half = trace::OpMeta {
-            wire: "bf16",
-            ..meta("ring")
-        };
-        assert_eq!(m.meta_time(&half), t(CollAlgo::Ring, WireDtype::Bf16));
-        let gamma = m.profile().gamma * 4096.0;
-        let beta_terms = 14.0 * 1e-9 * 512.0;
-        let want = t(CollAlgo::Ring, F32) - beta_terms / 2.0 + gamma;
-        assert!((m.meta_time(&half) - want).abs() < 1e-15);
+        assert_eq!(m.meta_time(&meta("")), t(CollAlgo::Ring));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Hardware profiles for the cost model.
 
-use minjson::Json;
-
 /// Machine constants for the α-β + flop-rate model.
 ///
 /// All bandwidth terms are expressed as `β` — seconds per f32 element
@@ -20,10 +18,6 @@ pub struct HardwareProfile {
     pub beta_intra: f64,
     /// Seconds per f32 moved between nodes (per concurrent flow).
     pub beta_inter: f64,
-    /// Pack/unpack cost in seconds per logical element converted at the
-    /// fabric boundary when a collective travels compressed (the bf16 wire
-    /// dtype). Zero for full-width f32 payloads, which skip the conversion.
-    pub gamma: f64,
     /// Device memory capacity in bytes.
     pub mem_bytes: f64,
     /// Devices per node.
@@ -49,9 +43,6 @@ impl HardwareProfile {
             alpha: 2.0e-5,
             beta_intra: 4.0e-10,
             beta_inter: 8.0e-10,
-            // A scalar bf16 round-trip is a shift+round on the host side —
-            // orders of magnitude cheaper than putting the f32 on PCIe.
-            gamma: 1.0e-10,
             mem_bytes: 16.0 * (1u64 << 30) as f64,
             gpus_per_node: 4,
         }
@@ -66,14 +57,13 @@ impl HardwareProfile {
             alpha: 0.0,
             beta_intra: beta,
             beta_inter: beta,
-            gamma: 0.0,
             mem_bytes: f64::INFINITY,
             gpus_per_node: usize::MAX,
         }
     }
 
     /// The same machine on a clock `k` times finer: every time term (α,
-    /// both β, γ and the time per MAC) is multiplied by `k`. The model is
+    /// both β and the time per MAC) is multiplied by `k`. The model is
     /// linear in them, so relative gaps are unchanged while a priced
     /// timeline's 1 ns rounding floor shrinks `k`-fold — how the 1e-5
     /// reconciliation gates price a dry run.
@@ -83,51 +73,8 @@ impl HardwareProfile {
             alpha: self.alpha * k,
             beta_intra: self.beta_intra * k,
             beta_inter: self.beta_inter * k,
-            gamma: self.gamma * k,
             ..self.clone()
         }
-    }
-
-    /// Profile as JSON. Non-finite `mem_bytes` (the idealised profiles)
-    /// serializes as `null`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("mac_rate", Json::Num(self.mac_rate)),
-            ("alpha", Json::Num(self.alpha)),
-            ("beta_intra", Json::Num(self.beta_intra)),
-            ("beta_inter", Json::Num(self.beta_inter)),
-            ("gamma", Json::Num(self.gamma)),
-            ("mem_bytes", Json::Num(self.mem_bytes)),
-            ("gpus_per_node", Json::Num(self.gpus_per_node as f64)),
-        ])
-    }
-
-    /// Inverse of [`HardwareProfile::to_json`].
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let name = match v.get("name")? {
-            Json::Str(s) => s.clone(),
-            other => return Err(format!("expected string name, got {other:?}")),
-        };
-        let mem_bytes = match v.get("mem_bytes")? {
-            Json::Null => f64::INFINITY,
-            other => other.as_f64()?,
-        };
-        // `gamma` postdates serialized profiles in the wild; default 0.0.
-        let gamma = match v.get("gamma") {
-            Ok(g) => g.as_f64()?,
-            Err(_) => 0.0,
-        };
-        Ok(HardwareProfile {
-            name,
-            mac_rate: v.get("mac_rate")?.as_f64()?,
-            alpha: v.get("alpha")?.as_f64()?,
-            beta_intra: v.get("beta_intra")?.as_f64()?,
-            beta_inter: v.get("beta_inter")?.as_f64()?,
-            gamma,
-            mem_bytes,
-            gpus_per_node: v.get("gpus_per_node")?.as_usize()?,
-        })
     }
 }
 
@@ -145,29 +92,15 @@ mod tests {
     }
 
     #[test]
-    fn clock_scaling_scales_f32_and_bf16_collectives_exactly() {
-        use mesh::{CollAlgo, CommOp, Topology, WireDtype};
+    fn clock_scaling_scales_collectives_exactly() {
+        use mesh::{CollAlgo, CommOp, Topology};
         const K: f64 = 1024.0;
         let p = HardwareProfile::frontera_rtx5000();
         let ranks: Vec<usize> = (0..8).collect();
         let base = crate::CostModel::new(p.clone(), Topology::flat(8, 4));
         let fine = crate::CostModel::new(p.clock_scaled(K), Topology::flat(8, 4));
-        for wire in [WireDtype::F32, WireDtype::Bf16] {
-            let t = |m: &crate::CostModel| {
-                m.coll_time(CommOp::AllReduce, CollAlgo::Ring, wire, &ranks, 4096)
-            };
-            assert_eq!(t(&fine), K * t(&base), "{}", wire.name());
-        }
+        let t = |m: &crate::CostModel| m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 4096);
+        assert_eq!(t(&fine), K * t(&base));
         assert_eq!(fine.compute_time(1e9), K * base.compute_time(1e9));
-    }
-
-    #[test]
-    fn profile_serializes() {
-        let p = HardwareProfile::frontera_rtx5000();
-        let s = p.to_json().to_string();
-        let back = HardwareProfile::from_json(&minjson::parse(&s).unwrap()).unwrap();
-        assert_eq!(back.name, p.name);
-        assert_eq!(back.gpus_per_node, p.gpus_per_node);
-        assert_eq!(back.mac_rate, p.mac_rate);
     }
 }

@@ -213,7 +213,6 @@ pub fn torus_profile() -> HardwareProfile {
         // ~70 GB/s per torus link, both "intra" and "inter" (no hierarchy).
         beta_intra: 6.0e-11,
         beta_inter: 6.0e-11,
-        gamma: 1.0e-11,
         mem_bytes: 32.0 * (1u64 << 30) as f64,
         gpus_per_node: 1,
     }

@@ -70,9 +70,8 @@ pub fn walk_pair<B: Hosted>(p: &mut B, g: &B, f: &mut impl FnMut(&mut [f32], &[f
 /// gradients, full or one device's slice — with vectors held as `B`.
 ///
 /// Field order is the canonical walk order of [`LayerTensors::walk`].
-/// Optimizer state ([`tensor::optim::AdamSet`]), error-feedback residuals
-/// and the order of data-parallel gradient all-reduces in a `CommLog` all
-/// follow it.
+/// Optimizer state ([`tensor::optim::AdamSet`]) and the order of
+/// data-parallel gradient all-reduces in a `CommLog` both follow it.
 ///
 /// The fused QKV weight uses the canonical column layout `[Wq | Wk | Wv]`
 /// (each `[h, h]`). How each scheme cuts a device's share from the full

@@ -37,8 +37,8 @@
 //! broadcast panel `l`, run GEMM `l`, then reduce round `l − 1`'s partial:
 //! the reduce trails by one round, which keeps every device's op and link
 //! records in the order the CommLog goldens pin. Panels and reduces go
-//! through `Communicator::plan` like every other collective, so they follow
-//! the run's algorithm table and wire dtype. The oracle in `tests/overlap.rs`
+//! through `Communicator::algo` like every other collective, so they follow
+//! the run's algorithm table. The oracle in `tests/overlap.rs`
 //! restates the loop with plain blocking calls and checks the products
 //! bitwise and the dry-run timelines on the clock.
 //!

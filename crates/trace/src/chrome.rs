@@ -84,7 +84,7 @@ pub fn chrome_trace(traces: &[DeviceTrace]) -> Json {
                     t1_ns,
                     meta,
                 } => {
-                    let mut args = vec![
+                    let args = vec![
                         ("span", Json::Num(*span as f64)),
                         ("axis", Json::Str(meta.axis.into())),
                         ("algo", Json::Str(meta.algo.into())),
@@ -94,11 +94,6 @@ pub fn chrome_trace(traces: &[DeviceTrace]) -> Json {
                         ("group_first", Json::Num(meta.group_first as f64)),
                         ("group_stride", Json::Num(meta.group_stride as f64)),
                     ];
-                    // Full-width ops stay byte-identical to pre-compression
-                    // traces; only a compressed wire dtype earns an arg.
-                    if !meta.wire.is_empty() && meta.wire != "f32" {
-                        args.push(("wire", Json::Str(meta.wire.into())));
-                    }
                     events.push(Json::obj(vec![
                         ("ph", Json::Str("X".into())),
                         ("cat", Json::Str("comm".into())),

@@ -92,11 +92,6 @@ pub struct OpMeta {
     /// cost model dispatches on it so a dry run prices exactly the
     /// algorithm the live backend would run.
     pub algo: &'static str,
-    /// Wire dtype the payload traveled as (`"f32"` or `"bf16"`; `""` when
-    /// the producer predates wire compression — treated as `"f32"`).
-    /// Feeds pricing: bytes-on-wire scale with the wire width while `elems`
-    /// stays logical, so `tracecheck` re-prices exactly what ran.
-    pub wire: &'static str,
 }
 
 impl OpMeta {
@@ -118,7 +113,6 @@ impl OpMeta {
             wire_elems,
             axis: "",
             algo: "",
-            wire: "",
         }
     }
 

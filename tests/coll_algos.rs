@@ -14,13 +14,6 @@
 //!   same explicit algorithm emit byte-identical op and link logs, rank by
 //!   rank; the dry-run prices exactly the schedule the live mesh executes.
 //!
-//! The same sweep then repeats on the **bf16 wire** (`CollPlan::wire`): pure
-//! movement delivers exactly the once-quantized payload (forwarding re-packs
-//! are lossless), reductions stay inside the stated per-hop error envelope
-//! (≤ one 2⁻⁸-relative rounding per wire crossing on an element's reduction
-//! path), and the live and dry-run schedules remain byte-identical — the
-//! packed half-length link records included.
-//!
 //! Below the live sweeps sit the **schedule properties**: the step lists of
 //! [`mesh::coll_steps`] checked directly, without threads, up to 64 members —
 //! soundness (no deadlock, no mis-sized message), data flow (each op's
@@ -29,8 +22,8 @@
 //! DESIGN.md §10 wherever those are exact).
 
 use mesh::{
-    chain_segments, chunk, coll_steps, replay, Coll, CollAlgo, CollPlan, CommLog, CommOp,
-    Communicator, Group, Mesh, RecvMode, Step, WireDtype,
+    chain_segments, chunk, coll_steps, replay, Coll, CollAlgo, CommLog, CommOp, Communicator,
+    Group, Mesh, RecvMode, Step,
 };
 use tensor::Rng;
 
@@ -62,14 +55,14 @@ fn serial_sum(g: usize, n: usize, seed: u64) -> Vec<f32> {
     acc
 }
 
-/// Runs `coll` over the world group under an explicit plan and returns what
+/// Runs `coll` over the world group under an explicit algorithm and returns what
 /// the plain method of the same name returns: the buffer, the gathered
 /// output, or this member's chunk.
 fn run<C: Communicator>(
     ctx: &C,
     g: usize,
     coll: Coll,
-    plan: CollPlan,
+    algo: CollAlgo,
     mut data: Vec<f32>,
 ) -> Vec<f32> {
     let world = Group::world(g);
@@ -78,25 +71,19 @@ fn run<C: Communicator>(
         Coll::AllGather => {
             let mut out = vec![0.0f32; n * g];
             out[me * n..(me + 1) * n].copy_from_slice(&data);
-            ctx.collective(coll, &world, &mut out, plan);
+            ctx.collective(coll, &world, &mut out, algo);
             out
         }
         Coll::ReduceScatter => {
-            ctx.collective(coll, &world, &mut data, plan);
+            ctx.collective(coll, &world, &mut data, algo);
             data[chunk(n, g, me)].to_vec()
         }
         _ => {
-            ctx.collective(coll, &world, &mut data, plan);
+            ctx.collective(coll, &world, &mut data, algo);
             data
         }
     }
 }
-
-fn plan(algo: CollAlgo, wire: WireDtype) -> CollPlan {
-    CollPlan { algo, wire }
-}
-
-const F32: WireDtype = WireDtype::F32;
 
 #[test]
 fn broadcast_menu_delivers_the_root_payload_bitwise() {
@@ -113,7 +100,7 @@ fn broadcast_menu_delivers_the_root_payload_bitwise() {
                     } else {
                         vec![0.0; n]
                     };
-                    run(ctx, g, Coll::Broadcast { root }, plan(*algo, F32), data)
+                    run(ctx, g, Coll::Broadcast { root }, *algo, data)
                 });
                 for (r, d) in out.iter().enumerate() {
                     assert_eq!(d, &want, "{algo:?} g={g} n={n} rank={r}");
@@ -132,7 +119,7 @@ fn reduce_menu_sums_to_the_root() {
                 let seed = 0x4ed + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
                     let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::Reduce { root }, plan(*algo, F32), data)
+                    run(ctx, g, Coll::Reduce { root }, *algo, data)
                 });
                 let want = serial_sum(g, n, seed);
                 assert!(
@@ -152,7 +139,7 @@ fn all_reduce_menu_agrees_bitwise_across_ranks_and_matches_reference() {
                 let seed = 0xA11 + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
                     let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::AllReduce, plan(*algo, F32), data)
+                    run(ctx, g, Coll::AllReduce, *algo, data)
                 });
                 let want = serial_sum(g, n, seed);
                 for (r, d) in out.iter().enumerate() {
@@ -175,7 +162,7 @@ fn all_gather_menu_concatenates_bitwise_in_rank_order() {
                 let seed = 0x9a + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
                     let local = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::AllGather, plan(*algo, F32), local)
+                    run(ctx, g, Coll::AllGather, *algo, local)
                 });
                 let want: Vec<f32> = (0..g).flat_map(|r| payload(seed + r as u64, n)).collect();
                 for (r, d) in out.iter().enumerate() {
@@ -194,7 +181,7 @@ fn reduce_scatter_menu_partitions_the_sum() {
                 let seed = 0x5c + (g * n) as u64;
                 let out = Mesh::run(g, move |ctx| {
                     let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::ReduceScatter, plan(*algo, F32), data)
+                    run(ctx, g, Coll::ReduceScatter, *algo, data)
                 });
                 let want = serial_sum(g, n, seed);
                 // Blocks concatenated in rank order reassemble the full sum,
@@ -223,13 +210,12 @@ fn coll_of(op: CommOp, g: usize) -> Coll {
     }
 }
 
-/// Runs one explicit-plan collective on either backend, bypassing the
-/// run's tables. Payload contents are
-/// irrelevant here (the dry-run backend moves zeros); only the emitted
-/// op/link streams matter.
-fn drive<C: Communicator>(ctx: &C, g: usize, op: CommOp, plan: CollPlan, n: usize) {
+/// Runs one explicit-algorithm collective on either backend, bypassing the
+/// run's tables. Payload contents are irrelevant here (the dry-run backend
+/// moves zeros); only the emitted op/link streams matter.
+fn drive<C: Communicator>(ctx: &C, g: usize, op: CommOp, algo: CollAlgo, n: usize) {
     let n = if op == CommOp::Barrier { 0 } else { n };
-    run(ctx, g, coll_of(op, g), plan, vec![1.0f32; n]);
+    run(ctx, g, coll_of(op, g), algo, vec![1.0f32; n]);
 }
 
 fn assert_identical_logs(live: &[CommLog], dry: &[CommLog], label: &str) {
@@ -248,244 +234,6 @@ fn assert_identical_logs(live: &[CommLog], dry: &[CommLog], label: &str) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The same sweep on the bf16 wire
-// ---------------------------------------------------------------------------
-
-/// One bf16 quantization is off by at most this relative amount (7 explicit
-/// mantissa bits → half a ulp is 2⁻⁸ of the magnitude).
-const BF16_EPS: f32 = 1.0 / 256.0;
-
-fn quantized(v: &[f32]) -> Vec<f32> {
-    v.iter().map(|&x| WireDtype::Bf16.quantize(x)).collect()
-}
-
-/// Element-wise Σᵣ |payloadᵣ[i]| — every partial sum a reduction schedule
-/// can form is bounded by this, so it anchors the stated error envelope.
-fn abs_sum(g: usize, n: usize, seed: u64) -> Vec<f32> {
-    let mut acc = vec![0.0f32; n];
-    for r in 0..g {
-        for (a, x) in acc.iter_mut().zip(payload(seed + r as u64, n)) {
-            *a += x.abs();
-        }
-    }
-    acc
-}
-
-/// Asserts the stated bf16 reduction error bound: an element's reduction
-/// path crosses the wire at most `g` times, each crossing adding one
-/// quantization error of at most `BF16_EPS` times the partial-sum magnitude
-/// (≤ the absolute mass `abs_sum`). The small additive floor absorbs the
-/// f32 reassociation slack the full-width sweep already tolerates (1e-5).
-fn assert_within_bf16_bound(got: &[f32], want: &[f32], mass: &[f32], g: usize, label: &str) {
-    assert_eq!(got.len(), want.len(), "{label}: length");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        let tol = g as f32 * BF16_EPS * mass[i] + 1e-4;
-        assert!(
-            (a - b).abs() <= tol,
-            "{label}: elem {i} got {a} want {b} (tol {tol})"
-        );
-    }
-}
-
-#[test]
-fn bf16_broadcast_delivers_the_quantized_payload_bitwise_to_non_roots() {
-    let w = WireDtype::Bf16;
-    for algo in CollAlgo::menu(CommOp::Broadcast) {
-        for g in GROUPS {
-            for n in SIZES {
-                let root = g / 2;
-                let seed = 0xB16 + (g * n) as u64;
-                let full = payload(seed, n);
-                let want = quantized(&full);
-                let full_ref = &full;
-                let out = Mesh::run(g, move |ctx| {
-                    let data = if ctx.rank() == root {
-                        full_ref.clone()
-                    } else {
-                        vec![0.0; n]
-                    };
-                    run(ctx, g, Coll::Broadcast { root }, plan(*algo, w), data)
-                });
-                for (r, d) in out.iter().enumerate() {
-                    if r == root {
-                        // The root never crosses the wire: full precision.
-                        assert_eq!(d, &full, "{algo:?} g={g} n={n} root");
-                    } else {
-                        // Exactly one quantization, then lossless re-packs:
-                        // every non-root agrees bitwise on Q(payload).
-                        assert_eq!(d, &want, "{algo:?} g={g} n={n} rank={r}");
-                    }
-                    for (a, b) in d.iter().zip(&full) {
-                        assert!(
-                            (a - b).abs() <= b.abs() * BF16_EPS + f32::MIN_POSITIVE,
-                            "{algo:?} g={g} n={n} rank={r}: rel error above 2^-8"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bf16_all_gather_quantizes_each_foreign_block_exactly_once() {
-    let w = WireDtype::Bf16;
-    for algo in CollAlgo::menu(CommOp::AllGather) {
-        for g in GROUPS {
-            for n in SIZES {
-                let seed = 0x9a16 + (g * n) as u64;
-                let out = Mesh::run(g, move |ctx| {
-                    let local = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::AllGather, plan(*algo, w), local)
-                });
-                for (r, d) in out.iter().enumerate() {
-                    for src in 0..g {
-                        let block = &d[src * n..(src + 1) * n];
-                        let full = payload(seed + src as u64, n);
-                        // Own block never crossed the wire; foreign blocks
-                        // carry exactly one quantization however many hops
-                        // they were forwarded through.
-                        let want = if src == r { full } else { quantized(&full) };
-                        assert_eq!(block, &want[..], "{algo:?} g={g} n={n} rank={r} src={src}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bf16_reduce_stays_within_the_stated_error_bound() {
-    let w = WireDtype::Bf16;
-    for algo in CollAlgo::menu(CommOp::Reduce) {
-        for g in GROUPS {
-            for n in SIZES {
-                let root = g / 2;
-                let seed = 0x4e16 + (g * n) as u64;
-                let out = Mesh::run(g, move |ctx| {
-                    let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::Reduce { root }, plan(*algo, w), data)
-                });
-                let want = serial_sum(g, n, seed);
-                let mass = abs_sum(g, n, seed);
-                assert_within_bf16_bound(
-                    &out[root],
-                    &want,
-                    &mass,
-                    g,
-                    &format!("reduce {algo:?} g={g} n={n}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn bf16_all_reduce_stays_within_the_stated_error_bound_on_every_rank() {
-    let w = WireDtype::Bf16;
-    for algo in CollAlgo::menu(CommOp::AllReduce) {
-        for g in GROUPS {
-            for n in SIZES {
-                let seed = 0xA116 + (g * n) as u64;
-                let out = Mesh::run(g, move |ctx| {
-                    let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::AllReduce, plan(*algo, w), data)
-                });
-                let want = serial_sum(g, n, seed);
-                let mass = abs_sum(g, n, seed);
-                for (r, d) in out.iter().enumerate() {
-                    assert_within_bf16_bound(
-                        d,
-                        &want,
-                        &mass,
-                        g,
-                        &format!("all-reduce {algo:?} g={g} n={n} rank={r}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bf16_reduce_scatter_stays_within_the_stated_error_bound() {
-    let w = WireDtype::Bf16;
-    for algo in CollAlgo::menu(CommOp::ReduceScatter) {
-        for g in GROUPS {
-            for n in SIZES {
-                let seed = 0x5c16 + (g * n) as u64;
-                let out = Mesh::run(g, move |ctx| {
-                    let data = payload(seed + ctx.rank() as u64, n);
-                    run(ctx, g, Coll::ReduceScatter, plan(*algo, w), data)
-                });
-                let want = serial_sum(g, n, seed);
-                let mass = abs_sum(g, n, seed);
-                let got: Vec<f32> = out.iter().flatten().copied().collect();
-                assert_eq!(got.len(), n, "{algo:?} g={g} n={n}: blocks must tile");
-                assert_within_bf16_bound(
-                    &got,
-                    &want,
-                    &mass,
-                    g,
-                    &format!("reduce-scatter {algo:?} g={g} n={n}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn bf16_live_and_dry_run_logs_are_byte_identical_per_algorithm() {
-    let w = WireDtype::Bf16;
-    for op in [
-        CommOp::Broadcast,
-        CommOp::Reduce,
-        CommOp::AllReduce,
-        CommOp::AllGather,
-        CommOp::ReduceScatter,
-    ] {
-        for algo in CollAlgo::menu(op) {
-            for g in GROUPS {
-                for n in [7usize, 65536] {
-                    let half = plan(*algo, w);
-                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, half, n));
-                    let (_, dry) =
-                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, half, n));
-                    assert_identical_logs(
-                        &live,
-                        &dry,
-                        &format!("bf16 {} {algo:?} g={g} n={n}", op.name()),
-                    );
-                    // The compressed schedule must never move more elements
-                    // than the full-width one — and genuinely fewer when
-                    // the per-hop segments are big enough to pack (a
-                    // 1-element chunk occupies one slot either way).
-                    let (_, full) =
-                        Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, plan(*algo, F32), n));
-                    let wire_elems = |logs: &[CommLog]| -> usize {
-                        logs.iter()
-                            .flat_map(|l| l.links.iter().map(|lk| lk.elems))
-                            .sum()
-                    };
-                    assert!(
-                        wire_elems(&live) <= wire_elems(&full),
-                        "bf16 {} {algo:?} g={g} n={n}: wire grew",
-                        op.name()
-                    );
-                    if n >= 2 * g {
-                        assert!(
-                            wire_elems(&live) < wire_elems(&full),
-                            "bf16 {} {algo:?} g={g} n={n}: no wire saving",
-                            op.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn live_and_dry_run_logs_are_byte_identical_per_algorithm() {
     // Two payload sizes: one below every pipelining threshold, one that
@@ -501,10 +249,10 @@ fn live_and_dry_run_logs_are_byte_identical_per_algorithm() {
         for algo in CollAlgo::menu(op) {
             for g in GROUPS {
                 for n in [7usize, 65536] {
-                    let full = plan(*algo, F32);
-                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, full, n));
+                    let algo = *algo;
+                    let (_, live) = Mesh::run_with_logs(g, move |ctx| drive(ctx, g, op, algo, n));
                     let (_, dry) =
-                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, full, n));
+                        Mesh::dry_run_with_logs(g, move |ctx| drive(ctx, g, op, algo, n));
                     assert_identical_logs(
                         &live,
                         &dry,
@@ -703,17 +451,15 @@ fn closed_form(op: CommOp, algo: CollAlgo, g: usize, n: usize, alpha: f64, beta:
 }
 
 /// (c) Pricing: `CostModel::coll_time` is a fold over the lists above — a
-/// send occupies its sender for `α + β·(wire bytes / 4)·|range|` and lands
-/// when it ends, a receive completes when both sides are ready, a compressed
-/// wire pays `γ·elems` once. Where [`closed_form`] is exact the fold must
-/// reproduce it, with every rate non-zero.
+/// send occupies its sender for `α + β·|range|` and lands when it ends, a
+/// receive completes when both sides are ready. Where [`closed_form`] is
+/// exact the fold must reproduce it, with every rate non-zero.
 #[test]
 fn the_cost_fold_reproduces_the_closed_forms_where_they_are_exact() {
-    let (alpha, beta, gamma) = (2.0e-5, 4.0e-10, 1.0e-10);
+    let (alpha, beta) = (2.0e-5, 4.0e-10);
     let profile = perf::HardwareProfile {
         alpha,
         beta_intra: beta,
-        gamma,
         ..perf::HardwareProfile::frontera_rtx5000()
     };
     for g in [2usize, 4, 8, 16, 32, 64] {
@@ -723,21 +469,17 @@ fn the_cost_fold_reproduces_the_closed_forms_where_they_are_exact() {
         // One chain segment, and the 32-segment cap.
         for payload in [1024usize, 65536] {
             assert!(payload % g == 0 && payload % chain_segments(payload) == 0);
-            for wire in [WireDtype::F32, WireDtype::Bf16] {
-                for (op, _) in CommOp::KINDS {
-                    // A barrier carries nothing.
-                    let n = if op == CommOp::Barrier { 0 } else { payload };
-                    let beta_wire = beta * wire.bytes_per_elem() as f64 / 4.0;
-                    let pack = if wire.is_f32() { 0.0 } else { gamma * n as f64 };
-                    for &algo in CollAlgo::menu(op) {
-                        let fold = cost.coll_time(op, algo, wire, &ranks, n);
-                        let want = closed_form(op, algo, g, n, alpha, beta_wire) + pack;
-                        assert!(
-                            (fold - want).abs() <= 1e-12 * want,
-                            "{} {algo:?} {wire:?} g={g} n={n}: fold {fold} vs closed form {want}",
-                            op.name()
-                        );
-                    }
+            for (op, _) in CommOp::KINDS {
+                // A barrier carries nothing.
+                let n = if op == CommOp::Barrier { 0 } else { payload };
+                for &algo in CollAlgo::menu(op) {
+                    let fold = cost.coll_time(op, algo, &ranks, n);
+                    let want = closed_form(op, algo, g, n, alpha, beta);
+                    assert!(
+                        (fold - want).abs() <= 1e-12 * want,
+                        "{} {algo:?} g={g} n={n}: fold {fold} vs closed form {want}",
+                        op.name()
+                    );
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! per rank — because every program here is data-independent.
 
 use mesh::{
-    packed_len, AlgoRule, AlgoTable, CollAlgo, CollTables, CommLog, CommOp, Communicator, Grid2d,
-    Group, Mesh, Mesh2d, MeshRun, WireDtype,
+    AlgoRule, AlgoTable, CollAlgo, CommLog, CommOp, Communicator, Grid2d, Group, Mesh, Mesh2d,
+    MeshRun,
 };
 use optimus_core::{OptimusConfig, OptimusModel};
 use tensor::Rng;
@@ -124,8 +124,8 @@ fn flat_world_traces_match_live() {
 
 /// Selection belongs to the run: two live meshes with *different* tables,
 /// provably in flight at the same time on two threads of this one process,
-/// each log their own algorithms and wire dtype — and each still matches
-/// the dry run of its own [`MeshRun`].
+/// each log their own algorithms — and each still matches the dry run of
+/// its own [`MeshRun`].
 #[test]
 fn concurrent_runs_select_from_their_own_tables() {
     const N: usize = 1024;
@@ -137,18 +137,11 @@ fn concurrent_runs_select_from_their_own_tables() {
         max_bytes: usize::MAX,
         algo,
     };
-    let retuned = CollTables {
-        algo: AlgoTable {
-            rules: vec![
-                always(CommOp::AllReduce, CollAlgo::Halving),
-                always(CommOp::Broadcast, CollAlgo::Chain),
-            ],
-        },
-        ..CollTables::default()
-    };
-    let compressed = CollTables {
-        wire: WireDtype::Bf16,
-        ..CollTables::default()
+    let retuned = AlgoTable {
+        rules: vec![
+            always(CommOp::AllReduce, CollAlgo::Halving),
+            always(CommOp::Broadcast, CollAlgo::Chain),
+        ],
     };
     fn program<C: Communicator>(ctx: &C) {
         let world = Group::world(4);
@@ -159,7 +152,7 @@ fn concurrent_runs_select_from_their_own_tables() {
     // Rank 0 of each mesh meets the other's before its first collective and
     // after its last, so both meshes are up for the whole of both programs.
     let both_up = std::sync::Barrier::new(2);
-    let launch = |tables: &CollTables| {
+    let launch = |tables: &AlgoTable| {
         let run = MeshRun::new(&[4], tables.clone());
         let (_, live) = run.run_with_logs(|g| {
             if g.ctx().rank() == 0 {
@@ -176,17 +169,17 @@ fn concurrent_runs_select_from_their_own_tables() {
     };
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(|| launch(&retuned));
-        let b = s.spawn(|| launch(&compressed));
+        let b = s.spawn(|| launch(&AlgoTable::default()));
         (a.join().unwrap(), b.join().unwrap())
     });
     let algos = |log: &CommLog| log.ops.iter().map(|o| o.algo).collect::<Vec<_>>();
     for (ra, rb) in a.iter().zip(&b) {
         assert_eq!(algos(ra), [CollAlgo::Halving, CollAlgo::Chain]);
         assert_eq!(algos(rb), [CollAlgo::Ring, CollAlgo::Tree]);
-        // Halving's first round moves half the payload, full width; every
-        // ring hop moves a quarter of it, packed two values to a slot.
+        // Halving's first round moves half the payload; every ring hop
+        // moves a quarter of it.
         assert_eq!(ra.links[0].elems, N / 2);
-        assert_eq!(rb.links[0].elems, packed_len(N / 4, WireDtype::Bf16));
+        assert_eq!(rb.links[0].elems, N / 4);
     }
 }
 
@@ -200,18 +193,15 @@ fn summa_panels_follow_the_runs_table() {
     let mut rng = Rng::new(5);
     let a = tensor::Tensor::randn(&[3 * q, 2 * q], 1.0, &mut rng);
     let b = tensor::Tensor::randn(&[2 * q, 5 * q], 1.0, &mut rng);
-    let chain = CollTables {
-        algo: AlgoTable {
-            rules: vec![AlgoRule {
-                op: CommOp::Broadcast,
-                min_group: 1,
-                max_group: usize::MAX,
-                min_bytes: 0,
-                max_bytes: usize::MAX,
-                algo: CollAlgo::Chain,
-            }],
-        },
-        ..CollTables::default()
+    let chain = AlgoTable {
+        rules: vec![AlgoRule {
+            op: CommOp::Broadcast,
+            min_group: 1,
+            max_group: usize::MAX,
+            min_bytes: 0,
+            max_bytes: usize::MAX,
+            algo: CollAlgo::Chain,
+        }],
     };
     fn product<C: Communicator>(
         g: &Grid2d<C>,
@@ -220,7 +210,7 @@ fn summa_panels_follow_the_runs_table() {
     ) -> tensor::Tensor {
         summa::summa_nn(g, &summa::distribute(g, a), &summa::distribute(g, b))
     }
-    let bits = |tables: CollTables| {
+    let bits = |tables: AlgoTable| {
         let run = MeshRun::new(&[q, q], tables);
         let (blocks, live) = run.run_with_logs(|g| product(g, &a, &b));
         let (_, dry) = run.dry_run_with_logs(|g| {
@@ -233,7 +223,7 @@ fn summa_panels_follow_the_runs_table() {
             live,
         )
     };
-    let (want, _) = bits(CollTables::default());
+    let (want, _) = bits(AlgoTable::default());
     let (got, logs) = bits(chain);
     assert_eq!(got, want, "a chain broadcast changed the product");
     for log in &logs {
