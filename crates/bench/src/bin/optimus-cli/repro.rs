@@ -1,16 +1,16 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! `repro`: regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [table1|table2|table3|fig7|fig8|fig9|projection|paradigms|trace|validate|all]
+//! optimus-cli repro [table1|table2|table3|fig7|fig8|fig9|projection|paradigms|trace|all]
 //! ```
 //!
-//! Model numbers come from the calibrated Frontera profile (see
-//! EXPERIMENTS.md); the paper's published numbers are printed alongside.
+//! Model numbers come from the paper's Frontera profile (see
+//! EXPERIMENTS.md), priced with the built-in collective algorithms; nothing
+//! under `results/` is read, so a calibration or a tuned table on disk does
+//! not move them. The paper's published numbers are printed alongside.
 //! `trace` records one training step's phase-scoped timeline on a 4×4
 //! dry-run mesh and cross-checks it against Table 1 (the worked example of
-//! OBSERVABILITY.md). `validate` runs the *executed* thread-mesh simulation
-//! at small scale and checks the communication volumes against the Table 1
-//! closed forms, and the distributed losses against the serial reference.
+//! OBSERVABILITY.md).
 
 use bench::{f3, f4, render_table, write_csv};
 use perf::memory;
@@ -45,7 +45,7 @@ const PAPER_STRONG_OPT: [(f64, f64, f64, f64); 4] = [
     (0.1253, 0.3716, 2.0123, 7.9808),
 ];
 
-fn table1() {
+fn table1(_: &HardwareProfile) {
     println!(
         "== Table 1: per-layer, per-device communication (f32 elems) and computation (MACs) =="
     );
@@ -532,200 +532,43 @@ fn trace_demo(profile: &HardwareProfile) {
     println!();
 }
 
-/// Executes the real thread-mesh simulation at small scale and validates
-/// (a) communication volumes against Table 1 and (b) numerics against the
-/// serial reference.
-fn validate() {
-    use mesh::{CommOp, Group, Mesh, Mesh2d};
-    use optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
-    use serial::{LayerParams, ModelConfig, SerialModel};
-    use summa::distribute;
-    use tensor::{Rng, Tensor};
+/// Prints one artifact and writes its CSVs.
+type Artifact = fn(&HardwareProfile);
 
-    println!("== Validation: executed simulation vs closed forms and serial reference ==\n");
+/// Every artifact, in the order `all` prints them.
+const ARTIFACTS: [(&str, Artifact); 9] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("projection", projection),
+    ("paradigms", paradigms),
+    ("trace", trace_demo),
+];
 
-    // (a) Megatron forward comm volume = 4(p-1)/p * bsh per layer.
-    let model_cfg = ModelConfig {
-        batch: 4,
-        seq: 8,
-        hidden: 16,
-        heads: 4,
-        vocab: 32,
-        layers: 1,
-        causal: false,
+/// The `repro` command: prints the artifact `argv` names (`all` when it
+/// names none) and writes its CSVs under `results/`. An unknown name, or
+/// more than one, is an error that lists the artifacts.
+pub fn run(argv: &[String]) -> Result<(), String> {
+    let usage = || {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        format!("usage: optimus-cli repro [{}|all]", names.join("|"))
     };
-    let p = 4;
-    let full = LayerParams::init(0, 0, model_cfg.hidden);
-    let mcfg = megatron::MegatronConfig::new(model_cfg, p);
-    let mut rng = Rng::new(0);
-    let x = Tensor::randn(&[model_cfg.tokens(), model_cfg.hidden], 1.0, &mut rng);
-    let (_, logs) = Mesh::run_with_logs(p, |ctx| {
-        let world = Group::world(p);
-        let low = megatron::Megatron1d {
-            ctx,
-            world: &world,
-            cfg: &mcfg,
-        };
-        let lp = serial::shard_layer(&low, &full);
-        megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
-    });
-    let bsh = model_cfg.tokens() * model_cfg.hidden;
-    let wire: usize = logs[0]
-        .ops
-        .iter()
-        .filter(|o| o.op == CommOp::AllReduce)
-        .map(|o| 2 * (o.group_size - 1) * o.elems / o.group_size)
-        .sum();
-    let expect = megatron_layer_costs(model_cfg.batch, model_cfg.seq, model_cfg.hidden, p).fwd_comm;
-    println!(
-        "[megatron fwd comm]   executed ring wire volume {} elems, Table 1 gives {} -> {}",
-        wire,
-        expect,
-        if (wire as f64 - expect).abs() < 1e-6 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
-    assert!((wire as f64 - expect).abs() < 1e-6);
-    let _ = bsh;
-
-    // (b) Optimus forward SUMMA broadcast payloads = (7bsh + 12h^2)/q per
-    // device per layer (the log factor is the tree depth, not payload).
-    let ocfg = OptimusConfig {
-        q: 2,
-        batch: 4,
-        seq: 8,
-        hidden: 16,
-        heads: 4,
-        vocab: 32,
-        layers: 1,
-        causal: false,
-        checkpoint: false,
-        fused_attention: false,
+    let artifact = match argv {
+        [] => "all",
+        [a] => a.as_str(),
+        _ => return Err(format!("repro takes one artifact name; {}", usage())),
     };
-    let (_, logs) = Mesh2d::run_with_logs(ocfg.q, |g| {
-        let low = Summa2d {
-            grid: g,
-            cfg: &ocfg,
-        };
-        let lp = serial::shard_layer(&low, &full);
-        layer2d_forward(g, &ocfg, &lp, &distribute(g, &x));
-    });
-    let (b, s, h, q) = (ocfg.batch, ocfg.seq, ocfg.hidden, ocfg.q);
-    let summa_payload = (7 * b * s * h + 12 * h * h) / q;
-    // Isolate the SUMMA panels (≥ h²/q² elems): the layer's eight bias and
-    // LN vectors travel as one region of 13h/q elems, which can be as
-    // large, so it is told apart by its exact length.
-    let measured: usize = logs[0]
-        .ops
-        .iter()
-        .filter(|o| o.op == CommOp::Broadcast && o.elems >= h * h / (q * q))
-        .filter(|o| o.elems != 13 * h / q)
-        .map(|o| o.elems)
-        .sum();
-    println!(
-        "[optimus fwd panels]  executed broadcast payload {} elems, closed form {} -> {}",
-        measured,
-        summa_payload,
-        if measured == summa_payload {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
-    assert_eq!(measured, summa_payload);
-
-    // (c) Numerics: serial vs Megatron vs Optimus losses.
-    let mut rng = Rng::new(1);
-    let tokens: Vec<usize> = (0..model_cfg.tokens())
-        .map(|_| rng.below(model_cfg.vocab))
-        .collect();
-    let labels: Vec<usize> = (0..model_cfg.tokens())
-        .map(|_| rng.below(model_cfg.vocab))
-        .collect();
-    let l_serial = SerialModel::new(model_cfg, 7).lm_loss(&tokens, &labels);
-    let l_meg = Mesh::run(p, |ctx| {
-        megatron::MegatronModel::new(mcfg, 7, ctx).lm_loss(ctx, &tokens, &labels)
-    })[0];
-    let cfg2 = OptimusConfig { layers: 2, ..ocfg };
-    let model_cfg2 = ModelConfig {
-        layers: 2,
-        ..model_cfg
-    };
-    let l_serial2 = SerialModel::new(model_cfg2, 7).lm_loss(&tokens, &labels);
-    let l_opt = Mesh2d::run(cfg2.q, |g| {
-        OptimusModel::new(&cfg2, 7, g).lm_loss(g, &tokens, &labels)
-    })[0];
-    println!(
-        "[loss equivalence]    serial {l_serial:.6} vs megatron {l_meg:.6}; serial(2L) {l_serial2:.6} vs optimus {l_opt:.6} -> {}",
-        if (l_serial - l_meg).abs() < 1e-4 && (l_serial2 - l_opt).abs() < 1e-4 { "OK" } else { "MISMATCH" }
-    );
-    assert!((l_serial - l_meg).abs() < 1e-4);
-    assert!((l_serial2 - l_opt).abs() < 1e-4);
-
-    // (d) Fig. 9 mechanism at simulation scale: measured peak activation
-    // bytes per device, checkpointing on vs off.
-    let mut cfg_mem = OptimusConfig::tiny(2);
-    cfg_mem.layers = 4;
-    let mut rng = Rng::new(2);
-    let tokens: Vec<usize> = (0..cfg_mem.batch * cfg_mem.seq)
-        .map(|_| rng.below(cfg_mem.vocab))
-        .collect();
-    let labels: Vec<usize> = (0..cfg_mem.batch * cfg_mem.seq)
-        .map(|_| rng.below(cfg_mem.vocab))
-        .collect();
-    let peak = |ck: bool| {
-        let mut c = cfg_mem;
-        c.checkpoint = ck;
-        Mesh2d::run(c.q, |g| {
-            let mut m = OptimusModel::new(&c, 5, g);
-            m.train_step_detailed(g, &tokens, &labels, 0.1)
-                .peak_activation_bytes
-        })[0]
-    };
-    let (off, on) = (peak(false), peak(true));
-    println!(
-        "[checkpoint memory]   peak activation bytes/device: {} without vs {} with checkpointing ({:.2}x) -> {}",
-        off,
-        on,
-        off as f64 / on as f64,
-        if on < off { "OK" } else { "MISMATCH" }
-    );
-    assert!(on < off);
-    println!("\nall validations passed");
-}
-
-fn main() {
+    if artifact != "all" && !ARTIFACTS.iter().any(|(name, _)| *name == artifact) {
+        return Err(format!("unknown artifact '{artifact}'; {}", usage()));
+    }
     let profile = HardwareProfile::frontera_rtx5000();
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match arg.as_str() {
-        "table1" => table1(),
-        "table2" => table2(&profile),
-        "table3" => table3(&profile),
-        "fig7" => fig7(&profile),
-        "fig8" => fig8(&profile),
-        "fig9" => fig9(&profile),
-        "projection" => projection(&profile),
-        "paradigms" => paradigms(&profile),
-        "trace" => trace_demo(&profile),
-        "validate" => validate(),
-        "all" => {
-            table1();
-            table2(&profile);
-            table3(&profile);
-            fig7(&profile);
-            fig8(&profile);
-            fig9(&profile);
-            projection(&profile);
-            paradigms(&profile);
-            trace_demo(&profile);
-            validate();
-        }
-        other => {
-            eprintln!("unknown artifact '{other}'");
-            eprintln!("usage: repro [table1|table2|table3|fig7|fig8|fig9|projection|paradigms|trace|validate|all]");
-            std::process::exit(2);
+    for (name, f) in ARTIFACTS {
+        if artifact == "all" || artifact == name {
+            f(&profile);
         }
     }
+    Ok(())
 }

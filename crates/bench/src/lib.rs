@@ -1,7 +1,6 @@
 //! Shared helpers for the reproduction harness: text-table rendering, CSV
-//! output for the `repro` binary, and a minimal wall-clock microbenchmark
-//! runner used by every target under `benches/` (all of which are plain
-//! `harness = false` binaries).
+//! output for `optimus-cli repro`, and a minimal wall-clock microbenchmark
+//! runner used by `gemm-bench`.
 
 pub mod coll;
 

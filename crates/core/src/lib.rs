@@ -32,8 +32,11 @@
 //! * **Memory management** ([`MemMeter`], activation checkpointing in
 //!   [`OptimusModel`]) — the Section 3.2.3 techniques: per-layer recompute
 //!   and immediate parameter update + gradient-buffer reset, both policies
-//!   of the shared sweeps; the pre-allocated reusable buffers are
-//!   `summa::Workspace` and `mesh::pool::BufferPool`.
+//!   of the shared sweeps. `mesh::pool::BufferPool` recycles message
+//!   buffers; `summa::Workspace` is reusable only by a caller that holds it
+//!   across products (`summa::summa_nn_into` and kin) — the model's
+//!   products go through `summa::summa_product`, which builds a fresh one
+//!   each, so a step allocates its panels anew.
 //!
 //! Every layer and the full stem are verified element-wise against the
 //! serial reference (same seed ⇒ same losses, same gradients) by this

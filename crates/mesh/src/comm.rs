@@ -268,20 +268,17 @@ pub(crate) fn run_collective<B: Backend>(
         if op != CommOp::Broadcast {
             record_group_op(&mut log, op, algo, group, n);
         }
-        let mut wire_elems = 0;
         for step in &list.steps {
             if let Step::Send { peer, range } = step {
                 let p = b.world_size();
                 assert!(*peer < p, "send to rank {peer} out of range (p={p})");
                 log.record_link(b.rank(), *peer, range.len(), Some(op));
-                wire_elems += range.len();
             }
         }
         if op == CommOp::Broadcast {
             record_group_op(&mut log, op, algo, group, n);
         }
         drop(log);
-        metrics::device_counter_add("coll_wire_bytes", 4 * wire_elems as u64);
         let started = metrics::device_active().then(Instant::now);
         b.run_steps(&list, buf);
         if let Some(t0) = started {

@@ -162,13 +162,13 @@ impl CostModel {
 
     /// Cost of one trace op event, in seconds — [`CostModel::coll_time`]
     /// applied to a [`trace::OpMeta`], so `tracecheck` re-prices exactly
-    /// the steps that ran. Unknown kinds cost zero; an empty or unknown
-    /// algorithm label prices the op's default schedule.
+    /// the steps that ran. `mesh::comm::op_meta` writes both labels from a
+    /// typed `CommOp` and `CollAlgo`, so a label that names none panics.
     pub fn meta_time(&self, meta: &trace::OpMeta) -> f64 {
-        let Some(op) = CommOp::from_name(meta.kind) else {
-            return 0.0;
-        };
-        let algo = CollAlgo::from_name(meta.algo).unwrap_or_else(|| CollAlgo::default_for(op));
+        let op = CommOp::from_name(meta.kind)
+            .unwrap_or_else(|| panic!("op kind '{}' is no CommOp", meta.kind));
+        let algo = CollAlgo::from_name(meta.algo)
+            .unwrap_or_else(|| panic!("algorithm '{}' is no CollAlgo", meta.algo));
         let ranks = meta
             .group_ranks()
             .unwrap_or_else(|| (0..meta.group_size).collect());
@@ -375,8 +375,6 @@ mod tests {
         let ranks: Vec<usize> = (0..8).collect();
         let t = |algo| m.coll_time(CommOp::AllReduce, algo, &ranks, 4096);
         assert_eq!(m.meta_time(&meta("halving")), t(CollAlgo::Halving));
-        // Empty label (pre-registry producer) prices the default schedule.
-        assert_eq!(m.meta_time(&meta("")), t(CollAlgo::Ring));
     }
 
     #[test]

@@ -61,21 +61,6 @@ impl HardwareProfile {
             gpus_per_node: usize::MAX,
         }
     }
-
-    /// The same machine on a clock `k` times finer: every time term (α,
-    /// both β and the time per MAC) is multiplied by `k`. The model is
-    /// linear in them, so relative gaps are unchanged while a priced
-    /// timeline's 1 ns rounding floor shrinks `k`-fold — how the 1e-5
-    /// reconciliation gates price a dry run.
-    pub fn clock_scaled(&self, k: f64) -> Self {
-        HardwareProfile {
-            mac_rate: self.mac_rate / k,
-            alpha: self.alpha * k,
-            beta_intra: self.beta_intra * k,
-            beta_inter: self.beta_inter * k,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,18 +74,5 @@ mod tests {
         assert!(p.beta_inter >= p.beta_intra);
         assert_eq!(p.gpus_per_node, 4);
         assert!(p.mem_bytes > 15e9);
-    }
-
-    #[test]
-    fn clock_scaling_scales_collectives_exactly() {
-        use mesh::{CollAlgo, CommOp, Topology};
-        const K: f64 = 1024.0;
-        let p = HardwareProfile::frontera_rtx5000();
-        let ranks: Vec<usize> = (0..8).collect();
-        let base = crate::CostModel::new(p.clone(), Topology::flat(8, 4));
-        let fine = crate::CostModel::new(p.clock_scaled(K), Topology::flat(8, 4));
-        let t = |m: &crate::CostModel| m.coll_time(CommOp::AllReduce, CollAlgo::Ring, &ranks, 4096);
-        assert_eq!(t(&fine), K * t(&base));
-        assert_eq!(fine.compute_time(1e9), K * base.compute_time(1e9));
     }
 }

@@ -15,8 +15,11 @@
 //! The set is **closed under differentiation** (paper Eqs. 1–3), so every
 //! gradient of a SUMMA product is itself a SUMMA product — see the
 //! `grad_*` helpers. [`Workspace`] provides the paper's Section 3.2.3
-//! pre-allocated communication buffers: after warm-up, a training step
-//! performs zero fresh panel allocations. [`summa_product`] runs any of the
+//! pre-allocated communication buffers to a caller that holds it across
+//! products (`summa_*_into`): after warm-up such a caller performs zero
+//! fresh panel allocations. [`summa_product`] builds a fresh one per call,
+//! so the model's step, which calls it, does not reuse panel buffers.
+//! [`summa_product`] runs any of the
 //! three forms and can keep the panels it receives as [`Strips`], or read a
 //! later product's panels from strips an earlier one kept: a checkpointed
 //! layer's backward `NT`/`TN` read the panels of `W` and `x` that the

@@ -87,15 +87,15 @@ pub struct OpMeta {
     /// metadata for trace filtering — never part of cost-model pricing.
     pub axis: &'static str,
     /// Name of the collective algorithm that ran (`"tree"`, `"ring"`,
-    /// `"chain"`, `"halving"`, `"bruck"`; `""` when the producer predates
-    /// algorithm selection). Unlike `axis` this **does** feed pricing: the
-    /// cost model dispatches on it so a dry run prices exactly the
-    /// algorithm the live backend would run.
+    /// `"chain"`, `"halving"`, `"bruck"`; [`OpMeta::collective`] leaves it
+    /// `""` for tests that price nothing). Unlike `axis` this **does** feed
+    /// pricing: the cost model dispatches on it so a dry run prices exactly
+    /// the algorithm the live backend would run.
     pub algo: &'static str,
 }
 
 impl OpMeta {
-    /// Convenience constructor used by the backends and tests.
+    /// Convenience constructor for tests: no axis, no algorithm label.
     pub fn collective(
         kind: &'static str,
         group_size: usize,

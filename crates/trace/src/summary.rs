@@ -16,8 +16,8 @@ pub struct SummaryRow {
     pub phase: String,
     /// Collective kind (`CommOp::name`).
     pub kind: &'static str,
-    /// Algorithm name stamped on the ops (`""` for producers that predate
-    /// algorithm selection).
+    /// Algorithm name stamped on the ops (`""` for metas built by
+    /// [`crate::OpMeta::collective`]).
     pub algo: &'static str,
     /// Number of op events (summed over ranks).
     pub count: usize,

@@ -6,8 +6,8 @@
 //! cargo run --release --example scaling_report
 //! ```
 //!
-//! For the full side-by-side tables with the paper's numbers, run the
-//! `repro` binary: `cargo run --release -p bench --bin repro all`.
+//! For the full side-by-side tables with the paper's numbers, run
+//! `cargo run --release -p bench --bin optimus-cli -- repro all`.
 
 use optimus::perf::scaling::{strong_scaling, weak_scaling};
 use optimus::perf::HardwareProfile;
