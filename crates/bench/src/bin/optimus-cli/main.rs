@@ -485,6 +485,16 @@ fn fail(e: &str, code: i32) -> ! {
 }
 
 fn main() {
+    // A reader that stops early (`optimus-cli repro | head`) ends the run
+    // quietly with status 0; every other panic reports as usual.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // A bare `optimus-cli --dry-run ...` is sugar for `train --dry-run ...`.
     let (cmd, rest) = match argv.split_first() {

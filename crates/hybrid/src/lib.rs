@@ -34,7 +34,9 @@
 //! groups tie the composition together:
 //!
 //! * **`"dp"`** — devices with equal `(stage, mesh_rank)` across replicas:
-//!   gradients are all-reduced here after the local backward.
+//!   after the local backward each device's gradients travel here as one
+//!   walk-order region ([`serial::Region::synced`]) — one all-reduce, or
+//!   under ZeRO-1 one reduce-scatter and one all-gather per step.
 //! * **`"tie"`** — the first- and last-stage devices with equal
 //!   `(replica, mesh_rank)`: the tied embedding-table gradient is
 //!   all-reduced between exactly these two (the Megatron-LM trick).
@@ -73,7 +75,7 @@
 //! completes. The stage's bias and layer-norm vectors travel once per step,
 //! not per microbatch: one column broadcast before the first forward, and
 //! one column reduce of their summed gradients after the last backward
-//! ([`serial::Vectors`]). Between stages, each device exchanges only its *local*
+//! ([`serial::Region`]). Between stages, each device exchanges only its *local*
 //! `[bm·s/q, h/q]` activation block with the same `(replica, mesh_rank)`
 //! device of the adjacent stage.
 //! Backward-edge receives use [`mesh::Communicator::recv_expect`] with the
@@ -109,10 +111,10 @@
 
 use std::collections::VecDeque;
 
-use mesh::{chunk, Communicator, GridNd, Group};
+use mesh::{Communicator, GridNd, Group};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Bottom, Grads, Keep, MemMeter, Out};
-use serial::{walk_stem, LayerTensors, Lowering, Optimizer, Slot, Vectors};
+use serial::{Lowering, Optimizer, Region, StemRef};
 use tensor::Tensor;
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -465,8 +467,8 @@ impl HybridStage {
         // nor travels; its gradients stay zero, so every stage's gradient
         // layout is the same.
         let (model, head) = (self.model.stem(), above.is_none());
-        let v = Vectors::load(&low, head.then_some(model.final_ln), model.layers);
-        let mut dv = Vectors::zeros(&low, model.layers.len(), head);
+        let v = Region::load(&low, head.then_some(model.final_ln), model.layers);
+        let mut dv = Region::vectors(&low, model.layers.len(), head);
         let mut grads = Grads::new();
 
         let warmup = (self.spec.pp - 1 - self.stage).min(m);
@@ -543,15 +545,22 @@ impl HybridStage {
     /// clip scale (1 unless [`Optimizer::Clipped`]), both identical on every
     /// device of the world.
     ///
+    /// The gradients a stage syncs over the dp group travel as one region in
+    /// the canonical walk order ([`serial::Region::synced`]): the table on
+    /// the first and last stage, every weight, and on the devices that host
+    /// them the vectors, with the final layer norm only on the last stage.
+    /// The sync runs after the whole 1F1B schedule, so one buffer holds up
+    /// no microbatch.
+    ///
     /// [`Optimizer::Adam`] with `dp > 1` runs under **ZeRO stage-1**
     /// (Rajbhandari et al., which the paper cites as orthogonal to its own
-    /// method): replica `r` keeps the moments of, and updates, only chunk `r`
-    /// of each tensor ([`mesh::chunk`], the reduce-scatter's partition). Per
-    /// tensor the gradient is reduce-scattered over the dp group, the owned
-    /// chunk takes its Adam step and every chunk is broadcast back from its
-    /// owner: optimizer memory drops `dp`-fold, the math is full-state Adam
-    /// on the global batch. Every other update all-reduces each gradient
-    /// over the dp axis, syncs the tied table and takes [`Optimizer::step`].
+    /// method): the tied table is synced, one reduce-scatter of the region
+    /// gives replica `r` block `r` of the summed gradients, it keeps the
+    /// moments of, and updates, only that block of the same walk over the
+    /// parameters, and one all-gather gives every replica all the blocks.
+    /// Optimizer memory drops `dp`-fold and the math is full-state Adam on
+    /// the global batch. Every other update all-reduces the region over the
+    /// dp axis, syncs the tied table and takes [`Optimizer::step`].
     ///
     /// # Panics
     ///
@@ -573,23 +582,30 @@ impl HybridStage {
         let scale = match opt {
             Optimizer::Adam(opt) if self.spec.dp > 1 => {
                 self.tie_sync(ctx, grads.embedding.as_mut_slice());
-                let dp = self.spec.dp_group(self.stage, self.mesh_rank);
-                let (d, me) = (dp.len(), self.replica);
+                let (dp, me) = (self.spec.dp_group(self.stage, self.mesh_rank), self.replica);
+                let mut params = self.synced(&self.model.stem());
+                let n = params.as_mut_slice().len();
+                // `all_gather` takes equal blocks: the two buffers that
+                // travel are padded; the moments cover real parameters only.
+                let block = n.div_ceil(dp.len());
+                let mut g = self.synced(&grads.stem()).into_vec();
+                g.resize(block * dp.len(), 0.0);
+                let mine = ctx.reduce_scatter(&dp, &mut g);
+                let own = (me * block).min(n)..((me + 1) * block).min(n);
+                let values = params.as_mut_slice();
                 opt.begin_step();
-                walk_stem(self.model.stem_mut(), &grads, &mut |param, grad| {
-                    let (n, mine) = (param.len(), ctx.reduce_scatter(&dp, &mut grad.to_vec()));
-                    opt.apply(&mut param[chunk(n, d, me)], &mine);
-                    for r in 0..d {
-                        ctx.broadcast(&dp, r, &mut param[chunk(n, d, r)]);
-                    }
-                });
+                opt.apply(&mut values[own.clone()], &mine[..own.len()]);
+                let mut sent = values[own].to_vec();
+                sent.resize(block, 0.0);
+                values.copy_from_slice(&ctx.all_gather(&dp, &sent)[..n]);
+                params.walk(self.model.stem_mut(), &mut |p, v| p.copy_from_slice(v));
                 1.0
             }
             _ => {
+                self.dp_sync(ctx, &mut grads);
+                self.tie_sync(ctx, grads.embedding.as_mut_slice());
                 let micro = self.model.cfg;
                 let low = Summa2d { grid, cfg: &micro };
-                self.dp_sync(&low, &mut grads);
-                self.tie_sync(ctx, grads.embedding.as_mut_slice());
                 opt.step(&low, self.model.stem_mut(), &grads)
             }
         };
@@ -608,33 +624,22 @@ impl HybridStage {
         self.step(grid, tokens, labels, &mut sgd).0
     }
 
-    /// The dp all-reduce (sum) of every gradient this stage syncs — the
-    /// table, each weight in walk order, then on the devices that host them
-    /// the vectors as one region.
-    fn dp_sync<C: Communicator>(&self, low: &Summa2d<C>, grads: &mut Model2dGrads) {
+    /// This device's tensors of `stem` that the replicas sync, as one region
+    /// in walk order: the table on the first and last stage, the final layer
+    /// norm on the last.
+    fn synced(&self, stem: &StemRef<'_, Option<Vec<f32>>>) -> Region {
+        Region::synced(stem, self.is_first() || self.is_last(), self.is_last())
+    }
+
+    /// The dp all-reduce (sum) of every gradient this stage syncs: one call.
+    fn dp_sync<C: Communicator>(&self, ctx: &C, grads: &mut Model2dGrads) {
         if self.spec.dp == 1 {
             return;
         }
-        let ctx = low.grid.ctx();
+        let mut region = self.synced(&grads.stem());
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
-        let (has_table, is_last) = (self.is_first() || self.is_last(), self.is_last());
-        let sync = |v: &mut [f32]| ctx.all_reduce(&dp, v);
-        // Middle stages carry a table and a final LN whose gradients are
-        // permanently zero: nothing to sync.
-        if has_table {
-            sync(grads.embedding.as_mut_slice());
-        }
-        for w in grads.layers.iter_mut().flat_map(LayerTensors::weights_mut) {
-            sync(w.as_mut_slice());
-        }
-        // The devices that host the vectors sync them as one region, which
-        // holds the final layer norm's only on the stage that runs it.
-        if low.place(Slot::Norm).hosted {
-            let final_ln = is_last.then_some([&grads.final_ln_g, &grads.final_ln_b]);
-            let mut v = Vectors::pack(low, final_ln, &grads.layers);
-            sync(v.travelling_mut());
-            v.walk(grads.stem_mut(), &mut |g, synced| g.copy_from_slice(synced));
-        }
+        ctx.all_reduce(&dp, region.as_mut_slice());
+        region.walk(grads.stem_mut(), &mut |g, synced| g.copy_from_slice(synced));
     }
 }
 
@@ -642,7 +647,8 @@ impl HybridStage {
 mod tests {
     use super::*;
     use mesh::{CommOp, Mesh};
-    use serial::SerialModel;
+    use serial::{LayerTensors, SerialModel};
+    use tensor::optim::AdamSet;
     use tensor::Rng;
 
     fn data(cfg: &OptimusConfig, seed: u64) -> (Vec<usize>, Vec<usize>) {
@@ -876,12 +882,14 @@ mod tests {
     }
 
     #[test]
-    fn dp_sync_moves_the_table_the_weights_and_one_vector_region() {
-        // Per rank the multiset of dp all-reduce sizes (plus the last
-        // stage's loss scalar) is the table on the two ends of the pipeline,
-        // each weight, and on mesh row 0, which hosts the vectors, one
-        // region of them all: the layers' eight each and, on the last
-        // stage, the final layer norm's two.
+    fn the_dp_axis_carries_one_region_per_step() {
+        // Per rank, the dp group sees the stage's synced region once: under
+        // SGD one all-reduce of all of it, under ZeRO-1 one reduce-scatter
+        // of it and one all-gather of this replica's half — plus the last
+        // stage's loss scalar. The region is the table on the two ends of
+        // the pipeline, each weight and, on mesh row 0, which hosts them,
+        // the layers' eight vectors each and the last stage's final layer
+        // norm.
         let cfg = OptimusConfig {
             batch: 8,
             ..OptimusConfig::tiny(2)
@@ -893,41 +901,38 @@ mod tests {
             grid: [2, 2, 1],
             microbatches: 2,
         };
-        let (want, logs) = Mesh::run_with_logs(spec.devices(), |ctx| {
-            let (mut st, grid) = build(ctx, &spec, &cfg, 7);
-            st.train_step(&grid, &tokens, &labels, 0.1);
-            let (m, last) = (&st.model, st.is_last());
-            let len = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, Vec::len);
-            let mut want = vec![(st.is_first() || last).then_some(m.table.len())];
-            let mut region = 0;
-            if last {
-                want.push(Some(1));
-                region += len(&m.final_ln_g) + len(&m.final_ln_b);
+        for adam in [false, true] {
+            let (want, logs) = Mesh::run_with_logs(spec.devices(), |ctx| {
+                let (mut st, grid) = build(ctx, &spec, &cfg, 7);
+                let mut opt = match adam {
+                    true => Optimizer::Adam(AdamSet::new(0.01)),
+                    false => Optimizer::Sgd { lr: 0.1 },
+                };
+                st.step(&grid, &tokens, &labels, &mut opt);
+                let (m, last) = (&st.model, st.is_last());
+                let len = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, Vec::len);
+                let fin = len(&m.final_ln_g) + len(&m.final_ln_b);
+                let layers: usize = m.layers.iter().map(LayerTensors::num_params).sum();
+                let ends = (st.is_first() || last) as usize * m.table.len();
+                let n = layers + ends + last as usize * fin;
+                let mut want = match adam {
+                    true => vec![
+                        (CommOp::ReduceScatter, n),
+                        (CommOp::AllGather, n.div_ceil(2)),
+                    ],
+                    false => vec![(CommOp::AllReduce, n)],
+                };
+                want.extend(last.then_some((CommOp::AllReduce, 1)));
+                want
+            });
+            for (log, want) in logs.iter().zip(&want) {
+                // Only the dp groups pair ranks one stage-replica mesh apart.
+                let got: Vec<(CommOp, usize)> = (log.ops.iter())
+                    .filter(|o| o.group_stride == spec.mesh_devices())
+                    .map(|o| (o.op, o.elems))
+                    .collect();
+                assert_eq!(&got, want, "adam={adam}, rank {}", log.rank);
             }
-            for l in &m.layers {
-                want.extend([l.w_qkv.len(), l.w_out.len(), l.w_fc1.len(), l.w_fc2.len()].map(Some));
-                region += [&l.ln1_g, &l.ln1_b, &l.b_qkv, &l.b_out]
-                    .map(len)
-                    .iter()
-                    .sum::<usize>();
-                region += [&l.ln2_g, &l.ln2_b, &l.b_fc1, &l.b_fc2]
-                    .map(len)
-                    .iter()
-                    .sum::<usize>();
-            }
-            want.push((region > 0).then_some(region));
-            let mut want: Vec<usize> = want.into_iter().flatten().collect();
-            want.sort_unstable();
-            want
-        });
-        for (log, want) in logs.iter().zip(&want) {
-            // Only the dp groups pair ranks one stage-replica mesh apart.
-            let mut got: Vec<usize> = (log.ops.iter())
-                .filter(|o| o.op == CommOp::AllReduce && o.group_stride == spec.mesh_devices())
-                .map(|o| o.elems)
-                .collect();
-            got.sort_unstable();
-            assert_eq!(&got, want, "rank {}", log.rank);
         }
     }
 

@@ -289,7 +289,6 @@ struct DeviceState {
     phase_stack: Vec<(&'static str, u64)>,
     phase_peaks: Vec<(&'static str, u64)>,
     wait_ns: Vec<(&'static str, Histogram)>,
-    counters: Vec<(&'static str, u64)>,
 }
 
 impl DeviceState {
@@ -304,7 +303,6 @@ impl DeviceState {
             phase_stack: Vec::new(),
             phase_peaks: Vec::new(),
             wait_ns: Vec::new(),
-            counters: Vec::new(),
         }
     }
 }
@@ -344,7 +342,6 @@ pub fn device_finish(rank: usize) {
         alloc_bytes_total: st.alloc_bytes_total,
         phase_peaks: st.phase_peaks.into_iter().collect(),
         wait_ns: st.wait_ns.iter().map(|(k, h)| (*k, h.snapshot())).collect(),
-        counters: st.counters.into_iter().collect(),
     };
     SINK.lock().unwrap().push(snap);
 }
@@ -425,11 +422,6 @@ pub fn comm_wait_ns(kind: &'static str, ns: u64) {
     with_state(|st| vec_entry(&mut st.wait_ns, kind, Histogram::new).record(ns));
 }
 
-/// Adds to a free-form per-device counter.
-pub fn device_counter_add(name: &'static str, v: u64) {
-    with_state(|st| *vec_entry(&mut st.counters, name, || 0) += v);
-}
-
 // ---------------------------------------------------------------------------
 // Snapshots and reports
 // ---------------------------------------------------------------------------
@@ -450,7 +442,6 @@ pub struct DeviceSnapshot {
     pub phase_peaks: BTreeMap<&'static str, u64>,
     /// Time-inside-the-collective histograms per collective kind, in ns.
     pub wait_ns: BTreeMap<&'static str, HistSnapshot>,
-    pub counters: BTreeMap<&'static str, u64>,
 }
 
 fn hist_map_json(m: &BTreeMap<&'static str, HistSnapshot>) -> Json {
@@ -484,15 +475,6 @@ impl DeviceSnapshot {
                 ]),
             ),
             ("wait_ns", hist_map_json(&self.wait_ns)),
-            (
-                "counters",
-                Json::obj(
-                    self.counters
-                        .iter()
-                        .map(|(&k, &v)| (k, Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
         ])
     }
 }
@@ -729,10 +711,8 @@ mod tests {
         let (_, snap) = with_device(|| {
             comm_wait_ns("Broadcast", 10);
             comm_wait_ns("Broadcast", 1000);
-            device_counter_add("steps", 2);
         });
         assert_eq!(snap.wait_ns["Broadcast"].count, 2);
-        assert_eq!(snap.counters["steps"], 2);
         assert!(!snap.wait_ns.contains_key("Reduce"));
     }
 

@@ -13,7 +13,7 @@ use crate::attention::{attention_backward, attention_forward, AttnCache};
 use crate::config::ModelConfig;
 use crate::layout::{Cut, Slot};
 use crate::params::{add, Hosted, LayerTensors};
-use crate::vectors::Vectors;
+use crate::region::Region;
 use tensor::gemm::Form;
 use tensor::layernorm::{
     ln_affine, ln_backward_finish, ln_backward_partials, ln_finish, ln_param_grads,
@@ -84,7 +84,7 @@ pub trait Lowering {
 
     /// Gives every device the hosted vectors its columns need: `region`
     /// holds bias and layer-norm vectors back to back, filled where they are
-    /// hosted ([`crate::Vectors`]). Nothing to do where every device hosts
+    /// hosted ([`crate::Region`]). Nothing to do where every device hosts
     /// its own (the default).
     fn broadcast_vectors(&self, _region: &mut [f32]) {}
 
@@ -336,7 +336,7 @@ pub fn ln_forward<L: Lowering>(
     gamma: &L::Hosted,
     beta: &L::Hosted,
 ) -> (Tensor, LnCache) {
-    let v = Vectors::load(low, Some([gamma, beta]), &[]);
+    let v = Region::load(low, Some([gamma, beta]), &[]);
     norm(low, x, v.final_ln())
 }
 
@@ -402,7 +402,7 @@ pub fn layer_forward<L: Lowering>(
     p: &LayerTensors<L::Hosted>,
     x: &Tensor,
 ) -> (Tensor, LayerCache<L::Panels>) {
-    let v = Vectors::load(low, None, std::slice::from_ref(p));
+    let v = Region::load(low, None, std::slice::from_ref(p));
     layer_pass(low, p, v.layer(0), x, None)
 }
 
@@ -418,7 +418,7 @@ pub fn layer_recompute<L: Lowering>(
     x: &Tensor,
     reuse: [L::Panels; 4],
 ) -> LayerCache<L::Panels> {
-    let v = Vectors::load(low, None, std::slice::from_ref(p));
+    let v = Region::load(low, None, std::slice::from_ref(p));
     layer_pass(low, p, v.layer(0), x, Some(reuse)).1
 }
 
@@ -519,7 +519,7 @@ pub fn layer_backward<L: Lowering>(
     cache: &LayerCache<L::Panels>,
     dy: &Tensor,
 ) -> (Tensor, LayerTensors<L::Hosted>) {
-    let mut dv = Vectors::zeros(low, 1, false);
+    let mut dv = Region::vectors(low, 1, false);
     let (dx, weights) = layer_grads(low, p, cache, dy, dv.layer_mut(0));
     dv.reduce(low);
     let (_, mut vectors) = dv.hosted(low);

@@ -96,15 +96,20 @@ const LAYER: [(&str, Slot, [usize; 2], bool, Init); 12] = {
     ]
 };
 
-/// A layer's eight vectors in field order, each with its slot and its width
-/// on this device as `low` places it.
-pub(crate) fn layer_vectors<L: Lowering>(low: &L) -> [(Slot, usize); 8] {
+/// A stem of `layers` layers in walk order, each tensor with its slot and,
+/// if a vector, its width on this device as `low` places it; 0 for the
+/// table, each weight and, unless `with_final`, the final layer norm.
+pub(crate) fn vector_widths<L: Lowering>(
+    low: &L,
+    layers: usize,
+    with_final: bool,
+) -> impl Iterator<Item = (Slot, usize)> {
     let h = low.hidden();
-    let mut vectors = LAYER.iter().filter(|(_, _, [r, _], ..)| *r == 0);
-    std::array::from_fn(|_| {
-        let (_, slot, [_, c], ..) = vectors.next().expect("eight layer vectors");
-        (*slot, c * h / low.place(*slot).cols.1)
-    })
+    let width = |slot, c, vector| (slot, usize::from(vector) * c * h / low.place(slot).cols.1);
+    let layer = LAYER.map(|(_, slot, [r, c], ..)| width(slot, c, r == 0));
+    let norm = width(Slot::Norm, 1, with_final);
+    let stem = [(Slot::Table, 0), norm, norm].into_iter();
+    stem.chain((0..layers).flat_map(move |_| layer))
 }
 
 /// A tensor to place: its slot, full shape, and whether it is cut within

@@ -18,8 +18,9 @@
 //! order ([`walk_stem`]) by the one [`Optimizer`], and one placement table
 //! per lowering ([`Lowering::place`]) is what [`init`] draws every device's
 //! share by, [`shard`] cuts it by and [`gather`] reassembles it by; a step
-//! moves every bias and layer-norm vector it places as one region
-//! ([`Vectors`]). The stem around the layer — the forward and reverse
+//! moves every bias and layer-norm vector it places, and a data-parallel
+//! replica every gradient it syncs, as one walk-order region ([`Region`]).
+//! The stem around the layer — the forward and reverse
 //! sweeps with checkpoint recompute, the tied head and the
 //! vocabulary-split cross-entropy — is written once too, in [`stem`], over the same [`Lowering`], as one stage
 //! forward and one stage backward that every step composes.
@@ -41,8 +42,8 @@ mod layout;
 mod model;
 mod optim;
 mod params;
+mod region;
 pub mod stem;
-mod vectors;
 
 pub use attention::{attention_backward, attention_forward, AttnCache};
 pub use config::ModelConfig;
@@ -56,5 +57,5 @@ pub use optim::Optimizer;
 pub use params::{
     walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
 };
+pub use region::Region;
 pub use stem::{MemMeter, StemMut, StemRef};
-pub use vectors::Vectors;

@@ -189,18 +189,6 @@ impl<B: Hosted> LayerTensors<B> {
         ]
     }
 
-    /// The eight vectors in field order, `None` where hosted elsewhere.
-    pub(crate) fn vectors(&self) -> [Option<&[f32]>; 8] {
-        let [g1, b1, _, qkv, _, out, g2, b2, _, fc1, _, fc2] = self.slots();
-        [g1, b1, qkv, out, g2, b2, fc1, fc2]
-    }
-
-    /// Mutable counterpart of [`LayerTensors::vectors`].
-    pub(crate) fn vectors_mut(&mut self) -> [Option<&mut [f32]>; 8] {
-        let [g1, b1, _, qkv, _, out, g2, b2, _, fc1, _, fc2] = self.slots_mut();
-        [g1, b1, qkv, out, g2, b2, fc1, fc2]
-    }
-
     /// Visits every locally hosted `(self, other)` slice pair in field
     /// order, skipping entries hosted elsewhere.
     ///

@@ -11,7 +11,7 @@
 //!   norm, the loss and the head's backward; [`stage_backward`] recomputes
 //!   or pops, runs the layer's backward, and ends in the embedding backward
 //!   or a send to the stage below ([`Bottom`]). Both read the stem's bias
-//!   and layer-norm vectors from one region the caller loaded ([`Vectors`]),
+//!   and layer-norm vectors from one region the caller loaded ([`Region`]),
 //!   and the backward adds their gradients to a second one, which the
 //!   caller reduces once after its last stage backward. Each weight and
 //!   table gradient goes to a caller's sink as soon as it is complete
@@ -40,7 +40,7 @@ use crate::layer::{
 };
 use crate::optim::Optimizer;
 use crate::params::{LayerTensors, ModelTensors};
-use crate::vectors::Vectors;
+use crate::region::Region;
 use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
@@ -168,7 +168,7 @@ pub fn check_batch<L: Lowering>(low: &L, tokens: &[usize], labels: &[usize]) {
 fn sweep_forward<L: Lowering>(
     low: &L,
     layers: &[LayerTensors<L::Hosted>],
-    v: &Vectors,
+    v: &Region,
     mut x: Tensor,
     keep: Keep,
     meter: &mut MemMeter,
@@ -294,7 +294,7 @@ pub fn head_backward<L: Lowering>(
 /// vectors loaded in one region first.
 pub fn hidden_states<L: Lowering>(low: &L, p: &StemRef<L::Hosted>, tokens: &[usize]) -> Tensor {
     check(low, "token", tokens);
-    let v = Vectors::load(low, Some(p.final_ln), p.layers);
+    let v = Region::load(low, Some(p.final_ln), p.layers);
     let x = low.embed(p.table, tokens);
     let (y, _) = sweep_forward(low, p.layers, &v, x, Keep::Nothing, &mut MemMeter::new());
     norm(low, &y, v.final_ln()).0
@@ -353,7 +353,7 @@ impl Out {
 
 /// A gradient a stage backward hands its sink as soon as it is complete.
 /// Vector gradients are not among them: they add up in the caller's
-/// gradient region ([`Vectors`]).
+/// gradient region ([`Region`]).
 pub enum Grad<P> {
     /// Layer `l`'s four weight gradients in field order, with the layer as
     /// `layers` yielded it, top layer first.
@@ -380,7 +380,7 @@ pub enum Bottom<'a, S: FnOnce(Tensor)> {
 pub fn stage_forward<L: Lowering>(
     low: &L,
     p: &StemRef<L::Hosted>,
-    v: &Vectors,
+    v: &Region,
     input: impl FnOnce() -> Tensor,
     head: Option<(&[usize], usize)>,
     keep: Keep,
@@ -451,12 +451,12 @@ pub fn stage_forward<L: Lowering>(
 pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
-    v: &Vectors,
+    v: &Region,
     pass: Pass<L::Panels>,
     dy: Option<Tensor>,
     bottom: Bottom<impl FnOnce(Tensor)>,
     meter: &mut MemMeter,
-    dv: &mut Vectors,
+    dv: &mut Region,
     mut sink: impl FnMut(Grad<P>),
 ) {
     let mut kept = pass.kept;
@@ -547,7 +547,7 @@ impl Grads {
     pub fn finish<L: Lowering>(
         self,
         low: &L,
-        dv: &Vectors,
+        dv: &Region,
         table: &Tensor,
     ) -> ModelTensors<L::Hosted> {
         let ([final_ln_g, final_ln_b], vectors) = dv.hosted(low);
@@ -576,9 +576,9 @@ fn forward<L: Lowering>(
     total_rows: usize,
     checkpoint: bool,
     meter: &mut MemMeter,
-) -> (f32, Vectors, Pass<L::Panels>) {
+) -> (f32, Region, Pass<L::Panels>) {
     check_batch(low, tokens, labels);
-    let v = Vectors::load(low, Some(p.final_ln), p.layers);
+    let v = Region::load(low, Some(p.final_ln), p.layers);
     let (input, keep) = (|| low.embed(p.table, tokens), Keep::TopCache { checkpoint });
     let (pass, out) = stage_forward(low, p, &v, input, Some((labels, total_rows)), keep, meter);
     (out.loss(), v, pass)
@@ -590,12 +590,12 @@ fn forward<L: Lowering>(
 fn backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
-    (v, pass): (Vectors, Pass<L::Panels>),
+    (v, pass): (Region, Pass<L::Panels>),
     tokens: &[usize],
     meter: &mut MemMeter,
     sink: impl FnMut(Grad<P>),
-) -> Vectors {
-    let mut dv = Vectors::zeros(low, layers.len(), true);
+) -> Region {
+    let mut dv = Region::vectors(low, layers.len(), true);
     let bottom = Bottom::<fn(Tensor)>::Embed(tokens);
     stage_backward(low, layers, &v, pass, None, bottom, meter, &mut dv, sink);
     dv.reduce(low);
@@ -626,7 +626,7 @@ pub fn lm_grads<L: Lowering>(
 fn collect<L: Lowering>(
     low: &L,
     p: &StemRef<L::Hosted>,
-    fwd: (Vectors, Pass<L::Panels>),
+    fwd: (Region, Pass<L::Panels>),
     tokens: &[usize],
     meter: &mut MemMeter,
 ) -> ModelTensors<L::Hosted> {

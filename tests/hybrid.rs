@@ -168,11 +168,18 @@ fn dp2_step_matches_serial_gradient_averaging_to_1e12() {
 
 /// ZeRO-1 on the hybrid stage is full-state Adam on the global batch: the
 /// serial Adam trajectory within 2e-3 and one loss on every device, on a
-/// dp × 2D spec, on a pipeline × dp spec and on a pipeline alone.
+/// dp × 2D spec, on a pipeline × dp spec, on a pipeline alone, and over
+/// three replicas, whose 520-parameter region splits unevenly.
 #[test]
 fn zero1_matches_serial_adam_on_the_global_batch() {
     let lr = 0.02;
-    for (pp, dp, q, microbatches) in [(1, 2, 2, 1), (2, 2, 1, 2), (2, 1, 1, 2)] {
+    let specs = [
+        (1, 2, 2, 1, 4),
+        (2, 2, 1, 2, 4),
+        (2, 1, 1, 2, 4),
+        (1, 3, 1, 1, 6),
+    ];
+    for (pp, dp, q, microbatches, batch) in specs {
         let spec = HybridSpec {
             pp,
             dp,
@@ -180,7 +187,7 @@ fn zero1_matches_serial_adam_on_the_global_batch() {
             microbatches,
         };
         let cfg = OptimusConfig {
-            batch: 4,
+            batch,
             ..OptimusConfig::tiny(q)
         };
         let (tokens, labels) = data(&cfg, 3);
@@ -207,34 +214,43 @@ fn zero1_matches_serial_adam_on_the_global_batch() {
 }
 
 /// ZeRO-1 shards the Adam moments: with one stage, all devices together
-/// hold exactly one f32 pair (8 bytes) per model parameter, and each dp
-/// pair splits its blocks about evenly.
+/// hold exactly one f32 pair (8 bytes) per model parameter, and the replicas
+/// of each mesh position split theirs evenly — also over three replicas,
+/// whose 520-parameter region does not divide into equal blocks.
 #[test]
 fn zero1_state_bytes_sum_to_eight_per_parameter() {
-    let spec = HybridSpec {
-        pp: 1,
-        dp: 2,
-        grid: [2, 2, 1],
-        microbatches: 1,
-    };
-    let cfg = OptimusConfig {
-        batch: 4,
-        ..OptimusConfig::tiny(2)
-    };
-    let (tokens, labels) = data(&cfg, 4);
-    let bytes = Mesh::run(spec.devices(), |ctx| {
-        let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
-        st.step(&grid, &tokens, &labels, &mut opt);
-        let Optimizer::Adam(opt) = opt else {
-            unreachable!()
+    for (dp, q, batch) in [(2, 2, 4), (3, 1, 6)] {
+        let spec = HybridSpec {
+            pp: 1,
+            dp,
+            grid: [q, q, 1],
+            microbatches: 1,
         };
-        opt.state_bytes()
-    });
-    let total: usize = bytes.iter().sum();
-    assert_eq!(total, 8 * cfg.model().total_params());
-    let pair = bytes[0] + bytes[spec.mesh_devices()];
-    assert!(bytes[0] < pair * 6 / 10, "shard not balanced: {bytes:?}");
+        let cfg = OptimusConfig {
+            batch,
+            ..OptimusConfig::tiny(q)
+        };
+        let (tokens, labels) = data(&cfg, 4);
+        let bytes = Mesh::run(spec.devices(), |ctx| {
+            let (mut st, grid) = build(ctx, &spec, &cfg, 5);
+            let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+            st.step(&grid, &tokens, &labels, &mut opt);
+            let Optimizer::Adam(opt) = opt else {
+                unreachable!()
+            };
+            opt.state_bytes()
+        });
+        let total: usize = bytes.iter().sum();
+        assert_eq!(total, 8 * cfg.model().total_params(), "dp={dp}");
+        for position in 0..spec.mesh_devices() {
+            let group = bytes[position..].iter().step_by(spec.mesh_devices());
+            let (lo, hi) = (group.clone().min().unwrap(), group.max().unwrap());
+            assert!(
+                hi - lo <= 8 * (dp - 1),
+                "dp={dp}: shard not balanced: {bytes:?}"
+            );
+        }
+    }
 }
 
 /// Clipping composes with data parallelism: on `pp 1, dp 2, [2,2,1]` the
