@@ -22,7 +22,7 @@ use serial::{layer_backward, layer_forward, Cut, LayerCache, LayerTensors, Lower
 use serial::{Role, Slot, Span};
 use summa::{summa_product, Strips};
 use tensor::gemm::Form;
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// One layer's parameters (or their gradients) as held by a single device
 /// of the mesh: `[·/q, ·/q]` weight blocks and, on mesh row 0 only, this
@@ -198,12 +198,12 @@ impl<C: Communicator> Summa2d<'_, C> {
     fn table_panel(&self, table_block: &Tensor, root_row: usize) -> Tensor {
         let grid = self.grid;
         let dims = [table_block.rows(), table_block.cols()];
-        let mut buf = if grid.row() == root_row {
-            table_block.as_slice().to_vec()
-        } else {
-            // Pre-sized so the trace backend knows the payload length.
-            vec![0.0; dims[0] * dims[1]]
-        };
+        // Pre-sized so the trace backend knows the payload length; the
+        // broadcast overwrites a non-root's buffer.
+        let mut buf = recycler::take(dims[0] * dims[1]);
+        if grid.row() == root_row {
+            buf.copy_from_slice(table_block.as_slice());
+        }
         grid.ctx().broadcast(grid.col_group(), root_row, &mut buf);
         Tensor::from_vec(&dims, buf)
     }

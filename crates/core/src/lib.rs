@@ -32,11 +32,11 @@
 //! * **Memory management** ([`MemMeter`], activation checkpointing in
 //!   [`OptimusModel`]) — the Section 3.2.3 techniques: per-layer recompute
 //!   and immediate parameter update + gradient-buffer reset, both policies
-//!   of the shared sweeps. `mesh::pool::BufferPool` recycles message
-//!   buffers; `summa::Workspace` is reusable only by a caller that holds it
-//!   across products (`summa::summa_nn_into` and kin) — the model's
-//!   products go through `summa::summa_product`, which builds a fresh one
-//!   each, so a step allocates its panels anew.
+//!   of the shared sweeps. The device's `tensor::recycler` recycles
+//!   tensors, message buffers and panels: the model's products go through
+//!   `summa::summa_product`, which builds a `summa::Workspace` each, and
+//!   its buffers come from and return to the recycler, so a steady step
+//!   allocates no panel.
 //!
 //! Every layer and the full stem are verified element-wise against the
 //! serial reference (same seed ⇒ same losses, same gradients) by this

@@ -115,7 +115,7 @@ use mesh::{Communicator, GridNd, Group};
 use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Bottom, Grads, Keep, MemMeter, Out};
 use serial::{Lowering, Optimizer, Region, StemRef};
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
 /// into pipeline stages × data-parallel replicas × tensor meshes.
@@ -560,7 +560,8 @@ impl HybridStage {
     /// parameters, and one all-gather gives every replica all the blocks.
     /// Optimizer memory drops `dp`-fold and the math is full-state Adam on
     /// the global batch. Every other update all-reduces the region over the
-    /// dp axis, syncs the tied table and takes [`Optimizer::step`].
+    /// dp axis, syncs the tied table and takes [`Optimizer::step_stage`] over
+    /// the tensors the stage uses.
     ///
     /// # Panics
     ///
@@ -597,7 +598,9 @@ impl HybridStage {
                 opt.apply(&mut values[own.clone()], &mine[..own.len()]);
                 let mut sent = values[own].to_vec();
                 sent.resize(block, 0.0);
-                values.copy_from_slice(&ctx.all_gather(&dp, &sent)[..n]);
+                let all = ctx.all_gather(&dp, &sent);
+                values.copy_from_slice(&all[..n]);
+                [g, mine, all].into_iter().for_each(recycler::give);
                 params.walk(self.model.stem_mut(), &mut |p, v| p.copy_from_slice(v));
                 1.0
             }
@@ -606,7 +609,8 @@ impl HybridStage {
                 self.tie_sync(ctx, grads.embedding.as_mut_slice());
                 let micro = self.model.cfg;
                 let low = Summa2d { grid, cfg: &micro };
-                opt.step(&low, self.model.stem_mut(), &grads)
+                let (table, fin) = self.uses();
+                opt.step_stage(&low, self.model.stem_mut(), &grads, table, fin)
             }
         };
         (self.exchange_loss(ctx, losses), scale)
@@ -628,7 +632,15 @@ impl HybridStage {
     /// in walk order: the table on the first and last stage, the final layer
     /// norm on the last.
     fn synced(&self, stem: &StemRef<'_, Option<Vec<f32>>>) -> Region {
-        Region::synced(stem, self.is_first() || self.is_last(), self.is_last())
+        let (table, fin) = self.uses();
+        Region::synced(stem, table, fin)
+    }
+
+    /// Whether this stage uses the table (the first and last stage) and the
+    /// final layer norm (the last); it holds the others with gradients that
+    /// are always zero.
+    fn uses(&self) -> (bool, bool) {
+        (self.is_first() || self.is_last(), self.is_last())
     }
 
     /// The dp all-reduce (sum) of every gradient this stage syncs: one call.

@@ -2,10 +2,11 @@
 //!
 //! [`execute`] is the only code that moves collective payloads, always on
 //! the device thread and inside the call that issued the collective. Each
-//! `Send` copies its range into a pooled buffer and pushes it to the peer's
-//! mailbox; each `Recv` pops the peer's next payload, applies it to its
-//! range and recycles the buffer, so steady-state collective traffic
-//! allocates nothing.
+//! `Send` copies its range into a buffer from the device's
+//! [`tensor::recycler`] and pushes it to the peer's mailbox; each `Recv`
+//! pops the peer's next payload, applies it to its range and gives the
+//! buffer to its own recycler, so steady-state collective traffic allocates
+//! nothing.
 //!
 //! Which steps run is decided in [`crate::schedule`]; the op and link
 //! records are written before execution by `comm::run_collective`. All
@@ -16,32 +17,29 @@
 use crate::comm::{run_collective, Backend, Communicator, StepList};
 use crate::fabric::{DeviceCtx, Mailbox};
 use crate::group::Group;
-use crate::pool::BufferPool;
 use crate::schedule::{Coll, Combine, RecvMode, Step};
 use crate::stats::CommLog;
 use crate::{AlgoTable, CollAlgo};
 use std::cell::RefCell;
 use std::sync::Arc;
+use tensor::recycler;
 
 /// Interprets `list` over `buf` as device `rank`: `boxes[d]` is device
-/// `d`'s mailbox, `pool` supplies send buffers and takes consumed receives.
-pub(crate) fn execute(
-    rank: usize,
-    boxes: &[Arc<Mailbox>],
-    pool: &mut BufferPool,
-    list: &StepList,
-    buf: &mut [f32],
-) {
+/// `d`'s mailbox. Send buffers come from the calling thread's recycler and
+/// consumed receives go back to it.
+pub(crate) fn execute(rank: usize, boxes: &[Arc<Mailbox>], list: &StepList, buf: &mut [f32]) {
     for step in &list.steps {
         match step {
             Step::Send { peer, range } => {
                 let data = &buf[range.clone()];
-                let mut out = pool.take(data.len());
+                let mut out = recycler::take_empty(data.len());
                 out.extend_from_slice(data);
+                recycler::sent(&out);
                 boxes[*peer].push(rank, *peer, out);
             }
             Step::Recv { peer, range, mode } => {
                 let incoming = boxes[rank].pop(*peer, rank);
+                recycler::received(&incoming);
                 let dst = &mut buf[range.clone()];
                 assert_eq!(
                     incoming.len(),
@@ -56,7 +54,7 @@ pub(crate) fn execute(
                     (RecvMode::Combine, Combine::Sum) => pairs.for_each(|(d, v)| *d += *v),
                     (RecvMode::Combine, Combine::Max) => pairs.for_each(|(d, v)| *d = d.max(*v)),
                 }
-                pool.put(incoming);
+                recycler::give(incoming);
             }
             Step::Rotate { left } => buf.rotate_left(*left),
         }
@@ -69,13 +67,7 @@ impl Backend for DeviceCtx {
     }
 
     fn run_steps(&self, list: &StepList, buf: &mut [f32]) {
-        execute(
-            self.rank(),
-            &self.boxes,
-            &mut self.pool.borrow_mut(),
-            list,
-            buf,
-        );
+        execute(self.rank(), &self.boxes, list, buf);
     }
 }
 

@@ -5,7 +5,7 @@
 //! rather than a concrete context, so the same program runs on two backends:
 //!
 //! * [`crate::DeviceCtx`] — the **live** backend: one OS thread per device,
-//!   real data movement over channels, pooled per-hop scratch buffers.
+//!   real data movement over channels, recycled per-hop send buffers.
 //! * [`crate::DryRunComm`] — the **trace-only** backend: no threads, no data
 //!   movement; it just replays each collective's communication pattern into
 //!   the [`CommLog`], producing op/link streams identical to the live
@@ -166,7 +166,9 @@ pub trait Communicator {
         let algo = self.algo(CommOp::ReduceScatter, group.len(), data.len());
         let mine = chunk(data.len(), group.len(), my_index(self.rank(), group));
         self.collective(Coll::ReduceScatter, group, data, algo);
-        data[mine].to_vec()
+        let mut out = tensor::recycler::take_empty(mine.len());
+        out.extend_from_slice(&data[mine]);
+        out
     }
 
     /// Gather every member's equal-length `local` to group index `root`, in
@@ -178,6 +180,7 @@ pub trait Communicator {
         if me == root {
             out
         } else {
+            tensor::recycler::give(out);
             Vec::new()
         }
     }
@@ -201,10 +204,11 @@ fn my_index(rank: usize, group: &Group) -> usize {
 }
 
 /// The `g`-slot working buffer of an all-gather or gather, with `local` in
-/// slot `me`.
+/// slot `me`. The other slots are left as the recycler hands them out: the
+/// collective's receives overwrite every one of them.
 fn slots(me: usize, g: usize, local: &[f32]) -> Vec<f32> {
     let n = local.len();
-    let mut out = vec![0.0f32; n * g];
+    let mut out = tensor::recycler::take(n * g);
     out[me * n..(me + 1) * n].copy_from_slice(local);
     out
 }

@@ -31,7 +31,7 @@
 
 use crate::comm::{run_collective, Backend, Communicator, StepList};
 use crate::group::Group;
-use crate::schedule::Coll;
+use crate::schedule::{Coll, RecvMode, Step};
 use crate::stats::CommLog;
 use crate::{AlgoTable, CollAlgo};
 use std::cell::RefCell;
@@ -85,8 +85,21 @@ impl Backend for DryRunComm {
         &self.log
     }
 
-    /// No wire, nothing to move: the records are the whole interpretation.
-    fn run_steps(&self, _list: &StepList, _buf: &mut [f32]) {}
+    /// No wire, nothing to move: the records are the whole interpretation,
+    /// except that a copying receive writes the zeros a dry run "receives"
+    /// (an all-gather's slots are not pre-zeroed).
+    fn run_steps(&self, list: &StepList, buf: &mut [f32]) {
+        for step in &list.steps {
+            if let Step::Recv {
+                range,
+                mode: RecvMode::Copy,
+                ..
+            } = step
+            {
+                buf[range.clone()].fill(0.0);
+            }
+        }
+    }
 }
 
 impl Communicator for DryRunComm {

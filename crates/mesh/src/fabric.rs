@@ -15,11 +15,11 @@
 //! with a "disconnected" error instead of hanging.
 
 use crate::algo::AlgoTable;
-use crate::pool::BufferPool;
 use crate::stats::CommLog;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use tensor::recycler;
 
 struct MailboxInner {
     /// `queues[src]` — payloads from `src`, FIFO per (src, this device).
@@ -106,9 +106,9 @@ impl Mailbox {
 ///
 /// Collectives ([`crate::Communicator`]) move their payloads through the
 /// same mailboxes, interpreted by `collectives.rs` on the device thread.
-/// Per-hop scratch buffers come from the one per-device [`BufferPool`];
-/// consumed receive buffers are recycled back into it, so steady-state
-/// collective traffic allocates nothing.
+/// Per-hop send buffers come from the device thread's
+/// [`tensor::recycler`], the one its tensors use; consumed receive buffers
+/// go back into it, so steady-state collective traffic allocates nothing.
 pub struct DeviceCtx {
     rank: usize,
     p: usize,
@@ -117,7 +117,6 @@ pub struct DeviceCtx {
     /// The run's algorithm table, shared by all its devices.
     pub(crate) tables: Arc<AlgoTable>,
     pub(crate) log: RefCell<CommLog>,
-    pub(crate) pool: RefCell<BufferPool>,
 }
 
 /// Builds a fully connected fabric of `p` devices selecting from `tables`.
@@ -130,7 +129,6 @@ pub(crate) fn build_fabric(p: usize, tables: &Arc<AlgoTable>) -> Vec<DeviceCtx> 
             boxes: boxes.clone(),
             tables: tables.clone(),
             log: RefCell::new(CommLog::new(rank)),
-            pool: RefCell::new(BufferPool::new()),
         })
         .collect()
 }
@@ -146,36 +144,46 @@ impl DeviceCtx {
         self.p
     }
 
-    /// Point-to-point send. Counted in the [`CommLog`].
+    /// Point-to-point send. Counted in the [`CommLog`]. The buffer leaves
+    /// this device; the receiver's recycler gets it when it is done.
     pub fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.p, "send to rank {to} out of range (p={})", self.p);
         self.log
             .borrow_mut()
             .record_link(self.rank, to, data.len(), None);
+        recycler::sent(&data);
         self.boxes[to].push(self.rank, to, data);
     }
 
     /// Point-to-point receive (blocking).
     pub fn recv(&self, from: usize) -> Vec<f32> {
         assert!(from < self.p, "recv from rank {from} out of range");
-        self.boxes[self.rank].pop(from, self.rank)
+        let data = self.boxes[self.rank].pop(from, self.rank);
+        recycler::received(&data);
+        data
     }
 
-    /// Buffers the scratch pool had to allocate fresh (pool misses) since
-    /// the mesh started or [`DeviceCtx::reset_pool_stats`] was called.
+    /// Buffers this device's recycler had to allocate (misses) since the
+    /// device started or [`DeviceCtx::reset_pool_stats`] was called: send
+    /// buffers and tensor storage alike. Call on the device's own thread.
     pub fn fresh_allocs(&self) -> usize {
-        self.pool.borrow().fresh_allocs()
+        recycler::misses()
     }
 
-    /// Zeroes the pool-miss counter — call after a warm-up pass to assert
-    /// steady-state collectives are allocation-free.
+    /// Zeroes the recycler's miss counter — call after a warm-up pass to
+    /// assert a steady state allocates nothing.
     pub fn reset_pool_stats(&self) {
-        self.pool.borrow_mut().reset_stats();
+        recycler::reset_misses();
     }
 
-    /// Extracts the accumulated communication log (resets it).
+    /// Extracts the accumulated communication log (resets it). The device
+    /// keeps the log's capacity, so a step after the call records into
+    /// storage the one before it grew.
     pub fn take_log(&self) -> CommLog {
-        std::mem::replace(&mut self.log.borrow_mut(), CommLog::new(self.rank))
+        let mut log = self.log.borrow_mut();
+        let taken = log.clone();
+        log.clear();
+        taken
     }
 
     /// Read-only snapshot of the current log.

@@ -22,11 +22,11 @@
 //! The collective surface is a trait, [`Communicator`], with two backends:
 //!
 //! * [`DeviceCtx`] — the **live** backend. One OS thread per device, real
-//!   payloads over per-pair FIFO channels. Per-hop scratch buffers are drawn
-//!   from a per-device [`BufferPool`] and recycled on receive, so
-//!   steady-state collective traffic performs no heap allocation
-//!   ([`DeviceCtx::fresh_allocs`] counts pool misses; the ablation bench
-//!   asserts it stays at zero after warm-up).
+//!   payloads over per-pair FIFO channels. Per-hop send buffers are drawn
+//!   from the device thread's [`tensor::recycler`] — the one its tensors
+//!   use — and given back to the receiver's on receive, so steady-state
+//!   collective traffic performs no heap allocation
+//!   ([`DeviceCtx::fresh_allocs`] counts recycler misses).
 //! * [`DryRunComm`] — the **trace-only** backend. No threads, no data
 //!   movement: each collective records the op/link stream its live
 //!   counterpart would produce, and received payloads are zeros. Because
@@ -71,7 +71,6 @@ mod fabric;
 mod group;
 mod launch;
 mod mesh2d;
-mod pool;
 mod schedule;
 mod shape;
 mod stats;
@@ -84,7 +83,6 @@ pub use fabric::DeviceCtx;
 pub use group::Group;
 pub use launch::{Mesh, Mesh2d, MeshNd, MeshRun};
 pub use mesh2d::{Grid2d, GridNd};
-pub use pool::BufferPool;
 pub use schedule::{chain_segments, chunk, coll_steps, group_steps, replay, Coll, RecvMode, Step};
 pub use shape::MeshShape;
 pub use stats::{CommLog, CommOp, LinkRecord, OpRecord};

@@ -159,6 +159,13 @@ impl CommLog {
         }
     }
 
+    /// Empties the log, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.links.clear();
+        self.wire = 0;
+    }
+
     pub(crate) fn record_op(
         &mut self,
         op: CommOp,

@@ -46,7 +46,8 @@ pub fn attention_forward(
     let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
     assert_eq!(q.dims(), &[b * s, n * d]);
     let scale = 1.0 / (d as f32).sqrt();
-    let mut ctxt = Tensor::zeros(&[b * s, n * d]);
+    // Every (sequence, head) block is written below.
+    let mut ctxt = Tensor::for_overwrite(&[b * s, n * d]);
     let mut probs = Vec::new();
     for bi in 0..b {
         for head in 0..n {
@@ -78,9 +79,9 @@ pub fn attention_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let (b, s, n, d) = (cfg.batch, cfg.seq, cfg.heads, cfg.head_dim());
     let scale = 1.0 / (d as f32).sqrt();
-    let mut dq = Tensor::zeros(&[b * s, n * d]);
-    let mut dk = Tensor::zeros(&[b * s, n * d]);
-    let mut dv = Tensor::zeros(&[b * s, n * d]);
+    let mut dq = Tensor::for_overwrite(&[b * s, n * d]);
+    let mut dk = Tensor::for_overwrite(&[b * s, n * d]);
+    let mut dv = Tensor::for_overwrite(&[b * s, n * d]);
     for bi in 0..b {
         for head in 0..n {
             let dout = head_block(dctxt, bi, head, s, d);

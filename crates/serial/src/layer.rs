@@ -20,6 +20,7 @@ use tensor::layernorm::{
     ln_partial_sums, LN_EPS,
 };
 use tensor::ops::{bias_add, bias_grad, gelu_backward_in_place, gelu_forward};
+use tensor::recycler;
 use tensor::{matmul_nn, matmul_nt, matmul_tn, Tensor};
 
 /// Which way a projection changes the width a device works on: QKV and fc1
@@ -200,7 +201,7 @@ impl Lowering for Local {
         self.0
     }
     fn embed(&self, table: &Tensor, tokens: &[usize]) -> Tensor {
-        let mut x = Tensor::zeros(&[tokens.len(), table.cols()]);
+        let mut x = Tensor::for_overwrite(&[tokens.len(), table.cols()]);
         for (r, &t) in tokens.iter().enumerate() {
             x.row_mut(r).copy_from_slice(table.row(t));
         }
@@ -249,7 +250,9 @@ pub fn linear_backward<L: Lowering>(
     low.scope(Span::LinearBwd, || {
         let dx = low.gemm(Form::NT, role, dy, w, kept, None);
         let dw = low.gemm(Form::TN, role, x, dy, kept, None);
-        add(db, &bias_grad(dy));
+        let g = bias_grad(dy);
+        add(db, &g);
+        recycler::give(g);
         (dx, dw)
     })
 }
@@ -283,6 +286,13 @@ pub struct LnCache {
     pub gamma: Vec<f32>,
 }
 
+/// `inv_std` came from the device's recycler (`ln_finish`) and goes back.
+impl Drop for LnCache {
+    fn drop(&mut self) {
+        recycler::give(std::mem::take(&mut self.inv_std));
+    }
+}
+
 impl LnCache {
     /// Bytes of state this cache pins.
     pub fn bytes(&self) -> usize {
@@ -300,6 +310,7 @@ pub(crate) fn norm<L: Lowering>(
     let mut sums = ln_partial_sums(x);
     low.complete_rows(&mut sums);
     let cache = ln_finish(x, &sums, low.hidden(), LN_EPS);
+    recycler::give(sums);
     let y = ln_affine(&cache.xhat, gamma, beta);
     (
         y,
@@ -325,7 +336,9 @@ pub fn ln_backward<L: Lowering>(
     add(db, &dbeta);
     let mut sums = ln_backward_partials(&dxhat, &cache.xhat);
     low.complete_rows(&mut sums);
-    ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, low.hidden())
+    let dx = ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, low.hidden());
+    recycler::give(sums);
+    dx
 }
 
 /// Layer norm on its own: γ and β, hosted as `low` hosts them, are
@@ -580,7 +593,7 @@ pub(crate) fn layer_grads<L: Lowering>(
             &cache.v,
             cache.attn.as_ref(),
         );
-        let mut dqkv = Tensor::zeros(&[rows, 3 * w]);
+        let mut dqkv = Tensor::for_overwrite(&[rows, 3 * w]);
         dqkv.set_block(0, 0, &dq);
         dqkv.set_block(0, w, &dk);
         dqkv.set_block(0, 2 * w, &dv);

@@ -278,6 +278,18 @@ pub(crate) fn stem_values<'a, H: Hosted>(
     table.chain(layers).chain([g.hosted(), b.hosted()])
 }
 
+/// Whether entry `i` of the walk order belongs to a pipeline stage that uses
+/// the table only `with_table` and the final layer norm only `with_final`.
+/// A stage holds the others with gradients that are always zero, so no
+/// sync or update visits them.
+pub(crate) fn stage_uses(i: usize, with_table: bool, with_final: bool) -> bool {
+    match i {
+        0 => with_table,
+        1 | 2 => with_final,
+        _ => true,
+    }
+}
+
 /// A stem's tensors in the canonical walk order of [`crate::walk_stem`] —
 /// table, final layer-norm γ and β, then each layer in field order — each
 /// with its slot.

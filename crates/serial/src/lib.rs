@@ -55,7 +55,7 @@ pub use layout::{gather, init, init_head, shard, shard_layer, shard_tensor, Cut,
 pub use model::SerialModel;
 pub use optim::Optimizer;
 pub use params::{
-    walk_pair, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
+    walk_pair, walk_stage, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
 };
 pub use region::Region;
 pub use stem::{MemMeter, StemMut, StemRef};

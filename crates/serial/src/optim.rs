@@ -3,7 +3,7 @@
 
 use crate::layer::Lowering;
 use crate::layout::{walk_values, Cut};
-use crate::params::{walk_stem, ModelTensors};
+use crate::params::{walk_stage, ModelTensors};
 use crate::stem::StemMut;
 use tensor::optim::{clip_scale, sgd_update, sq_norm, AdamSet};
 
@@ -31,6 +31,21 @@ impl Optimizer {
         params: StemMut<'_, L::Hosted>,
         grads: &ModelTensors<L::Hosted>,
     ) -> f32 {
+        self.step_stage(low, params, grads, true, true)
+    }
+
+    /// [`Optimizer::step`] on a pipeline stage: the table is updated only
+    /// `with_table` and the final layer norm only `with_final`
+    /// ([`walk_stage`]), so Adam keeps no moments for tensors whose
+    /// gradients are always zero.
+    pub fn step_stage<L: Lowering>(
+        &mut self,
+        low: &L,
+        params: StemMut<'_, L::Hosted>,
+        grads: &ModelTensors<L::Hosted>,
+        with_table: bool,
+        with_final: bool,
+    ) -> f32 {
         let (lr, scale) = match self {
             Optimizer::Sgd { lr } => (*lr, 1.0),
             Optimizer::Clipped { lr, max_norm } => {
@@ -38,12 +53,16 @@ impl Optimizer {
             }
             Optimizer::Adam(opt) => {
                 opt.begin_step();
-                walk_stem(params, grads, &mut |p, g| opt.apply(p, g));
+                walk_stage(params, grads, with_table, with_final, &mut |p, g| {
+                    opt.apply(p, g)
+                });
                 return 1.0;
             }
         };
         let lr = lr * scale;
-        walk_stem(params, grads, &mut |p, g| sgd_update(p, g, lr));
+        walk_stage(params, grads, with_table, with_final, &mut |p, g| {
+            sgd_update(p, g, lr)
+        });
         scale
     }
 }

@@ -283,6 +283,20 @@ pub fn walk_stem<B: Hosted>(
     grads: &ModelTensors<B>,
     f: &mut impl FnMut(&mut [f32], &[f32]),
 ) {
+    walk_stage(params, grads, true, true, f);
+}
+
+/// [`walk_stem`] over the tensors a pipeline stage uses: the table only
+/// `with_table`, the final layer norm only `with_final` — the rule
+/// [`crate::Region::synced`] follows. The stage holds the others with
+/// gradients that are always zero.
+pub fn walk_stage<B: Hosted>(
+    params: StemMut<'_, B>,
+    grads: &ModelTensors<B>,
+    with_table: bool,
+    with_final: bool,
+    f: &mut impl FnMut(&mut [f32], &[f32]),
+) {
     let (n, m) = (params.layers.len(), grads.layers.len());
     assert_eq!(n, m, "a stem of {n} layers given gradients of {m}");
     let [gamma, beta] = params.final_ln;
@@ -291,8 +305,13 @@ pub fn walk_stem<B: Hosted>(
         [gamma.hosted_mut(), beta.hosted_mut()],
         params.layers.iter_mut().map(LayerTensors::slots_mut),
     );
-    for ((_, p), (_, g)) in params.zip(crate::layout::walk_values(&grads.stem())) {
-        pair(p, g, f);
+    let pairs = params
+        .zip(crate::layout::walk_values(&grads.stem()))
+        .enumerate();
+    for (i, ((_, p), (_, g))) in pairs {
+        if crate::layout::stage_uses(i, with_table, with_final) {
+            pair(p, g, f);
+        }
     }
 }
 

@@ -15,19 +15,27 @@
 //! from them and put back by [`Region::walk`].
 
 use std::ops::Range;
+use tensor::recycler;
 
 use crate::layer::{Lowering, Span};
-use crate::layout::{in_walk_order, vector_widths, walk_values, Slot};
+use crate::layout::{in_walk_order, stage_uses, vector_widths, walk_values, Slot};
 use crate::params::{Hosted, LayerTensors};
 use crate::stem::{StemMut, StemRef};
 
 /// Some of one device's stem tensors, or of their gradients, in walk order.
+/// Its buffer comes from the device's recycler and goes back on drop.
 #[derive(Clone, Debug)]
 pub struct Region {
     values: Vec<f32>,
     /// Each stem tensor's range in `values`, in walk order; empty where the
     /// region leaves it out.
     at: Vec<Range<usize>>,
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        recycler::give(std::mem::take(&mut self.values));
+    }
 }
 
 /// Walk-order index of field `k` of layer `l`: past the table and the final
@@ -40,14 +48,16 @@ impl Region {
     /// The walk's tensors in turn, each `width` long (0: left out) and
     /// holding `value` where one is given, zeros elsewhere.
     fn new<'a>(pieces: impl Iterator<Item = (usize, Option<&'a [f32]>)>) -> Self {
-        let (mut values, mut at) = (Vec::new(), Vec::new());
+        let pieces: Vec<_> = pieces.collect();
+        let mut values = recycler::take_zeroed(pieces.iter().map(|&(w, _)| w).sum());
+        let (mut at, mut start) = (Vec::with_capacity(pieces.len()), 0);
         for (width, value) in pieces {
-            let start = values.len();
-            values.resize(start + width, 0.0);
+            let range = start..start + width;
             if let (Some(v), true) = (value, width > 0) {
-                values[start..].copy_from_slice(v);
+                values[range.clone()].copy_from_slice(v);
             }
-            at.push(start..start + width);
+            start = range.end;
+            at.push(range);
         }
         Region { values, at }
     }
@@ -85,9 +95,8 @@ impl Region {
     /// `with_final` (a stage that does not use them holds them with zero
     /// gradients), every layer tensor where it is hosted.
     pub fn synced<H: Hosted>(stem: &StemRef<'_, H>, with_table: bool, with_final: bool) -> Self {
-        let used = [with_table, with_final, with_final];
         let values = walk_values(stem).enumerate();
-        let values = values.map(|(i, (_, v))| v.filter(|_| *used.get(i).unwrap_or(&true)));
+        let values = values.map(|(i, (_, v))| v.filter(|_| stage_uses(i, with_table, with_final)));
         Region::new(values.map(|v| (v.map_or(0, <[f32]>::len), v)))
     }
 
@@ -97,8 +106,8 @@ impl Region {
     }
 
     /// The whole region, as its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.values
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.values)
     }
 
     /// Every tensor's piece in walk order, empty where the region leaves it

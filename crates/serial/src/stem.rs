@@ -45,7 +45,7 @@ use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
 use tensor::optim::sgd_update;
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// Live-byte accounting with a high-water mark: what the sweeps and the
 /// head pin for backward, plus the one activation block in flight.
@@ -224,9 +224,13 @@ pub fn cross_entropy<L: Lowering>(
     // pairs (see `tensor::layernorm` for why the sums keep their bits).
     let se = partial_sumexp(logits, &m);
     let ll = partial_label_logit(logits, labels, off);
-    let mut pairs: Vec<f32> = se.iter().zip(&ll).flat_map(|(&s, &l)| [s, l]).collect();
+    let mut pairs = recycler::take(2 * se.len());
+    for (p, (&s, &l)) in pairs.chunks_mut(2).zip(se.iter().zip(&ll)) {
+        p.copy_from_slice(&[s, l]);
+    }
     low.complete_vocab(Reduce::Sum, &mut pairs);
     let (se, ll): (Vec<f32>, Vec<f32>) = pairs.chunks(2).map(|p| (p[0], p[1])).unzip();
+    recycler::give(pairs);
     let local_sum: f64 = (0..logits.rows())
         .map(|r| (m[r] + se[r].ln() - ll[r]) as f64)
         .sum();

@@ -17,8 +17,9 @@
 //! `grad_*` helpers. [`Workspace`] provides the paper's Section 3.2.3
 //! pre-allocated communication buffers to a caller that holds it across
 //! products (`summa_*_into`): after warm-up such a caller performs zero
-//! fresh panel allocations. [`summa_product`] builds a fresh one per call,
-//! so the model's step, which calls it, does not reuse panel buffers.
+//! fresh panel allocations. [`summa_product`] builds one per call, whose
+//! buffers come from the device's `tensor::recycler` and go back to it, so
+//! the model's step, which calls it, finds its panel buffers again there.
 //! [`summa_product`] runs any of the
 //! three forms and can keep the panels it receives as [`Strips`], or read a
 //! later product's panels from strips an earlier one kept: a checkpointed

@@ -23,7 +23,11 @@ pub fn summa_product<C: Communicator>(
     keep: Option<&mut Strips>,
 ) -> Tensor {
     let (mb, nb, _) = product_dims(form, a, b);
-    let mut c = Tensor::zeros(&[mb, nb]);
+    // `NN` accumulates into `c`; `NT` and `TN` overwrite it.
+    let mut c = match form {
+        Form::NN => Tensor::zeros(&[mb, nb]),
+        Form::NT | Form::TN => Tensor::for_overwrite(&[mb, nb]),
+    };
     summa_product_into(grid, form, a, b, &mut c, &mut Workspace::new(), from, keep);
     c
 }

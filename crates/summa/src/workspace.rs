@@ -11,8 +11,10 @@
 //! (a product that keeps its panels, see below, hands them over instead of
 //! returning them to the workspace). Buffers grow to a high-water mark
 //! during warm-up and are reused afterwards; [`Workspace::fresh_allocs`]
-//! exposes the growth count so the ablation benchmark (and a regression
-//! test) can prove steady-state reuse.
+//! exposes the growth count so a regression test can prove steady-state
+//! reuse. A buffer that grows is taken from the device's
+//! `tensor::recycler`, and a dropped workspace (or [`Strips`]) gives its
+//! buffers back, so even a workspace built per product finds them again.
 //!
 //! # Kept panels
 //!
@@ -59,7 +61,7 @@
 use mesh::{Communicator, Grid2d, Group};
 use std::borrow::Cow;
 use tensor::gemm::{gemm_acc, Form};
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// Reusable buffers for SUMMA panel traffic and partial products: one
 /// panel buffer per operand, and two partials — `NN`'s round product and
@@ -77,9 +79,19 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// An empty workspace; buffers grow on first use.
+    /// An empty workspace; buffers grow on first use, from the device's
+    /// recycler, and go back to it when the workspace drops.
     pub fn new() -> Self {
         Workspace::default()
+    }
+}
+
+impl Drop for Workspace {
+    fn drop(&mut self) {
+        let [p0, p1] = &mut self.partial;
+        for buf in [&mut self.panel_a, &mut self.panel_b, p0, p1] {
+            recycler::give(std::mem::take(buf));
+        }
     }
 }
 
@@ -92,6 +104,15 @@ impl Workspace {
 pub struct Strips {
     pub row: Vec<Vec<f32>>,
     pub col: Vec<Vec<f32>>,
+}
+
+impl Drop for Strips {
+    fn drop(&mut self) {
+        self.row
+            .drain(..)
+            .chain(self.col.drain(..))
+            .for_each(recycler::give);
+    }
 }
 
 impl Strips {
@@ -172,7 +193,7 @@ impl<'s> Source<'s> {
     /// received (all of it when the product received none).
     fn finish(self) {
         if let Some(strip) = self.keep {
-            strip.truncate(self.received);
+            strip.drain(self.received..).for_each(recycler::give);
         }
     }
 }
@@ -189,24 +210,42 @@ fn stage_panel(
     buf: &mut Vec<f32>,
     fresh: &mut usize,
 ) {
-    if buf.capacity() < n {
-        *fresh += 1;
-    }
-    buf.clear();
     if my_idx == root {
         assert_eq!(local.len(), n, "root block has unexpected shape");
+        emptied(buf, n, fresh);
         buf.extend_from_slice(local.as_slice());
     } else {
-        buf.resize(n, 0.0);
+        // The broadcast overwrites every element.
+        sized(buf, n, fresh);
+    }
+}
+
+/// Empties `buf` with room for `len`. A buffer too small is swapped for one
+/// from the device's recycler (counted as growth in `fresh`).
+fn emptied(buf: &mut Vec<f32>, len: usize, fresh: &mut usize) {
+    if buf.capacity() < len {
+        *fresh += 1;
+        recycler::give(std::mem::replace(buf, recycler::take_empty(len)));
+    }
+    buf.clear();
+}
+
+/// Makes `buf` `len` long with unspecified contents, for a caller that
+/// overwrites all of it; grows like [`emptied`].
+fn sized(buf: &mut Vec<f32>, len: usize, fresh: &mut usize) {
+    if buf.capacity() < len {
+        *fresh += 1;
+        recycler::give(std::mem::replace(buf, recycler::take(len)));
+    } else if buf.len() >= len {
+        buf.truncate(len);
+    } else {
+        buf.resize(len, 0.0);
     }
 }
 
 /// Resizes a partial-product buffer to `len` zeros, counting capacity growth.
 fn zeroed(buf: &mut Vec<f32>, len: usize, fresh: &mut usize) {
-    if buf.capacity() < len {
-        *fresh += 1;
-    }
-    buf.clear();
+    emptied(buf, len, fresh);
     buf.resize(len, 0.0);
 }
 
@@ -256,10 +295,7 @@ fn nn_consume(
             *s += *p;
         }
     } else {
-        if scratch.capacity() < part.len() {
-            *fresh += 1;
-        }
-        scratch.clear();
+        emptied(scratch, part.len(), fresh);
         scratch.extend_from_slice(part);
         *started = true;
     }
@@ -320,14 +356,11 @@ fn nn_core<C: Communicator>(
             let out: &mut [f32] = if use_scratch { &mut scratch } else { &mut *c };
             grid.ctx().reduce(grid.depth_group(), 0, out);
         }
-        if part.capacity() < cn {
-            fresh += 1;
-        }
-        part.clear();
         if grid.depth() == 0 {
+            emptied(&mut part, cn, &mut fresh);
             part.extend_from_slice(c);
         } else {
-            part.resize(cn, 0.0);
+            sized(&mut part, cn, &mut fresh);
         }
         grid.ctx().broadcast(grid.depth_group(), 0, &mut part);
         if grid.depth() > 0 {
@@ -411,14 +444,11 @@ fn reduce_form_core<C: Communicator>(
         // moves exact payloads.
         let owner = my_reduce_idx * d / q;
         let stage = &mut ws.partial[0];
-        if stage.capacity() < cn {
-            fresh += 1;
-        }
-        stage.clear();
         if grid.depth() == owner {
+            emptied(stage, cn, &mut fresh);
             stage.extend_from_slice(c);
         } else {
-            stage.resize(cn, 0.0);
+            sized(stage, cn, &mut fresh);
         }
         grid.ctx().broadcast(grid.depth_group(), owner, stage);
         if grid.depth() != owner {

@@ -14,6 +14,7 @@
 //! buffer exactly where it would split each half alone, and every sum is
 //! combined in the same order as two separate all-reduces would.
 
+use crate::recycler;
 use crate::tensor::Tensor;
 
 /// Default epsilon used by all models in the workspace.
@@ -29,10 +30,10 @@ pub struct LnCache {
 }
 
 /// Per-row partial sums `[Σ_j x_j, Σ_j x_j²]` over the *local* columns, as
-/// one interleaved `[rows, 2]` buffer.
+/// one interleaved `[rows, 2]` buffer from the thread's recycler.
 pub fn ln_partial_sums(x: &Tensor) -> Vec<f32> {
     let cols = x.cols();
-    let mut sums = vec![0.0f32; 2 * x.rows()];
+    let mut sums = recycler::take(2 * x.rows());
     for (row, pair) in x.as_slice().chunks(cols).zip(sums.chunks_mut(2)) {
         let mut a = 0.0f64;
         let mut b = 0.0f64;
@@ -57,7 +58,7 @@ pub fn ln_finish(x: &Tensor, sums: &[f32], h_total: usize, eps: f32) -> LnCache 
     assert_eq!(sums.len(), 2 * rows);
     let cols = x.cols();
     let mut xhat = x.clone();
-    let mut inv_std = vec![0.0f32; rows];
+    let mut inv_std = recycler::take(rows);
     let inv_h = 1.0 / h_total as f32;
     for (r, row) in xhat.as_mut_slice().chunks_mut(cols).enumerate() {
         let mean = sums[2 * r] * inv_h;
@@ -117,10 +118,11 @@ pub fn ln_param_grads(dy: &Tensor, xhat: &Tensor, gamma: &[f32]) -> (Tensor, Vec
 
 /// Per-row partial sums `[Σ_j x̂_j g_j, Σ_j g_j]` of the backward pass, where
 /// `g = ∂J/∂x̂`, as one interleaved `[rows, 2]` buffer. All-reduced along
-/// mesh rows in the distributed case.
+/// mesh rows in the distributed case. The buffer is the recycler's, like
+/// [`ln_partial_sums`]'s.
 pub fn ln_backward_partials(dxhat: &Tensor, xhat: &Tensor) -> Vec<f32> {
     let cols = dxhat.cols();
-    let mut sums = vec![0.0f32; 2 * dxhat.rows()];
+    let mut sums = recycler::take(2 * dxhat.rows());
     let row_pairs = dxhat
         .as_slice()
         .chunks(cols)

@@ -17,6 +17,9 @@
 //!   simulation in the workspace is bit-reproducible without external
 //!   dependencies.
 //! * Finite-difference gradient checking utilities in [`gradcheck`].
+//! * The thread's [`recycler`] of `f32` buffers: every tensor takes its
+//!   storage from it and gives it back on drop, so a repeated step reuses
+//!   its device's memory instead of asking the system allocator again.
 //!
 //! Everything is `f32` end to end, mirroring the configuration the paper
 //! benchmarks; accumulation order is deterministic so distributed results can
@@ -31,6 +34,7 @@ pub mod matmul;
 pub mod ops;
 pub mod optim;
 pub mod pool;
+pub mod recycler;
 pub mod rng;
 pub mod softmax;
 mod tensor;

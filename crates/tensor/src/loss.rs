@@ -43,7 +43,7 @@ pub fn softmax_from_parts(
 ) -> Tensor {
     assert_eq!(global_max.len(), x.rows());
     assert_eq!(global_sumexp.len(), x.rows());
-    let mut out = Tensor::zeros(x.dims());
+    let mut out = Tensor::for_overwrite(x.dims());
     vmath::softmax_from_parts(
         x.as_slice(),
         x.cols(),

@@ -3,6 +3,7 @@
 //! The GELU passes run on the vectorized `vmath` kernels; an element's value
 //! depends on nothing but its input.
 
+use crate::recycler;
 use crate::tensor::Tensor;
 use crate::vmath;
 
@@ -28,10 +29,10 @@ pub fn bias_add(x: &mut Tensor, bias: &[f32]) {
 }
 
 /// Gradient of [`bias_add`] with respect to the bias: column-wise sum of the
-/// upstream gradient.
+/// upstream gradient, in a buffer from the thread's recycler.
 pub fn bias_grad(dy: &Tensor) -> Vec<f32> {
     let cols = dy.cols();
-    let mut g = vec![0.0f32; cols];
+    let mut g = recycler::take_zeroed(cols);
     for row in dy.as_slice().chunks(cols) {
         for (acc, v) in g.iter_mut().zip(row.iter()) {
             *acc += v;
@@ -59,7 +60,7 @@ pub fn gelu_grad(x: f32) -> f32 {
 
 /// Applies GELU element-wise, returning a new tensor.
 pub fn gelu_forward(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(x.dims());
+    let mut out = Tensor::for_overwrite(x.dims());
     vmath::gelu(x.as_slice(), out.as_mut_slice());
     out
 }

@@ -7,7 +7,7 @@ use crate::vmath;
 /// (stable: the row maximum is subtracted first; a masked `-inf` score
 /// yields a probability of exactly zero).
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(x.dims());
+    let mut out = Tensor::for_overwrite(x.dims());
     if x.is_empty() {
         return out;
     }

@@ -1,5 +1,6 @@
 //! The dense, row-major `f32` tensor type used throughout the workspace.
 
+use crate::recycler;
 use crate::rng::Rng;
 use std::fmt;
 
@@ -19,17 +20,26 @@ pub struct Tensor {
 /// (`metrics`): construction goes through the private `new_tracked`, `Clone`
 /// records the copy, and `Drop` / [`Tensor::into_vec`] record the release.
 /// When no metrics registry is active on the thread these are single
-/// thread-local reads.
+/// thread-local reads. Storage comes from the thread's [`recycler`] and
+/// `Drop` gives it back there.
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        Tensor::new_tracked(self.dims.clone(), self.data.clone())
+        Tensor::new_tracked(self.dims.clone(), recycled_copy(&self.data))
     }
 }
 
 impl Drop for Tensor {
     fn drop(&mut self) {
         metrics::free_bytes(std::mem::size_of_val(&self.data[..]));
+        recycler::tensor_dropped(std::mem::take(&mut self.data));
     }
+}
+
+/// A recycled buffer holding a copy of `src`.
+fn recycled_copy(src: &[f32]) -> Vec<f32> {
+    let mut data = recycler::take(src.len());
+    data.copy_from_slice(src);
+    data
 }
 
 impl Tensor {
@@ -39,19 +49,29 @@ impl Tensor {
     /// tensor exists that the tracker has not seen.
     fn new_tracked(dims: Vec<usize>, data: Vec<f32>) -> Self {
         metrics::alloc_bytes(std::mem::size_of_val(&data[..]));
+        recycler::tensor_created(&data);
         Tensor { dims, data }
     }
 
     /// Creates a tensor of zeros with the given shape.
     pub fn zeros(dims: &[usize]) -> Self {
         let n = dims.iter().product();
-        Tensor::new_tracked(dims.to_vec(), vec![0.0; n])
+        Tensor::new_tracked(dims.to_vec(), recycler::take_zeroed(n))
     }
 
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
+        let mut t = Tensor::for_overwrite(dims);
+        t.data.fill(value);
+        t
+    }
+
+    /// A tensor of the given shape whose contents are unspecified (a
+    /// recycled buffer's leftovers), for an output the caller overwrites
+    /// completely: it saves the zero-fill of [`Tensor::zeros`].
+    pub fn for_overwrite(dims: &[usize]) -> Self {
         let n = dims.iter().product();
-        Tensor::new_tracked(dims.to_vec(), vec![value; n])
+        Tensor::new_tracked(dims.to_vec(), recycler::take(n))
     }
 
     /// Wraps an owned buffer with the given shape.
@@ -72,7 +92,7 @@ impl Tensor {
 
     /// Tensor with i.i.d. normal entries of the given standard deviation.
     pub fn randn(dims: &[usize], std: f32, rng: &mut Rng) -> Self {
-        let mut t = Tensor::zeros(dims);
+        let mut t = Tensor::for_overwrite(dims);
         rng.fill_normal(&mut t.data, std);
         t
     }
@@ -119,6 +139,7 @@ impl Tensor {
     pub fn into_vec(mut self) -> Vec<f32> {
         let data = std::mem::take(&mut self.data);
         metrics::free_bytes(std::mem::size_of_val(&data[..]));
+        recycler::tensor_unwrapped(&data);
         data
     }
 
@@ -126,7 +147,7 @@ impl Tensor {
     pub fn reshape(&self, dims: &[usize]) -> Tensor {
         let n: usize = dims.iter().product();
         assert_eq!(n, self.data.len(), "reshape {:?} -> {:?}", self.dims, dims);
-        Tensor::new_tracked(dims.to_vec(), self.data.clone())
+        Tensor::new_tracked(dims.to_vec(), recycled_copy(&self.data))
     }
 
     /// Element at `(r, c)` of the matrix view.
@@ -161,7 +182,7 @@ impl Tensor {
             r0 + nr <= self.rows() && c0 + nc <= cols,
             "block out of range"
         );
-        let mut out = Vec::with_capacity(nr * nc);
+        let mut out = recycler::take_empty(nr * nc);
         for r in r0..r0 + nr {
             out.extend_from_slice(&self.data[r * cols + c0..r * cols + c0 + nc]);
         }
@@ -203,7 +224,7 @@ impl Tensor {
         for b in blocks {
             assert_eq!((b.rows(), b.cols()), (br, bc), "ragged blocks");
         }
-        let mut out = Tensor::zeros(&[br * q, bc * q]);
+        let mut out = Tensor::for_overwrite(&[br * q, bc * q]);
         for i in 0..q {
             for j in 0..q {
                 out.set_block(i * br, j * bc, &blocks[i * q + j]);
@@ -215,7 +236,7 @@ impl Tensor {
     /// Transposed copy of the matrix view.
     pub fn transpose(&self) -> Tensor {
         let (m, n) = (self.rows(), self.cols());
-        let mut out = Tensor::zeros(&[n, m]);
+        let mut out = Tensor::for_overwrite(&[n, m]);
         for r in 0..m {
             for c in 0..n {
                 out.data[c * m + r] = self.data[r * n + c];

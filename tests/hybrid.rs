@@ -487,3 +487,39 @@ fn sixteen_device_worked_example_partitions_cleanly() {
         assert_eq!(rank, (stage * 2 + replica) * 4 + mesh_rank);
     }
 }
+
+/// A pipeline stage updates only the tensors it uses: at `dp = 1` Adam
+/// keeps moments for a middle stage's layers alone and for the final layer
+/// norm on the last stage only — the rule ZeRO-1's region already follows.
+/// `pp 4` at four layers then holds one moment pair per model parameter,
+/// plus one for the tied table's copy on the last stage: 1032, where a walk
+/// of every held tensor kept 1104.
+#[test]
+fn stages_keep_adam_moments_only_for_the_tensors_they_use() {
+    let spec = HybridSpec {
+        pp: 4,
+        dp: 1,
+        grid: [1, 1, 1],
+        microbatches: 1,
+    };
+    let cfg = OptimusConfig {
+        layers: 4,
+        ..OptimusConfig::tiny(1)
+    };
+    let (tokens, labels) = data(&cfg, 6);
+    let bytes = Mesh::run(spec.devices(), |ctx| {
+        let (mut st, grid) = build(ctx, &spec, &cfg, 5);
+        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        for _ in 0..2 {
+            st.step(&grid, &tokens, &labels, &mut opt);
+        }
+        let Optimizer::Adam(opt) = opt else {
+            unreachable!()
+        };
+        opt.state_bytes()
+    });
+    let moments: usize = bytes.iter().sum::<usize>() / 8;
+    let table = cfg.vocab * cfg.hidden;
+    assert_eq!(moments, cfg.model().total_params() + table);
+    assert_eq!(moments, 1032);
+}
