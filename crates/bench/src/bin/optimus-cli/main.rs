@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_fail() {
-        for flag in ["bogus", "wire", "reps"] {
+        for flag in ["bogus", "wire", "reps", "no-overlap"] {
             assert!(apply_flags(Args::default(), &flags(&[(flag, "1")])).is_err());
         }
         let argv = vec!["steps".to_string()];

@@ -446,7 +446,6 @@ fn projection(profile: &HardwareProfile) {
 fn trace_demo(profile: &HardwareProfile) {
     use mesh::{Arrangement, Mesh, Mesh2d, Topology};
     use optimus_core::{OptimusConfig, OptimusModel};
-    use perf::tracecheck;
     use tensor::Rng;
 
     println!("== Trace: one Optimus train step on a 4x4 dry-run mesh ==\n");
@@ -476,12 +475,7 @@ fn trace_demo(profile: &HardwareProfile) {
         m.train_step(g, &tokens, &labels, 0.1)
     });
     let rows = trace::summarize(&traces, |m| cost.meta_time(m));
-    print!("{}", trace::render_summary(&rows));
-    let totals = tracecheck::op_totals(&cost, &traces);
-    println!(
-        "max relative |measured - modeled| gap across op kinds: {:.2e} (dry-run is priced by the model)\n",
-        tracecheck::max_rel_gap(&totals)
-    );
+    println!("{}", trace::render_summary(&rows));
 
     // Table 1 cross-check, Megatron column: one layer forward on p = q²
     // devices does two ring all-reduces of b·s·h elements; the wire volume
@@ -500,8 +494,7 @@ fn trace_demo(profile: &HardwareProfile) {
     let full = serial::LayerParams::init(0, 0, model_cfg.hidden);
     let mut rng = Rng::new(1);
     let x = tensor::Tensor::randn(&[model_cfg.tokens(), model_cfg.hidden], 1.0, &mut rng);
-    let flat = CostModel::new(profile.clone(), Topology::flat(p, profile.gpus_per_node));
-    let (_, _, mtraces) = Mesh::dry_run_traced(p, flat.ns_pricer(), |ctx| {
+    let (_, logs) = Mesh::dry_run_with_logs(p, |ctx| {
         let world = mesh::Group::world(p);
         let low = megatron::Megatron1d {
             ctx,
@@ -511,12 +504,11 @@ fn trace_demo(profile: &HardwareProfile) {
         let lp = serial::shard_layer(&low, &full);
         megatron::layer1d_forward(ctx, &world, &mcfg, &lp, &x);
     });
-    let mtotals = tracecheck::op_totals(&flat, &mtraces);
-    let ar = mtotals
+    let wire: usize = logs
         .iter()
-        .find(|t| t.kind == "AllReduce")
-        .expect("layer forward all-reduces");
-    let wire_per_dev = ar.wire_elems / p;
+        .map(|log| log.link_elems(Some(mesh::CommOp::AllReduce)))
+        .sum();
+    let wire_per_dev = wire / p;
     let table1 = megatron_layer_costs(model_cfg.batch, model_cfg.seq, model_cfg.hidden, p).fwd_comm;
     println!(
         "[table 1 cross-check] traced AllReduce wire volume {} elems/device, closed form 4(p-1)/p*bsh = {} -> {}",

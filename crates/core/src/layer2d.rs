@@ -368,6 +368,7 @@ mod tests {
                 .collect();
             let (ln_ref, cache_ref) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
             let (dxln_ref, dg_ref, dbeta_ref) = layer_norm_backward(&dy, &cache_ref, &gamma);
+            tensor::recycler::give(cache_ref.inv_std);
             let blocks_ref = [
                 y_ref,
                 tensor::matmul_nt(&dy, w),

@@ -9,7 +9,7 @@ use mesh::{Communicator, Grid2d};
 use serial::stem::{self, MemMeter, StemRef};
 use serial::{init_head, linear_forward, walk_stem, ModelTensors, Optimizer, Role, StemMut};
 use tensor::optim::sgd_update;
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// Device-local gradients for everything this device owns; `embedding`
 /// is the table block.
@@ -289,10 +289,13 @@ impl OptimusModel {
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
                 .expect("non-empty vocab")
                 .0;
+            recycler::give(full);
             local_next.push(next as f32);
         }
         let all = grid.ctx().all_gather(grid.col_group(), &local_next);
-        all.into_iter().map(|v| v as usize).collect()
+        let next = all.iter().map(|&v| v as usize).collect();
+        recycler::give(all);
+        next
     }
 
     /// Plain SGD over all local parameters.

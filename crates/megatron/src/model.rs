@@ -8,7 +8,7 @@ use mesh::{Communicator, Group};
 use serial::stem::{self, MemMeter, StemRef};
 use serial::{walk_stem, ModelParams, ModelTensors, Optimizer, StemMut};
 use tensor::optim::sgd_update;
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// Device-local gradients for every parameter this device owns (plus its
 /// replicas of the shared ones); `embedding` is the vocabulary slice.
@@ -178,11 +178,14 @@ impl MegatronModel {
             .map(|b| {
                 let last = logits.row(b * s + s - 1);
                 let full = ctx.all_gather(&self.world, last);
-                full.iter()
+                let next = full
+                    .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
                     .expect("non-empty vocab")
-                    .0
+                    .0;
+                recycler::give(full);
+                next
             })
             .collect()
     }

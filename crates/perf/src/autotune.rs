@@ -12,7 +12,8 @@
 //! gradient all-reduce), so sweeping hundreds of configurations at 512+
 //! devices takes milliseconds. The winning configuration is then
 //! cross-checked *live* by the CLI: the same step runs on a small thread
-//! mesh and `tracecheck` reconciles the priced trace against the model.
+//! mesh and on the dry-run backend, and their CommLogs must be
+//! byte-identical.
 //!
 //! # The makespan model
 //!

@@ -161,7 +161,7 @@ impl CostModel {
     }
 
     /// Cost of one trace op event, in seconds — [`CostModel::coll_time`]
-    /// applied to a [`trace::OpMeta`], so `tracecheck` re-prices exactly
+    /// applied to a [`trace::OpMeta`], so a trace's summary prices exactly
     /// the steps that ran. `mesh::comm::op_meta` writes both labels from a
     /// typed `CommOp` and `CollAlgo`, so a label that names none panics.
     pub fn meta_time(&self, meta: &trace::OpMeta) -> f64 {
@@ -408,14 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn alpha_term_dominates_tiny_messages() {
-        let prof = HardwareProfile {
-            alpha: 1e-4,
-            ..HardwareProfile::uniform(1e12, 1e-12)
+    fn meta_time_matches_op_time_on_the_same_collective() {
+        // A trace event's meta and its log record are one price.
+        use mesh::{Communicator, Group, Mesh};
+        let m = uniform_model(1e-9);
+        let (_, logs, traces) = Mesh::dry_run_traced(4, m.ns_pricer(), |c| {
+            c.all_reduce(&Group::world(4), &mut [0.0; 1000]);
+        });
+        let trace::Event::Op { meta, .. } = &traces[0].events[0] else {
+            panic!("the first event is the all-reduce")
         };
-        let m = CostModel::new(prof, Topology::single_node(8));
-        let ranks: Vec<usize> = (0..8).collect();
-        let t = m.broadcast_time(&ranks, 1);
-        assert!(t > 2.9e-4, "latency floor missing: {t}");
+        assert_eq!(m.meta_time(meta), m.op_time(&logs[0].ops[0]));
     }
 }

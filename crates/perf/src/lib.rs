@@ -19,8 +19,6 @@
 //!   search.
 //! * [`cost`] — Eq. 4/5 collective costs, topology-aware (Figure 8's naive
 //!   vs bunched arrangements) with NIC-contention modelling.
-//! * [`tracecheck`] — cross-checks of recorded [`trace`] timelines against
-//!   the cost model (and, via the integration tests, Table 1).
 //! * [`autotune`] — the hybrid 3D/4D configuration-space search behind
 //!   `optimus-cli autotune`: every valid `pp × dp × [q, q, d] × m`
 //!   partition priced by the same models, reduced to a Pareto frontier.
@@ -35,7 +33,6 @@ pub mod profile;
 pub mod projection;
 pub mod scaling;
 pub mod table1;
-pub mod tracecheck;
 
 pub use calibration::Calibration;
 pub use colltune::CollTune;

@@ -16,7 +16,7 @@ use crate::stem::StemRef;
 use std::iter::once;
 use std::ops::Range;
 use tensor::init::{init_runs, param_ids, WEIGHT_STD};
-use tensor::Tensor;
+use tensor::{recycler, Tensor};
 
 /// A canonical tensor, as far as placing it goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -349,24 +349,25 @@ fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f
         cut.hosted,
         "a piece is held where it is hosted"
     );
-    // A tensor every device holds whole needs no communication.
-    let flat = if cut == Cut::WHOLE {
-        piece.map(<[f32]>::to_vec)
-    } else {
-        low.gather_pieces(slot, piece)
-    };
-    let Some(flat) = flat else {
+    // A tensor every device holds whole needs no communication; a gathered
+    // one arrives in a buffer of the device's recycler.
+    let whole = cut == Cut::WHOLE;
+    let gathered = (!whole).then(|| low.gather_pieces(slot, piece)).flatten();
+    let Some(flat) = (if whole { piece } else { gathered.as_deref() }) else {
         return (None, dims);
     };
     let (rp, cp) = (cut.rows.1, cut.cols.1);
     let blocks = (0..rp * cp).map(|k| Cut::new((k / cp, rp), (k % cp, cp), true));
     let mut full = vec![0.0; dims[0] * dims[1]];
     assert_eq!(flat.len(), full.len(), "gathered size mismatch");
-    let mut rest = &flat[..];
+    let mut rest = flat;
     for r in blocks.flat_map(|b| b.runs(dims, thirds)) {
         let (run, tail) = rest.split_at(r.len());
         full[r].copy_from_slice(run);
         rest = tail;
+    }
+    if let Some(buf) = gathered {
+        recycler::give(buf);
     }
     (Some(full), dims)
 }

@@ -86,9 +86,12 @@ pub fn ln_affine(xhat: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
     y
 }
 
-/// Serial layer-norm forward over the last dimension.
+/// Serial layer-norm forward over the last dimension. The cache's
+/// `inv_std` is the recycler's: a caller that drops the cache gives it back.
 pub fn layer_norm_forward(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> (Tensor, LnCache) {
-    let cache = ln_finish(x, &ln_partial_sums(x), x.cols(), eps);
+    let sums = ln_partial_sums(x);
+    let cache = ln_finish(x, &sums, x.cols(), eps);
+    recycler::give(sums);
     let y = ln_affine(&cache.xhat, gamma, beta);
     (y, cache)
 }
@@ -180,6 +183,7 @@ pub fn layer_norm_backward(
     let (dxhat, dgamma, dbeta) = ln_param_grads(dy, &cache.xhat, gamma);
     let sums = ln_backward_partials(&dxhat, &cache.xhat);
     let dx = ln_backward_finish(&dxhat, &cache.xhat, &cache.inv_std, &sums, dy.cols());
+    recycler::give(sums);
     (dx, dgamma, dbeta)
 }
 
@@ -188,6 +192,13 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
     use crate::{assert_close, Tensor};
+
+    /// The forward's output; its cache's buffer goes back.
+    fn forward(x: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
+        let (y, cache) = layer_norm_forward(x, gamma, beta, LN_EPS);
+        recycler::give(cache.inv_std);
+        y
+    }
 
     fn loss(y: &Tensor, w: &Tensor) -> f32 {
         y.as_slice()
@@ -203,7 +214,7 @@ mod tests {
         let x = Tensor::randn(&[4, 16], 2.0, &mut rng);
         let gamma = vec![1.0; 16];
         let beta = vec![0.0; 16];
-        let (y, _) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
+        let y = forward(&x, &gamma, &beta);
         for r in 0..4 {
             let row = y.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 16.0;
@@ -223,6 +234,7 @@ mod tests {
         for (yv, xh) in y.as_slice().iter().zip(cache.xhat.as_slice()) {
             assert!((yv - (2.0 * xh + 0.5)).abs() < 1e-6);
         }
+        recycler::give(cache.inv_std);
     }
 
     #[test]
@@ -234,6 +246,7 @@ mod tests {
         let w = Tensor::randn(&[3, 8], 1.0, &mut rng);
         let (_, cache) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
         let (dx, dgamma, dbeta) = layer_norm_backward(&w, &cache, &gamma);
+        recycler::give(cache.inv_std);
 
         let eps = 1e-2f32;
         // Input gradient.
@@ -242,8 +255,7 @@ mod tests {
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let (yp, _) = layer_norm_forward(&xp, &gamma, &beta, LN_EPS);
-            let (ym, _) = layer_norm_forward(&xm, &gamma, &beta, LN_EPS);
+            let (yp, ym) = (forward(&xp, &gamma, &beta), forward(&xm, &gamma, &beta));
             let fd = (loss(&yp, &w) - loss(&ym, &w)) / (2.0 * eps);
             assert!(
                 (dx.as_slice()[idx] - fd).abs() < 3e-2,
@@ -257,8 +269,7 @@ mod tests {
             gp[c] += eps;
             let mut gm = gamma.clone();
             gm[c] -= eps;
-            let (yp, _) = layer_norm_forward(&x, &gp, &beta, LN_EPS);
-            let (ym, _) = layer_norm_forward(&x, &gm, &beta, LN_EPS);
+            let (yp, ym) = (forward(&x, &gp, &beta), forward(&x, &gm, &beta));
             let fd = (loss(&yp, &w) - loss(&ym, &w)) / (2.0 * eps);
             assert!(
                 (dgamma[c] - fd).abs() < 2e-2,
@@ -270,8 +281,7 @@ mod tests {
             bp[c] += eps;
             let mut bm = beta.clone();
             bm[c] -= eps;
-            let (yp, _) = layer_norm_forward(&x, &gamma, &bp, LN_EPS);
-            let (ym, _) = layer_norm_forward(&x, &gamma, &bm, LN_EPS);
+            let (yp, ym) = (forward(&x, &gamma, &bp), forward(&x, &gamma, &bm));
             let fd = (loss(&yp, &w) - loss(&ym, &w)) / (2.0 * eps);
             assert!(
                 (dbeta[c] - fd).abs() < 2e-2,
@@ -289,7 +299,7 @@ mod tests {
         let x = Tensor::randn(&[4, 12], 1.0, &mut rng);
         let gamma = vec![1.0; 12];
         let beta = vec![0.0; 12];
-        let (y_ref, _) = layer_norm_forward(&x, &gamma, &beta, LN_EPS);
+        let y_ref = forward(&x, &gamma, &beta);
 
         let left = x.block(0, 0, 4, 6);
         let right = x.block(0, 6, 4, 6);
@@ -298,10 +308,14 @@ mod tests {
         let s: Vec<f32> = sl.iter().zip(&sr).map(|(a, b)| a + b).collect();
         let cl = ln_finish(&left, &s, 12, LN_EPS);
         let cr = ln_finish(&right, &s, 12, LN_EPS);
+        [sl, sr].into_iter().for_each(recycler::give);
 
         let mut reassembled = Tensor::zeros(&[4, 12]);
         reassembled.set_block(0, 0, &cl.xhat);
         reassembled.set_block(0, 6, &cr.xhat);
         assert_close(reassembled.as_slice(), y_ref.as_slice(), 1e-5, 1e-5);
+        [cl.inv_std, cr.inv_std]
+            .into_iter()
+            .for_each(recycler::give);
     }
 }

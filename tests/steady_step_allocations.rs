@@ -205,3 +205,55 @@ fn hybrid_second_step_allocates_nothing_large() {
     });
     assert_none("hybrid pp2 dp2 [2,2]", &made);
 }
+
+/// Runs `call` three times on the calling device thread and returns its
+/// recycler's live peak after the first call and after the third.
+fn peak_after_first_and_third(mut call: impl FnMut()) -> (usize, usize) {
+    call();
+    let first = recycler::peak_live_bytes();
+    call();
+    call();
+    (first, recycler::peak_live_bytes())
+}
+
+fn assert_steady(what: &str, peaks: &[(usize, usize)]) {
+    assert!(
+        peaks.iter().all(|(first, third)| first == third),
+        "{what}: the live peak rose after the first call (first, third): {peaks:?}"
+    );
+}
+
+/// A checkpoint gather and a greedy decode give back every buffer they take
+/// from the recycler: a buffer dropped as a plain `Vec` stays counted as
+/// live, so each repeat would raise the device's peak by its bytes.
+///
+/// A device that sends more than it receives keeps the difference counted
+/// as in flight, so each check covers the devices whose receives balance
+/// their sends: the gather's root, where the pieces land; every Megatron
+/// device in a decode; and the 2D mesh's second row in a decode (the first
+/// row hosts the vectors that a forward broadcasts down the columns).
+#[test]
+fn gathers_and_greedy_decodes_give_back_what_they_take() {
+    let (tokens, _) = data();
+    let cfg = optimus_cfg(2);
+    let peaks = Mesh2d::run(2, |g| {
+        let m = OptimusModel::new(&cfg, 3, g);
+        let gather = peak_after_first_and_third(|| drop(m.gather_params(g)));
+        let decode = peak_after_first_and_third(|| drop(m.greedy_next(g, &tokens)));
+        (gather, decode)
+    });
+    let (gather, decode): (Vec<_>, Vec<_>) = peaks.into_iter().unzip();
+    assert_steady("optimus [2,2] gather_params, root", &gather[..1]);
+    assert_steady("optimus [2,2] greedy_next, second row", &decode[2..]);
+
+    let cfg = MegatronConfig::new(model(), 4);
+    let peaks = Mesh::run(4, |ctx| {
+        let m = MegatronModel::new(cfg, 3, ctx);
+        let gather = peak_after_first_and_third(|| drop(m.gather_params(ctx)));
+        let decode = peak_after_first_and_third(|| drop(m.greedy_next(ctx, &tokens)));
+        (gather, decode)
+    });
+    let (gather, decode): (Vec<_>, Vec<_>) = peaks.into_iter().unzip();
+    assert_steady("megatron p=4 gather_params, root", &gather[..1]);
+    assert_steady("megatron p=4 greedy_next", &decode);
+}
