@@ -24,22 +24,18 @@ use summa::{summa_product, Strips};
 use tensor::gemm::Form;
 use tensor::{recycler, Tensor};
 
-/// One layer's parameters (or their gradients) as held by a single device
-/// of the mesh: `[·/q, ·/q]` weight blocks and, on mesh row 0 only, this
-/// column's slice of every bias and layer-norm vector ([`Summa2d`]'s
-/// [`Lowering::place`]).
-pub type Layer2dParams = LayerTensors<Option<Vec<f32>>>;
-
 /// The Optimus-2D lowering: SUMMA products (Algorithms 1–3), vectors hosted
 /// on mesh row 0 (Fig. 5), layer-norm statistics summed along mesh rows
-/// (Section 3.2.2).
+/// (Section 3.2.2). A device's layer parameters (or their gradients) are
+/// `[·/q, ·/q]` weight blocks and, on mesh row 0 only, this column's slice
+/// of every bias and layer-norm vector, empty elsewhere
+/// ([`Lowering::place`]).
 pub struct Summa2d<'a, C: Communicator> {
     pub grid: &'a Grid2d<'a, C>,
     pub cfg: &'a OptimusConfig,
 }
 
 impl<C: Communicator> Lowering for Summa2d<'_, C> {
-    type Hosted = Option<Vec<f32>>;
     type Panels = Strips;
 
     fn gemm(
@@ -213,7 +209,7 @@ impl<C: Communicator> Summa2d<'_, C> {
 pub fn layer2d_forward<C: Communicator>(
     grid: &Grid2d<C>,
     cfg: &OptimusConfig,
-    p: &Layer2dParams,
+    p: &LayerTensors,
     x: &Tensor,
 ) -> (Tensor, LayerCache<Strips>) {
     assert_eq!(
@@ -230,10 +226,10 @@ pub fn layer2d_forward<C: Communicator>(
 pub fn layer2d_backward<C: Communicator>(
     grid: &Grid2d<C>,
     cfg: &OptimusConfig,
-    p: &Layer2dParams,
+    p: &LayerTensors,
     cache: &LayerCache<Strips>,
     dy: &Tensor,
-) -> (Tensor, Layer2dParams) {
+) -> (Tensor, LayerTensors) {
     layer_backward(&Summa2d { grid, cfg }, p, cache, dy)
 }
 
@@ -243,7 +239,7 @@ mod tests {
     use super::*;
     use mesh::Mesh2d;
     use serial::{linear_backward, linear_forward, ln_backward, ln_forward, stem};
-    use serial::{shard_layer, shard_tensor, Hosted, LayerParams, Local};
+    use serial::{shard_layer, shard_tensor, LayerParams, Local};
     use summa::{collect_blocks, distribute};
     use tensor::layernorm::{layer_norm_backward, layer_norm_forward, LN_EPS};
     use tensor::{assert_close, Rng, Tensor};
@@ -282,7 +278,7 @@ mod tests {
 
     /// An output, an input gradient and all twelve parameter gradients as
     /// bit patterns.
-    fn all_bits<B: Hosted>(y: &Tensor, dx: &Tensor, mut grads: LayerTensors<B>) -> Vec<Vec<u32>> {
+    fn all_bits(y: &Tensor, dx: &Tensor, mut grads: LayerTensors) -> Vec<Vec<u32>> {
         let mut out = vec![bits(y.as_slice()), bits(dx.as_slice())];
         grads.walk_mut(&mut |g| out.push(bits(g)));
         out
@@ -342,7 +338,7 @@ mod tests {
             // Bias grads concatenated across row 0 equal the serial gradient.
             let mut db_fc1 = Vec::new();
             for j in 0..q {
-                db_fc1.extend(outs[j].2.b_fc1.as_ref().unwrap());
+                db_fc1.extend(&outs[j].2.b_fc1);
             }
             assert_close(&db_fc1, &grads_ref.b_fc1, 2e-4, 1e-3);
         }
@@ -381,7 +377,8 @@ mod tests {
                 let low = Summa2d { grid: g, cfg: &cfg };
                 let host = |v: &[f32]| {
                     let full = Tensor::from_vec(&[1, v.len()], v.to_vec());
-                    shard_tensor(&low, Slot::Norm, &full).map(Tensor::into_vec)
+                    let piece = shard_tensor(&low, Slot::Norm, &full);
+                    piece.map_or_else(Vec::new, Tensor::into_vec)
                 };
                 let (xl, wl, dyl) = (distribute(g, &x), distribute(g, w), distribute(g, &dy));
                 let y = linear_forward(&low, Role::Expand, &xl, &wl, &host(&b), None);

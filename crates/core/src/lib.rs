@@ -8,8 +8,9 @@
 //!
 //! The transformer layer is the one body in `serial::layer`, lowered by
 //! [`Summa2d`] ([`layer2d_forward`] / [`layer2d_backward`]); parameters and
-//! gradients are `serial::LayerTensors<Option<Vec<f32>>>` blocks, walked in
-//! the canonical order of [`serial::walk_stem`]. What the lowering decides:
+//! gradients are `serial::LayerTensors` blocks, a vector empty off mesh row
+//! 0, walked in the canonical order of [`serial::walk_stem`]. What the
+//! lowering decides:
 //!
 //! * **SUMMA linear layers** (`serial::linear_{forward,backward}` under
 //!   [`Summa2d`]) — all four matmuls of a transformer layer, and the
@@ -48,6 +49,6 @@ mod layer2d;
 mod model;
 
 pub use config::OptimusConfig;
-pub use layer2d::{layer2d_backward, layer2d_forward, Layer2dParams, Summa2d};
-pub use model::{Model2dGrads, OptimusModel, TrainOutput};
+pub use layer2d::{layer2d_backward, layer2d_forward, Summa2d};
+pub use model::{OptimusModel, TrainOutput};
 pub use serial::stem::MemMeter;

@@ -4,16 +4,12 @@
 //! immediate update.
 
 use crate::config::OptimusConfig;
-use crate::layer2d::{Layer2dParams, Summa2d};
+use crate::layer2d::Summa2d;
 use mesh::{Communicator, Grid2d};
-use serial::stem::{self, MemMeter, StemRef};
-use serial::{init_head, linear_forward, walk_stem, ModelTensors, Optimizer, Role, StemMut};
+use serial::stem::{self, MemMeter, StemMut, StemRef};
+use serial::{init_head, linear_forward, walk_stem, LayerTensors, ModelTensors, Optimizer, Role};
 use tensor::optim::sgd_update;
 use tensor::{recycler, Tensor};
-
-/// Device-local gradients for everything this device owns; `embedding`
-/// is the table block.
-pub type Model2dGrads = ModelTensors<Option<Vec<f32>>>;
 
 /// Result of a detailed training step.
 #[derive(Clone, Copy, Debug)]
@@ -30,14 +26,16 @@ pub struct OptimusModel {
     pub cfg: OptimusConfig,
     /// Embedding table block `[v/q, h/q]` (tied with the LM head).
     pub table: Tensor,
-    pub layers: Vec<Layer2dParams>,
-    /// Final layer-norm γ, β: this column's `h/q` slice on mesh row 0.
-    pub final_ln_g: Option<Vec<f32>>,
-    pub final_ln_b: Option<Vec<f32>>,
+    pub layers: Vec<LayerTensors>,
+    /// Final layer-norm γ, β: this column's `h/q` slice on mesh row 0,
+    /// empty elsewhere.
+    pub final_ln_g: Vec<f32>,
+    pub final_ln_b: Vec<f32>,
     /// Sentence-classification head (the second branch of the paper's
     /// Fig. 1): weight block `[h/q, c/q]` and, on mesh row 0, this column's
-    /// bias slice; present after [`OptimusModel::with_classifier`].
-    pub cls: Option<(Tensor, Option<Vec<f32>>)>,
+    /// bias slice (empty elsewhere); present after
+    /// [`OptimusModel::with_classifier`].
+    pub cls: Option<(Tensor, Vec<f32>)>,
     /// Activation-byte accounting for the most recent step.
     pub meter: MemMeter,
 }
@@ -57,7 +55,7 @@ impl OptimusModel {
     pub fn build<C: Communicator>(
         cfg: &OptimusConfig,
         grid: &Grid2d<C>,
-        tensors: impl FnOnce(&Summa2d<C>) -> ModelTensors<Option<Vec<f32>>>,
+        tensors: impl FnOnce(&Summa2d<C>) -> ModelTensors,
     ) -> Self {
         cfg.validate();
         assert_eq!(grid.q(), cfg.q, "grid side must equal cfg.q");
@@ -107,7 +105,7 @@ impl OptimusModel {
     }
 
     /// This device's stem parameters by reference.
-    pub fn stem(&self) -> StemRef<'_, Option<Vec<f32>>> {
+    pub fn stem(&self) -> StemRef<'_> {
         StemRef {
             table: &self.table,
             layers: &self.layers,
@@ -116,7 +114,7 @@ impl OptimusModel {
     }
 
     /// This device's stem parameters by mutable reference.
-    pub fn stem_mut(&mut self) -> StemMut<'_, Option<Vec<f32>>> {
+    pub fn stem_mut(&mut self) -> StemMut<'_> {
         StemMut {
             table: &mut self.table,
             layers: &mut self.layers,
@@ -182,14 +180,14 @@ impl OptimusModel {
     /// layer's input block is kept during forward and the layer is
     /// recomputed inside backward (Section 3.2.3), except the top layer,
     /// whose forward keeps its cache for the backward that follows. Returns
-    /// the loss and all local gradients; `self.meter` holds the step's
-    /// activation peak.
+    /// the loss and all local gradients (the table gradient this device's
+    /// block); `self.meter` holds the step's activation peak.
     pub fn lm_grads<C: Communicator>(
         &mut self,
         grid: &Grid2d<C>,
         tokens: &[usize],
         labels: &[usize],
-    ) -> (f32, Model2dGrads) {
+    ) -> (f32, ModelTensors) {
         let cfg = self.cfg;
         let tokens_local = cfg.local_tokens(tokens, grid.row());
         let labels_local = cfg.local_tokens(labels, grid.row());
@@ -209,10 +207,10 @@ impl OptimusModel {
     }
 
     /// One training step under `opt` ([`stem::step`]), honoring
-    /// `cfg.checkpoint` as [`OptimusModel::lm_grads`] does. Under SGD each
-    /// layer's weights update as soon as its backward is done and their
-    /// gradients are dropped (the paper's method (2), Section 3.2.3); other
-    /// optimizers collect the gradients first. Returns the pre-update loss
+    /// `cfg.checkpoint` as [`OptimusModel::lm_grads`] does. Under SGD and
+    /// Adam each layer's weights update as soon as its backward is done and
+    /// their gradients are dropped (the paper's method (2), Section 3.2.3);
+    /// clipping collects the gradients first. Returns the pre-update loss
     /// and the clip scale (1 unless [`Optimizer::Clipped`]), both identical
     /// on every device; `self.meter` holds the step's activation peak.
     /// Every parameter is hosted, and so updated, on exactly one device of
@@ -299,7 +297,7 @@ impl OptimusModel {
     }
 
     /// Plain SGD over all local parameters.
-    pub fn apply_sgd(&mut self, grads: &Model2dGrads, lr: f32) {
+    pub fn apply_sgd(&mut self, grads: &ModelTensors, lr: f32) {
         walk_stem(self.stem_mut(), grads, &mut |p, g| sgd_update(p, g, lr));
     }
 }

@@ -112,9 +112,9 @@
 use std::collections::VecDeque;
 
 use mesh::{Communicator, GridNd, Group};
-use optimus_core::{Model2dGrads, OptimusConfig, OptimusModel, Summa2d};
+use optimus_core::{OptimusConfig, OptimusModel, Summa2d};
 use serial::stem::{self, Bottom, Grads, Keep, MemMeter, Out};
-use serial::{Lowering, Optimizer, Region, StemRef};
+use serial::{Lowering, ModelTensors, Optimizer, Region, StemRef};
 use tensor::{recycler, Tensor};
 
 /// A hybrid parallel configuration: how an `N`-device world is partitioned
@@ -438,7 +438,7 @@ impl HybridStage {
         grid: &GridNd<C>,
         tokens: &[usize],
         labels: &[usize],
-    ) -> (f64, Model2dGrads) {
+    ) -> (f64, ModelTensors) {
         let (m, micro, ctx) = (self.spec.microbatches, self.model.cfg, grid.ctx());
         let rows = self.cfg.batch * self.cfg.seq;
         stem::check_ids("token", tokens, rows, self.cfg.vocab);
@@ -594,14 +594,14 @@ impl HybridStage {
                 let mine = ctx.reduce_scatter(&dp, &mut g);
                 let own = (me * block).min(n)..((me + 1) * block).min(n);
                 let values = params.as_mut_slice();
-                opt.begin_step();
-                opt.apply(&mut values[own.clone()], &mine[..own.len()]);
+                opt.step(own.len())
+                    .apply(0, &mut values[own.clone()], &mine[..own.len()]);
                 let mut sent = values[own].to_vec();
                 sent.resize(block, 0.0);
                 let all = ctx.all_gather(&dp, &sent);
                 values.copy_from_slice(&all[..n]);
                 [g, mine, all].into_iter().for_each(recycler::give);
-                params.walk(self.model.stem_mut(), &mut |p, v| p.copy_from_slice(v));
+                params.walk(self.model.stem_mut(), &mut |_, p, v| p.copy_from_slice(v));
                 1.0
             }
             _ => {
@@ -631,7 +631,7 @@ impl HybridStage {
     /// This device's tensors of `stem` that the replicas sync, as one region
     /// in walk order: the table on the first and last stage, the final layer
     /// norm on the last.
-    fn synced(&self, stem: &StemRef<'_, Option<Vec<f32>>>) -> Region {
+    fn synced(&self, stem: &StemRef<'_>) -> Region {
         let (table, fin) = self.uses();
         Region::synced(stem, table, fin)
     }
@@ -644,14 +644,16 @@ impl HybridStage {
     }
 
     /// The dp all-reduce (sum) of every gradient this stage syncs: one call.
-    fn dp_sync<C: Communicator>(&self, ctx: &C, grads: &mut Model2dGrads) {
+    fn dp_sync<C: Communicator>(&self, ctx: &C, grads: &mut ModelTensors) {
         if self.spec.dp == 1 {
             return;
         }
         let mut region = self.synced(&grads.stem());
         let dp = self.spec.dp_group(self.stage, self.mesh_rank);
         ctx.all_reduce(&dp, region.as_mut_slice());
-        region.walk(grads.stem_mut(), &mut |g, synced| g.copy_from_slice(synced));
+        region.walk(grads.stem_mut(), &mut |_, g, synced| {
+            g.copy_from_slice(synced)
+        });
     }
 }
 
@@ -660,7 +662,7 @@ mod tests {
     use super::*;
     use mesh::{CommOp, Mesh};
     use serial::{LayerTensors, SerialModel};
-    use tensor::optim::AdamSet;
+    use tensor::optim::Adam;
     use tensor::Rng;
 
     fn data(cfg: &OptimusConfig, seed: u64) -> (Vec<usize>, Vec<usize>) {
@@ -917,13 +919,12 @@ mod tests {
             let (want, logs) = Mesh::run_with_logs(spec.devices(), |ctx| {
                 let (mut st, grid) = build(ctx, &spec, &cfg, 7);
                 let mut opt = match adam {
-                    true => Optimizer::Adam(AdamSet::new(0.01)),
+                    true => Optimizer::Adam(Adam::new(0.01)),
                     false => Optimizer::Sgd { lr: 0.1 },
                 };
                 st.step(&grid, &tokens, &labels, &mut opt);
                 let (m, last) = (&st.model, st.is_last());
-                let len = |v: &Option<Vec<f32>>| v.as_ref().map_or(0, Vec::len);
-                let fin = len(&m.final_ln_g) + len(&m.final_ln_b);
+                let fin = m.final_ln_g.len() + m.final_ln_b.len();
                 let layers: usize = m.layers.iter().map(LayerTensors::num_params).sum();
                 let ends = (st.is_first() || last) as usize * m.table.len();
                 let n = layers + ends + last as usize * fin;

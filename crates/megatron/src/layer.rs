@@ -30,7 +30,6 @@ pub struct Megatron1d<'a, C: Communicator> {
 }
 
 impl<C: Communicator> Lowering for Megatron1d<'_, C> {
-    type Hosted = Vec<f32>;
     type Panels = ();
 
     /// A local GEMM on this device's slice. The two products that contract

@@ -14,8 +14,8 @@
 //! GEMMs on column-parallel *expand* and row-parallel *contract* slices plus
 //! the one world all-reduce Fig. 2 needs after each — and
 //! [`layer1d_forward`] / [`layer1d_backward`] are that body under it.
-//! Parameters and gradients are `serial::LayerTensors<Vec<f32>>` slices,
-//! walked in the canonical order of [`serial::walk_stem`].
+//! Parameters and gradients are `serial::LayerTensors` slices, walked in
+//! the canonical order of [`serial::walk_stem`].
 //!
 //! Layout conventions (per device `j` of `p`), [`Megatron1d`]'s placement
 //! table (`serial::Lowering::place`), which `serial::{shard, gather}` read:

@@ -10,10 +10,6 @@ use serial::{walk_stem, ModelParams, ModelTensors, Optimizer, StemMut};
 use tensor::optim::sgd_update;
 use tensor::{recycler, Tensor};
 
-/// Device-local gradients for every parameter this device owns (plus its
-/// replicas of the shared ones); `embedding` is the vocabulary slice.
-pub type Model1dGrads = ModelTensors<Vec<f32>>;
-
 /// One device's shard of the Megatron model.
 pub struct MegatronModel {
     pub cfg: MegatronConfig,
@@ -51,7 +47,7 @@ impl MegatronModel {
     fn build<C: Communicator>(
         cfg: MegatronConfig,
         ctx: &C,
-        tensors: impl FnOnce(&Megatron1d<C>) -> ModelTensors<Vec<f32>>,
+        tensors: impl FnOnce(&Megatron1d<C>) -> ModelTensors,
     ) -> Self {
         assert_eq!(ctx.world_size(), cfg.p, "mesh size must equal cfg.p");
         let world = Group::world(cfg.p);
@@ -86,7 +82,7 @@ impl MegatronModel {
         }
     }
 
-    fn stem(&self) -> StemRef<'_, Vec<f32>> {
+    fn stem(&self) -> StemRef<'_> {
         StemRef {
             table: &self.table,
             layers: &self.layers,
@@ -94,7 +90,7 @@ impl MegatronModel {
         }
     }
 
-    fn stem_mut(&mut self) -> StemMut<'_, Vec<f32>> {
+    fn stem_mut(&mut self) -> StemMut<'_> {
         StemMut {
             table: &mut self.table,
             layers: &mut self.layers,
@@ -113,7 +109,9 @@ impl MegatronModel {
         stem::lm_loss(&self.low(ctx), &self.stem(), tokens, labels, rows)
     }
 
-    /// Forward + backward; returns the loss and this device's gradients.
+    /// Forward + backward; returns the loss and this device's gradients
+    /// (every parameter it owns plus its replicas of the shared ones, the
+    /// table gradient its vocabulary slice).
     ///
     /// Honors `cfg.checkpoint`: when set, only each layer's replicated
     /// input is kept during forward and the layer is recomputed (including
@@ -125,7 +123,7 @@ impl MegatronModel {
         ctx: &C,
         tokens: &[usize],
         labels: &[usize],
-    ) -> (f32, Model1dGrads) {
+    ) -> (f32, ModelTensors) {
         let (rows, checkpoint) = (self.cfg.model.tokens(), self.cfg.checkpoint);
         let meter = &mut MemMeter::new();
         let (low, stem) = (self.low(ctx), self.stem());
@@ -191,7 +189,7 @@ impl MegatronModel {
     }
 
     /// Plain SGD over all local parameters.
-    pub fn apply_sgd(&mut self, grads: &Model1dGrads, lr: f32) {
+    pub fn apply_sgd(&mut self, grads: &ModelTensors, lr: f32) {
         walk_stem(self.stem_mut(), grads, &mut |p, g| sgd_update(p, g, lr));
     }
 }

@@ -126,6 +126,7 @@ impl DeviceCtx {
 mod tests {
     use crate::schedule::chunk;
     use crate::{Communicator, Group, Mesh};
+    use tensor::recycler;
 
     #[test]
     fn broadcast_from_every_root() {
@@ -388,7 +389,7 @@ mod tests {
             let mut buf = vec![1.0f32; 256];
             // A cold device's first send misses its own pool.
             ctx.broadcast(&g, 0, &mut buf);
-            let cold = ctx.fresh_allocs();
+            let cold = recycler::misses();
             // Root 0 sends the broadcast and receives the reduce over the
             // same tree, so every device's buffers balance per round.
             let round = |buf: &mut [f32]| {
@@ -400,11 +401,11 @@ mod tests {
             for _ in 0..3 {
                 round(&mut buf);
             }
-            ctx.reset_pool_stats();
+            recycler::reset_misses();
             for _ in 0..10 {
                 round(&mut buf);
             }
-            (cold, ctx.fresh_allocs())
+            (cold, recycler::misses())
         });
         assert!(fresh[0].0 > 0, "the root's first send must miss its pool");
         assert!(fresh.iter().all(|f| f.1 == 0), "steady state: {fresh:?}");

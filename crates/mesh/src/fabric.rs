@@ -163,19 +163,6 @@ impl DeviceCtx {
         data
     }
 
-    /// Buffers this device's recycler had to allocate (misses) since the
-    /// device started or [`DeviceCtx::reset_pool_stats`] was called: send
-    /// buffers and tensor storage alike. Call on the device's own thread.
-    pub fn fresh_allocs(&self) -> usize {
-        recycler::misses()
-    }
-
-    /// Zeroes the recycler's miss counter — call after a warm-up pass to
-    /// assert a steady state allocates nothing.
-    pub fn reset_pool_stats(&self) {
-        recycler::reset_misses();
-    }
-
     /// Extracts the accumulated communication log (resets it). The device
     /// keeps the log's capacity, so a step after the call records into
     /// storage the one before it grew.

@@ -26,7 +26,8 @@
 //!   from the device thread's [`tensor::recycler`] — the one its tensors
 //!   use — and given back to the receiver's on receive, so steady-state
 //!   collective traffic performs no heap allocation
-//!   ([`DeviceCtx::fresh_allocs`] counts recycler misses).
+//!   (`tensor::recycler::misses` counts the allocations it could not
+//!   avoid).
 //! * [`DryRunComm`] — the **trace-only** backend. No threads, no data
 //!   movement: each collective records the op/link stream its live
 //!   counterpart would produce, and received payloads are zeros. Because

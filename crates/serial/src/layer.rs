@@ -12,7 +12,7 @@
 use crate::attention::{attention_backward, attention_forward, AttnCache};
 use crate::config::ModelConfig;
 use crate::layout::{Cut, Slot};
-use crate::params::{add, Hosted, LayerTensors};
+use crate::params::{add, LayerTensors};
 use crate::region::Region;
 use tensor::gemm::Form;
 use tensor::layernorm::{
@@ -60,9 +60,6 @@ pub enum Reduce {
 /// and of the stem around it ([`crate::stem`]). Chosen by type at each
 /// scheme's entry point; never `dyn`.
 pub trait Lowering {
-    /// How a device holds a bias or layer-norm vector.
-    type Hosted: Hosted;
-
     /// Operand panels a product received from other devices, kept for a
     /// later product that needs the same ones (`()` for a lowering that
     /// moves no panels).
@@ -137,8 +134,8 @@ pub trait Lowering {
     fn complete_vocab(&self, _how: Reduce, _partial: &mut [f32]) {}
 
     /// How this device's share of a canonical tensor is cut from the full
-    /// one, for [`crate::shard`] and [`crate::gather`]: all of it, by
-    /// default.
+    /// one, and whether the device hosts it, for [`crate::init`],
+    /// [`crate::shard`] and [`crate::gather`]: all of it, by default.
     fn place(&self, _slot: Slot) -> Cut {
         Cut::WHOLE
     }
@@ -180,7 +177,6 @@ pub fn local_gemm(form: Form, a: &Tensor, b: &Tensor) -> Tensor {
 pub struct Local(pub ModelConfig);
 
 impl Lowering for Local {
-    type Hosted = Vec<f32>;
     type Panels = ();
 
     fn gemm(
@@ -257,21 +253,22 @@ pub fn linear_backward<L: Lowering>(
     })
 }
 
-/// `y = xW + b` on its own: the bias, hosted as `low` hosts it, is
-/// broadcast to the devices that need it first (a region of one vector).
-/// With `keep`, the operand panels the product receives are left there for
-/// [`linear_backward`].
+/// `y = xW + b` on its own: the bias, hosted as `low` hosts it (empty
+/// elsewhere), is broadcast to the devices that need it first (a region of
+/// one vector). With `keep`, the operand panels the product receives are
+/// left there for [`linear_backward`].
 pub fn linear_forward<L: Lowering>(
     low: &L,
     role: Role,
     x: &Tensor,
     w: &Tensor,
-    b: &L::Hosted,
+    b: &[f32],
     keep: Option<&mut L::Panels>,
 ) -> Tensor {
-    let mut bias = b
-        .hosted()
-        .map_or_else(|| vec![0.0; w.cols()], <[f32]>::to_vec);
+    let mut bias = match b.is_empty() {
+        true => vec![0.0; w.cols()],
+        false => b.to_vec(),
+    };
     low.broadcast_vectors(&mut bias);
     linear(low, role, x, w, &bias, keep)
 }
@@ -341,13 +338,14 @@ pub fn ln_backward<L: Lowering>(
     dx
 }
 
-/// Layer norm on its own: γ and β, hosted as `low` hosts them, are
-/// broadcast to the devices that need them first (one region of two).
+/// Layer norm on its own: γ and β, hosted as `low` hosts them (empty
+/// elsewhere), are broadcast to the devices that need them first (one region
+/// of two).
 pub fn ln_forward<L: Lowering>(
     low: &L,
     x: &Tensor,
-    gamma: &L::Hosted,
-    beta: &L::Hosted,
+    gamma: &[f32],
+    beta: &[f32],
 ) -> (Tensor, LnCache) {
     let v = Region::load(low, Some([gamma, beta]), &[]);
     norm(low, x, v.final_ln())
@@ -412,7 +410,7 @@ impl<P> LayerCache<P> {
 /// of eight.
 pub fn layer_forward<L: Lowering>(
     low: &L,
-    p: &LayerTensors<L::Hosted>,
+    p: &LayerTensors,
     x: &Tensor,
 ) -> (Tensor, LayerCache<L::Panels>) {
     let v = Region::load(low, None, std::slice::from_ref(p));
@@ -427,7 +425,7 @@ pub fn layer_forward<L: Lowering>(
 /// there is none).
 pub fn layer_recompute<L: Lowering>(
     low: &L,
-    p: &LayerTensors<L::Hosted>,
+    p: &LayerTensors,
     x: &Tensor,
     reuse: [L::Panels; 4],
 ) -> LayerCache<L::Panels> {
@@ -441,7 +439,7 @@ pub fn layer_recompute<L: Lowering>(
 /// sweeps ([`crate::stem`]), which read `v` from the step's one region.
 pub(crate) fn layer_pass<L: Lowering>(
     low: &L,
-    p: &LayerTensors<L::Hosted>,
+    p: &LayerTensors,
     v: [&[f32]; 8],
     x: &Tensor,
     keep: Option<[L::Panels; 4]>,
@@ -528,10 +526,10 @@ pub(crate) fn layer_pass<L: Lowering>(
 /// its own, the eight vector gradients travel home as one region.
 pub fn layer_backward<L: Lowering>(
     low: &L,
-    p: &LayerTensors<L::Hosted>,
+    p: &LayerTensors,
     cache: &LayerCache<L::Panels>,
     dy: &Tensor,
-) -> (Tensor, LayerTensors<L::Hosted>) {
+) -> (Tensor, LayerTensors) {
     let mut dv = Region::vectors(low, 1, false);
     let (dx, weights) = layer_grads(low, p, cache, dy, dv.layer_mut(0));
     dv.reduce(low);
@@ -545,7 +543,7 @@ pub fn layer_backward<L: Lowering>(
 /// `dv`, the layer's part of a gradient region.
 pub(crate) fn layer_grads<L: Lowering>(
     low: &L,
-    p: &LayerTensors<L::Hosted>,
+    p: &LayerTensors,
     cache: &LayerCache<L::Panels>,
     dy: &Tensor,
     dv: [&mut [f32]; 8],

@@ -11,7 +11,7 @@
 
 use crate::config::ModelConfig;
 use crate::layer::{Lowering, Role};
-use crate::params::{Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors};
+use crate::params::{LayerParams, LayerTensors, ModelParams, ModelTensors};
 use crate::stem::StemRef;
 use std::iter::once;
 use std::ops::Range;
@@ -116,8 +116,8 @@ pub(crate) fn vector_widths<L: Lowering>(
 /// thirds (the fused QKV weight and bias).
 type Entry = (Slot, [usize; 2], bool);
 
-/// A tensor as values (`None` where hosted elsewhere) and shape.
-type Piece = (Option<Vec<f32>>, [usize; 2]);
+/// A tensor as values (empty where hosted elsewhere) and shape.
+type Piece = (Vec<f32>, [usize; 2]);
 
 /// The twelve tensors of layer `idx`, of width `h`, in field order, each
 /// with how it starts.
@@ -152,7 +152,7 @@ fn shapes(l: &LayerParams) -> impl Iterator<Item = Vec<usize>> + '_ {
         .zip(l.slots())
         .map(move |((_, slot, ..), v)| match slot {
             Slot::Weight(_) => weights.next().expect("four weights").dims().to_vec(),
-            _ => vec![1, v.expect("a full layer").len()],
+            _ => vec![1, v.len()],
         })
 }
 
@@ -167,13 +167,12 @@ fn name(k: usize, layers: usize) -> String {
 
 /// The piece `cut` takes of one tensor, drawn from its `seed` stream.
 fn draw(cut: Cut, seed: u64, (_, dims, thirds): Entry, init: Init) -> Piece {
-    let piece = cut.hosted.then(|| {
-        let len = dims[0] * dims[1] / (cut.rows.1 * cut.cols.1);
-        match init {
-            Init::Normal(id) => init_runs(seed, id, WEIGHT_STD, cut.runs(dims, thirds), len),
-            Init::Fill(x) => vec![x; len],
-        }
-    });
+    let len = dims[0] * dims[1] / (cut.rows.1 * cut.cols.1);
+    let piece = match init {
+        _ if !cut.hosted => Vec::new(),
+        Init::Normal(id) => init_runs(seed, id, WEIGHT_STD, cut.runs(dims, thirds), len),
+        Init::Fill(x) => vec![x; len],
+    };
     (piece, [dims[0] / cut.rows.1, dims[1] / cut.cols.1])
 }
 
@@ -187,7 +186,7 @@ pub fn init<L: Lowering>(
     seed: u64,
     cfg: &ModelConfig,
     layers: Range<usize>,
-) -> ModelTensors<L::Hosted> {
+) -> ModelTensors {
     let n = layers.len();
     let entries = stem_entries(cfg.vocab, cfg.hidden, layers);
     from_pieces(
@@ -203,9 +202,9 @@ pub(crate) fn init_layer(seed: u64, idx: usize, h: usize) -> LayerParams {
 }
 
 /// This device's piece of the sentence-classification head `[h, classes]`
-/// and its zero bias, placed as an `Expand` projection and drawn from the
-/// head's `seed` stream.
-pub fn init_head<L: Lowering>(low: &L, seed: u64, classes: usize) -> (Tensor, L::Hosted) {
+/// and its zero bias (empty where hosted elsewhere), placed as an `Expand`
+/// projection and drawn from the head's `seed` stream.
+pub fn init_head<L: Lowering>(low: &L, seed: u64, classes: usize) -> (Tensor, Vec<f32>) {
     let weight = (Slot::Weight(Role::Expand), [low.hidden(), classes], false);
     let bias = (Slot::Bias(Role::Expand), [1, classes], false);
     let head = [
@@ -213,19 +212,15 @@ pub fn init_head<L: Lowering>(low: &L, seed: u64, classes: usize) -> (Tensor, L:
         (bias, Init::Fill(0.0)),
     ];
     let [(w, dims), (b, _)] = head.map(|(e, init)| draw(low.place(e.0), seed, e, init));
-    let w = Tensor::from_vec(&dims, w.expect("every device holds its weight block"));
-    (w, L::Hosted::host(b))
+    (Tensor::from_vec(&dims, w), b)
 }
 
 /// `low`'s piece of one full tensor.
 fn cut<L: Lowering>(low: &L, (slot, dims, thirds): Entry, full: &[f32]) -> Piece {
-    let cut = low.place(slot);
-    let piece = cut.hosted.then(|| {
-        let mut piece = Vec::with_capacity(full.len() / (cut.rows.1 * cut.cols.1));
-        let runs = cut.runs(dims, thirds);
-        runs.for_each(|r| piece.extend_from_slice(&full[r]));
-        piece
-    });
+    let (cut, mut piece) = (low.place(slot), Vec::new());
+    for r in cut.runs(dims, thirds).filter(|_| cut.hosted) {
+        piece.extend_from_slice(&full[r]);
+    }
     (piece, [dims[0] / cut.rows.1, dims[1] / cut.cols.1])
 }
 
@@ -234,13 +229,13 @@ fn cut<L: Lowering>(low: &L, (slot, dims, thirds): Entry, full: &[f32]) -> Piece
 pub fn shard_tensor<L: Lowering>(low: &L, slot: Slot, full: &Tensor) -> Option<Tensor> {
     let entry = (slot, [full.rows(), full.cols()], false);
     let (piece, dims) = cut(low, entry, full.as_slice());
-    piece.map(|v| Tensor::from_vec(&dims, v))
+    (!piece.is_empty()).then(|| Tensor::from_vec(&dims, piece))
 }
 
 /// [`shard`] for one layer's well-formed full tensors.
-pub fn shard_layer<L: Lowering>(low: &L, full: &LayerParams) -> LayerTensors<L::Hosted> {
+pub fn shard_layer<L: Lowering>(low: &L, full: &LayerParams) -> LayerTensors {
     let pieces = layer_entries(0, low.hidden()).zip(full.slots());
-    LayerTensors::from_slots(pieces.map(|((e, _), v)| cut(low, e, v.expect("a full layer"))))
+    LayerTensors::from_slots(pieces.map(|((e, _), v)| cut(low, e, v)))
 }
 
 /// This device's tensors, cut from the canonical `full` as `low` places
@@ -249,11 +244,7 @@ pub fn shard_layer<L: Lowering>(low: &L, full: &LayerParams) -> LayerTensors<L::
 /// # Panics
 /// Naming the first tensor (`layers[1].b_fc1`, say) whose shape does not
 /// match `cfg`, before anything is cut.
-pub fn shard<L: Lowering>(
-    low: &L,
-    full: &ModelParams,
-    cfg: &ModelConfig,
-) -> ModelTensors<L::Hosted> {
+pub fn shard<L: Lowering>(low: &L, full: &ModelParams, cfg: &ModelConfig) -> ModelTensors {
     let (n, want) = (full.layers.len(), cfg.layers);
     assert_eq!(n, want, "layers: {n} given, {want} in the config");
     let entries = || stem_entries(cfg.vocab, cfg.hidden, 0..n).map(|(e, _)| e);
@@ -264,18 +255,15 @@ pub fn shard<L: Lowering>(
         assert!(got == want, "{}: shape must match the config", name(k, n));
     }
     let pieces = entries().zip(stem_values(&full.stem()));
-    let pieces = pieces.map(|(e, v)| cut(low, e, v.expect("full parameters")));
+    let pieces = pieces.map(|(e, v)| cut(low, e, v));
     from_pieces(n, pieces)
 }
 
-/// Every tensor of `stem` in gather order, `None` where hosted elsewhere.
-pub(crate) fn stem_values<'a, H: Hosted>(
-    stem: &StemRef<'a, H>,
-) -> impl Iterator<Item = Option<&'a [f32]>> {
-    let [g, b] = stem.final_ln;
+/// Every tensor of `stem` in gather order, empty where hosted elsewhere.
+pub(crate) fn stem_values<'a>(stem: &StemRef<'a>) -> impl Iterator<Item = &'a [f32]> {
     let layers = stem.layers.iter().flat_map(LayerTensors::slots);
-    let table = once(Some(stem.table.as_slice()));
-    table.chain(layers).chain([g.hosted(), b.hosted()])
+    let table = once(stem.table.as_slice());
+    table.chain(layers).chain(stem.final_ln)
 }
 
 /// Whether entry `i` of the walk order belongs to a pipeline stage that uses
@@ -288,6 +276,18 @@ pub(crate) fn stage_uses(i: usize, with_table: bool, with_final: bool) -> bool {
         1 | 2 => with_final,
         _ => true,
     }
+}
+
+/// Walk-order index of field `k` of layer `l`: past the table and the final
+/// layer norm, twelve per layer.
+pub(crate) fn field(l: usize, k: usize) -> usize {
+    3 + 12 * l + k
+}
+
+/// The walk-order indices of layer `l`'s four weights, in field order.
+pub(crate) fn weight_fields(l: usize) -> impl Iterator<Item = usize> {
+    let weights = (0..12).filter(|&k| matches!(LAYER[k].1, Slot::Weight(_)));
+    weights.map(move |k| field(l, k))
 }
 
 /// A stem's tensors in the canonical walk order of [`crate::walk_stem`] —
@@ -307,30 +307,20 @@ pub(crate) fn in_walk_order<T>(
     stem.into_iter().chain(layers)
 }
 
-/// Every tensor of `stem` in walk order with its slot, `None` where hosted
+/// Every tensor of `stem` in walk order with its slot, empty where hosted
 /// elsewhere.
-pub(crate) fn walk_values<'a, H: Hosted>(
-    stem: &StemRef<'a, H>,
-) -> impl Iterator<Item = (Slot, Option<&'a [f32]>)> {
-    let [g, b] = stem.final_ln;
+pub(crate) fn walk_values<'a>(stem: &StemRef<'a>) -> impl Iterator<Item = (Slot, &'a [f32])> {
     let layers = stem.layers.iter().map(LayerTensors::slots);
-    in_walk_order(
-        Some(stem.table.as_slice()),
-        [g.hosted(), b.hosted()],
-        layers,
-    )
+    in_walk_order(stem.table.as_slice(), stem.final_ln, layers)
 }
 
 /// Builds a stem of `layers` layers from its tensors in gather order.
-fn from_pieces<H: Hosted>(
-    layers: usize,
-    mut pieces: impl Iterator<Item = Piece>,
-) -> ModelTensors<H> {
+fn from_pieces(layers: usize, mut pieces: impl Iterator<Item = Piece>) -> ModelTensors {
     let (table, dims) = pieces.next().expect("the table");
-    let embedding = Tensor::from_vec(&dims, table.expect("the table is on every device"));
+    let embedding = Tensor::from_vec(&dims, table);
     let layers = (0..layers).map(|_| LayerTensors::from_slots(pieces.by_ref().take(12)));
     let layers = layers.collect();
-    let mut vector = || H::host(pieces.next().expect("the final layer norm").0);
+    let mut vector = || pieces.next().expect("the final layer norm").0;
     let (final_ln_g, final_ln_b) = (vector(), vector());
     ModelTensors {
         embedding,
@@ -341,20 +331,21 @@ fn from_pieces<H: Hosted>(
 }
 
 /// Gathers one tensor's pieces to the root and puts each back where its cut
-/// took it from; `None` off the root.
-fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f32]>) -> Piece {
+/// took it from; empty off the root.
+fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: &[f32]) -> Piece {
     let cut = low.place(slot);
     assert_eq!(
-        piece.is_some(),
+        !piece.is_empty(),
         cut.hosted,
         "a piece is held where it is hosted"
     );
+    let piece = cut.hosted.then_some(piece);
     // A tensor every device holds whole needs no communication; a gathered
     // one arrives in a buffer of the device's recycler.
     let whole = cut == Cut::WHOLE;
     let gathered = (!whole).then(|| low.gather_pieces(slot, piece)).flatten();
     let Some(flat) = (if whole { piece } else { gathered.as_deref() }) else {
-        return (None, dims);
+        return (Vec::new(), dims);
     };
     let (rp, cp) = (cut.rows.1, cut.cols.1);
     let blocks = (0..rp * cp).map(|k| Cut::new((k / cp, rp), (k % cp, cp), true));
@@ -369,7 +360,7 @@ fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f
     if let Some(buf) = gathered {
         recycler::give(buf);
     }
-    (Some(full), dims)
+    (full, dims)
 }
 
 /// Rebuilds the canonical tensors on the root from every device's `local`
@@ -377,7 +368,7 @@ fn assemble<L: Lowering>(low: &L, (slot, dims, thirds): Entry, piece: Option<&[f
 /// [`Lowering::gather_pieces`] per tensor, in the order table, layers (field
 /// order), final layer norm. `Some` on the root only; every device must call
 /// it.
-pub fn gather<L: Lowering>(low: &L, local: &StemRef<'_, L::Hosted>) -> Option<ModelParams> {
+pub fn gather<L: Lowering>(low: &L, local: &StemRef<'_>) -> Option<ModelParams> {
     let n = local.layers.len();
     let v = local.table.rows() * low.place(Slot::Table).rows.1;
     let entries = stem_entries(v, low.hidden(), 0..n).zip(stem_values(local));
@@ -386,6 +377,5 @@ pub fn gather<L: Lowering>(low: &L, local: &StemRef<'_, L::Hosted>) -> Option<Mo
         .collect();
     // Every device has taken part in every gather; the root is where the
     // table landed.
-    full[0].0.as_ref()?;
-    Some(from_pieces(n, full.into_iter()))
+    (!full[0].0.is_empty()).then(|| from_pieces(n, full.into_iter()))
 }

@@ -15,9 +15,12 @@
 //! is this crate's lowering, and the Megatron and Optimus crates supply
 //! theirs. Likewise one tensor set ([`LayerTensors`], [`ModelTensors`])
 //! holds parameters and gradients for all three, walked in one canonical
-//! order ([`walk_stem`]) by the one [`Optimizer`], and one placement table
-//! per lowering ([`Lowering::place`]) is what [`init`] draws every device's
-//! share by, [`shard`] cuts it by and [`gather`] reassembles it by; a step
+//! order ([`walk_stem`]) by the one [`Optimizer`], which addresses each
+//! tensor — and Adam each tensor's moments — by its index in that walk.
+//! One placement table per lowering ([`Lowering::place`]) is what [`init`]
+//! draws every device's share by, [`shard`] cuts it by and [`gather`]
+//! reassembles it by, and where a device does not host a vector it holds
+//! it empty; a step
 //! moves every bias and layer-norm vector it places, and a data-parallel
 //! replica every gradient it syncs, as one walk-order region ([`Region`]).
 //! The stem around the layer — the forward and reverse
@@ -54,8 +57,6 @@ pub use layer::{
 pub use layout::{gather, init, init_head, shard, shard_layer, shard_tensor, Cut, Slot};
 pub use model::SerialModel;
 pub use optim::Optimizer;
-pub use params::{
-    walk_pair, walk_stage, walk_stem, Hosted, LayerParams, LayerTensors, ModelParams, ModelTensors,
-};
+pub use params::{walk_stem, LayerParams, LayerTensors, ModelParams, ModelTensors};
 pub use region::Region;
 pub use stem::{MemMeter, StemMut, StemRef};

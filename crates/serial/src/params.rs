@@ -16,62 +16,15 @@ use crate::stem::{StemMut, StemRef};
 use minjson::Json;
 use tensor::Tensor;
 
-/// How a device holds one per-layer vector (bias or layer-norm affine):
-/// `Vec<f32>` where every device has it (serial, Megatron-1D),
-/// `Option<Vec<f32>>` where only mesh row 0 hosts it (Optimus-2D, Fig. 5).
-pub trait Hosted {
-    /// The local values, `None` on a device that does not host them.
-    fn hosted(&self) -> Option<&[f32]>;
-    /// Mutable counterpart of [`Hosted::hosted`].
-    fn hosted_mut(&mut self) -> Option<&mut [f32]>;
-    /// Holds `piece`, `None` on a device that does not host it.
-    fn host(piece: Option<Vec<f32>>) -> Self;
-}
-
-impl Hosted for Vec<f32> {
-    fn hosted(&self) -> Option<&[f32]> {
-        Some(self)
-    }
-    fn hosted_mut(&mut self) -> Option<&mut [f32]> {
-        Some(self)
-    }
-    fn host(piece: Option<Vec<f32>>) -> Self {
-        piece.expect("a replicated vector is hosted on every device")
-    }
-}
-
-impl Hosted for Option<Vec<f32>> {
-    fn hosted(&self) -> Option<&[f32]> {
-        self.as_deref()
-    }
-    fn hosted_mut(&mut self) -> Option<&mut [f32]> {
-        self.as_deref_mut()
-    }
-    fn host(piece: Option<Vec<f32>>) -> Self {
-        piece
-    }
-}
-
-fn pair(p: Option<&mut [f32]>, g: Option<&[f32]>, f: &mut impl FnMut(&mut [f32], &[f32])) {
-    match (p, g) {
-        (Some(p), Some(g)) => f(p, g),
-        (None, None) => {}
-        _ => panic!("parameter/gradient hosting mismatch"),
-    }
-}
-
-/// Calls `f` on a `(parameter, gradient)` vector pair hosted here, skips one
-/// hosted elsewhere, and panics when the two sides disagree about hosting.
-pub fn walk_pair<B: Hosted>(p: &mut B, g: &B, f: &mut impl FnMut(&mut [f32], &[f32])) {
-    pair(p.hosted_mut(), g.hosted(), f);
-}
-
 /// The twelve tensors of one pre-LN transformer layer — parameters or their
-/// gradients, full or one device's slice — with vectors held as `B`.
+/// gradients, full or one device's slice. A bias or layer-norm vector is
+/// empty on a device that does not host it, which is what the lowering's
+/// placement row says ([`crate::Cut::hosted`]; Optimus-2D hosts them on
+/// mesh row 0 only, Fig. 5).
 ///
-/// Field order is the canonical walk order of [`LayerTensors::walk`].
-/// Optimizer state ([`tensor::optim::AdamSet`]) and the order of
-/// data-parallel gradient all-reduces in a `CommLog` both follow it.
+/// Field order is the canonical walk order of [`LayerTensors::walk`]. Adam's
+/// moments ([`tensor::optim::Adam`]) and the order of data-parallel gradient
+/// all-reduces in a `CommLog` both follow it.
 ///
 /// The fused QKV weight uses the canonical column layout `[Wq | Wk | Wv]`
 /// (each `[h, h]`). How each scheme cuts a device's share from the full
@@ -79,88 +32,84 @@ pub fn walk_pair<B: Hosted>(p: &mut B, g: &B, f: &mut impl FnMut(&mut [f32], &[f
 /// ([`crate::Lowering::place`]) read by [`crate::shard`] and
 /// [`crate::gather`]; a device's QKV columns are its heads' `[Q | K | V]`.
 #[derive(Clone, Debug)]
-pub struct LayerTensors<B> {
-    pub ln1_g: B,
-    pub ln1_b: B,
+pub struct LayerTensors {
+    pub ln1_g: Vec<f32>,
+    pub ln1_b: Vec<f32>,
     /// `[h, 3h]` fused QKV projection.
     pub w_qkv: Tensor,
-    pub b_qkv: B,
+    pub b_qkv: Vec<f32>,
     /// `[h, h]` attention output projection.
     pub w_out: Tensor,
-    pub b_out: B,
-    pub ln2_g: B,
-    pub ln2_b: B,
+    pub b_out: Vec<f32>,
+    pub ln2_g: Vec<f32>,
+    pub ln2_b: Vec<f32>,
     /// `[h, 4h]` MLP expansion.
     pub w_fc1: Tensor,
-    pub b_fc1: B,
+    pub b_fc1: Vec<f32>,
     /// `[4h, h]` MLP contraction.
     pub w_fc2: Tensor,
-    pub b_fc2: B,
+    pub b_fc2: Vec<f32>,
 }
 
 /// One layer's full parameters (or their gradients) on a single device.
-pub type LayerParams = LayerTensors<Vec<f32>>;
+pub type LayerParams = LayerTensors;
 
-/// The twelve tensors as flat slices in field order, `None` where a vector
-/// is hosted elsewhere; `$vec`/`$mat` pick the shared or mutable accessors.
+/// The twelve tensors as flat slices in field order, a vector hosted
+/// elsewhere empty; `$as` picks the shared or mutable accessor.
 macro_rules! slots {
-    ($t:expr, $vec:ident, $mat:ident) => {
+    ($t:expr, $as:ident) => {
         [
-            $t.ln1_g.$vec(),
-            $t.ln1_b.$vec(),
-            Some($t.w_qkv.$mat()),
-            $t.b_qkv.$vec(),
-            Some($t.w_out.$mat()),
-            $t.b_out.$vec(),
-            $t.ln2_g.$vec(),
-            $t.ln2_b.$vec(),
-            Some($t.w_fc1.$mat()),
-            $t.b_fc1.$vec(),
-            Some($t.w_fc2.$mat()),
-            $t.b_fc2.$vec(),
+            $t.ln1_g.$as(),
+            $t.ln1_b.$as(),
+            $t.w_qkv.$as(),
+            $t.b_qkv.$as(),
+            $t.w_out.$as(),
+            $t.b_out.$as(),
+            $t.ln2_g.$as(),
+            $t.ln2_b.$as(),
+            $t.w_fc1.$as(),
+            $t.b_fc1.$as(),
+            $t.w_fc2.$as(),
+            $t.b_fc2.$as(),
         ]
     };
 }
 
-impl<B: Hosted> LayerTensors<B> {
-    pub(crate) fn slots(&self) -> [Option<&[f32]>; 12] {
-        slots!(self, hosted, as_slice)
+impl LayerTensors {
+    pub(crate) fn slots(&self) -> [&[f32]; 12] {
+        slots!(self, as_slice)
     }
 
     /// Builds a layer from its twelve tensors in field order, each given as
-    /// its values (`None` where hosted elsewhere) and shape.
-    pub(crate) fn from_slots(
-        slots: impl IntoIterator<Item = (Option<Vec<f32>>, [usize; 2])>,
-    ) -> Self {
+    /// its values (a vector hosted elsewhere empty) and shape.
+    pub(crate) fn from_slots(slots: impl IntoIterator<Item = (Vec<f32>, [usize; 2])>) -> Self {
         let mut slots = slots.into_iter();
         let mut next = || slots.next().expect("twelve layer tensors");
-        let mat = |(v, dims): (Option<Vec<f32>>, [usize; 2])| {
-            Tensor::from_vec(&dims, v.expect("every device holds its weight blocks"))
-        };
+        let mat = |(v, dims): (Vec<f32>, [usize; 2])| Tensor::from_vec(&dims, v);
         // Fields evaluate in source order, which is the slot order.
         LayerTensors {
-            ln1_g: B::host(next().0),
-            ln1_b: B::host(next().0),
+            ln1_g: next().0,
+            ln1_b: next().0,
             w_qkv: mat(next()),
-            b_qkv: B::host(next().0),
+            b_qkv: next().0,
             w_out: mat(next()),
-            b_out: B::host(next().0),
-            ln2_g: B::host(next().0),
-            ln2_b: B::host(next().0),
+            b_out: next().0,
+            ln2_g: next().0,
+            ln2_b: next().0,
             w_fc1: mat(next()),
-            b_fc1: B::host(next().0),
+            b_fc1: next().0,
             w_fc2: mat(next()),
-            b_fc2: B::host(next().0),
+            b_fc2: next().0,
         }
     }
 
-    pub(crate) fn slots_mut(&mut self) -> [Option<&mut [f32]>; 12] {
-        slots!(self, hosted_mut, as_mut_slice)
+    pub(crate) fn slots_mut(&mut self) -> [&mut [f32]; 12] {
+        slots!(self, as_mut_slice)
     }
 
     /// Builds a layer from its four weights and eight vectors, each in
     /// field order.
-    pub(crate) fn from_parts(weights: [Tensor; 4], vectors: [B; 8]) -> Self {
+    pub(crate) fn from_parts(weights: [Tensor; 4], vectors: [Vec<f32>; 8]) -> Self {
         let [w_qkv, w_out, w_fc1, w_fc2] = weights;
         let [ln1_g, ln1_b, b_qkv, b_out, ln2_g, ln2_b, b_fc1, b_fc2] = vectors;
         LayerTensors {
@@ -195,19 +144,37 @@ impl<B: Hosted> LayerTensors<B> {
     /// # Panics
     /// If the two sides disagree about which entries are hosted.
     pub fn walk(&mut self, other: &Self, f: &mut impl FnMut(&mut [f32], &[f32])) {
-        for (p, g) in self.slots_mut().into_iter().zip(other.slots()) {
-            pair(p, g, f);
-        }
+        let pairs = self.slots_mut().into_iter().zip(other.slots());
+        walk_hosted(pairs, &mut |_, p, g| f(p, g));
     }
 
     /// [`LayerTensors::walk`] over one set of tensors.
     pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut [f32])) {
-        self.slots_mut().into_iter().flatten().for_each(f);
+        let slots = self.slots_mut().into_iter();
+        slots.filter(|v| !v.is_empty()).for_each(f);
     }
 
     /// Scalars held locally (weights plus any hosted vectors).
     pub fn num_params(&self) -> usize {
-        self.slots().into_iter().flatten().map(<[f32]>::len).sum()
+        self.slots().into_iter().map(<[f32]>::len).sum()
+    }
+}
+
+/// Calls `f` on each `(parameter, gradient)` pair hosted here with its
+/// index, and skips each pair hosted elsewhere, where both sides are empty.
+///
+/// # Panics
+/// Where only one side is empty: the two disagree about hosting.
+fn walk_hosted<'a>(
+    pairs: impl Iterator<Item = (&'a mut [f32], &'a [f32])>,
+    f: &mut impl FnMut(usize, &mut [f32], &[f32]),
+) {
+    for (i, (p, g)) in pairs.enumerate() {
+        let hosted = !p.is_empty();
+        assert_eq!(hosted, !g.is_empty(), "parameter/gradient hosting mismatch");
+        if hosted {
+            f(i, p, g);
+        }
     }
 }
 
@@ -255,19 +222,19 @@ impl LayerParams {
     }
 }
 
-/// All stem tensors — parameters or their gradients — with vectors held
-/// as `B` (see [`LayerTensors`]).
+/// All stem tensors — parameters or their gradients — with a vector hosted
+/// elsewhere empty (see [`LayerTensors`]).
 #[derive(Clone, Debug)]
-pub struct ModelTensors<B> {
+pub struct ModelTensors {
     /// Embedding table `[v, h]`, tied with the LM head.
     pub embedding: Tensor,
-    pub layers: Vec<LayerTensors<B>>,
-    pub final_ln_g: B,
-    pub final_ln_b: B,
+    pub layers: Vec<LayerTensors>,
+    pub final_ln_g: Vec<f32>,
+    pub final_ln_b: Vec<f32>,
 }
 
 /// The full stem parameters (or their gradients) on a single device.
-pub type ModelParams = ModelTensors<Vec<f32>>;
+pub type ModelParams = ModelTensors;
 
 /// The one ordered walk over a stem's `(parameter, gradient)` slice pairs:
 /// embedding table, final layer-norm γ and β, then every layer in
@@ -278,41 +245,46 @@ pub type ModelParams = ModelTensors<Vec<f32>>;
 /// # Panics
 /// If the two sides hold different numbers of layers, or disagree about
 /// hosting.
-pub fn walk_stem<B: Hosted>(
-    params: StemMut<'_, B>,
-    grads: &ModelTensors<B>,
+pub fn walk_stem(
+    params: StemMut<'_>,
+    grads: &ModelTensors,
     f: &mut impl FnMut(&mut [f32], &[f32]),
 ) {
-    walk_stage(params, grads, true, true, f);
+    walk_stage(params, grads, true, true, &mut |_, p, g| f(p, g));
 }
 
-/// [`walk_stem`] over the tensors a pipeline stage uses: the table only
-/// `with_table`, the final layer norm only `with_final` — the rule
-/// [`crate::Region::synced`] follows. The stage holds the others with
-/// gradients that are always zero.
-pub fn walk_stage<B: Hosted>(
-    params: StemMut<'_, B>,
-    grads: &ModelTensors<B>,
+/// [`walk_stem`] over the tensors a pipeline stage uses, each with its index
+/// in the walk: the table only `with_table`, the final layer norm only
+/// `with_final` — the rule [`crate::Region::synced`] follows. The stage
+/// holds the others with gradients that are always zero.
+pub(crate) fn walk_stage(
+    params: StemMut<'_>,
+    grads: &ModelTensors,
     with_table: bool,
     with_final: bool,
-    f: &mut impl FnMut(&mut [f32], &[f32]),
+    f: &mut impl FnMut(usize, &mut [f32], &[f32]),
 ) {
     let (n, m) = (params.layers.len(), grads.layers.len());
     assert_eq!(n, m, "a stem of {n} layers given gradients of {m}");
-    let [gamma, beta] = params.final_ln;
-    let params = crate::layout::in_walk_order(
-        Some(params.table.as_mut_slice()),
-        [gamma.hosted_mut(), beta.hosted_mut()],
-        params.layers.iter_mut().map(LayerTensors::slots_mut),
-    );
-    let pairs = params
-        .zip(crate::layout::walk_values(&grads.stem()))
-        .enumerate();
-    for (i, ((_, p), (_, g))) in pairs {
+    let pairs = walk_slices(params).zip(crate::layout::walk_values(&grads.stem()));
+    walk_hosted(pairs.map(|((_, p), (_, g))| (p, g)), &mut |i, p, g| {
         if crate::layout::stage_uses(i, with_table, with_final) {
-            pair(p, g, f);
+            f(i, p, g);
         }
-    }
+    });
+}
+
+/// Every tensor of `params` in walk order with its slot, a vector hosted
+/// elsewhere empty.
+pub(crate) fn walk_slices<'a>(
+    params: StemMut<'a>,
+) -> impl Iterator<Item = (crate::Slot, &'a mut [f32])> {
+    let [gamma, beta] = params.final_ln;
+    crate::layout::in_walk_order(
+        params.table.as_mut_slice(),
+        [gamma, beta],
+        params.layers.iter_mut().map(LayerTensors::slots_mut),
+    )
 }
 
 /// `a += b`, element-wise — gradient accumulation.
@@ -323,9 +295,9 @@ pub(crate) fn add(a: &mut [f32], b: &[f32]) {
     }
 }
 
-impl<B: Hosted> ModelTensors<B> {
+impl ModelTensors {
     /// The tensors by reference, as the stem and [`crate::gather`] take them.
-    pub fn stem(&self) -> StemRef<'_, B> {
+    pub fn stem(&self) -> StemRef<'_> {
         StemRef {
             table: &self.embedding,
             layers: &self.layers,
@@ -334,7 +306,7 @@ impl<B: Hosted> ModelTensors<B> {
     }
 
     /// The tensors by mutable reference, as [`walk_stem`] takes them.
-    pub fn stem_mut(&mut self) -> StemMut<'_, B> {
+    pub fn stem_mut(&mut self) -> StemMut<'_> {
         StemMut {
             table: &mut self.embedding,
             layers: &mut self.layers,
@@ -354,8 +326,9 @@ impl<B: Hosted> ModelTensors<B> {
 
     /// Scalars held locally.
     pub fn num_params(&self) -> usize {
-        let values = crate::layout::stem_values(&self.stem());
-        values.flatten().map(<[f32]>::len).sum()
+        crate::layout::stem_values(&self.stem())
+            .map(<[f32]>::len)
+            .sum()
     }
 }
 

@@ -18,8 +18,8 @@ use std::ops::Range;
 use tensor::recycler;
 
 use crate::layer::{Lowering, Span};
-use crate::layout::{in_walk_order, stage_uses, vector_widths, walk_values, Slot};
-use crate::params::{Hosted, LayerTensors};
+use crate::layout::{field, in_walk_order, stage_uses, vector_widths, walk_values, Slot};
+use crate::params::{walk_slices, LayerTensors};
 use crate::stem::{StemMut, StemRef};
 
 /// Some of one device's stem tensors, or of their gradients, in walk order.
@@ -38,23 +38,17 @@ impl Drop for Region {
     }
 }
 
-/// Walk-order index of field `k` of layer `l`: past the table and the final
-/// layer norm, twelve per layer.
-fn field(l: usize, k: usize) -> usize {
-    3 + 12 * l + k
-}
-
 impl Region {
     /// The walk's tensors in turn, each `width` long (0: left out) and
-    /// holding `value` where one is given, zeros elsewhere.
-    fn new<'a>(pieces: impl Iterator<Item = (usize, Option<&'a [f32]>)>) -> Self {
+    /// holding `value` where it is not empty, zeros elsewhere.
+    fn new<'a>(pieces: impl Iterator<Item = (usize, &'a [f32])>) -> Self {
         let pieces: Vec<_> = pieces.collect();
         let mut values = recycler::take_zeroed(pieces.iter().map(|&(w, _)| w).sum());
         let (mut at, mut start) = (Vec::with_capacity(pieces.len()), 0);
         for (width, value) in pieces {
             let range = start..start + width;
-            if let (Some(v), true) = (value, width > 0) {
-                values[range.clone()].copy_from_slice(v);
+            if !value.is_empty() && width > 0 {
+                values[range.clone()].copy_from_slice(value);
             }
             start = range.end;
             at.push(range);
@@ -65,7 +59,7 @@ impl Region {
     /// Zeros for every vector of `layers` layers, hosted here or not, and
     /// the final layer norm's only `with_final`.
     pub fn vectors<L: Lowering>(low: &L, layers: usize, with_final: bool) -> Self {
-        Region::new(vector_widths(low, layers, with_final).map(|(_, w)| (w, None)))
+        Region::new(vector_widths(low, layers, with_final).map(|(_, w)| (w, &[][..])))
     }
 
     /// This device's hosted values of `final_ln` (when given) and `layers`,
@@ -73,11 +67,11 @@ impl Region {
     /// gives every device the values its columns need, in the forward's span.
     pub fn load<L: Lowering>(
         low: &L,
-        final_ln: Option<[&L::Hosted; 2]>,
-        layers: &[LayerTensors<L::Hosted>],
+        final_ln: Option<[&[f32]; 2]>,
+        layers: &[LayerTensors],
     ) -> Self {
-        let fin = final_ln.map_or([None, None], |f| f.map(Hosted::hosted));
-        let values = in_walk_order(None, fin, layers.iter().map(LayerTensors::slots));
+        let fin = final_ln.unwrap_or([&[], &[]]);
+        let values = in_walk_order(&[][..], fin, layers.iter().map(LayerTensors::slots));
         let widths = vector_widths(low, layers.len(), final_ln.is_some());
         let mut v = Region::new(widths.zip(values).map(|((_, w), (_, v))| (w, v)));
         low.scope(Span::Fwd, || low.broadcast_vectors(&mut v.values));
@@ -94,10 +88,13 @@ impl Region {
     /// moves: the table only `with_table` and the final layer norm only
     /// `with_final` (a stage that does not use them holds them with zero
     /// gradients), every layer tensor where it is hosted.
-    pub fn synced<H: Hosted>(stem: &StemRef<'_, H>, with_table: bool, with_final: bool) -> Self {
+    pub fn synced(stem: &StemRef<'_>, with_table: bool, with_final: bool) -> Self {
         let values = walk_values(stem).enumerate();
-        let values = values.map(|(i, (_, v))| v.filter(|_| stage_uses(i, with_table, with_final)));
-        Region::new(values.map(|v| (v.map_or(0, <[f32]>::len), v)))
+        let values = values.map(|(i, (_, v))| match stage_uses(i, with_table, with_final) {
+            true => v,
+            false => &[],
+        });
+        Region::new(values.map(|v| (v.len(), v)))
     }
 
     /// The whole region, as one slice.
@@ -154,11 +151,14 @@ impl Region {
         std::array::from_fn(|_| vectors.next().expect("eight layer vectors"))
     }
 
-    /// Each vector as `low` holds it — a copy where hosted, nothing
+    /// Each vector as `low` holds it — a copy where hosted, empty
     /// elsewhere: the final layer norm's two (zeros where the region leaves
     /// them out), then each layer's eight.
-    pub(crate) fn hosted<L: Lowering>(&self, low: &L) -> ([L::Hosted; 2], Vec<[L::Hosted; 8]>) {
-        let host = |slot, v: &[f32]| L::Hosted::host(low.place(slot).hosted.then(|| v.to_vec()));
+    pub(crate) fn hosted<L: Lowering>(&self, low: &L) -> ([Vec<f32>; 2], Vec<[Vec<f32>; 8]>) {
+        let host = |slot, v: &[f32]| match low.place(slot).hosted {
+            true => v.to_vec(),
+            false => Vec::new(),
+        };
         let zeros = vec![0.0; low.hidden() / low.place(Slot::Norm).cols.1];
         let fin = self
             .final_ln()
@@ -173,21 +173,12 @@ impl Region {
     }
 
     /// Calls `f` on each tensor of `params` hosted here that the region
-    /// holds, with its piece, in walk order.
-    pub fn walk<H: Hosted>(
-        &mut self,
-        params: StemMut<'_, H>,
-        f: &mut impl FnMut(&mut [f32], &[f32]),
-    ) {
-        let [g, b] = params.final_ln;
-        let params = in_walk_order(
-            Some(params.table.as_mut_slice()),
-            [g.hosted_mut(), b.hosted_mut()],
-            params.layers.iter_mut().map(LayerTensors::slots_mut),
-        );
-        for ((_, p), piece) in params.zip(self.pieces_mut()) {
-            if let (Some(p), false) = (p, piece.is_empty()) {
-                f(p, piece);
+    /// holds, with its index and piece, in walk order.
+    pub fn walk(&mut self, params: StemMut<'_>, f: &mut impl FnMut(usize, &mut [f32], &[f32])) {
+        let pairs = walk_slices(params).zip(self.pieces_mut()).enumerate();
+        for (i, ((_, p), piece)) in pairs {
+            if !p.is_empty() && !piece.is_empty() {
+                f(i, p, piece);
             }
         }
     }

@@ -18,12 +18,12 @@
 //!   ([`Grad`]) — collected ([`Grads`], which is [`lm_grads`]), added to a
 //!   running total (the same sink, once per pipeline microbatch), or
 //!   applied on the spot and dropped (the paper's immediate update, which
-//!   is [`step`] under SGD). The recompute keeps the operand panels its
-//!   products received, and the layer's backward reads them instead of
-//!   receiving them again. When the backward comes straight after the
-//!   forward ([`Keep::TopCache`]), the top layer's forward keeps its cache
-//!   and panels and is its own recompute, so a checkpointed step re-runs
-//!   `L − 1` layers, not `L`;
+//!   is [`step`] under SGD and Adam). The recompute keeps the operand
+//!   panels its products received, and the layer's backward reads them
+//!   instead of receiving them again. When the backward comes straight
+//!   after the forward ([`Keep::TopCache`]), the top layer's forward keeps
+//!   its cache and panels and is its own recompute, so a checkpointed step
+//!   re-runs `L − 1` layers, not `L`;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
 //!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
@@ -38,13 +38,13 @@
 use crate::layer::{
     layer_grads, layer_pass, ln_backward, norm, LayerCache, LnCache, Lowering, Reduce, Role, Span,
 };
+use crate::layout::weight_fields;
 use crate::optim::Optimizer;
 use crate::params::{LayerTensors, ModelTensors};
 use crate::region::Region;
 use std::borrow::Borrow;
 use tensor::gemm::Form;
 use tensor::loss::{ce_grad_local, partial_label_logit, partial_row_max, partial_sumexp};
-use tensor::optim::sgd_update;
 use tensor::{recycler, Tensor};
 
 /// Live-byte accounting with a high-water mark: what the sweeps and the
@@ -88,24 +88,24 @@ fn bytes(t: &Tensor) -> usize {
 }
 
 /// The stem parameters one device holds (for its stage), by reference.
-pub struct StemRef<'a, H> {
+pub struct StemRef<'a> {
     /// This device's block of the embedding table, tied with the LM head.
     pub table: &'a Tensor,
-    pub layers: &'a [LayerTensors<H>],
-    /// Final layer-norm `[γ, β]`.
-    pub final_ln: [&'a H; 2],
+    pub layers: &'a [LayerTensors],
+    /// Final layer-norm `[γ, β]`, empty where hosted elsewhere.
+    pub final_ln: [&'a [f32]; 2],
 }
 
 /// [`StemRef`] by mutable reference: what an optimizer step updates.
-pub struct StemMut<'a, H> {
+pub struct StemMut<'a> {
     pub table: &'a mut Tensor,
-    pub layers: &'a mut [LayerTensors<H>],
-    pub final_ln: [&'a mut H; 2],
+    pub layers: &'a mut [LayerTensors],
+    pub final_ln: [&'a mut [f32]; 2],
 }
 
-impl<H> StemMut<'_, H> {
+impl StemMut<'_> {
     /// The same parameters by shared reference.
-    fn view(&self) -> StemRef<'_, H> {
+    pub(crate) fn view(&self) -> StemRef<'_> {
         StemRef {
             table: self.table,
             layers: self.layers,
@@ -167,7 +167,7 @@ pub fn check_batch<L: Lowering>(low: &L, tokens: &[usize], labels: &[usize]) {
 /// Returns the last layer's output and the kept state, bottom layer first.
 fn sweep_forward<L: Lowering>(
     low: &L,
-    layers: &[LayerTensors<L::Hosted>],
+    layers: &[LayerTensors],
     v: &Region,
     mut x: Tensor,
     keep: Keep,
@@ -296,7 +296,7 @@ pub fn head_backward<L: Lowering>(
 
 /// Forward-only stem: embedding → layers → final layer norm, the stem's
 /// vectors loaded in one region first.
-pub fn hidden_states<L: Lowering>(low: &L, p: &StemRef<L::Hosted>, tokens: &[usize]) -> Tensor {
+pub fn hidden_states<L: Lowering>(low: &L, p: &StemRef, tokens: &[usize]) -> Tensor {
     check(low, "token", tokens);
     let v = Region::load(low, Some(p.final_ln), p.layers);
     let x = low.embed(p.table, tokens);
@@ -307,7 +307,7 @@ pub fn hidden_states<L: Lowering>(low: &L, p: &StemRef<L::Hosted>, tokens: &[usi
 /// Mean LM loss of this device's `tokens` / `labels`, no gradients.
 pub fn lm_loss<L: Lowering>(
     low: &L,
-    p: &StemRef<L::Hosted>,
+    p: &StemRef,
     tokens: &[usize],
     labels: &[usize],
     total_rows: usize,
@@ -383,7 +383,7 @@ pub enum Bottom<'a, S: FnOnce(Tensor)> {
 /// in the [`Pass`].
 pub fn stage_forward<L: Lowering>(
     low: &L,
-    p: &StemRef<L::Hosted>,
+    p: &StemRef,
     v: &Region,
     input: impl FnOnce() -> Tensor,
     head: Option<(&[usize], usize)>,
@@ -452,7 +452,7 @@ pub fn stage_forward<L: Lowering>(
 /// place, `&mut LayerTensors`; nothing reads a layer again once the sink
 /// has had it.
 #[allow(clippy::too_many_arguments)]
-pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
+pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
     v: &Region,
@@ -548,12 +548,7 @@ impl Grads {
     /// gradients of the region `dv` as `low` hosts them. A stage that
     /// neither embeds nor has the head reports a zero gradient for its
     /// `table`, made here once.
-    pub fn finish<L: Lowering>(
-        self,
-        low: &L,
-        dv: &Region,
-        table: &Tensor,
-    ) -> ModelTensors<L::Hosted> {
+    pub fn finish<L: Lowering>(self, low: &L, dv: &Region, table: &Tensor) -> ModelTensors {
         let ([final_ln_g, final_ln_b], vectors) = dv.hosted(low);
         let layers = self.layers.into_iter().zip(vectors);
         let layer = |(w, v): (Option<_>, _)| {
@@ -574,7 +569,7 @@ impl Grads {
 /// kept, except the top layer's cache ([`Keep::TopCache`]).
 fn forward<L: Lowering>(
     low: &L,
-    p: &StemRef<L::Hosted>,
+    p: &StemRef,
     tokens: &[usize],
     labels: &[usize],
     total_rows: usize,
@@ -591,7 +586,7 @@ fn forward<L: Lowering>(
 /// The backward half after [`forward`]: the stage backward down to the
 /// embedding, each weight and table gradient to `sink`, then the one reduce
 /// of the vector gradients, which it returns.
-fn backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
+fn backward<L: Lowering, P: Borrow<LayerTensors>>(
     low: &L,
     layers: impl ExactSizeIterator<Item = P> + DoubleEndedIterator,
     (v, pass): (Region, Pass<L::Panels>),
@@ -615,13 +610,13 @@ fn backward<L: Lowering, P: Borrow<LayerTensors<L::Hosted>>>(
 /// activation bytes.
 pub fn lm_grads<L: Lowering>(
     low: &L,
-    p: &StemRef<L::Hosted>,
+    p: &StemRef,
     tokens: &[usize],
     labels: &[usize],
     total_rows: usize,
     checkpoint: bool,
     meter: &mut MemMeter,
-) -> (f32, ModelTensors<L::Hosted>) {
+) -> (f32, ModelTensors) {
     let (loss, v, pass) = forward(low, p, tokens, labels, total_rows, checkpoint, meter);
     (loss, collect(low, p, (v, pass), tokens, meter))
 }
@@ -629,11 +624,11 @@ pub fn lm_grads<L: Lowering>(
 /// [`backward`] into a collecting sink: every gradient of the stem.
 fn collect<L: Lowering>(
     low: &L,
-    p: &StemRef<L::Hosted>,
+    p: &StemRef,
     fwd: (Region, Pass<L::Panels>),
     tokens: &[usize],
     meter: &mut MemMeter,
-) -> ModelTensors<L::Hosted> {
+) -> ModelTensors {
     let mut grads = Grads::new();
     let dv = backward(low, p.layers.iter(), fwd, tokens, meter, |g| grads.put(g));
     grads.finish(low, &dv, p.table)
@@ -643,19 +638,21 @@ fn collect<L: Lowering>(
 /// (group), forward and backward as in [`lm_grads`]. Returns the pre-update
 /// loss and the clip scale (1 unless [`Optimizer::Clipped`]).
 ///
-/// Under [`Optimizer::Sgd`] this is the paper's method (2) (Section 3.2.3):
-/// the backward's sink applies each weight and table gradient as soon as it
-/// is complete and drops it, so no layer's weight gradients outlive its
-/// backward; the vectors update after their one reduce. SGD is elementwise
+/// Under [`Optimizer::Sgd`] and [`Optimizer::Adam`] this is the paper's
+/// method (2) (Section 3.2.3): the backward's sink applies each weight and
+/// table gradient as soon as it is complete and drops it, so no layer's
+/// weight gradients outlive its backward; the vectors update after their
+/// one reduce. Each tensor is updated by its index in the canonical walk,
+/// where Adam keeps its moments, in whatever order the gradients complete.
+/// Both rules are elementwise, Adam's step count advances once per step,
 /// and no backward reads a layer above it, so the parameters end bitwise
 /// where collecting first would leave them. [`Optimizer::Clipped`] needs
-/// the global norm before any update, and [`Optimizer::Adam`] keys its
-/// moments by the canonical walk order, not the sink's top-first one: both
-/// collect every gradient and then take [`Optimizer::step`].
+/// the global norm before any update: it collects every gradient and then
+/// takes [`Optimizer::step`].
 #[allow(clippy::too_many_arguments)]
 pub fn step<L: Lowering>(
     low: &L,
-    mut p: StemMut<L::Hosted>,
+    mut p: StemMut,
     tokens: &[usize],
     labels: &[usize],
     total_rows: usize,
@@ -665,21 +662,21 @@ pub fn step<L: Lowering>(
 ) -> (f32, f32) {
     let stem = p.view();
     let (loss, v, pass) = forward(low, &stem, tokens, labels, total_rows, checkpoint, meter);
-    let &mut Optimizer::Sgd { lr } = opt else {
+    if let Optimizer::Clipped { .. } = opt {
         let grads = collect(low, &stem, (v, pass), tokens, meter);
         return (loss, low.scope(Span::Update, || opt.step(low, p, &grads)));
-    };
-    let mut update = |w: &mut [f32], g: &[f32]| sgd_update(w, g, lr);
+    }
+    let mut update = opt.update(&stem, true, true, 1.0);
     let StemMut { table, layers, .. } = &mut p;
     let sink = |g| match g {
-        Grad::Layer(_, w, g) => {
-            let weights = LayerTensors::weights_mut(w).into_iter().zip(&g);
-            weights.for_each(|(w, g)| update(w.as_mut_slice(), g.as_slice()));
+        Grad::Layer(l, w, g) => {
+            let weights = weight_fields(l).zip(LayerTensors::weights_mut(w)).zip(&g);
+            weights.for_each(|((i, w), g)| update.apply(i, w.as_mut_slice(), g.as_slice()));
         }
-        Grad::Table(d) => update(table.as_mut_slice(), d.as_slice()),
+        Grad::Table(d) => update.apply(0, table.as_mut_slice(), d.as_slice()),
     };
     let mut dv = backward(low, layers.iter_mut(), (v, pass), tokens, meter, sink);
-    dv.walk(p, &mut update);
+    dv.walk(p, &mut |i, p, g| update.apply(i, p, g));
     (loss, 1.0)
 }
 

@@ -14,26 +14,22 @@
 //!
 //! The set is **closed under differentiation** (paper Eqs. 1–3), so every
 //! gradient of a SUMMA product is itself a SUMMA product — see the
-//! `grad_*` helpers. [`Workspace`] provides the paper's Section 3.2.3
-//! pre-allocated communication buffers to a caller that holds it across
-//! products (`summa_*_into`): after warm-up such a caller performs zero
-//! fresh panel allocations. [`summa_product`] builds one per call, whose
-//! buffers come from the device's `tensor::recycler` and go back to it, so
-//! the model's step, which calls it, finds its panel buffers again there.
-//! [`summa_product`] runs any of the
-//! three forms and can keep the panels it receives as [`Strips`], or read a
-//! later product's panels from strips an earlier one kept: a checkpointed
-//! layer's backward `NT`/`TN` read the panels of `W` and `x` that the
-//! recompute's `NN` (or the top layer's forward `NN`) received, so they
-//! issue only their reduces.
+//! `grad_*` helpers. Each product stages its panels through a workspace of
+//! the paper's Section 3.2.3 pre-allocated communication buffers, built per
+//! call, whose buffers come from the device's `tensor::recycler` and go
+//! back to it, so the model's step finds its panel buffers again there.
+//! [`summa_product`] runs any of the three forms and can keep the panels it
+//! receives as [`Strips`], or read a later product's panels from strips an
+//! earlier one kept: a checkpointed layer's backward `NT`/`TN` read the
+//! panels of `W` and `x` that the recompute's `NN` (or the top layer's
+//! forward `NN`) received, so they issue only their reduces.
 //!
 //! All routines are generic over `mesh`'s `Communicator` trait, so they run
 //! unchanged on the live thread mesh and on the trace-only dry-run backend
 //! (see the trait docs for the pre-sizing contract). Every collective runs
 //! inside the call that issues it, so each product is the paper's blocking
 //! loop (see `workspace.rs`). Every product opens a `trace` span —
-//! `"summa.nn"`, `"summa.nt"`, `"summa.tn"`, shared by the allocating and
-//! [`Workspace`] variants — so a traced run attributes each
+//! `"summa.nn"`, `"summa.nt"`, `"summa.tn"` — so a traced run attributes each
 //! broadcast/reduce wave to the algorithm that issued it
 //! (`OBSERVABILITY.md` at the repo root shows the resulting timelines).
 //! The per-panel communication volumes are priced in closed form by
@@ -45,6 +41,4 @@ mod workspace;
 
 pub use dist::{collect_blocks, distribute};
 pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nt, summa_product, summa_tn};
-pub use workspace::{
-    summa_nn_into, summa_nt_into, summa_product_into, summa_tn_into, Strips, Workspace,
-};
+pub use workspace::Strips;

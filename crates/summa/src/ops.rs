@@ -1,8 +1,8 @@
 //! The three SUMMA product forms and their gradients.
 //!
 //! These are thin allocating wrappers over the cores in `workspace.rs`:
-//! each call stages panels through a throwaway [`Workspace`] (one buffer
-//! per operand instead of `2q` fresh tensors) and runs the paper's blocking
+//! each call stages panels through a throwaway workspace (one buffer per
+//! operand instead of `2q` fresh tensors) and runs the paper's blocking
 //! loop.
 
 use crate::workspace::{product_dims, summa_product_into, Strips, Workspace};
@@ -13,7 +13,7 @@ use tensor::Tensor;
 /// One SUMMA product of `form` into a fresh output block: `NN` is `A B`,
 /// `NT` is `A Bᵀ`, `TN` is `Aᵀ B`. Operand panels that `from` holds are read
 /// from there instead of being received again; with `keep`, the panels the
-/// product receives are left in it (see [`summa_product_into`]).
+/// product receives are left in it (see *Kept panels* in `workspace.rs`).
 pub fn summa_product<C: Communicator>(
     grid: &Grid2d<C>,
     form: Form,

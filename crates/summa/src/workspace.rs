@@ -10,11 +10,11 @@
 //! form still holds round `l − 1`'s partial while round `l` fills the other
 //! (a product that keeps its panels, see below, hands them over instead of
 //! returning them to the workspace). Buffers grow to a high-water mark
-//! during warm-up and are reused afterwards; [`Workspace::fresh_allocs`]
-//! exposes the growth count so a regression test can prove steady-state
-//! reuse. A buffer that grows is taken from the device's
-//! `tensor::recycler`, and a dropped workspace (or [`Strips`]) gives its
-//! buffers back, so even a workspace built per product finds them again.
+//! during warm-up and are reused afterwards; `Workspace::fresh_allocs`
+//! counts the growths so this module's tests can prove steady-state reuse.
+//! A buffer that grows is taken from the device's `tensor::recycler`, and a
+//! dropped workspace (or [`Strips`]) gives its buffers back, so the
+//! workspace [`crate::summa_product`] builds per product finds them again.
 //!
 //! # Kept panels
 //!
@@ -70,18 +70,18 @@ use tensor::{recycler, Tensor};
 /// iteration, so every product finds its warm buffers where the last one
 /// left them).
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     panel_a: Vec<f32>,
     panel_b: Vec<f32>,
     partial: [Vec<f32>; 2],
     /// Number of times any buffer had to grow (0 in steady state).
-    pub fresh_allocs: usize,
+    pub(crate) fresh_allocs: usize,
 }
 
 impl Workspace {
     /// An empty workspace; buffers grow on first use, from the device's
     /// recycler, and go back to it when the workspace drops.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Workspace::default()
     }
 }
@@ -468,7 +468,7 @@ fn reduce_form_core<C: Communicator>(
 /// this product received, for a later product (see *Kept panels* in the
 /// module docs); the panels it held before lend their storage to them.
 #[allow(clippy::too_many_arguments)]
-pub fn summa_product_into<C: Communicator>(
+pub(crate) fn summa_product_into<C: Communicator>(
     grid: &Grid2d<C>,
     form: Form,
     a: &Tensor,
@@ -517,148 +517,74 @@ pub(crate) fn product_dims(form: Form, a: &Tensor, b: &Tensor) -> (usize, usize,
     (mb, nb, kb)
 }
 
-/// `C += A B` into a caller-owned output block (see [`summa_product_into`]).
-pub fn summa_nn_into<C: Communicator>(
-    grid: &Grid2d<C>,
-    a: &Tensor,
-    b: &Tensor,
-    c: &mut Tensor,
-    ws: &mut Workspace,
-) {
-    summa_product_into(grid, Form::NN, a, b, c, ws, &Strips::default(), None);
-}
-
-/// `C = A Bᵀ` into a caller-owned output block (overwrites `c`).
-pub fn summa_nt_into<C: Communicator>(
-    grid: &Grid2d<C>,
-    a: &Tensor,
-    b: &Tensor,
-    c: &mut Tensor,
-    ws: &mut Workspace,
-) {
-    summa_product_into(grid, Form::NT, a, b, c, ws, &Strips::default(), None);
-}
-
-/// `C = Aᵀ B` into a caller-owned output block (overwrites `c`).
-pub fn summa_tn_into<C: Communicator>(
-    grid: &Grid2d<C>,
-    a: &Tensor,
-    b: &Tensor,
-    c: &mut Tensor,
-    ws: &mut Workspace,
-) {
-    summa_product_into(grid, Form::TN, a, b, c, ws, &Strips::default(), None);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{collect_blocks, distribute};
-    use mesh::Mesh2d;
-    use tensor::{assert_close, matmul_nn, matmul_nt, matmul_tn, Rng, Tensor};
+    use crate::dist::distribute;
+    use mesh::{Mesh2d, MeshNd};
+    use tensor::{Rng, Tensor};
 
     fn rand(dims: &[usize], seed: u64) -> Tensor {
         Tensor::randn(dims, 1.0, &mut Rng::new(seed))
     }
 
-    #[test]
-    fn workspace_variants_match_plain_summa() {
-        let q = 2;
-        let a = rand(&[4 * q, 6 * q], 0);
-        let b = rand(&[6 * q, 2 * q], 1);
-        let blocks = Mesh2d::run(q, |g| {
-            let mut ws = Workspace::new();
-            let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 2]);
-            summa_nn_into(g, &al, &bl, &mut c, &mut ws);
-            c
-        });
-        assert_close(
-            collect_blocks(&blocks, q).as_slice(),
-            matmul_nn(&a, &b).as_slice(),
-            1e-4,
-            1e-4,
-        );
+    /// One product of `form` into `c` through `ws`, reading no kept panels.
+    fn product<C: Communicator>(
+        g: &Grid2d<C>,
+        form: Form,
+        (a, b): (&Tensor, &Tensor),
+        c: &mut Tensor,
+        ws: &mut Workspace,
+    ) {
+        summa_product_into(g, form, a, b, c, ws, &Strips::default(), None);
     }
 
-    #[test]
-    fn nt_and_tn_workspace_variants_match_serial() {
-        let q = 2;
-        let a = rand(&[4 * q, 6 * q], 2);
-        let b = rand(&[2 * q, 6 * q], 3);
-        let blocks = Mesh2d::run(q, |g| {
-            let mut ws = Workspace::new();
+    /// Per-rank workspace growth over five rounds of `forms` on a `dims`
+    /// mesh after one warm-up round — Section 3.2.3's "allocate once" says
+    /// all zeros.
+    fn growth_after_warmup(dims: &[usize], forms: &[Form]) -> Vec<usize> {
+        let (a, b) = (rand(&[16, 16], 5), rand(&[16, 16], 6));
+        MeshNd::run(dims, |g| {
             let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 2]);
-            summa_nt_into(g, &al, &bl, &mut c, &mut ws);
-            c
-        });
-        assert_close(
-            collect_blocks(&blocks, q).as_slice(),
-            matmul_nt(&a, &b).as_slice(),
-            1e-4,
-            1e-4,
-        );
-
-        let a = rand(&[6 * q, 4 * q], 4);
-        let b = rand(&[6 * q, 2 * q], 5);
-        let blocks = Mesh2d::run(q, |g| {
             let mut ws = Workspace::new();
-            let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 2]);
-            summa_tn_into(g, &al, &bl, &mut c, &mut ws);
-            c
-        });
-        assert_close(
-            collect_blocks(&blocks, q).as_slice(),
-            matmul_tn(&a, &b).as_slice(),
-            1e-4,
-            1e-4,
-        );
-    }
-
-    #[test]
-    fn steady_state_has_zero_fresh_allocations() {
-        let q = 2;
-        let a = rand(&[8, 8], 6);
-        let b = rand(&[8, 8], 7);
-        let growths = Mesh2d::run(q, |g| {
-            let mut ws = Workspace::new();
-            let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 4]);
-            // Warm-up step grows the buffers…
-            summa_nn_into(g, &al, &bl, &mut c, &mut ws);
-            let after_warmup = ws.fresh_allocs;
-            assert!(after_warmup > 0, "warm-up must size the workspace");
-            // …steady-state steps must not.
+            let mut c = Tensor::zeros(&[16 / g.q(), 16 / g.q()]);
+            let mut round = |ws: &mut Workspace| {
+                for &form in forms {
+                    product(g, form, (&al, &bl), &mut c, ws);
+                }
+            };
+            round(&mut ws);
+            let warm = ws.fresh_allocs;
+            assert!(warm > 0, "warm-up must size the workspace");
             for _ in 0..5 {
-                c.as_mut_slice().fill(0.0);
-                summa_nn_into(g, &al, &bl, &mut c, &mut ws);
+                round(&mut ws);
             }
-            ws.fresh_allocs - after_warmup
-        });
-        assert!(growths.iter().all(|&g| g == 0), "growths={growths:?}");
+            ws.fresh_allocs - warm
+        })
     }
 
     #[test]
-    fn reduce_forms_reach_steady_state_too() {
-        let q = 2;
-        let a = rand(&[8, 8], 10);
-        let b = rand(&[8, 8], 11);
-        let growths = Mesh2d::run(q, |g| {
-            let mut ws = Workspace::new();
-            let (al, bl) = (distribute(g, &a), distribute(g, &b));
-            let mut c = Tensor::zeros(&[4, 4]);
-            summa_nt_into(g, &al, &bl, &mut c, &mut ws);
-            summa_tn_into(g, &al, &bl, &mut c, &mut ws);
-            let after_warmup = ws.fresh_allocs;
-            for _ in 0..5 {
-                summa_nt_into(g, &al, &bl, &mut c, &mut ws);
-                summa_tn_into(g, &al, &bl, &mut c, &mut ws);
+    fn summa_workspace_reaches_steady_state_reuse() {
+        // A device's depth slice, and so the first iteration `lo` it runs,
+        // is fixed, and workspace buffers only grow: any round that repeats
+        // reaches steady state, whether a reduce form keys its partial slot
+        // on `l - lo` or on `l`. On [4, 4, 2] each slice runs two
+        // iterations.
+        for dims in [&[2, 2][..], &[2, 2, 2], &[4, 4, 2]] {
+            for forms in [
+                &[Form::NN][..],
+                &[Form::NT],
+                &[Form::TN],
+                &[Form::NT, Form::TN],
+                &[Form::NN, Form::NT, Form::TN],
+            ] {
+                let growth = growth_after_warmup(dims, forms);
+                assert!(
+                    growth.iter().all(|&g| g == 0),
+                    "{forms:?} on {dims:?} grew per rank: {growth:?}"
+                );
             }
-            ws.fresh_allocs - after_warmup
-        });
-        assert!(growths.iter().all(|&g| g == 0), "growths={growths:?}");
+        }
     }
 
     /// Runs all three product forms on one grid and returns the bit
@@ -668,15 +594,11 @@ mod tests {
         let (al, bl) = (distribute(g, a), distribute(g, b));
         let side = a.rows() / g.q();
         let mut bits = Vec::new();
-        let mut c = Tensor::zeros(&[side, side]);
-        summa_nn_into(g, &al, &bl, &mut c, &mut ws);
-        bits.extend(c.as_slice().iter().map(|v| v.to_bits()));
-        let mut c = Tensor::zeros(&[side, side]);
-        summa_nt_into(g, &al, &bl, &mut c, &mut ws);
-        bits.extend(c.as_slice().iter().map(|v| v.to_bits()));
-        let mut c = Tensor::zeros(&[side, side]);
-        summa_tn_into(g, &al, &bl, &mut c, &mut ws);
-        bits.extend(c.as_slice().iter().map(|v| v.to_bits()));
+        for form in [Form::NN, Form::NT, Form::TN] {
+            let mut c = Tensor::zeros(&[side, side]);
+            product(g, form, (&al, &bl), &mut c, &mut ws);
+            bits.extend(c.as_slice().iter().map(|v| v.to_bits()));
+        }
         bits
     }
 
@@ -734,7 +656,7 @@ mod tests {
             let mut ws = Workspace::new();
             let (al, bl) = (distribute(g, &a), distribute(g, &b));
             let mut c = Tensor::zeros(&[3, 3]);
-            summa_nn_into(g, &al, &bl, &mut c, &mut ws);
+            product(g, Form::NN, (&al, &bl), &mut c, &mut ws);
         });
     }
 }

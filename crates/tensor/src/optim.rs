@@ -35,7 +35,11 @@ pub fn clip_scale(global_sq_norm: f64, max_norm: f64) -> f32 {
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction, over one device's share of a
+/// model: the step count and the two moments of every parameter the device
+/// updates, laid out as its caller lays those parameters out (`serial`'s
+/// optimizer: back to back in the canonical walk order). A step updates its
+/// parameters at their offsets, in any order.
 #[derive(Clone, Debug)]
 pub struct Adam {
     pub lr: f32,
@@ -48,32 +52,71 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Adam over `n` parameters with the usual defaults (`β₁=0.9, β₂=0.999`).
-    pub fn new(n: usize, lr: f32) -> Self {
+    /// Adam with the usual defaults (`β₁=0.9, β₂=0.999`); its first step
+    /// sizes the moments.
+    pub fn new(lr: f32) -> Self {
         Adam {
             lr,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: vec![0.0; n],
-            v: vec![0.0; n],
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
-    /// Applies one Adam update.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len());
-        assert_eq!(self.m.len(), params.len());
+    /// Begins a step over `n` parameters: `t` advances once, and the
+    /// returned update applies it wherever a gradient is ready.
+    ///
+    /// # Panics
+    /// If `n` is not the first step's.
+    pub fn step(&mut self, n: usize) -> AdamStep<'_> {
+        if self.t == 0 {
+            (self.m, self.v) = (vec![0.0; n], vec![0.0; n]);
+        }
+        assert_eq!(self.m.len(), n, "Adam state sized for other parameters");
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        AdamStep {
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            adam: self,
+        }
+    }
+
+    /// Total optimizer-state bytes held (two f32 moments per parameter).
+    pub fn state_bytes(&self) -> usize {
+        (self.m.len() + self.v.len()) * 4
+    }
+}
+
+/// One [`Adam`] step under way.
+pub struct AdamStep<'a> {
+    adam: &'a mut Adam,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep<'_> {
+    /// Updates `params` from `grads`, whose moments start at offset `at`.
+    pub fn apply(&mut self, at: usize, params: &mut [f32], grads: &[f32]) {
+        assert_eq!(params.len(), grads.len());
+        let Adam {
+            lr,
+            beta1: b1,
+            beta2: b2,
+            eps,
+            m,
+            v,
+            ..
+        } = &mut *self.adam;
+        let (lr, b1, b2, eps, bc1, bc2) = (*lr, *b1, *b2, *eps, self.bc1, self.bc2);
+        let at = at..at + params.len();
         for (((p, g), m), v) in params
             .iter_mut()
             .zip(grads)
-            .zip(&mut self.m)
-            .zip(&mut self.v)
+            .zip(&mut m[at.clone()])
+            .zip(&mut v[at])
         {
             *m = b1 * *m + (1.0 - b1) * g;
             *v = b2 * *v + (1.0 - b2) * g * g;
@@ -81,72 +124,6 @@ impl Adam {
             let vhat = *v / bc2;
             *p -= lr * mhat / (vhat.sqrt() + eps);
         }
-    }
-
-    /// Bytes of optimizer state per parameter (used by the memory model:
-    /// Adam keeps two f32 moments).
-    pub const STATE_BYTES_PER_PARAM: usize = 8;
-}
-
-/// A set of [`Adam`] states addressed by **stable visitation order**: a
-/// model's update routine calls [`AdamSet::begin_step`] once, then
-/// [`AdamSet::apply`] for every `(param, grad)` pair in a fixed order; the
-/// k-th call of every step gets the k-th persistent state. This lets the
-/// same optimizer code drive the serial, 1D-sliced and 2D-blocked models
-/// without naming parameters.
-#[derive(Clone, Debug)]
-pub struct AdamSet {
-    pub lr: f32,
-    states: Vec<Adam>,
-    cursor: usize,
-}
-
-impl AdamSet {
-    pub fn new(lr: f32) -> Self {
-        AdamSet {
-            lr,
-            states: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Resets the visitation cursor; call exactly once per optimizer step.
-    pub fn begin_step(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// Applies Adam to the next `(param, grad)` pair in visitation order.
-    ///
-    /// # Panics
-    /// If the pair's length changed between steps (the visitation order must
-    /// be stable).
-    pub fn apply(&mut self, params: &mut [f32], grads: &[f32]) {
-        if self.cursor == self.states.len() {
-            self.states.push(Adam::new(params.len(), self.lr));
-        }
-        let state = &mut self.states[self.cursor];
-        assert_eq!(
-            state.m.len(),
-            params.len(),
-            "parameter {} changed size between steps — unstable visitation order",
-            self.cursor
-        );
-        state.lr = self.lr;
-        state.step(params, grads);
-        self.cursor += 1;
-    }
-
-    /// Number of distinct parameters tracked so far.
-    pub fn tracked(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Total optimizer-state bytes held (two f32 moments per parameter).
-    pub fn state_bytes(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| s.m.len() * Adam::STATE_BYTES_PER_PARAM)
-            .sum()
     }
 }
 
@@ -168,10 +145,10 @@ mod tests {
     #[test]
     fn adam_descends_quadratic() {
         let mut p = vec![5.0f32];
-        let mut opt = Adam::new(1, 0.3);
+        let mut opt = Adam::new(0.3);
         for _ in 0..200 {
             let g = vec![p[0]];
-            opt.step(&mut p, &g);
+            opt.step(1).apply(0, &mut p, &g);
         }
         assert!(p[0].abs() < 1e-2, "p={}", p[0]);
     }
@@ -180,8 +157,8 @@ mod tests {
     fn adam_first_step_size_is_lr() {
         // With bias correction the first step has magnitude ~lr.
         let mut p = vec![0.0f32];
-        let mut opt = Adam::new(1, 0.01);
-        opt.step(&mut p, &[3.0]);
+        let mut opt = Adam::new(0.01);
+        opt.step(1).apply(0, &mut p, &[3.0]);
         assert!((p[0] + 0.01).abs() < 1e-5, "p={}", p[0]);
     }
 
@@ -193,34 +170,24 @@ mod tests {
     }
 
     #[test]
-    fn adamset_matches_independent_adams() {
-        let mut set = AdamSet::new(0.1);
-        let mut a1 = Adam::new(2, 0.1);
-        let mut a2 = Adam::new(3, 0.1);
-        let mut p_set = (vec![1.0f32, 2.0], vec![3.0f32, 4.0, 5.0]);
-        let mut p_ind = p_set.clone();
+    fn one_state_updates_its_parameters_in_any_order() {
+        // Two tensors at offsets 0 and 2 of one state, updated last-first,
+        // end bitwise where two states of their own leave them.
+        let mut one = Adam::new(0.1);
+        let (mut a1, mut a2) = (Adam::new(0.1), Adam::new(0.1));
+        let mut p_one = (vec![1.0f32, 2.0], vec![3.0f32, 4.0, 5.0]);
+        let mut p_own = p_one.clone();
         for step in 0..5 {
             let g1 = vec![0.1 * step as f32; 2];
             let g2 = vec![-0.2; 3];
-            set.begin_step();
-            set.apply(&mut p_set.0, &g1);
-            set.apply(&mut p_set.1, &g2);
-            a1.step(&mut p_ind.0, &g1);
-            a2.step(&mut p_ind.1, &g2);
+            let mut update = one.step(5);
+            update.apply(2, &mut p_one.1, &g2);
+            update.apply(0, &mut p_one.0, &g1);
+            a1.step(2).apply(0, &mut p_own.0, &g1);
+            a2.step(3).apply(0, &mut p_own.1, &g2);
         }
-        assert_eq!(p_set, p_ind);
-        assert_eq!(set.tracked(), 2);
-        assert_eq!(set.state_bytes(), (2 + 3) * 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "unstable visitation order")]
-    fn adamset_rejects_size_changes() {
-        let mut set = AdamSet::new(0.1);
-        set.begin_step();
-        set.apply(&mut [0.0, 0.0], &[1.0, 1.0]);
-        set.begin_step();
-        set.apply(&mut [0.0], &[1.0]);
+        assert_eq!(p_one, p_own);
+        assert_eq!(one.state_bytes(), (2 + 3) * 8);
     }
 
     #[test]

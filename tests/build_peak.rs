@@ -19,7 +19,7 @@ use optimus::tensor::Tensor;
 use std::iter::once;
 
 /// Bytes of the tensors a device keeps: its table block and weight blocks.
-fn kept_bytes<B>(table: &Tensor, layers: &[LayerTensors<B>]) -> u64 {
+fn kept_bytes(table: &Tensor, layers: &[LayerTensors]) -> u64 {
     let weights = layers
         .iter()
         .flat_map(|l| [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2]);

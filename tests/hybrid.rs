@@ -12,7 +12,7 @@ use perf::autotune::{autotune, AutotuneModel};
 use perf::HardwareProfile;
 use serial::{ModelParams, Optimizer, SerialModel};
 use std::fmt::Write;
-use tensor::optim::AdamSet;
+use tensor::optim::Adam;
 use tensor::Rng;
 
 fn data(cfg: &OptimusConfig, seed: u64) -> (Vec<usize>, Vec<usize>) {
@@ -192,14 +192,14 @@ fn zero1_matches_serial_adam_on_the_global_batch() {
         };
         let (tokens, labels) = data(&cfg, 3);
         let mut reference = SerialModel::new(cfg.model(), 5);
-        let mut ref_opt = Optimizer::Adam(AdamSet::new(lr));
+        let mut ref_opt = Optimizer::Adam(Adam::new(lr));
         let ref_losses: Vec<f32> = (0..4)
             .map(|_| reference.step(&tokens, &labels, &mut ref_opt).0)
             .collect();
 
         let losses = Mesh::run(spec.devices(), |ctx| {
             let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-            let mut opt = Optimizer::Adam(AdamSet::new(lr));
+            let mut opt = Optimizer::Adam(Adam::new(lr));
             (0..4)
                 .map(|_| st.step(&grid, &tokens, &labels, &mut opt).0)
                 .collect::<Vec<f32>>()
@@ -233,7 +233,7 @@ fn zero1_state_bytes_sum_to_eight_per_parameter() {
         let (tokens, labels) = data(&cfg, 4);
         let bytes = Mesh::run(spec.devices(), |ctx| {
             let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-            let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+            let mut opt = Optimizer::Adam(Adam::new(0.01));
             st.step(&grid, &tokens, &labels, &mut opt);
             let Optimizer::Adam(opt) = opt else {
                 unreachable!()
@@ -401,7 +401,7 @@ fn a_hybrid_step_issues_the_pinned_schedule() {
     });
     let (_, zero1) = Mesh::run_with_logs(spec.devices(), |ctx| {
         let (mut st, grid) = build(ctx, &spec, &cfg, 7);
-        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        let mut opt = Optimizer::Adam(Adam::new(0.01));
         st.step(&grid, &tokens, &labels, &mut opt).0
     });
     let got = format!(
@@ -509,7 +509,7 @@ fn stages_keep_adam_moments_only_for_the_tensors_they_use() {
     let (tokens, labels) = data(&cfg, 6);
     let bytes = Mesh::run(spec.devices(), |ctx| {
         let (mut st, grid) = build(ctx, &spec, &cfg, 5);
-        let mut opt = Optimizer::Adam(AdamSet::new(0.01));
+        let mut opt = Optimizer::Adam(Adam::new(0.01));
         for _ in 0..2 {
             st.step(&grid, &tokens, &labels, &mut opt);
         }

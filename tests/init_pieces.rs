@@ -9,8 +9,8 @@ use optimus::megatron::{Megatron1d, MegatronConfig};
 use optimus::mesh::{Group, Mesh, Mesh2d, MeshNd};
 use optimus::optimus_core::{OptimusConfig, Summa2d};
 use optimus::serial::{
-    init, init_head, shard, shard_tensor, Hosted, LayerTensors, Local, Lowering, ModelConfig,
-    ModelParams, ModelTensors, Role, Slot,
+    init, init_head, shard, shard_tensor, LayerTensors, Local, Lowering, ModelConfig, ModelParams,
+    ModelTensors, Role, Slot,
 };
 use optimus::tensor::init::{init_matrix, param_ids, WEIGHT_STD};
 use optimus::tensor::Tensor;
@@ -24,13 +24,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Asserts that `got` and `want` hold the same tensors — shapes, hosting
 /// and every bit.
-fn assert_bitwise<H: Hosted + Clone>(got: &ModelTensors<H>, want: &ModelTensors<H>, what: &str) {
+fn assert_bitwise(got: &ModelTensors, want: &ModelTensors, what: &str) {
     assert_eq!(got.layers.len(), want.layers.len(), "{what}: layers");
     assert_eq!(got.embedding.dims(), want.embedding.dims(), "{what}: table");
     for (g, w) in got.layers.iter().zip(&want.layers) {
-        let dims = |l: &LayerTensors<H>| {
-            [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2].map(|t| t.dims().to_vec())
-        };
+        let dims =
+            |l: &LayerTensors| [&l.w_qkv, &l.w_out, &l.w_fc1, &l.w_fc2].map(|t| t.dims().to_vec());
         assert_eq!(dims(g), dims(w), "{what}: weight shapes");
     }
     let mut tensors = 0;
@@ -51,7 +50,7 @@ fn drawn_and_cut<L: Lowering>(
     low: &L,
     cfg: &ModelConfig,
     layers: Range<usize>,
-) -> [ModelTensors<L::Hosted>; 2] {
+) -> [ModelTensors; 2] {
     let mut full = ModelParams::init(SEED, cfg);
     full.layers = full.layers.drain(layers.clone()).collect();
     let stage = ModelConfig {
@@ -206,7 +205,8 @@ fn both_classifier_heads_are_the_cut_heads_bitwise() {
             let zeros = Tensor::zeros(&[1, classes]);
             let cut = (
                 shard_tensor(&low, Slot::Weight(Role::Expand), &full).unwrap(),
-                shard_tensor(&low, Slot::Bias(Role::Expand), &zeros).map(Tensor::into_vec),
+                shard_tensor(&low, Slot::Bias(Role::Expand), &zeros)
+                    .map_or_else(Vec::new, Tensor::into_vec),
             );
             (init_head(&low, SEED, classes), cut)
         });

@@ -8,7 +8,7 @@ use optimus::megatron::{Megatron1d, MegatronConfig, MegatronModel};
 use optimus::mesh::{CommLog, Group, Mesh, Mesh2d, MeshNd};
 use optimus::minjson::{self, Json};
 use optimus::optimus_core::{OptimusConfig, OptimusModel, Summa2d};
-use optimus::serial::{gather, shard, Hosted, Lowering, ModelConfig, ModelParams, SerialModel};
+use optimus::serial::{gather, shard, Lowering, ModelConfig, ModelParams, SerialModel};
 use optimus::tensor::{assert_close, Rng};
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,8 +80,8 @@ fn place<L: Lowering>(
                 let want = lf.w_qkv.at(i * rows + r, full_col);
                 assert_eq!(lt.w_qkv.at(r, local_col).to_bits(), want.to_bits());
             }
-            if let Some(b) = lt.b_qkv.hosted() {
-                assert_eq!(b[local_col].to_bits(), lf.b_qkv[full_col].to_bits());
+            if let Some(b) = lt.b_qkv.get(local_col) {
+                assert_eq!(b.to_bits(), lf.b_qkv[full_col].to_bits());
             }
         }
     }

@@ -2,12 +2,10 @@
 //! behind Figure 9 and the Section 3.2.3 buffer techniques, observed rather
 //! than modelled.
 
-use optimus::mesh::{Mesh2d, MeshNd};
+use optimus::mesh::Mesh2d;
 use optimus::optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
 use optimus::serial::{ln_forward, stem, Lowering};
-use optimus::summa::{distribute, summa_nn_into, summa_nt_into, summa_tn_into, Workspace};
-use optimus::tensor::gemm::Form;
-use optimus::tensor::{Rng, Tensor};
+use optimus::tensor::{recycler, Rng};
 
 fn cfg(layers: usize, checkpoint: bool) -> OptimusConfig {
     OptimusConfig {
@@ -141,56 +139,6 @@ fn activation_blocks_shrink_with_mesh_size() {
     assert_eq!(b1, 9 * b3);
 }
 
-/// Per-rank workspace growth over five rounds of `forms` on a `dims` mesh
-/// after one warm-up round — Section 3.2.3's "allocate once" says all zeros.
-fn growth_after_warmup(dims: &[usize], forms: &[Form]) -> Vec<usize> {
-    let mut rng = Rng::new(5);
-    let a = Tensor::randn(&[16, 16], 1.0, &mut rng);
-    let b = Tensor::randn(&[16, 16], 1.0, &mut rng);
-    MeshNd::run(dims, |g| {
-        let (al, bl) = (distribute(g, &a), distribute(g, &b));
-        let mut ws = Workspace::new();
-        let mut c = Tensor::zeros(&[8, 8]);
-        let mut round = |ws: &mut Workspace| {
-            for form in forms {
-                match form {
-                    Form::NN => summa_nn_into(g, &al, &bl, &mut c, ws),
-                    Form::NT => summa_nt_into(g, &al, &bl, &mut c, ws),
-                    Form::TN => summa_tn_into(g, &al, &bl, &mut c, ws),
-                }
-            }
-        };
-        round(&mut ws);
-        let warm = ws.fresh_allocs;
-        assert!(warm > 0, "warm-up must size the workspace");
-        for _ in 0..5 {
-            round(&mut ws);
-        }
-        ws.fresh_allocs - warm
-    })
-}
-
-#[test]
-fn summa_workspace_reaches_steady_state_reuse() {
-    // On [2,2,2] the depth-1 slice starts at an odd iteration, which is
-    // where a slot rotation keyed on `l` rather than `l - lo` loses its warm
-    // buffers and re-grows them on every product.
-    for dims in [&[2, 2][..], &[2, 2, 2]] {
-        for forms in [
-            &[Form::NN][..],
-            &[Form::NT],
-            &[Form::TN],
-            &[Form::NN, Form::NT, Form::TN],
-        ] {
-            let growth = growth_after_warmup(dims, forms);
-            assert!(
-                growth.iter().all(|&g| g == 0),
-                "{forms:?} on {dims:?} grew per rank: {growth:?}"
-            );
-        }
-    }
-}
-
 #[test]
 fn train_step_detailed_reports_consistent_peaks_across_devices() {
     let c = cfg(3, false);
@@ -210,11 +158,12 @@ fn train_step_detailed_reports_consistent_peaks_across_devices() {
 #[test]
 fn transport_buffers_reach_steady_state_outside_the_first_row() {
     // Outside mesh row 0 a device receives more messages per step than it
-    // sends, so its transport pool fills up every step. Posted panels and
-    // blocking all-reduce chunks share that pool; unless a full pool keeps
-    // its panel-sized buffers, each later panel send allocates afresh. (Row
-    // 0 sends more than it receives and allocates every step by design of
-    // the traffic, not of the pool.)
+    // sends, so buffers flow into its recycler every step: each message it
+    // receives gives its buffer there, and panel and all-reduce sends take
+    // theirs from there. Unless the recycler keeps panel-sized buffers among
+    // them, each later panel send allocates afresh. (Row 0 sends more than
+    // it receives, so its buffers leave with its sends and it allocates
+    // every step by design of the traffic, not of the recycler.)
     let c = OptimusConfig {
         batch: 8,
         hidden: 32,
@@ -224,11 +173,11 @@ fn transport_buffers_reach_steady_state_outside_the_first_row() {
     let fresh = Mesh2d::run(c.q, |g| {
         let mut m = OptimusModel::new(&c, 4, g);
         m.train_step(g, &tokens, &labels, 0.1);
-        g.ctx().reset_pool_stats();
+        recycler::reset_misses();
         for _ in 0..10 {
             m.train_step(g, &tokens, &labels, 0.1);
         }
-        g.ctx().fresh_allocs()
+        recycler::misses()
     });
     assert_eq!(fresh[c.q..], [0, 0], "fresh buffers per rank: {fresh:?}");
 }

@@ -45,7 +45,7 @@ fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
 /// layer-norm vectors it hosts and every layer block and hosted vector.
 fn param_bits(m: &OptimusModel) -> Vec<u32> {
     let mut out: Vec<u32> = bits(m.table.as_slice()).collect();
-    for v in [&m.final_ln_g, &m.final_ln_b].into_iter().flatten() {
+    for v in [&m.final_ln_g, &m.final_ln_b] {
         out.extend(bits(v));
     }
     for layer in &m.layers {

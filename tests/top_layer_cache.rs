@@ -241,7 +241,7 @@ fn checkpointed_megatron_training_is_bitwise_cached_training() {
 
 fn optimus_params(m: &OptimusModel) -> Vec<u32> {
     let mut out: Vec<u32> = bits(m.table.as_slice()).collect();
-    for v in [&m.final_ln_g, &m.final_ln_b].into_iter().flatten() {
+    for v in [&m.final_ln_g, &m.final_ln_b] {
         out.extend(bits(v));
     }
     for layer in &m.layers {
