@@ -2,10 +2,12 @@
 //! behind Figure 9 and the Section 3.2.3 buffer techniques, observed rather
 //! than modelled.
 
-use optimus::mesh::Mesh2d;
+use optimus::mesh::{Mesh2d, MeshNd};
 use optimus::optimus_core::{layer2d_forward, OptimusConfig, OptimusModel, Summa2d};
 use optimus::serial::{ln_forward, stem, Lowering};
-use optimus::tensor::{recycler, Rng};
+use optimus::summa::{distribute, summa_nn, summa_nt, summa_tn};
+use optimus::tensor::gemm::Form;
+use optimus::tensor::{recycler, Rng, Tensor};
 
 fn cfg(layers: usize, checkpoint: bool) -> OptimusConfig {
     OptimusConfig {
@@ -137,6 +139,74 @@ fn activation_blocks_shrink_with_mesh_size() {
     let b3 = block_bytes(3);
     assert_eq!(b1, 4 * b2);
     assert_eq!(b1, 9 * b3);
+}
+
+/// Per-rank buffer growth over five rounds of `forms` on a `dims` mesh
+/// after one warm-up round — Section 3.2.3's "allocate once" says all
+/// zeros. Each product builds its workspace from the device's recycler and
+/// gives it back on drop, so growth is the recycler's misses, less those a
+/// device owes its traffic: a buffer it sends leaves its recycler, and one
+/// it receives arrives there, so a device that sends more messages per
+/// round than it receives allocates the difference every round. (All
+/// blocks and panels here are one size, so any buffer serves any message.)
+fn growth_after_warmup(dims: &[usize], forms: &[Form]) -> Vec<usize> {
+    const ROUNDS: usize = 5;
+    let mut rng = Rng::new(5);
+    let a = Tensor::randn(&[16, 16], 1.0, &mut rng);
+    let b = Tensor::randn(&[16, 16], 1.0, &mut rng);
+    let (misses, logs) = MeshNd::run_with_logs(dims, |g| {
+        let (al, bl) = (distribute(g, &a), distribute(g, &b));
+        let round = || {
+            for form in forms {
+                match form {
+                    Form::NN => summa_nn(g, &al, &bl),
+                    Form::NT => summa_nt(g, &al, &bl),
+                    Form::TN => summa_tn(g, &al, &bl),
+                };
+            }
+        };
+        recycler::reset_misses();
+        round();
+        assert!(recycler::misses() > 0, "warm-up must size the buffers");
+        recycler::reset_misses();
+        for _ in 0..ROUNDS {
+            round();
+        }
+        recycler::misses()
+    });
+    let links: Vec<_> = logs.iter().flat_map(|l| &l.links).collect();
+    misses
+        .iter()
+        .enumerate()
+        .map(|(rank, &m)| {
+            let sent = links.iter().filter(|l| l.from == rank).count();
+            let received = links.iter().filter(|l| l.to == rank).count();
+            // The logs cover the warm-up round too.
+            let owed = sent.saturating_sub(received) / (ROUNDS + 1);
+            m.saturating_sub(ROUNDS * owed)
+        })
+        .collect()
+}
+
+#[test]
+fn summa_workspace_reaches_steady_state_reuse() {
+    // On [2,2,2] the depth-1 slice starts at an odd iteration, which is
+    // where a slot rotation keyed on `l` rather than `l - lo` loses its warm
+    // buffers and re-grows them on every product.
+    for dims in [&[2, 2][..], &[2, 2, 2]] {
+        for forms in [
+            &[Form::NN][..],
+            &[Form::NT],
+            &[Form::TN],
+            &[Form::NN, Form::NT, Form::TN],
+        ] {
+            let growth = growth_after_warmup(dims, forms);
+            assert!(
+                growth.iter().all(|&g| g == 0),
+                "{forms:?} on {dims:?} grew per rank: {growth:?}"
+            );
+        }
+    }
 }
 
 #[test]
