@@ -20,7 +20,7 @@ use crate::config::OptimusConfig;
 use mesh::{Communicator, Grid2d};
 use serial::{layer_backward, layer_forward, Cut, LayerCache, LayerTensors, Lowering, Reduce};
 use serial::{Role, Slot, Span};
-use summa::{summa_product, Strips};
+use summa::{summa_product, summa_receive, Strips};
 use tensor::gemm::Form;
 use tensor::{recycler, Tensor};
 
@@ -48,6 +48,17 @@ impl<C: Communicator> Lowering for Summa2d<'_, C> {
         keep: Option<&mut Strips>,
     ) -> Tensor {
         summa_product(self.grid, form, a, b, from, keep)
+    }
+
+    /// A receive-only SUMMA `NN`: the broadcasts of `x·W`, no product.
+    fn receive(&self, x: &Tensor, w: &Tensor, keep: &mut Strips) {
+        summa_receive(self.grid, x, w, keep);
+    }
+
+    /// A kept row strip holds every panel of the left operand this device's
+    /// depth slice reads, and `TN` reads no other.
+    fn carries_left(&self, kept: &Strips) -> bool {
+        !kept.row.is_empty()
     }
 
     /// One column broadcast from mesh row 0, which hosts the vectors.

@@ -103,6 +103,18 @@ pub trait Lowering {
     /// The sequences and heads this device runs attention over.
     fn attn_view(&self) -> ModelConfig;
 
+    /// Receives into `keep` the operand panels the product `x·W` would
+    /// receive, without computing it: for a recompute whose backward reads
+    /// a projection's panels but not its output. Nothing to receive for a
+    /// lowering that moves no panels (the default).
+    fn receive(&self, _x: &Tensor, _w: &Tensor, _keep: &mut Self::Panels) {}
+
+    /// Whether the panels a product kept carry its whole left operand, so
+    /// a cache need not hold the operand too (never, by default).
+    fn carries_left(&self, _kept: &Self::Panels) -> bool {
+        false
+    }
+
     /// Whether forward keeps the attention probabilities for backward
     /// (otherwise backward recomputes them per head, paper Section 6).
     fn cache_probs(&self) -> bool {
@@ -359,20 +371,27 @@ pub fn ln_forward<L: Lowering>(
 /// memory method (3) of Section 3.2.3). A recompute ([`layer_recompute`])
 /// and the top layer's forward in a sweep that keeps its cache for a
 /// backward run straight after it also keep the operand panels of their
-/// four projections, `P` being the lowering's [`Lowering::Panels`].
+/// four projections, `P` being the lowering's [`Lowering::Panels`]. Where a
+/// projection's kept panels carry its whole left operand
+/// ([`Lowering::carries_left`]: a 2D row strip), that operand's field is
+/// empty, because the backward's `xᵀ·dy` reads the panels instead.
 pub struct LayerCache<P = ()> {
     pub ln1: LnCache,
+    /// QKV's input; empty where `panels[0]` carries it.
     pub ln1_out: Tensor,
     pub q: Tensor,
     pub k: Tensor,
     pub v: Tensor,
     /// `None` when the lowering does not cache probabilities.
     pub attn: Option<AttnCache>,
+    /// The output projection's input; empty where `panels[1]` carries it.
     pub ctxt: Tensor,
     pub x1: Tensor,
     pub ln2: LnCache,
+    /// fc1's input; empty where `panels[2]` carries it.
     pub ln2_out: Tensor,
     pub f1: Tensor,
+    /// fc2's input; empty where `panels[3]` carries it.
     pub g: Tensor,
     /// The operand panels each projection's forward product kept, in the
     /// order QKV, output projection, fc1, fc2. Transport buffers, not
@@ -414,15 +433,18 @@ pub fn layer_forward<L: Lowering>(
     x: &Tensor,
 ) -> (Tensor, LayerCache<L::Panels>) {
     let v = Region::load(low, None, std::slice::from_ref(p));
-    layer_pass(low, p, v.layer(0), x, None)
+    let (y, cache) = layer_pass(low, p, v.layer(0), x, Run::Forward(None));
+    (y.expect("a forward has an output"), cache)
 }
 
 /// The checkpoint recompute of [`layer_forward`] right before the layer's
 /// backward: returns the cache, with the operand panels each projection
 /// received kept in it, so [`layer_backward`] reads them instead of
-/// receiving them a second time. `reuse` is a previous cache's `panels`,
-/// whose storage the new panels take over (pass `Default::default()` when
-/// there is none).
+/// receiving them a second time. Nothing reads the layer's output, so the
+/// pass stops at `g = gelu(f1)`: fc2 only receives the panels its backward
+/// reads ([`Lowering::receive`]), and its product, bias and residual are
+/// not computed. `reuse` is a previous cache's `panels`, whose storage the
+/// new panels take over (pass `Default::default()` when there is none).
 pub fn layer_recompute<L: Lowering>(
     low: &L,
     p: &LayerTensors,
@@ -430,75 +452,79 @@ pub fn layer_recompute<L: Lowering>(
     reuse: [L::Panels; 4],
 ) -> LayerCache<L::Panels> {
     let v = Region::load(low, None, std::slice::from_ref(p));
-    layer_pass(low, p, v.layer(0), x, Some(reuse)).1
+    layer_pass(low, p, v.layer(0), x, Run::Recompute(reuse)).1
 }
 
-/// [`layer_forward`] with the layer's vectors `v` at hand, keeping each
-/// projection's panels in `keep` when given: the one body behind
-/// [`layer_forward`], [`layer_recompute`] and every layer of a stem's
-/// sweeps ([`crate::stem`]), which read `v` from the step's one region.
+/// What a [`layer_pass`] runs for.
+pub(crate) enum Run<P> {
+    /// A forward, whose output the next layer or the head reads. With
+    /// `Some`, each projection keeps the panels it receives there, their
+    /// old storage lent to them.
+    Forward(Option<[P; 4]>),
+    /// A checkpoint recompute ([`layer_recompute`]): panels kept as by
+    /// `Forward(Some(_))`, and no output.
+    Recompute([P; 4]),
+}
+
+/// [`layer_forward`] with the layer's vectors `v` at hand: the one body
+/// behind [`layer_forward`], [`layer_recompute`] and every layer of a
+/// stem's sweeps ([`crate::stem`]), which read `v` from the step's one
+/// region. Returns the output, `None` for a recompute.
 pub(crate) fn layer_pass<L: Lowering>(
     low: &L,
     p: &LayerTensors,
     v: [&[f32]; 8],
     x: &Tensor,
-    keep: Option<[L::Panels; 4]>,
-) -> (Tensor, LayerCache<L::Panels>) {
+    run: Run<L::Panels>,
+) -> (Option<Tensor>, LayerCache<L::Panels>) {
     low.scope(Span::LayerFwd, || {
         let view = low.attn_view();
         let (rows, w) = (view.tokens(), view.hidden);
         assert_eq!(x.rows(), rows, "bad activation block");
-        let keeping = keep.is_some();
-        let mut panels = keep.unwrap_or_default();
+        let (keeping, recompute, mut panels) = match run {
+            Run::Forward(keep) => (keep.is_some(), false, keep.unwrap_or_default()),
+            Run::Recompute(reuse) => (true, true, reuse),
+        };
         let [qkv_p, out_p, fc1_p, fc2_p] = &mut panels;
         let [ln1_g, ln1_b, b_qkv, b_out, ln2_g, ln2_b, b_fc1, b_fc2] = v;
+        // A left operand is cached only where its kept panels do not carry it.
+        let cached = |x: Tensor, kept: &L::Panels| match low.carries_left(kept) {
+            true => Tensor::zeros(&[0, 0]),
+            false => x,
+        };
 
         // Attention half.
         let (ln1_out, ln1) = norm(low, x, [ln1_g, ln1_b]);
-        let qkv = linear(
-            low,
-            Role::Expand,
-            &ln1_out,
-            &p.w_qkv,
-            b_qkv,
-            keeping.then_some(qkv_p),
-        );
+        let qkv_keep = keeping.then_some(&mut *qkv_p);
+        let qkv = linear(low, Role::Expand, &ln1_out, &p.w_qkv, b_qkv, qkv_keep);
+        let ln1_out = cached(ln1_out, qkv_p);
         let q = qkv.block(0, 0, rows, w);
         let k = qkv.block(0, w, rows, w);
         let v = qkv.block(0, 2 * w, rows, w);
         let (ctxt, attn) = attention_forward(&view, &q, &k, &v, low.cache_probs());
-        let attn_out = linear(
-            low,
-            Role::Contract,
-            &ctxt,
-            &p.w_out,
-            b_out,
-            keeping.then_some(out_p),
-        );
+        let out_keep = keeping.then_some(&mut *out_p);
+        let attn_out = linear(low, Role::Contract, &ctxt, &p.w_out, b_out, out_keep);
+        let ctxt = cached(ctxt, out_p);
         let mut x1 = x.clone();
         x1.add_assign(&attn_out);
 
         // MLP half.
         let (ln2_out, ln2) = norm(low, &x1, [ln2_g, ln2_b]);
-        let f1 = linear(
-            low,
-            Role::Expand,
-            &ln2_out,
-            &p.w_fc1,
-            b_fc1,
-            keeping.then_some(fc1_p),
-        );
+        let fc1_keep = keeping.then_some(&mut *fc1_p);
+        let f1 = linear(low, Role::Expand, &ln2_out, &p.w_fc1, b_fc1, fc1_keep);
+        let ln2_out = cached(ln2_out, fc1_p);
         let g = gelu_forward(&f1);
-        let f2 = linear(
-            low,
-            Role::Contract,
-            &g,
-            &p.w_fc2,
-            b_fc2,
-            keeping.then_some(fc2_p),
-        );
-        let mut y = x1.clone();
-        y.add_assign(&f2);
+        let y = if recompute {
+            low.scope(Span::LinearFwd, || low.receive(&g, &p.w_fc2, fc2_p));
+            None
+        } else {
+            let fc2_keep = keeping.then_some(&mut *fc2_p);
+            let f2 = linear(low, Role::Contract, &g, &p.w_fc2, b_fc2, fc2_keep);
+            let mut y = x1.clone();
+            y.add_assign(&f2);
+            Some(y)
+        };
+        let g = cached(g, fc2_p);
 
         (
             y,

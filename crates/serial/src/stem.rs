@@ -20,10 +20,12 @@
 //!   applied on the spot and dropped (the paper's immediate update, which
 //!   is [`step`] under SGD and Adam). The recompute keeps the operand
 //!   panels its products received, and the layer's backward reads them
-//!   instead of receiving them again. When the backward comes straight
-//!   after the forward ([`Keep::TopCache`]), the top layer's forward keeps
-//!   its cache and panels and is its own recompute, so a checkpointed step
-//!   re-runs `L − 1` layers, not `L`;
+//!   instead of receiving them again; it stops before fc2, whose output the
+//!   backward never reads ([`crate::layer_recompute`]), and its cache holds
+//!   no left operand that a kept row strip carries. When the backward
+//!   comes straight after the forward ([`Keep::TopCache`]), the top layer's
+//!   forward keeps its cache and panels and is its own recompute, so a
+//!   checkpointed step re-runs `L − 1` layers, not `L`;
 //! * the **tied head**: [`logits`]` = H·Eᵀ`, [`cross_entropy`] over a
 //!   vocabulary split across devices, and [`head_backward`]
 //!   (`dH = dL·E`, `dE += dLᵀ·H`, the table panels kept by [`head_loss`]'s
@@ -36,7 +38,8 @@
 //! product, a lookup or a row statistic costs is the [`Lowering`]'s business.
 
 use crate::layer::{
-    layer_grads, layer_pass, ln_backward, norm, LayerCache, LnCache, Lowering, Reduce, Role, Span,
+    layer_grads, layer_pass, ln_backward, norm, LayerCache, LnCache, Lowering, Reduce, Role, Run,
+    Span,
 };
 use crate::layout::weight_fields;
 use crate::optim::Optimizer;
@@ -176,7 +179,8 @@ fn sweep_forward<L: Lowering>(
     let mut kept = Vec::new();
     for (l, p) in layers.iter().enumerate() {
         let top = matches!(keep, Keep::TopCache { .. }) && l + 1 == layers.len();
-        let (y, cache) = layer_pass(low, p, v.layer(l), &x, top.then(Default::default));
+        let run = Run::Forward(top.then(Default::default));
+        let (y, cache) = layer_pass(low, p, v.layer(l), &x, run);
         match keep {
             Keep::Nothing => {}
             Keep::Inputs | Keep::TopCache { checkpoint: true } if !top => {
@@ -188,7 +192,7 @@ fn sweep_forward<L: Lowering>(
                 kept.push(Kept::Cache(Box::new(cache)));
             }
         }
-        x = y;
+        x = y.expect("a forward has an output");
     }
     (x, kept)
 }
@@ -483,8 +487,8 @@ pub fn stage_backward<L: Lowering, P: Borrow<LayerTensors>>(
             let (mut cache, input_bytes) = match kept.pop().expect("one kept entry per layer") {
                 Kept::Cache(cache) => (*cache, 0),
                 Kept::Input(x) => {
-                    let reuse = Some(std::mem::take(&mut spare));
-                    let (_, cache) = layer_pass(low, p.borrow(), v.layer(l), &x, reuse);
+                    let run = Run::Recompute(std::mem::take(&mut spare));
+                    let (_, cache) = layer_pass(low, p.borrow(), v.layer(l), &x, run);
                     meter.alloc(cache.bytes());
                     (cache, bytes(&x))
                 }

@@ -22,7 +22,12 @@
 //! receives as [`Strips`], or read a later product's panels from strips an
 //! earlier one kept: a checkpointed layer's backward `NT`/`TN` read the
 //! panels of `W` and `x` that the recompute's `NN` (or the top layer's
-//! forward `NN`) received, so they issue only their reduces.
+//! forward `NN`) received, so they issue only their reduces. A `TN` whose
+//! left operand is an empty block reads it, and its size, from the kept row
+//! strip alone, so a cache need not hold what its strip carries.
+//! [`summa_receive`] issues an `NN`'s broadcasts into a strip without the
+//! product, for a recompute whose backward reads fc2's panels but not its
+//! output.
 //!
 //! All routines are generic over `mesh`'s `Communicator` trait, so they run
 //! unchanged on the live thread mesh and on the trace-only dry-run backend
@@ -41,4 +46,4 @@ mod workspace;
 
 pub use dist::{collect_blocks, distribute};
 pub use ops::{grad_nn, grad_nt, grad_tn, summa_nn, summa_nt, summa_product, summa_tn};
-pub use workspace::Strips;
+pub use workspace::{summa_receive, Strips};

@@ -22,7 +22,7 @@ pub fn summa_product<C: Communicator>(
     from: &Strips,
     keep: Option<&mut Strips>,
 ) -> Tensor {
-    let (mb, nb, _) = product_dims(form, a, b);
+    let (mb, nb, _) = product_dims(form, a, b, from);
     // `NN` accumulates into `c`; `NT` and `TN` overwrite it.
     let mut c = match form {
         Form::NN => Tensor::zeros(&[mb, nb]),

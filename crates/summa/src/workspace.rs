@@ -29,7 +29,12 @@
 //! cores take each operand's panels from one `Source`: a kept strip, or a
 //! broadcast issued now. A broadcast moves exact payloads, so a kept panel
 //! is bitwise the panel a second broadcast would deliver, and every product
-//! reads the same bytes and reduces in the same order either way.
+//! reads the same bytes and reduces in the same order either way. Where a
+//! `TN` reads its left operand from a kept strip, that operand may be an
+//! empty block: the layer cache holds no copy of what its row strip
+//! carries, and the product takes its `[K, M]` panel size from the strip.
+//! A recompute's fc2, whose output nobody reads, only receives its panels
+//! ([`summa_receive`]): the same broadcasts, no GEMM.
 //!
 //! # One blocking loop
 //!
@@ -174,6 +179,22 @@ impl<'s> Source<'s> {
         stage_panel(my_idx, l, local, n, &mut buf, fresh);
         grid.ctx().broadcast(group, l, &mut buf);
         Cow::Owned(buf)
+    }
+
+    /// Receives iteration `l`'s panel as [`Source::panel`] does and hands it
+    /// straight to the strip being kept, for a product that computes nothing
+    /// from it.
+    fn receive<C: Communicator>(
+        &mut self,
+        grid: &Grid2d<C>,
+        group: &Group,
+        at: (usize, usize),
+        local: &Tensor,
+    ) {
+        assert!(self.keep.is_some(), "a received panel must be kept");
+        let (mut slot, mut fresh) = (Vec::new(), 0);
+        let panel = self.panel(grid, group, at, local, local.len(), &mut slot, &mut fresh);
+        self.release(panel, &mut slot);
     }
 
     /// Hands back a consumed panel: a received one goes to the strip being
@@ -372,6 +393,26 @@ fn nn_core<C: Communicator>(
     ws.fresh_allocs += fresh;
 }
 
+/// The panels the product `C = A B` receives, left in `keep` without the
+/// product: `nn_core`'s row-then-column broadcasts in its order, and
+/// neither its GEMMs nor its depth epilogue, which carries only `C`. For a
+/// recompute whose backward reads a projection's panels but not its output
+/// (see *Kept panels*). Runs under the `"summa.nn"` span, like the product
+/// it stands in for.
+pub fn summa_receive<C: Communicator>(grid: &Grid2d<C>, a: &Tensor, b: &Tensor, keep: &mut Strips) {
+    let _span = trace::span_guard("summa.nn");
+    let (lo, hi) = depth_span(grid);
+    let mut rows = Source::new(&[], Some(&mut keep.row));
+    let mut cols = Source::new(&[], Some(&mut keep.col));
+    let (row, col) = (grid.row_group(), grid.col_group());
+    for l in lo..hi {
+        rows.receive(grid, row, (l, lo), a);
+        cols.receive(grid, col, (l, lo), b);
+    }
+    rows.finish();
+    cols.finish();
+}
+
 /// The reduce-form core shared by `C = A Bᵀ` (panels of `B` along columns,
 /// reduce along rows) and `C = Aᵀ B` (panels of `A` along rows, reduce
 /// along columns). `form` picks the GEMM; `stationary` is the operand that
@@ -484,7 +525,7 @@ pub(crate) fn summa_product_into<C: Communicator>(
     };
     let mut rows = Source::new(&from.row, keep_row);
     let mut cols = Source::new(&from.col, keep_col);
-    let (mb, nb, kb) = product_dims(form, a, b);
+    let (mb, nb, kb) = product_dims(form, a, b, from);
     assert_eq!((c.rows(), c.cols()), (mb, nb), "output block shape");
     let c = c.as_mut_slice();
     match form {
@@ -506,12 +547,21 @@ pub(crate) fn summa_product_into<C: Communicator>(
 }
 
 /// `(M, N, K)` blocks of a `form` product of `a` and `b`: `C` is `[M, N]`
-/// and the contraction runs over `K`.
-pub(crate) fn product_dims(form: Form, a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    let ((mb, kb), (kb2, nb)) = match form {
-        Form::NN => ((a.rows(), a.cols()), (b.rows(), b.cols())),
-        Form::NT => ((a.rows(), a.cols()), (b.cols(), b.rows())),
-        Form::TN => ((a.cols(), a.rows()), (b.rows(), b.cols())),
+/// and the contraction runs over `K`. A `TN` product's `a` is empty where
+/// `from`'s row strip carries it; each of its panels is a `[K, M]` block.
+pub(crate) fn product_dims(
+    form: Form,
+    a: &Tensor,
+    b: &Tensor,
+    from: &Strips,
+) -> (usize, usize, usize) {
+    let ((mb, kb), (kb2, nb)) = match (form, from.row.first()) {
+        (Form::NN, _) => ((a.rows(), a.cols()), (b.rows(), b.cols())),
+        (Form::NT, _) => ((a.rows(), a.cols()), (b.cols(), b.rows())),
+        (Form::TN, Some(panel)) if a.is_empty() => {
+            ((panel.len() / b.rows(), b.rows()), (b.rows(), b.cols()))
+        }
+        (Form::TN, _) => ((a.cols(), a.rows()), (b.rows(), b.cols())),
     };
     assert_eq!(kb, kb2, "contraction blocks disagree: {kb} vs {kb2}");
     (mb, nb, kb)

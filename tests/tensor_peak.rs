@@ -48,17 +48,24 @@ fn a_checkpointed_four_layer_2d_step_peaks_where_it_did_when_every_layer_was_rec
     // applies and drops each layer's weight gradients as soon as its
     // backward is done, so no gradient of a layer above is live there and
     // the peak is in the top layer's backward, beside all three kept
-    // 512-byte inputs. A step that collected its gradients would peak in
-    // the bottom layer's backward instead, one input live and the weight
-    // gradients of three layers (3 072 bytes each) held: 36 864 − 3·512 +
-    // 3·3 072 = 44 544. (It read 64 000 while a device built the whole model —
-    // 51 200 bytes — before cutting its blocks from it.)
-    assert_eq!(tracked, vec![36_864; 4]);
+    // 512-byte inputs. That layer's cache holds none of the four left
+    // operands whose row strips it kept — `ln1_out`, `ctxt`, `ln2_out`
+    // (`[bs/q, h/q]`, 512 bytes each) and `g` (four such blocks) — so the
+    // peak is 36 864 − 7·512 = 33 280, where it read 36 864 while the cache
+    // held them too. A step that collected its gradients would peak in the
+    // bottom layer's backward instead, one input live and the weight
+    // gradients of three layers (3 072 bytes each) held: 33 280 − 3·512 +
+    // 3·3 072 = 40 960. (It read 64 000 while a device built the whole
+    // model — 51 200 bytes — before cutting its blocks from it.)
+    assert_eq!(tracked, vec![36_864 - 7 * 512; 4]);
+    assert!(tracked.iter().all(|&b| b <= 36_864));
     // The meter counts only what the sweeps and the head pin, not those
     // transients. Its peak moves from the backward sweep (`L` inputs and a
     // recomputed cache) to the loss head (`L − 1` inputs, the top cache, the
     // final hidden block and `dlogits`): one `[bs/q, v/q]` block above the
-    // 12 480 bytes it read then.
+    // 12 480 bytes it read then. The meter counts no strip, so at both
+    // places the cache it counts is seven 512-byte blocks smaller than when
+    // it held the operands its row strips carry.
     let dlogits = 4 * (n / cfg.q) * (cfg.vocab / cfg.q);
-    assert_eq!(pinned, vec![12_480 + dlogits; 4]);
+    assert_eq!(pinned, vec![12_480 - 7 * 512 + dlogits; 4]);
 }
